@@ -38,7 +38,9 @@
 //! calibration) are byte-identical.
 
 use flex_core::{run_sql_with, FlexOptions, PrivacyParams};
-use flex_service::{MetricsReport, QueryService, QueryTrace, ServiceConfig, SlowQuery, Telemetry};
+use flex_service::{
+    Metric, MetricsReport, QueryService, QueryTrace, ServiceConfig, SlowQuery, Telemetry,
+};
 use flex_sql::parse_query;
 use flex_workloads::uber::{self, UberConfig};
 use rand::rngs::StdRng;
@@ -240,7 +242,7 @@ fn main() {
     // routing or pushdown regression is visible in the uploaded metrics,
     // not just in the exit code.
     let telemetry = Telemetry::default();
-    telemetry.record_parallelism(1);
+    telemetry.set(Metric::ExecParallelism, 1);
 
     let mut scenarios: Vec<(String, Value)> = Vec::new();
     let mut speedup_gate: Vec<(String, f64, f64)> = Vec::new();
@@ -277,8 +279,7 @@ fn main() {
         });
         let bench_trace = QueryTrace {
             execution: Duration::from_nanos(med),
-            exec: trace,
-            ..QueryTrace::default()
+            ..QueryTrace::new(trace)
         };
         telemetry.record_completed(&bench_trace);
         telemetry.record_release(SlowQuery {

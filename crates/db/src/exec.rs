@@ -79,10 +79,13 @@ pub struct ExecTrace {
     pub join_order: JoinOrder,
 }
 
-impl Default for ExecTrace {
-    fn default() -> Self {
+impl ExecTrace {
+    /// A sequential trace on `route` with every statistic at zero — what
+    /// the row interpreter reports, and the base for struct-update
+    /// syntax elsewhere.
+    pub fn new(route: RouteDecision) -> Self {
         ExecTrace {
-            route: RouteDecision::default(),
+            route,
             topk: false,
             morsels: 0,
             workers: 1,
@@ -91,9 +94,7 @@ impl Default for ExecTrace {
             join_order: JoinOrder::default(),
         }
     }
-}
 
-impl ExecTrace {
     /// Whether the query ran on the vectorized columnar engine.
     pub fn vectorized(&self) -> bool {
         self.route.is_vectorized()
@@ -120,10 +121,7 @@ pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>
             result,
         ),
         Err(reason) => (
-            ExecTrace {
-                route: RouteDecision::Fallback(reason),
-                ..ExecTrace::default()
-            },
+            ExecTrace::new(RouteDecision::Fallback(reason)),
             execute_row(db, q),
         ),
     };

@@ -90,14 +90,6 @@ pub enum RouteDecision {
     Fallback(FallbackReason),
 }
 
-impl Default for RouteDecision {
-    /// An un-routed trace: a fallback with no recorded reason. Real
-    /// routing always substitutes a concrete [`FallbackReason`].
-    fn default() -> Self {
-        RouteDecision::Fallback(FallbackReason::Unknown)
-    }
-}
-
 impl RouteDecision {
     /// Whether the query ran (or would run) on the vectorized engine.
     pub fn is_vectorized(self) -> bool {
@@ -133,19 +125,11 @@ impl std::fmt::Display for RouteDecision {
 /// can show *which* query shapes still miss the fast path instead of a
 /// bare fallback count.
 ///
-/// The plan-IR refactor retired most of this list: join trees, derived
-/// tables, RIGHT/FULL/CROSS and non-equi joins, and UNION \[ALL\] now
-/// vectorize. Retired variants are **kept** for exposition stability —
-/// the Prometheus label set and telemetry counter layout index by
-/// position in [`FallbackReason::ALL`] and must not change shape — and
-/// each variant's doc says what residual shape (if any) still produces
-/// it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Join trees, derived tables, RIGHT/FULL/CROSS and non-equi joins, and
+/// UNION \[ALL\] vectorize; each variant's doc says what residual shape
+/// still produces it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackReason {
-    /// Default placeholder for an un-routed trace; the router never
-    /// produces it.
-    #[default]
-    Unknown,
     /// The query has `WITH` common table expressions.
     Cte,
     /// A set operation the union planner does not cover:
@@ -159,11 +143,6 @@ pub enum FallbackReason {
     /// A referenced base table does not exist; the row interpreter runs
     /// it so the error is reported from one place.
     UnknownTable,
-    /// Retired: RIGHT/FULL/CROSS joins now run on the vectorized engine
-    /// (matched-bit padding + nested-loop morsels). The router no longer
-    /// returns this; the variant stays so telemetry labels and counter
-    /// indices are stable across releases.
-    UnsupportedJoinType,
     /// A join tree of more than eight leaves (the planner's depth cap;
     /// trees up to eight base/derived tables vectorize).
     MultiTableJoin,
@@ -183,15 +162,13 @@ pub enum FallbackReason {
 }
 
 impl FallbackReason {
-    /// Every variant, in a stable order (`Unknown` first). Telemetry
-    /// indexes its per-variant counters by position in this array.
-    pub const ALL: [FallbackReason; 10] = [
-        FallbackReason::Unknown,
+    /// Every variant, in declaration order. Telemetry indexes its
+    /// per-variant counters by position in this array.
+    pub const ALL: [FallbackReason; 8] = [
         FallbackReason::Cte,
         FallbackReason::SetOperation,
         FallbackReason::TableLess,
         FallbackReason::UnknownTable,
-        FallbackReason::UnsupportedJoinType,
         FallbackReason::MultiTableJoin,
         FallbackReason::DerivedTable,
         FallbackReason::TableTooLarge,
@@ -206,12 +183,10 @@ impl FallbackReason {
     /// Stable snake_case label for metric labels and bench reports.
     pub fn as_str(self) -> &'static str {
         match self {
-            FallbackReason::Unknown => "unknown",
             FallbackReason::Cte => "cte",
             FallbackReason::SetOperation => "set_operation",
             FallbackReason::TableLess => "table_less",
             FallbackReason::UnknownTable => "unknown_table",
-            FallbackReason::UnsupportedJoinType => "unsupported_join_type",
             FallbackReason::MultiTableJoin => "multi_table_join",
             FallbackReason::DerivedTable => "derived_table",
             FallbackReason::TableTooLarge => "table_too_large",

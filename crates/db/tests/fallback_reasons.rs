@@ -163,8 +163,7 @@ fn table_less_select_falls_back() {
 }
 
 /// RIGHT/FULL joins (matched-bit padding) and CROSS joins (nested-loop
-/// morsels) vectorize; `UnsupportedJoinType` is fully retired and kept
-/// only so telemetry exposition labels stay complete.
+/// morsels) vectorize.
 #[test]
 fn outer_and_cross_joins_route_vectorized_with_stats() {
     let one_join = JoinOrder {
@@ -318,13 +317,10 @@ fn supported_shape_routes_vectorized_with_stats() {
     );
 }
 
-/// The default/placeholder variant: `Unknown` exists so zero-valued
-/// telemetry has a stable slot, but the router must never return it —
-/// every decline in this suite and every variant in `ALL` names a
-/// concrete cause.
+/// Every variant in `ALL` names a concrete cause the router can return.
 #[test]
 fn taxonomy_is_complete_and_labeled() {
-    assert_eq!(FallbackReason::ALL.len(), 10);
+    assert_eq!(FallbackReason::ALL.len(), 8);
     // Indexes are dense and stable (telemetry uses them as array slots).
     for (i, reason) in FallbackReason::ALL.iter().enumerate() {
         assert_eq!(reason.index(), i);

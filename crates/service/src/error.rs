@@ -36,8 +36,8 @@ pub enum ServiceError {
     Flex(FlexError),
     /// The service is shutting down and dropped the request.
     Shutdown,
-    /// The service shed the request under overload: every worker queue
-    /// was at its depth cap. Nothing was computed and the admission
+    /// The service shed the request under overload: the job queue was
+    /// at capacity. Nothing was computed and the admission
     /// charge was refunded — safe to retry after backing off.
     Overloaded,
     /// The per-query deadline expired before the answer was released.
@@ -78,7 +78,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Flex(e) => write!(f, "query failed: {e}"),
             ServiceError::Shutdown => f.write_str("service is shutting down"),
             ServiceError::Overloaded => f.write_str(
-                "service overloaded: all worker queues are full; charge refunded, retry later",
+                "service overloaded: the job queue is full; charge refunded, retry later",
             ),
             ServiceError::Timeout { timeout } => write!(
                 f,

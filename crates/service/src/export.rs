@@ -9,7 +9,7 @@
 //! never result rows or raw data values.
 
 use crate::ledger::BudgetLedger;
-use crate::telemetry::{LatencySnapshot, SlowQuery, TelemetrySnapshot};
+use crate::telemetry::{Kind, LatencySnapshot, SlowQuery, TelemetrySnapshot, LATENCIES, SCALARS};
 use serde_json::{json, Value};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -28,6 +28,48 @@ pub struct AnalystBudget {
     /// Released (charged) queries.
     pub queries: u32,
 }
+
+/// One row of [`ANALYST_GAUGES`]: a per-analyst gauge labelled by
+/// `analyst` in Prometheus and keyed by `key` in each JSON analyst entry.
+#[derive(Debug, Clone, Copy)]
+pub struct AnalystGauge {
+    /// JSON key.
+    pub key: &'static str,
+    /// Prometheus metric name.
+    pub prometheus: &'static str,
+    /// Prometheus `# HELP` text.
+    pub help: &'static str,
+    /// Reads the value out of one analyst's budget.
+    pub get: fn(&AnalystBudget) -> f64,
+}
+
+/// Every per-analyst gauge, in exposition order.
+pub const ANALYST_GAUGES: &[AnalystGauge] = &[
+    AnalystGauge {
+        key: "epsilon_spent",
+        prometheus: "flex_analyst_epsilon_spent",
+        help: "Settled epsilon spend per analyst.",
+        get: |a| a.epsilon_spent,
+    },
+    AnalystGauge {
+        key: "delta_spent",
+        prometheus: "flex_analyst_delta_spent",
+        help: "Settled delta spend per analyst.",
+        get: |a| a.delta_spent,
+    },
+    AnalystGauge {
+        key: "epsilon_remaining",
+        prometheus: "flex_analyst_epsilon_remaining",
+        help: "Epsilon headroom under the analyst's cap.",
+        get: |a| a.epsilon_remaining,
+    },
+    AnalystGauge {
+        key: "queries",
+        prometheus: "flex_analyst_queries",
+        help: "Released (charged) queries per analyst.",
+        get: |a| f64::from(a.queries),
+    },
+];
 
 /// A complete metrics report: telemetry plus per-analyst budget gauges.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,275 +106,93 @@ impl MetricsReport {
 
     /// Render the report in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP`/`# TYPE` comments, one sample per line,
-    /// label values escaped per the spec. Latency histograms surface as
-    /// summaries (`quantile` labels plus `_sum`/`_count`); the slow-query
-    /// log is JSON-only (Prometheus samples are numeric).
+    /// label values escaped per the spec. Every [`SCALARS`] row grouped
+    /// by kind, every [`FallbackReason`](flex_db::FallbackReason) label
+    /// (zeros included, so dashboards see a stable label set), the
+    /// [`LATENCIES`] histograms as summaries (`quantile` labels plus
+    /// `_sum`/`_count`), then [`ANALYST_GAUGES`]; the slow-query log is
+    /// JSON-only (Prometheus samples are numeric).
     pub fn prometheus(&self) -> String {
         let t = &self.telemetry;
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
+        let header = |out: &mut String, name: &str, help: &str, kind: &str| {
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
         };
-        counter(
-            "flex_queries_submitted_total",
-            "Requests accepted by the service front door.",
-            t.submitted,
-        );
-        counter(
-            "flex_queries_completed_total",
-            "Queries computed through the full DP pipeline.",
-            t.completed,
-        );
-        counter(
-            "flex_cache_hits_total",
-            "Requests served from the noisy-answer cache (zero budget).",
-            t.cache_hits,
-        );
-        counter(
-            "flex_cache_misses_total",
-            "Requests that missed the cache and went to admission.",
-            t.cache_misses,
-        );
-        counter(
-            "flex_coalesced_total",
-            "Requests piggybacked on an identical in-flight computation.",
-            t.coalesced,
-        );
-        counter(
-            "flex_budget_rejected_total",
-            "Requests rejected by budget admission control.",
-            t.rejected_budget,
-        );
-        counter(
-            "flex_failed_total",
-            "Admitted requests whose pipeline failed (charge refunded).",
-            t.failed,
-        );
-        counter(
-            "flex_shed_total",
-            "Admitted requests shed because every worker queue was full (charge refunded).",
-            t.shed,
-        );
-        counter(
-            "flex_timeouts_total",
-            "Admitted requests abandoned at their deadline (charge refunded).",
-            t.timeouts,
-        );
-        counter(
-            "flex_worker_panics_total",
-            "Worker-thread panics caught by the job harness.",
-            t.worker_panics,
-        );
-        counter(
-            "flex_lock_poison_recoveries_total",
-            "Poisoned-mutex recoveries since process start.",
-            t.lock_poison_recoveries,
-        );
-        counter(
-            "flex_wal_appends_total",
-            "Records appended to the budget write-ahead log.",
-            t.wal_appends,
-        );
-        counter(
-            "flex_wal_fsyncs_total",
-            "Durability syncs performed by the budget write-ahead log.",
-            t.wal_fsyncs,
-        );
-        counter(
-            "flex_wal_errors_total",
-            "Budget WAL append/sync failures (charges rejected fail-closed).",
-            t.wal_errors,
-        );
-        counter(
-            "flex_vectorized_total",
-            "Completed queries executed on the vectorized columnar engine.",
-            t.vectorized_hits,
-        );
-        counter(
-            "flex_topk_pushdown_total",
-            "Vectorized queries whose ORDER BY/LIMIT tail ran as top-K.",
-            t.topk_hits,
-        );
-        counter(
-            "flex_cache_evictions_total",
-            "Answers evicted from the noisy-answer cache by its bounds.",
-            t.cache_evictions,
-        );
-        counter(
-            "flex_queue_steals_total",
-            "Jobs a worker took from a sibling's queue (work stealing).",
-            t.queue_steals,
-        );
-
-        // Per-reason fallback breakdown: every variant is exposed, zeros
-        // included, so dashboards see a stable label set.
-        let name = "flex_row_fallbacks_total";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Completed queries that fell back to the row interpreter, by reason."
-        );
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (reason, n) in &t.fallback_reasons {
-            let _ = writeln!(
-                out,
-                "{name}{{reason=\"{}\"}} {n}",
-                escape_label(reason.as_str())
-            );
+        // Exposition order: counters, the `reason` family, gauges.
+        for kind in [Kind::Counter, Kind::ReasonCounter, Kind::Gauge] {
+            for m in SCALARS.iter().filter(|m| m.kind == kind) {
+                let name = m.prometheus;
+                header(&mut out, name, m.help, kind.prometheus_type());
+                if kind == Kind::ReasonCounter {
+                    for (reason, n) in &t.fallback_reasons {
+                        let reason = escape_label(reason.as_str());
+                        let _ = writeln!(out, "{name}{{reason=\"{reason}\"}} {n}");
+                    }
+                } else {
+                    let _ = writeln!(out, "{name} {}", (m.get)(t));
+                }
+            }
         }
-
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "flex_exec_parallelism",
-            "Per-query worker budget of the vectorized engine.",
-            t.exec_parallelism,
-        );
-        gauge(
-            "flex_queue_depth",
-            "Jobs currently queued for a pipeline worker.",
-            t.queue_depth,
-        );
-        gauge(
-            "flex_queue_depth_max",
-            "High-water mark of the job queue depth.",
-            t.max_queue_depth,
-        );
-        gauge(
-            "flex_cache_bytes",
-            "Bytes held by the noisy-answer cache.",
-            t.cache_bytes,
-        );
-        gauge(
-            "flex_queue_shard_max_depth",
-            "High-water mark of any single per-worker queue's depth.",
-            t.queue_shard_max_depth,
-        );
-        gauge(
-            "flex_wal_recovery_replayed_records",
-            "WAL records replayed into the ledger at the last startup.",
-            t.wal_recovery_replayed,
-        );
-
-        summary(
-            &mut out,
-            "flex_query_latency_seconds",
-            "End-to-end pipeline latency per completed query.",
-            &t.latency,
-        );
-        summary(
-            &mut out,
-            "flex_analysis_latency_seconds",
-            "Elastic-sensitivity analysis latency per completed query.",
-            &t.analysis_latency,
-        );
-        summary(
-            &mut out,
-            "flex_execution_latency_seconds",
-            "True-query execution latency per completed query.",
-            &t.execution_latency,
-        );
-        summary(
-            &mut out,
-            "flex_perturbation_latency_seconds",
-            "Smoothing and noise latency per completed query.",
-            &t.perturbation_latency,
-        );
-
-        type Field = fn(&AnalystBudget) -> f64;
-        let per_analyst: [(&str, &str, Field); 4] = [
-            (
-                "flex_analyst_epsilon_spent",
-                "Settled epsilon spend per analyst.",
-                |a| a.epsilon_spent,
-            ),
-            (
-                "flex_analyst_delta_spent",
-                "Settled delta spend per analyst.",
-                |a| a.delta_spent,
-            ),
-            (
-                "flex_analyst_epsilon_remaining",
-                "Epsilon headroom under the analyst's cap.",
-                |a| a.epsilon_remaining,
-            ),
-            (
-                "flex_analyst_queries",
-                "Released (charged) queries per analyst.",
-                |a| f64::from(a.queries),
-            ),
-        ];
-        for (name, help, value) in per_analyst {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
+        for m in LATENCIES {
+            let (name, snap) = (m.prometheus, (m.get)(t));
+            header(&mut out, name, m.help, "summary");
+            let quantiles = [
+                ("0.5", snap.p50()),
+                ("0.95", snap.p95()),
+                ("0.99", snap.p99()),
+            ];
+            for (q, v) in quantiles {
+                let v = fmt_f64(v.as_secs_f64());
+                let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
+            }
+            let _ = writeln!(out, "{name}_sum {}", fmt_f64(snap.sum().as_secs_f64()));
+            let _ = writeln!(out, "{name}_count {}", snap.count());
+        }
+        for m in ANALYST_GAUGES {
+            let name = m.prometheus;
+            header(&mut out, name, m.help, "gauge");
             for a in &self.analysts {
-                let _ = writeln!(
-                    out,
-                    "{name}{{analyst=\"{}\"}} {}",
-                    escape_label(&a.analyst),
-                    fmt_f64(value(a))
-                );
+                let (analyst, value) = (escape_label(&a.analyst), fmt_f64((m.get)(a)));
+                let _ = writeln!(out, "{name}{{analyst=\"{analyst}\"}} {value}");
             }
         }
         out
     }
 
     /// Render the report as a JSON document (durations in nanoseconds,
-    /// quantiles precomputed, slow-query log included). Parses back with
-    /// `serde_json::from_str` — see the round-trip test.
+    /// quantiles precomputed, slow-query log included): the `telemetry`
+    /// object holds every [`SCALARS`] and [`LATENCIES`] row under its
+    /// key, each `analysts` entry every [`ANALYST_GAUGES`] row. Parses
+    /// back with `serde_json::from_str` — see the round-trip test.
     pub fn to_json(&self) -> Value {
         let t = &self.telemetry;
-        let fallback_reasons = Value::Object(
-            t.fallback_reasons
+        let entry = |key: &str, value: Value| (key.to_string(), value);
+        let mut telemetry = Vec::new();
+        for m in SCALARS {
+            telemetry.push(entry(m.key, (m.get)(t).into()));
+            if m.kind == Kind::ReasonCounter {
+                let by_reason = t.fallback_reasons.iter();
+                let by_reason = by_reason.map(|(r, n)| entry(r.as_str(), (*n).into()));
+                telemetry.push(entry(
+                    "fallback_reasons",
+                    Value::Object(by_reason.collect()),
+                ));
+            }
+        }
+        for m in LATENCIES {
+            telemetry.push(entry(m.key, latency_json((m.get)(t))));
+        }
+        let analyst_json = |a: &AnalystBudget| {
+            let gauges = ANALYST_GAUGES
                 .iter()
-                .map(|(reason, n)| (reason.as_str().to_string(), Value::from(*n)))
-                .collect(),
-        );
+                .map(|m| entry(m.key, (m.get)(a).into()));
+            let name = entry("analyst", Value::from(&a.analyst));
+            Value::Object(std::iter::once(name).chain(gauges).collect())
+        };
         json!({
-            "telemetry": {
-                "submitted": t.submitted,
-                "completed": t.completed,
-                "cache_hits": t.cache_hits,
-                "cache_misses": t.cache_misses,
-                "coalesced": t.coalesced,
-                "rejected_budget": t.rejected_budget,
-                "failed": t.failed,
-                "shed": t.shed,
-                "timeouts": t.timeouts,
-                "worker_panics": t.worker_panics,
-                "lock_poison_recoveries": t.lock_poison_recoveries,
-                "wal_appends": t.wal_appends,
-                "wal_fsyncs": t.wal_fsyncs,
-                "wal_errors": t.wal_errors,
-                "wal_recovery_replayed": t.wal_recovery_replayed,
-                "vectorized_hits": t.vectorized_hits,
-                "row_fallbacks": t.row_fallbacks,
-                "fallback_reasons": fallback_reasons,
-                "topk_hits": t.topk_hits,
-                "exec_parallelism": t.exec_parallelism,
-                "queue_depth": t.queue_depth,
-                "max_queue_depth": t.max_queue_depth,
-                "cache_bytes": t.cache_bytes,
-                "cache_evictions": t.cache_evictions,
-                "queue_steals": t.queue_steals,
-                "queue_shard_max_depth": t.queue_shard_max_depth,
-                "latency": latency_json(&t.latency),
-                "analysis_latency": latency_json(&t.analysis_latency),
-                "execution_latency": latency_json(&t.execution_latency),
-                "perturbation_latency": latency_json(&t.perturbation_latency)
-            },
+            "telemetry": Value::Object(telemetry),
             "slow_queries": t.slow_queries.iter().map(slow_query_json).collect::<Vec<Value>>(),
-            "analysts": self.analysts.iter().map(|a| json!({
-                "analyst": a.analyst,
-                "epsilon_spent": a.epsilon_spent,
-                "delta_spent": a.delta_spent,
-                "epsilon_remaining": a.epsilon_remaining,
-                "queries": a.queries
-            })).collect::<Vec<Value>>()
+            "analysts": self.analysts.iter().map(analyst_json).collect::<Vec<Value>>()
         })
     }
 
@@ -345,16 +205,9 @@ impl MetricsReport {
 /// Escape a Prometheus label value: backslash, double quote and newline,
 /// per the text exposition format.
 fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Format an `f64` sample so the output is always a valid Prometheus
@@ -366,27 +219,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-/// Emit one histogram as a Prometheus summary: quantile samples plus the
-/// conventional `_sum` and `_count`.
-fn summary(out: &mut String, name: &str, help: &str, snap: &LatencySnapshot) {
-    let secs = |d: Duration| d.as_secs_f64();
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} summary");
-    for (q, v) in [
-        ("0.5", snap.p50()),
-        ("0.95", snap.p95()),
-        ("0.99", snap.p99()),
-    ] {
-        let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {}", fmt_f64(secs(v)));
-    }
-    let _ = writeln!(
-        out,
-        "{name}_sum {}",
-        fmt_f64(Duration::from_nanos(snap.sum_ns).as_secs_f64())
-    );
-    let _ = writeln!(out, "{name}_count {}", snap.count());
 }
 
 fn latency_json(snap: &LatencySnapshot) -> Value {
@@ -433,34 +265,24 @@ mod tests {
     use crate::telemetry::{QueryTrace, Telemetry};
     use flex_db::{ExecTrace, FallbackReason, RouteDecision};
 
+    /// A report in which every [`SCALARS`] row holds its own value
+    /// (`1000 + row index`), two queries completed (one vectorized and
+    /// slow-logged, one fallback) and two analysts spent budget — one
+    /// with a name that needs label escaping.
     fn sample_report() -> MetricsReport {
         let t = Telemetry::default();
-        t.record_submitted();
-        t.record_submitted();
-        t.record_cache_hit();
-        t.record_cache_miss();
-        t.record_parallelism(4);
-        t.record_cache_stats(2048, 3);
-        t.record_queue_stats(5, 2);
-        t.record_shed();
-        t.record_timeout();
-        t.record_worker_panic();
-        t.record_poison_recoveries(1);
-        t.record_wal_stats(9, 4, 1, 6);
         let mut trace = QueryTrace {
             analysis: Duration::from_micros(250),
             execution: Duration::from_micros(900),
             perturbation: Duration::from_micros(40),
-            exec: ExecTrace {
-                route: RouteDecision::Vectorized,
+            ..QueryTrace::new(ExecTrace {
                 topk: true,
                 morsels: 2,
                 workers: 4,
                 rows_scanned: 8192,
                 rows_emitted: 3,
-                ..ExecTrace::default()
-            },
-            ..QueryTrace::default()
+                ..ExecTrace::new(RouteDecision::Vectorized)
+            })
         };
         t.record_completed(&trace);
         t.record_release(SlowQuery {
@@ -471,8 +293,10 @@ mod tests {
             trace,
         });
         trace.exec.route = RouteDecision::Fallback(FallbackReason::MultiTableJoin);
-        trace.exec.topk = false;
         t.record_completed(&trace);
+        for (i, m) in SCALARS.iter().enumerate() {
+            t.set(m.metric, 1000 + i as u64);
+        }
 
         let ledger = BudgetLedger::new(LedgerPolicy::sequential(10.0, 1e-4));
         let c = ledger.try_charge("alice", 0.5, 1e-9).unwrap();
@@ -482,6 +306,14 @@ mod tests {
             .unwrap();
         ledger.settle(&c);
         MetricsReport::new(t.snapshot(), &ledger)
+    }
+
+    /// Every name any renderer exports, across the three tables.
+    fn exported_names() -> Vec<&'static str> {
+        let scalars = SCALARS.iter().map(|m| m.prometheus);
+        let latencies = LATENCIES.iter().map(|m| m.prometheus);
+        let analysts = ANALYST_GAUGES.iter().map(|m| m.prometheus);
+        scalars.chain(latencies).chain(analysts).collect()
     }
 
     /// Every non-comment line of the Prometheus rendering must be a
@@ -524,45 +356,118 @@ mod tests {
         assert!(samples >= 30, "expected a full exposition, got {samples}");
     }
 
+    /// The one test of the metric tables: every row shows up exactly
+    /// once, with its own value, in `Display`, in Prometheus (`# HELP`,
+    /// `# TYPE` and sample) and in JSON; names and keys are unique and
+    /// well formed.
     #[test]
-    fn prometheus_exposes_expected_series() {
-        let text = sample_report().prometheus();
-        for needle in [
-            "flex_queries_submitted_total 2",
-            "flex_vectorized_total 1",
-            "flex_topk_pushdown_total 1",
-            "flex_row_fallbacks_total{reason=\"multi_table_join\"} 1",
-            "flex_row_fallbacks_total{reason=\"cte\"} 0",
-            "flex_exec_parallelism 4",
-            "flex_cache_bytes 2048",
-            "flex_cache_evictions_total 3",
-            "flex_queue_steals_total 5",
-            "flex_queue_shard_max_depth 2",
-            "flex_shed_total 1",
-            "flex_timeouts_total 1",
-            "flex_worker_panics_total 1",
-            "flex_lock_poison_recoveries_total 1",
-            "flex_wal_appends_total 9",
-            "flex_wal_fsyncs_total 4",
-            "flex_wal_errors_total 1",
-            "flex_wal_recovery_replayed_records 6",
-            "flex_query_latency_seconds{quantile=\"0.99\"}",
-            "flex_query_latency_seconds_count 2",
-            "flex_analyst_epsilon_spent{analyst=\"alice\"} 0.5",
-            // Label escaping: quote and backslash in the analyst name.
-            "flex_analyst_epsilon_spent{analyst=\"bob \\\"the\\\\analyst\\\"\"} 1",
-        ] {
-            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+    fn every_table_row_appears_once_in_every_rendering() {
+        let report = sample_report();
+        let t = &report.telemetry;
+        let (display, prom) = (t.to_string(), report.prometheus());
+        let json = serde_json::from_str(&report.to_json_string()).expect("valid JSON");
+        let telemetry = json.get("telemetry").unwrap();
+        let once = |text: &str, line: String| {
+            let n = text.lines().filter(|l| *l == line).count();
+            assert_eq!(n, 1, "`{line}` appears {n} times in:\n{text}");
+        };
+
+        let names = exported_names();
+        for (i, name) in names.iter().enumerate() {
+            assert!(
+                name.starts_with("flex_")
+                    && name.bytes().all(|b| b == b'_' || b.is_ascii_lowercase()),
+                "{name} must match [a-z_]+"
+            );
+            assert!(!names[..i].contains(name), "{name} is declared twice");
+        }
+
+        for (i, m) in SCALARS.iter().enumerate() {
+            let (name, value) = (m.prometheus, 1000 + i as u64);
+            assert_eq!((m.get)(t), value, "{}", m.key);
+            once(&display, format!("  {:<18}{value:>10}", m.label));
+            once(&prom, format!("# HELP {name} {}", m.help));
+            once(&prom, format!("# TYPE {name} {}", m.kind.prometheus_type()));
+            if m.kind == Kind::ReasonCounter {
+                for (reason, n) in &t.fallback_reasons {
+                    once(&prom, format!("{name}{{reason=\"{reason}\"}} {n}"));
+                }
+            } else {
+                once(&prom, format!("{name} {value}"));
+            }
+            assert_eq!(telemetry.get(m.key).unwrap().as_i64(), Some(value as i64));
+        }
+        let by_reason = telemetry.get("fallback_reasons").unwrap();
+        for (reason, n) in &t.fallback_reasons {
+            let expect = u64::from(*reason == FallbackReason::MultiTableJoin);
+            assert_eq!(*n, expect, "{reason}");
+            assert_eq!(
+                by_reason.get(reason.as_str()).unwrap().as_i64(),
+                Some(expect as i64)
+            );
+        }
+
+        for m in LATENCIES {
+            let (name, snap) = (m.prometheus, (m.get)(t));
+            assert_eq!(snap.count(), 2, "{}", m.key);
+            assert_eq!(display.matches(&format!("\n  {:<22}p50", m.key)).count(), 1);
+            once(&prom, format!("# HELP {name} {}", m.help));
+            once(&prom, format!("# TYPE {name} summary"));
+            once(&prom, format!("{name}_count 2"));
+            assert_eq!(prom.matches(&format!("\n{name}{{quantile=")).count(), 3);
+            let entry = telemetry.get(m.key).unwrap();
+            assert_eq!(entry.get("count").unwrap().as_i64(), Some(2));
+            assert_eq!(
+                entry.get("sum_ns").unwrap().as_i64(),
+                Some(snap.sum_ns as i64)
+            );
+        }
+
+        let analysts = json.get("analysts").unwrap().as_array().unwrap();
+        assert_eq!(analysts.len(), 2);
+        assert_eq!(analysts[0].get("analyst").unwrap().as_str(), Some("alice"));
+        for m in ANALYST_GAUGES {
+            let name = m.prometheus;
+            once(&prom, format!("# HELP {name} {}", m.help));
+            once(&prom, format!("# TYPE {name} gauge"));
+            assert_eq!(prom.matches(&format!("\n{name}{{analyst=")).count(), 2);
+            for (a, entry) in report.analysts.iter().zip(analysts) {
+                assert_eq!(entry.get(m.key).unwrap().as_f64(), Some((m.get)(a)));
+            }
+        }
+        // Label escaping: quote and backslash in the analyst name.
+        once(
+            &prom,
+            "flex_analyst_epsilon_spent{analyst=\"bob \\\"the\\\\analyst\\\"\"} 1".to_string(),
+        );
+
+        // No key is emitted twice (the parser keeps duplicates).
+        let serde_json::Value::Object(entries) = telemetry else {
+            panic!("telemetry is an object");
+        };
+        assert_eq!(entries.len(), SCALARS.len() + 1 + LATENCIES.len());
+        for (i, (key, _)) in entries.iter().enumerate() {
+            assert!(entries[..i].iter().all(|(k, _)| k != key), "{key} twice");
+        }
+    }
+
+    /// README's exposition paragraph must name every exported metric.
+    #[test]
+    fn readme_names_every_exported_metric() {
+        let readme = include_str!("../../../README.md");
+        for name in exported_names() {
+            assert!(
+                readme.contains(&format!("`{name}`")),
+                "README.md omits `{name}`"
+            );
         }
     }
 
     /// The JSON export round-trips through the parser, and the parsed
-    /// tree carries the structured content (trace spans, fallback
-    /// breakdown, analyst budgets).
+    /// tree carries the slow-query log.
     #[test]
     fn json_export_round_trips() {
-        let report = sample_report();
-        let text = report.to_json_string();
+        let text = sample_report().to_json_string();
         let parsed = serde_json::from_str(&text).expect("valid JSON");
         // Print → parse is a fixpoint: re-rendering the parsed tree
         // reproduces the exposition byte for byte. (Value-level equality
@@ -571,41 +476,6 @@ mod tests {
         let reprinted = serde_json::to_string_pretty(&parsed).unwrap();
         assert_eq!(reprinted, text, "print(parse(text)) == text");
 
-        let telemetry = parsed.get("telemetry").unwrap();
-        assert_eq!(telemetry.get("completed").unwrap().as_i64(), Some(2));
-        assert_eq!(telemetry.get("cache_bytes").unwrap().as_i64(), Some(2048));
-        assert_eq!(telemetry.get("cache_evictions").unwrap().as_i64(), Some(3));
-        assert_eq!(telemetry.get("queue_steals").unwrap().as_i64(), Some(5));
-        assert_eq!(
-            telemetry.get("queue_shard_max_depth").unwrap().as_i64(),
-            Some(2)
-        );
-        assert_eq!(telemetry.get("shed").unwrap().as_i64(), Some(1));
-        assert_eq!(telemetry.get("timeouts").unwrap().as_i64(), Some(1));
-        assert_eq!(telemetry.get("worker_panics").unwrap().as_i64(), Some(1));
-        assert_eq!(telemetry.get("wal_appends").unwrap().as_i64(), Some(9));
-        assert_eq!(
-            telemetry.get("wal_recovery_replayed").unwrap().as_i64(),
-            Some(6)
-        );
-        assert_eq!(
-            telemetry
-                .get("fallback_reasons")
-                .unwrap()
-                .get("multi_table_join")
-                .unwrap()
-                .as_i64(),
-            Some(1)
-        );
-        assert_eq!(
-            telemetry
-                .get("latency")
-                .unwrap()
-                .get("count")
-                .unwrap()
-                .as_i64(),
-            Some(2)
-        );
         let slow = parsed.get("slow_queries").unwrap().as_array().unwrap();
         assert_eq!(slow.len(), 1, "one query was offered to the slow log");
         assert_eq!(
@@ -613,19 +483,8 @@ mod tests {
             Some("SELECT COUNT(*) FROM trips")
         );
         assert_eq!(slow[0].get("route").unwrap().as_str(), Some("vectorized"));
-        let analysts = parsed.get("analysts").unwrap().as_array().unwrap();
-        assert_eq!(analysts.len(), 2);
-        assert_eq!(analysts[0].get("analyst").unwrap().as_str(), Some("alice"));
-        assert_eq!(
-            analysts[0].get("epsilon_spent").unwrap().as_f64(),
-            Some(0.5)
-        );
     }
 
-    /// Privacy stance: exposition carries canonical SQL and numbers only
-    /// — a report over a query never contains result values. (The
-    /// sample's noised answer rows are not even reachable from the
-    /// report type.)
     #[test]
     fn empty_report_renders_cleanly() {
         let ledger = BudgetLedger::new(LedgerPolicy::sequential(1.0, 1e-6));

@@ -42,9 +42,6 @@
 //! assert_eq!(svc.ledger().spent("alice").0, 1.0); // charged once
 //! ```
 
-// The vendored `json!` macro is a token-tree muncher; the full metrics
-// document in `export` expands past the default recursion limit.
-#![recursion_limit = "1024"]
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -66,7 +63,7 @@ pub use fault::FaultStorage;
 pub use ledger::{BudgetLedger, Charge, LedgerPolicy};
 pub use service::{QueryService, ServiceConfig, ServiceResponse, Ticket};
 pub use telemetry::{
-    LatencyHistogram, LatencySnapshot, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot,
+    LatencyHistogram, LatencySnapshot, Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot,
 };
 pub use wal::{
     AccountSnapshot, FileStorage, FsyncPolicy, LedgerSnapshot, RecoveryReport, Storage, Wal, WalOp,

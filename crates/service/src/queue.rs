@@ -1,230 +1,140 @@
-//! Per-worker job queues with work stealing — the service's replacement
-//! for a single `Mutex<Receiver<Job>>` around an mpsc channel.
+//! The service's job queue: one bounded FIFO shared by every worker.
 //!
-//! With a shared receiver every worker contends on one lock per
-//! dequeue, and a storm of cheap jobs turns the lock into a convoy: the
-//! workers spend more time queueing on the mutex than running jobs.
-//! Here each worker owns a queue; submitters distribute jobs
-//! round-robin (one short per-queue lock), and an idle worker steals
-//! from siblings before sleeping, so the only global serialization left
-//! is a brief gate lock used to park and wake idle workers (the same
-//! Condvar discipline as the morsel cursor in `flex-db`).
-//!
-//! Placement is pure scheduling: which queue a job lands on (and who
-//! steals it) affects timing only, never results — jobs carry their own
-//! deterministic noise seeds.
+//! A job that reaches the queue costs 100 µs or more to run and its
+//! hand-off is dominated by the worker's thread wake-up, not by this
+//! lock: `pipeline_bench` cannot tell one `Mutex<VecDeque>` + `Condvar`
+//! from per-worker queues with stealing on any workload (CHANGES.md,
+//! PR 12). Which worker pops a job affects timing only, never results —
+//! jobs carry their own deterministic noise seeds.
 
 use crate::sync::lock;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 /// Why a [`WorkQueue::push`] bounced; the job comes back either way.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum PushError<T> {
-    /// The queue set is closed (service shutting down).
+    /// The queue is closed (service shutting down).
     Closed(T),
-    /// Every per-worker queue is at its depth cap: the service is
-    /// overloaded and the job should be shed, not buffered without
-    /// bound.
+    /// The queue is at capacity: the service is overloaded and the job
+    /// should be shed, not buffered without bound.
     Full(T),
 }
 
-/// A multi-producer, work-stealing multi-consumer FIFO queue set.
-///
-/// `pop` is keyed by a worker index in `0..queues()`; each worker
-/// prefers its own queue and steals from siblings when empty.
-#[derive(Debug)]
-pub(crate) struct WorkQueue<T> {
-    queues: Box<[Mutex<VecDeque<T>>]>,
-    /// Parking lot for idle workers. Pushers take this lock *briefly*
-    /// before notifying so a wakeup can never slip between a worker's
-    /// empty re-scan and its wait (the classic lost-wakeup race).
-    gate: Mutex<()>,
-    available: Condvar,
-    /// Round-robin placement cursor for pushes.
-    next: AtomicUsize,
+struct State<T> {
+    jobs: VecDeque<T>,
     /// Cleared by [`WorkQueue::close`]; workers drain and exit.
-    open: AtomicBool,
-    /// Per-queue depth cap; 0 disables the bound. A push scans every
-    /// queue from its round-robin cursor and sheds only when *all* are
-    /// at the cap, so a single slow worker never triggers shedding
-    /// while its siblings have room (they would steal the job anyway).
-    depth_cap: usize,
-    /// Jobs taken from a sibling's queue rather than the worker's own.
-    steals: AtomicU64,
-    /// High-water mark of any single queue's depth.
-    max_depth: AtomicU64,
+    open: bool,
+}
+
+/// A multi-producer, multi-consumer FIFO queue.
+pub(crate) struct WorkQueue<T> {
+    state: Mutex<State<T>>,
+    available: Condvar,
+    /// Most jobs the queue holds; 0 disables the bound.
+    capacity: usize,
 }
 
 impl<T> WorkQueue<T> {
-    /// A queue set with one unbounded queue per worker (clamped to ≥ 1).
-    #[cfg(test)]
-    pub(crate) fn new(workers: usize) -> Self {
-        Self::with_depth_cap(workers, 0)
-    }
-
-    /// A queue set with one queue per worker (clamped to ≥ 1), each
-    /// bounded to `depth_cap` jobs (0 = unbounded).
-    pub(crate) fn with_depth_cap(workers: usize, depth_cap: usize) -> Self {
+    /// A queue bounded to `capacity` jobs (0 = unbounded).
+    pub(crate) fn new(capacity: usize) -> Self {
         WorkQueue {
-            queues: (0..workers.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            gate: Mutex::new(()),
+            state: Mutex::new(State {
+                jobs: VecDeque::new(),
+                open: true,
+            }),
             available: Condvar::new(),
-            next: AtomicUsize::new(0),
-            open: AtomicBool::new(true),
-            depth_cap,
-            steals: AtomicU64::new(0),
-            max_depth: AtomicU64::new(0),
+            capacity,
         }
     }
 
-    /// Number of per-worker queues.
-    #[cfg(test)]
-    pub(crate) fn queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Enqueue a job on the next queue with room, round-robin from the
-    /// placement cursor, and wake one idle worker. Returns the job back
-    /// if the queue set is closed, or (with a depth cap) if every queue
-    /// is full — the caller sheds the load instead of buffering it.
+    /// Enqueue a job and wake one idle worker. Returns the job back if
+    /// the queue is closed or at capacity — the caller sheds the load
+    /// instead of buffering it.
     pub(crate) fn push(&self, job: T) -> Result<(), PushError<T>> {
-        if !self.open.load(Ordering::Acquire) {
+        let mut state = lock(&self.state);
+        if !state.open {
             return Err(PushError::Closed(job));
         }
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let n = self.queues.len();
-        let mut job = Some(job);
-        for k in 0..n {
-            let i = (start + k) % n;
-            let depth = {
-                let mut q = lock(&self.queues[i]);
-                if self.depth_cap != 0 && q.len() >= self.depth_cap {
-                    continue;
-                }
-                q.push_back(job.take().expect("job not yet placed"));
-                q.len() as u64
-            };
-            self.max_depth.fetch_max(depth, Ordering::Relaxed);
-            // Gate-locked notify: any worker between its empty re-scan
-            // (under the gate) and `wait` holds the gate, so this lock
-            // acquisition orders the notify after its wait begins.
-            drop(lock(&self.gate));
-            self.available.notify_one();
-            return Ok(());
+        if self.capacity != 0 && state.jobs.len() >= self.capacity {
+            return Err(PushError::Full(job));
         }
-        Err(PushError::Full(job.take().expect("job not yet placed")))
+        state.jobs.push_back(job);
+        drop(state);
+        self.available.notify_one();
+        Ok(())
     }
 
-    /// Dequeue a job for `worker`: own queue first, then steal from
-    /// siblings, then park until work arrives. Returns `None` only when
-    /// the queue set is closed *and* fully drained, so no admitted job
-    /// is ever dropped on shutdown.
-    pub(crate) fn pop(&self, worker: usize) -> Option<T> {
+    /// Dequeue the oldest job, parking until one arrives. Returns `None`
+    /// only when the queue is closed *and* fully drained, so no admitted
+    /// job is ever dropped on shutdown.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut state = lock(&self.state);
         loop {
-            if let Some(job) = self.try_pop(worker) {
+            if let Some(job) = state.jobs.pop_front() {
                 return Some(job);
             }
-            let gate = lock(&self.gate);
-            // Re-scan under the gate: a push that landed after the
-            // miss above has either pushed already (we find it here)
-            // or is blocked on the gate (its notify will wake us).
-            if let Some(job) = self.try_pop(worker) {
-                return Some(job);
-            }
-            if !self.open.load(Ordering::Acquire) {
+            if !state.open {
                 return None;
             }
-            let _gate = self
+            state = self
                 .available
-                .wait(gate)
+                .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 
-    /// One non-blocking sweep: own queue, then each sibling in order.
-    fn try_pop(&self, worker: usize) -> Option<T> {
-        let n = self.queues.len();
-        for k in 0..n {
-            let i = (worker + k) % n;
-            if let Some(job) = lock(&self.queues[i]).pop_front() {
-                if k != 0 {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Close the queue set: pending jobs are still drained by `pop`,
-    /// further pushes bounce, and idle workers wake up to exit.
+    /// Close the queue: pending jobs are still drained by `pop`, further
+    /// pushes bounce, and idle workers wake up to exit.
     pub(crate) fn close(&self) {
-        self.open.store(false, Ordering::Release);
-        drop(lock(&self.gate));
+        lock(&self.state).open = false;
         self.available.notify_all();
-    }
-
-    /// Jobs taken by work stealing since construction (lock-free read).
-    pub(crate) fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of any single per-worker queue (lock-free read).
-    pub(crate) fn max_depth(&self) -> u64 {
-        self.max_depth.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
-    fn single_queue_is_fifo() {
-        let q: WorkQueue<u32> = WorkQueue::new(1);
+    fn pops_in_fifo_order() {
+        let q: WorkQueue<u32> = WorkQueue::new(0);
         for v in [1, 2, 3] {
             q.push(v).unwrap();
         }
-        assert_eq!(q.pop(0), Some(1));
-        assert_eq!(q.pop(0), Some(2));
-        assert_eq!(q.pop(0), Some(3));
-        assert_eq!(q.max_depth(), 3);
-        assert_eq!(q.steals(), 0);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), Some(3));
     }
 
-    #[test]
-    fn idle_worker_steals_from_siblings() {
-        let q: WorkQueue<u32> = WorkQueue::new(2);
-        assert_eq!(q.queues(), 2);
-        // Round-robin placement: 10 lands on queue 0, 20 on queue 1.
-        q.push(10).unwrap();
-        q.push(20).unwrap();
-        assert_eq!(q.pop(0), Some(10), "own queue first");
-        assert_eq!(q.pop(0), Some(20), "then steal from the sibling");
-        assert_eq!(q.steals(), 1);
-    }
-
+    /// The popper parks on an empty queue and is woken by the push: the
+    /// channel proves it had not returned before the push happened.
     #[test]
     fn pop_blocks_until_push() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(4));
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0));
+        let (tx, rx) = channel();
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop(2))
+            std::thread::spawn(move || {
+                let got = q.pop();
+                tx.send(got).unwrap();
+            })
         };
-        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            rx.recv_timeout(std::time::Duration::from_millis(30))
+                .is_err(),
+            "pop returned with nothing queued"
+        );
         q.push(99).unwrap();
-        assert_eq!(popper.join().unwrap(), Some(99));
+        assert_eq!(rx.recv().unwrap(), Some(99));
+        popper.join().unwrap();
     }
 
     #[test]
     fn close_drains_then_returns_none() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(2));
+        let q: WorkQueue<u32> = WorkQueue::new(0);
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.close();
@@ -233,20 +143,18 @@ mod tests {
             Err(PushError::Closed(3)),
             "pushes bounce after close"
         );
-        // Already-admitted jobs are still drained, by any worker.
-        let mut drained = vec![q.pop(1).unwrap(), q.pop(1).unwrap()];
-        drained.sort_unstable();
-        assert_eq!(drained, vec![1, 2]);
-        assert_eq!(q.pop(1), None);
+        // Already-admitted jobs are still drained, in order.
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
         // Parked workers wake up and exit on close.
-        let open: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(2));
+        let open: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0));
         let workers: Vec<_> = (0..2)
-            .map(|w| {
+            .map(|_| {
                 let q = Arc::clone(&open);
-                std::thread::spawn(move || q.pop(w))
+                std::thread::spawn(move || q.pop())
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(30));
         open.close();
         for w in workers {
             assert_eq!(w.join().unwrap(), None);
@@ -254,43 +162,39 @@ mod tests {
     }
 
     #[test]
-    fn depth_cap_sheds_only_when_every_queue_is_full() {
-        let q: WorkQueue<u32> = WorkQueue::with_depth_cap(2, 2);
-        // Capacity is workers × cap = 4; the round-robin cursor spreads
-        // placement, and an overflowing push probes *all* queues before
-        // giving up.
+    fn full_at_exactly_capacity() {
+        let q: WorkQueue<u32> = WorkQueue::new(4);
         for v in 0..4 {
             q.push(v).unwrap();
         }
         assert_eq!(q.push(99), Err(PushError::Full(99)));
-        // Draining one slot makes room again, whichever queue it was.
-        assert!(q.pop(0).is_some());
+        // Draining one slot makes room again.
+        assert_eq!(q.pop(), Some(0));
         q.push(99).unwrap();
         assert_eq!(q.push(100), Err(PushError::Full(100)));
     }
 
     #[test]
-    fn zero_depth_cap_means_unbounded() {
-        let q: WorkQueue<u32> = WorkQueue::with_depth_cap(1, 0);
+    fn zero_capacity_means_unbounded() {
+        let q: WorkQueue<u32> = WorkQueue::new(0);
         for v in 0..10_000 {
             q.push(v).unwrap();
         }
-        assert_eq!(q.max_depth(), 10_000);
     }
 
     /// Hammer the queue from many producers and consumers: every pushed
     /// job is popped exactly once.
     #[test]
     fn concurrent_push_pop_loses_nothing() {
-        let q: Arc<WorkQueue<u64>> = Arc::new(WorkQueue::new(4));
+        let q: Arc<WorkQueue<u64>> = Arc::new(WorkQueue::new(0));
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 500;
         let consumers: Vec<_> = (0..4)
-            .map(|w| {
+            .map(|_| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
                     let mut got = Vec::new();
-                    while let Some(v) = q.pop(w) {
+                    while let Some(v) = q.pop() {
                         got.push(v);
                     }
                     got

