@@ -1,7 +1,10 @@
 //! Lowering SQL queries to the core relational algebra of Figure 1(a).
 //!
-//! The pass resolves aliases and CTEs, assigns a unique occurrence id to
-//! every base-table appearance (so self joins are detectable), traces each
+//! The pass first expands `WITH` ([`flex_sql::inline_ctes`] — the same
+//! rewrite the engines run, so analysis and execution bind every relation
+//! name in the same CTE-free tree), then resolves aliases, assigns a
+//! unique occurrence id to every base-table appearance (so self joins —
+//! two references to one CTE included — are detectable), traces each
 //! join key back to the base-table column it is drawn from (so `mf`
 //! metrics can be looked up), finds the root counting aggregation —
 //! descending through bare projections per §3.3 ("treating the inner
@@ -15,8 +18,8 @@ use crate::error::{FlexError, Result};
 use crate::relalg::{Attr, QueryKind, Rel};
 use flex_db::Database;
 use flex_sql::{
-    ColumnRef, Cte, Expr, FunctionArg, JoinConstraint, JoinType, Query, Select, SelectItem,
-    SetExpr, TableRef,
+    ColumnRef, Expr, FunctionArg, JoinConstraint, JoinType, Query, Select, SelectItem, SetExpr,
+    TableRef,
 };
 
 /// A root aggregate output of a counting/statistical query.
@@ -85,12 +88,12 @@ pub struct Lowered {
 
 /// Lower a parsed query against a database catalog.
 pub fn lower(q: &Query, db: &Database) -> Result<Lowered> {
+    let q = flex_sql::inline_ctes(q)?;
     let mut lw = Lowerer {
         db,
         next_occurrence: 0,
-        ctes: Vec::new(),
     };
-    lw.lower_root(q)
+    lw.lower_root(&q)
 }
 
 /// Column provenance within a lowering scope.
@@ -102,8 +105,8 @@ enum Origin {
     Computed,
 }
 
-/// One named relation in scope (a table alias, CTE instance, or derived
-/// table), with its visible columns.
+/// One named relation in scope (a table alias or derived table), with
+/// its visible columns.
 #[derive(Debug, Clone)]
 struct ScopeEntry {
     qualifier: String,
@@ -146,22 +149,10 @@ impl Scope {
 struct Lowerer<'a> {
     db: &'a Database,
     next_occurrence: usize,
-    /// In-scope CTE definitions (name, query); later entries shadow.
-    ctes: Vec<(String, Query)>,
 }
 
 impl<'a> Lowerer<'a> {
     fn lower_root(&mut self, q: &Query) -> Result<Lowered> {
-        let depth = self.ctes.len();
-        for Cte { name, query } in &q.ctes {
-            self.ctes.push((name.clone(), query.clone()));
-        }
-        let result = self.lower_root_body(q);
-        self.ctes.truncate(depth);
-        result
-    }
-
-    fn lower_root_body(&mut self, q: &Query) -> Result<Lowered> {
         let select = match &q.body {
             SetExpr::Select(s) => s.as_ref(),
             SetExpr::SetOp { .. } => return Err(FlexError::UnsupportedSetOperation),
@@ -178,22 +169,7 @@ impl<'a> Lowerer<'a> {
                 return self.lower_root(query);
             }
         }
-        if let Some(TableRef::Table { name, .. }) = &select.from {
-            if select.selection.is_none() && projection_is_passthrough(&select.projection) {
-                if let Some(cte) = self.find_cte(name) {
-                    return self.lower_root(&cte);
-                }
-            }
-        }
         Err(FlexError::RawDataQuery)
-    }
-
-    fn find_cte(&self, name: &str) -> Option<Query> {
-        self.ctes
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, q)| q.clone())
     }
 
     /// Lower the aggregated root select.
@@ -334,11 +310,6 @@ impl<'a> Lowerer<'a> {
         match t {
             TableRef::Table { name, alias } => {
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-                if let Some(cte) = self.find_cte(name) {
-                    // Each CTE reference is lowered afresh so that two uses
-                    // of the same CTE correctly register as a self join.
-                    return self.lower_derived(&cte, &qualifier);
-                }
                 let table = self
                     .db
                     .table(name)
@@ -470,18 +441,8 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Lower a derived table / CTE instance used as a relation.
+    /// Lower a derived table used as a relation.
     fn lower_derived(&mut self, q: &Query, alias: &str) -> Result<(Rel, Scope)> {
-        let depth = self.ctes.len();
-        for Cte { name, query } in &q.ctes {
-            self.ctes.push((name.clone(), query.clone()));
-        }
-        let result = self.lower_derived_body(q, alias);
-        self.ctes.truncate(depth);
-        result
-    }
-
-    fn lower_derived_body(&mut self, q: &Query, alias: &str) -> Result<(Rel, Scope)> {
         let select = match &q.body {
             SetExpr::Select(s) => s.as_ref(),
             SetExpr::SetOp { .. } => return Err(FlexError::UnsupportedSetOperation),
@@ -496,7 +457,7 @@ impl<'a> Lowerer<'a> {
                     .iter()
                     .map(|item| match item {
                         SelectItem::Expr { expr, alias } => {
-                            (derived_name(expr, alias.as_deref()), Origin::Computed)
+                            (expr.output_name(alias.as_deref()), Origin::Computed)
                         }
                         _ => ("*".to_string(), Origin::Computed),
                     })
@@ -538,7 +499,7 @@ impl<'a> Lowerer<'a> {
                 .iter()
                 .map(|item| match item {
                     SelectItem::Expr { expr, alias } => {
-                        (derived_name(expr, alias.as_deref()), Origin::Computed)
+                        (expr.output_name(alias.as_deref()), Origin::Computed)
                     }
                     _ => ("*".to_string(), Origin::Computed),
                 })
@@ -577,7 +538,7 @@ impl<'a> Lowerer<'a> {
                         Expr::Column(c) => inner_scope.resolve(c)?.clone(),
                         _ => Origin::Computed,
                     };
-                    columns.push((derived_name(expr, alias.as_deref()), origin));
+                    columns.push((expr.output_name(alias.as_deref()), origin));
                 }
             }
         }
@@ -631,17 +592,6 @@ fn projection_is_passthrough(items: &[SelectItem]) -> bool {
                 }
         )
     })
-}
-
-fn derived_name(e: &Expr, alias: Option<&str>) -> String {
-    if let Some(a) = alias {
-        return a.to_string();
-    }
-    match e {
-        Expr::Column(c) => c.name.clone(),
-        Expr::Function { name, .. } => name.clone(),
-        _ => "expr".to_string(),
-    }
 }
 
 #[cfg(test)]

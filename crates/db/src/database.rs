@@ -259,13 +259,6 @@ impl Database {
         self.execute_row(&q)
     }
 
-    /// Whether [`Database::execute`] would route `q` to the vectorized
-    /// columnar engine (`true`) or fall back to the row interpreter
-    /// (`false`). Plans but does not execute; used for routing telemetry.
-    pub fn routes_vectorized(&self, q: &Query) -> bool {
-        exec::routes_vectorized(self, q)
-    }
-
     /// The routing decision [`Database::execute`] would make for `q` —
     /// [`crate::plan::RouteDecision::Vectorized`] or the concrete
     /// fallback reason. Plans but does not execute.

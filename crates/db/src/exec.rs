@@ -1,10 +1,22 @@
 //! Row-at-a-time query execution and the engine-routing entry point.
 //!
 //! The row interpreter evaluates a parsed [`Query`] directly against the
-//! in-memory [`Database`]: CTEs are materialized into scoped temporary
-//! relations, joins use hash joins on extracted equijoin keys with residual
-//! predicates, grouped queries collect [`AggSpec`]s and evaluate them per
-//! group, and set operations follow SQL's distinct-set semantics.
+//! in-memory [`Database`]: joins use hash joins on extracted equijoin keys
+//! with residual predicates, grouped queries collect [`AggSpec`]s and
+//! evaluate them per group, and set operations follow SQL's distinct-set
+//! semantics.
+//!
+//! # Name binding
+//!
+//! Neither engine knows what `WITH` is. Every public entry point here
+//! ([`execute_traced`], [`execute_row`], [`route_decision`]) first runs
+//! [`flex_sql::inline_ctes`], which rewrites each CTE reference into the
+//! derived table it abbreviates — the same rewrite the sensitivity
+//! analysis runs before lowering — so a relation name in the tree the
+//! engines see is a base table, and a CTE query is an ordinary
+//! derived-table query to the router. Two consequences, both intended: a
+//! CTE nobody references is never evaluated, and one referenced twice is
+//! evaluated per reference (same bytes).
 //!
 //! # Engine routing
 //!
@@ -13,11 +25,11 @@
 //! over the physical-plan IR of [`crate::plan`]: single-table blocks,
 //! derived tables in FROM, left-deep join trees of up to eight leaves
 //! (INNER/LEFT/RIGHT/FULL/CROSS, equi and non-equi), and UNION /
-//! UNION ALL. It declines (returns `None`) the residual shapes — CTEs,
-//! INTERSECT/EXCEPT, table-less selects, >8-leaf trees, statically
-//! unanalyzable derived join leaves, unresolvable names.
+//! UNION ALL. It declines the residual shapes — INTERSECT/EXCEPT,
+//! table-less selects, >8-leaf trees, statically unanalyzable derived
+//! join leaves, unresolvable names.
 //! Declined queries run on the row interpreter below;
-//! [`routes_vectorized`] exposes the decision for telemetry. The two
+//! [`route_decision`] exposes the decision without executing. The two
 //! engines share the expression compiler (`Exec::compile_scalar`,
 //! `GroupCompiler`) and one ORDER BY resolution rule
 //! (`plan_sort_keys_with`), and the vectorized ORDER BY / DISTINCT /
@@ -33,12 +45,14 @@ use crate::aggregate::{AggFunc, AggSpec};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
-use crate::plan::{ColMeta, JoinOrder, Relation, ResultSet, RouteDecision};
+use crate::plan::{
+    split_join_constraint, ColMeta, FallbackReason, JoinOrder, Relation, ResultSet, RouteDecision,
+};
 use crate::table::Row;
 use crate::value::{RowKey, Value, ValueKey};
 use flex_sql::{
-    Cte, Expr, FunctionArg, JoinConstraint, JoinType, Literal, OrderByItem, Query, Select,
-    SelectItem, SetExpr, SetOperator, TableRef,
+    Expr, FunctionArg, JoinConstraint, JoinType, Literal, OrderByItem, Query, Select, SelectItem,
+    SetExpr, SetOperator, TableRef,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -107,6 +121,22 @@ impl ExecTrace {
 /// fast-path coverage telemetry (e.g. the query service) read it at zero
 /// extra cost.
 pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
+    match flex_sql::inline_ctes(q) {
+        Ok(q) => execute_inlined(db, &q),
+        Err(e) => (ExecTrace::new(WITH_TOO_LARGE), Err(e.into())),
+    }
+}
+
+/// What routing reports for a query whose `WITH` expansion exceeds
+/// [`flex_sql::inline`]'s caps. Neither engine runs it — the entry point
+/// returns the expansion error — but a trace needs some decision, and
+/// the expansion would have been a derived table too big to analyze.
+const WITH_TOO_LARGE: RouteDecision = RouteDecision::Fallback(FallbackReason::DerivedTable);
+
+/// [`execute_traced`] for a tree with no `WITH` in it: what the public
+/// entry points call once they have inlined, and what the vectorized
+/// engine calls for a derived table's subquery.
+pub(crate) fn execute_inlined(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
     let (mut trace, result) = match crate::vexec::try_execute_traced(db, q) {
         Ok((result, stats)) => (
             ExecTrace {
@@ -122,7 +152,7 @@ pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>
         ),
         Err(reason) => (
             ExecTrace::new(RouteDecision::Fallback(reason)),
-            execute_row(db, q),
+            Exec::new(db).query(q).map(ResultSet::from),
         ),
     };
     if let Ok(rs) = &result {
@@ -136,51 +166,30 @@ pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>
 /// execution itself; this is for tools (benchmarks, tests) that assert
 /// routing without running the query.
 pub fn route_decision(db: &Database, q: &Query) -> RouteDecision {
-    crate::vexec::decide(db, q)
+    match flex_sql::inline_ctes(q) {
+        Ok(q) => crate::vexec::decide(db, &q),
+        Err(_) => WITH_TOO_LARGE,
+    }
 }
 
 /// Execute a parsed query on the row interpreter only (no vectorization).
 /// Exposed for differential testing and benchmarking against the
 /// vectorized engine; [`execute`] is what normal callers want.
 pub fn execute_row(db: &Database, q: &Query) -> Result<ResultSet> {
-    let mut exec = Exec::new(db);
-    exec.query(q).map(ResultSet::from)
-}
-
-/// Whether [`execute`] routes `q` to the vectorized columnar engine
-/// (`true`) or the row interpreter (`false`). Costs a planning pass but
-/// executes nothing; used by service telemetry to track fast-path
-/// coverage in production.
-pub fn routes_vectorized(db: &Database, q: &Query) -> bool {
-    crate::vexec::accepts(db, q)
+    let q = flex_sql::inline_ctes(q)?;
+    Exec::new(db).query(&q).map(ResultSet::from)
 }
 
 pub(crate) struct Exec<'a> {
     db: &'a Database,
-    /// Stack of in-scope CTE bindings (inner scopes shadow outer ones).
-    ctes: Vec<(String, Relation)>,
 }
 
 impl<'a> Exec<'a> {
     pub(crate) fn new(db: &'a Database) -> Exec<'a> {
-        Exec {
-            db,
-            ctes: Vec::new(),
-        }
+        Exec { db }
     }
 
     fn query(&mut self, q: &Query) -> Result<Relation> {
-        let depth = self.ctes.len();
-        for Cte { name, query } in &q.ctes {
-            let rel = self.query(query)?;
-            self.ctes.push((name.clone(), rel));
-        }
-        let result = self.query_body(q);
-        self.ctes.truncate(depth);
-        result
-    }
-
-    fn query_body(&mut self, q: &Query) -> Result<Relation> {
         let mut rel = match &q.body {
             SetExpr::Select(s) => self.select_full(s, &q.order_by)?,
             SetExpr::SetOp { .. } => {
@@ -351,7 +360,7 @@ impl<'a> Exec<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     let compiled = self.compile_scalar(expr, &input.cols)?;
-                    out_cols.push(ColMeta::new(None, output_name(expr, alias.as_deref())));
+                    out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
                     items.push(Item::Expr(compiled));
                 }
             }
@@ -415,7 +424,7 @@ impl<'a> Exec<'a> {
                 }
                 SelectItem::Expr { expr, alias } => {
                     let compiled = gc.compile(self, expr, &input.cols)?;
-                    out_cols.push(ColMeta::new(None, output_name(expr, alias.as_deref())));
+                    out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
                     out_exprs.push(compiled);
                 }
             }
@@ -530,10 +539,6 @@ impl<'a> Exec<'a> {
         match t {
             TableRef::Table { name, alias } => {
                 let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-                // CTEs shadow base tables; later bindings shadow earlier.
-                if let Some((_, rel)) = self.ctes.iter().rev().find(|(n, _)| n == name) {
-                    return Ok(rel.clone().with_qualifier(&qualifier));
-                }
                 let table = self
                     .db
                     .table(name)
@@ -573,39 +578,10 @@ impl<'a> Exec<'a> {
         let mut combined_cols = left.cols.clone();
         combined_cols.extend(right.cols.iter().cloned());
 
-        // Extract equijoin key pairs and a residual predicate.
-        let mut key_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut residual: Vec<CompiledExpr> = Vec::new();
-        match constraint {
-            JoinConstraint::None => {}
-            JoinConstraint::Using(cols) => {
-                for name in cols {
-                    let cr = flex_sql::ColumnRef::bare(name.clone());
-                    let li = left.resolve(&cr)?;
-                    let ri = right.resolve(&cr)?;
-                    key_pairs.push((li, ri));
-                }
-            }
-            JoinConstraint::On(on) => {
-                for conjunct in on.conjuncts() {
-                    if let Some((a, b)) = conjunct.as_column_equality() {
-                        // Try `a` in left, `b` in right — then the reverse.
-                        match (left.resolve(a), right.resolve(b)) {
-                            (Ok(li), Ok(ri)) => {
-                                key_pairs.push((li, ri));
-                                continue;
-                            }
-                            _ => {
-                                if let (Ok(li), Ok(ri)) = (left.resolve(b), right.resolve(a)) {
-                                    key_pairs.push((li, ri));
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    residual.push(self.compile_scalar(conjunct, &combined_cols)?);
-                }
-            }
+        let (key_pairs, on_rest) = split_join_constraint(&left.cols, &right.cols, constraint)?;
+        let mut residual = Vec::with_capacity(on_rest.len());
+        for conjunct in on_rest {
+            residual.push(self.compile_scalar(conjunct, &combined_cols)?);
         }
 
         let lw = left.cols.len();
@@ -1125,18 +1101,6 @@ fn sort_by_output_columns(rel: &mut Relation, order_by: &[OrderByItem]) -> Resul
         std::cmp::Ordering::Equal
     });
     Ok(())
-}
-
-/// Derive the output column name for a projected expression.
-pub(crate) fn output_name(e: &Expr, alias: Option<&str>) -> String {
-    if let Some(a) = alias {
-        return a.to_string();
-    }
-    match e {
-        Expr::Column(c) => c.name.clone(),
-        Expr::Function { name, .. } => name.clone(),
-        _ => "expr".to_string(),
-    }
 }
 
 fn literal_value(l: &Literal) -> Value {

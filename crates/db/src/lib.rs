@@ -7,7 +7,9 @@
 //! the precomputed max-frequency (`mf`) and value-range (`vr`) metrics the
 //! elastic-sensitivity analysis consumes.
 //!
-//! Supported execution features: CTEs, derived tables, inner/left/right/
+//! Supported execution features: CTEs (expanded into derived tables by
+//! [`flex_sql::inline_ctes`] before either engine sees the query — see
+//! [`exec`]'s "Name binding"), derived tables, inner/left/right/
 //! full/cross joins (hash joins on extracted equijoin keys), WHERE/GROUP
 //! BY/HAVING/ORDER BY/LIMIT, the seven aggregation functions of the
 //! paper's study (count, sum, avg, min, max, median, stddev) including
@@ -15,16 +17,19 @@
 //! predicates.
 //!
 //! Queries run on one of **two engines** behind [`Database::execute`]:
-//! single-table blocks, derived tables, join trees of up to eight
+//! single-table blocks, derived tables (CTE references included), join
+//! trees of up to eight
 //! leaves (INNER/LEFT/RIGHT/FULL/CROSS, equi and non-equi) and
 //! UNION \[ALL\] go to the vectorized columnar engine ([`vexec`], an
 //! operator-at-a-time executor over the physical-plan IR in [`plan`]:
 //! each table's lazily built [`ColumnarTable`] projection scanned with
 //! predicate kernels, columnar hash / nested-loop joins with predicate
 //! pushdown and late materialization, and a columnar hash-aggregate),
-//! and the residual shapes run on the row interpreter ([`exec`]). Both produce byte-identical results — see [`vexec`]'s
-//! module docs for the routing contract, and
-//! [`Database::routes_vectorized`] to observe the routing decision.
+//! and the residual shapes (INTERSECT/EXCEPT, table-less SELECT, trees
+//! past eight leaves, statically unanalyzable derived join leaves) run on
+//! the row interpreter ([`exec`]). Both produce byte-identical results —
+//! see [`vexec`]'s module docs for the routing contract, and
+//! [`Database::route_decision`] to observe the routing decision.
 //! The columnar engine additionally runs **morsel-parallel** across a
 //! scoped worker pool when [`Database::set_parallelism`] raises the
 //! per-query worker budget; per-morsel results merge in morsel order

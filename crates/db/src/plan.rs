@@ -66,7 +66,7 @@
 use crate::column::{ColumnData, ColumnarTable, GATHER_NULL};
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::exec::{self, output_name, Exec, SortKey};
+use crate::exec::{self, Exec, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
 use crate::vexec::{collect_conjuncts, side_kernel};
@@ -125,13 +125,12 @@ impl std::fmt::Display for RouteDecision {
 /// can show *which* query shapes still miss the fast path instead of a
 /// bare fallback count.
 ///
-/// Join trees, derived tables, RIGHT/FULL/CROSS and non-equi joins, and
+/// Join trees, derived tables (CTE references included — `WITH` is
+/// expanded before routing), RIGHT/FULL/CROSS and non-equi joins, and
 /// UNION \[ALL\] vectorize; each variant's doc says what residual shape
 /// still produces it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FallbackReason {
-    /// The query has `WITH` common table expressions.
-    Cte,
     /// A set operation the union planner does not cover:
     /// INTERSECT/EXCEPT anywhere in the body, a statically detectable
     /// arity mismatch, ORDER BY keys that do not resolve to output
@@ -146,10 +145,12 @@ pub enum FallbackReason {
     /// A join tree of more than eight leaves (the planner's depth cap;
     /// trees up to eight base/derived tables vectorize).
     MultiTableJoin,
-    /// A derived table (`FROM (SELECT …)`) whose output shape cannot be
-    /// statically derived (its own CTEs, a set-operation body, or a
-    /// wildcard over an unanalyzable scope). Statically analyzable
-    /// derived tables vectorize, standalone or as join leaves.
+    /// A derived join leaf (`… JOIN (SELECT …) d`) whose output shape
+    /// cannot be statically derived (a set-operation body, or a wildcard
+    /// over an unanalyzable scope). Statically analyzable derived tables
+    /// — which is what every CTE reference becomes — vectorize,
+    /// standalone or as join leaves. Also what routing reports for a
+    /// `WITH` too large to expand, which neither engine runs.
     DerivedTable,
     /// A base join leaf exceeds the engine's `u32` selection-vector row
     /// limit.
@@ -164,8 +165,7 @@ pub enum FallbackReason {
 impl FallbackReason {
     /// Every variant, in declaration order. Telemetry indexes its
     /// per-variant counters by position in this array.
-    pub const ALL: [FallbackReason; 8] = [
-        FallbackReason::Cte,
+    pub const ALL: [FallbackReason; 7] = [
         FallbackReason::SetOperation,
         FallbackReason::TableLess,
         FallbackReason::UnknownTable,
@@ -183,7 +183,6 @@ impl FallbackReason {
     /// Stable snake_case label for metric labels and bench reports.
     pub fn as_str(self) -> &'static str {
         match self {
-            FallbackReason::Cte => "cte",
             FallbackReason::SetOperation => "set_operation",
             FallbackReason::TableLess => "table_less",
             FallbackReason::UnknownTable => "unknown_table",
@@ -269,16 +268,7 @@ impl Relation {
     /// Bare names must be unambiguous; qualified names must match a column
     /// with that qualifier.
     pub fn resolve(&self, r: &ColumnRef) -> Result<usize> {
-        let mut found = None;
-        for (i, c) in self.cols.iter().enumerate() {
-            if c.matches(r) {
-                if found.is_some() {
-                    return Err(DbError::AmbiguousColumn(r.to_string()));
-                }
-                found = Some(i);
-            }
-        }
-        found.ok_or_else(|| DbError::UnknownColumn(r.to_string()))
+        resolve_column(&self.cols, r)
     }
 
     /// Re-qualify every column with a new alias (as when a derived table or
@@ -289,6 +279,69 @@ impl Relation {
         }
         self
     }
+}
+
+/// [`Relation::resolve`] over a bare column scope.
+fn resolve_column(cols: &[ColMeta], r: &ColumnRef) -> Result<usize> {
+    let mut found = None;
+    for (i, c) in cols.iter().enumerate() {
+        if c.matches(r) {
+            if found.is_some() {
+                return Err(DbError::AmbiguousColumn(r.to_string()));
+            }
+            found = Some(i);
+        }
+    }
+    found.ok_or_else(|| DbError::UnknownColumn(r.to_string()))
+}
+
+/// A join constraint split by [`split_join_constraint`]: equi-key pairs
+/// as (left-local, right-local) column indices, and the `ON` conjuncts
+/// left over as a residual predicate, in `ON` order.
+pub(crate) type JoinSplit<'a> = (Vec<(usize, usize)>, Vec<&'a Expr>);
+
+/// Split a join constraint into equi-key pairs and a residual.
+/// `USING (c)` is the pair `c = c`; an `ON` conjunct `a = b` between two
+/// columns is a key when `a` resolves on the left and `b` on the right,
+/// or the other way round; everything else stays residual. The one
+/// definition both engines join by: a `USING` column missing or
+/// ambiguous on either side is the error.
+pub(crate) fn split_join_constraint<'a>(
+    left_cols: &[ColMeta],
+    right_cols: &[ColMeta],
+    constraint: &'a JoinConstraint,
+) -> Result<JoinSplit<'a>> {
+    let mut key_pairs = Vec::new();
+    let mut residual = Vec::new();
+    match constraint {
+        JoinConstraint::None => {}
+        JoinConstraint::Using(names) => {
+            for name in names {
+                let c = ColumnRef::bare(name.clone());
+                key_pairs.push((
+                    resolve_column(left_cols, &c)?,
+                    resolve_column(right_cols, &c)?,
+                ));
+            }
+        }
+        JoinConstraint::On(on) => {
+            for conjunct in on.conjuncts() {
+                let key = conjunct.as_column_equality().and_then(|(a, b)| {
+                    match (resolve_column(left_cols, a), resolve_column(right_cols, b)) {
+                        (Ok(l), Ok(r)) => Some((l, r)),
+                        _ => resolve_column(left_cols, b)
+                            .ok()
+                            .zip(resolve_column(right_cols, a).ok()),
+                    }
+                });
+                match key {
+                    Some(pair) => key_pairs.push(pair),
+                    None => residual.push(conjunct),
+                }
+            }
+        }
+    }
+    Ok((key_pairs, residual))
 }
 
 /// The final result of executing a query.
@@ -526,7 +579,7 @@ fn build_node<'a>(
     match t {
         TableRef::Table { name, alias } => {
             // Unknown tables fall back so the row engine reports the
-            // error; CTE shadowing cannot apply (routing rejects CTEs).
+            // error.
             let table = db.table(name).ok_or(FallbackReason::UnknownTable)?;
             // Selection vectors are u32 with GATHER_NULL as a sentinel.
             if table.len() >= GATHER_NULL as usize {
@@ -566,53 +619,13 @@ fn build_node<'a>(
             let (rnode, rcols, rlike) = build_node(ex, db, right, leaves)?;
             let lw = lcols.len();
             let rw = rcols.len();
-            let left_rel = Relation::new(lcols.clone(), Vec::new());
-            let right_rel = Relation::new(rcols.clone(), Vec::new());
+            // Equi-keys against this node's local scopes; what is left
+            // of ON compiles against the combined one. Either failing is
+            // a scope error the row engine re-derives.
+            let (key_pairs, on_rest) = split_join_constraint(&lcols, &rcols, constraint)
+                .map_err(|_| FallbackReason::NonEquiJoin)?;
             let mut combined = lcols;
             combined.extend(rcols);
-
-            // Equi-key extraction against this node's local scopes,
-            // mirroring the row engine's `join` exactly (same resolution
-            // order, same leftovers going to the residual). Compile
-            // failures are scope errors the row engine re-derives.
-            let mut key_pairs: Vec<(usize, usize)> = Vec::new();
-            let mut on_rest: Vec<&Expr> = Vec::new();
-            match constraint {
-                JoinConstraint::None => {}
-                JoinConstraint::Using(names) => {
-                    for name in names {
-                        let cr = ColumnRef::bare(name.clone());
-                        let li = left_rel
-                            .resolve(&cr)
-                            .map_err(|_| FallbackReason::NonEquiJoin)?;
-                        let ri = right_rel
-                            .resolve(&cr)
-                            .map_err(|_| FallbackReason::NonEquiJoin)?;
-                        key_pairs.push((li, ri));
-                    }
-                }
-                JoinConstraint::On(on) => {
-                    for conjunct in on.conjuncts() {
-                        if let Some((a, b)) = conjunct.as_column_equality() {
-                            match (left_rel.resolve(a), right_rel.resolve(b)) {
-                                (Ok(li), Ok(ri)) => {
-                                    key_pairs.push((li, ri));
-                                    continue;
-                                }
-                                _ => {
-                                    if let (Ok(li), Ok(ri)) =
-                                        (left_rel.resolve(b), right_rel.resolve(a))
-                                    {
-                                        key_pairs.push((li, ri));
-                                        continue;
-                                    }
-                                }
-                            }
-                        }
-                        on_rest.push(conjunct);
-                    }
-                }
-            }
             let mut residual = Vec::with_capacity(on_rest.len());
             for c in &on_rest {
                 residual.push(
@@ -711,8 +724,8 @@ fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
 /// The output column names of a SELECT block, derived without executing
 /// anything, or `None` when the shape requires execution to know (the
 /// row engine then reports any error from one place). Mirrors the names
-/// `select_plain`/`select_grouped` would produce: [`output_name`] for
-/// explicit items, scope column names for wildcards.
+/// `select_plain`/`select_grouped` would produce: [`Expr::output_name`]
+/// for explicit items, scope column names for wildcards.
 pub(crate) fn static_out_names(db: &Database, s: &Select) -> Option<Vec<String>> {
     let mut names = Vec::new();
     for item in &s.projection {
@@ -736,7 +749,7 @@ pub(crate) fn static_out_names(db: &Database, s: &Select) -> Option<Vec<String>>
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                names.push(output_name(expr, alias.as_deref()));
+                names.push(expr.output_name(alias.as_deref()));
             }
         }
     }
@@ -769,12 +782,9 @@ fn static_scope(db: &Database, t: &TableRef) -> Option<Vec<ColMeta>> {
 }
 
 /// The output column names of a derived table's subquery, statically, or
-/// `None` when they cannot be derived without executing it (its own
-/// CTEs, or a set-operation body).
+/// `None` when they cannot be derived without executing it (a
+/// set-operation body).
 pub(crate) fn derived_out_names(db: &Database, q: &Query) -> Option<Vec<String>> {
-    if !q.ctes.is_empty() {
-        return None;
-    }
     match &q.body {
         SetExpr::Select(s) => static_out_names(db, s),
         SetExpr::SetOp { .. } => None,
@@ -867,7 +877,7 @@ pub(crate) fn plan_tail(
                         TailItem::Computed(computed.len() - 1)
                     }
                 };
-                out_cols.push(ColMeta::new(None, output_name(expr, alias.as_deref())));
+                out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
                 out_items.push(item);
             }
         }
@@ -921,8 +931,7 @@ fn mark_live_columns(q: &Query, s: &Select, combined: &Relation, live: &mut [boo
     };
 
     // Output column names, for ORDER BY items that resolve to an output
-    // position (those never read input columns). Mirrors
-    // `exec::output_name` on explicit projection items.
+    // position (those never read input columns).
     let mut out_names: Vec<String> = Vec::new();
     for item in &s.projection {
         match item {
@@ -938,7 +947,7 @@ fn mark_live_columns(q: &Query, s: &Select, combined: &Relation, live: &mut [boo
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                out_names.push(output_name(expr, alias.as_deref()));
+                out_names.push(expr.output_name(alias.as_deref()));
                 mark_expr(expr, live);
             }
         }

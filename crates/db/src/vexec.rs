@@ -11,7 +11,7 @@
 //!
 //! # Routing contract
 //!
-//! [`try_execute`] accepts a query iff the planner in [`crate::plan`]
+//! The router accepts a query iff the planner in [`crate::plan`]
 //! can express it over the physical plan IR — every operator producing
 //! and consuming a [`ColumnarTable`]:
 //!
@@ -30,11 +30,13 @@
 //!   left-to-right, concatenate columnar, and the existing DISTINCT
 //!   machinery dedupes at each distinct node.
 //!
-//! What remains on the row interpreter ([`crate::exec`]): CTEs,
-//! INTERSECT/EXCEPT, table-less SELECT, unknown tables, join trees
-//! deeper than eight leaves, and shapes whose planning hits a
-//! scope/compile error the row engine re-derives and reports
-//! identically — each with its concrete [`FallbackReason`].
+//! `WITH` never reaches the router: [`crate::exec`]'s entry points
+//! expand it first ([`flex_sql::inline_ctes`]), so a CTE reference *is*
+//! the derived-table case above. What remains on the row interpreter
+//! ([`crate::exec`]): INTERSECT/EXCEPT, table-less SELECT, unknown
+//! tables, join trees deeper than eight leaves, and shapes whose
+//! planning hits a scope/compile error the row engine re-derives and
+//! reports identically — each with its concrete [`FallbackReason`].
 //! Within an accepted query, sub-shapes the columnar operators don't
 //! cover degrade gracefully rather than bailing out:
 //!
@@ -162,9 +164,6 @@ struct UnionRoute<'a> {
 /// where planning hits a scope error the row engine will re-derive and
 /// report identically.
 fn route<'a>(db: &'a Database, q: &'a Query) -> std::result::Result<Route<'a>, FallbackReason> {
-    if !q.ctes.is_empty() {
-        return Err(FallbackReason::Cte);
-    }
     let s = match &q.body {
         SetExpr::Select(s) => s,
         SetExpr::SetOp { .. } => return plan_union(db, q).map(Route::Union),
@@ -307,15 +306,11 @@ fn morsel_count(len: usize, par: Parallelism) -> u64 {
     len.div_ceil(par.sched_rows(len)) as u64
 }
 
-/// Execute `q` on the vectorized engine if it is vectorizable, else
-/// `None` (the caller falls back to the row interpreter).
-pub fn try_execute(db: &Database, q: &Query) -> Option<Result<ResultSet>> {
-    try_execute_traced(db, q).ok().map(|(result, _)| result)
-}
-
-/// Like [`try_execute`], but report execution statistics alongside the
-/// result, or the concrete [`FallbackReason`] when declining — the
-/// pipeline's own record, surfaced through [`crate::exec::ExecTrace`].
+/// Execute `q` on the vectorized engine if it is vectorizable, reporting
+/// execution statistics alongside the result, or the concrete
+/// [`FallbackReason`] when declining (the caller falls back to the row
+/// interpreter) — the pipeline's own record, surfaced through
+/// [`crate::exec::ExecTrace`].
 pub(crate) fn try_execute_traced(
     db: &Database,
     q: &Query,
@@ -343,18 +338,11 @@ pub(crate) fn try_execute_traced(
     Ok((result, stats))
 }
 
-/// Whether [`try_execute`] would accept `q` — i.e. whether
-/// [`crate::exec::execute`] routes it to the columnar engine. Exposed so
-/// callers (e.g. service telemetry) can observe fast-path coverage
-/// without executing anything.
-pub fn accepts(db: &Database, q: &Query) -> bool {
-    route(db, q).is_ok()
-}
-
-/// The routing decision for `q`, without executing anything: costs one
-/// planning pass. [`crate::exec::execute_traced`] reports the same
-/// decision from the execution itself at zero extra cost.
-pub fn decide(db: &Database, q: &Query) -> RouteDecision {
+/// The routing decision for a `WITH`-free `q`, without executing
+/// anything: costs one planning pass. [`crate::exec::execute_traced`]
+/// reports the same decision from the execution itself at zero extra
+/// cost.
+pub(crate) fn decide(db: &Database, q: &Query) -> RouteDecision {
     match route(db, q) {
         Ok(_) => RouteDecision::Vectorized,
         Err(reason) => RouteDecision::Fallback(reason),
@@ -401,7 +389,7 @@ fn run_derived(
     alias: &str,
     stats: &mut VexecStats,
 ) -> Result<ResultSet> {
-    let rs = exec::execute(db, query)?;
+    let rs = exec::execute_inlined(db, query).1?;
     let width = rs.columns.len();
     let ctab = ColumnarTable::from_rows(&rs.rows, width);
     let cols: Vec<ColMeta> = rs
@@ -1614,7 +1602,7 @@ impl TreeExec<'_> {
                 // independently — vectorized when it can be) and
                 // columnarizes the result.
                 LeafSource::Derived { query, width } => {
-                    let rs = exec::execute(self.db, query)?;
+                    let rs = exec::execute_inlined(self.db, query).1?;
                     debug_assert_eq!(rs.columns.len(), *width, "static width matches runtime");
                     let ctab = ColumnarTable::from_rows(&rs.rows, *width);
                     self.note_leaf(ctab.len());
@@ -2244,10 +2232,7 @@ fn grouped_fast(
         match item {
             SelectItem::Expr { expr, alias } => {
                 let compiled = gc.compile(ex, expr, cols).ok()?;
-                out_cols.push(ColMeta::new(
-                    None,
-                    exec::output_name(expr, alias.as_deref()),
-                ));
+                out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
                 out_exprs.push(compiled);
             }
             // Wildcards in aggregated queries are an error; let the row

@@ -6,8 +6,9 @@
 //! it — never the `Unknown` placeholder — and (b) still produce results
 //! byte-identical to the row interpreter, because routing is an
 //! optimization, not a semantics change. Shapes the plan IR now executes
-//! (multi-table join trees, derived tables, RIGHT/FULL/CROSS and
-//! non-equi joins, UNION) are asserted *vectorized* with exact trace
+//! (multi-table join trees, derived tables and the CTE references that
+//! expand into them, RIGHT/FULL/CROSS and non-equi joins, UNION) are
+//! asserted *vectorized* with exact trace
 //! statistics; their enum variants survive only for the residual shapes
 //! documented on each variant (and for telemetry label stability).
 //!
@@ -121,11 +122,14 @@ fn vec_trace(morsels: u64, rows_scanned: u64, join_order: JoinOrder) -> ExecTrac
     }
 }
 
+/// `WITH` is expanded before routing (`flex_sql::inline_ctes`), so a CTE
+/// reference routes as the derived table it abbreviates: the outer block
+/// scans the 4 materialized rows of `c`.
 #[test]
-fn cte_falls_back() {
-    assert_fallback(
+fn cte_routes_vectorized_with_stats() {
+    assert_vectorized(
         "WITH c AS (SELECT a, b FROM t WHERE b > 10) SELECT COUNT(*) FROM c",
-        FallbackReason::Cte,
+        vec_trace(1, 4, JoinOrder::default()),
     );
 }
 
@@ -228,14 +232,33 @@ fn derived_table_routes_vectorized_with_stats() {
 }
 
 /// The residual `DerivedTable` shape: a derived *join leaf* whose
-/// subquery has no statically known output shape (here: it needs CTE
-/// resolution), so the tree planner cannot type its scan.
+/// subquery has no statically known output shape (here: a set-operation
+/// body), so the tree planner cannot type its scan.
 #[test]
 fn unanalyzable_derived_join_leaf_falls_back() {
     assert_fallback(
-        "SELECT COUNT(*) FROM (WITH c AS (SELECT a FROM t) SELECT a FROM c) d \
+        "SELECT COUNT(*) FROM (SELECT a FROM t UNION SELECT a FROM u) d \
          JOIN u ON d.a = u.a",
         FallbackReason::DerivedTable,
+    );
+}
+
+/// A `WITH` inside a derived join leaf is no obstacle: it is expanded
+/// like any other, leaving a leaf the planner can type (5 rows of `d`
+/// against 3 of `u`, built on the smaller right side).
+#[test]
+fn cte_in_derived_join_leaf_routes_vectorized_with_stats() {
+    assert_vectorized(
+        "SELECT COUNT(*) FROM (WITH c AS (SELECT a FROM t) SELECT a FROM c) d \
+         JOIN u ON d.a = u.a",
+        vec_trace(
+            2,
+            8,
+            JoinOrder {
+                joins: 1,
+                swapped: 0,
+            },
+        ),
     );
 }
 
@@ -320,7 +343,7 @@ fn supported_shape_routes_vectorized_with_stats() {
 /// Every variant in `ALL` names a concrete cause the router can return.
 #[test]
 fn taxonomy_is_complete_and_labeled() {
-    assert_eq!(FallbackReason::ALL.len(), 8);
+    assert_eq!(FallbackReason::ALL.len(), 7);
     // Indexes are dense and stable (telemetry uses them as array slots).
     for (i, reason) in FallbackReason::ALL.iter().enumerate() {
         assert_eq!(reason.index(), i);
@@ -333,8 +356,8 @@ fn taxonomy_is_complete_and_labeled() {
     assert_eq!(labels.len(), FallbackReason::ALL.len());
     assert_eq!(RouteDecision::Vectorized.as_str(), "vectorized");
     assert_eq!(
-        RouteDecision::Fallback(FallbackReason::Cte).fallback_reason(),
-        Some(FallbackReason::Cte)
+        RouteDecision::Fallback(FallbackReason::TableLess).fallback_reason(),
+        Some(FallbackReason::TableLess)
     );
     assert_eq!(RouteDecision::Vectorized.fallback_reason(), None);
 }

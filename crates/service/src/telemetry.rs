@@ -681,18 +681,18 @@ mod tests {
         t.record_completed(&vectorized(true));
         t.record_completed(&vectorized(false));
         t.record_completed(&vectorized(true));
-        t.record_completed(&fallback(FallbackReason::Cte));
+        t.record_completed(&fallback(FallbackReason::MultiTableJoin));
         let s = t.snapshot();
         assert_eq!((s.vectorized_hits, s.row_fallbacks, s.topk_hits), (3, 1, 2));
         assert!((s.vectorized_rate() - 0.75).abs() < 1e-12);
         assert!(s.to_string().contains("75.0% of computed"));
 
-        t.record_completed(&fallback(FallbackReason::Cte));
+        t.record_completed(&fallback(FallbackReason::MultiTableJoin));
         t.record_completed(&fallback(FallbackReason::SetOperation));
         let s = t.snapshot();
         assert_eq!(s.row_fallbacks, 3);
         let expect = |r| match r {
-            FallbackReason::Cte => 2,
+            FallbackReason::MultiTableJoin => 2,
             FallbackReason::SetOperation => 1,
             _ => 0,
         };
@@ -702,7 +702,7 @@ mod tests {
             FallbackReason::ALL.map(|r| (r, expect(r))).to_vec()
         );
         let text = s.to_string();
-        assert!(text.contains("cte") && text.contains("set_operation"));
+        assert!(text.contains("multi_table_join") && text.contains("set_operation"));
         assert!(!text.contains("table_less"), "zero rows are hidden: {text}");
     }
 

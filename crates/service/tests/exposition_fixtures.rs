@@ -3,8 +3,10 @@
 //! commit before the metric table printed for [`populated_report`], less
 //! the `flex_queue_steals_total` / `flex_queue_shard_max_depth` series
 //! (`queue_steals` / `queue_shard_max_depth` keys) that went with the
-//! work-stealing queue and the `unknown` / `unsupported_join_type` reason
-//! labels that went with those variants. One Prometheus block sits
+//! work-stealing queue, the `unknown` / `unsupported_join_type` reason
+//! labels that went with those variants, and the `cte` reason label
+//! (deleted from both files, nothing else touched) that went when `WITH`
+//! started being expanded before routing. One Prometheus block sits
 //! elsewhere than it did: `flex_wal_recovery_replayed_records` was the
 //! last scalar gauge and is now the first, because both renderers walk
 //! one table and its JSON key precedes the other gauges'.

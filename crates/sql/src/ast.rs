@@ -371,6 +371,20 @@ impl Expr {
         None
     }
 
+    /// The column name a projected `self [AS alias]` gets in its SELECT's
+    /// output: the alias, else a plain column's or function's own name,
+    /// else `expr`. The engines name result columns with it and the
+    /// analysis resolves derived-table columns *by* it, so there is
+    /// exactly one definition.
+    pub fn output_name(&self, alias: Option<&str>) -> String {
+        match (alias, self) {
+            (Some(a), _) => a.to_string(),
+            (None, Expr::Column(c)) => c.name.clone(),
+            (None, Expr::Function { name, .. }) => name.clone(),
+            (None, _) => "expr".to_string(),
+        }
+    }
+
     /// Does this expression contain any aggregate function call?
     pub fn contains_aggregate(&self) -> bool {
         match self {

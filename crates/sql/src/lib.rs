@@ -2,8 +2,10 @@
 //!
 //! SQL front-end for the FLEX differential-privacy system: a hand-written
 //! lexer, a recursive-descent parser producing a typed [`ast`], a printer
-//! that round-trips ASTs back to SQL, and visitor utilities used by the
-//! elastic-sensitivity analysis and the empirical query-study analyzer.
+//! that round-trips ASTs back to SQL, the [`inline`] pass that expands
+//! `WITH` before anything binds a relation name, and visitor utilities
+//! used by the elastic-sensitivity analysis and the empirical query-study
+//! analyzer.
 //!
 //! The dialect covers the SQL constructs exercised by the paper's workloads
 //! (see crate-level docs of [`parser`] for the grammar): CTEs, all join
@@ -21,6 +23,7 @@
 pub mod ast;
 pub mod canonical;
 pub mod error;
+pub mod inline;
 pub mod lexer;
 pub mod parser;
 pub mod printer;
@@ -30,5 +33,6 @@ pub mod visitor;
 pub use ast::*;
 pub use canonical::{canonical_sql, canonicalize};
 pub use error::{ParseError, Result};
+pub use inline::inline_ctes;
 pub use parser::{parse_query, parse_script};
 pub use printer::{print_expr, print_query};

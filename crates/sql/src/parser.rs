@@ -16,16 +16,28 @@
 //!
 //! Expression parsing uses precedence climbing:
 //! `OR < AND < NOT < (comparison | IN | BETWEEN | LIKE | IS) < +- < */% < unary`.
+//!
+//! Every construct that makes the parser recurse — a subquery in any
+//! position, a parenthesized or nested expression, a parenthesized join
+//! or set operation, a `NOT`/sign chain — counts against
+//! [`MAX_NESTING_DEPTH`], so hostile text fails with a [`ParseError`]
+//! instead of overflowing the stack.
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
 use crate::lexer::tokenize;
 use crate::token::{Keyword, Token, TokenKind};
 
+/// Deepest nesting the parser accepts. A fixed bound, not a knob: one
+/// level of parenthesized expression costs ten parser frames — about
+/// 17 KiB of stack in an unoptimized build — so 64 of them stay inside
+/// half of a 2 MiB service-worker stack, and real queries nest a
+/// fraction of that.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parse a single SQL query (an optional trailing `;` is allowed).
 pub fn parse_query(sql: &str) -> Result<Query> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokenize(sql)?);
     let q = p.query()?;
     p.eat(&TokenKind::Semicolon);
     p.expect_eof()?;
@@ -34,8 +46,7 @@ pub fn parse_query(sql: &str) -> Result<Query> {
 
 /// Parse a `;`-separated script into its constituent queries.
 pub fn parse_script(sql: &str) -> Result<Vec<Query>> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokenize(sql)?);
     let mut out = Vec::new();
     loop {
         while p.eat(&TokenKind::Semicolon) {}
@@ -50,9 +61,32 @@ pub fn parse_script(sql: &str) -> Result<Vec<Query>> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursion levels currently open (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Run one recursive production a level deeper, or refuse at the cap.
+    fn nested<T>(&mut self, production: fn(&mut Parser) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(self.error(format!(
+                "query nests deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let parsed = production(self);
+        self.depth -= 1;
+        parsed
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -123,6 +157,10 @@ impl Parser {
     // ---- queries -------------------------------------------------------
 
     fn query(&mut self) -> Result<Query> {
+        self.nested(Parser::query_unguarded)
+    }
+
+    fn query_unguarded(&mut self) -> Result<Query> {
         let mut ctes = Vec::new();
         if self.eat_kw(Keyword::With) {
             loop {
@@ -211,7 +249,7 @@ impl Parser {
     fn set_operand(&mut self) -> Result<SetExpr> {
         if self.peek_kind() == &TokenKind::LParen && self.is_query_start(1) {
             self.expect(&TokenKind::LParen)?;
-            let inner = self.set_expr()?;
+            let inner = self.nested(Parser::set_expr)?;
             self.expect(&TokenKind::RParen)?;
             return Ok(inner);
         }
@@ -395,7 +433,7 @@ impl Parser {
             }
             // Parenthesized join tree.
             self.expect(&TokenKind::LParen)?;
-            let inner = self.table_ref()?;
+            let inner = self.nested(Parser::table_ref)?;
             self.expect(&TokenKind::RParen)?;
             return Ok(inner);
         }
@@ -414,7 +452,7 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Parser::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -437,7 +475,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat_kw(Keyword::Not) {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Parser::not_expr)?;
             return Ok(Expr::UnaryOp {
                 op: UnaryOperator::Not,
                 expr: Box::new(inner),
@@ -563,7 +601,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Parser::unary_expr)?;
             // Fold `-<literal>` into a negative literal so `-1` round-trips
             // through the printer as the same AST.
             return Ok(match inner {
@@ -578,7 +616,7 @@ impl Parser {
             });
         }
         if self.eat(&TokenKind::Plus) {
-            let inner = self.unary_expr()?;
+            let inner = self.nested(Parser::unary_expr)?;
             return Ok(Expr::UnaryOp {
                 op: UnaryOperator::Plus,
                 expr: Box::new(inner),
@@ -1003,6 +1041,71 @@ mod tests {
     #[test]
     fn rejects_trailing_tokens() {
         assert!(parse_query("SELECT 1 FROM t garbage garbage garbage").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_capped_exactly() {
+        // The query is level 1 and its select item level 2; every
+        // parenthesis opens one more.
+        let parens = |n: usize| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n));
+        assert!(parse_query(&parens(MAX_NESTING_DEPTH - 2)).is_ok());
+        let err = parse_query(&parens(MAX_NESTING_DEPTH - 1)).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
+    }
+
+    #[test]
+    fn every_recursive_production_is_capped() {
+        // Unclosed on purpose: the cap must fire on the way down. (Without
+        // it a test thread's stack lasts some 120 levels.)
+        const N: usize = 10_000;
+        for (what, sql) in [
+            (
+                "parenthesized expression",
+                "SELECT 1 FROM t WHERE x = ".to_string() + &"(".repeat(N),
+            ),
+            (
+                "derived table",
+                "SELECT 1 FROM ".to_string() + &"(SELECT 1 FROM ".repeat(N),
+            ),
+            (
+                "parenthesized join",
+                "SELECT 1 FROM ".to_string() + &"(t JOIN ".repeat(N),
+            ),
+            ("parenthesized set operation", "(".repeat(N) + "SELECT 1"),
+            (
+                "IN subquery",
+                "SELECT 1 FROM t WHERE ".to_string() + &"x IN (SELECT 1 FROM t WHERE ".repeat(N),
+            ),
+            (
+                "EXISTS subquery",
+                "SELECT 1 FROM t WHERE ".to_string() + &"EXISTS (SELECT 1 FROM t WHERE ".repeat(N),
+            ),
+            ("CTE body", "WITH a AS (".repeat(N)),
+            (
+                "NOT chain",
+                "SELECT 1 FROM t WHERE ".to_string() + &"NOT ".repeat(N) + "x",
+            ),
+            (
+                "sign chain",
+                "SELECT ".to_string() + &"- ".repeat(N) + "x FROM t",
+            ),
+            (
+                "function arguments",
+                "SELECT ".to_string() + &"f(".repeat(N),
+            ),
+            (
+                "CASE operands",
+                "SELECT ".to_string() + &"CASE WHEN ".repeat(N),
+            ),
+            ("CAST operands", "SELECT ".to_string() + &"CAST(".repeat(N)),
+            (
+                "IN list",
+                "SELECT 1 FROM t WHERE ".to_string() + &"x IN (".repeat(N),
+            ),
+        ] {
+            let err = parse_query(&sql).expect_err(what);
+            assert!(err.message.contains("nests deeper"), "{what}: {err}");
+        }
     }
 
     #[test]

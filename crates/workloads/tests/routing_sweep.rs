@@ -112,4 +112,22 @@ fn synthetic_corpus_routes_with_named_reasons() {
     // The corpus's join mix guarantees both engines see traffic.
     assert!(decisions.iter().any(|d| d.is_vectorized()));
     assert!(decisions.iter().any(|d| !d.is_vectorized()));
+    // A `WITH` costs nothing in routing: it is expanded before the
+    // planner runs, so no query falls back for having one (these used to
+    // be 26 of the sweep's 49 fallbacks, under a `cte` reason). The
+    // corpus's CTEs are never referenced, so each such query must route
+    // exactly like itself minus the prologue.
+    let mut with_ctes = 0;
+    for (q, decision) in queries.iter().zip(&decisions) {
+        assert_ne!(decision.as_str(), "cte");
+        if !q.ctes.is_empty() {
+            with_ctes += 1;
+            let bare = Query {
+                ctes: Vec::new(),
+                ..q.clone()
+            };
+            assert_eq!(*decision, db.route_decision(&bare));
+        }
+    }
+    assert!(with_ctes > 0, "the corpus sweep never saw a WITH");
 }

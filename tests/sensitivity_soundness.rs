@@ -195,3 +195,116 @@ fn skewed_self_join_still_bounded() {
     assert_eq!(elastic, 11.0);
     assert_eq!(local, 8.0);
 }
+
+// ---- CTE scoping: analysis and execution bind the same tables ----------
+//
+// `WITH` used to be bound three times under two rules — dynamically by the
+// analysis, lexically by the row engine, not at all by the vectorized one —
+// so a query could be analysed over one table and executed over another.
+// It is now expanded once (`flex_sql::inline_ctes`) before any of them.
+
+/// 1000 private `trips`, 3 public `cities`.
+fn trips_and_cities() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        "trips",
+        Schema::of(&[("id", DataType::Int), ("city_id", DataType::Int)]),
+    )
+    .unwrap();
+    db.create_table(
+        "cities",
+        Schema::of(&[("id", DataType::Int), ("name", DataType::Str)]),
+    )
+    .unwrap();
+    db.mark_public("cities");
+    db.insert(
+        "trips",
+        (0..1000)
+            .map(|i| vec![Value::Int(i), Value::Int(i % 3)])
+            .collect(),
+    )
+    .unwrap();
+    db.insert(
+        "cities",
+        (0..3)
+            .map(|i| vec![Value::Int(i), Value::str(format!("city{i}"))])
+            .collect(),
+    )
+    .unwrap();
+    db
+}
+
+/// Run `f` on a thread with the service workers' 2 MiB stack: an
+/// overflow there aborts the process, which is what these tests guard.
+fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+/// The leak: `a` reads private `trips`, but a *later* CTE named `trips`
+/// (over public `cities`) used to capture that reference in the analysis
+/// only — sensitivity 0, so the true count went out with no noise.
+#[test]
+fn cte_named_like_a_private_table_does_not_capture_earlier_references() {
+    use rand::SeedableRng;
+    let db = trips_and_cities();
+    let leaking = "WITH a AS (SELECT * FROM trips), trips AS (SELECT * FROM cities) \
+                   SELECT COUNT(*) FROM a";
+    let by_hand = "SELECT COUNT(*) FROM (SELECT * FROM trips) AS a";
+
+    let analysis = analyze(&parse_query(leaking).unwrap(), &db).unwrap();
+    let expected = analyze(&parse_query(by_hand).unwrap(), &db).unwrap();
+    assert_eq!(analysis.lowered, expected.lowered);
+    assert_eq!(analysis.outputs, expected.outputs);
+    assert_eq!(analysis.sensitivity().eval(0), 1.0);
+
+    let params = PrivacyParams::new(0.1, 1e-8).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let released = run_sql(&db, leaking, params, &mut rng).unwrap();
+    assert_eq!(released.true_rows, vec![vec![Value::Int(1000)]]);
+    assert!(released.column_sensitivity[0].is_some());
+    assert_ne!(released.scalar(), Some(1000.0), "released the true count");
+}
+
+/// A CTE never sees itself: `trips` inside the body is the base table.
+/// The analysis used to chase the name into its own definition until the
+/// stack ran out.
+#[test]
+fn cte_named_after_its_own_source_is_not_recursive() {
+    let rows = on_worker_stack(|| {
+        let db = trips_and_cities();
+        let q =
+            parse_query("WITH trips AS (SELECT * FROM trips) SELECT COUNT(*) FROM trips").unwrap();
+        let analysis = analyze(&q, &db).unwrap();
+        assert_eq!(analysis.sensitivity().eval(0), 1.0);
+        assert!(db.route_decision(&q).is_vectorized());
+        (
+            db.execute(&q).unwrap().rows,
+            db.execute_row(&q).unwrap().rows,
+        )
+    });
+    assert_eq!(rows.0, vec![vec![Value::Int(1000)]]);
+    assert_eq!(rows.1, rows.0);
+}
+
+/// Nor a later one: with no base table `b`, a forward reference is an
+/// unknown table to the analysis and to both engines alike.
+#[test]
+fn cte_forward_reference_is_an_unknown_table_everywhere() {
+    let db = trips_and_cities();
+    let q = parse_query(
+        "WITH a AS (SELECT * FROM b), b AS (SELECT * FROM trips) SELECT COUNT(*) FROM a",
+    )
+    .unwrap();
+    assert_eq!(
+        flex::core::lower(&q, &db).unwrap_err(),
+        FlexError::UnknownTable("b".into())
+    );
+    let unknown = flex::db::DbError::UnknownTable("b".into());
+    assert_eq!(db.execute(&q).unwrap_err(), unknown);
+    assert_eq!(db.execute_row(&q).unwrap_err(), unknown);
+}
