@@ -1,26 +1,24 @@
 //! Execution-engine microbenchmarks with a CI regression gate.
 //!
 //! Measures median ns/op for the scenarios the serving path depends on —
-//! the vectorized scan/aggregate shapes, the vectorized hash-join
-//! pipeline (`join-count`, `join-filter-sum`), their morsel-parallel
+//! the scan/aggregate shapes, the hash-join pipeline (`join-count`,
+//! `join-filter-sum`), the tree shapes, their morsel-parallel
 //! variants (`parallel-*`, at [`PARALLEL_WORKERS`] workers), the
 //! service's noisy-answer cache hit, and the hot-path contention storms
 //! (`contention-*`, from `flex_bench::contention`: multi-threaded
 //! cache-hit and ledger-admission throughput over the sharded service)
-//! — and writes `BENCH_exec.json`. Four gates can fail the run (which
+//! — and writes `BENCH_exec.json`. Three gates can fail the run (which
 //! is what the CI `bench` job enforces on PRs):
 //!
-//! 1. vectorized scenarios must keep a ≥ `SPEEDUP_FLOOR`× speedup over
-//!    the row interpreter measured in the same run (machine-independent);
-//! 2. the gated parallel scenarios must scale ≥ `SCALING_FLOOR`× over
-//!    the sequential vectorized engine measured in the same run — but
-//!    only when the runner actually has ≥ `PARALLEL_WORKERS` cores
+//! 1. the gated parallel scenarios must scale ≥ `SCALING_FLOOR`× over
+//!    sequential execution measured in the same run — but only when the
+//!    runner actually has ≥ `PARALLEL_WORKERS` cores
 //!    (`std::thread::available_parallelism`), so core-starved runners
 //!    report the scaling without flaking the gate;
-//! 3. the contention cache-hit storm must scale ≥ 2× at 4 threads on
+//! 2. the contention cache-hit storm must scale ≥ 2× at 4 threads on
 //!    ≥ 4-core runners and ≥ 4× at 16 threads on ≥ 8-core runners,
 //!    with the same report-only fallback on core-starved runners;
-//! 4. against the committed `BENCH_exec.baseline.json`, no scenario may
+//! 3. against the committed `BENCH_exec.baseline.json`, no scenario may
 //!    regress more than `REGRESSION_FACTOR`× after normalizing by the
 //!    run's median current/baseline ratio — the "machine factor" that
 //!    cancels out CI runners being faster or slower than the machine
@@ -33,9 +31,10 @@
 //! `--quick` shrinks the database and iteration counts for CI; the gate
 //! compares like-for-like because the committed baseline is also recorded
 //! with `--quick`. Before timing anything, every SQL scenario is executed
-//! on both engines and the `ResultSet`s are compared — the speedup is
-//! only reported if the answers (and therefore downstream DP noise
-//! calibration) are byte-identical.
+//! once on the executor and once on its test oracle and the `ResultSet`s
+//! are compared — a median is only reported for answers (and therefore
+//! downstream DP noise calibration) that are byte-identical. The oracle
+//! is never timed.
 
 use flex_core::{run_sql_with, FlexOptions, PrivacyParams};
 use flex_service::{
@@ -54,39 +53,11 @@ use std::time::{Duration, Instant};
 /// cancels out runner-speed differences from the baseline machine).
 const REGRESSION_FACTOR: f64 = 1.5;
 
-/// Default floor: vectorized scenarios must stay at least this much
-/// faster than the row interpreter measured in the same run
-/// (machine-independent). Individual scenarios may demand more — the
-/// top-K pushdown scenario must clear [`TOPK_SPEEDUP_FLOOR`].
-const SPEEDUP_FLOOR: f64 = 3.0;
-
-/// `order-by-limit-topk` replaces a full materialize-and-sort with a
-/// bounded heap over the selection vector; anything below this floor
-/// means the pushdown stopped engaging.
-const TOPK_SPEEDUP_FLOOR: f64 = 10.0;
-
-/// Floor for the full-sort `order-by` scenario. Unlike the top-K shape,
-/// a full ORDER BY is O(n log n) on *both* engines — the vectorized win
-/// (typed pair sort + late materialization vs row sort + row permute) is
-/// structural but bounded, so the floor sits below the generic 3x.
-const SORT_SPEEDUP_FLOOR: f64 = 2.5;
-
-/// Floor for `three-way-join-count`. A left-deep tree runs two columnar
-/// hash joins back to back while the row interpreter materializes and
-/// re-probes row vectors twice; the acceptance bar for the plan-IR
-/// executor is a 5x win over the row engine.
-const THREE_WAY_JOIN_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Floor for `union-distinct`. Both engines pay the same hash-dedup on
-/// the concatenated arms; the vectorized win is the columnar arm scans
-/// and typed dedup keys, structural but smaller than a full scan win.
-const UNION_SPEEDUP_FLOOR: f64 = 2.0;
-
 /// Morsel workers for the parallel scenarios.
 const PARALLEL_WORKERS: usize = 4;
 
-/// Default scaling floor: gated parallel scenarios must beat the
-/// sequential vectorized engine by at least this factor at
+/// Default scaling floor: gated parallel scenarios must beat
+/// sequential execution by at least this factor at
 /// [`PARALLEL_WORKERS`] workers — enforced only on runners with that
 /// many cores available.
 const SCALING_FLOOR: f64 = 2.0;
@@ -163,10 +134,8 @@ fn main() {
         ..UberConfig::default()
     });
 
-    // (name, sql, speedup_floor) — scenarios with a floor report the
-    // row-engine median and the speedup alongside and must clear their
-    // floor in the gate. The tail scenarios cover the vectorized ORDER
-    // BY / DISTINCT / LIMIT pipeline: `order-by-limit-topk` is the
+    // (name, sql). The tail scenarios cover the columnar ORDER BY /
+    // DISTINCT / LIMIT pipeline: `order-by-limit-topk` is the
     // dashboard shape (bounded top-K heap, never materializes more than
     // k rows), `order-by` the full index sort + late materialization,
     // `distinct-scan` the typed-key dedupe.
@@ -174,104 +143,85 @@ fn main() {
         (
             "scan-filter-count",
             "SELECT COUNT(*) FROM trips WHERE fare > 20",
-            Some(SPEEDUP_FLOOR),
         ),
         (
             "group-by-sum",
             "SELECT city_id, SUM(fare) FROM trips GROUP BY city_id",
-            Some(SPEEDUP_FLOOR),
         ),
         (
             "join-count",
             "SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id \
              WHERE d.status = 'active'",
-            Some(SPEEDUP_FLOOR),
         ),
         (
             "join-filter-sum",
             "SELECT d.city_id, SUM(t.fare) FROM trips t \
              JOIN drivers d ON t.driver_id = d.id \
              WHERE d.status = 'active' GROUP BY d.city_id",
-            Some(SPEEDUP_FLOOR),
         ),
-        // Plan-IR scenarios: a left-deep three-table equijoin tree, a
+        // Tree scenarios: a left-deep three-table equijoin tree, a
         // derived table feeding a columnar aggregate, and a UNION
-        // deduplicated by the vectorized DISTINCT machinery.
+        // deduplicated by the columnar DISTINCT machinery.
         (
             "three-way-join-count",
             "SELECT COUNT(*) FROM trips t \
              JOIN drivers d ON t.driver_id = d.id \
              JOIN riders r ON t.rider_id = r.id \
              WHERE d.status = 'active'",
-            Some(THREE_WAY_JOIN_SPEEDUP_FLOOR),
         ),
         (
             "derived-table-agg",
             "SELECT s.city_id, SUM(s.fare) FROM \
              (SELECT city_id, fare FROM trips WHERE fare > 20) s \
              GROUP BY s.city_id",
-            Some(SPEEDUP_FLOOR),
         ),
         (
             "union-distinct",
             "SELECT city_id FROM trips WHERE fare > 30 \
              UNION SELECT city_id FROM trips WHERE status = 'completed'",
-            Some(UNION_SPEEDUP_FLOOR),
         ),
         (
             "order-by-limit-topk",
             "SELECT trip_date, fare FROM trips WHERE fare > 20 \
              ORDER BY fare DESC, trip_date LIMIT 10",
-            Some(TOPK_SPEEDUP_FLOOR),
         ),
         (
             "order-by",
             "SELECT rider_id, fare FROM trips ORDER BY fare DESC",
-            Some(SORT_SPEEDUP_FLOOR),
         ),
         (
             "distinct-scan",
             "SELECT DISTINCT city_id, status FROM trips",
-            Some(SPEEDUP_FLOOR),
         ),
     ];
 
     // A real telemetry instance fed by the benchmark itself: every gated
     // scenario's trace and median latency lands in it, and the snapshot
     // is written as `BENCH_exec_telemetry.json` (a CI artifact) so a
-    // routing or pushdown regression is visible in the uploaded metrics,
-    // not just in the exit code.
+    // pushdown regression is visible in the uploaded metrics, not just
+    // in the exit code.
     let telemetry = Telemetry::default();
     telemetry.set(Metric::ExecParallelism, 1);
 
     let mut scenarios: Vec<(String, Value)> = Vec::new();
-    let mut speedup_gate: Vec<(String, f64, f64)> = Vec::new();
-    for (name, sql, floor) in sql_scenarios {
+    for (name, sql) in sql_scenarios {
         let q = parse_query(sql).expect("benchmark SQL parses");
 
-        // Correctness gate before any timing: identical answers on both
-        // engines (this is what keeps DP noise calibration unchanged),
-        // and the expected routing — every scenario here exists to time
-        // the vectorized engine, so a silent fallback (which would
-        // benchmark the row interpreter against itself) fails loudly
-        // with the concrete route decision. The top-K scenario must also
-        // report the bounded-heap pushdown actually engaging.
-        let (trace, fast) = db.execute_traced(&q);
-        let fast = fast.expect("query executes");
-        assert!(
-            trace.vectorized(),
-            "`{name}` must route to the vectorized engine, got `{}`",
-            trace.route
-        );
+        // Correctness gate before any timing: the executor's answer is
+        // the oracle's (this is what keeps DP noise calibration
+        // unchanged), and the top-K scenario reports the bounded-heap
+        // pushdown actually engaging.
+        let (trace, answer) = db.execute_traced(&q);
+        let answer = answer.expect("query executes");
         assert_eq!(
             trace.topk,
             name == "order-by-limit-topk",
             "`{name}`: top-K pushdown flag disagrees with the scenario shape"
         );
-        let slow = db.execute_row(&q).expect("query executes on row engine");
+        let reference = db.execute_row(&q).expect("query executes on the oracle");
         assert_eq!(
-            fast, slow,
-            "engine results differ on `{name}` — refusing to benchmark"
+            answer, reference,
+            "executor and oracle differ on `{name}` — refusing to benchmark"
         );
 
         let med = median_ns(iters, || {
@@ -289,26 +239,14 @@ fn main() {
             delta: 0.0,
             trace: bench_trace,
         });
-        let mut entry = vec![("median_ns".to_string(), Value::from(med))];
-        if let Some(floor) = floor {
-            let row_med = median_ns(iters, || {
-                std::hint::black_box(db.execute_row(&q).unwrap());
-            });
-            let speedup = row_med as f64 / med.max(1) as f64;
-            entry.push(("row_median_ns".to_string(), Value::from(row_med)));
-            entry.push((
-                "speedup".to_string(),
-                Value::from((speedup * 100.0).round() / 100.0),
-            ));
-            eprintln!("{name:>18}: {med:>10} ns/op (row: {row_med} ns/op, {speedup:.2}x)");
-            speedup_gate.push((name.to_string(), speedup, floor));
-        } else {
-            eprintln!("{name:>18}: {med:>10} ns/op");
-        }
-        scenarios.push((name.to_string(), Value::Object(entry)));
+        eprintln!("{name:>20}: {med:>10} ns/op");
+        scenarios.push((
+            name.to_string(),
+            Value::Object(vec![("median_ns".to_string(), Value::from(med))]),
+        ));
     }
 
-    // Morsel-parallel variants: the same vectorized scenarios at
+    // Morsel-parallel variants: the same scenarios at
     // PARALLEL_WORKERS workers. `scaling` is parallel-vs-sequential from
     // this run, so runner speed cancels out; scenarios with a floor must
     // clear it when the runner has the cores for it.
@@ -328,15 +266,15 @@ fn main() {
     ];
     let mut scaling_gate: Vec<(String, f64, f64)> = Vec::new();
     for (base, floor) in parallel_scenarios {
-        let (_, sql, _) = sql_scenarios
+        let (_, sql) = sql_scenarios
             .iter()
-            .find(|(name, _, _)| *name == base)
+            .find(|(name, _)| *name == base)
             .expect("parallel variant of a known scenario");
         let q = parse_query(sql).expect("benchmark SQL parses");
 
-        // Correctness gate: byte-identical to the sequential engine (and
-        // therefore to the row interpreter checked above) — thread count
-        // must be unobservable to the DP layers.
+        // Correctness gate: byte-identical to sequential execution (and
+        // therefore to the oracle checked above) — thread count must be
+        // unobservable to the DP layers.
         db.set_parallelism(1);
         let sequential = db.execute(&q).expect("query executes");
         db.set_parallelism(PARALLEL_WORKERS);
@@ -378,8 +316,7 @@ fn main() {
     db.set_parallelism(1);
 
     // End-to-end sanity: the full FLEX pipeline (analysis + execution +
-    // perturbation) over the vectorized path stays deterministic under a
-    // fixed seed.
+    // perturbation) stays deterministic under a fixed seed.
     {
         let params = PrivacyParams::new(0.1, 1e-9).expect("valid params");
         let opts = FlexOptions::new();
@@ -449,7 +386,7 @@ fn main() {
     eprintln!("wrote {}", args.out);
 
     // Telemetry artifact: the benchmark-fed snapshot (per-scenario
-    // traces, routing breakdown, latency histogram quantiles) plus the
+    // traces, latency histogram quantiles) plus the
     // cache-hit service's own metrics report, as one JSON document CI
     // uploads next to the bench numbers.
     let bench_report = MetricsReport {
@@ -468,21 +405,8 @@ fn main() {
         eprintln!("wrote {}", args.baseline);
     }
 
-    // Machine-independent floors: every vectorized scenario must keep
-    // its promised speedup over the row interpreter (both medians come
-    // from this run, so runner speed cancels out). Floors are
-    // per-scenario — the top-K pushdown must hold 10x, the rest 3x.
     let mut failed = false;
     let current = report.get("scenarios").and_then(Value::as_object).unwrap();
-    for (name, speedup, floor) in &speedup_gate {
-        if speedup < floor {
-            eprintln!(
-                "REGRESSION GATE: `{name}` vectorized speedup {speedup:.2}x is below \
-                 its {floor}x floor"
-            );
-            failed = true;
-        }
-    }
 
     // Scaling floor for the morsel-parallel scenarios, also measured
     // entirely within this run. Enforced only when the runner actually
@@ -494,8 +418,8 @@ fn main() {
         for (name, scaling, floor) in &scaling_gate {
             if scaling < floor {
                 eprintln!(
-                    "REGRESSION GATE: `{name}` scales only {scaling:.2}x over the sequential \
-                     engine at {PARALLEL_WORKERS} workers (floor {floor}x)"
+                    "REGRESSION GATE: `{name}` scales only {scaling:.2}x over sequential \
+                     execution at {PARALLEL_WORKERS} workers (floor {floor}x)"
                 );
                 failed = true;
             } else {

@@ -52,7 +52,7 @@ pub mod study;
 pub use analysis::{analyze, analyze_with, AnalysisOptions, AnalyzedQuery};
 pub use budget::{strong_composition, BudgetedFlex, Composition, PrivacyBudget, SparseVector};
 pub use error::{FlexError, Result};
-pub use flex_db::{ExecTrace, FallbackReason, RouteDecision};
+pub use flex_db::ExecTrace;
 pub use histogram::enumerate_bins;
 pub use laplace::{laplace, noisy};
 pub use lower::{lower, GroupKey, Lowered, OutputColumn, RootAgg};

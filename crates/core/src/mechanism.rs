@@ -71,11 +71,9 @@ pub struct FlexResult {
     pub timings: FlexTimings,
     /// Join count of the analyzed query.
     pub join_count: usize,
-    /// The execution pipeline's own record of how the true query ran:
-    /// engine routing (with the concrete fallback reason when the
-    /// vectorized engine declined), top-K pushdown, morsel/worker/row
-    /// statistics. Telemetry only — it never affects the released
-    /// values, which are byte-identical across every routing combination.
+    /// The executor's own record of how the true query ran: top-K
+    /// pushdown, morsel/worker/row statistics, join order. Telemetry
+    /// only — it never affects the released values.
     pub trace: ExecTrace,
 }
 

@@ -62,11 +62,11 @@ pub struct AggSpec {
 impl AggSpec {
     /// Compute the aggregate over a set of input rows. `positions[i]` is
     /// row `i`'s position in the post-WHERE input sequence — the same
-    /// position the columnar engine sees as its selection index — and
+    /// position the columnar operators see as their selection index — and
     /// `fold_rows` is the reduction-grid chunk size, so `SUM`/`AVG`/
     /// `STDDEV` evaluate the exact fixed-shape reduction tree the
-    /// vectorized engine evaluates (bit-identical floats on either
-    /// engine, at any parallelism).
+    /// columnar aggregates evaluate (bit-identical floats on either
+    /// path, at any parallelism).
     pub fn compute(
         &self,
         rows: &[&[Value]],
@@ -378,7 +378,7 @@ pub(crate) fn stddev_tree(pairs: &[(usize, f64)]) -> Value {
 /// hash-aggregate naturally produces it: per-group key values plus one
 /// value vector *per aggregate*. The grouped tail in [`crate::vexec`]
 /// consumes it through [`GroupedRows::into_rows`], which transposes into
-/// the row engine's `[key values..., aggregate values...]` layout by
+/// the row-wise `[key values..., aggregate values...]` layout by
 /// **moving** every aggregate value — the previous tail cloned each one
 /// (including `MIN`/`MAX` strings) a second time.
 pub(crate) struct GroupedRows {

@@ -1,4 +1,4 @@
-//! Columnar storage for the vectorized execution engine.
+//! Columnar storage for the executor.
 //!
 //! A [`ColumnarTable`] is a column-major projection of a table's rows:
 //! one typed vector per column plus a null bitmap. Batch operators in
@@ -11,8 +11,8 @@
 //! non-null values are all integers becomes [`ColumnData::Int64`], and so
 //! on. Columns mixing physical types fall back to [`ColumnData::Mixed`],
 //! which keeps the original `Value`s. This makes [`Column::value`] an
-//! exact reconstruction — the vectorized engine returns byte-identical
-//! results to the row interpreter, so DP noise calibration downstream is
+//! exact reconstruction — the executor returns byte-identical
+//! results to the oracle, so DP noise calibration downstream is
 //! unchanged. Columns are immutable once built (writes rebuild the
 //! projection), which is what lets the morsel-parallel operators in
 //! [`crate::vexec`] read them from many worker threads lock-free.
@@ -22,7 +22,7 @@ use crate::value::Value;
 use std::cmp::Ordering;
 
 /// Sentinel row index meaning "no source row" in a gather index vector:
-/// [`Column::gather`] fills such slots with NULL. Used by the vectorized
+/// [`Column::gather`] fills such slots with NULL. Used by the
 /// join pipeline for the NULL-padded side of outer-join rows — probe-side
 /// pads for LEFT/FULL, matched-bit build-side pads for RIGHT/FULL.
 pub const GATHER_NULL: u32 = u32::MAX;
@@ -145,7 +145,7 @@ impl Column {
     /// Gather rows by index into a new column: output slot `k` holds the
     /// value of row `idxs[k]`, and slots where `idxs[k] == GATHER_NULL`
     /// become NULL. This is the late-materialization primitive of the
-    /// vectorized join pipeline: joined values are only ever gathered for
+    /// join pipeline: joined values are only ever gathered for
     /// the columns the query actually touches, after all filtering.
     pub fn gather(&self, idxs: &[u32]) -> Column {
         let mut nulls = NullMask::new(idxs.len());
@@ -206,7 +206,7 @@ impl Column {
     }
 
     /// A comparator over this column's rows with exactly the semantics of
-    /// `self.value(a).total_cmp(&self.value(b))` — the row engine's ORDER
+    /// `self.value(a).total_cmp(&self.value(b))` — the oracle's ORDER
     /// BY comparison — but with the type dispatch hoisted out of the
     /// comparison loop so sorting a selection vector never materializes a
     /// `Value`. NULLs sort first (`total_cmp` ranks `NULL` below every

@@ -25,7 +25,7 @@ pub struct Database {
     /// Emulates the paper's trigger-based metric maintenance: when set
     /// (the default), metrics are recomputed for a table after each write.
     pub auto_metrics: bool,
-    /// Worker threads the vectorized engine may use per query (morsel-
+    /// Worker threads the executor may use per query (morsel-
     /// driven; see [`crate::morsel`]). 1 = sequential. Atomic so shared
     /// (`Arc<Database>`) handles can tune it; it is pure execution tuning
     /// and never affects results, which are byte-identical at any value.
@@ -69,7 +69,7 @@ impl Database {
         }
     }
 
-    /// Set the number of worker threads the vectorized engine may use for
+    /// Set the number of worker threads the executor may use for
     /// one query (clamped to ≥ 1; 1 disables intra-query parallelism and
     /// runs the exact sequential code paths). Results are byte-identical
     /// at every setting — aggregates fold on a fixed reduction grid and
@@ -95,7 +95,7 @@ impl Database {
             .store(workers.max(1), Ordering::Relaxed);
     }
 
-    /// Current per-query worker budget of the vectorized engine.
+    /// Current per-query worker budget of the executor.
     pub fn parallelism(&self) -> usize {
         self.exec_parallelism.load(Ordering::Relaxed).max(1)
     }
@@ -119,7 +119,7 @@ impl Database {
         self.exec_morsel_rows.load(Ordering::Relaxed).max(1)
     }
 
-    /// The execution-tuning snapshot the vectorized operators read once
+    /// The execution-tuning snapshot the executor's operators read once
     /// per query (so a concurrent retune cannot split one query across
     /// two configurations).
     pub(crate) fn exec_tuning(&self) -> morsel::Parallelism {
@@ -211,9 +211,7 @@ impl Database {
         self.execute(&q)
     }
 
-    /// Execute a parsed query. Vectorizable query blocks run on the
-    /// columnar engine ([`crate::vexec`]); everything else runs on the
-    /// row interpreter. Both produce identical results.
+    /// Execute a parsed query on the plan executor ([`crate::vexec`]).
     ///
     /// ```
     /// use flex_db::{Database, DataType, Schema, Value};
@@ -240,30 +238,25 @@ impl Database {
     }
 
     /// Like [`Database::execute`], but also report how the query ran
-    /// ([`exec::ExecTrace`]: engine routing plus top-K pushdown) so
-    /// callers can observe fast-path coverage without a separate
-    /// planning pass.
+    /// ([`exec::ExecTrace`]: rows scanned and emitted, morsels, workers,
+    /// top-K pushdown, join order).
     pub fn execute_traced(&self, q: &Query) -> (exec::ExecTrace, Result<ResultSet>) {
         exec::execute_traced(self, q)
     }
 
-    /// Execute a parsed query on the row interpreter only, bypassing the
-    /// vectorized engine. Intended for differential tests and benchmarks.
+    /// Execute a parsed query on the test oracle ([`crate::oracle`], the
+    /// row-at-a-time reference implementation) instead of the executor.
+    /// For differential tests only — nothing in production calls it.
+    #[doc(hidden)]
     pub fn execute_row(&self, q: &Query) -> Result<ResultSet> {
-        exec::execute_row(self, q)
+        crate::oracle::execute_row(self, q)
     }
 
-    /// Parse and execute a SQL query on the row interpreter only.
+    /// Parse and execute a SQL query on the test oracle.
+    #[doc(hidden)]
     pub fn execute_sql_row(&self, sql: &str) -> Result<ResultSet> {
         let q = parse_query(sql)?;
         self.execute_row(&q)
-    }
-
-    /// The routing decision [`Database::execute`] would make for `q` —
-    /// [`crate::plan::RouteDecision::Vectorized`] or the concrete
-    /// fallback reason. Plans but does not execute.
-    pub fn route_decision(&self, q: &Query) -> crate::plan::RouteDecision {
-        exec::route_decision(self, q)
     }
 }
 

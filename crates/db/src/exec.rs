@@ -1,105 +1,92 @@
-//! Row-at-a-time query execution and the engine-routing entry point.
+//! The execution entry point, its trace, and the code the plan executor
+//! shares with the test oracle.
 //!
-//! The row interpreter evaluates a parsed [`Query`] directly against the
-//! in-memory [`Database`]: joins use hash joins on extracted equijoin keys
-//! with residual predicates, grouped queries collect [`AggSpec`]s and
-//! evaluate them per group, and set operations follow SQL's distinct-set
-//! semantics.
+//! [`execute`] / [`execute_traced`] are the only way a query runs in
+//! production: they expand `WITH` ([`flex_sql::inline_ctes`] — the same
+//! rewrite the sensitivity analysis runs before lowering, so a relation
+//! name in the tree the executor sees is a base table, a CTE nobody
+//! references is never evaluated, and one referenced twice is evaluated
+//! per reference) and hand the tree to the plan executor
+//! ([`crate::vexec`] over the IR of [`crate::plan`]). There is no second
+//! path and no decision to make: every shape the parser accepts executes
+//! there, and every error is the executor's own.
 //!
-//! # Name binding
-//!
-//! Neither engine knows what `WITH` is. Every public entry point here
-//! ([`execute_traced`], [`execute_row`], [`route_decision`]) first runs
-//! [`flex_sql::inline_ctes`], which rewrites each CTE reference into the
-//! derived table it abbreviates — the same rewrite the sensitivity
-//! analysis runs before lowering — so a relation name in the tree the
-//! engines see is a base table, and a CTE query is an ordinary
-//! derived-table query to the router. Two consequences, both intended: a
-//! CTE nobody references is never evaluated, and one referenced twice is
-//! evaluated per reference (same bytes).
-//!
-//! # Engine routing
-//!
-//! [`execute`] is the single entry point. It first offers the query to the
-//! vectorized engine ([`crate::vexec`]), an operator-at-a-time executor
-//! over the physical-plan IR of [`crate::plan`]: single-table blocks,
-//! derived tables in FROM, left-deep join trees of up to eight leaves
-//! (INNER/LEFT/RIGHT/FULL/CROSS, equi and non-equi), and UNION /
-//! UNION ALL. It declines the residual shapes — INTERSECT/EXCEPT,
-//! table-less selects, >8-leaf trees, statically unanalyzable derived
-//! join leaves, unresolvable names.
-//! Declined queries run on the row interpreter below;
-//! [`route_decision`] exposes the decision without executing. The two
-//! engines share the expression compiler (`Exec::compile_scalar`,
-//! `GroupCompiler`) and one ORDER BY resolution rule
-//! (`plan_sort_keys_with`), and the vectorized ORDER BY / DISTINCT /
-//! LIMIT tail is constructed to reproduce this module's
-//! `finish_select` + `apply_limit_offset` semantics exactly, so
-//! every query produces identical results on both — see `vexec`'s
-//! module docs for the exact contract. Accepted queries
-//! additionally run morsel-parallel when [`Database::set_parallelism`]
-//! allows it ([`crate::morsel`]); that, too, is unobservable in the
-//! results.
+//! The rest of this module is what the executor and the row-at-a-time
+//! reference implementation ([`crate::oracle`]) both call, and which the
+//! differential suite therefore does **not** cross-check: the expression
+//! compiler (`Exec::compile_scalar`, `GroupCompiler`), the grouping and
+//! projection code the executor falls back to for non-column group keys
+//! (`Exec::select_after_where`), the ORDER BY resolution rule
+//! (`plan_sort_keys_with`, `set_op_sort_keys`) and the sort / DISTINCT /
+//! LIMIT tail helpers. Expression subqueries (`IN (SELECT …)`, `EXISTS`)
+//! are the one place the shared compiler executes anything; it does so
+//! through the `QueryRunner` its `Exec` was built with, so the executor
+//! runs them on itself and the oracle on itself.
 
 use crate::aggregate::{AggFunc, AggSpec};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
-use crate::plan::{
-    split_join_constraint, ColMeta, FallbackReason, JoinOrder, Relation, ResultSet, RouteDecision,
-};
+use crate::plan::{ColMeta, JoinOrder, Relation, ResultSet};
 use crate::table::Row;
 use crate::value::{RowKey, Value, ValueKey};
-use flex_sql::{
-    Expr, FunctionArg, JoinConstraint, JoinType, Literal, OrderByItem, Query, Select, SelectItem,
-    SetExpr, SetOperator, TableRef,
-};
+use crate::vexec::{self, VexecStats};
+use flex_sql::{Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
 use std::collections::{HashMap, HashSet};
 
-/// Execute a parsed query against a database, routing vectorizable query
-/// blocks to the columnar engine and the rest to the row interpreter.
+/// Execute a parsed query against a database.
 pub fn execute(db: &Database, q: &Query) -> Result<ResultSet> {
     execute_traced(db, q).1
 }
 
-/// What the execution pipeline observed about how one query ran — the
-/// per-query execution span the service folds into its trace. Never
-/// affects results, which are byte-identical across every routing
-/// combination.
+/// Which engine ran a query. A vestige: there is one engine, so there is
+/// one variant — the type survives only because the frozen
+/// `pipeline_bench/trace.rs` reads `ExecTrace::route.is_vectorized()`
+/// (ROADMAP lists it among the things a `benchmark` PR must free).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RouteDecision {
+    /// The plan executor ran the query.
+    Vectorized,
+}
+
+impl RouteDecision {
+    /// Always `true`.
+    pub fn is_vectorized(self) -> bool {
+        true
+    }
+}
+
+/// What the executor observed about how one query ran — the per-query
+/// execution span the service folds into its trace. Never affects
+/// results. Statistics of nested executions (derived tables, set-op
+/// arms, expression subqueries) are folded into their parent's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTrace {
-    /// Which engine ran the query, with the concrete fallback reason
-    /// when the vectorized engine declined it.
+    /// Vestigial (see [`RouteDecision`]): always `Vectorized`.
     pub route: RouteDecision,
-    /// Whether the vectorized tail served `ORDER BY … LIMIT k` from a
-    /// bounded top-K heap instead of a full sort (always `false` on the
-    /// row interpreter, which has no such pushdown).
+    /// Whether an `ORDER BY … LIMIT k` tail was served from a bounded
+    /// top-K heap instead of a full sort.
     pub topk: bool,
-    /// Scan morsels the vectorized input split into (both sides for a
-    /// join; 0 on the row interpreter, which does not scan in morsels).
+    /// Scan morsels the base-table inputs split into (every leaf of a
+    /// join, every arm of a set operation).
     pub morsels: u64,
-    /// Worker threads the execution was entitled to use (1 = sequential;
-    /// the row interpreter is always sequential).
+    /// Worker threads the execution was entitled to use (1 = sequential).
     pub workers: u64,
-    /// Base-table rows scanned by the vectorized engine (0 on the row
-    /// interpreter, which materializes relations instead of scanning
-    /// columns).
+    /// Base-table rows scanned.
     pub rows_scanned: u64,
     /// Rows in the result set (0 when execution erred).
     pub rows_emitted: u64,
-    /// Join order the vectorized tree executor chose — pure scheduling
-    /// that never affects result bytes (empty on the row interpreter
-    /// and for joinless queries).
+    /// Join order the tree executor chose — pure scheduling that never
+    /// affects result bytes (empty for joinless queries).
     pub join_order: JoinOrder,
 }
 
-impl ExecTrace {
-    /// A sequential trace on `route` with every statistic at zero — what
-    /// the row interpreter reports, and the base for struct-update
-    /// syntax elsewhere.
-    pub fn new(route: RouteDecision) -> Self {
+impl Default for ExecTrace {
+    /// A sequential trace with every statistic at zero — the base for
+    /// struct-update syntax in tests.
+    fn default() -> Self {
         ExecTrace {
-            route,
+            route: RouteDecision::Vectorized,
             topk: false,
             morsels: 0,
             workers: 1,
@@ -108,191 +95,60 @@ impl ExecTrace {
             join_order: JoinOrder::default(),
         }
     }
-
-    /// Whether the query ran on the vectorized columnar engine.
-    pub fn vectorized(&self) -> bool {
-        self.route.is_vectorized()
-    }
 }
 
-/// Like [`execute`], but also report how the query ran (engine routing
-/// with fallback reason, top-K pushdown, morsel/worker/row statistics).
-/// This is the pipeline's own record, not a re-plan — callers that want
-/// fast-path coverage telemetry (e.g. the query service) read it at zero
-/// extra cost.
+/// Like [`execute`], but also report how the query ran (top-K pushdown,
+/// morsel/worker/row statistics, join order). This is the executor's own
+/// record, not a re-plan — callers that want telemetry (e.g. the query
+/// service) read it at zero extra cost. A `WITH` too large to expand is
+/// the expansion error with an all-zero trace.
 pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
-    match flex_sql::inline_ctes(q) {
-        Ok(q) => execute_inlined(db, &q),
-        Err(e) => (ExecTrace::new(WITH_TOO_LARGE), Err(e.into())),
-    }
-}
-
-/// What routing reports for a query whose `WITH` expansion exceeds
-/// [`flex_sql::inline`]'s caps. Neither engine runs it — the entry point
-/// returns the expansion error — but a trace needs some decision, and
-/// the expansion would have been a derived table too big to analyze.
-const WITH_TOO_LARGE: RouteDecision = RouteDecision::Fallback(FallbackReason::DerivedTable);
-
-/// [`execute_traced`] for a tree with no `WITH` in it: what the public
-/// entry points call once they have inlined, and what the vectorized
-/// engine calls for a derived table's subquery.
-pub(crate) fn execute_inlined(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
-    let (mut trace, result) = match crate::vexec::try_execute_traced(db, q) {
-        Ok((result, stats)) => (
-            ExecTrace {
-                route: RouteDecision::Vectorized,
-                topk: stats.topk,
-                morsels: stats.morsels,
-                workers: stats.workers,
-                rows_scanned: stats.rows_scanned,
-                rows_emitted: 0,
-                join_order: stats.join_order,
-            },
-            result,
-        ),
-        Err(reason) => (
-            ExecTrace::new(RouteDecision::Fallback(reason)),
-            Exec::new(db).query(q).map(ResultSet::from),
-        ),
+    let (stats, result) = match flex_sql::inline_ctes(q) {
+        Ok(q) => vexec::execute_query(db, &q),
+        Err(e) => (VexecStats::default(), Err(e.into())),
     };
-    if let Ok(rs) = &result {
-        trace.rows_emitted = rs.rows.len() as u64;
-    }
+    let trace = ExecTrace {
+        route: RouteDecision::Vectorized,
+        topk: stats.topk,
+        morsels: stats.morsels,
+        workers: stats.workers,
+        rows_scanned: stats.rows_scanned,
+        rows_emitted: result.as_ref().map_or(0, |rs| rs.rows.len() as u64),
+        join_order: stats.join_order,
+    };
     (trace, result)
 }
 
-/// The routing decision for `q` without executing it (one planning
-/// pass). [`execute_traced`] reports the same decision from the
-/// execution itself; this is for tools (benchmarks, tests) that assert
-/// routing without running the query.
-pub fn route_decision(db: &Database, q: &Query) -> RouteDecision {
-    match flex_sql::inline_ctes(q) {
-        Ok(q) => crate::vexec::decide(db, &q),
-        Err(_) => WITH_TOO_LARGE,
-    }
-}
+/// Runs one `WITH`-free query to completion and reports its statistics:
+/// [`vexec::execute_query`] in production, the oracle's own interpreter
+/// inside [`crate::oracle`].
+pub(crate) type QueryRunner = fn(&Database, &Query) -> (VexecStats, Result<ResultSet>);
 
-/// Execute a parsed query on the row interpreter only (no vectorization).
-/// Exposed for differential testing and benchmarking against the
-/// vectorized engine; [`execute`] is what normal callers want.
-pub fn execute_row(db: &Database, q: &Query) -> Result<ResultSet> {
-    let q = flex_sql::inline_ctes(q)?;
-    Exec::new(db).query(&q).map(ResultSet::from)
-}
-
+/// The compilation context of one query execution: the database, the
+/// runner nested queries go through, and the execution's statistics.
 pub(crate) struct Exec<'a> {
-    db: &'a Database,
+    pub(crate) db: &'a Database,
+    run: QueryRunner,
+    /// Statistics so far, nested executions included.
+    pub(crate) stats: VexecStats,
 }
 
 impl<'a> Exec<'a> {
-    pub(crate) fn new(db: &'a Database) -> Exec<'a> {
-        Exec { db }
-    }
-
-    fn query(&mut self, q: &Query) -> Result<Relation> {
-        let mut rel = match &q.body {
-            SetExpr::Select(s) => self.select_full(s, &q.order_by)?,
-            SetExpr::SetOp { .. } => {
-                let mut rel = self.set_expr(&q.body)?;
-                if !q.order_by.is_empty() {
-                    sort_by_output_columns(&mut rel, &q.order_by)?;
-                }
-                rel
-            }
-        };
-        apply_limit_offset(&mut rel, q.limit, q.offset);
-        Ok(rel)
-    }
-
-    fn set_expr(&mut self, body: &SetExpr) -> Result<Relation> {
-        match body {
-            SetExpr::Select(s) => self.select_full(s, &[]),
-            SetExpr::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                let l = self.set_expr(left)?;
-                let r = self.set_expr(right)?;
-                if l.cols.len() != r.cols.len() {
-                    return Err(DbError::Unsupported(format!(
-                        "set operation arity mismatch: {} vs {} columns",
-                        l.cols.len(),
-                        r.cols.len()
-                    )));
-                }
-                let rows = match (op, all) {
-                    (SetOperator::Union, true) => {
-                        let mut rows = l.rows;
-                        rows.extend(r.rows);
-                        rows
-                    }
-                    (SetOperator::Union, false) => {
-                        let mut seen = HashSet::new();
-                        let mut rows = Vec::new();
-                        for row in l.rows.into_iter().chain(r.rows) {
-                            if seen.insert(RowKey::from_values(&row)) {
-                                rows.push(row);
-                            }
-                        }
-                        rows
-                    }
-                    (SetOperator::Intersect, _) => {
-                        let right_keys: HashSet<RowKey> =
-                            r.rows.iter().map(|row| RowKey::from_values(row)).collect();
-                        let mut seen = HashSet::new();
-                        l.rows
-                            .into_iter()
-                            .filter(|row| {
-                                let k = RowKey::from_values(row);
-                                right_keys.contains(&k) && seen.insert(k)
-                            })
-                            .collect()
-                    }
-                    (SetOperator::Except, _) => {
-                        let right_keys: HashSet<RowKey> =
-                            r.rows.iter().map(|row| RowKey::from_values(row)).collect();
-                        let mut seen = HashSet::new();
-                        l.rows
-                            .into_iter()
-                            .filter(|row| {
-                                let k = RowKey::from_values(row);
-                                !right_keys.contains(&k) && seen.insert(k)
-                            })
-                            .collect()
-                    }
-                };
-                Ok(Relation::new(l.cols, rows))
-            }
+    pub(crate) fn new(db: &'a Database, run: QueryRunner) -> Exec<'a> {
+        Exec {
+            db,
+            run,
+            stats: VexecStats::default(),
         }
     }
 
-    /// Execute one SELECT block, including its ORDER BY (which may
-    /// reference un-projected input columns or aggregate expressions).
-    fn select_full(&mut self, s: &Select, order_by: &[OrderByItem]) -> Result<Relation> {
-        // FROM
-        let input = match &s.from {
-            Some(t) => self.table_ref(t)?,
-            // Table-less select: a single empty row.
-            None => Relation::new(Vec::new(), vec![Vec::new()]),
-        };
-
-        // WHERE
-        let input = if let Some(pred) = &s.selection {
-            let compiled = self.compile_scalar(pred, &input.cols)?;
-            let mut filtered = Vec::with_capacity(input.rows.len());
-            for row in input.rows {
-                if compiled.eval_bool(&row)? {
-                    filtered.push(row);
-                }
-            }
-            Relation::new(input.cols, filtered)
-        } else {
-            input
-        };
-
-        self.select_after_where(s, input, order_by)
+    /// Run a nested query (a derived table, a set-op arm, an expression
+    /// subquery) on the engine this context belongs to, folding its
+    /// statistics into this execution's.
+    pub(crate) fn subquery(&mut self, q: &Query) -> Result<ResultSet> {
+        let (stats, result) = (self.run)(self.db, q);
+        self.stats.absorb(stats);
+        result
     }
 
     /// Whether a SELECT block is an aggregation (GROUP BY present, or any
@@ -307,8 +163,9 @@ impl<'a> Exec<'a> {
     }
 
     /// Everything in a SELECT block downstream of the WHERE filter:
-    /// grouping/projection, ORDER BY and DISTINCT. Shared verbatim by the
-    /// vectorized engine, which computes `input` with columnar filtering.
+    /// grouping/projection, ORDER BY and DISTINCT. The oracle's SELECT
+    /// tail, and the executor's for blocks whose group keys, aggregate
+    /// arguments or compile errors its columnar tails do not cover.
     pub(crate) fn select_after_where(
         &mut self,
         s: &Select,
@@ -469,9 +326,9 @@ impl<'a> Exec<'a> {
             Some(Vec::with_capacity(groups.len()))
         };
         // Positions in the post-WHERE input sequence (`ri`) are exactly
-        // the columnar engine's selection indices, so handing them to
-        // `AggSpec::compute` makes the row engine evaluate the identical
-        // fixed-shape reduction tree over the identical fold grid.
+        // the columnar operators' selection indices, so handing them to
+        // `AggSpec::compute` evaluates the identical fixed-shape
+        // reduction tree over the identical fold grid.
         let fold_rows = self.db.morsel_rows();
         for (key_vals, row_indices) in groups {
             let member_rows: Vec<&[Value]> = row_indices
@@ -532,154 +389,6 @@ impl<'a> Exec<'a> {
             self.compile_scalar(e, input_cols)
         })
     }
-
-    // ---- FROM clause ----------------------------------------------------
-
-    fn table_ref(&mut self, t: &TableRef) -> Result<Relation> {
-        match t {
-            TableRef::Table { name, alias } => {
-                let qualifier = alias.clone().unwrap_or_else(|| name.clone());
-                let table = self
-                    .db
-                    .table(name)
-                    .ok_or_else(|| DbError::UnknownTable(name.clone()))?;
-                let cols = table
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| ColMeta::new(Some(qualifier.clone()), c.name.clone()))
-                    .collect();
-                Ok(Relation::new(cols, table.rows.clone()))
-            }
-            TableRef::Derived { query, alias } => {
-                let rel = self.query(query)?;
-                Ok(rel.with_qualifier(alias))
-            }
-            TableRef::Join {
-                left,
-                right,
-                join_type,
-                constraint,
-            } => {
-                let l = self.table_ref(left)?;
-                let r = self.table_ref(right)?;
-                self.join(l, r, *join_type, constraint)
-            }
-        }
-    }
-
-    fn join(
-        &mut self,
-        left: Relation,
-        right: Relation,
-        join_type: JoinType,
-        constraint: &JoinConstraint,
-    ) -> Result<Relation> {
-        let mut combined_cols = left.cols.clone();
-        combined_cols.extend(right.cols.iter().cloned());
-
-        let (key_pairs, on_rest) = split_join_constraint(&left.cols, &right.cols, constraint)?;
-        let mut residual = Vec::with_capacity(on_rest.len());
-        for conjunct in on_rest {
-            residual.push(self.compile_scalar(conjunct, &combined_cols)?);
-        }
-
-        let lw = left.cols.len();
-        let rw = right.cols.len();
-        let mut out_rows: Vec<Row> = Vec::new();
-        let mut right_matched = vec![false; right.rows.len()];
-
-        // Scratch buffer reused for every candidate pair.
-        let mut combined: Row = vec![Value::Null; lw + rw];
-
-        let matches_for = |combined: &mut Row,
-                           lrow: &Row,
-                           rrow: &Row,
-                           residual: &[CompiledExpr]|
-         -> Result<bool> {
-            combined[..lw].clone_from_slice(lrow);
-            combined[lw..].clone_from_slice(rrow);
-            for p in residual {
-                if !p.eval_bool(combined)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        };
-
-        if !key_pairs.is_empty() {
-            // Hash join. NULL keys never match.
-            let mut index: HashMap<RowKey, Vec<usize>> = HashMap::new();
-            'right: for (ri, rrow) in right.rows.iter().enumerate() {
-                let mut key = Vec::with_capacity(key_pairs.len());
-                for &(_, rk) in &key_pairs {
-                    if rrow[rk].is_null() {
-                        continue 'right;
-                    }
-                    key.push(ValueKey::from(&rrow[rk]));
-                }
-                index.entry(RowKey(key)).or_default().push(ri);
-            }
-            for lrow in &left.rows {
-                let mut matched = false;
-                let mut key = Vec::with_capacity(key_pairs.len());
-                let mut has_null = false;
-                for &(lk, _) in &key_pairs {
-                    if lrow[lk].is_null() {
-                        has_null = true;
-                        break;
-                    }
-                    key.push(ValueKey::from(&lrow[lk]));
-                }
-                if !has_null {
-                    if let Some(candidates) = index.get(&RowKey(key)) {
-                        for &ri in candidates {
-                            if matches_for(&mut combined, lrow, &right.rows[ri], &residual)? {
-                                matched = true;
-                                right_matched[ri] = true;
-                                out_rows.push(combined.clone());
-                            }
-                        }
-                    }
-                }
-                if !matched && matches!(join_type, JoinType::Left | JoinType::Full) {
-                    let mut row = lrow.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, rw));
-                    out_rows.push(row);
-                }
-            }
-        } else {
-            // Nested-loop join (cross joins and non-equi predicates).
-            for lrow in &left.rows {
-                let mut matched = false;
-                for (ri, rrow) in right.rows.iter().enumerate() {
-                    if matches_for(&mut combined, lrow, rrow, &residual)? {
-                        matched = true;
-                        right_matched[ri] = true;
-                        out_rows.push(combined.clone());
-                    }
-                }
-                if !matched && matches!(join_type, JoinType::Left | JoinType::Full) {
-                    let mut row = lrow.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, rw));
-                    out_rows.push(row);
-                }
-            }
-        }
-
-        if matches!(join_type, JoinType::Right | JoinType::Full) {
-            for (ri, rrow) in right.rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    let mut row = vec![Value::Null; lw];
-                    row.extend(rrow.iter().cloned());
-                    out_rows.push(row);
-                }
-            }
-        }
-
-        Ok(Relation::new(combined_cols, out_rows))
-    }
-
     // ---- expression compilation -----------------------------------------
 
     /// Compile an expression in scalar (non-aggregate) mode against a scope.
@@ -803,8 +512,8 @@ impl<'a> Exec<'a> {
             }),
             // Uncorrelated subqueries are evaluated once at compile time.
             Expr::Exists(q) => {
-                let rel = self.query(q)?;
-                Ok(CompiledExpr::Literal(Value::Bool(!rel.rows.is_empty())))
+                let rs = self.subquery(q)?;
+                Ok(CompiledExpr::Literal(Value::Bool(!rs.rows.is_empty())))
             }
             Expr::InSubquery {
                 expr,
@@ -812,15 +521,15 @@ impl<'a> Exec<'a> {
                 negated,
             } => {
                 let compiled = self.compile_scalar(expr, cols)?;
-                let rel = self.query(query)?;
-                if rel.cols.len() != 1 {
+                let rs = self.subquery(query)?;
+                if rs.columns.len() != 1 {
                     return Err(DbError::Unsupported(
                         "IN subquery must return exactly one column".into(),
                     ));
                 }
-                let mut set = HashSet::with_capacity(rel.rows.len());
+                let mut set = HashSet::with_capacity(rs.rows.len());
                 let mut has_null = false;
-                for row in &rel.rows {
+                for row in &rs.rows {
                     if row[0].is_null() {
                         has_null = true;
                     } else {
@@ -838,8 +547,8 @@ impl<'a> Exec<'a> {
     }
 }
 
-/// Apply the SELECT tail shared by both engines: ORDER BY (via
-/// precomputed key rows) then DISTINCT (keeping the first occurrence).
+/// Apply the SELECT tail: ORDER BY (via precomputed key rows) then
+/// DISTINCT (keeping the first occurrence).
 pub(crate) fn finish_select(
     mut rel: Relation,
     key_rows: Option<Vec<Row>>,
@@ -871,9 +580,9 @@ pub(crate) enum SortKey {
 /// matches first ([`sort_key_by_output`] — ordinals and bare names
 /// naming an output column, aliases included), then `compile_source` for
 /// everything else. This is the **single** resolution rule shared by the
-/// row engine's scalar and grouped paths, the set-operation sort, and
-/// the vectorized engine's tail planner — one helper so the engines
-/// cannot drift on alias/ordinal resolution.
+/// scalar and grouped projections, the set-operation sort, and the
+/// executor's columnar tail planner — one helper so the executor and
+/// the oracle cannot drift on alias/ordinal resolution.
 pub(crate) fn plan_sort_keys_with(
     order_by: &[OrderByItem],
     out_cols: &[ColMeta],
@@ -888,6 +597,39 @@ pub(crate) fn plan_sort_keys_with(
         plan.push(key);
     }
     Ok(plan)
+}
+
+/// Resolve the ORDER BY of a set operation to `(output position,
+/// descending)` pairs. A set operation has no source scope, so every key
+/// must name an output column of its first arm.
+pub(crate) fn set_op_sort_keys(
+    order_by: &[OrderByItem],
+    out_cols: &[ColMeta],
+) -> Result<Vec<(usize, bool)>> {
+    let plan = plan_sort_keys_with(order_by, out_cols, &mut |_| {
+        Err(DbError::Unsupported(
+            "ORDER BY on a set operation must reference output columns".into(),
+        ))
+    })?;
+    Ok(plan
+        .into_iter()
+        .zip(order_by)
+        .map(|(key, item)| match key {
+            SortKey::Output(pos) => (pos, item.descending),
+            SortKey::Source(_) => unreachable!("source compiler always errors"),
+        })
+        .collect())
+}
+
+/// The arity rule of a set operation: both operands have `l == r`
+/// columns.
+pub(crate) fn check_set_op_arity(l: usize, r: usize) -> Result<()> {
+    if l == r {
+        return Ok(());
+    }
+    Err(DbError::Unsupported(format!(
+        "set operation arity mismatch: {l} vs {r} columns"
+    )))
 }
 
 /// Try to resolve an order-by expression as an output column: positional
@@ -960,8 +702,8 @@ pub(crate) fn tail_bound(limit: Option<u64>, offset: Option<u64>) -> Option<usiz
 /// `cmp` must be a **total order with no ties between distinct items**
 /// (callers append an input-position tie-break): under such an order the
 /// k smallest items, sorted, are exactly the first k of a stable full
-/// sort, which is what makes the top-K pushdown byte-identical to the
-/// row engine's sort-then-truncate.
+/// sort, which is what makes the top-K pushdown byte-identical to
+/// sort-then-truncate.
 pub(crate) fn top_k_sorted<T: Copy>(
     items: impl IntoIterator<Item = T>,
     k: usize,
@@ -1016,7 +758,7 @@ pub(crate) fn top_k_sorted<T: Copy>(
 /// smaller than the input), the sort runs as a bounded top-K selection
 /// over row indices instead of a full sort — same output, bit for bit,
 /// because the heap's comparator carries the stable sort's index
-/// tie-break. Used by the vectorized engine's grouped tail (the plain
+/// tie-break. Used by the executor's grouped tail (the plain
 /// tail has its own fully-columnar version in `vexec`); `topk_hit`
 /// reports whether the bounded path actually engaged (telemetry).
 #[allow(clippy::too_many_arguments)]
@@ -1070,37 +812,6 @@ pub(crate) fn apply_limit_offset(rel: &mut Relation, limit: Option<u64>, offset:
     if let Some(lim) = limit {
         rel.rows.truncate(lim as usize);
     }
-}
-
-/// Sort a finished relation by output column names / positions only
-/// (used for set-operation results). Resolution goes through the shared
-/// [`plan_sort_keys_with`] helper with a source compiler that always
-/// fails: set operations have no source scope, so every key must resolve
-/// as an output column.
-fn sort_by_output_columns(rel: &mut Relation, order_by: &[OrderByItem]) -> Result<()> {
-    let plan = plan_sort_keys_with(order_by, &rel.cols, &mut |_| {
-        Err(DbError::Unsupported(
-            "ORDER BY on a set operation must reference output columns".into(),
-        ))
-    })?;
-    let positions: Vec<usize> = plan
-        .into_iter()
-        .map(|key| match key {
-            SortKey::Output(pos) => pos,
-            SortKey::Source(_) => unreachable!("source compiler always errors"),
-        })
-        .collect();
-    rel.rows.sort_by(|a, b| {
-        for (pos, item) in positions.iter().zip(order_by) {
-            let ord = a[*pos].total_cmp(&b[*pos]);
-            let ord = if item.descending { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    Ok(())
 }
 
 fn literal_value(l: &Literal) -> Value {

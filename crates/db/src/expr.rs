@@ -318,7 +318,7 @@ impl CompiledExpr {
     }
 
     /// Visit the index of every column this expression reads. The
-    /// vectorized engine uses this to gather only referenced columns into
+    /// executor uses this to gather only referenced columns into
     /// scratch rows when it falls back to scalar evaluation.
     pub fn for_each_column(&self, f: &mut impl FnMut(usize)) {
         match self {

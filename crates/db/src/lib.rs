@@ -8,32 +8,33 @@
 //! elastic-sensitivity analysis consumes.
 //!
 //! Supported execution features: CTEs (expanded into derived tables by
-//! [`flex_sql::inline_ctes`] before either engine sees the query — see
-//! [`exec`]'s "Name binding"), derived tables, inner/left/right/
-//! full/cross joins (hash joins on extracted equijoin keys), WHERE/GROUP
-//! BY/HAVING/ORDER BY/LIMIT, the seven aggregation functions of the
-//! paper's study (count, sum, avg, min, max, median, stddev) including
-//! `COUNT(DISTINCT ...)`, set operations, and uncorrelated subquery
-//! predicates.
+//! [`flex_sql::inline_ctes`] before the executor sees the query), derived
+//! tables, inner/left/right/full/cross joins in trees of any width (hash
+//! joins on extracted equijoin keys), WHERE/GROUP BY/HAVING/ORDER
+//! BY/LIMIT, the seven aggregation functions of the paper's study (count,
+//! sum, avg, min, max, median, stddev) including `COUNT(DISTINCT ...)`,
+//! UNION \[ALL\] / INTERSECT / EXCEPT, table-less SELECT, and uncorrelated
+//! subquery predicates.
 //!
-//! Queries run on one of **two engines** behind [`Database::execute`]:
-//! single-table blocks, derived tables (CTE references included), join
-//! trees of up to eight
-//! leaves (INNER/LEFT/RIGHT/FULL/CROSS, equi and non-equi) and
-//! UNION \[ALL\] go to the vectorized columnar engine ([`vexec`], an
-//! operator-at-a-time executor over the physical-plan IR in [`plan`]:
-//! each table's lazily built [`ColumnarTable`] projection scanned with
-//! predicate kernels, columnar hash / nested-loop joins with predicate
-//! pushdown and late materialization, and a columnar hash-aggregate),
-//! and the residual shapes (INTERSECT/EXCEPT, table-less SELECT, trees
-//! past eight leaves, statically unanalyzable derived join leaves) run on
-//! the row interpreter ([`exec`]). Both produce byte-identical results —
-//! see [`vexec`]'s module docs for the routing contract, and
-//! [`Database::route_decision`] to observe the routing decision.
-//! The columnar engine additionally runs **morsel-parallel** across a
-//! scoped worker pool when [`Database::set_parallelism`] raises the
-//! per-query worker budget; per-morsel results merge in morsel order
-//! ([`morsel`]), so results stay byte-identical at every thread count.
+//! Every query runs on **one engine** behind [`Database::execute`]: the
+//! plan executor ([`vexec`], an operator-at-a-time executor over the
+//! physical-plan IR in [`plan`]: each table's lazily built
+//! [`ColumnarTable`] projection scanned with predicate kernels, columnar
+//! hash / nested-loop joins with predicate pushdown and late
+//! materialization, a columnar hash-aggregate, and an index-based ORDER
+//! BY / DISTINCT / LIMIT tail). It plans as it executes — nested queries
+//! run when the walk reaches them — so there is nothing to route and
+//! every error is raised where it is found; [`exec`] holds the entry
+//! point and [`Database::execute_traced`] reports what a run scanned.
+//! The executor additionally runs **morsel-parallel** across a scoped
+//! worker pool when [`Database::set_parallelism`] raises the per-query
+//! worker budget; per-morsel results merge in morsel order ([`morsel`]),
+//! so results stay byte-identical at every thread count.
+//!
+//! A second, row-at-a-time implementation of the same semantics lives in
+//! the doc-hidden `oracle` module. It is a test reference only: the
+//! differential suite compares the executor against it, and no
+//! production code path reaches it.
 //!
 //! ```
 //! use flex_db::{Database, DataType, Schema, Value};
@@ -56,6 +57,8 @@ pub mod exec;
 pub mod expr;
 pub mod metrics;
 pub mod morsel;
+#[doc(hidden)]
+pub mod oracle;
 pub mod plan;
 pub mod schema;
 pub mod table;
@@ -67,10 +70,10 @@ pub use column::{Column, ColumnData, ColumnarTable, NullMask};
 pub use csv::{table_from_csv, table_to_csv};
 pub use database::Database;
 pub use error::{DbError, Result};
-pub use exec::ExecTrace;
+pub use exec::{ExecTrace, RouteDecision};
 pub use metrics::MetricsCatalog;
 pub use morsel::DEFAULT_MORSEL_ROWS;
-pub use plan::{ColMeta, FallbackReason, JoinOrder, Relation, ResultSet, RouteDecision};
+pub use plan::{ColMeta, JoinOrder, Relation, ResultSet};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Row, Table};
 pub use value::{BorrowKey, RowKey, Value, ValueKey};

@@ -1,4 +1,4 @@
-//! Morsel-driven parallel scheduling for the vectorized engine.
+//! Morsel-driven parallel scheduling for the executor.
 //!
 //! A *morsel* is a contiguous slice of rows (or selection-vector
 //! entries). Parallel operators split their input into morsels, a scoped
@@ -43,7 +43,7 @@ pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 /// tail, few enough that per-morsel merge cost stays negligible.
 const MORSELS_PER_WORKER: usize = 4;
 
-/// Execution-tuning knobs threaded through the vectorized operators.
+/// Execution-tuning knobs threaded through the executor's operators.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Parallelism {
     /// Worker threads an operator may use (1 = sequential).
@@ -211,7 +211,7 @@ fn play_initial<B: Fn(usize, usize) -> bool>(
 /// Runs must each be sorted under `cmp`; ties across runs break toward
 /// the lower run index, so merging per-morsel stable sorts reproduces the
 /// sequential stable sort of the concatenated input — bit for bit, which
-/// is what keeps the parallel ORDER BY byte-identical to the row engine.
+/// is what keeps the parallel ORDER BY byte-identical to the oracle.
 /// `take` bounds the output length (for top-K merges); `None` drains
 /// every run.
 pub(crate) fn merge_sorted_runs<T: Copy>(

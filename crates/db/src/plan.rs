@@ -1,43 +1,57 @@
 //! Intermediate relations flowing between execution operators, plus the
-//! physical-plan IR for the vectorized engine.
+//! physical-plan IR of the executor.
 //!
 //! # The plan IR
 //!
-//! The vectorized engine executes a small physical-plan IR in which
+//! The executor ([`crate::vexec`]) runs a small physical-plan IR in which
 //! **every operator produces and consumes a [`ColumnarTable`]**, so any
 //! columnar result can feed the next operator:
 //!
 //! - **Scan** — one leaf of the FROM tree: a base table's columnar
-//!   projection, or a derived table (`FROM (SELECT …) alias`) whose
-//!   subquery result is columnarized via [`ColumnarTable::from_rows`]
-//!   when the executor reaches it (lazily, in the row engine's FROM-walk
-//!   order, so subquery errors surface at the same point).
+//!   projection, a derived table's (`FROM (SELECT …) alias`) executed and
+//!   columnarized result, or — for a table-less `SELECT` — one row of
+//!   zero columns.
 //! - **Filter** — infallible kernel conjuncts narrowing a selection
 //!   vector over any node's output (pushed-down WHERE/ON kernels).
-//! - **Join** — one binary join of the left-deep FROM tree
-//!   (`JoinNode`): equi-key hash join, or nested-loop for CROSS and
-//!   non-equi joins, producing `(left, right)` match index vectors, with
-//!   matched-bit tracking for the padded sides of RIGHT/FULL joins. The
-//!   node late-materializes only live columns into a new
-//!   [`ColumnarTable`] that feeds the parent operator.
+//! - **Join** — one binary join of the FROM tree (`JoinNode`): equi-key
+//!   hash join, or nested-loop for CROSS and non-equi joins, producing
+//!   `(left, right)` match index vectors, with matched-bit tracking for
+//!   the padded sides of RIGHT/FULL joins. The node late-materializes
+//!   only live columns into a new [`ColumnarTable`] that feeds the parent
+//!   operator. Trees are as wide as the query writes them.
 //! - **Aggregate / Tail** — the shared block tail (columnar
 //!   hash-aggregate, or the ORDER BY / DISTINCT / LIMIT tail described
 //!   by `TailPlan`) over whichever node's output reaches it.
 //!
-//! `plan_tree` builds the join-tree plan from a SELECT block,
-//! mirroring the row interpreter's per-node scoping *exactly*: equi-keys
-//! and ON residuals are extracted against each node's local
-//! `left.cols ++ right.cols` scope in the row engine's resolution order,
-//! and anything the planner cannot compile falls back so the row engine
-//! re-derives the same error.
+//! # Plan as you execute
+//!
+//! Nothing is analyzed ahead of execution. `plan_tree` builds the join
+//! tree bottom-up, left to right, and whatever it reaches that is a query
+//! of its own — a derived leaf — **executes right there**; the leaf's
+//! scope and physical column types are read off the executed result.
+//! Set-operation arms and a block's own derived table run the same way
+//! (`vexec`). Every error is therefore raised where it is found, as the
+//! [`DbError`] a reader of the query would expect: an unknown table, a
+//! `USING`/`ON`/`WHERE` name that does not resolve, a failing subquery.
+//!
+//! **Error order.** A query with one defect reports that defect. A query
+//! with several independent defects reports the first one in this order:
+//! FROM leaves left to right (a derived leaf's whole execution counts as
+//! its leaf) interleaved bottom-up with each join's `USING`/`ON`
+//! compilation, then WHERE compilation, then join execution bottom-up,
+//! then the block tail. (The oracle interleaves join *execution* with the
+//! FROM walk instead, so it can name a different defect of the same
+//! query; whether a query errors never differs.) Scoping mirrors the
+//! oracle's per-node rule exactly: equi-keys and ON residuals are
+//! extracted against each node's local `left.cols ++ right.cols` scope.
 //!
 //! # Predicate placement rules
 //!
 //! Only **infallible kernel conjuncts** (`col op literal`, `IS NULL`,
 //! `LIKE` on a known-string column) are ever pushed or reordered; any
-//! fallible conjunct pins the whole predicate it belongs to at its
-//! row-engine evaluation point, so runtime errors surface from the same
-//! row on both engines:
+//! fallible conjunct pins the whole predicate it belongs to at the point
+//! SQL evaluates it, so runtime errors surface from the same row at
+//! every worker count and on the oracle:
 //!
 //! - An ON kernel on side `S` *drops* rows of `S` before the join —
 //!   unless the join keeps `S`'s unmatched rows (LEFT keeps left, RIGHT
@@ -50,173 +64,66 @@
 //!   join tree never NULL-pads `S`'s columns (those padded rows need the
 //!   post-join evaluation: `w > 5` drops pads, `w IS NULL` keeps them)
 //!   and the root's ON residual is all-kernel (shrinking the candidate
-//!   pair set under a fallible residual could skip an error the row
-//!   engine reports). Everything else runs post-join, whole, on the
-//!   shared interpreter.
+//!   pair set under a fallible residual could skip an error). Everything
+//!   else runs post-join, whole, on the scalar interpreter.
 //!
 //! # Join order is scheduling, never semantics
 //!
 //! The executor picks the hash-build side per join with a greedy
 //! smallest-estimated-input-first heuristic, recorded in [`JoinOrder`].
-//! The choice never affects result bytes: swapped probes restore the row
-//! engine's emission order before materialization, and the shared tail
+//! The choice never affects result bytes: swapped probes restore the
+//! unswapped emission order before materialization, and the shared tail
 //! re-sorts deterministically — so the decision is pure scheduling and
 //! is never bound into the release fingerprint.
 
-use crate::column::{ColumnData, ColumnarTable, GATHER_NULL};
-use crate::database::Database;
+use crate::column::{ColumnData, ColumnarTable};
 use crate::error::{DbError, Result};
 use crate::exec::{self, Exec, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
-use crate::vexec::{collect_conjuncts, side_kernel};
+use crate::vexec::{self, collect_conjuncts, side_kernel};
 use flex_sql::{
     visitor, ColumnRef, Expr, JoinConstraint, JoinType, Literal, OrderByItem, Query, Select,
-    SelectItem, SetExpr, TableRef,
+    SelectItem, TableRef,
 };
 use std::sync::Arc;
 
-/// Which engine one query executed on — and, when the vectorized engine
-/// declined it, the concrete reason — as recorded by the routing entry
-/// point itself ([`crate::exec::execute_traced`]). Pure observability:
-/// results are byte-identical on both engines, so the decision never
-/// leaks into released values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RouteDecision {
-    /// The vectorized columnar engine ran the query (a single-table
-    /// block, a planned join tree, a derived table, or a UNION).
-    Vectorized,
-    /// The row interpreter ran it, for this reason.
-    Fallback(FallbackReason),
-}
-
-impl RouteDecision {
-    /// Whether the query ran (or would run) on the vectorized engine.
-    pub fn is_vectorized(self) -> bool {
-        matches!(self, RouteDecision::Vectorized)
-    }
-
-    /// The fallback reason, or `None` for a vectorized run.
-    pub fn fallback_reason(self) -> Option<FallbackReason> {
-        match self {
-            RouteDecision::Vectorized => None,
-            RouteDecision::Fallback(r) => Some(r),
-        }
-    }
-
-    /// Stable snake_case label (`"vectorized"` or the reason's label),
-    /// used for metric labels and bench reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RouteDecision::Vectorized => "vectorized",
-            RouteDecision::Fallback(r) => r.as_str(),
-        }
-    }
-}
-
-impl std::fmt::Display for RouteDecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Why the vectorized engine declined a query. Each `return` point in
-/// `vexec`'s router maps to exactly one variant, so production telemetry
-/// can show *which* query shapes still miss the fast path instead of a
-/// bare fallback count.
-///
-/// Join trees, derived tables (CTE references included — `WITH` is
-/// expanded before routing), RIGHT/FULL/CROSS and non-equi joins, and
-/// UNION \[ALL\] vectorize; each variant's doc says what residual shape
-/// still produces it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FallbackReason {
-    /// A set operation the union planner does not cover:
-    /// INTERSECT/EXCEPT anywhere in the body, a statically detectable
-    /// arity mismatch, ORDER BY keys that do not resolve to output
-    /// columns, or an arm whose output shape cannot be derived without
-    /// executing it. Plain UNION/UNION ALL trees vectorize.
-    SetOperation,
-    /// Table-less `SELECT` (no FROM clause).
-    TableLess,
-    /// A referenced base table does not exist; the row interpreter runs
-    /// it so the error is reported from one place.
-    UnknownTable,
-    /// A join tree of more than eight leaves (the planner's depth cap;
-    /// trees up to eight base/derived tables vectorize).
-    MultiTableJoin,
-    /// A derived join leaf (`… JOIN (SELECT …) d`) whose output shape
-    /// cannot be statically derived (a set-operation body, or a wildcard
-    /// over an unanalyzable scope). Statically analyzable derived tables
-    /// — which is what every CTE reference becomes — vectorize,
-    /// standalone or as join leaves. Also what routing reports for a
-    /// `WITH` too large to expand, which neither engine runs.
-    DerivedTable,
-    /// A base join leaf exceeds the engine's `u32` selection-vector row
-    /// limit.
-    TableTooLarge,
-    /// The planner could not compile the join tree's expressions
-    /// (USING/ON/WHERE scope errors the row interpreter re-derives and
-    /// reports identically). Genuine non-equi and keyless joins now
-    /// vectorize as nested-loop joins.
-    NonEquiJoin,
-}
-
-impl FallbackReason {
-    /// Every variant, in declaration order. Telemetry indexes its
-    /// per-variant counters by position in this array.
-    pub const ALL: [FallbackReason; 7] = [
-        FallbackReason::SetOperation,
-        FallbackReason::TableLess,
-        FallbackReason::UnknownTable,
-        FallbackReason::MultiTableJoin,
-        FallbackReason::DerivedTable,
-        FallbackReason::TableTooLarge,
-        FallbackReason::NonEquiJoin,
-    ];
-
-    /// Position of this variant in [`FallbackReason::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case label for metric labels and bench reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FallbackReason::SetOperation => "set_operation",
-            FallbackReason::TableLess => "table_less",
-            FallbackReason::UnknownTable => "unknown_table",
-            FallbackReason::MultiTableJoin => "multi_table_join",
-            FallbackReason::DerivedTable => "derived_table",
-            FallbackReason::TableTooLarge => "table_too_large",
-            FallbackReason::NonEquiJoin => "non_equi_join",
-        }
-    }
-}
-
-impl std::fmt::Display for FallbackReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The join-scheduling decisions one vectorized execution made, recorded
-/// in [`crate::exec::ExecTrace`]. Pure observability: join-order
-/// selection only ever changes *scheduling* (which input feeds the hash
-/// build), never result bytes — swapped probes restore the row engine's
-/// emission order before materialization and the shared tail re-sorts
+/// The join-scheduling decisions one execution made, recorded in
+/// [`crate::exec::ExecTrace`]. Pure observability: join-order selection
+/// only ever changes *scheduling* (which input feeds the hash build),
+/// never result bytes — swapped probes restore the unswapped emission
+/// order before materialization and the shared tail re-sorts
 /// deterministically — so this is never bound into the release
 /// fingerprint and the heuristic can evolve freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct JoinOrder {
-    /// Join operators executed, numbered in post-order execution
-    /// sequence (a left-deep tree of `n` tables runs `n - 1` joins).
+    /// Join operators executed, numbered in execution sequence (a tree
+    /// of `n` leaves runs `n - 1` joins, post-order; nested executions'
+    /// joins come first). Saturates at 255.
     pub joins: u8,
-    /// Bitmask over that sequence: bit `k` set iff the `k`-th join chose
-    /// its *left* input as the hash-build side — the greedy
-    /// smallest-estimated-input-first heuristic swapped the default
-    /// build-on-the-right.
+    /// Bitmask over the first eight joins of that sequence: bit `k` set
+    /// iff the `k`-th join chose its *left* input as the hash-build side
+    /// — the greedy smallest-estimated-input-first heuristic swapped the
+    /// default build-on-the-right. Later joins are counted, not recorded.
     pub swapped: u8,
+}
+
+impl JoinOrder {
+    /// Record one more executed join.
+    pub(crate) fn push(&mut self, swapped: bool) {
+        if swapped && self.joins < 8 {
+            self.swapped |= 1 << self.joins;
+        }
+        self.joins = self.joins.saturating_add(1);
+    }
+
+    /// Record a nested execution's joins after this one's.
+    pub(crate) fn append(&mut self, child: JoinOrder) {
+        if self.joins < 8 {
+            self.swapped |= child.swapped << self.joins;
+        }
+        self.joins = self.joins.saturating_add(child.joins);
+    }
 }
 
 /// Metadata for one column of an intermediate relation.
@@ -304,7 +211,7 @@ pub(crate) type JoinSplit<'a> = (Vec<(usize, usize)>, Vec<&'a Expr>);
 /// `USING (c)` is the pair `c = c`; an `ON` conjunct `a = b` between two
 /// columns is a key when `a` resolves on the left and `b` on the right,
 /// or the other way round; everything else stays residual. The one
-/// definition both engines join by: a `USING` column missing or
+/// definition the executor and the oracle join by: a `USING` column missing or
 /// ambiguous on either side is the error.
 pub(crate) fn split_join_constraint<'a>(
     left_cols: &[ColMeta],
@@ -373,34 +280,13 @@ impl ResultSet {
     }
 }
 
-// ---- physical plan IR for the vectorized join pipeline --------------------
+// ---- physical plan IR for the join pipeline -------------------------------
 
 /// Which side of a join a single-column kernel conjunct reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JoinSide {
     Left,
     Right,
-}
-
-/// Where one Scan leaf's columnar data comes from.
-pub(crate) enum LeafSource<'a> {
-    /// A base table's lazily built columnar projection, shared by `Arc`.
-    Base(Arc<ColumnarTable>),
-    /// A derived table: the subquery is executed (on whichever engine
-    /// routing picks) and its result columnarized when the tree executor
-    /// reaches this leaf — the row engine's FROM-walk order, so subquery
-    /// errors surface at the same point on both engines.
-    Derived {
-        query: &'a Query,
-        /// Statically derived output arity (checked against the actual
-        /// result in debug builds).
-        width: usize,
-    },
-}
-
-/// One leaf of the planned FROM tree, in left-to-right FROM order.
-pub(crate) struct Leaf<'a> {
-    pub source: LeafSource<'a>,
 }
 
 /// A node of the physical join tree.
@@ -438,7 +324,7 @@ pub(crate) struct JoinNode {
     /// rows never enter the hash build but still pad at the end.
     pub right_match_kernels: Vec<CompiledExpr>,
     /// Fallible ON conjuncts, evaluated per candidate pair in ON order on
-    /// the shared interpreter — exactly the row engine's residual check.
+    /// the scalar interpreter — exactly the oracle's residual check.
     pub residual: Vec<CompiledExpr>,
     /// Which of the node's `lw + rw` output columns ancestors (or the
     /// query tail) actually read. Only these are gathered; dead columns
@@ -448,9 +334,11 @@ pub(crate) struct JoinNode {
 
 /// The planned physical tree for one SELECT block over a join FROM
 /// clause, plus the root-level WHERE remainder.
-pub(crate) struct TreePlan<'a> {
-    /// Scan leaves in FROM order (what [`PlanNode::Scan`] indexes).
-    pub leaves: Vec<Leaf<'a>>,
+pub(crate) struct TreePlan {
+    /// Scan leaves in FROM order (what [`PlanNode::Scan`] indexes): base
+    /// tables' shared columnar projections and derived tables' executed
+    /// results.
+    pub leaves: Vec<Arc<ColumnarTable>>,
     /// The root join (a join FROM always has one).
     pub root: JoinNode,
     /// Infallible WHERE kernels that could not push below the root
@@ -461,32 +349,23 @@ pub(crate) struct TreePlan<'a> {
     /// interpreted over joined rows in output order, preserving
     /// short-circuit and error behavior exactly.
     pub post_filter: Option<CompiledExpr>,
-    /// The full combined scope (all leaf columns in FROM order), as the
-    /// row engine's nested joins would qualify it.
+    /// The full combined scope (all leaf columns in FROM order), as
+    /// nested joins qualify it.
     pub cols: Vec<ColMeta>,
 }
 
-/// The planner's cap on join-tree width: more leaves than this falls
-/// back ([`FallbackReason::MultiTableJoin`]), which also bounds
-/// [`JoinOrder::swapped`]'s bitmask.
-pub(crate) const MAX_TREE_LEAVES: usize = 8;
-
 /// Plan the physical join tree for a SELECT block whose FROM clause is a
-/// join, or name the concrete reason the row interpreter must run it.
-/// Key extraction, kernel placement and liveness follow the rules in the
-/// [module docs](self).
-pub(crate) fn plan_tree<'a>(
+/// join, executing derived leaves as the build reaches them. Key
+/// extraction, kernel placement, liveness and the order errors surface
+/// in follow the rules in the [module docs](self).
+pub(crate) fn plan_tree(
     ex: &mut Exec<'_>,
-    db: &Database,
     q: &Query,
-    s: &'a Select,
-    from: &'a TableRef,
-) -> std::result::Result<TreePlan<'a>, FallbackReason> {
+    s: &Select,
+    from: &TableRef,
+) -> Result<TreePlan> {
     let mut leaves = Vec::new();
-    let (node, cols, like_ok) = build_node(ex, db, from, &mut leaves)?;
-    if leaves.len() > MAX_TREE_LEAVES {
-        return Err(FallbackReason::MultiTableJoin);
-    }
+    let (node, cols, like_ok) = build_node(ex, from, &mut leaves)?;
     let PlanNode::Join(root) = node else {
         unreachable!("plan_tree is only called on a join FROM clause");
     };
@@ -500,9 +379,7 @@ pub(crate) fn plan_tree<'a>(
     let mut post_kernels = Vec::new();
     let mut post_filter = None;
     if let Some(pred) = &s.selection {
-        let compiled = ex
-            .compile_scalar(pred, &cols)
-            .map_err(|_| FallbackReason::NonEquiJoin)?;
+        let compiled = ex.compile_scalar(pred, &cols)?;
         let mut conjuncts = Vec::new();
         collect_conjuncts(&compiled, &mut conjuncts);
         // Pushing below the join is only sound when the root's own
@@ -566,72 +443,34 @@ pub(crate) fn keeps_unmatched(join_type: JoinType, side: JoinSide) -> bool {
     }
 }
 
-/// Recursively build the plan node for one FROM subtree, returning the
-/// node, its output scope, and a per-column "physically all-string"
-/// marker (`like_ok`) that gates LIKE kernels (base-table columns only —
-/// a derived leaf's physical types are unknown until it executes).
-fn build_node<'a>(
+/// Recursively build the plan node for one FROM subtree, opening (and,
+/// for a derived table, executing) each leaf as the walk reaches it.
+/// Returns the node, its output scope, and a per-column "physically
+/// all-string" marker (`like_ok`) that gates LIKE kernels.
+fn build_node(
     ex: &mut Exec<'_>,
-    db: &Database,
-    t: &'a TableRef,
-    leaves: &mut Vec<Leaf<'a>>,
-) -> std::result::Result<(PlanNode, Vec<ColMeta>, Vec<bool>), FallbackReason> {
+    t: &TableRef,
+    leaves: &mut Vec<Arc<ColumnarTable>>,
+) -> Result<(PlanNode, Vec<ColMeta>, Vec<bool>)> {
     match t {
-        TableRef::Table { name, alias } => {
-            // Unknown tables fall back so the row engine reports the
-            // error.
-            let table = db.table(name).ok_or(FallbackReason::UnknownTable)?;
-            // Selection vectors are u32 with GATHER_NULL as a sentinel.
-            if table.len() >= GATHER_NULL as usize {
-                return Err(FallbackReason::TableTooLarge);
-            }
-            let cols = table.col_metas(alias.as_deref().unwrap_or(name));
-            let ctab = table.columnar().clone();
-            let like_ok = ctab
-                .columns
-                .iter()
-                .map(|c| matches!(c.data, ColumnData::Str(_)))
-                .collect();
-            leaves.push(Leaf {
-                source: LeafSource::Base(ctab),
-            });
-            Ok((PlanNode::Scan(leaves.len() - 1), cols, like_ok))
-        }
-        TableRef::Derived { query, alias } => {
-            let names = derived_out_names(db, query).ok_or(FallbackReason::DerivedTable)?;
-            let cols: Vec<ColMeta> = names
-                .iter()
-                .map(|n| ColMeta::new(Some(alias.clone()), n.clone()))
-                .collect();
-            let width = cols.len();
-            leaves.push(Leaf {
-                source: LeafSource::Derived { query, width },
-            });
-            Ok((PlanNode::Scan(leaves.len() - 1), cols, vec![false; width]))
-        }
         TableRef::Join {
             left,
             right,
             join_type,
             constraint,
         } => {
-            let (lnode, lcols, llike) = build_node(ex, db, left, leaves)?;
-            let (rnode, rcols, rlike) = build_node(ex, db, right, leaves)?;
+            let (lnode, lcols, llike) = build_node(ex, left, leaves)?;
+            let (rnode, rcols, rlike) = build_node(ex, right, leaves)?;
             let lw = lcols.len();
             let rw = rcols.len();
             // Equi-keys against this node's local scopes; what is left
-            // of ON compiles against the combined one. Either failing is
-            // a scope error the row engine re-derives.
-            let (key_pairs, on_rest) = split_join_constraint(&lcols, &rcols, constraint)
-                .map_err(|_| FallbackReason::NonEquiJoin)?;
+            // of ON compiles against the combined one.
+            let (key_pairs, on_rest) = split_join_constraint(&lcols, &rcols, constraint)?;
             let mut combined = lcols;
             combined.extend(rcols);
             let mut residual = Vec::with_capacity(on_rest.len());
             for c in &on_rest {
-                residual.push(
-                    ex.compile_scalar(c, &combined)
-                        .map_err(|_| FallbackReason::NonEquiJoin)?,
-                );
+                residual.push(ex.compile_scalar(c, &combined)?);
             }
 
             let mut node = JoinNode {
@@ -679,6 +518,16 @@ fn build_node<'a>(
             like_ok.extend(rlike);
             Ok((PlanNode::Join(Box::new(node)), combined, like_ok))
         }
+        leaf => {
+            let (ctab, cols) = vexec::open_scan(ex, leaf)?;
+            let like_ok = ctab
+                .columns
+                .iter()
+                .map(|c| matches!(c.data, ColumnData::Str(_)))
+                .collect();
+            leaves.push(ctab);
+            Ok((PlanNode::Scan(leaves.len() - 1), cols, like_ok))
+        }
     }
 }
 
@@ -719,79 +568,7 @@ fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
     }
 }
 
-// ---- static shape analysis (derived tables, union arms) -------------------
-
-/// The output column names of a SELECT block, derived without executing
-/// anything, or `None` when the shape requires execution to know (the
-/// row engine then reports any error from one place). Mirrors the names
-/// `select_plain`/`select_grouped` would produce: [`Expr::output_name`]
-/// for explicit items, scope column names for wildcards.
-pub(crate) fn static_out_names(db: &Database, s: &Select) -> Option<Vec<String>> {
-    let mut names = Vec::new();
-    for item in &s.projection {
-        match item {
-            SelectItem::Wildcard => {
-                let scope = static_scope(db, s.from.as_ref()?)?;
-                names.extend(scope.into_iter().map(|c| c.name));
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let scope = static_scope(db, s.from.as_ref()?)?;
-                let before = names.len();
-                names.extend(
-                    scope
-                        .into_iter()
-                        .filter(|c| c.qualifier.as_deref() == Some(q.as_str()))
-                        .map(|c| c.name),
-                );
-                if names.len() == before {
-                    // Unknown qualifier: the row engine reports it.
-                    return None;
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                names.push(expr.output_name(alias.as_deref()));
-            }
-        }
-    }
-    Some(names)
-}
-
-/// The statically known column scope of a FROM subtree, or `None` when
-/// any leaf's shape needs execution to know.
-fn static_scope(db: &Database, t: &TableRef) -> Option<Vec<ColMeta>> {
-    match t {
-        TableRef::Table { name, alias } => {
-            let table = db.table(name)?;
-            Some(table.col_metas(alias.as_deref().unwrap_or(name)))
-        }
-        TableRef::Derived { query, alias } => {
-            let names = derived_out_names(db, query)?;
-            Some(
-                names
-                    .into_iter()
-                    .map(|n| ColMeta::new(Some(alias.clone()), n))
-                    .collect(),
-            )
-        }
-        TableRef::Join { left, right, .. } => {
-            let mut cols = static_scope(db, left)?;
-            cols.extend(static_scope(db, right)?);
-            Some(cols)
-        }
-    }
-}
-
-/// The output column names of a derived table's subquery, statically, or
-/// `None` when they cannot be derived without executing it (a
-/// set-operation body).
-pub(crate) fn derived_out_names(db: &Database, q: &Query) -> Option<Vec<String>> {
-    match &q.body {
-        SetExpr::Select(s) => static_out_names(db, s),
-        SetExpr::SetOp { .. } => None,
-    }
-}
-
-// ---- physical plan for the vectorized ORDER BY / DISTINCT / LIMIT tail ---
+// ---- physical plan for the columnar ORDER BY / DISTINCT / LIMIT tail -----
 
 /// One projected (or sort-key) item of a planned columnar tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -810,14 +587,14 @@ pub(crate) enum TailItem {
 ///
 /// # Error semantics (why computed items are evaluated speculatively)
 ///
-/// The row engine evaluates projection and sort-key expressions for
+/// The oracle evaluates projection and sort-key expressions for
 /// *every* post-WHERE row before sorting or truncating, so any of those
 /// expressions may raise a runtime error from a row that `LIMIT` would
 /// later discard. Plain-column items are infallible and can skip
 /// non-surviving rows unobservably; `computed` expressions are instead
-/// evaluated **for every row, in the row engine's per-row order**
+/// evaluated **for every row, in the oracle's per-row order**
 /// (projection items first, then ORDER BY source expressions), with the
-/// first error surfacing exactly as the row engine would report it —
+/// first error surfacing exactly as the oracle reports it —
 /// only then does the tail sort, dedupe and slice.
 pub(crate) struct TailPlan {
     /// Output column metadata, exactly as `select_plain` would name it.
@@ -826,7 +603,7 @@ pub(crate) struct TailPlan {
     pub out_items: Vec<TailItem>,
     /// ORDER BY keys as (item, descending) pairs.
     pub sort: Vec<(TailItem, bool)>,
-    /// Compiled non-column expressions, in the row engine's per-row
+    /// Compiled non-column expressions, in the oracle's per-row
     /// evaluation order: projection expressions in projection order,
     /// then ORDER BY source expressions in ORDER BY order.
     pub computed: Vec<CompiledExpr>,
@@ -836,7 +613,7 @@ pub(crate) struct TailPlan {
 }
 
 /// Plan the columnar tail for a non-aggregated SELECT block, or `None`
-/// when planning hits a compile/scope error — the row-engine tail over
+/// when planning hits a compile/scope error — the shared row tail over
 /// gathered rows then re-derives and reports it identically.
 pub(crate) fn plan_tail(
     ex: &mut Exec<'_>,
@@ -864,7 +641,7 @@ pub(crate) fn plan_tail(
                     }
                 }
                 if out_items.len() == before {
-                    // Unknown qualifier: the row-engine tail reports it.
+                    // Unknown qualifier: the shared row tail reports it.
                     return None;
                 }
             }

@@ -14,8 +14,8 @@ pub type Row = Vec<Value>;
 /// An in-memory table: a schema plus a multiset of rows.
 ///
 /// The table also carries a lazily built [`ColumnarTable`] projection used
-/// by the vectorized execution engine ([`crate::vexec`]): the first
-/// vectorized scan pays the row-to-column conversion once, and subsequent
+/// by the executor ([`crate::vexec`]): the first
+/// scan pays the row-to-column conversion once, and subsequent
 /// reads share it. Writes through [`Table::insert`] invalidate the
 /// projection; `rows` is public for read access, and any code mutating it
 /// directly must go through `insert`/`insert_all` instead so the cache
@@ -88,8 +88,8 @@ impl Table {
     }
 
     /// The schema columns as scope metadata qualified by `qualifier` (the
-    /// table's alias, or its name) — exactly what the row engine builds
-    /// when it scans this table, shared so the vectorized engine resolves
+    /// table's alias, or its name) — exactly what the oracle builds
+    /// when it scans this table, shared so the executor resolves
     /// column references identically.
     pub fn col_metas(&self, qualifier: &str) -> Vec<ColMeta> {
         self.schema

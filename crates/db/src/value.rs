@@ -219,7 +219,7 @@ impl From<&Value> for ValueKey {
 /// float normalization (via the shared `float_key` rule), so two values key
 /// equal under `BorrowKey` iff they key equal under `ValueKey` — but
 /// strings are borrowed, so building a key never clones. Used by hot
-/// dedupe paths (the vectorized DISTINCT) that only compare keys with
+/// dedupe paths (the columnar DISTINCT) that only compare keys with
 /// each other and drop them before the borrow ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BorrowKey<'a> {
@@ -354,8 +354,8 @@ mod tests {
     }
 
     /// `BorrowKey` must partition values exactly like `ValueKey` — same
-    /// variant, same float normalization — or the vectorized DISTINCT
-    /// would dedupe differently than the row engine.
+    /// variant, same float normalization — or the columnar DISTINCT
+    /// would dedupe differently than the oracle.
     #[test]
     fn borrow_key_mirrors_value_key() {
         let vals = [

@@ -1,52 +1,51 @@
-//! Vectorized (columnar, batch-at-a-time) execution engine.
+//! The plan executor: columnar, batch-at-a-time, and the only engine
+//! production runs.
 //!
-//! Instead of interpreting one `Vec<Value>` row at a time, this engine
-//! scans the table's lazily built [`ColumnarTable`] projection: WHERE
-//! predicates run as **comparison kernels** over whole typed column
-//! vectors, narrowing a *selection vector* of surviving row indices, and
-//! GROUP BY / aggregate blocks run as a **columnar hash-aggregate** that
-//! assigns group ids from key columns and accumulates each aggregate in a
-//! single pass — no intermediate row materialization at all on the hot
-//! COUNT/SUM/AVG shapes that dominate the Uber and TPC-H workloads.
+//! Instead of interpreting one `Vec<Value>` row at a time, the executor
+//! scans a [`ColumnarTable`]: WHERE predicates run as **comparison
+//! kernels** over whole typed column vectors, narrowing a *selection
+//! vector* of surviving row indices, and GROUP BY / aggregate blocks run
+//! as a **columnar hash-aggregate** that assigns group ids from key
+//! columns and accumulates each aggregate in a single pass — no
+//! intermediate row materialization at all on the hot COUNT/SUM/AVG
+//! shapes that dominate the Uber and TPC-H workloads.
 //!
-//! # Routing contract
+//! # One entry point, every shape
 //!
-//! The router accepts a query iff the planner in [`crate::plan`]
-//! can express it over the physical plan IR — every operator producing
-//! and consuming a [`ColumnarTable`]:
+//! `execute_query` runs any `WITH`-free query ([`crate::exec`]'s public
+//! entry points expand `WITH` first, so a CTE reference *is* a derived
+//! table here) and is also what every nested query goes through — a
+//! derived table, a set-operation arm, an `IN (SELECT …)` / `EXISTS`
+//! subquery — each as an execution of its own whose statistics fold into
+//! its parent's (`VexecStats::absorb`). A query is one of:
 //!
-//! - a single SELECT block over **one base table**;
-//! - a SELECT block over a **derived table** (`FROM (SELECT …) alias`):
-//!   the subquery executes first (routed independently) and its result
-//!   columnarizes into the block's scan;
-//! - a SELECT block over a **join tree** of up to eight base/derived
-//!   leaves (`plan::plan_tree`): INNER/LEFT/RIGHT/FULL equi-joins run
-//!   as columnar hash joins (matched-bit tracking pads the kept sides),
+//! - a SELECT block over **one scan**: a base table, a derived table
+//!   (`FROM (SELECT …) alias` — the subquery executes first and its
+//!   result columnarizes into the block's scan), or nothing at all (a
+//!   table-less `SELECT` scans one row of zero columns);
+//! - a SELECT block over a **join tree** of any width
+//!   (`plan::plan_tree`): INNER/LEFT/RIGHT/FULL equi-joins run as
+//!   columnar hash joins (matched-bit tracking pads the kept sides),
 //!   CROSS and non-equi joins as nested-loop morsels, each join
 //!   late-materializing only live columns into the next operator's
 //!   input;
-//! - **UNION / UNION ALL** trees whose arms are themselves routable
-//!   SELECT blocks with statically known output shapes: arms execute
-//!   left-to-right, concatenate columnar, and the existing DISTINCT
-//!   machinery dedupes at each distinct node.
+//! - a **set-operation** tree (UNION \[ALL\], INTERSECT, EXCEPT, mixed
+//!   freely): arms execute left to right, concatenate into one columnar
+//!   table, and each node of the tree keeps, drops or dedupes index
+//!   ranges over it.
 //!
-//! `WITH` never reaches the router: [`crate::exec`]'s entry points
-//! expand it first ([`flex_sql::inline_ctes`]), so a CTE reference *is*
-//! the derived-table case above. What remains on the row interpreter
-//! ([`crate::exec`]): INTERSECT/EXCEPT, table-less SELECT, unknown
-//! tables, join trees deeper than eight leaves, and shapes whose
-//! planning hits a scope/compile error the row engine re-derives and
-//! reports identically — each with its concrete [`FallbackReason`].
-//! Within an accepted query, sub-shapes the columnar operators don't
-//! cover degrade gracefully rather than bailing out:
+//! Nothing declines and nothing is analyzed ahead of time: whatever the
+//! walk reaches executes there, and an error is raised where it is found
+//! ([`crate::plan`], "Plan as you execute"). Within a block, sub-shapes
+//! the columnar operators don't cover degrade gracefully:
 //!
 //! - WHERE predicates containing any conjunct without a kernel (e.g.
-//!   arbitrary CASE or arithmetic) are evaluated whole by the shared
-//!   scalar interpreter over scratch rows gathered from only the
-//!   referenced columns, preserving short-circuit and error semantics;
+//!   arbitrary CASE or arithmetic) are evaluated whole by the scalar
+//!   interpreter over scratch rows gathered from only the referenced
+//!   columns, preserving short-circuit and error semantics;
 //! - grouped queries whose group keys or aggregate arguments are not
-//!   plain columns fall back to gathering the filtered rows and running
-//!   the row engine's grouping code on them (keeping the filter win);
+//!   plain columns gather the filtered rows and run the row-wise
+//!   grouping code of [`crate::exec`] on them (keeping the filter win);
 //! - the ORDER BY / DISTINCT / LIMIT tail runs fully columnar when the
 //!   projection and sort keys are plain columns (`plan::plan_tail`):
 //!   indices sort by typed column keys, `ORDER BY … LIMIT k` runs as a
@@ -54,10 +53,10 @@
 //!   surviving rows late-materialize (`run_tail`); computed projections
 //!   and expression sort keys run the **speculative mixed tail**
 //!   (`run_tail_mixed`): every expression evaluates for every
-//!   post-WHERE row in the row engine's per-row order (so the first
-//!   error matches exactly), then indices sort/dedupe/slice as usual;
-//!   shapes the tail planner declines reuse the row engine's tail over
-//!   gathered rows instead.
+//!   post-WHERE row in per-row order (so the first error is the
+//!   earliest row's), then indices sort/dedupe/slice as usual; shapes
+//!   the tail planner declines reuse the row-wise tail over gathered
+//!   rows instead.
 //!
 //! # Morsel-driven parallelism
 //!
@@ -85,21 +84,24 @@
 //! runtime error surfaces — and `parallelism = 1` evaluates exactly the
 //! same functions sequentially.
 //!
-//! **Result identity:** both engines compile expressions with the same
-//! compiler, fold floating-point aggregates through the same fixed-shape
-//! reduction tree over the same fold grid (the row engine hands
+//! # Identity with the oracle
+//!
+//! [`crate::oracle`] interprets the same queries row by row; the
+//! differential suite holds the two equal. They compile expressions with
+//! the same compiler, fold floating-point aggregates through the same
+//! fixed-shape reduction tree over the same fold grid (the oracle hands
 //! `AggSpec::compute` the identical selection positions), and resolve
-//! ORDER BY keys through one shared rule, and the columnar
-//! tail reproduces the row engine's stable sort / first-occurrence
-//! DISTINCT / LIMIT slice exactly (index tie-breaks stand in for sort
-//! stability — see `run_tail`), so any query that executes without
-//! error returns a byte-identical [`ResultSet`] on either engine — the
-//! DP layers above (sensitivity analysis, noise seeding) cannot observe
-//! which engine ran, nor how many threads ran it. The one permitted divergence: *aggregate-stage* type errors (e.g.
-//! `SUM` over a column mixing strings into numbers) may be reported from
-//! a different row, because the columnar accumulators visit rows in
-//! table order rather than group order; whether a query errors is still
-//! identical.
+//! ORDER BY keys through one shared rule; the columnar tail reproduces a
+//! stable sort / first-occurrence DISTINCT / LIMIT slice exactly (index
+//! tie-breaks stand in for sort stability — see `run_tail`), so any
+//! query that executes without error returns a [`ResultSet`]
+//! byte-identical to the oracle's, at any worker count. A query errors
+//! here iff it errors there; a single-defect query reports the same
+//! error text ([`crate::plan`], "Error order"). The one permitted
+//! divergence: *aggregate-stage* type errors (e.g. `SUM` over a column
+//! mixing strings into numbers) may be reported from a different row,
+//! because the columnar accumulators visit rows in table order rather
+//! than group order.
 
 use crate::aggregate::{self, AggFunc, AggPartial, AggSpec, FoldAcc, FoldState, GroupedRows};
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
@@ -109,10 +111,9 @@ use crate::exec::{self, Exec, GroupCompiler, SortKey};
 use crate::expr::{like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, ColMeta, FallbackReason, JoinNode, JoinOrder, JoinSide, LeafSource, PlanNode, Relation,
-    ResultSet, RouteDecision, TailItem, TailPlan, TreePlan,
+    self, ColMeta, JoinNode, JoinOrder, JoinSide, PlanNode, Relation, ResultSet, TailItem, TailPlan,
 };
-use crate::table::{Row, Table};
+use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
 use flex_sql::{
     BinaryOperator, JoinType, Query, Select, SelectItem, SetExpr, SetOperator, TableRef,
@@ -122,247 +123,144 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// A planned vectorized execution of one query.
-enum Route<'a> {
-    /// Single-table scan/filter/aggregate block.
-    Single {
-        s: &'a Select,
-        table: &'a Table,
-        qualifier: &'a str,
-    },
-    /// Single derived-table block: the subquery executes first (routed
-    /// independently) and its result columnarizes into this block's
-    /// scan.
-    SingleDerived {
-        s: &'a Select,
-        query: &'a Query,
-        alias: &'a str,
-    },
-    /// Join-tree pipeline over base/derived leaves ([`TreePlan`]).
-    Tree(Box<TreeRoute<'a>>),
-    /// UNION / UNION ALL tree of routable SELECT arms.
-    Union(Box<UnionRoute<'a>>),
-}
-
-struct TreeRoute<'a> {
-    s: &'a Select,
-    plan: TreePlan<'a>,
-}
-
-struct UnionRoute<'a> {
-    /// Leaf SELECT arms in depth-first (row-engine execution) order.
-    arms: Vec<&'a Select>,
-    /// Output width shared by every arm.
-    arity: usize,
-    /// ORDER BY keys resolved to output column positions (UNION output
-    /// only sorts by its own columns, exactly like the row engine).
-    sort: Vec<(usize, bool)>,
-}
-
-/// Decide whether (and how) the vectorized engine runs `q`. `Err` names
-/// the concrete reason the row interpreter handles it — including shapes
-/// where planning hits a scope error the row engine will re-derive and
-/// report identically.
-fn route<'a>(db: &'a Database, q: &'a Query) -> std::result::Result<Route<'a>, FallbackReason> {
-    let s = match &q.body {
-        SetExpr::Select(s) => s,
-        SetExpr::SetOp { .. } => return plan_union(db, q).map(Route::Union),
-    };
-    match s.from.as_ref().ok_or(FallbackReason::TableLess)? {
-        TableRef::Table { name, alias } => {
-            // Unknown tables fall back so the row engine reports the error.
-            let table = db.table(name).ok_or(FallbackReason::UnknownTable)?;
-            Ok(Route::Single {
-                s,
-                table,
-                qualifier: alias.as_deref().unwrap_or(name),
-            })
-        }
-        TableRef::Derived { query, alias } => Ok(Route::SingleDerived { s, query, alias }),
-        from @ TableRef::Join { .. } => {
-            let mut ex = Exec::new(db);
-            let tree = plan::plan_tree(&mut ex, db, q, s, from)?;
-            Ok(Route::Tree(Box::new(TreeRoute { s, plan: tree })))
-        }
-    }
-}
-
-/// Plan a set-operation body. Only UNION / UNION ALL trees whose arms
-/// are statically analyzable SELECT blocks vectorize; INTERSECT/EXCEPT,
-/// arity mismatches, unresolvable ORDER BY keys, and unroutable arms
-/// all report [`FallbackReason::SetOperation`] unless an arm declines
-/// with its own more specific reason.
-fn plan_union<'a>(
-    db: &'a Database,
-    q: &'a Query,
-) -> std::result::Result<Box<UnionRoute<'a>>, FallbackReason> {
-    let mut arms = Vec::new();
-    collect_union_arms(&q.body, &mut arms)?;
-    // Output shape: every arm must have statically known names, and all
-    // arities must agree (the row engine checks arity at runtime; here
-    // statically-equal arity guarantees the runtime check passes).
-    let mut names: Option<Vec<String>> = None;
-    for s in &arms {
-        let arm_names = plan::static_out_names(db, s).ok_or(FallbackReason::SetOperation)?;
-        match &names {
-            None => names = Some(arm_names),
-            Some(first) if first.len() != arm_names.len() => {
-                return Err(FallbackReason::SetOperation)
-            }
-            Some(_) => {}
-        }
-    }
-    let names = names.expect("a set-op body has at least two arms");
-    // Every arm must itself route; an arm's concrete reason propagates.
-    for s in &arms {
-        route(db, &arm_query(s))?;
-    }
-    // ORDER BY over the union resolves against the first arm's output
-    // names only (positional or bare-name keys — the row engine's
-    // `sort_by_output_columns` rule); anything else falls back and the
-    // row engine re-derives the same resolution failure as an error.
-    let mut sort = Vec::with_capacity(q.order_by.len());
-    if !q.order_by.is_empty() {
-        let out_cols: Vec<ColMeta> = names
-            .iter()
-            .map(|n| ColMeta::new(None, n.clone()))
-            .collect();
-        let keys = exec::plan_sort_keys_with(&q.order_by, &out_cols, &mut |_| {
-            Err(DbError::Unsupported(
-                "set-operation ORDER BY keys must name output columns".into(),
-            ))
-        })
-        .map_err(|_| FallbackReason::SetOperation)?;
-        for (key, item) in keys.into_iter().zip(&q.order_by) {
-            match key {
-                SortKey::Output(pos) => sort.push((pos, item.descending)),
-                SortKey::Source(_) => unreachable!("source compiler always errors"),
-            }
-        }
-    }
-    Ok(Box::new(UnionRoute {
-        arms,
-        arity: names.len(),
-        sort,
-    }))
-}
-
-/// Flatten a set-op tree into its SELECT leaves, in depth-first order.
-/// Any non-UNION operator rejects the whole tree.
-fn collect_union_arms<'a>(
-    e: &'a SetExpr,
-    arms: &mut Vec<&'a Select>,
-) -> std::result::Result<(), FallbackReason> {
-    match e {
-        SetExpr::Select(s) => {
-            arms.push(s);
-            Ok(())
-        }
-        SetExpr::SetOp {
-            op: SetOperator::Union,
-            left,
-            right,
-            ..
-        } => {
-            collect_union_arms(left, arms)?;
-            collect_union_arms(right, arms)
-        }
-        SetExpr::SetOp { .. } => Err(FallbackReason::SetOperation),
-    }
-}
-
-/// Wrap one union arm as a standalone query (no ORDER BY / LIMIT —
-/// those apply to the union's output, not the arms), so it can route
-/// and execute through the ordinary block pipeline.
-fn arm_query(s: &Select) -> Query {
-    Query::from_select(s.clone())
-}
-
-/// Execution statistics the vectorized engine reports about one run —
-/// the observability payload of [`crate::exec::ExecTrace`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Statistics one execution reports about itself — the observability
+/// payload of [`crate::exec::ExecTrace`], nested executions included.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct VexecStats {
-    /// Whether the `ORDER BY … LIMIT` tail ran as a bounded top-K
+    /// Whether an `ORDER BY … LIMIT` tail ran as a bounded top-K
     /// selection instead of a full sort.
     pub topk: bool,
-    /// Scan morsels the input split into (both sides, for a join).
+    /// Scan morsels the base-table inputs split into.
     pub morsels: u64,
-    /// Worker threads the execution was entitled to use (1 when the
+    /// Worker threads the execution was entitled to use (1 when every
     /// input was too small to engage the morsel pool).
     pub workers: u64,
-    /// Base-table rows scanned (both sides, for a join).
+    /// Base-table rows scanned.
     pub rows_scanned: u64,
     /// Join order the tree executor chose (pure scheduling — never
     /// affects result bytes; see [`JoinOrder`]).
     pub join_order: JoinOrder,
 }
 
-/// Scheduling-morsel count for `len` input rows under tuning `par`
-/// (the autotuned [`Parallelism::sched_rows`] granularity).
-fn morsel_count(len: usize, par: Parallelism) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    len.div_ceil(par.sched_rows(len)) as u64
-}
-
-/// Execute `q` on the vectorized engine if it is vectorizable, reporting
-/// execution statistics alongside the result, or the concrete
-/// [`FallbackReason`] when declining (the caller falls back to the row
-/// interpreter) — the pipeline's own record, surfaced through
-/// [`crate::exec::ExecTrace`].
-pub(crate) fn try_execute_traced(
-    db: &Database,
-    q: &Query,
-) -> std::result::Result<(Result<ResultSet>, VexecStats), FallbackReason> {
-    let routed = route(db, q)?;
-    let par = db.exec_tuning();
-    let mut stats = VexecStats::default();
-    let result = match routed {
-        Route::Single {
-            s,
-            table,
-            qualifier,
-        } => {
-            let len = table.len();
-            stats.rows_scanned = len as u64;
-            stats.morsels = morsel_count(len, par);
-            stats.workers = if par.engaged(len) { par.workers } else { 1 } as u64;
-            let ctab = table.columnar().clone();
-            run_block(db, q, s, table.col_metas(qualifier), &ctab, &mut stats.topk)
+impl Default for VexecStats {
+    fn default() -> Self {
+        VexecStats {
+            topk: false,
+            morsels: 0,
+            workers: 1,
+            rows_scanned: 0,
+            join_order: JoinOrder::default(),
         }
-        Route::SingleDerived { s, query, alias } => run_derived(db, q, s, query, alias, &mut stats),
-        Route::Tree(t) => run_tree(db, q, t.s, t.plan, &mut stats),
-        Route::Union(u) => run_union(db, q, &u, &mut stats),
-    };
-    Ok((result, stats))
+    }
 }
 
-/// The routing decision for a `WITH`-free `q`, without executing
-/// anything: costs one planning pass. [`crate::exec::execute_traced`]
-/// reports the same decision from the execution itself at zero extra
-/// cost.
-pub(crate) fn decide(db: &Database, q: &Query) -> RouteDecision {
-    match route(db, q) {
-        Ok(_) => RouteDecision::Vectorized,
-        Err(reason) => RouteDecision::Fallback(reason),
+impl VexecStats {
+    /// Fold a nested execution — a derived table, a set-op arm, an
+    /// expression subquery — into this one: its scans are this query's
+    /// scans, its joins precede this query's own.
+    pub(crate) fn absorb(&mut self, child: VexecStats) {
+        self.topk |= child.topk;
+        self.morsels += child.morsels;
+        self.rows_scanned += child.rows_scanned;
+        self.workers = self.workers.max(child.workers);
+        self.join_order.append(child.join_order);
     }
+
+    /// Record that a `len`-row input is about to be scanned: it may
+    /// engage the worker pool, and when it is a base table its rows and
+    /// morsels count (a derived table's were counted by its subquery).
+    fn note_scan(&mut self, len: usize, par: Parallelism, base_table: bool) {
+        if par.engaged(len) {
+            self.workers = self.workers.max(par.workers as u64);
+        }
+        if base_table && len > 0 {
+            self.rows_scanned += len as u64;
+            self.morsels += len.div_ceil(par.sched_rows(len)) as u64;
+        }
+    }
+}
+
+/// Execute a `WITH`-free query and report its statistics: the single
+/// entry point behind [`crate::exec::execute_traced`], and the runner
+/// every nested query of an execution goes through.
+pub(crate) fn execute_query(db: &Database, q: &Query) -> (VexecStats, Result<ResultSet>) {
+    let mut ex = Exec::new(db, execute_query);
+    let result = run_query(&mut ex, q);
+    (ex.stats, result)
+}
+
+fn run_query(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
+    let s = match &q.body {
+        SetExpr::Select(s) => s,
+        SetExpr::SetOp { .. } => return run_set_op(ex, q),
+    };
+    match &s.from {
+        // Table-less SELECT: one row, no columns.
+        None => {
+            let one_row = ColumnarTable::from_columns(Vec::new(), 1);
+            run_block(ex, q, s, Vec::new(), &one_row)
+        }
+        Some(from @ TableRef::Join { .. }) => run_tree(ex, q, s, from),
+        Some(scan) => {
+            let (ctab, cols) = open_scan(ex, scan)?;
+            run_block(ex, q, s, cols, &ctab)
+        }
+    }
+}
+
+/// Open the scan behind a non-join FROM item: a base table's shared
+/// columnar projection, or a derived table — whose subquery executes
+/// here, before anything that follows it in the query compiles, and
+/// whose result columnarizes under the alias's scope.
+pub(crate) fn open_scan(
+    ex: &mut Exec<'_>,
+    t: &TableRef,
+) -> Result<(Arc<ColumnarTable>, Vec<ColMeta>)> {
+    let par = ex.db.exec_tuning();
+    let (ctab, cols, base_table) = match t {
+        TableRef::Table { name, alias } => {
+            let table = ex
+                .db
+                .table(name)
+                .ok_or_else(|| DbError::UnknownTable(name.clone()))?;
+            let cols = table.col_metas(alias.as_deref().unwrap_or(name));
+            (table.columnar().clone(), cols, true)
+        }
+        TableRef::Derived { query, alias } => {
+            let rs = ex.subquery(query)?;
+            let ctab = ColumnarTable::from_rows(&rs.rows, rs.columns.len());
+            let cols = rs
+                .columns
+                .into_iter()
+                .map(|n| ColMeta::new(Some(alias.clone()), n))
+                .collect();
+            (Arc::new(ctab), cols, false)
+        }
+        TableRef::Join { .. } => unreachable!("join FROM clauses go through plan_tree"),
+    };
+    // Selection vectors are u32 with GATHER_NULL as a sentinel.
+    if ctab.len() >= GATHER_NULL as usize {
+        return Err(DbError::Unsupported(format!(
+            "scan of {} rows exceeds the executor's {GATHER_NULL}-row limit",
+            ctab.len()
+        )));
+    }
+    ex.stats.note_scan(ctab.len(), par, base_table);
+    Ok((ctab, cols))
 }
 
 /// One SELECT block over an already-columnar input: WHERE → selection
 /// vector, then the shared [`finish_block`] tail. The scan behind
 /// `ctab` can be a base table, a columnarized derived-table result, or
-/// a join-tree output.
+/// the one empty row of a table-less SELECT.
 fn run_block(
-    db: &Database,
+    ex: &mut Exec<'_>,
     q: &Query,
     s: &Select,
     cols: Vec<ColMeta>,
     ctab: &ColumnarTable,
-    topk: &mut bool,
 ) -> Result<ResultSet> {
-    let par = db.exec_tuning();
-    let mut ex = Exec::new(db);
+    let par = ex.db.exec_tuning();
 
     // WHERE → selection vector.
     let all: Vec<u32> = (0..ctab.len() as u32).collect();
@@ -373,39 +271,10 @@ fn run_block(
         }
         None => all,
     };
-    finish_block(&mut ex, q, s, cols, ctab, &sel, par, topk)
+    finish_block(ex, q, s, cols, ctab, &sel, par)
 }
 
-/// A SELECT block whose FROM is a derived table: execute the subquery
-/// first (it routes independently — vectorized when it can), then
-/// columnarize its rows into this block's scan. Matches the row
-/// engine's order of operations (subquery before WHERE compilation), so
-/// errors surface identically.
-fn run_derived(
-    db: &Database,
-    q: &Query,
-    s: &Select,
-    query: &Query,
-    alias: &str,
-    stats: &mut VexecStats,
-) -> Result<ResultSet> {
-    let rs = exec::execute_inlined(db, query).1?;
-    let width = rs.columns.len();
-    let ctab = ColumnarTable::from_rows(&rs.rows, width);
-    let cols: Vec<ColMeta> = rs
-        .columns
-        .iter()
-        .map(|n| ColMeta::new(Some(alias.to_string()), n.clone()))
-        .collect();
-    let par = db.exec_tuning();
-    let len = ctab.len();
-    stats.rows_scanned = len as u64;
-    stats.morsels = morsel_count(len, par);
-    stats.workers = if par.engaged(len) { par.workers } else { 1 } as u64;
-    run_block(db, q, s, cols, &ctab, &mut stats.topk)
-}
-
-/// Everything downstream of the scan/filter/join. Three tails, tried in
+/// Everything downstream of the scan/filter/join. Four tails, tried in
 /// order:
 ///
 /// 1. aggregated blocks run the columnar hash-aggregate plus the grouped
@@ -415,12 +284,11 @@ fn run_derived(
 ///    selection vector itself, then late-materialize only the survivors;
 /// 3. plain blocks with computed projections or expression sort keys
 ///    run the speculative mixed tail ([`run_tail_mixed`]);
-/// 4. anything else gathers the filtered rows and reuses the row
-///    engine's projection/sort/DISTINCT tail verbatim (which also
-///    re-derives any compile error, identically).
+/// 4. anything else gathers the filtered rows and runs the row-wise
+///    projection/sort/DISTINCT tail of [`crate::exec`] (which is also
+///    what reports any compile error).
 ///
-/// Shared by the single-table, derived-table, and join-tree pipelines.
-#[allow(clippy::too_many_arguments)]
+/// Shared by the single-scan and join-tree pipelines.
 fn finish_block(
     ex: &mut Exec<'_>,
     q: &Query,
@@ -429,23 +297,23 @@ fn finish_block(
     ctab: &ColumnarTable,
     sel: &[u32],
     par: Parallelism,
-    topk: &mut bool,
 ) -> Result<ResultSet> {
     if Exec::has_aggregates(s) {
-        if let Some(result) = grouped_fast(ex, q, s, &cols, ctab, sel, par, topk) {
+        if let Some(plan) = plan_grouped(ex, q, s, &cols) {
             // LIMIT/OFFSET already applied by the grouped tail.
-            return result.map(ResultSet::from);
+            let topk = &mut ex.stats.topk;
+            return run_grouped(q, s, ctab, sel, plan, par, topk).map(ResultSet::from);
         }
     } else if let Some(tail) = plan::plan_tail(ex, q, s, &cols) {
         // Columnar tail: LIMIT/OFFSET applied on indices inside.
+        let topk = &mut ex.stats.topk;
         if tail.computed.is_empty() {
             return Ok(ResultSet::from(run_tail(ctab, sel, &tail, par, topk)));
         }
         return run_tail_mixed(ctab, sel, &tail, par, topk).map(ResultSet::from);
     }
-    // Row-engine tail over only the surviving rows (grouping fallback for
-    // non-column group keys/aggregate args, computed projections, or
-    // expression sort keys).
+    // Row-wise tail over only the surviving rows (non-column group
+    // keys/aggregate args, or a shape whose planning hit an error).
     let input = Relation::new(cols, gather_rows(ctab, sel, par));
     let mut rel = ex.select_after_where(s, input, &q.order_by)?;
     exec::apply_limit_offset(&mut rel, q.limit, q.offset);
@@ -485,7 +353,7 @@ fn gather_rows(ctab: &ColumnarTable, sel: &[u32], par: Parallelism) -> Vec<Row> 
 ///    ([`morsel::merge_sorted_runs`]).
 /// 2. **DISTINCT** dedupes the surviving indices over typed column keys
 ///    ([`distinct_key`] — [`BorrowKey`]s that partition values exactly
-///    like the `ValueKey`s the row engine hashes, without cloning),
+///    like the `ValueKey`s the oracle hashes, without cloning),
 ///    keeping first occurrences in the current order and stopping early
 ///    once `offset + limit` rows are kept.
 /// 3. **LIMIT/OFFSET** slice the index vector.
@@ -494,14 +362,14 @@ fn gather_rows(ctab: &ColumnarTable, sel: &[u32], par: Parallelism) -> Vec<Row> 
 ///
 /// Every step is infallible (plain column reads only — that is
 /// [`plan::plan_tail`]'s eligibility rule), so skipping non-surviving
-/// rows can never skip an error the row engine would report.
+/// rows can never skip an error the oracle would report.
 ///
-/// # Byte-identity with the row engine
+/// # Byte-identity with the oracle
 ///
-/// The row engine stable-sorts whole rows by evaluated key values
+/// The oracle stable-sorts whole rows by evaluated key values
 /// (`Value::total_cmp` per key). Here the comparator chains the same
 /// per-column orderings and then breaks ties by row index — selection
-/// vectors are strictly increasing, so index order *is* the row engine's
+/// vectors are strictly increasing, so index order *is* the oracle's
 /// stable-sort tie order, and a total order with no inter-row ties makes
 /// unstable sorts, bounded heaps and run merges all produce that same
 /// permutation. DISTINCT hashes keys that partition rows exactly as
@@ -576,13 +444,13 @@ fn run_tail(
 
 /// The speculative **mixed tail**: a plain block whose projection or
 /// sort keys include computed expressions. Every computed expression is
-/// evaluated up front for *every* post-WHERE row, in the row engine's
+/// evaluated up front for *every* post-WHERE row, in the oracle's
 /// per-row order — projection items left to right, then ORDER BY source
 /// expressions — so the first error (earliest row, earliest expression)
-/// is exactly the one the row engine reports. After that the tail is
+/// is exactly the one the oracle reports. After that the tail is
 /// infallible and proceeds like [`run_tail`]: indices sort (computed
 /// keys compare their pre-evaluated values, source keys their typed
-/// columns, ties break on position = the row engine's stable order),
+/// columns, ties break on position = the oracle's stable order),
 /// DISTINCT dedupes first occurrences, LIMIT/OFFSET slice, and only the
 /// survivors materialize.
 fn run_tail_mixed(
@@ -641,7 +509,7 @@ fn run_tail_mixed(
 
     // 2. Order selection *positions* (0..n) — positions index both `sel`
     // and `vals`; ascending position is ascending selection index, i.e.
-    // the row engine's stable-sort tie order.
+    // the oracle's stable-sort tie order.
     let bound = if tail.distinct {
         None
     } else {
@@ -929,7 +797,7 @@ where
 /// (heap, sort and merge included). `cmp` must be a total order with no
 /// ties between distinct indices (every caller ends with the index
 /// tie-break), which is what lets unstable sorts, bounded heaps and the
-/// loser-tree merge all reproduce the row engine's stable sort exactly.
+/// loser-tree merge all reproduce the oracle's stable sort exactly.
 fn order_indices<C>(
     sel: &[u32],
     bound: Option<usize>,
@@ -998,7 +866,7 @@ fn borrow_key_at(col: &Column, i: usize) -> BorrowKey<'_> {
 
 /// Materialize the tail's surviving rows, reading only the projected
 /// source columns (in output order — a column projected twice is read
-/// twice, like the row engine's projection). Morsels materialize
+/// twice, like the oracle's projection). Morsels materialize
 /// independently and stitch in order.
 fn materialize_rows(
     ctab: &ColumnarTable,
@@ -1033,9 +901,9 @@ fn materialize_rows(
 /// When every top-level AND conjunct has a kernel, conjuncts narrow the
 /// selection one at a time, so later conjuncts only touch surviving
 /// rows. That reordering is only sound because kernels are infallible:
-/// the row engine keeps evaluating later conjuncts on rows where an
+/// the oracle keeps evaluating later conjuncts on rows where an
 /// earlier one was NULL (AND short-circuits on FALSE only), so skipping
-/// those rows may skip a runtime *error* the row engine would report.
+/// those rows may skip a runtime *error* the oracle would report.
 /// Any conjunct without a kernel therefore sends the whole predicate to
 /// the scalar interpreter, which preserves short-circuit and error
 /// behavior exactly.
@@ -1185,7 +1053,7 @@ pub(crate) fn kernel_keeps_all_null(e: &CompiledExpr) -> bool {
 
 /// Fallback conjunct evaluation: scalar-interpret `e` per surviving row,
 /// gathering only the columns it references into a scratch row. Produces
-/// exactly the row engine's values (shared evaluator), including errors.
+/// exactly the oracle's values (shared evaluator), including errors.
 fn generic_filter_chunk(ctab: &ColumnarTable, e: &CompiledExpr, sel: &[u32]) -> Result<Vec<u32>> {
     let mut refs = Vec::new();
     e.for_each_column(&mut |i| refs.push(i));
@@ -1298,14 +1166,14 @@ fn rebase_kernel_shape(e: &CompiledExpr, offset: usize) -> Option<CompiledExpr> 
 }
 
 /// Hash index over the right (build) side's join-key columns. Key
-/// equality must match the row engine's `ValueKey` semantics exactly.
+/// equality must match the oracle's `ValueKey` semantics exactly.
 /// The `i64`/`&str` specializations are chosen from the *build side's*
 /// physical column type alone (where `ValueKey` equality degenerates to
 /// plain equality); a left key column of a different physical type is
 /// handled in [`JoinIndex::probe`], whose fall-through arms route
 /// through `ValueKey` so `1` still joins `1.0` — do not simplify those
 /// arms away. Bucket candidate lists are in right-table order, so probes
-/// emit matches in the row engine's order.
+/// emit matches in the oracle's order.
 enum JoinIndex<'a> {
     Int(HashMap<i64, Vec<u32>>),
     Str(HashMap<&'a str, Vec<u32>>),
@@ -1437,7 +1305,7 @@ impl<'a> JoinIndex<'a> {
 
 /// Evaluator for fallible ON-residual conjuncts: a scratch combined row
 /// holding only the columns the residual references, refilled per side as
-/// the probe walks candidate pairs. Produces exactly the row engine's
+/// the probe walks candidate pairs. Produces exactly the oracle's
 /// values and errors (shared interpreter, same evaluation order).
 struct ResidualEval<'a> {
     residual: &'a [CompiledExpr],
@@ -1470,7 +1338,7 @@ impl<'a> ResidualEval<'a> {
     }
 
     /// Whether the candidate pair passes every residual conjunct,
-    /// short-circuiting on the first non-TRUE like the row engine.
+    /// short-circuiting on the first non-TRUE like the oracle.
     fn pair_ok(&mut self, rtab: &ColumnarTable, lw: usize, ridx: usize) -> Result<bool> {
         for &c in &self.rrefs {
             self.scratch[c] = rtab.columns[c - lw].value(ridx);
@@ -1526,7 +1394,7 @@ fn apply_pair_kernel(
 /// Post-join evaluation of a whole WHERE predicate that has no kernel
 /// decomposition: scalar-interpret it per joined row (in output order)
 /// over a scratch row holding only the referenced columns. Exactly the
-/// row engine's filter — same values, same short-circuit, same errors.
+/// oracle's filter — same values, same short-circuit, same errors.
 fn generic_pair_filter(
     ltab: &ColumnarTable,
     rtab: &ColumnarTable,
@@ -1573,50 +1441,25 @@ fn generic_pair_filter(
 /// compiled post-join residual filter.
 type PostSplit<'p> = (&'p [(JoinSide, CompiledExpr)], Option<&'p CompiledExpr>);
 
-/// Bottom-up executor over a planned join tree ([`TreePlan`]): each
-/// node's children materialize first (left before right — the row
-/// engine's FROM evaluation order, so errors inside derived leaves
-/// surface identically), then the node joins them into a columnar
-/// intermediate holding only the columns its parent needs.
+/// Bottom-up executor over a planned join tree ([`plan::TreePlan`]):
+/// each node's children materialize first (left before right), then the
+/// node joins them into a columnar intermediate holding only the
+/// columns its parent needs.
 struct TreeExec<'e> {
-    db: &'e Database,
     par: Parallelism,
-    stats: &'e mut VexecStats,
-    /// Longest leaf scanned, for the worker-entitlement stat.
-    max_leaf: usize,
+    join_order: &'e mut JoinOrder,
 }
 
 impl TreeExec<'_> {
     fn exec_node(
         &mut self,
         node: &PlanNode,
-        leaves: &[plan::Leaf<'_>],
+        leaves: &[Arc<ColumnarTable>],
     ) -> Result<Arc<ColumnarTable>> {
         match node {
-            PlanNode::Scan(i) => match &leaves[*i].source {
-                LeafSource::Base(ctab) => {
-                    self.note_leaf(ctab.len());
-                    Ok(ctab.clone())
-                }
-                // A derived leaf executes its subquery (routed
-                // independently — vectorized when it can be) and
-                // columnarizes the result.
-                LeafSource::Derived { query, width } => {
-                    let rs = exec::execute_inlined(self.db, query).1?;
-                    debug_assert_eq!(rs.columns.len(), *width, "static width matches runtime");
-                    let ctab = ColumnarTable::from_rows(&rs.rows, *width);
-                    self.note_leaf(ctab.len());
-                    Ok(Arc::new(ctab))
-                }
-            },
+            PlanNode::Scan(i) => Ok(leaves[*i].clone()),
             PlanNode::Join(j) => self.exec_join(j, None, leaves),
         }
-    }
-
-    fn note_leaf(&mut self, len: usize) {
-        self.stats.rows_scanned += len as u64;
-        self.stats.morsels += morsel_count(len, self.par);
-        self.max_leaf = self.max_leaf.max(len);
     }
 
     /// Join one node's children into `(left, right)` match vectors and
@@ -1626,7 +1469,7 @@ impl TreeExec<'_> {
     /// `PostSplit` borrows the root's pushed WHERE kernels (tagged by
     /// side) and the compiled residual filter.
     ///
-    /// Emission order is always the row engine's: matches stream in
+    /// Emission order is always the oracle's: matches stream in
     /// left-row order with each bucket in right-row order, unmatched
     /// left rows of a pad-keeping join emit in place, and unmatched
     /// right rows append at the end in right-row order. The swapped
@@ -1635,7 +1478,7 @@ impl TreeExec<'_> {
         &mut self,
         node: &JoinNode,
         post: Option<PostSplit<'_>>,
-        leaves: &[plan::Leaf<'_>],
+        leaves: &[Arc<ColumnarTable>],
     ) -> Result<Arc<ColumnarTable>> {
         let ltab = self.exec_node(&node.left, leaves)?;
         let rtab = self.exec_node(&node.right, leaves)?;
@@ -1659,33 +1502,29 @@ impl TreeExec<'_> {
             narrow_by_kernels(&rtab, &refs, rsel.clone())
         };
 
-        // Record this join in the scheduling trace (post-order position;
-        // the `swapped` bit says the build ran on the left input).
-        let jidx = self.stats.join_order.joins;
-        self.stats.join_order.joins = jidx.saturating_add(1);
+        // Greedy smallest-estimated-input-first: build on the smaller
+        // (already kernel-narrowed) input. Only pure INNER equi-joins
+        // swap — pads and fallible residuals pin the probe side — and
+        // the pair sort in `swapped_equi_join` makes the swap invisible
+        // to result bytes. Recorded in the scheduling trace at the
+        // join's post-order position.
+        let swap = !node.key_pairs.is_empty()
+            && matches!(node.join_type, JoinType::Inner)
+            && node.residual.is_empty()
+            && node.left_match_kernels.is_empty()
+            && lsel.len() < rmatch.len();
+        self.join_order.push(swap);
 
         let (mut pairs_l, mut pairs_r) = if node.key_pairs.is_empty() {
             // CROSS and pure non-equi joins: nested-loop morsels.
             nested_loop_join(&ltab, &rtab, node, &lsel, &rmatch, keep_l, par)?
-        } else if matches!(node.join_type, JoinType::Inner)
-            && node.residual.is_empty()
-            && node.left_match_kernels.is_empty()
-            && lsel.len() < rmatch.len()
-        {
-            // Greedy smallest-estimated-input-first: build on the
-            // smaller (already kernel-narrowed) input. Only pure INNER
-            // equi-joins swap — pads and fallible residuals pin the
-            // probe side — and the pair sort below makes the swap
-            // invisible to result bytes.
-            if jidx < 8 {
-                self.stats.join_order.swapped |= 1 << jidx;
-            }
+        } else if swap {
             swapped_equi_join(&ltab, &rtab, &node.key_pairs, &lsel, &rmatch, par)
         } else {
             // Build + probe. The build side is sequential (its bucket
             // lists must be in right-table order); probing walks the
             // left side in order and each bucket in right-table order,
-            // so matches come out exactly in the row engine's
+            // so matches come out exactly in the oracle's
             // combined-row order; unmatched left rows of a pad-keeping
             // join are emitted in place with the GATHER_NULL pad.
             // Parallel probes claim morsels of `lsel` against the shared
@@ -1749,7 +1588,7 @@ impl TreeExec<'_> {
 
         // Matched-bit tracking for RIGHT/FULL joins: right rows no
         // surviving pair references pad with a NULL left side, appended
-        // after every match in right-row order — the row engine's
+        // after every match in right-row order — the oracle's
         // emission order. Pads come from `rsel` (not `rmatch`): rows
         // failing a match-only kernel still pad, and drop-kernel
         // narrowing of a pad-keeping side is blocked at plan time.
@@ -1770,7 +1609,7 @@ impl TreeExec<'_> {
 
         // Post-join filters (WHERE conjuncts that could not be pushed),
         // applied per pair at the tree root — after pads, exactly where
-        // the row engine filters the joined relation.
+        // the oracle filters the joined relation.
         if let Some((post_kernels, post_filter)) = post {
             if par.engaged(pairs_l.len()) && (!post_kernels.is_empty() || post_filter.is_some()) {
                 let chunks = morsel::try_run(pairs_l.len(), par, |range| {
@@ -1832,7 +1671,7 @@ impl TreeExec<'_> {
 /// Nested-loop join for keyless nodes (CROSS joins and pure non-equi ON
 /// constraints): every surviving left row pairs against every
 /// match-eligible right row, gated by the fallible residual (evaluated
-/// in ON-conjunct order, left rows outermost — the row engine's loop,
+/// in ON-conjunct order, left rows outermost — the oracle's loop,
 /// so values, short-circuits and errors are identical). Morsels split
 /// the left side; the earliest morsel's error wins, which is the
 /// sequential error.
@@ -1903,7 +1742,7 @@ fn nested_loop_join(
 /// left input: build over `lsel`, probe `rmatch` morsel-parallel, then
 /// sort the pair vector by `(left, right)` — bucket lists are ascending
 /// and pairs are unique, so the sort reproduces exactly the unswapped
-/// (row engine) emission order. Infallible by construction (no residual,
+/// (oracle) emission order. Infallible by construction (no residual,
 /// no pads), which is what makes the order restoration a pure
 /// permutation.
 fn swapped_equi_join(
@@ -1939,111 +1778,68 @@ fn swapped_equi_join(
     )
 }
 
-/// Run a planned join tree: execute it bottom-up (each join
-/// late-materializing only live columns into a columnar intermediate),
-/// then the shared WHERE-residue, aggregate and projection tail over
-/// the root's output. Byte-identical to the row interpreter — see
-/// [`crate::plan`] for why each pushdown preserves that.
-fn run_tree(
-    db: &Database,
-    q: &Query,
-    s: &Select,
-    tree: TreePlan<'_>,
-    stats: &mut VexecStats,
-) -> Result<ResultSet> {
-    let par = db.exec_tuning();
+/// A SELECT block over a join FROM clause: plan the tree (derived
+/// leaves execute as the planner reaches them), execute it bottom-up
+/// (each join late-materializing only live columns into a columnar
+/// intermediate), then run the shared WHERE-residue, aggregate and
+/// projection tail over the root's output. See [`crate::plan`] for why
+/// each pushdown preserves the oracle's bytes.
+fn run_tree(ex: &mut Exec<'_>, q: &Query, s: &Select, from: &TableRef) -> Result<ResultSet> {
+    let par = ex.db.exec_tuning();
+    let tree = plan::plan_tree(ex, q, s, from)?;
     let mut texec = TreeExec {
-        db,
         par,
-        stats,
-        max_leaf: 0,
+        join_order: &mut ex.stats.join_order,
     };
     let joined = texec.exec_join(
         &tree.root,
         Some((&tree.post_kernels, tree.post_filter.as_ref())),
         &tree.leaves,
-    );
-    let max_leaf = texec.max_leaf;
-    stats.workers = if par.engaged(max_leaf) {
-        par.workers
-    } else {
-        1
-    } as u64;
-    let joined = joined?;
+    )?;
     let sel: Vec<u32> = (0..joined.len() as u32).collect();
-    let mut ex = Exec::new(db);
-    finish_block(
-        &mut ex,
-        q,
-        s,
-        tree.cols,
-        &joined,
-        &sel,
-        par,
-        &mut stats.topk,
-    )
+    finish_block(ex, q, s, tree.cols, &joined, &sel, par)
 }
 
-/// Run a UNION / UNION ALL tree: arms execute left-to-right through the
-/// ordinary block pipeline (each arm routed vectorized at plan time),
-/// their rows concatenate into one columnar intermediate, the set-op
-/// tree's DISTINCT nodes dedupe index ranges bottom-up, and the union's
-/// ORDER BY / LIMIT tail runs on indices like [`run_tail`].
-fn run_union(
-    db: &Database,
-    q: &Query,
-    route: &UnionRoute<'_>,
-    stats: &mut VexecStats,
-) -> Result<ResultSet> {
-    let par = db.exec_tuning();
-    // 1. Execute every arm in the row engine's depth-first order; the
-    // earliest arm error propagates, like the row engine's recursion.
-    let mut arm_results: Vec<ResultSet> = Vec::with_capacity(route.arms.len());
-    let mut workers = 1u64;
-    for s in &route.arms {
-        let synth = arm_query(s);
-        let (result, arm_stats) = try_execute_traced(db, &synth)
-            .unwrap_or_else(|_| unreachable!("arms routed at plan time; routing is deterministic"));
-        stats.morsels += arm_stats.morsels;
-        stats.rows_scanned += arm_stats.rows_scanned;
-        workers = workers.max(arm_stats.workers);
-        // Concatenate arm join orders into one (best-effort) record.
-        let shift = stats.join_order.joins;
-        if shift < 8 {
-            stats.join_order.swapped |= arm_stats.join_order.swapped << shift;
-        }
-        stats.join_order.joins = stats
-            .join_order
-            .joins
-            .saturating_add(arm_stats.join_order.joins);
-        arm_results.push(result?);
-    }
-    stats.workers = workers;
+/// Run a set-operation tree: arms execute left to right as queries of
+/// their own, their rows concatenate into one columnar intermediate, the
+/// tree's nodes keep, drop or dedupe index ranges over it bottom-up
+/// ([`set_op_indices`]), and the ORDER BY / LIMIT tail runs on indices
+/// like [`run_tail`].
+fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
+    let par = ex.db.exec_tuning();
+    // 1. Execute every arm, checking arity node by node; the output is
+    // named after the first arm and sorts by its own columns only.
+    let mut arms: Vec<ResultSet> = Vec::new();
+    let arity = run_arms(ex, &q.body, &mut arms)?;
+    let columns = std::mem::take(&mut arms[0].columns);
+    let out_cols: Vec<ColMeta> = columns
+        .iter()
+        .map(|n| ColMeta::new(None, n.clone()))
+        .collect();
+    let sort = exec::set_op_sort_keys(&q.order_by, &out_cols)?;
 
-    // 2. Concatenate rows columnar. Arity is statically verified equal
-    // across arms, so the row engine's runtime arity check cannot fire.
-    let columns = arm_results[0].columns.clone();
-    let mut ranges: Vec<std::ops::Range<u32>> = Vec::with_capacity(arm_results.len());
+    // 2. Concatenate the arms' rows columnar.
+    let mut ranges: Vec<std::ops::Range<u32>> = Vec::with_capacity(arms.len());
     let mut all_rows: Vec<Row> = Vec::new();
-    for rs in &mut arm_results {
+    for rs in &mut arms {
         let start = all_rows.len() as u32;
         all_rows.append(&mut rs.rows);
         ranges.push(start..all_rows.len() as u32);
     }
-    let ctab = ColumnarTable::from_rows(&all_rows, route.arity);
+    let ctab = ColumnarTable::from_rows(&all_rows, arity);
     drop(all_rows);
 
-    // 3. The set-op tree dedupes index ranges bottom-up; the result is
-    // a strictly ascending index list in set-op emission order.
+    // 3. The set-op tree selects index ranges bottom-up; the result is a
+    // strictly ascending index list in set-op emission order.
     let mut next_arm = 0usize;
-    let srcs: Vec<usize> = (0..route.arity).collect();
-    let mut idx = union_indices(&q.body, &ranges, &mut next_arm, &ctab, &srcs);
+    let srcs: Vec<usize> = (0..arity).collect();
+    let mut idx = set_op_indices(&q.body, &ranges, &mut next_arm, &ctab, &srcs);
 
-    // 4. Union ORDER BY sorts by output columns only; ties keep set-op
-    // emission order (index tie-break = the row engine's stable sort).
-    if !route.sort.is_empty() {
+    // 4. ORDER BY sorts by output columns only; ties keep set-op
+    // emission order (index tie-break = a stable sort).
+    if !sort.is_empty() {
         let mut topk_unused = false;
-        idx = ordered_indices(&ctab, &route.sort, &idx, None, par, &mut topk_unused);
+        idx = ordered_indices(&ctab, &sort, &idx, None, par, &mut topk_unused);
     }
     if let Some(off) = q.offset {
         idx.drain(..(off as usize).min(idx.len()));
@@ -2055,12 +1851,38 @@ fn run_union(
     Ok(ResultSet { columns, rows })
 }
 
-/// The surviving row indices of a set-op tree over the concatenated
-/// arm rows: leaves consume arm ranges in depth-first order, UNION ALL
-/// concatenates, and UNION (distinct) keeps first occurrences over
-/// full-row keys — the same partition the row engine's `RowKey` dedupe
-/// produces at each node.
-fn union_indices(
+/// Execute the SELECT arms of a set-op tree depth-first, left before
+/// right, pushing each result onto `arms`, and return the tree's output
+/// width. Arity is checked at each node as soon as both operands have
+/// run — so of two defects the earlier one in that walk is reported,
+/// and nothing to the right of an erring node executes.
+fn run_arms(ex: &mut Exec<'_>, e: &SetExpr, arms: &mut Vec<ResultSet>) -> Result<usize> {
+    match e {
+        SetExpr::Select(s) => {
+            // An arm is a query of its own with no ORDER BY / LIMIT
+            // (those apply to the set operation's output).
+            let rs = ex.subquery(&Query::from_select((**s).clone()))?;
+            let width = rs.columns.len();
+            arms.push(rs);
+            Ok(width)
+        }
+        SetExpr::SetOp { left, right, .. } => {
+            let l = run_arms(ex, left, arms)?;
+            let r = run_arms(ex, right, arms)?;
+            exec::check_set_op_arity(l, r)?;
+            Ok(l)
+        }
+    }
+}
+
+/// The surviving row indices of a set-op tree over the concatenated arm
+/// rows: leaves consume arm ranges in depth-first order; UNION ALL
+/// concatenates its operands; UNION keeps first occurrences over
+/// full-row keys; INTERSECT / EXCEPT keep the left operand's first
+/// occurrences whose key is / is not among the right operand's (`ALL`
+/// is ignored on both: set semantics) — the same partition `RowKey`
+/// equality gives the oracle at each node.
+fn set_op_indices(
     e: &SetExpr,
     ranges: &[std::ops::Range<u32>],
     next_arm: &mut usize,
@@ -2074,13 +1896,29 @@ fn union_indices(
             r.collect()
         }
         SetExpr::SetOp {
-            all, left, right, ..
+            op,
+            all,
+            left,
+            right,
         } => {
-            let mut idx = union_indices(left, ranges, next_arm, ctab, srcs);
-            idx.extend(union_indices(right, ranges, next_arm, ctab, srcs));
-            if !*all {
-                let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
-                idx.retain(|&i| seen.insert(distinct_key(ctab, srcs, i as usize)));
+            let mut idx = set_op_indices(left, ranges, next_arm, ctab, srcs);
+            let right = set_op_indices(right, ranges, next_arm, ctab, srcs);
+            let key = |i: u32| distinct_key(ctab, srcs, i as usize);
+            let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
+            match (op, all) {
+                (SetOperator::Union, true) => idx.extend(right),
+                (SetOperator::Union, false) => {
+                    idx.extend(right);
+                    idx.retain(|&i| seen.insert(key(i)));
+                }
+                (SetOperator::Intersect | SetOperator::Except, _) => {
+                    let in_right: HashSet<_> = right.into_iter().map(key).collect();
+                    let keep = *op == SetOperator::Intersect;
+                    idx.retain(|&i| {
+                        let k = key(i);
+                        in_right.contains(&k) == keep && seen.insert(k)
+                    });
+                }
             }
             idx
         }
@@ -2198,21 +2036,10 @@ struct GroupedPlan {
     order_plan: Vec<SortKey>,
 }
 
-/// Try the columnar grouped path. `None` means "not fast-path eligible"
-/// (including compile errors — the row-engine fallback recompiles and
-/// reports them identically); `Some(Err)` is a genuine execution error.
-/// On success the grouped tail has already applied LIMIT/OFFSET.
-#[allow(clippy::too_many_arguments)]
-fn grouped_fast(
-    ex: &mut Exec<'_>,
-    q: &Query,
-    s: &Select,
-    cols: &[ColMeta],
-    ctab: &ColumnarTable,
-    sel: &[u32],
-    par: Parallelism,
-    topk: &mut bool,
-) -> Option<Result<Relation>> {
+/// Plan the columnar grouped path, or `None` when the block is not
+/// eligible for it (including compile errors — the row-wise tail
+/// recompiles and reports them).
+fn plan_grouped(ex: &mut Exec<'_>, q: &Query, s: &Select, cols: &[ColMeta]) -> Option<GroupedPlan> {
     let order_by = &q.order_by;
     let group_exprs = ex.compile_group_exprs(s, cols).ok()?;
     let mut key_cols = Vec::with_capacity(group_exprs.len());
@@ -2235,8 +2062,8 @@ fn grouped_fast(
                 out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
                 out_exprs.push(compiled);
             }
-            // Wildcards in aggregated queries are an error; let the row
-            // engine report it.
+            // Wildcards in aggregated queries are an error; the row-wise
+            // tail reports it.
             _ => return None,
         }
     }
@@ -2244,8 +2071,7 @@ fn grouped_fast(
         Some(h) => Some(gc.compile(ex, h, cols).ok()?),
         None => None,
     };
-    // Shared alias/ordinal resolution rule — the same helper the row
-    // engine's grouped path uses, so the engines cannot drift.
+    // The one alias/ordinal resolution rule (`exec::plan_sort_keys_with`).
     let order_plan =
         exec::plan_sort_keys_with(order_by, &out_cols, &mut |e| gc.compile(ex, e, cols)).ok()?;
     let mut agg_args = Vec::with_capacity(gc.aggs.len());
@@ -2256,7 +2082,7 @@ fn grouped_fast(
             Some(_) => return None,
         }
     }
-    let plan = GroupedPlan {
+    Some(GroupedPlan {
         key_cols,
         aggs: gc.aggs,
         agg_args,
@@ -2264,8 +2090,7 @@ fn grouped_fast(
         out_exprs,
         having,
         order_plan,
-    };
-    Some(run_grouped(q, s, ctab, sel, plan, par, topk))
+    })
 }
 
 fn run_grouped(
@@ -2493,7 +2318,7 @@ fn parallel_stddev(
 }
 
 /// Post-aggregation tail shared by the sequential and parallel grouped
-/// operators — identical to the row engine's `select_grouped` followed
+/// operators — identical to the row-wise `select_grouped` followed
 /// by the LIMIT/OFFSET slice: build post-group rows
 /// `[key values..., aggregate values...]` (transposed out of the
 /// column-major [`GroupedRows`] without cloning aggregate values), filter
@@ -2542,10 +2367,10 @@ fn grouped_tail(
 }
 
 /// Assign a group id to every selected row (ids in first-appearance
-/// order, like the row engine) and collect each group's key values.
+/// order, like the oracle) and collect each group's key values.
 /// Integer and string single-column keys get dedicated hash paths; the
 /// general case goes through [`RowKey`], which unifies `1` and `1.0`
-/// exactly like the row engine does.
+/// exactly like the oracle does.
 fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Vec<Row>) {
     let mut gids = Vec::with_capacity(sel.len());
     let mut groups: Vec<Row> = Vec::new();
@@ -2627,7 +2452,7 @@ fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<
     (gids, groups)
 }
 
-/// Numeric view of a non-null column slot, with the row engine's exact
+/// Numeric view of a non-null column slot, with the oracle's exact
 /// type error on non-numeric values.
 fn numeric_at(col: &Column, idx: usize, func: AggFunc) -> Result<f64> {
     let type_err = |found: &str| DbError::TypeMismatch {
@@ -2691,7 +2516,7 @@ fn finish_sum_avg(func: AggFunc, state: FoldState) -> Value {
 /// Evaluate one aggregate over all groups in a single columnar pass.
 /// Floating-point aggregates fold through the fixed-shape reduction tree
 /// on the `fold_rows` grid over selection positions — the same function
-/// the row engine and the parallel operator evaluate, bit for bit.
+/// the oracle and the parallel operator evaluate, bit for bit.
 fn compute_agg(
     ctab: &ColumnarTable,
     func: AggFunc,
@@ -2947,7 +2772,7 @@ fn mixed_best(ctab: &ColumnarTable, func: AggFunc, arg: Option<usize>) -> bool {
         && arg.is_some_and(|c| matches!(ctab.columns[c].data, ColumnData::Mixed(_)))
 }
 
-/// MIN/MAX with the row engine's tie-breaking (first occurrence wins on
+/// MIN/MAX with the oracle's tie-breaking (first occurrence wins on
 /// `total_cmp` equality), specialized per column representation.
 fn min_max(col: &Column, func: AggFunc, sel: &[u32], gids: &[u32], ngroups: usize) -> Vec<Value> {
     let min = func == AggFunc::Min;

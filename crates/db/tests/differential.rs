@@ -1,16 +1,19 @@
-//! Differential tests between the two execution engines.
+//! Differential tests of the plan executor against its oracle.
 //!
-//! The vectorized engine (`flex_db::vexec`) must be observationally
-//! identical to the row interpreter on every query it accepts — same
-//! rows, same order, same NULLs — because DP noise calibration hashes
-//! the true results. These tests generate random supported queries over
-//! random small tables (nulls, duplicates, mixed group sizes) and assert
-//! `ResultSet` equality — both single-table blocks and two-table
-//! INNER/LEFT equi-joins (ON and USING, residual predicates, NULL join
-//! keys) that exercise the columnar join pipeline's predicate pushdown —
-//! plus explicit NULL-handling cases for the vectorized aggregate
-//! kernels, LEFT JOIN pushdown/padding regressions, and
-//! LIMIT/OFFSET/ORDER BY regressions on both engines.
+//! The executor (`flex_db::vexec`, what `Database::execute` runs) must be
+//! observationally identical to the row-at-a-time reference
+//! implementation (`flex_db::oracle`, behind `Database::execute_row`) on
+//! every query — same rows, same order, same NULLs, same error text —
+//! because DP noise calibration hashes the true results. These tests
+//! generate random queries over random small tables (nulls, duplicates,
+//! mixed group sizes) and assert `ResultSet` equality: single-table
+//! blocks, two-table INNER/LEFT equi-joins (ON and USING, residual
+//! predicates, NULL join keys) that exercise the join pipeline's
+//! predicate pushdown, and the tree shapes (wide join trees, every join
+//! type, derived tables, set operations, expression subqueries) — plus
+//! explicit NULL-handling cases for the aggregate kernels, LEFT JOIN
+//! pushdown/padding regressions, and LIMIT/OFFSET/ORDER BY regressions.
+//! In the comments below "the engines" are these two.
 
 use flex_db::{DataType, Database, ResultSet, Schema, Value};
 use flex_sql::parse_query;
@@ -318,11 +321,12 @@ fn arb_join_query() -> BoxedStrategy<String> {
         .boxed()
 }
 
-/// Random queries over the plan-IR shapes: three-table join trees,
-/// RIGHT/FULL/CROSS and non-equi joins, derived tables in FROM
-/// (standalone and as join leaves), UNION / UNION ALL trees, and
-/// computed / constant projection or sort items that engage the
-/// speculative mixed tail.
+/// Random queries over the tree shapes: three-table and 9–12-leaf join
+/// trees, RIGHT/FULL/CROSS and non-equi joins, derived tables in FROM
+/// (standalone and as join leaves, set-operation bodies included), set
+/// operations of every kind mixed in one tree with table-less arms,
+/// `IN` / `EXISTS` subqueries, and computed / constant projection or
+/// sort items that engage the speculative mixed tail.
 fn arb_tree_query() -> BoxedStrategy<String> {
     // RIGHT/FULL joins: matched-bit padding on the build side.
     let outer = (
@@ -439,7 +443,147 @@ fn arb_tree_query() -> BoxedStrategy<String> {
         // Type error on non-NULL strings: both engines must fail.
         _ => format!("SELECT a, c FROM t{w} ORDER BY a + c, a"),
     });
-    prop_oneof![outer, nonequi, tree, derived, union, union3, mixed_tail].boxed()
+    prop_oneof![
+        outer,
+        nonequi,
+        tree,
+        derived,
+        union,
+        union3,
+        mixed_tail,
+        arb_set_op_tree(),
+        arb_wide_tree(),
+        arb_subquery_pred(),
+    ]
+    .boxed()
+}
+
+/// One of the six set operators the parser accepts (`ALL` is accepted
+/// and ignored on INTERSECT / EXCEPT).
+fn arb_set_op() -> BoxedStrategy<&'static str> {
+    prop_oneof![
+        Just("UNION"),
+        Just("UNION ALL"),
+        Just("INTERSECT"),
+        Just("EXCEPT"),
+        Just("INTERSECT ALL"),
+        Just("EXCEPT ALL"),
+    ]
+    .boxed()
+}
+
+/// Three- and four-arm set-operation trees mixing all operators in one
+/// tree, left-deep and right-nested, with table-less arms (NULLs
+/// included, so both sides of every operator can hold NULL keys), plus
+/// the same trees as a derived join leaf.
+fn arb_set_op_tree() -> BoxedStrategy<String> {
+    let arm = prop_oneof![
+        arb_pred().prop_map(|p| format!("SELECT a, d FROM t WHERE {p}")),
+        Just("SELECT a, w FROM r".to_string()),
+        Just("SELECT d, a FROM t".to_string()),
+        (-4i64..5).prop_map(|c| format!("SELECT w, a FROM r WHERE w <> {c}")),
+        // Table-less arms.
+        (-4i64..5, 0i64..3).prop_map(|(x, y)| format!("SELECT {x}, {y}")),
+        Just("SELECT NULL, 1".to_string()),
+        Just("SELECT 2, 1 WHERE 1 = 0".to_string()),
+    ];
+    // (The vendored proptest stops at 5-tuples, hence the nesting.)
+    let tree = (
+        (arm.clone(), arb_set_op(), arm.clone()),
+        (arb_set_op(), arm.clone(), arb_set_op(), arm),
+        0u32..3,
+    )
+        .prop_map(|((a1, o1, a2), (o2, a3, o3, a4), nest)| match nest {
+            0 => format!("{a1} {o1} {a2} {o2} {a3}"),
+            1 => format!("{a1} {o1} ({a2} {o2} {a3})"),
+            _ => format!("({a1} {o1} {a2}) {o2} ({a3} {o3} {a4})"),
+        });
+    (tree, 0u32..5)
+        .prop_map(|(tree, shape)| match shape {
+            0 => tree,
+            1 => format!("{tree} ORDER BY 1 DESC, 2"),
+            2 => format!("{tree} ORDER BY a, 2 DESC LIMIT 6 OFFSET 1"),
+            3 => format!("{tree} LIMIT 4"),
+            // As a derived join leaf: its shape is only known once it
+            // has executed (`s.a` fails to bind, identically on both
+            // sides, when the first arm is table-less).
+            _ => format!("SELECT x.c, s.* FROM t x JOIN ({tree}) s ON x.a = s.a ORDER BY 1, 2, 3"),
+        })
+        .boxed()
+}
+
+/// Left-deep join trees of 9–12 leaves. Every leaf past the second
+/// either has a unique key (a DISTINCT derived leaf) or a selective ON
+/// kernel, so the result stays small while the tree gets wide.
+fn arb_wide_tree() -> BoxedStrategy<String> {
+    let leaf = prop_oneof![
+        Just(("JOIN", "(SELECT DISTINCT a FROM t)", String::new())),
+        Just(("LEFT JOIN", "(SELECT DISTINCT a FROM r)", String::new())),
+        (-4i64..5).prop_map(|c| ("JOIN", "r", format!(" AND Z.w = {c}"))),
+        (0i64..3).prop_map(|c| ("LEFT JOIN", "t", format!(" AND Z.d = {c} AND Z.b > 0"))),
+    ];
+    (
+        proptest::collection::vec(leaf, 7..=10),
+        prop_oneof![Just("JOIN"), Just("LEFT JOIN"), Just("RIGHT JOIN")],
+        0u32..3,
+    )
+        .prop_map(|(leaves, j1, shape)| {
+            let n = leaves.len() + 2;
+            let mut from = format!("FROM t z1 {j1} r z2 ON z1.a = z2.a");
+            for (i, (jt, source, extra)) in leaves.into_iter().enumerate() {
+                let z = format!("z{}", i + 3);
+                let extra = extra.replace('Z', &z);
+                from.push_str(&format!(" {jt} {source} {z} ON z2.a = {z}.a{extra}"));
+            }
+            match shape {
+                0 => format!("SELECT COUNT(*), SUM(z1.d), COUNT(z{n}.a) {from}"),
+                1 => format!(
+                    "SELECT z1.c, z2.w, z{n}.a {from} WHERE z2.u IS NOT NULL \
+                     ORDER BY z1.c, z2.w, z{n}.a, z1.b LIMIT 9"
+                ),
+                _ => format!(
+                    "SELECT z1.d, COUNT(*) AS n, MIN(z{n}.a) {from} \
+                     GROUP BY z1.d ORDER BY n DESC, 1"
+                ),
+            }
+        })
+        .boxed()
+}
+
+/// `IN` / `NOT IN` / `EXISTS` subquery predicates, with NULLs on both
+/// sides of the membership test (`t.a`, `t.d`, `r.a` and `r.w` are all
+/// nullable), in a single-table block, under a join, and with a set
+/// operation as the subquery.
+fn arb_subquery_pred() -> BoxedStrategy<String> {
+    let sub = prop_oneof![
+        Just("SELECT a FROM r".to_string()),
+        (-4i64..5).prop_map(|c| format!("SELECT w FROM r WHERE w > {c}")),
+        arb_pred().prop_map(|p| format!("SELECT d FROM t WHERE {p}")),
+        Just("SELECT a FROM r INTERSECT SELECT d FROM t".to_string()),
+        Just("SELECT NULL".to_string()),
+    ];
+    let pred = prop_oneof![
+        sub.clone().prop_map(|q| format!("x.a IN ({q})")),
+        sub.clone().prop_map(|q| format!("x.a NOT IN ({q})")),
+        sub.clone()
+            .prop_map(|q| format!("x.d NOT IN ({q}) AND x.c IS NOT NULL")),
+        sub.clone().prop_map(|q| format!("EXISTS ({q})")),
+        sub.prop_map(|q| format!("NOT EXISTS ({q}) OR x.a > 0")),
+        (-4i64..5).prop_map(|c| format!("EXISTS (SELECT 1 FROM r WHERE w = {c})")),
+    ];
+    (pred, 0u32..4)
+        .prop_map(|(p, shape)| match shape {
+            0 => format!("SELECT x.a, x.c FROM t x WHERE {p} ORDER BY x.a, x.c"),
+            1 => format!("SELECT COUNT(*), SUM(x.b) FROM t x WHERE {p}"),
+            2 => format!(
+                "SELECT x.a, y.w FROM t x JOIN r y ON x.a = y.a WHERE {p} ORDER BY x.a, y.w, y.u"
+            ),
+            _ => format!(
+                "SELECT x.d, COUNT(*) FROM t x LEFT JOIN r y ON x.a = y.a AND {p} \
+                 GROUP BY x.d ORDER BY 1"
+            ),
+        })
+        .boxed()
 }
 
 proptest! {
@@ -496,18 +640,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Same contract for the plan-IR shapes: join trees, outer/cross/
-    /// non-equi joins, derived tables and UNIONs must be byte-identical
-    /// to the row interpreter — including *which* runtime error
+    /// Same contract for the tree shapes: join trees of any width,
+    /// outer/cross/non-equi joins, derived tables, set operations and
+    /// expression subqueries must be byte-identical to the oracle,
+    /// sequentially and at 4 workers — including *which* runtime error
     /// surfaces on fallible computed tails.
     #[test]
     fn engines_agree_on_random_tree_queries(
         trows in arb_rows(),
         rrows in arb_r_rows(),
         sql in arb_tree_query(),
+        workers in prop_oneof![Just(1usize), Just(4usize)],
     ) {
+        // A generator typo must not hide as "both sides report the same
+        // parse error".
+        prop_assert!(parse_query(&sql).is_ok(), "generated SQL parses: {}", sql);
         let mut db = build_db(trows);
         add_r(&mut db, rrows);
+        parallelize(&db, workers);
         let vectorized = db.execute_sql(&sql);
         let row = db.execute_sql_row(&sql);
         match (vectorized, row) {
@@ -854,31 +1004,25 @@ fn exec_trace_reports_topk_pushdown() {
     };
     // Eligible: ORDER BY + LIMIT smaller than the input, no DISTINCT.
     let t = case("SELECT a, b FROM t ORDER BY b DESC LIMIT 3");
-    assert!(t.vectorized() && t.topk, "plain top-K should engage: {t:?}");
+    assert!(t.topk, "plain top-K should engage: {t:?}");
     // Grouped top-K over group indices.
     let t = case("SELECT d, COUNT(*) AS n FROM t GROUP BY d ORDER BY n DESC, d LIMIT 2");
-    assert!(
-        t.vectorized() && t.topk,
-        "grouped top-K should engage: {t:?}"
-    );
+    assert!(t.topk, "grouped top-K should engage: {t:?}");
     // No LIMIT → full sort, no pushdown.
     let t = case("SELECT a, b FROM t ORDER BY b DESC");
-    assert!(
-        t.vectorized() && !t.topk,
-        "full sort is not a top-K hit: {t:?}"
-    );
+    assert!(!t.topk, "full sort is not a top-K hit: {t:?}");
     // DISTINCT disables the bounded path (dedupe follows the sort).
     let t = case("SELECT DISTINCT d FROM t ORDER BY d LIMIT 3");
-    assert!(t.vectorized() && !t.topk, "DISTINCT disables top-K: {t:?}");
+    assert!(!t.topk, "DISTINCT disables top-K: {t:?}");
     // LIMIT covering the whole input: nothing to bound.
     let t = case("SELECT a FROM t ORDER BY a LIMIT 500");
-    assert!(
-        t.vectorized() && !t.topk,
-        "covering LIMIT is not a hit: {t:?}"
-    );
-    // Row-engine fallback never reports top-K.
-    let t = case("SELECT a FROM t INTERSECT SELECT d FROM t");
-    assert!(!t.vectorized() && !t.topk, "row fallback: {t:?}");
+    assert!(!t.topk, "covering LIMIT is not a hit: {t:?}");
+    // A set operation's own tail is a full sort over its output…
+    let t = case("SELECT a FROM t INTERSECT SELECT d FROM t ORDER BY 1 LIMIT 3");
+    assert!(!t.topk, "set-op tails do not push down: {t:?}");
+    // …but a nested execution's pushdown is part of the query's trace.
+    let t = case("SELECT COUNT(*) FROM (SELECT a FROM t ORDER BY b DESC LIMIT 3) s");
+    assert!(t.topk, "a derived table's top-K counts: {t:?}");
 }
 
 /// `Value::total_cmp` is not transitive across physical types: Int-vs-Int
@@ -1564,71 +1708,4 @@ fn join_order_by_unprojected_and_late_materialization() {
     );
     assert_eq!(rs.rows.len(), 5);
     assert_eq!(rs.rows[0], vec![Value::str("a")]); // w=10 first
-}
-
-// ---- routing sanity -------------------------------------------------------
-
-#[test]
-fn vectorized_path_engages_on_supported_shapes() {
-    let db = null_db();
-    for sql in [
-        "SELECT COUNT(*) FROM t WHERE a > 1",
-        "SELECT d, SUM(a) FROM t GROUP BY d",
-        "SELECT a, c FROM t WHERE c LIKE 'a%' ORDER BY a LIMIT 3",
-        "SELECT COUNT(DISTINCT c) FROM t",
-        // Two-table equi-joins route through the columnar join pipeline.
-        "SELECT COUNT(*) FROM t u JOIN t v ON u.a = v.a",
-        "SELECT COUNT(*) FROM t u LEFT JOIN t v ON u.a = v.a WHERE v.d > 1",
-        "SELECT u.d, SUM(v.b) FROM t u JOIN t v USING (d) GROUP BY u.d",
-        "SELECT COUNT(*) FROM t u JOIN t v ON u.a = v.a AND u.b < v.b",
-        // Plan-IR shapes: join trees, outer/cross/non-equi joins,
-        // derived tables (standalone and as join leaves), and UNION.
-        "SELECT COUNT(*) FROM t u JOIN t v ON u.a = v.a JOIN t w ON v.a = w.a",
-        "SELECT COUNT(*) FROM t u RIGHT JOIN t v ON u.a = v.a",
-        "SELECT COUNT(*) FROM t u FULL JOIN t v ON u.a = v.a",
-        "SELECT COUNT(*) FROM t u CROSS JOIN t v",
-        "SELECT COUNT(*) FROM t u JOIN t v ON u.a < v.a",
-        "SELECT COUNT(*) FROM (SELECT a FROM t) s",
-        "SELECT COUNT(*) FROM t u JOIN (SELECT a FROM t) s ON u.a = s.a",
-        "SELECT a FROM t UNION SELECT d FROM t",
-        "SELECT a FROM t UNION ALL SELECT d FROM t ORDER BY a LIMIT 5",
-        // `WITH` is expanded before routing, so CTE references are the
-        // derived-table shapes above.
-        "WITH x AS (SELECT a FROM t) SELECT COUNT(*) FROM x",
-        "SELECT COUNT(*) FROM t u \
-         JOIN (WITH x AS (SELECT a FROM t) SELECT a FROM x) s ON u.a = s.a",
-    ] {
-        let q = parse_query(sql).unwrap();
-        assert!(
-            db.route_decision(&q).is_vectorized(),
-            "expected vectorized execution for: {sql}"
-        );
-    }
-}
-
-#[test]
-fn vectorized_path_declines_unsupported_shapes() {
-    let db = null_db();
-    for sql in [
-        "SELECT 1 + 2",
-        // Residual shapes the plan IR still leaves to the row engine:
-        // INTERSECT/EXCEPT, >8-leaf join trees, derived join leaves
-        // without a static output shape, unresolvable ON constraints.
-        "SELECT a FROM t INTERSECT SELECT d FROM t",
-        "SELECT a FROM t EXCEPT SELECT d FROM t",
-        "SELECT COUNT(*) FROM t t1 JOIN t t2 ON t1.a = t2.a \
-         JOIN t t3 ON t2.a = t3.a JOIN t t4 ON t3.a = t4.a \
-         JOIN t t5 ON t4.a = t5.a JOIN t t6 ON t5.a = t6.a \
-         JOIN t t7 ON t6.a = t7.a JOIN t t8 ON t7.a = t8.a \
-         JOIN t t9 ON t8.a = t9.a",
-        "SELECT COUNT(*) FROM t u \
-         JOIN (SELECT a FROM t UNION SELECT d FROM t) s ON u.a = s.a",
-        "SELECT COUNT(*) FROM t u JOIN t v ON u.nope = v.a",
-    ] {
-        let q = parse_query(sql).unwrap();
-        assert!(
-            !db.route_decision(&q).is_vectorized(),
-            "expected row-engine fallback for: {sql}"
-        );
-    }
 }

@@ -3,7 +3,7 @@
 //! document ([`MetricsReport::to_json`]).
 //!
 //! The report joins two sources: the service's [`TelemetrySnapshot`]
-//! (counters, routing breakdown, latency histograms, slow-query log) and
+//! (counters, latency histograms, slow-query log) and
 //! the [`BudgetLedger`]'s per-analyst budget burn. Exposition carries
 //! only operational data — canonical query text, counts and timings —
 //! never result rows or raw data values.
@@ -107,9 +107,7 @@ impl MetricsReport {
     /// Render the report in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP`/`# TYPE` comments, one sample per line,
     /// label values escaped per the spec. Every [`SCALARS`] row grouped
-    /// by kind, every [`FallbackReason`](flex_db::FallbackReason) label
-    /// (zeros included, so dashboards see a stable label set), the
-    /// [`LATENCIES`] histograms as summaries (`quantile` labels plus
+    /// by kind, the [`LATENCIES`] histograms as summaries (`quantile` labels plus
     /// `_sum`/`_count`), then [`ANALYST_GAUGES`]; the slow-query log is
     /// JSON-only (Prometheus samples are numeric).
     pub fn prometheus(&self) -> String {
@@ -118,19 +116,12 @@ impl MetricsReport {
         let header = |out: &mut String, name: &str, help: &str, kind: &str| {
             let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
         };
-        // Exposition order: counters, the `reason` family, gauges.
-        for kind in [Kind::Counter, Kind::ReasonCounter, Kind::Gauge] {
+        // Exposition order: counters, then gauges.
+        for kind in [Kind::Counter, Kind::Gauge] {
             for m in SCALARS.iter().filter(|m| m.kind == kind) {
                 let name = m.prometheus;
                 header(&mut out, name, m.help, kind.prometheus_type());
-                if kind == Kind::ReasonCounter {
-                    for (reason, n) in &t.fallback_reasons {
-                        let reason = escape_label(reason.as_str());
-                        let _ = writeln!(out, "{name}{{reason=\"{reason}\"}} {n}");
-                    }
-                } else {
-                    let _ = writeln!(out, "{name} {}", (m.get)(t));
-                }
+                let _ = writeln!(out, "{name} {}", (m.get)(t));
             }
         }
         for m in LATENCIES {
@@ -170,14 +161,6 @@ impl MetricsReport {
         let mut telemetry = Vec::new();
         for m in SCALARS {
             telemetry.push(entry(m.key, (m.get)(t).into()));
-            if m.kind == Kind::ReasonCounter {
-                let by_reason = t.fallback_reasons.iter();
-                let by_reason = by_reason.map(|(r, n)| entry(r.as_str(), (*n).into()));
-                telemetry.push(entry(
-                    "fallback_reasons",
-                    Value::Object(by_reason.collect()),
-                ));
-            }
         }
         for m in LATENCIES {
             telemetry.push(entry(m.key, latency_json((m.get)(t))));
@@ -249,7 +232,6 @@ fn slow_query_json(q: &SlowQuery) -> Value {
             "execution": ns(q.trace.execution),
             "perturbation": ns(q.trace.perturbation)
         },
-        "route": q.trace.exec.route.as_str(),
         "topk": q.trace.exec.topk,
         "morsels": q.trace.exec.morsels,
         "workers": q.trace.exec.workers,
@@ -263,15 +245,15 @@ mod tests {
     use super::*;
     use crate::ledger::LedgerPolicy;
     use crate::telemetry::{QueryTrace, Telemetry};
-    use flex_db::{ExecTrace, FallbackReason, RouteDecision};
+    use flex_db::ExecTrace;
 
     /// A report in which every [`SCALARS`] row holds its own value
-    /// (`1000 + row index`), two queries completed (one vectorized and
-    /// slow-logged, one fallback) and two analysts spent budget — one
-    /// with a name that needs label escaping.
+    /// (`1000 + row index`), two queries completed (one slow-logged) and
+    /// two analysts spent budget — one with a name that needs label
+    /// escaping.
     fn sample_report() -> MetricsReport {
         let t = Telemetry::default();
-        let mut trace = QueryTrace {
+        let trace = QueryTrace {
             analysis: Duration::from_micros(250),
             execution: Duration::from_micros(900),
             perturbation: Duration::from_micros(40),
@@ -281,7 +263,7 @@ mod tests {
                 workers: 4,
                 rows_scanned: 8192,
                 rows_emitted: 3,
-                ..ExecTrace::new(RouteDecision::Vectorized)
+                ..ExecTrace::default()
             })
         };
         t.record_completed(&trace);
@@ -292,7 +274,6 @@ mod tests {
             delta: 1e-9,
             trace,
         });
-        trace.exec.route = RouteDecision::Fallback(FallbackReason::MultiTableJoin);
         t.record_completed(&trace);
         for (i, m) in SCALARS.iter().enumerate() {
             t.set(m.metric, 1000 + i as u64);
@@ -388,23 +369,8 @@ mod tests {
             once(&display, format!("  {:<18}{value:>10}", m.label));
             once(&prom, format!("# HELP {name} {}", m.help));
             once(&prom, format!("# TYPE {name} {}", m.kind.prometheus_type()));
-            if m.kind == Kind::ReasonCounter {
-                for (reason, n) in &t.fallback_reasons {
-                    once(&prom, format!("{name}{{reason=\"{reason}\"}} {n}"));
-                }
-            } else {
-                once(&prom, format!("{name} {value}"));
-            }
+            once(&prom, format!("{name} {value}"));
             assert_eq!(telemetry.get(m.key).unwrap().as_i64(), Some(value as i64));
-        }
-        let by_reason = telemetry.get("fallback_reasons").unwrap();
-        for (reason, n) in &t.fallback_reasons {
-            let expect = u64::from(*reason == FallbackReason::MultiTableJoin);
-            assert_eq!(*n, expect, "{reason}");
-            assert_eq!(
-                by_reason.get(reason.as_str()).unwrap().as_i64(),
-                Some(expect as i64)
-            );
         }
 
         for m in LATENCIES {
@@ -445,7 +411,7 @@ mod tests {
         let serde_json::Value::Object(entries) = telemetry else {
             panic!("telemetry is an object");
         };
-        assert_eq!(entries.len(), SCALARS.len() + 1 + LATENCIES.len());
+        assert_eq!(entries.len(), SCALARS.len() + LATENCIES.len());
         for (i, (key, _)) in entries.iter().enumerate() {
             assert!(entries[..i].iter().all(|(k, _)| k != key), "{key} twice");
         }
@@ -482,7 +448,7 @@ mod tests {
             slow[0].get("canonical_sql").unwrap().as_str(),
             Some("SELECT COUNT(*) FROM trips")
         );
-        assert_eq!(slow[0].get("route").unwrap().as_str(), Some("vectorized"));
+        assert_eq!(slow[0].get("rows_scanned").unwrap().as_i64(), Some(8192));
     }
 
     #[test]

@@ -800,10 +800,9 @@ fn run_job(shared: &Shared, job: Job) {
             let waiters = shared.cache.complete(job.key.clone(), answer);
             // One structured trace per release: the front-door spans
             // measured by `submit`, the queue wait, the three FLEX stage
-            // timings, and the execution engine's own routing record
-            // (observed by the pipeline itself — no second planning
-            // pass). Feeds the stage histograms, the per-reason fallback
-            // counters and the slow-query log in one shot.
+            // timings, and the executor's own record of the run. Feeds
+            // the stage histograms, the top-K counter and the
+            // slow-query log in one shot.
             let trace = QueryTrace {
                 parse: job.parse,
                 canonicalize: job.canonicalize,
@@ -1179,42 +1178,28 @@ mod tests {
         );
     }
 
+    /// Only computed queries reach the executor: a cache hit moves
+    /// neither the completion count nor the execution histogram.
     #[test]
-    fn telemetry_tracks_engine_routing() {
+    fn cache_hits_execute_nothing() {
         let svc = service(ServiceConfig::default());
-        // Vectorized: single-table counting query.
         svc.query("a", "SELECT COUNT(*) FROM trips", params(0.1))
             .unwrap();
-        // Vectorized: two-table equi-join (self-join on id).
         svc.query(
             "a",
             "SELECT COUNT(*) FROM trips t JOIN trips u ON t.id = u.id",
             params(0.1),
         )
         .unwrap_or_else(|_| panic!("join query should run"));
-        // Row fallback: a nine-leaf join tree (completes through the
-        // pipeline, but the plan IR caps trees at eight leaves).
-        svc.query(
-            "a",
-            "SELECT COUNT(*) FROM trips t1 JOIN trips t2 ON t1.id = t2.id \
-             JOIN trips t3 ON t2.id = t3.id JOIN trips t4 ON t3.id = t4.id \
-             JOIN trips t5 ON t4.id = t5.id JOIN trips t6 ON t5.id = t6.id \
-             JOIN trips t7 ON t6.id = t7.id JOIN trips t8 ON t7.id = t8.id \
-             JOIN trips t9 ON t8.id = t9.id",
-            params(0.1),
-        )
-        .unwrap();
         let t = svc.telemetry();
-        assert_eq!(t.vectorized_hits, 2, "snapshot: {t}");
-        assert_eq!(t.row_fallbacks, 1, "snapshot: {t}");
-        // Cache hits execute nothing: counters must not move.
+        assert_eq!(t.completed, 2, "snapshot: {t}");
         let hit = svc
             .query("b", "SELECT COUNT(*) FROM trips", params(0.1))
             .unwrap();
         assert!(hit.from_cache);
         let t2 = svc.telemetry();
-        assert_eq!(t2.vectorized_hits, t.vectorized_hits);
-        assert_eq!(t2.row_fallbacks, t.row_fallbacks);
+        assert_eq!(t2.completed, t.completed);
+        assert_eq!(t2.execution_latency.count(), 2);
     }
 
     /// `topk_hits` is reported by the pipeline itself: a dashboard-shaped
@@ -1231,7 +1216,7 @@ mod tests {
             params(0.1),
         )
         .unwrap();
-        // Vectorized but unbounded: no LIMIT, no pushdown.
+        // Unbounded: no LIMIT, no pushdown.
         svc.query(
             "a",
             "SELECT city_id, COUNT(*) FROM trips GROUP BY city_id ORDER BY 2 DESC, 1",
@@ -1240,7 +1225,7 @@ mod tests {
         .unwrap();
         let t = svc.telemetry();
         assert_eq!(t.topk_hits, 1, "snapshot: {t}");
-        assert_eq!(t.vectorized_hits, 2, "snapshot: {t}");
+        assert_eq!(t.completed, 2, "snapshot: {t}");
         assert!(t.to_string().contains("top-K pushdowns"), "snapshot: {t}");
     }
 
@@ -1327,8 +1312,7 @@ mod tests {
 
     /// Computed responses carry the full per-query trace; cache hits
     /// (which compute nothing) carry none. The same trace feeds the
-    /// telemetry histograms, the per-reason fallback counters and the
-    /// slow-query log.
+    /// telemetry histograms and the slow-query log.
     #[test]
     fn responses_carry_query_traces() {
         let svc = service(ServiceConfig::default());
@@ -1336,7 +1320,6 @@ mod tests {
             .query("alice", "SELECT COUNT(*) FROM trips", params(0.5))
             .unwrap();
         let trace = r.trace.expect("computed response has a trace");
-        assert!(trace.exec.route.is_vectorized(), "trace: {trace:?}");
         assert_eq!(trace.exec.rows_scanned, 500);
         assert_eq!(trace.exec.rows_emitted, 1);
         assert!(trace.total() > std::time::Duration::ZERO);
@@ -1345,10 +1328,9 @@ mod tests {
             .unwrap();
         assert!(hit.from_cache && hit.trace.is_none());
 
-        // A join tree past the plan IR's eight-leaf cap falls back with
-        // a *specific* reason, and the response trace agrees with the
-        // telemetry breakdown.
-        let fb = svc
+        // A nine-leaf join tree is one more query to the executor: its
+        // trace counts every leaf scan and all eight joins.
+        let wide = svc
             .query(
                 "alice",
                 "SELECT COUNT(*) FROM trips t1 JOIN trips t2 ON t1.id = t2.id \
@@ -1359,18 +1341,9 @@ mod tests {
                 params(0.5),
             )
             .unwrap();
-        use flex_db::{FallbackReason, RouteDecision};
-        assert_eq!(
-            fb.trace.unwrap().exec.route,
-            RouteDecision::Fallback(FallbackReason::MultiTableJoin)
-        );
+        let exec = wide.trace.unwrap().exec;
+        assert_eq!((exec.rows_scanned, exec.join_order.joins), (9 * 500, 8));
         let t = svc.telemetry();
-        let multi = t
-            .fallback_reasons
-            .iter()
-            .find(|(r, _)| *r == FallbackReason::MultiTableJoin)
-            .map(|(_, n)| *n);
-        assert_eq!(multi, Some(1), "snapshot: {t}");
         assert_eq!(t.latency.count(), 2, "two computed queries");
         assert_eq!(t.slow_queries.len(), 2);
         assert!(t

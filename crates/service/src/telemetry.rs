@@ -1,14 +1,14 @@
-//! Service telemetry: lock-free counters, per-variant fallback-reason
-//! counters, log-bucketed latency histograms, per-query trace spans and
-//! a bounded slow-query log — snapshotable for ops dashboards and
-//! exported through [`crate::export`].
+//! Service telemetry: lock-free counters, log-bucketed latency
+//! histograms, per-query trace spans and a bounded slow-query log —
+//! snapshotable for ops dashboards and exported through
+//! [`crate::export`].
 //!
 //! Everything on the query path is a relaxed atomic update: counters and
 //! histogram buckets never contend with query execution. The only lock
 //! is around the slow-query log, taken once per *completed* query to
 //! insert into a bounded, sorted vector.
 
-use flex_db::{ExecTrace, FallbackReason, RouteDecision};
+use flex_db::ExecTrace;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -134,8 +134,8 @@ impl LatencySnapshot {
 /// The structured trace of one completed query: every span of the
 /// serving pipeline — parse, canonicalize, admission, queue wait, the
 /// three FLEX stages — plus the execution layer's own [`ExecTrace`]
-/// (engine routing with fallback reason, top-K pushdown, morsel/worker/
-/// row statistics). Spans are wall-clock, measured by the stage that ran
+/// (top-K pushdown, morsel/worker/row statistics, join order). Spans
+/// are wall-clock, measured by the stage that ran
 /// them; `total()` is their sum, i.e. time attributable to the pipeline
 /// rather than client-observed latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,10 +217,6 @@ impl SlowQuery {
 pub enum Kind {
     /// A monotonic count (Prometheus `counter`).
     Counter,
-    /// The row-fallback total: a counter that Prometheus exposes as one
-    /// `reason`-labelled sample per [`FallbackReason`], and JSON and
-    /// `Display` follow with the per-reason breakdown.
-    ReasonCounter,
     /// A point-in-time value (Prometheus `gauge`).
     Gauge,
 }
@@ -229,7 +225,7 @@ impl Kind {
     /// The Prometheus `# TYPE` of a metric of this kind.
     pub fn prometheus_type(self) -> &'static str {
         match self {
-            Kind::Counter | Kind::ReasonCounter => "counter",
+            Kind::Counter => "counter",
             Kind::Gauge => "gauge",
         }
     }
@@ -244,7 +240,7 @@ pub struct ScalarMetric {
     pub metric: Metric,
     /// Prometheus metric name.
     pub prometheus: &'static str,
-    /// Counter, gauge, or the `reason`-labelled family.
+    /// Counter or gauge.
     pub kind: Kind,
     /// `Display` label.
     pub label: &'static str,
@@ -319,10 +315,6 @@ macro_rules! metric_table {
         #[derive(Debug, Clone, PartialEq)]
         pub struct TelemetrySnapshot {
             $( #[doc = $help] $(#[$sdoc])* pub $field: u64, )*
-            /// Row-interpreter fallbacks broken down by concrete reason,
-            /// every variant present in [`FallbackReason::ALL`] order;
-            /// they sum to `row_fallbacks`.
-            pub fallback_reasons: Vec<(FallbackReason, u64)>,
             $( #[doc = $lhelp] pub $lfield: LatencySnapshot, )*
             /// The slowest completed queries (canonical SQL, privacy cost
             /// and trace only — never data), slowest first, at most
@@ -337,10 +329,6 @@ macro_rules! metric_table {
                 let mut latencies = self.latencies.iter().map(LatencyHistogram::snapshot);
                 TelemetrySnapshot {
                     $( $field: self.cell(Metric::$variant).load(Ordering::Relaxed), )*
-                    fallback_reasons: FallbackReason::ALL
-                        .iter()
-                        .map(|&r| (r, self.fallbacks[r.index()].load(Ordering::Relaxed)))
-                        .collect(),
                     $( $lfield: latencies.next().expect("one histogram per LATENCIES row"), )*
                     slow_queries: self.slow.lock().map(|log| log.clone()).unwrap_or_default(),
                 }
@@ -399,16 +387,9 @@ metric_table! {
         WalRecoveryReplayed wal_recovery_replayed: Gauge,
             "flex_wal_recovery_replayed_records", "wal replayed",
             "WAL records replayed into the ledger at the last startup.";
-        /// As reported by the pipeline itself. Together with
-        /// `row_fallbacks` this makes fast-path coverage observable in
-        /// production; cache hits and coalesced requests execute nothing,
-        /// and requests that fail before release are counted in neither.
-        VectorizedHits vectorized_hits: Counter, "flex_vectorized_total", "vectorized",
-            "Completed queries executed on the vectorized columnar engine.";
-        RowFallbacks row_fallbacks: ReasonCounter, "flex_row_fallbacks_total", "row fallbacks",
-            "Completed queries that fell back to the row interpreter, by reason.";
-        /// A subset of `vectorized_hits`; byte-identical results, surfaced
-        /// so dashboards can see how often the pushdown engages.
+        /// As reported by the pipeline itself (a nested execution's
+        /// pushdown counts for its query); byte-identical results,
+        /// surfaced so dashboards can see how often the pushdown engages.
         TopkHits topk_hits: Counter, "flex_topk_pushdown_total", "top-K pushdowns",
             "Vectorized queries whose ORDER BY/LIMIT tail ran as top-K.";
         /// Morsel-driven parallelism; 1 = sequential execution. The
@@ -449,9 +430,6 @@ metric_table! {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     scalars: [AtomicU64; SCALARS.len()],
-    /// Row-interpreter fallbacks, one counter per [`FallbackReason`]
-    /// variant (indexed by `FallbackReason::index`).
-    fallbacks: [AtomicU64; FallbackReason::ALL.len()],
     latencies: [LatencyHistogram; LATENCIES.len()],
     slow: Mutex<Vec<SlowQuery>>,
 }
@@ -476,20 +454,12 @@ impl Telemetry {
 
     /// Record one completed (computed, about-to-release) query: bumps
     /// the completion counter, folds the trace into every latency
-    /// histogram, and counts the routing decision — per-variant for
-    /// fallbacks — plus the top-K pushdown flag. Cache hits and
+    /// histogram, and counts the top-K pushdown flag. Cache hits and
     /// coalesced requests execute nothing and must not be recorded here.
     pub fn record_completed(&self, trace: &QueryTrace) {
         self.incr(Metric::Completed);
         for (histogram, row) in self.latencies.iter().zip(LATENCIES) {
             histogram.record((row.span)(trace));
-        }
-        match trace.exec.route {
-            RouteDecision::Vectorized => self.incr(Metric::VectorizedHits),
-            RouteDecision::Fallback(reason) => {
-                self.incr(Metric::RowFallbacks);
-                self.fallbacks[reason.index()].fetch_add(1, Ordering::Relaxed);
-            }
         }
         if trace.exec.topk {
             self.incr(Metric::TopkHits);
@@ -547,13 +517,6 @@ impl TelemetrySnapshot {
         let lookups = self.cache_hits + self.cache_misses + self.coalesced;
         share(self.cache_hits, lookups)
     }
-
-    /// Fraction of computed queries that ran on the vectorized engine,
-    /// in `[0, 1]` (0 when nothing has been computed yet).
-    pub fn vectorized_rate(&self) -> f64 {
-        let computed = self.vectorized_hits + self.row_fallbacks;
-        share(self.vectorized_hits, computed)
-    }
 }
 
 impl std::fmt::Display for TelemetrySnapshot {
@@ -561,21 +524,11 @@ impl std::fmt::Display for TelemetrySnapshot {
         writeln!(f, "service telemetry")?;
         for m in SCALARS {
             writeln!(f, "  {:<18}{:>10}", m.label, (m.get)(self))?;
-            if m.kind == Kind::ReasonCounter {
-                for (reason, n) in self.fallback_reasons.iter().filter(|(_, n)| *n > 0) {
-                    writeln!(f, "    {:<16}{n:>10}", reason.as_str())?;
-                }
-            }
         }
-        writeln!(
+        write!(
             f,
             "  hit rate          {:>9.1}% of lookups",
             100.0 * self.hit_rate()
-        )?;
-        write!(
-            f,
-            "  vectorized rate   {:>9.1}% of computed",
-            100.0 * self.vectorized_rate()
         )?;
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         for m in LATENCIES {
@@ -598,19 +551,15 @@ impl std::fmt::Display for TelemetrySnapshot {
 mod tests {
     use super::*;
 
-    /// A vectorized QueryTrace with the given stage timings
+    /// A QueryTrace with the given stage timings
     /// (parse/canonicalize/admission/queue zero).
     fn trace_ms(analysis: u64, execution: u64, perturbation: u64) -> QueryTrace {
         QueryTrace {
             analysis: Duration::from_millis(analysis),
             execution: Duration::from_millis(execution),
             perturbation: Duration::from_millis(perturbation),
-            ..QueryTrace::new(ExecTrace::new(RouteDecision::Vectorized))
+            ..QueryTrace::new(ExecTrace::default())
         }
-    }
-
-    fn fallback(reason: FallbackReason) -> QueryTrace {
-        QueryTrace::new(ExecTrace::new(RouteDecision::Fallback(reason)))
     }
 
     /// Every table row reads back through its own getter: `incr`
@@ -657,53 +606,25 @@ mod tests {
     fn zero_query_snapshot_has_finite_rates() {
         let s = Telemetry::default().snapshot();
         assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.vectorized_rate(), 0.0);
         assert_eq!(s.latency.p50(), Duration::ZERO);
         assert_eq!(s.latency.p99(), Duration::ZERO);
         assert!(s.slow_queries.is_empty());
         let text = s.to_string();
         assert!(!text.contains("NaN"), "Display leaked a NaN: {text}");
         assert!(text.contains("0.0% of lookups"), "snapshot: {text}");
-        assert!(text.contains("0.0% of computed"), "snapshot: {text}");
     }
 
-    /// Routing counters: vectorized vs fallback, the top-K flag, every
-    /// fallback counted under its own reason, and the display breaking
-    /// down the nonzero ones by name.
+    /// The top-K flag of a completed query's trace is counted.
     #[test]
-    fn engine_routing_counters() {
+    fn topk_pushdown_counter() {
         let t = Telemetry::default();
-        let vectorized = |topk: bool| {
+        for topk in [true, false, true] {
             let mut tr = trace_ms(0, 1, 0);
             tr.exec.topk = topk;
-            tr
-        };
-        t.record_completed(&vectorized(true));
-        t.record_completed(&vectorized(false));
-        t.record_completed(&vectorized(true));
-        t.record_completed(&fallback(FallbackReason::MultiTableJoin));
+            t.record_completed(&tr);
+        }
         let s = t.snapshot();
-        assert_eq!((s.vectorized_hits, s.row_fallbacks, s.topk_hits), (3, 1, 2));
-        assert!((s.vectorized_rate() - 0.75).abs() < 1e-12);
-        assert!(s.to_string().contains("75.0% of computed"));
-
-        t.record_completed(&fallback(FallbackReason::MultiTableJoin));
-        t.record_completed(&fallback(FallbackReason::SetOperation));
-        let s = t.snapshot();
-        assert_eq!(s.row_fallbacks, 3);
-        let expect = |r| match r {
-            FallbackReason::MultiTableJoin => 2,
-            FallbackReason::SetOperation => 1,
-            _ => 0,
-        };
-        // Every variant is present exactly once, in stable order.
-        assert_eq!(
-            s.fallback_reasons,
-            FallbackReason::ALL.map(|r| (r, expect(r))).to_vec()
-        );
-        let text = s.to_string();
-        assert!(text.contains("multi_table_join") && text.contains("set_operation"));
-        assert!(!text.contains("table_less"), "zero rows are hidden: {text}");
+        assert_eq!((s.completed, s.topk_hits), (3, 2));
     }
 
     /// The histogram's quantiles bracket the recorded values: a bucketed
@@ -830,7 +751,7 @@ mod tests {
             analysis: Duration::from_nanos(16),
             execution: Duration::from_nanos(32),
             perturbation: Duration::from_nanos(64),
-            exec: ExecTrace::new(RouteDecision::Vectorized),
+            exec: ExecTrace::default(),
         };
         assert_eq!(trace.total(), Duration::from_nanos(127));
     }

@@ -6,12 +6,16 @@
 //! work-stealing queue, the `unknown` / `unsupported_join_type` reason
 //! labels that went with those variants, and the `cte` reason label
 //! (deleted from both files, nothing else touched) that went when `WITH`
-//! started being expanded before routing. One Prometheus block sits
+//! started being expanded before routing, and — deleted the same way —
+//! everything that arbitrated between two engines once there was one:
+//! the `flex_vectorized_total` and `flex_row_fallbacks_total{reason=…}`
+//! series, the `vectorized_hits` / `row_fallbacks` / `fallback_reasons`
+//! keys and each slow query's `route` key. One Prometheus block sits
 //! elsewhere than it did: `flex_wal_recovery_replayed_records` was the
 //! last scalar gauge and is now the first, because both renderers walk
 //! one table and its JSON key precedes the other gauges'.
 
-use flex_db::{ExecTrace, FallbackReason, JoinOrder, RouteDecision};
+use flex_db::ExecTrace;
 use flex_service::{
     AnalystBudget, LatencySnapshot, MetricsReport, QueryTrace, SlowQuery, TelemetrySnapshot,
 };
@@ -28,8 +32,7 @@ fn latency(seed: u64) -> LatencySnapshot {
     }
 }
 
-/// Every scalar distinct and non-zero, every reason counted, distinct
-/// histograms, one slow query, two analysts, one name needing every
+/// Every scalar distinct and non-zero, distinct histograms, one slow query, two analysts, one name needing every
 /// Prometheus label escape.
 fn populated_report() -> MetricsReport {
     let telemetry = TelemetrySnapshot {
@@ -48,12 +51,6 @@ fn populated_report() -> MetricsReport {
         wal_fsyncs: 113,
         wal_errors: 114,
         wal_recovery_replayed: 115,
-        vectorized_hits: 116,
-        row_fallbacks: 117,
-        fallback_reasons: FallbackReason::ALL
-            .iter()
-            .map(|&r| (r, r.as_str().bytes().map(u64::from).sum()))
-            .collect(),
         topk_hits: 118,
         exec_parallelism: 119,
         queue_depth: 120,
@@ -78,13 +75,12 @@ fn populated_report() -> MetricsReport {
                 execution: Duration::from_nanos(306),
                 perturbation: Duration::from_nanos(307),
                 exec: ExecTrace {
-                    route: RouteDecision::Fallback(FallbackReason::MultiTableJoin),
                     topk: true,
                     morsels: 308,
                     workers: 309,
                     rows_scanned: 310,
                     rows_emitted: 311,
-                    join_order: JoinOrder::default(),
+                    ..ExecTrace::default()
                 },
             },
         }],

@@ -49,10 +49,7 @@ pub mod prelude {
         AnalyzedQuery, BudgetedFlex, Composition, FlexError, FlexOptions, FlexResult,
         PrivacyBudget, PrivacyParams, SensExpr, SmoothSensitivity,
     };
-    pub use flex_db::{
-        DataType, Database, ExecTrace, FallbackReason, ResultSet, RouteDecision, Schema, Table,
-        Value,
-    };
+    pub use flex_db::{DataType, Database, ExecTrace, ResultSet, Schema, Table, Value};
     pub use flex_service::{
         BudgetLedger, FsyncPolicy, LedgerPolicy, MetricsReport, QueryService, QueryTrace,
         RecoveryReport, ServiceConfig, ServiceError, ServiceResponse, TelemetrySnapshot,

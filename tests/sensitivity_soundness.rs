@@ -198,10 +198,10 @@ fn skewed_self_join_still_bounded() {
 
 // ---- CTE scoping: analysis and execution bind the same tables ----------
 //
-// `WITH` used to be bound three times under two rules — dynamically by the
-// analysis, lexically by the row engine, not at all by the vectorized one —
-// so a query could be analysed over one table and executed over another.
-// It is now expanded once (`flex_sql::inline_ctes`) before any of them.
+// `WITH` used to be bound separately by the analysis and by execution,
+// under two rules, so a query could be analysed over one table and
+// executed over another. It is now expanded once
+// (`flex_sql::inline_ctes`) before either.
 
 /// 1000 private `trips`, 3 public `cities`.
 fn trips_and_cities() -> Database {
@@ -281,7 +281,6 @@ fn cte_named_after_its_own_source_is_not_recursive() {
             parse_query("WITH trips AS (SELECT * FROM trips) SELECT COUNT(*) FROM trips").unwrap();
         let analysis = analyze(&q, &db).unwrap();
         assert_eq!(analysis.sensitivity().eval(0), 1.0);
-        assert!(db.route_decision(&q).is_vectorized());
         (
             db.execute(&q).unwrap().rows,
             db.execute_row(&q).unwrap().rows,
@@ -292,7 +291,7 @@ fn cte_named_after_its_own_source_is_not_recursive() {
 }
 
 /// Nor a later one: with no base table `b`, a forward reference is an
-/// unknown table to the analysis and to both engines alike.
+/// unknown table to the analysis, the executor and the oracle alike.
 #[test]
 fn cte_forward_reference_is_an_unknown_table_everywhere() {
     let db = trips_and_cities();
