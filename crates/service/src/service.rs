@@ -186,18 +186,35 @@ impl ServiceResponse {
     }
 }
 
-/// Handle to an in-flight request; [`Ticket::wait`] blocks for the
-/// outcome.
+/// Handle to a request; [`Ticket::wait`] blocks for the outcome.
 #[derive(Debug)]
-pub struct Ticket {
-    rx: Receiver<ServiceResult<ServiceResponse>>,
+pub struct Ticket(Outcome);
+
+// `Ready` is nearly every ticket and is consumed at once; boxing it would
+// put an allocation back on the cache-hit path.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+enum Outcome {
+    /// Resolved inside `submit` — a cache hit, a rejection, a parse
+    /// error: nothing crosses a thread, so no channel is built.
+    Ready(ServiceResult<ServiceResponse>),
+    /// Queued for a worker, or parked on an identical in-flight
+    /// computation; whoever computes the release sends the outcome here.
+    Pending(Receiver<ServiceResult<ServiceResponse>>),
 }
 
 impl Ticket {
+    fn ready(outcome: ServiceResult<ServiceResponse>) -> Self {
+        Ticket(Outcome::Ready(outcome))
+    }
+
     /// Block until the request resolves (released answer, rejection, or
     /// [`ServiceError::Shutdown`] if the service dropped first).
     pub fn wait(self) -> ServiceResult<ServiceResponse> {
-        self.rx.recv().unwrap_or(Err(ServiceError::Shutdown))
+        match self.0 {
+            Outcome::Ready(outcome) => outcome,
+            Outcome::Pending(reply) => reply.recv().unwrap_or(Err(ServiceError::Shutdown)),
+        }
     }
 }
 
@@ -458,8 +475,9 @@ impl QueryService {
 
     /// Submit a query for `analyst`, returning a [`Ticket`] immediately.
     ///
-    /// Cache hits and rejections resolve the ticket without touching the
-    /// worker pool; everything else is answered asynchronously.
+    /// Cache hits, rejections and parse errors resolve the ticket here,
+    /// without touching the worker pool or building a channel; everything
+    /// else is answered asynchronously.
     ///
     /// ```
     /// use flex_core::PrivacyParams;
@@ -482,16 +500,13 @@ impl QueryService {
     pub fn submit(&self, analyst: &str, sql: &str, params: PrivacyParams) -> Ticket {
         let shared = &self.shared;
         shared.telemetry.incr(Metric::Submitted);
-        let (tx, rx) = channel();
-        let ticket = Ticket { rx };
 
         let started = Instant::now();
         let parsed = match parse_query(sql) {
             Ok(q) => q,
             Err(e) => {
                 shared.telemetry.incr(Metric::Failed);
-                let _ = tx.send(Err(ServiceError::from(e)));
-                return ticket;
+                return Ticket::ready(Err(ServiceError::from(e)));
             }
         };
         let parse_span = started.elapsed();
@@ -507,9 +522,15 @@ impl QueryService {
         // shard), so concurrent identical submissions can never each
         // charge budget for the same release.
         let admission_started = Instant::now();
+        let mut parked = None;
         let decision = shared.cache.admit(
             &key,
-            || (analyst.to_string(), tx.clone()),
+            // Runs only when the request coalesces.
+            || {
+                let (tx, rx) = channel();
+                parked = Some(rx);
+                (analyst.to_string(), tx)
+            },
             || {
                 shared
                     .ledger
@@ -520,7 +541,7 @@ impl QueryService {
             // Serving an already-released answer is post-processing: free.
             Admission::Hit(hit) => {
                 shared.telemetry.incr(Metric::CacheHits);
-                let _ = tx.send(Ok(ServiceResponse {
+                return Ticket::ready(Ok(ServiceResponse {
                     analyst: analyst.to_string(),
                     canonical_sql,
                     columns: hit.columns.clone(),
@@ -531,7 +552,6 @@ impl QueryService {
                     timings: None,
                     trace: None,
                 }));
-                return ticket;
             }
             // An identical query is already in flight: this request was
             // parked to piggyback on its release instead of paying for a
@@ -540,7 +560,8 @@ impl QueryService {
             // admission control".
             Admission::Coalesced => {
                 shared.telemetry.incr(Metric::Coalesced);
-                return ticket;
+                let reply = parked.expect("a coalesced request parked its waiter");
+                return Ticket(Outcome::Pending(reply));
             }
             // Admission control charged before any computation; the key
             // is now marked in flight.
@@ -551,11 +572,11 @@ impl QueryService {
             Admission::Rejected(e) => {
                 shared.telemetry.incr(Metric::CacheMisses);
                 shared.telemetry.incr(Metric::RejectedBudget);
-                let _ = tx.send(Err(e));
-                return ticket;
+                return Ticket::ready(Err(e));
             }
         };
 
+        let (tx, reply) = channel();
         let job = Job {
             analyst: analyst.to_string(),
             query,
@@ -581,7 +602,7 @@ impl QueryService {
             Err(PushError::Full(job)) => shed_job(shared, job),
             Err(PushError::Closed(job)) => abort_job(shared, job),
         }
-        ticket
+        Ticket(Outcome::Pending(reply))
     }
 
     /// Submit and block for the answer.
@@ -697,43 +718,39 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// An admitted job that can no longer reach a worker (queue closed):
-/// refund the charge, release any piggybacked waiters, and tell everyone.
-fn abort_job(shared: &Shared, job: Job) {
-    shared.telemetry.record_dequeued();
-    shared.telemetry.incr(Metric::Failed);
+/// An admitted job that will release nothing: refund the charge — the
+/// refund always precedes a release and never follows a settle — free
+/// the key's in-flight slot, and give the caller and every piggybacked
+/// waiter the same error.
+fn abandon(shared: &Shared, job: &Job, err: ServiceError) {
     shared.ledger.refund(&job.charge);
-    for (_, waiter) in shared.cache.fail(&job.key) {
-        let _ = waiter.send(Err(ServiceError::Shutdown));
-    }
-    let _ = job.respond.send(Err(ServiceError::Shutdown));
-}
-
-/// An admitted job shed at the queue (at capacity): refund the charge —
-/// nothing will be released — and tell the caller (and any piggybacked
-/// waiters) to retry later.
-fn shed_job(shared: &Shared, job: Job) {
-    shared.telemetry.record_dequeued();
-    shared.telemetry.incr(Metric::Shed);
-    shared.ledger.refund(&job.charge);
-    for (_, waiter) in shared.cache.fail(&job.key) {
-        let _ = waiter.send(Err(ServiceError::Overloaded));
-    }
-    let _ = job.respond.send(Err(ServiceError::Overloaded));
-}
-
-/// A job found past its deadline (at dequeue or between pipeline
-/// stages): refund — the refund always precedes the release, never
-/// follows a settle — and report the timeout distinctly from failures.
-fn timeout_job(shared: &Shared, job: &Job) {
-    shared.telemetry.incr(Metric::Timeouts);
-    shared.ledger.refund(&job.charge);
-    let timeout = shared.query_timeout.unwrap_or_default();
-    let err = ServiceError::Timeout { timeout };
     for (_, waiter) in shared.cache.fail(&job.key) {
         let _ = waiter.send(Err(err.clone()));
     }
     let _ = job.respond.send(Err(err));
+}
+
+/// An admitted job that can no longer reach a worker (queue closed).
+fn abort_job(shared: &Shared, job: Job) {
+    shared.telemetry.record_dequeued();
+    shared.telemetry.incr(Metric::Failed);
+    abandon(shared, &job, ServiceError::Shutdown);
+}
+
+/// An admitted job shed at the queue (at capacity): the caller (and any
+/// piggybacked waiters) should retry later.
+fn shed_job(shared: &Shared, job: Job) {
+    shared.telemetry.record_dequeued();
+    shared.telemetry.incr(Metric::Shed);
+    abandon(shared, &job, ServiceError::Overloaded);
+}
+
+/// A job found past its deadline (at dequeue or between pipeline
+/// stages), reported distinctly from failures.
+fn timeout_job(shared: &Shared, job: &Job) {
+    shared.telemetry.incr(Metric::Timeouts);
+    let timeout = shared.query_timeout.unwrap_or_default();
+    abandon(shared, job, ServiceError::Timeout { timeout });
 }
 
 fn run_job(shared: &Shared, job: Job) {
@@ -768,6 +785,8 @@ fn run_job(shared: &Shared, job: Job) {
     // A panicking pipeline must not take the worker (and every queued
     // job's budget) down with it: catch, refund, report.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(test)]
+        failpoint::hit(job.key.canonical_sql());
         let mut rng = StdRng::seed_from_u64(noise_seed);
         // The deadline is re-checked between pipeline stages (after
         // analysis and after execution, never after perturbation — the
@@ -856,25 +875,30 @@ fn run_job(shared: &Shared, job: Job) {
         Ok(Err(e)) => {
             // Nothing was released: hand the budget back. Waiters get the
             // same (deterministic) failure without being charged.
-            shared.ledger.refund(&job.charge);
             shared.telemetry.incr(Metric::Failed);
-            let err = ServiceError::Flex(e);
-            for (_, waiter) in shared.cache.fail(&job.key) {
-                let _ = waiter.send(Err(err.clone()));
-            }
-            let _ = job.respond.send(Err(err));
+            abandon(shared, &job, ServiceError::Flex(e));
         }
         Err(_panic) => {
-            shared.ledger.refund(&job.charge);
             shared.telemetry.incr(Metric::Failed);
             shared.telemetry.incr(Metric::WorkerPanics);
             let err = ServiceError::Flex(flex_core::FlexError::Db(
                 "query worker panicked while computing the release".to_string(),
             ));
-            for (_, waiter) in shared.cache.fail(&job.key) {
-                let _ = waiter.send(Err(err.clone()));
-            }
-            let _ = job.respond.send(Err(err));
+            abandon(shared, &job, err);
+        }
+    }
+}
+
+/// Test-only failpoint: the pipeline panics on a release whose canonical
+/// SQL contains [`failpoint::PANIC`] (the pipeline runs on a worker's
+/// thread, so the trigger travels in the query — as a table alias, say).
+#[cfg(test)]
+mod failpoint {
+    pub(super) const PANIC: &str = "flex_failpoint_panic";
+
+    pub(super) fn hit(canonical_sql: &str) {
+        if canonical_sql.contains(PANIC) {
+            panic!("failpoint: pipeline panic");
         }
     }
 }
@@ -1544,6 +1568,116 @@ mod tests {
         assert_eq!(run(None), run(Some(Duration::from_secs(3600))));
     }
 
+    /// Expensive to compute (nine-leaf join tree), cheap to submit;
+    /// distinct filters prevent coalescing.
+    fn nine_way_join(i: usize) -> String {
+        format!(
+            "SELECT COUNT(*) FROM trips t1 JOIN trips t2 ON t1.id = t2.id \
+             JOIN trips t3 ON t2.id = t3.id JOIN trips t4 ON t3.id = t4.id \
+             JOIN trips t5 ON t4.id = t5.id JOIN trips t6 ON t5.id = t6.id \
+             JOIN trips t7 ON t6.id = t7.id JOIN trips t8 ON t7.id = t8.id \
+             JOIN trips t9 ON t8.id = t9.id WHERE t1.id < {}",
+            1000 + i
+        )
+    }
+
+    /// Single-flight: eight callers ask one cold query at once. One of
+    /// them is admitted and pays; the other seven coalesce onto it or hit
+    /// the cache it filled, and all eight hold the same bytes.
+    #[test]
+    fn identical_concurrent_queries_compute_and_charge_once() {
+        const N: usize = 8;
+        let svc = service(ServiceConfig::default());
+        let sql = nine_way_join(0);
+        let barrier = std::sync::Barrier::new(N);
+        let responses: Vec<ServiceResponse> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..N)
+                .map(|i| {
+                    let (svc, sql, barrier) = (&svc, &sql, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        svc.query(&format!("analyst-{i}"), sql, params(0.5))
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let leaders: Vec<_> = responses
+            .iter()
+            .filter(|r| r.charged != (0.0, 0.0))
+            .collect();
+        assert_eq!(leaders.len(), 1, "one request paid");
+        assert_eq!(leaders[0].charged, (0.5, 1e-8));
+        assert!(leaders[0].trace.is_some(), "the leader's release computed");
+        for r in &responses {
+            assert_eq!(r.rows, responses[0].rows, "everyone holds the same bytes");
+        }
+        let spent: f64 = (0..N)
+            .map(|i| svc.ledger().spent(&format!("analyst-{i}")).0)
+            .sum();
+        assert!((spent - 0.5).abs() < 1e-12, "one charge, got {spent}");
+        let t = svc.shutdown();
+        assert_eq!((t.completed, t.cache_misses), (1, 1), "snapshot: {t}");
+        assert_eq!(t.coalesced + t.cache_hits, N as u64 - 1, "snapshot: {t}");
+    }
+
+    /// `catch_unwind` isolation: a pipeline that panics costs its caller
+    /// an error and nobody any budget, and the only worker there is
+    /// lives to serve the next query — as it does after a query the
+    /// analysis refuses.
+    #[test]
+    fn a_panicking_pipeline_is_refunded_and_its_worker_keeps_serving() {
+        let svc = service(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let p = params(1.0);
+        svc.query("a", "SELECT id FROM trips", p).unwrap_err();
+        let sql = format!("SELECT COUNT(*) FROM trips {}", failpoint::PANIC);
+        let err = svc.query("a", &sql, p).unwrap_err();
+        assert!(err.to_string().contains("panicked"), "got {err}");
+        assert_eq!(svc.ledger().spent("a"), (0.0, 0.0), "charge refunded");
+        // The key is not left in flight: asking again is admitted (and
+        // panics again) instead of coalescing onto nothing forever.
+        assert!(svc.query("a", &sql, p).is_err());
+        let served = svc.query("a", "SELECT COUNT(*) FROM trips", p).unwrap();
+        assert_eq!(served.charged, (1.0, 1e-8));
+        let t = svc.telemetry();
+        assert_eq!((t.worker_panics, t.failed), (2, 3), "snapshot: {t}");
+        assert_eq!((t.completed, t.queue_depth), (1, 0), "snapshot: {t}");
+    }
+
+    /// The order the durability story rests on, read back from the log:
+    /// the charge is logged before anything is computed, and by the time
+    /// the caller holds an outcome its settle (a release) or its refund
+    /// (anything else) is logged too.
+    #[test]
+    fn wal_holds_settle_or_refund_before_the_caller_sees_the_outcome() {
+        use crate::fault::FaultStorage;
+        use crate::wal::WalOp;
+        let svc = QueryService::with_storage(
+            test_db(),
+            ServiceConfig::default(),
+            Box::new(FaultStorage::new()),
+        )
+        .unwrap();
+        let log = || svc.ledger().wal().unwrap().read_ops().unwrap().0;
+        let p = params(0.5);
+        svc.query("a", "SELECT COUNT(*) FROM trips", p).unwrap();
+        assert!(
+            matches!(&log()[..], [WalOp::Charge { id, .. }, WalOp::Settle { id: settled, .. }] if id == settled),
+            "log: {:?}",
+            log()
+        );
+        svc.query("a", "SELECT id FROM trips", p).unwrap_err();
+        assert!(
+            matches!(&log()[2..], [WalOp::Charge { id, .. }, WalOp::Refund { id: refunded, .. }] if id == refunded),
+            "log: {:?}",
+            log()
+        );
+    }
+
     /// Overload shedding end to end: one worker, a depth cap of one, and
     /// a burst of expensive distinct queries. Shed requests get the
     /// retryable `Overloaded` error and a full refund — final spend is
@@ -1556,20 +1690,10 @@ mod tests {
             policy: LedgerPolicy::sequential(1e9, 1.0),
             ..ServiceConfig::default()
         });
-        // Expensive to compute (nine-leaf join tree → row interpreter),
-        // cheap to submit; distinct filters prevent coalescing.
-        let join_sql = |i: usize| {
-            format!(
-                "SELECT COUNT(*) FROM trips t1 JOIN trips t2 ON t1.id = t2.id \
-                 JOIN trips t3 ON t2.id = t3.id JOIN trips t4 ON t3.id = t4.id \
-                 JOIN trips t5 ON t4.id = t5.id JOIN trips t6 ON t5.id = t6.id \
-                 JOIN trips t7 ON t6.id = t7.id JOIN trips t8 ON t7.id = t8.id \
-                 JOIN trips t9 ON t8.id = t9.id WHERE t1.id < {}",
-                1000 + i
-            )
-        };
         let p = params(1.0);
-        let tickets: Vec<Ticket> = (0..24).map(|i| svc.submit("a", &join_sql(i), p)).collect();
+        let tickets: Vec<Ticket> = (0..24)
+            .map(|i| svc.submit("a", &nine_way_join(i), p))
+            .collect();
         let mut released = 0u32;
         let mut shed = 0u64;
         for t in tickets {

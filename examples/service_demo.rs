@@ -11,8 +11,7 @@
 //!
 //! Pass `--metrics` to additionally dump the full metrics report — the
 //! Prometheus text exposition and the JSON document an ops scrape would
-//! collect (trace quantiles, fallback-reason breakdown, per-analyst
-//! budget burn, slow-query log).
+//! collect (trace quantiles, per-analyst budget burn, slow-query log).
 //!
 //! Pass `--recover` to instead demonstrate the durable budget ledger:
 //! the service runs with a write-ahead log, is killed, and is restarted
