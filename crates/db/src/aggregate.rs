@@ -191,8 +191,8 @@ impl AggSpec {
 // at least one of the group's values contributes exactly one *leaf*: the
 // 8-lane interleaved sum of those values ([`leaf_sum`], the
 // autovectorizable kernel). The leaves then combine bottom-up in adjacent
-// pairs ([`tree_combine`]). Sequential and parallel execution, and both
-// engines, evaluate this same function; scheduling morsels always cover
+// pairs ([`tree_combine`]). The executor at every worker count and the
+// oracle evaluate this same function; scheduling morsels always cover
 // whole fold chunks (`morsel::Parallelism::sched_rows` is a multiple of
 // `fold_rows`), so a leaf is never split across workers and the result
 // bits cannot move with the thread count. See docs/ARCHITECTURE.md.
@@ -359,8 +359,9 @@ pub(crate) fn tree_sum(pairs: &[(usize, f64)]) -> f64 {
 
 /// Sample standard deviation through the fixed-shape tree (n−1
 /// denominator; NULL below two values): mean = tree-sum / n, then M2 =
-/// tree-sum of (x − mean)² over the same chunk grid. Shared by both
-/// engines and by the parallel second pass.
+/// tree-sum of (x − mean)² over the same chunk grid. The row-wise form
+/// (the oracle's); `vexec::stddev_pass` folds the same two trees morsel
+/// by morsel.
 pub(crate) fn stddev_tree(pairs: &[(usize, f64)]) -> Value {
     if pairs.len() < 2 {
         return Value::Null;
@@ -413,11 +414,10 @@ impl GroupedRows {
 }
 
 /// Per-morsel partial state of one aggregate, over morsel-local group
-/// ids. The parallel grouped operator in [`crate::vexec`] computes one of
-/// these per (morsel, aggregate) on the worker pool, then merges them
-/// **in morsel order** on the coordinating thread; [`AggPartial::merge`]
-/// is written so that the merged state is exactly what a sequential pass
-/// over the whole selection would have built:
+/// ids. The grouped operator in [`crate::vexec`] computes one of these
+/// per (morsel, aggregate), then merges them **in morsel order**;
+/// [`AggPartial::merge`] is written so that the merged state is exactly
+/// what one morsel covering the whole selection would have built:
 ///
 /// - counts add (integers, order-free);
 /// - distinct key sets union (order-free);
@@ -427,7 +427,7 @@ impl GroupedRows {
 ///   sums ([`FoldState`]): the fold grid is cut by absolute position
 ///   (never by morsel boundary) and scheduling morsels cover whole
 ///   chunks, so concatenating leaves in morsel order rebuilds exactly
-///   the sequential pass's leaf list, and the single fixed-shape
+///   the single-morsel leaf list, and the single fixed-shape
 ///   [`tree_combine`] happens at [`AggPartial::finalize`];
 /// - `MEDIAN` partials carry per-morsel **sorted runs**, merged by the
 ///   loser tree at finalize — `f64::total_cmp` is a total order over bit
@@ -447,21 +447,21 @@ pub(crate) enum AggPartial {
     /// (`Value::Null` = no value yet). Sound only because the typed
     /// comparisons (`i64`, `f64::total_cmp`, strings, bools) are total
     /// orders, where a first-wins fold of per-morsel folds equals the
-    /// sequential left fold.
+    /// left fold over all rows.
     Best(Vec<Value>),
     /// `MIN`/`MAX` over a `Mixed` column: per-group argument values in
     /// row order. `Value::total_cmp` is *not transitive* across physical
     /// types (Int-vs-Int compares exact `i64`, Int-vs-Float coerces
     /// through `f64`, so `2^53` f64-ties `2^53 + 1` but `i64`-beats it),
     /// so per-morsel winners cannot be merged — [`AggPartial::finalize`]
-    /// replays the sequential left fold over the concatenation instead.
+    /// replays the left fold over the concatenation instead.
     BestValues(Vec<Vec<Value>>),
 }
 
 impl AggPartial {
     /// Empty global accumulator for `ngroups` merged groups.
     /// `mixed_best` selects the value-collecting `MIN`/`MAX` shape and
-    /// must match what the morsel workers produced (i.e. whether the
+    /// must match what the morsels produced (i.e. whether the
     /// argument column is `Mixed`).
     pub(crate) fn new_global(func: AggFunc, ngroups: usize, mixed_best: bool) -> AggPartial {
         match func {
@@ -547,7 +547,7 @@ impl AggPartial {
     }
 
     /// Turn the merged state into per-group output values — the same
-    /// values (bit for bit) the sequential single-pass operator produces.
+    /// values (bit for bit) however many morsels were merged.
     pub(crate) fn finalize(self, func: AggFunc) -> Vec<Value> {
         match self {
             AggPartial::Counts(counts) => counts.into_iter().map(Value::Int).collect(),
@@ -560,14 +560,14 @@ impl AggPartial {
                 .map(|state| match func {
                     _ if state.count() == 0 => Value::Null,
                     // The one fixed-shape tree fold over the merged
-                    // (sequential-order) leaf list.
+                    // (row-order) leaf list.
                     AggFunc::Sum => Value::Float(state.into_sum()),
                     AggFunc::Avg => {
                         let n = state.count() as f64;
                         Value::Float(state.into_sum() / n)
                     }
                     // STDDEV needs a second (M2) pass with the merged
-                    // means in hand; `vexec::parallel_stddev` finalizes
+                    // means in hand; `vexec::stddev_pass` finalizes
                     // it from this mean-pass state.
                     _ => unreachable!("Sums partial finalized for {func:?}"),
                 })
@@ -584,10 +584,10 @@ impl AggPartial {
                 })
                 .collect(),
             AggPartial::Best(best) => best,
-            // Replay the sequential Mixed-column fold exactly: values are
-            // in row order, first occurrence wins `total_cmp` ties, and
-            // the non-transitive cross-type comparisons happen in the
-            // same left-to-right sequence the single-pass engine uses.
+            // The Mixed-column left fold: values are in row order, first
+            // occurrence wins `total_cmp` ties, and the non-transitive
+            // cross-type comparisons happen in the oracle's
+            // left-to-right sequence.
             AggPartial::BestValues(per) => {
                 let min = func == AggFunc::Min;
                 per.into_iter()
@@ -626,8 +626,8 @@ pub(crate) fn median_of(mut nums: Vec<f64>) -> Value {
     median_of_sorted(&nums)
 }
 
-/// Median of an already-`total_cmp`-sorted sequence — the parallel
-/// path's entry point after the loser-tree run merge.
+/// Median of an already-`total_cmp`-sorted sequence — the executor's
+/// entry point after the loser-tree run merge.
 pub(crate) fn median_of_sorted(nums: &[f64]) -> Value {
     if nums.is_empty() {
         return Value::Null;

@@ -70,12 +70,13 @@ impl Database {
     }
 
     /// Set the number of worker threads the executor may use for
-    /// one query (clamped to ≥ 1; 1 disables intra-query parallelism and
-    /// runs the exact sequential code paths). Results are byte-identical
-    /// at every setting — aggregates fold on a fixed reduction grid and
-    /// per-morsel partial results merge in morsel order — so downstream
-    /// DP noise seeding is unaffected. Takes `&self` (atomic) so services
-    /// holding `Arc<Database>` can tune it.
+    /// one query (clamped to ≥ 1; at 1 every operator runs inline on the
+    /// caller's thread — the same functions, over one morsel). Results
+    /// are byte-identical at every setting — aggregates fold on a fixed
+    /// reduction grid and per-morsel partial results merge in morsel
+    /// order — so downstream DP noise seeding is unaffected. Takes
+    /// `&self` (atomic) so services holding `Arc<Database>` can tune it;
+    /// an execution already running keeps the value it started with.
     ///
     /// ```
     /// use flex_db::{Database, DataType, Schema, Value};
@@ -119,9 +120,10 @@ impl Database {
         self.exec_morsel_rows.load(Ordering::Relaxed).max(1)
     }
 
-    /// The execution-tuning snapshot the executor's operators read once
-    /// per query (so a concurrent retune cannot split one query across
-    /// two configurations).
+    /// The execution-tuning snapshot, read once when an execution starts
+    /// and carried on its `Exec` — nested executions included — so a
+    /// concurrent retune cannot split one query across two
+    /// configurations.
     pub(crate) fn exec_tuning(&self) -> morsel::Parallelism {
         morsel::Parallelism {
             workers: self.parallelism(),

@@ -27,6 +27,7 @@ use crate::aggregate::{AggFunc, AggSpec};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
+use crate::morsel::Parallelism;
 use crate::plan::{ColMeta, JoinOrder, Relation, ResultSet};
 use crate::table::Row;
 use crate::value::{RowKey, Value, ValueKey};
@@ -104,7 +105,7 @@ impl Default for ExecTrace {
 /// the expansion error with an all-zero trace.
 pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
     let (stats, result) = match flex_sql::inline_ctes(q) {
-        Ok(q) => vexec::execute_query(db, &q),
+        Ok(q) => vexec::execute_query(db, &q, db.exec_tuning()),
         Err(e) => (VexecStats::default(), Err(e.into())),
     };
     let trace = ExecTrace {
@@ -119,34 +120,40 @@ pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>
     (trace, result)
 }
 
-/// Runs one `WITH`-free query to completion and reports its statistics:
-/// [`vexec::execute_query`] in production, the oracle's own interpreter
-/// inside [`crate::oracle`].
-pub(crate) type QueryRunner = fn(&Database, &Query) -> (VexecStats, Result<ResultSet>);
+/// Runs one `WITH`-free query to completion under the given tuning and
+/// reports its statistics: [`vexec::execute_query`] in production, the
+/// oracle's own interpreter inside [`crate::oracle`].
+pub(crate) type QueryRunner = fn(&Database, &Query, Parallelism) -> (VexecStats, Result<ResultSet>);
 
 /// The compilation context of one query execution: the database, the
-/// runner nested queries go through, and the execution's statistics.
+/// runner nested queries go through, the execution's tuning and its
+/// statistics.
 pub(crate) struct Exec<'a> {
     pub(crate) db: &'a Database,
     run: QueryRunner,
+    /// [`Database::exec_tuning`] as read when the outermost execution
+    /// started; nested executions inherit it, so a concurrent retune
+    /// cannot split one query across two configurations.
+    pub(crate) par: Parallelism,
     /// Statistics so far, nested executions included.
     pub(crate) stats: VexecStats,
 }
 
 impl<'a> Exec<'a> {
-    pub(crate) fn new(db: &'a Database, run: QueryRunner) -> Exec<'a> {
+    pub(crate) fn new(db: &'a Database, run: QueryRunner, par: Parallelism) -> Exec<'a> {
         Exec {
             db,
             run,
+            par,
             stats: VexecStats::default(),
         }
     }
 
     /// Run a nested query (a derived table, a set-op arm, an expression
-    /// subquery) on the engine this context belongs to, folding its
-    /// statistics into this execution's.
+    /// subquery) on the engine this context belongs to and under its
+    /// tuning, folding its statistics into this execution's.
     pub(crate) fn subquery(&mut self, q: &Query) -> Result<ResultSet> {
-        let (stats, result) = (self.run)(self.db, q);
+        let (stats, result) = (self.run)(self.db, q, self.par);
         self.stats.absorb(stats);
         result
     }
@@ -329,7 +336,7 @@ impl<'a> Exec<'a> {
         // the columnar operators' selection indices, so handing them to
         // `AggSpec::compute` evaluates the identical fixed-shape
         // reduction tree over the identical fold grid.
-        let fold_rows = self.db.morsel_rows();
+        let fold_rows = self.par.fold_rows;
         for (key_vals, row_indices) in groups {
             let member_rows: Vec<&[Value]> = row_indices
                 .iter()
@@ -1373,5 +1380,30 @@ mod tests {
             count(&db, "SELECT COUNT(*) FROM l a JOIN l b ON a.k = b.k"),
             5 // k=1: 2×2, k=2: 1×1
         );
+    }
+
+    /// The tuning an execution starts with reaches every nested
+    /// execution (derived table, `IN` subquery): the database still says
+    /// one worker and 4096-row chunks, yet all three scans are counted
+    /// on the 2-row grid the execution was handed.
+    #[test]
+    fn nested_executions_inherit_the_executions_tuning() {
+        let db = db();
+        let q = flex_sql::parse_query(
+            "SELECT COUNT(*) FROM (SELECT k FROM l) x WHERE k IN (SELECT k FROM r) \
+             AND k IN (SELECT k FROM l)",
+        )
+        .unwrap();
+        let par = crate::morsel::Parallelism {
+            workers: 4,
+            fold_rows: 2,
+        };
+        let (stats, result) = crate::vexec::execute_query(&db, &q, par);
+        assert_eq!(result.unwrap().scalar(), Some(&Value::Int(2)));
+        assert_eq!(stats.workers, 4);
+        // l (4 rows) twice and r (3 rows) once, in 2-row morsels.
+        assert_eq!((stats.rows_scanned, stats.morsels), (11, 6));
+        let (db_stats, _) = crate::vexec::execute_query(&db, &q, db.exec_tuning());
+        assert_eq!((db_stats.workers, db_stats.morsels), (1, 3));
     }
 }

@@ -26,10 +26,10 @@
 //! run when the walk reaches them — so there is nothing to route and
 //! every error is raised where it is found; [`exec`] holds the entry
 //! point and [`Database::execute_traced`] reports what a run scanned.
-//! The executor additionally runs **morsel-parallel** across a scoped
-//! worker pool when [`Database::set_parallelism`] raises the per-query
-//! worker budget; per-morsel results merge in morsel order ([`morsel`]),
-//! so results stay byte-identical at every thread count.
+//! Each operator is a per-morsel body plus a morsel-order merge;
+//! [`morsel`] runs the body inline, or across a scoped worker pool when
+//! [`Database::set_parallelism`] raises the per-query worker budget, so
+//! results stay byte-identical at every thread count.
 //!
 //! A second, row-at-a-time implementation of the same semantics lives in
 //! the doc-hidden `oracle` module. It is a test reference only: the

@@ -1,30 +1,32 @@
-//! Morsel-driven parallel scheduling for the executor.
+//! Morsel scheduling: the only module of the executor that decides
+//! whether an operator runs inline or on threads.
 //!
-//! A *morsel* is a contiguous slice of rows (or selection-vector
-//! entries). Parallel operators split their input into morsels, a scoped
-//! worker pool ([`std::thread::scope`] — no runtime dependency, threads
-//! never outlive the query) claims morsels from a shared atomic cursor,
-//! and the per-morsel results are **merged in morsel order**. Two sizes
-//! govern a morsel run, and only one of them may touch result bits:
+//! Every executor operator is written once, as a **per-morsel body** — a
+//! pure function of a contiguous range of its input (rows, or
+//! selection-vector entries) — plus an **order-preserving merge** of the
+//! per-morsel results. `run` and its variants own the rest:
 //!
-//! - `Parallelism::fold_rows` fixes the aggregate reduction grid (the
-//!   leaf width of the fixed-shape fold tree in [`crate::aggregate`]).
-//!   It is part of the numeric contract and never derived from the
-//!   worker count.
-//! - `Parallelism::sched_rows` — the actual morsel size — is autotuned
-//!   from input cardinality and worker count, always a whole multiple of
-//!   `fold_rows`. It is pure scheduling: morsel-order merging makes the
-//!   combined output (concatenations, loser-tree run merges, group
-//!   first-appearance order, fold-tree leaf lists, and which error is
-//!   reported — the first in row order) independent of how the input was
-//!   cut.
+//! - an input that does not engage the pool — one worker, or no more than
+//!   `fold_rows` rows — is **one morsel**, `0..len`, and the body runs on
+//!   the calling thread: no threads, no atomics, nothing to merge. That
+//!   is all the sequential engine there is;
+//! - otherwise the input is cut into scheduling morsels of
+//!   `Parallelism::sched_rows` rows, a scoped pool
+//!   ([`std::thread::scope`] — threads never outlive the call) claims
+//!   them from an atomic cursor, and the results come back **in morsel
+//!   order**.
 //!
-//! The DP layers above can therefore never observe the worker count.
-//!
-//! With one effective worker (or a single morsel) `run` degrades to a
-//! plain sequential loop on the calling thread — no threads, no atomics —
-//! which is what makes `parallelism = 1` byte-for-byte the sequential
-//! engine.
+//! Two sizes are involved and only one may touch result bits.
+//! `Parallelism::fold_rows` is the aggregate reduction grid (the leaf
+//! width of the fixed-shape fold tree in [`crate::aggregate`]): part of
+//! the numeric contract, never derived from the worker count.
+//! `sched_rows` is pure scheduling, autotuned from cardinality and worker
+//! count and always a whole multiple of `fold_rows`. Because every merge
+//! is in morsel order — concatenations, loser-tree run merges, group
+//! first-appearance order, fold-tree leaf lists, and which error is
+//! reported (the first in row order) — the output is the same however
+//! the input was cut, so the DP layers above can never observe the
+//! worker count.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
@@ -43,10 +45,11 @@ pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 /// tail, few enough that per-morsel merge cost stays negligible.
 const MORSELS_PER_WORKER: usize = 4;
 
-/// Execution-tuning knobs threaded through the executor's operators.
+/// Execution tuning, read once per execution and carried by every
+/// operator.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Parallelism {
-    /// Worker threads an operator may use (1 = sequential).
+    /// Worker threads an operator may use (1 = everything inline).
     pub workers: usize,
     /// Reduction-grid chunk size: the aggregate fold tree's leaf width
     /// (tests shrink it to exercise multi-leaf merging on tiny tables).
@@ -56,17 +59,27 @@ pub(crate) struct Parallelism {
 }
 
 impl Parallelism {
-    /// Should `len` input rows be processed in parallel at all?
-    pub fn engaged(&self, len: usize) -> bool {
+    /// Does a `len`-row input engage the pool (else it is one inline
+    /// morsel)?
+    fn engaged(&self, len: usize) -> bool {
         self.workers > 1 && len > self.fold_rows
+    }
+
+    /// Threads a `len`-row input runs on: `workers` when it engages the
+    /// pool, else 1 (the caller's). What `ExecTrace::workers` reports.
+    pub fn workers_for(&self, len: usize) -> usize {
+        if self.engaged(len) {
+            self.workers
+        } else {
+            1
+        }
     }
 
     /// Rows per *scheduling* morsel for a `len`-row input: a whole
     /// multiple of [`Parallelism::fold_rows`] (so one reduction leaf is
     /// never split across two workers) autotuned from the input
     /// cardinality and worker count to target ~[`MORSELS_PER_WORKER`]
-    /// morsels per worker. Scheduling granularity is pure tuning: every
-    /// parallel operator merges per-morsel results in morsel order and
+    /// morsels per worker. Pure tuning: merges are in morsel order and
     /// aggregates fold on the absolute-position chunk grid, so this
     /// value — unlike `fold_rows` — can chase the worker count freely
     /// without moving a single result bit.
@@ -87,26 +100,27 @@ fn morsel_ranges(len: usize, morsel_rows: usize) -> Vec<Range<usize>> {
 }
 
 /// Run `f` over every morsel of `0..len` and return the per-morsel
-/// results **in morsel order**, using up to `par.workers` scoped threads.
+/// results **in morsel order**: one result, computed on the calling
+/// thread, when the input does not engage the pool; else one per
+/// scheduling morsel, computed by up to `par.workers` scoped threads.
 ///
 /// `f` must be a pure function of its range (it sees shared read-only
 /// state only), so the result is independent of which worker claims which
 /// morsel. Worker panics propagate to the caller with their original
-/// payload, exactly like a panic in a sequential loop would.
+/// payload, exactly like a panic in the inline call would.
 pub(crate) fn run<T, F>(len: usize, par: Parallelism, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let ranges = morsel_ranges(len, par.sched_rows(len));
-    let workers = par.workers.min(ranges.len());
-    if workers <= 1 {
-        return ranges.into_iter().map(f).collect();
+    if !par.engaged(len) {
+        return vec![f(0..len)];
     }
+    let ranges = morsel_ranges(len, par.sched_rows(len));
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = ranges.iter().map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..par.workers.min(ranges.len()))
             .map(|_| {
                 let next = &next;
                 let ranges = &ranges;
@@ -141,9 +155,9 @@ where
 
 /// Fallible variant of [`run`]: each morsel yields a `Result`, and the
 /// merged outcome is either every `Ok` payload in morsel order or the
-/// error of the **earliest** failing morsel — the same error a sequential
+/// error of the **earliest** failing morsel — the error a single
 /// left-to-right pass reports first (later morsels may have run, but
-/// morsel workers are side-effect free, so that is unobservable).
+/// morsel bodies are side-effect free, so that is unobservable).
 pub(crate) fn try_run<T, E, F>(len: usize, par: Parallelism, f: F) -> Result<Vec<T>, E>
 where
     T: Send,
@@ -151,6 +165,60 @@ where
     F: Fn(Range<usize>) -> Result<T, E> + Sync,
 {
     run(len, par, f).into_iter().collect()
+}
+
+/// A per-morsel result whose morsel-order merge is concatenation: a
+/// vector (selection vectors, gathered rows), or a pair of them (join
+/// match vectors).
+pub(crate) trait Concat: Sized {
+    fn concat(parts: Vec<Self>) -> Self;
+}
+
+impl<T> Concat for Vec<T> {
+    fn concat(parts: Vec<Vec<T>>) -> Vec<T> {
+        // Moves the worker-built items; `<[Vec<T>]>::concat` would clone
+        // each one a second time on the coordinating thread.
+        let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for mut part in parts {
+            out.append(&mut part);
+        }
+        out
+    }
+}
+
+impl<A: Concat, B: Concat> Concat for (A, B) {
+    fn concat(parts: Vec<(A, B)>) -> (A, B) {
+        let (a, b): (Vec<A>, Vec<B>) = parts.into_iter().unzip();
+        (A::concat(a), B::concat(b))
+    }
+}
+
+/// [`run`], concatenating the per-morsel outputs in morsel order. An
+/// input that does not engage the pool is the body's own output for
+/// `0..len` — no wrapping vector, no copy.
+pub(crate) fn run_concat<C, F>(len: usize, par: Parallelism, f: F) -> C
+where
+    C: Concat + Send,
+    F: Fn(Range<usize>) -> C + Sync,
+{
+    if !par.engaged(len) {
+        return f(0..len);
+    }
+    C::concat(run(len, par, f))
+}
+
+/// [`try_run`], concatenating like [`run_concat`]; the earliest failing
+/// morsel's error wins.
+pub(crate) fn try_run_concat<C, E, F>(len: usize, par: Parallelism, f: F) -> Result<C, E>
+where
+    C: Concat + Send,
+    E: Send,
+    F: Fn(Range<usize>) -> Result<C, E> + Sync,
+{
+    if !par.engaged(len) {
+        return f(0..len);
+    }
+    try_run(len, par, f).map(C::concat)
 }
 
 // ---- loser-tree merge of sorted morsel runs ------------------------------
@@ -210,8 +278,8 @@ fn play_initial<B: Fn(usize, usize) -> bool>(
 /// `log2(runs)` comparisons, instead of a full rescan of every run head.
 /// Runs must each be sorted under `cmp`; ties across runs break toward
 /// the lower run index, so merging per-morsel stable sorts reproduces the
-/// sequential stable sort of the concatenated input — bit for bit, which
-/// is what keeps the parallel ORDER BY byte-identical to the oracle.
+/// stable sort of the concatenated input — bit for bit, which is what
+/// keeps a multi-morsel ORDER BY byte-identical to the oracle.
 /// `take` bounds the output length (for top-K merges); `None` drains
 /// every run.
 pub(crate) fn merge_sorted_runs<T: Copy>(
@@ -293,40 +361,110 @@ mod tests {
         assert_eq!(morsel_ranges(3, 4), vec![0..3]);
     }
 
+    /// Lens around every `fold_rows` boundary (the engage threshold and
+    /// the leaf grid) for a 7-row fold.
+    const LENS: [usize; 12] = [0, 1, 6, 7, 8, 13, 14, 15, 20, 21, 22, 1000];
+    const WORKERS: [usize; 4] = [1, 2, 3, 8];
+
     #[test]
-    fn parallel_results_arrive_in_morsel_order() {
-        for workers in [1, 2, 3, 8] {
-            let got = run(1000, par(workers, 7), |r| r.clone());
-            let flat: Vec<usize> = got.into_iter().flatten().collect();
-            assert_eq!(flat, (0..1000).collect::<Vec<_>>(), "workers={workers}");
+    fn results_arrive_in_morsel_order_and_cover_the_input() {
+        for workers in WORKERS {
+            for len in LENS {
+                let ranges = run(len, par(workers, 7), |r| r);
+                let ctx = format!("workers={workers} len={len}");
+                // Contiguous from 0 to len, every cut on the fold grid.
+                let mut at = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, at, "{ctx}");
+                    assert_eq!(r.start % 7, 0, "{ctx}");
+                    at = r.end;
+                }
+                assert_eq!(at, len, "{ctx}");
+                // One range unless the pool is engaged.
+                if workers == 1 || len <= 7 {
+                    assert_eq!(ranges, vec![0..len], "{ctx}");
+                } else {
+                    assert!(ranges.len() > 1, "{ctx}");
+                }
+            }
         }
     }
 
     #[test]
-    fn try_run_reports_earliest_morsel_error() {
-        // Morsels 3 and 7 fail; the merged error must be morsel 3's.
-        let r: Result<Vec<()>, usize> = try_run(100, par(4, 10), |range| {
-            let m = range.start / 10;
-            if m == 3 || m == 7 {
-                Err(m)
-            } else {
-                Ok(())
+    fn concat_variants_equal_the_body_applied_to_the_whole_input() {
+        let flat = |r: Range<usize>| r.map(|i| i * 3).collect::<Vec<_>>();
+        let pair = |r: Range<usize>| (flat(r.clone()), r.map(|i| i as u32).collect::<Vec<_>>());
+        for workers in WORKERS {
+            for len in LENS {
+                let p = par(workers, 7);
+                let ctx = format!("workers={workers} len={len}");
+                assert_eq!(run_concat(len, p, flat), flat(0..len), "{ctx}");
+                assert_eq!(run_concat(len, p, pair), pair(0..len), "{ctx}");
+                let ok: Result<_, ()> = try_run_concat(len, p, |r| Ok(pair(r)));
+                assert_eq!(ok, Ok(pair(0..len)), "{ctx}");
             }
-        });
-        assert_eq!(r.unwrap_err(), 3);
+        }
     }
 
     #[test]
-    fn worker_panic_propagates() {
-        let caught = std::panic::catch_unwind(|| {
-            run(100, par(4, 10), |range| {
-                if range.start == 50 {
-                    panic!("boom at 50");
-                }
-                range.len()
-            })
-        });
-        assert!(caught.is_err());
+    fn earliest_failing_range_wins_though_later_ranges_fail_too() {
+        // Every range holding a multiple of 30 (but not 0) fails with its
+        // first such row: whatever the cut, row 30's error must surface.
+        let body = |r: Range<usize>| match r.clone().find(|i| *i > 0 && i % 30 == 0) {
+            Some(bad) => Err(bad),
+            None => Ok(r.collect::<Vec<_>>()),
+        };
+        for workers in WORKERS {
+            let p = par(workers, 10);
+            assert_eq!(try_run(100, p, body).unwrap_err(), 30, "workers={workers}");
+            assert_eq!(
+                try_run_concat(100, p, body).unwrap_err(),
+                30,
+                "workers={workers}"
+            );
+            assert_eq!(
+                try_run_concat(25, p, body),
+                Ok((0..25).collect()),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn panicking_body_propagates_its_payload() {
+        for workers in [1, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                run_concat(100, par(workers, 10), |range| {
+                    if range.contains(&50) {
+                        panic!("boom at 50");
+                    }
+                    vec![range.len()]
+                })
+            });
+            let payload = caught.expect_err("the body panicked");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"boom at 50"),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn unengaged_input_runs_on_the_callers_thread_in_one_range() {
+        let caller = std::thread::current().id();
+        // One worker at any size; many workers at or under one fold chunk.
+        for (workers, len) in [(1, 0), (1, 10), (1, 100_000), (8, 0), (8, 9), (8, 10)] {
+            let p = par(workers, 10);
+            let seen = run(len, p, |r| (std::thread::current().id(), r));
+            assert_eq!(seen, vec![(caller, 0..len)], "workers={workers} len={len}");
+            let seen = run_concat(len, p, |r| vec![(std::thread::current().id(), r)]);
+            assert_eq!(seen, vec![(caller, 0..len)], "workers={workers} len={len}");
+        }
+        // Engaged: more than one range, none of them on the caller.
+        let seen = run(11, par(8, 10), |r| (std::thread::current().id(), r));
+        assert_eq!(seen.len(), 2);
+        assert!(seen.iter().all(|(id, _)| *id != caller));
     }
 
     #[test]
@@ -383,16 +521,5 @@ mod tests {
             merge_sorted_runs(vec![vec![5, 6, 7]], Some(2), i32::cmp),
             vec![5, 6]
         );
-    }
-
-    #[test]
-    fn single_worker_never_spawns() {
-        // Runs on the calling thread: thread-local state proves it.
-        thread_local! {
-            static MARK: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-        }
-        MARK.with(|m| m.set(7));
-        let got = run(100, par(1, 10), |_| MARK.with(|m| m.get()));
-        assert!(got.iter().all(|&v| v == 7));
     }
 }

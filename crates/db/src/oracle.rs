@@ -18,6 +18,7 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::exec::{apply_limit_offset, check_set_op_arity, set_op_sort_keys, Exec};
 use crate::expr::CompiledExpr;
+use crate::morsel::Parallelism;
 use crate::plan::{split_join_constraint, ColMeta, Relation, ResultSet};
 use crate::table::Row;
 use crate::value::{RowKey, Value, ValueKey};
@@ -30,13 +31,13 @@ use std::collections::{HashMap, HashSet};
 /// Execute a parsed query on the oracle.
 pub fn execute_row(db: &Database, q: &Query) -> Result<ResultSet> {
     let q = flex_sql::inline_ctes(q)?;
-    run(db, &q).1
+    run(db, &q, db.exec_tuning()).1
 }
 
 /// The oracle as a [`crate::exec::QueryRunner`]. It scans no columns, so
-/// its statistics are empty.
-fn run(db: &Database, q: &Query) -> (VexecStats, Result<ResultSet>) {
-    let result = Exec::new(db, run).query(q).map(ResultSet::from);
+/// its statistics are empty; of the tuning it reads the fold grid only.
+fn run(db: &Database, q: &Query, par: Parallelism) -> (VexecStats, Result<ResultSet>) {
+    let result = Exec::new(db, run, par).query(q).map(ResultSet::from);
     (VexecStats::default(), result)
 }
 

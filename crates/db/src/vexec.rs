@@ -58,31 +58,25 @@
 //!   the tail planner declines reuse the row-wise tail over gathered
 //!   rows instead.
 //!
-//! # Morsel-driven parallelism
+//! # One body per operator
 //!
-//! When [`Database::set_parallelism`] raises the per-query worker budget
-//! above 1, the filter pass, the per-side join scans, the hash-join
-//! probe (against a shared read-only build side), row gathering, the
-//! ORDER BY sort (morsel-local sorts or top-K selections merged by the
-//! loser tree in [`crate::morsel`]), tail late materialization and
-//! grouped aggregation all run across a scoped worker pool in morsels
-//! whose size is autotuned from cardinality and worker count
-//! ([`crate::morsel`]). Every parallel operator merges its per-morsel
-//! results **in morsel order**: selection vectors and match vectors
-//! concatenate, sorted runs merge with a lower-run-wins tie-break (= the
-//! sequential stable sort), per-morsel group tables map into the global
-//! first-appearance order, and aggregate partial states (`AggPartial` in
-//! [`crate::aggregate`]) merge under order-preserving rules. Numeric
-//! aggregates (`SUM`/`AVG`/`STDDEV`) fold through a **fixed-shape
-//! reduction tree**: each morsel folds its fold-grid chunks into leaf
-//! sums locally (the 8-lane SIMD kernel), the merged leaf lists
-//! concatenate in morsel order, and one pairwise tree combine produces
-//! the result — the tree's shape depends only on the data layout and the
-//! reduction grid, never on worker count or scheduling. `MEDIAN` sorts
-//! per-morsel runs on the workers and loser-tree-merges them. Execution
-//! is therefore byte-identical at every worker count — including *which*
-//! runtime error surfaces — and `parallelism = 1` evaluates exactly the
-//! same functions sequentially.
+//! Every operator below is written once: a **per-morsel body** over a
+//! contiguous range of its input, plus an **order-preserving merge** of
+//! the per-morsel results. [`crate::morsel`] alone decides whether that
+//! body runs once, inline, on `0..len` (one worker, or a small input) or
+//! on a scoped pool over scheduling morsels — nothing in this file asks.
+//! The merges: selection vectors, gathered rows and join match vectors
+//! concatenate; sorted runs (or top-K selections) merge through the loser
+//! tree with a lower-run-wins tie-break (= a stable sort); morsel-local
+//! group tables map into the global first-appearance order; aggregate
+//! partial states (`AggPartial` in [`crate::aggregate`]) merge under
+//! order-preserving rules — `SUM`/`AVG`/`STDDEV` as per-fold-chunk leaf
+//! sums that concatenate in morsel order before one fixed-shape tree
+//! combine, `MEDIAN` as sorted runs; and of several failing morsels the
+//! earliest one's error is the one reported. Each merge is the identity
+//! on a single morsel, so execution is byte-identical at every worker
+//! count — including *which* runtime error surfaces — and
+//! `parallelism = 1` runs these same functions, inline.
 //!
 //! # Identity with the oracle
 //!
@@ -170,9 +164,7 @@ impl VexecStats {
     /// engage the worker pool, and when it is a base table its rows and
     /// morsels count (a derived table's were counted by its subquery).
     fn note_scan(&mut self, len: usize, par: Parallelism, base_table: bool) {
-        if par.engaged(len) {
-            self.workers = self.workers.max(par.workers as u64);
-        }
+        self.workers = self.workers.max(par.workers_for(len) as u64);
         if base_table && len > 0 {
             self.rows_scanned += len as u64;
             self.morsels += len.div_ceil(par.sched_rows(len)) as u64;
@@ -180,11 +172,16 @@ impl VexecStats {
     }
 }
 
-/// Execute a `WITH`-free query and report its statistics: the single
-/// entry point behind [`crate::exec::execute_traced`], and the runner
-/// every nested query of an execution goes through.
-pub(crate) fn execute_query(db: &Database, q: &Query) -> (VexecStats, Result<ResultSet>) {
-    let mut ex = Exec::new(db, execute_query);
+/// Execute a `WITH`-free query under the execution's tuning and report
+/// its statistics: the single entry point behind
+/// [`crate::exec::execute_traced`], and the runner every nested query of
+/// an execution goes through.
+pub(crate) fn execute_query(
+    db: &Database,
+    q: &Query,
+    par: Parallelism,
+) -> (VexecStats, Result<ResultSet>) {
+    let mut ex = Exec::new(db, execute_query, par);
     let result = run_query(&mut ex, q);
     (ex.stats, result)
 }
@@ -216,7 +213,6 @@ pub(crate) fn open_scan(
     ex: &mut Exec<'_>,
     t: &TableRef,
 ) -> Result<(Arc<ColumnarTable>, Vec<ColMeta>)> {
-    let par = ex.db.exec_tuning();
     let (ctab, cols, base_table) = match t {
         TableRef::Table { name, alias } => {
             let table = ex
@@ -245,7 +241,7 @@ pub(crate) fn open_scan(
             ctab.len()
         )));
     }
-    ex.stats.note_scan(ctab.len(), par, base_table);
+    ex.stats.note_scan(ctab.len(), ex.par, base_table);
     Ok((ctab, cols))
 }
 
@@ -260,18 +256,15 @@ fn run_block(
     cols: Vec<ColMeta>,
     ctab: &ColumnarTable,
 ) -> Result<ResultSet> {
-    let par = ex.db.exec_tuning();
-
     // WHERE → selection vector.
-    let all: Vec<u32> = (0..ctab.len() as u32).collect();
     let sel = match &s.selection {
         Some(pred) => {
             let compiled = ex.compile_scalar(pred, &cols)?;
-            filter(ctab, &compiled, all, par)?
+            filter(ctab, &compiled, ex.par)?
         }
-        None => all,
+        None => (0..ctab.len() as u32).collect(),
     };
-    finish_block(ex, q, s, cols, ctab, &sel, par)
+    finish_block(ex, q, s, cols, ctab, &sel)
 }
 
 /// Everything downstream of the scan/filter/join. Four tails, tried in
@@ -296,8 +289,8 @@ fn finish_block(
     cols: Vec<ColMeta>,
     ctab: &ColumnarTable,
     sel: &[u32],
-    par: Parallelism,
 ) -> Result<ResultSet> {
+    let par = ex.par;
     if Exec::has_aggregates(s) {
         if let Some(plan) = plan_grouped(ex, q, s, &cols) {
             // LIMIT/OFFSET already applied by the grouped tail.
@@ -320,24 +313,12 @@ fn finish_block(
     Ok(ResultSet::from(rel))
 }
 
-/// Materialize the selected rows (exact `Value` reconstruction). Morsels
-/// gather independently; concatenating them in morsel order reproduces
-/// the sequential row order exactly.
+/// Materialize the selected rows (exact `Value` reconstruction),
+/// concatenated in morsel order = row order.
 fn gather_rows(ctab: &ColumnarTable, sel: &[u32], par: Parallelism) -> Vec<Row> {
-    if par.engaged(sel.len()) {
-        // flatten() moves the worker-built rows; `concat()` would clone
-        // every Row a second time on the coordinating thread.
-        return morsel::run(sel.len(), par, |r| {
-            sel[r]
-                .iter()
-                .map(|&i| ctab.row(i as usize))
-                .collect::<Vec<Row>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    }
-    sel.iter().map(|&i| ctab.row(i as usize)).collect()
+    morsel::run_concat(sel.len(), par, |r| {
+        sel[r].iter().map(|&i| ctab.row(i as usize)).collect()
+    })
 }
 
 // ---- fully-columnar ORDER BY / DISTINCT / LIMIT tail ----------------------
@@ -348,9 +329,8 @@ fn gather_rows(ctab: &ColumnarTable, sel: &[u32], par: Parallelism) -> Vec<Row> 
 ///    ([`Column::row_ordering`] — no `Value` materialization, no key
 ///    rows). `ORDER BY … LIMIT k` with no DISTINCT runs as a bounded
 ///    **top-K heap** ([`exec::top_k_sorted`]) so only `offset + k`
-///    indices are ever held. With parallelism engaged, morsels sort (or
-///    top-K-select) locally and a loser tree merges the runs
-///    ([`morsel::merge_sorted_runs`]).
+///    indices are ever held. Morsels sort (or top-K-select) locally and
+///    a loser tree merges the runs ([`morsel::merge_sorted_runs`]).
 /// 2. **DISTINCT** dedupes the surviving indices over typed column keys
 ///    ([`distinct_key`] — [`BorrowKey`]s that partition values exactly
 ///    like the `ValueKey`s the oracle hashes, without cloning),
@@ -358,7 +338,7 @@ fn gather_rows(ctab: &ColumnarTable, sel: &[u32], par: Parallelism) -> Vec<Row> 
 ///    once `offset + limit` rows are kept.
 /// 3. **LIMIT/OFFSET** slice the index vector.
 /// 4. Only then are the survivors **late-materialized**, gathering just
-///    the projected columns (morsel-parallel, stitched in order).
+///    the projected columns (per morsel, stitched in order).
 ///
 /// Every step is infallible (plain column reads only — that is
 /// [`plan::plan_tail`]'s eligibility rule), so skipping non-surviving
@@ -461,51 +441,31 @@ fn run_tail_mixed(
     topk_hit: &mut bool,
 ) -> Result<Relation> {
     let n = sel.len();
-    // 1. Speculative evaluation, column-major: `vals[k][p]` is computed
+    // 1. Speculative evaluation, row-major: `val(p, k)` is computed
     // expression `k` at selection position `p`. Scratch rows gather only
-    // the referenced columns.
+    // the referenced columns. Earliest-morsel error = earliest-row error.
     let mut refs = Vec::new();
     for e in &tail.computed {
         e.for_each_column(&mut |i| refs.push(i));
     }
     refs.sort_unstable();
     refs.dedup();
-    let eval_chunk = |r: std::ops::Range<usize>| -> Result<Vec<Vec<Value>>> {
+    let width = tail.computed.len();
+    let vals: Vec<Value> = morsel::try_run_concat(n, par, |r| -> Result<Vec<Value>> {
         let mut scratch: Row = vec![Value::Null; ctab.columns.len()];
-        let mut out: Vec<Vec<Value>> = tail
-            .computed
-            .iter()
-            .map(|_| Vec::with_capacity(r.len()))
-            .collect();
+        let mut out = Vec::with_capacity(r.len() * width);
         for &i in &sel[r] {
             let idx = i as usize;
             for &c in &refs {
                 scratch[c] = ctab.columns[c].value(idx);
             }
-            for (e, vals) in tail.computed.iter().zip(&mut out) {
-                vals.push(e.eval(&scratch)?);
+            for e in &tail.computed {
+                out.push(e.eval(&scratch)?);
             }
         }
         Ok(out)
-    };
-    let vals: Vec<Vec<Value>> = if par.engaged(n) {
-        // Earliest-morsel error wins = earliest-row error, sequentially
-        // identical.
-        let chunks = morsel::try_run(n, par, eval_chunk)?;
-        let mut vals: Vec<Vec<Value>> = tail
-            .computed
-            .iter()
-            .map(|_| Vec::with_capacity(n))
-            .collect();
-        for chunk in chunks {
-            for (v, c) in vals.iter_mut().zip(chunk) {
-                v.extend(c);
-            }
-        }
-        vals
-    } else {
-        eval_chunk(0..n)?
-    };
+    })?;
+    let val = |p: usize, k: usize| &vals[p * width + k];
 
     // 2. Order selection *positions* (0..n) — positions index both `sel`
     // and `vals`; ascending position is ascending selection index, i.e.
@@ -533,8 +493,7 @@ fn run_tail_mixed(
                         Box::new(move |a: usize, b: usize| ord(sel[a] as usize, sel[b] as usize))
                     }
                     TailItem::Computed(k) => {
-                        let vs = &vals[k];
-                        Box::new(move |a: usize, b: usize| vs[a].total_cmp(&vs[b]))
+                        Box::new(move |a: usize, b: usize| val(a, k).total_cmp(val(b, k)))
                     }
                 };
                 (key, desc)
@@ -566,7 +525,7 @@ fn run_tail_mixed(
                     TailItem::Source(c) => {
                         borrow_key_at(&ctab.columns[c], sel[p as usize] as usize)
                     }
-                    TailItem::Computed(k) => BorrowKey::from(&vals[k][p as usize]),
+                    TailItem::Computed(k) => BorrowKey::from(val(p as usize, k)),
                 })
                 .collect();
             if seen.insert(key) {
@@ -593,7 +552,7 @@ fn run_tail_mixed(
                 .iter()
                 .map(|&item| match item {
                     TailItem::Source(c) => ctab.columns[c].value(sel[p as usize] as usize),
-                    TailItem::Computed(k) => vals[k][p as usize].clone(),
+                    TailItem::Computed(k) => val(p as usize, k).clone(),
                 })
                 .collect()
         })
@@ -602,8 +561,8 @@ fn run_tail_mixed(
 }
 
 /// Sort the selection indices by the tail's typed columnar sort keys —
-/// bounded top-K when `bound` allows, morsel-parallel with a loser-tree
-/// merge when engaged. Single-key sorts over a single-typed column get a
+/// bounded top-K when `bound` allows, per morsel with a loser-tree
+/// merge. Single-key sorts over a single-typed column get a
 /// **monomorphized** comparator (the hot dashboard shape: the `f64`
 /// comparison inlines into the sort loop); multi-key and `Mixed`-column
 /// sorts chain the boxed per-column orderings.
@@ -748,34 +707,23 @@ where
         }
         (nulls, pairs)
     };
-    let (nulls, pairs) = if par.engaged(sel.len()) {
-        let chunks = morsel::run(sel.len(), par, |r| {
-            let (nulls, mut pairs) = decorate(r);
-            if topk {
-                pairs = exec::top_k_sorted(pairs, k, &pair_cmp);
-            } else {
-                pairs.sort_unstable_by(&pair_cmp);
-            }
-            (nulls, pairs)
-        });
-        let mut nulls: Vec<u32> = Vec::new();
-        let mut runs = Vec::with_capacity(chunks.len());
-        for (n, p) in chunks {
-            let room = null_cap - nulls.len();
-            nulls.extend(n.into_iter().take(room));
-            runs.push(p);
-        }
-        let take = topk.then_some(k);
-        (nulls, morsel::merge_sorted_runs(runs, take, pair_cmp))
-    } else {
-        let (nulls, mut pairs) = decorate(0..sel.len());
+    let chunks = morsel::run(sel.len(), par, |r| {
+        let (nulls, mut pairs) = decorate(r);
         if topk {
             pairs = exec::top_k_sorted(pairs, k, &pair_cmp);
         } else {
             pairs.sort_unstable_by(&pair_cmp);
         }
         (nulls, pairs)
-    };
+    });
+    let mut nulls: Vec<u32> = Vec::new();
+    let mut runs = Vec::with_capacity(chunks.len());
+    for (n, p) in chunks {
+        let room = null_cap - nulls.len();
+        nulls.extend(n.into_iter().take(room));
+        runs.push(p);
+    }
+    let pairs = morsel::merge_sorted_runs(runs, topk.then_some(k), pair_cmp);
     // Splice NULLs back: ascending order ranks them below every key
     // (first), descending reverses that (last). `k` bounds the total.
     let want = k.min(nulls.len() + pairs.len());
@@ -808,35 +756,19 @@ fn order_indices<C>(
 where
     C: Fn(&u32, &u32) -> Ordering + Sync,
 {
-    match bound {
-        Some(k) if k < sel.len() => {
-            *topk_hit = true;
-            if par.engaged(sel.len()) {
-                // Morsel-local top-K runs, loser-tree merged; any global
-                // top-K index is in its morsel's top K.
-                let runs = morsel::run(sel.len(), par, |r| {
-                    exec::top_k_sorted(sel[r].iter().copied(), k, &cmp)
-                });
-                morsel::merge_sorted_runs(runs, Some(k), cmp)
-            } else {
-                exec::top_k_sorted(sel.iter().copied(), k, &cmp)
-            }
+    let topk = bound.filter(|&k| k < sel.len());
+    *topk_hit |= topk.is_some();
+    // Morsel-local sorted runs (any global top-K index is in its
+    // morsel's top K), loser-tree merged.
+    let runs = morsel::run(sel.len(), par, |r| match topk {
+        Some(k) => exec::top_k_sorted(sel[r].iter().copied(), k, &cmp),
+        None => {
+            let mut run = sel[r].to_vec();
+            run.sort_unstable_by(&cmp);
+            run
         }
-        _ => {
-            if par.engaged(sel.len()) {
-                let runs = morsel::run(sel.len(), par, |r| {
-                    let mut run = sel[r].to_vec();
-                    run.sort_unstable_by(&cmp);
-                    run
-                });
-                morsel::merge_sorted_runs(runs, None, cmp)
-            } else {
-                let mut idx = sel.to_vec();
-                idx.sort_unstable_by(cmp);
-                idx
-            }
-        }
-    }
+    });
+    morsel::merge_sorted_runs(runs, topk, cmp)
 }
 
 /// The DISTINCT key of row `i` under a plain-column projection: the same
@@ -866,15 +798,14 @@ fn borrow_key_at(col: &Column, i: usize) -> BorrowKey<'_> {
 
 /// Materialize the tail's surviving rows, reading only the projected
 /// source columns (in output order — a column projected twice is read
-/// twice, like the oracle's projection). Morsels materialize
-/// independently and stitch in order.
+/// twice, like the oracle's projection), stitched in morsel order.
 fn materialize_rows(
     ctab: &ColumnarTable,
     idx: &[u32],
     srcs: &[usize],
     par: Parallelism,
 ) -> Vec<Row> {
-    let chunk = |r: std::ops::Range<usize>| -> Vec<Row> {
+    morsel::run_concat(idx.len(), par, |r| {
         idx[r]
             .iter()
             .map(|&i| {
@@ -883,20 +814,13 @@ fn materialize_rows(
                     .collect()
             })
             .collect()
-    };
-    if par.engaged(idx.len()) {
-        return morsel::run(idx.len(), par, chunk)
-            .into_iter()
-            .flatten()
-            .collect();
-    }
-    chunk(0..idx.len())
+    })
 }
 
 // ---- columnar filtering -------------------------------------------------
 
-/// Narrow `sel` to the rows where `pred` is TRUE (SQL filter semantics:
-/// NULL drops).
+/// Scan the table for the rows where `pred` is TRUE (SQL filter
+/// semantics: NULL drops).
 ///
 /// When every top-level AND conjunct has a kernel, conjuncts narrow the
 /// selection one at a time, so later conjuncts only touch surviving
@@ -908,39 +832,37 @@ fn materialize_rows(
 /// the scalar interpreter, which preserves short-circuit and error
 /// behavior exactly.
 ///
-/// With parallelism engaged the selection splits into morsels, each
-/// morsel narrows independently (kernels and the scalar interpreter are
-/// both per-row), and the surviving indices concatenate in morsel order —
-/// the sequential output, bit for bit, including which error surfaces.
-fn filter(
-    ctab: &ColumnarTable,
-    pred: &CompiledExpr,
-    mut sel: Vec<u32>,
-    par: Parallelism,
-) -> Result<Vec<u32>> {
+/// Each morsel of the table narrows independently (kernels and the
+/// scalar interpreter are both per-row) and the surviving indices
+/// concatenate in morsel order, so the first error in row order is the
+/// one that surfaces.
+fn filter(ctab: &ColumnarTable, pred: &CompiledExpr, par: Parallelism) -> Result<Vec<u32>> {
     let mut conjuncts = Vec::new();
     collect_conjuncts(pred, &mut conjuncts);
-    if !conjuncts.iter().all(|c| kernelizable(ctab, c)) {
-        if par.engaged(sel.len()) {
-            let chunks = morsel::try_run(sel.len(), par, |r| {
-                generic_filter_chunk(ctab, pred, &sel[r])
-            })?;
-            return Ok(chunks.concat());
-        }
-        return generic_filter_chunk(ctab, pred, &sel);
+    if conjuncts.iter().all(|c| kernelizable(ctab, c)) {
+        return Ok(kernel_scan(ctab, &conjuncts, par));
     }
-    if par.engaged(sel.len()) {
-        let chunks = morsel::run(sel.len(), par, |r| {
-            narrow_by_kernels(ctab, &conjuncts, sel[r].to_vec())
-        });
-        return Ok(chunks.concat());
-    }
-    sel = narrow_by_kernels(ctab, &conjuncts, sel);
-    Ok(sel)
+    morsel::try_run_concat(ctab.len(), par, |r| generic_filter_chunk(ctab, pred, r))
 }
 
-/// Apply every kernel conjunct in order to one selection (the sequential
-/// inner loop of [`filter`], shared by its morsel workers).
+/// Narrow a full-table scan by a list of kernel conjuncts (the identity
+/// selection when there are none), morsel by morsel.
+fn kernel_scan(tab: &ColumnarTable, kernels: &[&CompiledExpr], par: Parallelism) -> Vec<u32> {
+    if kernels.is_empty() {
+        return (0..tab.len() as u32).collect();
+    }
+    morsel::run_concat(tab.len(), par, |r| {
+        narrow_by_kernels(tab, kernels, (r.start as u32..r.end as u32).collect())
+    })
+}
+
+/// A planned kernel list as the conjunct list [`kernel_scan`] and
+/// [`narrow_by_kernels`] take (WHERE conjuncts arrive borrowed).
+fn kernel_refs(kernels: &[CompiledExpr]) -> Vec<&CompiledExpr> {
+    kernels.iter().collect()
+}
+
+/// Apply every kernel conjunct in order to one selection.
 fn narrow_by_kernels(
     ctab: &ColumnarTable,
     conjuncts: &[&CompiledExpr],
@@ -1051,23 +973,27 @@ pub(crate) fn kernel_keeps_all_null(e: &CompiledExpr) -> bool {
     matches!(e, CompiledExpr::IsNull { negated: false, .. })
 }
 
-/// Fallback conjunct evaluation: scalar-interpret `e` per surviving row,
-/// gathering only the columns it references into a scratch row. Produces
-/// exactly the oracle's values (shared evaluator), including errors.
-fn generic_filter_chunk(ctab: &ColumnarTable, e: &CompiledExpr, sel: &[u32]) -> Result<Vec<u32>> {
+/// Fallback predicate evaluation: scalar-interpret `e` per row of the
+/// range, gathering only the columns it references into a scratch row.
+/// Produces exactly the oracle's values (shared evaluator), including
+/// errors.
+fn generic_filter_chunk(
+    ctab: &ColumnarTable,
+    e: &CompiledExpr,
+    rows: std::ops::Range<usize>,
+) -> Result<Vec<u32>> {
     let mut refs = Vec::new();
     e.for_each_column(&mut |i| refs.push(i));
     refs.sort_unstable();
     refs.dedup();
     let mut scratch: Row = vec![Value::Null; ctab.columns.len()];
-    let mut out = Vec::with_capacity(sel.len());
-    for &i in sel {
-        let idx = i as usize;
+    let mut out = Vec::with_capacity(rows.len());
+    for idx in rows {
         for &c in &refs {
             scratch[c] = ctab.columns[c].value(idx);
         }
         if e.eval_bool(&scratch)? {
-            out.push(i);
+            out.push(idx as u32);
         }
     }
     Ok(out)
@@ -1165,16 +1091,20 @@ fn rebase_kernel_shape(e: &CompiledExpr, offset: usize) -> Option<CompiledExpr> 
     }
 }
 
-/// Hash index over the right (build) side's join-key columns. Key
-/// equality must match the oracle's `ValueKey` semantics exactly.
-/// The `i64`/`&str` specializations are chosen from the *build side's*
-/// physical column type alone (where `ValueKey` equality degenerates to
-/// plain equality); a left key column of a different physical type is
-/// handled in [`JoinIndex::probe`], whose fall-through arms route
-/// through `ValueKey` so `1` still joins `1.0` — do not simplify those
-/// arms away. Bucket candidate lists are in right-table order, so probes
-/// emit matches in the oracle's order.
+/// Where a left row's join candidates come from: a hash index over the
+/// right (build) side's join-key columns, or — with no key columns —
+/// the whole right selection. Key equality must match the oracle's
+/// `ValueKey` semantics exactly. The `i64`/`&str` specializations are
+/// chosen from the *build side's* physical column type alone (where
+/// `ValueKey` equality degenerates to plain equality); a left key column
+/// of a different physical type is handled in [`JoinIndex::probe`],
+/// whose fall-through arms route through `ValueKey` so `1` still joins
+/// `1.0` — do not simplify those arms away. Candidate lists are in
+/// right-table order, so probes emit matches in the oracle's order.
 enum JoinIndex<'a> {
+    /// No key columns (CROSS, pure non-equi ON): every left row's
+    /// candidates are the whole right selection — a nested-loop join.
+    All(&'a [u32]),
     Int(HashMap<i64, Vec<u32>>),
     Str(HashMap<&'a str, Vec<u32>>),
     Value(HashMap<ValueKey, Vec<u32>>),
@@ -1184,7 +1114,14 @@ enum JoinIndex<'a> {
 impl<'a> JoinIndex<'a> {
     /// Build over the (already filtered) right selection. Rows with any
     /// NULL key column never enter the index — NULL keys never match.
-    fn build(rtab: &'a ColumnarTable, key_pairs: &[(usize, usize)], rsel: &[u32]) -> JoinIndex<'a> {
+    fn build(
+        rtab: &'a ColumnarTable,
+        key_pairs: &[(usize, usize)],
+        rsel: &'a [u32],
+    ) -> JoinIndex<'a> {
+        if key_pairs.is_empty() {
+            return JoinIndex::All(rsel);
+        }
         if let [(_, rk)] = key_pairs {
             let col = &rtab.columns[*rk];
             match &col.data {
@@ -1239,8 +1176,9 @@ impl<'a> JoinIndex<'a> {
     }
 
     /// Candidate right rows for left row `lidx`, or `None` when the key
-    /// is NULL or absent. The `Int`/`Str` arms cover mismatched physical
-    /// types by falling through `ValueKey` where needed.
+    /// is NULL or absent (a hash bucket is never empty; `All` may be).
+    /// The `Int`/`Str` arms cover mismatched physical types by falling
+    /// through `ValueKey` where needed.
     fn probe(
         &self,
         ltab: &ColumnarTable,
@@ -1248,6 +1186,7 @@ impl<'a> JoinIndex<'a> {
         lidx: usize,
     ) -> Option<&[u32]> {
         match self {
+            JoinIndex::All(all) => Some(all),
             JoinIndex::Int(map) => {
                 let (lk, _) = key_pairs[0];
                 let col = &ltab.columns[lk];
@@ -1352,89 +1291,80 @@ impl<'a> ResidualEval<'a> {
     }
 }
 
-/// Apply one post-join kernel to the match vectors in place. On the
-/// NULL-padded side of an unmatched outer-join row (right side of a
-/// LEFT pad, left side of a RIGHT pad) every column reads NULL, so only
-/// a non-negated `IS NULL` keeps the pad.
-fn apply_pair_kernel(
+/// The post-join filter over one morsel of the match vectors: a pair
+/// survives when every pushed kernel keeps it and then the residual
+/// WHERE predicate — scalar-interpreted over a scratch row holding only
+/// the referenced columns — is TRUE. Exactly the oracle's filter of the
+/// joined relation: kernels are infallible, so the predicate sees the
+/// same pairs in the same order, with the same values, short-circuit
+/// and errors. On the NULL-padded side of an unmatched outer-join row
+/// every column reads NULL, so only a non-negated `IS NULL` kernel keeps
+/// the pad.
+fn filter_pairs(
     ltab: &ColumnarTable,
     rtab: &ColumnarTable,
-    side: JoinSide,
-    kernel: &CompiledExpr,
-    pairs_l: &mut Vec<u32>,
-    pairs_r: &mut Vec<u32>,
-) {
-    let tab = match side {
-        JoinSide::Left => ltab,
-        JoinSide::Right => rtab,
-    };
-    let pred = kernel_predicate(tab, kernel);
-    let keeps_pad = kernel_keeps_all_null(kernel);
-    let mut w = 0;
-    for k in 0..pairs_l.len() {
-        let idx = match side {
-            JoinSide::Left => pairs_l[k],
-            JoinSide::Right => pairs_r[k],
-        };
-        let keep = if idx == GATHER_NULL {
-            keeps_pad
-        } else {
-            pred(idx as usize)
-        };
-        if keep {
-            pairs_l[w] = pairs_l[k];
-            pairs_r[w] = pairs_r[k];
-            w += 1;
-        }
-    }
-    pairs_l.truncate(w);
-    pairs_r.truncate(w);
-}
-
-/// Post-join evaluation of a whole WHERE predicate that has no kernel
-/// decomposition: scalar-interpret it per joined row (in output order)
-/// over a scratch row holding only the referenced columns. Exactly the
-/// oracle's filter — same values, same short-circuit, same errors.
-fn generic_pair_filter(
-    ltab: &ColumnarTable,
-    rtab: &ColumnarTable,
-    pred: &CompiledExpr,
-    pairs_l: &mut Vec<u32>,
-    pairs_r: &mut Vec<u32>,
-) -> Result<()> {
+    (kernels, pred): PostSplit<'_>,
+    pairs_l: &[u32],
+    pairs_r: &[u32],
+) -> Result<(Vec<u32>, Vec<u32>)> {
     let lw = ltab.columns.len();
+    let kernels: Vec<_> = kernels
+        .iter()
+        .map(|(side, k)| {
+            let tab = match side {
+                JoinSide::Left => ltab,
+                JoinSide::Right => rtab,
+            };
+            (*side, kernel_predicate(tab, k), kernel_keeps_all_null(k))
+        })
+        .collect();
     let mut refs = Vec::new();
-    pred.for_each_column(&mut |i| refs.push(i));
+    if let Some(pred) = pred {
+        pred.for_each_column(&mut |i| refs.push(i));
+    }
     refs.sort_unstable();
     refs.dedup();
     let (lrefs, rrefs): (Vec<_>, Vec<_>) = refs.into_iter().partition(|&i| i < lw);
     let mut scratch: Row = vec![Value::Null; lw + rtab.columns.len()];
-    let mut w = 0;
-    for k in 0..pairs_l.len() {
-        let (li, ri) = (pairs_l[k], pairs_r[k]);
-        for &c in &lrefs {
-            scratch[c] = if li == GATHER_NULL {
-                Value::Null
-            } else {
-                ltab.columns[c].value(li as usize)
+    let value_at = |tab: &ColumnarTable, c: usize, i: u32| {
+        if i == GATHER_NULL {
+            Value::Null
+        } else {
+            tab.columns[c].value(i as usize)
+        }
+    };
+    let mut out_l = Vec::with_capacity(pairs_l.len());
+    let mut out_r = Vec::with_capacity(pairs_l.len());
+    for (&li, &ri) in pairs_l.iter().zip(pairs_r) {
+        let kept = kernels.iter().all(|(side, keep, keeps_pad)| {
+            let idx = match side {
+                JoinSide::Left => li,
+                JoinSide::Right => ri,
             };
-        }
-        for &c in &rrefs {
-            scratch[c] = if ri == GATHER_NULL {
-                Value::Null
+            if idx == GATHER_NULL {
+                *keeps_pad
             } else {
-                rtab.columns[c - lw].value(ri as usize)
-            };
+                keep(idx as usize)
+            }
+        });
+        if !kept {
+            continue;
         }
-        if pred.eval_bool(&scratch)? {
-            pairs_l[w] = li;
-            pairs_r[w] = ri;
-            w += 1;
+        if let Some(pred) = pred {
+            for &c in &lrefs {
+                scratch[c] = value_at(ltab, c, li);
+            }
+            for &c in &rrefs {
+                scratch[c] = value_at(rtab, c - lw, ri);
+            }
+            if !pred.eval_bool(&scratch)? {
+                continue;
+            }
         }
+        out_l.push(li);
+        out_r.push(ri);
     }
-    pairs_l.truncate(w);
-    pairs_r.truncate(w);
-    Ok(())
+    Ok((out_l, out_r))
 }
 
 /// The tree root's WHERE split: side-tagged pushed kernels plus the
@@ -1493,14 +1423,10 @@ impl TreeExec<'_> {
         // kernels (sound on a side only when it keeps no pads), then the
         // match-only kernels (ON conjuncts on a pad-keeping right side:
         // failing rows cannot match but still pad).
-        let lsel = kernel_scan(&ltab, &node.left_kernels, par);
-        let rsel = kernel_scan(&rtab, &node.right_kernels, par);
-        let rmatch = if node.right_match_kernels.is_empty() {
-            rsel.clone()
-        } else {
-            let refs: Vec<&CompiledExpr> = node.right_match_kernels.iter().collect();
-            narrow_by_kernels(&rtab, &refs, rsel.clone())
-        };
+        let lsel = kernel_scan(&ltab, &kernel_refs(&node.left_kernels), par);
+        let rsel = kernel_scan(&rtab, &kernel_refs(&node.right_kernels), par);
+        let rmatch =
+            narrow_by_kernels(&rtab, &kernel_refs(&node.right_match_kernels), rsel.clone());
 
         // Greedy smallest-estimated-input-first: build on the smaller
         // (already kernel-narrowed) input. Only pure INNER equi-joins
@@ -1515,23 +1441,24 @@ impl TreeExec<'_> {
             && lsel.len() < rmatch.len();
         self.join_order.push(swap);
 
-        let (mut pairs_l, mut pairs_r) = if node.key_pairs.is_empty() {
-            // CROSS and pure non-equi joins: nested-loop morsels.
-            nested_loop_join(&ltab, &rtab, node, &lsel, &rmatch, keep_l, par)?
-        } else if swap {
+        let (mut pairs_l, mut pairs_r) = if swap {
             swapped_equi_join(&ltab, &rtab, &node.key_pairs, &lsel, &rmatch, par)
         } else {
-            // Build + probe. The build side is sequential (its bucket
-            // lists must be in right-table order); probing walks the
-            // left side in order and each bucket in right-table order,
-            // so matches come out exactly in the oracle's
-            // combined-row order; unmatched left rows of a pad-keeping
-            // join are emitted in place with the GATHER_NULL pad.
-            // Parallel probes claim morsels of `lsel` against the shared
-            // read-only index and their match vectors concatenate in
-            // morsel order — the same pair sequence.
+            // One probe loop for hash and nested-loop joins, which differ
+            // only in where a left row's candidates come from: its
+            // bucket of the index built over `rmatch` (on one thread —
+            // bucket lists must be in right-table order), or, for a
+            // keyless node (CROSS, pure non-equi ON), all of `rmatch`
+            // (`JoinIndex::All`). The loop walks the left side in order
+            // and each candidate list in right-table order, gating pairs
+            // by the fallible residual in ON-conjunct order — the
+            // oracle's loops, so matches, short-circuits and errors come
+            // out in its combined-row order; unmatched left rows of a
+            // pad-keeping join are emitted in place with the GATHER_NULL
+            // pad. Morsels split `lsel` against the shared read-only
+            // index and their match vectors concatenate in morsel order.
             let index = JoinIndex::build(&rtab, &node.key_pairs, &rmatch);
-            let probe_chunk = |chunk: &[u32]| -> Result<(Vec<u32>, Vec<u32>)> {
+            morsel::try_run_concat(lsel.len(), par, |r| -> Result<(Vec<u32>, Vec<u32>)> {
                 let left_preds: Vec<_> = node
                     .left_match_kernels
                     .iter()
@@ -1539,9 +1466,9 @@ impl TreeExec<'_> {
                     .collect();
                 let mut residual =
                     (!node.residual.is_empty()).then(|| ResidualEval::new(&node.residual, lw, rw));
-                let mut pairs_l: Vec<u32> = Vec::with_capacity(chunk.len());
-                let mut pairs_r: Vec<u32> = Vec::with_capacity(chunk.len());
-                for &li in chunk {
+                let mut pairs_l: Vec<u32> = Vec::with_capacity(r.len());
+                let mut pairs_r: Vec<u32> = Vec::with_capacity(r.len());
+                for &li in &lsel[r] {
                     let lidx = li as usize;
                     let mut matched = false;
                     if left_preds.iter().all(|p| p(lidx)) {
@@ -1564,26 +1491,13 @@ impl TreeExec<'_> {
                             }
                         }
                     }
-                    if !matched && keep_l {
+                    if keep_l && !matched {
                         pairs_l.push(li);
                         pairs_r.push(GATHER_NULL);
                     }
                 }
                 Ok((pairs_l, pairs_r))
-            };
-            if par.engaged(lsel.len()) {
-                let chunks = morsel::try_run(lsel.len(), par, |r| probe_chunk(&lsel[r]))?;
-                let total = chunks.iter().map(|(l, _)| l.len()).sum();
-                let mut pairs_l: Vec<u32> = Vec::with_capacity(total);
-                let mut pairs_r: Vec<u32> = Vec::with_capacity(total);
-                for (l, r) in chunks {
-                    pairs_l.extend(l);
-                    pairs_r.extend(r);
-                }
-                (pairs_l, pairs_r)
-            } else {
-                probe_chunk(&lsel)?
-            }
+            })?
         };
 
         // Matched-bit tracking for RIGHT/FULL joins: right rows no
@@ -1610,39 +1524,10 @@ impl TreeExec<'_> {
         // Post-join filters (WHERE conjuncts that could not be pushed),
         // applied per pair at the tree root — after pads, exactly where
         // the oracle filters the joined relation.
-        if let Some((post_kernels, post_filter)) = post {
-            if par.engaged(pairs_l.len()) && (!post_kernels.is_empty() || post_filter.is_some()) {
-                let chunks = morsel::try_run(pairs_l.len(), par, |range| {
-                    let mut pl = pairs_l[range.clone()].to_vec();
-                    let mut pr = pairs_r[range].to_vec();
-                    for (side, k) in post_kernels {
-                        if pl.is_empty() {
-                            break;
-                        }
-                        apply_pair_kernel(&ltab, &rtab, *side, k, &mut pl, &mut pr);
-                    }
-                    if let Some(pred) = post_filter {
-                        generic_pair_filter(&ltab, &rtab, pred, &mut pl, &mut pr)?;
-                    }
-                    Ok::<_, DbError>((pl, pr))
-                })?;
-                pairs_l.clear();
-                pairs_r.clear();
-                for (l, r) in chunks {
-                    pairs_l.extend(l);
-                    pairs_r.extend(r);
-                }
-            } else {
-                for (side, k) in post_kernels {
-                    if pairs_l.is_empty() {
-                        break;
-                    }
-                    apply_pair_kernel(&ltab, &rtab, *side, k, &mut pairs_l, &mut pairs_r);
-                }
-                if let Some(pred) = post_filter {
-                    generic_pair_filter(&ltab, &rtab, pred, &mut pairs_l, &mut pairs_r)?;
-                }
-            }
+        if let Some(post) = post.filter(|(kernels, pred)| !kernels.is_empty() || pred.is_some()) {
+            (pairs_l, pairs_r) = morsel::try_run_concat(pairs_l.len(), par, |r| {
+                filter_pairs(&ltab, &rtab, post, &pairs_l[r.clone()], &pairs_r[r])
+            })?;
         }
 
         // Late materialization: gather only the live columns; dead
@@ -1668,78 +1553,8 @@ impl TreeExec<'_> {
     }
 }
 
-/// Nested-loop join for keyless nodes (CROSS joins and pure non-equi ON
-/// constraints): every surviving left row pairs against every
-/// match-eligible right row, gated by the fallible residual (evaluated
-/// in ON-conjunct order, left rows outermost — the oracle's loop,
-/// so values, short-circuits and errors are identical). Morsels split
-/// the left side; the earliest morsel's error wins, which is the
-/// sequential error.
-fn nested_loop_join(
-    ltab: &ColumnarTable,
-    rtab: &ColumnarTable,
-    node: &JoinNode,
-    lsel: &[u32],
-    rmatch: &[u32],
-    keep_l: bool,
-    par: Parallelism,
-) -> Result<(Vec<u32>, Vec<u32>)> {
-    let (lw, rw) = (node.lw, node.rw);
-    let chunk_fn = |chunk: &[u32]| -> Result<(Vec<u32>, Vec<u32>)> {
-        let left_preds: Vec<_> = node
-            .left_match_kernels
-            .iter()
-            .map(|k| kernel_predicate(ltab, k))
-            .collect();
-        let mut residual =
-            (!node.residual.is_empty()).then(|| ResidualEval::new(&node.residual, lw, rw));
-        let mut pairs_l: Vec<u32> = Vec::new();
-        let mut pairs_r: Vec<u32> = Vec::new();
-        for &li in chunk {
-            let lidx = li as usize;
-            let mut matched = false;
-            if left_preds.iter().all(|p| p(lidx)) {
-                if let Some(res) = &mut residual {
-                    res.load_left(ltab, lidx);
-                    for &ri in rmatch {
-                        if res.pair_ok(rtab, lw, ri as usize)? {
-                            matched = true;
-                            pairs_l.push(li);
-                            pairs_r.push(ri);
-                        }
-                    }
-                } else {
-                    matched = !rmatch.is_empty();
-                    for &ri in rmatch {
-                        pairs_l.push(li);
-                        pairs_r.push(ri);
-                    }
-                }
-            }
-            if !matched && keep_l {
-                pairs_l.push(li);
-                pairs_r.push(GATHER_NULL);
-            }
-        }
-        Ok((pairs_l, pairs_r))
-    };
-    if par.engaged(lsel.len()) {
-        let chunks = morsel::try_run(lsel.len(), par, |r| chunk_fn(&lsel[r]))?;
-        let total = chunks.iter().map(|(l, _)| l.len()).sum();
-        let mut pairs_l: Vec<u32> = Vec::with_capacity(total);
-        let mut pairs_r: Vec<u32> = Vec::with_capacity(total);
-        for (l, r) in chunks {
-            pairs_l.extend(l);
-            pairs_r.extend(r);
-        }
-        Ok((pairs_l, pairs_r))
-    } else {
-        chunk_fn(lsel)
-    }
-}
-
 /// Pure INNER equi-join with the build side swapped onto the smaller
-/// left input: build over `lsel`, probe `rmatch` morsel-parallel, then
+/// left input: build over `lsel`, probe `rmatch` morsel by morsel, then
 /// sort the pair vector by `(left, right)` — bucket lists are ascending
 /// and pairs are unique, so the sort reproduces exactly the unswapped
 /// (oracle) emission order. Infallible by construction (no residual,
@@ -1755,9 +1570,9 @@ fn swapped_equi_join(
 ) -> (Vec<u32>, Vec<u32>) {
     let inv: Vec<(usize, usize)> = key_pairs.iter().map(|&(lk, rk)| (rk, lk)).collect();
     let index = JoinIndex::build(ltab, &inv, lsel);
-    let probe_chunk = |chunk: &[u32]| -> Vec<(u32, u32)> {
-        let mut pairs = Vec::with_capacity(chunk.len());
-        for &ri in chunk {
+    let mut pairs: Vec<(u32, u32)> = morsel::run_concat(rmatch.len(), par, |r| {
+        let mut pairs = Vec::with_capacity(r.len());
+        for &ri in &rmatch[r] {
             if let Some(candidates) = index.probe(rtab, &inv, ri as usize) {
                 for &li in candidates {
                     pairs.push((li, ri));
@@ -1765,12 +1580,7 @@ fn swapped_equi_join(
             }
         }
         pairs
-    };
-    let mut pairs: Vec<(u32, u32)> = if par.engaged(rmatch.len()) {
-        morsel::run(rmatch.len(), par, |r| probe_chunk(&rmatch[r])).concat()
-    } else {
-        probe_chunk(rmatch)
-    };
+    });
     pairs.sort_unstable();
     (
         pairs.iter().map(|p| p.0).collect(),
@@ -1785,10 +1595,9 @@ fn swapped_equi_join(
 /// projection tail over the root's output. See [`crate::plan`] for why
 /// each pushdown preserves the oracle's bytes.
 fn run_tree(ex: &mut Exec<'_>, q: &Query, s: &Select, from: &TableRef) -> Result<ResultSet> {
-    let par = ex.db.exec_tuning();
     let tree = plan::plan_tree(ex, q, s, from)?;
     let mut texec = TreeExec {
-        par,
+        par: ex.par,
         join_order: &mut ex.stats.join_order,
     };
     let joined = texec.exec_join(
@@ -1797,7 +1606,7 @@ fn run_tree(ex: &mut Exec<'_>, q: &Query, s: &Select, from: &TableRef) -> Result
         &tree.leaves,
     )?;
     let sel: Vec<u32> = (0..joined.len() as u32).collect();
-    finish_block(ex, q, s, tree.cols, &joined, &sel, par)
+    finish_block(ex, q, s, tree.cols, &joined, &sel)
 }
 
 /// Run a set-operation tree: arms execute left to right as queries of
@@ -1806,7 +1615,7 @@ fn run_tree(ex: &mut Exec<'_>, q: &Query, s: &Select, from: &TableRef) -> Result
 /// ([`set_op_indices`]), and the ORDER BY / LIMIT tail runs on indices
 /// like [`run_tail`].
 fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
-    let par = ex.db.exec_tuning();
+    let par = ex.par;
     // 1. Execute every arm, checking arity node by node; the output is
     // named after the first arm and sorts by its own columns only.
     let mut arms: Vec<ResultSet> = Vec::new();
@@ -1923,21 +1732,6 @@ fn set_op_indices(
             idx
         }
     }
-}
-
-/// Narrow a full-table scan by a list of pushed-down kernels
-/// (morsel-parallel when engaged; identity selection when `kernels` is
-/// empty).
-fn kernel_scan(tab: &ColumnarTable, kernels: &[CompiledExpr], par: Parallelism) -> Vec<u32> {
-    let len = tab.len();
-    let refs: Vec<&CompiledExpr> = kernels.iter().collect();
-    if par.engaged(len) && !kernels.is_empty() {
-        return morsel::run(len, par, |r| {
-            narrow_by_kernels(tab, &refs, (r.start as u32..r.end as u32).collect())
-        })
-        .concat();
-    }
-    narrow_by_kernels(tab, &refs, (0..len as u32).collect())
 }
 
 /// Row predicate for `column op literal`, with the exact semantics of
@@ -2093,55 +1887,19 @@ fn plan_grouped(ex: &mut Exec<'_>, q: &Query, s: &Select, cols: &[ColMeta]) -> O
     })
 }
 
-fn run_grouped(
-    q: &Query,
-    s: &Select,
-    ctab: &ColumnarTable,
-    sel: &[u32],
-    plan: GroupedPlan,
-    par: Parallelism,
-    topk: &mut bool,
-) -> Result<Relation> {
-    if par.engaged(sel.len()) {
-        return run_grouped_parallel(q, s, ctab, sel, plan, par, topk);
-    }
-    let (gids, mut groups) = assign_groups(ctab, &plan.key_cols, sel);
-    // A grand aggregate over zero rows still yields one group.
-    if plan.key_cols.is_empty() && groups.is_empty() {
-        groups.push(Vec::new());
-    }
-    let ngroups = groups.len();
-
-    let mut agg_vals: Vec<Vec<Value>> = Vec::with_capacity(plan.aggs.len());
-    for (spec, arg) in plan.aggs.iter().zip(&plan.agg_args) {
-        agg_vals.push(compute_agg(
-            ctab,
-            spec.func,
-            *arg,
-            sel,
-            &gids,
-            ngroups,
-            par.fold_rows,
-        )?);
-    }
-    grouped_tail(q, s, plan, GroupedRows::new(groups, agg_vals), topk)
-}
-
-/// Morsel-parallel grouped aggregation: every morsel of the selection
-/// builds its own local group table (first-appearance order within the
-/// morsel) and one [`AggPartial`] per aggregate — numeric aggregates
-/// fold their fold-grid chunks into leaf sums right on the worker; the
-/// coordinating thread then merges morsels **in morsel order** — local
-/// groups map into a global table that reproduces the sequential
+/// Grouped aggregation: every morsel of the selection builds its own
+/// local group table (first-appearance order within the morsel) and one
+/// [`AggPartial`] per aggregate — numeric aggregates fold their
+/// fold-grid chunks into leaf sums right there; the morsels then merge
+/// **in morsel order** — local groups map into a global table in
 /// first-appearance order (all of morsel 0's rows precede morsel 1's),
 /// and partial states merge per [`AggPartial::merge`]'s order-preserving
 /// rules, after which a single fixed-shape tree combine (or loser-tree
 /// run merge) finishes each group. `STDDEV` takes a second morsel pass
-/// ([`parallel_stddev`]) once the mean pass has merged. Aggregate-stage
+/// ([`stddev_pass`]) once the mean pass has merged. Aggregate-stage
 /// errors are reported for the lowest aggregate index first and, within
-/// an aggregate, from the earliest morsel — exactly the sequential
-/// engine's aggregate-major, row-order error.
-fn run_grouped_parallel(
+/// an aggregate, from the earliest morsel — aggregate-major, row order.
+fn run_grouped(
     q: &Query,
     s: &Select,
     ctab: &ColumnarTable,
@@ -2153,10 +1911,10 @@ fn run_grouped_parallel(
     let fold_rows = par.fold_rows;
     let dense = sel.len() == ctab.len();
     // STDDEV's second (M2) pass revisits the data with per-group means
-    // in hand; it needs each morsel's local group assignments.
+    // in hand; it needs every row's group id.
     let need_gids = plan.aggs.iter().any(|spec| spec.func == AggFunc::Stddev);
     type MorselState = (Vec<Row>, Vec<u32>, Vec<Result<AggPartial>>);
-    let morsels: Vec<MorselState> = morsel::run(sel.len(), par, |range| {
+    let mut morsels: Vec<MorselState> = morsel::run(sel.len(), par, |range| {
         let base = range.start;
         let chunk = &sel[range];
         let (gids, groups) = assign_groups(ctab, &plan.key_cols, chunk);
@@ -2175,27 +1933,28 @@ fn run_grouped_parallel(
     });
 
     // Merge morsel-local groups into the global first-appearance order.
-    let naggs = plan.aggs.len();
-    let mut map: HashMap<RowKey, u32> = HashMap::new();
+    // A single morsel's table already is that order: adopt it.
     let mut groups: Vec<Row> = Vec::new();
     let mut gid_maps: Vec<Vec<u32>> = Vec::with_capacity(morsels.len());
-    let mut morsel_gids: Vec<Vec<u32>> = Vec::with_capacity(morsels.len());
-    let mut locals: Vec<Vec<Result<AggPartial>>> = Vec::with_capacity(morsels.len());
-    for (local_groups, gids, partials) in morsels {
-        let mut gmap = Vec::with_capacity(local_groups.len());
-        for key_vals in local_groups {
-            let gid = match map.entry(RowKey::from_values(&key_vals)) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    groups.push(key_vals);
-                    *e.insert((groups.len() - 1) as u32)
-                }
-            };
-            gmap.push(gid);
+    if let [(only, _, _)] = &mut morsels[..] {
+        groups = std::mem::take(only);
+        gid_maps.push((0..groups.len() as u32).collect());
+    } else {
+        let mut map: HashMap<RowKey, u32> = HashMap::new();
+        for (local_groups, _, _) in &mut morsels {
+            let mut gmap = Vec::with_capacity(local_groups.len());
+            for key_vals in local_groups.drain(..) {
+                let gid = match map.entry(RowKey::from_values(&key_vals)) {
+                    Entry::Occupied(e) => *e.get(),
+                    Entry::Vacant(e) => {
+                        groups.push(key_vals);
+                        *e.insert((groups.len() - 1) as u32)
+                    }
+                };
+                gmap.push(gid);
+            }
+            gid_maps.push(gmap);
         }
-        gid_maps.push(gmap);
-        morsel_gids.push(gids);
-        locals.push(partials);
     }
     // A grand aggregate over zero rows still yields one group.
     if plan.key_cols.is_empty() && groups.is_empty() {
@@ -2203,65 +1962,54 @@ fn run_grouped_parallel(
     }
     let ngroups = groups.len();
 
-    // Merge partial states per aggregate, morsels in order.
-    let mut global: Vec<AggPartial> = plan
+    // Merge partial states per aggregate, morsels in order; with STDDEV,
+    // also every selection position's global group id.
+    let mut global: Vec<Result<AggPartial>> = plan
         .aggs
         .iter()
         .zip(&plan.agg_args)
         .map(|(spec, arg)| {
-            AggPartial::new_global(spec.func, ngroups, mixed_best(ctab, spec.func, *arg))
+            let mixed = mixed_best(ctab, spec.func, *arg);
+            Ok(AggPartial::new_global(spec.func, ngroups, mixed))
         })
         .collect();
-    let mut first_err: Vec<Option<DbError>> = Vec::with_capacity(naggs);
-    first_err.resize_with(naggs, || None);
-    for (m, partials) in locals.into_iter().enumerate() {
-        for (a, partial) in partials.into_iter().enumerate() {
-            if first_err[a].is_some() {
-                continue;
-            }
-            match partial {
-                Ok(p) => global[a].merge(p, &gid_maps[m], plan.aggs[a].func),
-                Err(e) => first_err[a] = Some(e),
+    let mut gids: Vec<u32> = Vec::with_capacity(if need_gids { sel.len() } else { 0 });
+    for ((_, local_gids, partials), gmap) in morsels.into_iter().zip(&gid_maps) {
+        gids.extend(local_gids.into_iter().map(|g| gmap[g as usize]));
+        for ((g, partial), spec) in global.iter_mut().zip(partials).zip(&plan.aggs) {
+            // A failed aggregate keeps its earliest morsel's error.
+            if let Ok(state) = g {
+                match partial {
+                    Ok(p) => state.merge(p, gmap, spec.func),
+                    Err(e) => *g = Err(e),
+                }
             }
         }
     }
-    if let Some(e) = first_err.into_iter().flatten().next() {
-        return Err(e);
-    }
-    let mut agg_vals: Vec<Vec<Value>> = Vec::with_capacity(naggs);
-    for (a, (g, spec)) in global.into_iter().zip(&plan.aggs).enumerate() {
-        if spec.func == AggFunc::Stddev {
-            let AggPartial::Sums(states) = g else {
-                unreachable!("STDDEV mean pass always produces Sums partials")
-            };
-            agg_vals.push(parallel_stddev(
-                ctab,
-                plan.agg_args[a],
-                sel,
-                par,
-                &morsel_gids,
-                &gid_maps,
-                states,
-            )?);
-        } else {
-            agg_vals.push(g.finalize(spec.func));
-        }
+    // `?` in aggregate order: the lowest failing index is reported.
+    let mut agg_vals: Vec<Vec<Value>> = Vec::with_capacity(global.len());
+    for ((g, spec), arg) in global.into_iter().zip(&plan.aggs).zip(&plan.agg_args) {
+        agg_vals.push(match g? {
+            AggPartial::Sums(states) if spec.func == AggFunc::Stddev => {
+                stddev_pass(ctab, *arg, sel, par, &gids, states)?
+            }
+            g => g.finalize(spec.func),
+        });
     }
     grouped_tail(q, s, plan, GroupedRows::new(groups, agg_vals), topk)
 }
 
-/// Second pass of the morsel-parallel `STDDEV`: with per-group means
-/// fixed by the merged mean pass, every morsel folds its groups' squared
-/// deviations on the same fold grid (global group ids this time), and
-/// the per-morsel leaf lists concatenate in morsel order — exactly the
-/// sequential [`aggregate::stddev_tree`], bit for bit.
-fn parallel_stddev(
+/// Second pass of `STDDEV`: with per-group means fixed by the merged
+/// mean pass, every morsel folds its groups' squared deviations on the
+/// same fold grid (`gids` holds each selection position's global group
+/// id), and the per-morsel leaf lists concatenate in morsel order —
+/// the two tree folds of [`aggregate::stddev_tree`], bit for bit.
+fn stddev_pass(
     ctab: &ColumnarTable,
     arg: Option<usize>,
     sel: &[u32],
     par: Parallelism,
-    morsel_gids: &[Vec<u32>],
-    gid_maps: &[Vec<u32>],
+    gids: &[u32],
     states: Vec<FoldState>,
 ) -> Result<Vec<Value>> {
     let col = match arg {
@@ -2280,21 +2028,17 @@ fn parallel_stddev(
         .map(|(s, &n)| if n == 0 { 0.0 } else { s.into_sum() / n as f64 })
         .collect();
     let step = par.fold_rows.max(1);
-    let sched = par.sched_rows(sel.len());
     let m2s: Vec<Vec<FoldState>> =
         morsel::try_run(sel.len(), par, |range| -> Result<Vec<FoldState>> {
-            let m = range.start / sched;
-            let gids = &morsel_gids[m];
-            let gmap = &gid_maps[m];
             let mut accs: Vec<FoldAcc> = vec![FoldAcc::new(); ngroups];
-            for (k, &i) in sel[range.clone()].iter().enumerate() {
-                let idx = i as usize;
+            for p in range {
+                let idx = sel[p] as usize;
                 if col.is_null(idx) {
                     continue;
                 }
-                let g = gmap[gids[k] as usize] as usize;
+                let g = gids[p] as usize;
                 let x = numeric_at(col, idx, AggFunc::Stddev)?;
-                accs[g].push((range.start + k) / step, (x - means[g]).powi(2));
+                accs[g].push(p / step, (x - means[g]).powi(2));
             }
             Ok(accs.into_iter().map(FoldAcc::finish).collect::<Vec<_>>())
         })?;
@@ -2317,11 +2061,10 @@ fn parallel_stddev(
         .collect())
 }
 
-/// Post-aggregation tail shared by the sequential and parallel grouped
-/// operators — identical to the row-wise `select_grouped` followed
-/// by the LIMIT/OFFSET slice: build post-group rows
-/// `[key values..., aggregate values...]` (transposed out of the
-/// column-major [`GroupedRows`] without cloning aggregate values), filter
+/// Post-aggregation tail of the grouped operator — identical to the
+/// row-wise `select_grouped` followed by the LIMIT/OFFSET slice: build
+/// post-group rows `[key values..., aggregate values...]` (transposed out
+/// of the column-major [`GroupedRows`] without cloning aggregate values), filter
 /// HAVING, project, then sort **group indices** — `ORDER BY … LIMIT k`
 /// selects the top `offset + k` groups with a bounded heap instead of
 /// sorting every group ([`exec::finish_select_sliced`]).
@@ -2499,132 +2242,6 @@ fn dense_fold(col: &Column, range: std::ops::Range<usize>, fold_rows: usize) -> 
     Some(acc.finish())
 }
 
-/// Finish a SUM or AVG from one group's fold state.
-fn finish_sum_avg(func: AggFunc, state: FoldState) -> Value {
-    if state.count() == 0 {
-        return Value::Null;
-    }
-    let n = state.count() as f64;
-    let sum = state.into_sum();
-    match func {
-        AggFunc::Sum => Value::Float(sum),
-        AggFunc::Avg => Value::Float(sum / n),
-        _ => unreachable!("fold state finalized for {func:?}"),
-    }
-}
-
-/// Evaluate one aggregate over all groups in a single columnar pass.
-/// Floating-point aggregates fold through the fixed-shape reduction tree
-/// on the `fold_rows` grid over selection positions — the same function
-/// the oracle and the parallel operator evaluate, bit for bit.
-fn compute_agg(
-    ctab: &ColumnarTable,
-    func: AggFunc,
-    arg: Option<usize>,
-    sel: &[u32],
-    gids: &[u32],
-    ngroups: usize,
-    fold_rows: usize,
-) -> Result<Vec<Value>> {
-    if func == AggFunc::CountStar {
-        let mut counts = vec![0i64; ngroups];
-        for &g in gids {
-            counts[g as usize] += 1;
-        }
-        return Ok(counts.into_iter().map(Value::Int).collect());
-    }
-    let col = match arg {
-        Some(c) => &ctab.columns[c],
-        None => {
-            return Err(DbError::InvalidAggregate(format!(
-                "{func:?} requires an argument"
-            )))
-        }
-    };
-    match func {
-        AggFunc::CountStar => unreachable!("handled above"),
-        AggFunc::Count => {
-            let mut counts = vec![0i64; ngroups];
-            if col.nulls.any() {
-                for (k, &i) in sel.iter().enumerate() {
-                    if !col.is_null(i as usize) {
-                        counts[gids[k] as usize] += 1;
-                    }
-                }
-            } else {
-                for &g in gids {
-                    counts[g as usize] += 1;
-                }
-            }
-            Ok(counts.into_iter().map(Value::Int).collect())
-        }
-        AggFunc::CountDistinct => {
-            let mut sets: Vec<HashSet<ValueKey>> = vec![HashSet::new(); ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                sets[gids[k] as usize].insert(value_key_at(col, idx));
-            }
-            Ok(sets
-                .into_iter()
-                .map(|s| Value::Int(s.len() as i64))
-                .collect())
-        }
-        AggFunc::Sum | AggFunc::Avg => {
-            // Dense kernel fast path: one group over the full table —
-            // fold chunks are contiguous column slices, so the SIMD
-            // leaf kernels apply directly.
-            if ngroups == 1 && sel.len() == ctab.len() {
-                if let Some(state) = dense_fold(col, 0..sel.len(), fold_rows) {
-                    return Ok(vec![finish_sum_avg(func, state)]);
-                }
-            }
-            let mut accs: Vec<FoldAcc> = vec![FoldAcc::new(); ngroups];
-            let step = fold_rows.max(1);
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                accs[gids[k] as usize].push(k / step, numeric_at(col, idx, func)?);
-            }
-            Ok(accs
-                .into_iter()
-                .map(|acc| finish_sum_avg(func, acc.finish()))
-                .collect())
-        }
-        AggFunc::Min | AggFunc::Max => Ok(min_max(col, func, sel, gids, ngroups)),
-        AggFunc::Median => {
-            let mut per: Vec<Vec<f64>> = vec![Vec::new(); ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                per[gids[k] as usize].push(numeric_at(col, idx, func)?);
-            }
-            Ok(per.into_iter().map(aggregate::median_of).collect())
-        }
-        AggFunc::Stddev => {
-            let mut per: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ngroups];
-            let step = fold_rows.max(1);
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                per[gids[k] as usize].push((k / step, numeric_at(col, idx, func)?));
-            }
-            Ok(per
-                .into_iter()
-                .map(|pairs| aggregate::stddev_tree(&pairs))
-                .collect())
-        }
-    }
-}
-
 /// Hashable grouping/distinct key of a non-null column slot, matching
 /// `ValueKey::from(&col.value(idx))` without materializing the `Value`.
 fn value_key_at(col: &Column, idx: usize) -> ValueKey {
@@ -2638,15 +2255,15 @@ fn value_key_at(col: &Column, idx: usize) -> ValueKey {
 }
 
 /// Compute one aggregate's [`AggPartial`] over one morsel of the
-/// selection (morsel-local group ids). Mirrors [`compute_agg`] exactly:
-/// `SUM`/`AVG`/`STDDEV` fold their fold-grid chunks into leaf sums right
-/// here on the worker (`base` is the morsel's absolute selection offset,
-/// so chunk ids are global and morsel boundaries — always chunk-aligned
-/// — never split a leaf), and `MEDIAN` sorts its run locally; only the
-/// final tree combine / run merge is left for after the morsel-order
-/// merge. `dense` says the selection is the full table (identity), which
-/// unlocks the contiguous SIMD kernel for single-group morsels. Type
-/// errors surface from the same rows, walked in the same order.
+/// selection (morsel-local group ids) — the only columnar evaluation of
+/// an aggregate. `SUM`/`AVG`/`STDDEV` fold their fold-grid chunks into
+/// leaf sums right here (`base` is the morsel's absolute selection
+/// offset, so chunk ids are global and morsel boundaries — always
+/// chunk-aligned — never split a leaf), and `MEDIAN` sorts its run
+/// locally; only the final tree combine / run merge is left for after
+/// the morsel-order merge. `dense` says the selection is the full table
+/// (identity), which unlocks the contiguous SIMD kernel for single-group
+/// morsels. Type errors surface from the earliest row in row order.
 #[allow(clippy::too_many_arguments)]
 fn partial_agg(
     ctab: &ColumnarTable,
@@ -2733,8 +2350,8 @@ fn partial_agg(
                 }
                 per[gids[k] as usize].push(numeric_at(col, idx, func)?);
             }
-            // Sort each group's run here on the worker; the coordinator
-            // only loser-tree-merges the pre-sorted runs.
+            // Sort each group's run here; the merge only
+            // loser-tree-merges the pre-sorted runs.
             Ok(AggPartial::Runs(
                 per.into_iter()
                     .map(|mut run| {
@@ -2772,8 +2389,9 @@ fn mixed_best(ctab: &ColumnarTable, func: AggFunc, arg: Option<usize>) -> bool {
         && arg.is_some_and(|c| matches!(ctab.columns[c].data, ColumnData::Mixed(_)))
 }
 
-/// MIN/MAX with the oracle's tie-breaking (first occurrence wins on
-/// `total_cmp` equality), specialized per column representation.
+/// MIN/MAX over a single-typed column with the oracle's tie-breaking
+/// (first occurrence wins on `total_cmp` equality), specialized per
+/// column representation.
 fn min_max(col: &Column, func: AggFunc, sel: &[u32], gids: &[u32], ngroups: usize) -> Vec<Value> {
     let min = func == AggFunc::Min;
     let adopt = |ord: Ordering| match ord {
@@ -2867,26 +2485,8 @@ fn min_max(col: &Column, func: AggFunc, sel: &[u32], gids: &[u32], ngroups: usiz
                 .map(|o| o.map_or(Value::Null, |i| Value::Str(ss[i].clone())))
                 .collect()
         }
-        ColumnData::Mixed(vs) => {
-            let mut best: Vec<Option<&Value>> = vec![None; ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                let b = &mut best[gids[k] as usize];
-                match b {
-                    None => *b = Some(&vs[idx]),
-                    Some(cur) => {
-                        if adopt(vs[idx].total_cmp(cur)) {
-                            *cur = &vs[idx];
-                        }
-                    }
-                }
-            }
-            best.into_iter()
-                .map(|o| o.map_or(Value::Null, Clone::clone))
-                .collect()
+        ColumnData::Mixed(_) => {
+            unreachable!("Mixed MIN/MAX collects values (`AggPartial::BestValues`)")
         }
     }
 }

@@ -1360,6 +1360,214 @@ fn reduction_tree_bit_identical_across_worker_counts() {
     }
 }
 
+// ---- one body per operator: every setting runs the same functions --------
+
+/// The executor and the oracle must agree on `sql` — float cells bit for
+/// bit, or the same error text.
+fn assert_engines_agree(db: &Database, sql: &str, ctx: &str) {
+    match (db.execute_sql(sql), db.execute_sql_row(sql)) {
+        (Ok(v), Ok(r)) => assert_rows_bit_identical(&v, &r, &format!("{sql} ({ctx})")),
+        (Err(v), Err(r)) => assert_eq!(v.to_string(), r.to_string(), "{sql} ({ctx})"),
+        (v, r) => panic!("one engine failed on {sql} ({ctx}): executor={v:?} oracle={r:?}"),
+    }
+}
+
+/// `g(k, i Int, f Float, b Bool, s Str, m Float-holding-Ints = Mixed)`,
+/// 30 rows in three `k` groups (plus, with NULLs, a NULL-key row). With
+/// `nulls`, every column loses a scattering of values and group `k = 2`
+/// loses all of them.
+fn agg_matrix_db(nulls: bool) -> Database {
+    let two53 = 9_007_199_254_740_992i64;
+    let mut db = Database::new();
+    db.create_table(
+        "g",
+        Schema::of(&[
+            ("k", DataType::Int),
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("b", DataType::Bool),
+            ("s", DataType::Str),
+            ("m", DataType::Float),
+        ]),
+    )
+    .unwrap();
+    let rows = (0..30i64)
+        .map(|n| {
+            let k = n % 3;
+            let gone = |col: i64| nulls && (k == 2 || (n + col) % 4 == 0);
+            let cell = |col: i64, v: Value| if gone(col) { Value::Null } else { v };
+            vec![
+                if nulls && n == 17 {
+                    Value::Null
+                } else {
+                    Value::Int(k)
+                },
+                cell(
+                    0,
+                    Value::Int(if n == 8 { two53 + 1 } else { (n * 7) % 11 - 4 }),
+                ),
+                cell(
+                    1,
+                    Value::Float(match n % 6 {
+                        0 => 1e16,
+                        1 => -0.0,
+                        2 => 1e-16,
+                        3 => -1e16,
+                        4 => 2.5,
+                        _ => n as f64 * 0.125,
+                    }),
+                ),
+                cell(2, Value::Bool(n % 5 < 2)),
+                cell(3, Value::str(["b", "a", "e", "c", "d"][n as usize % 5])),
+                cell(
+                    4,
+                    match n % 4 {
+                        0 => Value::Float(two53 as f64),
+                        1 => Value::Int(two53 + 1),
+                        2 => Value::Int(two53),
+                        _ => Value::Float(n as f64 + 0.5),
+                    },
+                ),
+            ]
+        })
+        .collect();
+    db.insert("g", rows).unwrap();
+    db
+}
+
+/// Every aggregate × every physical argument representation × NULL
+/// pattern × selection × grand/grouped, at one worker and at several,
+/// with the input both above the fold grid (multi-leaf; several morsels
+/// once workers > 1) and inside one fold chunk (always one morsel): the
+/// executor evaluates `partial_agg → merge → finalize` in all of them and
+/// must equal the oracle in values and error text. At one worker this is
+/// what only the deleted sequential forms used to cover — `MIN`/`MAX`
+/// over a Mixed column through `BestValues`, two-pass `STDDEV`, `MEDIAN`
+/// of a single run.
+#[test]
+fn aggregate_matrix_matches_oracle_at_every_setting() {
+    let aggs = [
+        "COUNT(*)",
+        "COUNT({})",
+        "COUNT(DISTINCT {})",
+        "SUM({})",
+        "AVG({})",
+        "MIN({})",
+        "MAX({})",
+        "MEDIAN({})",
+        "STDDEV({})",
+    ];
+    let selections = ["", " WHERE k = 99", " WHERE i > -2", " WHERE k = 2"];
+    for nulls in [false, true] {
+        let db = agg_matrix_db(nulls);
+        for fold in [4, 64] {
+            db.set_morsel_rows(fold);
+            for workers in [1, 2, 8] {
+                db.set_parallelism(workers);
+                let ctx = format!("nulls={nulls} fold={fold} workers={workers}");
+                for agg in aggs {
+                    for col in ["i", "f", "b", "s", "m"] {
+                        let agg = agg.replace("{}", col);
+                        for w in selections {
+                            assert_engines_agree(&db, &format!("SELECT {agg} FROM g{w}"), &ctx);
+                            assert_engines_agree(
+                                &db,
+                                &format!("SELECT k, {agg} FROM g{w} GROUP BY k"),
+                                &ctx,
+                            );
+                        }
+                    }
+                }
+                // The matrix reaches what it claims to: a real STDDEV, an
+                // all-NULL group, a type error.
+                let rs = db
+                    .execute_sql(
+                        "SELECT k, STDDEV(f), MIN(m) FROM g WHERE k >= 0 GROUP BY k ORDER BY k",
+                    )
+                    .unwrap();
+                assert!(matches!(rs.rows[0][1], Value::Float(_)), "{ctx}");
+                assert_eq!(rs.rows[2][1].is_null(), nulls, "{ctx}");
+                assert_eq!(rs.rows[2][2].is_null(), nulls, "{ctx}");
+                assert!(db.execute_sql("SELECT SUM(s) FROM g").is_err(), "{ctx}");
+            }
+        }
+    }
+}
+
+/// Two aggregates that both raise a type error: the one with the lowest
+/// aggregate index is reported, at every worker count — even when the
+/// other aggregate's offending row comes first (here `AVG(w)` trips on
+/// row 5, in the first morsel, and `SUM(v)` only on row 20).
+#[test]
+fn lowest_failing_aggregate_wins_at_every_worker_count() {
+    let rows = (0..30)
+        .map(|n| {
+            (
+                Value::Int(n),
+                Value::Float(0.5),
+                Value::str("x"),
+                Value::Int(n % 2),
+            )
+        })
+        .collect();
+    let db = build_db(rows); // 3-row fold chunks
+    let from = "FROM (SELECT d, CASE WHEN a >= 20 THEN c ELSE a END AS v, \
+                CASE WHEN a >= 5 THEN c ELSE a END AS w FROM t) x";
+    for (select, first) in [
+        ("SUM(v), AVG(w)", "Sum"),
+        ("AVG(w), SUM(v)", "Avg"),
+        ("COUNT(*), MEDIAN(w), STDDEV(v)", "Median"),
+    ] {
+        for tail in ["", " GROUP BY d"] {
+            let sql = format!("SELECT {select} {from}{tail}");
+            for workers in [1, 2, 8] {
+                db.set_parallelism(workers);
+                let err = db.execute_sql(&sql).unwrap_err().to_string();
+                assert!(
+                    err.contains(&format!("{first} argument")),
+                    "workers={workers}: {sql} reported {err}"
+                );
+                assert_engines_agree(&db, &sql, &format!("workers={workers}"));
+            }
+        }
+    }
+}
+
+/// A LEFT join with no equi-key (nested-loop candidates) and a fallible
+/// residual runs through the same probe loop as the hash join: unmatched
+/// left rows pad in place, and a residual that type-errors reports the
+/// oracle's error — at every worker count.
+#[test]
+fn left_non_equi_join_with_fallible_residual_matches_oracle() {
+    let db = join_db(); // 3-row fold chunks; t has 5 rows, r has 5
+    for sql in [
+        // Arithmetic residual (fallible, never failing here); t rows with
+        // a NULL or no smaller partner stay, padded.
+        "SELECT x.a, x.c, y.w FROM t x LEFT JOIN r y ON x.a < y.a AND x.a + y.w > 8",
+        "SELECT x.c, COUNT(y.a) FROM t x LEFT JOIN r y ON x.a + 1 < y.w GROUP BY x.c",
+        "SELECT x.a, y.u FROM t x LEFT JOIN r y ON x.b * 2 > y.a WHERE y.u IS NULL",
+        // The same shape with an equi-key: the index feeds the loop.
+        "SELECT x.a, x.c, y.w FROM t x LEFT JOIN r y ON x.a = y.a AND x.a + y.w > 6",
+        // Residuals that fail: on the first pair, and only on a late one.
+        "SELECT x.a FROM t x LEFT JOIN r y ON x.a < y.a AND y.u + 1 > 0",
+        "SELECT x.a FROM t x LEFT JOIN r y ON y.w > 90 AND x.c + 1 > 0",
+    ] {
+        for workers in [1, 2, 8] {
+            db.set_parallelism(workers);
+            assert_engines_agree(&db, sql, &format!("workers={workers}"));
+        }
+    }
+    db.set_parallelism(1);
+    let rs = db
+        .execute_sql("SELECT x.a, y.w FROM t x LEFT JOIN r y ON x.a < y.a AND x.a + y.w > 8")
+        .unwrap();
+    let pads = rs.rows.iter().filter(|r| r[1].is_null()).count();
+    assert!(pads >= 2, "expected unmatched left rows, got {rs:?}");
+    assert!(db
+        .execute_sql("SELECT x.a FROM t x LEFT JOIN r y ON y.w > 90 AND x.c + 1 > 0")
+        .is_err());
+}
+
 // ---- LIMIT/OFFSET and ORDER BY regressions (both engines) ----------------
 
 #[test]
