@@ -4,7 +4,6 @@
 use crate::error::{DbError, Result};
 use crate::expr::CompiledExpr;
 use crate::morsel;
-use crate::table::Row;
 use crate::value::{Value, ValueKey};
 use std::collections::HashSet;
 
@@ -373,44 +372,6 @@ pub(crate) fn stddev_tree(pairs: &[(usize, f64)]) -> Value {
         m2.push(chunk, (x - mean).powi(2));
     }
     Value::Float((m2.finish().into_sum() / (n - 1.0)).sqrt())
-}
-
-/// The post-aggregation relation in column-major form, as the columnar
-/// hash-aggregate naturally produces it: per-group key values plus one
-/// value vector *per aggregate*. The grouped tail in [`crate::vexec`]
-/// consumes it through [`GroupedRows::into_rows`], which transposes into
-/// the row-wise `[key values..., aggregate values...]` layout by
-/// **moving** every aggregate value — the previous tail cloned each one
-/// (including `MIN`/`MAX` strings) a second time.
-pub(crate) struct GroupedRows {
-    /// Per group, the group-key values (first-appearance order).
-    keys: Vec<Row>,
-    /// Per aggregate, the per-group finalized values (`aggs[a][g]`).
-    aggs: Vec<Vec<Value>>,
-}
-
-impl GroupedRows {
-    pub(crate) fn new(keys: Vec<Row>, aggs: Vec<Vec<Value>>) -> GroupedRows {
-        debug_assert!(aggs.iter().all(|a| a.len() == keys.len()));
-        GroupedRows { keys, aggs }
-    }
-
-    /// Number of groups.
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Transpose into post-group rows `[key values..., aggregate
-    /// values...]` in group order, moving every value.
-    pub(crate) fn into_rows(self) -> impl Iterator<Item = Row> {
-        let mut agg_iters: Vec<_> = self.aggs.into_iter().map(Vec::into_iter).collect();
-        self.keys.into_iter().map(move |mut row| {
-            for it in &mut agg_iters {
-                row.push(it.next().expect("one value per group per aggregate"));
-            }
-            row
-        })
-    }
 }
 
 /// Per-morsel partial state of one aggregate, over morsel-local group

@@ -17,8 +17,10 @@
 //! projection), which is what lets the morsel-parallel operators in
 //! [`crate::vexec`] read them from many worker threads lock-free.
 
+use crate::schema::DataType;
 use crate::table::Row;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Sentinel row index meaning "no source row" in a gather index vector:
@@ -261,12 +263,36 @@ impl Column {
         }
     }
 
+    /// Build a column from owned values, choosing the representation
+    /// from the values actually present (see the module docs); string
+    /// payloads move, and [`Column::value`] reconstructs each input
+    /// exactly.
+    pub fn from_values(vals: Vec<Value>) -> Column {
+        let shape = Shape::of(vals.iter());
+        shape.fill(vals.into_iter().map(Cow::Owned))
+    }
+
     /// Build a column from the `col`-th field of each row.
     fn from_rows(rows: &[Row], col: usize) -> Column {
-        let mut nulls = NullMask::new(rows.len());
+        let cells = || rows.iter().map(|r| &r[col]);
+        Shape::of(cells()).fill(cells().map(Cow::Borrowed))
+    }
+}
+
+/// First of the two passes that build a [`Column`]: the null mask, and the
+/// one physical type every non-null value has (`None` when they mix).
+struct Shape {
+    nulls: NullMask,
+    uniform: Option<DataType>,
+}
+
+impl Shape {
+    fn of<'a>(vals: impl ExactSizeIterator<Item = &'a Value>) -> Shape {
+        let len = vals.len();
+        let mut nulls = NullMask::new(len);
         let (mut ints, mut floats, mut bools, mut strs) = (0usize, 0usize, 0usize, 0usize);
-        for (i, row) in rows.iter().enumerate() {
-            match &row[col] {
+        for (i, v) in vals.enumerate() {
+            match v {
                 Value::Null => nulls.set(i),
                 Value::Int(_) => ints += 1,
                 Value::Float(_) => floats += 1,
@@ -274,44 +300,52 @@ impl Column {
                 Value::Str(_) => strs += 1,
             }
         }
-        let non_null = rows.len() - nulls.null_count();
-        let data = if ints == non_null {
-            ColumnData::Int64(
-                rows.iter()
-                    .map(|r| match &r[col] {
-                        Value::Int(x) => *x,
-                        _ => 0,
-                    })
-                    .collect(),
-            )
-        } else if floats == non_null {
-            ColumnData::Float64(
-                rows.iter()
-                    .map(|r| match &r[col] {
-                        Value::Float(x) => *x,
-                        _ => 0.0,
-                    })
-                    .collect(),
-            )
-        } else if bools == non_null {
-            ColumnData::Bool(
-                rows.iter()
-                    .map(|r| matches!(&r[col], Value::Bool(true)))
-                    .collect(),
-            )
-        } else if strs == non_null {
-            ColumnData::Str(
-                rows.iter()
-                    .map(|r| match &r[col] {
-                        Value::Str(s) => s.clone(),
-                        _ => String::new(),
-                    })
-                    .collect(),
-            )
-        } else {
-            ColumnData::Mixed(rows.iter().map(|r| r[col].clone()).collect())
+        let non_null = len - nulls.null_count();
+        let uniform = [
+            (ints, DataType::Int),
+            (floats, DataType::Float),
+            (bools, DataType::Bool),
+            (strs, DataType::Str),
+        ]
+        .into_iter()
+        .find_map(|(n, ty)| (n == non_null).then_some(ty));
+        Shape { nulls, uniform }
+    }
+
+    /// Second pass: the typed vector (placeholders in NULL slots), or the
+    /// values themselves when they mix.
+    fn fill<'a>(self, vals: impl Iterator<Item = Cow<'a, Value>>) -> Column {
+        let data = match self.uniform {
+            Some(DataType::Int) => ColumnData::Int64(
+                vals.map(|v| match *v {
+                    Value::Int(x) => x,
+                    _ => 0,
+                })
+                .collect(),
+            ),
+            Some(DataType::Float) => ColumnData::Float64(
+                vals.map(|v| match *v {
+                    Value::Float(x) => x,
+                    _ => 0.0,
+                })
+                .collect(),
+            ),
+            Some(DataType::Bool) => {
+                ColumnData::Bool(vals.map(|v| matches!(*v, Value::Bool(true))).collect())
+            }
+            Some(DataType::Str) => ColumnData::Str(
+                vals.map(|v| match v.into_owned() {
+                    Value::Str(s) => s,
+                    _ => String::new(),
+                })
+                .collect(),
+            ),
+            None => ColumnData::Mixed(vals.map(Cow::into_owned).collect()),
         };
-        Column { data, nulls }
+        Column {
+            data,
+            nulls: self.nulls,
+        }
     }
 }
 

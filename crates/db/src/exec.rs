@@ -14,26 +14,25 @@
 //! The rest of this module is what the executor and the row-at-a-time
 //! reference implementation ([`crate::oracle`]) both call, and which the
 //! differential suite therefore does **not** cross-check: the expression
-//! compiler (`Exec::compile_scalar`, `GroupCompiler`), the grouping and
-//! projection code the executor falls back to for non-column group keys
-//! (`Exec::select_after_where`), the ORDER BY resolution rule
-//! (`plan_sort_keys_with`, `set_op_sort_keys`) and the sort / DISTINCT /
-//! LIMIT tail helpers. Expression subqueries (`IN (SELECT …)`, `EXISTS`)
-//! are the one place the shared compiler executes anything; it does so
-//! through the `QueryRunner` its `Exec` was built with, so the executor
-//! runs them on itself and the oracle on itself.
+//! compiler (`Exec::compile_scalar`, `GroupCompiler`) and the ORDER BY
+//! resolution rule (`plan_sort_keys_with`, `set_op_sort_keys`). Grouping,
+//! projection and the sort / DISTINCT / LIMIT tail are not here: each
+//! exists once in the executor and once, independently, in the oracle.
+//! Expression subqueries (`IN (SELECT …)`, `EXISTS`) are the one place the
+//! shared compiler executes anything; it does so through the
+//! `QueryRunner` its `Exec` was built with, so the executor runs them on
+//! itself and the oracle on itself.
 
 use crate::aggregate::{AggFunc, AggSpec};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
 use crate::morsel::Parallelism;
-use crate::plan::{ColMeta, JoinOrder, Relation, ResultSet};
-use crate::table::Row;
-use crate::value::{RowKey, Value, ValueKey};
+use crate::plan::{self, ColMeta, JoinOrder, ResultSet};
+use crate::value::{Value, ValueKey};
 use crate::vexec::{self, VexecStats};
 use flex_sql::{Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Execute a parsed query against a database.
 pub fn execute(db: &Database, q: &Query) -> Result<ResultSet> {
@@ -65,8 +64,9 @@ impl RouteDecision {
 pub struct ExecTrace {
     /// Vestigial (see [`RouteDecision`]): always `Vectorized`.
     pub route: RouteDecision,
-    /// Whether an `ORDER BY … LIMIT k` tail was served from a bounded
-    /// top-K heap instead of a full sort.
+    /// Whether a SELECT block's `ORDER BY … LIMIT k` tail (a nested
+    /// block's included) was served from a bounded top-K heap instead of
+    /// a full sort. A set operation's own tail is not counted.
     pub topk: bool,
     /// Scan morsels the base-table inputs split into (every leaf of a
     /// join, every arm of a set operation).
@@ -169,200 +169,6 @@ impl<'a> Exec<'a> {
             || s.having.as_ref().is_some_and(Expr::contains_aggregate)
     }
 
-    /// Everything in a SELECT block downstream of the WHERE filter:
-    /// grouping/projection, ORDER BY and DISTINCT. The oracle's SELECT
-    /// tail, and the executor's for blocks whose group keys, aggregate
-    /// arguments or compile errors its columnar tails do not cover.
-    pub(crate) fn select_after_where(
-        &mut self,
-        s: &Select,
-        input: Relation,
-        order_by: &[OrderByItem],
-    ) -> Result<Relation> {
-        let (rel, key_rows) = if Self::has_aggregates(s) {
-            self.select_grouped(s, input, order_by)?
-        } else {
-            self.select_plain(s, input, order_by)?
-        };
-        Ok(finish_select(rel, key_rows, order_by, s.distinct))
-    }
-
-    /// Non-aggregated projection. Returns the output relation plus, when
-    /// ORDER BY is present, one sort-key row per output row.
-    fn select_plain(
-        &mut self,
-        s: &Select,
-        input: Relation,
-        order_by: &[OrderByItem],
-    ) -> Result<(Relation, Option<Vec<Row>>)> {
-        // Compile projection items.
-        enum Item {
-            All,
-            Qualified(String),
-            Expr(CompiledExpr),
-        }
-        let mut items = Vec::new();
-        let mut out_cols = Vec::new();
-        for item in &s.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    out_cols.extend(input.cols.iter().cloned());
-                    items.push(Item::All);
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let matching: Vec<_> = input
-                        .cols
-                        .iter()
-                        .filter(|c| c.qualifier.as_deref() == Some(q.as_str()))
-                        .cloned()
-                        .collect();
-                    if matching.is_empty() {
-                        return Err(DbError::UnknownTable(q.clone()));
-                    }
-                    out_cols.extend(matching);
-                    items.push(Item::Qualified(q.clone()));
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let compiled = self.compile_scalar(expr, &input.cols)?;
-                    out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
-                    items.push(Item::Expr(compiled));
-                }
-            }
-        }
-
-        // Sort keys: output-position/name matches are handled after
-        // projection; other expressions are evaluated on the input row.
-        let sort_plan = self.plan_sort_keys(order_by, &out_cols, &input.cols)?;
-
-        let mut out_rows = Vec::with_capacity(input.rows.len());
-        let mut key_rows = if order_by.is_empty() {
-            None
-        } else {
-            Some(Vec::with_capacity(input.rows.len()))
-        };
-        for row in &input.rows {
-            let mut out = Vec::with_capacity(out_cols.len());
-            for item in &items {
-                match item {
-                    Item::All => out.extend(row.iter().cloned()),
-                    Item::Qualified(q) => {
-                        for (c, v) in input.cols.iter().zip(row) {
-                            if c.qualifier.as_deref() == Some(q.as_str()) {
-                                out.push(v.clone());
-                            }
-                        }
-                    }
-                    Item::Expr(e) => out.push(e.eval(row)?),
-                }
-            }
-            if let Some(keys) = &mut key_rows {
-                keys.push(eval_sort_keys(&sort_plan, &out, row)?);
-            }
-            out_rows.push(out);
-        }
-        Ok((Relation::new(out_cols, out_rows), key_rows))
-    }
-
-    /// Aggregated projection (GROUP BY or aggregate functions present).
-    fn select_grouped(
-        &mut self,
-        s: &Select,
-        input: Relation,
-        order_by: &[OrderByItem],
-    ) -> Result<(Relation, Option<Vec<Row>>)> {
-        let group_exprs = self.compile_group_exprs(s, &input.cols)?;
-
-        // Compile projection and HAVING in group mode, collecting AggSpecs.
-        let mut gc = GroupCompiler {
-            group_exprs: &group_exprs,
-            aggs: Vec::new(),
-        };
-        let mut out_cols = Vec::new();
-        let mut out_exprs = Vec::new();
-        for item in &s.projection {
-            match item {
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                    return Err(DbError::InvalidAggregate(
-                        "wildcard projection is not allowed in an aggregated query".into(),
-                    ));
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let compiled = gc.compile(self, expr, &input.cols)?;
-                    out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
-                    out_exprs.push(compiled);
-                }
-            }
-        }
-        let having = s
-            .having
-            .as_ref()
-            .map(|h| gc.compile(self, h, &input.cols))
-            .transpose()?;
-        // Order-by expressions may also be grouped expressions.
-        let order_compiled = plan_sort_keys_with(order_by, &out_cols, &mut |e| {
-            gc.compile(self, e, &input.cols)
-        })?;
-        let aggs = gc.aggs;
-
-        // Partition input rows into groups.
-        let mut group_index: HashMap<RowKey, usize> = HashMap::new();
-        let mut groups: Vec<(Row, Vec<usize>)> = Vec::new();
-        for (ri, row) in input.rows.iter().enumerate() {
-            let mut key_vals = Vec::with_capacity(group_exprs.len());
-            for g in &group_exprs {
-                key_vals.push(g.eval(row)?);
-            }
-            let key = RowKey::from_values(&key_vals);
-            let gi = *group_index.entry(key).or_insert_with(|| {
-                groups.push((key_vals, Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push(ri);
-        }
-        // A grand aggregate over zero rows still yields one group.
-        if s.group_by.is_empty() && groups.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
-        }
-
-        // Evaluate aggregates per group and build post-group rows:
-        // [group key values..., aggregate values...].
-        let mut out_rows = Vec::with_capacity(groups.len());
-        let mut key_rows = if order_by.is_empty() {
-            None
-        } else {
-            Some(Vec::with_capacity(groups.len()))
-        };
-        // Positions in the post-WHERE input sequence (`ri`) are exactly
-        // the columnar operators' selection indices, so handing them to
-        // `AggSpec::compute` evaluates the identical fixed-shape
-        // reduction tree over the identical fold grid.
-        let fold_rows = self.par.fold_rows;
-        for (key_vals, row_indices) in groups {
-            let member_rows: Vec<&[Value]> = row_indices
-                .iter()
-                .map(|&i| input.rows[i].as_slice())
-                .collect();
-            let mut group_row = key_vals;
-            for spec in &aggs {
-                group_row.push(spec.compute(&member_rows, &row_indices, fold_rows)?);
-            }
-            if let Some(h) = &having {
-                if !h.eval_bool(&group_row)? {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(out_exprs.len());
-            for e in &out_exprs {
-                out.push(e.eval(&group_row)?);
-            }
-            if let Some(keys) = &mut key_rows {
-                keys.push(eval_sort_keys(&order_compiled, &out, &group_row)?);
-            }
-            out_rows.push(out);
-        }
-        Ok((Relation::new(out_cols, out_rows), key_rows))
-    }
-
     /// Compile GROUP BY expressions in scalar mode, resolving positional
     /// references (`GROUP BY 1`) against the projection list.
     pub(crate) fn compile_group_exprs(
@@ -386,25 +192,12 @@ impl<'a> Exec<'a> {
         Ok(group_exprs)
     }
 
-    pub(crate) fn plan_sort_keys(
-        &mut self,
-        order_by: &[OrderByItem],
-        out_cols: &[ColMeta],
-        input_cols: &[ColMeta],
-    ) -> Result<Vec<SortKey>> {
-        plan_sort_keys_with(order_by, out_cols, &mut |e| {
-            self.compile_scalar(e, input_cols)
-        })
-    }
     // ---- expression compilation -----------------------------------------
 
     /// Compile an expression in scalar (non-aggregate) mode against a scope.
     pub(crate) fn compile_scalar(&mut self, e: &Expr, cols: &[ColMeta]) -> Result<CompiledExpr> {
         match e {
-            Expr::Column(c) => {
-                let scope = Relation::new(cols.to_vec(), Vec::new());
-                Ok(CompiledExpr::Column(scope.resolve(c)?))
-            }
+            Expr::Column(c) => Ok(CompiledExpr::Column(plan::resolve_column(cols, c)?)),
             Expr::Literal(l) => Ok(CompiledExpr::Literal(literal_value(l))),
             Expr::BinaryOp { left, op, right } => Ok(CompiledExpr::Binary {
                 op: *op,
@@ -554,27 +347,6 @@ impl<'a> Exec<'a> {
     }
 }
 
-/// Apply the SELECT tail: ORDER BY (via precomputed key rows) then
-/// DISTINCT (keeping the first occurrence).
-pub(crate) fn finish_select(
-    mut rel: Relation,
-    key_rows: Option<Vec<Row>>,
-    order_by: &[OrderByItem],
-    distinct: bool,
-) -> Relation {
-    if let Some(keys) = key_rows {
-        debug_assert_eq!(keys.len(), rel.rows.len());
-        let mut idx: Vec<usize> = (0..rel.rows.len()).collect();
-        idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], order_by));
-        rel.rows = permute(std::mem::take(&mut rel.rows), &idx);
-    }
-    if distinct {
-        let mut seen = HashSet::new();
-        rel.rows.retain(|row| seen.insert(RowKey::from_values(row)));
-    }
-    rel
-}
-
 /// How one ORDER BY key is obtained.
 pub(crate) enum SortKey {
     /// Value of an output column.
@@ -659,43 +431,6 @@ pub(crate) fn sort_key_by_output(e: &Expr, out_cols: &[ColMeta]) -> Result<Optio
     }
 }
 
-pub(crate) fn eval_sort_keys(
-    plan: &[SortKey],
-    out_row: &[Value],
-    source_row: &[Value],
-) -> Result<Row> {
-    let mut keys = Vec::with_capacity(plan.len());
-    for k in plan {
-        keys.push(match k {
-            SortKey::Output(i) => out_row[*i].clone(),
-            SortKey::Source(e) => e.eval(source_row)?,
-        });
-    }
-    Ok(keys)
-}
-
-pub(crate) fn compare_key_rows(
-    a: &[Value],
-    b: &[Value],
-    order_by: &[OrderByItem],
-) -> std::cmp::Ordering {
-    for (i, item) in order_by.iter().enumerate() {
-        let ord = a[i].total_cmp(&b[i]);
-        let ord = if item.descending { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-pub(crate) fn permute(rows: Vec<Row>, idx: &[usize]) -> Vec<Row> {
-    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
-    idx.iter()
-        .map(|&i| slots[i].take().expect("permutation index used once"))
-        .collect()
-}
-
 /// The smallest `offset + limit` prefix the ORDER BY tail must produce,
 /// or `None` when `LIMIT` is absent (everything must be sorted).
 pub(crate) fn tail_bound(limit: Option<u64>, offset: Option<u64>) -> Option<usize> {
@@ -758,67 +493,6 @@ pub(crate) fn top_k_sorted<T: Copy>(
     }
     heap.sort_unstable_by(cmp);
     heap
-}
-
-/// [`finish_select`] followed by [`apply_limit_offset`], as one fused
-/// tail: when `ORDER BY … LIMIT` allows it (no DISTINCT, a known bound
-/// smaller than the input), the sort runs as a bounded top-K selection
-/// over row indices instead of a full sort — same output, bit for bit,
-/// because the heap's comparator carries the stable sort's index
-/// tie-break. Used by the executor's grouped tail (the plain
-/// tail has its own fully-columnar version in `vexec`); `topk_hit`
-/// reports whether the bounded path actually engaged (telemetry).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_select_sliced(
-    mut rel: Relation,
-    key_rows: Option<Vec<Row>>,
-    order_by: &[OrderByItem],
-    distinct: bool,
-    limit: Option<u64>,
-    offset: Option<u64>,
-    topk_hit: &mut bool,
-) -> Relation {
-    if let Some(keys) = key_rows {
-        debug_assert_eq!(keys.len(), rel.rows.len());
-        let n_rows = rel.rows.len();
-        // DISTINCT filters *after* the sort, so a pre-DISTINCT bound
-        // could come up short; it disables the top-K path.
-        let bound = if distinct {
-            None
-        } else {
-            tail_bound(limit, offset)
-        };
-        let full_cmp =
-            |a: &usize, b: &usize| compare_key_rows(&keys[*a], &keys[*b], order_by).then(a.cmp(b));
-        let idx: Vec<usize> = match bound {
-            Some(k) if k < n_rows => {
-                *topk_hit = true;
-                top_k_sorted(0..n_rows, k, &full_cmp)
-            }
-            _ => {
-                let mut idx: Vec<usize> = (0..n_rows).collect();
-                idx.sort_unstable_by(full_cmp);
-                idx
-            }
-        };
-        rel.rows = permute(std::mem::take(&mut rel.rows), &idx);
-    }
-    if distinct {
-        let mut seen = HashSet::new();
-        rel.rows.retain(|row| seen.insert(RowKey::from_values(row)));
-    }
-    apply_limit_offset(&mut rel, limit, offset);
-    rel
-}
-
-pub(crate) fn apply_limit_offset(rel: &mut Relation, limit: Option<u64>, offset: Option<u64>) {
-    if let Some(off) = offset {
-        let off = (off as usize).min(rel.rows.len());
-        rel.rows.drain(..off);
-    }
-    if let Some(lim) = limit {
-        rel.rows.truncate(lim as usize);
-    }
 }
 
 fn literal_value(l: &Literal) -> Value {

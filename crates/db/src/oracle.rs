@@ -8,15 +8,22 @@
 //! [`Database::execute_sql_row`] reaches it, and CI greps the production
 //! crates for either name.
 //!
-//! What it does *not* re-implement, and the differential suite therefore
-//! cannot cross-check, is listed in [`crate::exec`]'s module docs: the
-//! expression compiler, the grouping/projection code and the ORDER BY
-//! resolution rule are the executor's own. Expression subqueries run on
-//! the oracle (the `Exec` it builds carries `run` as its runner).
+//! It re-implements everything from FROM to LIMIT — joins, set
+//! operations, grouping (`AggSpec::compute` per group), projection and
+//! the ORDER BY / DISTINCT / LIMIT tail, all over materialized rows — so
+//! the differential suite checks each of those against the executor's
+//! columnar operators. What it shares with the executor, and the suite
+//! therefore cannot cross-check, is listed in [`crate::exec`]'s module
+//! docs: the expression compiler and evaluator and the ORDER BY
+//! resolution rule (plus the leaf/tree fold kernels of
+//! [`crate::aggregate`]). Expression subqueries run on the oracle (the
+//! `Exec` it builds carries `run` as its runner).
 
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::exec::{apply_limit_offset, check_set_op_arity, set_op_sort_keys, Exec};
+use crate::exec::{
+    check_set_op_arity, plan_sort_keys_with, set_op_sort_keys, Exec, GroupCompiler, SortKey,
+};
 use crate::expr::CompiledExpr;
 use crate::morsel::Parallelism;
 use crate::plan::{split_join_constraint, ColMeta, Relation, ResultSet};
@@ -24,7 +31,8 @@ use crate::table::Row;
 use crate::value::{RowKey, Value, ValueKey};
 use crate::vexec::VexecStats;
 use flex_sql::{
-    JoinConstraint, JoinType, OrderByItem, Query, Select, SetExpr, SetOperator, TableRef,
+    JoinConstraint, JoinType, OrderByItem, Query, Select, SelectItem, SetExpr, SetOperator,
+    TableRef,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -140,6 +148,200 @@ impl Exec<'_> {
         };
 
         self.select_after_where(s, input, order_by)
+    }
+
+    /// Everything in a SELECT block downstream of the WHERE filter:
+    /// grouping/projection, ORDER BY and DISTINCT.
+    fn select_after_where(
+        &mut self,
+        s: &Select,
+        input: Relation,
+        order_by: &[OrderByItem],
+    ) -> Result<Relation> {
+        let (rel, key_rows) = if Self::has_aggregates(s) {
+            self.select_grouped(s, input, order_by)?
+        } else {
+            self.select_plain(s, input, order_by)?
+        };
+        Ok(finish_select(rel, key_rows, order_by, s.distinct))
+    }
+
+    /// Non-aggregated projection. Returns the output relation plus, when
+    /// ORDER BY is present, one sort-key row per output row.
+    fn select_plain(
+        &mut self,
+        s: &Select,
+        input: Relation,
+        order_by: &[OrderByItem],
+    ) -> Result<(Relation, Option<Vec<Row>>)> {
+        // Compile projection items.
+        enum Item {
+            All,
+            Qualified(String),
+            Expr(CompiledExpr),
+        }
+        let mut items = Vec::new();
+        let mut out_cols = Vec::new();
+        for item in &s.projection {
+            match item {
+                SelectItem::Wildcard => {
+                    out_cols.extend(input.cols.iter().cloned());
+                    items.push(Item::All);
+                }
+                SelectItem::QualifiedWildcard(q) => {
+                    let matching: Vec<_> = input
+                        .cols
+                        .iter()
+                        .filter(|c| c.qualifier.as_deref() == Some(q.as_str()))
+                        .cloned()
+                        .collect();
+                    if matching.is_empty() {
+                        return Err(DbError::UnknownTable(q.clone()));
+                    }
+                    out_cols.extend(matching);
+                    items.push(Item::Qualified(q.clone()));
+                }
+                SelectItem::Expr { expr, alias } => {
+                    let compiled = self.compile_scalar(expr, &input.cols)?;
+                    out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
+                    items.push(Item::Expr(compiled));
+                }
+            }
+        }
+
+        // Sort keys: output-position/name matches are handled after
+        // projection; other expressions are evaluated on the input row.
+        let sort_plan = plan_sort_keys_with(order_by, &out_cols, &mut |e| {
+            self.compile_scalar(e, &input.cols)
+        })?;
+
+        let mut out_rows = Vec::with_capacity(input.rows.len());
+        let mut key_rows = if order_by.is_empty() {
+            None
+        } else {
+            Some(Vec::with_capacity(input.rows.len()))
+        };
+        for row in &input.rows {
+            let mut out = Vec::with_capacity(out_cols.len());
+            for item in &items {
+                match item {
+                    Item::All => out.extend(row.iter().cloned()),
+                    Item::Qualified(q) => {
+                        for (c, v) in input.cols.iter().zip(row) {
+                            if c.qualifier.as_deref() == Some(q.as_str()) {
+                                out.push(v.clone());
+                            }
+                        }
+                    }
+                    Item::Expr(e) => out.push(e.eval(row)?),
+                }
+            }
+            if let Some(keys) = &mut key_rows {
+                keys.push(eval_sort_keys(&sort_plan, &out, row)?);
+            }
+            out_rows.push(out);
+        }
+        Ok((Relation::new(out_cols, out_rows), key_rows))
+    }
+
+    /// Aggregated projection (GROUP BY or aggregate functions present).
+    fn select_grouped(
+        &mut self,
+        s: &Select,
+        input: Relation,
+        order_by: &[OrderByItem],
+    ) -> Result<(Relation, Option<Vec<Row>>)> {
+        let group_exprs = self.compile_group_exprs(s, &input.cols)?;
+
+        // Compile projection and HAVING in group mode, collecting AggSpecs.
+        let mut gc = GroupCompiler {
+            group_exprs: &group_exprs,
+            aggs: Vec::new(),
+        };
+        let mut out_cols = Vec::new();
+        let mut out_exprs = Vec::new();
+        for item in &s.projection {
+            match item {
+                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                    return Err(DbError::InvalidAggregate(
+                        "wildcard projection is not allowed in an aggregated query".into(),
+                    ));
+                }
+                SelectItem::Expr { expr, alias } => {
+                    let compiled = gc.compile(self, expr, &input.cols)?;
+                    out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
+                    out_exprs.push(compiled);
+                }
+            }
+        }
+        let having = s
+            .having
+            .as_ref()
+            .map(|h| gc.compile(self, h, &input.cols))
+            .transpose()?;
+        // Order-by expressions may also be grouped expressions.
+        let order_compiled = plan_sort_keys_with(order_by, &out_cols, &mut |e| {
+            gc.compile(self, e, &input.cols)
+        })?;
+        let aggs = gc.aggs;
+
+        // Partition input rows into groups.
+        let mut group_index: HashMap<RowKey, usize> = HashMap::new();
+        let mut groups: Vec<(Row, Vec<usize>)> = Vec::new();
+        for (ri, row) in input.rows.iter().enumerate() {
+            let mut key_vals = Vec::with_capacity(group_exprs.len());
+            for g in &group_exprs {
+                key_vals.push(g.eval(row)?);
+            }
+            let key = RowKey::from_values(&key_vals);
+            let gi = *group_index.entry(key).or_insert_with(|| {
+                groups.push((key_vals, Vec::new()));
+                groups.len() - 1
+            });
+            groups[gi].1.push(ri);
+        }
+        // A grand aggregate over zero rows still yields one group.
+        if s.group_by.is_empty() && groups.is_empty() {
+            groups.push((Vec::new(), Vec::new()));
+        }
+
+        // Evaluate aggregates per group and build post-group rows:
+        // [group key values..., aggregate values...].
+        let mut out_rows = Vec::with_capacity(groups.len());
+        let mut key_rows = if order_by.is_empty() {
+            None
+        } else {
+            Some(Vec::with_capacity(groups.len()))
+        };
+        // Positions in the post-WHERE input sequence (`ri`) are what the
+        // executor's aggregate folds on too, so `AggSpec::compute`
+        // evaluates the identical fixed-shape reduction tree over the
+        // identical fold grid.
+        let fold_rows = self.par.fold_rows;
+        for (key_vals, row_indices) in groups {
+            let member_rows: Vec<&[Value]> = row_indices
+                .iter()
+                .map(|&i| input.rows[i].as_slice())
+                .collect();
+            let mut group_row = key_vals;
+            for spec in &aggs {
+                group_row.push(spec.compute(&member_rows, &row_indices, fold_rows)?);
+            }
+            if let Some(h) = &having {
+                if !h.eval_bool(&group_row)? {
+                    continue;
+                }
+            }
+            let mut out = Vec::with_capacity(out_exprs.len());
+            for e in &out_exprs {
+                out.push(e.eval(&group_row)?);
+            }
+            if let Some(keys) = &mut key_rows {
+                keys.push(eval_sort_keys(&order_compiled, &out, &group_row)?);
+            }
+            out_rows.push(out);
+        }
+        Ok((Relation::new(out_cols, out_rows), key_rows))
     }
 
     // ---- FROM clause ----------------------------------------------------
@@ -287,6 +489,66 @@ impl Exec<'_> {
         }
 
         Ok(Relation::new(combined_cols, out_rows))
+    }
+}
+
+/// Apply the SELECT tail: ORDER BY (via precomputed key rows) then
+/// DISTINCT (keeping the first occurrence).
+fn finish_select(
+    mut rel: Relation,
+    key_rows: Option<Vec<Row>>,
+    order_by: &[OrderByItem],
+    distinct: bool,
+) -> Relation {
+    if let Some(keys) = key_rows {
+        debug_assert_eq!(keys.len(), rel.rows.len());
+        let mut idx: Vec<usize> = (0..rel.rows.len()).collect();
+        idx.sort_by(|&a, &b| compare_key_rows(&keys[a], &keys[b], order_by));
+        rel.rows = permute(std::mem::take(&mut rel.rows), &idx);
+    }
+    if distinct {
+        let mut seen = HashSet::new();
+        rel.rows.retain(|row| seen.insert(RowKey::from_values(row)));
+    }
+    rel
+}
+
+fn eval_sort_keys(plan: &[SortKey], out_row: &[Value], source_row: &[Value]) -> Result<Row> {
+    let mut keys = Vec::with_capacity(plan.len());
+    for k in plan {
+        keys.push(match k {
+            SortKey::Output(i) => out_row[*i].clone(),
+            SortKey::Source(e) => e.eval(source_row)?,
+        });
+    }
+    Ok(keys)
+}
+
+fn compare_key_rows(a: &[Value], b: &[Value], order_by: &[OrderByItem]) -> std::cmp::Ordering {
+    for (i, item) in order_by.iter().enumerate() {
+        let ord = a[i].total_cmp(&b[i]);
+        let ord = if item.descending { ord.reverse() } else { ord };
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+fn permute(rows: Vec<Row>, idx: &[usize]) -> Vec<Row> {
+    let mut slots: Vec<Option<Row>> = rows.into_iter().map(Some).collect();
+    idx.iter()
+        .map(|&i| slots[i].take().expect("permutation index used once"))
+        .collect()
+}
+
+fn apply_limit_offset(rel: &mut Relation, limit: Option<u64>, offset: Option<u64>) {
+    if let Some(off) = offset {
+        let off = (off as usize).min(rel.rows.len());
+        rel.rows.drain(..off);
+    }
+    if let Some(lim) = limit {
+        rel.rows.truncate(lim as usize);
     }
 }
 

@@ -19,9 +19,22 @@
 //!   the padded sides of RIGHT/FULL joins. The node late-materializes
 //!   only live columns into a new [`ColumnarTable`] that feeds the parent
 //!   operator. Trees are as wide as the query writes them.
-//! - **Aggregate / Tail** — the shared block tail (columnar
-//!   hash-aggregate, or the ORDER BY / DISTINCT / LIMIT tail described
-//!   by `TailPlan`) over whichever node's output reaches it.
+//! - **Project** — an optional predicate and a list of compiled
+//!   expressions evaluated for every input row in row order (the earliest
+//!   row's error wins) and emitted as typed columns: computed group keys
+//!   and aggregate arguments before the aggregate, HAVING plus computed
+//!   SELECT items and sort keys after it (`GroupedPlan`), a plain
+//!   block's computed items (`TailPlan::computed`). Plain column
+//!   references pass through untouched.
+//! - **Aggregate** — the columnar hash-aggregate over key and argument
+//!   columns; its output is the groups table `[keys…, aggregates…]`.
+//! - **Tail** — ORDER BY / DISTINCT / LIMIT over row positions
+//!   (`TailPlan`), late-materializing only the surviving rows into the
+//!   result. Plain blocks, groups tables and set operations share it.
+//!
+//! There is no row pivot anywhere between the leaves and the tail's final
+//! materialization: what Project interprets row by row is a scratch row
+//! of the referenced columns, and what it emits is columns again.
 //!
 //! # Plan as you execute
 //!
@@ -38,10 +51,17 @@
 //! with several independent defects reports the first one in this order:
 //! FROM leaves left to right (a derived leaf's whole execution counts as
 //! its leaf) interleaved bottom-up with each join's `USING`/`ON`
-//! compilation, then WHERE compilation, then join execution bottom-up,
-//! then the block tail. (The oracle interleaves join *execution* with the
-//! FROM walk instead, so it can name a different defect of the same
-//! query; whether a query errors never differs.) Scoping mirrors the
+//! compilation, then WHERE compilation, then join execution bottom-up
+//! and the WHERE filter, then the block's own plan (`plan_tail` /
+//! `plan_grouped`, before any of its rows is touched): GROUP BY,
+//! SELECT items left to right, HAVING, ORDER BY. Runtime errors of the
+//! block come last, operator by operator: group keys (earliest row), each
+//! aggregate's argument in aggregate order (earliest row), the folds
+//! (lowest aggregate index), then per group — or per row of a plain block
+//! — HAVING, SELECT items, sort keys. (The oracle interleaves join
+//! *execution* with the FROM walk, and aggregates group by group, so it
+//! can name a different defect of the same query; whether a query errors
+//! never differs.) Scoping mirrors the
 //! oracle's per-node rule exactly: equi-keys and ON residuals are
 //! extracted against each node's local `left.cols ++ right.cols` scope.
 //!
@@ -76,9 +96,10 @@
 //! re-sorts deterministically — so the decision is pure scheduling and
 //! is never bound into the release fingerprint.
 
+use crate::aggregate::AggSpec;
 use crate::column::{ColumnData, ColumnarTable};
 use crate::error::{DbError, Result};
-use crate::exec::{self, Exec, SortKey};
+use crate::exec::{self, Exec, GroupCompiler, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
 use crate::vexec::{self, collect_conjuncts, side_kernel};
@@ -189,7 +210,7 @@ impl Relation {
 }
 
 /// [`Relation::resolve`] over a bare column scope.
-fn resolve_column(cols: &[ColMeta], r: &ColumnRef) -> Result<usize> {
+pub(crate) fn resolve_column(cols: &[ColMeta], r: &ColumnRef) -> Result<usize> {
     let mut found = None;
     for (i, c) in cols.iter().enumerate() {
         if c.matches(r) {
@@ -413,7 +434,7 @@ pub(crate) fn plan_tree(
     // the root's own output for the latter is harmless — one extra
     // gather — and keeps the rule simple: live from leaf to root).
     let mut live = vec![false; cols.len()];
-    mark_live_columns(q, s, &Relation::new(cols.clone(), Vec::new()), &mut live);
+    mark_live_columns(q, s, &cols, &mut live);
     for (side, k) in &post_kernels {
         let offset = match side {
             JoinSide::Left => 0,
@@ -568,36 +589,41 @@ fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
     }
 }
 
-// ---- physical plan for the columnar ORDER BY / DISTINCT / LIMIT tail -----
+// ---- physical plans for the block tails -----------------------------------
 
-/// One projected (or sort-key) item of a planned columnar tail.
+/// One projected (or sort-key) item of a planned tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TailItem {
-    /// A plain source column (read straight from the columnar input).
+    /// A plain column of the tail's input, read late: only for the rows
+    /// that survive the sort, DISTINCT and LIMIT.
     Source(usize),
-    /// Index into [`TailPlan::computed`]: an expression evaluated
-    /// speculatively for every post-WHERE row.
+    /// Index into [`TailPlan::computed`]: an expression the **Project**
+    /// operator evaluates for every input row before the tail orders
+    /// anything.
     Computed(usize),
 }
 
-/// Physical plan for the columnar query tail: projection, ORDER BY,
-/// DISTINCT and LIMIT/OFFSET over **source column indices plus compiled
-/// expressions**, so the tail can sort/dedupe/slice a selection vector
-/// and late-materialize only the surviving rows.
+/// Physical plan for the ORDER BY / DISTINCT / LIMIT tail of a block:
+/// projection and sort keys as **input column indices plus compiled
+/// expressions**, so the tail can sort/dedupe/slice row positions and
+/// late-materialize only the surviving rows. The input is the block's
+/// post-WHERE table for a plain block, the groups table
+/// `[keys…, aggregates…]` for an aggregated one ([`GroupedPlan::tail`]),
+/// and the concatenated arms for a set operation.
 ///
-/// # Error semantics (why computed items are evaluated speculatively)
+/// # Error semantics (why computed items are evaluated for every row)
 ///
-/// The oracle evaluates projection and sort-key expressions for
-/// *every* post-WHERE row before sorting or truncating, so any of those
-/// expressions may raise a runtime error from a row that `LIMIT` would
-/// later discard. Plain-column items are infallible and can skip
-/// non-surviving rows unobservably; `computed` expressions are instead
-/// evaluated **for every row, in the oracle's per-row order**
-/// (projection items first, then ORDER BY source expressions), with the
-/// first error surfacing exactly as the oracle reports it —
-/// only then does the tail sort, dedupe and slice.
+/// The oracle evaluates projection and sort-key expressions for *every*
+/// input row before sorting or truncating, so any of those expressions
+/// may raise a runtime error from a row that `LIMIT` would later discard.
+/// Plain-column items are infallible and can skip non-surviving rows
+/// unobservably; `computed` expressions go through Project, **for every
+/// row, in the oracle's per-row order** (projection items first, then
+/// ORDER BY source expressions), so the first error is the one the
+/// oracle reports — only then does the tail sort, dedupe and slice.
 pub(crate) struct TailPlan {
-    /// Output column metadata, exactly as `select_plain` would name it.
+    /// Output column metadata: wildcard columns keep their qualifier,
+    /// expressions are named by alias or printed form.
     pub out_cols: Vec<ColMeta>,
     /// What backs each output column.
     pub out_items: Vec<TailItem>,
@@ -612,82 +638,142 @@ pub(crate) struct TailPlan {
     pub offset: Option<u64>,
 }
 
-/// Plan the columnar tail for a non-aggregated SELECT block, or `None`
-/// when planning hits a compile/scope error — the shared row tail over
-/// gathered rows then re-derives and reports it identically.
+/// Classify one compiled tail expression: a plain column passes through,
+/// anything else joins the Project batch.
+fn tail_item(e: CompiledExpr, computed: &mut Vec<CompiledExpr>) -> TailItem {
+    match e {
+        CompiledExpr::Column(i) => TailItem::Source(i),
+        e => {
+            computed.push(e);
+            TailItem::Computed(computed.len() - 1)
+        }
+    }
+}
+
+/// Assemble a [`TailPlan`] from a block's compiled SELECT list, resolving
+/// ORDER BY through the one shared rule ([`exec::plan_sort_keys_with`]):
+/// output-position/name matches sort on the projected item; other keys
+/// compile through `compile_source` against the tail's input scope.
+fn build_tail(
+    q: &Query,
+    distinct: bool,
+    items: Vec<(ColMeta, CompiledExpr)>,
+    compile_source: &mut dyn FnMut(&Expr) -> Result<CompiledExpr>,
+) -> Result<TailPlan> {
+    let mut computed = Vec::new();
+    let (out_cols, out_items): (Vec<_>, Vec<_>) = items
+        .into_iter()
+        .map(|(meta, e)| (meta, tail_item(e, &mut computed)))
+        .unzip();
+    let keys = exec::plan_sort_keys_with(&q.order_by, &out_cols, compile_source)?;
+    let sort = keys
+        .into_iter()
+        .zip(&q.order_by)
+        .map(|(key, item)| {
+            let tail_item = match key {
+                SortKey::Output(pos) => out_items[pos],
+                SortKey::Source(e) => tail_item(e, &mut computed),
+            };
+            (tail_item, item.descending)
+        })
+        .collect();
+    Ok(TailPlan {
+        out_cols,
+        out_items,
+        sort,
+        computed,
+        distinct,
+        limit: q.limit,
+        offset: q.offset,
+    })
+}
+
+/// Plan the tail of a non-aggregated SELECT block. Compile errors are
+/// raised here, before any row of the tail's input is touched, in the
+/// oracle's order: projection items left to right (an unknown wildcard
+/// qualifier among them), then ORDER BY.
 pub(crate) fn plan_tail(
     ex: &mut Exec<'_>,
     q: &Query,
     s: &Select,
     cols: &[ColMeta],
-) -> Option<TailPlan> {
+) -> Result<TailPlan> {
     debug_assert!(!Exec::has_aggregates(s));
-    let scope = Relation::new(cols.to_vec(), Vec::new());
-    let mut out_cols: Vec<ColMeta> = Vec::new();
-    let mut out_items: Vec<TailItem> = Vec::new();
-    let mut computed: Vec<CompiledExpr> = Vec::new();
+    let mut items: Vec<(ColMeta, CompiledExpr)> = Vec::new();
     for item in &s.projection {
-        match item {
-            SelectItem::Wildcard => {
-                out_cols.extend(cols.iter().cloned());
-                out_items.extend((0..cols.len()).map(TailItem::Source));
-            }
-            SelectItem::QualifiedWildcard(qual) => {
-                let before = out_items.len();
-                for (i, c) in cols.iter().enumerate() {
-                    if c.qualifier.as_deref() == Some(qual.as_str()) {
-                        out_cols.push(c.clone());
-                        out_items.push(TailItem::Source(i));
-                    }
-                }
-                if out_items.len() == before {
-                    // Unknown qualifier: the shared row tail reports it.
-                    return None;
-                }
-            }
+        // `None`: every column; `Some(q)`: the columns qualified `q`.
+        let wildcard = match item {
+            SelectItem::Wildcard => None,
+            SelectItem::QualifiedWildcard(q) => Some(q),
             SelectItem::Expr { expr, alias } => {
-                let item = match expr {
-                    Expr::Column(c) => TailItem::Source(scope.resolve(c).ok()?),
-                    _ => {
-                        let e = ex.compile_scalar(expr, cols).ok()?;
-                        computed.push(e);
-                        TailItem::Computed(computed.len() - 1)
-                    }
-                };
-                out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
-                out_items.push(item);
-            }
-        }
-    }
-
-    // ORDER BY resolution goes through the engines' single shared rule:
-    // output-position/name matches sort on the projected item; other
-    // keys compile against the source scope (plain columns read the
-    // column, everything else joins the speculative batch).
-    let keys =
-        exec::plan_sort_keys_with(&q.order_by, &out_cols, &mut |e| ex.compile_scalar(e, cols))
-            .ok()?;
-    let mut sort = Vec::with_capacity(keys.len());
-    for (key, item) in keys.into_iter().zip(&q.order_by) {
-        let tail_item = match key {
-            SortKey::Output(pos) => out_items[pos],
-            SortKey::Source(CompiledExpr::Column(i)) => TailItem::Source(i),
-            SortKey::Source(e) => {
-                computed.push(e);
-                TailItem::Computed(computed.len() - 1)
+                let meta = ColMeta::new(None, expr.output_name(alias.as_deref()));
+                items.push((meta, ex.compile_scalar(expr, cols)?));
+                continue;
             }
         };
-        sort.push((tail_item, item.descending));
+        let before = items.len();
+        for (i, c) in cols.iter().enumerate() {
+            if wildcard.is_none_or(|q| c.qualifier.as_deref() == Some(q)) {
+                items.push((c.clone(), CompiledExpr::Column(i)));
+            }
+        }
+        if let Some(q) = wildcard.filter(|_| items.len() == before) {
+            return Err(DbError::UnknownTable(q.clone()));
+        }
     }
+    build_tail(q, s.distinct, items, &mut |e| ex.compile_scalar(e, cols))
+}
 
-    Some(TailPlan {
-        out_cols,
-        out_items,
-        sort,
-        computed,
-        distinct: s.distinct,
-        limit: q.limit,
-        offset: q.offset,
+/// Compiled pieces of an aggregated SELECT block: what the Aggregate
+/// operator reads from the block's post-WHERE table, and the block over
+/// the **groups table** `[keys…, aggregates…]` that follows it.
+pub(crate) struct GroupedPlan {
+    /// GROUP BY expressions over the block's scope.
+    pub keys: Vec<CompiledExpr>,
+    /// The aggregates, in first-appearance order (argument expressions
+    /// over the block's scope).
+    pub aggs: Vec<AggSpec>,
+    /// HAVING over the groups table.
+    pub having: Option<CompiledExpr>,
+    /// SELECT list, ORDER BY, DISTINCT and LIMIT over the groups table.
+    pub tail: TailPlan,
+}
+
+/// Plan an aggregated SELECT block. Compile errors are raised here, in
+/// the oracle's order: GROUP BY, projection items left to right (a
+/// wildcard is one), HAVING, then ORDER BY.
+pub(crate) fn plan_grouped(
+    ex: &mut Exec<'_>,
+    q: &Query,
+    s: &Select,
+    cols: &[ColMeta],
+) -> Result<GroupedPlan> {
+    let keys = ex.compile_group_exprs(s, cols)?;
+    let mut gc = GroupCompiler {
+        group_exprs: &keys,
+        aggs: Vec::new(),
+    };
+    let mut items = Vec::with_capacity(s.projection.len());
+    for item in &s.projection {
+        let SelectItem::Expr { expr, alias } = item else {
+            return Err(DbError::InvalidAggregate(
+                "wildcard projection is not allowed in an aggregated query".into(),
+            ));
+        };
+        let meta = ColMeta::new(None, expr.output_name(alias.as_deref()));
+        items.push((meta, gc.compile(ex, expr, cols)?));
+    }
+    let having = match &s.having {
+        Some(h) => Some(gc.compile(ex, h, cols)?),
+        None => None,
+    };
+    let tail = build_tail(q, s.distinct, items, &mut |e| gc.compile(ex, e, cols))?;
+    let aggs = gc.aggs;
+    Ok(GroupedPlan {
+        keys,
+        aggs,
+        having,
+        tail,
     })
 }
 
@@ -696,11 +782,11 @@ pub(crate) fn plan_tail(
 /// (an extra gather); under-marking never happens: a reference that does
 /// not resolve here fails compilation in the shared tail before any row
 /// is touched, and wildcards mark whole sides.
-fn mark_live_columns(q: &Query, s: &Select, combined: &Relation, live: &mut [bool]) {
+fn mark_live_columns(q: &Query, s: &Select, combined: &[ColMeta], live: &mut [bool]) {
     let mark_expr = |e: &Expr, live: &mut [bool]| {
         visitor::walk_expr(e, &mut |sub| {
             if let Expr::Column(c) = sub {
-                if let Ok(i) = combined.resolve(c) {
+                if let Ok(i) = resolve_column(combined, c) {
                     live[i] = true;
                 }
             }
@@ -717,7 +803,7 @@ fn mark_live_columns(q: &Query, s: &Select, combined: &Relation, live: &mut [boo
                 return; // everything is live already
             }
             SelectItem::QualifiedWildcard(q) => {
-                for (i, c) in combined.cols.iter().enumerate() {
+                for (i, c) in combined.iter().enumerate() {
                     if c.qualifier.as_deref() == Some(q.as_str()) {
                         live[i] = true;
                     }
@@ -787,6 +873,74 @@ mod tests {
             r.resolve(&ColumnRef::bare("nope")),
             Err(DbError::UnknownColumn(_))
         ));
+    }
+
+    /// A block's plan raises its own compile errors — the oracle's, by
+    /// text — from nothing but the scope: the table behind it is empty
+    /// and the plan functions never see it.
+    #[test]
+    fn tail_plans_raise_the_oracles_compile_errors_from_the_scope_alone() {
+        use crate::schema::{DataType, Schema};
+        let mut db = crate::database::Database::new();
+        db.create_table(
+            "t",
+            Schema::of(&[("a", DataType::Int), ("b", DataType::Str)]),
+        )
+        .unwrap();
+        let cols = db.table("t").unwrap().col_metas("t");
+        for (tail, expected) in [
+            ("SELECT nope FROM t", "unknown column `nope`"),
+            ("SELECT a FROM t ORDER BY nope", "unknown column `nope`"),
+            ("SELECT x.* FROM t", "unknown table `x`"),
+            (
+                "SELECT a FROM t ORDER BY 9",
+                "ORDER BY position 9 out of range",
+            ),
+            (
+                "SELECT *, COUNT(*) FROM t",
+                "wildcard projection is not allowed",
+            ),
+            (
+                "SELECT b, COUNT(*) FROM t GROUP BY a",
+                "column `b` must appear in GROUP BY",
+            ),
+            ("SELECT SUM(COUNT(*)) FROM t", "nested aggregate functions"),
+            (
+                "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY 9",
+                "ORDER BY position 9 out of range",
+            ),
+            (
+                "SELECT COUNT(*) FROM t GROUP BY nope",
+                "unknown column `nope`",
+            ),
+            // Two defects: the projection's comes before HAVING's, and
+            // HAVING's before ORDER BY's.
+            (
+                "SELECT b FROM t GROUP BY a HAVING nope > 0 ORDER BY 9",
+                "column `b` must appear",
+            ),
+            (
+                "SELECT a FROM t GROUP BY a HAVING nope > 0 ORDER BY 9",
+                "column `nope` must appear",
+            ),
+            ("SELECT x.*, nope FROM t ORDER BY 9", "unknown table `x`"),
+        ] {
+            let q = flex_sql::parse_query(tail).unwrap();
+            let s = q.as_select().unwrap();
+            let mut ex = Exec::new(&db, vexec::execute_query, db.exec_tuning());
+            let planned = if Exec::has_aggregates(s) {
+                plan_grouped(&mut ex, &q, s, &cols).map(drop)
+            } else {
+                plan_tail(&mut ex, &q, s, &cols).map(drop)
+            };
+            let err = planned.expect_err(tail).to_string();
+            assert!(err.contains(expected), "{tail}: {err}");
+            assert_eq!(
+                err,
+                db.execute_sql_row(tail).unwrap_err().to_string(),
+                "{tail}"
+            );
+        }
     }
 
     #[test]

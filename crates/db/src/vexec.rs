@@ -36,27 +36,30 @@
 //!
 //! Nothing declines and nothing is analyzed ahead of time: whatever the
 //! walk reaches executes there, and an error is raised where it is found
-//! ([`crate::plan`], "Plan as you execute"). Within a block, sub-shapes
-//! the columnar operators don't cover degrade gracefully:
+//! ([`crate::plan`], "Plan as you execute"). Every block is the same
+//! operator sequence over [`ColumnarTable`]s — Scan → Filter → Join →
+//! Project → Aggregate → Project → Tail, each step present only when the
+//! query asks for it:
 //!
-//! - WHERE predicates containing any conjunct without a kernel (e.g.
-//!   arbitrary CASE or arithmetic) are evaluated whole by the scalar
+//! - **Filter**: WHERE conjuncts that all have a kernel narrow the
+//!   selection one at a time; one conjunct without a kernel (arbitrary
+//!   CASE or arithmetic) sends the whole predicate to the scalar
 //!   interpreter over scratch rows gathered from only the referenced
-//!   columns, preserving short-circuit and error semantics;
-//! - grouped queries whose group keys or aggregate arguments are not
-//!   plain columns gather the filtered rows and run the row-wise
-//!   grouping code of [`crate::exec`] on them (keeping the filter win);
-//! - the ORDER BY / DISTINCT / LIMIT tail runs fully columnar when the
-//!   projection and sort keys are plain columns (`plan::plan_tail`):
-//!   indices sort by typed column keys, `ORDER BY … LIMIT k` runs as a
-//!   bounded top-K heap, DISTINCT dedupes typed keys, and only the
-//!   surviving rows late-materialize (`run_tail`); computed projections
-//!   and expression sort keys run the **speculative mixed tail**
-//!   (`run_tail_mixed`): every expression evaluates for every
-//!   post-WHERE row in per-row order (so the first error is the
-//!   earliest row's), then indices sort/dedupe/slice as usual; shapes
-//!   the tail planner declines reuse the row-wise tail over gathered
-//!   rows instead.
+//!   columns, preserving short-circuit and error semantics.
+//! - **Project** (`project`) is where every computed expression runs —
+//!   group keys, aggregate arguments, HAVING, computed SELECT items and
+//!   sort keys: an optional predicate and a list of compiled expressions
+//!   evaluated for every input row in row order, emitted as typed
+//!   columns. Plain column references never pass through it.
+//! - **Aggregate** (`run_grouped`) assigns group ids from key columns
+//!   and accumulates each aggregate in a single pass; its output, the
+//!   groups table `[keys…, aggregates…]`, is the input of one more
+//!   Project (HAVING, the SELECT list) and the tail.
+//! - **Tail** (`run_tail`, the only ORDER BY / DISTINCT / LIMIT there
+//!   is — plain blocks, groups tables and set operations all end in it):
+//!   row positions sort by typed column keys, `ORDER BY … LIMIT k` runs
+//!   as a bounded top-K heap, DISTINCT dedupes typed keys, and only the
+//!   surviving rows late-materialize.
 //!
 //! # One body per operator
 //!
@@ -82,36 +85,40 @@
 //!
 //! [`crate::oracle`] interprets the same queries row by row; the
 //! differential suite holds the two equal. They compile expressions with
-//! the same compiler, fold floating-point aggregates through the same
-//! fixed-shape reduction tree over the same fold grid (the oracle hands
-//! `AggSpec::compute` the identical selection positions), and resolve
-//! ORDER BY keys through one shared rule; the columnar tail reproduces a
-//! stable sort / first-occurrence DISTINCT / LIMIT slice exactly (index
-//! tie-breaks stand in for sort stability — see `run_tail`), so any
-//! query that executes without error returns a [`ResultSet`]
-//! byte-identical to the oracle's, at any worker count. A query errors
-//! here iff it errors there; a single-defect query reports the same
-//! error text ([`crate::plan`], "Error order"). The one permitted
-//! divergence: *aggregate-stage* type errors (e.g. `SUM` over a column
-//! mixing strings into numbers) may be reported from a different row,
-//! because the columnar accumulators visit rows in table order rather
-//! than group order.
+//! the same compiler and resolve ORDER BY keys through one shared rule,
+//! and everything else exists twice: the oracle groups, projects, sorts
+//! and slices materialized rows with code of its own. Floating-point
+//! aggregates agree in every bit because both fold through the same
+//! fixed-shape reduction tree over the same fold grid — chunk `p /
+//! fold_rows` of post-WHERE position `p`, which is the executor's
+//! selection position (and, after Project, the dense row index) and the
+//! oracle's input row index. The tail reproduces a stable sort /
+//! first-occurrence DISTINCT / LIMIT slice exactly (position tie-breaks
+//! stand in for sort stability — see `run_tail`), so any query that
+//! executes without error returns a [`ResultSet`] byte-identical to the
+//! oracle's, at any worker count. A query errors here iff it errors
+//! there; a single-defect query reports the same error text
+//! ([`crate::plan`], "Error order"). The one permitted divergence: of
+//! several *runtime* defects in one aggregated block the two may name
+//! different ones, because the executor runs operator by operator (all
+//! keys, then each aggregate's argument, then the folds in table order)
+//! where the oracle runs group by group.
 
-use crate::aggregate::{self, AggFunc, AggPartial, AggSpec, FoldAcc, FoldState, GroupedRows};
+use crate::aggregate::{self, AggFunc, AggPartial, FoldAcc, FoldState};
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::exec::{self, Exec, GroupCompiler, SortKey};
+use crate::exec::{self, Exec};
 use crate::expr::{like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, ColMeta, JoinNode, JoinOrder, JoinSide, PlanNode, Relation, ResultSet, TailItem, TailPlan,
+    self, ColMeta, GroupedPlan, JoinNode, JoinOrder, JoinSide, PlanNode, Relation, ResultSet,
+    TailItem, TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
-use flex_sql::{
-    BinaryOperator, JoinType, Query, Select, SelectItem, SetExpr, SetOperator, TableRef,
-};
+use flex_sql::{BinaryOperator, JoinType, Query, Select, SetExpr, SetOperator, TableRef};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -121,8 +128,8 @@ use std::sync::Arc;
 /// payload of [`crate::exec::ExecTrace`], nested executions included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct VexecStats {
-    /// Whether an `ORDER BY … LIMIT` tail ran as a bounded top-K
-    /// selection instead of a full sort.
+    /// Whether a SELECT block's `ORDER BY … LIMIT` tail ran as a bounded
+    /// top-K selection instead of a full sort.
     pub topk: bool,
     /// Scan morsels the base-table inputs split into.
     pub morsels: u64,
@@ -267,21 +274,10 @@ fn run_block(
     finish_block(ex, q, s, cols, ctab, &sel)
 }
 
-/// Everything downstream of the scan/filter/join. Four tails, tried in
-/// order:
-///
-/// 1. aggregated blocks run the columnar hash-aggregate plus the grouped
-///    tail (top-K over group indices when `ORDER BY … LIMIT` allows);
-/// 2. plain blocks whose projection and sort keys are all plain columns
-///    run the fully-columnar tail ([`run_tail`]): sort/dedupe/slice the
-///    selection vector itself, then late-materialize only the survivors;
-/// 3. plain blocks with computed projections or expression sort keys
-///    run the speculative mixed tail ([`run_tail_mixed`]);
-/// 4. anything else gathers the filtered rows and runs the row-wise
-///    projection/sort/DISTINCT tail of [`crate::exec`] (which is also
-///    what reports any compile error).
-///
-/// Shared by the single-scan and join-tree pipelines.
+/// Everything downstream of the scan/filter/join, shared by the
+/// single-scan and join-tree pipelines. The block's plan raises its own
+/// compile errors; then an aggregated block is Project → Aggregate →
+/// Project → Tail ([`run_grouped`]) and a plain one Project → Tail.
 fn finish_block(
     ex: &mut Exec<'_>,
     q: &Query,
@@ -291,245 +287,218 @@ fn finish_block(
     sel: &[u32],
 ) -> Result<ResultSet> {
     let par = ex.par;
-    if Exec::has_aggregates(s) {
-        if let Some(plan) = plan_grouped(ex, q, s, &cols) {
-            // LIMIT/OFFSET already applied by the grouped tail.
-            let topk = &mut ex.stats.topk;
-            return run_grouped(q, s, ctab, sel, plan, par, topk).map(ResultSet::from);
-        }
-    } else if let Some(tail) = plan::plan_tail(ex, q, s, &cols) {
-        // Columnar tail: LIMIT/OFFSET applied on indices inside.
-        let topk = &mut ex.stats.topk;
-        if tail.computed.is_empty() {
-            return Ok(ResultSet::from(run_tail(ctab, sel, &tail, par, topk)));
-        }
-        return run_tail_mixed(ctab, sel, &tail, par, topk).map(ResultSet::from);
-    }
-    // Row-wise tail over only the surviving rows (non-column group
-    // keys/aggregate args, or a shape whose planning hit an error).
-    let input = Relation::new(cols, gather_rows(ctab, sel, par));
-    let mut rel = ex.select_after_where(s, input, &q.order_by)?;
-    exec::apply_limit_offset(&mut rel, q.limit, q.offset);
+    let rel = if Exec::has_aggregates(s) {
+        let plan = plan::plan_grouped(ex, q, s, &cols)?;
+        run_grouped(ctab, sel, &plan, par, &mut ex.stats.topk)?
+    } else {
+        let tail = plan::plan_tail(ex, q, s, &cols)?;
+        let (sel, computed) = project(ctab, sel, None, &tail.computed, par)?;
+        run_tail(ctab, &sel, &computed, &tail, par, &mut ex.stats.topk)
+    };
     Ok(ResultSet::from(rel))
 }
 
-/// Materialize the selected rows (exact `Value` reconstruction),
-/// concatenated in morsel order = row order.
-fn gather_rows(ctab: &ColumnarTable, sel: &[u32], par: Parallelism) -> Vec<Row> {
-    morsel::run_concat(sel.len(), par, |r| {
-        sel[r].iter().map(|&i| ctab.row(i as usize)).collect()
-    })
+// ---- Project ---------------------------------------------------------------
+
+/// The **Project** operator: for every selected row, in row order,
+/// evaluate `pred` (a row that is not TRUE is dropped and evaluates
+/// nothing further) and then `exprs` left to right, and emit the kept
+/// selection plus one typed [`Column`] per expression, dense over it
+/// (output row `p` is input row `kept[p]`). Rows go through the scalar
+/// interpreter over a scratch row holding only the referenced columns;
+/// morsels concatenate in order, so the error reported is the earliest
+/// row's earliest expression's — the one a row-at-a-time evaluation
+/// meets first — at every worker count. A plain column reference is
+/// infallible and is gathered instead of interpreted.
+fn project<'s>(
+    ctab: &ColumnarTable,
+    sel: &'s [u32],
+    pred: Option<&CompiledExpr>,
+    exprs: &[CompiledExpr],
+    par: Parallelism,
+) -> Result<(Cow<'s, [u32]>, Vec<Column>)> {
+    let computed: Vec<&CompiledExpr> = (exprs.iter())
+        .filter(|e| !matches!(e, CompiledExpr::Column(_)))
+        .collect();
+    let mut kept = Cow::Borrowed(sel);
+    let mut vals: Vec<Value> = Vec::new();
+    if pred.is_some() || !computed.is_empty() {
+        let mut refs = Vec::new();
+        for e in pred.iter().chain(&computed) {
+            e.for_each_column(&mut |i| refs.push(i));
+        }
+        refs.sort_unstable();
+        refs.dedup();
+        let (passed, out) = morsel::try_run_concat(sel.len(), par, |r| {
+            let mut scratch: Row = vec![Value::Null; ctab.columns.len()];
+            let mut passed = Vec::new();
+            let mut out = Vec::with_capacity(r.len() * computed.len());
+            for &i in &sel[r] {
+                for &c in &refs {
+                    scratch[c] = ctab.columns[c].value(i as usize);
+                }
+                if let Some(pred) = pred {
+                    if !pred.eval_bool(&scratch)? {
+                        continue;
+                    }
+                    passed.push(i);
+                }
+                for e in &computed {
+                    out.push(e.eval(&scratch)?);
+                }
+            }
+            Ok::<_, DbError>((passed, out))
+        })?;
+        if pred.is_some() {
+            kept = Cow::Owned(passed);
+        }
+        vals = out;
+    }
+    // Deal the row-major values into one vector per computed expression.
+    let mut dealt: Vec<Vec<Value>> = (computed.iter())
+        .map(|_| Vec::with_capacity(kept.len()))
+        .collect();
+    for (i, v) in vals.into_iter().enumerate() {
+        dealt[i % computed.len()].push(v);
+    }
+    let mut dealt = dealt.into_iter();
+    let columns = exprs
+        .iter()
+        .map(|e| match e {
+            CompiledExpr::Column(c) => ctab.columns[*c].gather(&kept),
+            _ => Column::from_values(dealt.next().expect("one vector per computed expression")),
+        })
+        .collect();
+    Ok((kept, columns))
 }
 
-// ---- fully-columnar ORDER BY / DISTINCT / LIMIT tail ----------------------
+// ---- ORDER BY / DISTINCT / LIMIT tail --------------------------------------
 
-/// Run a planned fully-columnar tail over the selection vector:
+/// A column as the tail reads it: tail position `p` is row `sel[p]` of a
+/// pass-through input column, or row `p` of a projected (or
+/// identity-selected) one.
+#[derive(Clone, Copy)]
+struct TailCol<'a> {
+    col: &'a Column,
+    sel: Option<&'a [u32]>,
+}
+
+impl<'a> TailCol<'a> {
+    #[inline]
+    fn row(&self, p: usize) -> usize {
+        match self.sel {
+            Some(sel) => sel[p] as usize,
+            None => p,
+        }
+    }
+
+    /// The [`BorrowKey`] at position `p` — one column's contribution to
+    /// a DISTINCT or set-operation key — borrowing strings straight from
+    /// the column.
+    fn borrow_key(&self, p: usize) -> BorrowKey<'a> {
+        let (col, i) = (self.col, self.row(p));
+        if col.is_null(i) {
+            return BorrowKey::Null;
+        }
+        match &col.data {
+            ColumnData::Int64(xs) => BorrowKey::Int(xs[i]),
+            ColumnData::Float64(xs) => BorrowKey::from_float(xs[i]),
+            ColumnData::Bool(bs) => BorrowKey::Bool(bs[i]),
+            ColumnData::Str(ss) => BorrowKey::Str(&ss[i]),
+            ColumnData::Mixed(vs) => BorrowKey::from(&vs[i]),
+        }
+    }
+}
+
+/// The DISTINCT key of position `p` over `cols`: the same key sequence
+/// `RowKey::from_values` derives from the materialized row —
+/// [`BorrowKey`] mirrors `ValueKey` exactly — without cloning.
+fn distinct_key<'a>(cols: &[TailCol<'a>], p: usize) -> Vec<BorrowKey<'a>> {
+    cols.iter().map(|c| c.borrow_key(p)).collect()
+}
+
+/// The one ORDER BY / DISTINCT / LIMIT tail — of a plain block, of the
+/// groups table of an aggregated one, and of a set operation. Its input
+/// is `sel.len()` rows: [`TailItem::Source`] items read `ctab` through
+/// the selection, [`TailItem::Computed`] items read Project's dense
+/// `computed` columns. It works on row **positions** `0..sel.len()`:
 ///
-/// 1. **Sort** the *indices* by typed columnar sort keys
+/// 1. **Sort** the positions by typed columnar sort keys
 ///    ([`Column::row_ordering`] — no `Value` materialization, no key
 ///    rows). `ORDER BY … LIMIT k` with no DISTINCT runs as a bounded
 ///    **top-K heap** ([`exec::top_k_sorted`]) so only `offset + k`
-///    indices are ever held. Morsels sort (or top-K-select) locally and
+///    positions are ever held. Morsels sort (or top-K-select) locally and
 ///    a loser tree merges the runs ([`morsel::merge_sorted_runs`]).
-/// 2. **DISTINCT** dedupes the surviving indices over typed column keys
-///    ([`distinct_key`] — [`BorrowKey`]s that partition values exactly
-///    like the `ValueKey`s the oracle hashes, without cloning),
-///    keeping first occurrences in the current order and stopping early
-///    once `offset + limit` rows are kept.
-/// 3. **LIMIT/OFFSET** slice the index vector.
-/// 4. Only then are the survivors **late-materialized**, gathering just
-///    the projected columns (per morsel, stitched in order).
+/// 2. **DISTINCT** dedupes the surviving positions over typed output
+///    keys ([`distinct_key`]), keeping first occurrences in the current
+///    order and stopping early once `offset + limit` rows are kept.
+/// 3. **LIMIT/OFFSET** slice the position vector.
+/// 4. Only then are the survivors **late-materialized**, reading just
+///    the output columns (per morsel, stitched in order).
 ///
-/// Every step is infallible (plain column reads only — that is
-/// [`plan::plan_tail`]'s eligibility rule), so skipping non-surviving
-/// rows can never skip an error the oracle would report.
+/// Every step is infallible (column reads only — whatever can fail ran
+/// in Project, for every row), so skipping non-surviving rows can never
+/// skip an error the oracle would report.
 ///
 /// # Byte-identity with the oracle
 ///
 /// The oracle stable-sorts whole rows by evaluated key values
 /// (`Value::total_cmp` per key). Here the comparator chains the same
-/// per-column orderings and then breaks ties by row index — selection
-/// vectors are strictly increasing, so index order *is* the oracle's
+/// per-column orderings and then breaks ties by position — positions
+/// follow the input's row order, so position order *is* the oracle's
 /// stable-sort tie order, and a total order with no inter-row ties makes
 /// unstable sorts, bounded heaps and run merges all produce that same
 /// permutation. DISTINCT hashes keys that partition rows exactly as
-/// `RowKey::from_values` over the projected row would.
+/// `RowKey::from_values` over the output row would.
 fn run_tail(
     ctab: &ColumnarTable,
     sel: &[u32],
+    computed: &[Column],
     tail: &TailPlan,
     par: Parallelism,
     topk_hit: &mut bool,
 ) -> Relation {
-    // Pure-column tail: every item is `TailItem::Source` (the
-    // `computed.is_empty()` dispatch in `finish_block` guarantees it).
-    let source = |item: TailItem| match item {
-        TailItem::Source(c) => c,
-        TailItem::Computed(_) => unreachable!("pure tail has no computed items"),
+    let n = sel.len();
+    // A selection as long as its table is the identity (selections are
+    // strictly increasing): read it by position.
+    let via = (n != ctab.len()).then_some(sel);
+    let col = |item: TailItem| match item {
+        TailItem::Source(c) => TailCol {
+            col: &ctab.columns[c],
+            sel: via,
+        },
+        TailItem::Computed(k) => TailCol {
+            col: &computed[k],
+            sel: None,
+        },
     };
-    let srcs: Vec<usize> = tail.out_items.iter().map(|&i| source(i)).collect();
-    let sort: Vec<(usize, bool)> = tail
+    let out: Vec<TailCol<'_>> = tail.out_items.iter().map(|&item| col(item)).collect();
+    let sort: Vec<(TailCol<'_>, bool)> = tail
         .sort
         .iter()
-        .map(|&(item, desc)| (source(item), desc))
+        .map(|&(item, desc)| (col(item), desc))
         .collect();
-    let bound = if tail.distinct {
-        None
+    let target = exec::tail_bound(tail.limit, tail.offset);
+    // DISTINCT filters *after* the sort, so a pre-DISTINCT bound could
+    // come up short; it disables the top-K path.
+    let bound = if tail.distinct { None } else { target };
+
+    // 1. Order the positions (no sort: the tail is a pure slice — take
+    // it before materializing anything).
+    let mut pos: Vec<u32> = if sort.is_empty() {
+        (0..bound.map_or(n, |k| k.min(n)) as u32).collect()
     } else {
-        exec::tail_bound(tail.limit, tail.offset)
+        ordered_positions(&sort, n, bound, par, topk_hit)
     };
 
-    // 1. Order the surviving indices.
-    let mut idx: Vec<u32> = if sort.is_empty() {
-        match bound {
-            // No sort, no DISTINCT: the tail is a pure slice — take it
-            // before materializing anything.
-            Some(k) => sel[..k.min(sel.len())].to_vec(),
-            None => sel.to_vec(),
-        }
-    } else {
-        ordered_indices(ctab, &sort, sel, bound, par, topk_hit)
-    };
-
-    // 2. DISTINCT over typed column keys, first occurrence wins.
+    // 2. DISTINCT over typed output keys, first occurrence wins.
     if tail.distinct {
-        let target = exec::tail_bound(tail.limit, tail.offset);
-        let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
-        let mut kept = Vec::new();
-        for &i in &idx {
-            if seen.insert(distinct_key(ctab, &srcs, i as usize)) {
-                kept.push(i);
-                // Infallible tail: stopping at the bound is unobservable.
-                if target.is_some_and(|t| kept.len() >= t) {
-                    break;
-                }
-            }
-        }
-        idx = kept;
-    }
-
-    // 3. LIMIT/OFFSET on the index vector. (Paths bounded above already
-    // hold at most `offset + limit` indices, where this is cheap.)
-    if let Some(off) = tail.offset {
-        idx.drain(..(off as usize).min(idx.len()));
-    }
-    if let Some(lim) = tail.limit {
-        idx.truncate(lim as usize);
-    }
-
-    // 4. Late materialization of only the projected columns.
-    let rows = materialize_rows(ctab, &idx, &srcs, par);
-    Relation::new(tail.out_cols.clone(), rows)
-}
-
-/// The speculative **mixed tail**: a plain block whose projection or
-/// sort keys include computed expressions. Every computed expression is
-/// evaluated up front for *every* post-WHERE row, in the oracle's
-/// per-row order — projection items left to right, then ORDER BY source
-/// expressions — so the first error (earliest row, earliest expression)
-/// is exactly the one the oracle reports. After that the tail is
-/// infallible and proceeds like [`run_tail`]: indices sort (computed
-/// keys compare their pre-evaluated values, source keys their typed
-/// columns, ties break on position = the oracle's stable order),
-/// DISTINCT dedupes first occurrences, LIMIT/OFFSET slice, and only the
-/// survivors materialize.
-fn run_tail_mixed(
-    ctab: &ColumnarTable,
-    sel: &[u32],
-    tail: &TailPlan,
-    par: Parallelism,
-    topk_hit: &mut bool,
-) -> Result<Relation> {
-    let n = sel.len();
-    // 1. Speculative evaluation, row-major: `val(p, k)` is computed
-    // expression `k` at selection position `p`. Scratch rows gather only
-    // the referenced columns. Earliest-morsel error = earliest-row error.
-    let mut refs = Vec::new();
-    for e in &tail.computed {
-        e.for_each_column(&mut |i| refs.push(i));
-    }
-    refs.sort_unstable();
-    refs.dedup();
-    let width = tail.computed.len();
-    let vals: Vec<Value> = morsel::try_run_concat(n, par, |r| -> Result<Vec<Value>> {
-        let mut scratch: Row = vec![Value::Null; ctab.columns.len()];
-        let mut out = Vec::with_capacity(r.len() * width);
-        for &i in &sel[r] {
-            let idx = i as usize;
-            for &c in &refs {
-                scratch[c] = ctab.columns[c].value(idx);
-            }
-            for e in &tail.computed {
-                out.push(e.eval(&scratch)?);
-            }
-        }
-        Ok(out)
-    })?;
-    let val = |p: usize, k: usize| &vals[p * width + k];
-
-    // 2. Order selection *positions* (0..n) — positions index both `sel`
-    // and `vals`; ascending position is ascending selection index, i.e.
-    // the oracle's stable-sort tie order.
-    let bound = if tail.distinct {
-        None
-    } else {
-        exec::tail_bound(tail.limit, tail.offset)
-    };
-    let all_pos: Vec<u32> = (0..n as u32).collect();
-    let mut pos = if tail.sort.is_empty() {
-        match bound {
-            Some(k) => all_pos[..k.min(n)].to_vec(),
-            None => all_pos,
-        }
-    } else {
-        type BoxedKey<'a> = (Box<dyn Fn(usize, usize) -> Ordering + Sync + 'a>, bool);
-        let keys: Vec<BoxedKey<'_>> = tail
-            .sort
-            .iter()
-            .map(|&(item, desc)| {
-                let key: Box<dyn Fn(usize, usize) -> Ordering + Sync> = match item {
-                    TailItem::Source(c) => {
-                        let ord = ctab.columns[c].row_ordering();
-                        Box::new(move |a: usize, b: usize| ord(sel[a] as usize, sel[b] as usize))
-                    }
-                    TailItem::Computed(k) => {
-                        Box::new(move |a: usize, b: usize| val(a, k).total_cmp(val(b, k)))
-                    }
-                };
-                (key, desc)
-            })
-            .collect();
-        let cmp = move |a: &u32, b: &u32| {
-            for (key, desc) in &keys {
-                let ord = key(*a as usize, *b as usize);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(b)
-        };
-        order_indices(&all_pos, bound, par, cmp, topk_hit)
-    };
-
-    // 3. DISTINCT over the projected output keys, first occurrence wins.
-    if tail.distinct {
-        let target = exec::tail_bound(tail.limit, tail.offset);
         let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
         let mut kept = Vec::new();
         for &p in &pos {
-            let key: Vec<BorrowKey<'_>> = tail
-                .out_items
-                .iter()
-                .map(|&item| match item {
-                    TailItem::Source(c) => {
-                        borrow_key_at(&ctab.columns[c], sel[p as usize] as usize)
-                    }
-                    TailItem::Computed(k) => BorrowKey::from(val(p as usize, k)),
-                })
-                .collect();
-            if seen.insert(key) {
+            if seen.insert(distinct_key(&out, p as usize)) {
                 kept.push(p);
+                // Infallible tail: stopping at the bound is unobservable.
                 if target.is_some_and(|t| kept.len() >= t) {
                     break;
                 }
@@ -538,89 +507,105 @@ fn run_tail_mixed(
         pos = kept;
     }
 
-    // 4. LIMIT/OFFSET on positions, then materialize the survivors.
+    // 3. LIMIT/OFFSET on the position vector. (Paths bounded above
+    // already hold at most `offset + limit` positions.)
     if let Some(off) = tail.offset {
         pos.drain(..(off as usize).min(pos.len()));
     }
     if let Some(lim) = tail.limit {
         pos.truncate(lim as usize);
     }
-    let rows: Vec<Row> = pos
-        .iter()
-        .map(|&p| {
-            tail.out_items
-                .iter()
-                .map(|&item| match item {
-                    TailItem::Source(c) => ctab.columns[c].value(sel[p as usize] as usize),
-                    TailItem::Computed(k) => val(p as usize, k).clone(),
-                })
-                .collect()
-        })
-        .collect();
-    Ok(Relation::new(tail.out_cols.clone(), rows))
+
+    // 4. Late materialization of only the output columns (in output
+    // order — a column projected twice is read twice).
+    // (Rows before the metadata clone: were the rows the heap's last
+    // allocation, dropping a large result would trim the heap and the
+    // next query would fault the pages back in — 2x on 100k rows.)
+    let rows = materialize_rows(&out, &pos, par);
+    Relation::new(tail.out_cols.clone(), rows)
 }
 
-/// Sort the selection indices by the tail's typed columnar sort keys —
+/// Materialize the tail's surviving rows, reading only the output
+/// columns, stitched in morsel order.
+fn materialize_rows(out: &[TailCol<'_>], pos: &[u32], par: Parallelism) -> Vec<Row> {
+    morsel::run_concat(pos.len(), par, |r| {
+        pos[r]
+            .iter()
+            .map(|&p| {
+                // (A push loop: measurably tighter than collecting a map.)
+                let mut row = Vec::with_capacity(out.len());
+                for c in out {
+                    row.push(c.col.value(c.row(p as usize)));
+                }
+                row
+            })
+            .collect()
+    })
+}
+
+/// Sort the positions `0..n` by the tail's typed columnar sort keys —
 /// bounded top-K when `bound` allows, per morsel with a loser-tree
 /// merge. Single-key sorts over a single-typed column get a
 /// **monomorphized** comparator (the hot dashboard shape: the `f64`
 /// comparison inlines into the sort loop); multi-key and `Mixed`-column
-/// sorts chain the boxed per-column orderings.
-fn ordered_indices(
-    ctab: &ColumnarTable,
-    sort: &[(usize, bool)],
-    sel: &[u32],
+/// sorts chain the boxed per-column orderings. Every comparator ends
+/// with the position tie-break — a total order with no ties between
+/// distinct positions — which is what lets unstable sorts, bounded heaps
+/// and the loser-tree merge all reproduce the oracle's stable sort
+/// exactly.
+fn ordered_positions(
+    sort: &[(TailCol<'_>, bool)],
+    n: usize,
     bound: Option<usize>,
     par: Parallelism,
     topk_hit: &mut bool,
 ) -> Vec<u32> {
-    if let [(c, desc)] = *sort {
-        let col = &ctab.columns[c];
-        match &col.data {
+    if let [(key, desc)] = *sort {
+        match &key.col.data {
             ColumnData::Int64(xs) => {
                 return order_by_typed_key(
-                    sel,
+                    n,
                     bound,
                     par,
                     desc,
                     topk_hit,
-                    col,
+                    key,
                     |i| xs[i],
                     |a: &i64, b| a.cmp(b),
                 );
             }
             ColumnData::Float64(xs) => {
                 return order_by_typed_key(
-                    sel,
+                    n,
                     bound,
                     par,
                     desc,
                     topk_hit,
-                    col,
+                    key,
                     |i| xs[i],
                     |a: &f64, b| a.total_cmp(b),
                 );
             }
             ColumnData::Str(ss) => {
                 return order_by_typed_key(
-                    sel,
+                    n,
                     bound,
                     par,
                     desc,
                     topk_hit,
-                    col,
+                    key,
                     |i| ss[i].as_str(),
                     |a: &&str, b| a.cmp(b),
                 );
             }
             ColumnData::Bool(bs) => {
                 return order_by_typed_key(
-                    sel,
+                    n,
                     bound,
                     par,
                     desc,
                     topk_hit,
-                    col,
+                    key,
                     |i| bs[i],
                     |a: &bool, b| a.cmp(b),
                 );
@@ -631,7 +616,14 @@ fn ordered_indices(
     type BoxedKey<'a> = (Box<dyn Fn(usize, usize) -> Ordering + Sync + 'a>, bool);
     let keys: Vec<BoxedKey<'_>> = sort
         .iter()
-        .map(|&(c, desc)| (ctab.columns[c].row_ordering(), desc))
+        .map(|&(key, desc)| {
+            let ord = key.col.row_ordering();
+            let ord: Box<dyn Fn(usize, usize) -> Ordering + Sync> = match key.sel {
+                Some(sel) => Box::new(move |a, b| ord(sel[a] as usize, sel[b] as usize)),
+                None => ord,
+            };
+            (ord, desc)
+        })
         .collect();
     let cmp = move |a: &u32, b: &u32| {
         for (key, desc) in &keys {
@@ -643,31 +635,46 @@ fn ordered_indices(
         }
         a.cmp(b)
     };
-    order_indices(sel, bound, par, cmp, topk_hit)
+    let topk = bound.filter(|&k| k < n);
+    *topk_hit |= topk.is_some();
+    // Morsel-local sorted runs (any global top-K position is in its
+    // morsel's top K), loser-tree merged.
+    let runs = morsel::run(n, par, |r| {
+        let run = r.start as u32..r.end as u32;
+        match topk {
+            Some(k) => exec::top_k_sorted(run, k, &cmp),
+            None => {
+                let mut run: Vec<u32> = run.collect();
+                run.sort_unstable_by(&cmp);
+                run
+            }
+        }
+    });
+    morsel::merge_sorted_runs(runs, topk, cmp)
 }
 
 /// Single-typed-key ordering via decorate–sort–undecorate: each morsel
-/// splits its slice of the selection into NULL indices and `(key, row)`
-/// pairs, sorts (or bounded-top-K-selects) the *pairs* — key comparisons
-/// read sequentially-copied pair memory instead of chasing random column
-/// indices, and the comparator is monomorphized per column type — then
-/// the runs loser-tree-merge and NULLs splice back in at the position
-/// `total_cmp` gives them (first ascending, last descending).
+/// splits its range of positions into NULL positions and `(key,
+/// position)` pairs, sorts (or bounded-top-K-selects) the *pairs* — key
+/// comparisons read sequentially-copied pair memory instead of chasing
+/// random column indices, and the comparator is monomorphized per column
+/// type — then the runs loser-tree-merge and NULLs splice back in at the
+/// place `total_cmp` gives them (first ascending, last descending).
 ///
-/// Order identity with the boxed comparator chain (and therefore the row
-/// engine): NULLs tie with each other only, so among themselves they
-/// keep index order — chunks collect them in selection order and
+/// Order identity with the boxed comparator chain (and therefore the
+/// oracle): NULLs tie with each other only, so among themselves they
+/// keep position order — chunks collect them in position order and
 /// concatenate in morsel order, which is exactly that; pairs carry the
-/// index tie-break in the comparator; and `desc` only reverses the key
-/// order, never the tie-break.
+/// position tie-break in the comparator; and `desc` only reverses the
+/// key order, never the tie-break.
 #[allow(clippy::too_many_arguments)]
 fn order_by_typed_key<T, G, F>(
-    sel: &[u32],
+    n: usize,
     bound: Option<usize>,
     par: Parallelism,
     desc: bool,
     topk_hit: &mut bool,
-    col: &Column,
+    key: TailCol<'_>,
     get: G,
     ord: F,
 ) -> Vec<u32>
@@ -676,38 +683,38 @@ where
     G: Fn(usize) -> T + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    let has_nulls = col.nulls.any();
+    let has_nulls = key.col.nulls.any();
     let pair_cmp = move |a: &(T, u32), b: &(T, u32)| {
         let o = ord(&a.0, &b.0);
         let o = if desc { o.reverse() } else { o };
         o.then(a.1.cmp(&b.1))
     };
-    let topk = bound.is_some_and(|k| k < sel.len());
+    let topk = bound.is_some_and(|k| k < n);
     if topk {
         *topk_hit = true;
     }
     let k = bound.unwrap_or(usize::MAX);
-    // Under top-K, at most k NULL indices can survive the splice below,
-    // and they are collected in selection order — capping the collection
+    // Under top-K, at most k NULL positions can survive the splice below,
+    // and they are collected in position order — capping the collection
     // (per morsel and merged) keeps the bounded tail's memory at
     // O(offset + k) even on a mostly-NULL key column, byte-identically.
     let null_cap = if topk { k } else { usize::MAX };
     let decorate = |r: std::ops::Range<usize>| -> (Vec<u32>, Vec<(T, u32)>) {
         let mut nulls = Vec::new();
         let mut pairs = Vec::with_capacity(r.len());
-        for &i in &sel[r] {
-            let idx = i as usize;
-            if has_nulls && col.is_null(idx) {
+        for p in r {
+            let idx = key.row(p);
+            if has_nulls && key.col.is_null(idx) {
                 if nulls.len() < null_cap {
-                    nulls.push(i);
+                    nulls.push(p as u32);
                 }
             } else {
-                pairs.push((get(idx), i));
+                pairs.push((get(idx), p as u32));
             }
         }
         (nulls, pairs)
     };
-    let chunks = morsel::run(sel.len(), par, |r| {
+    let chunks = morsel::run(n, par, |r| {
         let (nulls, mut pairs) = decorate(r);
         if topk {
             pairs = exec::top_k_sorted(pairs, k, &pair_cmp);
@@ -740,83 +747,6 @@ where
     out
 }
 
-/// The shared ordering engine behind [`ordered_indices`], generic over
-/// the comparator so typed fast paths stay monomorphized end to end
-/// (heap, sort and merge included). `cmp` must be a total order with no
-/// ties between distinct indices (every caller ends with the index
-/// tie-break), which is what lets unstable sorts, bounded heaps and the
-/// loser-tree merge all reproduce the oracle's stable sort exactly.
-fn order_indices<C>(
-    sel: &[u32],
-    bound: Option<usize>,
-    par: Parallelism,
-    cmp: C,
-    topk_hit: &mut bool,
-) -> Vec<u32>
-where
-    C: Fn(&u32, &u32) -> Ordering + Sync,
-{
-    let topk = bound.filter(|&k| k < sel.len());
-    *topk_hit |= topk.is_some();
-    // Morsel-local sorted runs (any global top-K index is in its
-    // morsel's top K), loser-tree merged.
-    let runs = morsel::run(sel.len(), par, |r| match topk {
-        Some(k) => exec::top_k_sorted(sel[r].iter().copied(), k, &cmp),
-        None => {
-            let mut run = sel[r].to_vec();
-            run.sort_unstable_by(&cmp);
-            run
-        }
-    });
-    morsel::merge_sorted_runs(runs, topk, cmp)
-}
-
-/// The DISTINCT key of row `i` under a plain-column projection: the same
-/// key sequence `RowKey::from_values` derives from the projected output
-/// row — [`BorrowKey`] mirrors `ValueKey` exactly — but borrowing
-/// strings straight from the columns, so keying a row never clones.
-fn distinct_key<'a>(ctab: &'a ColumnarTable, srcs: &[usize], i: usize) -> Vec<BorrowKey<'a>> {
-    srcs.iter()
-        .map(|&c| borrow_key_at(&ctab.columns[c], i))
-        .collect()
-}
-
-/// One column's contribution to a DISTINCT key: the [`BorrowKey`] of row
-/// `i`, borrowing strings straight from the column.
-fn borrow_key_at(col: &Column, i: usize) -> BorrowKey<'_> {
-    if col.is_null(i) {
-        return BorrowKey::Null;
-    }
-    match &col.data {
-        ColumnData::Int64(xs) => BorrowKey::Int(xs[i]),
-        ColumnData::Float64(xs) => BorrowKey::from_float(xs[i]),
-        ColumnData::Bool(bs) => BorrowKey::Bool(bs[i]),
-        ColumnData::Str(ss) => BorrowKey::Str(&ss[i]),
-        ColumnData::Mixed(vs) => BorrowKey::from(&vs[i]),
-    }
-}
-
-/// Materialize the tail's surviving rows, reading only the projected
-/// source columns (in output order — a column projected twice is read
-/// twice, like the oracle's projection), stitched in morsel order.
-fn materialize_rows(
-    ctab: &ColumnarTable,
-    idx: &[u32],
-    srcs: &[usize],
-    par: Parallelism,
-) -> Vec<Row> {
-    morsel::run_concat(idx.len(), par, |r| {
-        idx[r]
-            .iter()
-            .map(|&i| {
-                srcs.iter()
-                    .map(|&c| ctab.columns[c].value(i as usize))
-                    .collect()
-            })
-            .collect()
-    })
-}
-
 // ---- columnar filtering -------------------------------------------------
 
 /// Scan the table for the rows where `pred` is TRUE (SQL filter
@@ -839,7 +769,8 @@ fn materialize_rows(
 fn filter(ctab: &ColumnarTable, pred: &CompiledExpr, par: Parallelism) -> Result<Vec<u32>> {
     let mut conjuncts = Vec::new();
     collect_conjuncts(pred, &mut conjuncts);
-    if conjuncts.iter().all(|c| kernelizable(ctab, c)) {
+    let is_str = |c: usize| matches!(ctab.columns[c].data, ColumnData::Str(_));
+    if conjuncts.iter().all(|c| kernel_shape(c, &is_str)) {
         return Ok(kernel_scan(ctab, &conjuncts, par));
     }
     morsel::try_run_concat(ctab.len(), par, |r| generic_filter_chunk(ctab, pred, r))
@@ -877,8 +808,12 @@ fn narrow_by_kernels(
     sel
 }
 
-/// Does this conjunct have an infallible columnar kernel?
-pub(crate) fn kernelizable(ctab: &ColumnarTable, e: &CompiledExpr) -> bool {
+/// Does this conjunct have an infallible columnar kernel? The one shape
+/// matcher: `column op literal`, `column IS [NOT] NULL`, and `column
+/// [NOT] LIKE 'literal'` where `like_ok` admits the column — LIKE can
+/// only error on non-string values, so its kernel (and its
+/// infallibility) requires a physically all-string column.
+fn kernel_shape(e: &CompiledExpr, like_ok: &dyn Fn(usize) -> bool) -> bool {
     match e {
         CompiledExpr::Binary { op, left, right } if op.is_comparison() => matches!(
             (&**left, &**right),
@@ -886,12 +821,8 @@ pub(crate) fn kernelizable(ctab: &ColumnarTable, e: &CompiledExpr) -> bool {
                 | (CompiledExpr::Literal(_), CompiledExpr::Column(_))
         ),
         CompiledExpr::IsNull { expr, .. } => matches!(&**expr, CompiledExpr::Column(_)),
-        // LIKE can only error on non-string values, so the kernel (and
-        // its infallibility) requires an all-string column.
         CompiledExpr::Like { expr, pattern, .. } => match (&**expr, &**pattern) {
-            (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(_))) => {
-                matches!(ctab.columns[*c].data, ColumnData::Str(_))
-            }
+            (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(_))) => like_ok(*c),
             _ => false,
         },
         _ => false,
@@ -912,13 +843,13 @@ pub(crate) fn collect_conjuncts<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e Compi
     }
 }
 
-/// Run one [`kernelizable`] conjunct over the selection.
+/// Run one [`kernel_shape`] conjunct over the selection.
 fn apply_kernel(ctab: &ColumnarTable, e: &CompiledExpr, sel: Vec<u32>) -> Vec<u32> {
     let pred = kernel_predicate(ctab, e);
     sel.into_iter().filter(|&i| pred(i as usize)).collect()
 }
 
-/// Row predicate for one [`kernelizable`] conjunct: `true` iff the row
+/// Row predicate for one [`kernel_shape`] conjunct: `true` iff the row
 /// passes. NULL rows never pass comparisons or LIKE (SQL filter
 /// semantics); `IS [NOT] NULL` follows its negation. The type dispatch
 /// happens once here, so callers can apply the returned closure across
@@ -1031,35 +962,16 @@ pub(crate) fn side_kernel(
     e.for_each_column(&mut |i| cols.push(i));
     let [c] = cols[..] else { return None };
     if c < lw {
-        kernel_shape_ok(e, l_like).then(|| (JoinSide::Left, e.clone()))
+        kernel_shape(e, &|c| l_like[c]).then(|| (JoinSide::Left, e.clone()))
     } else {
         let rebased = rebase_kernel_shape(e, lw)?;
-        kernel_shape_ok(&rebased, r_like).then_some((JoinSide::Right, rebased))
-    }
-}
-
-/// The shape half of [`kernelizable`], decidable at plan time from a
-/// per-column `LIKE`-eligibility slice instead of a materialized
-/// [`ColumnarTable`].
-fn kernel_shape_ok(e: &CompiledExpr, like_ok: &[bool]) -> bool {
-    match e {
-        CompiledExpr::Binary { op, left, right } if op.is_comparison() => matches!(
-            (&**left, &**right),
-            (CompiledExpr::Column(_), CompiledExpr::Literal(_))
-                | (CompiledExpr::Literal(_), CompiledExpr::Column(_))
-        ),
-        CompiledExpr::IsNull { expr, .. } => matches!(&**expr, CompiledExpr::Column(_)),
-        CompiledExpr::Like { expr, pattern, .. } => match (&**expr, &**pattern) {
-            (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(_))) => like_ok[*c],
-            _ => false,
-        },
-        _ => false,
+        kernel_shape(&rebased, &|c| r_like[c]).then_some((JoinSide::Right, rebased))
     }
 }
 
 /// Rebase every column index in a candidate kernel expression by
 /// `-offset`. Returns `None` for shapes a kernel can never take (deep
-/// trees are not worth cloning just to fail [`kernelizable`]).
+/// trees are not worth cloning just to fail [`kernel_shape`]).
 fn rebase_kernel_shape(e: &CompiledExpr, offset: usize) -> Option<CompiledExpr> {
     let leaf = |e: &CompiledExpr| match e {
         CompiledExpr::Column(i) => Some(CompiledExpr::Column(i - offset)),
@@ -1612,20 +1524,30 @@ fn run_tree(ex: &mut Exec<'_>, q: &Query, s: &Select, from: &TableRef) -> Result
 /// Run a set-operation tree: arms execute left to right as queries of
 /// their own, their rows concatenate into one columnar intermediate, the
 /// tree's nodes keep, drop or dedupe index ranges over it bottom-up
-/// ([`set_op_indices`]), and the ORDER BY / LIMIT tail runs on indices
-/// like [`run_tail`].
+/// ([`set_op_indices`]), and the surviving indices are the selection the
+/// shared ORDER BY / LIMIT tail ([`run_tail`]) runs over.
 fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
-    let par = ex.par;
     // 1. Execute every arm, checking arity node by node; the output is
     // named after the first arm and sorts by its own columns only.
     let mut arms: Vec<ResultSet> = Vec::new();
     let arity = run_arms(ex, &q.body, &mut arms)?;
-    let columns = std::mem::take(&mut arms[0].columns);
-    let out_cols: Vec<ColMeta> = columns
-        .iter()
-        .map(|n| ColMeta::new(None, n.clone()))
+    let out_cols: Vec<ColMeta> = std::mem::take(&mut arms[0].columns)
+        .into_iter()
+        .map(|n| ColMeta::new(None, n))
         .collect();
     let sort = exec::set_op_sort_keys(&q.order_by, &out_cols)?;
+    let tail = TailPlan {
+        out_cols,
+        out_items: (0..arity).map(TailItem::Source).collect(),
+        sort: sort
+            .into_iter()
+            .map(|(pos, desc)| (TailItem::Source(pos), desc))
+            .collect(),
+        computed: Vec::new(),
+        distinct: false,
+        limit: q.limit,
+        offset: q.offset,
+    };
 
     // 2. Concatenate the arms' rows columnar.
     let mut ranges: Vec<std::ops::Range<u32>> = Vec::with_capacity(arms.len());
@@ -1639,25 +1561,19 @@ fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
     drop(all_rows);
 
     // 3. The set-op tree selects index ranges bottom-up; the result is a
-    // strictly ascending index list in set-op emission order.
+    // strictly ascending index list in set-op emission order — the
+    // tail's selection, whose position tie-break keeps that order.
     let mut next_arm = 0usize;
-    let srcs: Vec<usize> = (0..arity).collect();
-    let mut idx = set_op_indices(&q.body, &ranges, &mut next_arm, &ctab, &srcs);
-
-    // 4. ORDER BY sorts by output columns only; ties keep set-op
-    // emission order (index tie-break = a stable sort).
-    if !sort.is_empty() {
-        let mut topk_unused = false;
-        idx = ordered_indices(&ctab, &sort, &idx, None, par, &mut topk_unused);
-    }
-    if let Some(off) = q.offset {
-        idx.drain(..(off as usize).min(idx.len()));
-    }
-    if let Some(lim) = q.limit {
-        idx.truncate(lim as usize);
-    }
-    let rows = materialize_rows(&ctab, &idx, &srcs, par);
-    Ok(ResultSet { columns, rows })
+    let cols: Vec<TailCol<'_>> = ctab
+        .columns
+        .iter()
+        .map(|col| TailCol { col, sel: None })
+        .collect();
+    let idx = set_op_indices(&q.body, &ranges, &mut next_arm, &cols);
+    // `ExecTrace::topk` counts SELECT-block tails (nested executions
+    // included); a set operation's own tail is not one of them.
+    let mut uncounted = false;
+    Ok(run_tail(&ctab, &idx, &[], &tail, ex.par, &mut uncounted).into())
 }
 
 /// Execute the SELECT arms of a set-op tree depth-first, left before
@@ -1695,8 +1611,7 @@ fn set_op_indices(
     e: &SetExpr,
     ranges: &[std::ops::Range<u32>],
     next_arm: &mut usize,
-    ctab: &ColumnarTable,
-    srcs: &[usize],
+    cols: &[TailCol<'_>],
 ) -> Vec<u32> {
     match e {
         SetExpr::Select(_) => {
@@ -1710,9 +1625,9 @@ fn set_op_indices(
             left,
             right,
         } => {
-            let mut idx = set_op_indices(left, ranges, next_arm, ctab, srcs);
-            let right = set_op_indices(right, ranges, next_arm, ctab, srcs);
-            let key = |i: u32| distinct_key(ctab, srcs, i as usize);
+            let mut idx = set_op_indices(left, ranges, next_arm, cols);
+            let right = set_op_indices(right, ranges, next_arm, cols);
+            let key = |i: u32| distinct_key(cols, i as usize);
             let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
             match (op, all) {
                 (SetOperator::Union, true) => idx.extend(right),
@@ -1818,76 +1733,17 @@ fn cmp_predicate<'a>(
 
 // ---- columnar hash-aggregate -------------------------------------------
 
-/// Compiled pieces of a fast-path grouped query.
-struct GroupedPlan {
-    key_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
-    /// Per-aggregate argument column (`None` for `COUNT(*)`).
-    agg_args: Vec<Option<usize>>,
-    out_cols: Vec<ColMeta>,
-    out_exprs: Vec<CompiledExpr>,
-    having: Option<CompiledExpr>,
-    order_plan: Vec<SortKey>,
-}
-
-/// Plan the columnar grouped path, or `None` when the block is not
-/// eligible for it (including compile errors — the row-wise tail
-/// recompiles and reports them).
-fn plan_grouped(ex: &mut Exec<'_>, q: &Query, s: &Select, cols: &[ColMeta]) -> Option<GroupedPlan> {
-    let order_by = &q.order_by;
-    let group_exprs = ex.compile_group_exprs(s, cols).ok()?;
-    let mut key_cols = Vec::with_capacity(group_exprs.len());
-    for g in &group_exprs {
-        match g {
-            CompiledExpr::Column(i) => key_cols.push(*i),
-            _ => return None,
-        }
-    }
-    let mut gc = GroupCompiler {
-        group_exprs: &group_exprs,
-        aggs: Vec::new(),
-    };
-    let mut out_cols = Vec::new();
-    let mut out_exprs = Vec::new();
-    for item in &s.projection {
-        match item {
-            SelectItem::Expr { expr, alias } => {
-                let compiled = gc.compile(ex, expr, cols).ok()?;
-                out_cols.push(ColMeta::new(None, expr.output_name(alias.as_deref())));
-                out_exprs.push(compiled);
-            }
-            // Wildcards in aggregated queries are an error; the row-wise
-            // tail reports it.
-            _ => return None,
-        }
-    }
-    let having = match &s.having {
-        Some(h) => Some(gc.compile(ex, h, cols).ok()?),
-        None => None,
-    };
-    // The one alias/ordinal resolution rule (`exec::plan_sort_keys_with`).
-    let order_plan =
-        exec::plan_sort_keys_with(order_by, &out_cols, &mut |e| gc.compile(ex, e, cols)).ok()?;
-    let mut agg_args = Vec::with_capacity(gc.aggs.len());
-    for spec in &gc.aggs {
-        match &spec.arg {
-            None => agg_args.push(None),
-            Some(CompiledExpr::Column(i)) => agg_args.push(Some(*i)),
-            Some(_) => return None,
-        }
-    }
-    Some(GroupedPlan {
-        key_cols,
-        aggs: gc.aggs,
-        agg_args,
-        out_cols,
-        out_exprs,
-        having,
-        order_plan,
-    })
-}
-
-/// Grouped aggregation: every morsel of the selection builds its own
+/// An aggregated block, Project → Aggregate → Project → Tail.
+///
+/// **Input.** Plain-column keys and arguments are read from the block's
+/// table through its selection. If any is computed, Project evaluates
+/// them into a dense table first — every key expression for every row
+/// (row by row, keys left to right), then each aggregate's argument over
+/// all rows, in aggregate order — which the aggregate reads through the
+/// identity selection: row `p` of it is selection position `p`, so the
+/// fold grid does not move.
+///
+/// **Aggregate.** Every morsel of the selection builds its own
 /// local group table (first-appearance order within the morsel) and one
 /// [`AggPartial`] per aggregate — numeric aggregates fold their
 /// fold-grid chunks into leaf sums right there; the morsels then merge
@@ -1899,15 +1755,49 @@ fn plan_grouped(ex: &mut Exec<'_>, q: &Query, s: &Select, cols: &[ColMeta]) -> O
 /// ([`stddev_pass`]) once the mean pass has merged. Aggregate-stage
 /// errors are reported for the lowest aggregate index first and, within
 /// an aggregate, from the earliest morsel — aggregate-major, row order.
+///
+/// **Output.** The groups, column-major as the merge leaves them, are a
+/// [`ColumnarTable`] `[keys…, aggregates…]` in first-appearance order,
+/// and post-aggregation is just another block over it: Project with
+/// HAVING as its predicate (per group: HAVING, then the SELECT list, then
+/// ORDER BY source keys — the oracle's order), then the shared
+/// [`run_tail`], top-K over groups when `ORDER BY … LIMIT` allows.
 fn run_grouped(
-    q: &Query,
-    s: &Select,
     ctab: &ColumnarTable,
     sel: &[u32],
-    plan: GroupedPlan,
+    plan: &GroupedPlan,
     par: Parallelism,
     topk: &mut bool,
 ) -> Result<Relation> {
+    let nkeys = plan.keys.len();
+    let args = || plan.aggs.iter().filter_map(|spec| spec.arg.as_ref());
+    let plain = (plan.keys.iter().chain(args())).all(|e| matches!(e, CompiledExpr::Column(_)));
+    let (projected, identity): (ColumnarTable, Vec<u32>);
+    let (ctab, sel) = if plain {
+        (ctab, sel)
+    } else {
+        let mut columns = project(ctab, sel, None, &plan.keys, par)?.1;
+        for arg in args() {
+            columns.extend(project(ctab, sel, None, std::slice::from_ref(arg), par)?.1);
+        }
+        projected = ColumnarTable::from_columns(columns, sel.len());
+        identity = (0..sel.len() as u32).collect();
+        (&projected, &identity[..])
+    };
+    // Where the aggregate finds each key and each argument (`None` for
+    // `COUNT(*)`): the column it names, or its place in the projection.
+    let column_of = |e: &CompiledExpr, projected_at: usize| match e {
+        CompiledExpr::Column(c) if plain => *c,
+        _ => projected_at,
+    };
+    let key_cols: Vec<usize> = (plan.keys.iter().enumerate())
+        .map(|(k, e)| column_of(e, k))
+        .collect();
+    let mut next_arg = nkeys..;
+    let agg_args: Vec<Option<usize>> = (plan.aggs.iter())
+        .map(|spec| Some(column_of(spec.arg.as_ref()?, next_arg.next()?)))
+        .collect();
+
     let fold_rows = par.fold_rows;
     let dense = sel.len() == ctab.len();
     // STDDEV's second (M2) pass revisits the data with per-group means
@@ -1917,12 +1807,12 @@ fn run_grouped(
     let mut morsels: Vec<MorselState> = morsel::run(sel.len(), par, |range| {
         let base = range.start;
         let chunk = &sel[range];
-        let (gids, groups) = assign_groups(ctab, &plan.key_cols, chunk);
+        let (gids, groups) = assign_groups(ctab, &key_cols, chunk);
         let ngroups = groups.len();
         let partials = plan
             .aggs
             .iter()
-            .zip(&plan.agg_args)
+            .zip(&agg_args)
             .map(|(spec, arg)| {
                 partial_agg(
                     ctab, spec.func, *arg, chunk, &gids, ngroups, base, fold_rows, dense,
@@ -1957,7 +1847,7 @@ fn run_grouped(
         }
     }
     // A grand aggregate over zero rows still yields one group.
-    if plan.key_cols.is_empty() && groups.is_empty() {
+    if key_cols.is_empty() && groups.is_empty() {
         groups.push(Vec::new());
     }
     let ngroups = groups.len();
@@ -1967,7 +1857,7 @@ fn run_grouped(
     let mut global: Vec<Result<AggPartial>> = plan
         .aggs
         .iter()
-        .zip(&plan.agg_args)
+        .zip(&agg_args)
         .map(|(spec, arg)| {
             let mixed = mixed_best(ctab, spec.func, *arg);
             Ok(AggPartial::new_global(spec.func, ngroups, mixed))
@@ -1988,7 +1878,7 @@ fn run_grouped(
     }
     // `?` in aggregate order: the lowest failing index is reported.
     let mut agg_vals: Vec<Vec<Value>> = Vec::with_capacity(global.len());
-    for ((g, spec), arg) in global.into_iter().zip(&plan.aggs).zip(&plan.agg_args) {
+    for ((g, spec), arg) in global.into_iter().zip(&plan.aggs).zip(&agg_args) {
         agg_vals.push(match g? {
             AggPartial::Sums(states) if spec.func == AggFunc::Stddev => {
                 stddev_pass(ctab, *arg, sel, par, &gids, states)?
@@ -1996,7 +1886,29 @@ fn run_grouped(
             g => g.finalize(spec.func),
         });
     }
-    grouped_tail(q, s, plan, GroupedRows::new(groups, agg_vals), topk)
+
+    // The groups table `[keys…, aggregates…]`, then the block over it.
+    let mut key_vals: Vec<Vec<Value>> = (0..nkeys).map(|_| Vec::with_capacity(ngroups)).collect();
+    for group in groups {
+        for (k, v) in group.into_iter().enumerate() {
+            key_vals[k].push(v);
+        }
+    }
+    let columns = key_vals
+        .into_iter()
+        .chain(agg_vals)
+        .map(Column::from_values)
+        .collect();
+    let groups = ColumnarTable::from_columns(columns, ngroups);
+    let all: Vec<u32> = (0..ngroups as u32).collect();
+    let (kept, computed) = project(
+        &groups,
+        &all,
+        plan.having.as_ref(),
+        &plan.tail.computed,
+        par,
+    )?;
+    Ok(run_tail(&groups, &kept, &computed, &plan.tail, par, topk))
 }
 
 /// Second pass of `STDDEV`: with per-group means fixed by the merged
@@ -2059,54 +1971,6 @@ fn stddev_pass(
             }
         })
         .collect())
-}
-
-/// Post-aggregation tail of the grouped operator — identical to the
-/// row-wise `select_grouped` followed by the LIMIT/OFFSET slice: build
-/// post-group rows `[key values..., aggregate values...]` (transposed out
-/// of the column-major [`GroupedRows`] without cloning aggregate values), filter
-/// HAVING, project, then sort **group indices** — `ORDER BY … LIMIT k`
-/// selects the top `offset + k` groups with a bounded heap instead of
-/// sorting every group ([`exec::finish_select_sliced`]).
-fn grouped_tail(
-    q: &Query,
-    s: &Select,
-    plan: GroupedPlan,
-    grouped: GroupedRows,
-    topk: &mut bool,
-) -> Result<Relation> {
-    let order_by = &q.order_by;
-    let ngroups = grouped.len();
-    let mut out_rows = Vec::with_capacity(ngroups);
-    let mut key_rows = if order_by.is_empty() {
-        None
-    } else {
-        Some(Vec::with_capacity(ngroups))
-    };
-    for group_row in grouped.into_rows() {
-        if let Some(h) = &plan.having {
-            if !h.eval_bool(&group_row)? {
-                continue;
-            }
-        }
-        let mut out = Vec::with_capacity(plan.out_exprs.len());
-        for e in &plan.out_exprs {
-            out.push(e.eval(&group_row)?);
-        }
-        if let Some(keys) = &mut key_rows {
-            keys.push(exec::eval_sort_keys(&plan.order_plan, &out, &group_row)?);
-        }
-        out_rows.push(out);
-    }
-    Ok(exec::finish_select_sliced(
-        Relation::new(plan.out_cols, out_rows),
-        key_rows,
-        order_by,
-        s.distinct,
-        q.limit,
-        q.offset,
-        topk,
-    ))
 }
 
 /// Assign a group id to every selected row (ids in first-appearance

@@ -183,9 +183,8 @@ fn arb_query() -> BoxedStrategy<String> {
         };
         format!("SELECT {distinct}a AS x, b AS y, d AS a FROM t{w}{order}{limit}")
     });
-    // Computed projection with ORDER BY on the alias: ineligible for the
-    // columnar tail (fallible projection), pinning the row-tail fallback
-    // against the row engine.
+    // Computed projection with ORDER BY on the alias: Project evaluates
+    // `a + d` for every row and the tail sorts on the projected column.
     let computed = (arb_where(), 0u32..2).prop_map(|(w, lim)| {
         let limit = if lim == 0 { "" } else { " LIMIT 3 OFFSET 1" };
         format!("SELECT a + d AS k, c FROM t{w} ORDER BY k DESC, c{limit}")
@@ -219,12 +218,49 @@ fn arb_query() -> BoxedStrategy<String> {
     let agg_multi_key = (arb_where(),).prop_map(|(w,)| {
         format!("SELECT d, c, COUNT(*), SUM(b) FROM t{w} GROUP BY d, c ORDER BY 3 DESC, 1, 2")
     });
-    // Expression group key: vectorized filter + row-engine grouping.
+    // Expression group key: Project feeds the aggregate a dense table.
     let agg_expr_key = (arb_where(),).prop_map(|(w,)| {
         format!("SELECT a + d AS k, COUNT(*) FROM t{w} GROUP BY a + d ORDER BY 2 DESC, 1")
     });
     let grand = arb_where().prop_map(|w| {
         format!("SELECT COUNT(*), SUM(b), MEDIAN(a), STDDEV(b), MIN(b), MAX(c) FROM t{w}")
+    });
+    // Computed key (a CASE mixing Str, Int and Float) and computed
+    // arguments under every tail: HAVING, ORDER BY alias / ordinal /
+    // unprojected aggregate expression, DISTINCT, LIMIT/OFFSET.
+    let agg_computed = (arb_where(), 0u32..4, 0u32..4, 0u32..3, 0u32..2).prop_map(
+        |(w, hv, ob, lim, dis)| {
+            let distinct = if dis == 1 { "DISTINCT " } else { "" };
+            let key = "CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN d ELSE b END";
+            let having = match hv {
+                0 => "",
+                1 => " HAVING COUNT(*) > 1",
+                2 => " HAVING SUM(b * (1 - d)) >= 0",
+                _ => " HAVING MIN(a + d) + 1 > 0",
+            };
+            let order = match ob {
+                0 => "",
+                1 => " ORDER BY n DESC, k",
+                2 => " ORDER BY 3, 1",
+                _ => " ORDER BY COUNT(*) + MAX(a) DESC, 1",
+            };
+            let limit = match lim {
+                0 => "",
+                1 => " LIMIT 2",
+                _ => " LIMIT 3 OFFSET 1",
+            };
+            format!(
+                "SELECT {distinct}{key} AS k, COUNT(*) AS n, SUM(b * (1 - d)), MIN(a + d), \
+                 MEDIAN(b * 2), COUNT(DISTINCT a % 2) FROM t{w} GROUP BY {key}{having}{order}{limit}"
+            )
+        },
+    );
+    // Computed key outside the projection, sorted on.
+    let agg_unprojected_key = (arb_where(), 0u32..2).prop_map(|(w, lim)| {
+        let limit = if lim == 0 { "" } else { " LIMIT 2 OFFSET 1" };
+        format!(
+            "SELECT COUNT(*) AS n, AVG(a * 2) FROM t{w} GROUP BY d + 1 ORDER BY d + 1 DESC{limit}"
+        )
     });
     prop_oneof![
         plain,
@@ -234,6 +270,8 @@ fn arb_query() -> BoxedStrategy<String> {
         agg_str_key,
         agg_multi_key,
         agg_expr_key,
+        agg_computed,
+        agg_unprojected_key,
         grand,
     ]
     .boxed()
@@ -311,7 +349,7 @@ fn arb_join_query() -> BoxedStrategy<String> {
         ),
         Just("SELECT x.d, COUNT(*) AS n, SUM(y.w), MIN(y.u) FROM_JOIN GROUP BY x.d ORDER BY n DESC, 1".to_string()),
         Just("SELECT y.u, COUNT(*), SUM(x.b) FROM_JOIN GROUP BY y.u ORDER BY 2 DESC, 1 LIMIT 4".to_string()),
-        // Expression group key: columnar join + row-engine grouping.
+        // Expression group key: Project over the joined table.
         Just("SELECT x.d + y.w AS k, COUNT(*) FROM_JOIN GROUP BY x.d + y.w ORDER BY 2 DESC, 1".to_string()),
     ];
     (shape, jt, on, wh)
@@ -1008,6 +1046,8 @@ fn exec_trace_reports_topk_pushdown() {
     // Grouped top-K over group indices.
     let t = case("SELECT d, COUNT(*) AS n FROM t GROUP BY d ORDER BY n DESC, d LIMIT 2");
     assert!(t.topk, "grouped top-K should engage: {t:?}");
+    let t = case("SELECT d + 0, SUM(b * 2) AS s FROM t GROUP BY d + 0 ORDER BY s DESC LIMIT 2");
+    assert!(t.topk, "computed-key grouped top-K should engage: {t:?}");
     // No LIMIT → full sort, no pushdown.
     let t = case("SELECT a, b FROM t ORDER BY b DESC");
     assert!(!t.topk, "full sort is not a top-K hit: {t:?}");
@@ -1264,6 +1304,11 @@ fn median_stddev_nan_negative_zero_bit_identical() {
         "SELECT MEDIAN(b), STDDEV(b), SUM(b), AVG(b), MIN(b), MAX(b) FROM t",
         "SELECT d, MEDIAN(b), STDDEV(b), SUM(b), MIN(b) FROM t GROUP BY d ORDER BY d",
         "SELECT c, MEDIAN(b), MAX(b) FROM t GROUP BY c ORDER BY c",
+        // The same values through Project: computed arguments and keys.
+        "SELECT MEDIAN(b * 1.0), STDDEV(b * 1.0), SUM(b * 1.0), MIN(b * 1.0) FROM t",
+        "SELECT d + 0, MEDIAN(b * 1.0), STDDEV(b * 1.0), SUM(b * 1.0), MAX(b * 1.0) FROM t \
+         GROUP BY d + 0 ORDER BY 1",
+        "SELECT b * 1.0, COUNT(*) FROM t GROUP BY b * 1.0 ORDER BY 1 DESC",
     ];
     for seed in [f64::NAN, -f64::NAN, -0.0] {
         let db = mk(seed);
@@ -1346,6 +1391,11 @@ fn reduction_tree_bit_identical_across_worker_counts() {
         // selection, not base-table rows.
         "SELECT SUM(b), STDDEV(b), MEDIAN(b) FROM t WHERE a >= 5 AND b > -1",
         "SELECT c, SUM(b), AVG(b) FROM t WHERE d < 2 GROUP BY c ORDER BY c",
+        // Computed arguments and keys: Project's dense table keeps the
+        // post-WHERE positions, so the fold grid is the same one.
+        "SELECT SUM(b * 1.0), AVG(b + 0), STDDEV(b * 1.0), MEDIAN(b * 1.0) FROM t WHERE a >= 5",
+        "SELECT d * 2, SUM(b * 1.0), AVG(b), STDDEV(b * 1.0) FROM t WHERE a <> 9 \
+         GROUP BY d * 2 ORDER BY 1",
     ];
     for sql in queries {
         let baseline = db.execute_sql(sql).unwrap();
@@ -1466,15 +1516,33 @@ fn aggregate_matrix_matches_oracle_at_every_setting() {
                 db.set_parallelism(workers);
                 let ctx = format!("nulls={nulls} fold={fold} workers={workers}");
                 for agg in aggs {
-                    for col in ["i", "f", "b", "s", "m"] {
+                    // Plain argument columns, read through the selection,
+                    // and computed ones of the same five representations
+                    // (the CASE yields Int, Float and Str: Mixed), which
+                    // Project evaluates into a dense table first.
+                    for col in [
+                        "i",
+                        "f",
+                        "b",
+                        "s",
+                        "m",
+                        "i + 0",
+                        "f * 1.0",
+                        "NOT b",
+                        "LOWER(s)",
+                        "CASE WHEN k = 0 THEN i WHEN k = 1 THEN f ELSE s END",
+                    ] {
                         let agg = agg.replace("{}", col);
                         for w in selections {
                             assert_engines_agree(&db, &format!("SELECT {agg} FROM g{w}"), &ctx);
-                            assert_engines_agree(
-                                &db,
-                                &format!("SELECT k, {agg} FROM g{w} GROUP BY k"),
-                                &ctx,
-                            );
+                            // Plain key, computed key, Mixed-producing key.
+                            for key in ["k", "k + 0", "CASE WHEN k = 1 THEN 'one' ELSE k END"] {
+                                assert_engines_agree(
+                                    &db,
+                                    &format!("SELECT {key}, {agg} FROM g{w} GROUP BY {key}"),
+                                    &ctx,
+                                );
+                            }
                         }
                     }
                 }
@@ -1528,6 +1596,298 @@ fn lowest_failing_aggregate_wins_at_every_worker_count() {
                     "workers={workers}: {sql} reported {err}"
                 );
                 assert_engines_agree(&db, &sql, &format!("workers={workers}"));
+            }
+        }
+    }
+}
+
+/// Every tail over an aggregated block whose keys and arguments are
+/// computed: HAVING, ORDER BY an alias / an ordinal / an aggregate
+/// expression outside the SELECT list / a key outside it, DISTINCT and
+/// LIMIT/OFFSET — Project → Aggregate → Project → Tail, with the input
+/// above the fold grid and inside one chunk, at 1, 2 and 8 workers.
+#[test]
+fn computed_grouped_block_tails_match_oracle() {
+    let block = "FROM g GROUP BY k + 0";
+    let select = "SELECT k + 0 AS kk, SUM(f * 1.0) AS s, MIN(LOWER(s)), COUNT(DISTINCT i % 3)";
+    let queries = [
+        format!("{select} {block}"),
+        format!("{select} {block} HAVING COUNT(*) > 9"),
+        format!("{select} {block} HAVING MAX(i + 0) - MIN(i + 0) > 3 ORDER BY s DESC, kk"),
+        format!("{select} {block} ORDER BY 2, 1"),
+        format!("{select} {block} ORDER BY MAX(i) - MIN(i) DESC, 1 LIMIT 2"),
+        format!("{select} {block} ORDER BY s LIMIT 2 OFFSET 1"),
+        format!("SELECT COUNT(*), AVG(f + i) {block} ORDER BY k + 0 DESC"),
+        format!("SELECT COUNT(*) {block} ORDER BY k + 0 LIMIT 1 OFFSET 2"),
+        format!("SELECT DISTINCT COUNT(*) > 9, MIN(b) {block}"),
+        format!("SELECT DISTINCT COUNT(*) > 9 AS big {block} ORDER BY big DESC LIMIT 1"),
+        // A grand aggregate is the same block with no keys.
+        "SELECT SUM(i * (1 - f)), COUNT(*) + 1 FROM g HAVING COUNT(*) > 0".to_string(),
+        "SELECT SUM(i * (1 - f)) FROM g HAVING COUNT(*) > 99".to_string(),
+    ];
+    for nulls in [false, true] {
+        let db = agg_matrix_db(nulls);
+        for fold in [4, 64] {
+            db.set_morsel_rows(fold);
+            for workers in [1, 2, 8] {
+                db.set_parallelism(workers);
+                let ctx = format!("nulls={nulls} fold={fold} workers={workers}");
+                for sql in &queries {
+                    assert_engines_agree(&db, sql, &ctx);
+                }
+            }
+        }
+    }
+    // None of that was two matching errors, and the tails do what they
+    // say on the executor alone, too.
+    let db = agg_matrix_db(false);
+    for sql in &queries {
+        db.execute_sql(sql).unwrap();
+    }
+    let rs = db
+        .execute_sql(&format!(
+            "SELECT COUNT(*) {block} ORDER BY k + 0 LIMIT 1 OFFSET 2"
+        ))
+        .unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Int(10)]]);
+    let rs = db
+        .execute_sql("SELECT SUM(i * (1 - f)) FROM g HAVING COUNT(*) > 99")
+        .unwrap();
+    assert!(rs.rows.is_empty());
+}
+
+/// Errors of an aggregated or computed block, by text. A single defect is
+/// reported as the oracle reports it wherever it sits — a key, an
+/// argument, HAVING, the SELECT list over the groups, a sort key, or the
+/// block's plan. (Division by zero is NULL in this engine, so the runtime
+/// defects are type errors; each operator's has its own text.) Of two
+/// defects, the one this order reaches first: keys before arguments,
+/// arguments in aggregate order, HAVING before the SELECT list within a
+/// group.
+#[test]
+fn computed_block_errors_match_oracle_by_text() {
+    let db = agg_matrix_db(false); // `s` is never NULL: every group trips
+    let cases = [
+        // One runtime defect.
+        ("SELECT COUNT(*) FROM g GROUP BY s + 1", "arithmetic"),
+        ("SELECT k, SUM(s + 1) FROM g GROUP BY k", "arithmetic"),
+        ("SELECT k + 0, MIN(-s) FROM g GROUP BY k + 0", "unary -"),
+        (
+            "SELECT k, COUNT(*) FROM g GROUP BY k HAVING MIN(s) + 1 > 0",
+            "arithmetic",
+        ),
+        ("SELECT k, MIN(s) + 1 FROM g GROUP BY k", "arithmetic"),
+        (
+            "SELECT k FROM g GROUP BY k ORDER BY MIN(s) + 1",
+            "arithmetic",
+        ),
+        ("SELECT SUM(LOWER(s)) FROM g", "Sum argument"),
+        ("SELECT i, s + 1 FROM g ORDER BY i LIMIT 1", "arithmetic"),
+        ("SELECT i FROM g ORDER BY -s LIMIT 1", "unary -"),
+        // One compile defect, raised by the block's plan.
+        ("SELECT *, COUNT(*) FROM g", "wildcard projection"),
+        ("SELECT x.* FROM g", "unknown table `x`"),
+        (
+            "SELECT i, COUNT(*) FROM g GROUP BY k",
+            "column `i` must appear",
+        ),
+        ("SELECT k FROM g ORDER BY 9", "position 9 out of range"),
+        (
+            "SELECT k, COUNT(*) FROM g GROUP BY k ORDER BY 9",
+            "position 9 out of range",
+        ),
+        ("SELECT SUM(COUNT(*)) FROM g", "nested aggregate"),
+        ("SELECT nope FROM g", "unknown column `nope`"),
+        ("SELECT k FROM g ORDER BY nope", "unknown column `nope`"),
+        // Two defects. A key's before an argument's…
+        ("SELECT COUNT(*), SUM(s + 1) FROM g GROUP BY -s", "unary -"),
+        // …the lower aggregate index's argument first…
+        ("SELECT SUM(s + 1), SUM(-s) FROM g", "arithmetic"),
+        ("SELECT SUM(-s), SUM(s + 1) FROM g", "unary -"),
+        (
+            "SELECT k, AVG(-s), COUNT(*), MAX(s + 1) FROM g GROUP BY k",
+            "unary -",
+        ),
+        // …HAVING before the SELECT list, and that before a sort key.
+        (
+            "SELECT k, MIN(s) + 1 FROM g GROUP BY k HAVING -MIN(s) > 0",
+            "unary -",
+        ),
+        (
+            "SELECT k, MIN(s) + 1 FROM g GROUP BY k ORDER BY -MIN(s)",
+            "arithmetic",
+        ),
+        // A compile defect in the tail comes before any of its rows'.
+        ("SELECT s + 1, nope FROM g", "unknown column `nope`"),
+        (
+            "SELECT MIN(s) + 1 FROM g GROUP BY s + 1 ORDER BY 9",
+            "position 9 out of range",
+        ),
+    ];
+    for fold in [4, 64] {
+        db.set_morsel_rows(fold);
+        for workers in [1, 2, 8] {
+            db.set_parallelism(workers);
+            let ctx = format!("fold={fold} workers={workers}");
+            for (sql, expected) in cases {
+                let err = db.execute_sql(sql).expect_err(sql).to_string();
+                assert!(err.contains(expected), "{sql} ({ctx}): {err}");
+                assert_engines_agree(&db, sql, &ctx);
+            }
+        }
+    }
+}
+
+/// A block's plan raises its compile errors before any row *of the tail*
+/// is touched — but after the WHERE filter has run, as on the oracle: a
+/// non-kernel conjunct that fails on the first row is the error that
+/// surfaces, whatever is wrong with the tail.
+#[test]
+fn where_runtime_error_precedes_tail_compile_errors() {
+    let db = agg_matrix_db(false);
+    for tail in [
+        "SELECT nope FROM g",
+        "SELECT k FROM g ORDER BY nope",
+        "SELECT x.* FROM g",
+        "SELECT *, COUNT(*) FROM g",
+        "SELECT i, COUNT(*) FROM g GROUP BY k",
+        "SELECT SUM(COUNT(*)) FROM g",
+        "SELECT k FROM g ORDER BY 9",
+    ] {
+        let (select, rest) = tail.split_once(" FROM g").unwrap();
+        let sql = format!("{select} FROM g WHERE s + 1 > 0{rest}");
+        for workers in [1, 8] {
+            db.set_parallelism(workers);
+            let err = db.execute_sql(&sql).expect_err(&sql).to_string();
+            assert!(err.contains("arithmetic"), "{sql}: {err}");
+            assert_engines_agree(&db, &sql, &format!("workers={workers}"));
+        }
+        // A kernel conjunct cannot fail: the tail's defect is all there is.
+        let sql = format!("{select} FROM g WHERE k = 1{rest}");
+        let err = db.execute_sql(&sql).expect_err(&sql).to_string();
+        assert!(!err.contains("arithmetic"), "{sql}: {err}");
+        assert_engines_agree(&db, &sql, "kernel WHERE");
+    }
+}
+
+/// The paper's Table 5, query 6 ("drivers by thresholds of total
+/// completed trips") groups by a `CASE` — a computed key over a join.
+#[test]
+fn uber_table5_case_histogram_matches_oracle() {
+    let mut db = Database::new();
+    db.create_table(
+        "drivers",
+        Schema::of(&[("id", DataType::Int), ("city_id", DataType::Int)]),
+    )
+    .unwrap();
+    db.create_table(
+        "analytics",
+        Schema::of(&[
+            ("driver_id", DataType::Int),
+            ("completed_trips", DataType::Int),
+            ("last_trip_date", DataType::Str),
+        ]),
+    )
+    .unwrap();
+    let n = 60i64;
+    db.insert(
+        "drivers",
+        (0..n)
+            .map(|i| vec![Value::Int(i), Value::Int(1 + i % 3)])
+            .collect(),
+    )
+    .unwrap();
+    db.insert(
+        "analytics",
+        (0..n)
+            .map(|i| {
+                let trips = if i % 11 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int((i * 37) % 400)
+                };
+                let date = format!("2016-12-{:02}", 1 + i % 9);
+                vec![Value::Int(i), trips, Value::Str(date)]
+            })
+            .collect(),
+    )
+    .unwrap();
+    let bucket = "CASE WHEN a.completed_trips >= 250 THEN 'heavy' \
+                  WHEN a.completed_trips >= 100 THEN 'regular' ELSE 'light' END";
+    let sql = format!(
+        "SELECT {bucket} AS bucket, COUNT(*) FROM drivers d JOIN analytics a \
+         ON d.id = a.driver_id WHERE d.city_id = 2 AND a.last_trip_date >= '2016-12-03' \
+         GROUP BY {bucket}"
+    );
+    db.set_morsel_rows(4);
+    for workers in [1, 2, 8] {
+        db.set_parallelism(workers);
+        assert_engines_agree(&db, &sql, &format!("workers={workers}"));
+        assert_engines_agree(
+            &db,
+            &format!("{sql} ORDER BY 2 DESC, bucket LIMIT 2"),
+            &format!("workers={workers}"),
+        );
+    }
+    let rs = db.execute_sql(&sql).unwrap();
+    assert_eq!(rs.columns, vec!["bucket", "count"]);
+    assert_eq!(rs.rows.len(), 3, "heavy, regular and light: {rs:?}");
+}
+
+/// TPC-H Q1's revenue shape: `SUM(a * (1 - b))` and friends, grouped and
+/// grand, float bits identical to the oracle's at every worker count.
+#[test]
+fn tpch_style_sum_of_product_matches_oracle() {
+    let mut db = Database::new();
+    db.create_table(
+        "lineitem",
+        Schema::of(&[
+            ("l_returnflag", DataType::Str),
+            ("l_extendedprice", DataType::Float),
+            ("l_discount", DataType::Float),
+            ("l_tax", DataType::Float),
+        ]),
+    )
+    .unwrap();
+    db.insert(
+        "lineitem",
+        (0..50i64)
+            .map(|i| {
+                let price = match i % 7 {
+                    0 => 1e16,
+                    1 => -1e16,
+                    2 => 9_007_199_254_740_992.0, // 2^53
+                    _ => 900.25 + i as f64 * 13.5,
+                };
+                vec![
+                    Value::str(["A", "N", "R"][i as usize % 3]),
+                    Value::Float(price),
+                    if i % 13 == 5 {
+                        Value::Null
+                    } else {
+                        Value::Float((i % 10) as f64 * 0.01)
+                    },
+                    Value::Float((i % 8) as f64 * 0.01),
+                ]
+            })
+            .collect(),
+    )
+    .unwrap();
+    let revenue = "SUM(l_extendedprice * (1 - l_discount))";
+    let charge = "AVG(l_extendedprice * (1 - l_discount) * (1 + l_tax))";
+    for fold in [4, 64] {
+        db.set_morsel_rows(fold);
+        for workers in [1, 2, 8] {
+            db.set_parallelism(workers);
+            let ctx = format!("fold={fold} workers={workers}");
+            for sql in [
+                format!("SELECT {revenue}, {charge}, COUNT(*) FROM lineitem"),
+                format!(
+                    "SELECT l_returnflag, {revenue} AS revenue, {charge}, STDDEV(l_tax * 100) \
+                     FROM lineitem GROUP BY l_returnflag ORDER BY revenue DESC, l_returnflag"
+                ),
+            ] {
+                assert_engines_agree(&db, &sql, &ctx);
             }
         }
     }
