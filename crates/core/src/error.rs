@@ -24,6 +24,10 @@ pub enum FlexError {
     UnsupportedAggregate(String),
     /// Set operations are outside the core relational algebra of Fig. 1a.
     UnsupportedSetOperation,
+    /// A bare projection over the aggregating root (§3.3) does more than
+    /// reorder and rename its columns: repeats one (two noise draws on one
+    /// statistic for one charge), drops one, or applies DISTINCT.
+    UnsupportedProjection(String),
     /// Subquery predicates (EXISTS / IN (SELECT ...)) are rejected
     /// conservatively: they can leak through the filtered relation.
     UnsupportedSubqueryPredicate,
@@ -74,6 +78,11 @@ impl fmt::Display for FlexError {
             FlexError::UnsupportedSetOperation => {
                 f.write_str("set operations (UNION/INTERSECT/EXCEPT) are not supported")
             }
+            FlexError::UnsupportedProjection(d) => write!(
+                f,
+                "a projection over an aggregating subquery may only reorder and rename its \
+                 columns: {d}"
+            ),
             FlexError::UnsupportedSubqueryPredicate => {
                 f.write_str("subquery predicates (EXISTS / IN (SELECT)) are not supported")
             }
@@ -128,6 +137,7 @@ impl FlexError {
             | FlexError::JoinKeyNotFromBaseTable(_)
             | FlexError::UnsupportedAggregate(_)
             | FlexError::UnsupportedSetOperation
+            | FlexError::UnsupportedProjection(_)
             | FlexError::UnsupportedSubqueryPredicate => "unsupported query",
             _ => "other",
         }

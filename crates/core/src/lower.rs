@@ -1,26 +1,30 @@
 //! Lowering SQL queries to the core relational algebra of Figure 1(a).
 //!
 //! The pass first expands `WITH` ([`flex_sql::inline_ctes`] — the same
-//! rewrite the engines run, so analysis and execution bind every relation
-//! name in the same CTE-free tree), then resolves aliases, assigns a
-//! unique occurrence id to every base-table appearance (so self joins —
-//! two references to one CTE included — are detectable), traces each
-//! join key back to the base-table column it is drawn from (so `mf`
-//! metrics can be looked up), finds the root counting aggregation —
-//! descending through bare projections per §3.3 ("treating the inner
-//! relation as the query root") — and classifies each output column as a
-//! histogram label or an aggregate.
+//! rewrite the engines run), then walks the FROM tree the way the
+//! executor's planner does: it builds the executor's scope for every
+//! subtree and resolves every name through [`flex_db::bind`] — there is
+//! no resolver here. What the analysis adds rides beside the scope, index
+//! for index: the base-table column each position is drawn from
+//! ([`Attr`], with a unique occurrence id per base-table appearance so
+//! self joins — two references to one CTE included — are detectable), or
+//! `None` for a computed column, which has no `mf`. Join keys are the
+//! executor's equi-keys traced through that vector.
+//!
+//! It then finds the root counting aggregation — descending through bare
+//! projections per §3.3 ("treating the inner relation as the query root"),
+//! which may only permute and rename the root's columns — classifies each
+//! output column as a histogram label or an aggregate, and records the
+//! header the executor will produce ([`Lowered::columns`]).
 //!
 //! Queries outside the supported fragment are rejected with the §3.7.1 /
 //! §5.1 error taxonomy ([`FlexError`]).
 
 use crate::error::{FlexError, Result};
 use crate::relalg::{Attr, QueryKind, Rel};
-use flex_db::Database;
-use flex_sql::{
-    ColumnRef, Expr, FunctionArg, JoinConstraint, JoinType, Query, Select, SelectItem, SetExpr,
-    TableRef,
-};
+use flex_db::bind::{self, ColMeta, Projected};
+use flex_db::{Database, DbError};
+use flex_sql::{ColumnRef, Expr, FunctionArg, JoinType, Query, Select, SetExpr, TableRef};
 
 /// A root aggregate output of a counting/statistical query.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +86,11 @@ pub struct Lowered {
     pub kind: QueryKind,
     pub group_by: Vec<GroupKey>,
     pub aggregates: Vec<RootAgg>,
-    /// One entry per projected output column of the root select.
+    /// One entry per output column of the query.
     pub outputs: Vec<OutputColumn>,
+    /// The header the executor gives the result, index for index with
+    /// `outputs` (the mechanism refuses to release under any other).
+    pub columns: Vec<String>,
 }
 
 /// Lower a parsed query against a database catalog.
@@ -96,53 +103,29 @@ pub fn lower(q: &Query, db: &Database) -> Result<Lowered> {
     lw.lower_root(&q)
 }
 
-/// Column provenance within a lowering scope.
-#[derive(Debug, Clone, PartialEq)]
-enum Origin {
-    /// Drawn directly from a base table (metrics available).
-    Base(Attr),
-    /// Computed (aggregation output, arithmetic, literal, ...) — no `mf`.
-    Computed,
+/// A lowered FROM subtree: its relation, the executor's scope over it,
+/// and — index for index — the base-table column each scope column is
+/// drawn from (`None`: an aggregate, arithmetic, a literal … — no `mf`).
+struct Bound {
+    rel: Rel,
+    cols: Vec<ColMeta>,
+    origin: Vec<Option<Attr>>,
 }
 
-/// One named relation in scope (a table alias or derived table), with
-/// its visible columns.
-#[derive(Debug, Clone)]
-struct ScopeEntry {
-    qualifier: String,
-    columns: Vec<(String, Origin)>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Scope {
-    entries: Vec<ScopeEntry>,
-}
-
-impl Scope {
-    fn merge(mut self, other: Scope) -> Scope {
-        self.entries.extend(other.entries);
-        self
+impl Bound {
+    /// Scope position of a column reference.
+    fn position(&self, c: &ColumnRef) -> Result<usize> {
+        bind::resolve_column(&self.cols, c).map_err(bind_err)
     }
+}
 
-    /// Resolve a column reference. Bare names must be unambiguous.
-    fn resolve(&self, c: &ColumnRef) -> Result<&Origin> {
-        let mut found: Option<&Origin> = None;
-        for e in &self.entries {
-            if let Some(q) = &c.qualifier {
-                if &e.qualifier != q {
-                    continue;
-                }
-            }
-            for (name, origin) in &e.columns {
-                if name == &c.name {
-                    if found.is_some() {
-                        return Err(FlexError::UnknownColumn(format!("{c} is ambiguous")));
-                    }
-                    found = Some(origin);
-                }
-            }
-        }
-        found.ok_or_else(|| FlexError::UnknownColumn(c.to_string()))
+/// A binding error in the analysis's taxonomy.
+fn bind_err(e: DbError) -> FlexError {
+    match e {
+        DbError::UnknownColumn(c) => FlexError::UnknownColumn(c),
+        DbError::AmbiguousColumn(c) => FlexError::UnknownColumn(format!("{c} is ambiguous")),
+        DbError::UnknownTable(t) => FlexError::UnknownTable(t),
+        other => other.into(),
     }
 }
 
@@ -152,59 +135,71 @@ struct Lowerer<'a> {
 }
 
 impl<'a> Lowerer<'a> {
+    fn occurrence(&mut self) -> usize {
+        self.next_occurrence += 1;
+        self.next_occurrence - 1
+    }
+
     fn lower_root(&mut self, q: &Query) -> Result<Lowered> {
         let select = match &q.body {
             SetExpr::Select(s) => s.as_ref(),
             SetExpr::SetOp { .. } => return Err(FlexError::UnsupportedSetOperation),
         };
 
-        if select_is_aggregated(select) {
+        if bind::is_aggregated(select) {
             return self.lower_root_select(select);
         }
 
         // §3.3: a bare projection over an aggregating subquery — treat the
         // inner relation as the query root (`π_count Count(trips)`).
-        if let Some(TableRef::Derived { query, .. }) = &select.from {
-            if select.selection.is_none() && projection_is_passthrough(&select.projection) {
-                return self.lower_root(query);
+        match &select.from {
+            Some(TableRef::Derived { query, alias }) if select.selection.is_none() => {
+                let inner = self.lower_root(query)?;
+                permute_outputs(inner, alias, select)
             }
+            _ => Err(FlexError::RawDataQuery),
         }
-        Err(FlexError::RawDataQuery)
     }
 
-    /// Lower the aggregated root select.
-    fn lower_root_select(&mut self, s: &Select) -> Result<Lowered> {
-        let from = s.from.as_ref().ok_or(FlexError::RawDataQuery)?;
+    /// Lower a block's FROM and WHERE, `σ(from)`; `None` without a FROM.
+    fn lower_source(&mut self, s: &Select) -> Result<Option<Bound>> {
         let where_conjuncts: Vec<&Expr> = s
             .selection
             .as_ref()
             .map(|w| w.conjuncts())
             .unwrap_or_default();
         check_predicates_supported(&where_conjuncts)?;
-
-        let (mut rel, scope) = self.lower_table_ref(from, &where_conjuncts)?;
+        let Some(from) = &s.from else {
+            return Ok(None);
+        };
+        let mut from = self.lower_table_ref(from, &where_conjuncts)?;
         if s.selection.is_some() {
-            rel = Rel::Select(Box::new(rel));
+            from.rel = Rel::Select(Box::new(from.rel));
         }
+        Ok(Some(from))
+    }
 
-        // GROUP BY keys.
+    /// Lower the aggregated root select.
+    fn lower_root_select(&mut self, s: &Select) -> Result<Lowered> {
+        let from = self.lower_source(s)?.ok_or(FlexError::RawDataQuery)?;
+
+        // GROUP BY keys, and the scope position of each plain-column one.
         let mut group_by = Vec::with_capacity(s.group_by.len());
+        let mut key_cols = Vec::with_capacity(s.group_by.len());
         for g in &s.group_by {
-            let (base, public) = match g {
-                Expr::Column(c) => match scope.resolve(c)? {
-                    Origin::Base(a) => {
-                        let public = self.db.is_public(&a.table);
-                        (Some(a.clone()), public)
-                    }
-                    Origin::Computed => (None, false),
-                },
-                _ => (None, false),
+            let col = match g {
+                Expr::Column(c) => Some(from.position(c)?),
+                _ => None,
             };
+            let base = col.and_then(|i| from.origin[i].clone());
+            // A public table's labels are non-protected and enumerable.
+            let public = base.as_ref().is_some_and(|a| self.db.is_public(&a.table));
             group_by.push(GroupKey {
                 expr: g.clone(),
                 base,
                 public,
             });
+            key_cols.push(col);
         }
         let kind = if group_by.is_empty() {
             QueryKind::Count
@@ -215,40 +210,35 @@ impl<'a> Lowerer<'a> {
         // Classify each projected output.
         let mut aggregates = Vec::new();
         let mut outputs = Vec::with_capacity(s.projection.len());
-        for item in &s.projection {
-            let expr = match item {
-                SelectItem::Expr { expr, .. } => expr,
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
-                    return Err(FlexError::RawDataQuery)
-                }
+        let mut columns = Vec::with_capacity(s.projection.len());
+        for out in bind::project_scope(&from.cols, &s.projection) {
+            // A wildcard, resolvable or not, releases raw columns.
+            let Ok((meta, Projected::Expr(expr))) = out else {
+                return Err(FlexError::RawDataQuery);
             };
-            if let Some(agg) = self.classify_aggregate(expr, &scope)? {
+            columns.push(meta.name);
+            if let Some(agg) = classify_aggregate(expr, &from)? {
                 aggregates.push(agg);
                 outputs.push(OutputColumn::Aggregate(aggregates.len() - 1));
                 continue;
             }
-            // Must be a group-by expression (a bin label).
-            match group_by.iter().position(|g| &g.expr == expr) {
-                Some(i) => outputs.push(OutputColumn::Label(i)),
-                None => {
-                    // A bare column matching a single-column group key by
-                    // name (qualification differences).
-                    if let (Expr::Column(c), true) = (expr, !group_by.is_empty()) {
-                        if let Some(i) = group_by
-                            .iter()
-                            .position(|g| matches!(&g.expr, Expr::Column(gc) if gc.name == c.name))
-                        {
-                            outputs.push(OutputColumn::Label(i));
-                            continue;
-                        }
-                    }
-                    if expr.contains_aggregate() {
-                        return Err(FlexError::UnsupportedAggregate(
-                            "arithmetic over aggregation results".to_string(),
-                        ));
-                    }
-                    return Err(FlexError::RawDataQuery);
+            // Must be a group-by expression (a bin label); a column is the
+            // same key under any spelling (`t.city_id` for `city_id`).
+            let label = match expr {
+                Expr::Column(c) => {
+                    let col = Some(from.position(c)?);
+                    key_cols.iter().position(|k| *k == col)
                 }
+                _ => group_by.iter().position(|g| &g.expr == expr),
+            };
+            match label {
+                Some(i) => outputs.push(OutputColumn::Label(i)),
+                None if expr.contains_aggregate() => {
+                    return Err(FlexError::UnsupportedAggregate(
+                        "arithmetic over aggregation results".to_string(),
+                    ))
+                }
+                None => return Err(FlexError::RawDataQuery),
             }
         }
         if aggregates.is_empty() {
@@ -256,49 +246,13 @@ impl<'a> Lowerer<'a> {
         }
 
         Ok(Lowered {
-            rel,
+            rel: from.rel,
             kind,
             group_by,
             aggregates,
             outputs,
+            columns,
         })
-    }
-
-    /// If `expr` is a supported root aggregate call, classify it.
-    fn classify_aggregate(&mut self, expr: &Expr, scope: &Scope) -> Result<Option<RootAgg>> {
-        let Expr::Function {
-            name,
-            distinct,
-            args,
-        } = expr
-        else {
-            return Ok(None);
-        };
-        let resolve_col_arg = |scope: &Scope| -> Result<Attr> {
-            match args.first() {
-                Some(FunctionArg::Expr(Expr::Column(c))) => match scope.resolve(c)? {
-                    Origin::Base(a) => Ok(a.clone()),
-                    Origin::Computed => Err(FlexError::UnsupportedAggregate(format!(
-                        "{name} over a computed column (no value-range metric)"
-                    ))),
-                },
-                _ => Err(FlexError::UnsupportedAggregate(format!(
-                    "{name} requires a plain column argument"
-                ))),
-            }
-        };
-        match name.as_str() {
-            "count" if *distinct => Ok(Some(RootAgg::CountDistinct)),
-            "count" => Ok(Some(RootAgg::Count)),
-            "sum" => Ok(Some(RootAgg::Sum(resolve_col_arg(scope)?))),
-            "avg" | "mean" => Ok(Some(RootAgg::Avg(resolve_col_arg(scope)?))),
-            "min" => Ok(Some(RootAgg::Min(resolve_col_arg(scope)?))),
-            "max" => Ok(Some(RootAgg::Max(resolve_col_arg(scope)?))),
-            "median" | "stddev" | "stddev_samp" => {
-                Err(FlexError::UnsupportedAggregate(name.clone()))
-            }
-            _ => Ok(None),
-        }
     }
 
     // ---- relations -------------------------------------------------------
@@ -306,42 +260,35 @@ impl<'a> Lowerer<'a> {
     /// Lower a FROM-clause relation. `where_conjuncts` lets implicit
     /// (comma/cross) joins recover their equijoin condition from the WHERE
     /// clause.
-    fn lower_table_ref(&mut self, t: &TableRef, where_conjuncts: &[&Expr]) -> Result<(Rel, Scope)> {
+    fn lower_table_ref(&mut self, t: &TableRef, where_conjuncts: &[&Expr]) -> Result<Bound> {
         match t {
             TableRef::Table { name, alias } => {
-                let qualifier = alias.clone().unwrap_or_else(|| name.clone());
                 let table = self
                     .db
                     .table(name)
                     .ok_or_else(|| FlexError::UnknownTable(name.clone()))?;
-                let occurrence = self.next_occurrence;
-                self.next_occurrence += 1;
-                let public = self.db.is_public(name);
-                let columns = table
+                let occurrence = self.occurrence();
+                let origin = table
                     .schema
                     .columns
                     .iter()
                     .map(|c| {
-                        (
-                            c.name.clone(),
-                            Origin::Base(Attr {
-                                occurrence,
-                                table: name.clone(),
-                                column: c.name.clone(),
-                            }),
-                        )
+                        Some(Attr {
+                            occurrence,
+                            table: name.clone(),
+                            column: c.name.clone(),
+                        })
                     })
                     .collect();
-                Ok((
-                    Rel::Table {
+                Ok(Bound {
+                    rel: Rel::Table {
                         name: name.clone(),
                         occurrence,
-                        public,
+                        public: self.db.is_public(name),
                     },
-                    Scope {
-                        entries: vec![ScopeEntry { qualifier, columns }],
-                    },
-                ))
+                    cols: table.col_metas(alias.as_deref().unwrap_or(name)),
+                    origin,
+                })
             }
             TableRef::Derived { query, alias } => self.lower_derived(query, alias),
             TableRef::Join {
@@ -350,73 +297,29 @@ impl<'a> Lowerer<'a> {
                 join_type,
                 constraint,
             } => {
-                let (lrel, lscope) = self.lower_table_ref(left, where_conjuncts)?;
-                let (rrel, rscope) = self.lower_table_ref(right, where_conjuncts)?;
-                let scope = lscope.merge(rscope.clone());
-                let lres = Scope {
-                    entries: scope.entries[..scope.entries.len() - rscope.entries.len()].to_vec(),
-                };
+                let mut l = self.lower_table_ref(left, where_conjuncts)?;
+                let r = self.lower_table_ref(right, where_conjuncts)?;
 
-                let lo = lrel.occurrences();
-                let ro = rrel.occurrences();
-                let _ = &lres;
-
-                // Gather candidate equality conjuncts: from ON, from USING,
-                // and — for cross joins — from the WHERE clause.
-                let mut candidates: Vec<(ColumnRef, ColumnRef)> = Vec::new();
-                match constraint {
-                    JoinConstraint::On(on) => {
-                        for conjunct in on.conjuncts() {
-                            if let Some((a, b)) = conjunct.as_column_equality() {
-                                candidates.push((a.clone(), b.clone()));
-                            }
-                        }
-                    }
-                    JoinConstraint::Using(cols) => {
-                        for name in cols {
-                            candidates.push((
-                                ColumnRef::bare(name.clone()),
-                                ColumnRef::bare(name.clone()),
-                            ));
-                        }
-                    }
-                    JoinConstraint::None => {}
-                }
-                if matches!(join_type, JoinType::Cross) || candidates.is_empty() {
-                    for conjunct in where_conjuncts {
-                        if let Some((a, b)) = conjunct.as_column_equality() {
-                            candidates.push((a.clone(), b.clone()));
-                        }
-                    }
+                // The executor's equi-keys, resolved per side; a comma or
+                // CROSS join — or a constraint that yields none — recovers
+                // them from the WHERE equalities the same way.
+                let (mut keys, _) =
+                    bind::split_join_constraint(&l.cols, &r.cols, constraint).map_err(bind_err)?;
+                if matches!(join_type, JoinType::Cross) || keys.is_empty() {
+                    keys.extend(
+                        where_conjuncts
+                            .iter()
+                            .filter_map(|c| bind::equi_key(&l.cols, &r.cols, c)),
+                    );
                 }
 
-                // Pick the first candidate whose two sides resolve to base
-                // attributes on opposite sides of this join.
-                let mut saw_computed = false;
-                let mut key: Option<(Attr, Attr)> = None;
-                for (a, b) in &candidates {
-                    let (oa, ob) = match (scope.resolve(a), scope.resolve(b)) {
-                        (Ok(x), Ok(y)) => (x.clone(), y.clone()),
-                        _ => continue,
-                    };
-                    match (oa, ob) {
-                        (Origin::Base(attr_a), Origin::Base(attr_b)) => {
-                            if lo.contains(&attr_a.occurrence) && ro.contains(&attr_b.occurrence) {
-                                key = Some((attr_a, attr_b));
-                                break;
-                            }
-                            if lo.contains(&attr_b.occurrence) && ro.contains(&attr_a.occurrence) {
-                                key = Some((attr_b, attr_a));
-                                break;
-                            }
-                        }
-                        _ => saw_computed = true,
-                    }
-                }
-
+                // The first key drawn from a base table on both sides.
+                let key = keys
+                    .iter()
+                    .find_map(|&(lk, rk)| l.origin[lk].clone().zip(r.origin[rk].clone()));
                 let (left_key, right_key) = match key {
                     Some(k) => k,
-                    None if saw_computed => {
+                    None if !keys.is_empty() => {
                         return Err(FlexError::JoinKeyNotFromBaseTable(
                             "join key is an aggregation or computed output".to_string(),
                         ))
@@ -428,129 +331,148 @@ impl<'a> Lowerer<'a> {
                     }
                 };
 
-                Ok((
-                    Rel::Join {
-                        left: Box::new(lrel),
-                        right: Box::new(rrel),
+                l.cols.extend(r.cols);
+                l.origin.extend(r.origin);
+                Ok(Bound {
+                    rel: Rel::Join {
+                        left: Box::new(l.rel),
+                        right: Box::new(r.rel),
                         left_key,
                         right_key,
                     },
-                    scope,
-                ))
+                    cols: l.cols,
+                    origin: l.origin,
+                })
             }
         }
     }
 
     /// Lower a derived table used as a relation.
-    fn lower_derived(&mut self, q: &Query, alias: &str) -> Result<(Rel, Scope)> {
+    fn lower_derived(&mut self, q: &Query, alias: &str) -> Result<Bound> {
         let select = match &q.body {
             SetExpr::Select(s) => s.as_ref(),
             SetExpr::SetOp { .. } => return Err(FlexError::UnsupportedSetOperation),
         };
-        let from = match &select.from {
-            Some(f) => f,
+        let inner = match self.lower_source(select)? {
+            Some(from) => from,
             // A table-less derived select (`SELECT 1 AS x`) contributes no
             // protected rows; model it as a public constant relation.
-            None => {
-                let columns = select
-                    .projection
-                    .iter()
-                    .map(|item| match item {
-                        SelectItem::Expr { expr, alias } => {
-                            (expr.output_name(alias.as_deref()), Origin::Computed)
-                        }
-                        _ => ("*".to_string(), Origin::Computed),
-                    })
-                    .collect();
-                let occurrence = self.next_occurrence;
-                self.next_occurrence += 1;
-                return Ok((
-                    Rel::Table {
-                        name: "<constant>".to_string(),
-                        occurrence,
-                        public: true,
-                    },
-                    Scope {
-                        entries: vec![ScopeEntry {
-                            qualifier: alias.to_string(),
-                            columns,
-                        }],
-                    },
-                ));
-            }
+            None => Bound {
+                rel: Rel::Table {
+                    name: "<constant>".to_string(),
+                    occurrence: self.occurrence(),
+                    public: true,
+                },
+                cols: Vec::new(),
+                origin: Vec::new(),
+            },
         };
 
-        let where_conjuncts: Vec<&Expr> = select
-            .selection
-            .as_ref()
-            .map(|w| w.conjuncts())
-            .unwrap_or_default();
-        check_predicates_supported(&where_conjuncts)?;
-        let (mut rel, inner_scope) = self.lower_table_ref(from, &where_conjuncts)?;
-        if select.selection.is_some() {
-            rel = Rel::Select(Box::new(rel));
+        // An aggregation below the root has stability 1 and its outputs
+        // carry no metrics (Figure 1b/1c, the Count(r) cases); a plain
+        // projection's keep the provenance of the columns they pass through.
+        let aggregated = bind::is_aggregated(select);
+        let mut header = Vec::new();
+        let mut origin = Vec::new();
+        for out in bind::project_scope(&inner.cols, &select.projection) {
+            let (meta, source) = out.map_err(bind_err)?;
+            origin.push(if aggregated {
+                None
+            } else {
+                let passed = source.input(&inner.cols).map_err(bind_err)?;
+                passed.and_then(|i| inner.origin[i].clone())
+            });
+            header.push(meta.name);
         }
-
-        if select_is_aggregated(select) {
-            // An aggregation below the root: stability 1, outputs carry no
-            // metrics (Figure 1b/1c, the Count(r) cases).
-            let columns = select
-                .projection
-                .iter()
-                .map(|item| match item {
-                    SelectItem::Expr { expr, alias } => {
-                        (expr.output_name(alias.as_deref()), Origin::Computed)
-                    }
-                    _ => ("*".to_string(), Origin::Computed),
-                })
-                .collect();
-            return Ok((
-                Rel::Count(Box::new(rel)),
-                Scope {
-                    entries: vec![ScopeEntry {
-                        qualifier: alias.to_string(),
-                        columns,
-                    }],
-                },
-            ));
-        }
-
-        // Plain projection: outputs keep the provenance of the columns
-        // they pass through.
-        let mut columns = Vec::new();
-        for item in &select.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for e in &inner_scope.entries {
-                        columns.extend(e.columns.iter().cloned());
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let entry = inner_scope
-                        .entries
-                        .iter()
-                        .find(|e| &e.qualifier == q)
-                        .ok_or_else(|| FlexError::UnknownTable(q.clone()))?;
-                    columns.extend(entry.columns.iter().cloned());
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let origin = match expr {
-                        Expr::Column(c) => inner_scope.resolve(c)?.clone(),
-                        _ => Origin::Computed,
-                    };
-                    columns.push((expr.output_name(alias.as_deref()), origin));
-                }
-            }
-        }
-        Ok((
-            Rel::Project(Box::new(rel)),
-            Scope {
-                entries: vec![ScopeEntry {
-                    qualifier: alias.to_string(),
-                    columns,
-                }],
+        let rel = Box::new(inner.rel);
+        Ok(Bound {
+            rel: if aggregated {
+                Rel::Count(rel)
+            } else {
+                Rel::Project(rel)
             },
-        ))
+            cols: bind::derived_scope(alias, header),
+            origin,
+        })
+    }
+}
+
+/// A bare projection over the root (§3.3) as a relabelling of the root's
+/// outputs: it must pass every inner column through exactly once — so
+/// each statistic is noised once for its one charge, no histogram loses
+/// the labels its bins are keyed by, and the classification follows the
+/// column it was computed for.
+fn permute_outputs(inner: Lowered, alias: &str, outer: &Select) -> Result<Lowered> {
+    if outer.distinct {
+        return Err(FlexError::UnsupportedProjection(
+            "DISTINCT is applied to its rows".to_string(),
+        ));
+    }
+    let scope = bind::derived_scope(alias, inner.columns.iter().cloned());
+    let mut passed = vec![false; scope.len()];
+    let mut outputs = Vec::with_capacity(scope.len());
+    let mut columns = Vec::with_capacity(scope.len());
+    for out in bind::project_scope(&scope, &outer.projection) {
+        let (meta, source) = out.map_err(bind_err)?;
+        let i = source
+            .input(&scope)
+            .map_err(bind_err)?
+            .ok_or(FlexError::RawDataQuery)?;
+        if std::mem::replace(&mut passed[i], true) {
+            return Err(FlexError::UnsupportedProjection(format!(
+                "column `{}` is selected twice",
+                scope[i].name
+            )));
+        }
+        outputs.push(inner.outputs[i].clone());
+        columns.push(meta.name);
+    }
+    if let Some(i) = passed.iter().position(|p| !p) {
+        return Err(FlexError::UnsupportedProjection(format!(
+            "column `{}` is dropped",
+            scope[i].name
+        )));
+    }
+    Ok(Lowered {
+        outputs,
+        columns,
+        ..inner
+    })
+}
+
+/// If `expr` is a supported root aggregate call, classify it.
+fn classify_aggregate(expr: &Expr, from: &Bound) -> Result<Option<RootAgg>> {
+    let Expr::Function {
+        name,
+        distinct,
+        args,
+    } = expr
+    else {
+        return Ok(None);
+    };
+    let col_arg = || -> Result<Attr> {
+        match args.first() {
+            Some(FunctionArg::Expr(Expr::Column(c))) => {
+                from.origin[from.position(c)?].clone().ok_or_else(|| {
+                    FlexError::UnsupportedAggregate(format!(
+                        "{name} over a computed column (no value-range metric)"
+                    ))
+                })
+            }
+            _ => Err(FlexError::UnsupportedAggregate(format!(
+                "{name} requires a plain column argument"
+            ))),
+        }
+    };
+    match name.as_str() {
+        "count" if *distinct => Ok(Some(RootAgg::CountDistinct)),
+        "count" => Ok(Some(RootAgg::Count)),
+        "sum" => Ok(Some(RootAgg::Sum(col_arg()?))),
+        "avg" | "mean" => Ok(Some(RootAgg::Avg(col_arg()?))),
+        "min" => Ok(Some(RootAgg::Min(col_arg()?))),
+        "max" => Ok(Some(RootAgg::Max(col_arg()?))),
+        "median" | "stddev" | "stddev_samp" => Err(FlexError::UnsupportedAggregate(name.clone())),
+        _ => Ok(None),
     }
 }
 
@@ -568,30 +490,6 @@ fn check_predicates_supported(conjuncts: &[&Expr]) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Does this select aggregate (GROUP BY or aggregate calls in projection)?
-fn select_is_aggregated(s: &Select) -> bool {
-    !s.group_by.is_empty()
-        || s.projection.iter().any(|item| match item {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-}
-
-/// Is the projection a plain pass-through (columns and wildcards only)?
-fn projection_is_passthrough(items: &[SelectItem]) -> bool {
-    items.iter().all(|item| {
-        matches!(
-            item,
-            SelectItem::Wildcard
-                | SelectItem::QualifiedWildcard(_)
-                | SelectItem::Expr {
-                    expr: Expr::Column(_),
-                    ..
-                }
-        )
-    })
 }
 
 #[cfg(test)]
@@ -832,5 +730,94 @@ mod tests {
     fn count_distinct_supported() {
         let l = lower_sql("SELECT COUNT(DISTINCT driver_id) FROM trips").unwrap();
         assert_eq!(l.aggregates, vec![RootAgg::CountDistinct]);
+    }
+
+    #[test]
+    fn using_join_lowers_like_its_on_spelling() {
+        let db = db();
+        let analyze = |sql: &str| crate::analysis::analyze(&parse_query(sql).unwrap(), &db);
+        let using = analyze("SELECT COUNT(*) FROM trips t JOIN drivers d USING (city_id)").unwrap();
+        let on = analyze("SELECT COUNT(*) FROM trips t JOIN drivers d ON t.city_id = d.city_id")
+            .unwrap();
+        let Rel::Join {
+            left_key,
+            right_key,
+            ..
+        } = &using.lowered.rel
+        else {
+            panic!("expected join, got {:?}", using.lowered.rel);
+        };
+        assert_eq!(
+            (left_key.table.as_str(), left_key.column.as_str()),
+            ("trips", "city_id")
+        );
+        assert_eq!(
+            (right_key.table.as_str(), right_key.column.as_str()),
+            ("drivers", "city_id")
+        );
+        assert_eq!(using.lowered, on.lowered);
+        assert_eq!(using.outputs, on.outputs);
+        // A USING column one side lacks is the executor's error.
+        assert_eq!(
+            lower_sql("SELECT COUNT(*) FROM trips t JOIN cities c USING (city_id)"),
+            Err(FlexError::UnknownColumn("city_id".into()))
+        );
+    }
+
+    const HISTOGRAM: &str = "SELECT city_id AS k, COUNT(*) AS n FROM trips GROUP BY city_id";
+
+    #[test]
+    fn pass_through_layers_follow_the_column_not_the_position() {
+        use OutputColumn::{Aggregate, Label};
+        for (sql, columns, outputs) in [
+            (
+                format!("WITH a AS ({HISTOGRAM}) SELECT n, k FROM a"),
+                ["n", "k"],
+                [Aggregate(0), Label(0)],
+            ),
+            (
+                format!("SELECT k, n FROM (SELECT n, k FROM ({HISTOGRAM}) a) b"),
+                ["k", "n"],
+                [Label(0), Aggregate(0)],
+            ),
+            (
+                format!("SELECT x.n AS k, x.k AS n FROM ({HISTOGRAM}) x"),
+                ["k", "n"],
+                [Aggregate(0), Label(0)],
+            ),
+            (
+                format!("SELECT x.* FROM ({HISTOGRAM}) x"),
+                ["k", "n"],
+                [Label(0), Aggregate(0)],
+            ),
+        ] {
+            let l = lower_sql(&sql).unwrap();
+            assert_eq!(l.columns, columns, "{sql}");
+            assert_eq!(l.outputs, outputs, "{sql}");
+            assert_eq!(l.kind, QueryKind::Histogram);
+        }
+    }
+
+    fn rejected_projection(projection: &str) -> String {
+        match lower_sql(&format!("SELECT {projection} FROM ({HISTOGRAM}) a")) {
+            Err(e @ FlexError::UnsupportedProjection(_)) => e.to_string(),
+            other => panic!("{projection}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn pass_through_repeating_an_aggregate_is_rejected() {
+        // Two independent draws on one statistic for one charge.
+        assert!(rejected_projection("k, n, n").contains("`n` is selected twice"));
+    }
+
+    #[test]
+    fn pass_through_dropping_a_group_key_is_rejected() {
+        assert!(rejected_projection("n").contains("`k` is dropped"));
+    }
+
+    #[test]
+    fn pass_through_adding_distinct_is_rejected() {
+        assert!(rejected_projection("DISTINCT k, n").contains("DISTINCT"));
     }
 }

@@ -225,11 +225,12 @@ fn run_query_timed<R: Rng + ?Sized>(
             None => None,
         });
     }
-    if truth.columns.len() != column_sensitivity.len() {
+    // Sensitivities are zipped onto the result by position, so the header
+    // the analysis bound must be the header that executed.
+    if truth.columns != analysis.lowered.columns {
         return Err(FlexError::Db(format!(
-            "analysis saw {} output columns but execution produced {}",
-            column_sensitivity.len(),
-            truth.columns.len()
+            "analysis bound output columns {:?} but execution produced {:?}",
+            analysis.lowered.columns, truth.columns
         )));
     }
 
@@ -289,18 +290,37 @@ fn assemble_histogram<R: Rng + ?Sized>(
     opts: &FlexOptions,
     rng: &mut R,
 ) -> Result<(Vec<Vec<Value>>, Vec<Vec<Value>>, bool)> {
-    let label_cols: Vec<usize> = analysis
+    // Label columns as (result column, group key) pairs, in output order.
+    let (label_cols, label_keys): (Vec<usize>, Vec<usize>) = analysis
         .lowered
         .outputs
         .iter()
         .enumerate()
-        .filter_map(|(i, o)| matches!(o, OutputColumn::Label(_)).then_some(i))
-        .collect();
+        .filter_map(|(i, o)| match o {
+            OutputColumn::Label(g) => Some((i, *g)),
+            OutputColumn::Aggregate(_) => None,
+        })
+        .unzip();
 
-    // Resolve the bin label set: analyst-provided, else auto-enumerated.
+    // Resolve the bin label set: analyst-provided (in label-column
+    // order), else auto-enumerated — in GROUP BY order, so each tuple is
+    // rearranged to the order its labels are projected in.
+    let group_by = &analysis.lowered.group_by;
     let bins: Option<Vec<Vec<Value>>> = match &opts.bins {
         Some(b) => Some(b.clone()),
-        None => enumerate_bins(db, &analysis.lowered.group_by, opts.max_bins)?,
+        None => match enumerate_bins(db, group_by, opts.max_bins)? {
+            Some(_) if (0..group_by.len()).any(|g| !label_keys.contains(&g)) => {
+                return Err(FlexError::BinsNotEnumerable(
+                    "a GROUP BY key is not projected, so its bins cannot be told apart".into(),
+                ))
+            }
+            Some(bins) => Some(
+                bins.iter()
+                    .map(|bin| label_keys.iter().map(|&g| bin[g].clone()).collect())
+                    .collect(),
+            ),
+            None => None,
+        },
     };
 
     let Some(bins) = bins else {

@@ -24,11 +24,12 @@
 //! itself and the oracle on itself.
 
 use crate::aggregate::{AggFunc, AggSpec};
+use crate::bind::{resolve_column, sort_key_by_output, ColMeta};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
 use crate::morsel::Parallelism;
-use crate::plan::{self, ColMeta, JoinOrder, ResultSet};
+use crate::plan::{JoinOrder, ResultSet};
 use crate::value::{Value, ValueKey};
 use crate::vexec::{self, VexecStats};
 use flex_sql::{Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
@@ -158,17 +159,6 @@ impl<'a> Exec<'a> {
         result
     }
 
-    /// Whether a SELECT block is an aggregation (GROUP BY present, or any
-    /// aggregate function in the projection or HAVING).
-    pub(crate) fn has_aggregates(s: &Select) -> bool {
-        !s.group_by.is_empty()
-            || s.projection.iter().any(|item| match item {
-                SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-                _ => false,
-            })
-            || s.having.as_ref().is_some_and(Expr::contains_aggregate)
-    }
-
     /// Compile GROUP BY expressions in scalar mode, resolving positional
     /// references (`GROUP BY 1`) against the projection list.
     pub(crate) fn compile_group_exprs(
@@ -197,7 +187,7 @@ impl<'a> Exec<'a> {
     /// Compile an expression in scalar (non-aggregate) mode against a scope.
     pub(crate) fn compile_scalar(&mut self, e: &Expr, cols: &[ColMeta]) -> Result<CompiledExpr> {
         match e {
-            Expr::Column(c) => Ok(CompiledExpr::Column(plan::resolve_column(cols, c)?)),
+            Expr::Column(c) => Ok(CompiledExpr::Column(resolve_column(cols, c)?)),
             Expr::Literal(l) => Ok(CompiledExpr::Literal(literal_value(l))),
             Expr::BinaryOp { left, op, right } => Ok(CompiledExpr::Binary {
                 op: *op,
@@ -409,26 +399,6 @@ pub(crate) fn check_set_op_arity(l: usize, r: usize) -> Result<()> {
     Err(DbError::Unsupported(format!(
         "set operation arity mismatch: {l} vs {r} columns"
     )))
-}
-
-/// Try to resolve an order-by expression as an output column: positional
-/// integers (`ORDER BY 2`) or names matching an output column.
-pub(crate) fn sort_key_by_output(e: &Expr, out_cols: &[ColMeta]) -> Result<Option<usize>> {
-    match e {
-        Expr::Literal(Literal::Integer(i)) => {
-            let idx = *i;
-            if idx < 1 || idx as usize > out_cols.len() {
-                return Err(DbError::Unsupported(format!(
-                    "ORDER BY position {idx} out of range"
-                )));
-            }
-            Ok(Some(idx as usize - 1))
-        }
-        Expr::Column(c) if c.qualifier.is_none() => {
-            Ok(out_cols.iter().position(|m| m.name == c.name))
-        }
-        _ => Ok(None),
-    }
 }
 
 /// The smallest `offset + limit` prefix the ORDER BY tail must produce,

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod bind;
 pub mod column;
 pub mod csv;
 pub mod database;
@@ -66,6 +67,7 @@ pub mod value;
 pub mod vexec;
 
 pub use aggregate::{AggFunc, AggSpec};
+pub use bind::ColMeta;
 pub use column::{Column, ColumnData, ColumnarTable, NullMask};
 pub use csv::{table_from_csv, table_to_csv};
 pub use database::Database;
@@ -73,7 +75,7 @@ pub use error::{DbError, Result};
 pub use exec::{ExecTrace, RouteDecision};
 pub use metrics::MetricsCatalog;
 pub use morsel::DEFAULT_MORSEL_ROWS;
-pub use plan::{ColMeta, JoinOrder, Relation, ResultSet};
+pub use plan::{JoinOrder, Relation, ResultSet};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Row, Table};
 pub use value::{BorrowKey, RowKey, Value, ValueKey};

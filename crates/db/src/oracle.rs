@@ -19,6 +19,7 @@
 //! [`crate::aggregate`]). Expression subqueries run on the oracle (the
 //! `Exec` it builds carries `run` as its runner).
 
+use crate::bind::{self, split_join_constraint, ColMeta};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::exec::{
@@ -26,7 +27,7 @@ use crate::exec::{
 };
 use crate::expr::CompiledExpr;
 use crate::morsel::Parallelism;
-use crate::plan::{split_join_constraint, ColMeta, Relation, ResultSet};
+use crate::plan::{Relation, ResultSet};
 use crate::table::Row;
 use crate::value::{RowKey, Value, ValueKey};
 use crate::vexec::VexecStats;
@@ -158,7 +159,7 @@ impl Exec<'_> {
         input: Relation,
         order_by: &[OrderByItem],
     ) -> Result<Relation> {
-        let (rel, key_rows) = if Self::has_aggregates(s) {
+        let (rel, key_rows) = if bind::is_aggregated(s) {
             self.select_grouped(s, input, order_by)?
         } else {
             self.select_plain(s, input, order_by)?

@@ -65,6 +65,10 @@
 //! oracle's per-node rule exactly: equi-keys and ON residuals are
 //! extracted against each node's local `left.cols ++ right.cols` scope.
 //!
+//! Names become positions in [`crate::bind`] and nowhere else: column
+//! references, `USING`/`ON` keys, SELECT-list expansion and ORDER BY
+//! output names — the module the sensitivity analysis binds through too.
+//!
 //! # Predicate placement rules
 //!
 //! Only **infallible kernel conjuncts** (`col op literal`, `IS NULL`,
@@ -97,16 +101,14 @@
 //! is never bound into the release fingerprint.
 
 use crate::aggregate::AggSpec;
+use crate::bind::{self, resolve_column, split_join_constraint, ColMeta, Projected};
 use crate::column::{ColumnData, ColumnarTable};
 use crate::error::{DbError, Result};
 use crate::exec::{self, Exec, GroupCompiler, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
 use crate::vexec::{self, collect_conjuncts, side_kernel};
-use flex_sql::{
-    visitor, ColumnRef, Expr, JoinConstraint, JoinType, Literal, OrderByItem, Query, Select,
-    SelectItem, TableRef,
-};
+use flex_sql::{visitor, ColumnRef, Expr, JoinType, OrderByItem, Query, Select, TableRef};
 use std::sync::Arc;
 
 /// The join-scheduling decisions one execution made, recorded in
@@ -147,35 +149,6 @@ impl JoinOrder {
     }
 }
 
-/// Metadata for one column of an intermediate relation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColMeta {
-    /// Table alias (or table name) qualifying the column, if any.
-    pub qualifier: Option<String>,
-    /// The column's (output) name.
-    pub name: String,
-}
-
-impl ColMeta {
-    /// Column metadata with an optional qualifier.
-    pub fn new(qualifier: Option<String>, name: impl Into<String>) -> Self {
-        ColMeta {
-            qualifier,
-            name: name.into(),
-        }
-    }
-
-    fn matches(&self, r: &ColumnRef) -> bool {
-        if self.name != r.name {
-            return false;
-        }
-        match &r.qualifier {
-            None => true,
-            Some(q) => self.qualifier.as_deref() == Some(q.as_str()),
-        }
-    }
-}
-
 /// An intermediate relation: ordered columns plus a multiset of rows.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Relation {
@@ -207,69 +180,6 @@ impl Relation {
         }
         self
     }
-}
-
-/// [`Relation::resolve`] over a bare column scope.
-pub(crate) fn resolve_column(cols: &[ColMeta], r: &ColumnRef) -> Result<usize> {
-    let mut found = None;
-    for (i, c) in cols.iter().enumerate() {
-        if c.matches(r) {
-            if found.is_some() {
-                return Err(DbError::AmbiguousColumn(r.to_string()));
-            }
-            found = Some(i);
-        }
-    }
-    found.ok_or_else(|| DbError::UnknownColumn(r.to_string()))
-}
-
-/// A join constraint split by [`split_join_constraint`]: equi-key pairs
-/// as (left-local, right-local) column indices, and the `ON` conjuncts
-/// left over as a residual predicate, in `ON` order.
-pub(crate) type JoinSplit<'a> = (Vec<(usize, usize)>, Vec<&'a Expr>);
-
-/// Split a join constraint into equi-key pairs and a residual.
-/// `USING (c)` is the pair `c = c`; an `ON` conjunct `a = b` between two
-/// columns is a key when `a` resolves on the left and `b` on the right,
-/// or the other way round; everything else stays residual. The one
-/// definition the executor and the oracle join by: a `USING` column missing or
-/// ambiguous on either side is the error.
-pub(crate) fn split_join_constraint<'a>(
-    left_cols: &[ColMeta],
-    right_cols: &[ColMeta],
-    constraint: &'a JoinConstraint,
-) -> Result<JoinSplit<'a>> {
-    let mut key_pairs = Vec::new();
-    let mut residual = Vec::new();
-    match constraint {
-        JoinConstraint::None => {}
-        JoinConstraint::Using(names) => {
-            for name in names {
-                let c = ColumnRef::bare(name.clone());
-                key_pairs.push((
-                    resolve_column(left_cols, &c)?,
-                    resolve_column(right_cols, &c)?,
-                ));
-            }
-        }
-        JoinConstraint::On(on) => {
-            for conjunct in on.conjuncts() {
-                let key = conjunct.as_column_equality().and_then(|(a, b)| {
-                    match (resolve_column(left_cols, a), resolve_column(right_cols, b)) {
-                        (Ok(l), Ok(r)) => Some((l, r)),
-                        _ => resolve_column(left_cols, b)
-                            .ok()
-                            .zip(resolve_column(right_cols, a).ok()),
-                    }
-                });
-                match key {
-                    Some(pair) => key_pairs.push(pair),
-                    None => residual.push(conjunct),
-                }
-            }
-        }
-    }
-    Ok((key_pairs, residual))
 }
 
 /// The final result of executing a query.
@@ -698,28 +608,15 @@ pub(crate) fn plan_tail(
     s: &Select,
     cols: &[ColMeta],
 ) -> Result<TailPlan> {
-    debug_assert!(!Exec::has_aggregates(s));
+    debug_assert!(!bind::is_aggregated(s));
     let mut items: Vec<(ColMeta, CompiledExpr)> = Vec::new();
-    for item in &s.projection {
-        // `None`: every column; `Some(q)`: the columns qualified `q`.
-        let wildcard = match item {
-            SelectItem::Wildcard => None,
-            SelectItem::QualifiedWildcard(q) => Some(q),
-            SelectItem::Expr { expr, alias } => {
-                let meta = ColMeta::new(None, expr.output_name(alias.as_deref()));
-                items.push((meta, ex.compile_scalar(expr, cols)?));
-                continue;
-            }
+    for out in bind::project_scope(cols, &s.projection) {
+        let (meta, source) = out?;
+        let compiled = match source {
+            Projected::Wildcard(i) => CompiledExpr::Column(i),
+            Projected::Expr(expr) => ex.compile_scalar(expr, cols)?,
         };
-        let before = items.len();
-        for (i, c) in cols.iter().enumerate() {
-            if wildcard.is_none_or(|q| c.qualifier.as_deref() == Some(q)) {
-                items.push((c.clone(), CompiledExpr::Column(i)));
-            }
-        }
-        if let Some(q) = wildcard.filter(|_| items.len() == before) {
-            return Err(DbError::UnknownTable(q.clone()));
-        }
+        items.push((meta, compiled));
     }
     build_tail(q, s.distinct, items, &mut |e| ex.compile_scalar(e, cols))
 }
@@ -754,13 +651,14 @@ pub(crate) fn plan_grouped(
         aggs: Vec::new(),
     };
     let mut items = Vec::with_capacity(s.projection.len());
-    for item in &s.projection {
-        let SelectItem::Expr { expr, alias } = item else {
+    for out in bind::project_scope(cols, &s.projection) {
+        // A wildcard's column and an unknown `q.*` alike: the wildcard
+        // itself is the defect here.
+        let Ok((meta, Projected::Expr(expr))) = out else {
             return Err(DbError::InvalidAggregate(
                 "wildcard projection is not allowed in an aggregated query".into(),
             ));
         };
-        let meta = ColMeta::new(None, expr.output_name(alias.as_deref()));
         items.push((meta, gc.compile(ex, expr, cols)?));
     }
     let having = match &s.having {
@@ -793,27 +691,18 @@ fn mark_live_columns(q: &Query, s: &Select, combined: &[ColMeta], live: &mut [bo
         });
     };
 
-    // Output column names, for ORDER BY items that resolve to an output
-    // position (those never read input columns).
-    let mut out_names: Vec<String> = Vec::new();
-    for item in &s.projection {
-        match item {
-            SelectItem::Wildcard => {
-                live.iter_mut().for_each(|l| *l = true);
-                return; // everything is live already
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                for (i, c) in combined.iter().enumerate() {
-                    if c.qualifier.as_deref() == Some(q.as_str()) {
-                        live[i] = true;
-                    }
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                out_names.push(expr.output_name(alias.as_deref()));
-                mark_expr(expr, live);
-            }
+    // What the SELECT list reads. (An unknown `q.*` marks nothing: the
+    // block's plan raises it before any row is touched.)
+    let mut out_cols = Vec::new();
+    for (meta, source) in bind::project_scope(combined, &s.projection)
+        .into_iter()
+        .flatten()
+    {
+        match source {
+            Projected::Wildcard(i) => live[i] = true,
+            Projected::Expr(expr) => mark_expr(expr, live),
         }
+        out_cols.push(meta);
     }
     for g in &s.group_by {
         mark_expr(g, live);
@@ -822,13 +711,11 @@ fn mark_live_columns(q: &Query, s: &Select, combined: &[ColMeta], live: &mut [bo
         mark_expr(h, live);
     }
     for OrderByItem { expr, .. } in &q.order_by {
-        match expr {
-            // Positional (`ORDER BY 2`) reads no input column.
-            Expr::Literal(Literal::Integer(_)) => {}
-            // A bare name matching an output column sorts on the output
-            // value, exactly like `exec::sort_key_by_output`.
-            Expr::Column(c) if c.qualifier.is_none() && out_names.contains(&c.name) => {}
-            other => mark_expr(other, live),
+        // A key that is an output position or name sorts on the output
+        // value, which the SELECT list already marked; only a source
+        // expression reads more. (Out of range: the plan's error.)
+        if let Ok(None) = bind::sort_key_by_output(expr, &out_cols) {
+            mark_expr(expr, live);
         }
     }
 }
@@ -928,7 +815,7 @@ mod tests {
             let q = flex_sql::parse_query(tail).unwrap();
             let s = q.as_select().unwrap();
             let mut ex = Exec::new(&db, vexec::execute_query, db.exec_tuning());
-            let planned = if Exec::has_aggregates(s) {
+            let planned = if bind::is_aggregated(s) {
                 plan_grouped(&mut ex, &q, s, &cols).map(drop)
             } else {
                 plan_tail(&mut ex, &q, s, &cols).map(drop)

@@ -1,8 +1,8 @@
 //! In-memory tables.
 
+use crate::bind::ColMeta;
 use crate::column::ColumnarTable;
 use crate::error::Result;
-use crate::plan::ColMeta;
 use crate::schema::Schema;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};

@@ -105,6 +105,7 @@
 //! where the oracle runs group by group.
 
 use crate::aggregate::{self, AggFunc, AggPartial, FoldAcc, FoldState};
+use crate::bind::{self, ColMeta};
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::database::Database;
 use crate::error::{DbError, Result};
@@ -112,8 +113,8 @@ use crate::exec::{self, Exec};
 use crate::expr::{like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, ColMeta, GroupedPlan, JoinNode, JoinOrder, JoinSide, PlanNode, Relation, ResultSet,
-    TailItem, TailPlan,
+    self, GroupedPlan, JoinNode, JoinOrder, JoinSide, PlanNode, Relation, ResultSet, TailItem,
+    TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
@@ -232,11 +233,7 @@ pub(crate) fn open_scan(
         TableRef::Derived { query, alias } => {
             let rs = ex.subquery(query)?;
             let ctab = ColumnarTable::from_rows(&rs.rows, rs.columns.len());
-            let cols = rs
-                .columns
-                .into_iter()
-                .map(|n| ColMeta::new(Some(alias.clone()), n))
-                .collect();
+            let cols = bind::derived_scope(alias, rs.columns);
             (Arc::new(ctab), cols, false)
         }
         TableRef::Join { .. } => unreachable!("join FROM clauses go through plan_tree"),
@@ -287,7 +284,7 @@ fn finish_block(
     sel: &[u32],
 ) -> Result<ResultSet> {
     let par = ex.par;
-    let rel = if Exec::has_aggregates(s) {
+    let rel = if bind::is_aggregated(s) {
         let plan = plan::plan_grouped(ex, q, s, &cols)?;
         run_grouped(ctab, sel, &plan, par, &mut ex.stats.topk)?
     } else {

@@ -256,3 +256,19 @@ fn deterministic_given_seed_and_data() {
     let b = run_sql(&db, sql, params, &mut StdRng::seed_from_u64(77)).unwrap();
     assert_eq!(a.rows, b.rows);
 }
+
+/// `USING (c)` is the equijoin `l.c = r.c` to the analysis as it is to
+/// the executor: same sensitivity, same draws, same release.
+#[test]
+fn using_join_is_released_like_its_on_spelling() {
+    let (db, _) = small_uber();
+    let params = params_for(&db, 0.1);
+    let run = |sql: &str| run_sql(&db, sql, params, &mut StdRng::seed_from_u64(5)).unwrap();
+    let using = run("SELECT COUNT(*) FROM trips t JOIN drivers d USING (city_id)");
+    let on = run("SELECT COUNT(*) FROM trips t JOIN drivers d ON t.city_id = d.city_id");
+    assert_eq!(using.join_count, 1);
+    assert_eq!(using.true_rows, on.true_rows);
+    assert_eq!(using.column_sensitivity, on.column_sensitivity);
+    assert_eq!(using.rows, on.rows);
+    assert_ne!(using.scalar(), using.true_rows[0][0].as_f64());
+}

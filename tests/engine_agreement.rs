@@ -8,6 +8,12 @@
 //! service's release fingerprint and noise calibration consume the true
 //! results, so a single differing cell would shift every noisy answer
 //! downstream.
+//!
+//! The same sweep checks the other half of that hand-off: for every
+//! query the sensitivity analysis accepts, the output header it bound
+//! (`Lowered::columns`, one `Label`/`Aggregate` per column) is the header
+//! the executor produced — both went through `flex_db::bind`, and the
+//! mechanism zips sensitivities onto the result by position.
 
 use flex_db::Database;
 use flex_sql::{parse_query, Query};
@@ -15,18 +21,27 @@ use flex_workloads::corpus::{self, CorpusConfig};
 use flex_workloads::tpch::{self, TpchConfig};
 use flex_workloads::uber::{self, UberConfig};
 
-fn assert_agree(db: &Database, q: &Query, context: &str) {
+/// Returns whether the analysis accepted the query (and so its header
+/// was compared with the executed one).
+fn assert_agree(db: &Database, q: &Query, context: &str) -> bool {
     let show = |r: flex_db::Result<flex_db::ResultSet>| r.map_err(|e| e.to_string());
+    let executed = db.execute_traced(q).1;
+    let lowered = flex_core::lower(q, db);
+    if let (Ok(lowered), Ok(rs)) = (&lowered, &executed) {
+        assert_eq!(lowered.columns, rs.columns, "bound header on {context}");
+        assert_eq!(lowered.outputs.len(), rs.columns.len(), "{context}");
+    }
     assert_eq!(
-        show(db.execute(q)),
+        show(executed),
         show(db.execute_row(q)),
         "executor (left) vs oracle (right) on {context}"
     );
+    lowered.is_ok()
 }
 
-fn assert_sql_agrees(db: &Database, sql: &str, context: &str) {
+fn assert_sql_agrees(db: &Database, sql: &str, context: &str) -> bool {
     let q = parse_query(sql).unwrap_or_else(|e| panic!("{context} parses ({sql}): {e:?}"));
-    assert_agree(db, &q, &format!("{context}: {sql}"));
+    assert_agree(db, &q, &format!("{context}: {sql}"))
 }
 
 #[test]
@@ -41,14 +56,16 @@ fn uber_workload_queries_agree() {
     let db = uber::generate(&cfg);
     let workload = uber::workload(&cfg);
     assert!(!workload.is_empty());
+    let mut analysed = 0;
     for wq in &workload {
-        assert_sql_agrees(&db, &wq.sql, &format!("uber query `{}`", wq.name));
+        analysed += assert_sql_agrees(&db, &wq.sql, &format!("uber query `{}`", wq.name)) as usize;
         assert_sql_agrees(
             &db,
             &wq.population_sql,
             &format!("uber population query `{}`", wq.name),
         );
     }
+    assert_eq!(analysed, workload.len(), "the analysis supports all of it");
 }
 
 #[test]
@@ -59,9 +76,11 @@ fn tpch_queries_agree() {
     });
     let queries = tpch::queries();
     assert!(!queries.is_empty());
+    let mut analysed = 0;
     for (name, sql, _) in &queries {
-        assert_sql_agrees(&db, sql, &format!("tpch query `{name}`"));
+        analysed += assert_sql_agrees(&db, sql, &format!("tpch query `{name}`")) as usize;
     }
+    assert!(analysed > 0, "the header sweep compared nothing");
 }
 
 /// 400 structurally-random queries from the §2 corpus generator: the
@@ -82,9 +101,11 @@ fn synthetic_corpus_queries_agree() {
     assert!(widest >= 20, "the sweep lost its long-join tail ({widest})");
     for workers in [1, 4] {
         db.set_parallelism(workers);
+        let mut analysed = 0;
         for (i, q) in queries.iter().enumerate() {
-            assert_agree(&db, q, &format!("corpus[{i}] at {workers} workers"));
+            analysed += assert_agree(&db, q, &format!("corpus[{i}] at {workers} workers")) as usize;
         }
+        assert!(analysed >= 100, "the header sweep compared {analysed}");
     }
 }
 

@@ -307,3 +307,139 @@ fn cte_forward_reference_is_an_unknown_table_everywhere() {
     assert_eq!(db.execute(&q).unwrap_err(), unknown);
     assert_eq!(db.execute_row(&q).unwrap_err(), unknown);
 }
+
+// ---- Output binding: noise lands on the column it was computed for -----
+//
+// The analysis used to classify a pass-through root's columns in the
+// *inner* block's order and the mechanism zipped that onto the executed
+// result by position: `SELECT n, k FROM (SELECT … AS k, COUNT(*) AS n …)`
+// released the true counts and noised the labels. Both sides now bind the
+// SELECT list through `flex_db::bind`, layer by layer.
+
+const HISTOGRAM: &str = "SELECT city_id AS k, COUNT(*) AS n FROM trips GROUP BY city_id";
+
+/// Pass-through spellings over [`HISTOGRAM`], each with the result
+/// column its count ends up in (the other column is the label).
+fn reordered_histograms() -> Vec<(String, usize)> {
+    vec![
+        (format!("WITH a AS ({HISTOGRAM}) SELECT n, k FROM a"), 0),
+        (format!("SELECT n, k FROM ({HISTOGRAM}) a"), 0),
+        (
+            format!("SELECT k, n FROM (SELECT n, k FROM ({HISTOGRAM}) a) b"),
+            1,
+        ),
+        // Aliases that swap the names: `page` is now the count.
+        (
+            "SELECT x.c AS page, x.page AS c FROM \
+             (SELECT city_id AS page, COUNT(*) AS c FROM trips GROUP BY city_id) x"
+                .to_string(),
+            0,
+        ),
+        (
+            "SELECT x.* FROM \
+             (SELECT COUNT(*) AS n, city_id AS k FROM trips GROUP BY city_id) x"
+                .to_string(),
+            0,
+        ),
+    ]
+}
+
+/// `released` noises exactly column `count_col` of `truth` and passes the
+/// label through: 1000 trips over three cities are bins of 334/333/333.
+fn assert_noise_on_count_column(
+    sql: &str,
+    count_col: usize,
+    truth: &[Vec<Value>],
+    released: &[Vec<Value>],
+) {
+    let label_col = 1 - count_col;
+    assert_eq!(truth.len(), 3, "{sql}");
+    assert_eq!(released.len(), 3, "{sql}");
+    for (noised, truth) in released.iter().zip(truth) {
+        let count = truth[count_col].as_i64().unwrap();
+        assert!(count == 333 || count == 334, "{sql}: {truth:?}");
+        assert!(
+            (0..3).contains(&truth[label_col].as_i64().unwrap()),
+            "{sql}: {truth:?}"
+        );
+        assert_eq!(
+            noised[label_col], truth[label_col],
+            "{sql}: label was noised"
+        );
+        assert_ne!(
+            noised[count_col].as_f64(),
+            Some(count as f64),
+            "{sql}: released the true count"
+        );
+    }
+}
+
+#[test]
+fn reordered_pass_through_columns_keep_their_noise() {
+    use rand::SeedableRng;
+    let db = trips_and_cities();
+    let params = PrivacyParams::new(0.1, 1e-8).unwrap();
+    for (sql, count_col) in reordered_histograms() {
+        for seed in 0..20 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let r = run_sql(&db, &sql, params, &mut rng).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let noised: Vec<bool> = r.column_sensitivity.iter().map(Option::is_some).collect();
+            assert_eq!(noised, [count_col == 0, count_col == 1], "{sql}");
+            assert_noise_on_count_column(&sql, count_col, &r.true_rows, &r.rows);
+        }
+    }
+}
+
+/// The same through the front door: the service releases what
+/// `run_sql` would, so the true bins never reach an analyst.
+#[test]
+fn service_noises_the_count_of_a_reordered_pass_through() {
+    let db = std::sync::Arc::new(trips_and_cities());
+    let truth = db.execute_sql(HISTOGRAM).unwrap();
+    let svc = QueryService::new(db, ServiceConfig::default());
+    let params = PrivacyParams::new(0.1, 1e-8).unwrap();
+    let sql = format!("WITH a AS ({HISTOGRAM}) SELECT n, k FROM a");
+    let answer = svc.submit("alice", &sql, params).wait().unwrap();
+    assert_eq!(answer.columns, ["n", "k"]);
+    let swapped: Vec<Vec<Value>> = truth
+        .rows
+        .iter()
+        .map(|r| vec![r[1].clone(), r[0].clone()])
+        .collect();
+    assert_noise_on_count_column(&sql, 0, &swapped, &answer.rows);
+}
+
+/// Reordering the columns of a release reorders its cells and nothing
+/// else: the same seed draws the same noise for the same statistic.
+#[test]
+fn a_reordered_release_is_the_column_permutation_of_the_in_order_one() {
+    use rand::SeedableRng;
+    let db = trips_and_cities();
+    let params = PrivacyParams::new(0.1, 1e-8).unwrap();
+    let bits = |rows: &[Vec<Value>], cols: [usize; 2]| -> Vec<Vec<String>> {
+        rows.iter()
+            .map(|r| {
+                cols.iter()
+                    .map(|&c| match &r[c] {
+                        Value::Float(f) => format!("f{:016x}", f.to_bits()),
+                        v => v.to_string(),
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    for seed in 0..20 {
+        let run = |projection: &str| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let sql = format!("WITH a AS ({HISTOGRAM}) SELECT {projection} FROM a");
+            run_sql(&db, &sql, params, &mut rng).unwrap()
+        };
+        let (in_order, reordered) = (run("k, n"), run("n, k"));
+        assert_eq!(reordered.columns, ["n", "k"]);
+        assert_eq!(
+            bits(&reordered.rows, [0, 1]),
+            bits(&in_order.rows, [1, 0]),
+            "seed {seed}"
+        );
+    }
+}
