@@ -7,7 +7,7 @@
 //! service's noisy-answer cache hit, and the hot-path contention storms
 //! (`contention-*`, from `flex_bench::contention`: multi-threaded
 //! cache-hit and ledger-admission throughput over the sharded service)
-//! — and writes `BENCH_exec.json`. Three gates can fail the run (which
+//! — and writes `BENCH_exec.json`. Four gates can fail the run (which
 //! is what the CI `bench` job enforces on PRs):
 //!
 //! 1. the gated parallel scenarios must scale ≥ `SCALING_FLOOR`× over
@@ -23,7 +23,11 @@
 //!    run's median current/baseline ratio — the "machine factor" that
 //!    cancels out CI runners being faster or slower than the machine
 //!    that recorded the baseline. This normalized gate is what covers
-//!    the parallel scenarios' absolute medians across runner hardware.
+//!    the parallel scenarios' absolute medians across runner hardware;
+//! 4. `filter-count-canonical` — `pipeline_bench`'s filter-count shape
+//!    in the canonical form the service executes — must run within
+//!    `SPELLING_FACTOR`× of `filter-count-as-written` in the same run:
+//!    conjunct order is the planner's, so spelling must not show.
 //!
 //! Usage:
 //!   exec_bench [--quick] [--out PATH] [--baseline PATH] [--write-baseline]
@@ -40,7 +44,7 @@ use flex_core::{run_sql_with, FlexOptions, PrivacyParams};
 use flex_service::{
     Metric, MetricsReport, QueryService, QueryTrace, ServiceConfig, SlowQuery, Telemetry,
 };
-use flex_sql::parse_query;
+use flex_sql::{canonical_sql, parse_query};
 use flex_workloads::uber::{self, UberConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,6 +72,12 @@ const SCALING_FLOOR: f64 = 2.0;
 /// wobble around parity cannot flake CI; real regressions (a parallel
 /// path going materially slower than sequential) still trip it.
 const SORT_SCALING_FLOOR: f64 = 0.9;
+
+/// `filter-count-canonical` may take at most this many times
+/// `filter-count-as-written`'s median: the two spellings run one
+/// conjunct schedule, so what is left between them is noise (the sorted
+/// canonical order used to cost 1.8×).
+const SPELLING_FACTOR: f64 = 1.15;
 
 struct Args {
     quick: bool,
@@ -139,6 +149,15 @@ fn main() {
     // dashboard shape (bounded top-K heap, never materializes more than
     // k rows), `order-by` the full index sort + late materialization,
     // `distinct-scan` the typed-key dedupe.
+    //
+    // `filter-count-*` are `pipeline_bench`'s shape 0 as an analyst
+    // writes it and as the service executes it (`canonical_sql`: the
+    // conjuncts sorted by their printed text, string range first).
+    let filter_count = "SELECT COUNT(*) FROM trips WHERE city_id = 5 \
+                        AND trip_date BETWEEN '2016-03-01' AND '2016-03-30' \
+                        AND status = 'completed' AND fare > 12.34567";
+    let filter_count_canonical =
+        canonical_sql(&parse_query(filter_count).expect("benchmark SQL parses"));
     let sql_scenarios = [
         (
             "scan-filter-count",
@@ -193,6 +212,8 @@ fn main() {
             "distinct-scan",
             "SELECT DISTINCT city_id, status FROM trips",
         ),
+        ("filter-count-as-written", filter_count),
+        ("filter-count-canonical", filter_count_canonical.as_str()),
     ];
 
     // A real telemetry instance fed by the benchmark itself: every gated
@@ -431,6 +452,32 @@ fn main() {
             "runner has {available_cores} core(s) < {PARALLEL_WORKERS} workers: reporting \
              parallel scaling without enforcing the scaling floors"
         );
+    }
+
+    // Spelling gate, also within this run: the canonical form of the
+    // filter-count shape against the form an analyst writes.
+    {
+        let median = |name: &str| {
+            let entry = current.iter().find(|(n, _)| n == name);
+            entry
+                .and_then(|(_, e)| e.get("median_ns"))
+                .and_then(Value::as_f64)
+                .expect("filter-count scenario ran")
+        };
+        let ratio = median("filter-count-canonical") / median("filter-count-as-written");
+        if ratio > SPELLING_FACTOR {
+            eprintln!(
+                "REGRESSION GATE: `filter-count-canonical` takes {ratio:.2}x \
+                 `filter-count-as-written` (limit {SPELLING_FACTOR}x): conjunct spelling \
+                 decides execution time again"
+            );
+            failed = true;
+        } else {
+            eprintln!(
+                "gate ok: `filter-count-canonical` {ratio:.2}x of `filter-count-as-written` \
+                 (limit {SPELLING_FACTOR}x)"
+            );
+        }
     }
 
     // Contention scaling floors (cache-hit throughput at 4 and 16

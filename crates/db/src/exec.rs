@@ -29,7 +29,7 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
 use crate::morsel::Parallelism;
-use crate::plan::{JoinOrder, ResultSet};
+use crate::plan::{FilterOrder, JoinOrder, ResultSet};
 use crate::value::{Value, ValueKey};
 use crate::vexec::{self, VexecStats};
 use flex_sql::{Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
@@ -65,9 +65,9 @@ impl RouteDecision {
 pub struct ExecTrace {
     /// Vestigial (see [`RouteDecision`]): always `Vectorized`.
     pub route: RouteDecision,
-    /// Whether a SELECT block's `ORDER BY … LIMIT k` tail (a nested
-    /// block's included) was served from a bounded top-K heap instead of
-    /// a full sort. A set operation's own tail is not counted.
+    /// Whether an `ORDER BY … LIMIT k` tail — a SELECT block's (nested
+    /// blocks included) or a set operation's — was served from a bounded
+    /// top-K heap instead of a full sort.
     pub topk: bool,
     /// Scan morsels the base-table inputs split into (every leaf of a
     /// join, every arm of a set operation).
@@ -81,6 +81,10 @@ pub struct ExecTrace {
     /// Join order the tree executor chose — pure scheduling that never
     /// affects result bytes (empty for joinless queries).
     pub join_order: JoinOrder,
+    /// Conjunct schedules the planner chose for the WHERE predicates
+    /// and ON residuals — pure scheduling too (empty when no predicate
+    /// has two conjuncts).
+    pub filter_order: FilterOrder,
 }
 
 impl Default for ExecTrace {
@@ -95,12 +99,13 @@ impl Default for ExecTrace {
             rows_scanned: 0,
             rows_emitted: 0,
             join_order: JoinOrder::default(),
+            filter_order: FilterOrder::default(),
         }
     }
 }
 
 /// Like [`execute`], but also report how the query ran (top-K pushdown,
-/// morsel/worker/row statistics, join order). This is the executor's own
+/// morsel/worker/row statistics, join and conjunct order). This is the executor's own
 /// record, not a re-plan — callers that want telemetry (e.g. the query
 /// service) read it at zero extra cost. A `WITH` too large to expand is
 /// the expansion error with an all-zero trace.
@@ -117,6 +122,7 @@ pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>
         rows_scanned: stats.rows_scanned,
         rows_emitted: result.as_ref().map_or(0, |rs| rs.rows.len() as u64),
         join_order: stats.join_order,
+        filter_order: stats.filter_order,
     };
     (trace, result)
 }

@@ -75,7 +75,7 @@ pub use error::{DbError, Result};
 pub use exec::{ExecTrace, RouteDecision};
 pub use metrics::MetricsCatalog;
 pub use morsel::DEFAULT_MORSEL_ROWS;
-pub use plan::{JoinOrder, Relation, ResultSet};
+pub use plan::{FilterOrder, JoinOrder, Relation, ResultSet};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Row, Table};
 pub use value::{BorrowKey, RowKey, Value, ValueKey};

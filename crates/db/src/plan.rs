@@ -12,7 +12,8 @@
 //!   columnarized result, or — for a table-less `SELECT` — one row of
 //!   zero columns.
 //! - **Filter** — infallible kernel conjuncts narrowing a selection
-//!   vector over any node's output (pushed-down WHERE/ON kernels).
+//!   vector over any node's output (pushed-down WHERE/ON kernels), in
+//!   the planner's rank order, not the order they were spelled in.
 //! - **Join** — one binary join of the FROM tree (`JoinNode`): equi-key
 //!   hash join, or nested-loop for CROSS and non-equi joins, producing
 //!   `(left, right)` match index vectors, with matched-bit tracking for
@@ -72,10 +73,12 @@
 //! # Predicate placement rules
 //!
 //! Only **infallible kernel conjuncts** (`col op literal`, `IS NULL`,
-//! `LIKE` on a known-string column) are ever pushed or reordered; any
-//! fallible conjunct pins the whole predicate it belongs to at the point
-//! SQL evaluates it, so runtime errors surface from the same row at
-//! every worker count and on the oracle:
+//! `LIKE` on a known-string column) are ever pushed below a join, and
+//! only predicates made of **infallible conjuncts** are ever reordered
+//! (by the rule of the next section); any fallible conjunct pins the
+//! whole predicate it belongs to at the point SQL evaluates it, exactly
+//! as compiled, so runtime errors surface from the same row at every
+//! worker count and on the oracle:
 //!
 //! - An ON kernel on side `S` *drops* rows of `S` before the join —
 //!   unless the join keeps `S`'s unmatched rows (LEFT keeps left, RIGHT
@@ -91,6 +94,44 @@
 //!   pair set under a fallible residual could skip an error). Everything
 //!   else runs post-join, whole, on the scalar interpreter.
 //!
+//! # Conjunct order is scheduling, never semantics
+//!
+//! The order a predicate's conjuncts are *spelled* in is a property of
+//! the text — the service executes the canonical form, whose conjuncts
+//! are sorted by their printed SQL — and must not decide how long the
+//! query runs. So every compiled conjunct list (a single scan's WHERE, a
+//! join block's root WHERE, each join's ON residual) passes through one
+//! rule before anything consumes it: when **every** top-level AND
+//! conjunct is infallible — a comparison, `BETWEEN` or `IS [NOT] NULL`
+//! over column and literal operands, `[NOT] LIKE 'literal'` over a
+//! physically all-string column — the conjuncts run in ascending
+//!
+//! ```text
+//! rank = cost ÷ (1 − pass-rate)
+//! cost:       1 over Int64/Float64/Bool columns, 4 over Str/Mixed; ×2 for BETWEEN and LIKE
+//! pass-rate:  0.1  =, IS NULL        0.33  <, <=, >, >=      0.25  BETWEEN, LIKE
+//!             0.9  <>, IS NOT NULL   0.75  NOT BETWEEN, NOT LIKE
+//! ```
+//!
+//! (steps spent per row dropped: cheap and selective first), ties broken
+//! by a total order on what the conjunct computes — operator, then
+//! operands, with `5 < x` read as `x > 5` — so two spellings of one
+//! predicate run one chain. When any conjunct is fallible the predicate
+//! is left exactly as compiled. The lists a scheduled predicate is
+//! split into (per-side pushed kernels, post-join kernels) inherit the
+//! order; one that keeps a non-kernel conjunct is re-chained left-deep
+//! for the interpreter.
+//!
+//! Nothing observable moves: three-valued AND is commutative in truth
+//! value and a filter keeps exactly the rows where every conjunct is
+//! TRUE; nothing reordered can raise, so no error is skipped or
+//! introduced. The rank reads the query and each column's physical
+//! storage (`Phys`) and **no data statistic** — no value, count or
+//! null share — so the schedule is the same for every literal and
+//! opens no data-dependent timing channel beyond the row counts
+//! execution already has. It is recorded in [`FilterOrder`] and, like
+//! the join order, never bound into the release fingerprint.
+//!
 //! # Join order is scheduling, never semantics
 //!
 //! The executor picks the hash-build side per join with a greedy
@@ -102,13 +143,17 @@
 
 use crate::aggregate::AggSpec;
 use crate::bind::{self, resolve_column, split_join_constraint, ColMeta, Projected};
-use crate::column::{ColumnData, ColumnarTable};
+use crate::column::{Column, ColumnData, ColumnarTable};
 use crate::error::{DbError, Result};
 use crate::exec::{self, Exec, GroupCompiler, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
-use crate::vexec::{self, collect_conjuncts, side_kernel};
-use flex_sql::{visitor, ColumnRef, Expr, JoinType, OrderByItem, Query, Select, TableRef};
+use crate::value::Value;
+use crate::vexec::{self, side_kernel};
+use flex_sql::{
+    visitor, BinaryOperator, ColumnRef, Expr, JoinType, OrderByItem, Query, Select, TableRef,
+};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// The join-scheduling decisions one execution made, recorded in
@@ -146,6 +191,59 @@ impl JoinOrder {
             self.swapped |= child.swapped << self.joins;
         }
         self.joins = self.joins.saturating_add(child.joins);
+    }
+}
+
+/// The conjunct schedules one execution ran, recorded in
+/// [`crate::exec::ExecTrace`] next to [`JoinOrder`]. Pure observability:
+/// only predicates whose every conjunct is infallible are ever
+/// reordered, three-valued AND is commutative in truth value, and the
+/// rank reads the query and the physical column types alone — so this is
+/// never bound into the release fingerprint (module docs, "Conjunct
+/// order is scheduling, never semantics").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct FilterOrder {
+    /// Top-level AND conjuncts of every WHERE predicate and ON residual
+    /// that has at least two (a lone conjunct has no order), predicate
+    /// after predicate in the sequence they were planned — nested
+    /// executions first. Saturates at 255.
+    pub conjuncts: u8,
+    /// The first sixteen of them in the order they run, four bits each
+    /// from the low end: the position, as written within its own
+    /// predicate (equi-keys of an ON not counted), of the conjunct
+    /// scheduled there. A predicate with a fallible conjunct runs as
+    /// compiled and reads `0, 1, 2, …`. Positions past 15 read 15.
+    pub order: u64,
+}
+
+impl FilterOrder {
+    /// The recorded positions, in run order.
+    pub fn positions(&self) -> Vec<u8> {
+        (0..self.conjuncts.min(16))
+            .map(|k| (self.order >> (4 * k) & 0xF) as u8)
+            .collect()
+    }
+
+    /// Record one more predicate: `perm[k]` is the written position of
+    /// the conjunct that runs `k`-th.
+    fn push(&mut self, perm: impl ExactSizeIterator<Item = usize>) {
+        if perm.len() < 2 {
+            return;
+        }
+        for p in perm {
+            if self.conjuncts < 16 {
+                self.order |= (p.min(15) as u64) << (4 * self.conjuncts);
+            }
+            self.conjuncts = self.conjuncts.saturating_add(1);
+        }
+    }
+
+    /// Record a nested execution's predicates after this one's.
+    pub(crate) fn append(&mut self, child: FilterOrder) {
+        if self.conjuncts < 16 {
+            self.order |= child.order << (4 * self.conjuncts);
+        }
+        self.conjuncts = self.conjuncts.saturating_add(child.conjuncts);
     }
 }
 
@@ -296,7 +394,7 @@ pub(crate) fn plan_tree(
     from: &TableRef,
 ) -> Result<TreePlan> {
     let mut leaves = Vec::new();
-    let (node, cols, like_ok) = build_node(ex, from, &mut leaves)?;
+    let (node, cols, phys) = build_node(ex, from, &mut leaves)?;
     let PlanNode::Join(root) = node else {
         unreachable!("plan_tree is only called on a join FROM clause");
     };
@@ -304,22 +402,25 @@ pub(crate) fn plan_tree(
 
     // Root-level WHERE: all-kernel predicates split per side and push
     // below the root where the placement rules allow; anything else runs
-    // whole, post-join, on the interpreter.
+    // whole, post-join, on the interpreter. Either way an infallible
+    // predicate's conjuncts are scheduled first, so every list they land
+    // in is in rank order.
     let keep_l = keeps_unmatched(root.join_type, JoinSide::Left);
     let keep_r = keeps_unmatched(root.join_type, JoinSide::Right);
     let mut post_kernels = Vec::new();
     let mut post_filter = None;
     if let Some(pred) = &s.selection {
         let compiled = ex.compile_scalar(pred, &cols)?;
-        let mut conjuncts = Vec::new();
-        collect_conjuncts(&compiled, &mut conjuncts);
         // Pushing below the join is only sound when the root's own
         // residual is infallible (here: empty, i.e. fully kernelized).
         let push_ok = root.residual.is_empty();
-        let kernels: Option<Vec<_>> = conjuncts
-            .iter()
-            .map(|e| side_kernel(e, root.lw, &like_ok[..root.lw], &like_ok[root.lw..]))
-            .collect();
+        let scheduled = schedule_where(compiled, &|c| phys[c], &mut ex.stats.filter_order);
+        let kernels: Option<Vec<_>> = scheduled.as_ref().ok().and_then(|conjuncts| {
+            conjuncts
+                .iter()
+                .map(|e| side_kernel(e, root.lw, &phys[..root.lw], &phys[root.lw..]))
+                .collect()
+        });
         match kernels {
             Some(kernels) => {
                 for (side, k) in kernels {
@@ -335,7 +436,7 @@ pub(crate) fn plan_tree(
                     }
                 }
             }
-            None => post_filter = Some(compiled),
+            None => post_filter = Some(scheduled.map_or_else(|pinned| pinned, and_chain)),
         }
     }
 
@@ -376,13 +477,13 @@ pub(crate) fn keeps_unmatched(join_type: JoinType, side: JoinSide) -> bool {
 
 /// Recursively build the plan node for one FROM subtree, opening (and,
 /// for a derived table, executing) each leaf as the walk reaches it.
-/// Returns the node, its output scope, and a per-column "physically
-/// all-string" marker (`like_ok`) that gates LIKE kernels.
+/// Returns the node, its output scope, and each output column's physical
+/// storage ([`Phys`]), which ranks conjuncts and gates LIKE kernels.
 fn build_node(
     ex: &mut Exec<'_>,
     t: &TableRef,
     leaves: &mut Vec<Arc<ColumnarTable>>,
-) -> Result<(PlanNode, Vec<ColMeta>, Vec<bool>)> {
+) -> Result<(PlanNode, Vec<ColMeta>, Vec<Phys>)> {
     match t {
         TableRef::Join {
             left,
@@ -390,8 +491,8 @@ fn build_node(
             join_type,
             constraint,
         } => {
-            let (lnode, lcols, llike) = build_node(ex, left, leaves)?;
-            let (rnode, rcols, rlike) = build_node(ex, right, leaves)?;
+            let (lnode, lcols, mut phys) = build_node(ex, left, leaves)?;
+            let (rnode, rcols, rphys) = build_node(ex, right, leaves)?;
             let lw = lcols.len();
             let rw = rcols.len();
             // Equi-keys against this node's local scopes; what is left
@@ -399,10 +500,14 @@ fn build_node(
             let (key_pairs, on_rest) = split_join_constraint(&lcols, &rcols, constraint)?;
             let mut combined = lcols;
             combined.extend(rcols);
+            phys.extend(rphys);
             let mut residual = Vec::with_capacity(on_rest.len());
             for c in &on_rest {
                 residual.push(ex.compile_scalar(c, &combined)?);
             }
+            let written: Vec<&CompiledExpr> = residual.iter().collect();
+            let scheduled = schedule(&written, &|c| phys[c], &mut ex.stats.filter_order);
+            let residual = scheduled.unwrap_or(residual);
 
             let mut node = JoinNode {
                 left: lnode,
@@ -419,13 +524,14 @@ fn build_node(
                 live_cols: Vec::new(),
             };
 
-            // ON residual: push only when *every* conjunct has a kernel —
-            // a fallible conjunct must keep seeing the full candidate
-            // pair set, in ON order. (An empty residual collects to
+            // ON residual (scheduled above when infallible): push only
+            // when *every* conjunct has a kernel — a fallible conjunct
+            // must keep seeing the full candidate pair set, in ON order.
+            // (An empty residual collects to
             // `Some(vec![])`, covering the pure-equi/CROSS cases.)
             let kernels: Option<Vec<_>> = residual
                 .iter()
-                .map(|e| side_kernel(e, lw, &llike, &rlike))
+                .map(|e| side_kernel(e, lw, &phys[..lw], &phys[lw..]))
                 .collect();
             match kernels {
                 Some(kernels) => {
@@ -445,19 +551,13 @@ fn build_node(
                 None => node.residual = residual,
             }
 
-            let mut like_ok = llike;
-            like_ok.extend(rlike);
-            Ok((PlanNode::Join(Box::new(node)), combined, like_ok))
+            Ok((PlanNode::Join(Box::new(node)), combined, phys))
         }
         leaf => {
             let (ctab, cols) = vexec::open_scan(ex, leaf)?;
-            let like_ok = ctab
-                .columns
-                .iter()
-                .map(|c| matches!(c.data, ColumnData::Str(_)))
-                .collect();
+            let phys = ctab.columns.iter().map(Phys::of).collect();
             leaves.push(ctab);
-            Ok((PlanNode::Scan(leaves.len() - 1), cols, like_ok))
+            Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
         }
     }
 }
@@ -497,6 +597,222 @@ fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
     if let PlanNode::Join(child) = &mut node.right {
         assign_liveness(child, rneed);
     }
+}
+
+// ---- conjunct scheduling ---------------------------------------------------
+
+/// How a column is physically stored — all the scheduling rule (and the
+/// LIKE gate) reads of it. Never a value, a count or a null share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phys {
+    /// `Int64`, `Float64`, `Bool`: a comparison costs one step.
+    Fixed,
+    /// All strings: four steps a comparison, and the only columns
+    /// `LIKE` cannot fail on.
+    Str,
+    /// `Value`s of several types: four steps a comparison.
+    Mixed,
+}
+
+impl Phys {
+    pub(crate) fn of(col: &Column) -> Phys {
+        match col.data {
+            ColumnData::Str(_) => Phys::Str,
+            ColumnData::Mixed(_) => Phys::Mixed,
+            _ => Phys::Fixed,
+        }
+    }
+}
+
+/// One operand of an infallible conjunct: a column or a literal.
+#[derive(Clone, Copy)]
+enum Leaf<'e> {
+    Col(usize),
+    Lit(&'e Value),
+}
+
+impl<'e> Leaf<'e> {
+    fn of(e: &'e CompiledExpr) -> Option<Leaf<'e>> {
+        match e {
+            CompiledExpr::Column(c) => Some(Leaf::Col(*c)),
+            CompiledExpr::Literal(v) => Some(Leaf::Lit(v)),
+            _ => None,
+        }
+    }
+
+    /// Columns by index, then literals by [`Value::total_cmp`].
+    fn cmp(&self, other: &Leaf<'_>) -> Ordering {
+        match (self, other) {
+            (Leaf::Col(a), Leaf::Col(b)) => a.cmp(b),
+            (Leaf::Lit(a), Leaf::Lit(b)) => a.total_cmp(b),
+            (Leaf::Col(_), Leaf::Lit(_)) => Ordering::Less,
+            (Leaf::Lit(_), Leaf::Col(_)) => Ordering::Greater,
+        }
+    }
+}
+
+/// Where an infallible conjunct sorts in its predicate: by rank, then by
+/// a total order on what it computes, so two spellings of one predicate
+/// run one chain.
+struct Slot<'e> {
+    /// Estimated steps per row it drops: `cost ÷ (1 − pass-rate)`.
+    rank: f64,
+    /// Operator (after operand normalization), or the shape and its
+    /// negation.
+    shape: u8,
+    leaves: [Option<Leaf<'e>>; 3],
+}
+
+impl Slot<'_> {
+    /// The rank table. `None` when `e` can raise: anything but a
+    /// comparison, `BETWEEN` or `IS [NOT] NULL` over column and literal
+    /// operands, or `[NOT] LIKE 'literal'` over an all-string column.
+    fn of<'e>(e: &'e CompiledExpr, phys: &dyn Fn(usize) -> Phys) -> Option<Slot<'e>> {
+        const BETWEEN: u8 = 32;
+        const IS_NULL: u8 = 34;
+        const LIKE: u8 = 36;
+        let (shape, pass, steps, leaves) = match e {
+            CompiledExpr::Binary { op, left, right } if op.is_comparison() => {
+                // `5 < fare` is `fare > 5`, and `u.a <> t.a` is `t.a <> u.a`.
+                let (mut l, mut r, mut op) = (Leaf::of(left)?, Leaf::of(right)?, *op);
+                if l.cmp(&r).is_gt() {
+                    (l, r, op) = (r, l, vexec::flip(op));
+                }
+                let pass = match op {
+                    BinaryOperator::Eq => 0.1,
+                    BinaryOperator::NotEq => 0.9,
+                    _ => 0.33,
+                };
+                (op as u8, pass, 1.0, [Some(l), Some(r), None])
+            }
+            CompiledExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => (
+                BETWEEN + u8::from(*negated),
+                if *negated { 0.75 } else { 0.25 },
+                2.0,
+                [
+                    Some(Leaf::of(expr)?),
+                    Some(Leaf::of(low)?),
+                    Some(Leaf::of(high)?),
+                ],
+            ),
+            CompiledExpr::IsNull { expr, negated } => (
+                IS_NULL + u8::from(*negated),
+                if *negated { 0.9 } else { 0.1 },
+                1.0,
+                [Some(Leaf::of(expr)?), None, None],
+            ),
+            CompiledExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                let (l, p) = (Leaf::of(expr)?, Leaf::of(pattern)?);
+                match (l, p) {
+                    (Leaf::Col(c), Leaf::Lit(Value::Str(_))) if phys(c) == Phys::Str => {}
+                    _ => return None,
+                }
+                (
+                    LIKE + u8::from(*negated),
+                    if *negated { 0.75 } else { 0.25 },
+                    2.0,
+                    [Some(l), Some(p), None],
+                )
+            }
+            _ => return None,
+        };
+        let wide = leaves
+            .iter()
+            .flatten()
+            .any(|l| matches!(l, Leaf::Col(c) if phys(*c) != Phys::Fixed));
+        let cost = if wide { 4.0 } else { 1.0 } * steps;
+        Some(Slot {
+            rank: cost / (1.0 - pass),
+            shape,
+            leaves,
+        })
+    }
+
+    fn cmp(&self, other: &Slot<'_>) -> Ordering {
+        self.rank
+            .total_cmp(&other.rank)
+            .then(self.shape.cmp(&other.shape))
+            .then_with(|| {
+                // Equal shapes have equally many operands.
+                let pairs = self
+                    .leaves
+                    .iter()
+                    .flatten()
+                    .zip(other.leaves.iter().flatten());
+                pairs
+                    .map(|(a, b)| a.cmp(b))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+    }
+}
+
+/// The scheduling rule over one predicate's top-level AND conjuncts,
+/// recorded in `order`. When every conjunct is infallible: the conjuncts
+/// in the order they will run, ascending by [`Slot`] (stable, so
+/// conjuncts that compute the same thing keep their written order). When
+/// any can raise: `None` — the predicate runs exactly as compiled.
+fn schedule(
+    conjuncts: &[&CompiledExpr],
+    phys: &dyn Fn(usize) -> Phys,
+    order: &mut FilterOrder,
+) -> Option<Vec<CompiledExpr>> {
+    let slots: Option<Vec<Slot<'_>>> = conjuncts.iter().map(|c| Slot::of(c, phys)).collect();
+    let Some(slots) = slots else {
+        order.push(0..conjuncts.len());
+        return None;
+    };
+    let mut perm: Vec<usize> = (0..slots.len()).collect();
+    perm.sort_by(|&a, &b| slots[a].cmp(&slots[b]));
+    order.push(perm.iter().copied());
+    Some(perm.iter().map(|&i| conjuncts[i].clone()).collect())
+}
+
+/// Schedule a compiled WHERE predicate: its conjuncts in run order, or —
+/// one of them fallible — the predicate back, untouched.
+pub(crate) fn schedule_where(
+    pred: CompiledExpr,
+    phys: &dyn Fn(usize) -> Phys,
+    order: &mut FilterOrder,
+) -> std::result::Result<Vec<CompiledExpr>, CompiledExpr> {
+    let mut conjuncts = Vec::new();
+    collect_conjuncts(&pred, &mut conjuncts);
+    schedule(&conjuncts, phys, order).ok_or(pred)
+}
+
+fn collect_conjuncts<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e CompiledExpr>) {
+    match e {
+        CompiledExpr::Binary {
+            op: BinaryOperator::And,
+            left,
+            right,
+        } => {
+            collect_conjuncts(left, out);
+            collect_conjuncts(right, out);
+        }
+        e => out.push(e),
+    }
+}
+
+/// Scheduled conjuncts as the left-deep AND chain the interpreter runs.
+pub(crate) fn and_chain(conjuncts: Vec<CompiledExpr>) -> CompiledExpr {
+    conjuncts
+        .into_iter()
+        .reduce(|chain, next| CompiledExpr::Binary {
+            op: BinaryOperator::And,
+            left: Box::new(chain),
+            right: Box::new(next),
+        })
+        .expect("a predicate has a conjunct")
 }
 
 // ---- physical plans for the block tails -----------------------------------
@@ -828,6 +1144,29 @@ mod tests {
                 "{tail}"
             );
         }
+    }
+
+    /// Predicates pack four bits a conjunct, in sequence; a lone conjunct
+    /// is not a schedule; the seventeenth conjunct on is counted only.
+    #[test]
+    fn filter_order_packs_predicates_in_sequence() {
+        let mut child = FilterOrder::default();
+        child.push([2, 0, 1].into_iter());
+        assert_eq!((child.conjuncts, child.order), (3, 0x102));
+        let mut order = FilterOrder::default();
+        order.push([0].into_iter());
+        assert_eq!(order, FilterOrder::default());
+        order.push([1, 0].into_iter());
+        order.append(child);
+        assert_eq!(order.positions(), [1, 0, 2, 0, 1]);
+        order.push((0..20).rev());
+        assert_eq!(order.conjuncts, 25);
+        assert_eq!(
+            order.positions(),
+            [1, 0, 2, 0, 1, 15, 15, 15, 15, 15, 14, 13, 12, 11, 10, 9]
+        );
+        order.append(child);
+        assert_eq!((order.conjuncts, order.positions().len()), (28, 16));
     }
 
     #[test]

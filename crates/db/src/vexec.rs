@@ -42,10 +42,13 @@
 //! query asks for it:
 //!
 //! - **Filter**: WHERE conjuncts that all have a kernel narrow the
-//!   selection one at a time; one conjunct without a kernel (arbitrary
-//!   CASE or arithmetic) sends the whole predicate to the scalar
-//!   interpreter over scratch rows gathered from only the referenced
-//!   columns, preserving short-circuit and error semantics.
+//!   selection one at a time; one conjunct without a kernel (`BETWEEN`,
+//!   arbitrary CASE or arithmetic) sends the whole predicate to the
+//!   scalar interpreter over scratch rows gathered from only the
+//!   referenced columns. Infallible conjuncts run in the planner's rank
+//!   order either way ([`crate::plan`], "Conjunct order is scheduling");
+//!   a fallible one pins the predicate as compiled, preserving
+//!   short-circuit and error semantics.
 //! - **Project** (`project`) is where every computed expression runs —
 //!   group keys, aggregate arguments, HAVING, computed SELECT items and
 //!   sort keys: an optional predicate and a list of compiled expressions
@@ -113,8 +116,8 @@ use crate::exec::{self, Exec};
 use crate::expr::{like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, GroupedPlan, JoinNode, JoinOrder, JoinSide, PlanNode, Relation, ResultSet, TailItem,
-    TailPlan,
+    self, FilterOrder, GroupedPlan, JoinNode, JoinOrder, JoinSide, Phys, PlanNode, Relation,
+    ResultSet, TailItem, TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
@@ -129,8 +132,9 @@ use std::sync::Arc;
 /// payload of [`crate::exec::ExecTrace`], nested executions included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct VexecStats {
-    /// Whether a SELECT block's `ORDER BY … LIMIT` tail ran as a bounded
-    /// top-K selection instead of a full sort.
+    /// Whether an `ORDER BY … LIMIT` tail — a SELECT block's or a set
+    /// operation's — ran as a bounded top-K selection instead of a full
+    /// sort.
     pub topk: bool,
     /// Scan morsels the base-table inputs split into.
     pub morsels: u64,
@@ -142,6 +146,9 @@ pub(crate) struct VexecStats {
     /// Join order the tree executor chose (pure scheduling — never
     /// affects result bytes; see [`JoinOrder`]).
     pub join_order: JoinOrder,
+    /// Conjunct schedules the planner chose (pure scheduling too; see
+    /// [`FilterOrder`]).
+    pub filter_order: FilterOrder,
 }
 
 impl Default for VexecStats {
@@ -152,6 +159,7 @@ impl Default for VexecStats {
             workers: 1,
             rows_scanned: 0,
             join_order: JoinOrder::default(),
+            filter_order: FilterOrder::default(),
         }
     }
 }
@@ -159,13 +167,14 @@ impl Default for VexecStats {
 impl VexecStats {
     /// Fold a nested execution — a derived table, a set-op arm, an
     /// expression subquery — into this one: its scans are this query's
-    /// scans, its joins precede this query's own.
+    /// scans, its joins and predicates precede this query's own.
     pub(crate) fn absorb(&mut self, child: VexecStats) {
         self.topk |= child.topk;
         self.morsels += child.morsels;
         self.rows_scanned += child.rows_scanned;
         self.workers = self.workers.max(child.workers);
         self.join_order.append(child.join_order);
+        self.filter_order.append(child.filter_order);
     }
 
     /// Record that a `len`-row input is about to be scanned: it may
@@ -264,7 +273,7 @@ fn run_block(
     let sel = match &s.selection {
         Some(pred) => {
             let compiled = ex.compile_scalar(pred, &cols)?;
-            filter(ctab, &compiled, ex.par)?
+            filter(ctab, compiled, ex.par, &mut ex.stats.filter_order)?
         }
         None => (0..ctab.len() as u32).collect(),
     };
@@ -749,33 +758,42 @@ where
 /// Scan the table for the rows where `pred` is TRUE (SQL filter
 /// semantics: NULL drops).
 ///
-/// When every top-level AND conjunct has a kernel, conjuncts narrow the
-/// selection one at a time, so later conjuncts only touch surviving
-/// rows. That reordering is only sound because kernels are infallible:
-/// the oracle keeps evaluating later conjuncts on rows where an
-/// earlier one was NULL (AND short-circuits on FALSE only), so skipping
-/// those rows may skip a runtime *error* the oracle would report.
-/// Any conjunct without a kernel therefore sends the whole predicate to
-/// the scalar interpreter, which preserves short-circuit and error
-/// behavior exactly.
+/// A predicate whose every top-level AND conjunct is infallible runs in
+/// the planner's schedule ([`plan::schedule_where`]), not in the order it
+/// was spelled. When every conjunct also has a kernel, conjuncts narrow
+/// the selection one at a time, so later conjuncts only touch surviving
+/// rows; otherwise the scheduled chain goes to the scalar interpreter.
+/// Both are only sound because nothing reordered can raise: the oracle
+/// keeps evaluating later conjuncts on rows where an earlier one was
+/// NULL (AND short-circuits on FALSE only), so skipping those rows may
+/// skip a runtime *error* the oracle would report. Any fallible conjunct
+/// therefore sends the whole predicate, exactly as compiled, to the
+/// scalar interpreter, which preserves short-circuit and error behavior.
 ///
 /// Each morsel of the table narrows independently (kernels and the
 /// scalar interpreter are both per-row) and the surviving indices
 /// concatenate in morsel order, so the first error in row order is the
 /// one that surfaces.
-fn filter(ctab: &ColumnarTable, pred: &CompiledExpr, par: Parallelism) -> Result<Vec<u32>> {
-    let mut conjuncts = Vec::new();
-    collect_conjuncts(pred, &mut conjuncts);
-    let is_str = |c: usize| matches!(ctab.columns[c].data, ColumnData::Str(_));
-    if conjuncts.iter().all(|c| kernel_shape(c, &is_str)) {
-        return Ok(kernel_scan(ctab, &conjuncts, par));
-    }
-    morsel::try_run_concat(ctab.len(), par, |r| generic_filter_chunk(ctab, pred, r))
+fn filter(
+    ctab: &ColumnarTable,
+    pred: CompiledExpr,
+    par: Parallelism,
+    order: &mut FilterOrder,
+) -> Result<Vec<u32>> {
+    let phys = |c: usize| Phys::of(&ctab.columns[c]);
+    let pred = match plan::schedule_where(pred, &phys, order) {
+        Ok(conjuncts) if conjuncts.iter().all(|c| kernel_shape(c, &phys)) => {
+            return Ok(kernel_scan(ctab, &conjuncts, par));
+        }
+        Ok(conjuncts) => plan::and_chain(conjuncts),
+        Err(pinned) => pinned,
+    };
+    morsel::try_run_concat(ctab.len(), par, |r| generic_filter_chunk(ctab, &pred, r))
 }
 
 /// Narrow a full-table scan by a list of kernel conjuncts (the identity
 /// selection when there are none), morsel by morsel.
-fn kernel_scan(tab: &ColumnarTable, kernels: &[&CompiledExpr], par: Parallelism) -> Vec<u32> {
+fn kernel_scan(tab: &ColumnarTable, kernels: &[CompiledExpr], par: Parallelism) -> Vec<u32> {
     if kernels.is_empty() {
         return (0..tab.len() as u32).collect();
     }
@@ -784,16 +802,10 @@ fn kernel_scan(tab: &ColumnarTable, kernels: &[&CompiledExpr], par: Parallelism)
     })
 }
 
-/// A planned kernel list as the conjunct list [`kernel_scan`] and
-/// [`narrow_by_kernels`] take (WHERE conjuncts arrive borrowed).
-fn kernel_refs(kernels: &[CompiledExpr]) -> Vec<&CompiledExpr> {
-    kernels.iter().collect()
-}
-
 /// Apply every kernel conjunct in order to one selection.
 fn narrow_by_kernels(
     ctab: &ColumnarTable,
-    conjuncts: &[&CompiledExpr],
+    conjuncts: &[CompiledExpr],
     mut sel: Vec<u32>,
 ) -> Vec<u32> {
     for c in conjuncts {
@@ -807,10 +819,10 @@ fn narrow_by_kernels(
 
 /// Does this conjunct have an infallible columnar kernel? The one shape
 /// matcher: `column op literal`, `column IS [NOT] NULL`, and `column
-/// [NOT] LIKE 'literal'` where `like_ok` admits the column — LIKE can
-/// only error on non-string values, so its kernel (and its
-/// infallibility) requires a physically all-string column.
-fn kernel_shape(e: &CompiledExpr, like_ok: &dyn Fn(usize) -> bool) -> bool {
+/// [NOT] LIKE 'literal'` over a [`Phys::Str`] column — LIKE can only
+/// error on non-string values, so its kernel (and its infallibility)
+/// requires a physically all-string column.
+fn kernel_shape(e: &CompiledExpr, phys: &dyn Fn(usize) -> Phys) -> bool {
     match e {
         CompiledExpr::Binary { op, left, right } if op.is_comparison() => matches!(
             (&**left, &**right),
@@ -819,24 +831,12 @@ fn kernel_shape(e: &CompiledExpr, like_ok: &dyn Fn(usize) -> bool) -> bool {
         ),
         CompiledExpr::IsNull { expr, .. } => matches!(&**expr, CompiledExpr::Column(_)),
         CompiledExpr::Like { expr, pattern, .. } => match (&**expr, &**pattern) {
-            (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(_))) => like_ok(*c),
+            (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(_))) => {
+                phys(*c) == Phys::Str
+            }
             _ => false,
         },
         _ => false,
-    }
-}
-
-pub(crate) fn collect_conjuncts<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e CompiledExpr>) {
-    if let CompiledExpr::Binary {
-        op: BinaryOperator::And,
-        left,
-        right,
-    } = e
-    {
-        collect_conjuncts(left, out);
-        collect_conjuncts(right, out);
-    } else {
-        out.push(e);
     }
 }
 
@@ -928,7 +928,7 @@ fn generic_filter_chunk(
 }
 
 /// Mirror a comparison so `lit op col` becomes `col op' lit`.
-fn flip(op: BinaryOperator) -> BinaryOperator {
+pub(crate) fn flip(op: BinaryOperator) -> BinaryOperator {
     match op {
         BinaryOperator::Lt => BinaryOperator::Gt,
         BinaryOperator::Gt => BinaryOperator::Lt,
@@ -944,25 +944,23 @@ fn flip(op: BinaryOperator) -> BinaryOperator {
 /// is a single-side kernel-shaped conjunct, return its side and the
 /// kernel rebased to that side's local column indices; else `None`.
 ///
-/// `l_like` / `r_like` say, per side-local column, whether a `LIKE`
-/// kernel may run on it (physically `Str` columns only — the shape-only
-/// check the planner needs, since derived-table leaves have no
-/// plan-time column types and pass all-`false` slices).
+/// `l_phys` / `r_phys` give each side-local column's physical storage
+/// (a `LIKE` kernel may run on `Str` columns only).
 pub(crate) fn side_kernel(
     e: &CompiledExpr,
     lw: usize,
-    l_like: &[bool],
-    r_like: &[bool],
+    l_phys: &[Phys],
+    r_phys: &[Phys],
 ) -> Option<(JoinSide, CompiledExpr)> {
     // Kernel shapes reference exactly one column, which pins the side.
     let mut cols = Vec::new();
     e.for_each_column(&mut |i| cols.push(i));
     let [c] = cols[..] else { return None };
     if c < lw {
-        kernel_shape(e, &|c| l_like[c]).then(|| (JoinSide::Left, e.clone()))
+        kernel_shape(e, &|c| l_phys[c]).then(|| (JoinSide::Left, e.clone()))
     } else {
         let rebased = rebase_kernel_shape(e, lw)?;
-        kernel_shape(&rebased, &|c| r_like[c]).then_some((JoinSide::Right, rebased))
+        kernel_shape(&rebased, &|c| r_phys[c]).then_some((JoinSide::Right, rebased))
     }
 }
 
@@ -1332,10 +1330,9 @@ impl TreeExec<'_> {
         // kernels (sound on a side only when it keeps no pads), then the
         // match-only kernels (ON conjuncts on a pad-keeping right side:
         // failing rows cannot match but still pad).
-        let lsel = kernel_scan(&ltab, &kernel_refs(&node.left_kernels), par);
-        let rsel = kernel_scan(&rtab, &kernel_refs(&node.right_kernels), par);
-        let rmatch =
-            narrow_by_kernels(&rtab, &kernel_refs(&node.right_match_kernels), rsel.clone());
+        let lsel = kernel_scan(&ltab, &node.left_kernels, par);
+        let rsel = kernel_scan(&rtab, &node.right_kernels, par);
+        let rmatch = narrow_by_kernels(&rtab, &node.right_match_kernels, rsel.clone());
 
         // Greedy smallest-estimated-input-first: build on the smaller
         // (already kernel-narrowed) input. Only pure INNER equi-joins
@@ -1567,10 +1564,10 @@ fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
         .map(|col| TailCol { col, sel: None })
         .collect();
     let idx = set_op_indices(&q.body, &ranges, &mut next_arm, &cols);
-    // `ExecTrace::topk` counts SELECT-block tails (nested executions
-    // included); a set operation's own tail is not one of them.
-    let mut uncounted = false;
-    Ok(run_tail(&ctab, &idx, &[], &tail, ex.par, &mut uncounted).into())
+    // The set operation's own `ORDER BY … LIMIT` is a tail like any
+    // block's: a bounded top-K here is reported in `ExecTrace::topk`.
+    let par = ex.par;
+    Ok(run_tail(&ctab, &idx, &[], &tail, par, &mut ex.stats.topk).into())
 }
 
 /// Execute the SELECT arms of a set-op tree depth-first, left before

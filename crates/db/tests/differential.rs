@@ -1057,10 +1057,10 @@ fn exec_trace_reports_topk_pushdown() {
     // LIMIT covering the whole input: nothing to bound.
     let t = case("SELECT a FROM t ORDER BY a LIMIT 500");
     assert!(!t.topk, "covering LIMIT is not a hit: {t:?}");
-    // A set operation's own tail is a full sort over its output…
+    // A set operation's own tail is a tail like any other…
     let t = case("SELECT a FROM t INTERSECT SELECT d FROM t ORDER BY 1 LIMIT 3");
-    assert!(!t.topk, "set-op tails do not push down: {t:?}");
-    // …but a nested execution's pushdown is part of the query's trace.
+    assert!(t.topk, "set-op tails push down too: {t:?}");
+    // …and a nested execution's pushdown is part of the query's trace.
     let t = case("SELECT COUNT(*) FROM (SELECT a FROM t ORDER BY b DESC LIMIT 3) s");
     assert!(t.topk, "a derived table's top-K counts: {t:?}");
 }
@@ -2276,4 +2276,209 @@ fn join_order_by_unprojected_and_late_materialization() {
     );
     assert_eq!(rs.rows.len(), 5);
     assert_eq!(rs.rows[0], vec![Value::str("a")]); // w=10 first
+}
+
+// ---- conjunct order is scheduling, never spelling ---------------------------
+
+/// `t` (48 rows) and `r` (12 rows) for the scheduling tests. With
+/// `nulls`, every column of both loses between a fifth and a half of its
+/// values, each on a stride of its own, so every conjunct meets NULLs
+/// where its neighbours are TRUE and FALSE.
+fn schedule_db(nulls: bool) -> Database {
+    let gap = |i: usize, every: usize, v: Value| {
+        if nulls && i % every == every - 1 {
+            Value::Null
+        } else {
+            v
+        }
+    };
+    let letter = |i: usize| Value::str(["a", "b", "c", "d", "e"][i % 5]);
+    let mut db = build_db(
+        (0..48)
+            .map(|i| {
+                (
+                    gap(i, 3, Value::Int(i as i64 % 4 + 1)),
+                    gap(i, 4, Value::Float((i % 8) as f64 * 0.25)),
+                    gap(i, 5, letter(i)),
+                    gap(i, 2, Value::Int(i as i64 % 3)),
+                )
+            })
+            .collect(),
+    );
+    add_r(
+        &mut db,
+        (0..12)
+            .map(|j| {
+                (
+                    gap(j, 4, Value::Int(j as i64 % 4 + 1)),
+                    gap(j, 3, Value::Int(j as i64 % 3)),
+                    gap(j, 5, letter(j)),
+                )
+            })
+            .collect(),
+    );
+    db
+}
+
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for shorter in permutations(n - 1) {
+        for at in 0..n {
+            let mut p = shorter.clone();
+            p.insert(at, n - 1);
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// The conjuncts of `trace`'s one recorded predicate in the order they
+/// ran, as indices into the spelled order `written`.
+fn resolved_chain(trace: &flex_db::ExecTrace, written: &[usize]) -> Vec<usize> {
+    let positions = trace.filter_order.positions();
+    assert_eq!(positions.len(), written.len(), "one predicate recorded");
+    positions.iter().map(|&p| written[p as usize]).collect()
+}
+
+/// The four `pipeline_bench` shapes over `t` and `r` (filter count,
+/// histogram over a join, two-way join count with every conjunct pushed,
+/// three-way `COUNT(DISTINCT)` with a cross-side `<>`), and a fifth over
+/// the NULL-heavy tables with `IS NOT NULL` and `LIKE` in the mix. Every
+/// permutation of the WHERE conjuncts, in every combination of `col op
+/// lit` / `lit op col` spellings, returns the oracle's rows and runs the
+/// same chain of conjuncts, at 1, 2 and 8 workers.
+#[test]
+fn where_spelling_never_changes_rows_or_schedule() {
+    type Shape = (
+        bool,
+        &'static str,
+        &'static [&'static [&'static str]],
+        &'static str,
+    );
+    let shapes: [Shape; 5] = [
+        (
+            false,
+            "SELECT COUNT(*) FROM t",
+            &[
+                &["d = 1", "1 = d"],
+                &["c BETWEEN 'a' AND 'd'"],
+                &["c = 'b'", "'b' = c"],
+                &["b > 0.3", "0.3 < b"],
+            ],
+            "",
+        ),
+        (
+            false,
+            "SELECT y.u, COUNT(*) FROM t x JOIN r y ON x.a = y.a",
+            &[&["x.c BETWEEN 'a' AND 'd'"], &["x.b > 0.3", "0.3 < x.b"]],
+            " GROUP BY y.u",
+        ),
+        (
+            false,
+            "SELECT COUNT(*) FROM t x JOIN r y ON x.a = y.a",
+            &[
+                &["y.w = 1", "1 = y.w"],
+                &["y.u = 'b'", "'b' = y.u"],
+                &["x.c = 'b'", "'b' = x.c"],
+                &["x.b > 0.3", "0.3 < x.b"],
+            ],
+            "",
+        ),
+        (
+            false,
+            "SELECT COUNT(DISTINCT y.w) FROM t x JOIN r y ON x.a = y.a JOIN r z ON x.d = z.w",
+            &[
+                &["z.u = 'a'", "'a' = z.u"],
+                &["x.c = 'b'", "'b' = x.c"],
+                &["y.w <> x.d", "x.d <> y.w"],
+                &["x.b > 0.3", "0.3 < x.b"],
+            ],
+            "",
+        ),
+        (
+            true,
+            "SELECT a, d FROM t",
+            &[
+                &["a >= 2", "2 <= a"],
+                &["b < 1.5", "1.5 > b"],
+                &["c BETWEEN 'a' AND 'd'"],
+                &["d IS NOT NULL"],
+                &["c NOT LIKE 'c%'"],
+            ],
+            "",
+        ),
+    ];
+    for (nulls, head, conjuncts, tail) in shapes {
+        let db = schedule_db(nulls);
+        let mut reference: Option<(ResultSet, Vec<usize>)> = None;
+        for written in permutations(conjuncts.len()) {
+            let spellings: usize = conjuncts.iter().map(|c| c.len()).product();
+            for mut pick in 0..spellings {
+                let spelled: Vec<&str> = written
+                    .iter()
+                    .map(|&id| {
+                        let choices = conjuncts[id];
+                        let s = choices[pick % choices.len()];
+                        pick /= choices.len();
+                        s
+                    })
+                    .collect();
+                let sql = format!("{head} WHERE {}{tail}", spelled.join(" AND "));
+                let q = parse_query(&sql).unwrap();
+                let oracle = db.execute_row(&q).unwrap();
+                for workers in [1, 2, 8] {
+                    db.set_parallelism(workers);
+                    let (trace, rows) = db.execute_traced(&q);
+                    let rows = rows.unwrap();
+                    assert_eq!(rows, oracle, "{sql} (workers={workers})");
+                    let chain = resolved_chain(&trace, &written);
+                    let (rows0, chain0) = reference.get_or_insert((rows.clone(), chain.clone()));
+                    assert_eq!(&rows, rows0, "{sql} (workers={workers})");
+                    assert_eq!(&chain, chain0, "{sql} (workers={workers})");
+                }
+            }
+        }
+        // The rank table, pinned once: the Int `=`, the Float range, the
+        // Str `=`, then the Str BETWEEN.
+        if head == "SELECT COUNT(*) FROM t" {
+            assert_eq!(reference.unwrap().1, [0, 3, 2, 1]);
+        }
+    }
+}
+
+/// One conjunct that can raise pins its whole predicate: wherever
+/// `CAST(c AS INT) = 1` or a `LIKE` over the Int column sits among
+/// infallible conjuncts — in a single-scan WHERE, a join's WHERE or an ON
+/// residual — the recorded schedule is the written order and the outcome
+/// (the error, when a row reaches it) is the oracle's, at every worker
+/// count.
+#[test]
+fn a_fallible_conjunct_pins_the_predicate_as_written() {
+    let db = schedule_db(true);
+    let infallible = ["x.c BETWEEN 'a' AND 'd'", "x.d = 1", "x.b > 0.3"];
+    for fallible in ["CAST(x.c AS INT) = 1", "x.a LIKE '1%'"] {
+        for at in 0..=infallible.len() {
+            let mut conjuncts = infallible.to_vec();
+            conjuncts.insert(at, fallible);
+            let pred = conjuncts.join(" AND ");
+            for sql in [
+                format!("SELECT COUNT(*) FROM t x WHERE {pred}"),
+                format!("SELECT COUNT(*) FROM t x JOIN r y ON x.a = y.a WHERE {pred}"),
+                format!("SELECT COUNT(*) FROM t x JOIN r y ON x.a = y.a AND {pred}"),
+                format!("SELECT COUNT(*) FROM t x LEFT JOIN r y ON x.a = y.a AND {pred}"),
+            ] {
+                let q = parse_query(&sql).unwrap();
+                for workers in [1, 2, 8] {
+                    db.set_parallelism(workers);
+                    let (trace, result) = db.execute_traced(&q);
+                    assert_eq!(trace.filter_order.positions(), [0, 1, 2, 3], "{sql}");
+                    assert!(at > 0 || result.is_err(), "{sql}: {result:?}");
+                    assert_engines_agree(&db, &sql, &format!("workers={workers}"));
+                }
+            }
+        }
+    }
 }

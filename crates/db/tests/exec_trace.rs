@@ -151,16 +151,29 @@ fn cte_over_a_large_table_reports_base_rows_scanned() {
 }
 
 /// Set-op arms are nested executions: t (5 rows, 1 morsel) + u (3 rows,
-/// 1 morsel), no joins anywhere.
+/// 1 morsel), no joins anywhere. The set operation's own `ORDER BY …
+/// LIMIT k` is a bounded top-K and says so.
 #[test]
 fn set_operations_with_stats() {
-    for sql in [
-        "SELECT a FROM t UNION SELECT a FROM u",
-        "SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a LIMIT 4",
-        "SELECT a FROM t INTERSECT SELECT a FROM u",
-        "SELECT a FROM t EXCEPT SELECT a FROM u ORDER BY 1 DESC LIMIT 2",
+    for (sql, topk) in [
+        ("SELECT a FROM t UNION SELECT a FROM u", false),
+        (
+            "SELECT a FROM t UNION ALL SELECT a FROM u ORDER BY a LIMIT 4",
+            true,
+        ),
+        ("SELECT a FROM t INTERSECT SELECT a FROM u", false),
+        (
+            "SELECT a FROM t EXCEPT SELECT a FROM u ORDER BY 1 DESC LIMIT 1",
+            true,
+        ),
     ] {
-        assert_trace(sql, trace(2, 8, JoinOrder::default()));
+        assert_trace(
+            sql,
+            ExecTrace {
+                topk,
+                ..trace(2, 8, JoinOrder::default())
+            },
+        );
     }
 }
 

@@ -272,3 +272,119 @@ fn using_join_is_released_like_its_on_spelling() {
     assert_eq!(using.rows, on.rows);
     assert_ne!(using.scalar(), using.true_rows[0][0].as_f64());
 }
+
+/// One release per canonical query, one schedule per canonical query:
+/// the benchmark's four textual variants (lower-case keywords, extra
+/// whitespace, swapped `=` operands, reversed conjuncts) of each of its
+/// four shapes are charged once, release byte-equal rows, and — each
+/// computed on a cold service of its own — run the same conjunct order.
+#[test]
+fn textual_variants_share_one_release_and_one_schedule() {
+    use std::sync::Arc;
+
+    // `(lhs, rhs)` is `lhs = rhs`; an empty `rhs` prints `lhs` as is.
+    type Shape = (
+        &'static str,
+        &'static [(&'static str, &'static str)],
+        &'static str,
+    );
+    let shapes: [Shape; 4] = [
+        (
+            "SELECT COUNT(*) FROM trips",
+            &[
+                ("city_id", "3"),
+                ("trip_date BETWEEN '2016-02-01' AND '2016-09-30'", ""),
+                ("status", "'completed'"),
+                ("fare > 7.25", ""),
+            ],
+            "",
+        ),
+        (
+            "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id",
+            &[
+                ("t.trip_date BETWEEN '2016-02-01' AND '2016-09-30'", ""),
+                ("t.fare > 7.25", ""),
+            ],
+            " GROUP BY c.name",
+        ),
+        (
+            "SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id",
+            &[
+                ("d.city_id", "3"),
+                ("d.vehicle", "'car'"),
+                ("t.status", "'completed'"),
+                ("t.fare > 7.25", ""),
+            ],
+            "",
+        ),
+        (
+            "SELECT COUNT(DISTINCT d.id) FROM trips t JOIN drivers d ON t.driver_id = d.id \
+             JOIN cities c ON t.city_id = c.id",
+            &[
+                ("c.name", "'sydney'"),
+                ("t.status", "'completed'"),
+                ("d.city_id <> t.city_id", ""),
+                ("t.fare > 7.25", ""),
+            ],
+            "",
+        ),
+    ];
+    let render = |(head, conjuncts, tail): Shape, swap: bool, reverse: bool| {
+        let mut spelled: Vec<String> = conjuncts
+            .iter()
+            .map(|&(l, r)| match (r, swap) {
+                ("", _) => l.to_string(),
+                (r, false) => format!("{l} = {r}"),
+                (r, true) => format!("{r} = {l}"),
+            })
+            .collect();
+        if reverse {
+            spelled.reverse();
+        }
+        format!("{head} WHERE {}{tail}", spelled.join(" AND "))
+    };
+
+    let (db, _) = small_uber();
+    let params = params_for(&db, 0.1);
+    let db = Arc::new(db);
+    let service = || {
+        QueryService::new(
+            db.clone(),
+            ServiceConfig {
+                seed: Some(22),
+                ..ServiceConfig::default()
+            },
+        )
+    };
+    let shared = service();
+    for (i, shape) in shapes.into_iter().enumerate() {
+        let variants = [
+            render(shape, false, false).to_lowercase(),
+            render(shape, false, false).replace(' ', "\n   "),
+            render(shape, true, false),
+            render(shape, false, true),
+        ];
+        let analyst = format!("analyst-{i}");
+        let mut first: Option<ServiceResponse> = None;
+        for sql in &variants {
+            let cold = service().query(&analyst, sql, params).unwrap();
+            let warm = shared.query(&analyst, sql, params).unwrap();
+            let schedule = cold.trace.expect("computed").exec.filter_order;
+            assert_eq!(usize::from(schedule.conjuncts), shape.1.len(), "{sql}");
+            assert_eq!(warm.rows, cold.rows, "{sql}");
+            let first = first.get_or_insert(cold.clone());
+            assert_eq!(cold.canonical_sql, first.canonical_sql, "{sql}");
+            assert_eq!(cold.rows, first.rows, "{sql}");
+            assert_eq!(
+                schedule,
+                first.trace.expect("computed").exec.filter_order,
+                "{sql}"
+            );
+        }
+        assert_eq!(
+            shared.ledger().spent(&analyst).0,
+            params.epsilon,
+            "shape {i}"
+        );
+    }
+}
