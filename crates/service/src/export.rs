@@ -71,6 +71,16 @@ pub const ANALYST_GAUGES: &[AnalystGauge] = &[
     },
 ];
 
+/// The one derived gauge, `(prometheus name, help)`: a ratio of two
+/// [`SCALARS`] counters ([`TelemetrySnapshot::wal_records_per_fsync`]),
+/// exported so group commit and never-synced settles show without a
+/// query language. JSON key `wal_records_per_fsync`, after the
+/// histograms.
+pub const WAL_RECORDS_PER_FSYNC: (&str, &str) = (
+    "flex_wal_records_per_fsync",
+    "WAL records written per durability sync (1 = a sync per record).",
+);
+
 /// A complete metrics report: telemetry plus per-analyst budget gauges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
@@ -107,7 +117,7 @@ impl MetricsReport {
     /// Render the report in the Prometheus text exposition format
     /// (version 0.0.4): `# HELP`/`# TYPE` comments, one sample per line,
     /// label values escaped per the spec. Every [`SCALARS`] row grouped
-    /// by kind, the [`LATENCIES`] histograms as summaries (`quantile` labels plus
+    /// by kind, [`WAL_RECORDS_PER_FSYNC`], the [`LATENCIES`] histograms as summaries (`quantile` labels plus
     /// `_sum`/`_count`), then [`ANALYST_GAUGES`]; the slow-query log is
     /// JSON-only (Prometheus samples are numeric).
     pub fn prometheus(&self) -> String {
@@ -124,6 +134,9 @@ impl MetricsReport {
                 let _ = writeln!(out, "{name} {}", (m.get)(t));
             }
         }
+        let (name, help) = WAL_RECORDS_PER_FSYNC;
+        header(&mut out, name, help, "gauge");
+        let _ = writeln!(out, "{name} {}", fmt_f64(t.wal_records_per_fsync()));
         for m in LATENCIES {
             let (name, snap) = (m.prometheus, (m.get)(t));
             header(&mut out, name, m.help, "summary");
@@ -165,6 +178,10 @@ impl MetricsReport {
         for m in LATENCIES {
             telemetry.push(entry(m.key, latency_json((m.get)(t))));
         }
+        telemetry.push(entry(
+            "wal_records_per_fsync",
+            t.wal_records_per_fsync().into(),
+        ));
         let analyst_json = |a: &AnalystBudget| {
             let gauges = ANALYST_GAUGES
                 .iter()
@@ -230,7 +247,8 @@ fn slow_query_json(q: &SlowQuery) -> Value {
             "queue": ns(q.trace.queue),
             "analysis": ns(q.trace.analysis),
             "execution": ns(q.trace.execution),
-            "perturbation": ns(q.trace.perturbation)
+            "perturbation": ns(q.trace.perturbation),
+            "durability": ns(q.trace.durability)
         },
         "topk": q.trace.exec.topk,
         "morsels": q.trace.exec.morsels,
@@ -294,7 +312,11 @@ mod tests {
         let scalars = SCALARS.iter().map(|m| m.prometheus);
         let latencies = LATENCIES.iter().map(|m| m.prometheus);
         let analysts = ANALYST_GAUGES.iter().map(|m| m.prometheus);
-        scalars.chain(latencies).chain(analysts).collect()
+        scalars
+            .chain([WAL_RECORDS_PER_FSYNC.0])
+            .chain(latencies)
+            .chain(analysts)
+            .collect()
     }
 
     /// Every non-comment line of the Prometheus rendering must be a
@@ -411,7 +433,7 @@ mod tests {
         let serde_json::Value::Object(entries) = telemetry else {
             panic!("telemetry is an object");
         };
-        assert_eq!(entries.len(), SCALARS.len() + LATENCIES.len());
+        assert_eq!(entries.len(), SCALARS.len() + LATENCIES.len() + 1);
         for (i, (key, _)) in entries.iter().enumerate() {
             assert!(entries[..i].iter().all(|(k, _)| k != key), "{key} twice");
         }

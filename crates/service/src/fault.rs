@@ -13,15 +13,21 @@
 //!
 //! Fault knobs cover every write site the WAL has: failing the Nth
 //! append, the Nth sync, compaction's `replace`, and short (torn)
-//! writes that persist a prefix of the record before erroring.
+//! writes that persist a prefix of the record before erroring. Syncs
+//! can also be *held* ([`pause_syncs`]): a held sync has started but not
+//! finished, appends keep landing behind it, and on release it promotes
+//! only the bytes that were there when it began — what an fsync
+//! guarantees, and what lets a test pin the interleavings group commit
+//! depends on without sleeping.
 //!
 //! [`crash`]: FaultStorage::crash
 //! [`crash_at`]: FaultStorage::crash_at
+//! [`pause_syncs`]: FaultStorage::pause_syncs
 
 use crate::sync::lock;
 use crate::wal::Storage;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 #[derive(Debug, Default)]
 struct State {
@@ -37,12 +43,22 @@ struct State {
     fail_replace: bool,
     /// The next append persists only this many bytes, then errors.
     short_write_next: Option<usize>,
+    /// Syncs block after starting until [`FaultStorage::resume_syncs`].
+    syncs_paused: bool,
+    /// Syncs currently blocked by the pause.
+    syncs_held: u64,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    state: Mutex<State>,
+    syncs_resumed: Condvar,
 }
 
 /// A cloneable, shared, in-memory [`Storage`] with fault injection.
 /// See the module docs for the crash model.
 #[derive(Debug, Clone, Default)]
-pub struct FaultStorage(Arc<Mutex<State>>);
+pub struct FaultStorage(Arc<Shared>);
 
 impl FaultStorage {
     /// An empty, fault-free storage.
@@ -50,38 +66,59 @@ impl FaultStorage {
         FaultStorage::default()
     }
 
+    fn state(&self) -> MutexGuard<'_, State> {
+        lock(&self.0.state)
+    }
+
+    /// Hold every sync that starts from now on: it blocks, in flight,
+    /// until [`FaultStorage::resume_syncs`].
+    pub fn pause_syncs(&self) {
+        self.state().syncs_paused = true;
+    }
+
+    /// Let the held syncs (and all later ones) finish.
+    pub fn resume_syncs(&self) {
+        self.state().syncs_paused = false;
+        self.0.syncs_resumed.notify_all();
+    }
+
+    /// Syncs that have started and are being held by the pause.
+    pub fn syncs_held(&self) -> u64 {
+        self.state().syncs_held
+    }
+
     /// Storage pre-seeded with `bytes` as its durable contents (for
     /// replaying a captured or hand-truncated log).
     pub fn with_bytes(bytes: &[u8]) -> FaultStorage {
         let s = FaultStorage::new();
-        lock(&s.0).durable = bytes.to_vec();
+        s.state().durable = bytes.to_vec();
         s
     }
 
     /// Let the first `n` appends succeed, then fail every later one.
     pub fn fail_appends_after(&self, n: u64) {
-        lock(&self.0).fail_appends_after = Some(n);
+        self.state().fail_appends_after = Some(n);
     }
 
     /// Let the first `n` syncs succeed, then fail every later one.
     pub fn fail_syncs_after(&self, n: u64) {
-        lock(&self.0).fail_syncs_after = Some(n);
+        self.state().fail_syncs_after = Some(n);
     }
 
     /// Make compaction's `replace` fail.
     pub fn fail_replace(&self, fail: bool) {
-        lock(&self.0).fail_replace = fail;
+        self.state().fail_replace = fail;
     }
 
     /// Tear the next append: persist only its first `prefix` bytes,
     /// then report an error.
     pub fn short_write_next(&self, prefix: usize) {
-        lock(&self.0).short_write_next = Some(prefix);
+        self.state().short_write_next = Some(prefix);
     }
 
     /// Clear every armed fault.
     pub fn clear_faults(&self) {
-        let mut s = lock(&self.0);
+        let mut s = self.state();
         s.fail_appends_after = None;
         s.fail_syncs_after = None;
         s.fail_replace = false;
@@ -90,13 +127,13 @@ impl FaultStorage {
 
     /// Crash: unsynced (buffered) bytes are lost; durable bytes remain.
     pub fn crash(&self) {
-        lock(&self.0).buffered.clear();
+        self.state().buffered.clear();
     }
 
     /// Crash and tear: everything (durable + buffered) past byte
     /// `offset` is lost, modeling a power cut mid-sector.
     pub fn crash_at(&self, offset: usize) {
-        let mut s = lock(&self.0);
+        let mut s = self.state();
         let mut all = std::mem::take(&mut s.durable);
         all.extend_from_slice(&s.buffered);
         all.truncate(offset);
@@ -106,7 +143,7 @@ impl FaultStorage {
 
     /// Flip one bit of the stored bytes (durable first, then buffered).
     pub fn flip_bit(&self, byte: usize, bit: u8) {
-        let mut s = lock(&self.0);
+        let mut s = self.state();
         let d = s.durable.len();
         if byte < d {
             s.durable[byte] ^= 1 << (bit & 7);
@@ -118,34 +155,34 @@ impl FaultStorage {
 
     /// The crash-surviving bytes.
     pub fn durable_bytes(&self) -> Vec<u8> {
-        lock(&self.0).durable.clone()
+        self.state().durable.clone()
     }
 
     /// Length of the crash-surviving bytes.
     pub fn durable_len(&self) -> usize {
-        lock(&self.0).durable.len()
+        self.state().durable.len()
     }
 
     /// Total bytes written (durable + still-buffered).
     pub fn total_len(&self) -> usize {
-        let s = lock(&self.0);
+        let s = self.state();
         s.durable.len() + s.buffered.len()
     }
 
     /// Appends attempted so far (failed ones included).
     pub fn appends(&self) -> u64 {
-        lock(&self.0).appends
+        self.state().appends
     }
 
     /// Syncs attempted so far (failed ones included).
     pub fn syncs(&self) -> u64 {
-        lock(&self.0).syncs
+        self.state().syncs
     }
 }
 
 impl Storage for FaultStorage {
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        let mut s = lock(&self.0);
+        let mut s = self.state();
         s.appends += 1;
         if let Some(prefix) = s.short_write_next.take() {
             let keep = prefix.min(bytes.len());
@@ -163,29 +200,46 @@ impl Storage for FaultStorage {
     }
 
     fn sync(&self) -> io::Result<()> {
-        let mut s = lock(&self.0);
+        let mut s = self.state();
         s.syncs += 1;
-        if let Some(limit) = s.fail_syncs_after {
-            if s.syncs > limit {
-                return Err(io::Error::other("injected sync error"));
-            }
+        let nth = s.syncs;
+        // An fsync covers what was written before it began, no more:
+        // bytes appended while this one is held stay buffered.
+        let began_with = s.buffered.len();
+        s.syncs_held += 1;
+        while s.syncs_paused {
+            s = self
+                .0
+                .syncs_resumed
+                .wait(s)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        let buffered = std::mem::take(&mut s.buffered);
-        s.durable.extend_from_slice(&buffered);
+        s.syncs_held -= 1;
+        // Checked on the way out, so a test can arm the failure of a
+        // sync it is holding.
+        if s.fail_syncs_after.is_some_and(|limit| nth > limit) {
+            return Err(io::Error::other("injected sync error"));
+        }
+        // A crash while held already dropped them.
+        let State {
+            durable, buffered, ..
+        } = &mut *s;
+        let covered = began_with.min(buffered.len());
+        durable.extend(buffered.drain(..covered));
         Ok(())
     }
 
     fn read(&self) -> io::Result<Vec<u8>> {
         // Readers before a crash see the page cache too, exactly like a
         // file reader would.
-        let s = lock(&self.0);
+        let s = self.state();
         let mut all = s.durable.clone();
         all.extend_from_slice(&s.buffered);
         Ok(all)
     }
 
     fn replace(&self, bytes: &[u8]) -> io::Result<()> {
-        let mut s = lock(&self.0);
+        let mut s = self.state();
         if s.fail_replace {
             return Err(io::Error::other("injected replace error"));
         }
@@ -250,6 +304,29 @@ mod tests {
         s.fail_replace(false);
         s.replace(b"z").unwrap();
         assert_eq!(s.read().unwrap(), b"z");
+    }
+
+    #[test]
+    fn held_sync_covers_only_what_preceded_it() {
+        let s = FaultStorage::new();
+        s.append(b"ab").unwrap();
+        s.pause_syncs();
+        std::thread::scope(|scope| {
+            let syncing = scope.spawn(|| s.sync());
+            while s.syncs_held() == 0 {
+                std::thread::yield_now();
+            }
+            // An append lands while the sync is in flight…
+            s.append(b"cd").unwrap();
+            assert_eq!(s.durable_len(), 0, "held: nothing promoted yet");
+            s.resume_syncs();
+            syncing.join().unwrap().unwrap();
+        });
+        // …and is not covered by it.
+        assert_eq!(s.durable_bytes(), b"ab");
+        assert_eq!(s.read().unwrap(), b"abcd");
+        s.sync().unwrap();
+        assert_eq!(s.durable_bytes(), b"abcd");
     }
 
     #[test]

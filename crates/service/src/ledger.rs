@@ -10,7 +10,7 @@
 
 use crate::error::{ServiceError, ServiceResult};
 use crate::sync::lock;
-use crate::wal::{AccountSnapshot, LedgerSnapshot, RecoveryReport, Wal, WalOp};
+use crate::wal::{AccountSnapshot, LedgerSnapshot, Lsn, RecoveryReport, Wal, WalOp};
 use flex_core::{Composition, PrivacyBudget};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -72,6 +72,10 @@ impl LedgerPolicy {
 /// is outstanding; [`BudgetLedger::refund`] consumes it, so a duplicate
 /// (or cloned) refund is a no-op instead of minting budget headroom.
 /// Charges cannot be constructed outside the ledger.
+///
+/// On a durable ledger an admitted charge is *written*, not yet
+/// durable: pass [`BudgetLedger::barrier`] before releasing anything it
+/// paid for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Charge {
     /// The charged analyst.
@@ -81,6 +85,10 @@ pub struct Charge {
     /// The admitted query's `δ`.
     pub delta: f64,
     id: u64,
+    /// Where the `Charge` record sits in the log (0 without a log):
+    /// what [`BudgetLedger::barrier`] waits for. The submitter keeps a
+    /// copy once the charge itself has gone to a worker.
+    pub(crate) lsn: Lsn,
 }
 
 #[derive(Debug)]
@@ -142,10 +150,14 @@ pub struct BudgetLedger {
     shards: Box<[Mutex<HashMap<String, Account>>]>,
     /// Global — charge ids stay unique across shards.
     next_charge_id: AtomicU64,
-    /// Durability: when present, every mutation is logged — charges
-    /// *before* they commit (fail closed), refunds/settles best-effort
-    /// (a lost refund makes recovery overestimate spend, the safe
-    /// direction). `None` keeps the ledger purely in-memory.
+    /// Durability: when present, every mutation is written to the log
+    /// under its shard lock — charges *before* they commit (fail
+    /// closed), refunds/settles best-effort (a lost refund makes
+    /// recovery overestimate spend, the safe direction) — and synced
+    /// only after the lock is released: charges at
+    /// [`BudgetLedger::barrier`], refunds and policy changes before
+    /// their call returns, settles never. `None` keeps the ledger
+    /// purely in-memory.
     wal: Option<Arc<Wal>>,
 }
 
@@ -256,11 +268,15 @@ impl BudgetLedger {
     /// Override the policy for one analyst. Fails if the analyst has
     /// already spent budget (retroactive policy edits would un-release
     /// answers that are already out). On a durable ledger the override
-    /// is logged before it applies and a log failure rejects the call:
-    /// an unlogged policy would silently revert to the default on
-    /// recovery, possibly *loosening* the analyst's cap.
+    /// is written to the log before it applies and synced before this
+    /// returns, and a log failure fails the call: an unlogged policy
+    /// would silently revert to the default on recovery, possibly
+    /// *loosening* the analyst's cap. A failed *write* leaves the
+    /// account untouched; a failed *sync* leaves the override in memory
+    /// with the log poisoned, so nothing is admitted under it until a
+    /// compaction has put it on disk.
     pub fn set_policy(&self, analyst: &str, policy: LedgerPolicy) -> ServiceResult<()> {
-        {
+        let lsn = {
             let mut accounts = self.shard(analyst);
             if let Some(acct) = accounts.get(analyst) {
                 if acct.queries > 0 {
@@ -272,17 +288,47 @@ impl BudgetLedger {
                     });
                 }
             }
-            if let Some(wal) = &self.wal {
-                wal.append(&WalOp::SetPolicy {
-                    analyst: analyst.to_string(),
-                    policy,
-                })
-                .map_err(|e| ServiceError::WalUnavailable(e.to_string()))?;
-            }
+            let lsn = self.write(|| WalOp::SetPolicy {
+                analyst: analyst.to_string(),
+                policy,
+            })?;
             accounts.insert(analyst.to_string(), Account::new(policy));
-        }
+            lsn
+        };
+        self.barrier_at(lsn)?;
         self.maybe_compact();
         Ok(())
+    }
+
+    /// Write one record (under the caller's shard lock) and return its
+    /// LSN; 0, nothing written, without a log.
+    fn write(&self, op: impl FnOnce() -> WalOp) -> ServiceResult<Lsn> {
+        match &self.wal {
+            Some(wal) => wal
+                .write(&op())
+                .map_err(|e| ServiceError::WalUnavailable(e.to_string())),
+            None => Ok(0),
+        }
+    }
+
+    /// The durability barrier: returns once `charge`'s log record is on
+    /// disk as far as the log's [`FsyncPolicy`](crate::wal::FsyncPolicy)
+    /// demands (at once without a log, and for a record an earlier sync
+    /// already covered). It waits for this charge only, never for newer
+    /// records, and takes no ledger lock. **Nothing the charge paid for
+    /// may be released before this returns `Ok`.** On `Err` the log is
+    /// poisoned: refund the charge and release nothing.
+    pub fn barrier(&self, charge: &Charge) -> ServiceResult<()> {
+        self.barrier_at(charge.lsn)
+    }
+
+    pub(crate) fn barrier_at(&self, lsn: Lsn) -> ServiceResult<()> {
+        match &self.wal {
+            Some(wal) => wal
+                .commit(lsn)
+                .map_err(|e| ServiceError::WalUnavailable(e.to_string())),
+            None => Ok(()),
+        }
     }
 
     /// Admission control: atomically charge `(ε, δ)` against the
@@ -290,12 +336,15 @@ impl BudgetLedger {
     /// On `Err` nothing was charged.
     ///
     /// Structured check → log → commit: the admission decision mutates
-    /// nothing, the WAL append (if a log is attached) happens next
-    /// while the decision is still protected by the shard lock, and
-    /// only then does the in-memory state change. A WAL failure
-    /// therefore rejects the query with the account untouched — never
-    /// an uncharged admission, and no bitwise-lossy rollback of a float
-    /// accumulator (`(a + ε) − ε` need not equal `a`).
+    /// nothing, the WAL write (if a log is attached) happens next while
+    /// the decision is still protected by the shard lock, and only then
+    /// does the in-memory state change. A WAL failure therefore rejects
+    /// the query with the account untouched — never an uncharged
+    /// admission, and no bitwise-lossy rollback of a float accumulator
+    /// (`(a + ε) − ε` need not equal `a`). The record is *written*
+    /// here, not synced — no fsync runs under the shard lock; the
+    /// caller passes [`BudgetLedger::barrier`] before it releases
+    /// anything.
     pub fn try_charge(&self, analyst: &str, epsilon: f64, delta: f64) -> ServiceResult<Charge> {
         // Validate before touching any account: this entry point takes
         // raw f64s, and a negative (or NaN/∞) charge would *mint* budget
@@ -361,23 +410,19 @@ impl BudgetLedger {
                 }
             };
 
-            // Make it durable before acknowledging (fail closed). The
-            // shard lock is still held, so the log's per-analyst record
-            // order matches the commit order exactly — what makes
-            // replay bitwise-deterministic at any shard count.
+            // Log it before committing (fail closed). The shard lock is
+            // still held, so the log's per-analyst record order matches
+            // the commit order exactly — what makes replay
+            // bitwise-deterministic at any shard count. On a write
+            // error nothing was mutated; the allocated id is burned,
+            // leaving a harmless gap in the sequence.
             let id = self.next_charge_id.fetch_add(1, Ordering::Relaxed);
-            if let Some(wal) = &self.wal {
-                if let Err(e) = wal.append(&WalOp::Charge {
-                    analyst: analyst.to_string(),
-                    id,
-                    epsilon: e0,
-                    delta: d0,
-                }) {
-                    // Nothing was mutated; the allocated id is burned,
-                    // leaving a harmless gap in the sequence.
-                    return Err(ServiceError::WalUnavailable(e.to_string()));
-                }
-            }
+            let lsn = self.write(|| WalOp::Charge {
+                analyst: analyst.to_string(),
+                id,
+                epsilon: e0,
+                delta: d0,
+            })?;
 
             // Commit (infallible). The charge records the pinned
             // parameters — what the account is actually composed over.
@@ -392,6 +437,7 @@ impl BudgetLedger {
                 epsilon: e0,
                 delta: d0,
                 id,
+                lsn,
             }
         };
         self.maybe_compact();
@@ -404,7 +450,7 @@ impl BudgetLedger {
     /// no-op, so a retry loop (or a hostile caller cloning charges) can
     /// never erase budget that paid for a released answer.
     pub fn refund(&self, charge: &Charge) {
-        {
+        let written = {
             let mut accounts = self.shard(&charge.analyst);
             let Some(acct) = accounts.get_mut(&charge.analyst) else {
                 return;
@@ -412,18 +458,17 @@ impl BudgetLedger {
             if !acct.outstanding.contains(&charge.id) {
                 return;
             }
-            if let Some(wal) = &self.wal {
-                // Best-effort: the refund still applies in memory if the
-                // log write fails — then recovery *overestimates* spend,
-                // which can only under-admit, never void privacy. (The
-                // error is counted in the WAL's telemetry.)
-                let _ = wal.append(&WalOp::Refund {
-                    analyst: charge.analyst.clone(),
-                    id: charge.id,
-                    epsilon: charge.epsilon,
-                    delta: charge.delta,
-                });
-            }
+            // Best-effort: the refund still applies in memory if the
+            // log write (or the sync below) fails — then recovery
+            // *overestimates* spend, which can only under-admit, never
+            // void privacy. (The error is counted in the WAL's
+            // telemetry.)
+            let written = self.write(|| WalOp::Refund {
+                analyst: charge.analyst.clone(),
+                id: charge.id,
+                epsilon: charge.epsilon,
+                delta: charge.delta,
+            });
             acct.outstanding.remove(&charge.id);
             match acct.policy.composition {
                 Composition::Sequential => acct.budget.refund(charge.epsilon, charge.delta),
@@ -436,13 +481,18 @@ impl BudgetLedger {
             if acct.queries == 0 {
                 acct.pinned = None;
             }
+            written
+        };
+        if let Ok(lsn) = written {
+            let _ = self.barrier_at(lsn);
         }
         self.maybe_compact();
     }
 
     /// Mark a charge as spent for good (its answer was released): the
     /// charge is no longer refundable. Keeps the outstanding-charge set
-    /// bounded by queries actually in flight.
+    /// bounded by queries actually in flight. The `Settle` record is
+    /// written and never synced — it rides the next charge's fsync.
     pub fn settle(&self, charge: &Charge) {
         {
             let mut accounts = self.shard(&charge.analyst);
@@ -452,15 +502,13 @@ impl BudgetLedger {
             if !acct.outstanding.contains(&charge.id) {
                 return;
             }
-            if let Some(wal) = &self.wal {
-                // Best-effort, like refunds: a lost settle record only
-                // means recovery leaves the charge refundable — spend is
-                // unchanged either way.
-                let _ = wal.append(&WalOp::Settle {
-                    analyst: charge.analyst.clone(),
-                    id: charge.id,
-                });
-            }
+            // Best-effort, like refunds: a lost settle record only
+            // means recovery leaves the charge refundable — spend is
+            // unchanged either way.
+            let _ = self.write(|| WalOp::Settle {
+                analyst: charge.analyst.clone(),
+                id: charge.id,
+            });
             acct.outstanding.remove(&charge.id);
         }
         self.maybe_compact();
@@ -579,8 +627,9 @@ impl BudgetLedger {
     /// records have accumulated. Called after every mutation *with the
     /// shard lock already released*; takes all shard locks in index
     /// order (the only multi-shard lock site, so no cycle) and the WAL
-    /// writer lock inside `rewrite` — consistent with the per-mutation
-    /// shard-then-writer order, so no deadlock. A rewrite failure is
+    /// writer and syncer locks inside `rewrite` — consistent with the
+    /// per-mutation shard-then-writer order (a syncing thread holds no
+    /// shard lock), so no deadlock. A rewrite failure is
     /// counted in the WAL and the old log simply keeps growing.
     fn maybe_compact(&self) {
         let Some(wal) = &self.wal else {
@@ -1111,10 +1160,25 @@ mod tests {
         )
         .unwrap();
         storage.fail_syncs_after(0);
+        // The charge is written and committed in memory — the disk is
+        // not consulted under the shard lock — and the failure surfaces
+        // at the barrier, before anything could be released.
+        let c = ledger.try_charge("a", 0.25, 1e-9).unwrap();
+        assert!(matches!(
+            ledger.barrier(&c),
+            Err(ServiceError::WalUnavailable(_))
+        ));
+        assert!(storage.durable_bytes().is_empty(), "nothing reached disk");
+        // The log is poisoned: the barrier keeps failing (no second
+        // fsync is trusted after a failed one) and so does admission.
+        storage.clear_faults();
+        assert!(ledger.barrier(&c).is_err());
         assert!(matches!(
             ledger.try_charge("a", 0.25, 1e-9),
             Err(ServiceError::WalUnavailable(_))
         ));
+        // What the service does with a failed barrier: refund.
+        ledger.refund(&c);
         assert_eq!(ledger.spent("a"), (0.0, 0.0));
         assert_eq!(ledger.queries("a"), 0);
     }
@@ -1132,6 +1196,7 @@ mod tests {
         )
         .unwrap();
         let c = ledger.try_charge("a", 0.25, 1e-9).unwrap();
+        ledger.barrier(&c).unwrap();
         storage.fail_appends_after(storage.appends());
         ledger.refund(&c);
         assert_eq!(ledger.spent("a"), (0.0, 0.0));
@@ -1171,6 +1236,10 @@ mod tests {
             }
         }
         let reference = WalOp::Snapshot(ledger.snapshot()).encode();
+        // Settles are never synced and the last charge has not passed
+        // its barrier: the durable bytes are complete once it has (an
+        // fsync covers the whole prefix).
+        ledger.barrier(charges.last().unwrap()).unwrap();
         // The log was compacted at least once: far fewer live records
         // than the 30 mutations issued.
         let (ops, torn) = ledger.wal().unwrap().read_ops().unwrap();

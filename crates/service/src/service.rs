@@ -88,17 +88,18 @@ pub struct ServiceConfig {
     pub seed: Option<u64>,
     /// Path of the budget write-ahead log. `None` (the default) keeps
     /// the ledger in memory only; `Some(path)` makes every admission
-    /// durable — a charge is logged (and synced per
-    /// [`ServiceConfig::wal_fsync`]) *before* the query runs, and a
-    /// restart over the same path replays the log into bitwise-identical
-    /// ledger state. A WAL write failure rejects the query fail-closed
-    /// rather than admitting it uncharged. Durability knobs never feed
+    /// durable — a charge is logged *before* the query is admitted and
+    /// on disk (per [`ServiceConfig::wal_fsync`]) *before* its answer is
+    /// released, and a restart over the same path replays the log into
+    /// bitwise-identical ledger state. A WAL failure rejects the query
+    /// fail-closed rather than admitting it uncharged or releasing an
+    /// answer whose charge is not on disk. Durability knobs never feed
     /// noise seeds: released bytes are identical with or without a WAL.
     pub wal_path: Option<PathBuf>,
     /// When the WAL syncs to durable storage: [`FsyncPolicy::Always`]
-    /// (the default — every acknowledged charge survives a crash),
-    /// `EveryN(n)` for group durability, or `Never` to leave syncing to
-    /// the OS. Ignored without [`ServiceConfig::wal_path`].
+    /// (the default — the charge behind every released answer survives
+    /// a crash), `EveryN(n)` for group durability, or `Never` to leave
+    /// syncing to the OS. Ignored without [`ServiceConfig::wal_path`].
     pub wal_fsync: FsyncPolicy,
     /// Compact the WAL into a snapshot record once this many records
     /// accumulate since the last snapshot (0 disables compaction).
@@ -520,7 +521,9 @@ impl QueryService {
         // are decided under ONE cache shard-lock acquisition (the ledger
         // charge runs inside it — lock order: cache shard, then ledger
         // shard), so concurrent identical submissions can never each
-        // charge budget for the same release.
+        // charge budget for the same release. The charge is written to
+        // the WAL in there and synced by nobody: no lock waits for the
+        // disk.
         let admission_started = Instant::now();
         let mut parked = None;
         let decision = shared.cache.admit(
@@ -577,6 +580,7 @@ impl QueryService {
         };
 
         let (tx, reply) = channel();
+        let charge_lsn = charge.lsn;
         let job = Job {
             analyst: analyst.to_string(),
             query,
@@ -594,7 +598,13 @@ impl QueryService {
         };
         shared.telemetry.record_enqueued();
         match shared.queue.push(job) {
-            Ok(()) => {}
+            // Sync the charge on this thread while a worker runs the
+            // query: the one disk wait of a release overlaps its
+            // execution, and the worker's barrier finds it done. A
+            // failure is the worker's to report — its barrier fails too.
+            Ok(()) => {
+                let _ = shared.ledger.barrier_at(charge_lsn);
+            }
             // The queue is at capacity: shed the load
             // instead of letting the backlog grow without bound. The
             // charge is refunded (nothing will be released) and the
@@ -700,6 +710,13 @@ impl QueryService {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
+        // A clean stop leaves nothing in the page cache: the trailing
+        // `Settle`s, and whatever `EveryN`/`Never` had not synced yet.
+        // Best-effort (this runs in `Drop`); a failure is counted in
+        // `wal_errors`.
+        if let Some(wal) = self.shared.ledger.wal() {
+            let _ = wal.sync();
+        }
     }
 }
 
@@ -804,6 +821,23 @@ fn run_job(shared: &Shared, job: Job) {
 
     match outcome {
         Ok(Ok(result)) => {
+            // The durability barrier: no answer — to the owner, a
+            // coalesced waiter or the cache — exists before its charge
+            // is on disk. Usually a no-op (the submitter's sync landed
+            // while the query ran). Failing here is still before any
+            // release, so the refund in `abandon` is sound.
+            let durability = match shared.ledger.wal() {
+                Some(_) => {
+                    let waiting = Instant::now();
+                    if let Err(e) = shared.ledger.barrier(&job.charge) {
+                        shared.telemetry.incr(Metric::Failed);
+                        abandon(shared, &job, e);
+                        return;
+                    }
+                    waiting.elapsed()
+                }
+                None => Duration::ZERO,
+            };
             // The answer is about to be released: the charge is final
             // and no longer refundable.
             shared.ledger.settle(&job.charge);
@@ -819,7 +853,8 @@ fn run_job(shared: &Shared, job: Job) {
             let waiters = shared.cache.complete(job.key.clone(), answer);
             // One structured trace per release: the front-door spans
             // measured by `submit`, the queue wait, the three FLEX stage
-            // timings, and the executor's own record of the run. Feeds
+            // timings, the wait at the durability barrier, and the
+            // executor's own record of the run. Feeds
             // the stage histograms, the top-K counter and the
             // slow-query log in one shot.
             let trace = QueryTrace {
@@ -830,6 +865,7 @@ fn run_job(shared: &Shared, job: Job) {
                 analysis: result.timings.analysis,
                 execution: result.timings.execution,
                 perturbation: result.timings.perturbation,
+                durability,
                 exec: result.trace,
             };
             shared.telemetry.record_completed(&trace);

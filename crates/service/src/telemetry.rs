@@ -133,7 +133,8 @@ impl LatencySnapshot {
 
 /// The structured trace of one completed query: every span of the
 /// serving pipeline — parse, canonicalize, admission, queue wait, the
-/// three FLEX stages — plus the execution layer's own [`ExecTrace`]
+/// three FLEX stages, the durability barrier — plus the execution
+/// layer's own [`ExecTrace`]
 /// (top-K pushdown, morsel/worker/row statistics, join order). Spans
 /// are wall-clock, measured by the stage that ran
 /// them; `total()` is their sum, i.e. time attributable to the pipeline
@@ -155,6 +156,11 @@ pub struct QueryTrace {
     pub execution: Duration,
     /// Smoothing + noise + histogram assembly.
     pub perturbation: Duration,
+    /// Wait at the durability barrier, after perturbation and before
+    /// release, for the charge's WAL record to reach disk: the disk, not
+    /// the engine, was slow. Zero without a WAL, and near zero when the
+    /// submitter's sync landed while the query ran.
+    pub durability: Duration,
     /// The execution engine's own record of how the query ran.
     pub exec: ExecTrace,
 }
@@ -171,6 +177,7 @@ impl QueryTrace {
             analysis: Duration::ZERO,
             execution: Duration::ZERO,
             perturbation: Duration::ZERO,
+            durability: Duration::ZERO,
             exec,
         }
     }
@@ -184,6 +191,7 @@ impl QueryTrace {
             + self.analysis
             + self.execution
             + self.perturbation
+            + self.durability
     }
 }
 
@@ -419,6 +427,9 @@ metric_table! {
             "True-query execution latency per completed query.", |t| t.execution;
         perturbation_latency: "flex_perturbation_latency_seconds",
             "Smoothing and noise latency per completed query.", |t| t.perturbation;
+        durability_latency: "flex_durability_latency_seconds",
+            "Wait for the charge's WAL record to reach disk per completed query.",
+            |t| t.durability;
     }
 }
 
@@ -500,7 +511,7 @@ impl Telemetry {
     }
 }
 
-/// `part / whole` in `[0, 1]`, 0 when nothing has been counted yet.
+/// `part / whole`, 0 when nothing has been counted yet.
 fn share(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
@@ -517,6 +528,14 @@ impl TelemetrySnapshot {
         let lookups = self.cache_hits + self.cache_misses + self.coalesced;
         share(self.cache_hits, lookups)
     }
+
+    /// WAL records written per durability sync (`wal_appends` ÷
+    /// `wal_fsyncs`; 0 before the first sync): 1 is a sync per record,
+    /// and group commit and never-synced settles push it up — about 2
+    /// for a lone client under `FsyncPolicy::Always`.
+    pub fn wal_records_per_fsync(&self) -> f64 {
+        share(self.wal_appends, self.wal_fsyncs)
+    }
 }
 
 impl std::fmt::Display for TelemetrySnapshot {
@@ -527,8 +546,9 @@ impl std::fmt::Display for TelemetrySnapshot {
         }
         write!(
             f,
-            "  hit rate          {:>9.1}% of lookups",
-            100.0 * self.hit_rate()
+            "  hit rate          {:>9.1}% of lookups\n  wal records/fsync {:>10.2}",
+            100.0 * self.hit_rate(),
+            self.wal_records_per_fsync()
         )?;
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         for m in LATENCIES {
@@ -751,8 +771,9 @@ mod tests {
             analysis: Duration::from_nanos(16),
             execution: Duration::from_nanos(32),
             perturbation: Duration::from_nanos(64),
+            durability: Duration::from_nanos(128),
             exec: ExecTrace::default(),
         };
-        assert_eq!(trace.total(), Duration::from_nanos(127));
+        assert_eq!(trace.total(), Duration::from_nanos(255));
     }
 }

@@ -19,17 +19,38 @@
 //!   complete ledger state; compaction atomically replaces the log with
 //!   a single snapshot record. All floats are stored as raw IEEE-754
 //!   bits, so replay is *bitwise* exact, not merely approximate.
-//! - **Durability.** [`FsyncPolicy`] picks the fsync cadence. Under
-//!   [`FsyncPolicy::Always`] an acknowledged charge is on disk before
-//!   the caller hears about it; the weaker policies trade a bounded
-//!   window of recent acknowledgements for throughput.
+//! - **Written vs. durable.** The log has two operations, not one.
+//!   [`Wal::write`] puts a record into the file and returns its
+//!   sequence number (its [`Lsn`]); the ledger calls it under the
+//!   analyst's shard lock, so per-analyst log order equals commit
+//!   order. [`Wal::commit`] makes everything up to an LSN *durable* as
+//!   far as the [`FsyncPolicy`] demands, and is called outside every
+//!   lock: the first caller to find its LSN unsynced fsyncs once for
+//!   everything written so far, and callers whose LSN that fsync covered
+//!   return without touching the disk (group commit — no thread, no
+//!   timer, no knob). An fsync covers the whole file, so a durable LSN
+//!   implies a durable prefix. Under [`FsyncPolicy::Always`] the
+//!   service commits a charge's LSN before any answer it paid for is
+//!   released; the weaker policies trade a bounded window of recent
+//!   acknowledgements for throughput. `Settle` records are written and
+//!   never committed: they ride the next charge's fsync, and losing one
+//!   only leaves a released charge refundable on paper.
+//! - **What the tail may hold.** After a crash the bytes past the last
+//!   completed fsync are whatever the OS happened to flush: whole
+//!   unsynced `Settle`s, a `Refund` or `SetPolicy` whose caller had not
+//!   been answered yet, and at most the `Charge`s whose answers were
+//!   never released (their barrier had not returned). Recovery replays
+//!   the intact prefix and stops at the first bad record, so it keeps
+//!   every charge an answer was ever released for.
 //! - **Fail closed.** A write or sync error *poisons* the log: the
-//!   failed append may have left partial bytes, so later appends could
+//!   failed write may have left partial bytes, so later records could
 //!   land after an unreadable gap and be silently discarded by
-//!   recovery. Once poisoned, every further append fails fast, which
-//!   the ledger turns into query rejection — never an uncharged
-//!   admission. Recovery from the durable prefix then loses nothing
-//!   that was ever acknowledged.
+//!   recovery, and after a failed fsync the OS may report the next one
+//!   clean without having written anything. Once poisoned, every
+//!   further write fails fast and so does every commit of an LSN that
+//!   is not already durable, which the ledger and the service turn into
+//!   query rejection — never an uncharged admission, never an answer
+//!   whose charge is not on disk.
 //!
 //! Cache contents and telemetry are deliberately *not* logged: both are
 //! reconstructible (or disposable) and neither guards privacy.
@@ -42,17 +63,18 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// How often the log forces written records to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Sync after every record: an acknowledged admission is durable.
-    /// This is the only policy under which a crash can never forget an
-    /// acknowledged charge; it is the default.
+    /// Every committed record is synced: a charge is on disk before the
+    /// answer it paid for is released. This is the only policy under
+    /// which a crash can never forget the charge behind a released
+    /// answer; it is the default.
     Always,
-    /// Sync after every `n` records (`n` is clamped to ≥ 1): up to
-    /// `n − 1` recently acknowledged records may be lost in a crash.
+    /// Sync once `n` records are unsynced (`n` is clamped to ≥ 1): up
+    /// to `n − 1` recently acknowledged records may be lost in a crash.
     EveryN(u64),
     /// Never sync explicitly; durability rides on the OS writeback
     /// cadence. For tests and throughput experiments only.
@@ -67,7 +89,8 @@ pub enum FsyncPolicy {
 pub trait Storage: Send + Sync + fmt::Debug {
     /// Append raw bytes to the end of the log.
     fn append(&self, bytes: &[u8]) -> io::Result<()>;
-    /// Force previously appended bytes to stable storage.
+    /// Force to stable storage every byte whose `append` returned before
+    /// this call. An `append` may run while a `sync` is in flight.
     fn sync(&self) -> io::Result<()>;
     /// Read the entire log contents.
     fn read(&self) -> io::Result<Vec<u8>>;
@@ -80,17 +103,32 @@ pub trait Storage: Send + Sync + fmt::Debug {
 #[derive(Debug)]
 pub struct FileStorage {
     path: PathBuf,
-    file: Mutex<File>,
+    /// The lock orders appends (and the swap in `replace`); `sync`
+    /// takes it only to clone the handle, so an append never waits for
+    /// an fsync in flight.
+    file: Mutex<Arc<File>>,
 }
 
 impl FileStorage {
-    /// Open (or create) the log file at `path`.
+    /// Open (or create) the log file at `path`. A file this call
+    /// created is not durable until its directory entry is: the parent
+    /// directory is synced before returning, or a crash after the first
+    /// acknowledged charge could lose the whole log.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<FileStorage> {
         let path = path.into();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut options = OpenOptions::new();
+        options.append(true);
+        let file = match options.clone().create_new(true).open(&path) {
+            Ok(file) => {
+                Self::sync_parent_dir(&path);
+                file
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => options.open(&path)?,
+            Err(e) => return Err(e),
+        };
         Ok(FileStorage {
             path,
-            file: Mutex::new(file),
+            file: Mutex::new(Arc::new(file)),
         })
     }
 
@@ -99,8 +137,8 @@ impl FileStorage {
         &self.path
     }
 
-    /// Best-effort fsync of the directory holding `path`, so a rename
-    /// into it is itself durable. Ignored on platforms where opening a
+    /// Best-effort fsync of the directory holding `path`, so a file
+    /// created in it or renamed into it is itself durable. Ignored on platforms where opening a
     /// directory for sync is not supported.
     fn sync_parent_dir(path: &Path) {
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -113,11 +151,13 @@ impl FileStorage {
 
 impl Storage for FileStorage {
     fn append(&self, bytes: &[u8]) -> io::Result<()> {
-        lock(&self.file).write_all(bytes)
+        let file = lock(&self.file);
+        (&**file).write_all(bytes)
     }
 
     fn sync(&self) -> io::Result<()> {
-        lock(&self.file).sync_all()
+        let file = Arc::clone(&lock(&self.file));
+        file.sync_all()
     }
 
     fn read(&self) -> io::Result<Vec<u8>> {
@@ -136,7 +176,7 @@ impl Storage for FileStorage {
         }
         std::fs::rename(&tmp, &self.path)?;
         Self::sync_parent_dir(&self.path);
-        *guard = OpenOptions::new().append(true).open(&self.path)?;
+        *guard = Arc::new(OpenOptions::new().append(true).open(&self.path)?);
         Ok(())
     }
 }
@@ -145,8 +185,9 @@ impl Storage for FileStorage {
 /// see the module docs for the record framing around the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// An acknowledged admission: logged (and synced, under
-    /// [`FsyncPolicy::Always`]) *before* the in-memory charge commits.
+    /// An admission: written *before* the in-memory charge commits, and
+    /// (under [`FsyncPolicy::Always`]) durable before the answer it paid
+    /// for is released.
     Charge {
         /// Charged analyst.
         analyst: String,
@@ -547,13 +588,12 @@ impl WalOp {
 // The log itself.
 // ---------------------------------------------------------------------
 
-/// Serialized writer state: append + (policy-driven) sync are one
-/// critical section, so records land in the log in exactly the order
-/// their ledger mutations commit.
-#[derive(Debug, Default)]
-struct WriterState {
-    appends_since_sync: u64,
-}
+/// A record's position in the log's write order: the first record
+/// written through a [`Wal`] is 1, and 0 stands for "nothing" (an LSN
+/// that is durable by definition — what a ledger without a log hands
+/// out). LSNs count writes, not bytes, and keep counting across
+/// compactions.
+pub type Lsn = u64;
 
 /// The write-ahead log: a [`Storage`] backend, an fsync policy, and
 /// lock-free wear counters for telemetry.
@@ -563,10 +603,24 @@ pub struct Wal {
     fsync: FsyncPolicy,
     /// Records between snapshot compactions (0 disables compaction).
     snapshot_threshold: u64,
-    writer: Mutex<WriterState>,
+    /// Serializes writes, so records land in storage in LSN order.
+    writer: Mutex<()>,
+    /// Serializes syncs: its holder is the group-commit leader. Never
+    /// taken by a writer, so a write proceeds while an fsync is in
+    /// flight; `rewrite` takes `writer` then `syncer`, nothing takes
+    /// them the other way round.
+    syncer: Mutex<()>,
+    /// LSN of the last record written. Stored (Release) under `writer`
+    /// once the record's bytes are in storage; a sync leader's Acquire
+    /// load therefore names only records its fsync will cover.
+    written: AtomicU64,
+    /// Every record at or below this LSN is on stable storage. Stored
+    /// (Release) under `syncer`; `commit` reads it (Acquire) without a
+    /// lock first.
+    durable: AtomicU64,
     records_since_snapshot: AtomicU64,
-    /// Set on the first append/sync error; all later appends fail fast
-    /// (see the module docs on failing closed).
+    /// Set on the first write/sync error; all later writes and syncs
+    /// fail fast (see the module docs on failing closed).
     poisoned: AtomicBool,
     appends: AtomicU64,
     fsyncs: AtomicU64,
@@ -581,7 +635,10 @@ impl Wal {
             storage,
             fsync,
             snapshot_threshold,
-            writer: Mutex::new(WriterState::default()),
+            writer: Mutex::new(()),
+            syncer: Mutex::new(()),
+            written: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
             records_since_snapshot: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             appends: AtomicU64::new(0),
@@ -590,44 +647,93 @@ impl Wal {
         }
     }
 
-    /// Append one record and sync per the policy. On `Err` nothing may
-    /// be assumed durable and the log is poisoned: every later append
-    /// fails too. The caller decides direction — the ledger rejects the
-    /// admission (fail closed) but still applies refunds in memory.
-    pub fn append(&self, op: &WalOp) -> io::Result<()> {
-        let record = op.encode();
-        let mut w = lock(&self.writer);
+    fn fail<T>(&self, e: io::Error) -> io::Result<T> {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.poisoned.store(true, Ordering::Relaxed);
+        Err(e)
+    }
+
+    fn check_poison(&self) -> io::Result<()> {
         if self.poisoned.load(Ordering::Relaxed) {
             self.errors.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::other(
                 "wal poisoned by an earlier write error; restart to recover",
             ));
         }
+        Ok(())
+    }
+
+    /// Write one record and return its LSN. Nothing is synced: the
+    /// record is durable only once [`Wal::commit`] (or a later record's
+    /// commit) has covered its LSN. On `Err` the log is poisoned and
+    /// every later write fails too. The caller decides direction — the
+    /// ledger rejects the admission (fail closed) but still applies
+    /// refunds in memory.
+    pub fn write(&self, op: &WalOp) -> io::Result<Lsn> {
+        let record = op.encode();
+        let _w = lock(&self.writer);
+        self.check_poison()?;
         if let Err(e) = self.storage.append(&record) {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            self.poisoned.store(true, Ordering::Relaxed);
-            return Err(e);
+            return self.fail(e);
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.records_since_snapshot.fetch_add(1, Ordering::Relaxed);
-        let sync_now = match self.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => {
-                w.appends_since_sync += 1;
-                w.appends_since_sync >= n.max(1)
-            }
-            FsyncPolicy::Never => false,
+        let lsn = self.written.load(Ordering::Relaxed) + 1;
+        self.written.store(lsn, Ordering::Release);
+        Ok(lsn)
+    }
+
+    /// Make the records up to `lsn` as durable as the policy demands —
+    /// all of them under [`FsyncPolicy::Always`], all but the newest
+    /// `n − 1` under `EveryN(n)`, none under `Never` — and return once
+    /// they are. Call it outside every lock: the caller that finds
+    /// `lsn` uncovered fsyncs once for everything written so far, and
+    /// whoever waited behind it for an LSN that fsync covered returns
+    /// without touching the disk. An `lsn` already covered costs one
+    /// atomic load. On `Err` the log is poisoned and nothing at or past
+    /// the first uncovered LSN may be assumed durable.
+    pub fn commit(&self, lsn: Lsn) -> io::Result<()> {
+        let slack = match self.fsync {
+            FsyncPolicy::Always => 0,
+            FsyncPolicy::EveryN(n) => n.max(1) - 1,
+            FsyncPolicy::Never => return Ok(()),
         };
-        if sync_now {
-            if let Err(e) = self.storage.sync() {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.poisoned.store(true, Ordering::Relaxed);
-                return Err(e);
-            }
-            w.appends_since_sync = 0;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.sync_unless_covered(lsn, slack)
+    }
+
+    /// Sync everything written so far, whatever the policy (a clean
+    /// stop must not leave acknowledged records in the page cache).
+    pub fn sync(&self) -> io::Result<()> {
+        self.sync_unless_covered(self.written.load(Ordering::Acquire), 0)
+    }
+
+    /// Return once all but the newest `slack` records up to `lsn` are
+    /// durable: at once if they are, else as the leader of one fsync
+    /// for every record written before it starts — or behind another
+    /// leader whose fsync turns out to have covered them.
+    fn sync_unless_covered(&self, lsn: Lsn, slack: u64) -> io::Result<()> {
+        let covered = || self.durable.load(Ordering::Acquire).saturating_add(slack) >= lsn;
+        if covered() {
+            return Ok(());
         }
+        let _s = lock(&self.syncer);
+        if covered() {
+            return Ok(());
+        }
+        self.check_poison()?;
+        let target = self.written.load(Ordering::Acquire);
+        if let Err(e) = self.storage.sync() {
+            return self.fail(e);
+        }
+        self.durable.store(target, Ordering::Release);
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// [`Wal::write`] then [`Wal::commit`] of the record just written:
+    /// the one-call form for a caller that holds no lock.
+    pub fn append(&self, op: &WalOp) -> io::Result<()> {
+        self.commit(self.write(op)?)
     }
 
     /// Read and decode every intact record, in order. The second value
@@ -663,19 +769,23 @@ impl Wal {
     pub fn rewrite(&self, snap: &LedgerSnapshot) -> io::Result<()> {
         let record = WalOp::Snapshot(snap.clone()).encode();
         let _w = lock(&self.writer);
+        let _s = lock(&self.syncer);
         if let Err(e) = self.storage.replace(&record) {
             self.errors.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
         // A fresh, fully-synced log: clear any poisoning — the torn
-        // bytes a failed append may have left are gone with the old log.
+        // bytes a failed append may have left are gone with the old log
+        // — and everything written so far is durable inside the snapshot.
         self.poisoned.store(false, Ordering::Relaxed);
         self.records_since_snapshot.store(0, Ordering::Relaxed);
+        self.durable
+            .store(self.written.load(Ordering::Relaxed), Ordering::Release);
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Records appended so far (snapshot rewrites excluded).
+    /// Records written so far (snapshot rewrites excluded).
     pub fn appends(&self) -> u64 {
         self.appends.load(Ordering::Relaxed)
     }
@@ -825,6 +935,117 @@ mod tests {
             }
             assert_eq!(wal.fsyncs(), expect_fsyncs, "{policy:?}");
         }
+    }
+
+    /// `write` never syncs; `commit` syncs once for everything written
+    /// and is free for an LSN an earlier sync covered.
+    #[test]
+    fn write_is_not_durable_until_a_commit_covers_it() {
+        let storage = FaultStorage::new();
+        let wal = Wal::new(Box::new(storage.clone()), FsyncPolicy::Always, 0);
+        let ops = sample_ops();
+        let lsns: Vec<Lsn> = ops.iter().map(|op| wal.write(op).unwrap()).collect();
+        assert_eq!(lsns, [1, 2, 3, 4, 5]);
+        assert_eq!((wal.fsyncs(), storage.durable_len()), (0, 0));
+        // Committing the third record makes the whole file durable — an
+        // fsync has no narrower unit — so the later LSNs are free too.
+        wal.commit(3).unwrap();
+        assert_eq!(storage.durable_len(), storage.total_len());
+        for lsn in lsns {
+            wal.commit(lsn).unwrap();
+        }
+        assert_eq!(wal.fsyncs(), 1);
+        // `sync` with nothing unsynced touches no disk either.
+        wal.sync().unwrap();
+        assert_eq!((wal.fsyncs(), storage.syncs()), (1, 1));
+    }
+
+    /// (d) A write runs to completion while a sync is in flight, and the
+    /// sync's leader claims durable only what it was started for.
+    #[test]
+    fn a_write_proceeds_while_a_sync_is_in_flight() {
+        let storage = FaultStorage::new();
+        let wal = &Wal::new(Box::new(storage.clone()), FsyncPolicy::Always, 0);
+        let ops = &sample_ops();
+        storage.pause_syncs();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| wal.append(&ops[0]));
+            while storage.syncs_held() == 0 {
+                std::thread::yield_now();
+            }
+            // On its own thread, so a writer lock held across the sync
+            // shows as a timeout here rather than a hung test.
+            let (tx, rx) = std::sync::mpsc::channel();
+            let second = scope.spawn(move || tx.send(wal.write(&ops[1])));
+            let lsn = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("the write must not wait for the sync in flight");
+            assert_eq!(lsn.unwrap(), 2);
+            assert_eq!(storage.durable_len(), 0, "the sync is still held");
+            storage.resume_syncs();
+            first.join().unwrap().unwrap();
+            second.join().unwrap().unwrap();
+        });
+        // The held sync began before record 2 was written: only record 1
+        // is durable, and committing record 2 takes a second fsync.
+        let one = ops[0].encode().len();
+        assert_eq!((wal.fsyncs(), storage.durable_len()), (1, one));
+        wal.commit(2).unwrap();
+        assert_eq!(wal.fsyncs(), 2);
+        assert_eq!(storage.durable_len(), storage.total_len());
+    }
+
+    /// Group commit: everyone who wrote while one fsync was in flight
+    /// is covered by the next one — two fsyncs for eight committers (a
+    /// third if the release catches the last writer between its append
+    /// and the publication of its LSN).
+    #[test]
+    fn committers_behind_a_sync_in_flight_share_the_next_one() {
+        const N: u64 = 8;
+        let storage = FaultStorage::new();
+        let wal = Wal::new(Box::new(storage.clone()), FsyncPolicy::Always, 0);
+        let op = &sample_ops()[0];
+        storage.pause_syncs();
+        std::thread::scope(|scope| {
+            for _ in 0..N {
+                scope.spawn(|| wal.append(op).unwrap());
+            }
+            // One committer leads a (held) fsync; the others have
+            // written and queue behind it.
+            while storage.appends() < N || storage.syncs_held() == 0 {
+                std::thread::yield_now();
+            }
+            storage.resume_syncs();
+        });
+        assert_eq!(wal.appends(), N);
+        assert!(wal.fsyncs() <= 3, "{} fsyncs for {N} records", wal.fsyncs());
+        assert_eq!(storage.durable_len(), storage.total_len());
+    }
+
+    /// A failed fsync poisons the log: the record it was for, the
+    /// records behind it and every later write fail closed, and no
+    /// second fsync is attempted (the OS may report it clean without
+    /// having written anything) — until compaction rewrites the log.
+    #[test]
+    fn sync_error_poisons_commits_and_writes_until_compaction() {
+        let storage = FaultStorage::new();
+        let wal = Wal::new(Box::new(storage.clone()), FsyncPolicy::Always, 0);
+        let op = &sample_ops()[0];
+        wal.append(op).unwrap();
+        let (a, b) = (wal.write(op).unwrap(), wal.write(op).unwrap());
+        storage.fail_syncs_after(storage.syncs());
+        assert!(wal.commit(a).is_err());
+        storage.clear_faults();
+        assert!(wal.commit(a).is_err() && wal.commit(b).is_err());
+        assert!(wal.write(op).is_err());
+        assert_eq!(storage.syncs(), 2, "no fsync after the failed one");
+        // What was durable stays committed, for free.
+        wal.commit(1).unwrap();
+        // The snapshot the caller hands `rewrite` holds everything
+        // written so far, so every written LSN is durable after it.
+        wal.rewrite(&LedgerSnapshot::default()).unwrap();
+        wal.commit(b).unwrap();
+        wal.append(op).unwrap();
     }
 
     #[test]

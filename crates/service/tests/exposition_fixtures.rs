@@ -13,7 +13,12 @@
 //! keys and each slow query's `route` key. One Prometheus block sits
 //! elsewhere than it did: `flex_wal_recovery_replayed_records` was the
 //! last scalar gauge and is now the first, because both renderers walk
-//! one table and its JSON key precedes the other gauges'.
+//! one table and its JSON key precedes the other gauges'. Added since,
+//! by hand and with nothing else touched: the
+//! `flex_durability_latency_seconds` summary (`durability_latency` key),
+//! each slow query's `durability` span (which its `total_ns` now
+//! counts), and the derived `flex_wal_records_per_fsync` gauge
+//! (`wal_records_per_fsync` key).
 
 use flex_db::ExecTrace;
 use flex_service::{
@@ -61,6 +66,7 @@ fn populated_report() -> MetricsReport {
         analysis_latency: latency(2),
         execution_latency: latency(3),
         perturbation_latency: latency(4),
+        durability_latency: latency(5),
         slow_queries: vec![SlowQuery {
             analyst: "alice".to_string(),
             canonical_sql: "SELECT COUNT(*) FROM trips WHERE note = 'a \"b\"\\c'".to_string(),
@@ -74,6 +80,7 @@ fn populated_report() -> MetricsReport {
                 analysis: Duration::from_nanos(305),
                 execution: Duration::from_nanos(306),
                 perturbation: Duration::from_nanos(307),
+                durability: Duration::from_nanos(312),
                 exec: ExecTrace {
                     topk: true,
                     morsels: 308,

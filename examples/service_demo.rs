@@ -234,10 +234,12 @@ fn main() {
         );
         if let Some(slowest) = snapshot.slow_queries.first() {
             println!(
-                "\nslowest release: {:?} by {} — {:.3} ms total ({:?})",
+                "\nslowest release: {:?} by {} — {:.3} ms total, {:.3} ms of it \
+                 waiting for the WAL ({:?})",
                 slowest.canonical_sql,
                 slowest.analyst,
                 slowest.total().as_secs_f64() * 1e3,
+                slowest.trace.durability.as_secs_f64() * 1e3,
                 slowest.trace.exec.route,
             );
         }
