@@ -23,7 +23,7 @@
 use crate::error::{FlexError, Result};
 use crate::relalg::{Attr, QueryKind, Rel};
 use flex_db::bind::{self, ColMeta, Projected};
-use flex_db::{Database, DbError};
+use flex_db::{AggFunc, Database, DbError};
 use flex_sql::{ColumnRef, Expr, FunctionArg, JoinType, Query, Select, SetExpr, TableRef};
 
 /// A root aggregate output of a counting/statistical query.
@@ -440,7 +440,9 @@ fn permute_outputs(inner: Lowered, alias: &str, outer: &Select) -> Result<Lowere
     })
 }
 
-/// If `expr` is a supported root aggregate call, classify it.
+/// If `expr` is a supported root aggregate call, classify it — as the
+/// function the engine will fold ([`AggFunc::parse`], which reads the one
+/// table of aggregate names), never by its spelling.
 fn classify_aggregate(expr: &Expr, from: &Bound) -> Result<Option<RootAgg>> {
     let Expr::Function {
         name,
@@ -464,16 +466,21 @@ fn classify_aggregate(expr: &Expr, from: &Bound) -> Result<Option<RootAgg>> {
             ))),
         }
     };
-    match name.as_str() {
-        "count" if *distinct => Ok(Some(RootAgg::CountDistinct)),
-        "count" => Ok(Some(RootAgg::Count)),
-        "sum" => Ok(Some(RootAgg::Sum(col_arg()?))),
-        "avg" | "mean" => Ok(Some(RootAgg::Avg(col_arg()?))),
-        "min" => Ok(Some(RootAgg::Min(col_arg()?))),
-        "max" => Ok(Some(RootAgg::Max(col_arg()?))),
-        "median" | "stddev" | "stddev_samp" => Err(FlexError::UnsupportedAggregate(name.clone())),
-        _ => Ok(None),
-    }
+    let wildcard = matches!(args.first(), Some(FunctionArg::Wildcard));
+    let Some(func) = AggFunc::parse(name, *distinct, wildcard) else {
+        return Ok(None);
+    };
+    Ok(Some(match func {
+        AggFunc::CountStar | AggFunc::Count => RootAgg::Count,
+        AggFunc::CountDistinct => RootAgg::CountDistinct,
+        AggFunc::Sum => RootAgg::Sum(col_arg()?),
+        AggFunc::Avg => RootAgg::Avg(col_arg()?),
+        AggFunc::Min => RootAgg::Min(col_arg()?),
+        AggFunc::Max => RootAgg::Max(col_arg()?),
+        AggFunc::Median | AggFunc::Stddev => {
+            return Err(FlexError::UnsupportedAggregate(name.clone()))
+        }
+    }))
 }
 
 /// Reject WHERE predicates containing subqueries (conservative, §3.7.1).
@@ -708,6 +715,38 @@ mod tests {
             lower_sql("SELECT MEDIAN(fare) FROM trips"),
             Err(FlexError::UnsupportedAggregate(_))
         ));
+    }
+
+    /// The analysis classifies the function the engine folds, so an alias
+    /// is its function: no name of the shared table is "not an
+    /// aggregate" (which would read as a raw-data query — or, in HAVING,
+    /// as no aggregation at all).
+    #[test]
+    fn aggregate_aliases_classify_as_their_function() {
+        let l = lower_sql("SELECT mean(fare) FROM trips").unwrap();
+        assert!(matches!(&l.aggregates[0], RootAgg::Avg(a) if a.column == "fare"));
+        assert_eq!(l.columns, ["mean"]);
+        assert_eq!(
+            lower_sql("SELECT stddev_samp(fare) FROM trips"),
+            Err(FlexError::UnsupportedAggregate("stddev_samp".into()))
+        );
+        let q = parse_query("SELECT 1 FROM trips").unwrap();
+        let from = Lowerer {
+            db: &db(),
+            next_occurrence: 0,
+        }
+        .lower_source(q.as_select().unwrap())
+        .unwrap()
+        .unwrap();
+        for (name, _) in flex_sql::AGGREGATE_FUNCTIONS {
+            let call = parse_query(&format!("SELECT {name}(fare) FROM trips")).unwrap();
+            let flex_sql::SelectItem::Expr { expr, .. } = &call.as_select().unwrap().projection[0]
+            else {
+                panic!("an expression item");
+            };
+            assert!(expr.contains_aggregate(), "{name}");
+            assert_ne!(classify_aggregate(expr, &from), Ok(None), "{name}");
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 use flex_db::Database;
 use flex_sql::visitor::{clause_count, walk_exprs, walk_joins, walk_selects};
 use flex_sql::{
-    Expr, FunctionArg, JoinConstraint, JoinType, Query, SelectItem, SetExpr, SetOperator, TableRef,
+    Aggregate, Expr, FunctionArg, JoinConstraint, JoinType, Query, SelectItem, SetExpr,
+    SetOperator, TableRef,
 };
 
 /// Queries using each relational operator (Question 2).
@@ -207,15 +208,16 @@ fn analyze_query(q: &Query, db: Option<&Database>, report: &mut StudyReport) {
     // Aggregations (Question 6) — every call site in the query.
     walk_exprs(q, &mut |e| {
         if let Expr::Function { name, .. } = e {
-            match name.as_str() {
-                "count" => report.aggregations.count += 1,
-                "sum" => report.aggregations.sum += 1,
-                "avg" | "mean" => report.aggregations.avg += 1,
-                "min" => report.aggregations.min += 1,
-                "max" => report.aggregations.max += 1,
-                "median" => report.aggregations.median += 1,
-                "stddev" | "stddev_samp" => report.aggregations.stddev += 1,
-                _ => {}
+            let usage = &mut report.aggregations;
+            match Aggregate::parse(name) {
+                Some(Aggregate::Count) => usage.count += 1,
+                Some(Aggregate::Sum) => usage.sum += 1,
+                Some(Aggregate::Avg) => usage.avg += 1,
+                Some(Aggregate::Min) => usage.min += 1,
+                Some(Aggregate::Max) => usage.max += 1,
+                Some(Aggregate::Median) => usage.median += 1,
+                Some(Aggregate::Stddev) => usage.stddev += 1,
+                None => {}
             }
         }
     });

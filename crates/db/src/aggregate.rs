@@ -1,10 +1,16 @@
 //! Aggregate functions: the seven used by the paper's workload study
 //! (count, sum, avg, min, max, median, stddev) plus `COUNT(DISTINCT ...)`.
+//!
+//! Which names spell them is [`flex_sql::AGGREGATE_FUNCTIONS`]' to say —
+//! `count`, `sum`, `avg` (alias `mean`), `min`, `max`, `median`, `stddev`
+//! (alias `stddev_samp`) — the one table [`AggFunc::parse`], the planner's
+//! "is this block aggregated" and the sensitivity analysis all read.
 
 use crate::error::{DbError, Result};
 use crate::expr::CompiledExpr;
 use crate::morsel;
 use crate::value::{Value, ValueKey};
+use flex_sql::Aggregate;
 use std::collections::HashSet;
 
 /// An aggregate function.
@@ -31,20 +37,20 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// Resolve a SQL function name (+ DISTINCT flag) to an aggregate.
+    /// Resolve a SQL function name (+ DISTINCT flag, + whether the first
+    /// argument is `*`) to an aggregate.
     pub fn parse(name: &str, distinct: bool, wildcard: bool) -> Option<AggFunc> {
-        match name {
-            "count" if wildcard => Some(AggFunc::CountStar),
-            "count" if distinct => Some(AggFunc::CountDistinct),
-            "count" => Some(AggFunc::Count),
-            "sum" => Some(AggFunc::Sum),
-            "avg" | "mean" => Some(AggFunc::Avg),
-            "min" => Some(AggFunc::Min),
-            "max" => Some(AggFunc::Max),
-            "median" => Some(AggFunc::Median),
-            "stddev" | "stddev_samp" => Some(AggFunc::Stddev),
-            _ => None,
-        }
+        Some(match Aggregate::parse(name)? {
+            Aggregate::Count if wildcard => AggFunc::CountStar,
+            Aggregate::Count if distinct => AggFunc::CountDistinct,
+            Aggregate::Count => AggFunc::Count,
+            Aggregate::Sum => AggFunc::Sum,
+            Aggregate::Avg => AggFunc::Avg,
+            Aggregate::Min => AggFunc::Min,
+            Aggregate::Max => AggFunc::Max,
+            Aggregate::Median => AggFunc::Median,
+            Aggregate::Stddev => AggFunc::Stddev,
+        })
     }
 }
 
@@ -728,6 +734,16 @@ mod tests {
         );
         assert_eq!(AggFunc::parse("sum", false, false), Some(AggFunc::Sum));
         assert_eq!(AggFunc::parse("lower", false, false), None);
+        // Every spelling of the shared table folds, aliases as the
+        // function they abbreviate.
+        for (name, _) in flex_sql::AGGREGATE_FUNCTIONS {
+            assert!(AggFunc::parse(name, false, false).is_some(), "{name}");
+        }
+        assert_eq!(AggFunc::parse("mean", false, false), Some(AggFunc::Avg));
+        assert_eq!(
+            AggFunc::parse("stddev_samp", false, false),
+            Some(AggFunc::Stddev)
+        );
     }
 
     #[test]

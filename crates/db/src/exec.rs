@@ -14,8 +14,11 @@
 //! The rest of this module is what the executor and the row-at-a-time
 //! reference implementation ([`crate::oracle`]) both call, and which the
 //! differential suite therefore does **not** cross-check: the expression
-//! compiler (`Exec::compile_scalar`, `GroupCompiler`) and the ORDER BY
-//! resolution rule (`plan_sort_keys_with`, `set_op_sort_keys`). Grouping,
+//! compiler and the ORDER BY resolution rule (`plan_sort_keys_with`,
+//! `set_op_sort_keys`). There is one compiler, `Exec::compile`: a single
+//! pass, one arm per [`flex_sql::Expr`] variant, run by scalar mode and
+//! group mode (`GroupCompiler`) alike — they differ in what an aggregate
+//! call (a name of [`flex_sql::AGGREGATE_FUNCTIONS`]) is. Grouping,
 //! projection and the sort / DISTINCT / LIMIT tail are not here: each
 //! exists once in the executor and once, independently, in the oracle.
 //! Expression subqueries (`IN (SELECT …)`, `EXISTS`) are the one place the
@@ -32,7 +35,7 @@ use crate::morsel::Parallelism;
 use crate::plan::{FilterOrder, JoinOrder, ResultSet};
 use crate::value::{Value, ValueKey};
 use crate::vexec::{self, VexecStats};
-use flex_sql::{Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
+use flex_sql::{ColumnRef, Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
 use std::collections::HashSet;
 
 /// Execute a parsed query against a database.
@@ -192,131 +195,119 @@ impl<'a> Exec<'a> {
 
     /// Compile an expression in scalar (non-aggregate) mode against a scope.
     pub(crate) fn compile_scalar(&mut self, e: &Expr, cols: &[ColMeta]) -> Result<CompiledExpr> {
-        match e {
-            Expr::Column(c) => Ok(CompiledExpr::Column(resolve_column(cols, c)?)),
-            Expr::Literal(l) => Ok(CompiledExpr::Literal(literal_value(l))),
-            Expr::BinaryOp { left, op, right } => Ok(CompiledExpr::Binary {
+        self.compile(e, cols, &mut Aggs::Refused)
+    }
+
+    /// The one expression compiler: every [`Expr`] variant has its arm
+    /// here and nowhere else in the engine, and every node is compiled —
+    /// an `EXISTS` / `IN (SELECT …)` executed — exactly once. The mode
+    /// (`aggs`) changes what an aggregate call is, nothing else.
+    fn compile(&mut self, e: &Expr, cols: &[ColMeta], aggs: &mut Aggs<'_>) -> Result<CompiledExpr> {
+        // A sub-expression, compiled in this expression's mode.
+        macro_rules! sub {
+            ($e:expr) => {
+                self.compile($e, cols, aggs).map(Box::new)
+            };
+        }
+        Ok(match e {
+            Expr::Column(c) => match resolve_column(cols, c) {
+                Ok(i) => CompiledExpr::Column(i),
+                // Group mode has always reported a name that binds to
+                // nothing as one that is not grouped.
+                Err(_) if matches!(aggs, Aggs::Slots(_)) => return Err(ungrouped_column(c)),
+                Err(unbound) => return Err(unbound),
+            },
+            Expr::Literal(l) => CompiledExpr::Literal(literal_value(l)),
+            Expr::BinaryOp { left, op, right } => CompiledExpr::Binary {
                 op: *op,
-                left: Box::new(self.compile_scalar(left, cols)?),
-                right: Box::new(self.compile_scalar(right, cols)?),
-            }),
-            Expr::UnaryOp { op, expr } => Ok(CompiledExpr::Unary {
+                left: sub!(left)?,
+                right: sub!(right)?,
+            },
+            Expr::UnaryOp { op, expr } => CompiledExpr::Unary {
                 op: *op,
-                expr: Box::new(self.compile_scalar(expr, cols)?),
-            }),
+                expr: sub!(expr)?,
+            },
             Expr::Function {
                 name,
                 distinct,
                 args,
             } => {
-                if AggFunc::parse(
-                    name,
-                    *distinct,
-                    matches!(args.first(), Some(FunctionArg::Wildcard)),
-                )
-                .is_some()
-                {
-                    return Err(DbError::InvalidAggregate(format!(
-                        "aggregate function `{name}` is not allowed here"
-                    )));
+                let wildcard = matches!(args.first(), Some(FunctionArg::Wildcard));
+                if let Some(func) = AggFunc::parse(name, *distinct, wildcard) {
+                    return self.compile_aggregate(func, name, args, cols, aggs);
                 }
                 let func = ScalarFunc::parse(name)
                     .ok_or_else(|| DbError::Unsupported(format!("function `{name}`")))?;
-                let mut compiled_args = Vec::with_capacity(args.len());
-                for a in args {
-                    match a {
-                        FunctionArg::Wildcard => {
-                            return Err(DbError::InvalidFunction(format!(
-                                "`*` argument is only valid for count, not `{name}`"
-                            )));
-                        }
-                        FunctionArg::Expr(e) => compiled_args.push(self.compile_scalar(e, cols)?),
-                    }
-                }
-                Ok(CompiledExpr::ScalarFn {
+                let args = args.iter().map(|a| match a {
+                    FunctionArg::Wildcard => Err(DbError::InvalidFunction(format!(
+                        "`*` argument is only valid for count, not `{name}`"
+                    ))),
+                    FunctionArg::Expr(e) => self.compile(e, cols, aggs),
+                });
+                CompiledExpr::ScalarFn {
                     func,
-                    args: compiled_args,
-                })
+                    args: args.collect::<Result<_>>()?,
+                }
             }
             Expr::Case {
                 operand,
                 branches,
                 else_result,
-            } => {
-                let operand = operand
-                    .as_ref()
-                    .map(|o| self.compile_scalar(o, cols).map(Box::new))
-                    .transpose()?;
-                let mut compiled_branches = Vec::with_capacity(branches.len());
-                for (c, r) in branches {
-                    compiled_branches
-                        .push((self.compile_scalar(c, cols)?, self.compile_scalar(r, cols)?));
-                }
-                let else_result = else_result
-                    .as_ref()
-                    .map(|e| self.compile_scalar(e, cols).map(Box::new))
-                    .transpose()?;
-                Ok(CompiledExpr::Case {
-                    operand,
-                    branches: compiled_branches,
-                    else_result,
-                })
-            }
+            } => CompiledExpr::Case {
+                operand: operand.as_deref().map(|e| sub!(e)).transpose()?,
+                branches: (branches.iter())
+                    .map(|(c, r)| Ok((self.compile(c, cols, aggs)?, self.compile(r, cols, aggs)?)))
+                    .collect::<Result<_>>()?,
+                else_result: else_result.as_deref().map(|e| sub!(e)).transpose()?,
+            },
             Expr::InList {
                 expr,
                 list,
                 negated,
-            } => {
-                let compiled = self.compile_scalar(expr, cols)?;
-                let mut compiled_list = Vec::with_capacity(list.len());
-                for item in list {
-                    compiled_list.push(self.compile_scalar(item, cols)?);
-                }
-                Ok(CompiledExpr::InList {
-                    expr: Box::new(compiled),
-                    list: compiled_list,
-                    negated: *negated,
-                })
-            }
+            } => CompiledExpr::InList {
+                expr: sub!(expr)?,
+                list: (list.iter().map(|e| self.compile(e, cols, aggs))).collect::<Result<_>>()?,
+                negated: *negated,
+            },
             Expr::Between {
                 expr,
                 low,
                 high,
                 negated,
-            } => Ok(CompiledExpr::Between {
-                expr: Box::new(self.compile_scalar(expr, cols)?),
-                low: Box::new(self.compile_scalar(low, cols)?),
-                high: Box::new(self.compile_scalar(high, cols)?),
+            } => CompiledExpr::Between {
+                expr: sub!(expr)?,
+                low: sub!(low)?,
+                high: sub!(high)?,
                 negated: *negated,
-            }),
+            },
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => Ok(CompiledExpr::Like {
-                expr: Box::new(self.compile_scalar(expr, cols)?),
-                pattern: Box::new(self.compile_scalar(pattern, cols)?),
+            } => CompiledExpr::Like {
+                expr: sub!(expr)?,
+                pattern: sub!(pattern)?,
                 negated: *negated,
-            }),
-            Expr::IsNull { expr, negated } => Ok(CompiledExpr::IsNull {
-                expr: Box::new(self.compile_scalar(expr, cols)?),
+            },
+            Expr::IsNull { expr, negated } => CompiledExpr::IsNull {
+                expr: sub!(expr)?,
                 negated: *negated,
-            }),
-            Expr::Cast { expr, data_type } => Ok(CompiledExpr::Cast {
-                expr: Box::new(self.compile_scalar(expr, cols)?),
+            },
+            Expr::Cast { expr, data_type } => CompiledExpr::Cast {
+                expr: sub!(expr)?,
                 target: CastTarget::parse(data_type)?,
-            }),
+            },
             // Uncorrelated subqueries are evaluated once at compile time.
             Expr::Exists(q) => {
                 let rs = self.subquery(q)?;
-                Ok(CompiledExpr::Literal(Value::Bool(!rs.rows.is_empty())))
+                CompiledExpr::Literal(Value::Bool(!rs.rows.is_empty()))
             }
             Expr::InSubquery {
                 expr,
                 query,
                 negated,
             } => {
-                let compiled = self.compile_scalar(expr, cols)?;
+                let expr = sub!(expr)?;
                 let rs = self.subquery(query)?;
                 if rs.columns.len() != 1 {
                     return Err(DbError::Unsupported(
@@ -332,15 +323,74 @@ impl<'a> Exec<'a> {
                         set.insert(ValueKey::from(&row[0]));
                     }
                 }
-                Ok(CompiledExpr::InSet {
-                    expr: Box::new(compiled),
+                CompiledExpr::InSet {
+                    expr,
                     set,
                     has_null,
                     negated: *negated,
-                })
+                }
             }
-        }
+        })
     }
+
+    /// An aggregate call, where `aggs` lets one stand: the call takes a
+    /// slot (an equal call's, if there is one) and reads as column
+    /// `cols.len() + slot` of the scope extended by the slots.
+    fn compile_aggregate(
+        &mut self,
+        func: AggFunc,
+        name: &str,
+        args: &[FunctionArg],
+        cols: &[ColMeta],
+        aggs: &mut Aggs<'_>,
+    ) -> Result<CompiledExpr> {
+        let slots = match aggs {
+            Aggs::Slots(slots) => slots,
+            Aggs::Nested => {
+                return Err(DbError::InvalidAggregate(
+                    "nested aggregate functions".into(),
+                ))
+            }
+            Aggs::Refused => {
+                return Err(DbError::InvalidAggregate(format!(
+                    "aggregate function `{name}` is not allowed here"
+                )))
+            }
+        };
+        let arg = match (func, args.first()) {
+            (AggFunc::CountStar, _) => None,
+            (_, Some(FunctionArg::Expr(arg))) => {
+                Some(self.compile(arg, cols, &mut Aggs::Nested)?)
+            }
+            _ => {
+                return Err(DbError::InvalidAggregate(format!(
+                    "`{name}` requires an argument"
+                )))
+            }
+        };
+        let spec = AggSpec { func, arg };
+        let slot = slots.iter().position(|s| *s == spec).unwrap_or_else(|| {
+            slots.push(spec);
+            slots.len() - 1
+        });
+        Ok(CompiledExpr::Column(cols.len() + slot))
+    }
+}
+
+/// What an aggregate call is, where the expression being compiled stands.
+enum Aggs<'a> {
+    /// Scalar mode (WHERE, ON, GROUP BY, a plain block's tail): an error.
+    Refused,
+    /// Inside an aggregate's argument: an error of its own.
+    Nested,
+    /// Group mode: a slot of the block's aggregate list.
+    Slots(&'a mut Vec<AggSpec>),
+}
+
+fn ungrouped_column(c: &ColumnRef) -> DbError {
+    DbError::InvalidAggregate(format!(
+        "column `{c}` must appear in GROUP BY or inside an aggregate"
+    ))
 }
 
 /// How one ORDER BY key is obtained.
@@ -491,201 +541,55 @@ pub(crate) struct GroupCompiler<'a> {
     pub(crate) aggs: Vec<AggSpec>,
 }
 
-impl<'a> GroupCompiler<'a> {
+impl GroupCompiler<'_> {
+    /// One pass of the compiler over the scope extended by the aggregate
+    /// slots, then one rewrite of the *compiled* tree onto the groups layout.
     pub(crate) fn compile(
         &mut self,
         exec: &mut Exec<'_>,
         e: &Expr,
         input_cols: &[ColMeta],
     ) -> Result<CompiledExpr> {
-        // Aggregate call → allocate (or reuse) an aggregate slot.
-        if let Expr::Function {
-            name,
-            distinct,
-            args,
-        } = e
-        {
-            let wildcard = matches!(args.first(), Some(FunctionArg::Wildcard));
-            if let Some(func) = AggFunc::parse(name, *distinct, wildcard) {
-                let arg = match (func, args.first()) {
-                    (AggFunc::CountStar, _) => None,
-                    (_, Some(FunctionArg::Expr(arg))) => {
-                        if arg.contains_aggregate() {
-                            return Err(DbError::InvalidAggregate(
-                                "nested aggregate functions".into(),
-                            ));
-                        }
-                        Some(exec.compile_scalar(arg, input_cols)?)
-                    }
-                    _ => {
-                        return Err(DbError::InvalidAggregate(format!(
-                            "`{name}` requires an argument"
-                        )))
-                    }
-                };
-                let spec = AggSpec { func, arg };
-                let idx = match self.aggs.iter().position(|s| *s == spec) {
-                    Some(i) => i,
-                    None => {
-                        self.aggs.push(spec);
-                        self.aggs.len() - 1
-                    }
-                };
-                return Ok(CompiledExpr::Column(self.group_exprs.len() + idx));
-            }
-        }
-
-        // A scalar-compilable expression matching a group key.
-        if let Ok(scalar) = exec.compile_scalar(e, input_cols) {
-            if let Some(pos) = self.group_exprs.iter().position(|g| *g == scalar) {
-                return Ok(CompiledExpr::Column(pos));
-            }
-            if !contains_column(&scalar) {
-                return Ok(scalar);
-            }
-        }
-
-        // Otherwise recurse structurally.
-        match e {
-            Expr::Column(c) => Err(DbError::InvalidAggregate(format!(
-                "column `{c}` must appear in GROUP BY or inside an aggregate"
-            ))),
-            Expr::Literal(l) => Ok(CompiledExpr::Literal(literal_value(l))),
-            Expr::BinaryOp { left, op, right } => Ok(CompiledExpr::Binary {
-                op: *op,
-                left: Box::new(self.compile(exec, left, input_cols)?),
-                right: Box::new(self.compile(exec, right, input_cols)?),
-            }),
-            Expr::UnaryOp { op, expr } => Ok(CompiledExpr::Unary {
-                op: *op,
-                expr: Box::new(self.compile(exec, expr, input_cols)?),
-            }),
-            Expr::Function { name, args, .. } => {
-                let func = ScalarFunc::parse(name).ok_or_else(|| {
-                    DbError::Unsupported(format!("function `{name}` in aggregate context"))
-                })?;
-                let mut compiled = Vec::with_capacity(args.len());
-                for a in args {
-                    match a {
-                        FunctionArg::Wildcard => {
-                            return Err(DbError::InvalidFunction("`*` outside count".into()))
-                        }
-                        FunctionArg::Expr(e) => compiled.push(self.compile(exec, e, input_cols)?),
-                    }
-                }
-                Ok(CompiledExpr::ScalarFn {
-                    func,
-                    args: compiled,
-                })
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                let operand = match operand {
-                    Some(o) => Some(Box::new(self.compile(exec, o, input_cols)?)),
-                    None => None,
-                };
-                let mut compiled_branches = Vec::with_capacity(branches.len());
-                for (c, r) in branches {
-                    compiled_branches.push((
-                        self.compile(exec, c, input_cols)?,
-                        self.compile(exec, r, input_cols)?,
-                    ));
-                }
-                let else_result = match else_result {
-                    Some(e) => Some(Box::new(self.compile(exec, e, input_cols)?)),
-                    None => None,
-                };
-                Ok(CompiledExpr::Case {
-                    operand,
-                    branches: compiled_branches,
-                    else_result,
-                })
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let compiled = self.compile(exec, expr, input_cols)?;
-                let mut compiled_list = Vec::with_capacity(list.len());
-                for item in list {
-                    compiled_list.push(self.compile(exec, item, input_cols)?);
-                }
-                Ok(CompiledExpr::InList {
-                    expr: Box::new(compiled),
-                    list: compiled_list,
-                    negated: *negated,
-                })
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Ok(CompiledExpr::Between {
-                expr: Box::new(self.compile(exec, expr, input_cols)?),
-                low: Box::new(self.compile(exec, low, input_cols)?),
-                high: Box::new(self.compile(exec, high, input_cols)?),
-                negated: *negated,
-            }),
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Ok(CompiledExpr::Like {
-                expr: Box::new(self.compile(exec, expr, input_cols)?),
-                pattern: Box::new(self.compile(exec, pattern, input_cols)?),
-                negated: *negated,
-            }),
-            Expr::IsNull { expr, negated } => Ok(CompiledExpr::IsNull {
-                expr: Box::new(self.compile(exec, expr, input_cols)?),
-                negated: *negated,
-            }),
-            Expr::Cast { expr, data_type } => Ok(CompiledExpr::Cast {
-                expr: Box::new(self.compile(exec, expr, input_cols)?),
-                target: CastTarget::parse(data_type)?,
-            }),
-            Expr::Exists(_) | Expr::InSubquery { .. } => Err(DbError::Unsupported(
-                "subquery expressions in aggregate context".into(),
+        let mut compiled = exec.compile(e, input_cols, &mut Aggs::Slots(&mut self.aggs))?;
+        let mut ungrouped = None;
+        self.onto_groups(&mut compiled, input_cols.len(), &mut ungrouped);
+        match ungrouped {
+            None => Ok(compiled),
+            Some(i) => Err(ungrouped_column(
+                spelled(e, input_cols, i).expect("a compiled column is one `e` spells"),
             )),
+        }
+    }
+
+    /// Top-down over a tree compiled against `[input columns…, slots…]`
+    /// (`width` input columns): a subtree equal to a GROUP BY expression
+    /// is that key's column, a slot moves behind the keys, anything else
+    /// is its children's business — so a column-free subtree stays as it
+    /// is, and the first input column no key covers is the block's defect.
+    fn onto_groups(&self, e: &mut CompiledExpr, width: usize, ungrouped: &mut Option<usize>) {
+        if let Some(key) = self.group_exprs.iter().position(|g| g == e) {
+            *e = CompiledExpr::Column(key);
+        } else if let CompiledExpr::Column(i) = e {
+            if *i < width {
+                ungrouped.get_or_insert(*i);
+            } else {
+                *i = *i - width + self.group_exprs.len();
+            }
+        } else {
+            e.for_each_child_mut(|child| self.onto_groups(child, width, ungrouped));
         }
     }
 }
 
-fn contains_column(e: &CompiledExpr) -> bool {
-    match e {
-        CompiledExpr::Column(_) => true,
-        CompiledExpr::Literal(_) => false,
-        CompiledExpr::Binary { left, right, .. } => contains_column(left) || contains_column(right),
-        CompiledExpr::Unary { expr, .. } => contains_column(expr),
-        CompiledExpr::ScalarFn { args, .. } => args.iter().any(contains_column),
-        CompiledExpr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            operand.as_deref().is_some_and(contains_column)
-                || branches
-                    .iter()
-                    .any(|(c, r)| contains_column(c) || contains_column(r))
-                || else_result.as_deref().is_some_and(contains_column)
-        }
-        CompiledExpr::InList { expr, list, .. } => {
-            contains_column(expr) || list.iter().any(contains_column)
-        }
-        CompiledExpr::InSet { expr, .. } => contains_column(expr),
-        CompiledExpr::Between {
-            expr, low, high, ..
-        } => contains_column(expr) || contains_column(low) || contains_column(high),
-        CompiledExpr::Like { expr, pattern, .. } => {
-            contains_column(expr) || contains_column(pattern)
-        }
-        CompiledExpr::IsNull { expr, .. } => contains_column(expr),
-        CompiledExpr::Cast { expr, .. } => contains_column(expr),
+/// The first column reference of `e` (subqueries apart) that binds to
+/// position `i` of `cols`, as the query spelled it.
+fn spelled<'e>(e: &'e Expr, cols: &[ColMeta], i: usize) -> Option<&'e ColumnRef> {
+    if let Expr::Column(c) = e {
+        return (resolve_column(cols, c) == Ok(i)).then_some(c);
     }
+    let mut found = None;
+    e.for_each_child(|child| found = found.or_else(|| spelled(child, cols, i)));
+    found
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 use crate::error::{DbError, Result};
 use crate::value::{Value, ValueKey};
 use flex_sql::{BinaryOperator, UnaryOperator};
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// An expression compiled against a fixed row layout.
@@ -191,7 +192,7 @@ impl CompiledExpr {
                     },
                     UnaryOperator::Minus => match v {
                         Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
+                        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
                         Value::Float(f) => Ok(Value::Float(-f)),
                         other => Err(type_err("unary -", "number", &other)),
                     },
@@ -275,8 +276,7 @@ impl CompiledExpr {
                 let hi = high.eval(row)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
-                        let inside =
-                            a != std::cmp::Ordering::Less && b != std::cmp::Ordering::Greater;
+                        let inside = a != Ordering::Less && b != Ordering::Greater;
                         Ok(Value::Bool(inside != *negated))
                     }
                     _ => Ok(Value::Null),
@@ -321,56 +321,87 @@ impl CompiledExpr {
     /// executor uses this to gather only referenced columns into
     /// scratch rows when it falls back to scalar evaluation.
     pub fn for_each_column(&self, f: &mut impl FnMut(usize)) {
-        match self {
-            CompiledExpr::Column(i) => f(*i),
-            CompiledExpr::Literal(_) => {}
-            CompiledExpr::Binary { left, right, .. } => {
-                left.for_each_column(f);
-                right.for_each_column(f);
-            }
-            CompiledExpr::Unary { expr, .. } => expr.for_each_column(f),
-            CompiledExpr::ScalarFn { args, .. } => {
-                for a in args {
-                    a.for_each_column(f);
-                }
-            }
-            CompiledExpr::Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                if let Some(o) = operand {
-                    o.for_each_column(f);
-                }
-                for (c, r) in branches {
-                    c.for_each_column(f);
-                    r.for_each_column(f);
-                }
-                if let Some(e) = else_result {
-                    e.for_each_column(f);
-                }
-            }
-            CompiledExpr::InList { expr, list, .. } => {
-                expr.for_each_column(f);
-                for item in list {
-                    item.for_each_column(f);
-                }
-            }
-            CompiledExpr::InSet { expr, .. } => expr.for_each_column(f),
-            CompiledExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.for_each_column(f);
-                low.for_each_column(f);
-                high.for_each_column(f);
-            }
-            CompiledExpr::Like { expr, pattern, .. } => {
-                expr.for_each_column(f);
-                pattern.for_each_column(f);
-            }
-            CompiledExpr::IsNull { expr, .. } => expr.for_each_column(f),
-            CompiledExpr::Cast { expr, .. } => expr.for_each_column(f),
+        if let CompiledExpr::Column(i) = self {
+            f(*i);
         }
+        self.for_each_child(|child| child.for_each_column(f));
+    }
+}
+
+/// The columns `exprs` read, ascending and each once: what a scratch row
+/// must hold to evaluate them.
+pub(crate) fn columns_read<'a>(exprs: impl IntoIterator<Item = &'a CompiledExpr>) -> Vec<usize> {
+    let mut refs = Vec::new();
+    for e in exprs {
+        e.for_each_column(&mut |i| refs.push(i));
+    }
+    refs.sort_unstable();
+    refs.dedup();
+    refs
+}
+
+/// The direct-children walk of [`CompiledExpr`], written once and
+/// instantiated shared and `&mut` — the only code besides `eval` with an
+/// arm per variant.
+macro_rules! compiled_child_walk {
+    ($(#[$doc:meta])* $name:ident $(, $m:tt)?) => {
+        $(#[$doc])*
+        pub fn $name<'a>(&'a $($m)? self, mut f: impl FnMut(&'a $($m)? CompiledExpr)) {
+            match self {
+                CompiledExpr::Column(_) | CompiledExpr::Literal(_) => {}
+                CompiledExpr::Binary { left, right, .. } => {
+                    f(left);
+                    f(right);
+                }
+                CompiledExpr::Unary { expr, .. }
+                | CompiledExpr::InSet { expr, .. }
+                | CompiledExpr::IsNull { expr, .. }
+                | CompiledExpr::Cast { expr, .. } => f(expr),
+                CompiledExpr::ScalarFn { args, .. } => {
+                    for arg in args {
+                        f(arg);
+                    }
+                }
+                CompiledExpr::Case { operand, branches, else_result } => {
+                    if let Some(operand) = operand {
+                        f(operand);
+                    }
+                    for (when, then) in branches {
+                        f(when);
+                        f(then);
+                    }
+                    if let Some(else_result) = else_result {
+                        f(else_result);
+                    }
+                }
+                CompiledExpr::InList { expr, list, .. } => {
+                    f(expr);
+                    for item in list {
+                        f(item);
+                    }
+                }
+                CompiledExpr::Between { expr, low, high, .. } => {
+                    f(expr);
+                    f(low);
+                    f(high);
+                }
+                CompiledExpr::Like { expr, pattern, .. } => {
+                    f(expr);
+                    f(pattern);
+                }
+            }
+        }
+    };
+}
+
+impl CompiledExpr {
+    compiled_child_walk! {
+        /// Call `f` on each direct sub-expression, in evaluation order.
+        for_each_child
+    }
+    compiled_child_walk! {
+        /// [`CompiledExpr::for_each_child`], mutably.
+        for_each_child_mut, mut
     }
 }
 
@@ -379,6 +410,20 @@ fn type_err(context: &str, expected: &str, found: &Value) -> DbError {
         context: context.to_string(),
         expected: expected.to_string(),
         found: found.type_name().to_string(),
+    }
+}
+
+/// Whether operands that compare as `ord` satisfy the comparison `op`.
+#[inline]
+pub(crate) fn comparison_holds(op: BinaryOperator, ord: Ordering) -> bool {
+    match op {
+        BinaryOperator::Eq => ord == Ordering::Equal,
+        BinaryOperator::NotEq => ord != Ordering::Equal,
+        BinaryOperator::Lt => ord == Ordering::Less,
+        BinaryOperator::LtEq => ord != Ordering::Greater,
+        BinaryOperator::Gt => ord == Ordering::Greater,
+        BinaryOperator::GtEq => ord != Ordering::Less,
+        _ => unreachable!("comparison op"),
     }
 }
 
@@ -420,21 +465,9 @@ fn eval_binary(
     let l = left.eval(row)?;
     let r = right.eval(row)?;
     if op.is_comparison() {
-        return Ok(match l.sql_cmp(&r) {
-            None => Value::Null,
-            Some(ord) => {
-                let b = match op {
-                    BinaryOperator::Eq => ord == std::cmp::Ordering::Equal,
-                    BinaryOperator::NotEq => ord != std::cmp::Ordering::Equal,
-                    BinaryOperator::Lt => ord == std::cmp::Ordering::Less,
-                    BinaryOperator::LtEq => ord != std::cmp::Ordering::Greater,
-                    BinaryOperator::Gt => ord == std::cmp::Ordering::Greater,
-                    BinaryOperator::GtEq => ord != std::cmp::Ordering::Less,
-                    _ => unreachable!("comparison op"),
-                };
-                Value::Bool(b)
-            }
-        });
+        return Ok(l
+            .sql_cmp(&r)
+            .map_or(Value::Null, |ord| Value::Bool(comparison_holds(op, ord))));
     }
 
     // Arithmetic.
@@ -536,7 +569,7 @@ fn eval_scalar_fn(func: ScalarFunc, args: &[CompiledExpr], row: &[Value]) -> Res
             match v {
                 Value::Null => Ok(Value::Null),
                 Value::Int(i) => Ok(match func {
-                    ScalarFunc::Abs => Value::Int(i.abs()),
+                    ScalarFunc::Abs => Value::Int(i.wrapping_abs()),
                     _ => Value::Int(i),
                 }),
                 Value::Float(x) => Ok(match func {
@@ -858,6 +891,77 @@ mod tests {
                 .unwrap(),
             Value::Float(2.6)
         );
+    }
+
+    /// `-i64::MIN` and `ABS(i64::MIN)` wrap like every binary operator
+    /// does, in the debug profile too (plain `-i` / `i.abs()` panic there
+    /// and wrap only in release).
+    #[test]
+    fn negating_the_smallest_integer_wraps_in_every_profile() {
+        let neg = CompiledExpr::Unary {
+            op: UnaryOperator::Minus,
+            expr: Box::new(lit(i64::MIN)),
+        };
+        assert_eq!(neg.eval(&[]).unwrap(), Value::Int(i64::MIN));
+        let abs = CompiledExpr::ScalarFn {
+            func: ScalarFunc::Abs,
+            args: vec![lit(i64::MIN)],
+        };
+        assert_eq!(abs.eval(&[]).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(
+            CompiledExpr::ScalarFn {
+                func: ScalarFunc::Abs,
+                args: vec![lit(i64::MIN + 1)],
+            }
+            .eval(&[])
+            .unwrap(),
+            Value::Int(i64::MAX)
+        );
+    }
+
+    /// The column visitor is the child walk plus one arm: every shape's
+    /// columns, in evaluation order, duplicates kept.
+    #[test]
+    fn for_each_column_reaches_every_child() {
+        let col = |i| CompiledExpr::Column(i);
+        let e = CompiledExpr::Case {
+            operand: Some(Box::new(col(0))),
+            branches: vec![(
+                CompiledExpr::InList {
+                    expr: Box::new(col(1)),
+                    list: vec![lit(1i64), col(2)],
+                    negated: false,
+                },
+                CompiledExpr::Between {
+                    expr: Box::new(col(3)),
+                    low: Box::new(col(4)),
+                    high: Box::new(bin(col(5), BinaryOperator::Plus, col(0))),
+                    negated: true,
+                },
+            )],
+            else_result: Some(Box::new(CompiledExpr::Like {
+                expr: Box::new(CompiledExpr::Cast {
+                    expr: Box::new(col(6)),
+                    target: CastTarget::Str,
+                }),
+                pattern: Box::new(CompiledExpr::ScalarFn {
+                    func: ScalarFunc::Lower,
+                    args: vec![CompiledExpr::InSet {
+                        expr: Box::new(CompiledExpr::IsNull {
+                            expr: Box::new(col(7)),
+                            negated: false,
+                        }),
+                        set: HashSet::new(),
+                        has_null: false,
+                        negated: false,
+                    }],
+                }),
+                negated: false,
+            })),
+        };
+        let mut seen = Vec::new();
+        e.for_each_column(&mut |i| seen.push(i));
+        assert_eq!(seen, [0, 1, 2, 3, 4, 5, 0, 6, 7]);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   projection, a derived table's (`FROM (SELECT …) alias`) executed and
 //!   columnarized result, or — for a table-less `SELECT` — one row of
 //!   zero columns.
-//! - **Filter** — infallible kernel conjuncts narrowing a selection
-//!   vector over any node's output (pushed-down WHERE/ON kernels), in
-//!   the planner's rank order, not the order they were spelled in.
+//! - **Filter** — infallible kernel conjuncts (`Kernel` values) narrowing
+//!   a selection vector over any node's output (pushed-down WHERE/ON
+//!   kernels), in the planner's rank order, not the order they were
+//!   spelled in.
 //! - **Join** — one binary join of the FROM tree (`JoinNode`): equi-key
 //!   hash join, or nested-loop for CROSS and non-equi joins, producing
 //!   `(left, right)` match index vectors, with matched-bit tracking for
@@ -72,8 +73,9 @@
 //!
 //! # Predicate placement rules
 //!
-//! Only **infallible kernel conjuncts** (`col op literal`, `IS NULL`,
-//! `LIKE` on a known-string column) are ever pushed below a join, and
+//! Only **infallible kernel conjuncts** (what `Kernel::of` accepts: `col
+//! op literal`, `IS NULL`, `LIKE` on a known-string column; no range
+//! kernel yet, ROADMAP 3(a)) are ever pushed below a join, and
 //! only predicates made of **infallible conjuncts** are ever reordered
 //! (by the rule of the next section); any fallible conjunct pins the
 //! whole predicate it belongs to at the point SQL evaluates it, exactly
@@ -149,7 +151,7 @@ use crate::exec::{self, Exec, GroupCompiler, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
 use crate::value::Value;
-use crate::vexec::{self, side_kernel};
+use crate::vexec;
 use flex_sql::{
     visitor, BinaryOperator, ColumnRef, Expr, JoinType, OrderByItem, Query, Select, TableRef,
 };
@@ -343,15 +345,15 @@ pub(crate) struct JoinNode {
     pub key_pairs: Vec<(usize, usize)>,
     /// Infallible ON/WHERE kernels *dropping* left-child rows before the
     /// join (sound because the tree never NULL-pads those columns).
-    pub left_kernels: Vec<CompiledExpr>,
+    pub left_kernels: Vec<Kernel>,
     /// Infallible kernels dropping right-child rows before the join.
-    pub right_kernels: Vec<CompiledExpr>,
+    pub right_kernels: Vec<Kernel>,
     /// ON kernels on a kept-unmatched left side (LEFT/FULL): a failing
     /// row has no match but is not dropped — it must still be padded.
-    pub left_match_kernels: Vec<CompiledExpr>,
+    pub left_match_kernels: Vec<Kernel>,
     /// ON kernels on a kept-unmatched right side (RIGHT/FULL): failing
     /// rows never enter the hash build but still pad at the end.
-    pub right_match_kernels: Vec<CompiledExpr>,
+    pub right_match_kernels: Vec<Kernel>,
     /// Fallible ON conjuncts, evaluated per candidate pair in ON order on
     /// the scalar interpreter — exactly the oracle's residual check.
     pub residual: Vec<CompiledExpr>,
@@ -373,7 +375,7 @@ pub(crate) struct TreePlan {
     /// Infallible WHERE kernels that could not push below the root
     /// (kept-unmatched sides): applied to the root's match vectors,
     /// side-local, pad-aware.
-    pub post_kernels: Vec<(JoinSide, CompiledExpr)>,
+    pub post_kernels: Vec<(JoinSide, Kernel)>,
     /// The whole WHERE predicate when any conjunct lacks a kernel:
     /// interpreted over joined rows in output order, preserving
     /// short-circuit and error behavior exactly.
@@ -418,7 +420,7 @@ pub(crate) fn plan_tree(
         let kernels: Option<Vec<_>> = scheduled.as_ref().ok().and_then(|conjuncts| {
             conjuncts
                 .iter()
-                .map(|e| side_kernel(e, root.lw, &phys[..root.lw], &phys[root.lw..]))
+                .map(|e| side_kernel(e, root.lw, &phys))
                 .collect()
         });
         match kernels {
@@ -451,7 +453,7 @@ pub(crate) fn plan_tree(
             JoinSide::Left => 0,
             JoinSide::Right => root.lw,
         };
-        k.for_each_column(&mut |i| live[offset + i] = true);
+        live[offset + k.col()] = true;
     }
     if let Some(p) = &post_filter {
         p.for_each_column(&mut |i| live[i] = true);
@@ -529,23 +531,18 @@ fn build_node(
             // must keep seeing the full candidate pair set, in ON order.
             // (An empty residual collects to
             // `Some(vec![])`, covering the pure-equi/CROSS cases.)
-            let kernels: Option<Vec<_>> = residual
-                .iter()
-                .map(|e| side_kernel(e, lw, &phys[..lw], &phys[lw..]))
-                .collect();
+            let kernels: Option<Vec<_>> =
+                residual.iter().map(|e| side_kernel(e, lw, &phys)).collect();
             match kernels {
                 Some(kernels) => {
                     for (side, k) in kernels {
-                        match side {
-                            JoinSide::Left if keeps_unmatched(*join_type, JoinSide::Left) => {
-                                node.left_match_kernels.push(k)
-                            }
-                            JoinSide::Left => node.left_kernels.push(k),
-                            JoinSide::Right if keeps_unmatched(*join_type, JoinSide::Right) => {
-                                node.right_match_kernels.push(k)
-                            }
-                            JoinSide::Right => node.right_kernels.push(k),
-                        }
+                        let list = match (side, keeps_unmatched(*join_type, side)) {
+                            (JoinSide::Left, true) => &mut node.left_match_kernels,
+                            (JoinSide::Left, false) => &mut node.left_kernels,
+                            (JoinSide::Right, true) => &mut node.right_match_kernels,
+                            (JoinSide::Right, false) => &mut node.right_kernels,
+                        };
+                        list.push(k);
                     }
                 }
                 None => node.residual = residual,
@@ -577,10 +574,10 @@ fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
         rneed[rk] = true;
     }
     for k in node.left_kernels.iter().chain(&node.left_match_kernels) {
-        k.for_each_column(&mut |i| lneed[i] = true);
+        lneed[k.col()] = true;
     }
     for k in node.right_kernels.iter().chain(&node.right_match_kernels) {
-        k.for_each_column(&mut |i| rneed[i] = true);
+        rneed[k.col()] = true;
     }
     for e in &node.residual {
         e.for_each_column(&mut |i| {
@@ -596,6 +593,96 @@ fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
     }
     if let PlanNode::Join(child) = &mut node.right {
         assign_liveness(child, rneed);
+    }
+}
+
+// ---- kernels ---------------------------------------------------------------
+
+/// One infallible conjunct over a single column, as the columnar
+/// operators run it: extracted once from a scheduled conjunct
+/// ([`Kernel::of`]) and a value from then on — in `filter`, a
+/// [`JoinNode`]'s pushed lists, [`TreePlan::post_kernels`] — so nothing
+/// downstream re-reads a [`CompiledExpr`]'s shape, and a new kernel is
+/// one variant here plus one arm of `vexec::kernel_predicate`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Kernel {
+    /// `column op literal` (`literal op column` is stored mirrored).
+    Cmp(usize, BinaryOperator, Value),
+    /// `column IS [NOT] NULL`: the column, and whether it is negated.
+    IsNull(usize, bool),
+    /// `column [NOT] LIKE 'pattern'` (column, pattern, negated) over a
+    /// [`Phys::Str`] column: LIKE raises on a non-string value, so only
+    /// all-string storage is safe.
+    Like(usize, String, bool),
+}
+
+impl Kernel {
+    /// The kernel `e` is, if it is one, over columns stored as `phys`.
+    pub(crate) fn of(e: &CompiledExpr, phys: &dyn Fn(usize) -> Phys) -> Option<Kernel> {
+        use CompiledExpr::{Binary, Column, IsNull, Like, Literal};
+        Some(match e {
+            Binary { op, left, right } if op.is_comparison() => match (&**left, &**right) {
+                (Column(c), Literal(v)) => Kernel::Cmp(*c, *op, v.clone()),
+                (Literal(v), Column(c)) => Kernel::Cmp(*c, flip(*op), v.clone()),
+                _ => return None,
+            },
+            IsNull { expr, negated } => match &**expr {
+                Column(c) => Kernel::IsNull(*c, *negated),
+                _ => return None,
+            },
+            Like {
+                expr,
+                pattern,
+                negated,
+            } => match (&**expr, &**pattern) {
+                (Column(c), Literal(Value::Str(p))) if phys(*c) == Phys::Str => {
+                    Kernel::Like(*c, p.clone(), *negated)
+                }
+                _ => return None,
+            },
+            _ => return None,
+        })
+    }
+
+    /// The one column the kernel reads.
+    pub(crate) fn col(&self) -> usize {
+        let (Kernel::Cmp(col, ..) | Kernel::IsNull(col, _) | Kernel::Like(col, ..)) = self;
+        *col
+    }
+
+    /// The same kernel over a scope that starts `offset` columns later.
+    fn rebased(mut self, offset: usize) -> Kernel {
+        let (Kernel::Cmp(col, ..) | Kernel::IsNull(col, _) | Kernel::Like(col, ..)) = &mut self;
+        *col -= offset;
+        self
+    }
+
+    /// Whether the NULL-padded side of an unmatched outer-join row, where
+    /// every column reads NULL, passes: only a non-negated `IS NULL`.
+    pub(crate) fn keeps_all_null(&self) -> bool {
+        matches!(self, Kernel::IsNull(_, false))
+    }
+}
+
+/// If `e` (over a join's combined scope: `lw` left columns first, stored
+/// as `phys`) is a kernel: its side, and the kernel over that side's scope.
+fn side_kernel(e: &CompiledExpr, lw: usize, phys: &[Phys]) -> Option<(JoinSide, Kernel)> {
+    let kernel = Kernel::of(e, &|c| phys[c])?;
+    Some(if kernel.col() < lw {
+        (JoinSide::Left, kernel)
+    } else {
+        (JoinSide::Right, kernel.rebased(lw))
+    })
+}
+
+/// Mirror a comparison so `lit op col` becomes `col op' lit`.
+fn flip(op: BinaryOperator) -> BinaryOperator {
+    match op {
+        BinaryOperator::Lt => BinaryOperator::Gt,
+        BinaryOperator::Gt => BinaryOperator::Lt,
+        BinaryOperator::LtEq => BinaryOperator::GtEq,
+        BinaryOperator::GtEq => BinaryOperator::LtEq,
+        other => other,
     }
 }
 
@@ -676,7 +763,7 @@ impl Slot<'_> {
                 // `5 < fare` is `fare > 5`, and `u.a <> t.a` is `t.a <> u.a`.
                 let (mut l, mut r, mut op) = (Leaf::of(left)?, Leaf::of(right)?, *op);
                 if l.cmp(&r).is_gt() {
-                    (l, r, op) = (r, l, vexec::flip(op));
+                    (l, r, op) = (r, l, flip(op));
                 }
                 let pass = match op {
                     BinaryOperator::Eq => 0.1,

@@ -41,11 +41,12 @@
 //! Project → Aggregate → Project → Tail, each step present only when the
 //! query asks for it:
 //!
-//! - **Filter**: WHERE conjuncts that all have a kernel narrow the
-//!   selection one at a time; one conjunct without a kernel (`BETWEEN`,
-//!   arbitrary CASE or arithmetic) sends the whole predicate to the
-//!   scalar interpreter over scratch rows gathered from only the
-//!   referenced columns. Infallible conjuncts run in the planner's rank
+//! - **Filter**: WHERE conjuncts that all are `Kernel`s (a type:
+//!   `kernel_predicate` is a total match) narrow the selection one at a
+//!   time; one conjunct that is not (`BETWEEN`, arbitrary CASE or
+//!   arithmetic) sends the whole predicate to Project's scalar
+//!   interpreter over scratch rows gathered from only the referenced
+//!   columns. Infallible conjuncts run in the planner's rank
 //!   order either way ([`crate::plan`], "Conjunct order is scheduling");
 //!   a fallible one pins the predicate as compiled, preserving
 //!   short-circuit and error semantics.
@@ -88,8 +89,8 @@
 //!
 //! [`crate::oracle`] interprets the same queries row by row; the
 //! differential suite holds the two equal. They compile expressions with
-//! the same compiler and resolve ORDER BY keys through one shared rule,
-//! and everything else exists twice: the oracle groups, projects, sorts
+//! the one compiler (`Exec::compile`), resolve ORDER BY keys through one
+//! rule, and everything else exists twice: the oracle groups, projects, sorts
 //! and slices materialized rows with code of its own. Floating-point
 //! aggregates agree in every bit because both fold through the same
 //! fixed-shape reduction tree over the same fold grid — chunk `p /
@@ -113,11 +114,11 @@ use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::exec::{self, Exec};
-use crate::expr::{like_match, CompiledExpr};
+use crate::expr::{columns_read, comparison_holds, like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, FilterOrder, GroupedPlan, JoinNode, JoinOrder, JoinSide, Phys, PlanNode, Relation,
-    ResultSet, TailItem, TailPlan,
+    self, FilterOrder, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, Phys, PlanNode,
+    Relation, ResultSet, TailItem, TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
@@ -329,12 +330,7 @@ fn project<'s>(
     let mut kept = Cow::Borrowed(sel);
     let mut vals: Vec<Value> = Vec::new();
     if pred.is_some() || !computed.is_empty() {
-        let mut refs = Vec::new();
-        for e in pred.iter().chain(&computed) {
-            e.for_each_column(&mut |i| refs.push(i));
-        }
-        refs.sort_unstable();
-        refs.dedup();
+        let refs = columns_read(pred.into_iter().chain(computed.iter().copied()));
         let (passed, out) = morsel::try_run_concat(sel.len(), par, |r| {
             let mut scratch: Row = vec![Value::Null; ctab.columns.len()];
             let mut passed = Vec::new();
@@ -760,9 +756,10 @@ where
 ///
 /// A predicate whose every top-level AND conjunct is infallible runs in
 /// the planner's schedule ([`plan::schedule_where`]), not in the order it
-/// was spelled. When every conjunct also has a kernel, conjuncts narrow
+/// was spelled. When every conjunct also is a [`Kernel`], conjuncts narrow
 /// the selection one at a time, so later conjuncts only touch surviving
-/// rows; otherwise the scheduled chain goes to the scalar interpreter.
+/// rows; otherwise the scheduled chain goes to the scalar interpreter
+/// ([`project`] with it as the predicate, over every row).
 /// Both are only sound because nothing reordered can raise: the oracle
 /// keeps evaluating later conjuncts on rows where an earlier one was
 /// NULL (AND short-circuits on FALSE only), so skipping those rows may
@@ -782,18 +779,19 @@ fn filter(
 ) -> Result<Vec<u32>> {
     let phys = |c: usize| Phys::of(&ctab.columns[c]);
     let pred = match plan::schedule_where(pred, &phys, order) {
-        Ok(conjuncts) if conjuncts.iter().all(|c| kernel_shape(c, &phys)) => {
-            return Ok(kernel_scan(ctab, &conjuncts, par));
-        }
-        Ok(conjuncts) => plan::and_chain(conjuncts),
+        Ok(conjuncts) => match conjuncts.iter().map(|c| Kernel::of(c, &phys)).collect() {
+            Some::<Vec<_>>(kernels) => return Ok(kernel_scan(ctab, &kernels, par)),
+            None => plan::and_chain(conjuncts),
+        },
         Err(pinned) => pinned,
     };
-    morsel::try_run_concat(ctab.len(), par, |r| generic_filter_chunk(ctab, &pred, r))
+    let all: Vec<u32> = (0..ctab.len() as u32).collect();
+    Ok(project(ctab, &all, Some(&pred), &[], par)?.0.into_owned())
 }
 
 /// Narrow a full-table scan by a list of kernel conjuncts (the identity
 /// selection when there are none), morsel by morsel.
-fn kernel_scan(tab: &ColumnarTable, kernels: &[CompiledExpr], par: Parallelism) -> Vec<u32> {
+fn kernel_scan(tab: &ColumnarTable, kernels: &[Kernel], par: Parallelism) -> Vec<u32> {
     if kernels.is_empty() {
         return (0..tab.len() as u32).collect();
     }
@@ -803,200 +801,40 @@ fn kernel_scan(tab: &ColumnarTable, kernels: &[CompiledExpr], par: Parallelism) 
 }
 
 /// Apply every kernel conjunct in order to one selection.
-fn narrow_by_kernels(
-    ctab: &ColumnarTable,
-    conjuncts: &[CompiledExpr],
-    mut sel: Vec<u32>,
-) -> Vec<u32> {
-    for c in conjuncts {
+fn narrow_by_kernels(ctab: &ColumnarTable, kernels: &[Kernel], mut sel: Vec<u32>) -> Vec<u32> {
+    for k in kernels {
         if sel.is_empty() {
             break;
         }
-        sel = apply_kernel(ctab, c, sel);
+        let pred = kernel_predicate(ctab, k);
+        sel.retain(|&i| pred(i as usize));
     }
     sel
 }
 
-/// Does this conjunct have an infallible columnar kernel? The one shape
-/// matcher: `column op literal`, `column IS [NOT] NULL`, and `column
-/// [NOT] LIKE 'literal'` over a [`Phys::Str`] column — LIKE can only
-/// error on non-string values, so its kernel (and its infallibility)
-/// requires a physically all-string column.
-fn kernel_shape(e: &CompiledExpr, phys: &dyn Fn(usize) -> Phys) -> bool {
-    match e {
-        CompiledExpr::Binary { op, left, right } if op.is_comparison() => matches!(
-            (&**left, &**right),
-            (CompiledExpr::Column(_), CompiledExpr::Literal(_))
-                | (CompiledExpr::Literal(_), CompiledExpr::Column(_))
-        ),
-        CompiledExpr::IsNull { expr, .. } => matches!(&**expr, CompiledExpr::Column(_)),
-        CompiledExpr::Like { expr, pattern, .. } => match (&**expr, &**pattern) {
-            (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(_))) => {
-                phys(*c) == Phys::Str
-            }
-            _ => false,
-        },
-        _ => false,
-    }
-}
-
-/// Run one [`kernel_shape`] conjunct over the selection.
-fn apply_kernel(ctab: &ColumnarTable, e: &CompiledExpr, sel: Vec<u32>) -> Vec<u32> {
-    let pred = kernel_predicate(ctab, e);
-    sel.into_iter().filter(|&i| pred(i as usize)).collect()
-}
-
-/// Row predicate for one [`kernel_shape`] conjunct: `true` iff the row
-/// passes. NULL rows never pass comparisons or LIKE (SQL filter
-/// semantics); `IS [NOT] NULL` follows its negation. The type dispatch
-/// happens once here, so callers can apply the returned closure across
-/// selection vectors or join match vectors alike.
+/// Row predicate for one [`Kernel`]: `true` iff the row passes. NULL
+/// rows never pass comparisons or LIKE (SQL filter semantics);
+/// `IS [NOT] NULL` follows its negation. The type dispatch happens once
+/// here, so callers can apply the returned closure across selection
+/// vectors or join match vectors alike.
 pub(crate) fn kernel_predicate<'a>(
     ctab: &'a ColumnarTable,
-    e: &'a CompiledExpr,
+    kernel: &'a Kernel,
 ) -> Box<dyn Fn(usize) -> bool + 'a> {
-    match e {
-        CompiledExpr::Binary { op, left, right } if op.is_comparison() => {
-            if let (CompiledExpr::Column(c), CompiledExpr::Literal(v)) = (&**left, &**right) {
-                return cmp_predicate(&ctab.columns[*c], *op, v);
-            }
-            if let (CompiledExpr::Literal(v), CompiledExpr::Column(c)) = (&**left, &**right) {
-                return cmp_predicate(&ctab.columns[*c], flip(*op), v);
-            }
-            unreachable!("kernelizable comparison without column/literal shape")
-        }
-        CompiledExpr::IsNull { expr, negated } => {
-            let CompiledExpr::Column(c) = &**expr else {
-                unreachable!("kernelizable IS NULL without a column")
-            };
-            let col = &ctab.columns[*c];
-            let negated = *negated;
-            Box::new(move |i| col.is_null(i) != negated)
-        }
-        CompiledExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let (CompiledExpr::Column(c), CompiledExpr::Literal(Value::Str(p))) =
-                (&**expr, &**pattern)
-            else {
-                unreachable!("kernelizable LIKE without column/literal shape")
-            };
-            let col = &ctab.columns[*c];
+    let col = &ctab.columns[kernel.col()];
+    match kernel {
+        Kernel::Cmp(_, op, lit) => cmp_predicate(col, *op, lit),
+        Kernel::IsNull(_, negated) => Box::new(move |i| col.is_null(i) != *negated),
+        Kernel::Like(_, pattern, negated) => {
             let ColumnData::Str(ss) = &col.data else {
-                unreachable!("kernelizable LIKE over a non-string column")
+                unreachable!("`Kernel::of` admits LIKE over all-string columns only")
             };
-            let negated = *negated;
-            Box::new(move |i| !col.is_null(i) && (like_match(&ss[i], p) != negated))
+            Box::new(move |i| !col.is_null(i) && (like_match(&ss[i], pattern) != *negated))
         }
-        _ => unreachable!("kernel_predicate called on a non-kernel conjunct"),
-    }
-}
-
-/// What a kernel yields on the NULL-padded side of an unmatched LEFT
-/// JOIN row, where every column reads as NULL: only a non-negated
-/// `IS NULL` keeps the row.
-pub(crate) fn kernel_keeps_all_null(e: &CompiledExpr) -> bool {
-    matches!(e, CompiledExpr::IsNull { negated: false, .. })
-}
-
-/// Fallback predicate evaluation: scalar-interpret `e` per row of the
-/// range, gathering only the columns it references into a scratch row.
-/// Produces exactly the oracle's values (shared evaluator), including
-/// errors.
-fn generic_filter_chunk(
-    ctab: &ColumnarTable,
-    e: &CompiledExpr,
-    rows: std::ops::Range<usize>,
-) -> Result<Vec<u32>> {
-    let mut refs = Vec::new();
-    e.for_each_column(&mut |i| refs.push(i));
-    refs.sort_unstable();
-    refs.dedup();
-    let mut scratch: Row = vec![Value::Null; ctab.columns.len()];
-    let mut out = Vec::with_capacity(rows.len());
-    for idx in rows {
-        for &c in &refs {
-            scratch[c] = ctab.columns[c].value(idx);
-        }
-        if e.eval_bool(&scratch)? {
-            out.push(idx as u32);
-        }
-    }
-    Ok(out)
-}
-
-/// Mirror a comparison so `lit op col` becomes `col op' lit`.
-pub(crate) fn flip(op: BinaryOperator) -> BinaryOperator {
-    match op {
-        BinaryOperator::Lt => BinaryOperator::Gt,
-        BinaryOperator::Gt => BinaryOperator::Lt,
-        BinaryOperator::LtEq => BinaryOperator::GtEq,
-        BinaryOperator::GtEq => BinaryOperator::LtEq,
-        other => other,
     }
 }
 
 // ---- columnar hash join -------------------------------------------------
-
-/// If `e` (compiled against the combined join scope of width `lw + rw`)
-/// is a single-side kernel-shaped conjunct, return its side and the
-/// kernel rebased to that side's local column indices; else `None`.
-///
-/// `l_phys` / `r_phys` give each side-local column's physical storage
-/// (a `LIKE` kernel may run on `Str` columns only).
-pub(crate) fn side_kernel(
-    e: &CompiledExpr,
-    lw: usize,
-    l_phys: &[Phys],
-    r_phys: &[Phys],
-) -> Option<(JoinSide, CompiledExpr)> {
-    // Kernel shapes reference exactly one column, which pins the side.
-    let mut cols = Vec::new();
-    e.for_each_column(&mut |i| cols.push(i));
-    let [c] = cols[..] else { return None };
-    if c < lw {
-        kernel_shape(e, &|c| l_phys[c]).then(|| (JoinSide::Left, e.clone()))
-    } else {
-        let rebased = rebase_kernel_shape(e, lw)?;
-        kernel_shape(&rebased, &|c| r_phys[c]).then_some((JoinSide::Right, rebased))
-    }
-}
-
-/// Rebase every column index in a candidate kernel expression by
-/// `-offset`. Returns `None` for shapes a kernel can never take (deep
-/// trees are not worth cloning just to fail [`kernel_shape`]).
-fn rebase_kernel_shape(e: &CompiledExpr, offset: usize) -> Option<CompiledExpr> {
-    let leaf = |e: &CompiledExpr| match e {
-        CompiledExpr::Column(i) => Some(CompiledExpr::Column(i - offset)),
-        CompiledExpr::Literal(v) => Some(CompiledExpr::Literal(v.clone())),
-        _ => None,
-    };
-    match e {
-        CompiledExpr::Binary { op, left, right } if op.is_comparison() => {
-            Some(CompiledExpr::Binary {
-                op: *op,
-                left: Box::new(leaf(left)?),
-                right: Box::new(leaf(right)?),
-            })
-        }
-        CompiledExpr::IsNull { expr, negated } => Some(CompiledExpr::IsNull {
-            expr: Box::new(leaf(expr)?),
-            negated: *negated,
-        }),
-        CompiledExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Some(CompiledExpr::Like {
-            expr: Box::new(leaf(expr)?),
-            pattern: Box::new(leaf(pattern)?),
-            negated: *negated,
-        }),
-        _ => None,
-    }
-}
 
 /// Where a left row's join candidates come from: a hash index over the
 /// right (build) side's join-key columns, or — with no key columns —
@@ -1162,13 +1000,7 @@ struct ResidualEval<'a> {
 
 impl<'a> ResidualEval<'a> {
     fn new(residual: &'a [CompiledExpr], lw: usize, rw: usize) -> ResidualEval<'a> {
-        let mut refs = Vec::new();
-        for e in residual {
-            e.for_each_column(&mut |i| refs.push(i));
-        }
-        refs.sort_unstable();
-        refs.dedup();
-        let (lrefs, rrefs): (Vec<_>, Vec<_>) = refs.into_iter().partition(|&i| i < lw);
+        let (lrefs, rrefs) = columns_read(residual).into_iter().partition(|&i| i < lw);
         ResidualEval {
             residual,
             lrefs,
@@ -1222,16 +1054,10 @@ fn filter_pairs(
                 JoinSide::Left => ltab,
                 JoinSide::Right => rtab,
             };
-            (*side, kernel_predicate(tab, k), kernel_keeps_all_null(k))
+            (*side, kernel_predicate(tab, k), k.keeps_all_null())
         })
         .collect();
-    let mut refs = Vec::new();
-    if let Some(pred) = pred {
-        pred.for_each_column(&mut |i| refs.push(i));
-    }
-    refs.sort_unstable();
-    refs.dedup();
-    let (lrefs, rrefs): (Vec<_>, Vec<_>) = refs.into_iter().partition(|&i| i < lw);
+    let (lrefs, rrefs): (Vec<_>, Vec<_>) = columns_read(pred).into_iter().partition(|&i| i < lw);
     let mut scratch: Row = vec![Value::Null; lw + rtab.columns.len()];
     let value_at = |tab: &ColumnarTable, c: usize, i: u32| {
         if i == GATHER_NULL {
@@ -1276,7 +1102,7 @@ fn filter_pairs(
 
 /// The tree root's WHERE split: side-tagged pushed kernels plus the
 /// compiled post-join residual filter.
-type PostSplit<'p> = (&'p [(JoinSide, CompiledExpr)], Option<&'p CompiledExpr>);
+type PostSplit<'p> = (&'p [(JoinSide, Kernel)], Option<&'p CompiledExpr>);
 
 /// Bottom-up executor over a planned join tree ([`plan::TreePlan`]):
 /// each node's children materialize first (left before right), then the
@@ -1653,15 +1479,7 @@ fn cmp_predicate<'a>(
     if lit.is_null() {
         return Box::new(|_| false);
     }
-    let keep = move |ord: Ordering| match op {
-        BinaryOperator::Eq => ord == Ordering::Equal,
-        BinaryOperator::NotEq => ord != Ordering::Equal,
-        BinaryOperator::Lt => ord == Ordering::Less,
-        BinaryOperator::LtEq => ord != Ordering::Greater,
-        BinaryOperator::Gt => ord == Ordering::Greater,
-        BinaryOperator::GtEq => ord != Ordering::Less,
-        _ => unreachable!("comparison op"),
-    };
+    let keep = move |ord: Ordering| comparison_holds(op, ord);
     let has_nulls = col.nulls.any();
     macro_rules! pred {
         ($cmp_at:expr) => {{

@@ -1738,6 +1738,73 @@ fn computed_block_errors_match_oracle_by_text() {
     }
 }
 
+/// Every name of the one aggregate table is an aggregate to the planner
+/// and to the fold alike — expectations written by hand, because the
+/// executor and the oracle share whatever the table says. With two name
+/// lists, `stddev_samp` in HAVING did not make the block aggregated (all
+/// 30 rows came back, HAVING dropped) and `SELECT mean(i)` was "not
+/// allowed here" while `GROUP BY k` next to it ran.
+#[test]
+fn aggregate_aliases_aggregate_everywhere() {
+    let db = agg_matrix_db(false);
+    for workers in [1, 8] {
+        db.set_parallelism(workers);
+        let rs = both(&db, "SELECT 1 FROM g HAVING stddev_samp(k) > 0");
+        assert_eq!(rs.rows, vec![vec![Value::Int(1)]]);
+        assert!(both(&db, "SELECT 1 FROM g HAVING stddev_samp(k) < 0")
+            .rows
+            .is_empty());
+        // k is 0, 1, 2 ten times each.
+        let mean = both(&db, "SELECT mean(k) FROM g");
+        assert_eq!(mean.rows, vec![vec![Value::Float(1.0)]]);
+        assert_eq!(mean.rows, both(&db, "SELECT avg(k) FROM g").rows);
+        assert_eq!(mean.columns, ["mean"]);
+        for (alias, name) in [("mean", "avg"), ("stddev_samp", "stddev")] {
+            let spelled = |f: &str| {
+                format!(
+                    "SELECT k, {f}(f) FROM g GROUP BY k HAVING {f}(i) IS NOT NULL ORDER BY {f}(m), k"
+                )
+            };
+            assert_eq!(
+                both(&db, &spelled(alias)).rows,
+                both(&db, &spelled(name)).rows
+            );
+            let err = db
+                .execute_sql(&format!("SELECT k FROM g WHERE {alias}(i) > 0"))
+                .unwrap_err();
+            assert!(err.to_string().contains("is not allowed here"), "{err}");
+        }
+    }
+}
+
+/// `-i64::MIN` and `ABS(i64::MIN)` wrap, like `+`, `-` and `*` always
+/// have — in the debug profile (where `-i` and `i.abs()` panic) as in
+/// release, on a literal and on a column, on both engines.
+#[test]
+fn negating_the_smallest_integer_wraps() {
+    let min = Value::Int(i64::MIN);
+    let mut db = Database::new();
+    db.create_table("o", Schema::of(&[("x", DataType::Int)]))
+        .unwrap();
+    db.insert("o", vec![vec![min.clone()], vec![Value::Int(-7)]])
+        .unwrap();
+    let rs = both(
+        &db,
+        "SELECT ABS(-9223372036854775807 - 1), -(-9223372036854775807 - 1)",
+    );
+    assert_eq!(rs.rows, vec![vec![min.clone(), min.clone()]]);
+    let rs = both(&db, "SELECT ABS(x), -x FROM o WHERE -x < 0 OR x = -7");
+    assert_eq!(
+        rs.rows,
+        vec![
+            vec![min.clone(), min.clone()],
+            vec![Value::Int(7), Value::Int(7)]
+        ]
+    );
+    let rs = both(&db, "SELECT MAX(ABS(x)), MIN(-x) FROM o GROUP BY -x > 0");
+    assert_eq!(rs.rows.len(), 2);
+}
+
 /// A block's plan raises its compile errors before any row *of the tail*
 /// is touched — but after the WHERE filter has run, as on the oracle: a
 /// non-kernel conjunct that fails on the first row is the error that

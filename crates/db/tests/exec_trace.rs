@@ -105,6 +105,47 @@ const ONE_JOIN: JoinOrder = JoinOrder {
 
 // ---- trace statistics ------------------------------------------------------
 
+/// Group mode compiles every node of an expression once, so an
+/// expression subquery of an aggregated block — in HAVING, in the SELECT
+/// list, in a sort key — executes once: `n` right-nested `EXISTS (…u)`
+/// ahead of an aggregate scan `|t| + n·|u|` rows. (The compiler used to
+/// try each level in scalar mode first and ran every subquery below it
+/// again: `|t| + n(n+3)/2·|u|`.)
+#[test]
+fn expression_subqueries_of_an_aggregated_block_run_once() {
+    for n in [1, 2, 4, 32] {
+        let chain = format!(
+            "{}COUNT(*) > 0{}",
+            "EXISTS (SELECT 1 FROM u) AND (".repeat(n),
+            ")".repeat(n)
+        );
+        for (sql, expected) in [
+            (
+                format!("SELECT COUNT(*) FROM t HAVING {chain}"),
+                Value::Int(5),
+            ),
+            (format!("SELECT {chain} FROM t"), Value::Bool(true)),
+            (
+                format!("SELECT COUNT(*) FROM t ORDER BY {chain}"),
+                Value::Int(5),
+            ),
+        ] {
+            let (_, result) = assert_matches_oracle(&sql);
+            assert_eq!(result.unwrap().rows, vec![vec![expected]], "{sql}");
+            let db = db();
+            for workers in [1, 8] {
+                db.set_parallelism(workers);
+                let (trace, _) = db.execute_traced(&parse_query(&sql).unwrap());
+                assert_eq!(
+                    trace.rows_scanned,
+                    5 + 3 * n as u64,
+                    "n={n} workers={workers}: {sql}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn single_table_block_with_stats() {
     assert_trace(

@@ -385,52 +385,56 @@ impl Expr {
         }
     }
 
-    /// Does this expression contain any aggregate function call?
+    /// Does this expression contain any aggregate function call? (A
+    /// subquery is a query of its own: what it aggregates is its business.)
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Function { name, .. } if is_aggregate_function(name) => true,
-            Expr::Function { args, .. } => args.iter().any(|a| match a {
-                FunctionArg::Expr(e) => e.contains_aggregate(),
-                FunctionArg::Wildcard => false,
-            }),
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::BinaryOp { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::UnaryOp { expr, .. } => expr.contains_aggregate(),
-            Expr::Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(c, r)| c.contains_aggregate() || r.contains_aggregate())
-                    || else_result.as_deref().is_some_and(Expr::contains_aggregate)
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::Cast { expr, .. } => expr.contains_aggregate(),
-            Expr::Exists(_) | Expr::InSubquery { .. } => false,
-        }
+        let mut found =
+            matches!(self, Expr::Function { name, .. } if Aggregate::parse(name).is_some());
+        self.for_each_child(|child| found = found || child.contains_aggregate());
+        found
     }
 }
 
-/// The aggregation functions recognized by the engine and the analysis.
-pub const AGGREGATE_FUNCTIONS: &[&str] = &["count", "sum", "avg", "min", "max", "median", "stddev"];
+/// An aggregation function, whichever of its names spelled it. `COUNT`'s
+/// three forms (`*`, an expression, `DISTINCT`) are one function here; the
+/// engine tells them apart by the call's arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Aggregate {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+    Median,
+    /// Sample standard deviation.
+    Stddev,
+}
 
-/// Is `name` one of the recognized aggregation functions?
-pub fn is_aggregate_function(name: &str) -> bool {
-    AGGREGATE_FUNCTIONS.contains(&name)
+/// Every name that spells an aggregation function, canonical name first
+/// for each — the **one** table the parser's clients read: whether a
+/// block aggregates ([`Expr::contains_aggregate`]), which fold the engine
+/// runs and which sensitivity rule the analysis applies all go through
+/// [`Aggregate::parse`], so a name is an aggregate to all of them or to
+/// none.
+pub const AGGREGATE_FUNCTIONS: &[(&str, Aggregate)] = &[
+    ("count", Aggregate::Count),
+    ("sum", Aggregate::Sum),
+    ("avg", Aggregate::Avg),
+    ("mean", Aggregate::Avg),
+    ("min", Aggregate::Min),
+    ("max", Aggregate::Max),
+    ("median", Aggregate::Median),
+    ("stddev", Aggregate::Stddev),
+    ("stddev_samp", Aggregate::Stddev),
+];
+
+impl Aggregate {
+    /// The aggregation function `name` (as the lexer folds it: lower
+    /// case) spells, if any.
+    pub fn parse(name: &str) -> Option<Aggregate> {
+        let entry = AGGREGATE_FUNCTIONS.iter().find(|(n, _)| *n == name);
+        entry.map(|&(_, aggregate)| aggregate)
+    }
 }
 
 #[cfg(test)]
@@ -489,6 +493,21 @@ mod tests {
             args: vec![FunctionArg::Expr(Expr::Column(ColumnRef::bare("c")))],
         };
         assert!(!plain.contains_aggregate());
+        // Every spelling in the table, aliases included, inside any
+        // expression shape — but not inside a subquery.
+        for (name, _) in AGGREGATE_FUNCTIONS {
+            let q = crate::parse_query(&format!(
+                "SELECT CASE WHEN a IN (1, -{name}(x)) THEN 1 END, \
+                 EXISTS (SELECT {name}(y) FROM u) FROM t"
+            ))
+            .unwrap();
+            let items = &q.as_select().unwrap().projection;
+            let contains: Vec<bool> = items
+                .iter()
+                .map(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+                .collect();
+            assert_eq!(contains, [true, false], "{name}");
+        }
     }
 
     #[test]

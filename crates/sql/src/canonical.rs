@@ -32,7 +32,9 @@ use crate::printer::{print_expr, print_query};
 
 /// Canonicalize a query (deep copy; the input is untouched).
 pub fn canonicalize(q: &Query) -> Query {
-    canon_query(q)
+    let mut q = q.clone();
+    canon_query(&mut q);
+    q
 }
 
 /// The canonical SQL text of a query — equal strings iff the queries have
@@ -41,265 +43,119 @@ pub fn canonical_sql(q: &Query) -> String {
     print_query(&canonicalize(q))
 }
 
-fn canon_query(q: &Query) -> Query {
-    Query {
-        ctes: q
-            .ctes
-            .iter()
-            .map(|c| Cte {
-                name: c.name.clone(),
-                query: canon_query(&c.query),
-            })
-            .collect(),
-        body: canon_set_expr(&q.body),
-        order_by: q
-            .order_by
-            .iter()
-            .map(|o| OrderByItem {
-                expr: canon_expr(&o.expr),
-                descending: o.descending,
-            })
-            .collect(),
-        limit: q.limit,
-        offset: q.offset,
+fn canon_query(q: &mut Query) {
+    for cte in &mut q.ctes {
+        canon_query(&mut cte.query);
+    }
+    canon_set_expr(&mut q.body);
+    for item in &mut q.order_by {
+        canon_expr(&mut item.expr);
     }
 }
 
-fn canon_set_expr(body: &SetExpr) -> SetExpr {
+fn canon_set_expr(body: &mut SetExpr) {
     match body {
-        SetExpr::Select(s) => SetExpr::Select(Box::new(canon_select(s))),
-        SetExpr::SetOp {
-            op,
-            all,
-            left,
-            right,
-        } => SetExpr::SetOp {
-            op: *op,
-            all: *all,
-            left: Box::new(canon_set_expr(left)),
-            right: Box::new(canon_set_expr(right)),
-        },
+        SetExpr::Select(s) => {
+            for item in &mut s.projection {
+                if let SelectItem::Expr { expr, .. } = item {
+                    canon_expr(expr);
+                }
+            }
+            if let Some(from) = &mut s.from {
+                canon_table_ref(from);
+            }
+            let clauses = s.selection.iter_mut().chain(&mut s.group_by);
+            clauses.chain(&mut s.having).for_each(canon_expr);
+            s.group_by.sort_by_key(print_expr);
+        }
+        SetExpr::SetOp { left, right, .. } => {
+            canon_set_expr(left);
+            canon_set_expr(right);
+        }
     }
 }
 
-fn canon_select(s: &Select) -> Select {
-    let mut group_by: Vec<Expr> = s.group_by.iter().map(canon_expr).collect();
-    group_by.sort_by_key(print_expr);
-    Select {
-        distinct: s.distinct,
-        projection: s
-            .projection
-            .iter()
-            .map(|item| match item {
-                SelectItem::Wildcard => SelectItem::Wildcard,
-                SelectItem::QualifiedWildcard(q) => SelectItem::QualifiedWildcard(q.clone()),
-                SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: canon_expr(expr),
-                    alias: alias.clone(),
-                },
-            })
-            .collect(),
-        from: s.from.as_ref().map(canon_table_ref),
-        selection: s.selection.as_ref().map(canon_expr),
-        group_by,
-        having: s.having.as_ref().map(canon_expr),
-    }
-}
-
-fn canon_table_ref(t: &TableRef) -> TableRef {
+fn canon_table_ref(t: &mut TableRef) {
     match t {
-        TableRef::Table { name, alias } => TableRef::Table {
-            name: name.clone(),
-            alias: alias.clone(),
-        },
-        TableRef::Derived { query, alias } => TableRef::Derived {
-            query: Box::new(canon_query(query)),
-            alias: alias.clone(),
-        },
+        TableRef::Table { .. } => {}
+        TableRef::Derived { query, .. } => canon_query(query),
         TableRef::Join {
             left,
             right,
-            join_type,
             constraint,
-        } => TableRef::Join {
-            left: Box::new(canon_table_ref(left)),
-            right: Box::new(canon_table_ref(right)),
-            join_type: *join_type,
-            constraint: match constraint {
-                JoinConstraint::On(e) => JoinConstraint::On(canon_expr(e)),
-                JoinConstraint::Using(cols) => JoinConstraint::Using(cols.clone()),
-                JoinConstraint::None => JoinConstraint::None,
-            },
-        },
+            ..
+        } => {
+            canon_table_ref(left);
+            canon_table_ref(right);
+            if let JoinConstraint::On(e) = constraint {
+                canon_expr(e);
+            }
+        }
     }
 }
 
 /// Flatten a (possibly nested) `op`-tree into its operand list.
-fn flatten<'a>(e: &'a Expr, op: BinaryOperator, out: &mut Vec<&'a Expr>) {
+fn flatten(e: Expr, op: BinaryOperator, out: &mut Vec<Expr>) {
     match e {
         Expr::BinaryOp {
             left,
             op: inner,
             right,
-        } if *inner == op => {
-            flatten(left, op, out);
-            flatten(right, op, out);
+        } if inner == op => {
+            flatten(*left, op, out);
+            flatten(*right, op, out);
         }
         other => out.push(other),
     }
 }
 
-/// Rebuild a sorted, deduplicated operand list as a left-deep `op`-tree.
-fn rebuild(mut operands: Vec<Expr>, op: BinaryOperator) -> Expr {
-    debug_assert!(!operands.is_empty());
-    let mut acc = operands.remove(0);
-    for next in operands {
-        acc = Expr::BinaryOp {
-            left: Box::new(acc),
-            op,
-            right: Box::new(next),
-        };
-    }
-    acc
+/// An unordered collection of canonical expressions (`AND`/`OR` operands,
+/// an `IN` list), sorted by printed form and without duplicates.
+fn sorted_unique(members: Vec<Expr>) -> impl Iterator<Item = Expr> {
+    let mut keyed: Vec<(String, Expr)> =
+        (members.into_iter()).map(|m| (print_expr(&m), m)).collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    keyed.into_iter().map(|(_, e)| e)
 }
 
-fn canon_expr(e: &Expr) -> Expr {
+/// Children first (over the one child walk), then the node's own rule.
+fn canon_expr(e: &mut Expr) {
+    use BinaryOperator::{And, Eq, Gt, GtEq, Lt, LtEq, Multiply, NotEq, Or, Plus};
+    if let Expr::BinaryOp {
+        op: op @ (And | Or),
+        ..
+    } = e
+    {
+        // A whole chain at once: flattened, sorted, rebuilt left-deep.
+        let op = *op;
+        let mut operands = Vec::new();
+        let chain = std::mem::replace(e, Expr::Literal(Literal::Null));
+        flatten(chain, op, &mut operands);
+        operands.iter_mut().for_each(canon_expr);
+        let chain = sorted_unique(operands).reduce(|acc, next| Expr::binary(acc, op, next));
+        *e = chain.expect("a chain has an operand");
+        return;
+    }
+    e.for_each_child_mut(canon_expr);
+    if let Some(q) = e.subquery_mut() {
+        canon_query(q);
+    }
     match e {
-        Expr::BinaryOp { op, .. } if matches!(op, BinaryOperator::And | BinaryOperator::Or) => {
-            let mut parts = Vec::new();
-            flatten(e, *op, &mut parts);
-            let mut canon: Vec<(String, Expr)> = parts
-                .into_iter()
-                .map(|p| {
-                    let c = canon_expr(p);
-                    (print_expr(&c), c)
-                })
-                .collect();
-            canon.sort_by(|a, b| a.0.cmp(&b.0));
-            canon.dedup_by(|a, b| a.0 == b.0);
-            rebuild(canon.into_iter().map(|(_, e)| e).collect(), *op)
-        }
-        Expr::BinaryOp { left, op, right } => {
-            let mut l = canon_expr(left);
-            let mut r = canon_expr(right);
-            // Mirror > and >= so both directions of the same comparison
-            // agree; then order operands of the symmetric operators.
-            let op = match op {
-                BinaryOperator::Gt => {
-                    std::mem::swap(&mut l, &mut r);
-                    BinaryOperator::Lt
-                }
-                BinaryOperator::GtEq => {
-                    std::mem::swap(&mut l, &mut r);
-                    BinaryOperator::LtEq
-                }
-                symmetric @ (BinaryOperator::Eq
-                | BinaryOperator::NotEq
-                | BinaryOperator::Plus
-                | BinaryOperator::Multiply) => {
-                    if print_expr(&l) > print_expr(&r) {
-                        std::mem::swap(&mut l, &mut r);
-                    }
-                    *symmetric
-                }
-                other => *other,
-            };
-            Expr::BinaryOp {
-                left: Box::new(l),
-                op,
-                right: Box::new(r),
+        // Mirror > and >= so both directions of the same comparison
+        // agree; order the operands of the symmetric operators.
+        Expr::BinaryOp { left, op, right } => match op {
+            Gt | GtEq => {
+                std::mem::swap(left, right);
+                *op = if *op == Gt { Lt } else { LtEq };
             }
-        }
-        Expr::UnaryOp { op, expr } => Expr::UnaryOp {
-            op: *op,
-            expr: Box::new(canon_expr(expr)),
-        },
-        Expr::Function {
-            name,
-            distinct,
-            args,
-        } => Expr::Function {
-            name: name.clone(),
-            distinct: *distinct,
-            args: args
-                .iter()
-                .map(|a| match a {
-                    FunctionArg::Wildcard => FunctionArg::Wildcard,
-                    FunctionArg::Expr(e) => FunctionArg::Expr(canon_expr(e)),
-                })
-                .collect(),
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => Expr::Case {
-            operand: operand.as_ref().map(|e| Box::new(canon_expr(e))),
-            branches: branches
-                .iter()
-                .map(|(c, r)| (canon_expr(c), canon_expr(r)))
-                .collect(),
-            else_result: else_result.as_ref().map(|e| Box::new(canon_expr(e))),
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let mut members: Vec<(String, Expr)> = list
-                .iter()
-                .map(|m| {
-                    let c = canon_expr(m);
-                    (print_expr(&c), c)
-                })
-                .collect();
-            members.sort_by(|a, b| a.0.cmp(&b.0));
-            members.dedup_by(|a, b| a.0 == b.0);
-            Expr::InList {
-                expr: Box::new(canon_expr(expr)),
-                list: members.into_iter().map(|(_, e)| e).collect(),
-                negated: *negated,
+            Eq | NotEq | Plus | Multiply if print_expr(left) > print_expr(right) => {
+                std::mem::swap(left, right)
             }
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(canon_expr(expr)),
-            low: Box::new(canon_expr(low)),
-            high: Box::new(canon_expr(high)),
-            negated: *negated,
+            _ => {}
         },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(canon_expr(expr)),
-            pattern: Box::new(canon_expr(pattern)),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(canon_expr(expr)),
-            negated: *negated,
-        },
-        Expr::Cast { expr, data_type } => Expr::Cast {
-            expr: Box::new(canon_expr(expr)),
-            data_type: data_type.clone(),
-        },
-        Expr::Exists(q) => Expr::Exists(Box::new(canon_query(q))),
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => Expr::InSubquery {
-            expr: Box::new(canon_expr(expr)),
-            query: Box::new(canon_query(query)),
-            negated: *negated,
-        },
-        leaf @ (Expr::Column(_) | Expr::Literal(_)) => leaf.clone(),
+        Expr::InList { list, .. } => *list = sorted_unique(std::mem::take(list)).collect(),
+        _ => {}
     }
 }
 

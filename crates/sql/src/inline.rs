@@ -95,34 +95,9 @@ fn table_ref_has_with(t: &TableRef) -> bool {
 }
 
 fn expr_has_with(e: &Expr) -> bool {
-    match e {
-        Expr::Column(_) | Expr::Literal(_) => false,
-        Expr::Exists(query) => query_has_with(query),
-        Expr::InSubquery { expr, query, .. } => expr_has_with(expr) || query_has_with(query),
-        Expr::BinaryOp { left, right, .. } => expr_has_with(left) || expr_has_with(right),
-        Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            expr_has_with(expr)
-        }
-        Expr::Function { args, .. } => args
-            .iter()
-            .any(|arg| matches!(arg, FunctionArg::Expr(e) if expr_has_with(e))),
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            operand.as_deref().is_some_and(expr_has_with)
-                || branches
-                    .iter()
-                    .any(|(when, then)| expr_has_with(when) || expr_has_with(then))
-                || else_result.as_deref().is_some_and(expr_has_with)
-        }
-        Expr::InList { expr, list, .. } => expr_has_with(expr) || list.iter().any(expr_has_with),
-        Expr::Between {
-            expr, low, high, ..
-        } => expr_has_with(expr) || expr_has_with(low) || expr_has_with(high),
-        Expr::Like { expr, pattern, .. } => expr_has_with(expr) || expr_has_with(pattern),
-    }
+    let mut found = e.subquery().is_some_and(query_has_with);
+    e.for_each_child(|child| found = found || expr_has_with(child));
+    found
 }
 
 /// One CTE in scope: its body with every reference inside it already
@@ -263,60 +238,15 @@ impl Inliner {
     /// Expressions only matter for the subqueries they can hold.
     fn expr(&mut self, e: &mut Expr) -> Result<()> {
         self.enter();
-        match e {
-            Expr::Column(_) | Expr::Literal(_) => {}
-            Expr::Exists(query) => self.query(query)?,
-            Expr::InSubquery { expr, query, .. } => {
-                self.expr(expr)?;
-                self.query(query)?;
+        let mut done = Ok(());
+        e.for_each_child_mut(|child| {
+            if done.is_ok() {
+                done = self.expr(child);
             }
-            Expr::BinaryOp { left, right, .. } => {
-                self.expr(left)?;
-                self.expr(right)?;
-            }
-            Expr::UnaryOp { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-                self.expr(expr)?
-            }
-            Expr::Function { args, .. } => {
-                for arg in args {
-                    if let FunctionArg::Expr(e) = arg {
-                        self.expr(e)?;
-                    }
-                }
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                if let Some(operand) = operand {
-                    self.expr(operand)?;
-                }
-                for (when, then) in branches {
-                    self.expr(when)?;
-                    self.expr(then)?;
-                }
-                if let Some(else_result) = else_result {
-                    self.expr(else_result)?;
-                }
-            }
-            Expr::InList { expr, list, .. } => {
-                self.expr(expr)?;
-                for item in list {
-                    self.expr(item)?;
-                }
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                self.expr(expr)?;
-                self.expr(low)?;
-                self.expr(high)?;
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.expr(expr)?;
-                self.expr(pattern)?;
-            }
+        });
+        done?;
+        if let Some(query) = e.subquery_mut() {
+            self.query(query)?;
         }
         self.leave();
         Ok(())

@@ -1,5 +1,6 @@
-//! Read-only AST walkers used by the workload-study analyzer and the
-//! elastic-sensitivity lowering pass.
+//! AST walkers: the one direct-children walk of [`Expr`], and the
+//! read-only whole-query walks built on it that the workload-study
+//! analyzer, the elastic-sensitivity lowering pass and the engine use.
 
 use crate::ast::*;
 
@@ -62,62 +63,100 @@ fn walk_table_exprs<'a, F: FnMut(&'a Expr)>(t: &'a TableRef, f: &mut F) {
     }
 }
 
-/// Visit `e` and all of its sub-expressions (pre-order).
+/// Visit `e` and all of its sub-expressions (pre-order), subqueries'
+/// expressions included.
 pub fn walk_expr<'a, F: FnMut(&'a Expr)>(e: &'a Expr, f: &mut F) {
     f(e);
-    match e {
-        Expr::Column(_) | Expr::Literal(_) => {}
-        Expr::BinaryOp { left, right, .. } => {
-            walk_expr(left, f);
-            walk_expr(right, f);
-        }
-        Expr::UnaryOp { expr, .. } => walk_expr(expr, f),
-        Expr::Function { args, .. } => {
-            for a in args {
-                if let FunctionArg::Expr(e) = a {
-                    walk_expr(e, f);
+    e.for_each_child(|child| walk_expr(child, f));
+    if let Some(q) = e.subquery() {
+        walk_exprs(q, f);
+    }
+}
+
+/// The direct-children walk of [`Expr`], written once and instantiated
+/// shared and `&mut`: the only code outside the parser and the printer
+/// with an arm per variant. Everything else that recurses over
+/// expressions — [`walk_expr`], `Expr::contains_aggregate`, the `WITH`
+/// inliner, the canonicalizer, the engine's liveness marking — is a few
+/// lines over it.
+macro_rules! expr_child_walk {
+    ($(#[$doc:meta])* $name:ident $(, $m:tt)?) => {
+        $(#[$doc])*
+        pub fn $name<'a>(&'a $($m)? self, mut f: impl FnMut(&'a $($m)? Expr)) {
+            match self {
+                Expr::Column(_) | Expr::Literal(_) | Expr::Exists(_) => {}
+                Expr::BinaryOp { left, right, .. } => {
+                    f(left);
+                    f(right);
+                }
+                Expr::UnaryOp { expr, .. }
+                | Expr::IsNull { expr, .. }
+                | Expr::Cast { expr, .. }
+                | Expr::InSubquery { expr, .. } => f(expr),
+                Expr::Function { args, .. } => {
+                    for arg in args {
+                        if let FunctionArg::Expr(e) = arg {
+                            f(e);
+                        }
+                    }
+                }
+                Expr::Case { operand, branches, else_result } => {
+                    if let Some(operand) = operand {
+                        f(operand);
+                    }
+                    for (when, then) in branches {
+                        f(when);
+                        f(then);
+                    }
+                    if let Some(else_result) = else_result {
+                        f(else_result);
+                    }
+                }
+                Expr::InList { expr, list, .. } => {
+                    f(expr);
+                    for item in list {
+                        f(item);
+                    }
+                }
+                Expr::Between { expr, low, high, .. } => {
+                    f(expr);
+                    f(low);
+                    f(high);
+                }
+                Expr::Like { expr, pattern, .. } => {
+                    f(expr);
+                    f(pattern);
                 }
             }
         }
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            if let Some(op) = operand {
-                walk_expr(op, f);
-            }
-            for (c, r) in branches {
-                walk_expr(c, f);
-                walk_expr(r, f);
-            }
-            if let Some(e) = else_result {
-                walk_expr(e, f);
-            }
+    };
+}
+
+impl Expr {
+    expr_child_walk! {
+        /// Call `f` on each direct sub-expression, in the order the SQL
+        /// spells them. A subquery is not a sub-expression: see
+        /// [`Expr::subquery`].
+        for_each_child
+    }
+    expr_child_walk! {
+        /// [`Expr::for_each_child`], mutably.
+        for_each_child_mut, mut
+    }
+
+    /// The query of `EXISTS (…)` / `… IN (SELECT …)`.
+    pub fn subquery(&self) -> Option<&Query> {
+        match self {
+            Expr::Exists(query) | Expr::InSubquery { query, .. } => Some(query),
+            _ => None,
         }
-        Expr::InList { expr, list, .. } => {
-            walk_expr(expr, f);
-            for item in list {
-                walk_expr(item, f);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            walk_expr(expr, f);
-            walk_expr(low, f);
-            walk_expr(high, f);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            walk_expr(expr, f);
-            walk_expr(pattern, f);
-        }
-        Expr::IsNull { expr, .. } => walk_expr(expr, f),
-        Expr::Cast { expr, .. } => walk_expr(expr, f),
-        Expr::Exists(q) => walk_exprs(q, f),
-        Expr::InSubquery { expr, query, .. } => {
-            walk_expr(expr, f);
-            walk_exprs(query, f);
+    }
+
+    /// [`Expr::subquery`], mutably.
+    pub fn subquery_mut(&mut self) -> Option<&mut Query> {
+        match self {
+            Expr::Exists(query) | Expr::InSubquery { query, .. } => Some(query),
+            _ => None,
         }
     }
 }

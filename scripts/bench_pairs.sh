@@ -7,7 +7,10 @@
 # change checkout: seeds, machine, per metric and side the median and
 # quartiles, wins / losses / ties over the pairs, and every run.
 #
-#   scripts/bench_pairs.sh <parent-checkout> <change-checkout> <pairs> [out.json]
+#   scripts/bench_pairs.sh <parent-checkout> <change-checkout> <pairs> <out.json>
+#
+# The output path is required: a default would be some PR's committed
+# trajectory file, and the next PR's run would overwrite it.
 #
 # FIRST_SEED=<n> fixes the seeds (n, n+1, …); the default is the clock, so
 # that a claim is never measured on a seed used while writing the change.
@@ -15,14 +18,14 @@
 # per-layer metrics (they are not part of the pairing).
 set -euo pipefail
 
-if [ "$#" -lt 3 ]; then
-    echo "usage: $0 <parent-checkout> <change-checkout> <pairs> [out.json]" >&2
+if [ "$#" -ne 4 ]; then
+    echo "usage: $0 <parent-checkout> <change-checkout> <pairs> <out.json>" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 pairs=$3
-out=${4:-$change/BENCH_pipeline_23.json}
+out=$4
 first_seed=${FIRST_SEED:-$(( $(date +%s) % 1000000 ))}
 contract=$change/BENCHMARK.json
 runs=$(mktemp -d)

@@ -72,6 +72,29 @@ fn nesting_at_the_cap_runs_end_to_end() {
     }
 }
 
+/// The analysis never reads HAVING, so whatever the executor does with
+/// one is an analyst's to ask for: `n` `EXISTS` there cost `n` scans.
+/// (Group mode used to compile level by level, re-running every subquery
+/// below a level that holds an aggregate: `2n` scans for the canonical
+/// form of this query — its aggregate prints after every `EXISTS` —
+/// and `n(n+3)/2` for the nesting as written.)
+#[test]
+fn subqueries_in_having_run_once_each() {
+    on_worker_stack(|| {
+        let n = 32;
+        let exists = |i| format!("EXISTS (SELECT 1 FROM t WHERE x >= {i}) AND (");
+        let nested: String = (0..n).map(exists).collect();
+        let sql = format!(
+            "SELECT COUNT(*) FROM t HAVING {nested}COALESCE(MAX(x) >= 0, FALSE){}",
+            ")".repeat(n)
+        );
+        let params = PrivacyParams::new(1.0, 1e-8).unwrap();
+        let response = service().query("mallory", &sql, params).unwrap();
+        let scanned = response.trace.unwrap().exec.rows_scanned;
+        assert_eq!(scanned, 100 + 100 * n as u64);
+    });
+}
+
 #[test]
 fn service_fails_a_hostile_query_and_keeps_serving() {
     on_worker_stack(|| {
