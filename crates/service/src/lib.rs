@@ -61,7 +61,7 @@ pub use error::{ServiceError, ServiceResult};
 pub use export::{AnalystBudget, MetricsReport};
 pub use fault::FaultStorage;
 pub use ledger::{BudgetLedger, Charge, LedgerPolicy};
-pub use service::{QueryService, ServiceConfig, ServiceResponse, Ticket};
+pub use service::{QueryService, ServiceConfig, ServiceResponse, Ticket, CALLER_NESTING_DEPTH};
 pub use telemetry::{
     LatencyHistogram, LatencySnapshot, Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot,
 };

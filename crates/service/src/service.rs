@@ -2,8 +2,9 @@
 //!
 //! [`QueryService`] accepts SQL from named analysts and drives the full
 //! parse → canonicalize → admission → analyze → execute → smooth → noise
-//! pipeline on a pool of worker threads. Three components make it a
-//! subsystem rather than a wrapper:
+//! pipeline, on the thread that waits for the answer or, for a backlog
+//! or while that thread waits for the disk, on a pool of worker threads.
+//! Three components make it a subsystem rather than a wrapper:
 //!
 //! 1. the per-analyst [`BudgetLedger`] — a request
 //!    that would overspend is rejected *before* any computation;
@@ -20,13 +21,13 @@ use crate::error::{ServiceError, ServiceResult};
 use crate::export::MetricsReport;
 use crate::ledger::{BudgetLedger, Charge, LedgerPolicy, DEFAULT_LEDGER_SHARDS};
 use crate::prf;
-use crate::queue::{PushError, WorkQueue};
+use crate::queue::{PushError, Slot, WorkQueue};
 use crate::sync;
 use crate::telemetry::{Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot};
 use crate::wal::{FileStorage, FsyncPolicy, RecoveryReport, Storage, Wal};
 use flex_core::{run_query_deadline, Composition, FlexOptions, FlexTimings, PrivacyParams};
 use flex_db::{Database, Value};
-use flex_sql::{canonicalize, parse_query, print_query, Query};
+use flex_sql::{canonicalize, parse_query_nesting, print_query, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -38,7 +39,13 @@ use std::time::{Duration, Instant};
 /// Tuning knobs for a [`QueryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads driving the pipeline. Clamped to at least 1.
+    /// The most pipelines executing at once, on any thread, and the size
+    /// of the worker pool. An admitted query runs on the thread that
+    /// waits for it ([`Ticket::wait`]) when one of these slots is free;
+    /// a worker runs it when that thread is busy elsewhere (a burst
+    /// submitted before any wait, a WAL sync, a dropped ticket), when no
+    /// slot is, or when the query nests too deep for a caller's stack
+    /// ([`CALLER_NESTING_DEPTH`]). Clamped to at least 1.
     pub workers: usize,
     /// Intra-query worker threads of the vectorized execution engine
     /// (morsel-driven parallel scans, joins and aggregations). Clamped to
@@ -106,11 +113,15 @@ pub struct ServiceConfig {
     /// Ignored without [`ServiceConfig::wal_path`].
     pub wal_snapshot_threshold: u64,
     /// Queued jobs allowed per worker: admission refuses new work once
-    /// `workers × queue_depth` jobs are waiting (the charge is refunded
-    /// and the caller gets the retryable [`ServiceError::Overloaded`]).
-    /// 0 means unbounded.
+    /// `workers × queue_depth` jobs are waiting — admitted, not yet
+    /// executing on any thread (the charge is refunded and the caller
+    /// gets the retryable [`ServiceError::Overloaded`]). 0 means
+    /// unbounded.
     pub queue_depth: usize,
-    /// Per-query deadline, measured from submission. A job past its
+    /// Per-query deadline, measured from submission — less the time a
+    /// job sat queued before its own submitter took it back to run it,
+    /// which is the caller's delay in calling [`Ticket::wait`], not the
+    /// service's. A job past its
     /// deadline is abandoned at the next pipeline-stage boundary (never
     /// after its answer is released), its charge refunded, and the
     /// caller gets [`ServiceError::Timeout`]. `None` (default) disables
@@ -187,7 +198,24 @@ impl ServiceResponse {
     }
 }
 
+/// Deepest query, in the parser's nesting levels, that the thread
+/// waiting for it may run. A fixed bound, not a knob: a worker's 2 MiB
+/// stack is sized for a query at the parser's cap (`MAX_NESTING_DEPTH`,
+/// 64), but the waiting thread's stack is the embedder's. Every stage
+/// after the parser recurses in step with the nesting, so a query at a
+/// quarter of the cap needs less stack on that thread than parsing one
+/// at the cap already does in `submit`; a deeper one runs on a worker.
+pub const CALLER_NESTING_DEPTH: usize = 16;
+
 /// Handle to a request; [`Ticket::wait`] blocks for the outcome.
+///
+/// An admitted query runs on the thread that waits for it, so it starts
+/// when [`Ticket::wait`] is called, not when `submit` returns — unless a
+/// worker took it first (a burst, a WAL sync). Submitting, doing other
+/// work, then waiting does not overlap the two; the deadline does not
+/// count the gap. A ticket that is never waited for leaves its job to
+/// the worker pool: dropping it wakes a worker, and the release (and
+/// its charge) happens anyway.
 #[derive(Debug)]
 pub struct Ticket(Outcome);
 
@@ -199,9 +227,55 @@ enum Outcome {
     /// Resolved inside `submit` — a cache hit, a rejection, a parse
     /// error: nothing crosses a thread, so no channel is built.
     Ready(ServiceResult<ServiceResponse>),
-    /// Queued for a worker, or parked on an identical in-flight
-    /// computation; whoever computes the release sends the outcome here.
+    /// Parked on an identical in-flight computation, shed at the queue,
+    /// or queued for a worker only (too deep for a caller's stack);
+    /// whoever computes the release sends the outcome here.
     Pending(Receiver<ServiceResult<ServiceResponse>>),
+    /// Admitted and queued: `wait` runs the job itself unless a worker
+    /// took it first, and whoever runs it sends the outcome here.
+    Queued(Claim, Receiver<ServiceResult<ServiceResponse>>),
+}
+
+/// A submitter's hold on its queued job: the queue id it takes the job
+/// back by. Dropped before [`Ticket::wait`] took it, it hands the job to
+/// a worker.
+struct Claim {
+    shared: Arc<Shared>,
+    /// The job's queue id; `None` once `wait` tried to take it.
+    job: Option<u64>,
+}
+
+impl Claim {
+    /// Run the job on this thread if it is still queued and a slot is
+    /// free; otherwise a worker has it or will.
+    fn run_here(&mut self) {
+        let shared = &*self.shared;
+        let Some((mut job, slot)) = self.job.take().and_then(|id| shared.queue.take(id)) else {
+            return;
+        };
+        // The job sat queued for this thread, not for a worker: the
+        // deadline does not count the wait (the trace's queue span does).
+        if let Some(deadline) = &mut job.deadline {
+            *deadline += job.enqueued_at.elapsed();
+        }
+        shared.telemetry.record_dequeued();
+        shared.telemetry.incr(Metric::JobsRunBySubmitter);
+        run_job(shared, job, slot);
+    }
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        if self.job.is_some() {
+            self.shared.queue.nudge();
+        }
+    }
+}
+
+impl std::fmt::Debug for Claim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Claim").field("job", &self.job).finish()
+    }
 }
 
 impl Ticket {
@@ -210,12 +284,21 @@ impl Ticket {
     }
 
     /// Block until the request resolves (released answer, rejection, or
-    /// [`ServiceError::Shutdown`] if the service dropped first).
+    /// [`ServiceError::Shutdown`] if the service dropped first). An
+    /// admitted query no worker has taken yet runs here, on the calling
+    /// thread, if it nests at most [`CALLER_NESTING_DEPTH`] levels: the
+    /// calling thread never needs more stack than parsing a query at the
+    /// parser's cap already took in `submit`.
     pub fn wait(self) -> ServiceResult<ServiceResponse> {
-        match self.0 {
-            Outcome::Ready(outcome) => outcome,
-            Outcome::Pending(reply) => reply.recv().unwrap_or(Err(ServiceError::Shutdown)),
-        }
+        let reply = match self.0 {
+            Outcome::Ready(outcome) => return outcome,
+            Outcome::Pending(reply) => reply,
+            Outcome::Queued(mut claim, reply) => {
+                claim.run_here();
+                reply
+            }
+        };
+        reply.recv().unwrap_or(Err(ServiceError::Shutdown))
     }
 }
 
@@ -252,7 +335,8 @@ struct Shared {
     /// its piggybacking waiters, so the miss → coalesce → admit decision
     /// is one shard-lock acquisition (see [`AnswerCache::admit`]).
     cache: AnswerCache<Waiter>,
-    /// The bounded job queue every worker pops from.
+    /// The bounded job queue: submitters take their own jobs back off
+    /// it, workers pop the rest, and its slots bound both together.
     queue: WorkQueue<Job>,
     telemetry: Telemetry,
     flex: FlexOptions,
@@ -271,6 +355,8 @@ struct Shared {
     recovery: RecoveryReport,
     /// Per-query deadline from [`ServiceConfig::query_timeout`].
     query_timeout: Option<Duration>,
+    #[cfg(test)]
+    executing: failpoint::HighWater,
 }
 
 /// A concurrent multi-analyst DP query service over one database.
@@ -454,13 +540,15 @@ impl QueryService {
                 config.cache_shards,
             ),
             // `queue_depth` is per worker; the queue is shared.
-            queue: WorkQueue::new(workers.saturating_mul(config.queue_depth)),
+            queue: WorkQueue::new(workers.saturating_mul(config.queue_depth), workers),
             telemetry,
             flex: config.flex.clone(),
             noise_key,
             db_fingerprint,
             recovery,
             query_timeout: config.query_timeout,
+            #[cfg(test)]
+            executing: failpoint::HighWater::default(),
         });
         let workers = (0..workers)
             .map(|i| {
@@ -477,8 +565,13 @@ impl QueryService {
     /// Submit a query for `analyst`, returning a [`Ticket`] immediately.
     ///
     /// Cache hits, rejections and parse errors resolve the ticket here,
-    /// without touching the worker pool or building a channel; everything
-    /// else is answered asynchronously.
+    /// without touching the queue or building a channel. An admitted
+    /// query is queued and runs when [`Ticket::wait`] is called, on the
+    /// waiting thread — or on a worker, which is woken at once only for
+    /// a burst (the queue already held a job), while this thread syncs
+    /// the charge to the WAL, or for a query nested deeper than
+    /// [`CALLER_NESTING_DEPTH`]. A caller that wants the query to run
+    /// while it does other work must therefore wait from another thread.
     ///
     /// ```
     /// use flex_core::PrivacyParams;
@@ -503,8 +596,8 @@ impl QueryService {
         shared.telemetry.incr(Metric::Submitted);
 
         let started = Instant::now();
-        let parsed = match parse_query(sql) {
-            Ok(q) => q,
+        let (parsed, nesting) = match parse_query_nesting(sql) {
+            Ok(parsed) => parsed,
             Err(e) => {
                 shared.telemetry.incr(Metric::Failed);
                 return Ticket::ready(Err(ServiceError::from(e)));
@@ -564,6 +657,10 @@ impl QueryService {
             Admission::Coalesced => {
                 shared.telemetry.incr(Metric::Coalesced);
                 let reply = parked.expect("a coalesced request parked its waiter");
+                // The job this request waits on may still be queued for a
+                // submitter that is not waiting yet: a worker must be able
+                // to run it, or this request waits on that caller.
+                shared.queue.nudge();
                 return Ticket(Outcome::Pending(reply));
             }
             // Admission control charged before any computation; the key
@@ -597,13 +694,27 @@ impl QueryService {
             deadline: shared.query_timeout.map(|t| started + t),
         };
         shared.telemetry.record_enqueued();
-        match shared.queue.push(job) {
+        // Without a WAL this thread is free the moment `submit` returns,
+        // and its `wait` runs the job: waking a worker would only add a
+        // hand-off. With one, it is about to wait for the disk, so a
+        // worker starts the query meanwhile. A query too deep for this
+        // thread's stack is the pool's alone.
+        let runs_here = nesting <= CALLER_NESTING_DEPTH;
+        let syncing = shared.ledger.wal().is_some();
+        match shared.queue.push(job, syncing || !runs_here) {
             // Sync the charge on this thread while a worker runs the
             // query: the one disk wait of a release overlaps its
-            // execution, and the worker's barrier finds it done. A
-            // failure is the worker's to report — its barrier fails too.
-            Ok(()) => {
+            // execution, and the barrier finds it done. A failure is the
+            // job's to report — its barrier fails too.
+            Ok(id) => {
                 let _ = shared.ledger.barrier_at(charge_lsn);
+                if runs_here {
+                    let claim = Claim {
+                        shared: Arc::clone(&self.shared),
+                        job: Some(id),
+                    };
+                    return Ticket(Outcome::Queued(claim, reply));
+                }
             }
             // The queue is at capacity: shed the load
             // instead of letting the backlog grow without bound. The
@@ -710,6 +821,11 @@ impl QueryService {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
+        // A job its submitter took back before the close runs on that
+        // thread, not a worker: wait for it too, so that it has settled
+        // before the sync below and the log has one writer once this
+        // returns.
+        self.shared.queue.wait_idle();
         // A clean stop leaves nothing in the page cache: the trailing
         // `Settle`s, and whatever `EveryN`/`Never` had not synced yet.
         // Best-effort (this runs in `Drop`); a failure is counted in
@@ -729,9 +845,9 @@ impl Drop for QueryService {
 fn worker_loop(shared: &Shared) {
     // `None` only after close + full drain, so admitted (charged) jobs
     // always run.
-    while let Some(job) = shared.queue.pop() {
+    while let Some((job, slot)) = shared.queue.pop() {
         shared.telemetry.record_dequeued();
-        run_job(shared, job);
+        run_job(shared, job, slot);
     }
 }
 
@@ -770,7 +886,8 @@ fn timeout_job(shared: &Shared, job: &Job) {
     abandon(shared, job, ServiceError::Timeout { timeout });
 }
 
-fn run_job(shared: &Shared, job: Job) {
+/// Run one admitted job, on whichever thread took it with `slot`.
+fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
     let queue_span = job.enqueued_at.elapsed();
     // Deadline check at dequeue: a job that waited out its whole budget
     // in a saturated queue is abandoned before any computation. The
@@ -804,6 +921,8 @@ fn run_job(shared: &Shared, job: Job) {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         failpoint::hit(job.key.canonical_sql());
+        #[cfg(test)]
+        let _executing = shared.executing.enter();
         let mut rng = StdRng::seed_from_u64(noise_seed);
         // The deadline is re-checked between pipeline stages (after
         // analysis and after execution, never after perturbation — the
@@ -818,6 +937,14 @@ fn run_job(shared: &Shared, job: Job) {
             job.deadline,
         )
     }));
+    // The pipeline is over: free its slot before anyone is answered. A
+    // worker that replied first would still hold it when the caller it
+    // woke submits again, that caller's take would be refused, and the
+    // caller's next job would come back to this worker — one hand-off
+    // per query from then on, and one more thread's allocator arena
+    // full of column buffers. (The job itself counts as running until
+    // `slot` drops on return: shutdown waits for that.)
+    slot.free();
 
     match outcome {
         Ok(Ok(result)) => {
@@ -926,15 +1053,50 @@ fn run_job(shared: &Shared, job: Job) {
 }
 
 /// Test-only failpoint: the pipeline panics on a release whose canonical
-/// SQL contains [`failpoint::PANIC`] (the pipeline runs on a worker's
+/// SQL contains [`failpoint::PANIC`] (the pipeline may run on a worker's
 /// thread, so the trigger travels in the query — as a table alias, say).
+/// Beside it, [`failpoint::HighWater`] counts pipelines executing at once.
 #[cfg(test)]
 mod failpoint {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     pub(super) const PANIC: &str = "flex_failpoint_panic";
 
     pub(super) fn hit(canonical_sql: &str) {
         if canonical_sql.contains(PANIC) {
             panic!("failpoint: pipeline panic");
+        }
+    }
+
+    /// Pipelines executing now, and the most ever at once.
+    #[derive(Debug, Default)]
+    pub(super) struct HighWater {
+        now: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl HighWater {
+        pub(super) fn enter(&self) -> Executing<'_> {
+            let now = self.now.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            Executing(self)
+        }
+
+        pub(super) fn peak(&self) -> usize {
+            self.peak.load(Ordering::SeqCst)
+        }
+
+        pub(super) fn now(&self) -> usize {
+            self.now.load(Ordering::SeqCst)
+        }
+    }
+
+    /// One executing pipeline; counted out when dropped.
+    pub(super) struct Executing<'a>(&'a HighWater);
+
+    impl Drop for Executing<'_> {
+        fn drop(&mut self) {
+            self.0.now.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -1863,5 +2025,254 @@ mod tests {
             .query("x", sql, p)
             .unwrap();
         assert_eq!(plain.rows, walled.rows);
+    }
+
+    fn two_workers() -> QueryService {
+        service(ServiceConfig {
+            workers: 2,
+            policy: LedgerPolicy::sequential(1e9, 1.0),
+            ..ServiceConfig::default()
+        })
+    }
+
+    /// No hand-off for a lone miss: with the pool parked, the query runs
+    /// on the thread that waits for it, and its trace is complete.
+    #[test]
+    fn a_lone_query_runs_on_the_submitting_thread() {
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        let r = svc
+            .query("alice", "SELECT COUNT(*) FROM trips", params(0.5))
+            .unwrap();
+        assert_eq!(r.trace.expect("computed here").exec.rows_scanned, 500);
+        let t = svc.telemetry();
+        assert_eq!(
+            (t.jobs_run_by_submitter, t.completed, t.queue_depth),
+            (1, 1, 0),
+            "snapshot: {t}"
+        );
+    }
+
+    /// `workers` bounds the pipelines executing at once on any thread:
+    /// eight callers each running their own misses never push it past
+    /// two.
+    #[test]
+    fn workers_bound_pipelines_on_every_thread() {
+        let svc = two_workers();
+        let barrier = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for i in 0..8 {
+                let (svc, barrier) = (&svc, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for j in 0..3 {
+                        svc.query("a", &nine_way_join(3 * i + j), params(0.1))
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let peak = svc.shared.executing.peak();
+        assert!((1..=2).contains(&peak), "{peak} pipelines at once");
+        let t = svc.telemetry();
+        assert_eq!((t.completed, t.queue_depth), (24, 0), "snapshot: {t}");
+    }
+
+    /// Wait until `svc` has completed `n` queries.
+    fn await_completed(svc: &QueryService, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while svc.telemetry().completed < n {
+            assert!(Instant::now() < deadline, "the job never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A ticket dropped before `wait` hands its job to a worker: the
+    /// answer is still released and charged, and cached for the next
+    /// asker.
+    #[test]
+    fn a_ticket_dropped_unwaited_is_still_released() {
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 2";
+        drop(svc.submit("alice", sql, params(0.5)));
+        await_completed(&svc, 1);
+        assert_eq!(svc.ledger().spent("alice"), (0.5, 1e-8));
+        assert_eq!(svc.ledger().queries("alice"), 1);
+        let again = svc.query("bob", sql, params(0.5)).unwrap();
+        assert!(again.from_cache, "the dropped ticket's release is cached");
+        let t = svc.telemetry();
+        assert_eq!(
+            (t.completed, t.jobs_run_by_submitter, t.queue_depth),
+            (1, 0, 0),
+            "snapshot: {t}"
+        );
+    }
+
+    /// Shutdown drains every admitted job, including one nobody woke a
+    /// worker for and tickets still unwaited when the service drops; each
+    /// leaves `Charge` + `Settle` in the log.
+    #[test]
+    fn a_dropped_service_drains_unwaited_tickets() {
+        use crate::fault::FaultStorage;
+        use crate::wal::WalOp;
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        let lone = svc.submit("a", "SELECT COUNT(*) FROM trips", params(0.5));
+        let t = svc.shutdown();
+        assert_eq!((t.completed, t.jobs_run_by_submitter), (1, 0), "{t}");
+        assert_eq!(lone.wait().unwrap().charged, (0.5, 1e-8));
+
+        let storage = FaultStorage::new();
+        let cfg = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = QueryService::with_storage(test_db(), cfg, Box::new(storage.clone())).unwrap();
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|i| svc.submit("a", &nine_way_join(i), params(0.5)))
+            .collect();
+        drop(svc);
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().charged, (0.5, 1e-8));
+        }
+        let wal = Wal::new(Box::new(storage), FsyncPolicy::Always, 0);
+        let ops = wal.read_ops().unwrap().0;
+        let charged: Vec<u64> = ops
+            .iter()
+            .filter_map(|op| match op {
+                WalOp::Charge { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        let mut settled: Vec<u64> = ops
+            .iter()
+            .filter_map(|op| match op {
+                WalOp::Settle { id, .. } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        settled.sort_unstable();
+        assert_eq!(charged.len(), 3, "log: {ops:?}");
+        assert_eq!(charged, settled, "log: {ops:?}");
+    }
+
+    /// A burst submitted before any `wait` — one thread as its own
+    /// fan-out — resolves every ticket, and spend equals releases.
+    #[test]
+    fn a_burst_submitted_before_any_wait_resolves() {
+        let svc = two_workers();
+        let tickets: Vec<Ticket> = (0..64)
+            .map(|i| {
+                let sql = format!("SELECT COUNT(*) FROM trips WHERE id < {i}");
+                svc.submit("a", &sql, params(0.5))
+            })
+            .collect();
+        for ticket in tickets {
+            assert_eq!(ticket.wait().unwrap().charged, (0.5, 1e-8));
+        }
+        assert_eq!(svc.ledger().spent("a").0, 32.0);
+        assert_eq!(svc.ledger().queries("a"), 64);
+        let t = svc.telemetry();
+        assert_eq!(
+            (t.completed, t.shed, t.queue_depth),
+            (64, 0, 0),
+            "snapshot: {t}"
+        );
+    }
+
+    /// A request that coalesces onto a job still queued for a submitter
+    /// that has not waited yet is answered by a worker: one analyst's
+    /// held ticket never stalls another's query, even on one thread.
+    #[test]
+    fn a_request_coalesced_onto_an_unwaited_job_returns() {
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 3";
+        let held = svc.submit("alice", sql, params(0.5));
+        let piggyback = svc.query("bob", sql, params(0.5)).unwrap();
+        assert_eq!(piggyback.charged, (0.0, 0.0));
+        let owner = held.wait().unwrap();
+        assert_eq!(owner.charged, (0.5, 1e-8));
+        assert_eq!(owner.rows, piggyback.rows);
+        let t = svc.telemetry();
+        assert_eq!(
+            (t.coalesced, t.completed, t.jobs_run_by_submitter),
+            (1, 1, 0),
+            "snapshot: {t}"
+        );
+    }
+
+    /// A query nested deeper than a caller's stack is sized for runs on
+    /// a worker even when its submitter waits at once; one inside the
+    /// bound runs on the submitter.
+    #[test]
+    fn a_query_too_deep_for_its_caller_runs_on_a_worker() {
+        let nested = |n: usize| {
+            format!(
+                "SELECT COUNT(*) FROM {}trips{}",
+                "(SELECT * FROM ".repeat(n),
+                ") q".repeat(n)
+            )
+        };
+        let depth = |sql: &str| flex_sql::parse_query_nesting(sql).unwrap().1;
+        let deep = (1..)
+            .map(nested)
+            .find(|sql| depth(sql) > CALLER_NESTING_DEPTH)
+            .unwrap();
+        let shallow = (1..)
+            .map(nested)
+            .take_while(|sql| depth(sql) <= CALLER_NESTING_DEPTH)
+            .last()
+            .unwrap();
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        svc.query("a", &deep, params(0.5)).unwrap();
+        let t = svc.telemetry();
+        assert_eq!((t.completed, t.jobs_run_by_submitter), (1, 0), "{t}");
+        svc.shared.queue.wait_parked(2);
+        svc.query("a", &shallow, params(0.5)).unwrap();
+        let t = svc.telemetry();
+        assert_eq!((t.completed, t.jobs_run_by_submitter), (2, 1), "{t}");
+    }
+
+    /// Shutdown waits for a job its submitter took back and is still
+    /// running: the final snapshot counts it, and nothing runs on after.
+    #[test]
+    fn shutdown_waits_for_a_job_its_caller_runs() {
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        // A three-way join on a 7-valued key: 2.5 M rows, long enough
+        // for the stop to land mid-pipeline.
+        let sql = "SELECT COUNT(*) FROM trips a JOIN trips b ON a.city_id = b.city_id \
+                   JOIN trips c ON b.city_id = c.city_id";
+        let ticket = svc.submit("a", sql, params(0.5));
+        let caller = std::thread::spawn(move || ticket.wait());
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while svc.shared.executing.now() == 0 {
+            assert!(Instant::now() < deadline, "the caller never ran its job");
+            std::thread::yield_now();
+        }
+        let t = svc.shutdown();
+        assert_eq!((t.completed, t.jobs_run_by_submitter), (1, 1), "{t}");
+        assert_eq!(caller.join().unwrap().unwrap().charged, (0.5, 1e-8));
+    }
+
+    /// The deadline runs from submission, but not through the time a
+    /// job sat queued waiting for its own submitter to call `wait`.
+    #[test]
+    fn a_late_wait_does_not_time_the_query_out() {
+        let svc = service(ServiceConfig {
+            workers: 2,
+            query_timeout: Some(Duration::from_millis(50)),
+            ..ServiceConfig::default()
+        });
+        svc.shared.queue.wait_parked(2);
+        let ticket = svc.submit("a", "SELECT COUNT(*) FROM trips", params(0.5));
+        std::thread::sleep(Duration::from_millis(100));
+        let answer = ticket.wait().unwrap();
+        assert!(answer.trace.unwrap().queue >= Duration::from_millis(100));
+        let t = svc.telemetry();
+        assert_eq!((t.timeouts, t.jobs_run_by_submitter), (0, 1), "{t}");
     }
 }

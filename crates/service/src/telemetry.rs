@@ -148,7 +148,8 @@ pub struct QueryTrace {
     /// Cache lookup, coalescing and budget admission under the
     /// single-flight lock.
     pub admission: Duration,
-    /// Wait between enqueue and a worker picking the job up.
+    /// Wait between enqueue and the job starting — on the thread that
+    /// waited for it, or on a worker.
     pub queue: Duration,
     /// Elastic-sensitivity analysis.
     pub analysis: Duration,
@@ -405,6 +406,11 @@ metric_table! {
         /// shared `Database` at runtime cannot leave the gauge stale.
         ExecParallelism exec_parallelism: Gauge, "flex_exec_parallelism", "exec workers",
             "Per-query worker budget of the vectorized engine.";
+        /// Set against `completed`, it shows how much the worker pool
+        /// still runs: every admitted job it does not count ran on one.
+        JobsRunBySubmitter jobs_run_by_submitter: Counter,
+            "flex_jobs_run_by_submitter_total", "run by submitter",
+            "Admitted jobs run on the thread that waited for them.";
         QueueDepth queue_depth: Gauge, "flex_queue_depth", "queue depth",
             "Jobs currently queued for a pipeline worker.";
         MaxQueueDepth max_queue_depth: Gauge, "flex_queue_depth_max", "queue depth max",
@@ -490,8 +496,8 @@ impl Telemetry {
         }
     }
 
-    /// Count one job entering the worker queue, maintaining the
-    /// high-water mark.
+    /// Count one job entering the job queue, maintaining the high-water
+    /// mark.
     pub fn record_enqueued(&self) {
         // `fetch_max` keeps the high-water mark correct under concurrent
         // submitters — a read-then-store would let two racing enqueues
@@ -504,7 +510,7 @@ impl Telemetry {
             .fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Count one job leaving the worker queue.
+    /// Count one job leaving the job queue.
     pub fn record_dequeued(&self) {
         self.cell(Metric::QueueDepth)
             .fetch_sub(1, Ordering::Relaxed);

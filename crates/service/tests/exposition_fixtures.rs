@@ -18,7 +18,9 @@
 //! `flex_durability_latency_seconds` summary (`durability_latency` key),
 //! each slow query's `durability` span (which its `total_ns` now
 //! counts), and the derived `flex_wal_records_per_fsync` gauge
-//! (`wal_records_per_fsync` key).
+//! (`wal_records_per_fsync` key); later, the
+//! `flex_jobs_run_by_submitter_total` counter (`jobs_run_by_submitter`
+//! key).
 
 use flex_db::ExecTrace;
 use flex_service::{
@@ -58,6 +60,7 @@ fn populated_report() -> MetricsReport {
         wal_recovery_replayed: 115,
         topk_hits: 118,
         exec_parallelism: 119,
+        jobs_run_by_submitter: 116,
         queue_depth: 120,
         max_queue_depth: 121,
         cache_bytes: 122,

@@ -34,5 +34,5 @@ pub use ast::*;
 pub use canonical::{canonical_sql, canonicalize};
 pub use error::{ParseError, Result};
 pub use inline::inline_ctes;
-pub use parser::{parse_query, parse_script};
+pub use parser::{parse_query, parse_query_nesting, parse_script};
 pub use printer::{print_expr, print_query};

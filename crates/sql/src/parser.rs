@@ -37,11 +37,18 @@ pub const MAX_NESTING_DEPTH: usize = 64;
 
 /// Parse a single SQL query (an optional trailing `;` is allowed).
 pub fn parse_query(sql: &str) -> Result<Query> {
+    parse_query_nesting(sql).map(|(q, _)| q)
+}
+
+/// [`parse_query`], plus the deepest nesting level the text reached (at
+/// most [`MAX_NESTING_DEPTH`]) — what the stack a query needs
+/// downstream scales with.
+pub fn parse_query_nesting(sql: &str) -> Result<(Query, usize)> {
     let mut p = Parser::new(tokenize(sql)?);
     let q = p.query()?;
     p.eat(&TokenKind::Semicolon);
     p.expect_eof()?;
-    Ok(q)
+    Ok((q, p.deepest))
 }
 
 /// Parse a `;`-separated script into its constituent queries.
@@ -63,6 +70,8 @@ struct Parser {
     pos: usize,
     /// Recursion levels currently open (see [`MAX_NESTING_DEPTH`]).
     depth: usize,
+    /// Most levels ever open at once.
+    deepest: usize,
 }
 
 impl Parser {
@@ -71,6 +80,7 @@ impl Parser {
             tokens,
             pos: 0,
             depth: 0,
+            deepest: 0,
         }
     }
 
@@ -82,6 +92,7 @@ impl Parser {
             )));
         }
         self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
         let parsed = production(self);
         self.depth -= 1;
         parsed
@@ -1051,6 +1062,18 @@ mod tests {
         assert!(parse_query(&parens(MAX_NESTING_DEPTH - 2)).is_ok());
         let err = parse_query(&parens(MAX_NESTING_DEPTH - 1)).unwrap_err();
         assert!(err.message.contains("nests deeper"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_reported() {
+        let parens = |n: usize| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n));
+        for n in [0, 5, MAX_NESTING_DEPTH - 2] {
+            let (_, deepest) = parse_query_nesting(&parens(n)).unwrap();
+            assert_eq!(deepest, n + 2, "{n} parentheses");
+        }
+        let subquery = "SELECT COUNT(*) FROM (SELECT * FROM (SELECT * FROM t) a) b";
+        let (_, deepest) = parse_query_nesting(subquery).unwrap();
+        assert!(deepest > parse_query_nesting("SELECT * FROM t").unwrap().1);
     }
 
     #[test]

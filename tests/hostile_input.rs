@@ -72,6 +72,37 @@ fn nesting_at_the_cap_runs_end_to_end() {
     }
 }
 
+/// The thread that waits for a query may run it, but never needs more
+/// stack for that than parsing a query at the cap already takes there
+/// (≈ 1 MiB unoptimized): a query nested deeper than
+/// `CALLER_NESTING_DEPTH` runs on a worker, and one at that bound needs
+/// about a quarter of the parse.
+#[test]
+fn a_caller_with_room_to_parse_can_wait_at_any_depth() {
+    let svc = Arc::new(service());
+    for depth in [
+        flex::sql::parser::MAX_NESTING_DEPTH - 2,
+        flex::service::CALLER_NESTING_DEPTH - 1,
+    ] {
+        let derived = format!(
+            "SELECT COUNT(*) FROM {}t{}",
+            "(SELECT * FROM ".repeat(depth),
+            ") q".repeat(depth)
+        );
+        let svc = Arc::clone(&svc);
+        let answer = std::thread::Builder::new()
+            .stack_size(1280 << 10)
+            .spawn(move || {
+                let params = PrivacyParams::new(1.0, 1e-8).unwrap();
+                svc.query("alice", &derived, params).unwrap()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(answer.scalar().is_some());
+    }
+}
+
 /// The analysis never reads HAVING, so whatever the executor does with
 /// one is an analyst's to ask for: `n` `EXISTS` there cost `n` scans.
 /// (Group mode used to compile level by level, re-running every subquery
