@@ -605,7 +605,7 @@ impl QueryService {
         };
         let parse_span = started.elapsed();
         let canon_started = Instant::now();
-        let query = canonicalize(&parsed);
+        let query = canonicalize(parsed);
         let canonical_sql = print_query(&query);
         let canonicalize_span = canon_started.elapsed();
         let key = CacheKey::new(canonical_sql.clone(), params);

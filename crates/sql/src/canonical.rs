@@ -28,13 +28,24 @@
 //! suite).
 
 use crate::ast::*;
-use crate::printer::{print_expr, print_query};
+use crate::printer::{print_expr, print_query, write_expr};
+use std::cmp::Ordering;
 
-/// Canonicalize a query (deep copy; the input is untouched).
-pub fn canonicalize(q: &Query) -> Query {
-    let mut q = q.clone();
-    canon_query(&mut q);
+/// Canonicalize a query. An owned query is rewritten in place; a borrowed
+/// one is cloned first and left untouched.
+pub fn canonicalize(q: impl Into<Query>) -> Query {
+    let mut q = q.into();
+    let mut canon = Canonicalizer {
+        text: String::with_capacity(128),
+    };
+    canon.query(&mut q);
     q
+}
+
+impl From<&Query> for Query {
+    fn from(q: &Query) -> Query {
+        q.clone()
+    }
 }
 
 /// The canonical SQL text of a query — equal strings iff the queries have
@@ -43,54 +54,132 @@ pub fn canonical_sql(q: &Query) -> String {
     print_query(&canonicalize(q))
 }
 
-fn canon_query(q: &mut Query) {
-    for cte in &mut q.ctes {
-        canon_query(&mut cte.query);
-    }
-    canon_set_expr(&mut q.body);
-    for item in &mut q.order_by {
-        canon_expr(&mut item.expr);
-    }
+/// One canonicalization's scratch: operands are ordered by their printed
+/// text, and every print goes into this one buffer, reused from node to
+/// node, instead of a fresh `String` per operand.
+struct Canonicalizer {
+    text: String,
 }
 
-fn canon_set_expr(body: &mut SetExpr) {
-    match body {
-        SetExpr::Select(s) => {
-            for item in &mut s.projection {
-                if let SelectItem::Expr { expr, .. } = item {
-                    canon_expr(expr);
+impl Canonicalizer {
+    fn query(&mut self, q: &mut Query) {
+        for cte in &mut q.ctes {
+            self.query(&mut cte.query);
+        }
+        self.set_expr(&mut q.body);
+        for item in &mut q.order_by {
+            self.expr(&mut item.expr);
+        }
+    }
+
+    fn set_expr(&mut self, body: &mut SetExpr) {
+        match body {
+            SetExpr::Select(s) => {
+                for item in &mut s.projection {
+                    if let SelectItem::Expr { expr, .. } = item {
+                        self.expr(expr);
+                    }
+                }
+                if let Some(from) = &mut s.from {
+                    self.table_ref(from);
+                }
+                let clauses = s.selection.iter_mut().chain(&mut s.group_by);
+                clauses.chain(&mut s.having).for_each(|e| self.expr(e));
+                s.group_by.sort_by_cached_key(print_expr);
+            }
+            SetExpr::SetOp { left, right, .. } => {
+                self.set_expr(left);
+                self.set_expr(right);
+            }
+        }
+    }
+
+    fn table_ref(&mut self, t: &mut TableRef) {
+        match t {
+            TableRef::Table { .. } => {}
+            TableRef::Derived { query, .. } => self.query(query),
+            TableRef::Join {
+                left,
+                right,
+                constraint,
+                ..
+            } => {
+                self.table_ref(left);
+                self.table_ref(right);
+                if let JoinConstraint::On(e) = constraint {
+                    self.expr(e);
                 }
             }
-            if let Some(from) = &mut s.from {
-                canon_table_ref(from);
-            }
-            let clauses = s.selection.iter_mut().chain(&mut s.group_by);
-            clauses.chain(&mut s.having).for_each(canon_expr);
-            s.group_by.sort_by_key(print_expr);
-        }
-        SetExpr::SetOp { left, right, .. } => {
-            canon_set_expr(left);
-            canon_set_expr(right);
         }
     }
-}
 
-fn canon_table_ref(t: &mut TableRef) {
-    match t {
-        TableRef::Table { .. } => {}
-        TableRef::Derived { query, .. } => canon_query(query),
-        TableRef::Join {
-            left,
-            right,
-            constraint,
+    /// Children first (over the one child walk), then the node's own rule.
+    fn expr(&mut self, e: &mut Expr) {
+        use BinaryOperator::{And, Eq, Gt, GtEq, Lt, LtEq, Multiply, NotEq, Or, Plus};
+        if let Expr::BinaryOp {
+            op: op @ (And | Or),
             ..
-        } => {
-            canon_table_ref(left);
-            canon_table_ref(right);
-            if let JoinConstraint::On(e) = constraint {
-                canon_expr(e);
-            }
+        } = e
+        {
+            // A whole chain at once: flattened, sorted, rebuilt left-deep.
+            let op = *op;
+            let mut operands = Vec::new();
+            let chain = std::mem::replace(e, Expr::Literal(Literal::Null));
+            flatten(chain, op, &mut operands);
+            operands.iter_mut().for_each(|o| self.expr(o));
+            let chain = (self.sorted_unique(operands).into_iter())
+                .reduce(|acc, next| Expr::binary(acc, op, next));
+            *e = chain.expect("a chain has an operand");
+            return;
         }
+        e.for_each_child_mut(|child| self.expr(child));
+        if let Some(q) = e.subquery_mut() {
+            self.query(q);
+        }
+        match e {
+            // Mirror > and >= so both directions of the same comparison
+            // agree; order the operands of the symmetric operators.
+            Expr::BinaryOp { left, op, right } => match op {
+                Gt | GtEq => {
+                    std::mem::swap(left, right);
+                    *op = if *op == Gt { Lt } else { LtEq };
+                }
+                Eq | NotEq | Plus | Multiply if self.printed_cmp(left, right).is_gt() => {
+                    std::mem::swap(left, right)
+                }
+                _ => {}
+            },
+            Expr::InList { list, .. } => *list = self.sorted_unique(std::mem::take(list)),
+            _ => {}
+        }
+    }
+
+    /// The order of `a` and `b` by their printed text.
+    fn printed_cmp(&mut self, a: &Expr, b: &Expr) -> Ordering {
+        self.text.clear();
+        write_expr(&mut self.text, a);
+        let split = self.text.len();
+        write_expr(&mut self.text, b);
+        self.text[..split].cmp(&self.text[split..])
+    }
+
+    /// An unordered collection of canonical expressions (`AND`/`OR`
+    /// operands, an `IN` list), sorted by printed form and without
+    /// duplicates. Each member is printed once, into one buffer.
+    fn sorted_unique(&mut self, members: Vec<Expr>) -> Vec<Expr> {
+        let text = &mut self.text;
+        text.clear();
+        let mut keyed: Vec<(usize, usize, Expr)> = (members.into_iter())
+            .map(|m| {
+                let start = text.len();
+                write_expr(text, &m);
+                (start, text.len(), m)
+            })
+            .collect();
+        let key = |&(start, end, _): &(usize, usize, Expr)| &text[start..end];
+        keyed.sort_by(|a, b| key(a).cmp(key(b)));
+        keyed.dedup_by(|a, b| key(a) == key(b));
+        keyed.into_iter().map(|(_, _, e)| e).collect()
     }
 }
 
@@ -106,56 +195,6 @@ fn flatten(e: Expr, op: BinaryOperator, out: &mut Vec<Expr>) {
             flatten(*right, op, out);
         }
         other => out.push(other),
-    }
-}
-
-/// An unordered collection of canonical expressions (`AND`/`OR` operands,
-/// an `IN` list), sorted by printed form and without duplicates.
-fn sorted_unique(members: Vec<Expr>) -> impl Iterator<Item = Expr> {
-    let mut keyed: Vec<(String, Expr)> =
-        (members.into_iter()).map(|m| (print_expr(&m), m)).collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.dedup_by(|a, b| a.0 == b.0);
-    keyed.into_iter().map(|(_, e)| e)
-}
-
-/// Children first (over the one child walk), then the node's own rule.
-fn canon_expr(e: &mut Expr) {
-    use BinaryOperator::{And, Eq, Gt, GtEq, Lt, LtEq, Multiply, NotEq, Or, Plus};
-    if let Expr::BinaryOp {
-        op: op @ (And | Or),
-        ..
-    } = e
-    {
-        // A whole chain at once: flattened, sorted, rebuilt left-deep.
-        let op = *op;
-        let mut operands = Vec::new();
-        let chain = std::mem::replace(e, Expr::Literal(Literal::Null));
-        flatten(chain, op, &mut operands);
-        operands.iter_mut().for_each(canon_expr);
-        let chain = sorted_unique(operands).reduce(|acc, next| Expr::binary(acc, op, next));
-        *e = chain.expect("a chain has an operand");
-        return;
-    }
-    e.for_each_child_mut(canon_expr);
-    if let Some(q) = e.subquery_mut() {
-        canon_query(q);
-    }
-    match e {
-        // Mirror > and >= so both directions of the same comparison
-        // agree; order the operands of the symmetric operators.
-        Expr::BinaryOp { left, op, right } => match op {
-            Gt | GtEq => {
-                std::mem::swap(left, right);
-                *op = if *op == Gt { Lt } else { LtEq };
-            }
-            Eq | NotEq | Plus | Multiply if print_expr(left) > print_expr(right) => {
-                std::mem::swap(left, right)
-            }
-            _ => {}
-        },
-        Expr::InList { list, .. } => *list = sorted_unique(std::mem::take(list)).collect(),
-        _ => {}
     }
 }
 

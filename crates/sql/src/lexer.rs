@@ -80,8 +80,8 @@ impl<'a> Lexer<'a> {
                         return Err(ParseError::lex(start, "unexpected character `!`"));
                     }
                 }
-                b'\'' => self.string_literal()?,
-                b'"' => self.quoted_ident()?,
+                b'\'' => self.quoted(b'\'', TokenKind::String, "unterminated string literal")?,
+                b'"' => self.quoted(b'"', TokenKind::Ident, "unterminated quoted identifier")?,
                 b'0'..=b'9' => self.number()?,
                 b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(),
                 other => {
@@ -154,64 +154,34 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Single-quoted string; `''` escapes a quote.
-    fn string_literal(&mut self) -> Result<()> {
+    /// The text between `quote` at `pos` and its closing twin, a doubled
+    /// `quote` standing for one: a single-quoted string or a
+    /// double-quoted identifier (case preserved). Copied a run at a time:
+    /// the quote is ASCII, so every run ends on a character boundary.
+    fn quoted(
+        &mut self,
+        quote: u8,
+        kind: fn(String) -> TokenKind,
+        unterminated: &str,
+    ) -> Result<()> {
         let start = self.pos;
         self.pos += 1;
         let mut value = String::new();
         loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(ParseError::lex(start, "unterminated string literal")),
-                Some(b'\'') => {
-                    if self.peek_at(1) == Some(b'\'') {
-                        value.push('\'');
-                        self.pos += 2;
-                    } else {
-                        self.pos += 1;
-                        break;
-                    }
-                }
-                Some(_) => {
-                    // Advance by whole UTF-8 characters.
-                    let ch = self.src[self.pos..].chars().next().expect("in-bounds char");
-                    value.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            let Some(len) = self.bytes[self.pos..].iter().position(|&b| b == quote) else {
+                return Err(ParseError::lex(start, unterminated));
+            };
+            let close = self.pos + len;
+            value.push_str(&self.src[self.pos..close]);
+            if self.bytes.get(close + 1) != Some(&quote) {
+                self.pos = close + 1;
+                break;
             }
+            value.push(quote as char);
+            self.pos = close + 2;
         }
         self.out.push(Token {
-            kind: TokenKind::String(value),
-            span: Span::new(start, self.pos),
-        });
-        Ok(())
-    }
-
-    /// Double-quoted identifier, case preserved. `""` escapes a quote.
-    fn quoted_ident(&mut self) -> Result<()> {
-        let start = self.pos;
-        self.pos += 1;
-        let mut value = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(ParseError::lex(start, "unterminated quoted identifier")),
-                Some(b'"') => {
-                    if self.peek_at(1) == Some(b'"') {
-                        value.push('"');
-                        self.pos += 2;
-                    } else {
-                        self.pos += 1;
-                        break;
-                    }
-                }
-                Some(_) => {
-                    let ch = self.src[self.pos..].chars().next().expect("in-bounds char");
-                    value.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-        self.out.push(Token {
-            kind: TokenKind::Ident(value),
+            kind: kind(value),
             span: Span::new(start, self.pos),
         });
         Ok(())
@@ -250,20 +220,22 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = &self.src[start..self.pos];
-        let kind = if is_float {
-            TokenKind::Float(
-                text.parse::<f64>()
-                    .map_err(|e| ParseError::lex(start, format!("bad float literal: {e}")))?,
-            )
-        } else {
-            match text.parse::<i64>() {
-                Ok(v) => TokenKind::Integer(v),
-                // Integers too large for i64 degrade to floats, matching the
-                // permissiveness of real SQL engines.
-                Err(_) => TokenKind::Float(
-                    text.parse::<f64>()
-                        .map_err(|e| ParseError::lex(start, format!("bad numeric literal: {e}")))?,
-                ),
+        let kind = match text.parse::<i64>() {
+            Ok(v) if !is_float => TokenKind::Integer(v),
+            // Integers too large for i64 degrade to floats, matching the
+            // permissiveness of real SQL engines.
+            _ => {
+                let v = (text.parse::<f64>())
+                    .map_err(|e| ParseError::lex(start, format!("bad numeric literal: {e}")))?;
+                // Infinity prints as `inf`, which re-parses as a column:
+                // the two queries would share one cache key.
+                if !v.is_finite() {
+                    return Err(ParseError::lex(
+                        start,
+                        format!("numeric literal `{text}` is not a finite number"),
+                    ));
+                }
+                TokenKind::Float(v)
             }
         };
         self.out.push(Token {
@@ -282,11 +254,18 @@ impl<'a> Lexer<'a> {
         {
             self.pos += 1;
         }
-        let raw = &self.src[start..self.pos];
-        let lower = raw.to_ascii_lowercase();
-        let kind = match Keyword::from_str_lower(&lower) {
+        let raw = &self.bytes[start..self.pos];
+        // Lower-case a word that could be a keyword on the stack: only an
+        // identifier gets a `String`.
+        let mut buf = [0u8; Keyword::LONGEST];
+        let keyword = buf.get_mut(..raw.len()).and_then(|lower| {
+            lower.copy_from_slice(raw);
+            lower.make_ascii_lowercase();
+            Keyword::from_str_lower(std::str::from_utf8(lower).ok()?)
+        });
+        let kind = match keyword {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(lower),
+            None => TokenKind::Ident(self.src[start..self.pos].to_ascii_lowercase()),
         };
         self.out.push(Token {
             kind,
@@ -374,6 +353,63 @@ mod tests {
     #[test]
     fn lexes_strings_with_escapes() {
         assert_eq!(kinds("'it''s'")[0], TokenKind::String("it's".to_string()));
+    }
+
+    #[test]
+    fn doubled_quotes_anywhere_in_a_literal() {
+        for (sql, value) in [
+            ("''", ""),
+            ("''''", "'"),
+            ("'''a'", "'a"),
+            ("'a'''", "a'"),
+            ("'''a'''", "'a'"),
+            ("'a''''b'", "a''b"),
+            ("'héllo — 日本''語'", "héllo — 日本'語"),
+        ] {
+            assert_eq!(
+                kinds(sql),
+                [TokenKind::String(value.into()), TokenKind::Eof],
+                "{sql}"
+            );
+        }
+        assert_eq!(
+            kinds(r#""Ça ""va"" 日本""#),
+            [TokenKind::Ident(r#"Ça "va" 日本"#.into()), TokenKind::Eof]
+        );
+        assert!(tokenize("'日本''").is_err());
+        assert!(tokenize(r#""日本"""#).is_err());
+    }
+
+    #[test]
+    fn keywords_in_any_case_and_longer_words_as_identifiers() {
+        assert_eq!(
+            kinds("SeLeCt DISTINCT intersect INTERSECTS selec intersection_count_total"),
+            [
+                TokenKind::Keyword(Keyword::Select),
+                TokenKind::Keyword(Keyword::Distinct),
+                TokenKind::Keyword(Keyword::Intersect),
+                TokenKind::Ident("intersects".into()),
+                TokenKind::Ident("selec".into()),
+                TokenKind::Ident("intersection_count_total".into()),
+                TokenKind::Eof,
+            ]
+        );
+        assert_eq!(Keyword::LONGEST, "intersect".len());
+        // A quoted identifier is never a keyword.
+        assert_eq!(kinds(r#""Select""#)[0], TokenKind::Ident("Select".into()));
+        assert_eq!(kinds(r#""select""#)[0], TokenKind::Ident("select".into()));
+    }
+
+    #[test]
+    fn rejects_numbers_that_are_not_finite() {
+        let long = "9".repeat(400);
+        for sql in ["1e999", "1.5E+400", &long, &format!("{long}.5")] {
+            let err = tokenize(sql).expect_err(sql);
+            assert!(err.message.contains("not a finite number"), "{sql}: {err}");
+            assert_eq!(err.offset, 0);
+        }
+        assert_eq!(kinds("1e308")[0], TokenKind::Float(1e308));
+        assert_eq!(kinds("1e-999")[0], TokenKind::Float(0.0));
     }
 
     #[test]

@@ -110,12 +110,32 @@ impl Parser {
         &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
     }
 
+    /// Consume the current token and hand it over. The parser never
+    /// goes back, so the token is moved out, not cloned; the `Eof` at the
+    /// end is never consumed.
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let eof = self.tokens.len() - 1;
+        if self.pos >= eof {
+            return self.tokens[eof].clone();
         }
-        t
+        let token = &mut self.tokens[self.pos];
+        let consumed = Token {
+            kind: std::mem::replace(&mut token.kind, TokenKind::Eof),
+            span: token.span,
+        };
+        self.pos += 1;
+        consumed
+    }
+
+    /// The current token's name, consumed, if it is an identifier (never
+    /// the `Eof` at the end).
+    fn take_ident(&mut self) -> Option<String> {
+        let TokenKind::Ident(name) = &mut self.tokens[self.pos].kind else {
+            return None;
+        };
+        let name = std::mem::take(name);
+        self.pos += 1;
+        Some(name)
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -131,16 +151,16 @@ impl Parser {
         self.eat(&TokenKind::Keyword(kw))
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
-        if self.peek_kind() == kind {
-            Ok(self.advance())
+    fn expect(&mut self, kind: &TokenKind) -> Result<()> {
+        if self.eat(kind) {
+            Ok(())
         } else {
             Err(self.error(format!("expected {kind}, found {}", self.peek_kind())))
         }
     }
 
     fn expect_kw(&mut self, kw: Keyword) -> Result<()> {
-        self.expect(&TokenKind::Keyword(kw)).map(|_| ())
+        self.expect(&TokenKind::Keyword(kw))
     }
 
     fn expect_eof(&self) -> Result<()> {
@@ -156,13 +176,8 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                self.advance();
-                Ok(name)
-            }
-            other => Err(self.error(format!("expected identifier, found {other}"))),
-        }
+        self.take_ident()
+            .ok_or_else(|| self.error(format!("expected identifier, found {}", self.peek_kind())))
     }
 
     // ---- queries -------------------------------------------------------
@@ -222,12 +237,15 @@ impl Parser {
     }
 
     fn unsigned(&mut self) -> Result<u64> {
-        match self.peek_kind().clone() {
+        match *self.peek_kind() {
             TokenKind::Integer(v) if v >= 0 => {
                 self.advance();
                 Ok(v as u64)
             }
-            other => Err(self.error(format!("expected non-negative integer, found {other}"))),
+            _ => Err(self.error(format!(
+                "expected non-negative integer, found {}",
+                self.peek_kind()
+            ))),
         }
     }
 
@@ -339,13 +357,14 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // `alias.*`
-        if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            if self.peek_ahead(1) == &TokenKind::Dot && self.peek_ahead(2) == &TokenKind::Star {
-                self.advance();
-                self.advance();
-                self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
-            }
+        if matches!(self.peek_kind(), TokenKind::Ident(_))
+            && self.peek_ahead(1) == &TokenKind::Dot
+            && self.peek_ahead(2) == &TokenKind::Star
+        {
+            let name = self.ident()?;
+            self.advance();
+            self.advance();
+            return Ok(SelectItem::QualifiedWildcard(name));
         }
         let expr = self.expr()?;
         let alias = self.maybe_alias()?;
@@ -358,11 +377,7 @@ impl Parser {
         if self.eat_kw(Keyword::As) {
             return self.ident().map(Some);
         }
-        if let TokenKind::Ident(name) = self.peek_kind().clone() {
-            self.advance();
-            return Ok(Some(name));
-        }
-        Ok(None)
+        Ok(self.take_ident())
     }
 
     // ---- FROM clause ---------------------------------------------------
@@ -451,11 +466,8 @@ impl Parser {
         let name = self.ident()?;
         let alias = if self.eat_kw(Keyword::As) {
             Some(self.ident()?)
-        } else if let TokenKind::Ident(a) = self.peek_kind().clone() {
-            self.advance();
-            Some(a)
         } else {
-            None
+            self.take_ident()
         };
         Ok(TableRef::Table { name, alias })
     }
@@ -637,97 +649,76 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr> {
-        match self.peek_kind().clone() {
-            TokenKind::Integer(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Integer(v)))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            TokenKind::String(s) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::String(s)))
-            }
-            TokenKind::Keyword(Keyword::Null) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Null))
-            }
-            TokenKind::Keyword(Keyword::True) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Boolean(true)))
-            }
-            TokenKind::Keyword(Keyword::False) => {
-                self.advance();
-                Ok(Expr::Literal(Literal::Boolean(false)))
-            }
-            TokenKind::Keyword(Keyword::Case) => self.case_expr(),
+        let token = self.advance();
+        Ok(match token.kind {
+            TokenKind::Integer(v) => Expr::Literal(Literal::Integer(v)),
+            TokenKind::Float(v) => Expr::Literal(Literal::Float(v)),
+            TokenKind::String(s) => Expr::Literal(Literal::String(s)),
+            TokenKind::Keyword(Keyword::Null) => Expr::Literal(Literal::Null),
+            TokenKind::Keyword(Keyword::True) => Expr::Literal(Literal::Boolean(true)),
+            TokenKind::Keyword(Keyword::False) => Expr::Literal(Literal::Boolean(false)),
+            TokenKind::Keyword(Keyword::Case) => self.case_expr()?,
             TokenKind::Keyword(Keyword::Exists) => {
-                self.advance();
                 self.expect(&TokenKind::LParen)?;
                 let q = self.query()?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(Expr::Exists(Box::new(q)))
+                Expr::Exists(Box::new(q))
             }
             TokenKind::Keyword(Keyword::Cast) => {
-                self.advance();
                 self.expect(&TokenKind::LParen)?;
                 let inner = self.expr()?;
                 self.expect_kw(Keyword::As)?;
                 let data_type = self.ident()?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(Expr::Cast {
+                Expr::Cast {
                     expr: Box::new(inner),
                     data_type,
-                })
+                }
             }
             TokenKind::LParen => {
-                self.advance();
                 let inner = self.expr()?;
                 self.expect(&TokenKind::RParen)?;
-                Ok(inner)
+                inner
             }
-            TokenKind::Ident(name) => {
-                // Function call?
-                if self.peek_ahead(1) == &TokenKind::LParen {
-                    self.advance();
-                    self.advance();
-                    let distinct = self.eat_kw(Keyword::Distinct);
-                    let mut args = Vec::new();
-                    if self.peek_kind() != &TokenKind::RParen {
-                        loop {
-                            if self.eat(&TokenKind::Star) {
-                                args.push(FunctionArg::Wildcard);
-                            } else {
-                                args.push(FunctionArg::Expr(self.expr()?));
-                            }
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
+            // Function call?
+            TokenKind::Ident(name) if self.eat(&TokenKind::LParen) => {
+                let distinct = self.eat_kw(Keyword::Distinct);
+                let mut args = Vec::new();
+                if self.peek_kind() != &TokenKind::RParen {
+                    loop {
+                        if self.eat(&TokenKind::Star) {
+                            args.push(FunctionArg::Wildcard);
+                        } else {
+                            args.push(FunctionArg::Expr(self.expr()?));
+                        }
+                        if !self.eat(&TokenKind::Comma) {
+                            break;
                         }
                     }
-                    self.expect(&TokenKind::RParen)?;
-                    return Ok(Expr::Function {
-                        name,
-                        distinct,
-                        args,
-                    });
                 }
-                // Qualified column `q.name`?
-                self.advance();
-                if self.eat(&TokenKind::Dot) {
-                    let col = self.ident()?;
-                    return Ok(Expr::Column(ColumnRef::qualified(name, col)));
+                self.expect(&TokenKind::RParen)?;
+                Expr::Function {
+                    name,
+                    distinct,
+                    args,
                 }
-                Ok(Expr::Column(ColumnRef::bare(name)))
             }
-            other => Err(self.error(format!("unexpected {other} in expression"))),
-        }
+            // Qualified column `q.name`?
+            TokenKind::Ident(name) if self.eat(&TokenKind::Dot) => {
+                Expr::Column(ColumnRef::qualified(name, self.ident()?))
+            }
+            TokenKind::Ident(name) => Expr::Column(ColumnRef::bare(name)),
+            other => {
+                return Err(ParseError::syntax(
+                    token.span.start,
+                    format!("unexpected {other} in expression"),
+                ))
+            }
+        })
     }
 
+    /// The rest of a `CASE` expression, its keyword consumed.
     fn case_expr(&mut self) -> Result<Expr> {
-        self.expect_kw(Keyword::Case)?;
         let operand = if self.peek_kind() != &TokenKind::Keyword(Keyword::When) {
             Some(Box::new(self.expr()?))
         } else {

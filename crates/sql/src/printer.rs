@@ -6,7 +6,9 @@ use std::fmt::Write;
 
 /// Render a [`Query`] back to SQL text.
 pub fn print_query(q: &Query) -> String {
-    let mut out = String::new();
+    // Room for a typical query's text at once, not a doubling per power
+    // of two on the way there.
+    let mut out = String::with_capacity(256);
     write_query(&mut out, q);
     out
 }
@@ -25,7 +27,8 @@ fn write_query(out: &mut String, q: &Query) {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{} AS (", ident(&cte.name));
+            write_ident(out, &cte.name);
+            out.push_str(" AS (");
             write_query(out, &cte.query);
             out.push(')');
         }
@@ -94,13 +97,12 @@ fn write_select(out: &mut String, s: &Select) {
         match item {
             SelectItem::Wildcard => out.push('*'),
             SelectItem::QualifiedWildcard(q) => {
-                let _ = write!(out, "{}.*", ident(q));
+                write_ident(out, q);
+                out.push_str(".*");
             }
             SelectItem::Expr { expr, alias } => {
                 write_expr(out, expr);
-                if let Some(a) = alias {
-                    let _ = write!(out, " AS {}", ident(a));
-                }
+                write_alias(out, alias.as_deref());
             }
         }
     }
@@ -130,15 +132,14 @@ fn write_select(out: &mut String, s: &Select) {
 fn write_table_ref(out: &mut String, t: &TableRef) {
     match t {
         TableRef::Table { name, alias } => {
-            out.push_str(&ident(name));
-            if let Some(a) = alias {
-                let _ = write!(out, " AS {}", ident(a));
-            }
+            write_ident(out, name);
+            write_alias(out, alias.as_deref());
         }
         TableRef::Derived { query, alias } => {
             out.push('(');
             write_query(out, query);
-            let _ = write!(out, ") AS {}", ident(alias));
+            out.push(')');
+            write_alias(out, Some(alias));
         }
         TableRef::Join {
             left,
@@ -176,7 +177,7 @@ fn write_table_ref(out: &mut String, t: &TableRef) {
                         if i > 0 {
                             out.push_str(", ");
                         }
-                        out.push_str(&ident(c));
+                        write_ident(out, c);
                     }
                     out.push(')');
                 }
@@ -186,14 +187,16 @@ fn write_table_ref(out: &mut String, t: &TableRef) {
     }
 }
 
-fn write_expr(out: &mut String, e: &Expr) {
+/// Append the SQL text of `e` to `out`.
+pub(crate) fn write_expr(out: &mut String, e: &Expr) {
     match e {
-        Expr::Column(c) => match &c.qualifier {
-            Some(q) => {
-                let _ = write!(out, "{}.{}", ident(q), ident(&c.name));
+        Expr::Column(c) => {
+            if let Some(q) = &c.qualifier {
+                write_ident(out, q);
+                out.push('.');
             }
-            None => out.push_str(&ident(&c.name)),
-        },
+            write_ident(out, &c.name);
+        }
         Expr::Literal(l) => write_literal(out, l),
         Expr::BinaryOp { left, op, right } => {
             out.push('(');
@@ -233,7 +236,8 @@ fn write_expr(out: &mut String, e: &Expr) {
             distinct,
             args,
         } => {
-            let _ = write!(out, "{}(", ident(name));
+            write_ident(out, name);
+            out.push('(');
             if *distinct {
                 out.push_str("DISTINCT ");
             }
@@ -324,7 +328,8 @@ fn write_expr(out: &mut String, e: &Expr) {
         Expr::Cast { expr, data_type } => {
             out.push_str("CAST(");
             write_expr(out, expr);
-            let _ = write!(out, " AS {})", ident(data_type));
+            write_alias(out, Some(data_type));
+            out.push(')');
         }
         Expr::Exists(q) => {
             out.push_str("EXISTS (");
@@ -358,33 +363,44 @@ fn write_literal(out: &mut String, l: &Literal) {
             // re-lexes as a float.
             let _ = write!(out, "{v:?}");
         }
-        Literal::String(s) => {
-            out.push('\'');
-            for c in s.chars() {
-                if c == '\'' {
-                    out.push('\'');
-                }
-                out.push(c);
-            }
-            out.push('\'');
-        }
+        Literal::String(s) => write_quoted(out, '\'', s),
     }
 }
 
-/// Quote an identifier if needed (keyword collision, upper case, or
+/// ` AS name`, if there is a name.
+fn write_alias(out: &mut String, alias: Option<&str>) {
+    if let Some(a) = alias {
+        out.push_str(" AS ");
+        write_ident(out, a);
+    }
+}
+
+/// An identifier, quoted if needed (keyword collision, upper case, or
 /// non-alphanumeric characters).
-fn ident(name: &str) -> String {
-    let plain = !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-        && name.chars().next().is_some_and(|c| !c.is_ascii_digit())
+fn write_ident(out: &mut String, name: &str) {
+    let plain = name
+        .bytes()
+        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')
+        && name.bytes().next().is_some_and(|c| !c.is_ascii_digit())
         && crate::token::Keyword::from_str_lower(name).is_none();
     if plain {
-        name.to_string()
+        out.push_str(name);
     } else {
-        format!("\"{}\"", name.replace('"', "\"\""))
+        write_quoted(out, '"', name);
     }
+}
+
+/// `text` between two `quote`s, each `quote` inside doubled.
+fn write_quoted(out: &mut String, quote: char, text: &str) {
+    out.push(quote);
+    for (i, run) in text.split(quote).enumerate() {
+        if i > 0 {
+            out.push(quote);
+            out.push(quote);
+        }
+        out.push_str(run);
+    }
+    out.push(quote);
 }
 
 #[cfg(test)]
@@ -421,6 +437,12 @@ mod tests {
         }
     }
 
+    fn ident(name: &str) -> String {
+        let mut out = String::new();
+        write_ident(&mut out, name);
+        out
+    }
+
     #[test]
     fn keyword_identifiers_are_quoted() {
         assert_eq!(ident("select"), "\"select\"");
@@ -434,6 +456,23 @@ mod tests {
         let printed = print_query(&q);
         assert!(printed.contains("'it''s'"));
         assert_eq!(parse_query(&printed).unwrap(), q);
+    }
+
+    #[test]
+    fn quotes_and_multibyte_text_roundtrip() {
+        for sql in [
+            "SELECT '''', '''a', 'a''', '' FROM t",
+            r#"SELECT 'héllo — 日本''語' FROM "Ça ""va""""#,
+            r#"SELECT "Select", "select", "FROM"."Where" FROM "FROM""#,
+        ] {
+            let q = parse_query(sql).unwrap();
+            assert_eq!(parse_query(&print_query(&q)).unwrap(), q, "{sql}");
+        }
+        let q = parse_query(r#"SELECT "Select", "select", 'it''s ''x''' FROM "Ça""#).unwrap();
+        assert_eq!(
+            print_query(&q),
+            r#"SELECT "Select", "select", 'it''s ''x''' FROM "Ça""#
+        );
     }
 
     #[test]

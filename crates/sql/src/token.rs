@@ -124,6 +124,15 @@ macro_rules! keywords {
         }
 
         impl Keyword {
+            /// Length of the longest keyword: a longer word is an identifier.
+            pub const LONGEST: usize = {
+                let mut longest = 0;
+                $(if $text.len() > longest {
+                    longest = $text.len();
+                })+
+                longest
+            };
+
             /// Look up a keyword from (already lower-cased) identifier text.
             pub fn from_str_lower(s: &str) -> Option<Keyword> {
                 match s {

@@ -85,3 +85,199 @@ fn equivalent_spellings_share_cache_keys() {
         }
     }
 }
+
+/// FNV-1a, 64-bit: written out so the pinned value below does not depend
+/// on the toolchain's `DefaultHasher`.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The four textual variants `pipeline_bench` renders of each of its
+/// shapes: lower-case keywords, extra whitespace, swapped `=` operands,
+/// reversed `AND` conjuncts.
+fn bench_shape_variants() -> Vec<String> {
+    struct Shape {
+        select: &'static str,
+        from: &'static str,
+        joins: &'static [(&'static str, &'static str, &'static str)],
+        conjuncts: &'static [Result<(&'static str, &'static str), &'static str>],
+        group_by: Option<&'static str>,
+    }
+    let shapes = [
+        Shape {
+            select: "COUNT(*)",
+            from: "trips",
+            joins: &[],
+            conjuncts: &[
+                Ok(("city_id", "5")),
+                Err("trip_date {BETWEEN} '2016-03-01' {AND} '2016-03-30'"),
+                Ok(("status", "'completed'")),
+                Err("fare > 12.34567"),
+            ],
+            group_by: None,
+        },
+        Shape {
+            select: "c.name, COUNT(*)",
+            from: "trips t",
+            joins: &[("cities c", "t.city_id", "c.id")],
+            conjuncts: &[
+                Err("t.trip_date {BETWEEN} '2016-06-01' {AND} '2016-06-07'"),
+                Err("t.fare > 3.00100"),
+            ],
+            group_by: Some("c.name"),
+        },
+        Shape {
+            select: "COUNT(*)",
+            from: "trips t",
+            joins: &[("drivers d", "t.driver_id", "d.id")],
+            conjuncts: &[
+                Ok(("d.city_id", "7")),
+                Ok(("d.vehicle", "'suv'")),
+                Ok(("t.status", "'completed'")),
+                Err("t.fare > 27.91300"),
+            ],
+            group_by: None,
+        },
+        Shape {
+            select: "COUNT(DISTINCT d.id)",
+            from: "trips t",
+            joins: &[
+                ("drivers d", "t.driver_id", "d.id"),
+                ("cities c", "t.city_id", "c.id"),
+            ],
+            conjuncts: &[
+                Ok(("c.name", "'hong kong'")),
+                Ok(("t.status", "'completed'")),
+                Err("d.city_id <> t.city_id"),
+                Err("t.fare > 42.99999"),
+            ],
+            group_by: None,
+        },
+    ];
+    let mut out = Vec::new();
+    for s in &shapes {
+        for v in 0..4 {
+            let (lower, wide, swap, reverse) = (v == 0, v == 1, v == 2, v == 3);
+            let kw = |k: &str| {
+                if lower {
+                    k.to_lowercase()
+                } else {
+                    k.to_string()
+                }
+            };
+            let gap = if wide { "\n   " } else { " " };
+            let eq = |l: &str, r: &str| {
+                let (l, r) = if swap { (r, l) } else { (l, r) };
+                if wide {
+                    format!("{l}  =  {r}")
+                } else {
+                    format!("{l} = {r}")
+                }
+            };
+            let select = if lower {
+                s.select.to_lowercase()
+            } else {
+                s.select.to_string()
+            };
+            let mut sql = format!(
+                "{}{gap}{select}{gap}{} {}",
+                kw("SELECT"),
+                kw("FROM"),
+                s.from
+            );
+            for (table, l, r) in s.joins {
+                sql += &format!("{gap}{} {table} {} {}", kw("JOIN"), kw("ON"), eq(l, r));
+            }
+            let mut conjuncts: Vec<String> = (s.conjuncts.iter())
+                .map(|c| match c {
+                    Ok((l, r)) => eq(l, r),
+                    Err(raw) => raw
+                        .replace("{BETWEEN}", &kw("BETWEEN"))
+                        .replace("{AND}", &kw("AND")),
+                })
+                .collect();
+            if reverse {
+                conjuncts.reverse();
+            }
+            let and = format!("{gap}{} ", kw("AND"));
+            sql += &format!("{gap}{} {}", kw("WHERE"), conjuncts.join(&and));
+            if let Some(g) = s.group_by {
+                sql += &format!("{gap}{} {g}", kw("GROUP BY"));
+            }
+            out.push(sql);
+        }
+    }
+    out
+}
+
+/// The canonical text is the cache key and the input of the noise-seed
+/// PRF: a change to the lexer, parser, canonicalizer or printer that
+/// moves one byte of it for any query moves released bytes. This pins it
+/// over every query text the repository ships.
+#[test]
+fn canonical_text_is_pinned() {
+    use flex::workloads::corpus::{generate, CorpusConfig};
+    use flex::workloads::{tpch, uber};
+
+    let mut texts: Vec<String> = Vec::new();
+    for wq in workload(&UberConfig::default()) {
+        texts.push(wq.sql);
+        texts.push(wq.population_sql);
+    }
+    texts.extend(uber::table5_queries().into_iter().map(|(_, _, sql)| sql));
+    texts.extend(
+        tpch::queries()
+            .into_iter()
+            .map(|(_, sql, _)| sql.to_string()),
+    );
+    let corpus = generate(&CorpusConfig {
+        n_queries: 2_000,
+        ..CorpusConfig::default()
+    });
+    texts.extend(corpus.iter().map(print_query));
+    let variants = bench_shape_variants();
+    for group in variants.chunks(4) {
+        let keys: Vec<String> = (group.iter())
+            .map(|t| canonical_sql(&parse_query(t).unwrap()))
+            .collect();
+        assert!(keys.iter().all(|k| *k == keys[0]), "{group:?}");
+    }
+    texts.extend(variants);
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for text in &texts {
+        let q = parse_query(text).unwrap_or_else(|e| panic!("parse {text:?}: {e}"));
+        fnv1a(&mut hash, print_query(&canonicalize(q)).as_bytes());
+        fnv1a(&mut hash, &[0]);
+    }
+    assert_eq!(
+        texts.len(),
+        2_000 + 16 + 2 * workload(&UberConfig::default()).len() + 6 + 5
+    );
+    assert_eq!(
+        hash, 0x02df_2929_ca80_6b8e,
+        "canonical text moved (digest {hash:#018x})"
+    );
+}
+
+/// A numeric literal too large for `f64` used to lex to infinity and
+/// print as `inf` — which re-parses as a *column* named `inf`, so the two
+/// queries shared one cache key and one noise seed.
+#[test]
+fn an_infinite_literal_is_refused_and_inf_keeps_its_own_key() {
+    for sql in [
+        "SELECT COUNT(*) FROM trips WHERE x < 1e999",
+        "SELECT COUNT(*) FROM trips WHERE x < -1e999",
+        &format!("SELECT COUNT(*) FROM trips WHERE x < {}", "9".repeat(400)),
+    ] {
+        let err = parse_query(sql).expect_err(sql);
+        assert!(err.to_string().contains("finite"), "{sql}: {err}");
+    }
+    let key = canonical_sql(&parse_query("SELECT COUNT(*) FROM trips WHERE x < inf").unwrap());
+    assert_eq!(key, "SELECT count(*) FROM trips WHERE (x < inf)");
+    let huge = canonical_sql(&parse_query("SELECT COUNT(*) FROM trips WHERE x < 1e300").unwrap());
+    assert_ne!(huge, key);
+}

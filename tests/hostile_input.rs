@@ -159,3 +159,33 @@ fn service_fails_a_hostile_query_and_keeps_serving() {
         assert!(answer.unwrap().scalar().is_some());
     });
 }
+
+/// A name or a literal of a mebibyte is one token: it lexes, parses,
+/// canonicalizes and prints in time linear in its length, and the
+/// service turns the unknown name into an error, not a stall.
+#[test]
+fn a_mebibyte_identifier_or_literal_is_bounded() {
+    use flex::sql::{Expr, Literal};
+    const MIB: usize = 1 << 20;
+    let name = "n".repeat(MIB);
+    // Runs of a doubled quote and of multi-byte text, throughout.
+    let literal = "ab''日本".repeat(MIB / 10);
+    let value = literal.replace("''", "'");
+    on_worker_stack(move || {
+        let started = std::time::Instant::now();
+        let sql = format!("SELECT COUNT(*) FROM {name} WHERE \"{name}\".x = '{literal}'");
+        let q = parse_query(&sql).unwrap();
+        let key = canonical_sql(&q);
+        assert!(key.len() > 3 * MIB, "{}", key.len());
+        assert_eq!(parse_query(&key).unwrap(), canonicalize(&q));
+        let Some(Expr::BinaryOp { right, .. }) = &q.as_select().unwrap().selection else {
+            panic!("a comparison");
+        };
+        assert_eq!(**right, Expr::Literal(Literal::String(value)));
+
+        let params = PrivacyParams::new(1.0, 1e-8).unwrap();
+        let err = service().query("mallory", &sql, params).unwrap_err();
+        assert!(err.to_string().contains("unknown table"), "{err}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
+    });
+}
