@@ -239,7 +239,7 @@ fn main() {
             name == "order-by-limit-topk",
             "`{name}`: top-K pushdown flag disagrees with the scenario shape"
         );
-        let reference = db.execute_row(&q).expect("query executes on the oracle");
+        let reference = flex_oracle::execute(&db, &q).expect("query executes on the oracle");
         assert_eq!(
             answer, reference,
             "executor and oracle differ on `{name}` — refusing to benchmark"

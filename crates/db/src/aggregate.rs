@@ -5,8 +5,8 @@
 //! `count`, `sum`, `avg` (alias `mean`), `min`, `max`, `median`, `stddev`
 //! (alias `stddev_samp`) — the one table [`AggFunc::parse`], the planner's
 //! "is this block aggregated" and the sensitivity analysis all read.
+//! (The test oracle spells them with a match of its own.)
 
-use crate::error::{DbError, Result};
 use crate::expr::CompiledExpr;
 use crate::morsel;
 use crate::value::{Value, ValueKey};
@@ -54,136 +54,14 @@ impl AggFunc {
     }
 }
 
-/// A fully-compiled aggregate call: the function plus its argument
-/// expression (absent for `COUNT(*)`).
+/// A compiled aggregate call: the function plus its argument expression
+/// (absent for `COUNT(*)`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct AggSpec {
+pub(crate) struct AggSpec {
     /// Which aggregate function to apply.
     pub func: AggFunc,
     /// The compiled argument expression (`None` for `COUNT(*)`).
     pub arg: Option<CompiledExpr>,
-}
-
-impl AggSpec {
-    /// Compute the aggregate over a set of input rows. `positions[i]` is
-    /// row `i`'s position in the post-WHERE input sequence — the same
-    /// position the columnar operators see as their selection index — and
-    /// `fold_rows` is the reduction-grid chunk size, so `SUM`/`AVG`/
-    /// `STDDEV` evaluate the exact fixed-shape reduction tree the
-    /// columnar aggregates evaluate (bit-identical floats on either
-    /// path, at any parallelism).
-    pub fn compute(
-        &self,
-        rows: &[&[Value]],
-        positions: &[usize],
-        fold_rows: usize,
-    ) -> Result<Value> {
-        debug_assert_eq!(rows.len(), positions.len());
-        match self.func {
-            AggFunc::CountStar => Ok(Value::Int(rows.len() as i64)),
-            AggFunc::Count => {
-                let arg = self.arg_expr()?;
-                let mut n = 0i64;
-                for row in rows {
-                    if !arg.eval(row)?.is_null() {
-                        n += 1;
-                    }
-                }
-                Ok(Value::Int(n))
-            }
-            AggFunc::CountDistinct => {
-                let arg = self.arg_expr()?;
-                let mut seen: HashSet<ValueKey> = HashSet::new();
-                for row in rows {
-                    let v = arg.eval(row)?;
-                    if !v.is_null() {
-                        seen.insert(ValueKey::from(&v));
-                    }
-                }
-                Ok(Value::Int(seen.len() as i64))
-            }
-            AggFunc::Sum => {
-                let pairs = self.chunked_args(rows, positions, fold_rows)?;
-                if pairs.is_empty() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Float(tree_sum(&pairs)))
-                }
-            }
-            AggFunc::Avg => {
-                let pairs = self.chunked_args(rows, positions, fold_rows)?;
-                if pairs.is_empty() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Float(tree_sum(&pairs) / pairs.len() as f64))
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let arg = self.arg_expr()?;
-                let mut best: Option<Value> = None;
-                for row in rows {
-                    let v = arg.eval(row)?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let keep_new = match v.total_cmp(&b) {
-                                std::cmp::Ordering::Less => self.func == AggFunc::Min,
-                                std::cmp::Ordering::Greater => self.func == AggFunc::Max,
-                                std::cmp::Ordering::Equal => false,
-                            };
-                            if keep_new {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                Ok(best.unwrap_or(Value::Null))
-            }
-            AggFunc::Median => {
-                let pairs = self.chunked_args(rows, positions, fold_rows)?;
-                Ok(median_of(pairs.into_iter().map(|(_, x)| x).collect()))
-            }
-            AggFunc::Stddev => Ok(stddev_tree(&self.chunked_args(rows, positions, fold_rows)?)),
-        }
-    }
-
-    fn arg_expr(&self) -> Result<&CompiledExpr> {
-        self.arg.as_ref().ok_or_else(|| {
-            DbError::InvalidAggregate(format!("{:?} requires an argument", self.func))
-        })
-    }
-
-    /// Evaluate the argument over all rows, dropping NULLs, requiring
-    /// numeric values; each kept value is tagged with its row's
-    /// fold-chunk id (`position / fold_rows`).
-    fn chunked_args(
-        &self,
-        rows: &[&[Value]],
-        positions: &[usize],
-        fold_rows: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        let arg = self.arg_expr()?;
-        let step = fold_rows.max(1);
-        let mut out = Vec::with_capacity(rows.len());
-        for (row, &pos) in rows.iter().zip(positions) {
-            let v = arg.eval(row)?;
-            if v.is_null() {
-                continue;
-            }
-            let x = v.as_f64().ok_or_else(|| DbError::TypeMismatch {
-                context: format!("{:?} argument", self.func),
-                expected: "number".to_string(),
-                found: v.type_name().to_string(),
-            })?;
-            out.push((pos / step, x));
-        }
-        Ok(out)
-    }
 }
 
 // ---- fixed-shape reduction tree ------------------------------------------
@@ -196,8 +74,9 @@ impl AggSpec {
 // at least one of the group's values contributes exactly one *leaf*: the
 // 8-lane interleaved sum of those values ([`leaf_sum`], the
 // autovectorizable kernel). The leaves then combine bottom-up in adjacent
-// pairs ([`tree_combine`]). The executor at every worker count and the
-// oracle evaluate this same function; scheduling morsels always cover
+// pairs ([`tree_combine`]). The executor evaluates this same function at
+// every worker count (the test oracle states it naively, in a crate of
+// its own); scheduling morsels always cover
 // whole fold chunks (`morsel::Parallelism::sched_rows` is a multiple of
 // `fold_rows`), so a leaf is never split across workers and the result
 // bits cannot move with the thread count. See docs/ARCHITECTURE.md.
@@ -351,33 +230,6 @@ impl FoldAcc {
         }
         self.state
     }
-}
-
-/// Tree-sum of `(fold-chunk id, value)` pairs in row order (non-empty).
-pub(crate) fn tree_sum(pairs: &[(usize, f64)]) -> f64 {
-    let mut acc = FoldAcc::new();
-    for &(chunk, x) in pairs {
-        acc.push(chunk, x);
-    }
-    acc.finish().into_sum()
-}
-
-/// Sample standard deviation through the fixed-shape tree (n−1
-/// denominator; NULL below two values): mean = tree-sum / n, then M2 =
-/// tree-sum of (x − mean)² over the same chunk grid. The row-wise form
-/// (the oracle's); `vexec::stddev_pass` folds the same two trees morsel
-/// by morsel.
-pub(crate) fn stddev_tree(pairs: &[(usize, f64)]) -> Value {
-    if pairs.len() < 2 {
-        return Value::Null;
-    }
-    let n = pairs.len() as f64;
-    let mean = tree_sum(pairs) / n;
-    let mut m2 = FoldAcc::new();
-    for &(chunk, x) in pairs {
-        m2.push(chunk, (x - mean).powi(2));
-    }
-    Value::Float((m2.finish().into_sum() / (n - 1.0)).sqrt())
 }
 
 /// Per-morsel partial state of one aggregate, over morsel-local group
@@ -585,16 +437,8 @@ impl AggPartial {
     }
 }
 
-/// Median of the collected non-null numeric arguments (NULL when empty,
-/// average of the middle two for even counts). Shared by both execution
-/// engines so grouped results are bit-identical.
-pub(crate) fn median_of(mut nums: Vec<f64>) -> Value {
-    nums.sort_by(f64::total_cmp);
-    median_of_sorted(&nums)
-}
-
-/// Median of an already-`total_cmp`-sorted sequence — the executor's
-/// entry point after the loser-tree run merge.
+/// Median of a `total_cmp`-sorted sequence (NULL when empty, the mean of
+/// the middle two for an even count), after the loser-tree run merge.
 pub(crate) fn median_of_sorted(nums: &[f64]) -> Value {
     if nums.is_empty() {
         return Value::Null;
@@ -611,116 +455,6 @@ pub(crate) fn median_of_sorted(nums: &[f64]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn col0() -> Option<CompiledExpr> {
-        Some(CompiledExpr::Column(0))
-    }
-
-    fn rows(vals: &[Value]) -> Vec<Vec<Value>> {
-        vals.iter().map(|v| vec![v.clone()]).collect()
-    }
-
-    fn compute(func: AggFunc, vals: &[Value]) -> Value {
-        let spec = AggSpec {
-            func,
-            arg: if func == AggFunc::CountStar {
-                None
-            } else {
-                col0()
-            },
-        };
-        let owned = rows(vals);
-        let refs: Vec<&[Value]> = owned.iter().map(|r| r.as_slice()).collect();
-        let positions: Vec<usize> = (0..refs.len()).collect();
-        spec.compute(&refs, &positions, morsel::DEFAULT_MORSEL_ROWS)
-            .unwrap()
-    }
-
-    #[test]
-    fn count_star_counts_all_rows() {
-        assert_eq!(
-            compute(AggFunc::CountStar, &[Value::Null, Value::Int(1)]),
-            Value::Int(2)
-        );
-    }
-
-    #[test]
-    fn count_skips_nulls() {
-        assert_eq!(
-            compute(AggFunc::Count, &[Value::Null, Value::Int(1), Value::Int(2)]),
-            Value::Int(2)
-        );
-    }
-
-    #[test]
-    fn count_distinct() {
-        assert_eq!(
-            compute(
-                AggFunc::CountDistinct,
-                &[Value::Int(1), Value::Int(1), Value::Int(2), Value::Null]
-            ),
-            Value::Int(2)
-        );
-    }
-
-    #[test]
-    fn sum_avg_empty_is_null() {
-        assert_eq!(compute(AggFunc::Sum, &[]), Value::Null);
-        assert_eq!(compute(AggFunc::Avg, &[Value::Null]), Value::Null);
-    }
-
-    #[test]
-    fn sum_and_avg() {
-        let vals = [Value::Int(1), Value::Int(2), Value::Float(3.0)];
-        assert_eq!(compute(AggFunc::Sum, &vals), Value::Float(6.0));
-        assert_eq!(compute(AggFunc::Avg, &vals), Value::Float(2.0));
-    }
-
-    #[test]
-    fn min_max_mixed_with_nulls() {
-        let vals = [Value::Int(3), Value::Null, Value::Int(1), Value::Int(2)];
-        assert_eq!(compute(AggFunc::Min, &vals), Value::Int(1));
-        assert_eq!(compute(AggFunc::Max, &vals), Value::Int(3));
-    }
-
-    #[test]
-    fn min_max_on_strings() {
-        let vals = [Value::str("b"), Value::str("a"), Value::str("c")];
-        assert_eq!(compute(AggFunc::Min, &vals), Value::str("a"));
-        assert_eq!(compute(AggFunc::Max, &vals), Value::str("c"));
-    }
-
-    #[test]
-    fn median_odd_and_even() {
-        assert_eq!(
-            compute(
-                AggFunc::Median,
-                &[Value::Int(3), Value::Int(1), Value::Int(2)]
-            ),
-            Value::Float(2.0)
-        );
-        assert_eq!(
-            compute(
-                AggFunc::Median,
-                &[Value::Int(1), Value::Int(2), Value::Int(3), Value::Int(4)]
-            ),
-            Value::Float(2.5)
-        );
-    }
-
-    #[test]
-    fn stddev_sample() {
-        // stddev of {2, 4, 4, 4, 5, 5, 7, 9} with n-1 denominator ≈ 2.138
-        let vals: Vec<Value> = [2, 4, 4, 4, 5, 5, 7, 9]
-            .iter()
-            .map(|&v| Value::Int(v))
-            .collect();
-        let Value::Float(s) = compute(AggFunc::Stddev, &vals) else {
-            panic!("expected float");
-        };
-        assert!((s - 2.13809).abs() < 1e-4);
-        assert_eq!(compute(AggFunc::Stddev, &[Value::Int(1)]), Value::Null);
-    }
 
     #[test]
     fn parse_resolves_names() {
@@ -744,17 +478,6 @@ mod tests {
             AggFunc::parse("stddev_samp", false, false),
             Some(AggFunc::Stddev)
         );
-    }
-
-    #[test]
-    fn sum_rejects_strings() {
-        let spec = AggSpec {
-            func: AggFunc::Sum,
-            arg: col0(),
-        };
-        let owned = rows(&[Value::str("x")]);
-        let refs: Vec<&[Value]> = owned.iter().map(|r| r.as_slice()).collect();
-        assert!(spec.compute(&refs, &[0], 4096).is_err());
     }
 
     // ---- reduction-tree shape & kernel equivalence -----------------------

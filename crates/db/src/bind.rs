@@ -1,11 +1,13 @@
 //! Name binding: the one place a SQL name becomes a position of a scope
 //! (a `&[ColMeta]`: the columns of a FROM subtree, each with the alias
-//! that qualifies it). The executor's planner ([`crate::plan`],
+//! that qualifies it). The executor's planner (`plan`,
 //! `Exec::compile_scalar`) and the elastic-sensitivity analysis
 //! (`flex_core::lower`) both bind through it, so a name denotes the same
 //! column to the sensitivity bound and to the query that runs. Binding
 //! happens once per block, at plan time; nothing here touches a row.
-//! (The test oracle expands SELECT lists itself — it is the reference.)
+//! The test oracle (`flex-oracle`) resolves names and splits join
+//! constraints here too, and expands SELECT lists and resolves ORDER BY
+//! keys by rules of its own.
 
 use crate::error::{DbError, Result};
 use flex_sql::{ColumnRef, Expr, JoinConstraint, Literal, Select, SelectItem};
@@ -89,8 +91,9 @@ pub fn equi_key(
 /// Split a join constraint into equi-key pairs and a residual.
 /// `USING (c)` is the pair `c = c`; an `ON` conjunct is a key when
 /// [`equi_key`] says so; everything else stays residual. The one
-/// definition the executor, the oracle and the sensitivity analysis join
-/// by: a `USING` column missing or ambiguous on either side is the error.
+/// definition the executor, the test oracle and the sensitivity analysis
+/// join by: a `USING` column missing or ambiguous on either side is the
+/// error.
 pub fn split_join_constraint<'a>(
     left_cols: &[ColMeta],
     right_cols: &[ColMeta],
@@ -191,7 +194,7 @@ pub fn project_scope<'a>(
 
 /// Try to resolve an order-by expression as an output column: positional
 /// integers (`ORDER BY 2`) or names matching an output column.
-pub fn sort_key_by_output(e: &Expr, out_cols: &[ColMeta]) -> Result<Option<usize>> {
+pub(crate) fn sort_key_by_output(e: &Expr, out_cols: &[ColMeta]) -> Result<Option<usize>> {
     match e {
         Expr::Literal(Literal::Integer(i)) => {
             let idx = *i;
@@ -224,6 +227,28 @@ mod tests {
     fn projection(sql: &str) -> Vec<SelectItem> {
         let q = flex_sql::parse_query(sql).unwrap();
         q.as_select().unwrap().projection.clone()
+    }
+
+    #[test]
+    fn names_resolve_by_qualifier_or_by_a_unique_bare_name() {
+        let cols = scope();
+        assert_eq!(
+            resolve_column(&cols, &ColumnRef::qualified("u", "id")),
+            Ok(2)
+        );
+        assert_eq!(
+            resolve_column(&cols, &ColumnRef::qualified("t", "city")),
+            Ok(1)
+        );
+        assert_eq!(resolve_column(&cols, &ColumnRef::bare("city")), Ok(1));
+        assert_eq!(
+            resolve_column(&cols, &ColumnRef::bare("id")),
+            Err(DbError::AmbiguousColumn("id".into()))
+        );
+        assert_eq!(
+            resolve_column(&cols, &ColumnRef::qualified("u", "city")),
+            Err(DbError::UnknownColumn("u.city".into()))
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Columnar storage for the executor.
 //!
 //! A [`ColumnarTable`] is a column-major projection of a table's rows:
-//! one typed vector per column plus a null bitmap. Batch operators in
-//! [`crate::vexec`] iterate these vectors directly instead of cloning and
+//! one typed vector per column plus a null bitmap. The executor's batch
+//! operators iterate these vectors directly instead of cloning and
 //! interpreting `Vec<Value>` rows.
 //!
 //! Because runtime values are dynamically typed (a `Float` column may
@@ -14,8 +14,8 @@
 //! exact reconstruction — the executor returns byte-identical
 //! results to the oracle, so DP noise calibration downstream is
 //! unchanged. Columns are immutable once built (writes rebuild the
-//! projection), which is what lets the morsel-parallel operators in
-//! [`crate::vexec`] read them from many worker threads lock-free.
+//! projection), which is what lets the executor's morsel-parallel
+//! operators read them from many worker threads lock-free.
 
 use crate::schema::DataType;
 use crate::table::Row;

@@ -213,7 +213,7 @@ impl Database {
         self.execute(&q)
     }
 
-    /// Execute a parsed query on the plan executor ([`crate::vexec`]).
+    /// Execute a parsed query on the plan executor.
     ///
     /// ```
     /// use flex_db::{Database, DataType, Schema, Value};
@@ -240,25 +240,10 @@ impl Database {
     }
 
     /// Like [`Database::execute`], but also report how the query ran
-    /// ([`exec::ExecTrace`]: rows scanned and emitted, morsels, workers,
+    /// ([`crate::ExecTrace`]: rows scanned and emitted, morsels, workers,
     /// top-K pushdown, join order).
     pub fn execute_traced(&self, q: &Query) -> (exec::ExecTrace, Result<ResultSet>) {
         exec::execute_traced(self, q)
-    }
-
-    /// Execute a parsed query on the test oracle ([`crate::oracle`], the
-    /// row-at-a-time reference implementation) instead of the executor.
-    /// For differential tests only — nothing in production calls it.
-    #[doc(hidden)]
-    pub fn execute_row(&self, q: &Query) -> Result<ResultSet> {
-        crate::oracle::execute_row(self, q)
-    }
-
-    /// Parse and execute a SQL query on the test oracle.
-    #[doc(hidden)]
-    pub fn execute_sql_row(&self, sql: &str) -> Result<ResultSet> {
-        let q = parse_query(sql)?;
-        self.execute_row(&q)
     }
 }
 

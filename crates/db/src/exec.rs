@@ -1,30 +1,26 @@
-//! The execution entry point, its trace, and the code the plan executor
-//! shares with the test oracle.
+//! The execution entry point, its trace, and the expression compiler.
 //!
-//! [`execute`] / [`execute_traced`] are the only way a query runs in
-//! production: they expand `WITH` ([`flex_sql::inline_ctes`] — the same
-//! rewrite the sensitivity analysis runs before lowering, so a relation
-//! name in the tree the executor sees is a base table, a CTE nobody
-//! references is never evaluated, and one referenced twice is evaluated
-//! per reference) and hand the tree to the plan executor
-//! ([`crate::vexec`] over the IR of [`crate::plan`]). There is no second
-//! path and no decision to make: every shape the parser accepts executes
-//! there, and every error is the executor's own.
+//! [`execute`] / [`execute_traced`] are the only way a query runs: they
+//! expand `WITH` ([`flex_sql::inline_ctes`] — the same rewrite the
+//! sensitivity analysis runs before lowering, so a relation name in the
+//! tree the executor sees is a base table, a CTE nobody references is
+//! never evaluated, and one referenced twice is evaluated per reference)
+//! and hand the tree to the plan executor ([`crate::vexec`] over the IR
+//! of [`crate::plan`]). There is no second path and no decision to make:
+//! every shape the parser accepts executes there, and every error is the
+//! executor's own.
 //!
-//! The rest of this module is what the executor and the row-at-a-time
-//! reference implementation ([`crate::oracle`]) both call, and which the
-//! differential suite therefore does **not** cross-check: the expression
-//! compiler and the ORDER BY resolution rule (`plan_sort_keys_with`,
-//! `set_op_sort_keys`). There is one compiler, `Exec::compile`: a single
-//! pass, one arm per [`flex_sql::Expr`] variant, run by scalar mode and
-//! group mode (`GroupCompiler`) alike — they differ in what an aggregate
-//! call (a name of [`flex_sql::AGGREGATE_FUNCTIONS`]) is. Grouping,
-//! projection and the sort / DISTINCT / LIMIT tail are not here: each
-//! exists once in the executor and once, independently, in the oracle.
-//! Expression subqueries (`IN (SELECT …)`, `EXISTS`) are the one place the
-//! shared compiler executes anything; it does so through the
-//! `QueryRunner` its `Exec` was built with, so the executor runs them on
-//! itself and the oracle on itself.
+//! The rest of this module is the executor's expression compiler and its
+//! ORDER BY resolution rule (`plan_sort_keys_with`, `set_op_sort_keys`).
+//! There is one compiler, `Exec::compile`: a single pass, one arm per
+//! [`flex_sql::Expr`] variant, run by scalar mode and group mode
+//! (`GroupCompiler`) alike — they differ in what an aggregate call (a name
+//! of [`flex_sql::AGGREGATE_FUNCTIONS`]) is. Expression subqueries (`IN
+//! (SELECT …)`, `EXISTS`) are the one place the compiler executes
+//! anything: each runs once, through [`vexec::execute_query`], when its
+//! node compiles. The test oracle (the `flex-oracle` crate) has an
+//! evaluator, an aggregate-name match and an ORDER BY rule of its own, so
+//! the differential suites check all of this too.
 
 use crate::aggregate::{AggFunc, AggSpec};
 use crate::bind::{resolve_column, sort_key_by_output, ColMeta};
@@ -130,17 +126,10 @@ pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>
     (trace, result)
 }
 
-/// Runs one `WITH`-free query to completion under the given tuning and
-/// reports its statistics: [`vexec::execute_query`] in production, the
-/// oracle's own interpreter inside [`crate::oracle`].
-pub(crate) type QueryRunner = fn(&Database, &Query, Parallelism) -> (VexecStats, Result<ResultSet>);
-
 /// The compilation context of one query execution: the database, the
-/// runner nested queries go through, the execution's tuning and its
-/// statistics.
+/// execution's tuning and its statistics.
 pub(crate) struct Exec<'a> {
     pub(crate) db: &'a Database,
-    run: QueryRunner,
     /// [`Database::exec_tuning`] as read when the outermost execution
     /// started; nested executions inherit it, so a concurrent retune
     /// cannot split one query across two configurations.
@@ -150,45 +139,21 @@ pub(crate) struct Exec<'a> {
 }
 
 impl<'a> Exec<'a> {
-    pub(crate) fn new(db: &'a Database, run: QueryRunner, par: Parallelism) -> Exec<'a> {
+    pub(crate) fn new(db: &'a Database, par: Parallelism) -> Exec<'a> {
         Exec {
             db,
-            run,
             par,
             stats: VexecStats::default(),
         }
     }
 
     /// Run a nested query (a derived table, a set-op arm, an expression
-    /// subquery) on the engine this context belongs to and under its
-    /// tuning, folding its statistics into this execution's.
+    /// subquery) under this execution's tuning, folding its statistics
+    /// into this execution's.
     pub(crate) fn subquery(&mut self, q: &Query) -> Result<ResultSet> {
-        let (stats, result) = (self.run)(self.db, q, self.par);
+        let (stats, result) = vexec::execute_query(self.db, q, self.par);
         self.stats.absorb(stats);
         result
-    }
-
-    /// Compile GROUP BY expressions in scalar mode, resolving positional
-    /// references (`GROUP BY 1`) against the projection list.
-    pub(crate) fn compile_group_exprs(
-        &mut self,
-        s: &Select,
-        cols: &[ColMeta],
-    ) -> Result<Vec<CompiledExpr>> {
-        let mut group_exprs = Vec::with_capacity(s.group_by.len());
-        for g in &s.group_by {
-            if let Expr::Literal(Literal::Integer(i)) = g {
-                let idx = *i as usize;
-                if idx >= 1 && idx <= s.projection.len() {
-                    if let SelectItem::Expr { expr, .. } = &s.projection[idx - 1] {
-                        group_exprs.push(self.compile_scalar(expr, cols)?);
-                        continue;
-                    }
-                }
-            }
-            group_exprs.push(self.compile_scalar(g, cols)?);
-        }
-        Ok(group_exprs)
     }
 
     // ---- expression compilation -----------------------------------------
@@ -404,10 +369,8 @@ pub(crate) enum SortKey {
 /// Resolve every ORDER BY item to a [`SortKey`]: output-position/name
 /// matches first ([`sort_key_by_output`] — ordinals and bare names
 /// naming an output column, aliases included), then `compile_source` for
-/// everything else. This is the **single** resolution rule shared by the
-/// scalar and grouped projections, the set-operation sort, and the
-/// executor's columnar tail planner — one helper so the executor and
-/// the oracle cannot drift on alias/ordinal resolution.
+/// everything else. This is the **single** resolution rule of the
+/// executor's plain and grouped tails and its set-operation sort.
 pub(crate) fn plan_sort_keys_with(
     order_by: &[OrderByItem],
     out_cols: &[ColMeta],
@@ -531,13 +494,33 @@ fn literal_value(l: &Literal) -> Value {
     }
 }
 
+/// A block's GROUP BY expressions as written, a positional reference
+/// (`GROUP BY 1`) replaced by the projection item it names.
+pub(crate) fn group_keys(s: &Select) -> Vec<&Expr> {
+    let item = |g: &Expr| match g {
+        Expr::Literal(Literal::Integer(i)) => (*i as usize)
+            .checked_sub(1)
+            .and_then(|i| s.projection.get(i)),
+        _ => None,
+    };
+    (s.group_by.iter())
+        .map(|g| match item(g) {
+            Some(SelectItem::Expr { expr, .. }) => expr,
+            _ => g,
+        })
+        .collect()
+}
+
 /// Compiles expressions in "group mode": aggregate calls become references
 /// to computed aggregate slots, and any other column use must match a
 /// GROUP BY expression.
 ///
 /// Post-group rows are laid out as `[key values..., aggregate values...]`.
 pub(crate) struct GroupCompiler<'a> {
+    /// The GROUP BY expressions, compiled in scalar mode…
     pub(crate) group_exprs: &'a [CompiledExpr],
+    /// …and as written ([`group_keys`]).
+    pub(crate) group_sources: &'a [&'a Expr],
     pub(crate) aggs: Vec<AggSpec>,
 }
 
@@ -552,43 +535,62 @@ impl GroupCompiler<'_> {
     ) -> Result<CompiledExpr> {
         let mut compiled = exec.compile(e, input_cols, &mut Aggs::Slots(&mut self.aggs))?;
         let mut ungrouped = None;
-        self.onto_groups(&mut compiled, input_cols.len(), &mut ungrouped);
+        self.onto_groups(&mut compiled, e, input_cols.len(), &mut ungrouped);
         match ungrouped {
             None => Ok(compiled),
-            Some(i) => Err(ungrouped_column(
-                spelled(e, input_cols, i).expect("a compiled column is one `e` spells"),
-            )),
+            Some(c) => Err(ungrouped_column(c)),
         }
     }
 
     /// Top-down over a tree compiled against `[input columns…, slots…]`
-    /// (`width` input columns): a subtree equal to a GROUP BY expression
-    /// is that key's column, a slot moves behind the keys, anything else
-    /// is its children's business — so a column-free subtree stays as it
-    /// is, and the first input column no key covers is the block's defect.
-    fn onto_groups(&self, e: &mut CompiledExpr, width: usize, ungrouped: &mut Option<usize>) {
-        if let Some(key) = self.group_exprs.iter().position(|g| g == e) {
+    /// (`width` input columns) and, in step, the `source` it was compiled
+    /// from: a subtree equal to a GROUP BY expression is that key's
+    /// column, a slot moves behind the keys, anything else is its
+    /// children's business — so a column-free subtree stays as it is, and
+    /// the first input column no key covers, as written, is the block's
+    /// defect. A subtree with a subquery matches a key only if its
+    /// subqueries are written as the key's are: equal answers are not
+    /// enough, or whether a block is valid would depend on the data.
+    fn onto_groups<'e>(
+        &self,
+        e: &mut CompiledExpr,
+        source: &'e Expr,
+        width: usize,
+        ungrouped: &mut Option<&'e ColumnRef>,
+    ) {
+        let is_key = |(g, g_source): (&CompiledExpr, &&Expr)| {
+            g == e && subqueries(g_source) == subqueries(source)
+        };
+        if let Some(key) = self
+            .group_exprs
+            .iter()
+            .zip(self.group_sources)
+            .position(is_key)
+        {
             *e = CompiledExpr::Column(key);
         } else if let CompiledExpr::Column(i) = e {
-            if *i < width {
-                ungrouped.get_or_insert(*i);
-            } else {
+            if *i >= width {
                 *i = *i - width + self.group_exprs.len();
+            } else if let Expr::Column(c) = source {
+                ungrouped.get_or_insert(c);
             }
         } else {
-            e.for_each_child_mut(|child| self.onto_groups(child, width, ungrouped));
+            // The compiled children are the source's, in the same order.
+            let mut sources = Vec::new();
+            source.for_each_child(|child| sources.push(child));
+            let mut sources = sources.into_iter();
+            e.for_each_child_mut(|child| {
+                let source = sources.next().expect("a compiled child has a source");
+                self.onto_groups(child, source, width, ungrouped)
+            });
         }
     }
 }
 
-/// The first column reference of `e` (subqueries apart) that binds to
-/// position `i` of `cols`, as the query spelled it.
-fn spelled<'e>(e: &'e Expr, cols: &[ColMeta], i: usize) -> Option<&'e ColumnRef> {
-    if let Expr::Column(c) = e {
-        return (resolve_column(cols, c) == Ok(i)).then_some(c);
-    }
-    let mut found = None;
-    e.for_each_child(|child| found = found.or_else(|| spelled(child, cols, i)));
+/// The subqueries of `e`, left to right (not those nested inside them).
+fn subqueries(e: &Expr) -> Vec<&Query> {
+    let mut found: Vec<&Query> = e.subquery().into_iter().collect();
+    e.for_each_child(|child| found.extend(subqueries(child)));
     found
 }
 

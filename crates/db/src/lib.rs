@@ -17,24 +17,23 @@
 //! subquery predicates.
 //!
 //! Every query runs on **one engine** behind [`Database::execute`]: the
-//! plan executor ([`vexec`], an operator-at-a-time executor over the
-//! physical-plan IR in [`plan`]: each table's lazily built
-//! [`ColumnarTable`] projection scanned with predicate kernels, columnar
-//! hash / nested-loop joins with predicate pushdown and late
-//! materialization, a columnar hash-aggregate, and an index-based ORDER
-//! BY / DISTINCT / LIMIT tail). It plans as it executes — nested queries
-//! run when the walk reaches them — so there is nothing to route and
-//! every error is raised where it is found; [`exec`] holds the entry
-//! point and [`Database::execute_traced`] reports what a run scanned.
-//! Each operator is a per-morsel body plus a morsel-order merge;
-//! [`morsel`] runs the body inline, or across a scoped worker pool when
-//! [`Database::set_parallelism`] raises the per-query worker budget, so
-//! results stay byte-identical at every thread count.
+//! plan executor, an operator-at-a-time executor over a physical-plan IR
+//! (each table's lazily built [`ColumnarTable`] projection scanned with
+//! predicate kernels, columnar hash / nested-loop joins with predicate
+//! pushdown and late materialization, a columnar hash-aggregate, and an
+//! index-based ORDER BY / DISTINCT / LIMIT tail). It plans as it executes
+//! — nested queries run when the walk reaches them — so there is nothing
+//! to route and every error is raised where it is found;
+//! [`Database::execute_traced`] reports what a run scanned. Each operator
+//! is a per-morsel body plus a morsel-order merge, run inline or across a
+//! scoped worker pool when [`Database::set_parallelism`] raises the
+//! per-query worker budget, so results stay byte-identical at every
+//! thread count.
 //!
-//! A second, row-at-a-time implementation of the same semantics lives in
-//! the doc-hidden `oracle` module. It is a test reference only: the
-//! differential suite compares the executor against it, and no
-//! production code path reaches it.
+//! The planner, the expression compiler, the executor and its kernels are
+//! private to this crate. The differential suites check them against
+//! `flex-oracle`, a separate test crate with an interpreter of its own
+//! that reaches this one only through its public API.
 //!
 //! ```
 //! use flex_db::{Database, DataType, Schema, Value};
@@ -48,25 +47,23 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
+mod aggregate;
 pub mod bind;
 pub mod column;
 pub mod csv;
 pub mod database;
 pub mod error;
-pub mod exec;
-pub mod expr;
+mod exec;
+mod expr;
 pub mod metrics;
-pub mod morsel;
-#[doc(hidden)]
-pub mod oracle;
-pub mod plan;
+mod morsel;
+mod plan;
 pub mod schema;
 pub mod table;
 pub mod value;
-pub mod vexec;
+mod vexec;
 
-pub use aggregate::{AggFunc, AggSpec};
+pub use aggregate::AggFunc;
 pub use bind::ColMeta;
 pub use column::{Column, ColumnData, ColumnarTable, NullMask};
 pub use csv::{table_from_csv, table_to_csv};
@@ -75,7 +72,7 @@ pub use error::{DbError, Result};
 pub use exec::{ExecTrace, RouteDecision};
 pub use metrics::MetricsCatalog;
 pub use morsel::DEFAULT_MORSEL_ROWS;
-pub use plan::{FilterOrder, JoinOrder, Relation, ResultSet};
+pub use plan::{FilterOrder, JoinOrder, ResultSet};
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Row, Table};
 pub use value::{BorrowKey, RowKey, Value, ValueKey};

@@ -33,7 +33,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default rows per fold chunk — the reduction-grid granularity (see
-/// [`crate::aggregate`]): `SUM`/`AVG`/`STDDEV` leaves cover this many
+/// `crate::aggregate`): `SUM`/`AVG`/`STDDEV` leaves cover this many
 /// selection positions, so the value is part of the engine's *numeric
 /// contract* (changing it changes result bit patterns) and is bound into
 /// the service's noise-seed fingerprint. 4096 keeps each leaf inside the

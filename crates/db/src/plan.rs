@@ -152,9 +152,7 @@ use crate::expr::CompiledExpr;
 use crate::table::Row;
 use crate::value::Value;
 use crate::vexec;
-use flex_sql::{
-    visitor, BinaryOperator, ColumnRef, Expr, JoinType, OrderByItem, Query, Select, TableRef,
-};
+use flex_sql::{visitor, BinaryOperator, Expr, JoinType, OrderByItem, Query, Select, TableRef};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -251,7 +249,7 @@ impl FilterOrder {
 
 /// An intermediate relation: ordered columns plus a multiset of rows.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Relation {
+pub(crate) struct Relation {
     /// Column metadata, in output order.
     pub cols: Vec<ColMeta>,
     /// The rows (each as wide as `cols`).
@@ -262,23 +260,6 @@ impl Relation {
     /// Assemble a relation from columns and rows.
     pub fn new(cols: Vec<ColMeta>, rows: Vec<Row>) -> Self {
         Relation { cols, rows }
-    }
-
-    /// Resolve a column reference to an index into this relation's rows.
-    ///
-    /// Bare names must be unambiguous; qualified names must match a column
-    /// with that qualifier.
-    pub fn resolve(&self, r: &ColumnRef) -> Result<usize> {
-        resolve_column(&self.cols, r)
-    }
-
-    /// Re-qualify every column with a new alias (as when a derived table or
-    /// base table gets a `FROM ... alias`).
-    pub fn with_qualifier(mut self, alias: &str) -> Relation {
-        for c in &mut self.cols {
-            c.qualifier = Some(alias.to_string());
-        }
-        self
     }
 }
 
@@ -1048,9 +1029,13 @@ pub(crate) fn plan_grouped(
     s: &Select,
     cols: &[ColMeta],
 ) -> Result<GroupedPlan> {
-    let keys = ex.compile_group_exprs(s, cols)?;
+    let sources = exec::group_keys(s);
+    let keys = (sources.iter())
+        .map(|g| ex.compile_scalar(g, cols))
+        .collect::<Result<Vec<_>>>()?;
     let mut gc = GroupCompiler {
         group_exprs: &keys,
+        group_sources: &sources,
         aggs: Vec::new(),
     };
     let mut items = Vec::with_capacity(s.projection.len());
@@ -1128,48 +1113,12 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
-    fn rel() -> Relation {
-        Relation::new(
-            vec![
-                ColMeta::new(Some("t".into()), "id"),
-                ColMeta::new(Some("u".into()), "id"),
-                ColMeta::new(Some("t".into()), "city"),
-            ],
-            vec![vec![Value::Int(1), Value::Int(2), Value::str("sf")]],
-        )
-    }
-
+    /// A block's plan raises its own compile errors, with the text the
+    /// executor reports, from nothing but the scope: the table behind it
+    /// is empty and the plan functions never see it. (The differential
+    /// suite holds the same texts equal to the oracle's.)
     #[test]
-    fn qualified_resolution() {
-        let r = rel();
-        assert_eq!(r.resolve(&ColumnRef::qualified("u", "id")).unwrap(), 1);
-        assert_eq!(r.resolve(&ColumnRef::qualified("t", "city")).unwrap(), 2);
-    }
-
-    #[test]
-    fn bare_ambiguous_name_errors() {
-        let r = rel();
-        assert!(matches!(
-            r.resolve(&ColumnRef::bare("id")),
-            Err(DbError::AmbiguousColumn(_))
-        ));
-        assert_eq!(r.resolve(&ColumnRef::bare("city")).unwrap(), 2);
-    }
-
-    #[test]
-    fn unknown_column_errors() {
-        let r = rel();
-        assert!(matches!(
-            r.resolve(&ColumnRef::bare("nope")),
-            Err(DbError::UnknownColumn(_))
-        ));
-    }
-
-    /// A block's plan raises its own compile errors — the oracle's, by
-    /// text — from nothing but the scope: the table behind it is empty
-    /// and the plan functions never see it.
-    #[test]
-    fn tail_plans_raise_the_oracles_compile_errors_from_the_scope_alone() {
+    fn tail_plans_raise_their_compile_errors_from_the_scope_alone() {
         use crate::schema::{DataType, Schema};
         let mut db = crate::database::Database::new();
         db.create_table(
@@ -1217,7 +1166,7 @@ mod tests {
         ] {
             let q = flex_sql::parse_query(tail).unwrap();
             let s = q.as_select().unwrap();
-            let mut ex = Exec::new(&db, vexec::execute_query, db.exec_tuning());
+            let mut ex = Exec::new(&db, db.exec_tuning());
             let planned = if bind::is_aggregated(s) {
                 plan_grouped(&mut ex, &q, s, &cols).map(drop)
             } else {
@@ -1225,11 +1174,7 @@ mod tests {
             };
             let err = planned.expect_err(tail).to_string();
             assert!(err.contains(expected), "{tail}: {err}");
-            assert_eq!(
-                err,
-                db.execute_sql_row(tail).unwrap_err().to_string(),
-                "{tail}"
-            );
+            assert_eq!(err, db.execute_sql(tail).unwrap_err().to_string(), "{tail}");
         }
     }
 

@@ -14,7 +14,7 @@ pub type Row = Vec<Value>;
 /// An in-memory table: a schema plus a multiset of rows.
 ///
 /// The table also carries a lazily built [`ColumnarTable`] projection used
-/// by the executor ([`crate::vexec`]): the first
+/// by the executor: the first
 /// scan pays the row-to-column conversion once, and subsequent
 /// reads share it. Writes through [`Table::insert`] invalidate the
 /// projection; `rows` is public for read access, and any code mutating it
@@ -79,7 +79,7 @@ impl Table {
 
     /// The columnar projection of this table, built on first use and
     /// shared (cheaply clonable `Arc`) until the next write. The `Arc`
-    /// is what lets the morsel-parallel operators in [`crate::vexec`]
+    /// is what lets the executor's morsel-parallel operators
     /// scan one immutable projection from several worker threads at
     /// once without copying or locking.
     pub fn columnar(&self) -> &Arc<ColumnarTable> {

@@ -87,26 +87,25 @@
 //!
 //! # Identity with the oracle
 //!
-//! [`crate::oracle`] interprets the same queries row by row; the
-//! differential suite holds the two equal. They compile expressions with
-//! the one compiler (`Exec::compile`), resolve ORDER BY keys through one
-//! rule, and everything else exists twice: the oracle groups, projects, sorts
-//! and slices materialized rows with code of its own. Floating-point
-//! aggregates agree in every bit because both fold through the same
-//! fixed-shape reduction tree over the same fold grid — chunk `p /
-//! fold_rows` of post-WHERE position `p`, which is the executor's
-//! selection position (and, after Project, the dense row index) and the
-//! oracle's input row index. The tail reproduces a stable sort /
-//! first-occurrence DISTINCT / LIMIT slice exactly (position tie-breaks
-//! stand in for sort stability — see `run_tail`), so any query that
-//! executes without error returns a [`ResultSet`] byte-identical to the
-//! oracle's, at any worker count. A query errors here iff it errors
-//! there; a single-defect query reports the same error text
-//! ([`crate::plan`], "Error order"). The one permitted divergence: of
-//! several *runtime* defects in one aggregated block the two may name
-//! different ones, because the executor runs operator by operator (all
-//! keys, then each aggregate's argument, then the folds in table order)
-//! where the oracle runs group by group.
+//! The test oracle (the `flex-oracle` crate) interprets the same queries
+//! row by row, with code of its own throughout — an expression evaluator,
+//! aggregate names, a statement of the fold grid, an ORDER BY rule,
+//! grouping, projection, sorting and slicing over materialized rows — and
+//! the differential suites hold the two equal. Floating-point aggregates
+//! agree in every bit because both fold through the same fixed-shape
+//! reduction tree over the same fold grid — chunk `p / fold_rows` of
+//! post-WHERE position `p`, which is the executor's selection position
+//! (and, after Project, the dense row index) and the oracle's input row
+//! index. The tail reproduces a stable sort / first-occurrence DISTINCT /
+//! LIMIT slice exactly (position tie-breaks stand in for sort stability —
+//! see `run_tail`), so any query that executes without error returns a
+//! [`ResultSet`] byte-identical to the oracle's, at any worker count. A
+//! query errors here iff it errors there; a single-defect query reports
+//! the same error text ([`crate::plan`], "Error order"). The one
+//! permitted divergence: of several *runtime* defects in one aggregated
+//! block the two may name different ones, because the executor runs
+//! operator by operator (all keys, then each aggregate's argument, then
+//! the folds in table order) where the oracle runs group by group.
 
 use crate::aggregate::{self, AggFunc, AggPartial, FoldAcc, FoldState};
 use crate::bind::{self, ColMeta};
@@ -199,7 +198,7 @@ pub(crate) fn execute_query(
     q: &Query,
     par: Parallelism,
 ) -> (VexecStats, Result<ResultSet>) {
-    let mut ex = Exec::new(db, execute_query, par);
+    let mut ex = Exec::new(db, par);
     let result = run_query(&mut ex, q);
     (ex.stats, result)
 }
@@ -1726,8 +1725,10 @@ fn run_grouped(
 /// Second pass of `STDDEV`: with per-group means fixed by the merged
 /// mean pass, every morsel folds its groups' squared deviations on the
 /// same fold grid (`gids` holds each selection position's global group
-/// id), and the per-morsel leaf lists concatenate in morsel order —
-/// the two tree folds of [`aggregate::stddev_tree`], bit for bit.
+/// id), and the per-morsel leaf lists concatenate in morsel order: the
+/// sample deviation is `sqrt(M2 / (n − 1))` with `M2` the tree fold of
+/// `(x − mean)²` and `mean` the tree fold of `x` over `n`, both on one
+/// grid, bit for bit at every worker count.
 fn stddev_pass(
     ctab: &ColumnarTable,
     arg: Option<usize>,

@@ -1,17 +1,21 @@
 //! Differential tests of the plan executor against its oracle.
 //!
-//! The executor (`flex_db::vexec`, what `Database::execute` runs) must be
-//! observationally identical to the row-at-a-time reference
-//! implementation (`flex_db::oracle`, behind `Database::execute_row`) on
-//! every query — same rows, same order, same NULLs, same error text —
-//! because DP noise calibration hashes the true results. These tests
-//! generate random queries over random small tables (nulls, duplicates,
-//! mixed group sizes) and assert `ResultSet` equality: single-table
-//! blocks, two-table INNER/LEFT equi-joins (ON and USING, residual
-//! predicates, NULL join keys) that exercise the join pipeline's
-//! predicate pushdown, and the tree shapes (wide join trees, every join
-//! type, derived tables, set operations, expression subqueries) — plus
-//! explicit NULL-handling cases for the aggregate kernels, LEFT JOIN
+//! The executor (what `Database::execute` runs) must be observationally
+//! identical to the row-at-a-time reference implementation
+//! (`flex_oracle::execute`, the `flex-oracle` crate) on every query — same
+//! rows, same order, same NULLs, same float bits, same error text —
+//! because DP noise calibration hashes the true results. The oracle has an
+//! expression evaluator, aggregate names, fold statement and ORDER BY rule
+//! of its own, so these tests cover those parts of the executor too
+//! (`scripts/oracle_mutants.sh` checks that they do). They generate random
+//! queries over random small tables (nulls, duplicates, mixed group sizes,
+//! floats whose sums depend on association) and assert `ResultSet`
+//! equality: single-table blocks, two-table INNER/LEFT equi-joins (ON and
+//! USING, residual predicates, NULL join keys) that exercise the join
+//! pipeline's predicate pushdown, and the tree shapes (wide join trees,
+//! every join type, derived tables, set operations, expression
+//! subqueries) — plus explicit cases for the aggregates (value lists with
+//! hand-written answers, NULL handling, NaN and −0.0), LEFT JOIN
 //! pushdown/padding regressions, and LIMIT/OFFSET/ORDER BY regressions.
 //! In the comments below "the engines" are these two.
 
@@ -73,6 +77,10 @@ fn arb_float() -> BoxedStrategy<Value> {
         // column Mixed, exercising the engines' cross-type comparison,
         // grouping and MIN/MAX paths.
         (-4i64..5).prop_map(Value::Int),
+        // Halves add exactly in any order; these do not (`1e16` absorbs
+        // `0.1` and `3e-8`, `0.1 + 3e-8` rounds), so a sum folded in
+        // another lane or tree order than the fold grid's changes bits.
+        prop_oneof![Just(0.1), Just(1e16), Just(-1e16), Just(3e-8)].prop_map(Value::Float),
     ]
     .boxed()
 }
@@ -633,7 +641,7 @@ proptest! {
     fn engines_agree_on_random_queries(rows in arb_rows(), sql in arb_query()) {
         let db = build_db(rows);
         let vectorized = db.execute_sql(&sql);
-        let row = db.execute_sql_row(&sql);
+        let row = flex_oracle::execute_sql(&db, &sql);
         match (vectorized, row) {
             (Ok(v), Ok(r)) => prop_assert_eq!(v, r, "engines disagree on: {}", sql),
             (Err(_), Err(_)) => {}
@@ -662,7 +670,7 @@ proptest! {
         let mut db = build_db(trows);
         add_r(&mut db, rrows);
         let vectorized = db.execute_sql(&sql);
-        let row = db.execute_sql_row(&sql);
+        let row = flex_oracle::execute_sql(&db, &sql);
         match (vectorized, row) {
             (Ok(v), Ok(r)) => prop_assert_eq!(v, r, "engines disagree on: {}", sql),
             (Err(_), Err(_)) => {}
@@ -697,7 +705,7 @@ proptest! {
         add_r(&mut db, rrows);
         parallelize(&db, workers);
         let vectorized = db.execute_sql(&sql);
-        let row = db.execute_sql_row(&sql);
+        let row = flex_oracle::execute_sql(&db, &sql);
         match (vectorized, row) {
             (Ok(v), Ok(r)) => prop_assert_eq!(v, r, "engines disagree on: {}", sql),
             (Err(v), Err(r)) => prop_assert_eq!(
@@ -858,7 +866,7 @@ proptest! {
             lim_sql,
             workers
         );
-        let row = db.execute_sql_row(&lim_sql).unwrap();
+        let row = flex_oracle::execute_sql(&db, &lim_sql).unwrap();
         prop_assert_eq!(limited, row, "engines disagree on: {}", lim_sql);
     }
 }
@@ -928,7 +936,7 @@ fn order_by_nan_negative_zero_sort_keys_bit_identical() {
         "SELECT a, b FROM t ORDER BY b DESC, a LIMIT 5",
     ] {
         let v = db.execute_sql(sql).unwrap();
-        let r = db.execute_sql_row(sql).unwrap();
+        let r = flex_oracle::execute_sql(&db, sql).unwrap();
         assert_rows_bit_identical(&v, &r, sql);
         parallelize(&db, 4);
         let p = db.execute_sql(sql).unwrap();
@@ -1095,7 +1103,7 @@ fn parallel_min_max_on_mixed_column_matches_sequential_above_2p53() {
     db.set_morsel_rows(2);
     for sql in ["SELECT MIN(v) FROM m", "SELECT MAX(v) FROM m"] {
         let seq = db.execute_sql(sql).unwrap();
-        let row = db.execute_sql_row(sql).unwrap();
+        let row = flex_oracle::execute_sql(&db, sql).unwrap();
         assert_eq!(seq, row, "engines disagree on: {sql}");
         db.set_parallelism(2);
         let par = db.execute_sql(sql).unwrap();
@@ -1135,7 +1143,7 @@ fn parallel_error_choice_matches_sequential() {
 /// Run on both engines, assert agreement, and return the shared result.
 fn both(db: &Database, sql: &str) -> ResultSet {
     let v = db.execute_sql(sql).unwrap();
-    let r = db.execute_sql_row(sql).unwrap();
+    let r = flex_oracle::execute_sql(db, sql).unwrap();
     assert_eq!(v, r, "engines disagree on: {sql}");
     v
 }
@@ -1234,6 +1242,123 @@ fn vectorized_count_distinct_unifies_int_and_float() {
     assert_eq!(rs.rows[0], vec![Value::Int(2), Value::Int(3)]);
 }
 
+// ---- each aggregate over a value list, by hand --------------------------
+
+/// Every aggregate over small value lists, with the expected answer written
+/// by hand (float bits included), on the executor and on the oracle, at
+/// one worker and at eight (2-row fold chunks, so eight workers merge
+/// several morsels): `COUNT(*)` against NULLs, `COUNT DISTINCT`, empty and
+/// all-NULL inputs, NaN and −0.0 through `MIN`, `MAX`, `MEDIAN` and
+/// `STDDEV`, a string where a number is due.
+#[test]
+fn aggregates_over_value_lists_match_hand_written_answers() {
+    use Value::{Bool, Float, Int, Null};
+    let s = Value::str;
+    let nan = f64::NAN;
+    let cases: Vec<(&str, Vec<Value>, Result<Value, &str>)> = vec![
+        ("COUNT(*)", vec![Null, Int(1)], Ok(Int(2))),
+        ("COUNT(*)", vec![], Ok(Int(0))),
+        ("COUNT(x)", vec![Null, Int(1), Int(2)], Ok(Int(2))),
+        ("COUNT(x)", vec![Null, Null], Ok(Int(0))),
+        (
+            "COUNT(DISTINCT x)",
+            vec![Int(1), Int(1), Int(2), Null],
+            Ok(Int(2)),
+        ),
+        (
+            "COUNT(DISTINCT x)",
+            vec![Int(1), Float(1.0), Float(2.5), Null],
+            Ok(Int(2)),
+        ),
+        ("SUM(x)", vec![], Ok(Null)),
+        ("AVG(x)", vec![Null], Ok(Null)),
+        ("SUM(x)", vec![Int(1), Int(2), Float(3.0)], Ok(Float(6.0))),
+        ("AVG(x)", vec![Int(1), Int(2), Float(3.0)], Ok(Float(2.0))),
+        ("SUM(x)", vec![Bool(true), Bool(true), Null], Ok(Float(2.0))),
+        // Every lane starts at +0.0.
+        ("SUM(x)", vec![Float(-0.0)], Ok(Float(0.0))),
+        ("SUM(x)", vec![Float(1.0), Float(nan)], Ok(Float(nan))),
+        ("MIN(x)", vec![Int(3), Null, Int(1), Int(2)], Ok(Int(1))),
+        ("MAX(x)", vec![Int(3), Null, Int(1), Int(2)], Ok(Int(3))),
+        ("MIN(x)", vec![s("b"), s("a"), s("c")], Ok(s("a"))),
+        ("MAX(x)", vec![s("b"), s("a"), s("c")], Ok(s("c"))),
+        ("MIN(x)", vec![Null, Null], Ok(Null)),
+        ("MAX(x)", vec![], Ok(Null)),
+        // −0.0 sorts below +0.0; NaN above every number.
+        ("MIN(x)", vec![Float(0.0), Float(-0.0)], Ok(Float(-0.0))),
+        ("MAX(x)", vec![Float(-0.0), Float(0.0)], Ok(Float(0.0))),
+        ("MAX(x)", vec![Float(nan), Float(1e300)], Ok(Float(nan))),
+        ("MIN(x)", vec![Float(nan), Float(1e300)], Ok(Float(1e300))),
+        // Of equal values the first wins.
+        ("MIN(x)", vec![Float(1.0), Int(1)], Ok(Float(1.0))),
+        ("MAX(x)", vec![Int(1), Float(1.0)], Ok(Int(1))),
+        ("MEDIAN(x)", vec![Int(3), Int(1), Int(2)], Ok(Float(2.0))),
+        (
+            "MEDIAN(x)",
+            vec![Int(1), Int(2), Int(3), Int(4)],
+            Ok(Float(2.5)),
+        ),
+        ("MEDIAN(x)", vec![Float(-0.0), Float(0.0)], Ok(Float(0.0))),
+        ("MEDIAN(x)", vec![Float(-0.0), Float(-0.0)], Ok(Float(-0.0))),
+        (
+            "MEDIAN(x)",
+            vec![Float(nan), Int(5), Int(1)],
+            Ok(Float(5.0)),
+        ),
+        ("MEDIAN(x)", vec![Null], Ok(Null)),
+        (
+            "STDDEV(x)",
+            [2, 4, 4, 4, 5, 5, 7, 9].map(Int).to_vec(),
+            Ok(Float((32.0f64 / 7.0).sqrt())),
+        ),
+        ("STDDEV(x)", vec![Int(1)], Ok(Null)),
+        ("STDDEV(x)", vec![Null, Null], Ok(Null)),
+        ("STDDEV(x)", vec![Float(nan), Int(1)], Ok(Float(nan))),
+        ("SUM(x)", vec![s("x")], Err("Sum argument")),
+        ("AVG(x)", vec![Null, s("x")], Err("Avg argument")),
+        ("MEDIAN(x)", vec![s("x")], Err("Median argument")),
+        ("STDDEV(x)", vec![s("x"), s("y")], Err("Stddev argument")),
+    ];
+    for (agg, values, expected) in cases {
+        let ty = if values.iter().any(|v| matches!(v, Value::Str(_))) {
+            DataType::Str
+        } else if values.iter().any(|v| matches!(v, Value::Bool(_))) {
+            DataType::Bool
+        } else {
+            DataType::Float
+        };
+        let mut db = Database::new();
+        db.create_table("v", Schema::of(&[("x", ty)])).unwrap();
+        db.insert("v", values.iter().map(|v| vec![v.clone()]).collect())
+            .unwrap();
+        db.set_morsel_rows(2);
+        let sql = format!("SELECT {agg} FROM v");
+        let ctx = format!("{sql} over {values:?}");
+        for workers in [1, 8] {
+            db.set_parallelism(workers);
+            let answers = [
+                ("executor", db.execute_sql(&sql)),
+                ("oracle", flex_oracle::execute_sql(&db, &sql)),
+            ];
+            for (engine, answer) in answers {
+                let ctx = format!("{engine}, {workers} workers: {ctx}");
+                match (&expected, answer) {
+                    (Ok(v), Ok(rs)) => assert_rows_bit_identical(
+                        &rs,
+                        &ResultSet {
+                            columns: rs.columns.clone(),
+                            rows: vec![vec![v.clone()]],
+                        },
+                        &ctx,
+                    ),
+                    (Err(needle), Err(e)) => assert!(e.to_string().contains(needle), "{ctx}: {e}"),
+                    (_, answer) => panic!("{ctx}: expected {expected:?}, got {answer:?}"),
+                }
+            }
+        }
+    }
+}
+
 // ---- NaN / negative-zero aggregates (both engines, bit-identical) --------
 
 /// `ResultSet` equality can't check NaN rows (`NaN != NaN`), so compare
@@ -1314,7 +1439,7 @@ fn median_stddev_nan_negative_zero_bit_identical() {
         let db = mk(seed);
         for sql in queries {
             let v = db.execute_sql(sql).unwrap();
-            let r = db.execute_sql_row(sql).unwrap();
+            let r = flex_oracle::execute_sql(&db, sql).unwrap();
             assert_rows_bit_identical(&v, &r, sql);
             // Morsel-parallel grouped aggregation on the same fold grid
             // the baselines ran: per-morsel leaf sums concatenated in
@@ -1399,7 +1524,7 @@ fn reduction_tree_bit_identical_across_worker_counts() {
     ];
     for sql in queries {
         let baseline = db.execute_sql(sql).unwrap();
-        let row_engine = db.execute_sql_row(sql).unwrap();
+        let row_engine = flex_oracle::execute_sql(&db, sql).unwrap();
         assert_rows_bit_identical(&baseline, &row_engine, sql);
         for workers in [2, 4, 8] {
             db.set_parallelism(workers);
@@ -1415,7 +1540,7 @@ fn reduction_tree_bit_identical_across_worker_counts() {
 /// The executor and the oracle must agree on `sql` — float cells bit for
 /// bit, or the same error text.
 fn assert_engines_agree(db: &Database, sql: &str, ctx: &str) {
-    match (db.execute_sql(sql), db.execute_sql_row(sql)) {
+    match (db.execute_sql(sql), flex_oracle::execute_sql(db, sql)) {
         (Ok(v), Ok(r)) => assert_rows_bit_identical(&v, &r, &format!("{sql} ({ctx})")),
         (Err(v), Err(r)) => assert_eq!(v.to_string(), r.to_string(), "{sql} ({ctx})"),
         (v, r) => panic!("one engine failed on {sql} ({ctx}): executor={v:?} oracle={r:?}"),
@@ -1428,19 +1553,7 @@ fn assert_engines_agree(db: &Database, sql: &str, ctx: &str) {
 /// loses all of them.
 fn agg_matrix_db(nulls: bool) -> Database {
     let two53 = 9_007_199_254_740_992i64;
-    let mut db = Database::new();
-    db.create_table(
-        "g",
-        Schema::of(&[
-            ("k", DataType::Int),
-            ("i", DataType::Int),
-            ("f", DataType::Float),
-            ("b", DataType::Bool),
-            ("s", DataType::Str),
-            ("m", DataType::Float),
-        ]),
-    )
-    .unwrap();
+    let mut db = empty_g();
     let rows = (0..30i64)
         .map(|n| {
             let k = n % 3;
@@ -1458,12 +1571,14 @@ fn agg_matrix_db(nulls: bool) -> Database {
                 ),
                 cell(
                     1,
-                    Value::Float(match n % 6 {
+                    Value::Float(match n % 8 {
                         0 => 1e16,
                         1 => -0.0,
                         2 => 1e-16,
                         3 => -1e16,
                         4 => 2.5,
+                        5 => 0.1,
+                        6 => 3e-8,
                         _ => n as f64 * 0.125,
                     }),
                 ),
@@ -1482,6 +1597,24 @@ fn agg_matrix_db(nulls: bool) -> Database {
         })
         .collect();
     db.insert("g", rows).unwrap();
+    db
+}
+
+/// [`agg_matrix_db`]'s table `g`, with no rows.
+fn empty_g() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        "g",
+        Schema::of(&[
+            ("k", DataType::Int),
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("b", DataType::Bool),
+            ("s", DataType::Str),
+            ("m", DataType::Float),
+        ]),
+    )
+    .unwrap();
     db
 }
 
@@ -1684,21 +1817,6 @@ fn computed_block_errors_match_oracle_by_text() {
         ("SELECT SUM(LOWER(s)) FROM g", "Sum argument"),
         ("SELECT i, s + 1 FROM g ORDER BY i LIMIT 1", "arithmetic"),
         ("SELECT i FROM g ORDER BY -s LIMIT 1", "unary -"),
-        // One compile defect, raised by the block's plan.
-        ("SELECT *, COUNT(*) FROM g", "wildcard projection"),
-        ("SELECT x.* FROM g", "unknown table `x`"),
-        (
-            "SELECT i, COUNT(*) FROM g GROUP BY k",
-            "column `i` must appear",
-        ),
-        ("SELECT k FROM g ORDER BY 9", "position 9 out of range"),
-        (
-            "SELECT k, COUNT(*) FROM g GROUP BY k ORDER BY 9",
-            "position 9 out of range",
-        ),
-        ("SELECT SUM(COUNT(*)) FROM g", "nested aggregate"),
-        ("SELECT nope FROM g", "unknown column `nope`"),
-        ("SELECT k FROM g ORDER BY nope", "unknown column `nope`"),
         // Two defects. A key's before an argument's…
         ("SELECT COUNT(*), SUM(s + 1) FROM g GROUP BY -s", "unary -"),
         // …the lower aggregate index's argument first…
@@ -1724,17 +1842,56 @@ fn computed_block_errors_match_oracle_by_text() {
             "position 9 out of range",
         ),
     ];
+    // Compile defects, raised by the block's plan before any row is read.
+    let compile_defects = [
+        ("SELECT *, COUNT(*) FROM g", "wildcard projection"),
+        ("SELECT x.* FROM g", "unknown table `x`"),
+        (
+            "SELECT i, COUNT(*) FROM g GROUP BY k",
+            "column `i` must appear",
+        ),
+        ("SELECT k FROM g ORDER BY 9", "position 9 out of range"),
+        (
+            "SELECT k, COUNT(*) FROM g GROUP BY k ORDER BY 9",
+            "position 9 out of range",
+        ),
+        ("SELECT SUM(COUNT(*)) FROM g", "nested aggregate"),
+        ("SELECT nope FROM g", "unknown column `nope`"),
+        ("SELECT k FROM g ORDER BY nope", "unknown column `nope`"),
+        (
+            "SELECT COUNT(*) FROM g GROUP BY nope",
+            "unknown column `nope`",
+        ),
+        // Of two, the SELECT list's before HAVING's, HAVING's before
+        // ORDER BY's.
+        (
+            "SELECT s FROM g GROUP BY k HAVING nope > 0 ORDER BY 9",
+            "column `s` must appear",
+        ),
+        (
+            "SELECT k FROM g GROUP BY k HAVING nope > 0 ORDER BY 9",
+            "column `nope` must appear",
+        ),
+        ("SELECT x.*, nope FROM g ORDER BY 9", "unknown table `x`"),
+    ];
     for fold in [4, 64] {
         db.set_morsel_rows(fold);
         for workers in [1, 2, 8] {
             db.set_parallelism(workers);
             let ctx = format!("fold={fold} workers={workers}");
-            for (sql, expected) in cases {
+            for (sql, expected) in cases.iter().chain(&compile_defects) {
                 let err = db.execute_sql(sql).expect_err(sql).to_string();
                 assert!(err.contains(expected), "{sql} ({ctx}): {err}");
                 assert_engines_agree(&db, sql, &ctx);
             }
         }
+    }
+    // Over an empty table the plan still raises them.
+    let empty = empty_g();
+    for (sql, expected) in compile_defects {
+        let err = empty.execute_sql(sql).expect_err(sql).to_string();
+        assert!(err.contains(expected), "{sql} (empty): {err}");
+        assert_engines_agree(&empty, sql, "empty");
     }
 }
 
@@ -1773,6 +1930,67 @@ fn aggregate_aliases_aggregate_everywhere() {
                 .execute_sql(&format!("SELECT k FROM g WHERE {alias}(i) > 0"))
                 .unwrap_err();
             assert!(err.to_string().contains("is not allowed here"), "{err}");
+        }
+    }
+}
+
+/// Which GROUP BY key an expression is does not depend on the data, and a
+/// column no key covers is named as the query writes it — two executor
+/// bugs the independent oracle found. The executor matched keys by
+/// compiled value, so `EXISTS (…)` was the key `TRUE` exactly when the
+/// subquery returned a row, and `k IN (SELECT 1)` the key
+/// `k IN (SELECT 1.0)` because the answers were equal: whether the query
+/// was valid was a fact about the data. And it named the first spelling
+/// of the uncovered column anywhere in the item (`g.k`, inside the key)
+/// rather than the one no key covers (`k`).
+#[test]
+fn group_keys_match_as_written_whatever_a_subquery_returns() {
+    let mut db = agg_matrix_db(false);
+    db.create_table("none", Schema::of(&[("x", DataType::Int)]))
+        .unwrap();
+    for (sql, expected) in [
+        (
+            "SELECT (g.k + 1) + k FROM g GROUP BY k + 1",
+            Err("column `k` must appear"),
+        ),
+        (
+            "SELECT k IN (SELECT 1) FROM g GROUP BY k IN (SELECT 1.0)",
+            Err("column `k` must appear"),
+        ),
+        (
+            "SELECT k = 0 AND EXISTS (SELECT 1) FROM g GROUP BY k = 0 AND TRUE",
+            Err("column `k` must appear"),
+        ),
+        (
+            "SELECT k = 0 AND EXISTS (SELECT x FROM none) FROM g GROUP BY k = 0 AND FALSE",
+            Err("column `k` must appear"),
+        ),
+        // Written alike, a subquery is the key, and so is a column
+        // spelled either way.
+        (
+            "SELECT k IN (SELECT 1) AS one, COUNT(*) FROM g GROUP BY k IN (SELECT 1) ORDER BY 1",
+            Ok(vec![
+                vec![Value::Bool(false), Value::Int(20)],
+                vec![Value::Bool(true), Value::Int(10)],
+            ]),
+        ),
+        (
+            "SELECT (g.k + 1) * 2 FROM g GROUP BY k + 1 ORDER BY 1",
+            Ok(vec![
+                vec![Value::Int(2)],
+                vec![Value::Int(4)],
+                vec![Value::Int(6)],
+            ]),
+        ),
+    ] {
+        for workers in [1, 8] {
+            db.set_parallelism(workers);
+            match (expected.clone(), db.execute_sql(sql)) {
+                (Ok(rows), Ok(rs)) => assert_eq!(rs.rows, rows, "{sql}"),
+                (Err(needle), Err(e)) => assert!(e.to_string().contains(needle), "{sql}: {e}"),
+                (_, got) => panic!("{sql}: expected {expected:?}, got {got:?}"),
+            }
+            assert_engines_agree(&db, sql, &format!("workers={workers}"));
         }
     }
 }
@@ -2163,7 +2381,7 @@ fn fallible_conjunct_errors_on_both_engines() {
     )]);
     let sql = "SELECT COUNT(*) FROM t WHERE a = 1 AND c + 1 > 0";
     let v = db.execute_sql(sql);
-    let r = db.execute_sql_row(sql);
+    let r = flex_oracle::execute_sql(&db, sql);
     assert!(v.is_err(), "vectorized engine must error too, got {v:?}");
     assert!(r.is_err());
 }
@@ -2323,7 +2541,7 @@ fn fallible_join_predicates_error_on_both_engines() {
         "SELECT COUNT(*) FROM t x JOIN r y ON x.a = y.a WHERE y.u + 1 > 0",
     ] {
         let v = db.execute_sql(sql);
-        let r = db.execute_sql_row(sql);
+        let r = flex_oracle::execute_sql(&db, sql);
         assert!(
             v.is_err(),
             "vectorized engine must error on {sql}, got {v:?}"
@@ -2495,7 +2713,7 @@ fn where_spelling_never_changes_rows_or_schedule() {
                     .collect();
                 let sql = format!("{head} WHERE {}{tail}", spelled.join(" AND "));
                 let q = parse_query(&sql).unwrap();
-                let oracle = db.execute_row(&q).unwrap();
+                let oracle = flex_oracle::execute(&db, &q).unwrap();
                 for workers in [1, 2, 8] {
                     db.set_parallelism(workers);
                     let (trace, rows) = db.execute_traced(&q);

@@ -56,7 +56,7 @@ fn assert_matches_oracle(sql: &str) -> (ExecTrace, Result<ResultSet, String>) {
     let db = db();
     let q = parse_query(sql).unwrap_or_else(|e| panic!("`{sql}` parses: {e:?}"));
     let show = |r: flex_db::Result<ResultSet>| r.map_err(|e| e.to_string());
-    let oracle = show(db.execute_row(&q));
+    let oracle = show(flex_oracle::execute(&db, &q));
     let (trace, result) = db.execute_traced(&q);
     assert!(trace.route.is_vectorized());
     assert_eq!(show(result), oracle, "executor vs oracle on `{sql}`");
@@ -348,7 +348,7 @@ fn swap_bits_stop_at_the_eighth_join() {
     for workers in [1, 4] {
         db.set_parallelism(workers);
         let (trace, rs) = db.execute_traced(&q);
-        assert_eq!(rs.unwrap(), db.execute_row(&q).unwrap());
+        assert_eq!(rs.unwrap(), flex_oracle::execute(&db, &q).unwrap());
         assert_eq!(
             trace.join_order,
             JoinOrder {
@@ -461,7 +461,7 @@ fn ninety_six_leaf_join_runs_on_a_worker_stack() {
         let db = db();
         let q = parse_query(&self_join_chain("u", 96)).unwrap();
         let (trace, rs) = db.execute_traced(&q);
-        assert_eq!(rs.unwrap(), db.execute_row(&q).unwrap());
+        assert_eq!(rs.unwrap(), flex_oracle::execute(&db, &q).unwrap());
         assert_eq!((trace.join_order.joins, trace.rows_scanned), (95, 96 * 3));
     });
 }
@@ -484,7 +484,7 @@ fn ninety_six_arm_set_operation_runs_on_a_worker_stack() {
         let db = db();
         let q = parse_query(&sql).unwrap();
         let (trace, rs) = db.execute_traced(&q);
-        assert_eq!(rs.unwrap(), db.execute_row(&q).unwrap());
+        assert_eq!(rs.unwrap(), flex_oracle::execute(&db, &q).unwrap());
         assert_eq!(trace.morsels, 96);
     });
 }

@@ -1,0 +1,54 @@
+#!/usr/bin/env bash
+# Seeded mutants of the executor, one in each piece the executor used to
+# share with its test oracle: a comparison arm of the expression
+# evaluator, the lane pairing of the fold kernels, and the ordinal branch
+# of the ORDER BY rule. For each, a copy of the tree gets the one-line
+# change and the differential suites run against it; a mutant they do not
+# kill means the oracle has stopped checking that piece.
+#
+#   scripts/oracle_mutants.sh [checkout]
+#
+# The copy lives under <checkout>/target/mutants/ (the default checkout is
+# this one), with its own build directory shared by the mutants. Exits
+# non-zero if any mutant survives, or if one does not apply or compile.
+set -euo pipefail
+
+root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
+work=$root/target/mutants
+tree=$work/tree
+export CARGO_TARGET_DIR=$work/target
+suites=(cargo test -q -p flex-db --test differential --test exec_trace)
+
+# file | line as written | line mutated
+mutants=(
+    "crates/db/src/expr.rs|BinaryOperator::LtEq => ord != Ordering::Greater,|BinaryOperator::LtEq => ord == Ordering::Less,"
+    "crates/db/src/aggregate.rs|((acc[0] + acc[1]) + (acc[2] + acc[3]))|((acc[0] + acc[2]) + (acc[1] + acc[3]))"
+    "crates/db/src/bind.rs|Ok(Some(idx as usize - 1))|Ok(Some(out_cols.len() - idx as usize))"
+)
+
+rm -rf "$tree"
+mkdir -p "$tree"
+(cd "$root" && tar --exclude=./target --exclude=./.git -cf - .) | tar -xf - -C "$tree"
+
+survived=0
+for mutant in "${mutants[@]}"; do
+    IFS='|' read -r file from to <<<"$mutant"
+    cp "$root/$file" "$tree/$file"
+    if [ "$(grep -cF -- "$from" "$tree/$file")" != 1 ]; then
+        echo "mutant does not apply: $file has no single \`$from\`" >&2
+        exit 2
+    fi
+    FROM=$from TO=$to perl -pi -e 's/\Q$ENV{FROM}\E/$ENV{TO}/' "$tree/$file"
+    if ! (cd "$tree" && "${suites[@]}" --no-run >/dev/null 2>&1); then
+        echo "mutant does not compile: $file: $to" >&2
+        exit 2
+    fi
+    if (cd "$tree" && "${suites[@]}" >/dev/null 2>&1); then
+        echo "SURVIVED  $file: $to"
+        survived=1
+    else
+        echo "killed    $file: $to"
+    fi
+    cp "$root/$file" "$tree/$file"
+done
+exit "$survived"

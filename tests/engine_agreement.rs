@@ -3,8 +3,9 @@
 //! Every query in the Uber-like workload, the TPC-H subset and the §2
 //! synthetic corpus must produce on the plan executor (`Database::execute`,
 //! what production runs) the `ResultSet` the test oracle produces
-//! (`Database::execute_row`) — same rows, same order after ORDER BY — or
-//! the same error text. This is what pins the released bytes: the
+//! (`flex_oracle::execute`, an interpreter with its own evaluator, folds
+//! and ORDER BY rule) — same rows, same order after ORDER BY — or the
+//! same error text. This is what pins the released bytes: the
 //! service's release fingerprint and noise calibration consume the true
 //! results, so a single differing cell would shift every noisy answer
 //! downstream.
@@ -33,7 +34,7 @@ fn assert_agree(db: &Database, q: &Query, context: &str) -> bool {
     }
     assert_eq!(
         show(executed),
-        show(db.execute_row(q)),
+        show(flex_oracle::execute(db, q)),
         "executor (left) vs oracle (right) on {context}"
     );
     lowered.is_ok()

@@ -283,7 +283,7 @@ fn cte_named_after_its_own_source_is_not_recursive() {
         assert_eq!(analysis.sensitivity().eval(0), 1.0);
         (
             db.execute(&q).unwrap().rows,
-            db.execute_row(&q).unwrap().rows,
+            flex_oracle::execute(&db, &q).unwrap().rows,
         )
     });
     assert_eq!(rows.0, vec![vec![Value::Int(1000)]]);
@@ -305,7 +305,7 @@ fn cte_forward_reference_is_an_unknown_table_everywhere() {
     );
     let unknown = flex::db::DbError::UnknownTable("b".into());
     assert_eq!(db.execute(&q).unwrap_err(), unknown);
-    assert_eq!(db.execute_row(&q).unwrap_err(), unknown);
+    assert_eq!(flex_oracle::execute(&db, &q).unwrap_err(), unknown);
 }
 
 // ---- Output binding: noise lands on the column it was computed for -----
