@@ -253,7 +253,7 @@ fn main() {
             ..QueryTrace::new(trace)
         };
         telemetry.record_completed(&bench_trace);
-        telemetry.record_release(SlowQuery {
+        telemetry.record_release(bench_trace.total(), || SlowQuery {
             analyst: "exec_bench".to_string(),
             canonical_sql: sql.to_string(),
             epsilon: 0.0,

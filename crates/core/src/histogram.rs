@@ -9,28 +9,27 @@
 
 use crate::error::{FlexError, Result};
 use crate::lower::GroupKey;
-use flex_db::{Database, Value, ValueKey};
-use std::collections::HashSet;
+use flex_db::{Database, Value};
 
 /// Default cap on the number of enumerated bins (the cross product of
 /// label domains can explode).
 pub const DEFAULT_MAX_BINS: usize = 100_000;
 
-/// Attempt to enumerate all possible bin label tuples for a histogram.
-///
-/// Returns `Ok(Some(bins))` when every group key is a column of a public
-/// table (labels are then the distinct values of those columns, crossed),
-/// `Ok(None)` when automatic enumeration is impossible, and an error only
-/// if the cross product exceeds `max_bins`.
-pub fn enumerate_bins(
-    db: &Database,
+/// The label domain of every group key, in GROUP BY order: the sorted
+/// distinct non-NULL values of its public column, as the table keeps
+/// them ([`flex_db::Table::labels`]). The bins are their cross product,
+/// lexicographic in this order. `Ok(None)` when some key is not a column
+/// of a public table; an error when the cross product exceeds `max_bins`
+/// (an empty domain counts as one for the cap).
+pub(crate) fn bin_domains<'a>(
+    db: &'a Database,
     group_by: &[GroupKey],
     max_bins: usize,
-) -> Result<Option<Vec<Vec<Value>>>> {
+) -> Result<Option<Vec<&'a [Value]>>> {
     if group_by.is_empty() {
         return Ok(None);
     }
-    let mut domains: Vec<Vec<Value>> = Vec::with_capacity(group_by.len());
+    let mut domains = Vec::with_capacity(group_by.len());
     for g in group_by {
         let Some(attr) = (if g.public { g.base.as_ref() } else { None }) else {
             return Ok(None);
@@ -38,21 +37,10 @@ pub fn enumerate_bins(
         let table = db
             .table(&attr.table)
             .ok_or_else(|| FlexError::UnknownTable(attr.table.clone()))?;
-        let values = table
-            .column_values(&attr.column)
+        let labels = table
+            .labels(&attr.column)
             .ok_or_else(|| FlexError::UnknownColumn(attr.column.clone()))?;
-        let mut seen = HashSet::new();
-        let mut domain = Vec::new();
-        for v in values {
-            if v.is_null() {
-                continue;
-            }
-            if seen.insert(ValueKey::from(v)) {
-                domain.push(v.clone());
-            }
-        }
-        domain.sort_by(|a, b| a.total_cmp(b));
-        domains.push(domain);
+        domains.push(labels);
     }
 
     let total: usize = domains
@@ -65,10 +53,27 @@ pub fn enumerate_bins(
             "cross product of {total} bins exceeds the {max_bins}-bin cap"
         )));
     }
+    Ok(Some(domains))
+}
+
+/// Attempt to enumerate all possible bin label tuples for a histogram.
+///
+/// Returns `Ok(Some(bins))` when every group key is a column of a public
+/// table (labels are then the distinct values of those columns, crossed),
+/// `Ok(None)` when automatic enumeration is impossible, and an error only
+/// if the cross product exceeds `max_bins`.
+pub fn enumerate_bins(
+    db: &Database,
+    group_by: &[GroupKey],
+    max_bins: usize,
+) -> Result<Option<Vec<Vec<Value>>>> {
+    let Some(domains) = bin_domains(db, group_by, max_bins)? else {
+        return Ok(None);
+    };
 
     // Cross product, lexicographic in domain order.
     let mut bins: Vec<Vec<Value>> = vec![Vec::new()];
-    for domain in &domains {
+    for domain in domains {
         let mut next = Vec::with_capacity(bins.len() * domain.len().max(1));
         for prefix in &bins {
             for v in domain {

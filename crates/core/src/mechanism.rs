@@ -11,13 +11,14 @@
 
 use crate::analysis::{analyze_with, AnalysisOptions, AnalyzedQuery};
 use crate::error::{FlexError, Result};
-use crate::histogram::{enumerate_bins, DEFAULT_MAX_BINS};
+use crate::histogram::{bin_domains, DEFAULT_MAX_BINS};
 use crate::laplace::laplace;
 use crate::lower::OutputColumn;
 use crate::smooth::{smooth, PrivacyParams, SmoothSensitivity};
-use flex_db::{Database, ExecTrace, ResultSet, RowKey, Value};
+use flex_db::{BorrowKey, Database, ExecTrace, ResultSet, Value};
 use flex_sql::{parse_query, Query};
 use rand::Rng;
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Options controlling one FLEX run.
@@ -234,19 +235,19 @@ fn run_query_timed<R: Rng + ?Sized>(
         )));
     }
 
+    let ResultSet { columns, rows } = truth;
     let (rows, true_rows, bins_enumerated) = if analysis.is_histogram() {
-        assemble_histogram(db, &analysis, &truth, &column_sensitivity, opts, rng)?
+        assemble_histogram(db, &analysis, rows, &column_sensitivity, opts, rng)?
     } else {
-        let mut noised = Vec::with_capacity(truth.rows.len());
-        for row in &truth.rows {
-            noised.push(noise_row(row, &column_sensitivity, rng)?);
-        }
-        (noised, truth.rows.clone(), false)
+        let noised = rows
+            .iter()
+            .map(|row| noise_row(row, &column_sensitivity, rng));
+        (noised.collect::<Result<_>>()?, rows, false)
     };
 
     let perturbation = t_perturb.elapsed();
     Ok(FlexResult {
-        columns: truth.columns,
+        columns,
         rows,
         true_rows,
         column_sensitivity,
@@ -281,11 +282,15 @@ fn noise_row<R: Rng + ?Sized>(
 
 /// Histogram assembly: enumerate bins where possible, fill missing bins
 /// with noised zeros, and pass bin labels through.
+///
+/// Truth rows are matched to bins by [`BorrowKey`] — `ValueKey`'s
+/// equality without a copy — and a label is cloned only into a row the
+/// call returns.
 #[allow(clippy::type_complexity)]
 fn assemble_histogram<R: Rng + ?Sized>(
     db: &Database,
     analysis: &AnalyzedQuery,
-    truth: &ResultSet,
+    truth: Vec<Vec<Value>>,
     sens: &[Option<SmoothSensitivity>],
     opts: &FlexOptions,
     rng: &mut R,
@@ -302,64 +307,41 @@ fn assemble_histogram<R: Rng + ?Sized>(
         })
         .unzip();
 
-    // Resolve the bin label set: analyst-provided (in label-column
-    // order), else auto-enumerated — in GROUP BY order, so each tuple is
-    // rearranged to the order its labels are projected in.
+    // Resolve the bins and find each one's truth row, if it has one:
+    // analyst-provided bins (in label-column order), else the cross
+    // product of the label domains (in GROUP BY order).
     let group_by = &analysis.lowered.group_by;
-    let bins: Option<Vec<Vec<Value>>> = match &opts.bins {
-        Some(b) => Some(b.clone()),
-        None => match enumerate_bins(db, group_by, opts.max_bins)? {
+    let bins = match &opts.bins {
+        Some(bins) => Bins::Listed(bins),
+        None => match bin_domains(db, group_by, opts.max_bins)? {
             Some(_) if (0..group_by.len()).any(|g| !label_keys.contains(&g)) => {
                 return Err(FlexError::BinsNotEnumerable(
                     "a GROUP BY key is not projected, so its bins cannot be told apart".into(),
                 ))
             }
-            Some(bins) => Some(
-                bins.iter()
-                    .map(|bin| label_keys.iter().map(|&g| bin[g].clone()).collect())
-                    .collect(),
-            ),
-            None => None,
+            Some(domains) => Bins::Grid(domains),
+            None => {
+                // No enumeration possible: noise the observed bins only.
+                // The analyst is responsible for the bin-presence
+                // channel (§4).
+                let noised = truth.iter().map(|row| noise_row(row, sens, rng));
+                return Ok((noised.collect::<Result<_>>()?, truth, false));
+            }
         },
     };
+    let found = bins.match_rows(&truth, &label_cols, &label_keys)?;
 
-    let Some(bins) = bins else {
-        // No enumeration possible: noise the observed bins only. The
-        // analyst is responsible for the bin-presence channel (§4).
-        let mut noised = Vec::with_capacity(truth.rows.len());
-        for row in &truth.rows {
-            noised.push(noise_row(row, sens, rng)?);
-        }
-        return Ok((noised, truth.rows.clone(), false));
-    };
-
-    // The output order of labels must match the query's label columns; a
-    // bin tuple is keyed by the label cells in projection order.
-    let mut by_label: std::collections::HashMap<RowKey, &Vec<Value>> =
-        std::collections::HashMap::with_capacity(truth.rows.len());
-    for row in &truth.rows {
-        let labels: Vec<Value> = label_cols.iter().map(|&c| row[c].clone()).collect();
-        by_label.insert(RowKey::from_values(&labels), row);
-    }
-
-    let width = truth.columns.len();
-    let mut rows = Vec::with_capacity(bins.len());
-    let mut true_rows = Vec::with_capacity(bins.len());
-    for bin in &bins {
-        if bin.len() != label_cols.len() {
-            return Err(FlexError::BinsNotEnumerable(format!(
-                "bin arity {} does not match {} label columns",
-                bin.len(),
-                label_cols.len()
-            )));
-        }
-        let true_row: Vec<Value> = match by_label.get(&RowKey::from_values(bin)) {
-            Some(row) => (*row).clone(),
+    let width = sens.len();
+    let mut rows = Vec::with_capacity(found.len());
+    let mut true_rows = Vec::with_capacity(found.len());
+    for (bin, row) in found.into_iter().enumerate() {
+        let true_row = match row {
+            Some(row) => truth[row].clone(),
             None => {
                 // Absent bin: labels + zero aggregates.
                 let mut row = vec![Value::Int(0); width];
-                for (bi, &c) in label_cols.iter().enumerate() {
-                    row[c] = bin[bi].clone();
+                for (j, &c) in label_cols.iter().enumerate() {
+                    row[c] = bins.label(bin, label_keys[j], j).clone();
                 }
                 row
             }
@@ -368,6 +350,92 @@ fn assemble_histogram<R: Rng + ?Sized>(
         true_rows.push(true_row);
     }
     Ok((rows, true_rows, true))
+}
+
+/// The bins of a histogram, in release order.
+enum Bins<'a> {
+    /// Analyst-supplied label tuples, in label-column order.
+    Listed(&'a [Vec<Value>]),
+    /// The cross product of each GROUP BY key's label domain, the first
+    /// key varying slowest.
+    Grid(Vec<&'a [Value]>),
+}
+
+impl Bins<'_> {
+    /// For each bin, the index of the truth row whose label cells key
+    /// equal to its labels (the last one, should several).
+    fn match_rows(
+        &self,
+        truth: &[Vec<Value>],
+        label_cols: &[usize],
+        label_keys: &[usize],
+    ) -> Result<Vec<Option<usize>>> {
+        match self {
+            Bins::Listed(bins) => {
+                if let Some(bin) = bins.iter().find(|b| b.len() != label_cols.len()) {
+                    return Err(FlexError::BinsNotEnumerable(format!(
+                        "bin arity {} does not match {} label columns",
+                        bin.len(),
+                        label_cols.len()
+                    )));
+                }
+                let by_label: HashMap<Vec<BorrowKey<'_>>, usize> = truth
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| (label_cols.iter().map(|&c| (&row[c]).into()).collect(), i))
+                    .collect();
+                let mut key = Vec::with_capacity(label_cols.len());
+                Ok(bins
+                    .iter()
+                    .map(|bin| {
+                        key.clear();
+                        key.extend(bin.iter().map(BorrowKey::from));
+                        by_label.get(&key).copied()
+                    })
+                    .collect())
+            }
+            Bins::Grid(domains) => {
+                // Per GROUP BY key, a column projecting it (every key is
+                // projected; one projected twice holds one label twice)
+                // and the position of each label in its domain.
+                let keys: Vec<(usize, HashMap<BorrowKey<'_>, usize>)> = (domains.iter())
+                    .enumerate()
+                    .map(|(g, d)| {
+                        let at = label_keys.iter().position(|&k| k == g);
+                        let col = label_cols[at.expect("every GROUP BY key is projected")];
+                        (
+                            col,
+                            d.iter().enumerate().map(|(i, v)| (v.into(), i)).collect(),
+                        )
+                    })
+                    .collect();
+                let mut found = vec![None; domains.iter().map(|d| d.len()).product()];
+                'rows: for (r, row) in truth.iter().enumerate() {
+                    let mut bin = 0;
+                    for ((col, index), domain) in keys.iter().zip(domains) {
+                        let Some(&i) = index.get(&BorrowKey::from(&row[*col])) else {
+                            continue 'rows;
+                        };
+                        bin = bin * domain.len() + i;
+                    }
+                    found[bin] = Some(r);
+                }
+                Ok(found)
+            }
+        }
+    }
+
+    /// The label of `bin` in label column `j`, which projects GROUP BY
+    /// key `g`.
+    fn label(&self, bin: usize, g: usize, j: usize) -> &Value {
+        match self {
+            Bins::Listed(bins) => &bins[bin][j],
+            Bins::Grid(domains) => {
+                let stride: usize = domains[g + 1..].iter().map(|d| d.len()).product();
+                &domains[g][bin / stride % domains[g].len()]
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -469,6 +537,118 @@ mod tests {
             .find(|row| row[0] == Value::str("la"))
             .unwrap();
         assert_eq!(la[1], Value::Int(0));
+    }
+
+    /// The bin grid releases what the cross product of `enumerate_bins`,
+    /// rearranged to projection order and matched by `RowKey`, released:
+    /// one key, two keys projected out of GROUP BY order, and one key
+    /// projected twice.
+    #[test]
+    fn grid_bins_are_the_enumerated_cross_product() {
+        use crate::histogram::enumerate_bins;
+        let mut db = db();
+        // Four ids, three names: the two domains differ in length.
+        db.insert("cities", vec![vec![Value::Int(4), Value::str("sf")]])
+            .unwrap();
+        let from = "FROM trips t JOIN cities c ON t.city_id = c.id";
+        for sql in [
+            format!("SELECT c.name, COUNT(*) {from} GROUP BY c.name"),
+            format!("SELECT c.id, COUNT(*), c.name {from} WHERE t.id < 900 GROUP BY c.name, c.id"),
+            format!("SELECT c.name, COUNT(*), c.name AS again {from} GROUP BY c.name"),
+        ] {
+            let q = parse_query(&sql).unwrap();
+            let analysis = analyze_with(&q, &db, &AnalysisOptions::default()).unwrap();
+            let labels: Vec<(usize, usize)> = (analysis.lowered.outputs.iter().enumerate())
+                .filter_map(|(i, o)| match o {
+                    OutputColumn::Label(g) => Some((i, *g)),
+                    OutputColumn::Aggregate(_) => None,
+                })
+                .collect();
+            let truth = db.execute(&q).unwrap();
+            let by_label: std::collections::HashMap<flex_db::RowKey, &Vec<Value>> = truth
+                .rows
+                .iter()
+                .map(|row| {
+                    let cells: Vec<Value> = labels.iter().map(|&(c, _)| row[c].clone()).collect();
+                    (flex_db::RowKey::from_values(&cells), row)
+                })
+                .collect();
+            let grid = enumerate_bins(&db, &analysis.lowered.group_by, 1000)
+                .unwrap()
+                .unwrap();
+            let want: Vec<Vec<Value>> = grid
+                .iter()
+                .map(|bin| {
+                    let cells: Vec<Value> = labels.iter().map(|&(_, g)| bin[g].clone()).collect();
+                    match by_label.get(&flex_db::RowKey::from_values(&cells)) {
+                        Some(row) => (*row).clone(),
+                        None => {
+                            let mut row = vec![Value::Int(0); truth.columns.len()];
+                            for (&(c, _), v) in labels.iter().zip(cells) {
+                                row[c] = v;
+                            }
+                            row
+                        }
+                    }
+                })
+                .collect();
+            let r = run_sql(&db, &sql, params(), &mut StdRng::seed_from_u64(5)).unwrap();
+            assert!(r.bins_enumerated, "{sql}");
+            assert_eq!(r.true_rows, want, "{sql}");
+        }
+    }
+
+    /// A public table's label domain is rebuilt after a write: a city
+    /// inserted between two histograms is a bin of the second, and bins
+    /// an analyst lists stay the analyst's.
+    #[test]
+    fn a_label_inserted_between_histograms_is_enumerated() {
+        let mut db = db();
+        let sql = "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
+                   GROUP BY c.name";
+        let names = |db: &Database, opts: &FlexOptions| -> Vec<Value> {
+            let mut rng = StdRng::seed_from_u64(5);
+            let r = run_sql_with(db, sql, params(), &mut rng, opts).unwrap();
+            r.true_rows.into_iter().map(|row| row[0].clone()).collect()
+        };
+        let plain = FlexOptions::new();
+        assert_eq!(names(&db, &plain), ["la", "nyc", "sf"].map(Value::str));
+        db.insert("cities", vec![vec![Value::Int(4), Value::str("austin")]])
+            .unwrap();
+        assert_eq!(
+            names(&db, &plain),
+            ["austin", "la", "nyc", "sf"].map(Value::str)
+        );
+        let listed = FlexOptions {
+            bins: Some(vec![vec![Value::str("sf")], vec![Value::str("oslo")]]),
+            ..FlexOptions::new()
+        };
+        assert_eq!(names(&db, &listed), ["sf", "oslo"].map(Value::str));
+    }
+
+    /// The bin cap is checked before the projection: a histogram over
+    /// too many bins is refused for its size, whatever it projects.
+    #[test]
+    fn the_bin_cap_is_checked_before_the_projection() {
+        let db = db();
+        let sql = "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
+                   GROUP BY c.name, c.id";
+        let refusal = |max_bins| {
+            let opts = FlexOptions {
+                max_bins,
+                ..FlexOptions::new()
+            };
+            let mut rng = StdRng::seed_from_u64(5);
+            run_sql_with(&db, sql, params(), &mut rng, &opts)
+                .unwrap_err()
+                .to_string()
+        };
+        assert!(
+            refusal(8).contains("exceeds the 8-bin cap"),
+            "{}",
+            refusal(8)
+        );
+        assert!(refusal(9).contains("not projected"), "{}", refusal(9));
     }
 
     #[test]

@@ -46,6 +46,9 @@ impl PrivacyParams {
     }
 }
 
+/// Distances per block of the smoothing scan (see [`smooth`]).
+const SMOOTH_BLOCK: u64 = 16;
+
 /// Result of smoothing one sensitivity expression.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmoothSensitivity {
@@ -61,7 +64,9 @@ pub struct SmoothSensitivity {
 ///
 /// `db_size` is the total number of tuples `n`; the scan range is
 /// `min(n, ⌈degree/β⌉)` per Theorem 3 (with degree the Lemma 3 bound on
-/// the polynomial degree of `Ŝ⁽ᵏ⁾`).
+/// the polynomial degree of `Ŝ⁽ᵏ⁾`). The scan skips blocks of distances
+/// that cannot hold the maximum, and returns the same bits as evaluating
+/// every distance in range.
 pub fn smooth(sens: &SensExpr, params: PrivacyParams, db_size: usize) -> Result<SmoothSensitivity> {
     let beta = params.beta();
     if beta <= 0.0 || beta.is_nan() {
@@ -79,14 +84,33 @@ pub fn smooth(sens: &SensExpr, params: PrivacyParams, db_size: usize) -> Result<
     };
     let k_max = k_cutoff.min(db_size as u64);
 
+    // `e^(−βk)` falls and `Ŝ(k)` rises with k, so no k in a block [a, b]
+    // beats `e^(−βa)·Ŝ(b)`. Blocks are scanned from the top, where the
+    // maximum usually sits, and a block whose bound is below the best so
+    // far is skipped (a NaN bound is not). The bound is widened by far
+    // more than `exp`'s rounding error, so a skip never depends on a
+    // last-bit monotonicity `exp` does not promise; a tie keeps the
+    // smallest k, as a scan from 0 upwards would.
     let mut best = f64::NEG_INFINITY;
     let mut best_k = 0u64;
-    for k in 0..=k_max {
-        let v = (-beta * k as f64).exp() * sens.eval(k);
-        if v > best {
-            best = v;
-            best_k = k;
+    let mut hi = k_max;
+    loop {
+        let lo = hi.saturating_sub(SMOOTH_BLOCK - 1);
+        let bound = (-beta * lo as f64).exp() * sens.eval(hi);
+        let skip = bound * (1.0 + 1e-9) < best;
+        if !skip {
+            for k in lo..=hi {
+                let v = (-beta * k as f64).exp() * sens.eval(k);
+                if v > best || (v == best && k < best_k) {
+                    best = v;
+                    best_k = k;
+                }
+            }
         }
+        if lo == 0 {
+            break;
+        }
+        hi = lo - 1;
     }
     let smooth_bound = best.max(0.0);
     Ok(SmoothSensitivity {
@@ -192,5 +216,126 @@ mod tests {
         let params = PrivacyParams::new(1.0, 1e-5).unwrap();
         let s = smooth(&poly, params, 1000).unwrap();
         assert!(s.smooth_bound >= poly.eval(0));
+    }
+
+    /// The reference: every distance from 0 to the cutoff, in order.
+    fn full_scan(sens: &SensExpr, params: PrivacyParams, db_size: usize) -> SmoothSensitivity {
+        let beta = params.beta();
+        let degree = sens.degree_bound();
+        let k_cutoff = if degree == 0 {
+            0
+        } else {
+            (degree as f64 / beta).ceil() as u64 + 1
+        };
+        let mut best = f64::NEG_INFINITY;
+        let mut best_k = 0u64;
+        for k in 0..=k_cutoff.min(db_size as u64) {
+            let v = (-beta * k as f64).exp() * sens.eval(k);
+            if v > best {
+                best = v;
+                best_k = k;
+            }
+        }
+        let smooth_bound = best.max(0.0);
+        SmoothSensitivity {
+            smooth_bound,
+            argmax_k: best_k,
+            noise_scale: 2.0 * smooth_bound / params.epsilon,
+        }
+    }
+
+    /// Bit-for-bit agreement with the reference.
+    fn assert_same_bits(sens: &SensExpr, params: PrivacyParams, n: usize) {
+        let (got, want) = (smooth(sens, params, n).unwrap(), full_scan(sens, params, n));
+        assert_eq!(
+            got.smooth_bound.to_bits(),
+            want.smooth_bound.to_bits(),
+            "{sens}, n = {n}"
+        );
+        assert_eq!(got.argmax_k, want.argmax_k, "{sens}, n = {n}");
+        assert_eq!(
+            got.noise_scale.to_bits(),
+            want.noise_scale.to_bits(),
+            "{sens}, n = {n}"
+        );
+    }
+
+    #[test]
+    fn bounded_scan_edge_cases() {
+        // A tie across blocks: β is so small that `e^(−βk)` rounds to 1
+        // for the first distances, where the tree is the constant 5, so
+        // the maximum is reached at k = 0, 1, … and k = 0 must win.
+        let tiny = PrivacyParams::new(1e-17, 0.5).unwrap();
+        let flat = SensExpr::Max(
+            Box::new(SensExpr::constant(5.0)),
+            Box::new(SensExpr::Poly(Poly::from_coeffs(vec![0.0, 1e-9]))),
+        );
+        let term = |k: u64| (-tiny.beta() * k as f64).exp() * flat.eval(k);
+        assert_eq!(term(0), term(12), "the case needs a tie");
+        assert_eq!(smooth(&flat, tiny, 1000).unwrap().argmax_k, 0);
+        assert_same_bits(&flat, tiny, 1000);
+        let params = PrivacyParams::new(0.1, 1e-8).unwrap();
+        // A constant has degree 0: only k = 0 is scanned.
+        assert_eq!(
+            smooth(&SensExpr::constant(5.0), params, 1000)
+                .unwrap()
+                .argmax_k,
+            0
+        );
+        let poly = SensExpr::Poly(Poly::from_coeffs(vec![3.0, 2.0, 1.0]));
+        // n far below the cutoff: the maximum is the last distance.
+        assert_same_bits(&poly, params, 37);
+        assert_eq!(smooth(&poly, params, 37).unwrap().argmax_k, 37);
+        // n = 0: only k = 0.
+        assert_same_bits(&poly, params, 0);
+        assert_eq!(smooth(&poly, params, 0).unwrap().argmax_k, 0);
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Non-negative polynomials, zero and constants included.
+        fn arb_poly() -> impl Strategy<Value = Poly> {
+            prop_oneof![
+                Just(Poly::default()),
+                (0.0f64..1e3).prop_map(Poly::constant),
+                proptest::collection::vec(
+                    prop_oneof![Just(0.0f64), 0.0f64..10.0, 0.0f64..1e4],
+                    0..4
+                )
+                .prop_map(Poly::from_coeffs),
+            ]
+        }
+
+        /// Raw trees: the constructors, not the simplifying `add`/`mul`/
+        /// `max`, so zero factors and dominated `Max` arms survive.
+        fn arb_expr() -> impl Strategy<Value = SensExpr> {
+            arb_poly()
+                .prop_map(SensExpr::Poly)
+                .prop_recursive(4, 16, 2, |inner| {
+                    let pair = (inner.clone(), inner).prop_map(|(a, b)| (Box::new(a), Box::new(b)));
+                    prop_oneof![
+                        pair.clone().prop_map(|(a, b)| SensExpr::Add(a, b)),
+                        pair.clone().prop_map(|(a, b)| SensExpr::Mul(a, b)),
+                        pair.prop_map(|(a, b)| SensExpr::Max(a, b)),
+                    ]
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn bounded_scan_matches_the_full_scan(
+                sens in arb_expr(),
+                epsilon in prop_oneof![0.01f64..0.2, 0.2f64..10.0],
+                delta_exp in 1i32..16,
+                n in prop_oneof![0usize..40, 0usize..5_000],
+            ) {
+                let params = PrivacyParams::new(epsilon, 10f64.powi(-delta_exp)).unwrap();
+                assert_same_bits(&sens, params, n);
+            }
+        }
     }
 }

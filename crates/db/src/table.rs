@@ -4,8 +4,9 @@ use crate::bind::ColMeta;
 use crate::column::ColumnarTable;
 use crate::error::Result;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{BorrowKey, Value};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 /// A row is a vector of values matching the table schema's arity.
@@ -16,8 +17,10 @@ pub type Row = Vec<Value>;
 /// The table also carries a lazily built [`ColumnarTable`] projection used
 /// by the executor: the first
 /// scan pays the row-to-column conversion once, and subsequent
-/// reads share it. Writes through [`Table::insert`] invalidate the
-/// projection; `rows` is public for read access, and any code mutating it
+/// reads share it. Beside it, each column's label domain
+/// ([`Table::labels`]) is built on first use the same way. Writes through
+/// [`Table::insert`] invalidate both; `rows` is public for read access,
+/// and any code mutating it
 /// directly must go through `insert`/`insert_all` instead so the cache
 /// stays coherent.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,6 +33,9 @@ pub struct Table {
     pub rows: Vec<Row>,
     /// Lazily built column-major projection of `rows`.
     columnar: OnceLock<Arc<ColumnarTable>>,
+    /// Per column, lazily built: its distinct non-NULL values, sorted
+    /// (see [`Table::labels`]). Dropped with `columnar` on every write.
+    labels: Box<[OnceLock<Vec<Value>>]>,
 }
 
 /// Equality ignores the columnar cache: two tables with the same rows are
@@ -45,6 +51,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
+            labels: (0..schema.len()).map(|_| OnceLock::new()).collect(),
             schema,
             rows: Vec::new(),
             columnar: OnceLock::new(),
@@ -65,6 +72,9 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.schema.check_row(&row)?;
         self.columnar.take();
+        for labels in self.labels.iter_mut() {
+            labels.take();
+        }
         self.rows.push(row);
         Ok(())
     }
@@ -99,10 +109,25 @@ impl Table {
             .collect()
     }
 
-    /// All values of the named column (including NULLs), if it exists.
-    pub fn column_values(&self, column: &str) -> Option<Vec<&Value>> {
+    /// The distinct non-NULL values of the named column, sorted by
+    /// [`Value::total_cmp`] — a histogram's bin labels when the column is
+    /// public. Values are distinct under [`crate::ValueKey`] equality
+    /// (`1` and `1.0` are one label, the first in row order); built on
+    /// first use and kept until the next write.
+    pub fn labels(&self, column: &str) -> Option<&[Value]> {
         let idx = self.schema.index_of(column)?;
-        Some(self.rows.iter().map(|r| &r[idx]).collect())
+        Some(self.labels[idx].get_or_init(|| {
+            let mut seen = HashSet::new();
+            let mut labels: Vec<Value> = self
+                .rows
+                .iter()
+                .map(|r| &r[idx])
+                .filter(|v| !v.is_null() && seen.insert(BorrowKey::from(*v)))
+                .cloned()
+                .collect();
+            labels.sort_by(Value::total_cmp);
+            labels
+        }))
     }
 }
 
@@ -130,14 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn column_values_projects() {
-        let t = demo();
-        let vals = t.column_values("city").unwrap();
-        assert_eq!(vals, vec![&Value::str("sf"), &Value::str("nyc")]);
-        assert!(t.column_values("nope").is_none());
-    }
-
-    #[test]
     fn columnar_projection_matches_rows() {
         let t = demo();
         let c = t.columnar();
@@ -154,6 +171,26 @@ mod tests {
         t.insert(vec![Value::Int(3), Value::str("la")]).unwrap();
         assert_eq!(t.columnar().len(), 3);
         assert_eq!(t.columnar().row(2), vec![Value::Int(3), Value::str("la")]);
+    }
+
+    #[test]
+    fn labels_are_sorted_distinct_non_null_and_follow_writes() {
+        let mut t = Table::new("t", Schema::of(&[("x", DataType::Float)]));
+        for v in [
+            Value::Float(2.0),
+            Value::Null,
+            Value::Int(2),
+            Value::Float(-1.5),
+            Value::Int(7),
+        ] {
+            t.insert(vec![v]).unwrap();
+        }
+        // `2.0` and `2` are one label; the first in row order is kept.
+        let want = [Value::Float(-1.5), Value::Float(2.0), Value::Int(7)];
+        assert_eq!(t.labels("x").unwrap(), &want);
+        assert!(t.labels("nope").is_none());
+        t.insert(vec![Value::Int(0)]).unwrap();
+        assert_eq!(t.labels("x").unwrap()[1], Value::Int(0), "rebuilt on write");
     }
 
     #[test]

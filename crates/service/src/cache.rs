@@ -77,6 +77,11 @@ impl CacheKey {
         &self.canonical_sql
     }
 
+    /// The canonicalized SQL this key was built from, by value.
+    pub fn into_canonical_sql(self) -> String {
+        self.canonical_sql
+    }
+
     /// Bytes this key contributes to an entry's cache cost.
     fn cost_bytes(&self) -> usize {
         self.canonical_sql.len() + 2 * std::mem::size_of::<u64>()
@@ -321,29 +326,36 @@ impl<W> AnswerCache<W> {
         let mut inner = lock(&shard.inner);
         inner.clock += 1;
         let clock = inner.clock;
-        let waiters = match inner.map.remove(&key) {
-            Some(Slot::Pending(waiters)) => waiters,
-            Some(Slot::Ready(e)) => {
-                // Re-publishing over a ready entry (e.g. plain `insert`):
-                // retire the old entry's accounting first.
-                shard.len.fetch_sub(1, Ordering::Relaxed);
-                shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
-                Vec::new()
-            }
-            None => Vec::new(),
-        };
         if self.capacity == 0 {
-            return waiters;
+            return match inner.map.remove(&key) {
+                Some(Slot::Pending(waiters)) => waiters,
+                _ => Vec::new(),
+            };
         }
         let cost = key.cost_bytes() + answer.cost_bytes();
-        inner.map.insert(
-            key,
-            Slot::Ready(Entry {
-                answer: Arc::new(answer),
-                last_used: clock,
-                cost,
-            }),
-        );
+        let ready = Slot::Ready(Entry {
+            answer: Arc::new(answer),
+            last_used: clock,
+            cost,
+        });
+        // The slot is replaced where it sits: the map keeps the key it
+        // already holds, and `key` is only inserted when there is none.
+        let waiters = match inner.map.get_mut(&key) {
+            Some(slot) => match std::mem::replace(slot, ready) {
+                Slot::Pending(waiters) => waiters,
+                Slot::Ready(e) => {
+                    // Re-publishing over a ready entry (e.g. plain
+                    // `insert`): retire the old entry's accounting first.
+                    shard.len.fetch_sub(1, Ordering::Relaxed);
+                    shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
+                    Vec::new()
+                }
+            },
+            None => {
+                inner.map.insert(key, ready);
+                Vec::new()
+            }
+        };
         shard.len.fetch_add(1, Ordering::Relaxed);
         shard.bytes.fetch_add(cost, Ordering::Relaxed);
         self.evict_over_budget(shard, &mut inner);
@@ -366,6 +378,9 @@ impl<W> AnswerCache<W> {
     }
 
     /// Evict LRU ready entries until the shard is within both budgets.
+    /// No two entries share a `last_used` (each tick of the shard clock
+    /// stamps one), so the oldest is found by its stamp and removed in
+    /// place: no key is copied.
     fn evict_over_budget(&self, shard: &Shard<W>, inner: &mut ShardInner<W>) {
         loop {
             let len = shard.len.load(Ordering::Relaxed);
@@ -375,21 +390,21 @@ impl<W> AnswerCache<W> {
             if !(over_count || over_bytes) || len == 0 {
                 return;
             }
-            let oldest = inner
+            let (oldest, cost) = inner
                 .map
-                .iter()
-                .filter_map(|(k, slot)| match slot {
-                    Slot::Ready(e) => Some((e.last_used, k.clone())),
+                .values()
+                .filter_map(|slot| match slot {
+                    Slot::Ready(e) => Some((e.last_used, e.cost)),
                     Slot::Pending(_) => None,
                 })
                 .min_by_key(|(used, _)| *used)
-                .map(|(_, k)| k)
                 .expect("len > 0 implies a ready entry exists");
-            if let Some(Slot::Ready(e)) = inner.map.remove(&oldest) {
-                shard.len.fetch_sub(1, Ordering::Relaxed);
-                shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            inner
+                .map
+                .retain(|_, slot| !matches!(slot, Slot::Ready(e) if e.last_used == oldest));
+            shard.len.fetch_sub(1, Ordering::Relaxed);
+            shard.bytes.fetch_sub(cost, Ordering::Relaxed);
+            shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 

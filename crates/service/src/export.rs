@@ -285,7 +285,7 @@ mod tests {
             })
         };
         t.record_completed(&trace);
-        t.record_release(SlowQuery {
+        t.record_release(trace.total(), || SlowQuery {
             analyst: "alice".to_string(),
             canonical_sql: "SELECT COUNT(*) FROM trips".to_string(),
             epsilon: 0.5,

@@ -31,7 +31,7 @@ use flex_sql::{canonicalize, parse_query_nesting, print_query, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -225,14 +225,15 @@ pub struct Ticket(Outcome);
 #[derive(Debug)]
 enum Outcome {
     /// Resolved inside `submit` — a cache hit, a rejection, a parse
-    /// error: nothing crosses a thread, so no channel is built.
+    /// error, a shed: nothing crosses a thread.
     Ready(ServiceResult<ServiceResponse>),
-    /// Parked on an identical in-flight computation, shed at the queue,
-    /// or queued for a worker only (too deep for a caller's stack);
-    /// whoever computes the release sends the outcome here.
+    /// Parked on an identical in-flight computation, or queued for a
+    /// worker only (too deep for a caller's stack); whoever computes the
+    /// release sends the outcome here.
     Pending(Receiver<ServiceResult<ServiceResponse>>),
-    /// Admitted and queued: `wait` runs the job itself unless a worker
-    /// took it first, and whoever runs it sends the outcome here.
+    /// Admitted and queued: `wait` runs the job itself and keeps the
+    /// outcome it returns; only a worker that took the job first sends
+    /// it here.
     Queued(Claim, Receiver<ServiceResult<ServiceResponse>>),
 }
 
@@ -247,12 +248,10 @@ struct Claim {
 
 impl Claim {
     /// Run the job on this thread if it is still queued and a slot is
-    /// free; otherwise a worker has it or will.
-    fn run_here(&mut self) {
+    /// free, and return its outcome; `None` when a worker has it or will.
+    fn run_here(&mut self) -> Option<ServiceResult<ServiceResponse>> {
         let shared = &*self.shared;
-        let Some((mut job, slot)) = self.job.take().and_then(|id| shared.queue.take(id)) else {
-            return;
-        };
+        let (mut job, slot) = self.job.take().and_then(|id| shared.queue.take(id))?;
         // The job sat queued for this thread, not for a worker: the
         // deadline does not count the wait (the trace's queue span does).
         if let Some(deadline) = &mut job.deadline {
@@ -260,7 +259,7 @@ impl Claim {
         }
         shared.telemetry.record_dequeued();
         shared.telemetry.incr(Metric::JobsRunBySubmitter);
-        run_job(shared, job, slot);
+        Some(run_job(shared, job, slot))
     }
 }
 
@@ -293,16 +292,19 @@ impl Ticket {
         let reply = match self.0 {
             Outcome::Ready(outcome) => return outcome,
             Outcome::Pending(reply) => reply,
-            Outcome::Queued(mut claim, reply) => {
-                claim.run_here();
-                reply
-            }
+            Outcome::Queued(mut claim, reply) => match claim.run_here() {
+                Some(outcome) => return outcome,
+                None => reply,
+            },
         };
         reply.recv().unwrap_or(Err(ServiceError::Shutdown))
     }
 }
 
-type Respond = Sender<ServiceResult<ServiceResponse>>;
+/// Where a release computed on another thread is sent: a
+/// `sync_channel(1)`, as each carries one message (an unbounded channel
+/// allocates a block of 31 slots on its first send).
+type Respond = SyncSender<ServiceResult<ServiceResponse>>;
 
 struct Job {
     analyst: String,
@@ -310,6 +312,8 @@ struct Job {
     key: CacheKey,
     params: PrivacyParams,
     charge: Charge,
+    /// Where a worker that runs the job sends its outcome; a submitter
+    /// that runs it keeps the outcome instead.
     respond: Respond,
     /// Front-door spans measured by `submit`, carried into the worker so
     /// the released trace covers the whole pipeline.
@@ -608,7 +612,7 @@ impl QueryService {
         let query = canonicalize(parsed);
         let canonical_sql = print_query(&query);
         let canonicalize_span = canon_started.elapsed();
-        let key = CacheKey::new(canonical_sql.clone(), params);
+        let key = CacheKey::new(canonical_sql, params);
 
         // Single-flight section: cache lookup, coalescing, and admission
         // are decided under ONE cache shard-lock acquisition (the ledger
@@ -623,7 +627,7 @@ impl QueryService {
             &key,
             // Runs only when the request coalesces.
             || {
-                let (tx, rx) = channel();
+                let (tx, rx) = sync_channel(1);
                 parked = Some(rx);
                 (analyst.to_string(), tx)
             },
@@ -639,7 +643,7 @@ impl QueryService {
                 shared.telemetry.incr(Metric::CacheHits);
                 return Ticket::ready(Ok(ServiceResponse {
                     analyst: analyst.to_string(),
-                    canonical_sql,
+                    canonical_sql: key.into_canonical_sql(),
                     columns: hit.columns.clone(),
                     rows: hit.rows.clone(),
                     from_cache: true,
@@ -676,7 +680,7 @@ impl QueryService {
             }
         };
 
-        let (tx, reply) = channel();
+        let (tx, reply) = sync_channel(1);
         let charge_lsn = charge.lsn;
         let job = Job {
             analyst: analyst.to_string(),
@@ -720,8 +724,8 @@ impl QueryService {
             // instead of letting the backlog grow without bound. The
             // charge is refunded (nothing will be released) and the
             // caller gets a retryable error.
-            Err(PushError::Full(job)) => shed_job(shared, job),
-            Err(PushError::Closed(job)) => abort_job(shared, job),
+            Err(PushError::Full(job)) => return Ticket::ready(shed_job(shared, job)),
+            Err(PushError::Closed(job)) => return Ticket::ready(abort_job(shared, job)),
         }
         Ticket(Outcome::Pending(reply))
     }
@@ -847,55 +851,56 @@ fn worker_loop(shared: &Shared) {
     // always run.
     while let Some((job, slot)) = shared.queue.pop() {
         shared.telemetry.record_dequeued();
-        run_job(shared, job, slot);
+        let respond = job.respond.clone();
+        let _ = respond.send(run_job(shared, job, slot));
     }
 }
 
 /// An admitted job that will release nothing: refund the charge — the
 /// refund always precedes a release and never follows a settle — free
-/// the key's in-flight slot, and give the caller and every piggybacked
-/// waiter the same error.
-fn abandon(shared: &Shared, job: &Job, err: ServiceError) {
+/// the key's in-flight slot, give every piggybacked waiter the error,
+/// and return it as the caller's outcome.
+fn abandon(shared: &Shared, job: &Job, err: ServiceError) -> ServiceResult<ServiceResponse> {
     shared.ledger.refund(&job.charge);
     for (_, waiter) in shared.cache.fail(&job.key) {
         let _ = waiter.send(Err(err.clone()));
     }
-    let _ = job.respond.send(Err(err));
+    Err(err)
 }
 
 /// An admitted job that can no longer reach a worker (queue closed).
-fn abort_job(shared: &Shared, job: Job) {
+fn abort_job(shared: &Shared, job: Job) -> ServiceResult<ServiceResponse> {
     shared.telemetry.record_dequeued();
     shared.telemetry.incr(Metric::Failed);
-    abandon(shared, &job, ServiceError::Shutdown);
+    abandon(shared, &job, ServiceError::Shutdown)
 }
 
 /// An admitted job shed at the queue (at capacity): the caller (and any
 /// piggybacked waiters) should retry later.
-fn shed_job(shared: &Shared, job: Job) {
+fn shed_job(shared: &Shared, job: Job) -> ServiceResult<ServiceResponse> {
     shared.telemetry.record_dequeued();
     shared.telemetry.incr(Metric::Shed);
-    abandon(shared, &job, ServiceError::Overloaded);
+    abandon(shared, &job, ServiceError::Overloaded)
 }
 
 /// A job found past its deadline (at dequeue or between pipeline
 /// stages), reported distinctly from failures.
-fn timeout_job(shared: &Shared, job: &Job) {
+fn timeout_job(shared: &Shared, job: &Job) -> ServiceResult<ServiceResponse> {
     shared.telemetry.incr(Metric::Timeouts);
     let timeout = shared.query_timeout.unwrap_or_default();
-    abandon(shared, job, ServiceError::Timeout { timeout });
+    abandon(shared, job, ServiceError::Timeout { timeout })
 }
 
-/// Run one admitted job, on whichever thread took it with `slot`.
-fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
+/// Run one admitted job, on whichever thread took it with `slot`, and
+/// return the owner's outcome; piggybacked waiters are answered here.
+fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<ServiceResponse> {
     let queue_span = job.enqueued_at.elapsed();
     // Deadline check at dequeue: a job that waited out its whole budget
     // in a saturated queue is abandoned before any computation. The
     // refund is safe — nothing has been released.
     if let Some(deadline) = job.deadline {
         if Instant::now() > deadline {
-            timeout_job(shared, &job);
-            return;
+            return timeout_job(shared, &job);
         }
     }
     // Noise is a deterministic function of (secret service key, canonical
@@ -958,8 +963,7 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
                     let waiting = Instant::now();
                     if let Err(e) = shared.ledger.barrier(&job.charge) {
                         shared.telemetry.incr(Metric::Failed);
-                        abandon(shared, &job, e);
-                        return;
+                        return abandon(shared, &job, e);
                     }
                     waiting.elapsed()
                 }
@@ -977,7 +981,8 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
             // one shard-lock acquisition: at every instant a concurrent
             // submit sees the key as either pending or released, so
             // exactly one computation is paid.
-            let waiters = shared.cache.complete(job.key.clone(), answer);
+            let canonical_sql = job.key.canonical_sql().to_string();
+            let waiters = shared.cache.complete(job.key, answer);
             // One structured trace per release: the front-door spans
             // measured by `submit`, the queue wait, the three FLEX stage
             // timings, the wait at the durability barrier, and the
@@ -996,17 +1001,19 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
                 exec: result.trace,
             };
             shared.telemetry.record_completed(&trace);
-            shared.telemetry.record_release(SlowQuery {
-                analyst: job.analyst.clone(),
-                canonical_sql: job.key.canonical_sql().to_string(),
-                epsilon: job.charge.epsilon,
-                delta: job.charge.delta,
-                trace,
-            });
+            shared
+                .telemetry
+                .record_release(trace.total(), || SlowQuery {
+                    analyst: job.analyst.clone(),
+                    canonical_sql: canonical_sql.clone(),
+                    epsilon: job.charge.epsilon,
+                    delta: job.charge.delta,
+                    trace,
+                });
             for (analyst, waiter) in waiters {
                 let _ = waiter.send(Ok(ServiceResponse {
                     analyst,
-                    canonical_sql: job.key.canonical_sql().to_string(),
+                    canonical_sql: canonical_sql.clone(),
                     columns: result.columns.clone(),
                     rows: result.rows.clone(),
                     // Piggybacked on the computation, not served from the
@@ -1018,9 +1025,9 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
                     trace: None,
                 }));
             }
-            let _ = job.respond.send(Ok(ServiceResponse {
+            Ok(ServiceResponse {
                 analyst: job.analyst,
-                canonical_sql: job.key.canonical_sql().to_string(),
+                canonical_sql,
                 columns: result.columns,
                 rows: result.rows,
                 from_cache: false,
@@ -1028,18 +1035,16 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
                 join_count: result.join_count,
                 timings: Some(result.timings),
                 trace: Some(trace),
-            }));
+            })
         }
         // A mid-pipeline deadline expiry is a timeout, not a failure:
         // refund and report it under its own counter.
-        Ok(Err(flex_core::FlexError::DeadlineExceeded { .. })) => {
-            timeout_job(shared, &job);
-        }
+        Ok(Err(flex_core::FlexError::DeadlineExceeded { .. })) => timeout_job(shared, &job),
         Ok(Err(e)) => {
             // Nothing was released: hand the budget back. Waiters get the
             // same (deterministic) failure without being charged.
             shared.telemetry.incr(Metric::Failed);
-            abandon(shared, &job, ServiceError::Flex(e));
+            abandon(shared, &job, ServiceError::Flex(e))
         }
         Err(_panic) => {
             shared.telemetry.incr(Metric::Failed);
@@ -1047,7 +1052,7 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) {
             let err = ServiceError::Flex(flex_core::FlexError::Db(
                 "query worker panicked while computing the release".to_string(),
             ));
-            abandon(shared, &job, err);
+            abandon(shared, &job, err)
         }
     }
 }

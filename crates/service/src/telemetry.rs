@@ -483,14 +483,18 @@ impl Telemetry {
         }
     }
 
-    /// Offer one released query to the slow-query log, which keeps the
-    /// [`SLOW_LOG_CAPACITY`] slowest entries sorted slowest-first.
-    pub fn record_release(&self, entry: SlowQuery) {
+    /// Offer one released query, whose trace totals `total`, to the
+    /// slow-query log, which keeps the [`SLOW_LOG_CAPACITY`] slowest
+    /// entries sorted slowest-first. `entry` builds the log entry; it is
+    /// called only when the query is slow enough to be kept.
+    pub fn record_release(&self, total: Duration, entry: impl FnOnce() -> SlowQuery) {
         let Ok(mut log) = self.slow.lock() else {
             return;
         };
-        let pos = log.partition_point(|e| e.total() >= entry.total());
+        let pos = log.partition_point(|e| e.total() >= total);
         if pos < SLOW_LOG_CAPACITY {
+            let entry = entry();
+            debug_assert_eq!(entry.total(), total, "the entry is the offered release");
             log.insert(pos, entry);
             log.truncate(SLOW_LOG_CAPACITY);
         }
@@ -740,7 +744,7 @@ mod tests {
                 execution: Duration::from_micros(i as u64 + 1),
                 ..trace_ms(0, 0, 0)
             };
-            t.record_release(SlowQuery {
+            t.record_release(trace.total(), || SlowQuery {
                 analyst: format!("a{i}"),
                 canonical_sql: format!("SELECT {i}"),
                 epsilon: 0.1,
@@ -764,6 +768,56 @@ mod tests {
                 .iter()
                 .all(|e| e.total() > Duration::from_micros(10)),
             "fast queries were evicted"
+        );
+    }
+
+    /// An entry is built only when the log keeps it, and the log ends up
+    /// holding what it held when every entry was built and offered.
+    #[test]
+    fn slow_log_builds_only_the_entries_it_keeps() {
+        let t = Telemetry::default();
+        // Totals in µs, with ties, in no order.
+        let totals: Vec<u64> = (0..200u64).map(|i| (i * 7919) % 61).collect();
+        let mut built = 0;
+        for (i, &us) in totals.iter().enumerate() {
+            let trace = QueryTrace {
+                execution: Duration::from_micros(us),
+                ..trace_ms(0, 0, 0)
+            };
+            t.record_release(trace.total(), || {
+                built += 1;
+                SlowQuery {
+                    analyst: i.to_string(),
+                    canonical_sql: format!("SELECT {i}"),
+                    epsilon: 0.1,
+                    delta: 1e-9,
+                    trace,
+                }
+            });
+        }
+        // The rule the log follows, on (total, offer index) pairs.
+        let mut want: Vec<(u64, usize)> = Vec::new();
+        let mut kept = 0;
+        for (i, &us) in totals.iter().enumerate() {
+            let pos = want.partition_point(|&(total, _)| total >= us);
+            if pos < SLOW_LOG_CAPACITY {
+                kept += 1;
+                want.insert(pos, (us, i));
+                want.truncate(SLOW_LOG_CAPACITY);
+            }
+        }
+        let got: Vec<(u64, usize)> = t
+            .snapshot()
+            .slow_queries
+            .iter()
+            .map(|e| (e.total().as_micros() as u64, e.analyst.parse().unwrap()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(built, kept);
+        assert!(
+            built < totals.len() / 2,
+            "{built} of {} built",
+            totals.len()
         );
     }
 

@@ -1,0 +1,166 @@
+//! How often a cache miss calls the allocator.
+//!
+//! A miss pays parse → canonicalize → admission → analysis → execution
+//! → smoothing and noise → release bookkeeping (settle, cache insert and
+//! eviction, telemetry, the reply). This test counts allocator calls
+//! (`alloc`, `alloc_zeroed` and `realloc`) on the test's own thread for
+//! one `QueryService::query` miss of two of the benchmark's shapes, on
+//! the benchmark's data (`frontdoor-cold`: 250 trips, 30 public cities),
+//! with one worker and the query run by the thread that waits for it.
+//! Every measured miss evicts an answer, as every `frontdoor-cold` miss
+//! does. Each count is held to its measured value + 10 %. Timing gates
+//! flake on a shared machine; an allocation count does not.
+//!
+//! Measured counts (release and debug agree), before and after the
+//! release path stopped allocating per query (an unbounded reply
+//! channel), per cache key (eviction cloned every key of a shard) and
+//! per histogram bin (bins re-enumerated and re-keyed on every request):
+//!
+//! | shape | before | after |
+//! |---|---|---|
+//! | city histogram | 1470 | 1182 |
+//! | three-way join | 1211 | 1196 |
+//!
+//! Most of what is left is the analysis and the execution; the join's
+//! small drop is the reply channel and the eviction's key copies (with
+//! this test's 8-entry shard; the service's default shard holds 64).
+
+use flex_core::PrivacyParams;
+use flex_service::{LedgerPolicy, QueryService, ServiceConfig};
+use flex_workloads::uber::{generate, UberConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct Counting;
+
+thread_local! {
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Cache entries: few enough that the warm-up fills the only shard.
+const CAPACITY: usize = 8;
+
+/// A service over `frontdoor-cold`'s data with one worker and a small
+/// one-shard cache, its slow-query log already full of slower queries
+/// (a miss enters that log only if it is slow enough, which is timing).
+fn service() -> QueryService {
+    let db = generate(&UberConfig {
+        cities: 30,
+        drivers: 40,
+        riders: 80,
+        trips: 250,
+        user_tags: 40,
+        seed: 21,
+    });
+    let svc = QueryService::new(
+        Arc::new(db),
+        ServiceConfig {
+            workers: 1,
+            cache_capacity: CAPACITY,
+            cache_shards: 1,
+            policy: LedgerPolicy::sequential(1e9, 1.0),
+            seed: Some(29),
+            ..ServiceConfig::default()
+        },
+    );
+    let slow = "SELECT COUNT(*) FROM trips a JOIN trips b ON a.city_id = b.city_id \
+                JOIN trips c ON b.city_id = c.city_id";
+    for i in 0..32 {
+        svc.query("warm-up", slow, params(i))
+            .expect("slow query runs");
+    }
+    svc
+}
+
+/// ε = 0.1 nudged by `i` ulps: the same query under a new cache key.
+fn params(i: u64) -> PrivacyParams {
+    PrivacyParams::new(f64::from_bits(0.1f64.to_bits() + i), 1e-9).unwrap()
+}
+
+/// Allocator calls on this thread for one miss of `sql` run here, or
+/// `None` when a worker ran it (the count would then be the worker's).
+fn miss_calls(svc: &QueryService, sql: &str, i: u64) -> Option<usize> {
+    let ran_here = svc.telemetry().jobs_run_by_submitter;
+    let before = CALLS.with(Cell::get);
+    let answer = svc.query("analyst", sql, params(i)).expect("query runs");
+    let after = CALLS.with(Cell::get);
+    assert_eq!(answer.charged.0, params(i).epsilon, "a miss");
+    (svc.telemetry().jobs_run_by_submitter == ran_here + 1).then_some(after - before)
+}
+
+#[test]
+fn a_miss_allocates_no_more_than_measured() {
+    // (shape, text, allocator calls measured after the change).
+    let shapes = [
+        (
+            "city histogram",
+            "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
+             WHERE t.trip_date BETWEEN '2016-03-01' AND '2016-03-30' \
+             AND t.fare > 12.34567 GROUP BY c.name",
+            1182,
+        ),
+        (
+            "three-way join",
+            "SELECT COUNT(DISTINCT d.id) FROM trips t \
+             JOIN drivers d ON t.driver_id = d.id JOIN cities c ON t.city_id = c.id \
+             WHERE c.name = 'hong kong' AND t.status = 'completed' \
+             AND d.city_id <> t.city_id AND t.fare > 42.99999",
+            1196,
+        ),
+    ];
+    let svc = service();
+    for (n, (shape, sql, measured)) in shapes.into_iter().enumerate() {
+        let mut keys = (1000 * (n as u64 + 1))..;
+        // Fill the cache with this shape first, so that each counted
+        // miss evicts and the one-time set-up (label domains) is paid.
+        for i in keys.by_ref().take(CAPACITY + 1) {
+            miss_calls(&svc, sql, i);
+        }
+        let counts: Vec<usize> = keys
+            .take(100)
+            .filter_map(|i| miss_calls(&svc, sql, i))
+            .take(3)
+            .collect();
+        assert_eq!(counts.len(), 3, "{shape}: a worker kept taking the query");
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "{shape}: count is not stable: {counts:?}"
+        );
+        let calls = counts[0];
+        println!("{shape}: {calls} allocator calls");
+        assert!(
+            calls * 10 <= measured * 11,
+            "{shape}: {calls} allocator calls, more than {measured} + 10 %"
+        );
+    }
+}
