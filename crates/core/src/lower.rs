@@ -660,6 +660,21 @@ mod tests {
         ));
     }
 
+    /// HAVING makes a block one group, but a block releasing no aggregate
+    /// is still raw data.
+    #[test]
+    fn having_without_an_aggregate_is_raw_data() {
+        for sql in [
+            "SELECT fare FROM trips HAVING fare > 0",
+            "SELECT 1 FROM trips HAVING 1 > 0",
+        ] {
+            assert!(
+                matches!(lower_sql(sql), Err(FlexError::RawDataQuery)),
+                "{sql}"
+            );
+        }
+    }
+
     #[test]
     fn set_operation_rejected() {
         assert!(matches!(

@@ -124,15 +124,16 @@ pub fn split_join_constraint<'a>(
     Ok((key_pairs, residual))
 }
 
-/// Whether a SELECT block is an aggregation (GROUP BY present, or any
-/// aggregate function in the projection or HAVING).
+/// Whether a SELECT block is an aggregation: GROUP BY or HAVING present,
+/// or any aggregate function in the projection. HAVING without GROUP BY
+/// makes the block one group, as in standard SQL.
 pub fn is_aggregated(s: &Select) -> bool {
     !s.group_by.is_empty()
+        || s.having.is_some()
         || s.projection.iter().any(|item| match item {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             _ => false,
         })
-        || s.having.as_ref().is_some_and(Expr::contains_aggregate)
 }
 
 /// What backs one output column of a SELECT list.

@@ -147,9 +147,9 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Run a nested query (a derived table, a set-op arm, an expression
-    /// subquery) under this execution's tuning, folding its statistics
-    /// into this execution's.
+    /// Run a nested query (a derived table, an expression subquery) under
+    /// this execution's tuning, folding its statistics into this
+    /// execution's.
     pub(crate) fn subquery(&mut self, q: &Query) -> Result<ResultSet> {
         let (stats, result) = vexec::execute_query(self.db, q, self.par);
         self.stats.absorb(stats);

@@ -38,34 +38,47 @@
 //! materialization: what Project interprets row by row is a scratch row
 //! of the referenced columns, and what it emits is columns again.
 //!
-//! # Plan as you execute
+//! # Open, compile, run
 //!
-//! Nothing is analyzed ahead of execution. `plan_tree` builds the join
-//! tree bottom-up, left to right, and whatever it reaches that is a query
-//! of its own — a derived leaf — **executes right there**; the leaf's
-//! scope and physical column types are read off the executed result.
-//! Set-operation arms and a block's own derived table run the same way
-//! (`vexec`). Every error is therefore raised where it is found, as the
-//! [`DbError`] a reader of the query would expect: an unknown table, a
-//! `USING`/`ON`/`WHERE` name that does not resolve, a failing subquery.
+//! Every SELECT block — a query's, a derived table's, a set-operation
+//! arm's, an expression subquery's — goes through one planner
+//! ([`plan_block`]) and one runner (`vexec::run_select`), in three steps:
+//!
+//! 1. **Open.** FROM becomes a [`PlanNode`] tree of one or more leaves: a
+//!    base table's columnar projection, a derived table, or the one empty
+//!    row of a table-less SELECT. The walk goes bottom-up, left to right;
+//!    a derived leaf **executes right there**, and its scope and physical
+//!    column types are read off the executed result. Each join's
+//!    `USING`/`ON` compiles as soon as both of its subtrees are open.
+//! 2. **Compile.** WHERE compiles against the root's scope and is split
+//!    once, by the placement rules below; then the block's own clauses
+//!    ([`plan_grouped`] / [`plan_tail`]). An expression subquery runs when
+//!    its node compiles. Which columns each join materializes is read off
+//!    this compiled plan (`assign_liveness`), not guessed from the text.
+//! 3. **Run.** Only now does an operator touch a row: the joins
+//!    bottom-up, the WHERE filter, then the block's operators.
+//!
+//! Every error is raised where it is found, as the [`DbError`] a reader
+//! of the query would expect: an unknown table, a `USING`/`ON`/`WHERE`
+//! name that does not resolve, a failing subquery.
 //!
 //! **Error order.** A query with one defect reports that defect. A query
 //! with several independent defects reports the first one in this order:
 //! FROM leaves left to right (a derived leaf's whole execution counts as
 //! its leaf) interleaved bottom-up with each join's `USING`/`ON`
-//! compilation, then WHERE compilation, then join execution bottom-up
-//! and the WHERE filter, then the block's own plan (`plan_tail` /
-//! `plan_grouped`, before any of its rows is touched): GROUP BY,
-//! SELECT items left to right, HAVING, ORDER BY. Runtime errors of the
-//! block come last, operator by operator: group keys (earliest row), each
-//! aggregate's argument in aggregate order (earliest row), the folds
-//! (lowest aggregate index), then per group — or per row of a plain block
-//! — HAVING, SELECT items, sort keys. (The oracle interleaves join
-//! *execution* with the FROM walk, and aggregates group by group, so it
-//! can name a different defect of the same query; whether a query errors
-//! never differs.) Scoping mirrors the
-//! oracle's per-node rule exactly: equi-keys and ON residuals are
-//! extracted against each node's local `left.cols ++ right.cols` scope.
+//! compilation; then the rest of the block compiles — WHERE, GROUP BY,
+//! SELECT items left to right, HAVING, ORDER BY; then it runs — join
+//! execution bottom-up and the WHERE filter, then operator by operator:
+//! group keys (earliest row), each aggregate's argument in aggregate
+//! order (earliest row), the folds (lowest aggregate index), then per
+//! group — or per row of a plain block — HAVING, SELECT items, sort keys.
+//! So a block's compile defect wins over its runtime defects whatever the
+//! data, as on the oracle. (The oracle interleaves join *execution* with
+//! the FROM walk, and aggregates group by group, so over a join it can
+//! name a different defect of the same query; whether a query errors
+//! never differs.) Scoping mirrors the oracle's per-node rule exactly:
+//! equi-keys and ON residuals are extracted against each node's local
+//! `left.cols ++ right.cols` scope.
 //!
 //! Names become positions in [`crate::bind`] and nowhere else: column
 //! references, `USING`/`ON` keys, SELECT-list expansion and ORDER BY
@@ -94,7 +107,9 @@
 //!   post-join evaluation: `w > 5` drops pads, `w IS NULL` keeps them)
 //!   and the root's ON residual is all-kernel (shrinking the candidate
 //!   pair set under a fallible residual could skip an error). Everything
-//!   else runs post-join, whole, on the scalar interpreter.
+//!   else runs post-join, whole, on the scalar interpreter. Over a
+//!   one-leaf root there is no join: every kernel narrows the leaf's scan,
+//!   and a predicate that is not all-kernel runs whole through Project.
 //!
 //! # Conjunct order is scheduling, never semantics
 //!
@@ -144,15 +159,14 @@
 //! is never bound into the release fingerprint.
 
 use crate::aggregate::AggSpec;
-use crate::bind::{self, resolve_column, split_join_constraint, ColMeta, Projected};
-use crate::column::{Column, ColumnData, ColumnarTable};
+use crate::bind::{self, split_join_constraint, ColMeta, Projected};
+use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::error::{DbError, Result};
 use crate::exec::{self, Exec, GroupCompiler, SortKey};
 use crate::expr::CompiledExpr;
 use crate::table::Row;
 use crate::value::Value;
-use crate::vexec;
-use flex_sql::{visitor, BinaryOperator, Expr, JoinType, OrderByItem, Query, Select, TableRef};
+use flex_sql::{BinaryOperator, Expr, JoinType, OrderByItem, Select, TableRef};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -292,7 +306,7 @@ impl ResultSet {
     }
 }
 
-// ---- physical plan IR for the join pipeline -------------------------------
+// ---- physical plan IR of a SELECT block ------------------------------------
 
 /// Which side of a join a single-column kernel conjunct reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,9 +315,9 @@ pub(crate) enum JoinSide {
     Right,
 }
 
-/// A node of the physical join tree.
+/// A node of a block's physical FROM tree.
 pub(crate) enum PlanNode {
-    /// Leaf scan: index into [`TreePlan::leaves`].
+    /// Leaf scan: index into [`BlockPlan::leaves`].
     Scan(usize),
     /// Binary join of two subtrees.
     Join(Box<JoinNode>),
@@ -338,74 +352,127 @@ pub(crate) struct JoinNode {
     /// Fallible ON conjuncts, evaluated per candidate pair in ON order on
     /// the scalar interpreter — exactly the oracle's residual check.
     pub residual: Vec<CompiledExpr>,
-    /// Which of the node's `lw + rw` output columns ancestors (or the
-    /// query tail) actually read. Only these are gathered; dead columns
+    /// Which of the node's `lw + rw` output columns its parent join or
+    /// the block's plan reads. Only these are gathered; dead columns
     /// become cheap all-NULL placeholders that are never re-gathered.
     pub live_cols: Vec<bool>,
 }
 
-/// The planned physical tree for one SELECT block over a join FROM
-/// clause, plus the root-level WHERE remainder.
-pub(crate) struct TreePlan {
+/// One SELECT block, opened and compiled ([`plan_block`]): everything
+/// `vexec::run_select` runs.
+pub(crate) struct BlockPlan {
     /// Scan leaves in FROM order (what [`PlanNode::Scan`] indexes): base
-    /// tables' shared columnar projections and derived tables' executed
-    /// results.
+    /// tables' shared columnar projections, derived tables' executed
+    /// results, or a table-less SELECT's one row of no columns.
     pub leaves: Vec<Arc<ColumnarTable>>,
-    /// The root join (a join FROM always has one).
-    pub root: JoinNode,
-    /// Infallible WHERE kernels that could not push below the root
+    /// The root of the FROM tree: a leaf, or the root join.
+    pub root: PlanNode,
+    /// Infallible WHERE kernels narrowing a one-leaf root's scan, in
+    /// schedule order. (Over a join they push into the tree or land in
+    /// `post_kernels`.)
+    pub scan_kernels: Vec<Kernel>,
+    /// Infallible WHERE kernels that could not push below the root join
     /// (kept-unmatched sides): applied to the root's match vectors,
     /// side-local, pad-aware.
     pub post_kernels: Vec<(JoinSide, Kernel)>,
     /// The whole WHERE predicate when any conjunct lacks a kernel:
-    /// interpreted over joined rows in output order, preserving
+    /// interpreted over the root's rows in order, preserving
     /// short-circuit and error behavior exactly.
     pub post_filter: Option<CompiledExpr>,
-    /// The full combined scope (all leaf columns in FROM order), as
-    /// nested joins qualify it.
-    pub cols: Vec<ColMeta>,
+    /// The block's own plan, over the root's filtered rows.
+    pub body: Body,
 }
 
-/// Plan the physical join tree for a SELECT block whose FROM clause is a
-/// join, executing derived leaves as the build reaches them. Key
-/// extraction, kernel placement, liveness and the order errors surface
-/// in follow the rules in the [module docs](self).
-pub(crate) fn plan_tree(
-    ex: &mut Exec<'_>,
-    q: &Query,
-    s: &Select,
-    from: &TableRef,
-) -> Result<TreePlan> {
-    let mut leaves = Vec::new();
-    let (node, cols, phys) = build_node(ex, from, &mut leaves)?;
-    let PlanNode::Join(root) = node else {
-        unreachable!("plan_tree is only called on a join FROM clause");
-    };
-    let mut root = *root;
+/// What a block does with its filtered FROM.
+pub(crate) enum Body {
+    /// One output row per input row: Project, then the tail.
+    Plain(TailPlan),
+    /// Project, Aggregate, then HAVING and the tail over the groups.
+    Grouped(GroupedPlan),
+}
 
-    // Root-level WHERE: all-kernel predicates split per side and push
-    // below the root where the placement rules allow; anything else runs
-    // whole, post-join, on the interpreter. Either way an infallible
-    // predicate's conjuncts are scheduled first, so every list they land
-    // in is in rank order.
-    let keep_l = keeps_unmatched(root.join_type, JoinSide::Left);
-    let keep_r = keeps_unmatched(root.join_type, JoinSide::Right);
+impl Body {
+    /// Visit every column of the block's input the plan reads: the group
+    /// keys and aggregate arguments of a grouped block (HAVING and its
+    /// tail read the groups table), or a plain block's computed items and
+    /// the items and sort keys it passes through.
+    fn for_each_input_column(&self, f: &mut impl FnMut(usize)) {
+        match self {
+            Body::Grouped(plan) => {
+                let args = plan.aggs.iter().filter_map(|spec| spec.arg.as_ref());
+                for e in plan.keys.iter().chain(args) {
+                    e.for_each_column(f);
+                }
+            }
+            Body::Plain(tail) => {
+                for e in &tail.computed {
+                    e.for_each_column(f);
+                }
+                let sort_items = tail.sort.iter().map(|(item, _)| item);
+                for item in tail.out_items.iter().chain(sort_items) {
+                    if let TailItem::Source(c) = item {
+                        f(*c);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Open and compile one SELECT block ([module docs](self), "Open,
+/// compile, run"): the FROM tree, derived leaves executed as the walk
+/// reaches them; WHERE, split once by the placement rules; the block's
+/// own plan; and each join's liveness, read off that plan. `order_by`,
+/// `limit` and `offset` are what follows the block in its query (a
+/// set-operation arm has none). No operator has touched a row yet.
+pub(crate) fn plan_block(
+    ex: &mut Exec<'_>,
+    s: &Select,
+    order_by: &[OrderByItem],
+    limit: Option<u64>,
+    offset: Option<u64>,
+) -> Result<BlockPlan> {
+    let mut leaves = Vec::new();
+    let (mut root, cols, phys) = match &s.from {
+        Some(from) => build_node(ex, from, &mut leaves)?,
+        None => {
+            leaves.push(Arc::new(ColumnarTable::from_columns(Vec::new(), 1)));
+            (PlanNode::Scan(0), Vec::new(), Vec::new())
+        }
+    };
+
+    // WHERE: an all-kernel predicate narrows a one-leaf root's scan, or
+    // splits per side and pushes below the root join where the placement
+    // rules allow; anything else runs whole, on the interpreter. Either
+    // way an infallible predicate's conjuncts are scheduled first, so
+    // every list they land in is in rank order.
+    let mut scan_kernels = Vec::new();
     let mut post_kernels = Vec::new();
     let mut post_filter = None;
     if let Some(pred) = &s.selection {
         let compiled = ex.compile_scalar(pred, &cols)?;
-        // Pushing below the join is only sound when the root's own
-        // residual is infallible (here: empty, i.e. fully kernelized).
-        let push_ok = root.residual.is_empty();
         let scheduled = schedule_where(compiled, &|c| phys[c], &mut ex.stats.filter_order);
+        let lw = match &root {
+            PlanNode::Join(node) => node.lw,
+            PlanNode::Scan(_) => cols.len(),
+        };
         let kernels: Option<Vec<_>> = scheduled.as_ref().ok().and_then(|conjuncts| {
             conjuncts
                 .iter()
-                .map(|e| side_kernel(e, root.lw, &phys))
+                .map(|e| side_kernel(e, lw, &phys))
                 .collect()
         });
-        match kernels {
-            Some(kernels) => {
+        match (kernels, &mut root) {
+            (None, _) => post_filter = Some(scheduled.map_or_else(|pinned| pinned, and_chain)),
+            (Some(kernels), PlanNode::Scan(_)) => {
+                scan_kernels = kernels.into_iter().map(|(_, k)| k).collect();
+            }
+            (Some(kernels), PlanNode::Join(node)) => {
+                // Pushing below the join is only sound when the root's own
+                // residual is infallible (here: empty, i.e. fully kernelized).
+                let push_ok = node.residual.is_empty();
+                let keep_l = keeps_unmatched(node.join_type, JoinSide::Left);
+                let keep_r = keeps_unmatched(node.join_type, JoinSide::Right);
                 for (side, k) in kernels {
                     match side {
                         // A left-side WHERE kernel may narrow the left
@@ -413,40 +480,47 @@ pub(crate) fn plan_tree(
                         // the left columns (RIGHT/FULL) — those pads
                         // need the post-join evaluation. Symmetrically
                         // for the right side.
-                        JoinSide::Left if push_ok && !keep_r => root.left_kernels.push(k),
-                        JoinSide::Right if push_ok && !keep_l => root.right_kernels.push(k),
+                        JoinSide::Left if push_ok && !keep_r => node.left_kernels.push(k),
+                        JoinSide::Right if push_ok && !keep_l => node.right_kernels.push(k),
                         side => post_kernels.push((side, k)),
                     }
                 }
             }
-            None => post_filter = Some(scheduled.map_or_else(|pinned| pinned, and_chain)),
         }
     }
 
-    // Liveness: what the tail reads from the root's output, plus what
-    // the root-level post filters read from the children (over-marking
-    // the root's own output for the latter is harmless — one extra
-    // gather — and keeps the rule simple: live from leaf to root).
-    let mut live = vec![false; cols.len()];
-    mark_live_columns(q, s, &cols, &mut live);
-    for (side, k) in &post_kernels {
-        let offset = match side {
-            JoinSide::Left => 0,
-            JoinSide::Right => root.lw,
-        };
-        live[offset + k.col()] = true;
-    }
-    if let Some(p) = &post_filter {
-        p.for_each_column(&mut |i| live[i] = true);
-    }
-    assign_liveness(&mut root, live);
+    let body = if bind::is_aggregated(s) {
+        Body::Grouped(plan_grouped(ex, s, &cols, order_by, limit, offset)?)
+    } else {
+        Body::Plain(plan_tail(ex, s, &cols, order_by, limit, offset)?)
+    };
 
-    Ok(TreePlan {
+    // Liveness: the root join materializes what the block's plan reads;
+    // its children also hold what the WHERE reads of the pairs.
+    if let PlanNode::Join(node) = &mut root {
+        let mut live = vec![false; cols.len()];
+        body.for_each_input_column(&mut |i| live[i] = true);
+        let mut reads = live.clone();
+        for (side, k) in &post_kernels {
+            let offset = match side {
+                JoinSide::Left => 0,
+                JoinSide::Right => node.lw,
+            };
+            reads[offset + k.col()] = true;
+        }
+        if let Some(p) = &post_filter {
+            p.for_each_column(&mut |i| reads[i] = true);
+        }
+        assign_liveness(node, live, reads);
+    }
+
+    Ok(BlockPlan {
         leaves,
         root,
+        scan_kernels,
         post_kernels,
         post_filter,
-        cols,
+        body,
     })
 }
 
@@ -467,7 +541,27 @@ fn build_node(
     t: &TableRef,
     leaves: &mut Vec<Arc<ColumnarTable>>,
 ) -> Result<(PlanNode, Vec<ColMeta>, Vec<Phys>)> {
-    match t {
+    let (ctab, cols, base_table) = match t {
+        TableRef::Table { name, alias } => {
+            let table = ex
+                .db
+                .table(name)
+                .ok_or_else(|| DbError::UnknownTable(name.clone()))?;
+            let cols = table.col_metas(alias.as_deref().unwrap_or(name));
+            (table.columnar().clone(), cols, true)
+        }
+        // The subquery executes here, before anything that follows it in
+        // the query compiles, and its result columnarizes under the
+        // alias's scope.
+        TableRef::Derived { query, alias } => {
+            let rs = ex.subquery(query)?;
+            let ctab = ColumnarTable::from_rows(&rs.rows, rs.columns.len());
+            (
+                Arc::new(ctab),
+                bind::derived_scope(alias, rs.columns),
+                false,
+            )
+        }
         TableRef::Join {
             left,
             right,
@@ -529,60 +623,61 @@ fn build_node(
                 None => node.residual = residual,
             }
 
-            Ok((PlanNode::Join(Box::new(node)), combined, phys))
+            return Ok((PlanNode::Join(Box::new(node)), combined, phys));
         }
-        leaf => {
-            let (ctab, cols) = vexec::open_scan(ex, leaf)?;
-            let phys = ctab.columns.iter().map(Phys::of).collect();
-            leaves.push(ctab);
-            Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
-        }
+    };
+    // Selection vectors are u32 with GATHER_NULL as a sentinel.
+    if ctab.len() >= GATHER_NULL as usize {
+        return Err(DbError::Unsupported(format!(
+            "scan of {} rows exceeds the executor's {GATHER_NULL}-row limit",
+            ctab.len()
+        )));
     }
+    ex.stats.note_scan(ctab.len(), ex.par, base_table);
+    let phys = ctab.columns.iter().map(Phys::of).collect();
+    leaves.push(ctab);
+    Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
 }
 
-/// Push liveness down the tree: a node materializes exactly `needed`,
-/// and each child must additionally materialize whatever this node reads
-/// at pair time (join keys, kernels, residual references) — so a column
-/// is either real along its whole leaf-to-root path, or an all-NULL
-/// placeholder from some node upward that no operator ever gathers.
-fn assign_liveness(node: &mut JoinNode, needed: Vec<bool>) {
+/// Push liveness down the tree: `node` materializes exactly `live`, and
+/// `reads` (which holds `live`) is every column of its combined scope
+/// read above it — by its parent or the block's plan and, at the root,
+/// by the WHERE over its pairs. Each child materializes its side of
+/// `reads` plus what `node` reads at pair time (join keys, kernels,
+/// residual references) — so a column is either real along its whole
+/// leaf-to-root path, or an all-NULL placeholder from some node upward
+/// that no operator ever gathers.
+fn assign_liveness(node: &mut JoinNode, live: Vec<bool>, mut reads: Vec<bool>) {
     let lw = node.lw;
-    node.live_cols = needed;
-    let mut lneed = node.live_cols[..lw].to_vec();
-    let mut rneed = node.live_cols[lw..].to_vec();
     for &(lk, rk) in &node.key_pairs {
-        lneed[lk] = true;
-        rneed[rk] = true;
+        reads[lk] = true;
+        reads[lw + rk] = true;
     }
     for k in node.left_kernels.iter().chain(&node.left_match_kernels) {
-        lneed[k.col()] = true;
+        reads[k.col()] = true;
     }
     for k in node.right_kernels.iter().chain(&node.right_match_kernels) {
-        rneed[k.col()] = true;
+        reads[lw + k.col()] = true;
     }
     for e in &node.residual {
-        e.for_each_column(&mut |i| {
-            if i < lw {
-                lneed[i] = true;
-            } else {
-                rneed[i - lw] = true;
-            }
-        });
+        e.for_each_column(&mut |i| reads[i] = true);
     }
+    let rneed = reads.split_off(lw);
     if let PlanNode::Join(child) = &mut node.left {
-        assign_liveness(child, lneed);
+        assign_liveness(child, reads.clone(), reads);
     }
     if let PlanNode::Join(child) = &mut node.right {
-        assign_liveness(child, rneed);
+        assign_liveness(child, rneed.clone(), rneed);
     }
+    node.live_cols = live;
 }
 
 // ---- kernels ---------------------------------------------------------------
 
 /// One infallible conjunct over a single column, as the columnar
 /// operators run it: extracted once from a scheduled conjunct
-/// ([`Kernel::of`]) and a value from then on — in `filter`, a
-/// [`JoinNode`]'s pushed lists, [`TreePlan::post_kernels`] — so nothing
+/// ([`Kernel::of`]) and a value from then on — in a [`BlockPlan`]'s
+/// scan and post kernels and a [`JoinNode`]'s pushed lists — so nothing
 /// downstream re-reads a [`CompiledExpr`]'s shape, and a new kernel is
 /// one variant here plus one arm of `vexec::kernel_predicate`.
 #[derive(Debug, Clone, PartialEq)]
@@ -599,7 +694,7 @@ pub(crate) enum Kernel {
 
 impl Kernel {
     /// The kernel `e` is, if it is one, over columns stored as `phys`.
-    pub(crate) fn of(e: &CompiledExpr, phys: &dyn Fn(usize) -> Phys) -> Option<Kernel> {
+    fn of(e: &CompiledExpr, phys: &dyn Fn(usize) -> Phys) -> Option<Kernel> {
         use CompiledExpr::{Binary, Column, IsNull, Like, Literal};
         Some(match e {
             Binary { op, left, right } if op.is_comparison() => match (&**left, &**right) {
@@ -672,7 +767,7 @@ fn flip(op: BinaryOperator) -> BinaryOperator {
 /// How a column is physically stored — all the scheduling rule (and the
 /// LIKE gate) reads of it. Never a value, a count or a null share.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Phys {
+enum Phys {
     /// `Int64`, `Float64`, `Bool`: a comparison costs one step.
     Fixed,
     /// All strings: four steps a comparison, and the only columns
@@ -683,7 +778,7 @@ pub(crate) enum Phys {
 }
 
 impl Phys {
-    pub(crate) fn of(col: &Column) -> Phys {
+    fn of(col: &Column) -> Phys {
         match col.data {
             ColumnData::Str(_) => Phys::Str,
             ColumnData::Mixed(_) => Phys::Mixed,
@@ -847,7 +942,7 @@ fn schedule(
 
 /// Schedule a compiled WHERE predicate: its conjuncts in run order, or —
 /// one of them fallible — the predicate back, untouched.
-pub(crate) fn schedule_where(
+fn schedule_where(
     pred: CompiledExpr,
     phys: &dyn Fn(usize) -> Phys,
     order: &mut FilterOrder,
@@ -872,7 +967,7 @@ fn collect_conjuncts<'e>(e: &'e CompiledExpr, out: &mut Vec<&'e CompiledExpr>) {
 }
 
 /// Scheduled conjuncts as the left-deep AND chain the interpreter runs.
-pub(crate) fn and_chain(conjuncts: Vec<CompiledExpr>) -> CompiledExpr {
+fn and_chain(conjuncts: Vec<CompiledExpr>) -> CompiledExpr {
     conjuncts
         .into_iter()
         .reduce(|chain, next| CompiledExpr::Binary {
@@ -949,7 +1044,9 @@ fn tail_item(e: CompiledExpr, computed: &mut Vec<CompiledExpr>) -> TailItem {
 /// output-position/name matches sort on the projected item; other keys
 /// compile through `compile_source` against the tail's input scope.
 fn build_tail(
-    q: &Query,
+    order_by: &[OrderByItem],
+    limit: Option<u64>,
+    offset: Option<u64>,
     distinct: bool,
     items: Vec<(ColMeta, CompiledExpr)>,
     compile_source: &mut dyn FnMut(&Expr) -> Result<CompiledExpr>,
@@ -959,10 +1056,10 @@ fn build_tail(
         .into_iter()
         .map(|(meta, e)| (meta, tail_item(e, &mut computed)))
         .unzip();
-    let keys = exec::plan_sort_keys_with(&q.order_by, &out_cols, compile_source)?;
+    let keys = exec::plan_sort_keys_with(order_by, &out_cols, compile_source)?;
     let sort = keys
         .into_iter()
-        .zip(&q.order_by)
+        .zip(order_by)
         .map(|(key, item)| {
             let tail_item = match key {
                 SortKey::Output(pos) => out_items[pos],
@@ -977,8 +1074,8 @@ fn build_tail(
         sort,
         computed,
         distinct,
-        limit: q.limit,
-        offset: q.offset,
+        limit,
+        offset,
     })
 }
 
@@ -986,11 +1083,13 @@ fn build_tail(
 /// raised here, before any row of the tail's input is touched, in the
 /// oracle's order: projection items left to right (an unknown wildcard
 /// qualifier among them), then ORDER BY.
-pub(crate) fn plan_tail(
+fn plan_tail(
     ex: &mut Exec<'_>,
-    q: &Query,
     s: &Select,
     cols: &[ColMeta],
+    order_by: &[OrderByItem],
+    limit: Option<u64>,
+    offset: Option<u64>,
 ) -> Result<TailPlan> {
     debug_assert!(!bind::is_aggregated(s));
     let mut items: Vec<(ColMeta, CompiledExpr)> = Vec::new();
@@ -1002,7 +1101,8 @@ pub(crate) fn plan_tail(
         };
         items.push((meta, compiled));
     }
-    build_tail(q, s.distinct, items, &mut |e| ex.compile_scalar(e, cols))
+    let compile_source = &mut |e: &Expr| ex.compile_scalar(e, cols);
+    build_tail(order_by, limit, offset, s.distinct, items, compile_source)
 }
 
 /// Compiled pieces of an aggregated SELECT block: what the Aggregate
@@ -1023,11 +1123,13 @@ pub(crate) struct GroupedPlan {
 /// Plan an aggregated SELECT block. Compile errors are raised here, in
 /// the oracle's order: GROUP BY, projection items left to right (a
 /// wildcard is one), HAVING, then ORDER BY.
-pub(crate) fn plan_grouped(
+fn plan_grouped(
     ex: &mut Exec<'_>,
-    q: &Query,
     s: &Select,
     cols: &[ColMeta],
+    order_by: &[OrderByItem],
+    limit: Option<u64>,
+    offset: Option<u64>,
 ) -> Result<GroupedPlan> {
     let sources = exec::group_keys(s);
     let keys = (sources.iter())
@@ -1053,7 +1155,8 @@ pub(crate) fn plan_grouped(
         Some(h) => Some(gc.compile(ex, h, cols)?),
         None => None,
     };
-    let tail = build_tail(q, s.distinct, items, &mut |e| gc.compile(ex, e, cols))?;
+    let compile_source = &mut |e: &Expr| gc.compile(ex, e, cols);
+    let tail = build_tail(order_by, limit, offset, s.distinct, items, compile_source)?;
     let aggs = gc.aggs;
     Ok(GroupedPlan {
         keys,
@@ -1061,51 +1164,6 @@ pub(crate) fn plan_grouped(
         having,
         tail,
     })
-}
-
-/// Mark every combined column the query can read *after* the join —
-/// projection, GROUP BY, HAVING and ORDER BY. Over-marking is harmless
-/// (an extra gather); under-marking never happens: a reference that does
-/// not resolve here fails compilation in the shared tail before any row
-/// is touched, and wildcards mark whole sides.
-fn mark_live_columns(q: &Query, s: &Select, combined: &[ColMeta], live: &mut [bool]) {
-    let mark_expr = |e: &Expr, live: &mut [bool]| {
-        visitor::walk_expr(e, &mut |sub| {
-            if let Expr::Column(c) = sub {
-                if let Ok(i) = resolve_column(combined, c) {
-                    live[i] = true;
-                }
-            }
-        });
-    };
-
-    // What the SELECT list reads. (An unknown `q.*` marks nothing: the
-    // block's plan raises it before any row is touched.)
-    let mut out_cols = Vec::new();
-    for (meta, source) in bind::project_scope(combined, &s.projection)
-        .into_iter()
-        .flatten()
-    {
-        match source {
-            Projected::Wildcard(i) => live[i] = true,
-            Projected::Expr(expr) => mark_expr(expr, live),
-        }
-        out_cols.push(meta);
-    }
-    for g in &s.group_by {
-        mark_expr(g, live);
-    }
-    if let Some(h) = &s.having {
-        mark_expr(h, live);
-    }
-    for OrderByItem { expr, .. } in &q.order_by {
-        // A key that is an output position or name sorts on the output
-        // value, which the SELECT list already marked; only a source
-        // expression reads more. (Out of range: the plan's error.)
-        if let Ok(None) = bind::sort_key_by_output(expr, &out_cols) {
-            mark_expr(expr, live);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1168,13 +1226,96 @@ mod tests {
             let s = q.as_select().unwrap();
             let mut ex = Exec::new(&db, db.exec_tuning());
             let planned = if bind::is_aggregated(s) {
-                plan_grouped(&mut ex, &q, s, &cols).map(drop)
+                plan_grouped(&mut ex, s, &cols, &q.order_by, q.limit, q.offset).map(drop)
             } else {
-                plan_tail(&mut ex, &q, s, &cols).map(drop)
+                plan_tail(&mut ex, s, &cols, &q.order_by, q.limit, q.offset).map(drop)
             };
             let err = planned.expect_err(tail).to_string();
             assert!(err.contains(expected), "{tail}: {err}");
             assert_eq!(err, db.execute_sql(tail).unwrap_err().to_string(), "{tail}");
+        }
+    }
+
+    /// Each join of a three-leaf tree materializes exactly the columns
+    /// read above it. Scope: `l.k l.v l.s m.k m.w m.s n.k n.z` (0–7); the
+    /// inner join `l ⋈ m` holds 0–5. What the inner join reads itself
+    /// (its keys `l.k`, `m.k` and its residual `l.v + m.w`) is the leaves'
+    /// business, not its own output's.
+    #[test]
+    fn liveness_is_exactly_what_is_read_above_each_join() {
+        use crate::schema::{DataType, Schema};
+        let mut db = crate::database::Database::new();
+        for (name, cols) in [
+            (
+                "l",
+                [
+                    ("k", DataType::Int),
+                    ("v", DataType::Int),
+                    ("s", DataType::Str),
+                ],
+            ),
+            (
+                "m",
+                [
+                    ("k", DataType::Int),
+                    ("w", DataType::Int),
+                    ("s", DataType::Str),
+                ],
+            ),
+        ] {
+            db.create_table(name, Schema::of(&cols)).unwrap();
+        }
+        let n = Schema::of(&[("k", DataType::Int), ("z", DataType::Int)]);
+        db.create_table("n", n).unwrap();
+        let inner = "FROM l JOIN m ON l.k = m.k AND l.v + m.w > 0";
+        for (sql, root, below) in [
+            // The group key; a post-join kernel (FULL keeps the left
+            // pads); the root's keys and its left match kernel.
+            (
+                format!(
+                    "SELECT l.v, COUNT(*) {inner} FULL JOIN n ON m.k = n.k AND m.s = 'x' \
+                     WHERE l.s IS NULL GROUP BY l.v"
+                ),
+                vec![1],
+                vec![1, 2, 3, 5],
+            ),
+            // A passed-through item and a sort key; the interpreted
+            // post-join filter; the root's keys.
+            (
+                format!("SELECT l.v {inner} JOIN n ON m.k = n.k WHERE m.w + n.z > 0 ORDER BY l.s"),
+                vec![1, 2],
+                vec![1, 2, 3, 4],
+            ),
+            // An aggregate argument; the root's residual and keys.
+            (
+                format!("SELECT SUM(n.z + l.v) {inner} JOIN n ON m.k = n.k AND m.s < n.z"),
+                vec![1, 7],
+                vec![1, 3, 5],
+            ),
+            // A computed item; the root's keys.
+            (
+                format!("SELECT l.s IS NULL {inner} JOIN n ON l.k = n.k ORDER BY 1"),
+                vec![2],
+                vec![0, 2],
+            ),
+        ] {
+            let q = flex_sql::parse_query(&sql).unwrap();
+            let mut ex = Exec::new(&db, db.exec_tuning());
+            let plan = plan_block(&mut ex, q.as_select().unwrap(), &q.order_by, None, None);
+            let plan = plan.unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let live = |node: &JoinNode| -> Vec<usize> {
+                (0..node.live_cols.len())
+                    .filter(|&i| node.live_cols[i])
+                    .collect()
+            };
+            let PlanNode::Join(root_node) = &plan.root else {
+                panic!("{sql}: a join root");
+            };
+            let PlanNode::Join(inner_node) = &root_node.left else {
+                panic!("{sql}: a join on the left");
+            };
+            assert_eq!(live(root_node), root, "{sql}: root");
+            assert_eq!(live(inner_node), below, "{sql}: inner join");
         }
     }
 

@@ -15,29 +15,28 @@
 //! `execute_query` runs any `WITH`-free query ([`crate::exec`]'s public
 //! entry points expand `WITH` first, so a CTE reference *is* a derived
 //! table here) and is also what every nested query goes through — a
-//! derived table, a set-operation arm, an `IN (SELECT …)` / `EXISTS`
-//! subquery — each as an execution of its own whose statistics fold into
-//! its parent's (`VexecStats::absorb`). A query is one of:
+//! derived table, an `IN (SELECT …)` / `EXISTS` subquery — each as an
+//! execution of its own whose statistics fold into its parent's
+//! (`VexecStats::absorb`). A query is one of:
 //!
-//! - a SELECT block over **one scan**: a base table, a derived table
-//!   (`FROM (SELECT …) alias` — the subquery executes first and its
-//!   result columnarizes into the block's scan), or nothing at all (a
-//!   table-less `SELECT` scans one row of zero columns);
-//! - a SELECT block over a **join tree** of any width
-//!   (`plan::plan_tree`): INNER/LEFT/RIGHT/FULL equi-joins run as
-//!   columnar hash joins (matched-bit tracking pads the kept sides),
-//!   CROSS and non-equi joins as nested-loop morsels, each join
-//!   late-materializing only live columns into the next operator's
-//!   input;
+//! - a **SELECT block** (`run_select`): its FROM is a tree of one or more
+//!   leaves — base tables, derived tables (`FROM (SELECT …) alias`, whose
+//!   subquery executes when the planner reaches it and whose result
+//!   columnarizes into a leaf), or, for a table-less `SELECT`, one row of
+//!   zero columns — joined as wide as the query writes it:
+//!   INNER/LEFT/RIGHT/FULL equi-joins run as columnar hash joins
+//!   (matched-bit tracking pads the kept sides), CROSS and non-equi joins
+//!   as nested-loop morsels, each join late-materializing only live
+//!   columns into the next operator's input;
 //! - a **set-operation** tree (UNION \[ALL\], INTERSECT, EXCEPT, mixed
-//!   freely): arms execute left to right, concatenate into one columnar
-//!   table, and each node of the tree keeps, drops or dedupes index
-//!   ranges over it.
+//!   freely): arms run left to right as SELECT blocks with no tail of
+//!   their own, concatenate into one columnar table, and each node of the
+//!   tree keeps, drops or dedupes index ranges over it.
 //!
-//! Nothing declines and nothing is analyzed ahead of time: whatever the
-//! walk reaches executes there, and an error is raised where it is found
-//! ([`crate::plan`], "Plan as you execute"). Every block is the same
-//! operator sequence over [`ColumnarTable`]s — Scan → Filter → Join →
+//! Nothing declines: a block is opened and compiled in full by
+//! [`plan::plan_block`] and then run ([`crate::plan`], "Open, compile,
+//! run"), and an error is raised where it is found. Every block is the
+//! same operator sequence over [`ColumnarTable`]s — Scan → Filter → Join →
 //! Project → Aggregate → Project → Tail, each step present only when the
 //! query asks for it:
 //!
@@ -108,7 +107,7 @@
 //! the folds in table order) where the oracle runs group by group.
 
 use crate::aggregate::{self, AggFunc, AggPartial, FoldAcc, FoldState};
-use crate::bind::{self, ColMeta};
+use crate::bind::ColMeta;
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::database::Database;
 use crate::error::{DbError, Result};
@@ -116,12 +115,12 @@ use crate::exec::{self, Exec};
 use crate::expr::{columns_read, comparison_holds, like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, FilterOrder, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, Phys, PlanNode,
+    self, Body, FilterOrder, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, PlanNode,
     Relation, ResultSet, TailItem, TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
-use flex_sql::{BinaryOperator, JoinType, Query, Select, SetExpr, SetOperator, TableRef};
+use flex_sql::{BinaryOperator, JoinType, OrderByItem, Query, Select, SetExpr, SetOperator};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -165,9 +164,9 @@ impl Default for VexecStats {
 }
 
 impl VexecStats {
-    /// Fold a nested execution — a derived table, a set-op arm, an
-    /// expression subquery — into this one: its scans are this query's
-    /// scans, its joins and predicates precede this query's own.
+    /// Fold a nested execution — a derived table, an expression subquery
+    /// — into this one: its scans are this query's scans, its joins and
+    /// predicates precede this query's own.
     pub(crate) fn absorb(&mut self, child: VexecStats) {
         self.topk |= child.topk;
         self.morsels += child.morsels;
@@ -180,7 +179,7 @@ impl VexecStats {
     /// Record that a `len`-row input is about to be scanned: it may
     /// engage the worker pool, and when it is a base table its rows and
     /// morsels count (a derived table's were counted by its subquery).
-    fn note_scan(&mut self, len: usize, par: Parallelism, base_table: bool) {
+    pub(crate) fn note_scan(&mut self, len: usize, par: Parallelism, base_table: bool) {
         self.workers = self.workers.max(par.workers_for(len) as u64);
         if base_table && len > 0 {
             self.rows_scanned += len as u64;
@@ -204,102 +203,56 @@ pub(crate) fn execute_query(
 }
 
 fn run_query(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
-    let s = match &q.body {
-        SetExpr::Select(s) => s,
-        SetExpr::SetOp { .. } => return run_set_op(ex, q),
-    };
-    match &s.from {
-        // Table-less SELECT: one row, no columns.
-        None => {
-            let one_row = ColumnarTable::from_columns(Vec::new(), 1);
-            run_block(ex, q, s, Vec::new(), &one_row)
-        }
-        Some(from @ TableRef::Join { .. }) => run_tree(ex, q, s, from),
-        Some(scan) => {
-            let (ctab, cols) = open_scan(ex, scan)?;
-            run_block(ex, q, s, cols, &ctab)
-        }
+    match &q.body {
+        SetExpr::Select(s) => run_select(ex, s, &q.order_by, q.limit, q.offset),
+        SetExpr::SetOp { .. } => run_set_op(ex, q),
     }
 }
 
-/// Open the scan behind a non-join FROM item: a base table's shared
-/// columnar projection, or a derived table — whose subquery executes
-/// here, before anything that follows it in the query compiles, and
-/// whose result columnarizes under the alias's scope.
-pub(crate) fn open_scan(
+/// One SELECT block, opened and compiled in full by
+/// [`plan::plan_block`] before any operator runs; then its FROM tree and
+/// WHERE produce the block's input and selection — a one-leaf root's
+/// scan narrowed by its kernels or filtered through Project, or a join
+/// tree executed bottom-up with the WHERE on the root's pairs — and the
+/// block's own operators finish it: Project → Aggregate → Project → Tail
+/// ([`run_grouped`]) or Project → Tail. See [`crate::plan`] for why each
+/// pushdown preserves the oracle's bytes.
+fn run_select(
     ex: &mut Exec<'_>,
-    t: &TableRef,
-) -> Result<(Arc<ColumnarTable>, Vec<ColMeta>)> {
-    let (ctab, cols, base_table) = match t {
-        TableRef::Table { name, alias } => {
-            let table = ex
-                .db
-                .table(name)
-                .ok_or_else(|| DbError::UnknownTable(name.clone()))?;
-            let cols = table.col_metas(alias.as_deref().unwrap_or(name));
-            (table.columnar().clone(), cols, true)
-        }
-        TableRef::Derived { query, alias } => {
-            let rs = ex.subquery(query)?;
-            let ctab = ColumnarTable::from_rows(&rs.rows, rs.columns.len());
-            let cols = bind::derived_scope(alias, rs.columns);
-            (Arc::new(ctab), cols, false)
-        }
-        TableRef::Join { .. } => unreachable!("join FROM clauses go through plan_tree"),
-    };
-    // Selection vectors are u32 with GATHER_NULL as a sentinel.
-    if ctab.len() >= GATHER_NULL as usize {
-        return Err(DbError::Unsupported(format!(
-            "scan of {} rows exceeds the executor's {GATHER_NULL}-row limit",
-            ctab.len()
-        )));
-    }
-    ex.stats.note_scan(ctab.len(), ex.par, base_table);
-    Ok((ctab, cols))
-}
-
-/// One SELECT block over an already-columnar input: WHERE → selection
-/// vector, then the shared [`finish_block`] tail. The scan behind
-/// `ctab` can be a base table, a columnarized derived-table result, or
-/// the one empty row of a table-less SELECT.
-fn run_block(
-    ex: &mut Exec<'_>,
-    q: &Query,
     s: &Select,
-    cols: Vec<ColMeta>,
-    ctab: &ColumnarTable,
+    order_by: &[OrderByItem],
+    limit: Option<u64>,
+    offset: Option<u64>,
 ) -> Result<ResultSet> {
-    // WHERE → selection vector.
-    let sel = match &s.selection {
-        Some(pred) => {
-            let compiled = ex.compile_scalar(pred, &cols)?;
-            filter(ctab, compiled, ex.par, &mut ex.stats.filter_order)?
-        }
-        None => (0..ctab.len() as u32).collect(),
-    };
-    finish_block(ex, q, s, cols, ctab, &sel)
-}
-
-/// Everything downstream of the scan/filter/join, shared by the
-/// single-scan and join-tree pipelines. The block's plan raises its own
-/// compile errors; then an aggregated block is Project → Aggregate →
-/// Project → Tail ([`run_grouped`]) and a plain one Project → Tail.
-fn finish_block(
-    ex: &mut Exec<'_>,
-    q: &Query,
-    s: &Select,
-    cols: Vec<ColMeta>,
-    ctab: &ColumnarTable,
-    sel: &[u32],
-) -> Result<ResultSet> {
+    let plan = plan::plan_block(ex, s, order_by, limit, offset)?;
     let par = ex.par;
-    let rel = if bind::is_aggregated(s) {
-        let plan = plan::plan_grouped(ex, q, s, &cols)?;
-        run_grouped(ctab, sel, &plan, par, &mut ex.stats.topk)?
-    } else {
-        let tail = plan::plan_tail(ex, q, s, &cols)?;
-        let (sel, computed) = project(ctab, sel, None, &tail.computed, par)?;
-        run_tail(ctab, &sel, &computed, &tail, par, &mut ex.stats.topk)
+    let (input, sel) = match &plan.root {
+        PlanNode::Scan(leaf) => {
+            let leaf = &plan.leaves[*leaf];
+            let sel = kernel_scan(leaf, &plan.scan_kernels, par);
+            let sel = match &plan.post_filter {
+                Some(pred) => project(leaf, &sel, Some(pred), &[], par)?.0.into_owned(),
+                None => sel,
+            };
+            (leaf.clone(), sel)
+        }
+        PlanNode::Join(root) => {
+            let mut texec = TreeExec {
+                par,
+                join_order: &mut ex.stats.join_order,
+            };
+            let post = (&plan.post_kernels[..], plan.post_filter.as_ref());
+            let joined = texec.exec_join(root, Some(post), &plan.leaves)?;
+            let sel = (0..joined.len() as u32).collect();
+            (joined, sel)
+        }
+    };
+    let rel = match &plan.body {
+        Body::Grouped(grouped) => run_grouped(&input, &sel, grouped, par, &mut ex.stats.topk)?,
+        Body::Plain(tail) => {
+            let (sel, computed) = project(&input, &sel, None, &tail.computed, par)?;
+            run_tail(&input, &sel, &computed, tail, par, &mut ex.stats.topk)
+        }
     };
     Ok(ResultSet::from(rel))
 }
@@ -750,44 +703,6 @@ where
 
 // ---- columnar filtering -------------------------------------------------
 
-/// Scan the table for the rows where `pred` is TRUE (SQL filter
-/// semantics: NULL drops).
-///
-/// A predicate whose every top-level AND conjunct is infallible runs in
-/// the planner's schedule ([`plan::schedule_where`]), not in the order it
-/// was spelled. When every conjunct also is a [`Kernel`], conjuncts narrow
-/// the selection one at a time, so later conjuncts only touch surviving
-/// rows; otherwise the scheduled chain goes to the scalar interpreter
-/// ([`project`] with it as the predicate, over every row).
-/// Both are only sound because nothing reordered can raise: the oracle
-/// keeps evaluating later conjuncts on rows where an earlier one was
-/// NULL (AND short-circuits on FALSE only), so skipping those rows may
-/// skip a runtime *error* the oracle would report. Any fallible conjunct
-/// therefore sends the whole predicate, exactly as compiled, to the
-/// scalar interpreter, which preserves short-circuit and error behavior.
-///
-/// Each morsel of the table narrows independently (kernels and the
-/// scalar interpreter are both per-row) and the surviving indices
-/// concatenate in morsel order, so the first error in row order is the
-/// one that surfaces.
-fn filter(
-    ctab: &ColumnarTable,
-    pred: CompiledExpr,
-    par: Parallelism,
-    order: &mut FilterOrder,
-) -> Result<Vec<u32>> {
-    let phys = |c: usize| Phys::of(&ctab.columns[c]);
-    let pred = match plan::schedule_where(pred, &phys, order) {
-        Ok(conjuncts) => match conjuncts.iter().map(|c| Kernel::of(c, &phys)).collect() {
-            Some::<Vec<_>>(kernels) => return Ok(kernel_scan(ctab, &kernels, par)),
-            None => plan::and_chain(conjuncts),
-        },
-        Err(pinned) => pinned,
-    };
-    let all: Vec<u32> = (0..ctab.len() as u32).collect();
-    Ok(project(ctab, &all, Some(&pred), &[], par)?.0.into_owned())
-}
-
 /// Narrow a full-table scan by a list of kernel conjuncts (the identity
 /// selection when there are none), morsel by morsel.
 fn kernel_scan(tab: &ColumnarTable, kernels: &[Kernel], par: Parallelism) -> Vec<u32> {
@@ -1103,10 +1018,10 @@ fn filter_pairs(
 /// compiled post-join residual filter.
 type PostSplit<'p> = (&'p [(JoinSide, Kernel)], Option<&'p CompiledExpr>);
 
-/// Bottom-up executor over a planned join tree ([`plan::TreePlan`]):
-/// each node's children materialize first (left before right), then the
-/// node joins them into a columnar intermediate holding only the
-/// columns its parent needs.
+/// Bottom-up executor over a block's planned join tree
+/// ([`plan::BlockPlan`]): each node's children materialize first (left
+/// before right), then the node joins them into a columnar intermediate
+/// holding only the columns read above it.
 struct TreeExec<'e> {
     par: Parallelism,
     join_order: &'e mut JoinOrder,
@@ -1319,29 +1234,8 @@ fn swapped_equi_join(
     )
 }
 
-/// A SELECT block over a join FROM clause: plan the tree (derived
-/// leaves execute as the planner reaches them), execute it bottom-up
-/// (each join late-materializing only live columns into a columnar
-/// intermediate), then run the shared WHERE-residue, aggregate and
-/// projection tail over the root's output. See [`crate::plan`] for why
-/// each pushdown preserves the oracle's bytes.
-fn run_tree(ex: &mut Exec<'_>, q: &Query, s: &Select, from: &TableRef) -> Result<ResultSet> {
-    let tree = plan::plan_tree(ex, q, s, from)?;
-    let mut texec = TreeExec {
-        par: ex.par,
-        join_order: &mut ex.stats.join_order,
-    };
-    let joined = texec.exec_join(
-        &tree.root,
-        Some((&tree.post_kernels, tree.post_filter.as_ref())),
-        &tree.leaves,
-    )?;
-    let sel: Vec<u32> = (0..joined.len() as u32).collect();
-    finish_block(ex, q, s, tree.cols, &joined, &sel)
-}
-
-/// Run a set-operation tree: arms execute left to right as queries of
-/// their own, their rows concatenate into one columnar intermediate, the
+/// Run a set-operation tree: arms run left to right as SELECT blocks,
+/// their rows concatenate into one columnar intermediate, the
 /// tree's nodes keep, drop or dedupe index ranges over it bottom-up
 /// ([`set_op_indices`]), and the surviving indices are the selection the
 /// shared ORDER BY / LIMIT tail ([`run_tail`]) runs over.
@@ -1403,9 +1297,9 @@ fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
 fn run_arms(ex: &mut Exec<'_>, e: &SetExpr, arms: &mut Vec<ResultSet>) -> Result<usize> {
     match e {
         SetExpr::Select(s) => {
-            // An arm is a query of its own with no ORDER BY / LIMIT
-            // (those apply to the set operation's output).
-            let rs = ex.subquery(&Query::from_select((**s).clone()))?;
+            // An arm is a block with no ORDER BY / LIMIT of its own (those
+            // apply to the set operation's output).
+            let rs = run_select(ex, s, &[], None, None)?;
             let width = rs.columns.len();
             arms.push(rs);
             Ok(width)

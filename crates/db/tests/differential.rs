@@ -2023,12 +2023,12 @@ fn negating_the_smallest_integer_wraps() {
     assert_eq!(rs.rows.len(), 2);
 }
 
-/// A block's plan raises its compile errors before any row *of the tail*
-/// is touched — but after the WHERE filter has run, as on the oracle: a
-/// non-kernel conjunct that fails on the first row is the error that
-/// surfaces, whatever is wrong with the tail.
+/// A block compiles in full before any operator runs: whatever is wrong
+/// with its tail is the error, even when its WHERE filter fails on the
+/// first row — the same error as under a WHERE that cannot fail, on both
+/// engines.
 #[test]
-fn where_runtime_error_precedes_tail_compile_errors() {
+fn tail_compile_errors_precede_where_runtime_errors() {
     let db = agg_matrix_db(false);
     for tail in [
         "SELECT nope FROM g",
@@ -2040,18 +2040,83 @@ fn where_runtime_error_precedes_tail_compile_errors() {
         "SELECT k FROM g ORDER BY 9",
     ] {
         let (select, rest) = tail.split_once(" FROM g").unwrap();
+        // A kernel conjunct cannot fail: the tail's defect is all there is.
+        let kernel = format!("{select} FROM g WHERE k = 1{rest}");
+        let expected = db.execute_sql(&kernel).expect_err(&kernel).to_string();
+        assert!(!expected.contains("arithmetic"), "{kernel}: {expected}");
+        assert_engines_agree(&db, &kernel, "kernel WHERE");
         let sql = format!("{select} FROM g WHERE s + 1 > 0{rest}");
         for workers in [1, 8] {
             db.set_parallelism(workers);
             let err = db.execute_sql(&sql).expect_err(&sql).to_string();
-            assert!(err.contains("arithmetic"), "{sql}: {err}");
+            assert_eq!(err, expected, "{sql}");
             assert_engines_agree(&db, &sql, &format!("workers={workers}"));
         }
-        // A kernel conjunct cannot fail: the tail's defect is all there is.
-        let sql = format!("{select} FROM g WHERE k = 1{rest}");
-        let err = db.execute_sql(&sql).expect_err(&sql).to_string();
-        assert!(!err.contains("arithmetic"), "{sql}: {err}");
-        assert_engines_agree(&db, &sql, "kernel WHERE");
+    }
+}
+
+/// Which error a query reports is not a fact about the data. Each compile
+/// defect below sits in a block whose WHERE fails on any row it reads
+/// (`s + 1 > 0` over a string); over no rows, one row and thirty, over a
+/// single scan and over a two-way join (where the WHERE runs on the
+/// pairs), at one worker and at eight, both engines report the compile
+/// defect, in the same words.
+#[test]
+fn a_compile_defect_wins_whatever_the_data() {
+    let rows = agg_matrix_db(false).table("g").unwrap().rows.clone();
+    let cases = [
+        ("SELECT nope FROM {from} WHERE {w}", "unknown column `nope`"),
+        (
+            "SELECT COUNT(*) FROM {from} WHERE {w} ORDER BY 9",
+            "ORDER BY position 9 out of range",
+        ),
+        (
+            "SELECT SUM(COUNT(*)) FROM {from} WHERE {w}",
+            "nested aggregate functions",
+        ),
+        (
+            "SELECT g.i, COUNT(*) FROM {from} WHERE {w} GROUP BY g.k",
+            "column `g.i` must appear in GROUP BY",
+        ),
+    ];
+    let froms = [("g", "s + 1 > 0"), ("g JOIN h ON g.k = h.k", "g.s + 1 > 0")];
+    for n in [0, 1, rows.len()] {
+        let mut db = empty_g();
+        db.insert("g", rows[..n].to_vec()).unwrap();
+        db.create_table("h", Schema::of(&[("k", DataType::Int)]))
+            .unwrap();
+        let h = (0..n as i64).map(|i| vec![Value::Int(i % 3)]).collect();
+        db.insert("h", h).unwrap();
+        for (template, needle) in cases {
+            for (from, w) in froms {
+                let sql = template.replace("{from}", from).replace("{w}", w);
+                for workers in [1, 8] {
+                    db.set_parallelism(workers);
+                    let err = db.execute_sql(&sql).expect_err(&sql).to_string();
+                    assert!(err.contains(needle), "{sql} over {n} rows: {err}");
+                    assert_engines_agree(&db, &sql, &format!("{n} rows, workers={workers}"));
+                }
+            }
+        }
+    }
+}
+
+/// HAVING makes a block one group, as in standard SQL: a column outside
+/// an aggregate is then ungrouped, `HAVING 1 > 0` keeps the one group —
+/// over an empty table too — and `HAVING 1 < 0` keeps none.
+#[test]
+fn having_without_group_by_makes_the_block_one_group() {
+    for db in [agg_matrix_db(false), empty_g()] {
+        for workers in [1, 8] {
+            db.set_parallelism(workers);
+            let sql = "SELECT k FROM g HAVING k > 0";
+            let err = db.execute_sql(sql).expect_err(sql).to_string();
+            assert!(err.contains("column `k` must appear in GROUP BY"), "{err}");
+            assert_engines_agree(&db, sql, &format!("workers={workers}"));
+            let one = both(&db, "SELECT 1 FROM g HAVING 1 > 0");
+            assert_eq!(one.rows, vec![vec![Value::Int(1)]]);
+            assert!(both(&db, "SELECT 1 FROM g HAVING 1 < 0").rows.is_empty());
+        }
     }
 }
 
@@ -2561,6 +2626,37 @@ fn join_order_by_unprojected_and_late_materialization() {
     );
     assert_eq!(rs.rows.len(), 5);
     assert_eq!(rs.rows[0], vec![Value::str("a")]); // w=10 first
+}
+
+/// A join materializes only the columns read above it, and which those
+/// are is read off the compiled plan. In each query a column of the inner
+/// join `x ⋈ y` is read by exactly one thing above it — an ORDER BY
+/// source expression, a GROUP BY key, an aggregate argument, the
+/// post-join WHERE (interpreted, or a kernel the outer join keeps
+/// post-join), an ON residual, an ON match kernel — so leaving it out of
+/// the inner join's live set turns it into NULLs and changes the answer.
+#[test]
+fn a_column_read_once_above_a_join_is_materialized() {
+    let db = join_db();
+    let inner = "FROM t x JOIN r y ON x.a = y.a";
+    for sql in [
+        format!("SELECT z.c {inner} JOIN t z ON y.a = z.a ORDER BY x.b * 2 DESC, z.c"),
+        format!("SELECT COUNT(*) {inner} JOIN t z ON y.a = z.a GROUP BY x.b ORDER BY 1"),
+        format!("SELECT SUM(y.w) {inner} JOIN t z ON y.a = z.a"),
+        format!("SELECT z.c {inner} JOIN t z ON y.a = z.a WHERE y.w + 0 > 6 ORDER BY 1"),
+        format!("SELECT z.c {inner} RIGHT JOIN t z ON y.a = z.a WHERE y.w > 6 ORDER BY 1"),
+        format!("SELECT z.c {inner} JOIN t z ON y.a = z.a AND y.w + 0 > z.d ORDER BY 1"),
+        format!("SELECT z.c, x.d {inner} LEFT JOIN t z ON y.a = z.a AND y.w > 6 ORDER BY 1, 2"),
+    ] {
+        for workers in [1, 8] {
+            parallelize(&db, workers);
+            let rs = both(&db, &sql);
+            assert!(
+                rs.rows.iter().flatten().any(|v| !v.is_null()),
+                "{sql}: {rs:?}"
+            );
+        }
+    }
 }
 
 // ---- conjunct order is scheduling, never spelling ---------------------------

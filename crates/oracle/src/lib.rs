@@ -200,35 +200,23 @@ impl<'db> Oracle<'db> {
                 rows: vec![Vec::new()],
             },
         };
-        let input = match &s.selection {
-            Some(pred) => {
-                self.prepare(pred, &input.cols, &mut Place::Scalar)?;
-                let mut rows = Vec::new();
-                for row in input.rows {
-                    if self.eval(pred, &Input::Row(&input.cols, &row))?.is_true() {
-                        rows.push(row);
-                    }
-                }
-                Rel {
-                    cols: input.cols,
-                    rows,
-                }
-            }
-            None => input,
-        };
-        self.project(s, &input, order_by)
+        self.project(s, input, order_by)
     }
 
-    /// Everything after WHERE: the SELECT list, grouped or not, HAVING,
-    /// ORDER BY and DISTINCT. The clauses are prepared first, in that order
-    /// (GROUP BY before them); then the rows run.
+    /// Everything after FROM: WHERE, the SELECT list, grouped or not,
+    /// HAVING, ORDER BY and DISTINCT. Every clause is prepared first —
+    /// WHERE, GROUP BY, the SELECT list, HAVING, ORDER BY; then the rows
+    /// run, WHERE first.
     fn project<'q>(
         &mut self,
         s: &'q Select,
-        input: &Rel,
+        input: Rel,
         order_by: &'q [OrderByItem],
     ) -> Result<Rel> {
         let cols = &input.cols[..];
+        if let Some(pred) = &s.selection {
+            self.prepare(pred, cols, &mut Place::Scalar)?;
+        }
         let mut block = if is_aggregated(s) {
             Block::Grouped {
                 keys: self.group_keys(s, cols)?,
@@ -269,15 +257,10 @@ impl<'db> Oracle<'db> {
                 }
             }
         }
-        // HAVING filters groups; a block that does not aggregate has none
-        // to filter, and ignores it.
-        let having = match (&s.having, &block) {
-            (Some(h), Block::Grouped { .. }) => {
-                self.prepare_in(&mut block, h, cols)?;
-                Some(h)
-            }
-            _ => None,
-        };
+        // HAVING makes a block grouped, so it filters groups.
+        if let Some(h) = &s.having {
+            self.prepare_in(&mut block, h, cols)?;
+        }
         let mut sort = Vec::with_capacity(order_by.len());
         for item in order_by {
             let key = match output_key(&item.expr, &out_cols)? {
@@ -290,19 +273,29 @@ impl<'db> Oracle<'db> {
             sort.push(key);
         }
 
+        let mut rows = input.rows;
+        if let Some(pred) = &s.selection {
+            let mut kept = Vec::new();
+            for row in rows {
+                if self.eval(pred, &Input::Row(cols, &row))?.is_true() {
+                    kept.push(row);
+                }
+            }
+            rows = kept;
+        }
         // Each output row with its sort key values.
         let mut out: Vec<(Row, Row)> = Vec::new();
         match &block {
             Block::Plain => {
-                for row in &input.rows {
+                for row in &rows {
                     out.push(self.output_row(&Input::Row(cols, row), &items, &sort)?);
                 }
             }
             Block::Grouped { keys, calls } => {
-                for (key_values, members) in self.groups(keys, cols, &input.rows)? {
+                for (key_values, members) in self.groups(keys, cols, &rows)? {
                     let mut call_values = Vec::with_capacity(calls.len());
                     for call in calls {
-                        call_values.push(self.aggregate(call, cols, &input.rows, &members)?);
+                        call_values.push(self.aggregate(call, cols, &rows, &members)?);
                     }
                     let group = Input::Group(Group {
                         cols,
@@ -311,7 +304,7 @@ impl<'db> Oracle<'db> {
                         calls,
                         call_values: &call_values,
                     });
-                    if let Some(h) = having {
+                    if let Some(h) = &s.having {
                         if !self.eval(h, &group)?.is_true() {
                             continue;
                         }
@@ -597,14 +590,15 @@ fn join_key(row: &[Value], positions: impl Iterator<Item = usize>) -> Option<Row
     key.collect::<Option<Vec<_>>>().map(RowKey)
 }
 
-/// Whether a block aggregates: it has a GROUP BY, or an aggregate call in
-/// its SELECT list or HAVING.
+/// Whether a block aggregates: it has a GROUP BY or a HAVING, or an
+/// aggregate call in its SELECT list. HAVING without GROUP BY makes the
+/// block one group, as in standard SQL.
 fn is_aggregated(s: &Select) -> bool {
     let in_items = s.projection.iter().any(|item| match item {
         SelectItem::Expr { expr, .. } => eval::contains_aggregate(expr),
         _ => false,
     });
-    !s.group_by.is_empty() || in_items || s.having.as_ref().is_some_and(eval::contains_aggregate)
+    !s.group_by.is_empty() || s.having.is_some() || in_items
 }
 
 /// The ORDER BY rule's first two steps: an integer literal is an output

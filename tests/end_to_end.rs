@@ -388,3 +388,34 @@ fn textual_variants_share_one_release_and_one_schedule() {
         );
     }
 }
+
+/// Which error an analyst is told is not a fact about the data. On two
+/// neighbouring databases — `t` empty, and `t` with one row — a query
+/// whose ORDER BY is out of range and whose WHERE fails on any row it
+/// reads (`s + 1 > 0` over a string) reaches the executor on both (the
+/// analysis never reads ORDER BY), and both analysts get the same error.
+#[test]
+fn neighbouring_databases_give_the_same_compile_error() {
+    use std::sync::Arc;
+    let sql = "SELECT COUNT(*) FROM t WHERE s + 1 > 0 ORDER BY 9";
+    let error = |rows: usize| {
+        let mut db = Database::new();
+        db.create_table("t", Schema::of(&[("s", DataType::Str)]))
+            .unwrap();
+        db.insert("t", vec![vec![Value::str("x")]; rows]).unwrap();
+        let config = ServiceConfig {
+            seed: Some(1),
+            ..ServiceConfig::default()
+        };
+        let service = QueryService::new(Arc::new(db), config);
+        let params = PrivacyParams::new(0.1, 1e-6).unwrap();
+        let err = service.query("analyst", sql, params).expect_err(sql);
+        err.to_string()
+    };
+    let (empty, one_row) = (error(0), error(1));
+    assert!(
+        empty.contains("ORDER BY position 9 out of range"),
+        "{empty}"
+    );
+    assert_eq!(empty, one_row);
+}
