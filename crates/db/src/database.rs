@@ -121,8 +121,8 @@ impl Database {
     }
 
     /// The execution-tuning snapshot, read once when an execution starts
-    /// and carried on its `Exec` — nested executions included — so a
-    /// concurrent retune cannot split one query across two
+    /// and carried on its `Exec` — which plans and runs every block of the
+    /// query — so a concurrent retune cannot split one query across two
     /// configurations.
     pub(crate) fn exec_tuning(&self) -> morsel::Parallelism {
         morsel::Parallelism {

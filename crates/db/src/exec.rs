@@ -10,29 +10,28 @@
 //! every shape the parser accepts executes there, and every error is the
 //! executor's own.
 //!
-//! The rest of this module is the executor's expression compiler and its
-//! ORDER BY resolution rule (`plan_sort_keys_with`, `set_op_sort_keys`).
+//! The rest of this module is the executor's expression compiler.
 //! There is one compiler, `Exec::compile`: a single pass, one arm per
 //! [`flex_sql::Expr`] variant, run by scalar mode and group mode
 //! (`GroupCompiler`) alike — they differ in what an aggregate call (a name
-//! of [`flex_sql::AGGREGATE_FUNCTIONS`]) is. Expression subqueries (`IN
-//! (SELECT …)`, `EXISTS`) are the one place the compiler executes
-//! anything: each runs once, through [`vexec::execute_query`], when its
-//! node compiles. The test oracle (the `flex-oracle` crate) has an
-//! evaluator, an aggregate-name match and an ORDER BY rule of its own, so
-//! the differential suites check all of this too.
+//! of [`flex_sql::AGGREGATE_FUNCTIONS`]) is. It executes nothing: an
+//! expression subquery (`IN (SELECT …)`, `EXISTS`) is planned where its
+//! node compiles ([`crate::plan`], "Plan the query, then run it"), and the
+//! node reads the answer its block sets at run time. The test oracle (the
+//! `flex-oracle` crate) has an evaluator, an aggregate-name match and an
+//! ORDER BY rule of its own, so the differential suites check all of this
+//! too.
 
 use crate::aggregate::{AggFunc, AggSpec};
-use crate::bind::{resolve_column, sort_key_by_output, ColMeta};
+use crate::bind::{resolve_column, ColMeta};
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::expr::{CastTarget, CompiledExpr, ScalarFunc};
+use crate::expr::{CastTarget, CompiledExpr, ScalarFunc, Subquery};
 use crate::morsel::Parallelism;
-use crate::plan::{FilterOrder, JoinOrder, ResultSet};
-use crate::value::{Value, ValueKey};
-use crate::vexec::{self, VexecStats};
-use flex_sql::{ColumnRef, Expr, FunctionArg, Literal, OrderByItem, Query, Select, SelectItem};
-use std::collections::HashSet;
+use crate::plan::{self, FilterOrder, JoinOrder, Nested, ResultSet};
+use crate::value::Value;
+use crate::vexec;
+use flex_sql::{ColumnRef, Expr, FunctionArg, Literal, Query, Select, SelectItem};
 
 /// Execute a parsed query against a database.
 pub fn execute(db: &Database, q: &Query) -> Result<ResultSet> {
@@ -58,8 +57,8 @@ impl RouteDecision {
 
 /// What the executor observed about how one query ran — the per-query
 /// execution span the service folds into its trace. Never affects
-/// results. Statistics of nested executions (derived tables, set-op
-/// arms, expression subqueries) are folded into their parent's.
+/// results. One execution runs the whole query, so its nested queries
+/// (derived tables, set-op arms, expression subqueries) record here too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTrace {
     /// Vestigial (see [`RouteDecision`]): always `Vectorized`.
@@ -109,33 +108,40 @@ impl Default for ExecTrace {
 /// service) read it at zero extra cost. A `WITH` too large to expand is
 /// the expansion error with an all-zero trace.
 pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
-    let (stats, result) = match flex_sql::inline_ctes(q) {
+    let (mut trace, result) = match flex_sql::inline_ctes(q) {
         Ok(q) => vexec::execute_query(db, &q, db.exec_tuning()),
-        Err(e) => (VexecStats::default(), Err(e.into())),
+        Err(e) => (ExecTrace::default(), Err(e.into())),
     };
-    let trace = ExecTrace {
-        route: RouteDecision::Vectorized,
-        topk: stats.topk,
-        morsels: stats.morsels,
-        workers: stats.workers,
-        rows_scanned: stats.rows_scanned,
-        rows_emitted: result.as_ref().map_or(0, |rs| rs.rows.len() as u64),
-        join_order: stats.join_order,
-        filter_order: stats.filter_order,
-    };
+    trace.rows_emitted = result.as_ref().map_or(0, |rs| rs.rows.len() as u64);
     (trace, result)
 }
 
-/// The compilation context of one query execution: the database, the
-/// execution's tuning and its statistics.
+impl ExecTrace {
+    /// Record that a `len`-row base table is to be scanned: its rows and
+    /// morsels count, and it may engage the worker pool.
+    pub(crate) fn note_scan(&mut self, len: usize, par: Parallelism) {
+        self.workers = self.workers.max(par.workers_for(len) as u64);
+        if len > 0 {
+            self.rows_scanned += len as u64;
+            self.morsels += len.div_ceil(par.sched_rows(len)) as u64;
+        }
+    }
+}
+
+/// One query execution — its plan and then its run: the database, the
+/// execution's tuning and its trace.
 pub(crate) struct Exec<'a> {
     pub(crate) db: &'a Database,
-    /// [`Database::exec_tuning`] as read when the outermost execution
-    /// started; nested executions inherit it, so a concurrent retune
-    /// cannot split one query across two configurations.
+    /// [`Database::exec_tuning`] as read when the execution started: one
+    /// execution runs every block of the query, so a concurrent retune
+    /// cannot split it across two configurations.
     pub(crate) par: Parallelism,
-    /// Statistics so far, nested executions included.
-    pub(crate) stats: VexecStats,
+    /// The trace so far: the plan's scans and filter order, then the
+    /// run's joins and tails.
+    pub(crate) trace: ExecTrace,
+    /// The nested plans of the block being planned, in the order they
+    /// were planned (`plan::plan_block` keeps them per block).
+    pub(crate) nested: Vec<Nested>,
 }
 
 impl<'a> Exec<'a> {
@@ -143,17 +149,9 @@ impl<'a> Exec<'a> {
         Exec {
             db,
             par,
-            stats: VexecStats::default(),
+            trace: ExecTrace::default(),
+            nested: Vec::new(),
         }
-    }
-
-    /// Run a nested query (a derived table, an expression subquery) under
-    /// this execution's tuning, folding its statistics into this
-    /// execution's.
-    pub(crate) fn subquery(&mut self, q: &Query) -> Result<ResultSet> {
-        let (stats, result) = vexec::execute_query(self.db, q, self.par);
-        self.stats.absorb(stats);
-        result
     }
 
     // ---- expression compilation -----------------------------------------
@@ -165,7 +163,7 @@ impl<'a> Exec<'a> {
 
     /// The one expression compiler: every [`Expr`] variant has its arm
     /// here and nowhere else in the engine, and every node is compiled —
-    /// an `EXISTS` / `IN (SELECT …)` executed — exactly once. The mode
+    /// an `EXISTS` / `IN (SELECT …)` planned — exactly once. The mode
     /// (`aggs`) changes what an aggregate call is, nothing else.
     fn compile(&mut self, e: &Expr, cols: &[ColMeta], aggs: &mut Aggs<'_>) -> Result<CompiledExpr> {
         // A sub-expression, compiled in this expression's mode.
@@ -262,10 +260,13 @@ impl<'a> Exec<'a> {
                 expr: sub!(expr)?,
                 target: CastTarget::parse(data_type)?,
             },
-            // Uncorrelated subqueries are evaluated once at compile time.
+            // An uncorrelated subquery is planned here and answered when
+            // the block runs its nested plans.
             Expr::Exists(q) => {
-                let rs = self.subquery(q)?;
-                CompiledExpr::Literal(Value::Bool(!rs.rows.is_empty()))
+                let plan = plan::plan_query(self, q)?;
+                let subquery = Subquery::new(q);
+                self.nested.push(Nested::Exists(plan, subquery.clone()));
+                CompiledExpr::Exists(subquery)
             }
             Expr::InSubquery {
                 expr,
@@ -273,25 +274,17 @@ impl<'a> Exec<'a> {
                 negated,
             } => {
                 let expr = sub!(expr)?;
-                let rs = self.subquery(query)?;
-                if rs.columns.len() != 1 {
+                let plan = plan::plan_query(self, query)?;
+                if plan.header.len() != 1 {
                     return Err(DbError::Unsupported(
                         "IN subquery must return exactly one column".into(),
                     ));
                 }
-                let mut set = HashSet::with_capacity(rs.rows.len());
-                let mut has_null = false;
-                for row in &rs.rows {
-                    if row[0].is_null() {
-                        has_null = true;
-                    } else {
-                        set.insert(ValueKey::from(&row[0]));
-                    }
-                }
-                CompiledExpr::InSet {
+                let subquery = Subquery::new(query);
+                self.nested.push(Nested::In(plan, subquery.clone()));
+                CompiledExpr::InSubquery {
                     expr,
-                    set,
-                    has_null,
+                    subquery,
                     negated: *negated,
                 }
             }
@@ -356,68 +349,6 @@ fn ungrouped_column(c: &ColumnRef) -> DbError {
     DbError::InvalidAggregate(format!(
         "column `{c}` must appear in GROUP BY or inside an aggregate"
     ))
-}
-
-/// How one ORDER BY key is obtained.
-pub(crate) enum SortKey {
-    /// Value of an output column.
-    Output(usize),
-    /// An expression evaluated on the pre-projection source row.
-    Source(CompiledExpr),
-}
-
-/// Resolve every ORDER BY item to a [`SortKey`]: output-position/name
-/// matches first ([`sort_key_by_output`] — ordinals and bare names
-/// naming an output column, aliases included), then `compile_source` for
-/// everything else. This is the **single** resolution rule of the
-/// executor's plain and grouped tails and its set-operation sort.
-pub(crate) fn plan_sort_keys_with(
-    order_by: &[OrderByItem],
-    out_cols: &[ColMeta],
-    compile_source: &mut dyn FnMut(&Expr) -> Result<CompiledExpr>,
-) -> Result<Vec<SortKey>> {
-    let mut plan = Vec::with_capacity(order_by.len());
-    for item in order_by {
-        let key = match sort_key_by_output(&item.expr, out_cols)? {
-            Some(pos) => SortKey::Output(pos),
-            None => SortKey::Source(compile_source(&item.expr)?),
-        };
-        plan.push(key);
-    }
-    Ok(plan)
-}
-
-/// Resolve the ORDER BY of a set operation to `(output position,
-/// descending)` pairs. A set operation has no source scope, so every key
-/// must name an output column of its first arm.
-pub(crate) fn set_op_sort_keys(
-    order_by: &[OrderByItem],
-    out_cols: &[ColMeta],
-) -> Result<Vec<(usize, bool)>> {
-    let plan = plan_sort_keys_with(order_by, out_cols, &mut |_| {
-        Err(DbError::Unsupported(
-            "ORDER BY on a set operation must reference output columns".into(),
-        ))
-    })?;
-    Ok(plan
-        .into_iter()
-        .zip(order_by)
-        .map(|(key, item)| match key {
-            SortKey::Output(pos) => (pos, item.descending),
-            SortKey::Source(_) => unreachable!("source compiler always errors"),
-        })
-        .collect())
-}
-
-/// The arity rule of a set operation: both operands have `l == r`
-/// columns.
-pub(crate) fn check_set_op_arity(l: usize, r: usize) -> Result<()> {
-    if l == r {
-        return Ok(());
-    }
-    Err(DbError::Unsupported(format!(
-        "set operation arity mismatch: {l} vs {r} columns"
-    )))
 }
 
 /// The smallest `offset + limit` prefix the ORDER BY tail must produce,
@@ -494,21 +425,25 @@ fn literal_value(l: &Literal) -> Value {
     }
 }
 
-/// A block's GROUP BY expressions as written, a positional reference
-/// (`GROUP BY 1`) replaced by the projection item it names.
-pub(crate) fn group_keys(s: &Select) -> Vec<&Expr> {
-    let item = |g: &Expr| match g {
-        Expr::Literal(Literal::Integer(i)) => (*i as usize)
-            .checked_sub(1)
-            .and_then(|i| s.projection.get(i)),
-        _ => None,
+/// The expression GROUP BY item `g` of block `s` groups by: `GROUP BY n`
+/// names the `n`-th SELECT item — an error when there is none, and the
+/// integer itself when that item is a wildcard — and anything else is
+/// itself.
+pub(crate) fn group_key<'s>(s: &'s Select, g: &'s Expr) -> Result<&'s Expr> {
+    let Expr::Literal(Literal::Integer(n)) = g else {
+        return Ok(g);
     };
-    (s.group_by.iter())
-        .map(|g| match item(g) {
-            Some(SelectItem::Expr { expr, .. }) => expr,
-            _ => g,
-        })
-        .collect()
+    let item = usize::try_from(*n)
+        .ok()
+        .and_then(|n| n.checked_sub(1))
+        .and_then(|i| s.projection.get(i));
+    match item {
+        Some(SelectItem::Expr { expr, .. }) => Ok(expr),
+        Some(_) => Ok(g),
+        None => Err(DbError::Unsupported(format!(
+            "GROUP BY position {n} out of range"
+        ))),
+    }
 }
 
 /// Compiles expressions in "group mode": aggregate calls become references
@@ -517,10 +452,8 @@ pub(crate) fn group_keys(s: &Select) -> Vec<&Expr> {
 ///
 /// Post-group rows are laid out as `[key values..., aggregate values...]`.
 pub(crate) struct GroupCompiler<'a> {
-    /// The GROUP BY expressions, compiled in scalar mode…
+    /// The GROUP BY expressions, compiled in scalar mode.
     pub(crate) group_exprs: &'a [CompiledExpr],
-    /// …and as written ([`group_keys`]).
-    pub(crate) group_sources: &'a [&'a Expr],
     pub(crate) aggs: Vec<AggSpec>,
 }
 
@@ -548,9 +481,8 @@ impl GroupCompiler<'_> {
     /// column, a slot moves behind the keys, anything else is its
     /// children's business — so a column-free subtree stays as it is, and
     /// the first input column no key covers, as written, is the block's
-    /// defect. A subtree with a subquery matches a key only if its
-    /// subqueries are written as the key's are: equal answers are not
-    /// enough, or whether a block is valid would depend on the data.
+    /// defect. (A subtree with a subquery equals a key only if its
+    /// subqueries are written as the key's are: see [`Subquery`].)
     fn onto_groups<'e>(
         &self,
         e: &mut CompiledExpr,
@@ -558,15 +490,7 @@ impl GroupCompiler<'_> {
         width: usize,
         ungrouped: &mut Option<&'e ColumnRef>,
     ) {
-        let is_key = |(g, g_source): (&CompiledExpr, &&Expr)| {
-            g == e && subqueries(g_source) == subqueries(source)
-        };
-        if let Some(key) = self
-            .group_exprs
-            .iter()
-            .zip(self.group_sources)
-            .position(is_key)
-        {
+        if let Some(key) = self.group_exprs.iter().position(|g| g == e) {
             *e = CompiledExpr::Column(key);
         } else if let CompiledExpr::Column(i) = e {
             if *i >= width {
@@ -585,13 +509,6 @@ impl GroupCompiler<'_> {
             });
         }
     }
-}
-
-/// The subqueries of `e`, left to right (not those nested inside them).
-fn subqueries(e: &Expr) -> Vec<&Query> {
-    let mut found: Vec<&Query> = e.subquery().into_iter().collect();
-    e.for_each_child(|child| found.extend(subqueries(child)));
-    found
 }
 
 #[cfg(test)]
@@ -936,30 +853,5 @@ mod tests {
             count(&db, "SELECT COUNT(*) FROM l a JOIN l b ON a.k = b.k"),
             5 // k=1: 2×2, k=2: 1×1
         );
-    }
-
-    /// The tuning an execution starts with reaches every nested
-    /// execution (derived table, `IN` subquery): the database still says
-    /// one worker and 4096-row chunks, yet all three scans are counted
-    /// on the 2-row grid the execution was handed.
-    #[test]
-    fn nested_executions_inherit_the_executions_tuning() {
-        let db = db();
-        let q = flex_sql::parse_query(
-            "SELECT COUNT(*) FROM (SELECT k FROM l) x WHERE k IN (SELECT k FROM r) \
-             AND k IN (SELECT k FROM l)",
-        )
-        .unwrap();
-        let par = crate::morsel::Parallelism {
-            workers: 4,
-            fold_rows: 2,
-        };
-        let (stats, result) = crate::vexec::execute_query(&db, &q, par);
-        assert_eq!(result.unwrap().scalar(), Some(&Value::Int(2)));
-        assert_eq!(stats.workers, 4);
-        // l (4 rows) twice and r (3 rows) once, in 2-row morsels.
-        assert_eq!((stats.rows_scanned, stats.morsels), (11, 6));
-        let (db_stats, _) = crate::vexec::execute_query(&db, &q, db.exec_tuning());
-        assert_eq!((db_stats.workers, db_stats.morsels), (1, 3));
     }
 }

@@ -2,14 +2,51 @@
 //!
 //! SQL [`flex_sql::Expr`] trees are compiled against a scope (an ordered
 //! list of columns) into [`CompiledExpr`], which references columns by
-//! index. Uncorrelated subquery expressions (`EXISTS`, `IN (SELECT ...)`)
-//! are evaluated once at compile time and embedded as value sets.
+//! index. An uncorrelated subquery expression (`EXISTS`, `IN (SELECT
+//! ...)`) compiles to a read of a [`Subquery`]'s answer, which its block
+//! sets when it runs the subquery's plan, before it evaluates any row.
 
 use crate::error::{DbError, Result};
 use crate::value::{Value, ValueKey};
-use flex_sql::{BinaryOperator, UnaryOperator};
+use flex_sql::{BinaryOperator, Query, UnaryOperator};
 use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
+
+/// The answer of one uncorrelated expression subquery, shared by the
+/// node that reads it and the block that computes it: empty while the
+/// query is planned, set once when the block runs its nested plans.
+#[derive(Debug)]
+pub struct Subquery<T> {
+    /// The subquery as written. Two reads are the same computation iff
+    /// their subqueries are written alike — equal answers are not enough,
+    /// or which GROUP BY key an expression is would depend on the data.
+    written: Query,
+    answer: OnceLock<T>,
+}
+
+impl<T> Subquery<T> {
+    pub(crate) fn new(written: &Query) -> Arc<Subquery<T>> {
+        let answer = OnceLock::new();
+        let written = written.clone();
+        Arc::new(Subquery { written, answer })
+    }
+
+    /// Record the answer: a plan runs once.
+    pub(crate) fn set(&self, answer: T) {
+        assert!(self.answer.set(answer).is_ok(), "answered twice");
+    }
+
+    fn get(&self) -> &T {
+        (self.answer.get()).expect("a block runs its nested plans before its rows")
+    }
+}
+
+impl<T> PartialEq for Subquery<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.written == other.written
+    }
+}
 
 /// An expression compiled against a fixed row layout.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,17 +98,18 @@ pub enum CompiledExpr {
         /// `NOT IN` when true.
         negated: bool,
     },
-    /// Membership in a pre-evaluated (subquery) value set.
-    InSet {
+    /// `expr [NOT] IN (SELECT …)`: membership in the subquery's answer.
+    InSubquery {
         /// The probe expression.
         expr: Box<CompiledExpr>,
-        /// The materialized subquery values.
-        set: HashSet<ValueKey>,
-        /// Whether the set contains a NULL (affects three-valued logic).
-        has_null: bool,
+        /// The subquery's non-NULL values, and whether it also returned
+        /// a NULL (three-valued logic).
+        subquery: Arc<Subquery<(HashSet<ValueKey>, bool)>>,
         /// `NOT IN` when true.
         negated: bool,
     },
+    /// `EXISTS (SELECT …)`: whether the subquery returned a row.
+    Exists(Arc<Subquery<bool>>),
     /// `expr [NOT] BETWEEN low AND high`.
     Between {
         /// The tested expression.
@@ -247,17 +285,17 @@ impl CompiledExpr {
                     Ok(Value::Bool(*negated))
                 }
             }
-            CompiledExpr::InSet {
+            CompiledExpr::InSubquery {
                 expr,
-                set,
-                has_null,
+                subquery,
                 negated,
             } => {
                 let v = expr.eval(row)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                if set.contains(&ValueKey::from(&v)) {
+                let (values, has_null) = subquery.get();
+                if values.contains(&ValueKey::from(&v)) {
                     Ok(Value::Bool(!negated))
                 } else if *has_null {
                     Ok(Value::Null)
@@ -265,6 +303,7 @@ impl CompiledExpr {
                     Ok(Value::Bool(*negated))
                 }
             }
+            CompiledExpr::Exists(subquery) => Ok(Value::Bool(*subquery.get())),
             CompiledExpr::Between {
                 expr,
                 low,
@@ -348,13 +387,13 @@ macro_rules! compiled_child_walk {
         $(#[$doc])*
         pub fn $name<'a>(&'a $($m)? self, mut f: impl FnMut(&'a $($m)? CompiledExpr)) {
             match self {
-                CompiledExpr::Column(_) | CompiledExpr::Literal(_) => {}
+                CompiledExpr::Column(_) | CompiledExpr::Literal(_) | CompiledExpr::Exists(_) => {}
                 CompiledExpr::Binary { left, right, .. } => {
                     f(left);
                     f(right);
                 }
                 CompiledExpr::Unary { expr, .. }
-                | CompiledExpr::InSet { expr, .. }
+                | CompiledExpr::InSubquery { expr, .. }
                 | CompiledExpr::IsNull { expr, .. }
                 | CompiledExpr::Cast { expr, .. } => f(expr),
                 CompiledExpr::ScalarFn { args, .. } => {
@@ -946,13 +985,12 @@ mod tests {
                 }),
                 pattern: Box::new(CompiledExpr::ScalarFn {
                     func: ScalarFunc::Lower,
-                    args: vec![CompiledExpr::InSet {
+                    args: vec![CompiledExpr::InSubquery {
                         expr: Box::new(CompiledExpr::IsNull {
                             expr: Box::new(col(7)),
                             negated: false,
                         }),
-                        set: HashSet::new(),
-                        has_null: false,
+                        subquery: Subquery::new(&flex_sql::parse_query("SELECT 1").unwrap()),
                         negated: false,
                     }],
                 }),

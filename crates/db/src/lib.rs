@@ -21,9 +21,9 @@
 //! (each table's lazily built [`ColumnarTable`] projection scanned with
 //! predicate kernels, columnar hash / nested-loop joins with predicate
 //! pushdown and late materialization, a columnar hash-aggregate, and an
-//! index-based ORDER BY / DISTINCT / LIMIT tail). It plans as it executes
-//! — nested queries run when the walk reaches them — so there is nothing
-//! to route and every error is raised where it is found;
+//! index-based ORDER BY / DISTINCT / LIMIT tail). It plans the whole query
+//! — nested queries included — before it runs any of it, so there is
+//! nothing to route and every error is raised where it is found;
 //! [`Database::execute_traced`] reports what a run scanned. Each operator
 //! is a per-morsel body plus a morsel-order merge, run inline or across a
 //! scoped worker pool when [`Database::set_parallelism`] raises the

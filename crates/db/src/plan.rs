@@ -1,5 +1,5 @@
-//! Intermediate relations flowing between execution operators, plus the
-//! physical-plan IR of the executor.
+//! The physical-plan IR of the executor, and the planner that compiles a
+//! whole query into it.
 //!
 //! # The plan IR
 //!
@@ -8,9 +8,10 @@
 //! columnar result can feed the next operator:
 //!
 //! - **Scan** — one leaf of the FROM tree: a base table's columnar
-//!   projection, a derived table's (`FROM (SELECT …) alias`) executed and
-//!   columnarized result, or — for a table-less `SELECT` — one row of
-//!   zero columns.
+//!   projection, a derived table's (`FROM (SELECT …) alias`) rows —
+//!   produced by its own plan, which its block runs first, and
+//!   columnarized — or, for a table-less `SELECT`, one row of zero
+//!   columns.
 //! - **Filter** — infallible kernel conjuncts (`Kernel` values) narrowing
 //!   a selection vector over any node's output (pushed-down WHERE/ON
 //!   kernels), in the planner's rank order, not the order they were
@@ -38,47 +39,59 @@
 //! materialization: what Project interprets row by row is a scratch row
 //! of the referenced columns, and what it emits is columns again.
 //!
-//! # Open, compile, run
+//! # Plan the query, then run it
 //!
-//! Every SELECT block — a query's, a derived table's, a set-operation
-//! arm's, an expression subquery's — goes through one planner
-//! ([`plan_block`]) and one runner (`vexec::run_select`), in three steps:
+//! [`plan_query`] compiles every block of a query — its own, each derived
+//! table's, each set-operation arm's, each expression subquery's — before
+//! `vexec` runs any operator. One planner ([`plan_block`]) and one runner
+//! (`vexec::run_block`) serve every block:
 //!
-//! 1. **Open.** FROM becomes a [`PlanNode`] tree of one or more leaves: a
+//! 1. **FROM.** FROM becomes a [`PlanNode`] tree of one or more leaves: a
 //!    base table's columnar projection, a derived table, or the one empty
 //!    row of a table-less SELECT. The walk goes bottom-up, left to right;
-//!    a derived leaf **executes right there**, and its scope and physical
-//!    column types are read off the executed result. Each join's
-//!    `USING`/`ON` compiles as soon as both of its subtrees are open.
-//! 2. **Compile.** WHERE compiles against the root's scope and is split
+//!    a derived leaf is **planned** right there. Its scope is
+//!    [`bind::derived_scope`] over its plan's header, and since its
+//!    storage is unknown until it runs, its columns rank and gate kernels
+//!    as [`Phys::Mixed`]. Each join's `USING`/`ON` compiles as soon as
+//!    both of its subtrees are planned.
+//! 2. **Clauses.** WHERE compiles against the root's scope and is split
 //!    once, by the placement rules below; then the block's own clauses
-//!    ([`plan_grouped`] / [`plan_tail`]). An expression subquery runs when
-//!    its node compiles. Which columns each join materializes is read off
-//!    this compiled plan (`assign_liveness`), not guessed from the text.
-//! 3. **Run.** Only now does an operator touch a row: the joins
-//!    bottom-up, the WHERE filter, then the block's operators.
+//!    ([`plan_grouped`] / [`plan_tail`]). An expression subquery is
+//!    planned where its node compiles, and the node reads its answer at
+//!    run time. A set operation plans its arms left to right, checks
+//!    arity at each node, then resolves its ORDER BY. Which columns each
+//!    join materializes is read off the compiled plan (`assign_liveness`).
+//! 3. **Run.** Only now does an operator touch a row. A block first runs
+//!    its [`Nested`] plans in the order they were planned: a derived
+//!    table's rows become its leaf, a subquery's answer is set for the
+//!    nodes that read it. Then come its joins bottom-up, the WHERE filter
+//!    and its operators. Running a plan yields rows; the query's header is
+//!    its plan's, attached once, at the top.
 //!
 //! Every error is raised where it is found, as the [`DbError`] a reader
 //! of the query would expect: an unknown table, a `USING`/`ON`/`WHERE`
-//! name that does not resolve, a failing subquery.
+//! name that does not resolve, a subquery one column too wide.
 //!
-//! **Error order.** A query with one defect reports that defect. A query
-//! with several independent defects reports the first one in this order:
-//! FROM leaves left to right (a derived leaf's whole execution counts as
-//! its leaf) interleaved bottom-up with each join's `USING`/`ON`
-//! compilation; then the rest of the block compiles — WHERE, GROUP BY,
-//! SELECT items left to right, HAVING, ORDER BY; then it runs — join
-//! execution bottom-up and the WHERE filter, then operator by operator:
-//! group keys (earliest row), each aggregate's argument in aggregate
-//! order (earliest row), the folds (lowest aggregate index), then per
-//! group — or per row of a plain block — HAVING, SELECT items, sort keys.
-//! So a block's compile defect wins over its runtime defects whatever the
-//! data, as on the oracle. (The oracle interleaves join *execution* with
-//! the FROM walk, and aggregates group by group, so over a join it can
-//! name a different defect of the same query; whether a query errors
-//! never differs.) Scoping mirrors the oracle's per-node rule exactly:
-//! equi-keys and ON residuals are extracted against each node's local
-//! `left.cols ++ right.cols` scope.
+//! **Error order.** One rule: every compile defect of any block precedes
+//! every runtime defect. Compile defects come in the walk order above:
+//! FROM leaves left to right (a derived leaf's whole plan counts as its
+//! leaf) interleaved bottom-up with each join's `USING`/`ON`; then WHERE,
+//! GROUP BY, SELECT items left to right, HAVING, ORDER BY — an expression
+//! subquery's plan where its node stands, a set operation's arms and
+//! arities before its ORDER BY. Runtime defects come in run order: a
+//! block's nested plans, then its joins bottom-up and the WHERE filter,
+//! then operator by operator: group keys (earliest row), each aggregate's
+//! argument in aggregate order (earliest row), the folds (lowest
+//! aggregate index), then per group — or per row of a plain block —
+//! HAVING, SELECT items, sort keys. So whatever the data, a query with a
+//! compile defect reports one, and the same one as the oracle, which
+//! walks the whole query the same way before it reads a row. (The oracle
+//! then runs a derived table where its FROM walk reaches it, interleaves
+//! join execution with that walk, and aggregates group by group, so of
+//! several *runtime* defects it can name a different one; whether a query
+//! errors never differs.) Scoping mirrors the oracle's per-node rule
+//! exactly: equi-keys and ON residuals are extracted against each node's
+//! local `left.cols ++ right.cols` scope.
 //!
 //! Names become positions in [`crate::bind`] and nowhere else: column
 //! references, `USING`/`ON` keys, SELECT-list expansion and ORDER BY
@@ -162,12 +175,15 @@ use crate::aggregate::AggSpec;
 use crate::bind::{self, split_join_constraint, ColMeta, Projected};
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::error::{DbError, Result};
-use crate::exec::{self, Exec, GroupCompiler, SortKey};
-use crate::expr::CompiledExpr;
+use crate::exec::{self, Exec, GroupCompiler};
+use crate::expr::{CompiledExpr, Subquery};
 use crate::table::Row;
-use crate::value::Value;
-use flex_sql::{BinaryOperator, Expr, JoinType, OrderByItem, Select, TableRef};
+use crate::value::{Value, ValueKey};
+use flex_sql::{
+    BinaryOperator, Expr, JoinType, OrderByItem, Query, Select, SetExpr, SetOperator, TableRef,
+};
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The join-scheduling decisions one execution made, recorded in
@@ -180,8 +196,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct JoinOrder {
     /// Join operators executed, numbered in execution sequence (a tree
-    /// of `n` leaves runs `n - 1` joins, post-order; nested executions'
-    /// joins come first). Saturates at 255.
+    /// of `n` leaves runs `n - 1` joins, post-order; the joins of a
+    /// block's nested plans come first). Saturates at 255.
     pub joins: u8,
     /// Bitmask over the first eight joins of that sequence: bit `k` set
     /// iff the `k`-th join chose its *left* input as the hash-build side
@@ -198,14 +214,6 @@ impl JoinOrder {
         }
         self.joins = self.joins.saturating_add(1);
     }
-
-    /// Record a nested execution's joins after this one's.
-    pub(crate) fn append(&mut self, child: JoinOrder) {
-        if self.joins < 8 {
-            self.swapped |= child.swapped << self.joins;
-        }
-        self.joins = self.joins.saturating_add(child.joins);
-    }
 }
 
 /// The conjunct schedules one execution ran, recorded in
@@ -219,8 +227,8 @@ impl JoinOrder {
 pub struct FilterOrder {
     /// Top-level AND conjuncts of every WHERE predicate and ON residual
     /// that has at least two (a lone conjunct has no order), predicate
-    /// after predicate in the sequence they were planned — nested
-    /// executions first. Saturates at 255.
+    /// after predicate in the sequence they were planned — a nested
+    /// plan's where the walk reaches it. Saturates at 255.
     pub conjuncts: u8,
     /// The first sixteen of them in the order they run, four bits each
     /// from the low end: the position, as written within its own
@@ -251,30 +259,6 @@ impl FilterOrder {
             self.conjuncts = self.conjuncts.saturating_add(1);
         }
     }
-
-    /// Record a nested execution's predicates after this one's.
-    pub(crate) fn append(&mut self, child: FilterOrder) {
-        if self.conjuncts < 16 {
-            self.order |= child.order << (4 * self.conjuncts);
-        }
-        self.conjuncts = self.conjuncts.saturating_add(child.conjuncts);
-    }
-}
-
-/// An intermediate relation: ordered columns plus a multiset of rows.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct Relation {
-    /// Column metadata, in output order.
-    pub cols: Vec<ColMeta>,
-    /// The rows (each as wide as `cols`).
-    pub rows: Vec<Row>,
-}
-
-impl Relation {
-    /// Assemble a relation from columns and rows.
-    pub fn new(cols: Vec<ColMeta>, rows: Vec<Row>) -> Self {
-        Relation { cols, rows }
-    }
 }
 
 /// The final result of executing a query.
@@ -286,15 +270,6 @@ pub struct ResultSet {
     pub rows: Vec<Row>,
 }
 
-impl From<Relation> for ResultSet {
-    fn from(r: Relation) -> Self {
-        ResultSet {
-            columns: r.cols.into_iter().map(|c| c.name).collect(),
-            rows: r.rows,
-        }
-    }
-}
-
 impl ResultSet {
     /// The single scalar value of a 1×1 result, if the shape matches.
     pub fn scalar(&self) -> Option<&crate::value::Value> {
@@ -302,6 +277,109 @@ impl ResultSet {
             Some(&self.rows[0][0])
         } else {
             None
+        }
+    }
+}
+
+// ---- the plan of a whole query ---------------------------------------------
+
+/// A query, planned in full ([`plan_query`]): every block of it compiled,
+/// nothing run.
+pub(crate) struct QueryPlan {
+    /// The output columns.
+    pub header: Vec<ColMeta>,
+    pub body: QueryBody,
+}
+
+/// What a planned query runs.
+pub(crate) enum QueryBody {
+    /// One SELECT block, the query's ORDER BY / LIMIT as its tail.
+    Select(Box<BlockPlan>),
+    /// A set-operation tree, then the tail over its output.
+    SetOp(SetPlan, TailPlan),
+}
+
+/// A planned set-operation tree: arms are blocks with no tail of their
+/// own, run left to right.
+pub(crate) enum SetPlan {
+    Arm(Box<BlockPlan>),
+    Op {
+        op: SetOperator,
+        /// `ALL`, which only UNION reads (set semantics otherwise).
+        all: bool,
+        left: Box<SetPlan>,
+        right: Box<SetPlan>,
+    },
+}
+
+/// A query nested in a block, planned where the block's walk reached it
+/// and run before any of the block's rows.
+pub(crate) enum Nested {
+    /// A derived table: its rows are the block's next derived leaf.
+    Derived(QueryPlan),
+    /// `EXISTS (…)`: whether it returns a row.
+    Exists(QueryPlan, Arc<Subquery<bool>>),
+    /// `IN (SELECT …)`, one column wide: its values.
+    In(QueryPlan, Arc<Subquery<(HashSet<ValueKey>, bool)>>),
+}
+
+/// Plan a whole `WITH`-free query ([module docs](self), "Plan the query,
+/// then run it"). Nothing runs: every error this returns is a compile
+/// error, and the plan records where each nested query's answer goes.
+pub(crate) fn plan_query(ex: &mut Exec<'_>, q: &Query) -> Result<QueryPlan> {
+    let (body, header) = match &q.body {
+        SetExpr::Select(s) => {
+            let (block, header) = plan_block(ex, s, &q.order_by, q.limit, q.offset)?;
+            (QueryBody::Select(Box::new(block)), header)
+        }
+        body => {
+            // Named after, and sorted by, the first arm's columns only.
+            let (tree, first) = plan_set_expr(ex, body)?;
+            let items = (first.into_iter().enumerate())
+                .map(|(i, c)| (ColMeta::new(None, c.name), CompiledExpr::Column(i)))
+                .collect();
+            let (tail, header) =
+                build_tail(&q.order_by, q.limit, q.offset, false, items, &mut |_| {
+                    Err(DbError::Unsupported(
+                        "ORDER BY on a set operation must reference output columns".into(),
+                    ))
+                })?;
+            (QueryBody::SetOp(tree, tail), header)
+        }
+    };
+    Ok(QueryPlan { header, body })
+}
+
+/// Plan a set-operation tree's arms depth-first, left before right, and
+/// return it with its first arm's header. Arity is checked at each node
+/// once both operands are planned: of two defects, the earlier one wins.
+fn plan_set_expr(ex: &mut Exec<'_>, e: &SetExpr) -> Result<(SetPlan, Vec<ColMeta>)> {
+    match e {
+        SetExpr::Select(s) => {
+            let (block, header) = plan_block(ex, s, &[], None, None)?;
+            Ok((SetPlan::Arm(Box::new(block)), header))
+        }
+        SetExpr::SetOp {
+            op,
+            all,
+            left,
+            right,
+        } => {
+            let (left, header) = plan_set_expr(ex, left)?;
+            let (right, right_header) = plan_set_expr(ex, right)?;
+            let (l, r) = (header.len(), right_header.len());
+            if l != r {
+                return Err(DbError::Unsupported(format!(
+                    "set operation arity mismatch: {l} vs {r} columns"
+                )));
+            }
+            let node = SetPlan::Op {
+                op: *op,
+                all: *all,
+                left: Box::new(left),
+                right: Box::new(right),
+            };
+            Ok((node, header))
         }
     }
 }
@@ -358,13 +436,17 @@ pub(crate) struct JoinNode {
     pub live_cols: Vec<bool>,
 }
 
-/// One SELECT block, opened and compiled ([`plan_block`]): everything
-/// `vexec::run_select` runs.
+/// One SELECT block, compiled in full ([`plan_block`]): everything
+/// `vexec::run_block` runs.
 pub(crate) struct BlockPlan {
+    /// The queries nested in the block, in the order they were planned:
+    /// what the block runs first.
+    pub nested: Vec<Nested>,
     /// Scan leaves in FROM order (what [`PlanNode::Scan`] indexes): base
-    /// tables' shared columnar projections, derived tables' executed
-    /// results, or a table-less SELECT's one row of no columns.
-    pub leaves: Vec<Arc<ColumnarTable>>,
+    /// tables' shared columnar projections, or a table-less SELECT's one
+    /// row of no columns; `None` for a derived table, whose rows its
+    /// [`Nested::Derived`] plan produces.
+    pub leaves: Vec<Option<Arc<ColumnarTable>>>,
     /// The root of the FROM tree: a leaf, or the root join.
     pub root: PlanNode,
     /// Infallible WHERE kernels narrowing a one-leaf root's scan, in
@@ -419,24 +501,27 @@ impl Body {
     }
 }
 
-/// Open and compile one SELECT block ([module docs](self), "Open,
-/// compile, run"): the FROM tree, derived leaves executed as the walk
-/// reaches them; WHERE, split once by the placement rules; the block's
+/// Compile one SELECT block in full ([module docs](self), "Plan the
+/// query, then run it"): the FROM tree, a derived leaf planned where the
+/// walk reaches it; WHERE, split once by the placement rules; the block's
 /// own plan; and each join's liveness, read off that plan. `order_by`,
 /// `limit` and `offset` are what follows the block in its query (a
-/// set-operation arm has none). No operator has touched a row yet.
+/// set-operation arm has none). Returns the plan and the block's header.
 pub(crate) fn plan_block(
     ex: &mut Exec<'_>,
     s: &Select,
     order_by: &[OrderByItem],
     limit: Option<u64>,
     offset: Option<u64>,
-) -> Result<BlockPlan> {
+) -> Result<(BlockPlan, Vec<ColMeta>)> {
+    // This block's nested plans collect in `ex.nested` while it compiles;
+    // the enclosing block's wait here.
+    let enclosing = std::mem::take(&mut ex.nested);
     let mut leaves = Vec::new();
     let (mut root, cols, phys) = match &s.from {
         Some(from) => build_node(ex, from, &mut leaves)?,
         None => {
-            leaves.push(Arc::new(ColumnarTable::from_columns(Vec::new(), 1)));
+            leaves.push(Some(Arc::new(ColumnarTable::from_columns(Vec::new(), 1))));
             (PlanNode::Scan(0), Vec::new(), Vec::new())
         }
     };
@@ -451,7 +536,7 @@ pub(crate) fn plan_block(
     let mut post_filter = None;
     if let Some(pred) = &s.selection {
         let compiled = ex.compile_scalar(pred, &cols)?;
-        let scheduled = schedule_where(compiled, &|c| phys[c], &mut ex.stats.filter_order);
+        let scheduled = schedule_where(compiled, &|c| phys[c], &mut ex.trace.filter_order);
         let lw = match &root {
             PlanNode::Join(node) => node.lw,
             PlanNode::Scan(_) => cols.len(),
@@ -489,10 +574,12 @@ pub(crate) fn plan_block(
         }
     }
 
-    let body = if bind::is_aggregated(s) {
-        Body::Grouped(plan_grouped(ex, s, &cols, order_by, limit, offset)?)
+    let (body, header) = if bind::is_aggregated(s) {
+        let (plan, header) = plan_grouped(ex, s, &cols, order_by, limit, offset)?;
+        (Body::Grouped(plan), header)
     } else {
-        Body::Plain(plan_tail(ex, s, &cols, order_by, limit, offset)?)
+        let (tail, header) = plan_tail(ex, s, &cols, order_by, limit, offset)?;
+        (Body::Plain(tail), header)
     };
 
     // Liveness: the root join materializes what the block's plan reads;
@@ -514,14 +601,16 @@ pub(crate) fn plan_block(
         assign_liveness(node, live, reads);
     }
 
-    Ok(BlockPlan {
+    let plan = BlockPlan {
+        nested: std::mem::replace(&mut ex.nested, enclosing),
         leaves,
         root,
         scan_kernels,
         post_kernels,
         post_filter,
         body,
-    })
+    };
+    Ok((plan, header))
 }
 
 /// Whether `join_type` keeps (NULL-pads) unmatched rows of `side`.
@@ -532,35 +621,46 @@ pub(crate) fn keeps_unmatched(join_type: JoinType, side: JoinSide) -> bool {
     }
 }
 
-/// Recursively build the plan node for one FROM subtree, opening (and,
-/// for a derived table, executing) each leaf as the walk reaches it.
-/// Returns the node, its output scope, and each output column's physical
-/// storage ([`Phys`]), which ranks conjuncts and gates LIKE kernels.
+/// Recursively build the plan node for one FROM subtree, planning each
+/// leaf as the walk reaches it. Returns the node, its output scope, and
+/// each output column's physical storage ([`Phys`]), which ranks
+/// conjuncts and gates LIKE kernels.
 fn build_node(
     ex: &mut Exec<'_>,
     t: &TableRef,
-    leaves: &mut Vec<Arc<ColumnarTable>>,
+    leaves: &mut Vec<Option<Arc<ColumnarTable>>>,
 ) -> Result<(PlanNode, Vec<ColMeta>, Vec<Phys>)> {
-    let (ctab, cols, base_table) = match t {
+    match t {
         TableRef::Table { name, alias } => {
             let table = ex
                 .db
                 .table(name)
                 .ok_or_else(|| DbError::UnknownTable(name.clone()))?;
+            let ctab = table.columnar().clone();
+            // Selection vectors are u32 with GATHER_NULL as a sentinel.
+            if ctab.len() >= GATHER_NULL as usize {
+                return Err(DbError::Unsupported(format!(
+                    "scan of {} rows exceeds the executor's {GATHER_NULL}-row limit",
+                    ctab.len()
+                )));
+            }
+            ex.trace.note_scan(ctab.len(), ex.par);
             let cols = table.col_metas(alias.as_deref().unwrap_or(name));
-            (table.columnar().clone(), cols, true)
+            let phys = ctab.columns.iter().map(Phys::of).collect();
+            leaves.push(Some(ctab));
+            Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
         }
-        // The subquery executes here, before anything that follows it in
-        // the query compiles, and its result columnarizes under the
-        // alias's scope.
+        // The subquery is planned here, before anything that follows it
+        // in the query compiles; its rows exist only once its block runs,
+        // so no column of it may claim a storage.
         TableRef::Derived { query, alias } => {
-            let rs = ex.subquery(query)?;
-            let ctab = ColumnarTable::from_rows(&rs.rows, rs.columns.len());
-            (
-                Arc::new(ctab),
-                bind::derived_scope(alias, rs.columns),
-                false,
-            )
+            let plan = plan_query(ex, query)?;
+            let names = plan.header.iter().map(|c| c.name.clone());
+            let cols = bind::derived_scope(alias, names);
+            let phys = vec![Phys::Mixed; cols.len()];
+            ex.nested.push(Nested::Derived(plan));
+            leaves.push(None);
+            Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
         }
         TableRef::Join {
             left,
@@ -583,7 +683,7 @@ fn build_node(
                 residual.push(ex.compile_scalar(c, &combined)?);
             }
             let written: Vec<&CompiledExpr> = residual.iter().collect();
-            let scheduled = schedule(&written, &|c| phys[c], &mut ex.stats.filter_order);
+            let scheduled = schedule(&written, &|c| phys[c], &mut ex.trace.filter_order);
             let residual = scheduled.unwrap_or(residual);
 
             let mut node = JoinNode {
@@ -623,20 +723,9 @@ fn build_node(
                 None => node.residual = residual,
             }
 
-            return Ok((PlanNode::Join(Box::new(node)), combined, phys));
+            Ok((PlanNode::Join(Box::new(node)), combined, phys))
         }
-    };
-    // Selection vectors are u32 with GATHER_NULL as a sentinel.
-    if ctab.len() >= GATHER_NULL as usize {
-        return Err(DbError::Unsupported(format!(
-            "scan of {} rows exceeds the executor's {GATHER_NULL}-row limit",
-            ctab.len()
-        )));
     }
-    ex.stats.note_scan(ctab.len(), ex.par, base_table);
-    let phys = ctab.columns.iter().map(Phys::of).collect();
-    leaves.push(ctab);
-    Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
 }
 
 /// Push liveness down the tree: `node` materializes exactly `live`, and
@@ -1011,9 +1100,6 @@ pub(crate) enum TailItem {
 /// ORDER BY source expressions), so the first error is the one the
 /// oracle reports — only then does the tail sort, dedupe and slice.
 pub(crate) struct TailPlan {
-    /// Output column metadata: wildcard columns keep their qualifier,
-    /// expressions are named by alias or printed form.
-    pub out_cols: Vec<ColMeta>,
     /// What backs each output column.
     pub out_items: Vec<TailItem>,
     /// ORDER BY keys as (item, descending) pairs.
@@ -1039,10 +1125,13 @@ fn tail_item(e: CompiledExpr, computed: &mut Vec<CompiledExpr>) -> TailItem {
     }
 }
 
-/// Assemble a [`TailPlan`] from a block's compiled SELECT list, resolving
-/// ORDER BY through the one shared rule ([`exec::plan_sort_keys_with`]):
-/// output-position/name matches sort on the projected item; other keys
-/// compile through `compile_source` against the tail's input scope.
+/// Assemble a [`TailPlan`] from a compiled SELECT list, resolving ORDER
+/// BY by the executor's one rule — of plain and grouped blocks and set
+/// operations alike: an ordinal or a bare name of an output column
+/// ([`bind::sort_key_by_output`], aliases included) sorts on that
+/// item; any other key compiles through `compile_source` against the
+/// tail's input scope. Returns the plan and the header: wildcard columns
+/// keep their qualifier, expressions are named by alias or printed form.
 fn build_tail(
     order_by: &[OrderByItem],
     limit: Option<u64>,
@@ -1050,33 +1139,29 @@ fn build_tail(
     distinct: bool,
     items: Vec<(ColMeta, CompiledExpr)>,
     compile_source: &mut dyn FnMut(&Expr) -> Result<CompiledExpr>,
-) -> Result<TailPlan> {
+) -> Result<(TailPlan, Vec<ColMeta>)> {
     let mut computed = Vec::new();
     let (out_cols, out_items): (Vec<_>, Vec<_>) = items
         .into_iter()
         .map(|(meta, e)| (meta, tail_item(e, &mut computed)))
         .unzip();
-    let keys = exec::plan_sort_keys_with(order_by, &out_cols, compile_source)?;
-    let sort = keys
-        .into_iter()
-        .zip(order_by)
-        .map(|(key, item)| {
-            let tail_item = match key {
-                SortKey::Output(pos) => out_items[pos],
-                SortKey::Source(e) => tail_item(e, &mut computed),
-            };
-            (tail_item, item.descending)
-        })
-        .collect();
-    Ok(TailPlan {
-        out_cols,
+    let mut sort = Vec::with_capacity(order_by.len());
+    for item in order_by {
+        let key = match bind::sort_key_by_output(&item.expr, &out_cols)? {
+            Some(pos) => out_items[pos],
+            None => tail_item(compile_source(&item.expr)?, &mut computed),
+        };
+        sort.push((key, item.descending));
+    }
+    let tail = TailPlan {
         out_items,
         sort,
         computed,
         distinct,
         limit,
         offset,
-    })
+    };
+    Ok((tail, out_cols))
 }
 
 /// Plan the tail of a non-aggregated SELECT block. Compile errors are
@@ -1090,7 +1175,7 @@ fn plan_tail(
     order_by: &[OrderByItem],
     limit: Option<u64>,
     offset: Option<u64>,
-) -> Result<TailPlan> {
+) -> Result<(TailPlan, Vec<ColMeta>)> {
     debug_assert!(!bind::is_aggregated(s));
     let mut items: Vec<(ColMeta, CompiledExpr)> = Vec::new();
     for out in bind::project_scope(cols, &s.projection) {
@@ -1121,8 +1206,9 @@ pub(crate) struct GroupedPlan {
 }
 
 /// Plan an aggregated SELECT block. Compile errors are raised here, in
-/// the oracle's order: GROUP BY, projection items left to right (a
-/// wildcard is one), HAVING, then ORDER BY.
+/// the oracle's order: GROUP BY keys left to right (a position out of
+/// range among them), projection items left to right (a wildcard is
+/// one), HAVING, then ORDER BY.
 fn plan_grouped(
     ex: &mut Exec<'_>,
     s: &Select,
@@ -1130,14 +1216,12 @@ fn plan_grouped(
     order_by: &[OrderByItem],
     limit: Option<u64>,
     offset: Option<u64>,
-) -> Result<GroupedPlan> {
-    let sources = exec::group_keys(s);
-    let keys = (sources.iter())
-        .map(|g| ex.compile_scalar(g, cols))
+) -> Result<(GroupedPlan, Vec<ColMeta>)> {
+    let keys = (s.group_by.iter())
+        .map(|g| ex.compile_scalar(exec::group_key(s, g)?, cols))
         .collect::<Result<Vec<_>>>()?;
     let mut gc = GroupCompiler {
         group_exprs: &keys,
-        group_sources: &sources,
         aggs: Vec::new(),
     };
     let mut items = Vec::with_capacity(s.projection.len());
@@ -1156,14 +1240,15 @@ fn plan_grouped(
         None => None,
     };
     let compile_source = &mut |e: &Expr| gc.compile(ex, e, cols);
-    let tail = build_tail(order_by, limit, offset, s.distinct, items, compile_source)?;
+    let (tail, header) = build_tail(order_by, limit, offset, s.distinct, items, compile_source)?;
     let aggs = gc.aggs;
-    Ok(GroupedPlan {
+    let plan = GroupedPlan {
         keys,
         aggs,
         having,
         tail,
-    })
+    };
+    Ok((plan, header))
 }
 
 #[cfg(test)]
@@ -1209,6 +1294,19 @@ mod tests {
             (
                 "SELECT COUNT(*) FROM t GROUP BY nope",
                 "unknown column `nope`",
+            ),
+            (
+                "SELECT COUNT(*) FROM t GROUP BY 9",
+                "GROUP BY position 9 out of range",
+            ),
+            // GROUP BY keys compile left to right.
+            (
+                "SELECT COUNT(*) FROM t GROUP BY nope, 0",
+                "unknown column `nope`",
+            ),
+            (
+                "SELECT COUNT(*) FROM t GROUP BY 0, nope",
+                "GROUP BY position 0 out of range",
             ),
             // Two defects: the projection's comes before HAVING's, and
             // HAVING's before ORDER BY's.
@@ -1302,7 +1400,7 @@ mod tests {
             let q = flex_sql::parse_query(&sql).unwrap();
             let mut ex = Exec::new(&db, db.exec_tuning());
             let plan = plan_block(&mut ex, q.as_select().unwrap(), &q.order_by, None, None);
-            let plan = plan.unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let (plan, _) = plan.unwrap_or_else(|e| panic!("{sql}: {e}"));
             let live = |node: &JoinNode| -> Vec<usize> {
                 (0..node.live_cols.len())
                     .filter(|&i| node.live_cols[i])
@@ -1323,22 +1421,20 @@ mod tests {
     /// is not a schedule; the seventeenth conjunct on is counted only.
     #[test]
     fn filter_order_packs_predicates_in_sequence() {
-        let mut child = FilterOrder::default();
-        child.push([2, 0, 1].into_iter());
-        assert_eq!((child.conjuncts, child.order), (3, 0x102));
         let mut order = FilterOrder::default();
+        order.push([2, 0, 1].into_iter());
+        assert_eq!((order.conjuncts, order.order), (3, 0x102));
         order.push([0].into_iter());
-        assert_eq!(order, FilterOrder::default());
+        assert_eq!((order.conjuncts, order.order), (3, 0x102));
         order.push([1, 0].into_iter());
-        order.append(child);
-        assert_eq!(order.positions(), [1, 0, 2, 0, 1]);
+        assert_eq!(order.positions(), [2, 0, 1, 1, 0]);
         order.push((0..20).rev());
         assert_eq!(order.conjuncts, 25);
         assert_eq!(
             order.positions(),
-            [1, 0, 2, 0, 1, 15, 15, 15, 15, 15, 14, 13, 12, 11, 10, 9]
+            [2, 0, 1, 1, 0, 15, 15, 15, 15, 15, 14, 13, 12, 11, 10, 9]
         );
-        order.append(child);
+        order.push([2, 0, 1].into_iter());
         assert_eq!((order.conjuncts, order.positions().len()), (28, 16));
     }
 

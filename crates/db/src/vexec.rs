@@ -12,31 +12,32 @@
 //!
 //! # One entry point, every shape
 //!
-//! `execute_query` runs any `WITH`-free query ([`crate::exec`]'s public
-//! entry points expand `WITH` first, so a CTE reference *is* a derived
-//! table here) and is also what every nested query goes through — a
-//! derived table, an `IN (SELECT …)` / `EXISTS` subquery — each as an
-//! execution of its own whose statistics fold into its parent's
-//! (`VexecStats::absorb`). A query is one of:
+//! `execute_query` plans any `WITH`-free query in full
+//! ([`plan::plan_query`]; [`crate::exec`]'s public entry points expand
+//! `WITH` first, so a CTE reference *is* a derived table here) and then
+//! runs the plan, one execution for the whole query: a nested query — a
+//! derived table, an `IN (SELECT …)` / `EXISTS` subquery — is a plan its
+//! block runs first (`run_nested`), not an execution of its own. A query
+//! is one of:
 //!
-//! - a **SELECT block** (`run_select`): its FROM is a tree of one or more
+//! - a **SELECT block** (`run_block`): its FROM is a tree of one or more
 //!   leaves — base tables, derived tables (`FROM (SELECT …) alias`, whose
-//!   subquery executes when the planner reaches it and whose result
-//!   columnarizes into a leaf), or, for a table-less `SELECT`, one row of
-//!   zero columns — joined as wide as the query writes it:
-//!   INNER/LEFT/RIGHT/FULL equi-joins run as columnar hash joins
-//!   (matched-bit tracking pads the kept sides), CROSS and non-equi joins
-//!   as nested-loop morsels, each join late-materializing only live
-//!   columns into the next operator's input;
+//!   rows its plan produces and which columnarize into a leaf), or, for a
+//!   table-less `SELECT`, one row of zero columns — joined as wide as the
+//!   query writes it: INNER/LEFT/RIGHT/FULL equi-joins run as columnar
+//!   hash joins (matched-bit tracking pads the kept sides), CROSS and
+//!   non-equi joins as nested-loop morsels, each join late-materializing
+//!   only live columns into the next operator's input;
 //! - a **set-operation** tree (UNION \[ALL\], INTERSECT, EXCEPT, mixed
 //!   freely): arms run left to right as SELECT blocks with no tail of
 //!   their own, concatenate into one columnar table, and each node of the
 //!   tree keeps, drops or dedupes index ranges over it.
 //!
-//! Nothing declines: a block is opened and compiled in full by
-//! [`plan::plan_block`] and then run ([`crate::plan`], "Open, compile,
-//! run"), and an error is raised where it is found. Every block is the
-//! same operator sequence over [`ColumnarTable`]s — Scan → Filter → Join →
+//! Nothing declines: the query is planned in full and then run
+//! ([`crate::plan`], "Plan the query, then run it"), and an error is
+//! raised where it is found. Running a plan yields rows; the header is
+//! the plan's, attached once by `execute_query`. Every block is the same
+//! operator sequence over [`ColumnarTable`]s — Scan → Filter → Join →
 //! Project → Aggregate → Project → Tail, each step present only when the
 //! query asks for it:
 //!
@@ -100,135 +101,112 @@
 //! see `run_tail`), so any query that executes without error returns a
 //! [`ResultSet`] byte-identical to the oracle's, at any worker count. A
 //! query errors here iff it errors there; a single-defect query reports
-//! the same error text ([`crate::plan`], "Error order"). The one
-//! permitted divergence: of several *runtime* defects in one aggregated
-//! block the two may name different ones, because the executor runs
-//! operator by operator (all keys, then each aggregate's argument, then
-//! the folds in table order) where the oracle runs group by group.
+//! the same error text ([`crate::plan`], "Error order"), and a compile
+//! defect anywhere in a query precedes every runtime defect on both. The
+//! one permitted divergence is runtime defect against runtime defect: of
+//! several, the two may name different ones, because the executor runs a
+//! block's nested plans first and then operator by operator (all keys,
+//! then each aggregate's argument, then the folds in table order), where
+//! the oracle runs a derived table as its FROM walk reaches it and
+//! aggregates group by group.
 
 use crate::aggregate::{self, AggFunc, AggPartial, FoldAcc, FoldState};
-use crate::bind::ColMeta;
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
 use crate::database::Database;
 use crate::error::{DbError, Result};
-use crate::exec::{self, Exec};
+use crate::exec::{self, Exec, ExecTrace};
 use crate::expr::{columns_read, comparison_holds, like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, Body, FilterOrder, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, PlanNode,
-    Relation, ResultSet, TailItem, TailPlan,
+    self, BlockPlan, Body, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, Nested, PlanNode,
+    QueryBody, QueryPlan, ResultSet, SetPlan, TailItem, TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
-use flex_sql::{BinaryOperator, JoinType, OrderByItem, Query, Select, SetExpr, SetOperator};
+use flex_sql::{BinaryOperator, JoinType, Query, SetOperator};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Statistics one execution reports about itself — the observability
-/// payload of [`crate::exec::ExecTrace`], nested executions included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct VexecStats {
-    /// Whether an `ORDER BY … LIMIT` tail — a SELECT block's or a set
-    /// operation's — ran as a bounded top-K selection instead of a full
-    /// sort.
-    pub topk: bool,
-    /// Scan morsels the base-table inputs split into.
-    pub morsels: u64,
-    /// Worker threads the execution was entitled to use (1 when every
-    /// input was too small to engage the morsel pool).
-    pub workers: u64,
-    /// Base-table rows scanned.
-    pub rows_scanned: u64,
-    /// Join order the tree executor chose (pure scheduling — never
-    /// affects result bytes; see [`JoinOrder`]).
-    pub join_order: JoinOrder,
-    /// Conjunct schedules the planner chose (pure scheduling too; see
-    /// [`FilterOrder`]).
-    pub filter_order: FilterOrder,
-}
-
-impl Default for VexecStats {
-    fn default() -> Self {
-        VexecStats {
-            topk: false,
-            morsels: 0,
-            workers: 1,
-            rows_scanned: 0,
-            join_order: JoinOrder::default(),
-            filter_order: FilterOrder::default(),
-        }
-    }
-}
-
-impl VexecStats {
-    /// Fold a nested execution — a derived table, an expression subquery
-    /// — into this one: its scans are this query's scans, its joins and
-    /// predicates precede this query's own.
-    pub(crate) fn absorb(&mut self, child: VexecStats) {
-        self.topk |= child.topk;
-        self.morsels += child.morsels;
-        self.rows_scanned += child.rows_scanned;
-        self.workers = self.workers.max(child.workers);
-        self.join_order.append(child.join_order);
-        self.filter_order.append(child.filter_order);
-    }
-
-    /// Record that a `len`-row input is about to be scanned: it may
-    /// engage the worker pool, and when it is a base table its rows and
-    /// morsels count (a derived table's were counted by its subquery).
-    pub(crate) fn note_scan(&mut self, len: usize, par: Parallelism, base_table: bool) {
-        self.workers = self.workers.max(par.workers_for(len) as u64);
-        if base_table && len > 0 {
-            self.rows_scanned += len as u64;
-            self.morsels += len.div_ceil(par.sched_rows(len)) as u64;
-        }
-    }
-}
-
-/// Execute a `WITH`-free query under the execution's tuning and report
-/// its statistics: the single entry point behind
-/// [`crate::exec::execute_traced`], and the runner every nested query of
-/// an execution goes through.
+/// Plan a `WITH`-free query in full, then run it, under the execution's
+/// tuning, and report how it ran: the single entry point behind
+/// [`crate::exec::execute_traced`].
 pub(crate) fn execute_query(
     db: &Database,
     q: &Query,
     par: Parallelism,
-) -> (VexecStats, Result<ResultSet>) {
+) -> (ExecTrace, Result<ResultSet>) {
     let mut ex = Exec::new(db, par);
-    let result = run_query(&mut ex, q);
-    (ex.stats, result)
+    let result = plan::plan_query(&mut ex, q).and_then(|plan| {
+        let rows = run_query(&mut ex, &plan)?;
+        // The header is allocated after the rows: were the rows the
+        // heap's last allocation, dropping a large result would trim the
+        // heap and the next query would fault the pages back in — 2x on
+        // 100k rows.
+        let columns = plan.header.iter().map(|c| c.name.clone()).collect();
+        Ok(ResultSet { columns, rows })
+    });
+    (ex.trace, result)
 }
 
-fn run_query(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
-    match &q.body {
-        SetExpr::Select(s) => run_select(ex, s, &q.order_by, q.limit, q.offset),
-        SetExpr::SetOp { .. } => run_set_op(ex, q),
+/// Run a planned query: its rows, in result order.
+fn run_query(ex: &mut Exec<'_>, plan: &QueryPlan) -> Result<Vec<Row>> {
+    match &plan.body {
+        QueryBody::Select(block) => run_block(ex, block),
+        QueryBody::SetOp(tree, tail) => run_set_op(ex, tree, tail, plan.header.len()),
     }
 }
 
-/// One SELECT block, opened and compiled in full by
-/// [`plan::plan_block`] before any operator runs; then its FROM tree and
-/// WHERE produce the block's input and selection — a one-leaf root's
-/// scan narrowed by its kernels or filtered through Project, or a join
-/// tree executed bottom-up with the WHERE on the root's pairs — and the
+/// Run a block's nested plans in the order they were planned — a derived
+/// table's rows become its leaf, a subquery's answer is set for the nodes
+/// that read it — and return the block's leaves.
+fn run_nested(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Arc<ColumnarTable>>> {
+    let mut derived = Vec::new();
+    for nested in &plan.nested {
+        match nested {
+            Nested::Derived(q) => {
+                let rows = run_query(ex, q)?;
+                // Its rows and morsels were counted where its plan scanned.
+                let workers = ex.par.workers_for(rows.len()) as u64;
+                ex.trace.workers = ex.trace.workers.max(workers);
+                let ctab = ColumnarTable::from_rows(&rows, q.header.len());
+                derived.push(Arc::new(ctab));
+            }
+            Nested::Exists(q, answer) => answer.set(!run_query(ex, q)?.is_empty()),
+            Nested::In(q, answer) => {
+                let rows = run_query(ex, q)?;
+                let has_null = rows.iter().any(|row| row[0].is_null());
+                let values = rows.iter().filter(|row| !row[0].is_null());
+                let values = values.map(|row| ValueKey::from(&row[0])).collect();
+                answer.set((values, has_null));
+            }
+        }
+    }
+    let mut derived = derived.into_iter();
+    let mut next_derived = || derived.next().expect("one derived plan per derived leaf");
+    let leaves = plan
+        .leaves
+        .iter()
+        .map(|leaf| leaf.clone().unwrap_or_else(&mut next_derived));
+    Ok(leaves.collect())
+}
+
+/// One SELECT block, compiled in full before any of the query ran: its
+/// nested plans run first ([`run_nested`]); then its FROM tree and WHERE
+/// produce the block's input and selection — a one-leaf root's scan
+/// narrowed by its kernels or filtered through Project, or a join tree
+/// executed bottom-up with the WHERE on the root's pairs — and the
 /// block's own operators finish it: Project → Aggregate → Project → Tail
 /// ([`run_grouped`]) or Project → Tail. See [`crate::plan`] for why each
 /// pushdown preserves the oracle's bytes.
-fn run_select(
-    ex: &mut Exec<'_>,
-    s: &Select,
-    order_by: &[OrderByItem],
-    limit: Option<u64>,
-    offset: Option<u64>,
-) -> Result<ResultSet> {
-    let plan = plan::plan_block(ex, s, order_by, limit, offset)?;
+fn run_block(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Row>> {
+    let leaves = run_nested(ex, plan)?;
     let par = ex.par;
     let (input, sel) = match &plan.root {
         PlanNode::Scan(leaf) => {
-            let leaf = &plan.leaves[*leaf];
+            let leaf = &leaves[*leaf];
             let sel = kernel_scan(leaf, &plan.scan_kernels, par);
             let sel = match &plan.post_filter {
                 Some(pred) => project(leaf, &sel, Some(pred), &[], par)?.0.into_owned(),
@@ -239,22 +217,28 @@ fn run_select(
         PlanNode::Join(root) => {
             let mut texec = TreeExec {
                 par,
-                join_order: &mut ex.stats.join_order,
+                join_order: &mut ex.trace.join_order,
             };
             let post = (&plan.post_kernels[..], plan.post_filter.as_ref());
-            let joined = texec.exec_join(root, Some(post), &plan.leaves)?;
+            let joined = texec.exec_join(root, Some(post), &leaves)?;
             let sel = (0..joined.len() as u32).collect();
             (joined, sel)
         }
     };
-    let rel = match &plan.body {
-        Body::Grouped(grouped) => run_grouped(&input, &sel, grouped, par, &mut ex.stats.topk)?,
+    match &plan.body {
+        Body::Grouped(grouped) => run_grouped(&input, &sel, grouped, par, &mut ex.trace.topk),
         Body::Plain(tail) => {
             let (sel, computed) = project(&input, &sel, None, &tail.computed, par)?;
-            run_tail(&input, &sel, &computed, tail, par, &mut ex.stats.topk)
+            Ok(run_tail(
+                &input,
+                &sel,
+                &computed,
+                tail,
+                par,
+                &mut ex.trace.topk,
+            ))
         }
-    };
-    Ok(ResultSet::from(rel))
+    }
 }
 
 // ---- Project ---------------------------------------------------------------
@@ -411,7 +395,7 @@ fn run_tail(
     tail: &TailPlan,
     par: Parallelism,
     topk_hit: &mut bool,
-) -> Relation {
+) -> Vec<Row> {
     let n = sel.len();
     // A selection as long as its table is the identity (selections are
     // strictly increasing): read it by position.
@@ -472,11 +456,7 @@ fn run_tail(
 
     // 4. Late materialization of only the output columns (in output
     // order — a column projected twice is read twice).
-    // (Rows before the metadata clone: were the rows the heap's last
-    // allocation, dropping a large result would trim the heap and the
-    // next query would fault the pages back in — 2x on 100k rows.)
-    let rows = materialize_rows(&out, &pos, par);
-    Relation::new(tail.out_cols.clone(), rows)
+    materialize_rows(&out, &pos, par)
 }
 
 /// Materialize the tail's surviving rows, reading only the output
@@ -1234,46 +1214,25 @@ fn swapped_equi_join(
     )
 }
 
-/// Run a set-operation tree: arms run left to right as SELECT blocks,
-/// their rows concatenate into one columnar intermediate, the
+/// Run a planned set-operation tree `arity` columns wide: arms run left
+/// to right, their rows concatenate into one columnar intermediate, the
 /// tree's nodes keep, drop or dedupe index ranges over it bottom-up
 /// ([`set_op_indices`]), and the surviving indices are the selection the
 /// shared ORDER BY / LIMIT tail ([`run_tail`]) runs over.
-fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
-    // 1. Execute every arm, checking arity node by node; the output is
-    // named after the first arm and sorts by its own columns only.
-    let mut arms: Vec<ResultSet> = Vec::new();
-    let arity = run_arms(ex, &q.body, &mut arms)?;
-    let out_cols: Vec<ColMeta> = std::mem::take(&mut arms[0].columns)
-        .into_iter()
-        .map(|n| ColMeta::new(None, n))
-        .collect();
-    let sort = exec::set_op_sort_keys(&q.order_by, &out_cols)?;
-    let tail = TailPlan {
-        out_cols,
-        out_items: (0..arity).map(TailItem::Source).collect(),
-        sort: sort
-            .into_iter()
-            .map(|(pos, desc)| (TailItem::Source(pos), desc))
-            .collect(),
-        computed: Vec::new(),
-        distinct: false,
-        limit: q.limit,
-        offset: q.offset,
-    };
-
-    // 2. Concatenate the arms' rows columnar.
-    let mut ranges: Vec<std::ops::Range<u32>> = Vec::with_capacity(arms.len());
+fn run_set_op(
+    ex: &mut Exec<'_>,
+    tree: &SetPlan,
+    tail: &TailPlan,
+    arity: usize,
+) -> Result<Vec<Row>> {
+    // 1. Run every arm and concatenate their rows columnar.
+    let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
     let mut all_rows: Vec<Row> = Vec::new();
-    for rs in &mut arms {
-        let start = all_rows.len() as u32;
-        all_rows.append(&mut rs.rows);
-        ranges.push(start..all_rows.len() as u32);
-    }
+    run_arms(ex, tree, &mut all_rows, &mut ranges)?;
     let ctab = ColumnarTable::from_rows(&all_rows, arity);
     drop(all_rows);
 
-    // 3. The set-op tree selects index ranges bottom-up; the result is a
+    // 2. The set-op tree selects index ranges bottom-up; the result is a
     // strictly ascending index list in set-op emission order — the
     // tail's selection, whose position tie-break keeps that order.
     let mut next_arm = 0usize;
@@ -1282,35 +1241,33 @@ fn run_set_op(ex: &mut Exec<'_>, q: &Query) -> Result<ResultSet> {
         .iter()
         .map(|col| TailCol { col, sel: None })
         .collect();
-    let idx = set_op_indices(&q.body, &ranges, &mut next_arm, &cols);
+    let idx = set_op_indices(tree, &ranges, &mut next_arm, &cols);
     // The set operation's own `ORDER BY … LIMIT` is a tail like any
     // block's: a bounded top-K here is reported in `ExecTrace::topk`.
     let par = ex.par;
-    Ok(run_tail(&ctab, &idx, &[], &tail, par, &mut ex.stats.topk).into())
+    Ok(run_tail(&ctab, &idx, &[], tail, par, &mut ex.trace.topk))
 }
 
-/// Execute the SELECT arms of a set-op tree depth-first, left before
-/// right, pushing each result onto `arms`, and return the tree's output
-/// width. Arity is checked at each node as soon as both operands have
-/// run — so of two defects the earlier one in that walk is reported,
-/// and nothing to the right of an erring node executes.
-fn run_arms(ex: &mut Exec<'_>, e: &SetExpr, arms: &mut Vec<ResultSet>) -> Result<usize> {
-    match e {
-        SetExpr::Select(s) => {
-            // An arm is a block with no ORDER BY / LIMIT of its own (those
-            // apply to the set operation's output).
-            let rs = run_select(ex, s, &[], None, None)?;
-            let width = rs.columns.len();
-            arms.push(rs);
-            Ok(width)
+/// Run the arms of a set-op tree depth-first, left before right,
+/// appending each one's rows to `rows` and its index range to `ranges`.
+fn run_arms(
+    ex: &mut Exec<'_>,
+    tree: &SetPlan,
+    rows: &mut Vec<Row>,
+    ranges: &mut Vec<std::ops::Range<u32>>,
+) -> Result<()> {
+    match tree {
+        SetPlan::Arm(block) => {
+            let start = rows.len() as u32;
+            rows.append(&mut run_block(ex, block)?);
+            ranges.push(start..rows.len() as u32);
         }
-        SetExpr::SetOp { left, right, .. } => {
-            let l = run_arms(ex, left, arms)?;
-            let r = run_arms(ex, right, arms)?;
-            exec::check_set_op_arity(l, r)?;
-            Ok(l)
+        SetPlan::Op { left, right, .. } => {
+            run_arms(ex, left, rows, ranges)?;
+            run_arms(ex, right, rows, ranges)?;
         }
     }
+    Ok(())
 }
 
 /// The surviving row indices of a set-op tree over the concatenated arm
@@ -1321,18 +1278,18 @@ fn run_arms(ex: &mut Exec<'_>, e: &SetExpr, arms: &mut Vec<ResultSet>) -> Result
 /// is ignored on both: set semantics) — the same partition `RowKey`
 /// equality gives the oracle at each node.
 fn set_op_indices(
-    e: &SetExpr,
+    tree: &SetPlan,
     ranges: &[std::ops::Range<u32>],
     next_arm: &mut usize,
     cols: &[TailCol<'_>],
 ) -> Vec<u32> {
-    match e {
-        SetExpr::Select(_) => {
+    match tree {
+        SetPlan::Arm(_) => {
             let r = ranges[*next_arm].clone();
             *next_arm += 1;
             r.collect()
         }
-        SetExpr::SetOp {
+        SetPlan::Op {
             op,
             all,
             left,
@@ -1473,7 +1430,7 @@ fn run_grouped(
     plan: &GroupedPlan,
     par: Parallelism,
     topk: &mut bool,
-) -> Result<Relation> {
+) -> Result<Vec<Row>> {
     let nkeys = plan.keys.len();
     let args = || plan.aggs.iter().filter_map(|spec| spec.arg.as_ref());
     let plain = (plan.keys.iter().chain(args())).all(|e| matches!(e, CompiledExpr::Column(_)));
@@ -2059,5 +2016,44 @@ fn min_max(col: &Column, func: AggFunc, sel: &[u32], gids: &[u32], ngroups: usiz
         ColumnData::Mixed(_) => {
             unreachable!("Mixed MIN/MAX collects values (`AggPartial::BestValues`)")
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::database::Database;
+    use crate::morsel::Parallelism;
+    use crate::schema::{DataType, Schema};
+    use crate::value::Value;
+
+    /// The tuning an execution starts with reaches every nested plan
+    /// (derived table, `IN` subquery): the database still says one worker
+    /// and 4096-row chunks, yet all three scans are counted on the 2-row
+    /// grid the execution was handed.
+    #[test]
+    fn nested_executions_inherit_the_executions_tuning() {
+        let mut db = Database::new();
+        for (name, n) in [("l", 4), ("r", 3)] {
+            db.create_table(name, Schema::of(&[("k", DataType::Int)]))
+                .unwrap();
+            let rows = (0..n).map(|i| vec![Value::Int(i % 3)]).collect();
+            db.insert(name, rows).unwrap();
+        }
+        let q = flex_sql::parse_query(
+            "SELECT COUNT(*) FROM (SELECT k FROM l) x WHERE k IN (SELECT k FROM r) \
+             AND k IN (SELECT k FROM l)",
+        )
+        .unwrap();
+        let par = Parallelism {
+            workers: 4,
+            fold_rows: 2,
+        };
+        let (stats, result) = super::execute_query(&db, &q, par);
+        assert_eq!(result.unwrap().scalar(), Some(&Value::Int(4)));
+        assert_eq!(stats.workers, 4);
+        // l (4 rows) twice and r (3 rows) once, in 2-row morsels.
+        assert_eq!((stats.rows_scanned, stats.morsels), (11, 6));
+        let (db_stats, _) = super::execute_query(&db, &q, db.exec_tuning());
+        assert_eq!((db_stats.workers, db_stats.morsels), (1, 3));
     }
 }

@@ -2056,14 +2056,72 @@ fn tail_compile_errors_precede_where_runtime_errors() {
 }
 
 /// Which error a query reports is not a fact about the data. Each compile
-/// defect below sits in a block whose WHERE fails on any row it reads
-/// (`s + 1 > 0` over a string); over no rows, one row and thirty, over a
+/// defect below sits in a query that fails on any row it reads (`s + 1`
+/// over a string); over no rows, one row and thirty, at one worker and at
+/// eight, both engines report the compile defect, in the same words.
+/// First the failing expression is the defect's own block's WHERE, over a
 /// single scan and over a two-way join (where the WHERE runs on the
-/// pairs), at one worker and at eight, both engines report the compile
-/// defect, in the same words.
+/// pairs). Then it lives in another block — a derived table (alone and
+/// joined), an earlier set-operation arm, an `IN (SELECT …)` in HAVING —
+/// and the compile defect elsewhere: an ORDER BY position, an unknown
+/// column, a two-column `IN` subquery, a later arm's arity, a GROUP BY
+/// position. Each query without its compile defect fails at run time.
 #[test]
 fn a_compile_defect_wins_whatever_the_data() {
     let rows = agg_matrix_db(false).table("g").unwrap().rows.clone();
+    let defects = [
+        "ORDER BY position 9 out of range",
+        "unknown column `nope`",
+        "IN subquery must return exactly one column",
+        "set operation arity mismatch",
+        "GROUP BY position 9 out of range",
+    ];
+    let derived = "(SELECT k FROM g WHERE s + 1 > 0) d";
+    let derived_join = "(SELECT k FROM g WHERE s + 1 > 0) d JOIN h ON d.k = h.k";
+    let arm = "SELECT k FROM g WHERE s + 1 > 0 UNION ALL";
+    let having = "HAVING COUNT(*) IN (SELECT s + 1 FROM g)";
+    // (the query with the runtime defect alone, then with each of
+    // `defects` beside it, in order)
+    let placements: Vec<(String, [String; 5])> = [derived, derived_join]
+        .into_iter()
+        .map(|from| {
+            (
+                format!("SELECT COUNT(*) FROM {from}"),
+                [
+                    format!("SELECT COUNT(*) FROM {from} ORDER BY 9"),
+                    format!("SELECT nope FROM {from}"),
+                    format!("SELECT COUNT(*) FROM {from} WHERE d.k IN (SELECT k, k FROM h)"),
+                    format!("SELECT d.k FROM {from} UNION SELECT k, k FROM h"),
+                    format!("SELECT COUNT(*) FROM {from} GROUP BY 9"),
+                ],
+            )
+        })
+        .chain([
+            (
+                format!("{arm} SELECT k FROM h"),
+                [
+                    format!("{arm} SELECT k FROM h ORDER BY 9"),
+                    format!("{arm} SELECT nope FROM h"),
+                    format!("{arm} SELECT k FROM h WHERE k IN (SELECT k, k FROM h)"),
+                    format!("{arm} SELECT k, k FROM h"),
+                    format!("{arm} SELECT COUNT(*) FROM h GROUP BY 9"),
+                ],
+            ),
+            (
+                format!("SELECT k, COUNT(*) FROM g GROUP BY k {having}"),
+                [
+                    format!("SELECT k, COUNT(*) FROM g GROUP BY k {having} ORDER BY 9"),
+                    format!("SELECT k, COUNT(*) FROM g WHERE nope > 0 GROUP BY k {having}"),
+                    format!(
+                        "SELECT k, COUNT(*) FROM g GROUP BY k {having} \
+                         AND k IN (SELECT k, k FROM h)"
+                    ),
+                    format!("SELECT k, COUNT(*) FROM g GROUP BY k {having} UNION SELECT k FROM h"),
+                    format!("SELECT k, COUNT(*) FROM g GROUP BY k, 9 {having}"),
+                ],
+            ),
+        ])
+        .collect();
     let cases = [
         ("SELECT nope FROM {from} WHERE {w}", "unknown column `nope`"),
         (
@@ -2087,15 +2145,57 @@ fn a_compile_defect_wins_whatever_the_data() {
             .unwrap();
         let h = (0..n as i64).map(|i| vec![Value::Int(i % 3)]).collect();
         db.insert("h", h).unwrap();
+        let mut queries: Vec<(String, &str)> = Vec::new();
         for (template, needle) in cases {
             for (from, w) in froms {
                 let sql = template.replace("{from}", from).replace("{w}", w);
-                for workers in [1, 8] {
-                    db.set_parallelism(workers);
-                    let err = db.execute_sql(&sql).expect_err(&sql).to_string();
-                    assert!(err.contains(needle), "{sql} over {n} rows: {err}");
-                    assert_engines_agree(&db, &sql, &format!("{n} rows, workers={workers}"));
-                }
+                queries.push((sql, needle));
+            }
+        }
+        for (runtime, with_defects) in &placements {
+            if n > 0 {
+                queries.push((runtime.clone(), "type mismatch in arithmetic"));
+            }
+            queries.extend(with_defects.iter().cloned().zip(defects));
+        }
+        for (sql, needle) in &queries {
+            for workers in [1, 8] {
+                db.set_parallelism(workers);
+                let err = db.execute_sql(sql).expect_err(sql).to_string();
+                assert!(err.contains(needle), "{sql} over {n} rows: {err}");
+                assert_engines_agree(&db, sql, &format!("{n} rows, workers={workers}"));
+            }
+        }
+    }
+}
+
+/// A derived table's rows exist only once its block runs, so its columns
+/// claim no physical storage when the query is planned: `LIKE` over one
+/// is interpreted, never the string kernel. Whatever the column turns out
+/// to hold — strings, only NULLs, integers (on which `LIKE` raises), or
+/// no rows — the engines agree, alone and beside other conjuncts, over a
+/// scan and over a join, at one worker and at eight.
+#[test]
+fn like_over_a_derived_column_matches_the_oracle() {
+    let db = agg_matrix_db(false);
+    db.set_morsel_rows(3);
+    for derived in [
+        "SELECT k, s AS v FROM g",
+        "SELECT k, NULL AS v FROM g",
+        "SELECT k, i AS v FROM g",
+        "SELECT k, s AS v FROM g WHERE k < 0",
+    ] {
+        for query in [
+            "SELECT COUNT(*) FROM ({d}) d WHERE v LIKE 'a%'",
+            "SELECT k, v FROM ({d}) d WHERE v NOT LIKE '%e' ORDER BY 1, 2",
+            "SELECT COUNT(*) FROM ({d}) d WHERE k > 0 AND v LIKE '_' AND k < 2",
+            "SELECT d.k, COUNT(*) FROM ({d}) d JOIN g ON d.k = g.k \
+             WHERE d.v LIKE 'b%' AND g.i > 0 GROUP BY d.k ORDER BY 1",
+        ] {
+            let sql = query.replace("{d}", derived);
+            for workers in [1, 8] {
+                db.set_parallelism(workers);
+                assert_engines_agree(&db, &sql, &format!("workers={workers}"));
             }
         }
     }

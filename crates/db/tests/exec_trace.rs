@@ -301,6 +301,41 @@ fn derived_join_leaves_with_stats() {
     );
 }
 
+/// Planning the whole query before running it moves no statistic: a
+/// block runs its nested plans in the order they were planned, which is
+/// the order nested queries ran in when each was an execution of its own,
+/// and these are the values that executor reported. Planned: the derived
+/// leaf's WHERE (`b > 10 AND a < 5`, ranked tie → shape order), the ON
+/// residual's `IN` subquery, the `EXISTS` subquery's WHERE (`s = 'x'`
+/// costs four steps a row and `b >= 20` one, so the second runs first).
+/// Run: `t` for the leaf, `u` for the `IN`, `t` for the `EXISTS`, then
+/// `u` for the join, which keeps its build side (a fallible residual pins
+/// it) — at one worker and at four.
+#[test]
+fn nested_plans_keep_the_trace() {
+    let sql = "SELECT COUNT(*) FROM (SELECT a, b FROM t WHERE b > 10 AND a < 5) d \
+               JOIN u ON d.a = u.a AND u.c IN (SELECT c FROM u WHERE c > 100) \
+               WHERE EXISTS (SELECT 1 FROM t WHERE s = 'x' AND b >= 20)";
+    let (_, result) = assert_matches_oracle(sql);
+    assert_eq!(result.unwrap().rows, vec![vec![Value::Int(2)]]);
+    let db = db();
+    for workers in [1, 4] {
+        db.set_parallelism(workers);
+        let (trace, _) = db.execute_traced(&parse_query(sql).unwrap());
+        assert_eq!(trace.join_order, ONE_JOIN, "workers={workers}");
+        assert_eq!(
+            trace.filter_order.positions(),
+            [1, 0, 1, 0],
+            "workers={workers}"
+        );
+        assert_eq!(
+            (trace.rows_scanned, trace.morsels),
+            (16, 4),
+            "workers={workers}"
+        );
+    }
+}
+
 /// `SELECT COUNT(*) FROM x t1 JOIN x t2 ON t1.a = t2.a JOIN …` over
 /// `leaves` aliases of `table`.
 fn self_join_chain(table: &str, leaves: usize) -> String {

@@ -3,9 +3,11 @@
 //!
 //! [`Oracle::prepare`] walks an expression once, left to right, before
 //! any row is read: it binds every column name, refuses unknown functions
-//! and aggregate calls where none may stand, and runs each uncorrelated
-//! `EXISTS` / `IN (SELECT …)` once, keeping its answer. So a query with a
-//! defect fails the same way over an empty table as over a full one.
+//! and aggregate calls where none may stand, and — in the check walk —
+//! checks each uncorrelated `EXISTS` / `IN (SELECT …)` without running
+//! it, or — in the run — runs it once, keeping its answer. So a query
+//! with a defect fails the same way over an empty table as over a full
+//! one.
 //! [`Oracle::eval`] then computes a value from a row, or from a group, and
 //! raises only what depends on the data.
 
@@ -146,19 +148,26 @@ impl<'db> Oracle<'db> {
                 self.prepare(expr, cols, place)?;
                 cast_target(data_type)?;
             }
+            // The check walk checks a subquery; the run runs it.
+            Expr::Exists(query) if self.checking => {
+                self.check(query)?;
+            }
             Expr::Exists(query) => {
                 let rel = self.query(query)?;
                 let answer = Answer::Exists(!rel.rows.is_empty());
                 self.answers.insert(e, answer);
             }
-            Expr::InSubquery { expr, query, .. } => {
+            Expr::InSubquery { expr, query, .. } if self.checking => {
                 self.prepare(expr, cols, place)?;
-                let rel = self.query(query)?;
-                if rel.cols.len() != 1 {
+                if self.check(query)?.len() != 1 {
                     return Err(DbError::Unsupported(
                         "IN subquery must return exactly one column".into(),
                     ));
                 }
+            }
+            Expr::InSubquery { expr, query, .. } => {
+                self.prepare(expr, cols, place)?;
+                let rel = self.query(query)?;
                 let has_null = rel.rows.iter().any(|row| row[0].is_null());
                 let values = (rel.rows.iter())
                     .filter(|row| !row[0].is_null())

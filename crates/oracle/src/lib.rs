@@ -27,10 +27,15 @@
 //!
 //! Everything else is its own, so that a bug in the executor's copy shows
 //! as a disagreement:
+//! - a check walk over the whole query before anything runs: every
+//!   block's scope (a derived table's from its SELECT list, a set
+//!   operation's from its first arm), every name, every clause prepared,
+//!   every arity — so every compile defect of any block precedes every
+//!   runtime defect, whatever the data;
 //! - the expression evaluator (`eval`): a recursive walk over
 //!   [`flex_sql::Expr`], after a prepare step that binds names, refuses
 //!   unknown functions and misplaced aggregates and runs each
-//!   uncorrelated subquery once, all before any row is read;
+//!   uncorrelated subquery once, all before the block reads a row;
 //! - the aggregate names and folds (`fold`), with a naive statement of the
 //!   fold grid that `SUM`, `AVG` and `STDDEV` reduce on;
 //! - the ORDER BY rule: an ordinal, else an output name or alias, else an
@@ -56,14 +61,17 @@ use fold::Agg;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
-/// Run a parsed query on the oracle.
+/// Run a parsed query on the oracle: check the whole of it, then run it.
 pub fn execute(db: &Database, q: &Query) -> Result<ResultSet> {
     let q = flex_sql::inline_ctes(q)?;
     let mut oracle = Oracle {
         db,
         fold_rows: db.morsel_rows(),
         answers: HashMap::new(),
+        checking: true,
     };
+    oracle.check(&q)?;
+    oracle.checking = false;
     let rel = oracle.query(&q)?;
     Ok(ResultSet {
         columns: rel.cols.into_iter().map(|c| c.name).collect(),
@@ -84,6 +92,9 @@ struct Oracle<'db> {
     /// Each `EXISTS` / `IN (SELECT …)` node's answer, by the node's
     /// address: the query tree outlives the execution and never moves.
     answers: HashMap<*const Expr, Answer>,
+    /// Whether this is the check walk ([`Oracle::check`]), which reads
+    /// no row and runs no subquery, rather than the run.
+    checking: bool,
 }
 
 /// A relation: columns, and rows as wide as them.
@@ -122,7 +133,86 @@ enum Block<'q> {
     },
 }
 
+/// A block's clauses, prepared: what it groups by and aggregates, its
+/// output columns and where each one's value and each sort key come from.
+struct Prepared<'q> {
+    block: Block<'q>,
+    out_cols: Vec<ColMeta>,
+    items: Vec<Item<'q>>,
+    sort: Vec<SortKey<'q>>,
+}
+
 impl<'db> Oracle<'db> {
+    // ---- the check walk ---------------------------------------------------
+
+    /// Walk the whole query without reading a row or running a subquery,
+    /// and return its header: FROM leaves left to right (a derived
+    /// table's whole check where it stands) with each join's `ON` once
+    /// both sides are known, then the block's clauses; a set operation's
+    /// arms left to right, arity at each node, then its ORDER BY.
+    fn check(&mut self, q: &Query) -> Result<Vec<ColMeta>> {
+        match &q.body {
+            SetExpr::Select(s) => self.check_select(s, &q.order_by),
+            body => {
+                let cols = self.check_set_expr(body)?;
+                set_op_sort_keys(&q.order_by, &cols)?;
+                Ok(cols)
+            }
+        }
+    }
+
+    fn check_set_expr(&mut self, body: &SetExpr) -> Result<Vec<ColMeta>> {
+        match body {
+            SetExpr::Select(s) => self.check_select(s, &[]),
+            SetExpr::SetOp { left, right, .. } => {
+                let l = self.check_set_expr(left)?;
+                let r = self.check_set_expr(right)?;
+                check_arity(l.len(), r.len())?;
+                Ok(l)
+            }
+        }
+    }
+
+    fn check_select(&mut self, s: &Select, order_by: &[OrderByItem]) -> Result<Vec<ColMeta>> {
+        let input = match &s.from {
+            Some(from) => self.check_from(from)?,
+            None => Vec::new(),
+        };
+        Ok(self.prepare_block(s, &input, order_by)?.out_cols)
+    }
+
+    fn check_from(&mut self, t: &TableRef) -> Result<Vec<ColMeta>> {
+        match t {
+            TableRef::Table { name, alias } => {
+                let table = self.db.table(name);
+                let table = table.ok_or_else(|| DbError::UnknownTable(name.clone()))?;
+                let names = table.schema.columns.iter().map(|c| &c.name);
+                Ok(scope(alias.as_ref().unwrap_or(name), names))
+            }
+            TableRef::Derived { query, alias } => {
+                let cols = self.check(query)?;
+                Ok(scope(alias, cols.iter().map(|c| &c.name)))
+            }
+            TableRef::Join {
+                left,
+                right,
+                constraint,
+                ..
+            } => {
+                let left = self.check_from(left)?;
+                let right = self.check_from(right)?;
+                let (_, residual) = bind::split_join_constraint(&left, &right, constraint)?;
+                let cols = [left, right].concat();
+                for conjunct in residual {
+                    self.prepare(conjunct, &cols, &mut Place::Scalar)?;
+                }
+                Ok(cols)
+            }
+        }
+    }
+
+    // ---- the run ----------------------------------------------------------
+
     fn query(&mut self, q: &Query) -> Result<Rel> {
         let mut rel = match &q.body {
             SetExpr::Select(s) => self.select(s, &q.order_by)?,
@@ -157,13 +247,7 @@ impl<'db> Oracle<'db> {
         };
         let l = self.set_expr(left)?;
         let r = self.set_expr(right)?;
-        if l.cols.len() != r.cols.len() {
-            return Err(DbError::Unsupported(format!(
-                "set operation arity mismatch: {} vs {} columns",
-                l.cols.len(),
-                r.cols.len()
-            )));
-        }
+        check_arity(l.cols.len(), r.cols.len())?;
         let in_right =
             || -> HashSet<RowKey> { r.rows.iter().map(|row| RowKey::from_values(row)).collect() };
         let rows = match (op, all) {
@@ -204,9 +288,8 @@ impl<'db> Oracle<'db> {
     }
 
     /// Everything after FROM: WHERE, the SELECT list, grouped or not,
-    /// HAVING, ORDER BY and DISTINCT. Every clause is prepared first —
-    /// WHERE, GROUP BY, the SELECT list, HAVING, ORDER BY; then the rows
-    /// run, WHERE first.
+    /// HAVING, ORDER BY and DISTINCT. Every clause is prepared first
+    /// ([`Oracle::prepare_block`]); then the rows run, WHERE first.
     fn project<'q>(
         &mut self,
         s: &'q Select,
@@ -214,6 +297,76 @@ impl<'db> Oracle<'db> {
         order_by: &'q [OrderByItem],
     ) -> Result<Rel> {
         let cols = &input.cols[..];
+        let Prepared {
+            block,
+            out_cols,
+            items,
+            sort,
+        } = self.prepare_block(s, cols, order_by)?;
+
+        let mut rows = input.rows;
+        if let Some(pred) = &s.selection {
+            let mut kept = Vec::new();
+            for row in rows {
+                if self.eval(pred, &Input::Row(cols, &row))?.is_true() {
+                    kept.push(row);
+                }
+            }
+            rows = kept;
+        }
+        // Each output row with its sort key values.
+        let mut out: Vec<(Row, Row)> = Vec::new();
+        match &block {
+            Block::Plain => {
+                for row in &rows {
+                    out.push(self.output_row(&Input::Row(cols, row), &items, &sort)?);
+                }
+            }
+            Block::Grouped { keys, calls } => {
+                for (key_values, members) in self.groups(keys, cols, &rows)? {
+                    let mut call_values = Vec::with_capacity(calls.len());
+                    for call in calls {
+                        call_values.push(self.aggregate(call, cols, &rows, &members)?);
+                    }
+                    let group = Input::Group(Group {
+                        cols,
+                        keys,
+                        key_values: &key_values,
+                        calls,
+                        call_values: &call_values,
+                    });
+                    if let Some(h) = &s.having {
+                        if !self.eval(h, &group)?.is_true() {
+                            continue;
+                        }
+                    }
+                    out.push(self.output_row(&group, &items, &sort)?);
+                }
+            }
+        }
+        // A stable sort: rows with equal keys keep their order.
+        let dirs: Vec<(usize, bool)> = order_by.iter().map(|i| i.descending).enumerate().collect();
+        out.sort_by(|(_, a), (_, b)| compare_by(&dirs, |k| (&a[k], &b[k])));
+        let rows = out.into_iter().map(|(row, _)| row);
+        let rows = if s.distinct {
+            first_occurrences(rows)
+        } else {
+            rows.collect()
+        };
+        Ok(Rel {
+            cols: out_cols,
+            rows,
+        })
+    }
+
+    /// Prepare every clause of a block over its input scope `cols`, in
+    /// order: WHERE, GROUP BY, the SELECT list, HAVING, ORDER BY.
+    fn prepare_block<'q>(
+        &mut self,
+        s: &'q Select,
+        cols: &[ColMeta],
+        order_by: &'q [OrderByItem],
+    ) -> Result<Prepared<'q>> {
         if let Some(pred) = &s.selection {
             self.prepare(pred, cols, &mut Place::Scalar)?;
         }
@@ -272,76 +425,35 @@ impl<'db> Oracle<'db> {
             };
             sort.push(key);
         }
-
-        let mut rows = input.rows;
-        if let Some(pred) = &s.selection {
-            let mut kept = Vec::new();
-            for row in rows {
-                if self.eval(pred, &Input::Row(cols, &row))?.is_true() {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-        }
-        // Each output row with its sort key values.
-        let mut out: Vec<(Row, Row)> = Vec::new();
-        match &block {
-            Block::Plain => {
-                for row in &rows {
-                    out.push(self.output_row(&Input::Row(cols, row), &items, &sort)?);
-                }
-            }
-            Block::Grouped { keys, calls } => {
-                for (key_values, members) in self.groups(keys, cols, &rows)? {
-                    let mut call_values = Vec::with_capacity(calls.len());
-                    for call in calls {
-                        call_values.push(self.aggregate(call, cols, &rows, &members)?);
-                    }
-                    let group = Input::Group(Group {
-                        cols,
-                        keys,
-                        key_values: &key_values,
-                        calls,
-                        call_values: &call_values,
-                    });
-                    if let Some(h) = &s.having {
-                        if !self.eval(h, &group)?.is_true() {
-                            continue;
-                        }
-                    }
-                    out.push(self.output_row(&group, &items, &sort)?);
-                }
-            }
-        }
-        // A stable sort: rows with equal keys keep their order.
-        let dirs: Vec<(usize, bool)> = order_by.iter().map(|i| i.descending).enumerate().collect();
-        out.sort_by(|(_, a), (_, b)| compare_by(&dirs, |k| (&a[k], &b[k])));
-        let rows = out.into_iter().map(|(row, _)| row);
-        let rows = if s.distinct {
-            first_occurrences(rows)
-        } else {
-            rows.collect()
-        };
-        Ok(Rel {
-            cols: out_cols,
-            rows,
+        Ok(Prepared {
+            block,
+            out_cols,
+            items,
+            sort,
         })
     }
 
     /// The GROUP BY expressions, prepared. `GROUP BY n` names the `n`-th
-    /// SELECT item, when that is an expression.
+    /// SELECT item — the integer itself when that item is a wildcard, and
+    /// an error when there is no such item.
     fn group_keys<'q>(&mut self, s: &'q Select, cols: &[ColMeta]) -> Result<Vec<&'q Expr>> {
         let mut keys = Vec::with_capacity(s.group_by.len());
         for g in &s.group_by {
-            let item = match g {
-                Expr::Literal(Literal::Integer(n)) => usize::try_from(*n)
-                    .ok()
-                    .and_then(|n| n.checked_sub(1))
-                    .and_then(|i| s.projection.get(i)),
-                _ => None,
-            };
-            let key = match item {
-                Some(SelectItem::Expr { expr, .. }) => expr,
+            let key = match g {
+                Expr::Literal(Literal::Integer(n)) => {
+                    let item = (usize::try_from(*n).ok())
+                        .and_then(|n| n.checked_sub(1))
+                        .and_then(|i| s.projection.get(i));
+                    match item {
+                        Some(SelectItem::Expr { expr, .. }) => expr,
+                        Some(_) => g,
+                        None => {
+                            return Err(DbError::Unsupported(format!(
+                                "GROUP BY position {n} out of range"
+                            )))
+                        }
+                    }
+                }
                 _ => g,
             };
             self.prepare(key, cols, &mut Place::Scalar)?;
@@ -469,22 +581,16 @@ impl<'db> Oracle<'db> {
             TableRef::Table { name, alias } => {
                 let table = self.db.table(name);
                 let table = table.ok_or_else(|| DbError::UnknownTable(name.clone()))?;
-                let qualifier = alias.as_ref().unwrap_or(name);
-                let cols = (table.schema.columns.iter())
-                    .map(|c| ColMeta::new(Some(qualifier.clone()), c.name.clone()))
-                    .collect();
+                let names = table.schema.columns.iter().map(|c| &c.name);
                 Ok(Rel {
-                    cols,
+                    cols: scope(alias.as_ref().unwrap_or(name), names),
                     rows: table.rows.clone(),
                 })
             }
             TableRef::Derived { query, alias } => {
                 let rel = self.query(query)?;
-                let cols = (rel.cols.into_iter())
-                    .map(|c| ColMeta::new(Some(alias.clone()), c.name))
-                    .collect();
                 Ok(Rel {
-                    cols,
+                    cols: scope(alias, rel.cols.iter().map(|c| &c.name)),
                     rows: rel.rows,
                 })
             }
@@ -581,6 +687,23 @@ impl<'db> Oracle<'db> {
         }
         Ok(true)
     }
+}
+
+/// The columns `names`, each qualified by `qualifier`: a table's or a
+/// derived table's scope.
+fn scope<'n>(qualifier: &str, names: impl Iterator<Item = &'n String>) -> Vec<ColMeta> {
+    let qualified = |name: &String| ColMeta::new(Some(qualifier.to_string()), name.clone());
+    names.map(qualified).collect()
+}
+
+/// The arity rule of a set operation: both operands as wide.
+fn check_arity(l: usize, r: usize) -> Result<()> {
+    if l == r {
+        return Ok(());
+    }
+    Err(DbError::Unsupported(format!(
+        "set operation arity mismatch: {l} vs {r} columns"
+    )))
 }
 
 /// The equi-join key of `row` at `positions`, or `None` when a part of it

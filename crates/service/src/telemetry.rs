@@ -396,7 +396,7 @@ metric_table! {
         WalRecoveryReplayed wal_recovery_replayed: Gauge,
             "flex_wal_recovery_replayed_records", "wal replayed",
             "WAL records replayed into the ledger at the last startup.";
-        /// As reported by the pipeline itself (a nested execution's
+        /// As reported by the pipeline itself (a nested query's
         /// pushdown counts for its query); byte-identical results,
         /// surfaced so dashboards can see how often the pushdown engages.
         TopkHits topk_hits: Counter, "flex_topk_pushdown_total", "top-K pushdowns",

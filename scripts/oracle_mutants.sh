@@ -2,11 +2,13 @@
 # Seeded mutants of the executor, one in each piece the executor used to
 # share with its test oracle — a comparison arm of the expression
 # evaluator, the lane pairing of the fold kernels, the ordinal branch of
-# the ORDER BY rule — and one in join liveness, which the oracle never
-# needed: the post-join WHERE's columns dropped from what the joins below
-# it materialize. For each, a copy of the tree gets the one-line
-# change and the differential suites run against it; a mutant they do not
-# kill means the oracle has stopped checking that piece.
+# the ORDER BY rule — and two the oracle never needed: the post-join
+# WHERE's columns dropped from what the joins below it materialize, and
+# a derived leaf's columns claiming string storage before it has run (a
+# LIKE kernel then meets an integer column). For each, a copy of the tree
+# gets the one-line change and the differential suites run against it; a
+# mutant they do not kill means the oracle has stopped checking that
+# piece.
 #
 #   scripts/oracle_mutants.sh [checkout]
 #
@@ -27,6 +29,7 @@ mutants=(
     "crates/db/src/aggregate.rs|((acc[0] + acc[1]) + (acc[2] + acc[3]))|((acc[0] + acc[2]) + (acc[1] + acc[3]))"
     "crates/db/src/bind.rs|Ok(Some(idx as usize - 1))|Ok(Some(out_cols.len() - idx as usize))"
     "crates/db/src/plan.rs|if let Some(p) = &post_filter {|if let Some(p) = None::<&CompiledExpr> {"
+    "crates/db/src/plan.rs|let phys = vec![Phys::Mixed; cols.len()];|let phys = vec![Phys::Str; cols.len()];"
 )
 
 rm -rf "$tree"

@@ -390,32 +390,53 @@ fn textual_variants_share_one_release_and_one_schedule() {
 }
 
 /// Which error an analyst is told is not a fact about the data. On two
-/// neighbouring databases — `t` empty, and `t` with one row — a query
-/// whose ORDER BY is out of range and whose WHERE fails on any row it
-/// reads (`s + 1 > 0` over a string) reaches the executor on both (the
-/// analysis never reads ORDER BY), and both analysts get the same error.
+/// neighbouring databases — `t` empty, and `t` with one row — each query
+/// below has a compile defect the analysis does not see (it never reads
+/// ORDER BY, and reads `GROUP BY 9` as a one-bin histogram) and, but for
+/// the last, fails on any row it reads (`s + 1` over a string): in the
+/// block's own WHERE, in a derived table, in an `IN (SELECT …)` in
+/// HAVING. Each reaches the executor on both databases, and both analysts
+/// get the same compile error — where `GROUP BY 9` used to release a row
+/// on one neighbour and none on the other.
 #[test]
 fn neighbouring_databases_give_the_same_compile_error() {
     use std::sync::Arc;
-    let sql = "SELECT COUNT(*) FROM t WHERE s + 1 > 0 ORDER BY 9";
-    let error = |rows: usize| {
-        let mut db = Database::new();
-        db.create_table("t", Schema::of(&[("s", DataType::Str)]))
-            .unwrap();
-        db.insert("t", vec![vec![Value::str("x")]; rows]).unwrap();
-        let config = ServiceConfig {
-            seed: Some(1),
-            ..ServiceConfig::default()
+    for (sql, needle) in [
+        (
+            "SELECT COUNT(*) FROM t WHERE s + 1 > 0 ORDER BY 9",
+            "ORDER BY position 9 out of range",
+        ),
+        (
+            "SELECT COUNT(*) FROM (SELECT k FROM t WHERE s + 1 > 0) d ORDER BY 9",
+            "ORDER BY position 9 out of range",
+        ),
+        (
+            "SELECT k, COUNT(*) FROM t GROUP BY k HAVING COUNT(*) IN (SELECT s + 1 FROM t) \
+             ORDER BY 9",
+            "ORDER BY position 9 out of range",
+        ),
+        (
+            "SELECT COUNT(*) FROM t GROUP BY 9",
+            "GROUP BY position 9 out of range",
+        ),
+    ] {
+        let error = |rows: usize| {
+            let mut db = Database::new();
+            let schema = Schema::of(&[("k", DataType::Int), ("s", DataType::Str)]);
+            db.create_table("t", schema).unwrap();
+            let row = vec![Value::Int(1), Value::str("x")];
+            db.insert("t", vec![row; rows]).unwrap();
+            let config = ServiceConfig {
+                seed: Some(1),
+                ..ServiceConfig::default()
+            };
+            let service = QueryService::new(Arc::new(db), config);
+            let params = PrivacyParams::new(0.1, 1e-6).unwrap();
+            let err = service.query("analyst", sql, params).expect_err(sql);
+            err.to_string()
         };
-        let service = QueryService::new(Arc::new(db), config);
-        let params = PrivacyParams::new(0.1, 1e-6).unwrap();
-        let err = service.query("analyst", sql, params).expect_err(sql);
-        err.to_string()
-    };
-    let (empty, one_row) = (error(0), error(1));
-    assert!(
-        empty.contains("ORDER BY position 9 out of range"),
-        "{empty}"
-    );
-    assert_eq!(empty, one_row);
+        let (empty, one_row) = (error(0), error(1));
+        assert!(empty.contains(needle), "{sql}: {empty}");
+        assert_eq!(empty, one_row, "{sql}");
+    }
 }
