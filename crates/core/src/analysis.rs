@@ -13,7 +13,7 @@ use crate::error::{FlexError, Result};
 use crate::lower::{self, Lowered, RootAgg};
 use crate::relalg::{Attr, QueryKind, Rel};
 use crate::senspoly::SensExpr;
-use flex_db::{Database, MetricsCatalog};
+use flex_db::{Database, MetricsCatalog, Planned};
 use flex_sql::Query;
 
 /// The complete static analysis of one SQL query.
@@ -57,9 +57,19 @@ pub fn analyze(q: &Query, db: &Database) -> Result<AnalyzedQuery> {
     analyze_with(q, db, &AnalysisOptions::default())
 }
 
-/// [`analyze`] with explicit options.
+/// [`analyze`] with explicit options: plan the query, then read the plan
+/// ([`analyze_plan`]).
 pub fn analyze_with(q: &Query, db: &Database, opts: &AnalysisOptions) -> Result<AnalyzedQuery> {
-    let mut lowered = lower::lower(q, db)?;
+    analyze_plan(&lower::plan(q, db)?, db, opts)
+}
+
+/// Analyze a planned query — the plan that will run.
+pub(crate) fn analyze_plan(
+    planned: &Planned<'_>,
+    db: &Database,
+    opts: &AnalysisOptions,
+) -> Result<AnalyzedQuery> {
+    let mut lowered = lower::lower_plan(planned, db)?;
     if opts.ignore_public_tables {
         strip_public(&mut lowered.rel);
         for g in &mut lowered.group_by {

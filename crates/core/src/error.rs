@@ -121,9 +121,18 @@ impl From<flex_sql::ParseError> for FlexError {
     }
 }
 
+/// A name that does not resolve, or a `WITH` that does not expand, keeps
+/// its meaning in this taxonomy; any other engine error is [`FlexError::Db`].
 impl From<flex_db::DbError> for FlexError {
     fn from(e: flex_db::DbError) -> Self {
-        FlexError::Db(e.to_string())
+        use flex_db::DbError;
+        match e {
+            DbError::UnknownColumn(c) => FlexError::UnknownColumn(c),
+            DbError::AmbiguousColumn(c) => FlexError::UnknownColumn(format!("{c} is ambiguous")),
+            DbError::UnknownTable(t) => FlexError::UnknownTable(t),
+            DbError::Parse(m) => FlexError::Parse(m),
+            other => FlexError::Db(other.to_string()),
+        }
     }
 }
 

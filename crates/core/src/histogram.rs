@@ -92,7 +92,6 @@ mod tests {
     use super::*;
     use crate::relalg::Attr;
     use flex_db::{DataType, Schema};
-    use flex_sql::{ColumnRef, Expr};
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -117,7 +116,6 @@ mod tests {
 
     fn key(table: &str, column: &str, public: bool) -> GroupKey {
         GroupKey {
-            expr: Expr::Column(ColumnRef::bare(column)),
             base: Some(Attr {
                 occurrence: 0,
                 table: table.to_string(),
@@ -164,7 +162,6 @@ mod tests {
     fn computed_key_not_enumerable() {
         let db = db();
         let g = GroupKey {
-            expr: Expr::Column(ColumnRef::bare("x")),
             base: None,
             public: true,
         };

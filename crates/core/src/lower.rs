@@ -1,30 +1,25 @@
 //! Lowering SQL queries to the core relational algebra of Figure 1(a).
 //!
-//! The pass first expands `WITH` ([`flex_sql::inline_ctes`] — the same
-//! rewrite the engines run), then walks the FROM tree the way the
-//! executor's planner does: it builds the executor's scope for every
-//! subtree and resolves every name through [`flex_db::bind`] — there is
-//! no resolver here. What the analysis adds rides beside the scope, index
-//! for index: the base-table column each position is drawn from
-//! ([`Attr`], with a unique occurrence id per base-table appearance so
-//! self joins — two references to one CTE included — are detectable), or
-//! `None` for a computed column, which has no `mf`. Join keys are the
-//! executor's equi-keys traced through that vector.
-//!
-//! It then finds the root counting aggregation — descending through bare
-//! projections per §3.3 ("treating the inner relation as the query root"),
-//! which may only permute and rename the root's columns — classifies each
-//! output column as a histogram label or an aggregate, and records the
-//! header the executor will produce ([`Lowered::columns`]).
+//! Lowering reads the plan that executes ([`Database::plan`], once per
+//! query) through its read-only view ([`flex_db::planned`]); it binds no
+//! name and walks no SQL. Each column's origin — a base-table column at
+//! one occurrence, so self joins are detectable — is the planner's, and
+//! so are each join's keys (for a comma or CROSS join, the WHERE's
+//! equalities between its sides). Lowering finds the root counting
+//! aggregation — descending through bare projections per §3.3 ("treating
+//! the inner relation as the query root"), which may only permute and
+//! rename the root's columns — and classifies each output column as a
+//! histogram label or an aggregate, in the plan's header order.
 //!
 //! Queries outside the supported fragment are rejected with the §3.7.1 /
-//! §5.1 error taxonomy ([`FlexError`]).
+//! §5.1 error taxonomy ([`FlexError`]): a root set operation before it is
+//! planned, anything else after its compile errors.
 
 use crate::error::{FlexError, Result};
 use crate::relalg::{Attr, QueryKind, Rel};
-use flex_db::bind::{self, ColMeta, Projected};
-use flex_db::{AggFunc, Database, DbError};
-use flex_sql::{ColumnRef, Expr, FunctionArg, JoinType, Query, Select, SetExpr, TableRef};
+use flex_db::planned::{BlockView, Output, Source};
+use flex_db::{AggFunc, Database, Planned};
+use flex_sql::{Query, SetExpr};
 
 /// A root aggregate output of a counting/statistical query.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,25 +38,11 @@ pub enum RootAgg {
     Max(Attr),
 }
 
-impl RootAgg {
-    pub fn name(&self) -> &'static str {
-        match self {
-            RootAgg::Count => "count",
-            RootAgg::CountDistinct => "count distinct",
-            RootAgg::Sum(_) => "sum",
-            RootAgg::Avg(_) => "avg",
-            RootAgg::Min(_) => "min",
-            RootAgg::Max(_) => "max",
-        }
-    }
-}
-
 /// One GROUP BY key of the root query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupKey {
-    /// The original SQL expression (for display).
-    pub expr: Expr,
-    /// The base-table column it resolves to, when it is a plain column.
+    /// The base-table column it resolves to, when it is a plain column
+    /// (spelled out or by position).
     pub base: Option<Attr>,
     /// Whether that base column belongs to a public table — then the bin
     /// labels are non-protected and can be enumerated automatically (§4).
@@ -86,315 +67,158 @@ pub struct Lowered {
     pub kind: QueryKind,
     pub group_by: Vec<GroupKey>,
     pub aggregates: Vec<RootAgg>,
-    /// One entry per output column of the query.
+    /// One entry per column of the executed header.
     pub outputs: Vec<OutputColumn>,
-    /// The header the executor gives the result, index for index with
-    /// `outputs` (the mechanism refuses to release under any other).
-    pub columns: Vec<String>,
 }
 
-/// Lower a parsed query against a database catalog.
+/// Lower a parsed query against a database catalog: plan it, then read
+/// the plan ([`lower_plan`]).
 pub fn lower(q: &Query, db: &Database) -> Result<Lowered> {
-    let q = flex_sql::inline_ctes(q)?;
-    let mut lw = Lowerer {
-        db,
-        next_occurrence: 0,
-    };
-    lw.lower_root(&q)
+    lower_plan(&plan(q, db)?, db)
 }
 
-/// A lowered FROM subtree: its relation, the executor's scope over it,
-/// and — index for index — the base-table column each scope column is
-/// drawn from (`None`: an aggregate, arithmetic, a literal … — no `mf`).
-struct Bound {
-    rel: Rel,
-    cols: Vec<ColMeta>,
-    origin: Vec<Option<Attr>>,
+/// Plan a query for the analysis. A set operation is outside Figure 1(a)
+/// whatever its arms hold, so one at the root is refused unplanned.
+pub(crate) fn plan<'a>(q: &Query, db: &'a Database) -> Result<Planned<'a>> {
+    if let SetExpr::SetOp { .. } = q.body {
+        return Err(FlexError::UnsupportedSetOperation);
+    }
+    Ok(db.plan(q)?)
 }
 
-impl Bound {
-    /// Scope position of a column reference.
-    fn position(&self, c: &ColumnRef) -> Result<usize> {
-        bind::resolve_column(&self.cols, c).map_err(bind_err)
+/// Lower a planned query — the plan that will run.
+pub(crate) fn lower_plan(planned: &Planned<'_>, db: &Database) -> Result<Lowered> {
+    let root = planned.block().ok_or(FlexError::UnsupportedSetOperation)?;
+    // Conservative (§3.7.1): a subquery anywhere — WHERE, ON, GROUP BY,
+    // HAVING, a derived table — can leak through what it filters.
+    if planned.has_subquery() {
+        return Err(FlexError::UnsupportedSubqueryPredicate);
+    }
+    lower_root(root, db)
+}
+
+fn lower_root(block: BlockView<'_>, db: &Database) -> Result<Lowered> {
+    if block.aggregates() {
+        return lower_root_block(block, db);
+    }
+    // §3.3: a bare projection over an aggregating subquery — treat the
+    // inner relation as the query root (`π_count Count(trips)`).
+    match block.from() {
+        Source::Derived(inner) if !block.filters() => {
+            let inner = inner.ok_or(FlexError::UnsupportedSetOperation)?;
+            permute_outputs(lower_root(inner, db)?, inner, block)
+        }
+        _ => Err(FlexError::RawDataQuery),
     }
 }
 
-/// A binding error in the analysis's taxonomy.
-fn bind_err(e: DbError) -> FlexError {
-    match e {
-        DbError::UnknownColumn(c) => FlexError::UnknownColumn(c),
-        DbError::AmbiguousColumn(c) => FlexError::UnknownColumn(format!("{c} is ambiguous")),
-        DbError::UnknownTable(t) => FlexError::UnknownTable(t),
-        other => other.into(),
+/// Lower the aggregated root block.
+fn lower_root_block(block: BlockView<'_>, db: &Database) -> Result<Lowered> {
+    let from = block.from();
+    if let Source::NoTable(_) = from {
+        return Err(FlexError::RawDataQuery);
     }
-}
-
-struct Lowerer<'a> {
-    db: &'a Database,
-    next_occurrence: usize,
-}
-
-impl<'a> Lowerer<'a> {
-    fn occurrence(&mut self) -> usize {
-        self.next_occurrence += 1;
-        self.next_occurrence - 1
-    }
-
-    fn lower_root(&mut self, q: &Query) -> Result<Lowered> {
-        let select = match &q.body {
-            SetExpr::Select(s) => s.as_ref(),
-            SetExpr::SetOp { .. } => return Err(FlexError::UnsupportedSetOperation),
-        };
-
-        if bind::is_aggregated(select) {
-            return self.lower_root_select(select);
-        }
-
-        // §3.3: a bare projection over an aggregating subquery — treat the
-        // inner relation as the query root (`π_count Count(trips)`).
-        match &select.from {
-            Some(TableRef::Derived { query, alias }) if select.selection.is_none() => {
-                let inner = self.lower_root(query)?;
-                permute_outputs(inner, alias, select)
-            }
-            _ => Err(FlexError::RawDataQuery),
-        }
-    }
-
-    /// Lower a block's FROM and WHERE, `σ(from)`; `None` without a FROM.
-    fn lower_source(&mut self, s: &Select) -> Result<Option<Bound>> {
-        let where_conjuncts: Vec<&Expr> = s
-            .selection
-            .as_ref()
-            .map(|w| w.conjuncts())
-            .unwrap_or_default();
-        check_predicates_supported(&where_conjuncts)?;
-        let Some(from) = &s.from else {
-            return Ok(None);
-        };
-        let mut from = self.lower_table_ref(from, &where_conjuncts)?;
-        if s.selection.is_some() {
-            from.rel = Rel::Select(Box::new(from.rel));
-        }
-        Ok(Some(from))
-    }
-
-    /// Lower the aggregated root select.
-    fn lower_root_select(&mut self, s: &Select) -> Result<Lowered> {
-        let from = self.lower_source(s)?.ok_or(FlexError::RawDataQuery)?;
-
-        // GROUP BY keys, and the scope position of each plain-column one.
-        let mut group_by = Vec::with_capacity(s.group_by.len());
-        let mut key_cols = Vec::with_capacity(s.group_by.len());
-        for g in &s.group_by {
-            let col = match g {
-                Expr::Column(c) => Some(from.position(c)?),
-                _ => None,
-            };
-            let base = col.and_then(|i| from.origin[i].clone());
-            // A public table's labels are non-protected and enumerable.
-            let public = base.as_ref().is_some_and(|a| self.db.is_public(&a.table));
-            group_by.push(GroupKey {
-                expr: g.clone(),
-                base,
-                public,
-            });
-            key_cols.push(col);
-        }
-        let kind = if group_by.is_empty() {
-            QueryKind::Count
-        } else {
-            QueryKind::Histogram
-        };
-
-        // Classify each projected output.
-        let mut aggregates = Vec::new();
-        let mut outputs = Vec::with_capacity(s.projection.len());
-        let mut columns = Vec::with_capacity(s.projection.len());
-        for out in bind::project_scope(&from.cols, &s.projection) {
-            // A wildcard, resolvable or not, releases raw columns.
-            let Ok((meta, Projected::Expr(expr))) = out else {
-                return Err(FlexError::RawDataQuery);
-            };
-            columns.push(meta.name);
-            if let Some(agg) = classify_aggregate(expr, &from)? {
-                aggregates.push(agg);
-                outputs.push(OutputColumn::Aggregate(aggregates.len() - 1));
-                continue;
-            }
-            // Must be a group-by expression (a bin label); a column is the
-            // same key under any spelling (`t.city_id` for `city_id`).
-            let label = match expr {
-                Expr::Column(c) => {
-                    let col = Some(from.position(c)?);
-                    key_cols.iter().position(|k| *k == col)
-                }
-                _ => group_by.iter().position(|g| &g.expr == expr),
-            };
-            match label {
-                Some(i) => outputs.push(OutputColumn::Label(i)),
-                None if expr.contains_aggregate() => {
-                    return Err(FlexError::UnsupportedAggregate(
-                        "arithmetic over aggregation results".to_string(),
-                    ))
-                }
-                None => return Err(FlexError::RawDataQuery),
-            }
-        }
-        if aggregates.is_empty() {
-            return Err(FlexError::RawDataQuery);
-        }
-
-        Ok(Lowered {
-            rel: from.rel,
-            kind,
-            group_by,
-            aggregates,
-            outputs,
-            columns,
+    let rel = filtered(block, lower_source(from, db)?);
+    // A public table's labels are non-protected and enumerable.
+    let group_by: Vec<GroupKey> = (block.group_keys())
+        .map(|base| GroupKey {
+            public: base.as_ref().is_some_and(|a| db.is_public(&a.table)),
+            base,
         })
-    }
+        .collect();
+    let kind = if group_by.is_empty() {
+        QueryKind::Count
+    } else {
+        QueryKind::Histogram
+    };
 
-    // ---- relations -------------------------------------------------------
-
-    /// Lower a FROM-clause relation. `where_conjuncts` lets implicit
-    /// (comma/cross) joins recover their equijoin condition from the WHERE
-    /// clause.
-    fn lower_table_ref(&mut self, t: &TableRef, where_conjuncts: &[&Expr]) -> Result<Bound> {
-        match t {
-            TableRef::Table { name, alias } => {
-                let table = self
-                    .db
-                    .table(name)
-                    .ok_or_else(|| FlexError::UnknownTable(name.clone()))?;
-                let occurrence = self.occurrence();
-                let origin = table
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| {
-                        Some(Attr {
-                            occurrence,
-                            table: name.clone(),
-                            column: c.name.clone(),
-                        })
-                    })
-                    .collect();
-                Ok(Bound {
-                    rel: Rel::Table {
-                        name: name.clone(),
-                        occurrence,
-                        public: self.db.is_public(name),
-                    },
-                    cols: table.col_metas(alias.as_deref().unwrap_or(name)),
-                    origin,
-                })
+    // A group key passed through is a bin label.
+    let mut aggregates = Vec::new();
+    let mut outputs = Vec::new();
+    for out in block.outputs() {
+        outputs.push(match out {
+            Output::Key(k) => OutputColumn::Label(k),
+            Output::Aggregate(func, arg) => {
+                aggregates.push(classify_aggregate(func, arg)?);
+                OutputColumn::Aggregate(aggregates.len() - 1)
             }
-            TableRef::Derived { query, alias } => self.lower_derived(query, alias),
-            TableRef::Join {
-                left,
-                right,
-                join_type,
-                constraint,
-            } => {
-                let mut l = self.lower_table_ref(left, where_conjuncts)?;
-                let r = self.lower_table_ref(right, where_conjuncts)?;
-
-                // The executor's equi-keys, resolved per side; a comma or
-                // CROSS join — or a constraint that yields none — recovers
-                // them from the WHERE equalities the same way.
-                let (mut keys, _) =
-                    bind::split_join_constraint(&l.cols, &r.cols, constraint).map_err(bind_err)?;
-                if matches!(join_type, JoinType::Cross) || keys.is_empty() {
-                    keys.extend(
-                        where_conjuncts
-                            .iter()
-                            .filter_map(|c| bind::equi_key(&l.cols, &r.cols, c)),
-                    );
-                }
-
-                // The first key drawn from a base table on both sides.
-                let key = keys
-                    .iter()
-                    .find_map(|&(lk, rk)| l.origin[lk].clone().zip(r.origin[rk].clone()));
-                let (left_key, right_key) = match key {
-                    Some(k) => k,
-                    None if !keys.is_empty() => {
-                        return Err(FlexError::JoinKeyNotFromBaseTable(
-                            "join key is an aggregation or computed output".to_string(),
-                        ))
-                    }
-                    None => {
-                        return Err(FlexError::NonEquijoin(format!(
-                            "{join_type:?} join has no usable equijoin conjunct"
-                        )))
-                    }
-                };
-
-                l.cols.extend(r.cols);
-                l.origin.extend(r.origin);
-                Ok(Bound {
-                    rel: Rel::Join {
-                        left: Box::new(l.rel),
-                        right: Box::new(r.rel),
-                        left_key,
-                        right_key,
-                    },
-                    cols: l.cols,
-                    origin: l.origin,
-                })
+            Output::OverAggregates => {
+                return Err(FlexError::UnsupportedAggregate(
+                    "arithmetic over aggregation results".to_string(),
+                ))
             }
-        }
+            Output::Computed | Output::Column(_) => return Err(FlexError::RawDataQuery),
+        });
     }
+    if aggregates.is_empty() {
+        return Err(FlexError::RawDataQuery);
+    }
+    Ok(Lowered {
+        rel,
+        kind,
+        group_by,
+        aggregates,
+        outputs,
+    })
+}
 
-    /// Lower a derived table used as a relation.
-    fn lower_derived(&mut self, q: &Query, alias: &str) -> Result<Bound> {
-        let select = match &q.body {
-            SetExpr::Select(s) => s.as_ref(),
-            SetExpr::SetOp { .. } => return Err(FlexError::UnsupportedSetOperation),
-        };
-        let inner = match self.lower_source(select)? {
-            Some(from) => from,
-            // A table-less derived select (`SELECT 1 AS x`) contributes no
-            // protected rows; model it as a public constant relation.
-            None => Bound {
-                rel: Rel::Table {
-                    name: "<constant>".to_string(),
-                    occurrence: self.occurrence(),
-                    public: true,
-                },
-                cols: Vec::new(),
-                origin: Vec::new(),
-            },
-        };
+/// A block's WHERE over the relation its FROM lowered to: `σ(rel)`.
+fn filtered(block: BlockView<'_>, rel: Rel) -> Rel {
+    if block.filters() {
+        Rel::Select(Box::new(rel))
+    } else {
+        rel
+    }
+}
 
+/// Lower one node of a FROM tree.
+fn lower_source(source: Source<'_>, db: &Database) -> Result<Rel> {
+    Ok(match source {
+        Source::Table(name, occurrence) => Rel::Table {
+            name: name.to_string(),
+            occurrence,
+            public: db.is_public(name),
+        },
         // An aggregation below the root has stability 1 and its outputs
         // carry no metrics (Figure 1b/1c, the Count(r) cases); a plain
-        // projection's keep the provenance of the columns they pass through.
-        let aggregated = bind::is_aggregated(select);
-        let mut header = Vec::new();
-        let mut origin = Vec::new();
-        for out in bind::project_scope(&inner.cols, &select.projection) {
-            let (meta, source) = out.map_err(bind_err)?;
-            origin.push(if aggregated {
-                None
-            } else {
-                let passed = source.input(&inner.cols).map_err(bind_err)?;
-                passed.and_then(|i| inner.origin[i].clone())
-            });
-            header.push(meta.name);
-        }
-        let rel = Box::new(inner.rel);
-        Ok(Bound {
-            rel: if aggregated {
+        // projection's keep the origin of the columns they pass through.
+        Source::Derived(block) => {
+            let block = block.ok_or(FlexError::UnsupportedSetOperation)?;
+            let rel = Box::new(filtered(block, lower_source(block.from(), db)?));
+            if block.aggregates() {
                 Rel::Count(rel)
             } else {
                 Rel::Project(rel)
-            },
-            cols: bind::derived_scope(alias, header),
-            origin,
-        })
-    }
+            }
+        }
+        // A table-less block contributes no protected rows.
+        Source::NoTable(occurrence) => Rel::Table {
+            name: "<constant>".to_string(),
+            occurrence,
+            public: true,
+        },
+        Source::Join(left, right, join_type, keys) => {
+            let (left, right) = (lower_source(*left, db)?, lower_source(*right, db)?);
+            // The first key drawn from a base table on both sides.
+            let keyed = !keys.is_empty();
+            let key = keys.into_iter().find_map(|(l, r)| l.zip(r));
+            let (left_key, right_key) = key.ok_or_else(|| {
+                if keyed {
+                    let why = "join key is an aggregation or computed output";
+                    FlexError::JoinKeyNotFromBaseTable(why.to_string())
+                } else {
+                    let why = format!("{join_type:?} join has no usable equijoin conjunct");
+                    FlexError::NonEquijoin(why)
+                }
+            })?;
+            Rel::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                left_key,
+                right_key,
+            }
+        }
+    })
 }
 
 /// A bare projection over the root (§3.3) as a relabelling of the root's
@@ -402,101 +226,55 @@ impl<'a> Lowerer<'a> {
 /// each statistic is noised once for its one charge, no histogram loses
 /// the labels its bins are keyed by, and the classification follows the
 /// column it was computed for.
-fn permute_outputs(inner: Lowered, alias: &str, outer: &Select) -> Result<Lowered> {
-    if outer.distinct {
+fn permute_outputs(
+    inner: Lowered,
+    inner_block: BlockView<'_>,
+    outer: BlockView<'_>,
+) -> Result<Lowered> {
+    if outer.distinct() {
         return Err(FlexError::UnsupportedProjection(
             "DISTINCT is applied to its rows".to_string(),
         ));
     }
-    let scope = bind::derived_scope(alias, inner.columns.iter().cloned());
-    let mut passed = vec![false; scope.len()];
-    let mut outputs = Vec::with_capacity(scope.len());
-    let mut columns = Vec::with_capacity(scope.len());
-    for out in bind::project_scope(&scope, &outer.projection) {
-        let (meta, source) = out.map_err(bind_err)?;
-        let i = source
-            .input(&scope)
-            .map_err(bind_err)?
-            .ok_or(FlexError::RawDataQuery)?;
+    let name = |i| inner_block.header().nth(i).unwrap_or_default();
+    let mut passed = vec![false; inner.outputs.len()];
+    let mut outputs = Vec::with_capacity(passed.len());
+    for out in outer.outputs() {
+        let Output::Column(i) = out else {
+            return Err(FlexError::RawDataQuery);
+        };
         if std::mem::replace(&mut passed[i], true) {
-            return Err(FlexError::UnsupportedProjection(format!(
-                "column `{}` is selected twice",
-                scope[i].name
-            )));
+            let twice = format!("column `{}` is selected twice", name(i));
+            return Err(FlexError::UnsupportedProjection(twice));
         }
         outputs.push(inner.outputs[i].clone());
-        columns.push(meta.name);
     }
     if let Some(i) = passed.iter().position(|p| !p) {
-        return Err(FlexError::UnsupportedProjection(format!(
-            "column `{}` is dropped",
-            scope[i].name
-        )));
+        let dropped = format!("column `{}` is dropped", name(i));
+        return Err(FlexError::UnsupportedProjection(dropped));
     }
-    Ok(Lowered {
-        outputs,
-        columns,
-        ..inner
-    })
+    Ok(Lowered { outputs, ..inner })
 }
 
-/// If `expr` is a supported root aggregate call, classify it — as the
-/// function the engine will fold ([`AggFunc::parse`], which reads the one
-/// table of aggregate names), never by its spelling.
-fn classify_aggregate(expr: &Expr, from: &Bound) -> Result<Option<RootAgg>> {
-    let Expr::Function {
-        name,
-        distinct,
-        args,
-    } = expr
-    else {
-        return Ok(None);
+/// Classify a root aggregate by the function the engine folds — never by
+/// its spelling — and its argument's origin.
+fn classify_aggregate(func: AggFunc, arg: Option<Attr>) -> Result<RootAgg> {
+    let name = || format!("{func:?}").to_lowercase();
+    let column = || {
+        arg.clone().ok_or_else(|| {
+            let why = "over anything but a base-table column (no value-range metric)";
+            FlexError::UnsupportedAggregate(format!("{} {why}", name()))
+        })
     };
-    let col_arg = || -> Result<Attr> {
-        match args.first() {
-            Some(FunctionArg::Expr(Expr::Column(c))) => {
-                from.origin[from.position(c)?].clone().ok_or_else(|| {
-                    FlexError::UnsupportedAggregate(format!(
-                        "{name} over a computed column (no value-range metric)"
-                    ))
-                })
-            }
-            _ => Err(FlexError::UnsupportedAggregate(format!(
-                "{name} requires a plain column argument"
-            ))),
-        }
-    };
-    let wildcard = matches!(args.first(), Some(FunctionArg::Wildcard));
-    let Some(func) = AggFunc::parse(name, *distinct, wildcard) else {
-        return Ok(None);
-    };
-    Ok(Some(match func {
+    Ok(match func {
         AggFunc::CountStar | AggFunc::Count => RootAgg::Count,
         AggFunc::CountDistinct => RootAgg::CountDistinct,
-        AggFunc::Sum => RootAgg::Sum(col_arg()?),
-        AggFunc::Avg => RootAgg::Avg(col_arg()?),
-        AggFunc::Min => RootAgg::Min(col_arg()?),
-        AggFunc::Max => RootAgg::Max(col_arg()?),
-        AggFunc::Median | AggFunc::Stddev => {
-            return Err(FlexError::UnsupportedAggregate(name.clone()))
-        }
-    }))
-}
-
-/// Reject WHERE predicates containing subqueries (conservative, §3.7.1).
-fn check_predicates_supported(conjuncts: &[&Expr]) -> Result<()> {
-    for c in conjuncts {
-        let mut bad = false;
-        flex_sql::visitor::walk_expr(c, &mut |e| {
-            if matches!(e, Expr::Exists(_) | Expr::InSubquery { .. }) {
-                bad = true;
-            }
-        });
-        if bad {
-            return Err(FlexError::UnsupportedSubqueryPredicate);
-        }
-    }
-    Ok(())
+        AggFunc::Sum => RootAgg::Sum(column()?),
+        AggFunc::Avg => RootAgg::Avg(column()?),
+        AggFunc::Min => RootAgg::Min(column()?),
+        AggFunc::Max => RootAgg::Max(column()?),
+        AggFunc::Median | AggFunc::Stddev => return Err(FlexError::UnsupportedAggregate(name())),
+    })
 }
 
 #[cfg(test)]
@@ -661,18 +439,17 @@ mod tests {
     }
 
     /// HAVING makes a block one group, but a block releasing no aggregate
-    /// is still raw data.
+    /// is still raw data — unless it does not compile, which comes first.
     #[test]
     fn having_without_an_aggregate_is_raw_data() {
-        for sql in [
-            "SELECT fare FROM trips HAVING fare > 0",
-            "SELECT 1 FROM trips HAVING 1 > 0",
-        ] {
-            assert!(
-                matches!(lower_sql(sql), Err(FlexError::RawDataQuery)),
-                "{sql}"
-            );
-        }
+        assert_eq!(
+            lower_sql("SELECT 1 FROM trips HAVING 1 > 0"),
+            Err(FlexError::RawDataQuery)
+        );
+        assert!(matches!(
+            lower_sql("SELECT fare FROM trips HAVING fare > 0"),
+            Err(FlexError::Db(e)) if e.contains("`fare` must appear in GROUP BY")
+        ));
     }
 
     #[test]
@@ -740,36 +517,53 @@ mod tests {
     fn aggregate_aliases_classify_as_their_function() {
         let l = lower_sql("SELECT mean(fare) FROM trips").unwrap();
         assert!(matches!(&l.aggregates[0], RootAgg::Avg(a) if a.column == "fare"));
-        assert_eq!(l.columns, ["mean"]);
         assert_eq!(
             lower_sql("SELECT stddev_samp(fare) FROM trips"),
-            Err(FlexError::UnsupportedAggregate("stddev_samp".into()))
+            Err(FlexError::UnsupportedAggregate("stddev".into()))
         );
-        let q = parse_query("SELECT 1 FROM trips").unwrap();
-        let from = Lowerer {
-            db: &db(),
-            next_occurrence: 0,
-        }
-        .lower_source(q.as_select().unwrap())
-        .unwrap()
-        .unwrap();
         for (name, _) in flex_sql::AGGREGATE_FUNCTIONS {
-            let call = parse_query(&format!("SELECT {name}(fare) FROM trips")).unwrap();
-            let flex_sql::SelectItem::Expr { expr, .. } = &call.as_select().unwrap().projection[0]
-            else {
-                panic!("an expression item");
-            };
-            assert!(expr.contains_aggregate(), "{name}");
-            assert_ne!(classify_aggregate(expr, &from), Ok(None), "{name}");
+            match lower_sql(&format!("SELECT {name}(fare) FROM trips")) {
+                Ok(_) | Err(FlexError::UnsupportedAggregate(_)) => {}
+                other => panic!("{name}: {other:?}"),
+            }
         }
     }
 
+    /// `GROUP BY 1` groups by the SELECT item it names, and is analysed
+    /// like that key spelled out.
+    #[test]
+    fn group_by_position_lowers_like_its_spelled_key() {
+        let db = db();
+        let analyze = |sql: &str| crate::analysis::analyze(&parse_query(sql).unwrap(), &db);
+        let spelled = analyze("SELECT city_id, COUNT(*) FROM trips GROUP BY city_id").unwrap();
+        let position = analyze("SELECT city_id, COUNT(*) FROM trips GROUP BY 1").unwrap();
+        assert_eq!(position.lowered, spelled.lowered);
+        assert_eq!(position.outputs, spelled.outputs);
+        assert_eq!(position.stability, spelled.stability);
+        assert!(matches!(&position.lowered.group_by[0].base, Some(a) if a.column == "city_id"));
+    }
+
+    /// A subquery is refused wherever it stands, not only in WHERE.
     #[test]
     fn subquery_predicate_rejected() {
-        assert!(matches!(
-            lower_sql("SELECT count(*) FROM trips WHERE driver_id IN (SELECT id FROM drivers)"),
-            Err(FlexError::UnsupportedSubqueryPredicate)
-        ));
+        let exists = "EXISTS (SELECT 1 FROM drivers WHERE city_id > 3)";
+        let inside = "IN (SELECT id FROM drivers)";
+        for sql in [
+            format!("SELECT count(*) FROM trips WHERE driver_id {inside}"),
+            format!("SELECT count(*) FROM trips HAVING {exists}"),
+            format!("SELECT driver_id {inside}, count(*) FROM trips GROUP BY driver_id {inside}"),
+            format!(
+                "SELECT count(*) FROM trips t JOIN drivers d ON t.driver_id = d.id AND {exists}"
+            ),
+            format!("SELECT count(*) FROM (SELECT driver_id {inside} AS x FROM trips) s"),
+            format!("SELECT n FROM (SELECT count(*) AS n FROM trips) s ORDER BY {exists}"),
+        ] {
+            assert_eq!(
+                lower_sql(&sql),
+                Err(FlexError::UnsupportedSubqueryPredicate),
+                "{sql}"
+            );
+        }
     }
 
     #[test]
@@ -846,7 +640,8 @@ mod tests {
             ),
         ] {
             let l = lower_sql(&sql).unwrap();
-            assert_eq!(l.columns, columns, "{sql}");
+            let header = db().execute_sql(&sql).unwrap().columns;
+            assert_eq!(header, columns, "{sql}");
             assert_eq!(l.outputs, outputs, "{sql}");
             assert_eq!(l.kind, QueryKind::Histogram);
         }

@@ -9,7 +9,7 @@
 //!
 //! Theorem 2: the released values are (ε, δ)-differentially private.
 
-use crate::analysis::{analyze_with, AnalysisOptions, AnalyzedQuery};
+use crate::analysis::{analyze_plan, AnalysisOptions, AnalyzedQuery};
 use crate::error::{FlexError, Result};
 use crate::histogram::{bin_domains, DEFAULT_MAX_BINS};
 use crate::laplace::laplace;
@@ -46,9 +46,9 @@ impl FlexOptions {
 /// Wall-clock timings of the three pipeline stages (Table 2).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlexTimings {
-    /// Elastic-sensitivity analysis (parse + lower + sensitivity).
+    /// Elastic-sensitivity analysis (parse + plan + lower + sensitivity).
     pub analysis: Duration,
-    /// Original query execution on the database.
+    /// Running the plan the analysis read: the original query.
     pub execution: Duration,
     /// Smoothing + noise + histogram assembly.
     pub perturbation: Duration,
@@ -203,15 +203,16 @@ fn run_query_timed<R: Rng + ?Sized>(
     parse_time: Duration,
     deadline: Option<Instant>,
 ) -> Result<FlexResult> {
-    // --- Stage 1: elastic sensitivity analysis (static). ---
+    // --- Stage 1: plan the query, then analyse the plan (static). ---
     let t_analysis = Instant::now();
-    let analysis = analyze_with(q, db, &opts.analysis)?;
+    let planned = crate::lower::plan(q, db)?;
+    let analysis = analyze_plan(&planned, db, &opts.analysis)?;
     let analysis_time = parse_time + t_analysis.elapsed();
     check_deadline(deadline, "analysis")?;
 
-    // --- Stage 2: execute the unmodified query on the database. ---
+    // --- Stage 2: run the plan the analysis read: the unmodified query. ---
     let t_exec = Instant::now();
-    let (trace, truth) = db.execute_traced(q);
+    let (trace, truth) = planned.run();
     let truth: ResultSet = truth?;
     let execution = t_exec.elapsed();
     check_deadline(deadline, "execution")?;
@@ -226,15 +227,6 @@ fn run_query_timed<R: Rng + ?Sized>(
             None => None,
         });
     }
-    // Sensitivities are zipped onto the result by position, so the header
-    // the analysis bound must be the header that executed.
-    if truth.columns != analysis.lowered.columns {
-        return Err(FlexError::Db(format!(
-            "analysis bound output columns {:?} but execution produced {:?}",
-            analysis.lowered.columns, truth.columns
-        )));
-    }
-
     let ResultSet { columns, rows } = truth;
     let (rows, true_rows, bins_enumerated) = if analysis.is_histogram() {
         assemble_histogram(db, &analysis, rows, &column_sensitivity, opts, rng)?
@@ -441,6 +433,7 @@ impl Bins<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analyze_with;
     use flex_db::{DataType, Schema};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

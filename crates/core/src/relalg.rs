@@ -6,23 +6,9 @@
 
 use std::collections::BTreeSet;
 
-/// A reference to a column of a specific base-table *occurrence* in the
-/// query (the same table aliased twice yields two occurrences).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attr {
-    /// Occurrence id, unique per base-table appearance in the query.
-    pub occurrence: usize,
-    /// Underlying base table name (for metric lookup).
-    pub table: String,
-    /// Column name in the base table.
-    pub column: String,
-}
-
-impl std::fmt::Display for Attr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}#{}.{}", self.table, self.occurrence, self.column)
-    }
-}
+/// A column of a specific base-table *occurrence* in the query (the same
+/// table aliased twice yields two occurrences), as the planner traces it.
+pub use flex_db::planned::Attr;
 
 /// A relational transformation (Figure 1a):
 /// `R ::= t | R ⋈ R | Π R | σ R | Count(R)`.

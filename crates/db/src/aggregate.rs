@@ -39,7 +39,7 @@ pub enum AggFunc {
 impl AggFunc {
     /// Resolve a SQL function name (+ DISTINCT flag, + whether the first
     /// argument is `*`) to an aggregate.
-    pub fn parse(name: &str, distinct: bool, wildcard: bool) -> Option<AggFunc> {
+    pub(crate) fn parse(name: &str, distinct: bool, wildcard: bool) -> Option<AggFunc> {
         Some(match Aggregate::parse(name)? {
             Aggregate::Count if wildcard => AggFunc::CountStar,
             Aggregate::Count if distinct => AggFunc::CountDistinct,

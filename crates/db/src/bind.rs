@@ -1,13 +1,9 @@
 //! Name binding: the one place a SQL name becomes a position of a scope
 //! (a `&[ColMeta]`: the columns of a FROM subtree, each with the alias
-//! that qualifies it). The executor's planner (`plan`,
-//! `Exec::compile_scalar`) and the elastic-sensitivity analysis
-//! (`flex_core::lower`) both bind through it, so a name denotes the same
-//! column to the sensitivity bound and to the query that runs. Binding
-//! happens once per block, at plan time; nothing here touches a row.
-//! The test oracle (`flex-oracle`) resolves names and splits join
-//! constraints here too, and expands SELECT lists and resolves ORDER BY
-//! keys by rules of its own.
+//! that qualifies it). Only the planner (`plan`, `Exec::compile_scalar`)
+//! binds, once per block; the sensitivity analysis reads the plan
+//! ([`crate::planned`]). The test oracle (`flex-oracle`) resolves names
+//! and splits join constraints here too — the rest is crate-private.
 
 use crate::error::{DbError, Result};
 use flex_sql::{ColumnRef, Expr, JoinConstraint, Literal, Select, SelectItem};
@@ -43,7 +39,7 @@ impl ColMeta {
 
 /// The scope a derived table `(SELECT …) AS alias` exposes: its output
 /// header, every column qualified by the alias.
-pub fn derived_scope(alias: &str, header: impl IntoIterator<Item = String>) -> Vec<ColMeta> {
+pub(crate) fn derived_scope(alias: &str, header: impl IntoIterator<Item = String>) -> Vec<ColMeta> {
     let named = |name| ColMeta::new(Some(alias.to_string()), name);
     header.into_iter().map(named).collect()
 }
@@ -73,7 +69,7 @@ pub type JoinSplit<'a> = (Vec<(usize, usize)>, Vec<&'a Expr>);
 /// The equi-key a single conjunct contributes to a join of `left_cols`
 /// and `right_cols`: `a = b` between two columns is a key when `a`
 /// resolves on the left and `b` on the right, or the other way round.
-pub fn equi_key(
+pub(crate) fn equi_key(
     left_cols: &[ColMeta],
     right_cols: &[ColMeta],
     conjunct: &Expr,
@@ -127,7 +123,7 @@ pub fn split_join_constraint<'a>(
 /// Whether a SELECT block is an aggregation: GROUP BY or HAVING present,
 /// or any aggregate function in the projection. HAVING without GROUP BY
 /// makes the block one group, as in standard SQL.
-pub fn is_aggregated(s: &Select) -> bool {
+pub(crate) fn is_aggregated(s: &Select) -> bool {
     !s.group_by.is_empty()
         || s.having.is_some()
         || s.projection.iter().any(|item| match item {
@@ -138,24 +134,11 @@ pub fn is_aggregated(s: &Select) -> bool {
 
 /// What backs one output column of a SELECT list.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Projected<'a> {
+pub(crate) enum Projected<'a> {
     /// A scope column a wildcard expanded to.
     Wildcard(usize),
     /// A SELECT item's expression, still to be compiled by the caller.
     Expr(&'a Expr),
-}
-
-impl Projected<'_> {
-    /// The scope column this output passes through untouched — a
-    /// wildcard's column, or a bare column reference (whose resolution
-    /// error is this function's); `None` for anything computed.
-    pub fn input(&self, cols: &[ColMeta]) -> Result<Option<usize>> {
-        match self {
-            Projected::Wildcard(i) => Ok(Some(*i)),
-            Projected::Expr(Expr::Column(c)) => resolve_column(cols, c).map(Some),
-            Projected::Expr(_) => Ok(None),
-        }
-    }
 }
 
 /// Expand a SELECT list over a scope into its output columns, in output
@@ -164,7 +147,7 @@ impl Projected<'_> {
 /// [`Expr::output_name`]. The only error is a `q.*` that matches nothing,
 /// and it sits at that item's position, so a caller compiling the items
 /// as it goes reports the first defect of the list, left to right.
-pub fn project_scope<'a>(
+pub(crate) fn project_scope<'a>(
     cols: &[ColMeta],
     projection: &'a [SelectItem],
 ) -> Vec<Result<(ColMeta, Projected<'a>)>> {
@@ -258,9 +241,9 @@ mod tests {
         let items = projection("SELECT u.*, city AS c, t.id + 1, * FROM x");
         let out: Vec<_> = project_scope(&cols, &items)
             .into_iter()
-            .map(|o| {
-                let (meta, source) = o.unwrap();
-                (meta.qualifier, meta.name, source.input(&cols).unwrap())
+            .map(|o| match o.unwrap() {
+                (meta, Projected::Wildcard(i)) => (meta.qualifier, meta.name, Some(i)),
+                (meta, Projected::Expr(_)) => (meta.qualifier, meta.name, None),
             })
             .collect();
         let q = |s: &str| Some(s.to_string());
@@ -268,7 +251,7 @@ mod tests {
             out,
             vec![
                 (q("u"), "id".to_string(), Some(2)),
-                (None, "c".to_string(), Some(1)),
+                (None, "c".to_string(), None),
                 (None, "expr".to_string(), None),
                 (q("t"), "id".to_string(), Some(0)),
                 (q("t"), "city".to_string(), Some(1)),
@@ -287,9 +270,11 @@ mod tests {
         assert_eq!(out[1], Err(DbError::UnknownTable("x".into())));
         // An unresolvable column is the caller's to report, as the kind
         // of block it is compiling reports it.
-        let (_, nope) = out[2].as_ref().unwrap();
+        let Ok((_, Projected::Expr(Expr::Column(nope)))) = &out[2] else {
+            panic!("a column item: {:?}", out[2]);
+        };
         assert_eq!(
-            nope.input(&cols),
+            resolve_column(&cols, nope),
             Err(DbError::UnknownColumn("nope".into()))
         );
     }

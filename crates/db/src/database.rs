@@ -2,10 +2,11 @@
 //! protected) tables, and a metrics catalog kept fresh on writes.
 
 use crate::error::{DbError, Result};
-use crate::exec;
+use crate::exec::{Exec, ExecTrace};
 use crate::metrics::MetricsCatalog;
 use crate::morsel::{self, DEFAULT_MORSEL_ROWS};
-use crate::plan::ResultSet;
+use crate::plan::{self, ResultSet};
+use crate::planned::Planned;
 use crate::schema::Schema;
 use crate::table::{Row, Table};
 use flex_sql::{parse_query, Query};
@@ -236,14 +237,27 @@ impl Database {
     /// assert_eq!(rs.rows[0], vec![Value::str("sf"), Value::Float(20.0)]);
     /// ```
     pub fn execute(&self, q: &Query) -> Result<ResultSet> {
-        exec::execute(self, q)
+        self.execute_traced(q).1
     }
 
     /// Like [`Database::execute`], but also report how the query ran
     /// ([`crate::ExecTrace`]: rows scanned and emitted, morsels, workers,
-    /// top-K pushdown, join order).
-    pub fn execute_traced(&self, q: &Query) -> (exec::ExecTrace, Result<ResultSet>) {
-        exec::execute_traced(self, q)
+    /// top-K pushdown, join and conjunct order): [`Database::plan`], then
+    /// [`Planned::run`]. A query that does not plan has an all-zero trace.
+    pub fn execute_traced(&self, q: &Query) -> (ExecTrace, Result<ResultSet>) {
+        match self.plan(q) {
+            Ok(planned) => planned.run(),
+            Err(e) => (ExecTrace::default(), Err(e)),
+        }
+    }
+
+    /// Expand a query's `WITH` ([`flex_sql::inline_ctes`]) and plan every
+    /// block of it, running none: every error this returns is a compile
+    /// error, and the analysis reads the plan ([`crate::planned`]).
+    pub fn plan(&self, q: &Query) -> Result<Planned<'_>> {
+        let mut ex = Exec::new(self, self.exec_tuning());
+        let plan = plan::plan_query(&mut ex, &*flex_sql::inline_ctes(q)?)?;
+        Ok(Planned { ex, plan })
     }
 }
 

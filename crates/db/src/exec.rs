@@ -1,14 +1,14 @@
-//! The execution entry point, its trace, and the expression compiler.
+//! An execution's context and trace, and the expression compiler.
 //!
-//! [`execute`] / [`execute_traced`] are the only way a query runs: they
-//! expand `WITH` ([`flex_sql::inline_ctes`] — the same rewrite the
-//! sensitivity analysis runs before lowering, so a relation name in the
-//! tree the executor sees is a base table, a CTE nobody references is
+//! A query runs one way: [`crate::Database::plan`] expands `WITH`
+//! ([`flex_sql::inline_ctes`], once per query, so a relation name in the
+//! tree the planner sees is a base table, a CTE nobody references is
 //! never evaluated, and one referenced twice is evaluated per reference)
-//! and hand the tree to the plan executor ([`crate::vexec`] over the IR
-//! of [`crate::plan`]). There is no second path and no decision to make:
-//! every shape the parser accepts executes there, and every error is the
-//! executor's own.
+//! and plans the whole query ([`crate::plan`]) into a [`crate::Planned`];
+//! running that is the plan executor ([`crate::vexec`]).
+//! [`crate::Database::execute_traced`] is exactly those two calls. There
+//! is no second path and no decision to make: every shape the parser
+//! accepts executes there, and every error is the executor's own.
 //!
 //! The rest of this module is the executor's expression compiler.
 //! There is one compiler, `Exec::compile`: a single pass, one arm per
@@ -28,15 +28,10 @@ use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::expr::{CastTarget, CompiledExpr, ScalarFunc, Subquery};
 use crate::morsel::Parallelism;
-use crate::plan::{self, FilterOrder, JoinOrder, Nested, ResultSet};
+use crate::plan::{self, FilterOrder, JoinOrder, Nested};
+use crate::table::Table;
 use crate::value::Value;
-use crate::vexec;
-use flex_sql::{ColumnRef, Expr, FunctionArg, Literal, Query, Select, SelectItem};
-
-/// Execute a parsed query against a database.
-pub fn execute(db: &Database, q: &Query) -> Result<ResultSet> {
-    execute_traced(db, q).1
-}
+use flex_sql::{ColumnRef, Expr, FunctionArg, Literal, Select, SelectItem};
 
 /// Which engine ran a query. A vestige: there is one engine, so there is
 /// one variant — the type survives only because the frozen
@@ -102,20 +97,6 @@ impl Default for ExecTrace {
     }
 }
 
-/// Like [`execute`], but also report how the query ran (top-K pushdown,
-/// morsel/worker/row statistics, join and conjunct order). This is the executor's own
-/// record, not a re-plan — callers that want telemetry (e.g. the query
-/// service) read it at zero extra cost. A `WITH` too large to expand is
-/// the expansion error with an all-zero trace.
-pub fn execute_traced(db: &Database, q: &Query) -> (ExecTrace, Result<ResultSet>) {
-    let (mut trace, result) = match flex_sql::inline_ctes(q) {
-        Ok(q) => vexec::execute_query(db, &q, db.exec_tuning()),
-        Err(e) => (ExecTrace::default(), Err(e.into())),
-    };
-    trace.rows_emitted = result.as_ref().map_or(0, |rs| rs.rows.len() as u64);
-    (trace, result)
-}
-
 impl ExecTrace {
     /// Record that a `len`-row base table is to be scanned: its rows and
     /// morsels count, and it may engage the worker pool.
@@ -142,6 +123,12 @@ pub(crate) struct Exec<'a> {
     /// The nested plans of the block being planned, in the order they
     /// were planned (`plan::plan_block` keeps them per block).
     pub(crate) nested: Vec<Nested>,
+    /// The query's leaves in planning order, each a base table or, for a
+    /// table-less SELECT, `None`: what a `plan::Lineage` occurrence
+    /// indexes.
+    pub(crate) occurrences: Vec<Option<&'a Table>>,
+    /// Whether any block holds an `EXISTS` or `IN (SELECT …)`.
+    pub(crate) subqueries: bool,
 }
 
 impl<'a> Exec<'a> {
@@ -151,6 +138,8 @@ impl<'a> Exec<'a> {
             par,
             trace: ExecTrace::default(),
             nested: Vec::new(),
+            occurrences: Vec::new(),
+            subqueries: false,
         }
     }
 
@@ -266,6 +255,7 @@ impl<'a> Exec<'a> {
                 let plan = plan::plan_query(self, q)?;
                 let subquery = Subquery::new(q);
                 self.nested.push(Nested::Exists(plan, subquery.clone()));
+                self.subqueries = true;
                 CompiledExpr::Exists(subquery)
             }
             Expr::InSubquery {
@@ -282,6 +272,7 @@ impl<'a> Exec<'a> {
                 }
                 let subquery = Subquery::new(query);
                 self.nested.push(Nested::In(plan, subquery.clone()));
+                self.subqueries = true;
                 CompiledExpr::InSubquery {
                     expr,
                     subquery,

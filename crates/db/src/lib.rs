@@ -58,6 +58,7 @@ mod expr;
 pub mod metrics;
 mod morsel;
 mod plan;
+pub mod planned;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -73,6 +74,7 @@ pub use exec::{ExecTrace, RouteDecision};
 pub use metrics::MetricsCatalog;
 pub use morsel::DEFAULT_MORSEL_ROWS;
 pub use plan::{FilterOrder, JoinOrder, ResultSet};
+pub use planned::Planned;
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Row, Table};
 pub use value::{BorrowKey, RowKey, Value, ValueKey};

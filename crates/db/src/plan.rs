@@ -93,9 +93,9 @@
 //! exactly: equi-keys and ON residuals are extracted against each node's
 //! local `left.cols ++ right.cols` scope.
 //!
-//! Names become positions in [`crate::bind`] and nowhere else: column
-//! references, `USING`/`ON` keys, SELECT-list expansion and ORDER BY
-//! output names — the module the sensitivity analysis binds through too.
+//! Names become positions in [`crate::bind`] and nowhere else. Beside
+//! each scope's names the walk records each column's [`Lineage`], which
+//! the sensitivity analysis reads off the plan ([`crate::planned`]).
 //!
 //! # Predicate placement rules
 //!
@@ -291,6 +291,31 @@ pub(crate) struct QueryPlan {
     pub body: QueryBody,
 }
 
+impl QueryPlan {
+    /// Each output column's [`Lineage`]: a plain block's passed-through
+    /// columns keep theirs; computed, aggregated or set-operation columns
+    /// have none.
+    fn output_lineage(&self) -> Vec<Lineage> {
+        if let QueryBody::Select(block) = &self.body {
+            if let Body::Plain(tail) = &block.body {
+                let passed = |item: &TailItem| match item {
+                    TailItem::Source(c) => block.lineage[*c],
+                    TailItem::Computed(_) => None,
+                };
+                return tail.out_items.iter().map(passed).collect();
+            }
+        }
+        vec![None; self.header.len()]
+    }
+}
+
+/// The base-table column a scope column carries unchanged, as (its
+/// table's occurrence — an index into `Exec::occurrences` — and its
+/// position in that table's schema); `None` when it is computed or
+/// aggregated. Recorded for the sensitivity analysis
+/// ([`crate::planned`]); the executor never reads it.
+pub(crate) type Lineage = Option<(usize, usize)>;
+
 /// What a planned query runs.
 pub(crate) enum QueryBody {
     /// One SELECT block, the query's ORDER BY / LIMIT as its tail.
@@ -416,6 +441,10 @@ pub(crate) struct JoinNode {
     /// indices. Empty for CROSS and pure non-equi joins, which run as
     /// nested loops.
     pub key_pairs: Vec<(usize, usize)>,
+    /// The lineage of both sides of each key the analysis joins by:
+    /// `key_pairs`, or when there are none (a comma or CROSS join) the
+    /// WHERE's equalities between the sides ([`bind::equi_key`]).
+    pub key_lineage: Vec<(Lineage, Lineage)>,
     /// Infallible ON/WHERE kernels *dropping* left-child rows before the
     /// join (sound because the tree never NULL-pads those columns).
     pub left_kernels: Vec<Kernel>,
@@ -442,13 +471,14 @@ pub(crate) struct BlockPlan {
     /// The queries nested in the block, in the order they were planned:
     /// what the block runs first.
     pub nested: Vec<Nested>,
-    /// Scan leaves in FROM order (what [`PlanNode::Scan`] indexes): base
-    /// tables' shared columnar projections, or a table-less SELECT's one
-    /// row of no columns; `None` for a derived table, whose rows its
-    /// [`Nested::Derived`] plan produces.
-    pub leaves: Vec<Option<Arc<ColumnarTable>>>,
+    /// Scan leaves in FROM order (what [`PlanNode::Scan`] indexes).
+    pub leaves: Vec<FromLeaf>,
     /// The root of the FROM tree: a leaf, or the root join.
     pub root: PlanNode,
+    /// The [`Lineage`] of each column of the root's scope.
+    pub lineage: Vec<Lineage>,
+    /// Whether the block has a WHERE clause.
+    pub filtered: bool,
     /// Infallible WHERE kernels narrowing a one-leaf root's scan, in
     /// schedule order. (Over a join they push into the tree or land in
     /// `post_kernels`.)
@@ -463,6 +493,16 @@ pub(crate) struct BlockPlan {
     pub post_filter: Option<CompiledExpr>,
     /// The block's own plan, over the root's filtered rows.
     pub body: Body,
+}
+
+/// One leaf of a block's FROM tree.
+pub(crate) enum FromLeaf {
+    /// Rows the plan holds — a base table's shared columnar projection,
+    /// or a table-less SELECT's one row of no columns — and the leaf's
+    /// occurrence (its index in `Exec::occurrences`).
+    Rows(Arc<ColumnarTable>, usize),
+    /// A derived table: the rows its plan, the block's `nested[i]`, yields.
+    Derived(usize),
 }
 
 /// What a block does with its filtered FROM.
@@ -518,13 +558,16 @@ pub(crate) fn plan_block(
     // the enclosing block's wait here.
     let enclosing = std::mem::take(&mut ex.nested);
     let mut leaves = Vec::new();
-    let (mut root, cols, phys) = match &s.from {
-        Some(from) => build_node(ex, from, &mut leaves)?,
+    let (mut root, scope) = match &s.from {
+        Some(from) => build_node(ex, from, s.selection.as_ref(), &mut leaves)?,
         None => {
-            leaves.push(Some(Arc::new(ColumnarTable::from_columns(Vec::new(), 1))));
-            (PlanNode::Scan(0), Vec::new(), Vec::new())
+            let one_row = Arc::new(ColumnarTable::from_columns(Vec::new(), 1));
+            ex.occurrences.push(None);
+            leaves.push(FromLeaf::Rows(one_row, ex.occurrences.len() - 1));
+            (PlanNode::Scan(0), Scope::default())
         }
     };
+    let (cols, phys, lineage) = (scope.cols, scope.phys, scope.lineage);
 
     // WHERE: an all-kernel predicate narrows a one-leaf root's scan, or
     // splits per side and pushes below the root join where the placement
@@ -605,6 +648,8 @@ pub(crate) fn plan_block(
         nested: std::mem::replace(&mut ex.nested, enclosing),
         leaves,
         root,
+        lineage,
+        filtered: s.selection.is_some(),
         scan_kernels,
         post_kernels,
         post_filter,
@@ -621,19 +666,29 @@ pub(crate) fn keeps_unmatched(join_type: JoinType, side: JoinSide) -> bool {
     }
 }
 
+/// The scope a FROM subtree outputs: each column's name, its physical
+/// storage ([`Phys`], which ranks conjuncts and gates LIKE kernels) and
+/// its [`Lineage`], index for index.
+#[derive(Default)]
+struct Scope {
+    cols: Vec<ColMeta>,
+    phys: Vec<Phys>,
+    lineage: Vec<Lineage>,
+}
+
 /// Recursively build the plan node for one FROM subtree, planning each
-/// leaf as the walk reaches it. Returns the node, its output scope, and
-/// each output column's physical storage ([`Phys`]), which ranks
-/// conjuncts and gates LIKE kernels.
-fn build_node(
-    ex: &mut Exec<'_>,
+/// leaf as the walk reaches it; `selection` is the block's WHERE, which
+/// only the analysis's join keys read. Returns the node and its scope.
+fn build_node<'a>(
+    ex: &mut Exec<'a>,
     t: &TableRef,
-    leaves: &mut Vec<Option<Arc<ColumnarTable>>>,
-) -> Result<(PlanNode, Vec<ColMeta>, Vec<Phys>)> {
+    selection: Option<&Expr>,
+    leaves: &mut Vec<FromLeaf>,
+) -> Result<(PlanNode, Scope)> {
     match t {
         TableRef::Table { name, alias } => {
-            let table = ex
-                .db
+            let db = ex.db;
+            let table = db
                 .table(name)
                 .ok_or_else(|| DbError::UnknownTable(name.clone()))?;
             let ctab = table.columnar().clone();
@@ -645,10 +700,17 @@ fn build_node(
                 )));
             }
             ex.trace.note_scan(ctab.len(), ex.par);
-            let cols = table.col_metas(alias.as_deref().unwrap_or(name));
-            let phys = ctab.columns.iter().map(Phys::of).collect();
-            leaves.push(Some(ctab));
-            Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
+            let occurrence = ex.occurrences.len();
+            ex.occurrences.push(Some(table));
+            let scope = Scope {
+                cols: table.col_metas(alias.as_deref().unwrap_or(name)),
+                phys: ctab.columns.iter().map(Phys::of).collect(),
+                lineage: (0..ctab.columns.len())
+                    .map(|column| Some((occurrence, column)))
+                    .collect(),
+            };
+            leaves.push(FromLeaf::Rows(ctab, occurrence));
+            Ok((PlanNode::Scan(leaves.len() - 1), scope))
         }
         // The subquery is planned here, before anything that follows it
         // in the query compiles; its rows exist only once its block runs,
@@ -658,9 +720,15 @@ fn build_node(
             let names = plan.header.iter().map(|c| c.name.clone());
             let cols = bind::derived_scope(alias, names);
             let phys = vec![Phys::Mixed; cols.len()];
+            let lineage = plan.output_lineage();
+            let scope = Scope {
+                cols,
+                phys,
+                lineage,
+            };
             ex.nested.push(Nested::Derived(plan));
-            leaves.push(None);
-            Ok((PlanNode::Scan(leaves.len() - 1), cols, phys))
+            leaves.push(FromLeaf::Derived(ex.nested.len() - 1));
+            Ok((PlanNode::Scan(leaves.len() - 1), scope))
         }
         TableRef::Join {
             left,
@@ -668,20 +736,30 @@ fn build_node(
             join_type,
             constraint,
         } => {
-            let (lnode, lcols, mut phys) = build_node(ex, left, leaves)?;
-            let (rnode, rcols, rphys) = build_node(ex, right, leaves)?;
-            let lw = lcols.len();
-            let rw = rcols.len();
+            let (lnode, mut scope) = build_node(ex, left, selection, leaves)?;
+            let (rnode, right) = build_node(ex, right, selection, leaves)?;
+            let lw = scope.cols.len();
+            let rw = right.cols.len();
             // Equi-keys against this node's local scopes; what is left
             // of ON compiles against the combined one.
-            let (key_pairs, on_rest) = split_join_constraint(&lcols, &rcols, constraint)?;
-            let mut combined = lcols;
-            combined.extend(rcols);
-            phys.extend(rphys);
+            let (key_pairs, on_rest) = split_join_constraint(&scope.cols, &right.cols, constraint)?;
+            let lineage = |(l, r): (usize, usize)| (scope.lineage[l], right.lineage[r]);
+            let mut key_lineage: Vec<_> = key_pairs.iter().copied().map(lineage).collect();
+            if key_lineage.is_empty() {
+                let conjuncts = selection.map(Expr::conjuncts).unwrap_or_default();
+                let keys = conjuncts
+                    .into_iter()
+                    .filter_map(|c| bind::equi_key(&scope.cols, &right.cols, c));
+                key_lineage.extend(keys.map(lineage));
+            }
+            scope.cols.extend(right.cols);
+            scope.phys.extend(right.phys);
+            scope.lineage.extend(right.lineage);
             let mut residual = Vec::with_capacity(on_rest.len());
             for c in &on_rest {
-                residual.push(ex.compile_scalar(c, &combined)?);
+                residual.push(ex.compile_scalar(c, &scope.cols)?);
             }
+            let phys = &scope.phys;
             let written: Vec<&CompiledExpr> = residual.iter().collect();
             let scheduled = schedule(&written, &|c| phys[c], &mut ex.trace.filter_order);
             let residual = scheduled.unwrap_or(residual);
@@ -693,6 +771,7 @@ fn build_node(
                 lw,
                 rw,
                 key_pairs,
+                key_lineage,
                 left_kernels: Vec::new(),
                 right_kernels: Vec::new(),
                 left_match_kernels: Vec::new(),
@@ -707,7 +786,7 @@ fn build_node(
             // (An empty residual collects to
             // `Some(vec![])`, covering the pure-equi/CROSS cases.)
             let kernels: Option<Vec<_>> =
-                residual.iter().map(|e| side_kernel(e, lw, &phys)).collect();
+                residual.iter().map(|e| side_kernel(e, lw, phys)).collect();
             match kernels {
                 Some(kernels) => {
                     for (side, k) in kernels {
@@ -723,7 +802,7 @@ fn build_node(
                 None => node.residual = residual,
             }
 
-            Ok((PlanNode::Join(Box::new(node)), combined, phys))
+            Ok((PlanNode::Join(Box::new(node)), scope))
         }
     }
 }

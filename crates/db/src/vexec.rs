@@ -12,13 +12,12 @@
 //!
 //! # One entry point, every shape
 //!
-//! `execute_query` plans any `WITH`-free query in full
-//! ([`plan::plan_query`]; [`crate::exec`]'s public entry points expand
-//! `WITH` first, so a CTE reference *is* a derived table here) and then
-//! runs the plan, one execution for the whole query: a nested query — a
-//! derived table, an `IN (SELECT …)` / `EXISTS` subquery — is a plan its
-//! block runs first (`run_nested`), not an execution of its own. A query
-//! is one of:
+//! `run_planned` runs a `WITH`-free query planned in full
+//! ([`plan::plan_query`]; [`crate::Database::plan`] expands `WITH` first,
+//! so a CTE reference *is* a derived table here), one execution for the
+//! whole query: a nested query — a derived table, an `IN (SELECT …)` /
+//! `EXISTS` subquery — is a plan its block runs first (`run_nested`), not
+//! an execution of its own. A query is one of:
 //!
 //! - a **SELECT block** (`run_block`): its FROM is a tree of one or more
 //!   leaves — base tables, derived tables (`FROM (SELECT …) alias`, whose
@@ -112,42 +111,36 @@
 
 use crate::aggregate::{self, AggFunc, AggPartial, FoldAcc, FoldState};
 use crate::column::{Column, ColumnData, ColumnarTable, GATHER_NULL};
-use crate::database::Database;
 use crate::error::{DbError, Result};
 use crate::exec::{self, Exec, ExecTrace};
 use crate::expr::{columns_read, comparison_holds, like_match, CompiledExpr};
 use crate::morsel::{self, Parallelism};
 use crate::plan::{
-    self, BlockPlan, Body, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, Nested, PlanNode,
-    QueryBody, QueryPlan, ResultSet, SetPlan, TailItem, TailPlan,
+    self, BlockPlan, Body, FromLeaf, GroupedPlan, JoinNode, JoinOrder, JoinSide, Kernel, Nested,
+    PlanNode, QueryBody, QueryPlan, ResultSet, SetPlan, TailItem, TailPlan,
 };
 use crate::table::Row;
 use crate::value::{BorrowKey, RowKey, Value, ValueKey};
-use flex_sql::{BinaryOperator, JoinType, Query, SetOperator};
+use flex_sql::{BinaryOperator, JoinType, SetOperator};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Plan a `WITH`-free query in full, then run it, under the execution's
-/// tuning, and report how it ran: the single entry point behind
-/// [`crate::exec::execute_traced`].
-pub(crate) fn execute_query(
-    db: &Database,
-    q: &Query,
-    par: Parallelism,
-) -> (ExecTrace, Result<ResultSet>) {
-    let mut ex = Exec::new(db, par);
-    let result = plan::plan_query(&mut ex, q).and_then(|plan| {
-        let rows = run_query(&mut ex, &plan)?;
+/// Run a query planned in full under `ex`, the execution that planned
+/// it, and report how it ran: the single way a query runs
+/// ([`crate::Planned::run`]).
+pub(crate) fn run_planned(mut ex: Exec<'_>, plan: &QueryPlan) -> (ExecTrace, Result<ResultSet>) {
+    let result = run_query(&mut ex, plan).map(|rows| {
         // The header is allocated after the rows: were the rows the
         // heap's last allocation, dropping a large result would trim the
         // heap and the next query would fault the pages back in — 2x on
         // 100k rows.
         let columns = plan.header.iter().map(|c| c.name.clone()).collect();
-        Ok(ResultSet { columns, rows })
+        ResultSet { columns, rows }
     });
+    ex.trace.rows_emitted = result.as_ref().map_or(0, |rs| rs.rows.len() as u64);
     (ex.trace, result)
 }
 
@@ -163,33 +156,35 @@ fn run_query(ex: &mut Exec<'_>, plan: &QueryPlan) -> Result<Vec<Row>> {
 /// table's rows become its leaf, a subquery's answer is set for the nodes
 /// that read it — and return the block's leaves.
 fn run_nested(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Arc<ColumnarTable>>> {
-    let mut derived = Vec::new();
+    // A derived table's rows, at its index among the nested plans.
+    let mut derived = Vec::with_capacity(plan.nested.len());
     for nested in &plan.nested {
-        match nested {
+        derived.push(match nested {
             Nested::Derived(q) => {
                 let rows = run_query(ex, q)?;
                 // Its rows and morsels were counted where its plan scanned.
                 let workers = ex.par.workers_for(rows.len()) as u64;
                 ex.trace.workers = ex.trace.workers.max(workers);
-                let ctab = ColumnarTable::from_rows(&rows, q.header.len());
-                derived.push(Arc::new(ctab));
+                Some(Arc::new(ColumnarTable::from_rows(&rows, q.header.len())))
             }
-            Nested::Exists(q, answer) => answer.set(!run_query(ex, q)?.is_empty()),
+            Nested::Exists(q, answer) => {
+                answer.set(!run_query(ex, q)?.is_empty());
+                None
+            }
             Nested::In(q, answer) => {
                 let rows = run_query(ex, q)?;
                 let has_null = rows.iter().any(|row| row[0].is_null());
                 let values = rows.iter().filter(|row| !row[0].is_null());
                 let values = values.map(|row| ValueKey::from(&row[0])).collect();
                 answer.set((values, has_null));
+                None
             }
-        }
+        });
     }
-    let mut derived = derived.into_iter();
-    let mut next_derived = || derived.next().expect("one derived plan per derived leaf");
-    let leaves = plan
-        .leaves
-        .iter()
-        .map(|leaf| leaf.clone().unwrap_or_else(&mut next_derived));
+    let leaves = plan.leaves.iter().map(|leaf| match leaf {
+        FromLeaf::Rows(rows, _) => rows.clone(),
+        FromLeaf::Derived(i) => derived[*i].take().expect("a derived leaf's rows"),
+    });
     Ok(leaves.collect())
 }
 
@@ -2044,16 +2039,21 @@ mod tests {
              AND k IN (SELECT k FROM l)",
         )
         .unwrap();
+        let execute = |par| {
+            let mut ex = crate::exec::Exec::new(&db, par);
+            let plan = crate::plan::plan_query(&mut ex, &q).unwrap();
+            super::run_planned(ex, &plan)
+        };
         let par = Parallelism {
             workers: 4,
             fold_rows: 2,
         };
-        let (stats, result) = super::execute_query(&db, &q, par);
+        let (stats, result) = execute(par);
         assert_eq!(result.unwrap().scalar(), Some(&Value::Int(4)));
         assert_eq!(stats.workers, 4);
         // l (4 rows) twice and r (3 rows) once, in 2-row morsels.
         assert_eq!((stats.rows_scanned, stats.morsels), (11, 6));
-        let (db_stats, _) = super::execute_query(&db, &q, db.exec_tuning());
+        let (db_stats, _) = execute(db.exec_tuning());
         assert_eq!((db_stats.workers, db_stats.morsels), (1, 3));
     }
 }

@@ -8,7 +8,10 @@
 # LIKE kernel then meets an integer column). For each, a copy of the tree
 # gets the one-line change and the differential suites run against it; a
 # mutant they do not kill means the oracle has stopped checking that
-# piece.
+# piece. One more mutant is the analysis's: a derived table's passed-
+# through columns lose the lineage the planner records for the
+# sensitivity analysis, and the analysis suites (flex-core's unit tests,
+# `sensitivity_soundness`, `analysis_pinning`) must kill it.
 #
 #   scripts/oracle_mutants.sh [checkout]
 #
@@ -22,6 +25,8 @@ work=$root/target/mutants
 tree=$work/tree
 export CARGO_TARGET_DIR=$work/target
 suites=(cargo test -q -p flex-db --test differential --test exec_trace)
+analysis_suites=(cargo test -q -p flex-core -p flex --lib --test sensitivity_soundness
+    --test analysis_pinning)
 
 # file | line as written | line mutated
 mutants=(
@@ -31,30 +36,40 @@ mutants=(
     "crates/db/src/plan.rs|if let Some(p) = &post_filter {|if let Some(p) = None::<&CompiledExpr> {"
     "crates/db/src/plan.rs|let phys = vec![Phys::Mixed; cols.len()];|let phys = vec![Phys::Str; cols.len()];"
 )
+analysis_mutants=(
+    "crates/db/src/plan.rs|TailItem::Source(c) => block.lineage[*c],|TailItem::Source(_) => None,"
+)
 
 rm -rf "$tree"
 mkdir -p "$tree"
 (cd "$root" && tar --exclude=./target --exclude=./.git -cf - .) | tar -xf - -C "$tree"
 
 survived=0
-for mutant in "${mutants[@]}"; do
-    IFS='|' read -r file from to <<<"$mutant"
-    cp "$root/$file" "$tree/$file"
-    if [ "$(grep -cF -- "$from" "$tree/$file")" != 1 ]; then
-        echo "mutant does not apply: $file has no single \`$from\`" >&2
-        exit 2
-    fi
-    FROM=$from TO=$to perl -pi -e 's/\Q$ENV{FROM}\E/$ENV{TO}/' "$tree/$file"
-    if ! (cd "$tree" && "${suites[@]}" --no-run >/dev/null 2>&1); then
-        echo "mutant does not compile: $file: $to" >&2
-        exit 2
-    fi
-    if (cd "$tree" && "${suites[@]}" >/dev/null 2>&1); then
-        echo "SURVIVED  $file: $to"
-        survived=1
-    else
-        echo "killed    $file: $to"
-    fi
-    cp "$root/$file" "$tree/$file"
-done
+# mutate <suite array name> <mutant>...
+mutate() {
+    local -n suite=$1
+    shift
+    for mutant in "$@"; do
+        IFS='|' read -r file from to <<<"$mutant"
+        cp "$root/$file" "$tree/$file"
+        if [ "$(grep -cF -- "$from" "$tree/$file")" != 1 ]; then
+            echo "mutant does not apply: $file has no single \`$from\`" >&2
+            exit 2
+        fi
+        FROM=$from TO=$to perl -pi -e 's/\Q$ENV{FROM}\E/$ENV{TO}/' "$tree/$file"
+        if ! (cd "$tree" && "${suite[@]}" --no-run >/dev/null 2>&1); then
+            echo "mutant does not compile: $file: $to" >&2
+            exit 2
+        fi
+        if (cd "$tree" && "${suite[@]}" >/dev/null 2>&1); then
+            echo "SURVIVED  $file: $to"
+            survived=1
+        else
+            echo "killed    $file: $to"
+        fi
+        cp "$root/$file" "$tree/$file"
+    done
+}
+mutate suites "${mutants[@]}"
+mutate analysis_suites "${analysis_mutants[@]}"
 exit "$survived"

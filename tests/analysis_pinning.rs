@@ -77,7 +77,11 @@ fn analysis_is_pinned() {
         ..CorpusConfig::default()
     });
     queries.extend(corpus.iter().map(|q| (&corpus_db, print_query(q))));
-    queries.extend(bench_shape_variants().into_iter().map(|sql| (&uber_db, sql)));
+    queries.extend(
+        bench_shape_variants()
+            .into_iter()
+            .map(|sql| (&uber_db, sql)),
+    );
 
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut lines = String::new();

@@ -18,13 +18,17 @@ fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) ->
         .unwrap()
 }
 
-fn service() -> QueryService {
+fn database() -> Database {
     let mut db = Database::new();
     db.create_table("t", Schema::of(&[("x", DataType::Int)]))
         .unwrap();
     db.insert("t", (0..100).map(|i| vec![Value::Int(i)]).collect())
         .unwrap();
-    QueryService::new(Arc::new(db), ServiceConfig::default())
+    db
+}
+
+fn service() -> QueryService {
+    QueryService::new(Arc::new(database()), ServiceConfig::default())
 }
 
 const PARENS: usize = 100_000;
@@ -103,12 +107,12 @@ fn a_caller_with_room_to_parse_can_wait_at_any_depth() {
     }
 }
 
-/// The analysis never reads HAVING, so whatever the executor does with
-/// one is an analyst's to ask for: `n` `EXISTS` there cost `n` scans.
-/// (Group mode used to compile level by level, re-running every subquery
-/// below a level that holds an aggregate: `2n` scans for the canonical
-/// form of this query — its aggregate prints after every `EXISTS` —
-/// and `n(n+3)/2` for the nesting as written.)
+/// `n` `EXISTS` in HAVING cost the executor `n` scans. (Group mode used
+/// to compile level by level, re-running every subquery below a level
+/// that holds an aggregate: `2n` scans for the canonical form of this
+/// query — its aggregate prints after every `EXISTS` — and `n(n+3)/2`
+/// for the nesting as written.) An analyst can no longer ask for it: the
+/// analysis refuses a subquery wherever it stands, before anything runs.
 #[test]
 fn subqueries_in_having_run_once_each() {
     on_worker_stack(|| {
@@ -119,10 +123,13 @@ fn subqueries_in_having_run_once_each() {
             "SELECT COUNT(*) FROM t HAVING {nested}COALESCE(MAX(x) >= 0, FALSE){}",
             ")".repeat(n)
         );
+        let (trace, result) = database().execute_traced(&parse_query(&sql).unwrap());
+        assert_eq!(result.unwrap().rows.len(), 1);
+        assert_eq!(trace.rows_scanned, 100 + 100 * n as u64);
+
         let params = PrivacyParams::new(1.0, 1e-8).unwrap();
-        let response = service().query("mallory", &sql, params).unwrap();
-        let scanned = response.trace.unwrap().exec.rows_scanned;
-        assert_eq!(scanned, 100 + 100 * n as u64);
+        let err = service().query("mallory", &sql, params).unwrap_err();
+        assert!(err.to_string().contains("subquery predicates"), "{err}");
     });
 }
 

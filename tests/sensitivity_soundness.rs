@@ -443,3 +443,59 @@ fn a_reordered_release_is_the_column_permutation_of_the_in_order_one() {
         );
     }
 }
+
+// ---- Subqueries: refused wherever they stand ---------------------------
+//
+// The analysis used to look for `EXISTS` / `IN (SELECT …)` in WHERE only,
+// so one in HAVING or in a GROUP BY key passed — with a sensitivity that
+// bounds nothing it decides. It now reads the plan, which records every
+// expression subquery of every block.
+
+/// Ten trips, fares 0–9; `outlier` moves one of them to 2 000.
+fn trips_with_fares(outlier: bool) -> Database {
+    let mut db = Database::new();
+    let schema = Schema::of(&[("id", DataType::Int), ("fare", DataType::Float)]);
+    db.create_table("trips", schema).unwrap();
+    let fare = |i: i64| if outlier && i == 0 { 2_000.0 } else { i as f64 };
+    let rows = (0..10)
+        .map(|i| vec![Value::Int(i), Value::Float(fare(i))])
+        .collect();
+    db.insert("trips", rows).unwrap();
+    db
+}
+
+/// `HAVING EXISTS` over private rows decides whether the count's one row
+/// is released at all: two neighbours (one fare changed) release zero
+/// rows and one. Both are refused now, before anything runs.
+#[test]
+fn a_subquery_in_having_is_refused_on_both_neighbours() {
+    use rand::SeedableRng;
+    let sql = "SELECT COUNT(*) FROM trips HAVING EXISTS (SELECT 1 FROM trips WHERE fare > 1000)";
+    let params = PrivacyParams::new(1.0, 1e-6).unwrap();
+    let rows = |db: &Database| db.execute_sql(sql).unwrap().rows.len();
+    let (plain, outlier) = (trips_with_fares(false), trips_with_fares(true));
+    assert_eq!(
+        (rows(&plain), rows(&outlier)),
+        (0, 1),
+        "a distinguishing pair"
+    );
+    for db in [&plain, &outlier] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let released = run_sql(db, sql, params, &mut rng).map(|r| r.rows.len());
+        assert_eq!(released, Err(FlexError::UnsupportedSubqueryPredicate));
+    }
+}
+
+/// A GROUP BY key that holds an `IN (SELECT …)` is a subquery too.
+#[test]
+fn a_subquery_in_a_group_key_is_refused() {
+    let db = trips_and_cities();
+    let key = "city_id IN (SELECT id FROM cities WHERE name = 'city1')";
+    let sql = format!("SELECT {key}, COUNT(*) FROM trips GROUP BY {key}");
+    assert_eq!(db.execute_sql(&sql).unwrap().rows.len(), 2);
+    let analysis = analyze(&parse_query(&sql).unwrap(), &db);
+    assert_eq!(
+        analysis.map(|a| a.outputs),
+        Err(FlexError::UnsupportedSubqueryPredicate)
+    );
+}
