@@ -58,7 +58,7 @@ pub fn analyze(q: &Query, db: &Database) -> Result<AnalyzedQuery> {
 }
 
 /// [`analyze`] with explicit options: plan the query, then read the plan
-/// ([`analyze_plan`]).
+/// (`analyze_plan`).
 pub fn analyze_with(q: &Query, db: &Database, opts: &AnalysisOptions) -> Result<AnalyzedQuery> {
     analyze_plan(&lower::plan(q, db)?, db, opts)
 }

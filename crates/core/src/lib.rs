@@ -14,10 +14,11 @@
 //! Pipeline (paper Figure 2):
 //!
 //! ```text
-//! SQL ──parse──▶ AST ──lower──▶ core relational algebra (Fig. 1a)
+//! SQL ──parse──▶ AST ──plan──▶ the executor's plan ──lower──▶ core
+//!     relational algebra (Fig. 1a)
 //!     ──analyze──▶ Ŝ⁽ᵏ⁾ as a polynomial-like SensExpr (Fig. 1b/1c)
 //!     ──smooth──▶ S = max_k e^(−βk) Ŝ⁽ᵏ⁾  with β = ε / (2 ln(2/δ))
-//!     ──run true query + Lap(2S/ε)──▶ differentially private results
+//!     ──run that plan + Lap(2S/ε)──▶ differentially private results
 //! ```
 //!
 //! ```

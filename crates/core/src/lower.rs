@@ -72,7 +72,7 @@ pub struct Lowered {
 }
 
 /// Lower a parsed query against a database catalog: plan it, then read
-/// the plan ([`lower_plan`]).
+/// the plan (`lower_plan`).
 pub fn lower(q: &Query, db: &Database) -> Result<Lowered> {
     lower_plan(&plan(q, db)?, db)
 }

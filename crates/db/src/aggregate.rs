@@ -3,9 +3,10 @@
 //!
 //! Which names spell them is [`flex_sql::AGGREGATE_FUNCTIONS`]' to say —
 //! `count`, `sum`, `avg` (alias `mean`), `min`, `max`, `median`, `stddev`
-//! (alias `stddev_samp`) — the one table [`AggFunc::parse`], the planner's
-//! "is this block aggregated" and the sensitivity analysis all read.
-//! (The test oracle spells them with a match of its own.)
+//! (alias `stddev_samp`) — the one table [`AggFunc::parse`] and the
+//! planner's "is this block aggregated" read; the sensitivity analysis
+//! classifies the [`AggFunc`] the planner compiled. (The test oracle
+//! spells them with a match of its own.)
 
 use crate::expr::CompiledExpr;
 use crate::morsel;

@@ -86,10 +86,10 @@ pub(crate) fn equi_key(
 
 /// Split a join constraint into equi-key pairs and a residual.
 /// `USING (c)` is the pair `c = c`; an `ON` conjunct is a key when
-/// [`equi_key`] says so; everything else stays residual. The one
-/// definition the executor, the test oracle and the sensitivity analysis
-/// join by: a `USING` column missing or ambiguous on either side is the
-/// error.
+/// `equi_key` says so; everything else stays residual. The one
+/// definition the executor (and through its plan the sensitivity
+/// analysis) and the test oracle join by: a `USING` column missing or
+/// ambiguous on either side is the error.
 pub fn split_join_constraint<'a>(
     left_cols: &[ColMeta],
     right_cols: &[ColMeta],

@@ -43,9 +43,10 @@
 //! - joins, set operations, grouping, projection, sorting, DISTINCT and
 //!   LIMIT, all over materialized rows.
 //!
-//! It does not call `AggFunc::parse`, `flex_sql::AGGREGATE_FUNCTIONS`,
-//! `bind::is_aggregated` or `bind::sort_key_by_output`, and the
-//! executor's compiler, plan and kernels are private to `flex_db`.
+//! It does not read `flex_sql::AGGREGATE_FUNCTIONS`, and cannot call
+//! `AggFunc::parse`, `bind::is_aggregated`, `bind::sort_key_by_output` or
+//! the executor's compiler, plan and kernels: they are private to
+//! `flex_db`.
 
 mod eval;
 mod fold;
