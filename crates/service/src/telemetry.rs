@@ -151,9 +151,9 @@ pub struct QueryTrace {
     /// Wait between enqueue and the job starting — on the thread that
     /// waited for it, or on a worker.
     pub queue: Duration,
-    /// Elastic-sensitivity analysis.
+    /// Elastic-sensitivity analysis, planning the query included.
     pub analysis: Duration,
-    /// True-query execution on the database.
+    /// Running the planned true query on the database.
     pub execution: Duration,
     /// Smoothing + noise + histogram assembly.
     pub perturbation: Duration,
