@@ -1,16 +1,24 @@
-//! Privacy-budget management (paper §4.3).
+//! Privacy-budget accounting (paper §4.3).
 //!
-//! FLEX itself does not prescribe a budget strategy; this module provides
-//! the standard ones the paper points to: sequential composition, the
-//! strong composition theorem of Dwork, Rothblum & Vadhan, and the sparse
-//! vector technique (above-threshold queries that charge the budget only
-//! when answered).
+//! FLEX itself does not prescribe a budget strategy; this module holds
+//! the accounting the paper points to, as the primitives the service's
+//! per-analyst ledger (`flex_service::BudgetLedger`) is built from:
+//!
+//! - [`PrivacyBudget`]: one account under sequential composition, with
+//!   the check-then-commit pair ([`PrivacyBudget::can_spend`],
+//!   [`PrivacyBudget::spend_unchecked`]) the ledger writes its log
+//!   between, and [`PrivacyBudget::try_spend`], the one-step reference
+//!   that pair is tested against;
+//! - [`Composition`] and [`strong_composition`]: how `k` charges add up,
+//!   sequentially or by the strong composition theorem of Dwork,
+//!   Rothblum & Vadhan.
+//!
+//! Nothing here runs a query: ε is spent through
+//! `flex_service::QueryService`, which charges the ledger before a query
+//! runs, makes the charge durable before the answer is released, and
+//! refunds it when nothing is.
 
 use crate::error::{FlexError, Result};
-use crate::mechanism::{run_sql_with, FlexOptions, FlexResult};
-use crate::smooth::PrivacyParams;
-use flex_db::Database;
-use rand::Rng;
 
 /// A simple (ε, δ) budget account using sequential composition: spent
 /// epsilons and deltas add up until the cap is reached.
@@ -183,116 +191,9 @@ pub fn strong_composition(epsilon: f64, delta: f64, k: u32, delta_slack: f64) ->
     (eps_prime, k_f * delta + delta_slack)
 }
 
-/// A FLEX front-end that charges a [`PrivacyBudget`] per query
-/// (sequential composition).
-pub struct BudgetedFlex<'a> {
-    db: &'a Database,
-    budget: PrivacyBudget,
-    opts: FlexOptions,
-}
-
-impl<'a> BudgetedFlex<'a> {
-    pub fn new(db: &'a Database, budget: PrivacyBudget) -> Self {
-        BudgetedFlex {
-            db,
-            budget,
-            opts: FlexOptions::new(),
-        }
-    }
-
-    pub fn with_options(mut self, opts: FlexOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
-    pub fn budget(&self) -> &PrivacyBudget {
-        &self.budget
-    }
-
-    /// Answer a query, charging `(ε, δ)` from the budget first.
-    pub fn run<R: Rng + ?Sized>(
-        &mut self,
-        sql: &str,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<FlexResult> {
-        self.budget.try_spend(params.epsilon, params.delta)?;
-        match run_sql_with(self.db, sql, params, rng, &self.opts) {
-            Ok(r) => Ok(r),
-            Err(e) => {
-                // Refund: the mechanism released nothing.
-                self.budget.refund(params.epsilon, params.delta);
-                Err(e)
-            }
-        }
-    }
-}
-
-/// The sparse vector technique (paper §4.3): answer only queries whose
-/// noisy result clears a noisy threshold, charging the budget for answered
-/// queries only.
-///
-/// This follows the paper's description of Dwork et al.'s mechanism as a
-/// budget-efficiency layer over FLEX's Laplace interface: rejected probes
-/// consume only the threshold share of the budget, which is paid once.
-pub struct SparseVector<'a> {
-    db: &'a Database,
-    /// Threshold the noisy answer must clear.
-    pub threshold: f64,
-    params: PrivacyParams,
-    noisy_threshold: f64,
-    initialized: bool,
-}
-
-impl<'a> SparseVector<'a> {
-    pub fn new(db: &'a Database, threshold: f64, params: PrivacyParams) -> Self {
-        SparseVector {
-            db,
-            threshold,
-            params,
-            noisy_threshold: threshold,
-            initialized: false,
-        }
-    }
-
-    /// Probe a counting query. Returns `Some(noisy_answer)` if it clears
-    /// the noisy threshold, else `None`.
-    pub fn probe<R: Rng + ?Sized>(&mut self, sql: &str, rng: &mut R) -> Result<Option<f64>> {
-        if !self.initialized {
-            // Perturb the threshold once with half the epsilon.
-            let half = PrivacyParams::new(self.params.epsilon / 2.0, self.params.delta)?;
-            self.noisy_threshold =
-                self.threshold + crate::laplace::laplace(rng, 2.0 / half.epsilon);
-            self.initialized = true;
-        }
-        let half = PrivacyParams::new(self.params.epsilon / 2.0, self.params.delta)?;
-        let r = run_sql_with(self.db, sql, half, rng, &FlexOptions::new())?;
-        let answer = r.scalar().ok_or_else(|| {
-            FlexError::Db("sparse vector requires a scalar counting query".to_string())
-        })?;
-        if answer >= self.noisy_threshold {
-            Ok(Some(answer))
-        } else {
-            Ok(None)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flex_db::{DataType, Schema, Value};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.create_table("t", Schema::of(&[("x", DataType::Int)]))
-            .unwrap();
-        db.insert("t", (0..500).map(|i| vec![Value::Int(i)]).collect())
-            .unwrap();
-        db
-    }
 
     #[test]
     fn budget_accumulates_and_caps() {
@@ -397,52 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_flex_charges_per_query() {
-        let db = db();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut bf = BudgetedFlex::new(&db, PrivacyBudget::new(0.5, 1e-6));
-        let p = PrivacyParams::new(0.2, 1e-8).unwrap();
-        bf.run("SELECT COUNT(*) FROM t", p, &mut rng).unwrap();
-        bf.run("SELECT COUNT(*) FROM t WHERE x > 10", p, &mut rng)
-            .unwrap();
-        let err = bf.run("SELECT COUNT(*) FROM t", p, &mut rng).unwrap_err();
-        assert!(matches!(err, FlexError::BudgetExhausted { .. }));
-        let (eps, _) = bf.budget().spent();
-        assert!((eps - 0.4).abs() < 1e-9);
-    }
-
-    #[test]
-    fn failed_queries_are_refunded() {
-        let db = db();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut bf = BudgetedFlex::new(&db, PrivacyBudget::new(1.0, 1e-6));
-        let p = PrivacyParams::new(0.3, 1e-8).unwrap();
-        // Raw-data query fails after the charge; it must be refunded.
-        assert!(bf.run("SELECT x FROM t", p, &mut rng).is_err());
-        assert_eq!(bf.budget().spent().0, 0.0);
-    }
-
-    #[test]
     fn strong_composition_beats_sequential_for_many_queries() {
         let (eps_strong, _) = strong_composition(0.01, 0.0, 10_000, 1e-6);
         let eps_sequential = 0.01 * 10_000.0;
         assert!(eps_strong < eps_sequential);
-    }
-
-    #[test]
-    fn sparse_vector_answers_above_threshold_only() {
-        let db = db();
-        let mut rng = StdRng::seed_from_u64(3);
-        let p = PrivacyParams::new(2.0, 1e-8).unwrap();
-        let mut sv = SparseVector::new(&db, 100.0, p);
-        // True count 500 clears threshold 100.
-        let hit = sv.probe("SELECT COUNT(*) FROM t", &mut rng).unwrap();
-        assert!(hit.is_some());
-        // True count ~10 does not clear it.
-        let miss = sv
-            .probe("SELECT COUNT(*) FROM t WHERE x < 10", &mut rng)
-            .unwrap();
-        assert!(miss.is_none());
     }
 }
 

@@ -51,7 +51,7 @@ pub mod smooth;
 pub mod study;
 
 pub use analysis::{analyze, analyze_with, AnalysisOptions, AnalyzedQuery};
-pub use budget::{strong_composition, BudgetedFlex, Composition, PrivacyBudget, SparseVector};
+pub use budget::{strong_composition, Composition, PrivacyBudget};
 pub use error::{FlexError, Result};
 pub use flex_db::ExecTrace;
 pub use histogram::enumerate_bins;

@@ -312,8 +312,7 @@ impl BudgetLedger {
     }
 
     /// The durability barrier: returns once `charge`'s log record is on
-    /// disk as far as the log's [`FsyncPolicy`](crate::wal::FsyncPolicy)
-    /// demands (at once without a log, and for a record an earlier sync
+    /// disk (at once without a log, and for a record an earlier sync
     /// already covered). It waits for this charge only, never for newer
     /// records, and takes no ledger lock. **Nothing the charge paid for
     /// may be released before this returns `Ok`.** On `Err` the log is

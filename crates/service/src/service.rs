@@ -14,7 +14,13 @@
 //! 3. [`Telemetry`] — hit/miss/reject counters, queue
 //!    depth and per-stage timings, snapshotable for ops.
 //!
-//! Responses carry only noised rows; true values never leave the worker.
+//! The service is the one way to spend ε: the ledger charges before a
+//! query runs, the charge is durable before its answer is released, and
+//! nothing else in the workspace keeps an account. A [`ServiceResponse`]
+//! is the release and nothing more — noised rows plus what the analyst
+//! already knows or paid for. True values, row counts and timings stay
+//! with the operator, in [`QueryService::telemetry`] and
+//! [`QueryService::metrics`].
 
 use crate::cache::{Admission, AnswerCache, CacheKey, CachedAnswer, DEFAULT_CACHE_SHARDS};
 use crate::error::{ServiceError, ServiceResult};
@@ -25,7 +31,7 @@ use crate::queue::{PushError, Slot, WorkQueue};
 use crate::sync;
 use crate::telemetry::{Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot};
 use crate::wal::{FileStorage, FsyncPolicy, RecoveryReport, Storage, Wal};
-use flex_core::{run_query_deadline, Composition, FlexOptions, FlexTimings, PrivacyParams};
+use flex_core::{run_query_deadline, Composition, FlexOptions, PrivacyParams};
 use flex_db::{Database, Value};
 use flex_sql::{canonicalize, parse_query_nesting, print_query, Query};
 use rand::rngs::StdRng;
@@ -75,8 +81,6 @@ pub struct ServiceConfig {
     /// ≥ 1). Pure contention tuning, like [`ServiceConfig::cache_shards`]:
     /// observable ledger state is identical at every setting.
     pub ledger_shards: usize,
-    /// Options forwarded to the FLEX mechanism.
-    pub flex: FlexOptions,
     /// Optional secret base seed for noise generation.
     ///
     /// `None` (the default) draws a fresh random secret from the OS for
@@ -96,28 +100,20 @@ pub struct ServiceConfig {
     /// Path of the budget write-ahead log. `None` (the default) keeps
     /// the ledger in memory only; `Some(path)` makes every admission
     /// durable — a charge is logged *before* the query is admitted and
-    /// on disk (per [`ServiceConfig::wal_fsync`]) *before* its answer is
-    /// released, and a restart over the same path replays the log into
-    /// bitwise-identical ledger state. A WAL failure rejects the query
+    /// on disk *before* its answer is released, and a restart over the
+    /// same path replays the log into bitwise-identical ledger state. A WAL failure rejects the query
     /// fail-closed rather than admitting it uncharged or releasing an
     /// answer whose charge is not on disk. Durability knobs never feed
     /// noise seeds: released bytes are identical with or without a WAL.
     pub wal_path: Option<PathBuf>,
-    /// When the WAL syncs to durable storage: [`FsyncPolicy::Always`]
-    /// (the default — the charge behind every released answer survives
-    /// a crash), `EveryN(n)` for group durability, or `Never` to leave
-    /// syncing to the OS. Ignored without [`ServiceConfig::wal_path`].
+    /// When the WAL syncs to durable storage. [`FsyncPolicy::Always`]
+    /// is the only policy: the charge behind every released answer
+    /// survives a crash. Ignored without [`ServiceConfig::wal_path`].
     pub wal_fsync: FsyncPolicy,
     /// Compact the WAL into a snapshot record once this many records
     /// accumulate since the last snapshot (0 disables compaction).
     /// Ignored without [`ServiceConfig::wal_path`].
     pub wal_snapshot_threshold: u64,
-    /// Queued jobs allowed per worker: admission refuses new work once
-    /// `workers × queue_depth` jobs are waiting — admitted, not yet
-    /// executing on any thread (the charge is refunded and the caller
-    /// gets the retryable [`ServiceError::Overloaded`]). 0 means
-    /// unbounded.
-    pub queue_depth: usize,
     /// Per-query deadline, measured from submission — less the time a
     /// job sat queued before its own submitter took it back to run it,
     /// which is the caller's delay in calling [`Ticket::wait`], not the
@@ -144,12 +140,10 @@ impl Default for ServiceConfig {
             cache_max_bytes: 64 << 20,
             cache_shards: DEFAULT_CACHE_SHARDS,
             ledger_shards: DEFAULT_LEDGER_SHARDS,
-            flex: FlexOptions::new(),
             seed: None,
             wal_path: None,
             wal_fsync: FsyncPolicy::Always,
             wal_snapshot_threshold: 4096,
-            queue_depth: 1024,
             query_timeout: None,
         }
     }
@@ -174,17 +168,9 @@ pub struct ServiceResponse {
     /// `(ε, δ)` charged to the analyst for this answer; `(0, 0)` on a
     /// cache hit or a coalesced request.
     pub charged: (f64, f64),
-    /// Number of joins in the executed query (drives the elastic-
-    /// sensitivity join analysis; surfaced for telemetry).
+    /// Number of joins in the query — a fact of the query text, not of
+    /// the data (it drives the elastic-sensitivity join analysis).
     pub join_count: usize,
-    /// Pipeline stage timings; `None` for cache hits (nothing ran).
-    pub timings: Option<FlexTimings>,
-    /// The full per-query trace — every serving span (parse,
-    /// canonicalize, admission, queue wait, analysis, execution,
-    /// perturbation) plus the execution engine's routing record. `None`
-    /// for cache hits and coalesced requests: this request computed
-    /// nothing, so there is no trace to attribute to it.
-    pub trace: Option<QueryTrace>,
 }
 
 impl ServiceResponse {
@@ -197,6 +183,13 @@ impl ServiceResponse {
         }
     }
 }
+
+/// Queued jobs allowed per worker: admission refuses new work once
+/// `workers × QUEUE_DEPTH` jobs are waiting — admitted, not yet
+/// executing on any thread (the charge is refunded and the caller gets
+/// the retryable [`ServiceError::Overloaded`]). A fixed bound, not a
+/// knob.
+pub(crate) const QUEUE_DEPTH: usize = 1024;
 
 /// Deepest query, in the parser's nesting levels, that the thread
 /// waiting for it may run. A fixed bound, not a knob: a worker's 2 MiB
@@ -219,9 +212,6 @@ pub const CALLER_NESTING_DEPTH: usize = 16;
 #[derive(Debug)]
 pub struct Ticket(Outcome);
 
-// `Ready` is nearly every ticket and is consumed at once; boxing it would
-// put an allocation back on the cache-hit path.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Outcome {
     /// Resolved inside `submit` — a cache hit, a rejection, a parse
@@ -343,7 +333,6 @@ struct Shared {
     /// it, workers pop the rest, and its slots bound both together.
     queue: WorkQueue<Job>,
     telemetry: Telemetry,
-    flex: FlexOptions,
     /// Secret 128-bit key for the per-query noise-seed PRF. Derived from
     /// `ServiceConfig::seed` when set, otherwise drawn from OS entropy.
     noise_key: [u64; 2],
@@ -504,12 +493,13 @@ impl QueryService {
             Some(seed) => prf::expand_key(seed),
             None => [prf::entropy64(), prf::entropy64()],
         };
-        // Bind the FLEX options too: they steer the analysis (e.g. the
-        // public-table optimization), so changing them can change a
-        // release's noise scale just like a data change can.
+        // Bind the FLEX options the service runs too: they steer the
+        // analysis (e.g. the public-table optimization), so a build that
+        // changed them would change a release's noise scale just like a
+        // data change can.
         let db_fingerprint = prf::siphash24(
             [db_fingerprint(&db), 0x6f70_7473],
-            format!("{:?}", config.flex).as_bytes(),
+            format!("{:?}", FlexOptions::new()).as_bytes(),
         );
         // The reduction-grid chunk size (fold_rows) fixes the shape of
         // the engine's aggregate fold tree, so it shifts result bit
@@ -543,10 +533,9 @@ impl QueryService {
                 config.cache_max_bytes,
                 config.cache_shards,
             ),
-            // `queue_depth` is per worker; the queue is shared.
-            queue: WorkQueue::new(workers.saturating_mul(config.queue_depth), workers),
+            // The bound is per worker; the queue is shared.
+            queue: WorkQueue::new(workers.saturating_mul(QUEUE_DEPTH), workers),
             telemetry,
-            flex: config.flex.clone(),
             noise_key,
             db_fingerprint,
             recovery,
@@ -649,8 +638,6 @@ impl QueryService {
                     from_cache: true,
                     charged: (0.0, 0.0),
                     join_count: hit.join_count,
-                    timings: None,
-                    trace: None,
                 }));
             }
             // An identical query is already in flight: this request was
@@ -806,11 +793,6 @@ impl QueryService {
         self.shared.cache.len()
     }
 
-    /// Bytes held by the noisy-answer cache (lock-free read).
-    pub fn cached_bytes(&self) -> usize {
-        self.shared.cache.bytes()
-    }
-
     /// Drain the queue and stop all workers, returning final telemetry.
     pub fn shutdown(mut self) -> TelemetrySnapshot {
         self.stop_workers();
@@ -831,9 +813,8 @@ impl QueryService {
         // returns.
         self.shared.queue.wait_idle();
         // A clean stop leaves nothing in the page cache: the trailing
-        // `Settle`s, and whatever `EveryN`/`Never` had not synced yet.
-        // Best-effort (this runs in `Drop`); a failure is counted in
-        // `wal_errors`.
+        // `Settle`s ride no later charge's fsync. Best-effort (this runs
+        // in `Drop`); a failure is counted in `wal_errors`.
         if let Some(wal) = self.shared.ledger.wal() {
             let _ = wal.sync();
         }
@@ -938,7 +919,7 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
             &job.query,
             job.params,
             &mut rng,
-            &shared.flex,
+            &FlexOptions::new(),
             job.deadline,
         )
     }));
@@ -1021,8 +1002,6 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
                     from_cache: false,
                     charged: (0.0, 0.0),
                     join_count: result.join_count,
-                    timings: None,
-                    trace: None,
                 }));
             }
             Ok(ServiceResponse {
@@ -1033,8 +1012,6 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
                 from_cache: false,
                 charged: (job.charge.epsilon, job.charge.delta),
                 join_count: result.join_count,
-                timings: Some(result.timings),
-                trace: Some(trace),
             })
         }
         // A mid-pipeline deadline expiry is a timeout, not a failure:
@@ -1134,6 +1111,18 @@ mod tests {
 
     fn params(eps: f64) -> PrivacyParams {
         PrivacyParams::new(eps, 1e-8).unwrap()
+    }
+
+    /// The operator's trace of the computed release of `sql`, read from
+    /// the slow-query log by its canonical text.
+    fn trace_of(svc: &QueryService, sql: &str) -> QueryTrace {
+        let canonical = flex_sql::canonical_sql(&flex_sql::parse_query(sql).unwrap());
+        svc.telemetry()
+            .slow_queries
+            .into_iter()
+            .find(|q| q.canonical_sql == canonical)
+            .expect("a computed release is in the slow-query log")
+            .trace
     }
 
     #[test]
@@ -1537,38 +1526,35 @@ mod tests {
         assert_eq!(svc.shutdown().exec_parallelism, 1);
     }
 
-    /// Computed responses carry the full per-query trace; cache hits
-    /// (which compute nothing) carry none. The same trace feeds the
-    /// telemetry histograms and the slow-query log.
+    /// Every computed release leaves its full per-query trace with the
+    /// operator; a cache hit (which computes nothing) leaves none. The
+    /// same trace feeds the telemetry histograms and the slow-query log.
     #[test]
     fn responses_carry_query_traces() {
         let svc = service(ServiceConfig::default());
-        let r = svc
-            .query("alice", "SELECT COUNT(*) FROM trips", params(0.5))
-            .unwrap();
-        let trace = r.trace.expect("computed response has a trace");
+        let sql = "SELECT COUNT(*) FROM trips";
+        svc.query("alice", sql, params(0.5)).unwrap();
+        let trace = trace_of(&svc, sql);
         assert_eq!(trace.exec.rows_scanned, 500);
         assert_eq!(trace.exec.rows_emitted, 1);
         assert!(trace.total() > std::time::Duration::ZERO);
-        let hit = svc
-            .query("bob", "SELECT COUNT(*) FROM trips", params(0.5))
-            .unwrap();
-        assert!(hit.from_cache && hit.trace.is_none());
+        let hit = svc.query("bob", sql, params(0.5)).unwrap();
+        assert!(hit.from_cache);
+        assert_eq!(
+            svc.telemetry().slow_queries.len(),
+            1,
+            "a hit traces nothing"
+        );
 
         // A nine-leaf join tree is one more query to the executor: its
         // trace counts every leaf scan and all eight joins.
-        let wide = svc
-            .query(
-                "alice",
-                "SELECT COUNT(*) FROM trips t1 JOIN trips t2 ON t1.id = t2.id \
-                 JOIN trips t3 ON t2.id = t3.id JOIN trips t4 ON t3.id = t4.id \
-                 JOIN trips t5 ON t4.id = t5.id JOIN trips t6 ON t5.id = t6.id \
-                 JOIN trips t7 ON t6.id = t7.id JOIN trips t8 ON t7.id = t8.id \
-                 JOIN trips t9 ON t8.id = t9.id",
-                params(0.5),
-            )
-            .unwrap();
-        let exec = wide.trace.unwrap().exec;
+        let wide_sql = "SELECT COUNT(*) FROM trips t1 JOIN trips t2 ON t1.id = t2.id \
+                        JOIN trips t3 ON t2.id = t3.id JOIN trips t4 ON t3.id = t4.id \
+                        JOIN trips t5 ON t4.id = t5.id JOIN trips t6 ON t5.id = t6.id \
+                        JOIN trips t7 ON t6.id = t7.id JOIN trips t8 ON t7.id = t8.id \
+                        JOIN trips t9 ON t8.id = t9.id";
+        svc.query("alice", wide_sql, params(0.5)).unwrap();
+        let exec = trace_of(&svc, wide_sql).exec;
         assert_eq!((exec.rows_scanned, exec.join_order.joins), (9 * 500, 8));
         let t = svc.telemetry();
         assert_eq!(t.latency.count(), 2, "two computed queries");
@@ -1714,9 +1700,13 @@ mod tests {
         svc.query("a", "SELECT COUNT(*) FROM trips", params(0.5))
             .unwrap();
         assert_eq!(svc.cached_answers(), 1);
-        assert!(svc.cached_bytes() > 0);
         let t = svc.telemetry();
-        assert_eq!(t.cache_bytes, svc.cached_bytes() as u64, "snapshot: {t}");
+        assert!(t.cache_bytes > 0, "snapshot: {t}");
+        assert_eq!(
+            t.cache_bytes,
+            svc.shared.cache.bytes() as u64,
+            "snapshot: {t}"
+        );
         assert_eq!(t.cache_evictions, 0);
         assert_eq!(t.max_queue_depth, 1, "one job crossed the queue: {t}");
         // The byte-bound knob evicts: a 1-byte budget cannot hold any
@@ -1812,7 +1802,11 @@ mod tests {
             .collect();
         assert_eq!(leaders.len(), 1, "one request paid");
         assert_eq!(leaders[0].charged, (0.5, 1e-8));
-        assert!(leaders[0].trace.is_some(), "the leader's release computed");
+        assert_eq!(
+            trace_of(&svc, &sql).exec.join_order.joins,
+            8,
+            "the leader's release computed"
+        );
         for r in &responses {
             assert_eq!(r.rows, responses[0].rows, "everyone holds the same bytes");
         }
@@ -1881,20 +1875,19 @@ mod tests {
         );
     }
 
-    /// Overload shedding end to end: one worker, a depth cap of one, and
-    /// a burst of expensive distinct queries. Shed requests get the
-    /// retryable `Overloaded` error and a full refund — final spend is
-    /// exactly the sum of successfully released charges.
+    /// Overload shedding end to end: one worker, and a burst of twice
+    /// its queue bound in expensive distinct queries. Shed requests get
+    /// the retryable `Overloaded` error and a full refund — final spend
+    /// is exactly the sum of successfully released charges.
     #[test]
     fn saturated_queues_shed_with_refund() {
         let svc = service(ServiceConfig {
             workers: 1,
-            queue_depth: 1,
             policy: LedgerPolicy::sequential(1e9, 1.0),
             ..ServiceConfig::default()
         });
         let p = params(1.0);
-        let tickets: Vec<Ticket> = (0..24)
+        let tickets: Vec<Ticket> = (0..2 * QUEUE_DEPTH)
             .map(|i| svc.submit("a", &nine_way_join(i), p))
             .collect();
         let mut released = 0u32;
@@ -1909,7 +1902,7 @@ mod tests {
                 Err(e) => panic!("unexpected error: {e:?}"),
             }
         }
-        assert!(shed >= 1, "a 24-deep burst into capacity 2 must shed");
+        assert!(shed >= 1, "a burst of twice the queue bound must shed");
         let spent = svc.ledger().spent("a");
         assert!(
             (spent.0 - f64::from(released)).abs() < 1e-9,
@@ -1919,32 +1912,6 @@ mod tests {
         assert_eq!(t.shed, shed, "snapshot: {t}");
         assert_eq!(t.completed, u64::from(released));
         assert_eq!(svc.ledger().queries("a"), released);
-    }
-
-    /// A zero depth cap means unbounded queues: the same burst never
-    /// sheds.
-    #[test]
-    fn unbounded_queue_never_sheds() {
-        let svc = service(ServiceConfig {
-            workers: 1,
-            queue_depth: 0,
-            policy: LedgerPolicy::sequential(1e9, 1.0),
-            ..ServiceConfig::default()
-        });
-        let p = params(0.5);
-        let tickets: Vec<Ticket> = (0..16)
-            .map(|i| {
-                svc.submit(
-                    "a",
-                    &format!("SELECT COUNT(*) FROM trips WHERE id < {i}"),
-                    p,
-                )
-            })
-            .collect();
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        assert_eq!(svc.telemetry().shed, 0);
     }
 
     /// The WAL plumbing end to end: admissions write through the log,
@@ -2046,10 +2013,9 @@ mod tests {
     fn a_lone_query_runs_on_the_submitting_thread() {
         let svc = two_workers();
         svc.shared.queue.wait_parked(2);
-        let r = svc
-            .query("alice", "SELECT COUNT(*) FROM trips", params(0.5))
-            .unwrap();
-        assert_eq!(r.trace.expect("computed here").exec.rows_scanned, 500);
+        let sql = "SELECT COUNT(*) FROM trips";
+        svc.query("alice", sql, params(0.5)).unwrap();
+        assert_eq!(trace_of(&svc, sql).exec.rows_scanned, 500);
         let t = svc.telemetry();
         assert_eq!(
             (t.jobs_run_by_submitter, t.completed, t.queue_depth),
@@ -2273,10 +2239,11 @@ mod tests {
             ..ServiceConfig::default()
         });
         svc.shared.queue.wait_parked(2);
-        let ticket = svc.submit("a", "SELECT COUNT(*) FROM trips", params(0.5));
+        let sql = "SELECT COUNT(*) FROM trips";
+        let ticket = svc.submit("a", sql, params(0.5));
         std::thread::sleep(Duration::from_millis(100));
-        let answer = ticket.wait().unwrap();
-        assert!(answer.trace.unwrap().queue >= Duration::from_millis(100));
+        ticket.wait().unwrap();
+        assert!(trace_of(&svc, sql).queue >= Duration::from_millis(100));
         let t = svc.telemetry();
         assert_eq!((t.timeouts, t.jobs_run_by_submitter), (0, 1), "{t}");
     }

@@ -386,7 +386,8 @@ metric_table! {
         /// snapshot time, so reading metrics never takes the writer lock.
         WalAppends wal_appends: Counter, "flex_wal_appends_total", "wal appends",
             "Records appended to the budget write-ahead log.";
-        /// Cadence depends on [`crate::wal::FsyncPolicy`].
+        /// At most one per released charge (group commit shares one),
+        /// plus one per compaction.
         WalFsyncs wal_fsyncs: Counter, "flex_wal_fsyncs_total", "wal fsyncs",
             "Durability syncs performed by the budget write-ahead log.";
         /// Any nonzero value means the log is poisoned until compaction.
@@ -542,7 +543,7 @@ impl TelemetrySnapshot {
     /// WAL records written per durability sync (`wal_appends` ÷
     /// `wal_fsyncs`; 0 before the first sync): 1 is a sync per record,
     /// and group commit and never-synced settles push it up — about 2
-    /// for a lone client under `FsyncPolicy::Always`.
+    /// for a lone client.
     pub fn wal_records_per_fsync(&self) -> f64 {
         share(self.wal_appends, self.wal_fsyncs)
     }

@@ -23,18 +23,18 @@
 //!   [`Wal::write`] puts a record into the file and returns its
 //!   sequence number (its [`Lsn`]); the ledger calls it under the
 //!   analyst's shard lock, so per-analyst log order equals commit
-//!   order. [`Wal::commit`] makes everything up to an LSN *durable* as
-//!   far as the [`FsyncPolicy`] demands, and is called outside every
-//!   lock: the first caller to find its LSN unsynced fsyncs once for
-//!   everything written so far, and callers whose LSN that fsync covered
-//!   return without touching the disk (group commit — no thread, no
-//!   timer, no knob). An fsync covers the whole file, so a durable LSN
-//!   implies a durable prefix. Under [`FsyncPolicy::Always`] the
-//!   service commits a charge's LSN before any answer it paid for is
-//!   released; the weaker policies trade a bounded window of recent
-//!   acknowledgements for throughput. `Settle` records are written and
-//!   never committed: they ride the next charge's fsync, and losing one
-//!   only leaves a released charge refundable on paper.
+//!   order. [`Wal::commit`] makes everything up to an LSN *durable*,
+//!   and is called outside every lock: the first caller to find its LSN
+//!   unsynced fsyncs once for everything written so far, and callers
+//!   whose LSN that fsync covered return without touching the disk
+//!   (group commit — no thread, no timer, no knob). An fsync covers the
+//!   whole file, so a durable LSN implies a durable prefix. The service
+//!   commits a charge's LSN before any answer it paid for is released,
+//!   and there is no weaker policy: a log that let a crash forget a
+//!   charge whose answer was out would let its analyst spend that ε
+//!   twice. `Settle` records are written and never committed: they ride
+//!   the next charge's fsync, and losing one only leaves a released
+//!   charge refundable on paper.
 //! - **What the tail may hold.** After a crash the bytes past the last
 //!   completed fsync are whatever the OS happened to flush: whole
 //!   unsynced `Settle`s, a `Refund` or `SetPolicy` whose caller had not
@@ -65,20 +65,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// How often the log forces written records to stable storage.
+/// How often the log forces written records to stable storage. One
+/// policy is offered, the one under which a crash can never forget the
+/// charge behind a released answer; the type stays so that existing
+/// callers of [`Wal::new`] and `ServiceConfig::wal_fsync` keep naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Every committed record is synced: a charge is on disk before the
-    /// answer it paid for is released. This is the only policy under
-    /// which a crash can never forget the charge behind a released
-    /// answer; it is the default.
+    /// answer it paid for is released.
     Always,
-    /// Sync once `n` records are unsynced (`n` is clamped to ≥ 1): up
-    /// to `n − 1` recently acknowledged records may be lost in a crash.
-    EveryN(u64),
-    /// Never sync explicitly; durability rides on the OS writeback
-    /// cadence. For tests and throughput experiments only.
-    Never,
 }
 
 /// Pluggable byte-level backend for the log — the seam the
@@ -186,8 +181,7 @@ impl Storage for FileStorage {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// An admission: written *before* the in-memory charge commits, and
-    /// (under [`FsyncPolicy::Always`]) durable before the answer it paid
-    /// for is released.
+    /// durable before the answer it paid for is released.
     Charge {
         /// Charged analyst.
         analyst: String,
@@ -595,12 +589,11 @@ impl WalOp {
 /// compactions.
 pub type Lsn = u64;
 
-/// The write-ahead log: a [`Storage`] backend, an fsync policy, and
-/// lock-free wear counters for telemetry.
+/// The write-ahead log: a [`Storage`] backend and lock-free wear
+/// counters for telemetry.
 #[derive(Debug)]
 pub struct Wal {
     storage: Box<dyn Storage>,
-    fsync: FsyncPolicy,
     /// Records between snapshot compactions (0 disables compaction).
     snapshot_threshold: u64,
     /// Serializes writes, so records land in storage in LSN order.
@@ -628,12 +621,12 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// A log over `storage`, syncing per `fsync`, compacting every
-    /// `snapshot_threshold` records (0 = never compact).
-    pub fn new(storage: Box<dyn Storage>, fsync: FsyncPolicy, snapshot_threshold: u64) -> Wal {
+    /// A log over `storage`, compacting every `snapshot_threshold`
+    /// records (0 = never compact). `FsyncPolicy::Always` is the only
+    /// policy there is.
+    pub fn new(storage: Box<dyn Storage>, _fsync: FsyncPolicy, snapshot_threshold: u64) -> Wal {
         Wal {
             storage,
-            fsync,
             snapshot_threshold,
             writer: Mutex::new(()),
             syncer: Mutex::new(()),
@@ -683,36 +676,15 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Make the records up to `lsn` as durable as the policy demands —
-    /// all of them under [`FsyncPolicy::Always`], all but the newest
-    /// `n − 1` under `EveryN(n)`, none under `Never` — and return once
-    /// they are. Call it outside every lock: the caller that finds
-    /// `lsn` uncovered fsyncs once for everything written so far, and
-    /// whoever waited behind it for an LSN that fsync covered returns
-    /// without touching the disk. An `lsn` already covered costs one
-    /// atomic load. On `Err` the log is poisoned and nothing at or past
-    /// the first uncovered LSN may be assumed durable.
+    /// Make the records up to `lsn` durable and return once they are:
+    /// at once if they already are, else as the leader of one fsync for
+    /// every record written before it starts — or behind another leader
+    /// whose fsync turns out to have covered them. Call it outside every
+    /// lock. An `lsn` already covered costs one atomic load. On `Err`
+    /// the log is poisoned and nothing at or past the first uncovered
+    /// LSN may be assumed durable.
     pub fn commit(&self, lsn: Lsn) -> io::Result<()> {
-        let slack = match self.fsync {
-            FsyncPolicy::Always => 0,
-            FsyncPolicy::EveryN(n) => n.max(1) - 1,
-            FsyncPolicy::Never => return Ok(()),
-        };
-        self.sync_unless_covered(lsn, slack)
-    }
-
-    /// Sync everything written so far, whatever the policy (a clean
-    /// stop must not leave acknowledged records in the page cache).
-    pub fn sync(&self) -> io::Result<()> {
-        self.sync_unless_covered(self.written.load(Ordering::Acquire), 0)
-    }
-
-    /// Return once all but the newest `slack` records up to `lsn` are
-    /// durable: at once if they are, else as the leader of one fsync
-    /// for every record written before it starts — or behind another
-    /// leader whose fsync turns out to have covered them.
-    fn sync_unless_covered(&self, lsn: Lsn, slack: u64) -> io::Result<()> {
-        let covered = || self.durable.load(Ordering::Acquire).saturating_add(slack) >= lsn;
+        let covered = || self.durable.load(Ordering::Acquire) >= lsn;
         if covered() {
             return Ok(());
         }
@@ -728,6 +700,12 @@ impl Wal {
         self.durable.store(target, Ordering::Release);
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Sync everything written so far (a clean stop leaves no settle in
+    /// the page cache).
+    pub fn sync(&self) -> io::Result<()> {
+        self.commit(self.written.load(Ordering::Acquire))
     }
 
     /// [`Wal::write`] then [`Wal::commit`] of the record just written:
@@ -922,19 +900,13 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policy_controls_sync_cadence() {
-        for (policy, expect_fsyncs) in [
-            (FsyncPolicy::Always, 6),
-            (FsyncPolicy::EveryN(3), 2),
-            (FsyncPolicy::Never, 0),
-        ] {
-            let storage = FaultStorage::new();
-            let wal = Wal::new(Box::new(storage), policy, 0);
-            for _ in 0..6 {
-                wal.append(&sample_ops()[0]).unwrap();
-            }
-            assert_eq!(wal.fsyncs(), expect_fsyncs, "{policy:?}");
+    fn every_append_syncs_once() {
+        let storage = FaultStorage::new();
+        let wal = Wal::new(Box::new(storage), FsyncPolicy::Always, 0);
+        for _ in 0..6 {
+            wal.append(&sample_ops()[0]).unwrap();
         }
+        assert_eq!(wal.fsyncs(), 6);
     }
 
     /// `write` never syncs; `commit` syncs once for everything written

@@ -26,8 +26,8 @@
 use flex_core::PrivacyParams;
 use flex_db::{DataType, Schema, Value};
 use flex_service::{
-    BudgetLedger, Charge, FaultStorage, FsyncPolicy, LedgerPolicy, QueryService, ServiceConfig,
-    ServiceError, Storage, Wal, WalOp,
+    BudgetLedger, Charge, FaultStorage, FsyncPolicy, LedgerPolicy, QueryService, QueryTrace,
+    ServiceConfig, ServiceError, Storage, Wal, WalOp,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -811,41 +811,37 @@ fn no_response_without_a_durable_charge_across_sync_failures_and_crashes() {
 }
 
 /// A clean stop syncs the tail once the workers have drained: the
-/// trailing settle under `Always`, everything under `EveryN`/`Never`.
+/// trailing settle.
 #[test]
 fn clean_stop_leaves_nothing_unsynced() {
-    for policy in [
-        FsyncPolicy::Always,
-        FsyncPolicy::EveryN(64),
-        FsyncPolicy::Never,
-    ] {
-        let storage = FaultStorage::new();
-        let config = ServiceConfig {
-            wal_fsync: policy,
-            ..wal_config()
-        };
-        let svc = QueryService::with_storage(test_db(), config, Box::new(storage.clone())).unwrap();
-        for city in 0..3 {
-            let sql = format!("SELECT COUNT(*) FROM trips WHERE city_id = {city}");
-            svc.query("alice", &sql, params(0.1)).unwrap();
-        }
-        let live = state_bytes(svc.ledger());
-        assert!(storage.durable_len() < storage.total_len(), "{policy:?}");
-        if policy != FsyncPolicy::Always {
-            assert_eq!(
-                storage.durable_len(),
-                0,
-                "{policy:?}: the barrier is a no-op"
-            );
-        }
-        let t = svc.shutdown();
-        assert_eq!(t.wal_errors, 0);
-        assert_eq!(storage.durable_len(), storage.total_len(), "{policy:?}");
-        storage.crash();
-        let (recovered, _) =
-            BudgetLedger::with_wal(wal_config().policy, 1, wal_on(storage, 0)).unwrap();
-        assert_eq!(state_bytes(&recovered), live, "{policy:?}");
+    let storage = FaultStorage::new();
+    let svc =
+        QueryService::with_storage(test_db(), wal_config(), Box::new(storage.clone())).unwrap();
+    for city in 0..3 {
+        let sql = format!("SELECT COUNT(*) FROM trips WHERE city_id = {city}");
+        svc.query("alice", &sql, params(0.1)).unwrap();
     }
+    let live = state_bytes(svc.ledger());
+    assert!(storage.durable_len() < storage.total_len());
+    let t = svc.shutdown();
+    assert_eq!(t.wal_errors, 0);
+    assert_eq!(storage.durable_len(), storage.total_len());
+    storage.crash();
+    let (recovered, _) =
+        BudgetLedger::with_wal(wal_config().policy, 1, wal_on(storage, 0)).unwrap();
+    assert_eq!(state_bytes(&recovered), live);
+}
+
+/// The operator's trace of the computed release of `sql`, read from the
+/// slow-query log by its canonical text.
+fn trace_of(svc: &QueryService, sql: &str) -> QueryTrace {
+    let canonical = flex_sql::canonical_sql(&flex_sql::parse_query(sql).unwrap());
+    svc.telemetry()
+        .slow_queries
+        .into_iter()
+        .find(|q| q.canonical_sql == canonical)
+        .expect("a computed release is in the slow-query log")
+        .trace
 }
 
 /// What an operator reads: a lone client under `Always` pays one fsync
@@ -857,8 +853,8 @@ fn telemetry_shows_records_per_fsync_and_the_barrier_wait() {
         QueryService::with_storage(test_db(), wal_config(), Box::new(FaultStorage::new())).unwrap();
     for city in 0..3 {
         let sql = format!("SELECT COUNT(*) FROM trips WHERE city_id = {city}");
-        let r = svc.query("alice", &sql, params(0.1)).unwrap();
-        assert!(r.trace.is_some());
+        svc.query("alice", &sql, params(0.1)).unwrap();
+        trace_of(&svc, &sql);
     }
     let t = svc.telemetry();
     assert_eq!((t.wal_appends, t.wal_fsyncs), (6, 3), "snapshot: {t}");
@@ -872,9 +868,8 @@ fn telemetry_shows_records_per_fsync_and_the_barrier_wait() {
     );
 
     let plain = QueryService::new(test_db(), wal_config());
-    let r = plain
-        .query("alice", "SELECT COUNT(*) FROM trips", params(0.1))
-        .unwrap();
-    assert_eq!(r.trace.unwrap().durability, std::time::Duration::ZERO);
+    let sql = "SELECT COUNT(*) FROM trips";
+    plain.query("alice", sql, params(0.1)).unwrap();
+    assert_eq!(trace_of(&plain, sql).durability, std::time::Duration::ZERO);
     assert_eq!(plain.telemetry().wal_records_per_fsync(), 0.0);
 }

@@ -1,6 +1,6 @@
 //! AST walkers: the one direct-children walk of [`Expr`], and the
-//! read-only whole-query walks built on it that the workload-study
-//! analyzer, the elastic-sensitivity lowering pass and the engine use.
+//! read-only whole-query walks built on it, which the workload-study
+//! analyzer (`flex_core::study`) uses.
 
 use crate::ast::*;
 
@@ -77,8 +77,8 @@ pub fn walk_expr<'a, F: FnMut(&'a Expr)>(e: &'a Expr, f: &mut F) {
 /// shared and `&mut`: the only code outside the parser and the printer
 /// with an arm per variant. Everything else that recurses over
 /// expressions — [`walk_expr`], `Expr::contains_aggregate`, the `WITH`
-/// inliner, the canonicalizer, the engine's liveness marking — is a few
-/// lines over it.
+/// inliner, the canonicalizer, the engine's group-mode compiler and the
+/// test oracle's evaluator — is a few lines over it.
 macro_rules! expr_child_walk {
     ($(#[$doc:meta])* $name:ident $(, $m:tt)?) => {
         $(#[$doc])*

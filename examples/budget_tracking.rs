@@ -1,14 +1,20 @@
 //! Privacy-budget management across a query session (paper §4.3):
-//! sequential composition with a hard cap, the strong-composition
-//! calculator, and the sparse vector technique for above-threshold probes.
+//! sequential composition with a hard cap, enforced by the query
+//! service's ledger — the one place ε is spent — and the
+//! strong-composition calculator.
+//!
+//! The example checks its own accounting and panics if it is off: the
+//! ledger's spend is the sum of what the answers say they charged, and
+//! the query the cap rejects spends nothing.
 //!
 //! Run with: `cargo run --example budget_tracking`
 
-use flex::core::budget::{strong_composition, SparseVector};
+use flex::core::strong_composition;
 use flex::prelude::*;
 use flex::workloads::uber;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::sync::Arc;
+
+const EPSILON_CAP: f64 = 1.0;
 
 fn main() {
     let db = uber::generate(&UberConfig {
@@ -16,28 +22,54 @@ fn main() {
         ..UberConfig::default()
     });
     let delta = PrivacyParams::delta_for_db_size(db.total_rows());
-    let mut rng = StdRng::seed_from_u64(5);
+    let service = QueryService::new(
+        Arc::new(db),
+        ServiceConfig {
+            policy: LedgerPolicy::sequential(EPSILON_CAP, 1e-4),
+            ..ServiceConfig::default()
+        },
+    );
 
     // --- Sequential composition: ε adds up until the cap. ----------------
-    println!("=== sequential composition (cap ε = 1.0) ===");
-    let mut session = BudgetedFlex::new(&db, PrivacyBudget::new(1.0, 1e-4));
+    println!("=== sequential composition (cap ε = {EPSILON_CAP:.1}) ===");
     let per_query = PrivacyParams::new(0.3, delta).unwrap();
+    let mut charged = (0.0, 0.0);
+    let mut rejected = 0;
     for sql in [
         "SELECT COUNT(*) FROM trips",
         "SELECT COUNT(*) FROM trips WHERE status = 'completed'",
         "SELECT COUNT(*) FROM trips WHERE fare > 20",
         "SELECT COUNT(*) FROM trips WHERE fare > 40", // 4th × 0.3 > 1.0
     ] {
-        match session.run(sql, per_query, &mut rng) {
-            Ok(r) => println!(
-                "  ε spent {:.1}/{:.1} → {sql}\n      answer {:.0}",
-                session.budget().spent().0,
-                session.budget().epsilon_cap,
-                r.scalar().unwrap()
-            ),
-            Err(e) => println!("  {sql}\n      {e}"),
+        let before = service.ledger().spent("alice");
+        match service.query("alice", sql, per_query) {
+            Ok(r) => {
+                charged.0 += r.charged.0;
+                charged.1 += r.charged.1;
+                println!(
+                    "  ε spent {:.1}/{EPSILON_CAP:.1} → {sql}\n      answer {:.0}",
+                    service.ledger().spent("alice").0,
+                    r.scalar().unwrap()
+                );
+            }
+            Err(e @ ServiceError::BudgetRejected { .. }) => {
+                assert_eq!(
+                    service.ledger().spent("alice"),
+                    before,
+                    "a rejected query spends nothing"
+                );
+                rejected += 1;
+                println!("  {sql}\n      {e}");
+            }
+            Err(e) => panic!("{sql}: {e}"),
         }
     }
+    assert_eq!(rejected, 1, "only the fourth query crosses the cap");
+    assert_eq!(
+        service.ledger().spent("alice"),
+        charged,
+        "the ledger's spend is the sum of the answers' charges"
+    );
 
     // --- Strong composition: tighter accounting for many queries. --------
     println!("\n=== strong composition (Dwork–Rothblum–Vadhan) ===");
@@ -49,20 +81,5 @@ fn main() {
             0.01 * k as f64,
             eps_strong
         );
-    }
-
-    // --- Sparse vector: pay only for answered queries. --------------------
-    println!("\n=== sparse vector technique (threshold = 500 trips) ===");
-    let params = PrivacyParams::new(1.0, delta).unwrap();
-    let mut sv = SparseVector::new(&db, 500.0, params);
-    for sql in [
-        "SELECT COUNT(*) FROM trips WHERE fare > 35",
-        "SELECT COUNT(*) FROM trips WHERE status = 'canceled'",
-        "SELECT COUNT(*) FROM trips WHERE driver_id = 3",
-    ] {
-        match sv.probe(sql, &mut rng).unwrap() {
-            Some(answer) => println!("  {sql}\n      above threshold: ~{answer:.0}"),
-            None => println!("  {sql}\n      below threshold (no budget charged)"),
-        }
     }
 }

@@ -46,8 +46,8 @@ pub use flex_workloads as workloads;
 pub mod prelude {
     pub use flex_core::{
         analyze, analyze_with, enumerate_bins, run_sql, run_sql_with, AnalysisOptions,
-        AnalyzedQuery, BudgetedFlex, Composition, FlexError, FlexOptions, FlexResult,
-        PrivacyBudget, PrivacyParams, SensExpr, SmoothSensitivity,
+        AnalyzedQuery, Composition, FlexError, FlexOptions, FlexResult, PrivacyBudget,
+        PrivacyParams, SensExpr, SmoothSensitivity,
     };
     pub use flex_db::{DataType, Database, ExecTrace, ResultSet, Schema, Table, Value};
     pub use flex_service::{

@@ -1,11 +1,11 @@
 //! End-to-end integration tests spanning every crate: SQL text → parser →
 //! analysis → execution → smoothing → noise → private results.
 
-use flex::core::budget::PrivacyBudget;
 use flex::prelude::*;
 use flex::workloads::{graph, tpch, uber};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn small_uber() -> (Database, UberConfig) {
     let cfg = UberConfig {
@@ -176,17 +176,23 @@ fn triangle_pipeline_matches_analysis() {
 #[test]
 fn budgeted_session_enforces_cap_across_crates() {
     let (db, _) = small_uber();
-    let mut session = BudgetedFlex::new(&db, PrivacyBudget::new(0.25, 1e-4));
     let params = params_for(&db, 0.1);
-    let mut rng = StdRng::seed_from_u64(8);
-    assert!(session
-        .run("SELECT COUNT(*) FROM trips", params, &mut rng)
+    let svc = QueryService::new(
+        Arc::new(db),
+        ServiceConfig {
+            policy: LedgerPolicy::sequential(0.25, 1e-4),
+            ..ServiceConfig::default()
+        },
+    );
+    assert!(svc
+        .query("alice", "SELECT COUNT(*) FROM trips", params)
         .is_ok());
-    assert!(session
-        .run("SELECT COUNT(*) FROM drivers", params, &mut rng)
+    assert!(svc
+        .query("alice", "SELECT COUNT(*) FROM drivers", params)
         .is_ok());
-    let third = session.run("SELECT COUNT(*) FROM riders", params, &mut rng);
-    assert!(matches!(third, Err(FlexError::BudgetExhausted { .. })));
+    let third = svc.query("alice", "SELECT COUNT(*) FROM riders", params);
+    assert!(matches!(third, Err(ServiceError::BudgetRejected { .. })));
+    assert_eq!(svc.ledger().spent("alice").0, 2.0 * params.epsilon);
 }
 
 #[test]
@@ -280,8 +286,6 @@ fn using_join_is_released_like_its_on_spelling() {
 /// computed on a cold service of its own — run the same conjunct order.
 #[test]
 fn textual_variants_share_one_release_and_one_schedule() {
-    use std::sync::Arc;
-
     // `(lhs, rhs)` is `lhs = rhs`; an empty `rhs` prints `lhs` as is.
     type Shape = (
         &'static str,
@@ -365,21 +369,27 @@ fn textual_variants_share_one_release_and_one_schedule() {
             render(shape, false, true),
         ];
         let analyst = format!("analyst-{i}");
-        let mut first: Option<ServiceResponse> = None;
+        let mut first = None;
         for sql in &variants {
-            let cold = service().query(&analyst, sql, params).unwrap();
+            let cold_service = service();
+            let cold = cold_service.query(&analyst, sql, params).unwrap();
             let warm = shared.query(&analyst, sql, params).unwrap();
-            let schedule = cold.trace.expect("computed").exec.filter_order;
+            // The operator's trace of the cold release.
+            let schedule = cold_service
+                .telemetry()
+                .slow_queries
+                .into_iter()
+                .find(|q| q.canonical_sql == cold.canonical_sql)
+                .expect("computed")
+                .trace
+                .exec
+                .filter_order;
             assert_eq!(usize::from(schedule.conjuncts), shape.1.len(), "{sql}");
             assert_eq!(warm.rows, cold.rows, "{sql}");
-            let first = first.get_or_insert(cold.clone());
+            let (first, first_schedule) = first.get_or_insert((cold.clone(), schedule));
             assert_eq!(cold.canonical_sql, first.canonical_sql, "{sql}");
             assert_eq!(cold.rows, first.rows, "{sql}");
-            assert_eq!(
-                schedule,
-                first.trace.expect("computed").exec.filter_order,
-                "{sql}"
-            );
+            assert_eq!(schedule, *first_schedule, "{sql}");
         }
         assert_eq!(
             shared.ledger().spent(&analyst).0,

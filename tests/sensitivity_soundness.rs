@@ -499,3 +499,98 @@ fn a_subquery_in_a_group_key_is_refused() {
         Err(FlexError::UnsupportedSubqueryPredicate)
     );
 }
+
+/// What an analyst receives is the release and nothing more. Two
+/// neighbouring Uber databases — the second has one more `trips` row —
+/// served by two services with the same seed: for a filter count, a
+/// histogram over the public `cities` and a `trips ⋈ drivers` count,
+/// every field of the two responses is equal except the noised
+/// aggregate cells. Each pattern names every field, so a field added to
+/// `ServiceResponse` does not compile here until it is classified.
+#[test]
+fn neighbouring_responses_differ_only_in_noised_cells() {
+    use flex::workloads::uber;
+    let base = || {
+        uber::generate(&UberConfig {
+            cities: 5,
+            drivers: 40,
+            riders: 60,
+            trips: 400,
+            user_tags: 20,
+            seed: 34,
+        })
+    };
+    let mut neighbour = base();
+    neighbour
+        .insert(
+            "trips",
+            vec![vec![
+                Value::Int(401),
+                Value::Int(1),
+                Value::Int(1),
+                Value::Int(1),
+                Value::str("completed"),
+                Value::Float(12.5),
+                Value::str("2016-03-01"),
+            ]],
+        )
+        .unwrap();
+    let service = |db| {
+        QueryService::new(
+            std::sync::Arc::new(db),
+            ServiceConfig {
+                seed: Some(34),
+                ..ServiceConfig::default()
+            },
+        )
+    };
+    let (a, b) = (service(base()), service(neighbour));
+    let params = PrivacyParams::new(1.0, 1e-6).unwrap();
+    // Each query with the position of its one aggregate column.
+    for (sql, aggregate) in [
+        ("SELECT COUNT(*) FROM trips WHERE status = 'completed'", 0),
+        (
+            "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
+             GROUP BY c.name",
+            1,
+        ),
+        (
+            "SELECT COUNT(*) FROM trips t JOIN drivers d ON t.driver_id = d.id",
+            0,
+        ),
+    ] {
+        let ServiceResponse {
+            analyst,
+            canonical_sql,
+            columns,
+            rows,
+            from_cache,
+            charged,
+            join_count,
+        } = a.query("alice", sql, params).unwrap();
+        let ServiceResponse {
+            analyst: analyst_b,
+            canonical_sql: canonical_sql_b,
+            columns: columns_b,
+            rows: rows_b,
+            from_cache: from_cache_b,
+            charged: charged_b,
+            join_count: join_count_b,
+        } = b.query("alice", sql, params).unwrap();
+        assert_eq!(analyst, analyst_b, "{sql}");
+        assert_eq!(canonical_sql, canonical_sql_b, "{sql}");
+        assert_eq!(columns, columns_b, "{sql}");
+        assert_eq!(from_cache, from_cache_b, "{sql}");
+        assert_eq!(charged, charged_b, "{sql}");
+        assert_eq!(join_count, join_count_b, "{sql}");
+        assert_eq!(rows.len(), rows_b.len(), "{sql}");
+        for (row, row_b) in rows.iter().zip(&rows_b) {
+            assert_eq!(row.len(), row_b.len(), "{sql}");
+            for (i, (cell, cell_b)) in row.iter().zip(row_b).enumerate() {
+                if i != aggregate {
+                    assert_eq!(cell, cell_b, "{sql}: label cell {i}");
+                }
+            }
+        }
+    }
+}
