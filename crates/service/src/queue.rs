@@ -64,15 +64,15 @@ pub(crate) struct WorkQueue<T> {
     available: Condvar,
     /// Where [`WorkQueue::wait_idle`] waits for the last taken job.
     idle: Condvar,
-    /// Most jobs the queue holds; 0 disables the bound.
+    /// Most jobs the queue holds.
     capacity: usize,
     /// Most jobs running at once, on any thread (≥ 1).
     slots: usize,
 }
 
 impl<T> WorkQueue<T> {
-    /// A queue bounded to `capacity` queued jobs (0 = unbounded) and
-    /// `slots` running ones (clamped to ≥ 1).
+    /// A queue bounded to `capacity` queued jobs and `slots` running
+    /// ones (clamped to ≥ 1).
     pub(crate) fn new(capacity: usize, slots: usize) -> Self {
         WorkQueue {
             state: Mutex::new(State {
@@ -102,7 +102,7 @@ impl<T> WorkQueue<T> {
         if !state.open {
             return Err(PushError::Closed(job));
         }
-        if self.capacity != 0 && state.jobs.len() >= self.capacity {
+        if state.jobs.len() >= self.capacity {
             return Err(PushError::Full(job));
         }
         let wake = wake || !state.jobs.is_empty();
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn pops_in_fifo_order() {
-        let q: WorkQueue<u32> = WorkQueue::new(0, 1);
+        let q: WorkQueue<u32> = WorkQueue::new(usize::MAX, 1);
         for v in [1, 2, 3] {
             q.push(v, true).unwrap();
         }
@@ -298,7 +298,7 @@ mod tests {
     /// channel proves it had not returned before the push happened.
     #[test]
     fn pop_blocks_until_push() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0, 1));
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 1));
         let (tx, rx) = channel();
         let popper = {
             let q = Arc::clone(&q);
@@ -322,7 +322,7 @@ mod tests {
     /// back, and only one job behind another wakes a worker.
     #[test]
     fn a_lone_job_waits_for_its_submitter() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0, 2));
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 2));
         let (tx, rx) = channel();
         let worker = {
             let q = Arc::clone(&q);
@@ -361,7 +361,7 @@ mod tests {
     /// it queued behind the first.
     #[test]
     fn a_caller_refused_its_job_wakes_a_worker_for_the_rest() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0, 2));
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 2));
         let (tx, rx) = channel();
         let workers: Vec<_> = (0..2)
             .map(|_| {
@@ -398,7 +398,7 @@ mod tests {
     /// enough, the drop is.
     #[test]
     fn wait_idle_waits_for_taken_jobs() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0, 1));
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 1));
         let mine = q.push(1, false).unwrap();
         let (_, mut slot) = q.take(mine).unwrap();
         slot.free();
@@ -427,7 +427,7 @@ mod tests {
     /// dropping a slot frees it.
     #[test]
     fn slots_bound_workers_and_callers_together() {
-        let q: WorkQueue<u32> = WorkQueue::new(0, 1);
+        let q: WorkQueue<u32> = WorkQueue::new(usize::MAX, 1);
         let a = q.push(1, false).unwrap();
         let b = q.push(2, false).unwrap();
         let (job, slot) = q.take(a).unwrap();
@@ -448,7 +448,7 @@ mod tests {
     /// until the slot is dropped.
     #[test]
     fn a_worker_waits_for_a_free_slot() {
-        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0, 1));
+        let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 1));
         let (tx, rx) = channel();
         let worker = {
             let q = Arc::clone(&q);
@@ -475,7 +475,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_returns_none() {
-        let q: WorkQueue<u32> = WorkQueue::new(0, 1);
+        let q: WorkQueue<u32> = WorkQueue::new(usize::MAX, 1);
         q.push(1, true).unwrap();
         q.push(2, true).unwrap();
         q.close();
@@ -489,7 +489,7 @@ mod tests {
         assert_eq!(pop_one(&q), Some(2));
         assert_eq!(pop_one(&q), None);
         // Parked workers wake up and exit on close.
-        let open: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(0, 2));
+        let open: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 2));
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let q = Arc::clone(&open);
@@ -515,19 +515,11 @@ mod tests {
         assert_eq!(q.push(100, true), Err(PushError::Full(100)));
     }
 
-    #[test]
-    fn zero_capacity_means_unbounded() {
-        let q: WorkQueue<u32> = WorkQueue::new(0, 1);
-        for v in 0..10_000 {
-            q.push(v, true).unwrap();
-        }
-    }
-
     /// Hammer the queue from many producers and consumers: every pushed
     /// job is popped exactly once.
     #[test]
     fn concurrent_push_pop_loses_nothing() {
-        let q: Arc<WorkQueue<u64>> = Arc::new(WorkQueue::new(0, 4));
+        let q: Arc<WorkQueue<u64>> = Arc::new(WorkQueue::new(usize::MAX, 4));
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 500;
         let consumers: Vec<_> = (0..4)

@@ -139,6 +139,10 @@ impl LatencySnapshot {
 /// are wall-clock, measured by the stage that ran
 /// them; `total()` is their sum, i.e. time attributable to the pipeline
 /// rather than client-observed latency.
+///
+/// The operator's, never the analyst's: row counts and wall times depend
+/// on private data that no ε paid for, so a trace is read through
+/// `QueryService::telemetry` and `metrics`, not from a response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryTrace {
     /// SQL text → AST.
@@ -197,9 +201,9 @@ impl QueryTrace {
 }
 
 /// One slow-query log entry. Privacy stance: only the *canonical query
-/// text*, privacy cost and trace spans are retained — never result rows,
-/// true values, or raw data; the canonical SQL is already visible to the
-/// service's clients as `ServiceResponse::canonical_sql`.
+/// text*, privacy cost and trace are retained — never result rows or raw
+/// data. The trace's row counts and timings are facts of the private
+/// data, so the log is the operator's, like every [`QueryTrace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlowQuery {
     /// The analyst who ran it.
