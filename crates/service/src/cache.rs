@@ -38,6 +38,16 @@
 //! entry-count or the byte bound. `len`/`bytes`/`evictions` are served
 //! from per-shard atomics, so metrics reads never contend with the
 //! query path.
+//!
+//! ## Text memo
+//!
+//! Beside the cache sits the text memo: exact SQL text → canonical
+//! text, for texts whose answer was already served from the cache. A
+//! repeat of such a text needs only its key, so the service looks the
+//! text up before it parses and, on a released answer, skips parse,
+//! canonicalize and print. The canonical text is a pure function of the
+//! text, so an entry never goes stale; whether its answer is still cached
+//! is the cache's business ([`AnswerCache::get`]).
 
 use crate::sync::lock;
 use flex_core::PrivacyParams;
@@ -52,6 +62,16 @@ use std::sync::{Arc, Mutex};
 /// multi-core cache-hit storm rarely collides on one lock, few enough
 /// that per-shard capacity slices stay useful.
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
+
+/// Texts the service's text memo keeps per answer the cache may hold: room for
+/// every cached answer to be reached through this many spellings.
+pub const MEMO_TEXTS_PER_ANSWER: usize = 4;
+
+/// Longest SQL text, and longest canonical text, in bytes, that the
+/// service's text memo keeps; a longer one always takes the full parse. With the
+/// entry bound this caps the memo at about twice this many bytes of text
+/// per entry.
+pub const MEMO_MAX_TEXT_BYTES: usize = 1024;
 
 /// Cache key: canonical SQL text plus exact privacy parameters (the same
 /// query at a different ε is a different release).
@@ -447,6 +467,105 @@ impl<W> AnswerCache<W> {
     }
 }
 
+#[derive(Debug)]
+struct MemoEntry {
+    canonical_sql: Box<str>,
+    /// Logical timestamp of last use, for eviction.
+    last_used: u64,
+}
+
+#[derive(Debug, Default)]
+struct MemoShard {
+    map: HashMap<Box<str>, MemoEntry>,
+    clock: u64,
+}
+
+/// A bounded, sharded, thread-safe LRU map from exact SQL text to its
+/// canonical text (see the module docs). Keys are compared by their full
+/// text, never by hash alone; texts or canonical texts longer than
+/// [`MEMO_MAX_TEXT_BYTES`] are never kept.
+#[derive(Debug)]
+pub(crate) struct TextMemo {
+    shards: Box<[Mutex<MemoShard>]>,
+    /// Max texts per shard; 0 disables the memo.
+    capacity_per_shard: usize,
+}
+
+impl TextMemo {
+    /// A memo for a cache of `cache_capacity` answers: at most
+    /// [`MEMO_TEXTS_PER_ANSWER`] texts per answer, split evenly across
+    /// `shards` lock stripes (clamped to ≥ 1). `cache_capacity = 0`
+    /// keeps nothing.
+    pub(crate) fn new(cache_capacity: usize, shards: usize) -> Self {
+        let shards = shards.max(1);
+        let capacity = cache_capacity.saturating_mul(MEMO_TEXTS_PER_ANSWER);
+        TextMemo {
+            shards: (0..shards).map(|_| Mutex::default()).collect(),
+            capacity_per_shard: capacity.div_ceil(shards),
+        }
+    }
+
+    fn shard_for(&self, sql: &str) -> &Mutex<MemoShard> {
+        let mut h = DefaultHasher::new();
+        sql.hash(&mut h);
+        &self.shards[(h.finish() as usize) % self.shards.len()]
+    }
+
+    /// The canonical text of `sql`, refreshing its LRU position.
+    pub(crate) fn get(&self, sql: &str) -> Option<String> {
+        if self.capacity_per_shard == 0 || sql.len() > MEMO_MAX_TEXT_BYTES {
+            return None;
+        }
+        let mut shard = lock(self.shard_for(sql));
+        shard.clock += 1;
+        let clock = shard.clock;
+        let entry = shard.map.get_mut(sql)?;
+        entry.last_used = clock;
+        Some(entry.canonical_sql.to_string())
+    }
+
+    /// Remember that `sql` canonicalizes to `canonical_sql`, evicting the
+    /// shard's least recently used text beyond its bound.
+    pub(crate) fn insert(&self, sql: &str, canonical_sql: &str) {
+        if self.capacity_per_shard == 0
+            || sql.len() > MEMO_MAX_TEXT_BYTES
+            || canonical_sql.len() > MEMO_MAX_TEXT_BYTES
+        {
+            return;
+        }
+        let mut shard = lock(self.shard_for(sql));
+        shard.clock += 1;
+        let clock = shard.clock;
+        if let Some(entry) = shard.map.get_mut(sql) {
+            entry.last_used = clock;
+            return;
+        }
+        if shard.map.len() >= self.capacity_per_shard {
+            // Stamps are unique per shard, as in `AnswerCache`.
+            let oldest = (shard.map.values().map(|e| e.last_used).min())
+                .expect("a full shard holds an entry");
+            shard.map.retain(|_, e| e.last_used != oldest);
+        }
+        let entry = MemoEntry {
+            canonical_sql: canonical_sql.into(),
+            last_used: clock,
+        };
+        shard.map.insert(sql.into(), entry);
+    }
+
+    /// Texts held, across all shards.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
+    }
+
+    /// The most texts the memo holds.
+    #[cfg(test)]
+    pub(crate) fn bound(&self) -> usize {
+        self.capacity_per_shard * self.shards.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,5 +800,43 @@ mod tests {
         cache.insert(k, answer(43));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), expect);
+    }
+
+    #[test]
+    fn memo_maps_exact_text_and_evicts_lru() {
+        // Capacity 1 answer × 4 texts, one shard.
+        let memo = TextMemo::new(1, 1);
+        assert_eq!(memo.bound(), MEMO_TEXTS_PER_ANSWER);
+        for i in 0..4 {
+            memo.insert(&format!("select {i}"), &format!("SELECT {i}"));
+        }
+        assert_eq!(memo.get("select 0").as_deref(), Some("SELECT 0"));
+        // By full text: a prefix, a case change or a trailing space is
+        // another text.
+        for other in ["select ", "SELECT 0", "select 0 "] {
+            assert_eq!(memo.get(other), None, "{other:?}");
+        }
+        // `select 0` was just used, so `select 1` is the oldest.
+        memo.insert("select 4", "SELECT 4");
+        assert_eq!(memo.len(), 4);
+        assert_eq!(memo.get("select 1"), None);
+        assert_eq!(memo.get("select 0").as_deref(), Some("SELECT 0"));
+        assert_eq!(memo.get("select 4").as_deref(), Some("SELECT 4"));
+    }
+
+    #[test]
+    fn memo_keeps_nothing_at_zero_capacity_or_past_the_length_bound() {
+        let disabled = TextMemo::new(0, 4);
+        disabled.insert("select 1", "SELECT 1");
+        assert_eq!((disabled.len(), disabled.get("select 1")), (0, None));
+
+        let memo = TextMemo::new(8, 2);
+        let long = format!("select 1{}", " ".repeat(MEMO_MAX_TEXT_BYTES));
+        memo.insert(&long, "SELECT 1");
+        memo.insert("select 1", &"x".repeat(MEMO_MAX_TEXT_BYTES + 1));
+        assert_eq!(memo.len(), 0);
+        let fits = format!("select 1{}", " ".repeat(MEMO_MAX_TEXT_BYTES - 8));
+        memo.insert(&fits, "SELECT 1");
+        assert_eq!(memo.get(&fits).as_deref(), Some("SELECT 1"));
     }
 }

@@ -22,7 +22,9 @@
 //! with the operator, in [`QueryService::telemetry`] and
 //! [`QueryService::metrics`].
 
-use crate::cache::{Admission, AnswerCache, CacheKey, CachedAnswer, DEFAULT_CACHE_SHARDS};
+use crate::cache::{
+    Admission, AnswerCache, CacheKey, CachedAnswer, TextMemo, DEFAULT_CACHE_SHARDS,
+};
 use crate::error::{ServiceError, ServiceResult};
 use crate::export::MetricsReport;
 use crate::ledger::{BudgetLedger, Charge, LedgerPolicy, DEFAULT_LEDGER_SHARDS};
@@ -65,7 +67,13 @@ pub struct ServiceConfig {
     /// Default per-analyst `(ε, δ)` caps and composition strategy.
     pub policy: LedgerPolicy,
     /// Maximum cached answers; 0 disables the cache entirely (identical
-    /// in-flight queries still coalesce onto one computation).
+    /// in-flight queries still coalesce onto one computation). It also
+    /// bounds the text memo, which lets a repeated SQL text whose answer
+    /// is cached skip the parse: at most
+    /// [`MEMO_TEXTS_PER_ANSWER`](crate::cache::MEMO_TEXTS_PER_ANSWER)
+    /// texts per answer, none longer than
+    /// [`MEMO_MAX_TEXT_BYTES`](crate::cache::MEMO_MAX_TEXT_BYTES); 0
+    /// disables the memo too.
     pub cache_capacity: usize,
     /// Memory bound for the noisy-answer cache, in bytes (key text plus
     /// serialized-result size per entry); 0 means no byte bound. Split
@@ -73,8 +81,8 @@ pub struct ServiceConfig {
     /// evicted past either bound. Evicted answers recompute to the same
     /// bytes — noise seeds do not depend on cache state.
     pub cache_max_bytes: usize,
-    /// Lock stripes for the noisy-answer cache (clamped to ≥ 1). Pure
-    /// contention tuning: placement is by cache-key hash and never feeds
+    /// Lock stripes for the noisy-answer cache and the text memo (clamped
+    /// to ≥ 1). Pure contention tuning: placement is by cache-key hash and never feeds
     /// noise seeds, so answers are byte-identical at every setting.
     pub cache_shards: usize,
     /// Lock stripes for the budget ledger's analyst accounts (clamped to
@@ -329,6 +337,9 @@ struct Shared {
     /// its piggybacking waiters, so the miss → coalesce → admit decision
     /// is one shard-lock acquisition (see [`AnswerCache::admit`]).
     cache: AnswerCache<Waiter>,
+    /// Exact SQL text → canonical text, for texts whose answer was served
+    /// from `cache`: a repeat skips parse → canonicalize → print.
+    memo: TextMemo,
     /// The bounded job queue: submitters take their own jobs back off
     /// it, workers pop the rest, and its slots bound both together.
     queue: WorkQueue<Job>,
@@ -533,6 +544,7 @@ impl QueryService {
                 config.cache_max_bytes,
                 config.cache_shards,
             ),
+            memo: TextMemo::new(config.cache_capacity, config.cache_shards),
             // The bound is per worker; the queue is shared.
             queue: WorkQueue::new(workers.saturating_mul(QUEUE_DEPTH), workers),
             telemetry,
@@ -557,7 +569,10 @@ impl QueryService {
 
     /// Submit a query for `analyst`, returning a [`Ticket`] immediately.
     ///
-    /// Cache hits, rejections and parse errors resolve the ticket here,
+    /// A text whose answer was served from the cache before is looked up
+    /// in the text memo first: if its answer is still cached at these
+    /// `params`, it is served without parsing. Otherwise cache hits,
+    /// rejections and parse errors resolve the ticket here,
     /// without touching the queue or building a channel. An admitted
     /// query is queued and runs when [`Ticket::wait`] is called, on the
     /// waiting thread — or on a worker, which is woken at once only for
@@ -587,6 +602,17 @@ impl QueryService {
     pub fn submit(&self, analyst: &str, sql: &str, params: PrivacyParams) -> Ticket {
         let shared = &self.shared;
         shared.telemetry.incr(Metric::Submitted);
+
+        // A text served from the cache before needs only its key. Any
+        // other outcome (no entry, or its answer evicted or not released
+        // at these params) takes the full path below.
+        if let Some(canonical_sql) = shared.memo.get(sql) {
+            let key = CacheKey::new(canonical_sql, params);
+            if let Some(hit) = shared.cache.get(&key) {
+                shared.telemetry.incr(Metric::MemoHits);
+                return serve_hit(shared, analyst, key, &hit);
+            }
+        }
 
         let started = Instant::now();
         let (parsed, nesting) = match parse_query_nesting(sql) {
@@ -627,18 +653,11 @@ impl QueryService {
             },
         );
         let charge = match decision {
-            // Serving an already-released answer is post-processing: free.
+            // Only a text whose answer was released enters the memo, so
+            // a cold workload never fills it.
             Admission::Hit(hit) => {
-                shared.telemetry.incr(Metric::CacheHits);
-                return Ticket::ready(Ok(ServiceResponse {
-                    analyst: analyst.to_string(),
-                    canonical_sql: key.into_canonical_sql(),
-                    columns: hit.columns.clone(),
-                    rows: hit.rows.clone(),
-                    from_cache: true,
-                    charged: (0.0, 0.0),
-                    join_count: hit.join_count,
-                }));
+                shared.memo.insert(sql, key.canonical_sql());
+                return serve_hit(shared, analyst, key, &hit);
             }
             // An identical query is already in flight: this request was
             // parked to piggyback on its release instead of paying for a
@@ -825,6 +844,20 @@ impl Drop for QueryService {
     fn drop(&mut self) {
         self.stop_workers();
     }
+}
+
+/// Serve an already-released answer: post-processing, so free.
+fn serve_hit(shared: &Shared, analyst: &str, key: CacheKey, hit: &CachedAnswer) -> Ticket {
+    shared.telemetry.incr(Metric::CacheHits);
+    Ticket::ready(Ok(ServiceResponse {
+        analyst: analyst.to_string(),
+        canonical_sql: key.into_canonical_sql(),
+        columns: hit.columns.clone(),
+        rows: hit.rows.clone(),
+        from_cache: true,
+        charged: (0.0, 0.0),
+        join_count: hit.join_count,
+    }))
 }
 
 fn worker_loop(shared: &Shared) {
@@ -2246,5 +2279,158 @@ mod tests {
         assert!(trace_of(&svc, sql).queue >= Duration::from_millis(100));
         let t = svc.telemetry();
         assert_eq!((t.timeouts, t.jobs_run_by_submitter), (0, 1), "{t}");
+    }
+
+    /// A text served from the cache once is memoized; its next request
+    /// is a memo hit that returns the same response, field for field.
+    #[test]
+    fn a_repeated_hit_text_is_served_from_the_memo() {
+        let svc = service(ServiceConfig::default());
+        let sql = "select count(*) from trips where 3 = city_id";
+        let p = params(0.5);
+        let miss = svc.query("a", sql, p).unwrap();
+        assert_eq!(svc.shared.memo.len(), 0, "a miss memoizes nothing");
+        let hit = svc.query("a", sql, p).unwrap();
+        assert_eq!(svc.shared.memo.len(), 1, "a hit memoizes its text");
+        let memo = svc.query("a", sql, p).unwrap();
+        assert_eq!(memo, hit);
+        assert_eq!((memo.rows, memo.charged), (miss.rows, (0.0, 0.0)));
+        let t = svc.telemetry();
+        assert_eq!((t.cache_hits, t.memo_hits, t.completed), (2, 1, 1), "{t}");
+        // The memoized text at another ε has no released answer: the full
+        // path admits and charges it.
+        let other = svc.query("a", sql, params(0.25)).unwrap();
+        assert_eq!(other.charged, (0.25, 1e-8));
+        assert_eq!(svc.telemetry().memo_hits, 1);
+    }
+
+    #[test]
+    fn a_parse_error_is_never_memoized() {
+        let svc = service(ServiceConfig::default());
+        let first = svc.query("a", "SELECT FROM WHERE", params(1.0));
+        let second = svc.query("a", "SELECT FROM WHERE", params(1.0));
+        assert!(first.is_err());
+        assert_eq!(first, second, "the same error comes back");
+        assert_eq!(svc.shared.memo.len(), 0);
+        let t = svc.telemetry();
+        assert_eq!((t.failed, t.memo_hits), (2, 0), "{t}");
+    }
+
+    #[test]
+    fn a_disabled_cache_never_fills_the_memo() {
+        let svc = service(ServiceConfig {
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        });
+        for _ in 0..3 {
+            let r = svc.query("a", "SELECT COUNT(*) FROM trips", params(0.5));
+            assert_eq!(r.unwrap().charged, (0.5, 1e-8));
+        }
+        assert_eq!(svc.shared.memo.len(), 0);
+        assert_eq!(svc.telemetry().memo_hits, 0);
+    }
+
+    #[test]
+    fn an_over_length_text_bypasses_the_memo() {
+        let svc = service(ServiceConfig::default());
+        let sql = format!(
+            "SELECT COUNT(*) FROM trips{}",
+            " ".repeat(crate::cache::MEMO_MAX_TEXT_BYTES)
+        );
+        for _ in 0..3 {
+            svc.query("a", &sql, params(0.5)).unwrap();
+        }
+        assert_eq!(svc.shared.memo.len(), 0);
+        let t = svc.telemetry();
+        assert_eq!((t.cache_hits, t.memo_hits), (2, 0), "{t}");
+    }
+
+    /// Many spellings of one released answer, each a hit: the memo stays
+    /// within its bound and keeps serving the recent ones.
+    #[test]
+    fn a_flood_of_hit_texts_keeps_the_memo_within_its_bound() {
+        let svc = service(ServiceConfig {
+            cache_capacity: 2,
+            cache_shards: 2,
+            ..ServiceConfig::default()
+        });
+        let bound = svc.shared.memo.bound();
+        assert_eq!(bound, 2 * crate::cache::MEMO_TEXTS_PER_ANSWER);
+        let p = params(0.5);
+        svc.query("a", "SELECT COUNT(*) FROM trips", p).unwrap();
+        for i in 0..200 {
+            let sql = format!("SELECT COUNT(*) FROM trips{}", " ".repeat(i + 1));
+            assert!(svc.query("a", &sql, p).unwrap().from_cache);
+            assert!(svc.query("a", &sql, p).unwrap().from_cache);
+            assert!(svc.shared.memo.len() <= bound);
+        }
+        assert_eq!(svc.shared.memo.len(), bound);
+        let t = svc.telemetry();
+        assert_eq!((t.cache_hits, t.memo_hits), (400, 200), "{t}");
+        assert_eq!(svc.ledger().spent("a").0, 0.5);
+    }
+
+    /// An answer evicted while its text stays memoized: the memo finds
+    /// the key, the cache misses, and the full path recomputes and
+    /// recharges it to the same bytes, as without the memo.
+    #[test]
+    fn an_evicted_answer_behind_a_memoized_text_is_recomputed_and_charged() {
+        let svc = service(ServiceConfig {
+            seed: Some(0x5EED),
+            cache_capacity: 1,
+            cache_shards: 1,
+            ..ServiceConfig::default()
+        });
+        let p = params(0.5);
+        let sql = "SELECT COUNT(*) FROM trips";
+        let first = svc.query("a", sql, p).unwrap();
+        svc.query("a", sql, p).unwrap();
+        svc.query("a", "SELECT COUNT(*) FROM trips WHERE city_id = 1", p)
+            .unwrap();
+        assert_eq!(svc.telemetry().cache_evictions, 1);
+        assert_eq!(svc.shared.memo.len(), 1, "the text is still memoized");
+        let again = svc.query("a", sql, p).unwrap();
+        assert!(!again.from_cache);
+        assert_eq!((again.charged, &again.rows), ((0.5, 1e-8), &first.rows));
+        assert_eq!(svc.ledger().spent("a").0, 1.5);
+        let t = svc.telemetry();
+        assert_eq!((t.completed, t.memo_hits), (3, 0), "{t}");
+        // Released again, the answer is served through the memo once more.
+        assert!(svc.query("a", sql, p).unwrap().from_cache);
+        assert_eq!(svc.telemetry().memo_hits, 1);
+    }
+
+    /// In a two-answer cache, refreshing an answer through the memo or
+    /// through `admit` leaves the same entry least recently used.
+    #[test]
+    fn a_memo_hit_refreshes_lru_order_like_an_admit_hit() {
+        let evicted_after_refresh = |through_memo: bool| {
+            let svc = service(ServiceConfig {
+                cache_capacity: 2,
+                cache_shards: 1,
+                ..ServiceConfig::default()
+            });
+            let p = params(0.5);
+            let a = "SELECT COUNT(*) FROM trips";
+            let b = "SELECT COUNT(*) FROM trips WHERE city_id = 1";
+            svc.query("x", a, p).unwrap();
+            svc.query("x", a, p).unwrap(); // memoizes `a`
+            svc.query("x", b, p).unwrap();
+            // Refresh `a`, the older entry.
+            let refresh = if through_memo {
+                a
+            } else {
+                "select count(*) from trips"
+            };
+            assert!(svc.query("x", refresh, p).unwrap().from_cache);
+            assert_eq!(svc.telemetry().memo_hits, u64::from(through_memo));
+            svc.query("x", "SELECT COUNT(*) FROM trips WHERE city_id = 2", p)
+                .unwrap();
+            assert_eq!(svc.telemetry().cache_evictions, 1);
+            let cached = |sql| svc.query("y", sql, p).unwrap().from_cache;
+            (cached(a), cached(b))
+        };
+        assert_eq!(evicted_after_refresh(true), (true, false));
+        assert_eq!(evicted_after_refresh(false), (true, false));
     }
 }

@@ -359,6 +359,10 @@ metric_table! {
             "Queries computed through the full DP pipeline.";
         CacheHits cache_hits: Counter, "flex_cache_hits_total", "cache hits",
             "Requests served from the noisy-answer cache (zero budget).";
+        /// A subset of `cache_hits`: the text's canonical form came from
+        /// the text memo, so the request was never parsed.
+        MemoHits memo_hits: Counter, "flex_memo_hits_total", "memo hits",
+            "Cache hits served for a memoized SQL text without parsing it.";
         /// Disjoint from `coalesced`: a piggybacked request never reaches
         /// admission and is counted only as coalesced.
         CacheMisses cache_misses: Counter, "flex_cache_misses_total", "cache misses",

@@ -20,7 +20,7 @@
 //! counts), and the derived `flex_wal_records_per_fsync` gauge
 //! (`wal_records_per_fsync` key); later, the
 //! `flex_jobs_run_by_submitter_total` counter (`jobs_run_by_submitter`
-//! key).
+//! key); later, the `flex_memo_hits_total` counter (`memo_hits` key).
 
 use flex_db::ExecTrace;
 use flex_service::{
@@ -46,6 +46,7 @@ fn populated_report() -> MetricsReport {
         submitted: 101,
         completed: 102,
         cache_hits: 103,
+        memo_hits: 117,
         cache_misses: 104,
         coalesced: 105,
         rejected_budget: 106,

@@ -1,4 +1,5 @@
-//! How often a cache miss calls the allocator.
+//! How often a cache miss, and a hit served from the text memo, calls
+//! the allocator.
 //!
 //! A miss pays parse → canonicalize → admission → analysis → execution
 //! → smoothing and noise → release bookkeeping (settle, cache insert and
@@ -24,6 +25,10 @@
 //! Most of what is left is the analysis and the execution; the join's
 //! small drop is the reply channel and the eviction's key copies (with
 //! this test's 8-entry shard; the service's default shard holds 64).
+//!
+//! A hit served from the text memo (the text's answer already served
+//! from the cache once) is held the same way: 6 calls for a count, 66
+//! for the city histogram (its 30 labelled rows), all of them the reply.
 
 use flex_core::PrivacyParams;
 use flex_service::{LedgerPolicy, QueryService, ServiceConfig};
@@ -161,6 +166,58 @@ fn a_miss_allocates_no_more_than_measured() {
         assert!(
             calls * 10 <= measured * 11,
             "{shape}: {calls} allocator calls, more than {measured} + 10 %"
+        );
+    }
+}
+
+/// A hit served from the text memo allocates only the reply: the
+/// canonical text copied out of the memo (it becomes the response's),
+/// the analyst's name, and the cached answer's columns and rows.
+#[test]
+fn a_memo_hit_allocates_no_more_than_measured() {
+    // (shape, text, allocator calls measured).
+    let shapes = [
+        (
+            "count",
+            "SELECT COUNT(*) FROM trips WHERE city_id = 5 \
+             AND trip_date BETWEEN '2016-03-01' AND '2016-03-30'",
+            6,
+        ),
+        (
+            "city histogram",
+            "SELECT c.name, COUNT(*) FROM trips t JOIN cities c ON t.city_id = c.id \
+             WHERE t.trip_date BETWEEN '2016-03-01' AND '2016-03-30' \
+             AND t.fare > 12.34567 GROUP BY c.name",
+            66,
+        ),
+    ];
+    let svc = service();
+    for (shape, sql, measured) in shapes {
+        let p = params(0);
+        // A miss releases the answer; a hit memoizes the text.
+        for _ in 0..2 {
+            svc.query("analyst", sql, p).expect("query runs");
+        }
+        let counts: Vec<usize> = (0..3)
+            .map(|_| {
+                let memo_hits = svc.telemetry().memo_hits;
+                let before = CALLS.with(Cell::get);
+                let answer = svc.query("analyst", sql, p).expect("query runs");
+                let after = CALLS.with(Cell::get);
+                assert!(answer.from_cache, "{shape}: a hit");
+                assert_eq!(svc.telemetry().memo_hits, memo_hits + 1, "{shape}");
+                after - before
+            })
+            .collect();
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "{shape}: count is not stable: {counts:?}"
+        );
+        let calls = counts[0];
+        println!("{shape} memo hit: {calls} allocator calls");
+        assert!(
+            calls * 10 <= measured * 11,
+            "{shape}: {calls} allocator calls on a memo hit, more than {measured} + 10 %"
         );
     }
 }

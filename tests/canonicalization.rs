@@ -157,3 +157,91 @@ fn an_infinite_literal_is_refused_and_inf_keeps_its_own_key() {
     let huge = canonical_sql(&parse_query("SELECT COUNT(*) FROM trips WHERE x < 1e300").unwrap());
     assert_ne!(huge, key);
 }
+
+/// The service memoizes a text whose answer it served from its cache
+/// and serves the text's repeats without parsing them. Over the texts of
+/// `canonical_text_is_pinned`, each run until the memo serves it: the
+/// memo-served response equals the full-path hit before it field for
+/// field, and its key is the text's canonical form. A text the service
+/// refuses is never memoized and is refused the same way again.
+#[test]
+fn memo_served_hits_equal_full_path_hits() {
+    use flex::core::PrivacyParams;
+    use flex::service::cache::MEMO_MAX_TEXT_BYTES;
+    use flex::service::{LedgerPolicy, QueryService, ServiceConfig};
+    use flex::workloads::corpus::{catalog_database, generate, CorpusConfig};
+    use flex::workloads::{tpch, uber};
+    use std::sync::Arc;
+
+    let start = |db| {
+        let config = ServiceConfig {
+            workers: 1,
+            cache_capacity: 1 << 14,
+            policy: LedgerPolicy::sequential(1e15, 1.0),
+            seed: Some(35),
+            ..ServiceConfig::default()
+        };
+        QueryService::new(Arc::new(db), config)
+    };
+    let uber_svc = start(uber::generate(&UberConfig {
+        trips: 2_000,
+        drivers: 200,
+        riders: 400,
+        user_tags: 200,
+        ..UberConfig::default()
+    }));
+    let tpch_svc = start(tpch::generate(&tpch::TpchConfig::default()));
+    let corpus_svc = start(catalog_database(60, 0xD15C0));
+
+    let mut texts: Vec<(&QueryService, String)> = Vec::new();
+    for wq in workload(&UberConfig::default()) {
+        texts.push((&uber_svc, wq.sql));
+        texts.push((&uber_svc, wq.population_sql));
+    }
+    for (_, _, sql) in uber::table5_queries() {
+        texts.push((&uber_svc, sql));
+    }
+    for (_, sql, _) in tpch::queries() {
+        texts.push((&tpch_svc, sql.to_string()));
+    }
+    let corpus = generate(&CorpusConfig {
+        n_queries: 2_000,
+        ..CorpusConfig::default()
+    });
+    texts.extend(corpus.iter().map(|q| (&corpus_svc, print_query(q))));
+    texts.extend(bench_shape_variants().into_iter().map(|t| (&uber_svc, t)));
+
+    let p = PrivacyParams::new(0.5, 1e-9).unwrap();
+    let mut served = 0;
+    for (svc, text) in &texts {
+        let memo_hits = || svc.telemetry().memo_hits;
+        let mut previous = match svc.query("analyst", text, p) {
+            Ok(response) => response,
+            Err(refused) => {
+                let before = memo_hits();
+                assert_eq!(svc.query("analyst", text, p), Err(refused), "{text}");
+                assert_eq!(memo_hits(), before, "{text}");
+                continue;
+            }
+        };
+        let key = print_query(&canonicalize(parse_query(text).unwrap()));
+        let mut from_memo = false;
+        for _ in 0..3 {
+            let before = memo_hits();
+            let response = svc.query("analyst", text, p).unwrap();
+            if memo_hits() == before {
+                assert!(response.from_cache, "{text}");
+                previous = response;
+                continue;
+            }
+            assert!(previous.from_cache, "the memo follows a hit: {text}");
+            assert_eq!(response, previous, "{text}");
+            assert_eq!(response.canonical_sql, key, "{text}");
+            from_memo = true;
+            break;
+        }
+        assert_eq!(from_memo, text.len() <= MEMO_MAX_TEXT_BYTES, "{text}");
+        served += usize::from(from_memo);
+    }
+    assert!(served > 500, "the memo served {served} texts");
+}
