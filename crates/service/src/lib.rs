@@ -9,8 +9,9 @@
 //!
 //! ```text
 //!            analysts (threads)            QueryService
-//!   "alice" ── SQL ──▶ submit() ─┬─ parse + canonicalize
-//!   "bob"   ── SQL ──▶ submit() ─┤      │
+//!   "alice" ── SQL ──▶ submit() ─┬─ text memo ── known text, answer cached ──▶ hit, not parsed
+//!   "bob"   ── SQL ──▶ submit() ─┤      │ else parse + canonicalize
+//!                                │      │
 //!                                │      ├─ noisy-answer cache ── hit ──▶ free, bit-identical
 //!                                │      ├─ BudgetLedger admission ── reject ─▶ error, no compute
 //!                                │      └─ worker pool: analyze → execute → smooth → noise

@@ -10,7 +10,8 @@
 //!    that would overspend is rejected *before* any computation;
 //! 2. the [`AnswerCache`] keyed on canonical ASTs — a
 //!    repeated query returns the *same* released answer at zero marginal
-//!    budget;
+//!    budget, and a repeated *text* whose answer it served is looked up
+//!    in a text memo beside it instead of being parsed again;
 //! 3. [`Telemetry`] — hit/miss/reject counters, queue
 //!    depth and per-stage timings, snapshotable for ops.
 //!
@@ -82,8 +83,9 @@ pub struct ServiceConfig {
     /// bytes — noise seeds do not depend on cache state.
     pub cache_max_bytes: usize,
     /// Lock stripes for the noisy-answer cache and the text memo (clamped
-    /// to ≥ 1). Pure contention tuning: placement is by cache-key hash and never feeds
-    /// noise seeds, so answers are byte-identical at every setting.
+    /// to ≥ 1). Pure contention tuning: placement is by cache-key (or
+    /// text) hash and never feeds noise seeds, so answers are
+    /// byte-identical at every setting.
     pub cache_shards: usize,
     /// Lock stripes for the budget ledger's analyst accounts (clamped to
     /// ≥ 1). Pure contention tuning, like [`ServiceConfig::cache_shards`]:
