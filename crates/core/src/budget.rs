@@ -44,10 +44,6 @@ impl PrivacyBudget {
         (self.epsilon_cap - self.spent_epsilon).max(0.0)
     }
 
-    pub fn remaining_delta(&self) -> f64 {
-        (self.delta_cap - self.spent_delta).max(0.0)
-    }
-
     pub fn spent(&self) -> (f64, f64) {
         (self.spent_epsilon, self.spent_delta)
     }

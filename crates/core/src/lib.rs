@@ -43,8 +43,6 @@ pub mod histogram;
 pub mod laplace;
 pub mod lower;
 pub mod mechanism;
-pub mod mwem;
-pub mod ptr;
 pub mod relalg;
 pub mod senspoly;
 pub mod smooth;
@@ -61,8 +59,6 @@ pub use mechanism::{
     run_query, run_query_deadline, run_query_with, run_sql, run_sql_with, FlexOptions, FlexResult,
     FlexTimings,
 };
-pub use mwem::{mwem, LinearQuery, MwemResult};
-pub use ptr::{propose_test_release, PtrOutcome};
 pub use relalg::{Attr, QueryKind, Rel};
 pub use senspoly::{Poly, SensExpr};
 pub use smooth::{smooth, PrivacyParams, SmoothSensitivity};

@@ -73,9 +73,8 @@ pub const ANALYST_GAUGES: &[AnalystGauge] = &[
 
 /// The one derived gauge, `(prometheus name, help)`: a ratio of two
 /// [`SCALARS`] counters ([`TelemetrySnapshot::wal_records_per_fsync`]),
-/// exported so group commit and never-synced settles show without a
-/// query language. JSON key `wal_records_per_fsync`, after the
-/// histograms.
+/// exported so group commit shows without a query language. JSON key
+/// `wal_records_per_fsync`, after the histograms.
 pub const WAL_RECORDS_PER_FSYNC: (&str, &str) = (
     "flex_wal_records_per_fsync",
     "WAL records written per durability sync (1 = a sync per record).",

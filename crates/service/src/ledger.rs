@@ -104,7 +104,8 @@ struct Account {
     /// must match (the theorem composes homogeneous mechanisms).
     pinned: Option<(f64, f64)>,
     /// Ids of admitted charges that are still refundable (neither
-    /// settled nor already refunded). Bounded by in-flight queries.
+    /// settled nor already refunded). Bounded by in-flight queries, and
+    /// empty after a restart: no charge handle survives one.
     outstanding: HashSet<u64>,
 }
 
@@ -150,14 +151,14 @@ pub struct BudgetLedger {
     shards: Box<[Mutex<HashMap<String, Account>>]>,
     /// Global — charge ids stay unique across shards.
     next_charge_id: AtomicU64,
-    /// Durability: when present, every mutation is written to the log
-    /// under its shard lock — charges *before* they commit (fail
-    /// closed), refunds/settles best-effort (a lost refund makes
-    /// recovery overestimate spend, the safe direction) — and synced
-    /// only after the lock is released: charges at
+    /// Durability: when present, every mutation a restart must remember
+    /// is written to the log under its shard lock — charges *before*
+    /// they commit (fail closed), refunds best-effort (a lost refund
+    /// makes recovery overestimate spend, the safe direction) — and
+    /// synced only after the lock is released: charges at
     /// [`BudgetLedger::barrier`], refunds and policy changes before
-    /// their call returns, settles never. `None` keeps the ledger
-    /// purely in-memory.
+    /// their call returns. A settle writes nothing. `None` keeps the
+    /// ledger purely in-memory.
     wal: Option<Arc<Wal>>,
 }
 
@@ -184,9 +185,13 @@ impl BudgetLedger {
     }
 
     /// A durable ledger: replay `wal`'s surviving records into a fresh
-    /// ledger (bitwise-identical to the pre-crash state — replay applies
-    /// the exact float additions the live ledger committed, in the same
-    /// per-analyst order), then write every future mutation through it.
+    /// ledger (spend, query counts and pins bitwise-identical to the
+    /// pre-crash state — replay applies the exact float additions the
+    /// live ledger committed, in the same per-analyst order), then
+    /// write every future mutation through it.
+    ///
+    /// Replay ends with nothing outstanding: no [`Charge`] handle
+    /// survives a restart, so no charge can be refunded across one.
     ///
     /// Replay treats the log as authoritative: a charge that was
     /// admitted under an older (larger) default policy still lands even
@@ -199,15 +204,10 @@ impl BudgetLedger {
         shards: usize,
         wal: Arc<Wal>,
     ) -> ServiceResult<(BudgetLedger, RecoveryReport)> {
-        let (ops, torn) = wal
+        let (ops, report) = wal
             .read_ops()
             .map_err(|e| ServiceError::WalUnavailable(e.to_string()))?;
         let mut ledger = Self::with_shards(default_policy, shards);
-        let mut report = RecoveryReport {
-            replayed_records: ops.len() as u64,
-            snapshot_restored: false,
-            torn_bytes_discarded: torn,
-        };
         let mut next_id = 0u64;
         for op in &ops {
             match op {
@@ -229,18 +229,18 @@ impl BudgetLedger {
                     ledger.apply_refund(analyst, *id, *epsilon, *delta);
                     next_id = next_id.max(id + 1);
                 }
-                WalOp::Settle { analyst, id } => {
-                    ledger.apply_settle(analyst, *id);
-                    next_id = next_id.max(id + 1);
-                }
                 WalOp::SetPolicy { analyst, policy } => {
                     ledger.apply_set_policy(analyst, *policy);
                 }
                 WalOp::Snapshot(snap) => {
                     ledger.restore_snapshot(snap);
                     next_id = next_id.max(snap.next_charge_id);
-                    report.snapshot_restored = true;
                 }
+            }
+        }
+        for shard in ledger.shards.iter() {
+            for acct in lock(shard).values_mut() {
+                acct.outstanding.clear();
             }
         }
         *ledger.next_charge_id.get_mut() = next_id;
@@ -490,27 +490,12 @@ impl BudgetLedger {
 
     /// Mark a charge as spent for good (its answer was released): the
     /// charge is no longer refundable. Keeps the outstanding-charge set
-    /// bounded by queries actually in flight. The `Settle` record is
-    /// written and never synced — it rides the next charge's fsync.
+    /// bounded by queries actually in flight. Nothing is logged: spend
+    /// is unchanged, and a restart leaves no charge refundable anyway.
     pub fn settle(&self, charge: &Charge) {
-        {
-            let mut accounts = self.shard(&charge.analyst);
-            let Some(acct) = accounts.get_mut(&charge.analyst) else {
-                return;
-            };
-            if !acct.outstanding.contains(&charge.id) {
-                return;
-            }
-            // Best-effort, like refunds: a lost settle record only
-            // means recovery leaves the charge refundable — spend is
-            // unchanged either way.
-            let _ = self.write(|| WalOp::Settle {
-                analyst: charge.analyst.clone(),
-                id: charge.id,
-            });
+        if let Some(acct) = self.shard(&charge.analyst).get_mut(&charge.analyst) {
             acct.outstanding.remove(&charge.id);
         }
-        self.maybe_compact();
     }
 
     // -- WAL replay: apply logged mutations verbatim -------------------
@@ -550,13 +535,6 @@ impl BudgetLedger {
         acct.queries = acct.queries.saturating_sub(1);
         if acct.queries == 0 {
             acct.pinned = None;
-        }
-    }
-
-    fn apply_settle(&self, analyst: &str, id: u64) {
-        let mut accounts = self.shard(analyst);
-        if let Some(acct) = accounts.get_mut(analyst) {
-            acct.outstanding.remove(&id);
         }
     }
 
@@ -1093,13 +1071,17 @@ mod tests {
         assert_eq!(report, RecoveryReport::default());
         let c1 = ledger.try_charge("alice", 0.1, 1e-9).unwrap();
         let c2 = ledger.try_charge("alice", 0.2, 1e-9).unwrap();
-        ledger.try_charge("bob", 0.3, 1e-9).unwrap();
+        let c3 = ledger.try_charge("bob", 0.3, 1e-9).unwrap();
         ledger.settle(&c1);
         ledger.refund(&c2);
         ledger
             .set_policy("carol", LedgerPolicy::strong(2.0, 1e-3, 1e-6))
             .unwrap();
-        ledger.try_charge("carol", 0.05, 1e-9).unwrap();
+        let c4 = ledger.try_charge("carol", 0.05, 1e-9).unwrap();
+        // A restart leaves nothing refundable: compare against the live
+        // ledger once every answer is out.
+        ledger.settle(&c3);
+        ledger.settle(&c4);
         let before = WalOp::Snapshot(ledger.snapshot()).encode();
 
         for shards in [1usize, 4, 16] {
@@ -1109,7 +1091,8 @@ mod tests {
                 wal_on(storage.clone(), 0),
             )
             .unwrap();
-            assert!(report.replayed_records >= 7, "report: {report:?}");
+            // Four charges, a refund and a policy change.
+            assert_eq!(report.replayed_records, 6, "report: {report:?}");
             assert_eq!(
                 WalOp::Snapshot(replayed.snapshot()).encode(),
                 before,
@@ -1234,20 +1217,24 @@ mod tests {
                 charges.push(c);
             }
         }
-        let reference = WalOp::Snapshot(ledger.snapshot()).encode();
-        // Settles are never synced and the last charge has not passed
-        // its barrier: the durable bytes are complete once it has (an
-        // fsync covers the whole prefix).
+        // The last charge has not passed its barrier: the durable bytes
+        // are complete once it has (an fsync covers the whole prefix).
+        // Snapshots taken so far name the unsettled charges as
+        // outstanding; the restart below must not.
         ledger.barrier(charges.last().unwrap()).unwrap();
+        for c in &charges {
+            ledger.settle(c);
+        }
+        let reference = WalOp::Snapshot(ledger.snapshot()).encode();
         // The log was compacted at least once: far fewer live records
-        // than the 30 mutations issued.
-        let (ops, torn) = ledger.wal().unwrap().read_ops().unwrap();
-        assert_eq!(torn, 0);
+        // than the 20 charges logged.
+        let (ops, report) = ledger.wal().unwrap().read_ops().unwrap();
+        assert_eq!(report.torn_bytes_discarded, 0);
         assert!(
             matches!(ops.first(), Some(WalOp::Snapshot(_))),
             "compacted log must start with a snapshot record"
         );
-        assert!(ops.len() < 30, "compaction must shrink the log");
+        assert!(ops.len() < 20, "compaction must shrink the log");
 
         // Replaying the compacted log once — or its bytes twice over —
         // converges to the same state (the snapshot record resets).
@@ -1271,6 +1258,102 @@ mod tests {
                 "replay of {copies} copies must converge to one state"
             );
         }
+    }
+
+    #[test]
+    fn settle_writes_nothing() {
+        let (ledger, _) = BudgetLedger::with_wal(
+            LedgerPolicy::sequential(1.0, 1e-4),
+            4,
+            wal_on(crate::fault::FaultStorage::new(), 0),
+        )
+        .unwrap();
+        let c = ledger.try_charge("a", 0.25, 1e-9).unwrap();
+        let wal = ledger.wal().unwrap();
+        let appends = wal.appends();
+        ledger.settle(&c);
+        assert_eq!(wal.appends(), appends);
+        // Settled for good: a refund is a no-op.
+        ledger.refund(&c);
+        assert_eq!((ledger.queries("a"), wal.appends()), (1, appends));
+    }
+
+    /// A settle record as earlier versions framed it (tag 3).
+    fn retired_settle_record(analyst: &str, id: u64) -> Vec<u8> {
+        let mut payload = vec![3];
+        payload.extend_from_slice(&(analyst.len() as u32).to_le_bytes());
+        payload.extend_from_slice(analyst.as_bytes());
+        payload.extend_from_slice(&id.to_le_bytes());
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&crate::wal::crc32(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+        record
+    }
+
+    /// A log that still holds settle records replays in full: each is
+    /// skipped, every later record applies, and the ledger ends where a
+    /// live ledger running the same charge, settle and refund does —
+    /// with nothing outstanding.
+    #[test]
+    fn a_log_with_settle_records_replays_in_full() {
+        let policy = LedgerPolicy::sequential(1.0, 1e-4);
+        let live = BudgetLedger::new(policy);
+        let a = live.try_charge("x", 0.1, 1e-9).unwrap();
+        live.settle(&a);
+        let b = live.try_charge("x", 0.2, 3e-9).unwrap();
+        live.refund(&b);
+        let c = live.try_charge("x", 0.07, 1e-9).unwrap();
+        live.settle(&c);
+        let charge = |id: u64, epsilon: f64, delta: f64| {
+            WalOp::Charge {
+                analyst: "x".into(),
+                id,
+                epsilon,
+                delta,
+            }
+            .encode()
+        };
+        let refund = WalOp::Refund {
+            analyst: "x".into(),
+            id: 1,
+            epsilon: 0.2,
+            delta: 3e-9,
+        }
+        .encode();
+        let log = [
+            charge(0, 0.1, 1e-9),
+            retired_settle_record("x", 0),
+            charge(1, 0.2, 3e-9),
+            refund,
+            charge(2, 0.07, 1e-9),
+        ]
+        .concat();
+        let storage = crate::fault::FaultStorage::with_bytes(&log);
+        let (replayed, report) = BudgetLedger::with_wal(policy, 4, wal_on(storage, 0)).unwrap();
+        assert_eq!(report.replayed_records, 5);
+        assert_eq!(report.torn_bytes_discarded, 0);
+        assert_eq!(
+            WalOp::Snapshot(replayed.snapshot()).encode(),
+            WalOp::Snapshot(live.snapshot()).encode()
+        );
+        assert_eq!(replayed.queries("x"), 2);
+        assert!(replayed.snapshot().accounts[0].outstanding.is_empty());
+
+        // Any other unknown tag, well framed, still ends replay there.
+        let mut unknown = retired_settle_record("x", 0);
+        unknown[8] = 6;
+        let crc = crate::wal::crc32(&unknown[8..]);
+        unknown[4..8].copy_from_slice(&crc.to_le_bytes());
+        let first = charge(0, 0.1, 1e-9);
+        let log = [first.clone(), unknown.clone(), charge(1, 0.2, 3e-9)].concat();
+        let storage = crate::fault::FaultStorage::with_bytes(&log);
+        let (replayed, report) = BudgetLedger::with_wal(policy, 4, wal_on(storage, 0)).unwrap();
+        assert_eq!(report.replayed_records, 1);
+        assert_eq!(
+            report.torn_bytes_discarded,
+            (log.len() - first.len()) as u64
+        );
+        assert_eq!(replayed.queries("x"), 1);
     }
 
     #[test]

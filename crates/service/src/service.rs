@@ -829,13 +829,15 @@ impl QueryService {
             let _ = handle.join();
         }
         // A job its submitter took back before the close runs on that
-        // thread, not a worker: wait for it too, so that it has settled
-        // before the sync below and the log has one writer once this
+        // thread, not a worker: wait for it too, so that it has finished
+        // before the sync below and the log has no writer once this
         // returns.
         self.shared.queue.wait_idle();
-        // A clean stop leaves nothing in the page cache: the trailing
-        // `Settle`s ride no later charge's fsync. Best-effort (this runs
-        // in `Drop`); a failure is counted in `wal_errors`.
+        // A durability flush: every record's writer commits it before
+        // anything depends on it, so this is normally free, but a clean
+        // stop promises nothing written is left in the page cache.
+        // Best-effort (this runs in `Drop`); a failure is counted in
+        // `wal_errors`.
         if let Some(wal) = self.shared.ledger.wal() {
             let _ = wal.sync();
         }
@@ -1881,30 +1883,32 @@ mod tests {
     }
 
     /// The order the durability story rests on, read back from the log:
-    /// the charge is logged before anything is computed, and by the time
-    /// the caller holds an outcome its settle (a release) or its refund
-    /// (anything else) is logged too.
+    /// the charge is logged before anything is computed and is durable
+    /// by the time the caller holds the answer, and a failed query's
+    /// refund is logged before the caller sees the error.
     #[test]
-    fn wal_holds_settle_or_refund_before_the_caller_sees_the_outcome() {
+    fn wal_holds_the_charge_or_refund_before_the_caller_sees_the_outcome() {
         use crate::fault::FaultStorage;
         use crate::wal::WalOp;
+        let storage = FaultStorage::new();
         let svc = QueryService::with_storage(
             test_db(),
             ServiceConfig::default(),
-            Box::new(FaultStorage::new()),
+            Box::new(storage.clone()),
         )
         .unwrap();
         let log = || svc.ledger().wal().unwrap().read_ops().unwrap().0;
         let p = params(0.5);
         svc.query("a", "SELECT COUNT(*) FROM trips", p).unwrap();
         assert!(
-            matches!(&log()[..], [WalOp::Charge { id, .. }, WalOp::Settle { id: settled, .. }] if id == settled),
+            matches!(&log()[..], [WalOp::Charge { .. }]),
             "log: {:?}",
             log()
         );
+        assert_eq!(storage.durable_len(), storage.total_len());
         svc.query("a", "SELECT id FROM trips", p).unwrap_err();
         assert!(
-            matches!(&log()[2..], [WalOp::Charge { id, .. }, WalOp::Refund { id: refunded, .. }] if id == refunded),
+            matches!(&log()[1..], [WalOp::Charge { id, .. }, WalOp::Refund { id: refunded, .. }] if id == refunded),
             "log: {:?}",
             log()
         );
@@ -1971,10 +1975,7 @@ mod tests {
         let _ = svc.query("alice", "SELECT id FROM trips", p).unwrap_err();
         let spent = svc.ledger().spent("alice");
         let t = svc.telemetry();
-        assert!(
-            t.wal_appends >= 4,
-            "2 charges+settles, 1 charge+refund: {t}"
-        );
+        assert_eq!(t.wal_appends, 4, "2 charges, 1 charge+refund: {t}");
         assert!(t.wal_fsyncs >= 1, "snapshot: {t}");
         assert_eq!(t.wal_errors, 0);
         drop(svc);
@@ -1982,7 +1983,7 @@ mod tests {
         // "Restart" over the same durable bytes.
         let svc2 = QueryService::with_storage(test_db(), cfg(), Box::new(storage.clone())).unwrap();
         let report = svc2.recovery_report();
-        assert!(report.replayed_records >= 6, "report: {report:?}");
+        assert_eq!(report.replayed_records, 4, "report: {report:?}");
         assert_eq!(svc2.ledger().spent("alice"), spent, "spend recovered");
         assert_eq!(svc2.ledger().queries("alice"), 2);
         assert_eq!(
@@ -2117,7 +2118,7 @@ mod tests {
 
     /// Shutdown drains every admitted job, including one nobody woke a
     /// worker for and tickets still unwaited when the service drops; each
-    /// leaves `Charge` + `Settle` in the log.
+    /// leaves its `Charge` in the log, and none is refunded.
     #[test]
     fn a_dropped_service_drains_unwaited_tickets() {
         use crate::fault::FaultStorage;
@@ -2144,23 +2145,17 @@ mod tests {
         }
         let wal = Wal::new(Box::new(storage), FsyncPolicy::Always, 0);
         let ops = wal.read_ops().unwrap().0;
-        let charged: Vec<u64> = ops
-            .iter()
-            .filter_map(|op| match op {
-                WalOp::Charge { id, .. } => Some(*id),
-                _ => None,
-            })
-            .collect();
-        let mut settled: Vec<u64> = ops
-            .iter()
-            .filter_map(|op| match op {
-                WalOp::Settle { id, .. } => Some(*id),
-                _ => None,
-            })
-            .collect();
-        settled.sort_unstable();
-        assert_eq!(charged.len(), 3, "log: {ops:?}");
-        assert_eq!(charged, settled, "log: {ops:?}");
+        assert!(
+            matches!(
+                &ops[..],
+                [
+                    WalOp::Charge { .. },
+                    WalOp::Charge { .. },
+                    WalOp::Charge { .. }
+                ]
+            ),
+            "log: {ops:?}"
+        );
     }
 
     /// A burst submitted before any `wait` — one thread as its own

@@ -549,9 +549,8 @@ impl TelemetrySnapshot {
     }
 
     /// WAL records written per durability sync (`wal_appends` ÷
-    /// `wal_fsyncs`; 0 before the first sync): 1 is a sync per record,
-    /// and group commit and never-synced settles push it up — about 2
-    /// for a lone client.
+    /// `wal_fsyncs`; 0 before the first sync): 1 is a sync per record —
+    /// a lone client's — and group commit pushes it up.
     pub fn wal_records_per_fsync(&self) -> f64 {
         share(self.wal_appends, self.wal_fsyncs)
     }

@@ -13,12 +13,17 @@
 //!   checksum fails — a torn tail from a crash mid-append (or a
 //!   bit-flip) discards that record *and everything after it*, because
 //!   framing downstream of a corrupt record cannot be trusted.
-//! - **Payloads.** One tagged record per ledger mutation
-//!   ([`WalOp::Charge`], [`WalOp::Refund`], [`WalOp::Settle`],
-//!   [`WalOp::SetPolicy`]) plus a [`WalOp::Snapshot`] record holding the
-//!   complete ledger state; compaction atomically replaces the log with
-//!   a single snapshot record. All floats are stored as raw IEEE-754
-//!   bits, so replay is *bitwise* exact, not merely approximate.
+//! - **Payloads.** One tagged record per ledger mutation that changes
+//!   what a restart must remember ([`WalOp::Charge`],
+//!   [`WalOp::Refund`], [`WalOp::SetPolicy`]) plus a
+//!   [`WalOp::Snapshot`] record holding the complete ledger state;
+//!   compaction atomically replaces the log with a single snapshot
+//!   record. All floats are stored as raw IEEE-754 bits, so replay is
+//!   *bitwise* exact, not merely approximate. Settling a charge (its
+//!   answer was released) writes nothing: it only drops the charge from
+//!   the refundable set, and no charge is refundable across a restart.
+//!   Logs written by earlier versions hold a settle record (tag 3) per
+//!   release; it decodes to no op and replay skips it.
 //! - **Written vs. durable.** The log has two operations, not one.
 //!   [`Wal::write`] puts a record into the file and returns its
 //!   sequence number (its [`Lsn`]); the ledger calls it under the
@@ -28,20 +33,20 @@
 //!   unsynced fsyncs once for everything written so far, and callers
 //!   whose LSN that fsync covered return without touching the disk
 //!   (group commit — no thread, no timer, no knob). An fsync covers the
-//!   whole file, so a durable LSN implies a durable prefix. The service
-//!   commits a charge's LSN before any answer it paid for is released,
-//!   and there is no weaker policy: a log that let a crash forget a
-//!   charge whose answer was out would let its analyst spend that ε
-//!   twice. `Settle` records are written and never committed: they ride
-//!   the next charge's fsync, and losing one only leaves a released
-//!   charge refundable on paper.
+//!   whole file, so a durable LSN implies a durable prefix. Every record
+//!   is synced by its writer before anything depends on it: a charge at
+//!   the barrier the service passes before any answer it paid for is
+//!   released, a refund or a policy change before its call returns, a
+//!   snapshot inside the rewrite. There is no weaker policy: a log that
+//!   let a crash forget a charge whose answer was out would let its
+//!   analyst spend that ε twice.
 //! - **What the tail may hold.** After a crash the bytes past the last
-//!   completed fsync are whatever the OS happened to flush: whole
-//!   unsynced `Settle`s, a `Refund` or `SetPolicy` whose caller had not
-//!   been answered yet, and at most the `Charge`s whose answers were
-//!   never released (their barrier had not returned). Recovery replays
-//!   the intact prefix and stops at the first bad record, so it keeps
-//!   every charge an answer was ever released for.
+//!   completed fsync are whatever the OS happened to flush: a `Refund`
+//!   or `SetPolicy` whose caller had not been answered yet, and at most
+//!   the `Charge`s whose answers were never released (their barrier had
+//!   not returned). Recovery replays the intact prefix and stops at the
+//!   first bad record, so it keeps every charge an answer was ever
+//!   released for.
 //! - **Fail closed.** A write or sync error *poisons* the log: the
 //!   failed write may have left partial bytes, so later records could
 //!   land after an unreadable gap and be silently discarded by
@@ -203,13 +208,6 @@ pub enum WalOp {
         /// The charge's δ.
         delta: f64,
     },
-    /// A settled charge (its answer was released; no longer refundable).
-    Settle {
-        /// Settled analyst.
-        analyst: String,
-        /// The settled charge's id.
-        id: u64,
-    },
     /// A per-analyst policy override (account reset to the new policy).
     SetPolicy {
         /// The analyst whose policy changed.
@@ -255,7 +253,8 @@ pub struct AccountSnapshot {
 /// What recovery found when replaying a log at startup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Records replayed into the ledger (snapshot records included).
+    /// Intact records replayed (snapshot records and skipped retired
+    /// settle records included).
     pub replayed_records: u64,
     /// Whether a snapshot record was restored.
     pub snapshot_restored: bool,
@@ -303,7 +302,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 const TAG_CHARGE: u8 = 1;
 const TAG_REFUND: u8 = 2;
-const TAG_SETTLE: u8 = 3;
+/// A settled charge (analyst, id), written by earlier versions on every
+/// release. It changed only the refundable set, which a restart clears,
+/// so it is no longer written; a log that holds one still replays in
+/// full. Never reuse the tag: an unknown tag ends replay as a torn tail.
+const TAG_RETIRED_SETTLE: u8 = 3;
 const TAG_SET_POLICY: u8 = 4;
 const TAG_SNAPSHOT: u8 = 5;
 
@@ -445,11 +448,6 @@ impl WalOp {
                 put_f64(&mut payload, *epsilon);
                 put_f64(&mut payload, *delta);
             }
-            WalOp::Settle { analyst, id } => {
-                payload.push(TAG_SETTLE);
-                put_str(&mut payload, analyst);
-                put_u64(&mut payload, *id);
-            }
             WalOp::SetPolicy { analyst, policy } => {
                 payload.push(TAG_SET_POLICY);
                 put_str(&mut payload, analyst);
@@ -487,29 +485,30 @@ impl WalOp {
         record
     }
 
-    fn decode_payload(payload: &[u8]) -> Option<WalOp> {
+    /// `Some(None)` is a well-formed retired record, which replay skips.
+    fn decode_payload(payload: &[u8]) -> Option<Option<WalOp>> {
         let mut c = Cursor::new(payload);
         let op = match c.u8()? {
-            TAG_CHARGE => WalOp::Charge {
+            TAG_CHARGE => Some(WalOp::Charge {
                 analyst: c.str()?,
                 id: c.u64()?,
                 epsilon: c.f64()?,
                 delta: c.f64()?,
-            },
-            TAG_REFUND => WalOp::Refund {
+            }),
+            TAG_REFUND => Some(WalOp::Refund {
                 analyst: c.str()?,
                 id: c.u64()?,
                 epsilon: c.f64()?,
                 delta: c.f64()?,
-            },
-            TAG_SETTLE => WalOp::Settle {
-                analyst: c.str()?,
-                id: c.u64()?,
-            },
-            TAG_SET_POLICY => WalOp::SetPolicy {
+            }),
+            TAG_RETIRED_SETTLE => {
+                let (_analyst, _id) = (c.str()?, c.u64()?);
+                None
+            }
+            TAG_SET_POLICY => Some(WalOp::SetPolicy {
                 analyst: c.str()?,
                 policy: c.policy()?,
-            },
+            }),
             TAG_SNAPSHOT => {
                 let next_charge_id = c.u64()?;
                 let n = c.u32()? as usize;
@@ -538,26 +537,25 @@ impl WalOp {
                         outstanding,
                     });
                 }
-                WalOp::Snapshot(LedgerSnapshot {
+                Some(WalOp::Snapshot(LedgerSnapshot {
                     next_charge_id,
                     accounts,
-                })
+                }))
             }
             _ => return None,
         };
         // Trailing garbage inside a checksummed payload means the
         // writer and reader disagree about the format: reject.
-        if !c.done() {
-            return None;
-        }
-        Some(op)
+        c.done().then_some(op)
     }
 
     /// Decode one framed record from the front of `bytes`. Returns the
-    /// op and the bytes consumed, or `None` if the prefix is truncated,
-    /// fails its checksum, or decodes to no valid op — recovery treats
-    /// all three identically (torn tail: discard from here on).
-    pub fn decode(bytes: &[u8]) -> Option<(WalOp, usize)> {
+    /// op — `None` for a retired settle record (tag 3), which replay
+    /// skips — and the bytes consumed; or `None` if the prefix is
+    /// truncated, fails its checksum, or decodes to no valid record —
+    /// recovery treats all three identically (torn tail: discard from
+    /// here on).
+    pub fn decode(bytes: &[u8]) -> Option<(Option<WalOp>, usize)> {
         if bytes.len() < 8 {
             return None;
         }
@@ -702,8 +700,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Sync everything written so far (a clean stop leaves no settle in
-    /// the page cache).
+    /// Sync everything written so far (a clean stop's flush: a writer
+    /// that did not reach its own commit leaves nothing in the page
+    /// cache).
     pub fn sync(&self) -> io::Result<()> {
         self.commit(self.written.load(Ordering::Acquire))
     }
@@ -714,23 +713,23 @@ impl Wal {
         self.commit(self.write(op)?)
     }
 
-    /// Read and decode every intact record, in order. The second value
-    /// is the length in bytes of the discarded torn/corrupt tail (0 for
-    /// a clean log).
-    pub fn read_ops(&self) -> io::Result<(Vec<WalOp>, u64)> {
+    /// Read and decode every intact record, in order, and report what
+    /// replaying them finds: every intact record counts as replayed (a
+    /// retired settle record too, though it yields no op), and the
+    /// torn/corrupt tail is measured in bytes (0 for a clean log).
+    pub fn read_ops(&self) -> io::Result<(Vec<WalOp>, RecoveryReport)> {
         let bytes = self.storage.read()?;
         let mut ops = Vec::new();
+        let mut report = RecoveryReport::default();
         let mut pos = 0usize;
-        while pos < bytes.len() {
-            match WalOp::decode(&bytes[pos..]) {
-                Some((op, used)) => {
-                    ops.push(op);
-                    pos += used;
-                }
-                None => break,
-            }
+        while let Some((op, used)) = WalOp::decode(&bytes[pos..]) {
+            report.replayed_records += 1;
+            report.snapshot_restored |= matches!(op, Some(WalOp::Snapshot(_)));
+            ops.extend(op);
+            pos += used;
         }
-        Ok((ops, (bytes.len() - pos) as u64))
+        report.torn_bytes_discarded = (bytes.len() - pos) as u64;
+        Ok((ops, report))
     }
 
     /// Has the record count since the last compaction crossed the
@@ -802,10 +801,6 @@ mod tests {
                 epsilon: 0.1,
                 delta: 1e-9,
             },
-            WalOp::Settle {
-                analyst: "alice".into(),
-                id: 7,
-            },
             WalOp::Snapshot(LedgerSnapshot {
                 next_charge_id: 42,
                 accounts: vec![AccountSnapshot {
@@ -832,9 +827,76 @@ mod tests {
         for op in sample_ops() {
             let rec = op.encode();
             let (back, used) = WalOp::decode(&rec).expect("decodes");
-            assert_eq!(back, op);
+            assert_eq!(back, Some(op));
             assert_eq!(used, rec.len());
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The log's byte format, one record of each kind: a change to any
+    /// of them is a format change that older logs must still replay
+    /// through, so it shows here as a diff rather than as a torn tail.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let pinned = [
+            (
+                WalOp::Charge {
+                    analyst: "a".into(),
+                    id: 1,
+                    epsilon: 0.5,
+                    delta: 1e-9,
+                },
+                "1e0000006812eca70101000000610100000000000000000000000000e03f95d626e80b2e113e",
+            ),
+            (
+                WalOp::Refund {
+                    analyst: "a".into(),
+                    id: 1,
+                    epsilon: 0.5,
+                    delta: 1e-9,
+                },
+                "1e00000070374de30201000000610100000000000000000000000000e03f95d626e80b2e113e",
+            ),
+            (
+                WalOp::SetPolicy {
+                    analyst: "b".into(),
+                    policy: LedgerPolicy::strong(2.0, 1e-4, 1e-6),
+                },
+                "1f000000200bc13c04010000006200000000000000402d431cebe2361a3f018dedb5a0f7c6b03e",
+            ),
+            (
+                WalOp::Snapshot(LedgerSnapshot {
+                    next_charge_id: 2,
+                    accounts: vec![AccountSnapshot {
+                        analyst: "c".into(),
+                        policy: LedgerPolicy::sequential(1.0, 1e-6),
+                        spent: (0.25, 1e-9),
+                        queries: 3,
+                        pinned: Some((0.01, 1e-9)),
+                        outstanding: vec![1],
+                    }],
+                }),
+                concat!(
+                    "5c0000001c158568050200000000000000010000000100000063000000000000f03f",
+                    "8dedb5a0f7c6b03e000000000000000000000000000000d03f95d626e80b2e113e",
+                    "03000000017b14ae47e17a843f95d626e80b2e113e010000000100000000000000",
+                ),
+            ),
+        ];
+        for (op, bytes) in pinned {
+            assert_eq!(hex(&op.encode()), bytes, "{op:?}");
+        }
+        // A settle record (tag 3, analyst "a", charge 1) as earlier
+        // versions framed it: it decodes, whole, to no op.
+        let settle = "0e000000e010fef70301000000610100000000000000";
+        let record: Vec<u8> = (0..settle.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&settle[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(WalOp::decode(&record), Some((None, record.len())));
     }
 
     #[test]
@@ -844,11 +906,11 @@ mod tests {
         for op in sample_ops() {
             wal.append(&op).unwrap();
         }
-        let (ops, torn) = wal.read_ops().unwrap();
+        let (ops, report) = wal.read_ops().unwrap();
         assert_eq!(ops, sample_ops());
-        assert_eq!(torn, 0);
-        assert_eq!(wal.appends(), 5);
-        assert_eq!(wal.fsyncs(), 5);
+        assert_eq!(report.torn_bytes_discarded, 0);
+        assert_eq!(wal.appends(), 4);
+        assert_eq!(wal.fsyncs(), 4);
         assert_eq!(wal.errors(), 0);
     }
 
@@ -866,12 +928,16 @@ mod tests {
         for cut in 0..=total {
             let trimmed = FaultStorage::with_bytes(&storage.durable_bytes()[..cut]);
             let wal2 = Wal::new(Box::new(trimmed), FsyncPolicy::Always, 0);
-            let (got, torn) = wal2.read_ops().unwrap();
+            let (got, report) = wal2.read_ops().unwrap();
             let expect = ends.iter().filter(|&&e| e <= cut).count();
             assert_eq!(got.len(), expect, "cut at byte {cut}");
             assert_eq!(got[..], ops[..expect]);
             let last_end = ends[..expect].last().copied().unwrap_or(0);
-            assert_eq!(torn, (cut - last_end) as u64, "torn bytes at cut {cut}");
+            assert_eq!(
+                report.torn_bytes_discarded,
+                (cut - last_end) as u64,
+                "torn bytes at cut {cut}"
+            );
         }
     }
 
@@ -917,7 +983,7 @@ mod tests {
         let wal = Wal::new(Box::new(storage.clone()), FsyncPolicy::Always, 0);
         let ops = sample_ops();
         let lsns: Vec<Lsn> = ops.iter().map(|op| wal.write(op).unwrap()).collect();
-        assert_eq!(lsns, [1, 2, 3, 4, 5]);
+        assert_eq!(lsns, [1, 2, 3, 4]);
         assert_eq!((wal.fsyncs(), storage.durable_len()), (0, 0));
         // Committing the third record makes the whole file durable — an
         // fsync has no narrower unit — so the later LSNs are free too.
@@ -1035,8 +1101,8 @@ mod tests {
         // Compaction rewrites the log wholesale and clears the poison.
         wal.rewrite(&LedgerSnapshot::default()).unwrap();
         wal.append(&sample_ops()[0]).unwrap();
-        let (ops, torn) = wal.read_ops().unwrap();
-        assert_eq!(torn, 0);
+        let (ops, report) = wal.read_ops().unwrap();
+        assert_eq!(report.torn_bytes_discarded, 0);
         assert_eq!(ops.len(), 2); // snapshot + fresh charge
     }
 
@@ -1049,9 +1115,9 @@ mod tests {
         assert!(wal.append(&sample_ops()[1]).is_err());
         // The torn bytes are visible in storage, but recovery stops
         // cleanly after the first intact record.
-        let (ops, torn) = wal.read_ops().unwrap();
+        let (ops, report) = wal.read_ops().unwrap();
         assert_eq!(ops, sample_ops()[..1]);
-        assert_eq!(torn, 3);
+        assert_eq!(report.torn_bytes_discarded, 3);
     }
 
     #[test]
@@ -1076,9 +1142,9 @@ mod tests {
             FsyncPolicy::Always,
             0,
         );
-        let (ops, torn) = wal.read_ops().unwrap();
+        let (ops, report) = wal.read_ops().unwrap();
         assert_eq!(ops, sample_ops());
-        assert_eq!(torn, 0);
+        assert_eq!(report.torn_bytes_discarded, 0);
         // Compaction replaces the file and appends keep working.
         wal.rewrite(&LedgerSnapshot::default()).unwrap();
         wal.append(&sample_ops()[0]).unwrap();

@@ -3,19 +3,19 @@
 //! The centerpiece is a crash-recovery property test: drive a WAL-backed
 //! ledger through a random mutation sequence under `FsyncPolicy::Always`
 //! the way the service drives it — a charge is *written* at admission
-//! and made *durable* at the barrier before its settle; settles are
-//! written and never synced — kill the log at a random byte offset
-//! (modelling a crash that tore the in-flight record), replay the
-//! surviving bytes, and assert:
+//! and made *durable* at the barrier before its settle; a refund is
+//! synced before it returns; a settle logs nothing — kill the log at a
+//! random byte offset (modelling a crash that tore the in-flight
+//! record), replay the surviving bytes, and assert:
 //!
 //! - the recovered state is bitwise identical to independently
 //!   re-running exactly the operations whose records lie in the
-//!   surviving prefix;
+//!   surviving prefix and then settling every charge still outstanding
+//!   (no charge is refundable across a restart);
 //! - every charge whose barrier had returned `Ok` by the crash is in
 //!   that prefix;
 //! - per analyst, recovered spend ≥ the spend of the charges that were
-//!   released (barrier passed, settled) by the crash;
-//! - a lost `Settle` changes only `outstanding` (its own test below).
+//!   released (barrier passed, settled) by the crash.
 //!
 //! The vendored proptest stub has no shrinking, so the harness is a
 //! hand-rolled deterministic loop: every case derives from an LCG seed,
@@ -40,8 +40,8 @@ fn wal_on(storage: FaultStorage, threshold: u64) -> Arc<Wal> {
     Arc::new(Wal::new(Box::new(storage), FsyncPolicy::Always, threshold))
 }
 
-/// Everything written to `storage`, synced or not (settles never are):
-/// what a restart that follows no crash reads.
+/// Everything written to `storage`, synced or not: what a restart that
+/// follows no crash reads.
 fn written_bytes(storage: &FaultStorage) -> Vec<u8> {
     Storage::read(storage).expect("in-memory read")
 }
@@ -139,6 +139,15 @@ fn apply(ledger: &BudgetLedger, op: &Op, index: usize, charges: &mut Vec<Option<
     }
 }
 
+/// Settle every charge `charges` still holds: what a restart leaves of
+/// a live ledger's refundable set (nothing). Refunded and settled ones
+/// are no-ops.
+fn settle_all(ledger: &BudgetLedger, charges: &[Option<Charge>]) {
+    for c in charges.iter().flatten() {
+        ledger.settle(c);
+    }
+}
+
 fn generous_policy() -> LedgerPolicy {
     LedgerPolicy::sequential(1e9, 1.0)
 }
@@ -186,14 +195,16 @@ fn crash_case(seed: u64) {
         });
 
     // The surviving prefix: every op whose record (if any) lies wholly
-    // inside it. Ops that log nothing are no-ops on any ledger that
-    // applied the same prefix, so re-running them changes nothing.
+    // inside it. Ops that log nothing change at most the refundable set
+    // (a settle, or a refund of a charge no longer outstanding), which
+    // the closing `settle_all` empties either way.
     let survived = written.iter().filter(|&&end| end <= crash_offset).count();
     let reference = BudgetLedger::with_shards(generous_policy(), 1);
     let mut ref_charges = Vec::new();
     for (i, op) in script.iter().take(survived).enumerate() {
         apply(&reference, op, i, &mut ref_charges);
     }
+    settle_all(&reference, &ref_charges);
     let context = format!(
         "seed {seed:#x} ({survived}/{} ops survive, crash at byte {crash_offset}/{total}, \
          {recover_shards} shards)",
@@ -320,6 +331,7 @@ fn recovery_is_bitwise_identical_across_shard_counts() {
     for (i, op) in script.iter().enumerate() {
         apply(&ledger, op, i, &mut charges);
     }
+    settle_all(&ledger, &charges);
     let expected = state_bytes(&ledger);
     // Ops that targeted an already-released charge are no-ops and log
     // nothing, so the record count to replay is the WAL's own append
@@ -353,6 +365,7 @@ fn double_replay_of_compacted_log_is_idempotent() {
     for (i, op) in script.iter().enumerate() {
         apply(&ledger, op, i, &mut charges);
     }
+    settle_all(&ledger, &charges);
     let expected = state_bytes(&ledger);
     let bytes = written_bytes(&storage);
     let (once, first) = BudgetLedger::with_wal(
@@ -385,14 +398,18 @@ fn failed_compaction_leaves_log_recoverable() {
     storage.fail_replace(true);
     let (ledger, _) =
         BudgetLedger::with_wal(generous_policy(), 2, wal_on(storage.clone(), 4)).unwrap();
+    let mut in_flight = Vec::new();
     for i in 0..20 {
         let c = ledger
             .try_charge(ANALYSTS[i % 3], EPSILONS[i % 4], 1e-9)
             .unwrap();
         if i % 2 == 0 {
             ledger.settle(&c);
+        } else {
+            in_flight.push(Some(c));
         }
     }
+    settle_all(&ledger, &in_flight);
     let expected = state_bytes(&ledger);
     let (recovered, report) = BudgetLedger::with_wal(
         generous_policy(),
@@ -404,11 +421,11 @@ fn failed_compaction_leaves_log_recoverable() {
     assert_eq!(state_bytes(&recovered), expected);
 }
 
-/// A `Settle` is written and never synced, so a crash can lose it:
-/// recovery then differs from the live ledger in `outstanding` only —
-/// spend, query counts and policies are bitwise the same.
+/// Every record is synced by its writer, so a crash after three
+/// released charges loses nothing: recovery is bitwise the live ledger,
+/// spend, query counts, policies and the (empty) refundable set alike.
 #[test]
-fn a_lost_settle_changes_only_outstanding() {
+fn a_crash_after_three_released_charges_recovers_the_live_snapshot() {
     let storage = FaultStorage::new();
     let (ledger, _) =
         BudgetLedger::with_wal(generous_policy(), 2, wal_on(storage.clone(), 0)).unwrap();
@@ -421,13 +438,8 @@ fn a_lost_settle_changes_only_outstanding() {
     storage.crash();
     let (recovered, report) =
         BudgetLedger::with_wal(generous_policy(), 2, wal_on(storage.clone(), 0)).unwrap();
-    // Three charges, and the two settles the next charge's fsync carried.
-    assert_eq!(report.replayed_records, 5);
-    let mut recovered = recovered.snapshot();
-    assert_ne!(recovered, live, "carol's settle was in the page cache");
-    assert_eq!(recovered.accounts[2].outstanding.len(), 1);
-    recovered.accounts[2].outstanding.clear();
-    assert_eq!(recovered, live);
+    assert_eq!(report.replayed_records, 3);
+    assert_eq!(recovered.snapshot(), live);
 }
 
 /// Group commit under contention: eight threads, two per analyst, fifty
@@ -455,6 +467,7 @@ fn concurrent_charges_share_fsyncs_and_keep_commit_order() {
                     let eps = 1e-3 * (1 + t + THREADS * k) as f64 / 7.0;
                     let c = ledger.try_charge(&analyst, eps, 1e-9).unwrap();
                     ledger.barrier(&c).unwrap();
+                    ledger.settle(&c);
                 }
             });
         }
@@ -529,7 +542,7 @@ fn service_restart_recovers_spend_and_releases() {
 
     let svc2 =
         QueryService::with_storage(test_db(), wal_config(), Box::new(storage.clone())).unwrap();
-    assert!(svc2.recovery_report().replayed_records >= 4);
+    assert_eq!(svc2.recovery_report().replayed_records, 2);
     assert_eq!(svc2.ledger().spent("alice"), spend_alice);
     assert_eq!(svc2.ledger().spent("bob"), spend_bob);
     // Same noise seed + same data: the restarted service re-releases
@@ -591,7 +604,7 @@ fn torn_tail_is_discarded_not_fatal() {
     let (recovered, report) =
         BudgetLedger::with_wal(generous_policy(), 1, wal_on(torn, 0)).unwrap();
     assert_eq!(report.torn_bytes_discarded, 3);
-    assert_eq!(report.replayed_records, 2, "charge + settle survive");
+    assert_eq!(report.replayed_records, 1, "the first charge survives");
     assert_eq!(state_bytes(&recovered), intact);
 }
 
@@ -612,9 +625,8 @@ fn bit_flip_in_the_log_never_replays_silently() {
         corrupted.flip_bit(byte, rng.gen_range(0..8));
         let (recovered, _) =
             BudgetLedger::with_wal(generous_policy(), 1, wal_on(corrupted, 0)).unwrap();
-        // The flip lands in the first record (charge) or the second
-        // (settle); either way nothing corrupt is applied — the ledger
-        // sees the uncorrupted prefix only.
+        // The flip lands in the one record: nothing corrupt is applied
+        // — the ledger sees the charge whole or not at all.
         let (eps, _) = recovered.spent("alice");
         assert!(
             eps == 0.0 || eps == 0.1,
@@ -810,8 +822,9 @@ fn no_response_without_a_durable_charge_across_sync_failures_and_crashes() {
     }
 }
 
-/// A clean stop syncs the tail once the workers have drained: the
-/// trailing settle.
+/// A clean stop leaves nothing unsynced: every release's charge was
+/// durable when its caller got the answer, the stop's flush adds no
+/// fsync, and a restart reproduces the live ledger.
 #[test]
 fn clean_stop_leaves_nothing_unsynced() {
     let storage = FaultStorage::new();
@@ -822,9 +835,9 @@ fn clean_stop_leaves_nothing_unsynced() {
         svc.query("alice", &sql, params(0.1)).unwrap();
     }
     let live = state_bytes(svc.ledger());
-    assert!(storage.durable_len() < storage.total_len());
+    assert_eq!(storage.durable_len(), storage.total_len());
     let t = svc.shutdown();
-    assert_eq!(t.wal_errors, 0);
+    assert_eq!((t.wal_errors, t.wal_fsyncs), (0, 3));
     assert_eq!(storage.durable_len(), storage.total_len());
     storage.crash();
     let (recovered, _) =
@@ -845,8 +858,8 @@ fn trace_of(svc: &QueryService, sql: &str) -> QueryTrace {
 }
 
 /// What an operator reads: a lone client under `Always` pays one fsync
-/// per release for two records (the settle rides along), every release
-/// records its wait at the barrier, and without a WAL that wait is zero.
+/// per release for its one record, every release records its wait at
+/// the barrier, and without a WAL that wait is zero.
 #[test]
 fn telemetry_shows_records_per_fsync_and_the_barrier_wait() {
     let svc =
@@ -857,14 +870,14 @@ fn telemetry_shows_records_per_fsync_and_the_barrier_wait() {
         trace_of(&svc, &sql);
     }
     let t = svc.telemetry();
-    assert_eq!((t.wal_appends, t.wal_fsyncs), (6, 3), "snapshot: {t}");
-    assert_eq!(t.wal_records_per_fsync(), 2.0);
+    assert_eq!((t.wal_appends, t.wal_fsyncs), (3, 3), "snapshot: {t}");
+    assert_eq!(t.wal_records_per_fsync(), 1.0);
     assert_eq!(t.durability_latency.count(), 3);
     assert!(t.to_string().contains("wal records/fsync"), "snapshot: {t}");
     assert_eq!(
         svc.shutdown().wal_fsyncs,
-        4,
-        "the stop syncs the last settle"
+        3,
+        "the stop finds nothing to sync"
     );
 
     let plain = QueryService::new(test_db(), wal_config());

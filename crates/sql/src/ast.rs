@@ -233,18 +233,6 @@ impl BinaryOperator {
                 | BinaryOperator::GtEq
         )
     }
-
-    /// Is this an arithmetic operator?
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            BinaryOperator::Plus
-                | BinaryOperator::Minus
-                | BinaryOperator::Multiply
-                | BinaryOperator::Divide
-                | BinaryOperator::Modulo
-        )
-    }
 }
 
 /// Unary operators.
