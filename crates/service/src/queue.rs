@@ -9,9 +9,11 @@
 //! the queue ([`WorkQueue::take`]) and runs it there, and
 //! [`WorkQueue::push`] wakes a worker only when the submitter cannot run
 //! the job at once — the queue already held a job (a burst one caller
-//! cannot drain alone), or the submitter is about to wait for the disk —
-//! or when someone else waits on a queued job ([`WorkQueue::nudge`], and
-//! a caller whose job a worker already took, in [`WorkQueue::take`]).
+//! cannot drain alone), or the query nests too deep for the caller's
+//! stack — or when someone else waits on a queued job
+//! ([`WorkQueue::nudge`], and a caller whose job a worker already took,
+//! in [`WorkQueue::take`]). A WAL's fsync is not a reason: the service's
+//! log flusher runs it while the caller runs the job.
 //! Workers and callers take jobs under one count of running jobs, each
 //! holding a [`Slot`] until its pipeline ends, so `slots` bounds the
 //! pipelines executing at once on any thread. Which thread runs a job

@@ -2,8 +2,10 @@
 //!
 //! [`QueryService`] accepts SQL from named analysts and drives the full
 //! parse → canonicalize → admission → analyze → execute → smooth → noise
-//! pipeline, on the thread that waits for the answer or, for a backlog
-//! or while that thread waits for the disk, on a pool of worker threads.
+//! pipeline, on the thread that waits for the answer or, for a backlog,
+//! on a pool of worker threads. On a ledger with a WAL, one log flusher
+//! thread syncs each admitted charge while its query runs, so a release
+//! waits for the disk only if the fsync outlasts the query.
 //! Three components make it a subsystem rather than a wrapper:
 //!
 //! 1. the per-analyst [`BudgetLedger`] — a request
@@ -33,7 +35,7 @@ use crate::prf;
 use crate::queue::{PushError, Slot, WorkQueue};
 use crate::sync;
 use crate::telemetry::{Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot};
-use crate::wal::{FileStorage, FsyncPolicy, RecoveryReport, Storage, Wal};
+use crate::wal::{FileStorage, FsyncPolicy, Lsn, RecoveryReport, Storage, Wal};
 use flex_core::{run_query_deadline, Composition, FlexOptions, PrivacyParams};
 use flex_db::{Database, Value};
 use flex_sql::{canonicalize, parse_query_nesting, print_query, Query};
@@ -41,7 +43,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -52,9 +54,11 @@ pub struct ServiceConfig {
     /// of the worker pool. An admitted query runs on the thread that
     /// waits for it ([`Ticket::wait`]) when one of these slots is free;
     /// a worker runs it when that thread is busy elsewhere (a burst
-    /// submitted before any wait, a WAL sync, a dropped ticket), when no
-    /// slot is, or when the query nests too deep for a caller's stack
-    /// ([`CALLER_NESTING_DEPTH`]). Clamped to at least 1.
+    /// submitted before any wait, a dropped ticket, a request coalesced
+    /// onto a job its submitter has not waited for), when no slot is, or
+    /// when the query nests too deep for a caller's stack
+    /// ([`CALLER_NESTING_DEPTH`]). A WAL's fsync runs on the service's
+    /// log flusher, not on a worker. Clamped to at least 1.
     pub workers: usize,
     /// Intra-query worker threads of the vectorized execution engine
     /// (morsel-driven parallel scans, joins and aggregations). Clamped to
@@ -214,11 +218,12 @@ pub const CALLER_NESTING_DEPTH: usize = 16;
 ///
 /// An admitted query runs on the thread that waits for it, so it starts
 /// when [`Ticket::wait`] is called, not when `submit` returns — unless a
-/// worker took it first (a burst, a WAL sync). Submitting, doing other
-/// work, then waiting does not overlap the two; the deadline does not
-/// count the gap. A ticket that is never waited for leaves its job to
-/// the worker pool: dropping it wakes a worker, and the release (and
-/// its charge) happens anyway.
+/// worker took it first (a burst). Submitting, doing other work, then
+/// waiting does not overlap the two; the deadline does not count the
+/// gap. With a WAL, the charge's fsync starts at `submit`, on the log
+/// flusher, and `wait` returns only once the charge is durable. A ticket
+/// that is never waited for leaves its job to the worker pool: dropping
+/// it wakes a worker, and the release (and its charge) happens anyway.
 #[derive(Debug)]
 pub struct Ticket(Outcome);
 
@@ -345,6 +350,8 @@ struct Shared {
     /// The bounded job queue: submitters take their own jobs back off
     /// it, workers pop the rest, and its slots bound both together.
     queue: WorkQueue<Job>,
+    /// Charges waiting for the log flusher's fsync (WAL only).
+    flush: FlushRequests,
     telemetry: Telemetry,
     /// Secret 128-bit key for the per-query noise-seed PRF. Derived from
     /// `ServiceConfig::seed` when set, otherwise drawn from OS entropy.
@@ -369,6 +376,60 @@ struct Shared {
 pub struct QueryService {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// The log flusher, on a ledger with a WAL.
+    flusher: Option<JoinHandle<()>>,
+}
+
+/// What `submit` asks of the log flusher: the highest charge LSN to make
+/// durable, and whether the service is stopping. `submit` only notifies;
+/// nobody waits here but the flusher.
+#[derive(Default)]
+struct FlushRequests {
+    /// (highest LSN requested, stop).
+    state: Mutex<(Lsn, bool)>,
+    wake: Condvar,
+}
+
+impl FlushRequests {
+    /// Ask for every record up to `lsn` to be synced. Never waits.
+    fn request(&self, lsn: Lsn) {
+        let mut state = sync::lock(&self.state);
+        if lsn > state.0 {
+            state.0 = lsn;
+            drop(state);
+            self.wake.notify_one();
+        }
+    }
+
+    fn stop(&self) {
+        sync::lock(&self.state).1 = true;
+        self.wake.notify_one();
+    }
+
+    /// The flusher's next LSN to sync, one past `done`, parking until
+    /// one is requested; `None` once stopped.
+    fn next(&self, done: Lsn) -> Option<Lsn> {
+        let mut state = sync::lock(&self.state);
+        while state.0 <= done && !state.1 {
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        (!state.1).then_some(state.0)
+    }
+}
+
+/// The log flusher: syncs each requested charge through the ledger's
+/// group commit while the query it paid for runs on its caller. A
+/// failure poisons the log and is the job's to report — its barrier
+/// fails too — so the flusher never retries an LSN.
+fn flusher_loop(shared: &Shared) {
+    let mut done = 0;
+    while let Some(lsn) = shared.flush.next(done) {
+        let _ = shared.ledger.barrier_at(lsn);
+        done = lsn;
+    }
 }
 
 /// A stable fingerprint of everything that determines a release's true
@@ -549,6 +610,7 @@ impl QueryService {
             memo: TextMemo::new(config.cache_capacity, config.cache_shards),
             // The bound is per worker; the queue is shared.
             queue: WorkQueue::new(workers.saturating_mul(QUEUE_DEPTH), workers),
+            flush: FlushRequests::default(),
             telemetry,
             noise_key,
             db_fingerprint,
@@ -566,7 +628,18 @@ impl QueryService {
                     .expect("spawn service worker")
             })
             .collect();
-        Ok(QueryService { shared, workers })
+        let flusher = shared.ledger.wal().map(|_| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("flex-wal-flush".to_string())
+                .spawn(move || flusher_loop(&shared))
+                .expect("spawn the log flusher")
+        });
+        Ok(QueryService {
+            shared,
+            workers,
+            flusher,
+        })
     }
 
     /// Submit a query for `analyst`, returning a [`Ticket`] immediately.
@@ -578,10 +651,12 @@ impl QueryService {
     /// without touching the queue or building a channel. An admitted
     /// query is queued and runs when [`Ticket::wait`] is called, on the
     /// waiting thread — or on a worker, which is woken at once only for
-    /// a burst (the queue already held a job), while this thread syncs
-    /// the charge to the WAL, or for a query nested deeper than
-    /// [`CALLER_NESTING_DEPTH`]. A caller that wants the query to run
-    /// while it does other work must therefore wait from another thread.
+    /// a burst (the queue already held a job) or for a query nested
+    /// deeper than [`CALLER_NESTING_DEPTH`]. A caller that wants the
+    /// query to run while it does other work must therefore wait from
+    /// another thread. `submit` never waits for the disk: with a WAL it
+    /// hands the charge to the log flusher, and the release waits for
+    /// that fsync at its durability barrier.
     ///
     /// ```
     /// use flex_core::PrivacyParams;
@@ -688,8 +763,13 @@ impl QueryService {
             }
         };
 
+        // Start the charge's fsync on the flusher now; the job's barrier
+        // waits for it only if the query finishes first.
+        if shared.ledger.wal().is_some() {
+            shared.flush.request(charge.lsn);
+        }
+
         let (tx, reply) = sync_channel(1);
-        let charge_lsn = charge.lsn;
         let job = Job {
             analyst: analyst.to_string(),
             query,
@@ -706,20 +786,12 @@ impl QueryService {
             deadline: shared.query_timeout.map(|t| started + t),
         };
         shared.telemetry.record_enqueued();
-        // Without a WAL this thread is free the moment `submit` returns,
-        // and its `wait` runs the job: waking a worker would only add a
-        // hand-off. With one, it is about to wait for the disk, so a
-        // worker starts the query meanwhile. A query too deep for this
-        // thread's stack is the pool's alone.
+        // This thread is free the moment `submit` returns, and its `wait`
+        // runs the job: waking a worker would only add a hand-off. A
+        // query too deep for this thread's stack is the pool's alone.
         let runs_here = nesting <= CALLER_NESTING_DEPTH;
-        let syncing = shared.ledger.wal().is_some();
-        match shared.queue.push(job, syncing || !runs_here) {
-            // Sync the charge on this thread while a worker runs the
-            // query: the one disk wait of a release overlaps its
-            // execution, and the barrier finds it done. A failure is the
-            // job's to report — its barrier fails too.
+        match shared.queue.push(job, !runs_here) {
             Ok(id) => {
-                let _ = shared.ledger.barrier_at(charge_lsn);
                 if runs_here {
                     let claim = Claim {
                         shared: Arc::clone(&self.shared),
@@ -833,6 +905,11 @@ impl QueryService {
         // before the sync below and the log has no writer once this
         // returns.
         self.shared.queue.wait_idle();
+        // Every job has finished: none waits on the flusher any more.
+        if let Some(flusher) = self.flusher.take() {
+            self.shared.flush.stop();
+            let _ = flusher.join();
+        }
         // A durability flush: every record's writer commits it before
         // anything depends on it, so this is normally free, but a clean
         // stop promises nothing written is left in the page cache.
@@ -973,9 +1050,10 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
         Ok(Ok(result)) => {
             // The durability barrier: no answer — to the owner, a
             // coalesced waiter or the cache — exists before its charge
-            // is on disk. Usually a no-op (the submitter's sync landed
-            // while the query ran). Failing here is still before any
-            // release, so the refund in `abandon` is sound.
+            // is on disk. A no-op when the flusher's fsync landed while
+            // the query ran; otherwise it waits for that fsync or leads
+            // one itself. Failing here is still before any release, so
+            // the refund in `abandon` is sound.
             let durability = match shared.ledger.wal() {
                 Some(_) => {
                     let waiting = Instant::now();

@@ -164,7 +164,7 @@ pub struct QueryTrace {
     /// Wait at the durability barrier, after perturbation and before
     /// release, for the charge's WAL record to reach disk: the disk, not
     /// the engine, was slow. Zero without a WAL, and near zero when the
-    /// submitter's sync landed while the query ran.
+    /// log flusher's sync landed while the query ran.
     pub durability: Duration,
     /// The execution engine's own record of how the query ran.
     pub exec: ExecTrace,

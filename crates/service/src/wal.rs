@@ -32,12 +32,14 @@
 //!   and is called outside every lock: the first caller to find its LSN
 //!   unsynced fsyncs once for everything written so far, and callers
 //!   whose LSN that fsync covered return without touching the disk
-//!   (group commit — no thread, no timer, no knob). An fsync covers the
-//!   whole file, so a durable LSN implies a durable prefix. Every record
-//!   is synced by its writer before anything depends on it: a charge at
-//!   the barrier the service passes before any answer it paid for is
-//!   released, a refund or a policy change before its call returns, a
-//!   snapshot inside the rewrite. There is no weaker policy: a log that
+//!   (group commit — no timer, no knob). The log has no thread of its
+//!   own: its callers drive it. An fsync covers the whole file, so a
+//!   durable LSN implies a durable prefix. Every record is synced
+//!   before anything depends on it: a charge by the service's log
+//!   flusher thread while its query runs, and in any case at the
+//!   barrier the service passes before any answer it paid for is
+//!   released; a refund or a policy change by its writer before its
+//!   call returns; a snapshot inside the rewrite. There is no weaker policy: a log that
 //!   let a crash forget a charge whose answer was out would let its
 //!   analyst spend that ε twice.
 //! - **What the tail may hold.** After a crash the bytes past the last

@@ -27,7 +27,7 @@ use flex_core::PrivacyParams;
 use flex_db::{DataType, Schema, Value};
 use flex_service::{
     BudgetLedger, Charge, FaultStorage, FsyncPolicy, LedgerPolicy, QueryService, QueryTrace,
-    ServiceConfig, ServiceError, Storage, Wal, WalOp,
+    ServiceConfig, ServiceError, Storage, Ticket, Wal, WalOp,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -690,6 +690,122 @@ fn failed_sync_fails_owner_and_waiter_and_releases_nothing() {
     storage.crash();
     let svc2 = QueryService::with_storage(test_db(), wal_config(), Box::new(storage)).unwrap();
     assert!(svc2.ledger().spent("alice").0 >= seen.charged.0);
+}
+
+/// Pause every sync, then submit: `submit` must return although the
+/// charge it writes cannot become durable. A `submit` that waited for
+/// the disk is failed after ten seconds instead of hanging the suite.
+fn submit_with_syncs_held(
+    svc: &QueryService,
+    storage: &FaultStorage,
+    analyst: &str,
+    sql: &str,
+    p: PrivacyParams,
+) -> Ticket {
+    storage.pause_syncs();
+    let (sent, submitted) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let _ = sent.send(svc.submit(analyst, sql, p));
+        });
+        let ticket = submitted.recv_timeout(std::time::Duration::from_secs(10));
+        if ticket.is_err() {
+            storage.resume_syncs();
+        }
+        ticket.expect("submit waited for a held fsync")
+    })
+}
+
+/// `submit` never waits for the disk: with every sync held, a new miss is
+/// admitted and queued at once, with its charge written but not durable.
+/// `wait` runs the query on the calling thread while the log flusher's
+/// fsync is held, and returns only once that fsync has made the charge
+/// durable.
+#[test]
+fn submit_never_waits_for_the_disk() {
+    let storage = FaultStorage::new();
+    let svc =
+        QueryService::with_storage(test_db(), wal_config(), Box::new(storage.clone())).unwrap();
+    svc.query("alice", "SELECT COUNT(*) FROM trips", params(0.1))
+        .unwrap();
+    // A worker still starting up takes whatever is queued; a parked one
+    // is never woken for a lone miss. So a job a worker ran is retried
+    // on a fresh query, and one attempt must run on its submitter.
+    let ran_here = (1..=5).any(|city| {
+        let before = svc.telemetry();
+        let sql = format!("SELECT COUNT(*) FROM trips WHERE city_id = {city}");
+        let ticket = submit_with_syncs_held(&svc, &storage, "alice", &sql, params(0.1));
+        assert!(
+            storage.durable_len() < storage.total_len(),
+            "submit returned with its charge written, not yet durable"
+        );
+        while storage.syncs_held() == 0 {
+            std::thread::yield_now();
+        }
+        let (done, answered) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let storage = &storage;
+            scope.spawn(move || {
+                let response = ticket.wait();
+                let durable = storage.durable_len() == storage.total_len();
+                done.send((response, durable)).unwrap();
+            });
+            assert!(
+                answered
+                    .recv_timeout(std::time::Duration::from_millis(50))
+                    .is_err(),
+                "wait returned while the charge's fsync was held"
+            );
+            storage.resume_syncs();
+            let (response, durable) = answered.recv().unwrap();
+            assert_eq!(response.unwrap().charged, (0.1, 1e-9));
+            assert!(durable, "wait returned before its charge was durable");
+        });
+        let after = svc.telemetry();
+        assert_eq!(after.completed, before.completed + 1, "snapshot: {after}");
+        after.jobs_run_by_submitter == before.jobs_run_by_submitter + 1
+    });
+    assert!(
+        ran_here,
+        "no attempt ran its query on the submitting thread"
+    );
+}
+
+/// The log flusher's own fsync fails: the owner and the request
+/// coalesced onto it get `WalUnavailable`, the charge is refunded,
+/// nothing is cached, and no fsync is attempted after the failed one.
+/// The flusher does not retry the poisoned log: the errors counted are
+/// the failed fsync, the barrier's commit and the refund's write, then
+/// the clean stop's flush.
+#[test]
+fn a_failed_flusher_sync_fails_closed() {
+    let storage = FaultStorage::new();
+    let svc =
+        QueryService::with_storage(test_db(), wal_config(), Box::new(storage.clone())).unwrap();
+    let p = params(0.5);
+    let seen = svc.query("alice", "SELECT COUNT(*) FROM trips", p).unwrap();
+    let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 1";
+    let owner = submit_with_syncs_held(&svc, &storage, "alice", sql, p);
+    // Nobody waits yet, so the held sync is the flusher's.
+    while storage.syncs_held() == 0 {
+        std::thread::yield_now();
+    }
+    let waiter = svc.submit("bob", sql, p);
+    let failed = storage.syncs();
+    storage.fail_syncs_after(failed - 1);
+    storage.resume_syncs();
+    for outcome in [owner.wait(), waiter.wait()] {
+        let err = outcome.unwrap_err();
+        assert!(matches!(err, ServiceError::WalUnavailable(_)), "{err:?}");
+    }
+    let t = svc.telemetry();
+    assert_eq!((t.coalesced, t.completed), (1, 1), "snapshot: {t}");
+    assert_eq!(t.wal_errors, 3, "snapshot: {t}");
+    assert_eq!(svc.cached_answers(), 1, "only the release before the fault");
+    assert_eq!(svc.ledger().spent("alice"), seen.charged, "refunded");
+    assert_eq!(svc.ledger().spent("bob"), (0.0, 0.0));
+    assert_eq!(svc.shutdown().wal_errors, 4);
+    assert_eq!(storage.syncs(), failed, "no fsync after the failed one");
 }
 
 /// What a client saw: who asked, which canonical query, what it cost.

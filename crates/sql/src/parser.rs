@@ -21,7 +21,10 @@
 //! position, a parenthesized or nested expression, a parenthesized join
 //! or set operation, a `NOT`/sign chain — counts against
 //! [`MAX_NESTING_DEPTH`], so hostile text fails with a [`ParseError`]
-//! instead of overflowing the stack.
+//! instead of overflowing the stack. A chain of one operator — `OR`,
+//! `AND`, `+ -`, `* / %` or a set operation — is parsed by a loop but
+//! builds a left-deep tree that every later walk recurses down, so its
+//! operands are capped too ([`MAX_CHAIN_OPERANDS`]).
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
@@ -34,6 +37,15 @@ use crate::token::{Keyword, Token, TokenKind};
 /// half of a 2 MiB service-worker stack, and real queries nest a
 /// fraction of that.
 pub const MAX_NESTING_DEPTH: usize = 64;
+
+/// Most operands one chain of a binary operator or a set operation may
+/// have. A fixed bound, not a knob: a chain of `n` operands is a tree
+/// `n` levels deep. A query holding a chain this long at
+/// [`MAX_NESTING_DEPTH`] runs end to end on a 2 MiB service-worker stack
+/// in an unoptimized build, where one of 160 operands overflows it. No
+/// shipped workload query has a chain of more than 8 operands; the
+/// engine's own tests run a 96-arm set operation.
+pub const MAX_CHAIN_OPERANDS: usize = 100;
 
 /// Parse a single SQL query (an optional trailing `;` is allowed).
 pub fn parse_query(sql: &str) -> Result<Query> {
@@ -96,6 +108,18 @@ impl Parser {
         let parsed = production(self);
         self.depth -= 1;
         parsed
+    }
+
+    /// Count the next operand of a chain that holds `operands` so far,
+    /// or refuse past [`MAX_CHAIN_OPERANDS`].
+    fn chain_operand(&self, operands: &mut usize) -> Result<()> {
+        *operands += 1;
+        if *operands > MAX_CHAIN_OPERANDS {
+            return Err(self.error(format!(
+                "an operator chain has more than {MAX_CHAIN_OPERANDS} operands"
+            )));
+        }
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -251,6 +275,7 @@ impl Parser {
 
     fn set_expr(&mut self) -> Result<SetExpr> {
         let mut left = self.set_operand()?;
+        let mut operands = 1;
         loop {
             let op = match self.peek_kind() {
                 TokenKind::Keyword(Keyword::Union) => SetOperator::Union,
@@ -260,6 +285,7 @@ impl Parser {
                 }
                 _ => break,
             };
+            self.chain_operand(&mut operands)?;
             self.advance();
             let all = self.eat_kw(Keyword::All);
             self.eat_kw(Keyword::Distinct);
@@ -480,7 +506,9 @@ impl Parser {
 
     fn or_expr(&mut self) -> Result<Expr> {
         let mut left = self.and_expr()?;
+        let mut operands = 1;
         while self.eat_kw(Keyword::Or) {
+            self.chain_operand(&mut operands)?;
             let right = self.and_expr()?;
             left = Expr::binary(left, BinaryOperator::Or, right);
         }
@@ -489,7 +517,9 @@ impl Parser {
 
     fn and_expr(&mut self) -> Result<Expr> {
         let mut left = self.not_expr()?;
+        let mut operands = 1;
         while self.eat_kw(Keyword::And) {
+            self.chain_operand(&mut operands)?;
             let right = self.not_expr()?;
             left = Expr::binary(left, BinaryOperator::And, right);
         }
@@ -593,12 +623,14 @@ impl Parser {
 
     fn additive_expr(&mut self) -> Result<Expr> {
         let mut left = self.multiplicative_expr()?;
+        let mut operands = 1;
         loop {
             let op = match self.peek_kind() {
                 TokenKind::Plus => BinaryOperator::Plus,
                 TokenKind::Minus => BinaryOperator::Minus,
                 _ => break,
             };
+            self.chain_operand(&mut operands)?;
             self.advance();
             let right = self.multiplicative_expr()?;
             left = Expr::binary(left, op, right);
@@ -608,6 +640,7 @@ impl Parser {
 
     fn multiplicative_expr(&mut self) -> Result<Expr> {
         let mut left = self.unary_expr()?;
+        let mut operands = 1;
         loop {
             let op = match self.peek_kind() {
                 TokenKind::Star => BinaryOperator::Multiply,
@@ -615,6 +648,7 @@ impl Parser {
                 TokenKind::Percent => BinaryOperator::Modulo,
                 _ => break,
             };
+            self.chain_operand(&mut operands)?;
             self.advance();
             let right = self.unary_expr()?;
             left = Expr::binary(left, op, right);
@@ -1053,6 +1087,26 @@ mod tests {
         assert!(parse_query(&parens(MAX_NESTING_DEPTH - 2)).is_ok());
         let err = parse_query(&parens(MAX_NESTING_DEPTH - 1)).unwrap_err();
         assert!(err.message.contains("nests deeper"), "{err}");
+    }
+
+    #[test]
+    fn chain_operands_are_capped_exactly() {
+        let chains: [fn(usize) -> String; 5] = [
+            |n| format!("SELECT 1 FROM t WHERE a = 1{}", " OR a = 1".repeat(n - 1)),
+            |n| format!("SELECT 1 FROM t WHERE a = 1{}", " AND a = 1".repeat(n - 1)),
+            |n| format!("SELECT 1{} FROM t", " - 1".repeat(n - 1)),
+            |n| format!("SELECT 1{} FROM t", " * 1".repeat(n - 1)),
+            |n| format!("SELECT a FROM t{}", " EXCEPT SELECT a FROM t".repeat(n - 1)),
+        ];
+        for chain in chains {
+            assert!(parse_query(&chain(MAX_CHAIN_OPERANDS)).is_ok());
+            let err = parse_query(&chain(MAX_CHAIN_OPERANDS + 1)).unwrap_err();
+            assert!(err.message.contains("operator chain"), "{err}");
+        }
+        // Each chain counts its own operands.
+        let sum = format!("(1{})", " + 1".repeat(MAX_CHAIN_OPERANDS - 1));
+        let product = vec![sum; MAX_CHAIN_OPERANDS].join(" * ");
+        assert!(parse_query(&format!("SELECT {product} FROM t")).is_ok());
     }
 
     #[test]

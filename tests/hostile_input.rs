@@ -50,23 +50,68 @@ fn deep_parentheses_are_a_parse_error() {
     }
 }
 
-/// The cap leaves room for everything downstream of the parser: a query
-/// nested as deep as it allows still canonicalizes, analyses and runs on
-/// both engines inside a worker's stack.
+/// A chain of one operator is parsed by a loop, but a walk of the tree
+/// it builds recurses once per operand: past the chain cap it is a parse
+/// error, sent through the service like any other query.
+#[test]
+fn long_operator_chains_are_a_parse_error() {
+    const TERMS: usize = 100_000;
+    for sql in [
+        format!(
+            "SELECT COUNT(*) FROM t WHERE x = 1{}",
+            " AND x = 1".repeat(TERMS - 1)
+        ),
+        format!(
+            "SELECT COUNT(*) FROM t WHERE x < 1{}",
+            " + 1".repeat(TERMS - 1)
+        ),
+        format!(
+            "SELECT x FROM t{}",
+            " UNION ALL SELECT x FROM t".repeat(TERMS - 1)
+        ),
+    ] {
+        let err = on_worker_stack(move || {
+            let params = PrivacyParams::new(1.0, 1e-8).unwrap();
+            service().query("mallory", &sql, params).unwrap_err()
+        });
+        assert!(err.to_string().contains("operator chain"), "{err}");
+    }
+}
+
+/// The caps leave room for everything downstream of the parser: a query
+/// nested as deep as they allow, and one that also holds a chain as long
+/// as they allow at its deepest level, still canonicalize, analyse and
+/// run inside a worker's stack.
 #[test]
 fn nesting_at_the_cap_runs_end_to_end() {
-    let depth = flex::sql::parser::MAX_NESTING_DEPTH - 2;
-    let derived = format!(
-        "SELECT COUNT(*) FROM {}t{}",
-        "(SELECT * FROM ".repeat(depth),
-        ") q".repeat(depth)
+    use flex::sql::parser::{MAX_CHAIN_OPERANDS, MAX_NESTING_DEPTH};
+    let depth = MAX_NESTING_DEPTH - 2;
+    let derived = |innermost: &str| {
+        format!(
+            "SELECT COUNT(*) FROM {}{innermost}{}",
+            "(SELECT * FROM ".repeat(depth),
+            ") q".repeat(depth)
+        )
+    };
+    let arithmetic = |innermost: &str| {
+        format!(
+            "SELECT COUNT(*) FROM t WHERE x < {}{innermost}{}",
+            "(1 + ".repeat(depth - 1),
+            ")".repeat(depth - 1)
+        )
+    };
+    let conjuncts = format!(
+        "t WHERE x = 1{}",
+        " AND x = 1".repeat(MAX_CHAIN_OPERANDS - 1)
     );
-    let arithmetic = format!(
-        "SELECT COUNT(*) FROM t WHERE x < {}1{}",
-        "(1 + ".repeat(depth - 1),
-        ")".repeat(depth - 1)
-    );
-    for sql in [derived, arithmetic] {
+    // `(1 + ` at the deepest level is the chain's first operand.
+    let sum = format!("1{}", " + 1".repeat(MAX_CHAIN_OPERANDS - 2));
+    for sql in [
+        derived("t"),
+        arithmetic("1"),
+        derived(&conjuncts),
+        arithmetic(&sum),
+    ] {
         on_worker_stack(move || {
             let svc = service();
             let params = PrivacyParams::new(1.0, 1e-8).unwrap();
@@ -80,16 +125,26 @@ fn nesting_at_the_cap_runs_end_to_end() {
 /// stack for that than parsing a query at the cap already takes there
 /// (≈ 1 MiB unoptimized): a query nested deeper than
 /// `CALLER_NESTING_DEPTH` runs on a worker, and one at that bound needs
-/// about a quarter of the parse.
+/// about a quarter of the parse. One at that bound that also holds a
+/// chain at the chain cap fits too.
 #[test]
 fn a_caller_with_room_to_parse_can_wait_at_any_depth() {
     let svc = Arc::new(service());
-    for depth in [
-        flex::sql::parser::MAX_NESTING_DEPTH - 2,
-        flex::service::CALLER_NESTING_DEPTH - 1,
+    let chain = |link: &str| {
+        format!(
+            "t WHERE x < 1{}",
+            link.repeat(flex::sql::parser::MAX_CHAIN_OPERANDS - 1)
+        )
+    };
+    let (conjuncts, sum) = (chain(" AND x < 1"), chain(" + 1"));
+    for (depth, innermost) in [
+        (flex::sql::parser::MAX_NESTING_DEPTH - 2, "t"),
+        (flex::service::CALLER_NESTING_DEPTH - 1, "t"),
+        (flex::service::CALLER_NESTING_DEPTH - 1, conjuncts.as_str()),
+        (flex::service::CALLER_NESTING_DEPTH - 1, sum.as_str()),
     ] {
         let derived = format!(
-            "SELECT COUNT(*) FROM {}t{}",
+            "SELECT COUNT(*) FROM {}{innermost}{}",
             "(SELECT * FROM ".repeat(depth),
             ") q".repeat(depth)
         );
