@@ -86,8 +86,8 @@ fn main() {
         .unwrap();
     db.create_table("b", Schema::of(&[("k", DataType::Int)]))
         .unwrap();
-    db.insert("a", many_a.rows.clone()).unwrap();
-    db.insert("b", many_b.rows.clone()).unwrap();
+    db.insert("a", many_a.rows()).unwrap();
+    db.insert("b", many_b.rows()).unwrap();
     let q = flex_sql::parse_query("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k").unwrap();
     let elastic_mm_ok = flex_core::analyze(&q, &db).is_ok();
 

@@ -128,7 +128,7 @@ fn run_wpinq(no: u32, db: &Database, rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
             let day = trips
                 .where_(|r| r[6] == Value::str("2016-10-24"))
                 .lookup_join("city_id", cities, "id");
-            let bins: Vec<Value> = cities.rows.iter().map(|r| r[1].clone()).collect();
+            let bins: Vec<Value> = cities.rows().iter().map(|r| r[1].clone()).collect();
             let out = day.noisy_count_by_key("cities_name", &bins, EPS, rng);
             let truth = histogram(
                 db,
@@ -150,7 +150,7 @@ fn run_wpinq(no: u32, db: &Database, rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
             let bins: Vec<Value> = db
                 .table("drivers")
                 .unwrap()
-                .rows
+                .rows()
                 .iter()
                 .map(|r| r[0].clone())
                 .collect();

@@ -1,9 +1,11 @@
-//! Columnar storage for the executor.
+//! Columnar storage: how every table is held, and the executor's
+//! intermediates.
 //!
-//! A [`ColumnarTable`] is a column-major projection of a table's rows:
-//! one typed vector per column plus a null bitmap. The executor's batch
-//! operators iterate these vectors directly instead of cloning and
-//! interpreting `Vec<Value>` rows.
+//! A [`ColumnarTable`] holds a table's rows column-major: one typed
+//! vector per column plus a null bitmap. A base [`crate::Table`] stores
+//! its rows only this way, and the executor's batch operators iterate
+//! these vectors directly instead of cloning and interpreting
+//! `Vec<Value>` rows.
 //!
 //! Because runtime values are dynamically typed (a `Float` column may
 //! physically hold `Value::Int`s), the representation is chosen from the
@@ -13,14 +15,13 @@
 //! which keeps the original `Value`s. This makes [`Column::value`] an
 //! exact reconstruction — the executor returns byte-identical
 //! results to the oracle, so DP noise calibration downstream is
-//! unchanged. Columns are immutable once built (writes rebuild the
-//! projection), which is what lets the executor's morsel-parallel
-//! operators read them from many worker threads lock-free.
+//! unchanged. Columns are immutable once built (a write builds new
+//! ones), which is what lets the executor's morsel-parallel operators
+//! read them from many worker threads lock-free.
 
 use crate::schema::DataType;
 use crate::table::Row;
-use crate::value::Value;
-use std::borrow::Cow;
+use crate::value::{BorrowKey, Value};
 use std::cmp::Ordering;
 
 /// Sentinel row index meaning "no source row" in a gather index vector:
@@ -144,6 +145,38 @@ impl Column {
         }
     }
 
+    /// The [`BorrowKey`] of row `i` — `BorrowKey::from(&self.value(i))`
+    /// without building the `Value`: strings are borrowed from the
+    /// column. One column's contribution to a DISTINCT, set-operation or
+    /// max-frequency key, and the dedupe key of [`crate::Table::labels`].
+    pub fn key(&self, i: usize) -> BorrowKey<'_> {
+        if self.nulls.is_null(i) {
+            return BorrowKey::Null;
+        }
+        match &self.data {
+            ColumnData::Int64(xs) => BorrowKey::Int(xs[i]),
+            ColumnData::Float64(xs) => BorrowKey::from_float(xs[i]),
+            ColumnData::Bool(bs) => BorrowKey::Bool(bs[i]),
+            ColumnData::Str(ss) => BorrowKey::Str(&ss[i]),
+            ColumnData::Mixed(vs) => BorrowKey::from(&vs[i]),
+        }
+    }
+
+    /// The numeric view of row `i` — `self.value(i).as_f64()` without
+    /// building the `Value`: `None` for NULL and strings.
+    pub fn number(&self, i: usize) -> Option<f64> {
+        if self.nulls.is_null(i) {
+            return None;
+        }
+        match &self.data {
+            ColumnData::Int64(xs) => Some(xs[i] as f64),
+            ColumnData::Float64(xs) => Some(xs[i]),
+            ColumnData::Bool(bs) => Some(if bs[i] { 1.0 } else { 0.0 }),
+            ColumnData::Str(_) => None,
+            ColumnData::Mixed(vs) => vs[i].as_f64(),
+        }
+    }
+
     /// Gather rows by index into a new column: output slot `k` holds the
     /// value of row `idxs[k]`, and slots where `idxs[k] == GATHER_NULL`
     /// become NULL. This is the late-materialization primitive of the
@@ -158,7 +191,7 @@ impl Column {
             }
         }
         // Typed vectors keep an arbitrary placeholder in NULL slots (the
-        // mask is authoritative), exactly like `from_rows`.
+        // mask is authoritative), exactly like the builder.
         let data = match &self.data {
             ColumnData::Int64(xs) => ColumnData::Int64(
                 idxs.iter()
@@ -268,14 +301,7 @@ impl Column {
     /// payloads move, and [`Column::value`] reconstructs each input
     /// exactly.
     pub fn from_values(vals: Vec<Value>) -> Column {
-        let shape = Shape::of(vals.iter());
-        shape.fill(vals.into_iter().map(Cow::Owned))
-    }
-
-    /// Build a column from the `col`-th field of each row.
-    fn from_rows(rows: &[Row], col: usize) -> Column {
-        let cells = || rows.iter().map(|r| &r[col]);
-        Shape::of(cells()).fill(cells().map(Cow::Borrowed))
+        Shape::of(vals.iter()).fill(vals)
     }
 }
 
@@ -312,35 +338,37 @@ impl Shape {
         Shape { nulls, uniform }
     }
 
-    /// Second pass: the typed vector (placeholders in NULL slots), or the
-    /// values themselves when they mix.
-    fn fill<'a>(self, vals: impl Iterator<Item = Cow<'a, Value>>) -> Column {
+    /// Second pass, over the same values, moved: the typed vector
+    /// (placeholders in NULL slots), or the values themselves when they
+    /// mix.
+    fn fill(self, vals: impl IntoIterator<Item = Value>) -> Column {
+        let vals = vals.into_iter();
         let data = match self.uniform {
             Some(DataType::Int) => ColumnData::Int64(
-                vals.map(|v| match *v {
+                vals.map(|v| match v {
                     Value::Int(x) => x,
                     _ => 0,
                 })
                 .collect(),
             ),
             Some(DataType::Float) => ColumnData::Float64(
-                vals.map(|v| match *v {
+                vals.map(|v| match v {
                     Value::Float(x) => x,
                     _ => 0.0,
                 })
                 .collect(),
             ),
             Some(DataType::Bool) => {
-                ColumnData::Bool(vals.map(|v| matches!(*v, Value::Bool(true))).collect())
+                ColumnData::Bool(vals.map(|v| matches!(v, Value::Bool(true))).collect())
             }
             Some(DataType::Str) => ColumnData::Str(
-                vals.map(|v| match v.into_owned() {
+                vals.map(|v| match v {
                     Value::Str(s) => s,
                     _ => String::new(),
                 })
                 .collect(),
             ),
-            None => ColumnData::Mixed(vals.map(Cow::into_owned).collect()),
+            None => ColumnData::Mixed(vals.collect()),
         };
         Column {
             data,
@@ -349,7 +377,7 @@ impl Shape {
     }
 }
 
-/// A column-major projection of a table: one [`Column`] per schema column.
+/// A table's rows, column-major: one [`Column`] per schema column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarTable {
     /// The columns, in schema order.
@@ -358,10 +386,22 @@ pub struct ColumnarTable {
 }
 
 impl ColumnarTable {
-    /// Convert rows (all of width `arity`) to columnar form.
-    pub fn from_rows(rows: &[Row], arity: usize) -> ColumnarTable {
+    /// Build the columns of `rows` (all of width `arity`) — the one
+    /// builder of stored rows, used by table writes, derived tables and
+    /// set operations. Every value moves into its column: nothing is
+    /// cloned.
+    pub fn from_rows(mut rows: Vec<Row>, arity: usize) -> ColumnarTable {
+        let columns = (0..arity)
+            .map(|c| {
+                let shape = Shape::of(rows.iter().map(|r| &r[c]));
+                shape.fill(
+                    rows.iter_mut()
+                        .map(|r| std::mem::replace(&mut r[c], Value::Null)),
+                )
+            })
+            .collect();
         ColumnarTable {
-            columns: (0..arity).map(|c| Column::from_rows(rows, c)).collect(),
+            columns,
             len: rows.len(),
         }
     }
@@ -383,9 +423,15 @@ impl ColumnarTable {
         self.len == 0
     }
 
-    /// Reconstruct row `i` exactly as stored in the row-major table.
+    /// Reconstruct row `i` exactly as it was written.
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// Reconstruct every row, in order — the inverse of
+    /// [`ColumnarTable::from_rows`].
+    pub fn rows(&self) -> Vec<Row> {
+        (0..self.len).map(|i| self.row(i)).collect()
     }
 }
 
@@ -413,7 +459,7 @@ mod tests {
             vec![Value::Null, Value::Float(2.5), Value::Null],
             vec![Value::Int(3), Value::Null, Value::str("c")],
         ];
-        let t = ColumnarTable::from_rows(&rows, 3);
+        let t = ColumnarTable::from_rows(rows.clone(), 3);
         assert!(matches!(t.columns[0].data, ColumnData::Int64(_)));
         assert!(matches!(t.columns[1].data, ColumnData::Float64(_)));
         assert!(matches!(t.columns[2].data, ColumnData::Str(_)));
@@ -430,7 +476,7 @@ mod tests {
             vec![Value::Float(2.5)],
             vec![Value::Null],
         ];
-        let t = ColumnarTable::from_rows(&rows, 1);
+        let t = ColumnarTable::from_rows(rows, 1);
         assert!(matches!(t.columns[0].data, ColumnData::Mixed(_)));
         // Exact reconstruction: Int stays Int, Float stays Float.
         assert_eq!(t.columns[0].value(0), Value::Int(1));
@@ -441,9 +487,9 @@ mod tests {
     #[test]
     fn all_null_and_empty_columns() {
         let rows = vec![vec![Value::Null], vec![Value::Null]];
-        let t = ColumnarTable::from_rows(&rows, 1);
+        let t = ColumnarTable::from_rows(rows, 1);
         assert_eq!(t.columns[0].value(0), Value::Null);
-        let empty = ColumnarTable::from_rows(&[], 2);
+        let empty = ColumnarTable::from_rows(Vec::new(), 2);
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.columns.len(), 2);
     }
@@ -455,7 +501,7 @@ mod tests {
             vec![Value::Null, Value::str("b")],
             vec![Value::Int(30), Value::Null],
         ];
-        let t = ColumnarTable::from_rows(&rows, 2);
+        let t = ColumnarTable::from_rows(rows, 2);
         let idxs = [2u32, 0, 0, GATHER_NULL, 1];
         let g0 = t.columns[0].gather(&idxs);
         assert_eq!(g0.value(0), Value::Int(30));
@@ -476,7 +522,7 @@ mod tests {
             vec![Value::Float(2.5)],
             vec![Value::Null],
         ];
-        let t = ColumnarTable::from_rows(&rows, 1);
+        let t = ColumnarTable::from_rows(rows, 1);
         let g = t.columns[0].gather(&[1, GATHER_NULL, 0]);
         assert_eq!(g.value(0), Value::Float(2.5));
         assert_eq!(g.value(1), Value::Null);
@@ -539,7 +585,7 @@ mod tests {
                 Value::Float(0.5),
             ],
         ];
-        let t = ColumnarTable::from_rows(&rows, 5);
+        let t = ColumnarTable::from_rows(rows.clone(), 5);
         assert!(matches!(t.columns[4].data, ColumnData::Mixed(_)));
         for col in &t.columns {
             let cmp = col.row_ordering();
@@ -562,7 +608,7 @@ mod tests {
             vec![Value::Bool(false)],
             vec![Value::Null],
         ];
-        let t = ColumnarTable::from_rows(&rows, 1);
+        let t = ColumnarTable::from_rows(rows, 1);
         assert!(matches!(t.columns[0].data, ColumnData::Bool(_)));
         assert_eq!(t.columns[0].value(1), Value::Bool(false));
         assert_eq!(t.columns[0].value(2), Value::Null);

@@ -22,10 +22,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 pub struct Database {
     tables: BTreeMap<String, Table>,
     public_tables: BTreeSet<String>,
+    /// Kept fresh the way the paper's triggers keep it: a table's
+    /// metrics are recomputed after each write to it.
     metrics: MetricsCatalog,
-    /// Emulates the paper's trigger-based metric maintenance: when set
-    /// (the default), metrics are recomputed for a table after each write.
-    pub auto_metrics: bool,
     /// Worker threads the executor may use per query (morsel-
     /// driven; see [`crate::morsel`]). 1 = sequential. Atomic so shared
     /// (`Arc<Database>`) handles can tune it; it is pure execution tuning
@@ -44,7 +43,6 @@ impl Clone for Database {
             tables: self.tables.clone(),
             public_tables: self.public_tables.clone(),
             metrics: self.metrics.clone(),
-            auto_metrics: self.auto_metrics,
             exec_parallelism: AtomicUsize::new(self.parallelism()),
             exec_morsel_rows: AtomicUsize::new(self.morsel_rows()),
         }
@@ -64,7 +62,6 @@ impl Database {
             tables: BTreeMap::new(),
             public_tables: BTreeSet::new(),
             metrics: MetricsCatalog::default(),
-            auto_metrics: true,
             exec_parallelism: AtomicUsize::new(1),
             exec_morsel_rows: AtomicUsize::new(DEFAULT_MORSEL_ROWS),
         }
@@ -139,23 +136,22 @@ impl Database {
             return Err(DbError::DuplicateTable(name));
         }
         let table = Table::new(name.clone(), schema);
-        if self.auto_metrics {
-            self.metrics.add_table(&table);
-        }
+        self.metrics.add_table(&table);
         self.tables.insert(name, table);
         Ok(())
     }
 
-    /// Insert rows into a table, refreshing metrics if `auto_metrics`.
+    /// Insert a batch of rows into a table and refresh its metrics. The
+    /// batch is all or nothing: a row the schema refuses fails the call
+    /// with the table and its metrics as they were. Each write rebuilds
+    /// the table's columns, so load a table in one batch.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<()> {
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
         t.insert_all(rows)?;
-        if self.auto_metrics {
-            self.metrics.add_table(t);
-        }
+        self.metrics.add_table(t);
         Ok(())
     }
 
@@ -202,8 +198,10 @@ impl Database {
         &mut self.metrics
     }
 
-    /// Recompute the full metrics catalog (needed after bulk loads with
-    /// `auto_metrics` disabled).
+    /// Recompute the full metrics catalog from the tables, dropping every
+    /// override ([`MetricsCatalog::set_value_range`],
+    /// [`MetricsCatalog::set_max_freq`]). Writes already keep the catalog
+    /// fresh; this measures what a full refresh costs.
     pub fn recompute_metrics(&mut self) {
         self.metrics = MetricsCatalog::compute(self.tables.values());
     }
@@ -372,6 +370,29 @@ mod tests {
         )
         .unwrap();
         assert_eq!(db.metrics().max_freq("trips", "driver_id"), Some(4));
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_rows_and_metrics_as_they_were() {
+        let mut db = Database::new();
+        db.create_table("t", Schema::of(&[("k", DataType::Int)]))
+            .unwrap();
+        db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
+        let rows = db.table("t").unwrap().rows();
+        let metrics = db.metrics().clone();
+        let batch = vec![
+            vec![Value::Int(1)],
+            vec![Value::Int(1)],
+            vec![Value::str("bad")],
+        ];
+        assert!(matches!(
+            db.insert("t", batch),
+            Err(DbError::TypeMismatch { .. })
+        ));
+        assert_eq!(db.table("t").unwrap().rows(), rows);
+        assert_eq!(db.metrics(), &metrics);
+        db.recompute_metrics();
+        assert_eq!(db.metrics(), &metrics, "the catalog matches the table");
     }
 
     #[test]

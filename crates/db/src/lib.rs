@@ -18,8 +18,8 @@
 //!
 //! Every query runs on **one engine** behind [`Database::execute`]: the
 //! plan executor, an operator-at-a-time executor over a physical-plan IR
-//! (each table's lazily built [`ColumnarTable`] projection scanned with
-//! predicate kernels, columnar hash / nested-loop joins with predicate
+//! (each table's [`ColumnarTable`] — the one copy of its rows, built when
+//! they are written — scanned with predicate kernels, columnar hash / nested-loop joins with predicate
 //! pushdown and late materialization, a columnar hash-aggregate, and an
 //! index-based ORDER BY / DISTINCT / LIMIT tail). It plans the whole query
 //! — nested queries included — before it runs any of it, so there is
@@ -50,7 +50,6 @@
 mod aggregate;
 pub mod bind;
 pub mod column;
-pub mod csv;
 pub mod database;
 pub mod error;
 mod exec;
@@ -67,7 +66,6 @@ mod vexec;
 pub use aggregate::AggFunc;
 pub use bind::ColMeta;
 pub use column::{Column, ColumnData, ColumnarTable, NullMask};
-pub use csv::{table_from_csv, table_to_csv};
 pub use database::Database;
 pub use error::{DbError, Result};
 pub use exec::{ExecTrace, RouteDecision};

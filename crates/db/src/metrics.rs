@@ -5,16 +5,16 @@
 //! The paper obtains `mf` with one SQL query per join column, e.g.
 //! `SELECT COUNT(a) FROM T GROUP BY a ORDER BY count DESC LIMIT 1`, and
 //! refreshes it via database triggers on update; [`crate::Database`]
-//! emulates the trigger by recomputing metrics after each write when
-//! `auto_metrics` is enabled.
+//! emulates the trigger by recomputing a table's metrics after each write
+//! to it. Both metrics read the table's typed columns: no `Value` or
+//! `String` is built per cell.
 
+use crate::column::Column;
 use crate::table::Table;
-use crate::value::ValueKey;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Metrics for every `(table, column)` pair in a database.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsCatalog {
     /// Max frequency: occurrences of the most frequent non-null value.
     mf: HashMap<(String, String), u64>,
@@ -35,10 +35,11 @@ impl MetricsCatalog {
 
     /// Compute and record metrics for one table, replacing prior entries.
     pub fn add_table(&mut self, table: &Table) {
-        for (ci, col) in table.schema.columns.iter().enumerate() {
-            let key = (table.name.clone(), col.name.clone());
-            self.mf.insert(key.clone(), max_frequency(table, ci));
-            self.vr.insert(key, value_range(table, ci));
+        let columns = &table.columnar().columns;
+        for (def, col) in table.schema.columns.iter().zip(columns) {
+            let key = (table.name.clone(), def.name.clone());
+            self.mf.insert(key.clone(), max_frequency(col));
+            self.vr.insert(key, value_range(col));
         }
     }
 
@@ -102,33 +103,29 @@ impl MetricsCatalog {
     }
 }
 
-/// Frequency of the most frequent non-null value in column `ci`.
-fn max_frequency(table: &Table, ci: usize) -> u64 {
-    let mut counts: HashMap<ValueKey, u64> = HashMap::new();
+/// Frequency of the most frequent non-null value of `col`, counted over
+/// its borrowed keys ([`Column::key`]).
+fn max_frequency(col: &Column) -> u64 {
+    let mut counts = HashMap::new();
     let mut best = 0u64;
-    for row in &table.rows {
-        let v = &row[ci];
-        if v.is_null() {
-            continue;
-        }
-        let c = counts.entry(ValueKey::from(v)).or_insert(0);
+    for i in (0..col.len()).filter(|&i| !col.is_null(i)) {
+        let c = counts.entry(col.key(i)).or_insert(0u64);
         *c += 1;
         best = best.max(*c);
     }
     best
 }
 
-/// `max - min` over non-null numeric values of column `ci`.
-fn value_range(table: &Table, ci: usize) -> Option<f64> {
+/// `max - min` over the non-null numeric values of `col`
+/// ([`Column::number`]).
+fn value_range(col: &Column) -> Option<f64> {
     let mut min = f64::INFINITY;
     let mut max = f64::NEG_INFINITY;
     let mut any = false;
-    for row in &table.rows {
-        if let Some(x) = row[ci].as_f64() {
-            min = min.min(x);
-            max = max.max(x);
-            any = true;
-        }
+    for x in (0..col.len()).filter_map(|i| col.number(i)) {
+        min = min.min(x);
+        max = max.max(x);
+        any = true;
     }
     if any {
         Some(max - min)

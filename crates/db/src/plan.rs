@@ -47,7 +47,7 @@
 //! (`vexec::run_block`) serve every block:
 //!
 //! 1. **FROM.** FROM becomes a [`PlanNode`] tree of one or more leaves: a
-//!    base table's columnar projection, a derived table, or the one empty
+//!    base table's columns, a derived table, or the one empty
 //!    row of a table-less SELECT. The walk goes bottom-up, left to right;
 //!    a derived leaf is **planned** right there. Its scope is
 //!    [`bind::derived_scope`] over its plan's header, and since its
@@ -497,7 +497,7 @@ pub(crate) struct BlockPlan {
 
 /// One leaf of a block's FROM tree.
 pub(crate) enum FromLeaf {
-    /// Rows the plan holds — a base table's shared columnar projection,
+    /// Rows the plan holds — a base table's shared columns,
     /// or a table-less SELECT's one row of no columns — and the leaf's
     /// occurrence (its index in `Exec::occurrences`).
     Rows(Arc<ColumnarTable>, usize),

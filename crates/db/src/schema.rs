@@ -2,11 +2,10 @@
 
 use crate::error::{DbError, Result};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// Column data types. Values are dynamically typed at runtime; the declared
 /// type is checked on insert and drives the value-range metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// Boolean.
     Bool,
@@ -44,7 +43,7 @@ impl DataType {
 }
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     /// Column name.
     pub name: String,
@@ -63,7 +62,7 @@ impl ColumnDef {
 }
 
 /// An ordered list of column definitions.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schema {
     /// The column definitions, in table order.
     pub columns: Vec<ColumnDef>,

@@ -1,6 +1,5 @@
 //! Runtime values and SQL comparison semantics.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -10,7 +9,7 @@ use std::hash::{Hash, Hasher};
 /// Dates and timestamps are represented as ISO-8601 strings; lexicographic
 /// string comparison then matches chronological order, which is all the
 /// paper's workloads require.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL `NULL`.
     Null,

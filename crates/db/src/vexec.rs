@@ -165,7 +165,7 @@ fn run_nested(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Arc<ColumnarTab
                 // Its rows and morsels were counted where its plan scanned.
                 let workers = ex.par.workers_for(rows.len()) as u64;
                 ex.trace.workers = ex.trace.workers.max(workers);
-                Some(Arc::new(ColumnarTable::from_rows(&rows, q.header.len())))
+                Some(Arc::new(ColumnarTable::from_rows(rows, q.header.len())))
             }
             Nested::Exists(q, answer) => {
                 answer.set(!run_query(ex, q)?.is_empty());
@@ -324,30 +324,13 @@ impl<'a> TailCol<'a> {
             None => p,
         }
     }
-
-    /// The [`BorrowKey`] at position `p` — one column's contribution to
-    /// a DISTINCT or set-operation key — borrowing strings straight from
-    /// the column.
-    fn borrow_key(&self, p: usize) -> BorrowKey<'a> {
-        let (col, i) = (self.col, self.row(p));
-        if col.is_null(i) {
-            return BorrowKey::Null;
-        }
-        match &col.data {
-            ColumnData::Int64(xs) => BorrowKey::Int(xs[i]),
-            ColumnData::Float64(xs) => BorrowKey::from_float(xs[i]),
-            ColumnData::Bool(bs) => BorrowKey::Bool(bs[i]),
-            ColumnData::Str(ss) => BorrowKey::Str(&ss[i]),
-            ColumnData::Mixed(vs) => BorrowKey::from(&vs[i]),
-        }
-    }
 }
 
 /// The DISTINCT key of position `p` over `cols`: the same key sequence
 /// `RowKey::from_values` derives from the materialized row —
 /// [`BorrowKey`] mirrors `ValueKey` exactly — without cloning.
 fn distinct_key<'a>(cols: &[TailCol<'a>], p: usize) -> Vec<BorrowKey<'a>> {
-    cols.iter().map(|c| c.borrow_key(p)).collect()
+    cols.iter().map(|c| c.col.key(c.row(p))).collect()
 }
 
 /// The one ORDER BY / DISTINCT / LIMIT tail — of a plain block, of the
@@ -1224,8 +1207,7 @@ fn run_set_op(
     let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
     let mut all_rows: Vec<Row> = Vec::new();
     run_arms(ex, tree, &mut all_rows, &mut ranges)?;
-    let ctab = ColumnarTable::from_rows(&all_rows, arity);
-    drop(all_rows);
+    let ctab = ColumnarTable::from_rows(all_rows, arity);
 
     // 2. The set-op tree selects index ranges bottom-up; the result is a
     // strictly ascending index list in set-op emission order — the
@@ -1718,23 +1700,14 @@ fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<
     (gids, groups)
 }
 
-/// Numeric view of a non-null column slot, with the oracle's exact
-/// type error on non-numeric values.
+/// Numeric view of a non-null column slot ([`Column::number`]), with the
+/// oracle's exact type error on non-numeric values.
 fn numeric_at(col: &Column, idx: usize, func: AggFunc) -> Result<f64> {
-    let type_err = |found: &str| DbError::TypeMismatch {
+    col.number(idx).ok_or_else(|| DbError::TypeMismatch {
         context: format!("{func:?} argument"),
         expected: "number".to_string(),
-        found: found.to_string(),
-    };
-    match &col.data {
-        ColumnData::Int64(xs) => Ok(xs[idx] as f64),
-        ColumnData::Float64(xs) => Ok(xs[idx]),
-        ColumnData::Bool(bs) => Ok(if bs[idx] { 1.0 } else { 0.0 }),
-        ColumnData::Str(_) => Err(type_err("string")),
-        ColumnData::Mixed(vs) => vs[idx]
-            .as_f64()
-            .ok_or_else(|| type_err(vs[idx].type_name())),
-    }
+        found: col.value(idx).type_name().to_string(),
+    })
 }
 
 /// Tree-fold a contiguous fully-selected slice of a no-null numeric

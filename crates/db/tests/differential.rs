@@ -2068,7 +2068,7 @@ fn tail_compile_errors_precede_where_runtime_errors() {
 /// position. Each query without its compile defect fails at run time.
 #[test]
 fn a_compile_defect_wins_whatever_the_data() {
-    let rows = agg_matrix_db(false).table("g").unwrap().rows.clone();
+    let rows = agg_matrix_db(false).table("g").unwrap().rows();
     let defects = [
         "ORDER BY position 9 out of range",
         "unknown column `nope`",

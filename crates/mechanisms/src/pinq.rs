@@ -27,7 +27,7 @@ impl PinqDataset {
                 .iter()
                 .map(|c| c.name.clone())
                 .collect(),
-            rows: table.rows.clone(),
+            rows: table.rows(),
         }
     }
 

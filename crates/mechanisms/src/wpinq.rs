@@ -32,7 +32,7 @@ impl WeightedDataset {
                 .iter()
                 .map(|c| c.name.clone())
                 .collect(),
-            records: table.rows.iter().map(|r| (r.clone(), 1.0)).collect(),
+            records: table.rows().into_iter().map(|r| (r, 1.0)).collect(),
         }
     }
 
@@ -92,8 +92,9 @@ impl WeightedDataset {
             .schema
             .index_of(public_key)
             .unwrap_or_else(|| panic!("unknown public column `{public_key}`"));
+        let public_rows = public.rows();
         let mut index: HashMap<ValueKey, Vec<&Row>> = HashMap::new();
-        for row in &public.rows {
+        for row in &public_rows {
             if !row[pki].is_null() {
                 index
                     .entry(ValueKey::from(&row[pki]))

@@ -585,7 +585,7 @@ impl<'db> Oracle<'db> {
                 let names = table.schema.columns.iter().map(|c| &c.name);
                 Ok(Rel {
                     cols: scope(alias.as_ref().unwrap_or(name), names),
-                    rows: table.rows.clone(),
+                    rows: table.rows(),
                 })
             }
             TableRef::Derived { query, alias } => {

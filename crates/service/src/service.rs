@@ -37,7 +37,7 @@ use crate::sync;
 use crate::telemetry::{Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapshot};
 use crate::wal::{FileStorage, FsyncPolicy, Lsn, RecoveryReport, Storage, Wal};
 use flex_core::{run_query_deadline, Composition, FlexOptions, PrivacyParams};
-use flex_db::{Database, Value};
+use flex_db::{Column, ColumnData, Database, Value};
 use flex_sql::{canonicalize, parse_query_nesting, print_query, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -452,7 +452,7 @@ fn db_fingerprint(db: &Database) -> u64 {
         let Some(table) = db.table(name) else {
             continue;
         };
-        acc = prf::siphash24([acc, table.rows.len() as u64], name.as_bytes());
+        acc = prf::siphash24([acc, table.len() as u64], name.as_bytes());
         buf.clear();
         buf.push(db.is_public(name) as u8);
         for col in &table.schema.columns {
@@ -462,28 +462,13 @@ fn db_fingerprint(db: &Database) -> u64 {
             buf.push(0);
         }
         acc = prf::siphash24([acc, table.schema.columns.len() as u64], &buf);
-        for row in &table.rows {
+        let columns = &table.columnar().columns;
+        for row in 0..table.len() {
             buf.clear();
-            for v in row {
-                match v {
-                    Value::Null => buf.push(0),
-                    Value::Bool(b) => buf.extend_from_slice(&[1, *b as u8]),
-                    Value::Int(i) => {
-                        buf.push(2);
-                        buf.extend_from_slice(&i.to_le_bytes());
-                    }
-                    Value::Float(f) => {
-                        buf.push(3);
-                        buf.extend_from_slice(&f.to_bits().to_le_bytes());
-                    }
-                    Value::Str(s) => {
-                        buf.push(4);
-                        buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
-                        buf.extend_from_slice(s.as_bytes());
-                    }
-                }
+            for col in columns {
+                push_cell(&mut buf, col, row);
             }
-            acc = prf::siphash24([acc, row.len() as u64], &buf);
+            acc = prf::siphash24([acc, columns.len() as u64], &buf);
         }
     }
     for (table, column, mf, vr) in db.metrics().sorted_entries() {
@@ -509,6 +494,34 @@ fn db_fingerprint(db: &Database) -> u64 {
         acc = prf::siphash24([acc, buf.len() as u64], &buf);
     }
     acc
+}
+
+/// Append one cell's fingerprint bytes — a type tag, then the value's
+/// bytes — read straight from the typed column: the bytes the row-major
+/// value `col.value(row)` encodes to.
+fn push_cell(buf: &mut Vec<u8>, col: &Column, row: usize) {
+    fn tagged(buf: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
+        buf.push(tag);
+        buf.extend_from_slice(bytes);
+    }
+    fn string(buf: &mut Vec<u8>, s: &str) {
+        tagged(buf, 4, &(s.len() as u64).to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
+    }
+    match &col.data {
+        _ if col.is_null(row) => buf.push(0),
+        ColumnData::Bool(bs) => tagged(buf, 1, &[bs[row] as u8]),
+        ColumnData::Int64(xs) => tagged(buf, 2, &xs[row].to_le_bytes()),
+        ColumnData::Float64(xs) => tagged(buf, 3, &xs[row].to_bits().to_le_bytes()),
+        ColumnData::Str(ss) => string(buf, &ss[row]),
+        ColumnData::Mixed(vs) => match &vs[row] {
+            Value::Null => buf.push(0),
+            Value::Bool(b) => tagged(buf, 1, &[*b as u8]),
+            Value::Int(i) => tagged(buf, 2, &i.to_le_bytes()),
+            Value::Float(f) => tagged(buf, 3, &f.to_bits().to_le_bytes()),
+            Value::Str(s) => string(buf, s),
+        },
+    }
 }
 
 impl QueryService {

@@ -7,10 +7,8 @@
 //! (subqueries in `FROM`), `WHERE`, `GROUP BY`, `HAVING`, set operations
 //! (`UNION`/`INTERSECT`/`EXCEPT`), `ORDER BY` and `LIMIT`/`OFFSET`.
 
-use serde::{Deserialize, Serialize};
-
 /// A complete query: optional CTE prologue, a body, then ordering/limits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// `WITH name AS (...)` bindings, in declaration order.
     pub ctes: Vec<Cte>,
@@ -46,14 +44,14 @@ impl Query {
 }
 
 /// One `WITH` binding: `name AS (query)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cte {
     pub name: String,
     pub query: Query,
 }
 
 /// Query body: plain select or a binary set operation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SetExpr {
     Select(Box<Select>),
     SetOp {
@@ -65,7 +63,7 @@ pub enum SetExpr {
 }
 
 /// `UNION`, `INTERSECT`, or `EXCEPT`/`MINUS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetOperator {
     Union,
     Intersect,
@@ -73,7 +71,7 @@ pub enum SetOperator {
 }
 
 /// A single `SELECT ... FROM ... WHERE ... GROUP BY ... HAVING ...` block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Select {
     pub distinct: bool,
     pub projection: Vec<SelectItem>,
@@ -86,7 +84,7 @@ pub struct Select {
 }
 
 /// One item of the projection list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
     /// `*`
     Wildcard,
@@ -97,7 +95,7 @@ pub enum SelectItem {
 }
 
 /// A relation in the `FROM` clause: base table, derived table, or join tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TableRef {
     /// A named table (or CTE reference) with an optional alias.
     Table { name: String, alias: Option<String> },
@@ -133,7 +131,7 @@ impl TableRef {
 }
 
 /// SQL join types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinType {
     Inner,
     Left,
@@ -143,7 +141,7 @@ pub enum JoinType {
 }
 
 /// The join condition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JoinConstraint {
     /// `ON <expr>`
     On(Expr),
@@ -154,14 +152,14 @@ pub enum JoinConstraint {
 }
 
 /// `ORDER BY` item.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderByItem {
     pub expr: Expr,
     pub descending: bool,
 }
 
 /// A possibly-qualified column reference (`t.col` or `col`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnRef {
     pub qualifier: Option<String>,
     pub name: String,
@@ -193,7 +191,7 @@ impl std::fmt::Display for ColumnRef {
 }
 
 /// Scalar literal values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     Null,
     Boolean(bool),
@@ -203,7 +201,7 @@ pub enum Literal {
 }
 
 /// Binary operators in order of increasing precedence class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinaryOperator {
     Or,
     And,
@@ -236,7 +234,7 @@ impl BinaryOperator {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnaryOperator {
     Not,
     Minus,
@@ -244,14 +242,14 @@ pub enum UnaryOperator {
 }
 
 /// Argument of a function call; `COUNT(*)` uses [`FunctionArg::Wildcard`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FunctionArg {
     Wildcard,
     Expr(Expr),
 }
 
 /// Scalar and aggregate expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Column(ColumnRef),
     Literal(Literal),

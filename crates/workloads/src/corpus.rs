@@ -85,7 +85,6 @@ pub fn catalog_database(rows_per_table: usize, seed: u64) -> flex_db::Database {
     use flex_db::{DataType, Schema, Value};
     let mut rng = StdRng::seed_from_u64(seed);
     let mut db = flex_db::Database::new();
-    db.auto_metrics = false;
     for (name, cols) in TABLES {
         // Every corpus column is generated as a skewed integer; the study
         // and analysis only consult metrics, not semantics.
@@ -107,7 +106,6 @@ pub fn catalog_database(rows_per_table: usize, seed: u64) -> flex_db::Database {
         db.insert(name, rows).unwrap();
     }
     db.mark_public("cities");
-    db.recompute_metrics();
     db
 }
 

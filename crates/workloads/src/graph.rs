@@ -98,9 +98,7 @@ pub fn graph_database(cfg: &GraphConfig) -> Database {
     let table = generate_edges(cfg);
     let mut db = Database::new();
     db.create_table("edges", table.schema.clone()).unwrap();
-    db.auto_metrics = false;
-    db.insert("edges", table.rows).unwrap();
-    db.recompute_metrics();
+    db.insert("edges", table.rows()).unwrap();
     db
 }
 
@@ -116,7 +114,7 @@ pub fn count_triangles(table: &Table) -> u64 {
     let si = table.schema.index_of("source").expect("source column");
     let di = table.schema.index_of("dest").expect("dest column");
     let edges: Vec<(i64, i64)> = table
-        .rows
+        .rows()
         .iter()
         .filter_map(|r| Some((r[si].as_i64()?, r[di].as_i64()?)))
         .collect();
@@ -163,7 +161,7 @@ mod tests {
         };
         let t = generate_edges(&cfg);
         let mut seen = HashSet::new();
-        for r in &t.rows {
+        for r in &t.rows() {
             let s = r[0].as_i64().unwrap();
             let d = r[1].as_i64().unwrap();
             assert_ne!(s, d);
@@ -198,6 +196,6 @@ mod tests {
         let cfg = GraphConfig::default();
         let a = generate_edges(&cfg);
         let b = generate_edges(&cfg);
-        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.rows(), b.rows());
     }
 }

@@ -79,7 +79,6 @@ const SIZES: [i64; 8] = [1, 4, 9, 14, 19, 23, 36, 45];
 pub fn generate(cfg: &TpchConfig) -> Database {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut db = Database::new();
-    db.auto_metrics = false;
 
     // region (public).
     db.create_table(
@@ -304,7 +303,6 @@ pub fn generate(cfg: &TpchConfig) -> Database {
     for t in ["region", "nation", "part"] {
         db.mark_public(t);
     }
-    db.recompute_metrics();
     db
 }
 
@@ -423,8 +421,8 @@ mod tests {
         let a = generate(&tiny());
         let b = generate(&tiny());
         assert_eq!(
-            a.table("orders").unwrap().rows,
-            b.table("orders").unwrap().rows
+            a.table("orders").unwrap().rows(),
+            b.table("orders").unwrap().rows()
         );
     }
 }

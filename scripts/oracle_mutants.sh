@@ -11,7 +11,11 @@
 # piece. One more mutant is the analysis's: a derived table's passed-
 # through columns lose the lineage the planner records for the
 # sensitivity analysis, and the analysis suites (flex-core's unit tests,
-# `sensitivity_soundness`, `analysis_pinning`) must kill it.
+# `sensitivity_soundness`, `analysis_pinning`) must kill it. And one is the
+# storage's: the column builder forgets to mark NULLs. The oracle reads a
+# table's rows back out of that same storage, so the differential suites
+# cannot see a builder bug; flex-db's unit tests, which pin the storage
+# against the rows written, must kill it.
 #
 #   scripts/oracle_mutants.sh [checkout]
 #
@@ -27,6 +31,7 @@ export CARGO_TARGET_DIR=$work/target
 suites=(cargo test -q -p flex-db --test differential --test exec_trace)
 analysis_suites=(cargo test -q -p flex-core -p flex --lib --test sensitivity_soundness
     --test analysis_pinning)
+storage_suites=(cargo test -q -p flex-db --lib)
 
 # file | line as written | line mutated
 mutants=(
@@ -38,6 +43,9 @@ mutants=(
 )
 analysis_mutants=(
     "crates/db/src/plan.rs|TailItem::Source(c) => block.lineage[*c],|TailItem::Source(_) => None,"
+)
+storage_mutants=(
+    "crates/db/src/column.rs|Value::Null => nulls.set(i),|Value::Null => {}"
 )
 
 rm -rf "$tree"
@@ -72,4 +80,5 @@ mutate() {
 }
 mutate suites "${mutants[@]}"
 mutate analysis_suites "${analysis_mutants[@]}"
+mutate storage_suites "${storage_mutants[@]}"
 exit "$survived"
