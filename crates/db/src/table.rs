@@ -48,7 +48,7 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
             name: name.into(),
-            columns: Arc::new(ColumnarTable::from_rows(Vec::new(), schema.len())),
+            columns: Arc::new(ColumnarTable::from_rows(&[], schema.len())),
             labels: no_labels(schema.len()),
             schema,
         }
@@ -78,7 +78,7 @@ impl Table {
         }
         let mut all = self.rows();
         all.append(&mut rows);
-        self.columns = Arc::new(ColumnarTable::from_rows(all, self.schema.len()));
+        self.columns = Arc::new(ColumnarTable::from_rows(&all, self.schema.len()));
         self.labels = no_labels(self.schema.len());
         Ok(())
     }
@@ -274,7 +274,7 @@ mod tests {
                 };
                 prop_assert_eq!(t.len(), written.len());
                 prop_assert_eq!(bits_of(&t.rows()), bits_of(&written));
-                let once = ColumnarTable::from_rows(written.clone(), 4);
+                let once = ColumnarTable::from_rows(&written, 4);
                 prop_assert_eq!(t.columnar().len(), once.len());
                 for (c, (stored, built)) in t.columnar().columns.iter().zip(&once.columns).enumerate() {
                     let nulls = written.iter().filter(|r| r[c].is_null()).count();

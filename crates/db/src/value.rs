@@ -1,8 +1,9 @@
 //! Runtime values and SQL comparison semantics.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// A dynamically-typed SQL value.
 ///
@@ -214,12 +215,27 @@ impl From<&Value> for ValueKey {
     }
 }
 
+/// The owned form of a [`BorrowKey`]: `ValueKey::from(BorrowKey::from(v))`
+/// equals `ValueKey::from(v)`.
+impl From<BorrowKey<'_>> for ValueKey {
+    fn from(key: BorrowKey<'_>) -> Self {
+        match key {
+            BorrowKey::Null => ValueKey::Null,
+            BorrowKey::Bool(b) => ValueKey::Bool(b),
+            BorrowKey::Int(i) => ValueKey::Int(i),
+            BorrowKey::FloatBits(bits) => ValueKey::FloatBits(bits),
+            BorrowKey::Str(s) => ValueKey::Str(s.to_string()),
+        }
+    }
+}
+
 /// Borrowing counterpart of [`ValueKey`]: the same variant mapping and
 /// float normalization (via the shared `float_key` rule), so two values key
 /// equal under `BorrowKey` iff they key equal under `ValueKey` — but
-/// strings are borrowed, so building a key never clones. Used by hot
-/// dedupe paths (the columnar DISTINCT) that only compare keys with
-/// each other and drop them before the borrow ends.
+/// strings are borrowed, so building a key never clones. The key of the
+/// executor's hash joins, grouping and DISTINCT ([`crate::Column::key`]),
+/// which only compare keys with each other and drop them before the
+/// borrow ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BorrowKey<'a> {
     /// `NULL` (all NULLs key equal, per SQL `GROUP BY`).
@@ -256,17 +272,51 @@ impl<'a> BorrowKey<'a> {
     }
 }
 
-/// A composite key over several values, used for multi-column grouping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowKey(pub Vec<ValueKey>);
+/// The hasher of the executor's key maps (joins, grouping, DISTINCT and
+/// set operations): one folded multiply per word, where SipHash cost
+/// more than the rest of a lookup, seeded per map from [`RandomState`]
+/// so that no analyst can aim keys at one bucket.
+#[derive(Clone)]
+pub(crate) struct KeyHash(u64);
 
-impl Hash for RowKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for k in &self.0 {
-            k.hash(state);
-        }
+impl Default for KeyHash {
+    fn default() -> Self {
+        KeyHash(RandomState::new().hash_one(0u8))
     }
 }
+
+impl BuildHasher for KeyHash {
+    type Hasher = KeyHash;
+    fn build_hasher(&self) -> KeyHash {
+        self.clone()
+    }
+}
+
+impl Hasher for KeyHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().unwrap()));
+        }
+        // The last 0–7 bytes share one word with the length (no buffer).
+        let rest = words.remainder().iter().rev();
+        self.write_u64(rest.fold(bytes.len() as u64, |w, &b| w << 8 | u64::from(b)));
+    }
+    fn write_u64(&mut self, x: u64) {
+        let m = u128::from(self.0 ^ x) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// A composite key over several values, used for multi-column grouping.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct RowKey(pub Vec<ValueKey>);
 
 impl RowKey {
     /// Key every value of a row (e.g. a group's key columns).
@@ -278,6 +328,7 @@ impl RowKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn null_comparisons_are_unknown() {
@@ -379,6 +430,30 @@ mod tests {
                     "key equality diverges on {a:?} vs {b:?}"
                 );
             }
+            assert_eq!(ValueKey::from(BorrowKey::from(a)), ValueKey::from(a));
+        }
+    }
+
+    /// `KeyHash` spreads the key shapes the executor hashes: small
+    /// integers, float bits whose low bits are all zero, and strings
+    /// that differ in one byte, before or after their first eight (a
+    /// collapsed hash would turn every lookup into a scan).
+    #[test]
+    fn key_hash_spreads_keys() {
+        let strings: Vec<String> = (0..1000).map(|i| format!("2016-03-{i:04}")).collect();
+        let short: Vec<String> = (0..256).map(|i| char::from(i as u8).to_string()).collect();
+        let families: [Vec<BorrowKey>; 4] = [
+            (0..1000).map(BorrowKey::Int).collect(),
+            (0..1000)
+                .map(|i| BorrowKey::from_float(i as f64 + 0.5))
+                .collect(),
+            strings.iter().map(|s| BorrowKey::Str(s)).collect(),
+            short.iter().map(|s| BorrowKey::Str(s)).collect(),
+        ];
+        let hasher = KeyHash::default();
+        for keys in &families {
+            let buckets: HashSet<u64> = keys.iter().map(|k| hasher.hash_one(k) & 1023).collect();
+            assert!(buckets.len() * 2 > keys.len().min(1024), "{keys:?}");
         }
     }
 }

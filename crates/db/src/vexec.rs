@@ -120,12 +120,13 @@ use crate::plan::{
     PlanNode, QueryBody, QueryPlan, ResultSet, SetPlan, TailItem, TailPlan,
 };
 use crate::table::Row;
-use crate::value::{BorrowKey, RowKey, Value, ValueKey};
+use crate::value::{BorrowKey, KeyHash, RowKey, Value, ValueKey};
 use flex_sql::{BinaryOperator, JoinType, SetOperator};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Run a query planned in full under `ex`, the execution that planned
@@ -165,7 +166,7 @@ fn run_nested(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Arc<ColumnarTab
                 // Its rows and morsels were counted where its plan scanned.
                 let workers = ex.par.workers_for(rows.len()) as u64;
                 ex.trace.workers = ex.trace.workers.max(workers);
-                Some(Arc::new(ColumnarTable::from_rows(rows, q.header.len())))
+                Some(Arc::new(ColumnarTable::from_rows(&rows, q.header.len())))
             }
             Nested::Exists(q, answer) => {
                 answer.set(!run_query(ex, q)?.is_empty());
@@ -409,7 +410,7 @@ fn run_tail(
 
     // 2. DISTINCT over typed output keys, first occurrence wins.
     if tail.distinct {
-        let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
+        let mut seen: HashSet<Vec<BorrowKey<'_>>, KeyHash> = HashSet::default();
         let mut kept = Vec::new();
         for &p in &pos {
             if seen.insert(distinct_key(&out, p as usize)) {
@@ -708,155 +709,83 @@ pub(crate) fn kernel_predicate<'a>(
 
 // ---- columnar hash join -------------------------------------------------
 
-/// Where a left row's join candidates come from: a hash index over the
-/// right (build) side's join-key columns, or — with no key columns —
-/// the whole right selection. Key equality must match the oracle's
-/// `ValueKey` semantics exactly. The `i64`/`&str` specializations are
-/// chosen from the *build side's* physical column type alone (where
-/// `ValueKey` equality degenerates to plain equality); a left key column
-/// of a different physical type is handled in [`JoinIndex::probe`],
-/// whose fall-through arms route through `ValueKey` so `1` still joins
-/// `1.0` — do not simplify those arms away. Candidate lists are in
+/// Where a left row's join candidates come from: the right (build)
+/// side's rows by join key — one [`BorrowKey`] per key column
+/// ([`Column::key`]), the partition the oracle's `ValueKey` gives, so `1`
+/// joins `1.0` whatever the two columns' physical types — or, with no key
+/// columns, the whole right selection. A key with a NULL in it never
+/// enters the index and never finds a match. Candidate lists are in
 /// right-table order, so probes emit matches in the oracle's order.
 enum JoinIndex<'a> {
     /// No key columns (CROSS, pure non-equi ON): every left row's
     /// candidates are the whole right selection — a nested-loop join.
     All(&'a [u32]),
-    Int(HashMap<i64, Vec<u32>>),
-    Str(HashMap<&'a str, Vec<u32>>),
-    Value(HashMap<ValueKey, Vec<u32>>),
-    Multi(HashMap<RowKey, Vec<u32>>),
+    /// One key column.
+    One(HashMap<BorrowKey<'a>, Vec<u32>, KeyHash>),
+    /// Several key columns, in `key_pairs` order.
+    Multi(HashMap<Vec<BorrowKey<'a>>, Vec<u32>, KeyHash>),
 }
 
 impl<'a> JoinIndex<'a> {
-    /// Build over the (already filtered) right selection. Rows with any
-    /// NULL key column never enter the index — NULL keys never match.
+    /// Build over the (already filtered) right selection.
     fn build(
         rtab: &'a ColumnarTable,
         key_pairs: &[(usize, usize)],
         rsel: &'a [u32],
     ) -> JoinIndex<'a> {
-        if key_pairs.is_empty() {
-            return JoinIndex::All(rsel);
+        match key_pairs {
+            [] => JoinIndex::All(rsel),
+            [(_, rk)] => JoinIndex::One(bucket(rsel, |i| join_key(rtab, *rk, i))),
+            _ => JoinIndex::Multi(bucket(rsel, |i| {
+                (key_pairs.iter())
+                    .map(|&(_, rk)| join_key(rtab, rk, i))
+                    .collect()
+            })),
         }
-        if let [(_, rk)] = key_pairs {
-            let col = &rtab.columns[*rk];
-            match &col.data {
-                ColumnData::Int64(xs) => {
-                    let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
-                    for &ri in rsel {
-                        let idx = ri as usize;
-                        if !col.is_null(idx) {
-                            map.entry(xs[idx]).or_default().push(ri);
-                        }
-                    }
-                    return JoinIndex::Int(map);
-                }
-                ColumnData::Str(ss) => {
-                    let mut map: HashMap<&str, Vec<u32>> = HashMap::new();
-                    for &ri in rsel {
-                        let idx = ri as usize;
-                        if !col.is_null(idx) {
-                            map.entry(ss[idx].as_str()).or_default().push(ri);
-                        }
-                    }
-                    return JoinIndex::Str(map);
-                }
-                _ => {
-                    let mut map: HashMap<ValueKey, Vec<u32>> = HashMap::new();
-                    for &ri in rsel {
-                        let idx = ri as usize;
-                        if !col.is_null(idx) {
-                            map.entry(ValueKey::from(&col.value(idx)))
-                                .or_default()
-                                .push(ri);
-                        }
-                    }
-                    return JoinIndex::Value(map);
-                }
-            }
-        }
-        let mut map: HashMap<RowKey, Vec<u32>> = HashMap::new();
-        'right: for &ri in rsel {
-            let idx = ri as usize;
-            let mut key = Vec::with_capacity(key_pairs.len());
-            for &(_, rk) in key_pairs {
-                let col = &rtab.columns[rk];
-                if col.is_null(idx) {
-                    continue 'right;
-                }
-                key.push(ValueKey::from(&col.value(idx)));
-            }
-            map.entry(RowKey(key)).or_default().push(ri);
-        }
-        JoinIndex::Multi(map)
     }
 
-    /// Candidate right rows for left row `lidx`, or `None` when the key
-    /// is NULL or absent (a hash bucket is never empty; `All` may be).
-    /// The `Int`/`Str` arms cover mismatched physical types by falling
-    /// through `ValueKey` where needed.
-    fn probe(
-        &self,
-        ltab: &ColumnarTable,
+    /// Candidate right rows for left row `lidx`, or `None` when its key
+    /// is absent — always so for a key with a NULL in it, which the index
+    /// never holds (a hash bucket is never empty; `All` may be).
+    fn probe<'s>(
+        &'s self,
+        ltab: &'s ColumnarTable,
         key_pairs: &[(usize, usize)],
         lidx: usize,
-    ) -> Option<&[u32]> {
-        match self {
-            JoinIndex::All(all) => Some(all),
-            JoinIndex::Int(map) => {
-                let (lk, _) = key_pairs[0];
-                let col = &ltab.columns[lk];
-                if col.is_null(lidx) {
-                    return None;
-                }
-                match &col.data {
-                    ColumnData::Int64(xs) => map.get(&xs[lidx]).map(Vec::as_slice),
-                    // Left key is not physically Int64: go through
-                    // ValueKey, which unifies integral floats with ints.
-                    _ => match ValueKey::from(&col.value(lidx)) {
-                        ValueKey::Int(k) => map.get(&k).map(Vec::as_slice),
-                        _ => None,
-                    },
-                }
-            }
-            JoinIndex::Str(map) => {
-                let (lk, _) = key_pairs[0];
-                let col = &ltab.columns[lk];
-                if col.is_null(lidx) {
-                    return None;
-                }
-                match &col.data {
-                    ColumnData::Str(ss) => map.get(ss[lidx].as_str()).map(Vec::as_slice),
-                    ColumnData::Mixed(vs) => match &vs[lidx] {
-                        Value::Str(s) => map.get(s.as_str()).map(Vec::as_slice),
-                        _ => None,
-                    },
-                    _ => None,
-                }
-            }
-            JoinIndex::Value(map) => {
-                let (lk, _) = key_pairs[0];
-                let col = &ltab.columns[lk];
-                if col.is_null(lidx) {
-                    return None;
-                }
-                map.get(&ValueKey::from(&col.value(lidx)))
-                    .map(Vec::as_slice)
-            }
+    ) -> Option<&'s [u32]> {
+        let key = |lk: usize| ltab.columns[lk].key(lidx);
+        let bucket = match self {
+            JoinIndex::All(all) => return Some(all),
+            JoinIndex::One(map) => map.get(&key(key_pairs[0].0)),
             JoinIndex::Multi(map) => {
-                let mut key = Vec::with_capacity(key_pairs.len());
-                for &(lk, _) in key_pairs {
-                    let col = &ltab.columns[lk];
-                    if col.is_null(lidx) {
-                        return None;
-                    }
-                    key.push(ValueKey::from(&col.value(lidx)));
-                }
-                map.get(&RowKey(key)).map(Vec::as_slice)
+                map.get(&key_pairs.iter().map(|&(lk, _)| key(lk)).collect::<Vec<_>>())
             }
+        };
+        bucket.map(Vec::as_slice)
+    }
+}
+
+/// Column `c`'s join key at row `i`, `None` for NULL, which joins nothing.
+fn join_key(tab: &ColumnarTable, c: usize, i: usize) -> Option<BorrowKey<'_>> {
+    match tab.columns[c].key(i) {
+        BorrowKey::Null => None,
+        key => Some(key),
+    }
+}
+
+/// The rows of `sel` by `key`, each list in `sel` order; a row whose key
+/// is `None` is left out.
+fn bucket<K: Hash + Eq>(
+    sel: &[u32],
+    key: impl Fn(usize) -> Option<K>,
+) -> HashMap<K, Vec<u32>, KeyHash> {
+    let mut map: HashMap<K, Vec<u32>, KeyHash> = HashMap::default();
+    for &i in sel {
+        if let Some(k) = key(i as usize) {
+            map.entry(k).or_default().push(i);
         }
     }
+    map
 }
 
 /// Evaluator for fallible ON-residual conjuncts: a scratch combined row
@@ -1207,7 +1136,7 @@ fn run_set_op(
     let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
     let mut all_rows: Vec<Row> = Vec::new();
     run_arms(ex, tree, &mut all_rows, &mut ranges)?;
-    let ctab = ColumnarTable::from_rows(all_rows, arity);
+    let ctab = ColumnarTable::from_rows(&all_rows, arity);
 
     // 2. The set-op tree selects index ranges bottom-up; the result is a
     // strictly ascending index list in set-op emission order — the
@@ -1275,7 +1204,7 @@ fn set_op_indices(
             let mut idx = set_op_indices(left, ranges, next_arm, cols);
             let right = set_op_indices(right, ranges, next_arm, cols);
             let key = |i: u32| distinct_key(cols, i as usize);
-            let mut seen: HashSet<Vec<BorrowKey<'_>>> = HashSet::new();
+            let mut seen: HashSet<Vec<BorrowKey<'_>>, KeyHash> = HashSet::default();
             match (op, all) {
                 (SetOperator::Union, true) => idx.extend(right),
                 (SetOperator::Union, false) => {
@@ -1283,7 +1212,7 @@ fn set_op_indices(
                     idx.retain(|&i| seen.insert(key(i)));
                 }
                 (SetOperator::Intersect | SetOperator::Except, _) => {
-                    let in_right: HashSet<_> = right.into_iter().map(key).collect();
+                    let in_right: HashSet<_, KeyHash> = right.into_iter().map(key).collect();
                     let keep = *op == SetOperator::Intersect;
                     idx.retain(|&i| {
                         let k = key(i);
@@ -1615,89 +1544,48 @@ fn stddev_pass(
 }
 
 /// Assign a group id to every selected row (ids in first-appearance
-/// order, like the oracle) and collect each group's key values.
-/// Integer and string single-column keys get dedicated hash paths; the
-/// general case goes through [`RowKey`], which unifies `1` and `1.0`
-/// exactly like the oracle does.
+/// order, like the oracle) and collect each group's key values, as its
+/// first row holds them. Rows group by one [`BorrowKey`] per key column
+/// ([`Column::key`]) — the partition the oracle's `RowKey` gives: `1` and
+/// `1.0` share a group, and so do all NULLs.
 fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Vec<Row>) {
-    let mut gids = Vec::with_capacity(sel.len());
     let mut groups: Vec<Row> = Vec::new();
     if key_cols.is_empty() {
         if !sel.is_empty() {
-            gids.resize(sel.len(), 0);
             groups.push(Vec::new());
         }
-        return (gids, groups);
+        return (vec![0; sel.len()], groups);
     }
-    if let [c] = key_cols {
-        let col = &ctab.columns[*c];
-        match &col.data {
-            ColumnData::Int64(xs) => {
-                let mut map: HashMap<i64, u32> = HashMap::new();
-                let mut null_gid: Option<u32> = None;
-                for &i in sel {
-                    let idx = i as usize;
-                    let g = if col.is_null(idx) {
-                        *null_gid.get_or_insert_with(|| {
-                            groups.push(vec![Value::Null]);
-                            (groups.len() - 1) as u32
-                        })
-                    } else {
-                        match map.entry(xs[idx]) {
-                            Entry::Occupied(e) => *e.get(),
-                            Entry::Vacant(e) => {
-                                groups.push(vec![Value::Int(xs[idx])]);
-                                *e.insert((groups.len() - 1) as u32)
-                            }
-                        }
-                    };
-                    gids.push(g);
-                }
-                return (gids, groups);
-            }
-            ColumnData::Str(ss) => {
-                let mut map: HashMap<&str, u32> = HashMap::new();
-                let mut null_gid: Option<u32> = None;
-                for &i in sel {
-                    let idx = i as usize;
-                    let g = if col.is_null(idx) {
-                        *null_gid.get_or_insert_with(|| {
-                            groups.push(vec![Value::Null]);
-                            (groups.len() - 1) as u32
-                        })
-                    } else {
-                        match map.entry(ss[idx].as_str()) {
-                            Entry::Occupied(e) => *e.get(),
-                            Entry::Vacant(e) => {
-                                groups.push(vec![Value::Str(ss[idx].clone())]);
-                                *e.insert((groups.len() - 1) as u32)
-                            }
-                        }
-                    };
-                    gids.push(g);
-                }
-                return (gids, groups);
-            }
-            _ => {}
-        }
-    }
-    let mut map: HashMap<RowKey, u32> = HashMap::new();
-    for &i in sel {
-        let idx = i as usize;
-        let key_vals: Row = key_cols
-            .iter()
-            .map(|&c| ctab.columns[c].value(idx))
-            .collect();
-        let g = match map.entry(RowKey::from_values(&key_vals)) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                groups.push(key_vals);
-                *e.insert((groups.len() - 1) as u32)
-            }
-        };
-        gids.push(g);
-    }
+    let columns: Vec<&Column> = key_cols.iter().map(|&c| &ctab.columns[c]).collect();
+    let new_group = |i: usize| groups.push(columns.iter().map(|c| c.value(i)).collect());
+    let gids = match &columns[..] {
+        [col] => number_groups(sel, |i| col.key(i), new_group),
+        _ => number_groups(
+            sel,
+            |i| columns.iter().map(|c| c.key(i)).collect::<Vec<_>>(),
+            new_group,
+        ),
+    };
     (gids, groups)
+}
+
+/// Each row of `sel`'s group id: its key's rank in first-appearance
+/// order. `new_group` sees the first row of each group.
+fn number_groups<K: Hash + Eq>(
+    sel: &[u32],
+    key: impl Fn(usize) -> K,
+    mut new_group: impl FnMut(usize),
+) -> Vec<u32> {
+    let mut ids: HashMap<K, u32, KeyHash> = HashMap::default();
+    (sel.iter())
+        .map(|&i| {
+            let next = ids.len() as u32;
+            *ids.entry(key(i as usize)).or_insert_with(|| {
+                new_group(i as usize);
+                next
+            })
+        })
+        .collect()
 }
 
 /// Numeric view of a non-null column slot ([`Column::number`]), with the
@@ -1736,18 +1624,6 @@ fn dense_fold(col: &Column, range: std::ops::Range<usize>, fold_rows: usize) -> 
         _ => return None,
     }
     Some(acc.finish())
-}
-
-/// Hashable grouping/distinct key of a non-null column slot, matching
-/// `ValueKey::from(&col.value(idx))` without materializing the `Value`.
-fn value_key_at(col: &Column, idx: usize) -> ValueKey {
-    match &col.data {
-        ColumnData::Int64(xs) => ValueKey::Int(xs[idx]),
-        ColumnData::Float64(xs) => ValueKey::from(&Value::Float(xs[idx])),
-        ColumnData::Bool(bs) => ValueKey::Bool(bs[idx]),
-        ColumnData::Str(ss) => ValueKey::Str(ss[idx].clone()),
-        ColumnData::Mixed(vs) => ValueKey::from(&vs[idx]),
-    }
 }
 
 /// Compute one aggregate's [`AggPartial`] over one morsel of the
@@ -1811,7 +1687,7 @@ fn partial_agg(
                 if col.is_null(idx) {
                     continue;
                 }
-                sets[gids[k] as usize].insert(value_key_at(col, idx));
+                sets[gids[k] as usize].insert(ValueKey::from(col.key(idx)));
             }
             Ok(AggPartial::Distinct(sets))
         }
@@ -1886,105 +1762,28 @@ fn mixed_best(ctab: &ColumnarTable, func: AggFunc, arg: Option<usize>) -> bool {
 }
 
 /// MIN/MAX over a single-typed column with the oracle's tie-breaking
-/// (first occurrence wins on `total_cmp` equality), specialized per
-/// column representation.
+/// (first occurrence wins on `total_cmp` equality): each group keeps its
+/// best row by [`Column::row_ordering`].
 fn min_max(col: &Column, func: AggFunc, sel: &[u32], gids: &[u32], ngroups: usize) -> Vec<Value> {
-    let min = func == AggFunc::Min;
-    let adopt = |ord: Ordering| match ord {
-        Ordering::Less => min,
-        Ordering::Greater => !min,
-        Ordering::Equal => false,
+    let ord = col.row_ordering();
+    let better = match func {
+        AggFunc::Min => Ordering::Less,
+        _ => Ordering::Greater,
     };
-    match &col.data {
-        ColumnData::Int64(xs) => {
-            let mut best: Vec<Option<i64>> = vec![None; ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                let b = &mut best[gids[k] as usize];
-                match b {
-                    None => *b = Some(xs[idx]),
-                    Some(cur) => {
-                        if adopt(xs[idx].cmp(cur)) {
-                            *cur = xs[idx];
-                        }
-                    }
-                }
-            }
-            best.into_iter()
-                .map(|o| o.map_or(Value::Null, Value::Int))
-                .collect()
+    let mut best: Vec<Option<usize>> = vec![None; ngroups];
+    for (&i, &g) in sel.iter().zip(gids) {
+        let idx = i as usize;
+        if col.is_null(idx) {
+            continue;
         }
-        ColumnData::Float64(xs) => {
-            let mut best: Vec<Option<f64>> = vec![None; ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                let b = &mut best[gids[k] as usize];
-                match b {
-                    None => *b = Some(xs[idx]),
-                    Some(cur) => {
-                        if adopt(xs[idx].total_cmp(cur)) {
-                            *cur = xs[idx];
-                        }
-                    }
-                }
-            }
-            best.into_iter()
-                .map(|o| o.map_or(Value::Null, Value::Float))
-                .collect()
-        }
-        ColumnData::Bool(bs) => {
-            let mut best: Vec<Option<bool>> = vec![None; ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                let b = &mut best[gids[k] as usize];
-                match b {
-                    None => *b = Some(bs[idx]),
-                    Some(cur) => {
-                        if adopt(bs[idx].cmp(cur)) {
-                            *cur = bs[idx];
-                        }
-                    }
-                }
-            }
-            best.into_iter()
-                .map(|o| o.map_or(Value::Null, Value::Bool))
-                .collect()
-        }
-        ColumnData::Str(ss) => {
-            // Track the best row index; clone the winning string once.
-            let mut best: Vec<Option<usize>> = vec![None; ngroups];
-            for (k, &i) in sel.iter().enumerate() {
-                let idx = i as usize;
-                if col.is_null(idx) {
-                    continue;
-                }
-                let b = &mut best[gids[k] as usize];
-                match b {
-                    None => *b = Some(idx),
-                    Some(cur) => {
-                        if adopt(ss[idx].cmp(&ss[*cur])) {
-                            *cur = idx;
-                        }
-                    }
-                }
-            }
-            best.into_iter()
-                .map(|o| o.map_or(Value::Null, |i| Value::Str(ss[i].clone())))
-                .collect()
-        }
-        ColumnData::Mixed(_) => {
-            unreachable!("Mixed MIN/MAX collects values (`AggPartial::BestValues`)")
+        let b = &mut best[g as usize];
+        if b.is_none_or(|cur| ord(idx, cur) == better) {
+            *b = Some(idx);
         }
     }
+    (best.into_iter())
+        .map(|b| b.map_or(Value::Null, |i| col.value(i)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -230,6 +230,10 @@ fn arb_query() -> BoxedStrategy<String> {
     let agg_expr_key = (arb_where(),).prop_map(|(w,)| {
         format!("SELECT a + d AS k, COUNT(*) FROM t{w} GROUP BY a + d ORDER BY 2 DESC, 1")
     });
+    // Key over the Float column, Mixed when it also holds Ints: `1` and
+    // `1.0` form one group, keyed by whichever came first.
+    let agg_mixed_key = arb_where()
+        .prop_map(|w| format!("SELECT b, COUNT(*), SUM(a), MAX(c) FROM t{w} GROUP BY b"));
     let grand = arb_where().prop_map(|w| {
         format!("SELECT COUNT(*), SUM(b), MEDIAN(a), STDDEV(b), MIN(b), MAX(c) FROM t{w}")
     });
@@ -277,6 +281,7 @@ fn arb_query() -> BoxedStrategy<String> {
         agg_int_key,
         agg_str_key,
         agg_multi_key,
+        agg_mixed_key,
         agg_expr_key,
         agg_computed,
         agg_unprojected_key,
@@ -323,6 +328,12 @@ fn arb_join_query() -> BoxedStrategy<String> {
         (-4i64..5).prop_map(|c| format!("ON x.a = y.a AND x.d <> {c}")),
         // Fallible residual: evaluated per candidate pair, no pushdown.
         Just("ON x.a = y.a AND x.b < y.w".to_string()),
+        // The Float (or Mixed) column against Int: `1.0` joins `1`.
+        Just("ON x.b = y.a".to_string()),
+        // Str against Str.
+        Just("ON x.c = y.u".to_string()),
+        // Two key columns: a row with a NULL in either matches nothing.
+        Just("ON x.a = y.a AND x.c = y.u".to_string()),
     ];
     let wh = prop_oneof![
         Just(String::new()),
@@ -934,6 +945,12 @@ fn order_by_nan_negative_zero_sort_keys_bit_identical() {
         "SELECT a, b FROM t ORDER BY b LIMIT 3",
         "SELECT a, b FROM t ORDER BY b DESC LIMIT 4 OFFSET 2",
         "SELECT a, b FROM t ORDER BY b DESC, a LIMIT 5",
+        // NaNs (either sign) form one group and join key, and so do -0.0
+        // and 0.0, named by the first occurrence's bits; MIN/MAX rank by
+        // `total_cmp`.
+        "SELECT MIN(b), MAX(b) FROM t",
+        "SELECT b, COUNT(*) FROM t GROUP BY b",
+        "SELECT x.a, y.a, x.b, y.b FROM t x JOIN t y ON x.b = y.b",
     ] {
         let v = db.execute_sql(sql).unwrap();
         let r = flex_oracle::execute_sql(&db, sql).unwrap();

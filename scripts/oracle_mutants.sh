@@ -2,11 +2,14 @@
 # Seeded mutants of the executor, one in each piece the executor used to
 # share with its test oracle — a comparison arm of the expression
 # evaluator, the lane pairing of the fold kernels, the ordinal branch of
-# the ORDER BY rule — and two the oracle never needed: the post-join
-# WHERE's columns dropped from what the joins below it materialize, and
-# a derived leaf's columns claiming string storage before it has run (a
-# LIKE kernel then meets an integer column). For each, a copy of the tree
-# gets the one-line change and the differential suites run against it; a
+# the ORDER BY rule — and three the oracle never needed: the post-join
+# WHERE's columns dropped from what the joins below it materialize, a
+# derived leaf's columns claiming string storage before it has run (a
+# LIKE kernel then meets an integer column), and a float column's cells
+# keyed by their raw bits in `Column::key`, the key of every hash join,
+# group and DISTINCT (`1.0` then no longer joins `1`, nor `-0.0` groups
+# with `0.0`). For each, a copy of the tree gets the one-line change
+# and the differential suites run against it; a
 # mutant they do not kill means the oracle has stopped checking that
 # piece. One more mutant is the analysis's: a derived table's passed-
 # through columns lose the lineage the planner records for the
@@ -40,6 +43,7 @@ mutants=(
     "crates/db/src/bind.rs|Ok(Some(idx as usize - 1))|Ok(Some(out_cols.len() - idx as usize))"
     "crates/db/src/plan.rs|if let Some(p) = &post_filter {|if let Some(p) = None::<&CompiledExpr> {"
     "crates/db/src/plan.rs|let phys = vec![Phys::Mixed; cols.len()];|let phys = vec![Phys::Str; cols.len()];"
+    "crates/db/src/column.rs|ColumnData::Float64(xs) => BorrowKey::from_float(xs[i]),|ColumnData::Float64(xs) => BorrowKey::FloatBits(xs[i].to_bits()),"
 )
 analysis_mutants=(
     "crates/db/src/plan.rs|TailItem::Source(c) => block.lineage[*c],|TailItem::Source(_) => None,"
