@@ -188,7 +188,12 @@ pub fn run(quick: bool) -> ContentionReport {
     let reference: Vec<Vec<Vec<DbValue>>> = {
         let svc = service_at(1);
         (0..QUERY_POOL)
-            .map(|i| svc.query("warm", &pool_sql(i), params).expect("warm").rows)
+            .map(|i| {
+                svc.query("warm", &pool_sql(i), params)
+                    .expect("warm")
+                    .rows
+                    .to_vec()
+            })
             .collect()
     };
     for shards in [4usize, 16] {
@@ -196,7 +201,7 @@ pub fn run(quick: bool) -> ContentionReport {
         for (i, expect) in reference.iter().enumerate() {
             let got = svc.query("warm", &pool_sql(i), params).expect("warm").rows;
             assert_eq!(
-                &got, expect,
+                &*got, expect,
                 "released bytes moved at {shards} shards (query {i}) — sharding leaked \
                  into a noise seed; refusing to benchmark"
             );
@@ -228,7 +233,7 @@ pub fn run(quick: bool) -> ContentionReport {
         let sqls: Vec<String> = (0..QUERY_POOL).map(pool_sql).collect();
         for (i, sql) in sqls.iter().enumerate() {
             let got = svc.query("warm", sql, params).expect("warm").rows;
-            assert_eq!(got, reference[i], "warmed release diverged");
+            assert_eq!(*got, reference[i], "warmed release diverged");
         }
         let appends_after_warm = svc.telemetry().wal_appends;
         assert!(appends_after_warm > 0, "warm admissions must hit the WAL");

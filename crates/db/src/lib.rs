@@ -75,4 +75,4 @@ pub use plan::{FilterOrder, JoinOrder, ResultSet};
 pub use planned::Planned;
 pub use schema::{ColumnDef, DataType, Schema};
 pub use table::{Row, Table};
-pub use value::{BorrowKey, RowKey, Value, ValueKey};
+pub use value::{BorrowKey, KeyHash, RowKey, Value, ValueKey};

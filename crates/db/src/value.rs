@@ -273,15 +273,23 @@ impl<'a> BorrowKey<'a> {
 }
 
 /// The hasher of the executor's key maps (joins, grouping, DISTINCT and
-/// set operations): one folded multiply per word, where SipHash cost
-/// more than the rest of a lookup, seeded per map from [`RandomState`]
-/// so that no analyst can aim keys at one bucket.
+/// set operations) and of the service's answer cache and text memo: one
+/// folded multiply per word, where SipHash cost more than the rest of a
+/// lookup, seeded per map from [`RandomState`] so that no analyst can aim
+/// keys at one bucket (or at one lock stripe).
 #[derive(Clone)]
-pub(crate) struct KeyHash(u64);
+pub struct KeyHash(u64);
 
 impl Default for KeyHash {
     fn default() -> Self {
         KeyHash(RandomState::new().hash_one(0u8))
+    }
+}
+
+/// The seed stays out of debug output.
+impl fmt::Debug for KeyHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyHash").finish_non_exhaustive()
     }
 }
 

@@ -21,6 +21,20 @@
 //! fed into noise seeds or result bytes, so the shard count is *not*
 //! part of the release fingerprint and can be retuned freely.
 //!
+//! Stripes and shard maps are hashed with [`KeyHash`], seeded afresh for
+//! every cache: a folded multiply per word costs a fraction of SipHash
+//! over a canonical text, and since no two caches place keys alike, no
+//! analyst can aim texts at one stripe to evict another analyst's answer
+//! (whose next request would be charged again).
+//!
+//! ## Sharing
+//!
+//! A released answer is allocated once, as the entry's
+//! `Arc<CachedAnswer>`; every response carrying it — the computing
+//! request's, each coalesced waiter's and each hit's — holds that `Arc`
+//! through [`Columns`] and [`Rows`], and its canonical text through the
+//! key's `Arc<str>`. So a hit costs the same whatever the answer's size.
+//!
 //! ## Single-flight
 //!
 //! Each shard slot (private `Slot`) is either a `Ready` released answer
@@ -51,10 +65,10 @@
 
 use crate::sync::lock;
 use flex_core::PrivacyParams;
-use flex_db::Value;
-use std::collections::hash_map::DefaultHasher;
+use flex_db::{KeyHash, Value};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -78,7 +92,7 @@ pub const MEMO_MAX_TEXT_BYTES: usize = 1024;
 /// query at a different ε is a different release).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    canonical_sql: String,
+    canonical_sql: Arc<str>,
     epsilon_bits: u64,
     delta_bits: u64,
 }
@@ -86,6 +100,12 @@ pub struct CacheKey {
 impl CacheKey {
     /// Key a canonical query at exact (bitwise) privacy parameters.
     pub fn new(canonical_sql: String, params: PrivacyParams) -> Self {
+        Self::shared(canonical_sql.into(), params)
+    }
+
+    /// Key a canonical text that is already shared (say, by the text
+    /// memo), without copying it.
+    pub fn shared(canonical_sql: Arc<str>, params: PrivacyParams) -> Self {
         CacheKey {
             canonical_sql,
             epsilon_bits: params.epsilon.to_bits(),
@@ -98,9 +118,10 @@ impl CacheKey {
         &self.canonical_sql
     }
 
-    /// The canonicalized SQL this key was built from, by value.
-    pub fn into_canonical_sql(self) -> String {
-        self.canonical_sql
+    /// The canonicalized SQL this key was built from, as the allocation
+    /// the key holds.
+    pub fn shared_sql(&self) -> &Arc<str> {
+        &self.canonical_sql
     }
 
     /// Bytes this key contributes to an entry's cache cost.
@@ -153,6 +174,62 @@ impl CachedAnswer {
     }
 }
 
+/// A field of a released answer, read through the one [`CachedAnswer`]
+/// the cache holds (an `Arc` clone, never a copy): compared, printed and
+/// iterated as the slice it derefs to.
+macro_rules! answer_view {
+    ($(#[$doc:meta])* $name:ident: [$item:ty] = $field:ident) => {
+        $(#[$doc])*
+        #[derive(Clone)]
+        pub struct $name(pub(crate) Arc<CachedAnswer>);
+
+        impl Deref for $name {
+            type Target = [$item];
+            fn deref(&self) -> &[$item] {
+                &self.0.$field
+            }
+        }
+
+        impl<'a> IntoIterator for &'a $name {
+            type Item = &'a $item;
+            type IntoIter = std::slice::Iter<'a, $item>;
+            fn into_iter(self) -> Self::IntoIter {
+                self.iter()
+            }
+        }
+
+        impl std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                (**self).fmt(f)
+            }
+        }
+
+        impl PartialEq for $name {
+            fn eq(&self, other: &Self) -> bool {
+                **self == **other
+            }
+        }
+    };
+}
+
+answer_view! {
+    /// The output column names of a released answer, read as `[String]`.
+    Columns: [String] = columns
+}
+
+answer_view! {
+    /// The noised rows of a released answer, read as `[Vec<Value>]`. Two
+    /// responses for one release point at the same rows (`std::ptr::eq`).
+    Rows: [Vec<Value>] = rows
+}
+
+/// Column names serialize as the array of names they read as.
+impl serde_json::ToJson for Columns {
+    fn to_json(&self) -> serde_json::Value {
+        (**self).to_json()
+    }
+}
+
 /// Outcome of [`AnswerCache::admit`] — the one-lock miss/coalesce/admit
 /// decision for a submitted query.
 #[derive(Debug)]
@@ -194,14 +271,14 @@ enum Slot<W> {
 
 #[derive(Debug)]
 struct ShardInner<W> {
-    map: HashMap<CacheKey, Slot<W>>,
+    map: HashMap<CacheKey, Slot<W>, KeyHash>,
     clock: u64,
 }
 
 impl<W> Default for ShardInner<W> {
     fn default() -> Self {
         ShardInner {
-            map: HashMap::new(),
+            map: HashMap::default(),
             clock: 0,
         }
     }
@@ -236,6 +313,8 @@ impl<W> Default for Shard<W> {
 #[derive(Debug)]
 pub struct AnswerCache<W = ()> {
     shards: Box<[Shard<W>]>,
+    /// Chooses a key's shard; seeded per cache.
+    stripes: KeyHash,
     /// Max ready entries per shard (total capacity / shard count).
     capacity_per_shard: usize,
     /// Max ready-entry bytes per shard (0 = unbounded).
@@ -260,6 +339,7 @@ impl<W> AnswerCache<W> {
         let shards = shards.max(1);
         AnswerCache {
             shards: (0..shards).map(|_| Shard::default()).collect(),
+            stripes: KeyHash::default(),
             capacity_per_shard: capacity.div_ceil(shards).max(usize::from(capacity > 0)),
             max_bytes_per_shard: max_bytes.div_ceil(shards),
             capacity,
@@ -271,10 +351,13 @@ impl<W> AnswerCache<W> {
         self.shards.len()
     }
 
+    /// The index of `key`'s shard.
+    fn stripe(&self, key: &CacheKey) -> usize {
+        (self.stripes.hash_one(key) as usize) % self.shards.len()
+    }
+
     fn shard_for(&self, key: &CacheKey) -> &Shard<W> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[self.stripe(key)]
     }
 
     /// Look up a released answer, refreshing its LRU position. In-flight
@@ -342,7 +425,9 @@ impl<W> AnswerCache<W> {
     /// Evicts least-recently-used ready entries beyond the shard's entry
     /// or byte budget (the freshly published answer is the most recent,
     /// so it survives unless it alone exceeds the shard byte budget).
-    pub fn complete(&self, key: CacheKey, answer: CachedAnswer) -> Vec<W> {
+    /// An answer passed as an `Arc` is stored as that allocation.
+    pub fn complete(&self, key: CacheKey, answer: impl Into<Arc<CachedAnswer>>) -> Vec<W> {
+        let answer = answer.into();
         let shard = self.shard_for(&key);
         let mut inner = lock(&shard.inner);
         inner.clock += 1;
@@ -355,7 +440,7 @@ impl<W> AnswerCache<W> {
         }
         let cost = key.cost_bytes() + answer.cost_bytes();
         let ready = Slot::Ready(Entry {
-            answer: Arc::new(answer),
+            answer,
             last_used: clock,
             cost,
         });
@@ -470,14 +555,15 @@ impl<W> AnswerCache<W> {
 
 #[derive(Debug)]
 struct MemoEntry {
-    canonical_sql: Box<str>,
+    /// Shared with the cache keys and responses built from it.
+    canonical_sql: Arc<str>,
     /// Logical timestamp of last use, for eviction.
     last_used: u64,
 }
 
 #[derive(Debug, Default)]
 struct MemoShard {
-    map: HashMap<Box<str>, MemoEntry>,
+    map: HashMap<Box<str>, MemoEntry, KeyHash>,
     clock: u64,
 }
 
@@ -488,6 +574,8 @@ struct MemoShard {
 #[derive(Debug)]
 pub(crate) struct TextMemo {
     shards: Box<[Mutex<MemoShard>]>,
+    /// Chooses a text's shard; seeded per memo.
+    stripes: KeyHash,
     /// Max texts per shard; 0 disables the memo.
     capacity_per_shard: usize,
 }
@@ -502,18 +590,22 @@ impl TextMemo {
         let capacity = cache_capacity.saturating_mul(MEMO_TEXTS_PER_ANSWER);
         TextMemo {
             shards: (0..shards).map(|_| Mutex::default()).collect(),
+            stripes: KeyHash::default(),
             capacity_per_shard: capacity.div_ceil(shards),
         }
     }
 
+    /// The index of `sql`'s shard.
+    fn stripe(&self, sql: &str) -> usize {
+        (self.stripes.hash_one(sql) as usize) % self.shards.len()
+    }
+
     fn shard_for(&self, sql: &str) -> &Mutex<MemoShard> {
-        let mut h = DefaultHasher::new();
-        sql.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[self.stripe(sql)]
     }
 
     /// The canonical text of `sql`, refreshing its LRU position.
-    pub(crate) fn get(&self, sql: &str) -> Option<String> {
+    pub(crate) fn get(&self, sql: &str) -> Option<Arc<str>> {
         if self.capacity_per_shard == 0 || sql.len() > MEMO_MAX_TEXT_BYTES {
             return None;
         }
@@ -522,12 +614,13 @@ impl TextMemo {
         let clock = shard.clock;
         let entry = shard.map.get_mut(sql)?;
         entry.last_used = clock;
-        Some(entry.canonical_sql.to_string())
+        Some(Arc::clone(&entry.canonical_sql))
     }
 
-    /// Remember that `sql` canonicalizes to `canonical_sql`, evicting the
-    /// shard's least recently used text beyond its bound.
-    pub(crate) fn insert(&self, sql: &str, canonical_sql: &str) {
+    /// Remember that `sql` canonicalizes to `canonical_sql` (kept as
+    /// that allocation), evicting the shard's least recently used text
+    /// beyond its bound.
+    pub(crate) fn insert(&self, sql: &str, canonical_sql: &Arc<str>) {
         if self.capacity_per_shard == 0
             || sql.len() > MEMO_MAX_TEXT_BYTES
             || canonical_sql.len() > MEMO_MAX_TEXT_BYTES
@@ -548,7 +641,7 @@ impl TextMemo {
             shard.map.retain(|_, e| e.last_used != oldest);
         }
         let entry = MemoEntry {
-            canonical_sql: canonical_sql.into(),
+            canonical_sql: Arc::clone(canonical_sql),
             last_used: clock,
         };
         shard.map.insert(sql.into(), entry);
@@ -803,13 +896,38 @@ mod tests {
         assert_eq!(cache.bytes(), expect);
     }
 
+    /// Stripes are chosen by a hash seeded per cache: two caches spread
+    /// the same keys differently, so no text can be aimed at one stripe
+    /// (filling it would evict another analyst's answer, and that
+    /// analyst's next request would be charged again). Unseeded, every
+    /// cache would place all 256 keys alike.
+    #[test]
+    fn stripes_are_seeded_per_cache() {
+        let texts: Vec<String> = (0..256).map(|i| format!("SELECT {i}")).collect();
+        let keys: Vec<CacheKey> = (texts.iter())
+            .map(|t| CacheKey::new(t.clone(), params(1.0)))
+            .collect();
+        let cache_stripes = |c: &AnswerCache| keys.iter().map(|k| c.stripe(k)).collect::<Vec<_>>();
+        let memo_stripes = |m: &TextMemo| texts.iter().map(|t| m.stripe(t)).collect::<Vec<_>>();
+        let caches = [AnswerCache::new(1), AnswerCache::new(1)];
+        let memos = [TextMemo::new(1, 16), TextMemo::new(1, 16)];
+        assert_ne!(cache_stripes(&caches[0]), cache_stripes(&caches[1]));
+        assert_ne!(memo_stripes(&memos[0]), memo_stripes(&memos[1]));
+        // And each spreads them: every stripe gets some of the 256.
+        for stripes in [cache_stripes(&caches[0]), memo_stripes(&memos[0])] {
+            let mut used = [false; DEFAULT_CACHE_SHARDS];
+            stripes.iter().for_each(|&s| used[s] = true);
+            assert!(used.iter().all(|&u| u), "{stripes:?}");
+        }
+    }
+
     #[test]
     fn memo_maps_exact_text_and_evicts_lru() {
         // Capacity 1 answer × 4 texts, one shard.
         let memo = TextMemo::new(1, 1);
         assert_eq!(memo.bound(), MEMO_TEXTS_PER_ANSWER);
         for i in 0..4 {
-            memo.insert(&format!("select {i}"), &format!("SELECT {i}"));
+            memo.insert(&format!("select {i}"), &format!("SELECT {i}").into());
         }
         assert_eq!(memo.get("select 0").as_deref(), Some("SELECT 0"));
         // By full text: a prefix, a case change or a trailing space is
@@ -818,7 +936,7 @@ mod tests {
             assert_eq!(memo.get(other), None, "{other:?}");
         }
         // `select 0` was just used, so `select 1` is the oldest.
-        memo.insert("select 4", "SELECT 4");
+        memo.insert("select 4", &"SELECT 4".into());
         assert_eq!(memo.len(), 4);
         assert_eq!(memo.get("select 1"), None);
         assert_eq!(memo.get("select 0").as_deref(), Some("SELECT 0"));
@@ -830,10 +948,10 @@ mod tests {
     #[test]
     fn memo_length_bound_covers_both_texts() {
         let memo = TextMemo::new(8, 2);
-        memo.insert("select 1", &"x".repeat(MEMO_MAX_TEXT_BYTES + 1));
+        memo.insert("select 1", &"x".repeat(MEMO_MAX_TEXT_BYTES + 1).into());
         assert_eq!(memo.len(), 0);
         let fits = format!("select 1{}", " ".repeat(MEMO_MAX_TEXT_BYTES - 8));
-        memo.insert(&fits, "SELECT 1");
+        memo.insert(&fits, &"SELECT 1".into());
         assert_eq!(memo.get(&fits).as_deref(), Some("SELECT 1"));
     }
 }

@@ -26,7 +26,7 @@
 //! [`QueryService::metrics`].
 
 use crate::cache::{
-    Admission, AnswerCache, CacheKey, CachedAnswer, TextMemo, DEFAULT_CACHE_SHARDS,
+    Admission, AnswerCache, CacheKey, CachedAnswer, Columns, Rows, TextMemo, DEFAULT_CACHE_SHARDS,
 };
 use crate::error::{ServiceError, ServiceResult};
 use crate::export::MetricsReport;
@@ -164,16 +164,22 @@ impl Default for ServiceConfig {
 }
 
 /// A differentially-private answer released to an analyst.
+///
+/// The canonical text, columns and rows are shared, not copied: every
+/// response for one release — the request that computed it, each
+/// coalesced waiter and each cache hit — holds the cache's one
+/// allocation of them, so a response costs the same whatever the
+/// answer's size. They read as `&str`, `&[String]` and `&[Vec<Value>]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceResponse {
     /// The analyst the answer was released to.
     pub analyst: String,
     /// Canonical SQL the answer was computed for (also the cache key).
-    pub canonical_sql: String,
+    pub canonical_sql: Arc<str>,
     /// Output column names.
-    pub columns: Vec<String>,
+    pub columns: Columns,
     /// Noised rows (label cells pass through, aggregates carry noise).
-    pub rows: Vec<Vec<Value>>,
+    pub rows: Rows,
     /// Whether this answer was served from the noisy-answer cache. A
     /// request coalesced onto an identical in-flight computation reports
     /// `false` here (the answer was freshly computed, just not charged to
@@ -685,7 +691,7 @@ impl QueryService {
     /// let params = PrivacyParams::new(1.0, 1e-8).unwrap();
     /// let ticket = svc.submit("alice", "SELECT COUNT(*) FROM t", params);
     /// let answer = ticket.wait().unwrap();      // blocks for the release
-    /// assert_eq!(answer.columns, vec!["count"]);
+    /// assert_eq!(*answer.columns, ["count"]);
     /// assert!(answer.scalar().is_some());       // noised count, not 50
     /// assert_eq!(svc.ledger().spent("alice").0, 1.0);
     /// ```
@@ -697,10 +703,10 @@ impl QueryService {
         // other outcome (no entry, or its answer evicted or not released
         // at these params) takes the full path below.
         if let Some(canonical_sql) = shared.memo.get(sql) {
-            let key = CacheKey::new(canonical_sql, params);
+            let key = CacheKey::shared(canonical_sql, params);
             if let Some(hit) = shared.cache.get(&key) {
                 shared.telemetry.incr(Metric::MemoHits);
-                return serve_hit(shared, analyst, key, &hit);
+                return serve_hit(shared, analyst, key, hit);
             }
         }
 
@@ -746,8 +752,8 @@ impl QueryService {
             // Only a text whose answer was released enters the memo, so
             // a cold workload never fills it.
             Admission::Hit(hit) => {
-                shared.memo.insert(sql, key.canonical_sql());
-                return serve_hit(shared, analyst, key, &hit);
+                shared.memo.insert(sql, key.shared_sql());
+                return serve_hit(shared, analyst, key, hit);
             }
             // An identical query is already in flight: this request was
             // parked to piggyback on its release instead of paying for a
@@ -940,17 +946,18 @@ impl Drop for QueryService {
     }
 }
 
-/// Serve an already-released answer: post-processing, so free.
-fn serve_hit(shared: &Shared, analyst: &str, key: CacheKey, hit: &CachedAnswer) -> Ticket {
+/// Serve an already-released answer: post-processing, so free. The
+/// response shares the key's text and the cached answer.
+fn serve_hit(shared: &Shared, analyst: &str, key: CacheKey, hit: Arc<CachedAnswer>) -> Ticket {
     shared.telemetry.incr(Metric::CacheHits);
     Ticket::ready(Ok(ServiceResponse {
         analyst: analyst.to_string(),
-        canonical_sql: key.into_canonical_sql(),
-        columns: hit.columns.clone(),
-        rows: hit.rows.clone(),
+        canonical_sql: Arc::clone(key.shared_sql()),
+        join_count: hit.join_count,
+        columns: Columns(Arc::clone(&hit)),
+        rows: Rows(hit),
         from_cache: true,
         charged: (0.0, 0.0),
-        join_count: hit.join_count,
     }))
 }
 
@@ -1081,17 +1088,19 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
             // The answer is about to be released: the charge is final
             // and no longer refundable.
             shared.ledger.settle(&job.charge);
-            let answer = CachedAnswer {
-                columns: result.columns.clone(),
-                rows: result.rows.clone(),
+            // The one allocation of the release: the cache entry, this
+            // job's response and every waiter's share it.
+            let answer = Arc::new(CachedAnswer {
+                columns: result.columns,
+                rows: result.rows,
                 join_count: result.join_count,
-            };
+            });
             // Publish the answer and collect the piggybacked waiters in
             // one shard-lock acquisition: at every instant a concurrent
             // submit sees the key as either pending or released, so
             // exactly one computation is paid.
-            let canonical_sql = job.key.canonical_sql().to_string();
-            let waiters = shared.cache.complete(job.key, answer);
+            let canonical_sql = Arc::clone(job.key.shared_sql());
+            let waiters = shared.cache.complete(job.key, Arc::clone(&answer));
             // One structured trace per release: the front-door spans
             // measured by `submit`, the queue wait, the three FLEX stage
             // timings, the wait at the durability barrier, and the
@@ -1114,7 +1123,7 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
                 .telemetry
                 .record_release(trace.total(), || SlowQuery {
                     analyst: job.analyst.clone(),
-                    canonical_sql: canonical_sql.clone(),
+                    canonical_sql: canonical_sql.to_string(),
                     epsilon: job.charge.epsilon,
                     delta: job.charge.delta,
                     trace,
@@ -1122,24 +1131,24 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
             for (analyst, waiter) in waiters {
                 let _ = waiter.send(Ok(ServiceResponse {
                     analyst,
-                    canonical_sql: canonical_sql.clone(),
-                    columns: result.columns.clone(),
-                    rows: result.rows.clone(),
+                    canonical_sql: Arc::clone(&canonical_sql),
+                    columns: Columns(Arc::clone(&answer)),
+                    rows: Rows(Arc::clone(&answer)),
                     // Piggybacked on the computation, not served from the
                     // cache — free, but honest about the path.
                     from_cache: false,
                     charged: (0.0, 0.0),
-                    join_count: result.join_count,
+                    join_count: answer.join_count,
                 }));
             }
             Ok(ServiceResponse {
                 analyst: job.analyst,
                 canonical_sql,
-                columns: result.columns,
-                rows: result.rows,
+                columns: Columns(Arc::clone(&answer)),
+                join_count: answer.join_count,
+                rows: Rows(answer),
                 from_cache: false,
                 charged: (job.charge.epsilon, job.charge.delta),
-                join_count: result.join_count,
             })
         }
         // A mid-pipeline deadline expiry is a timeout, not a failure:
@@ -2390,6 +2399,51 @@ mod tests {
         let other = svc.query("a", sql, params(0.25)).unwrap();
         assert_eq!(other.charged, (0.25, 1e-8));
         assert_eq!(svc.telemetry().memo_hits, 1);
+    }
+
+    /// One release is one allocation: the computing request, a request
+    /// coalesced onto it and every later hit (by the full path and by
+    /// the memo) hold the same columns and rows, equal field for field.
+    #[test]
+    fn every_response_for_one_release_shares_its_answer() {
+        let svc = two_workers();
+        svc.shared.queue.wait_parked(2);
+        let sql = "SELECT city_id, COUNT(*) FROM trips GROUP BY city_id";
+        let p = params(0.5);
+        let held = svc.submit("alice", sql, p);
+        let piggyback = svc.submit("bob", sql, p);
+        let (owner, piggyback) = (held.wait().unwrap(), piggyback.wait().unwrap());
+        let hit = svc.query("carol", sql, p).unwrap();
+        let memo = svc.query("carol", sql, p).unwrap();
+        let t = svc.telemetry();
+        assert_eq!(
+            (t.completed, t.coalesced, t.cache_hits, t.memo_hits),
+            (1, 1, 2, 1),
+            "{t}"
+        );
+        assert_eq!(owner.rows.len(), 7);
+        assert_eq!(owner.charged, (0.5, 1e-8));
+        for r in [&piggyback, &hit, &memo] {
+            assert!(std::ptr::eq(&*r.rows, &*owner.rows), "{}", r.analyst);
+            assert!(std::ptr::eq(&*r.columns, &*owner.columns), "{}", r.analyst);
+            assert_eq!(
+                (&r.canonical_sql, &r.columns, &r.rows, r.join_count),
+                (
+                    &owner.canonical_sql,
+                    &owner.columns,
+                    &owner.rows,
+                    owner.join_count
+                )
+            );
+        }
+        assert_eq!(
+            (piggyback.from_cache, piggyback.charged),
+            (false, (0.0, 0.0))
+        );
+        assert_eq!(hit, memo);
+        // The memo hit's key text is the one the memo kept: the full-path
+        // hit's.
+        assert!(Arc::ptr_eq(&hit.canonical_sql, &memo.canonical_sql));
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! Everything on the query path is a relaxed atomic update: counters and
 //! histogram buckets never contend with query execution. The only lock
 //! is around the slow-query log, taken once per *completed* query to
-//! insert into a bounded, sorted vector.
+//! insert into a bounded, sorted vector. The counters every cache hit
+//! bumps are striped per thread ([`Telemetry::incr`]), so clients on
+//! different cores do not write one cache line.
 
 use flex_db::ExecTrace;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -20,6 +22,42 @@ pub const LATENCY_BUCKETS: usize = 64;
 
 /// Entries the slow-query log retains (the slowest completed queries).
 pub const SLOW_LOG_CAPACITY: usize = 16;
+
+/// Stripes of each per-thread counter: threads take them round robin, so
+/// up to this many request threads count on lines of their own.
+const COUNTER_STRIPES: usize = 16;
+
+/// Counters striped per thread: [`Metric::Submitted`],
+/// [`Metric::MemoHits`] and [`Metric::CacheHits`] — the only writes of a
+/// hit served from the text memo.
+const STRIPED: usize = 3;
+
+/// One thread's share of the striped counters, on a line of its own (two
+/// 64-byte lines: x86 fetches them in adjacent pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Stripe([AtomicU64; STRIPED]);
+
+/// The thread's stripe, assigned on its first count.
+fn my_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
+    }
+    STRIPE.with(|s| *s)
+}
+
+impl Metric {
+    /// The metric's slot in a [`Stripe`], if it is striped.
+    fn stripe(self) -> Option<usize> {
+        match self {
+            Metric::Submitted => Some(0),
+            Metric::MemoHits => Some(1),
+            Metric::CacheHits => Some(2),
+            _ => None,
+        }
+    }
+}
 
 /// A lock-free log-bucketed (HDR-style) latency histogram. `record` is
 /// one relaxed `fetch_add` on the bucket for `floor(log2(ns))` plus one
@@ -341,7 +379,7 @@ macro_rules! metric_table {
             pub fn snapshot(&self) -> TelemetrySnapshot {
                 let mut latencies = self.latencies.iter().map(LatencyHistogram::snapshot);
                 TelemetrySnapshot {
-                    $( $field: self.cell(Metric::$variant).load(Ordering::Relaxed), )*
+                    $( $field: self.get(Metric::$variant), )*
                     $( $lfield: latencies.next().expect("one histogram per LATENCIES row"), )*
                     slow_queries: self.slow.lock().map(|log| log.clone()).unwrap_or_default(),
                 }
@@ -456,6 +494,9 @@ metric_table! {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     scalars: [AtomicU64; SCALARS.len()],
+    /// The striped counters' counts since their last `set`; a striped
+    /// counter reads as its scalar plus these.
+    stripes: [Stripe; COUNTER_STRIPES],
     latencies: [LatencyHistogram; LATENCIES.len()],
     slow: Mutex<Vec<SlowQuery>>,
 }
@@ -465,9 +506,27 @@ impl Telemetry {
         &self.scalars[metric as usize]
     }
 
+    /// The metric's current value.
+    fn get(&self, metric: Metric) -> u64 {
+        let base = self.cell(metric).load(Ordering::Relaxed);
+        match metric.stripe() {
+            Some(i) => {
+                let counted: u64 = (self.stripes.iter())
+                    .map(|s| s.0[i].load(Ordering::Relaxed))
+                    .sum();
+                base + counted
+            }
+            None => base,
+        }
+    }
+
     /// Count one event on a counter.
     pub fn incr(&self, metric: Metric) {
-        self.cell(metric).fetch_add(1, Ordering::Relaxed);
+        let cell = match metric.stripe() {
+            Some(i) => &self.stripes[my_stripe()].0[i],
+            None => self.cell(metric),
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Overwrite a gauge, or reconcile a counter whose live value is an
@@ -475,6 +534,11 @@ impl Telemetry {
     /// service re-records those at snapshot time, so reading metrics
     /// never touches a hot-path lock.
     pub fn set(&self, metric: Metric, value: u64) {
+        if let Some(i) = metric.stripe() {
+            for s in &self.stripes {
+                s.0[i].store(0, Ordering::Relaxed);
+            }
+        }
         self.cell(metric).store(value, Ordering::Relaxed);
     }
 

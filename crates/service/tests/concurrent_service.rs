@@ -173,3 +173,65 @@ fn mixed_workload_under_concurrency_keeps_books_consistent() {
         "total ε {total_spent} must equal 0.1 × 5 releases"
     );
 }
+
+/// The counters every hit bumps are striped per thread and summed when
+/// read: with more threads than stripes, all hitting through the text
+/// memo at once, no count is lost or doubled — in the snapshot, in the
+/// Prometheus text and in the JSON report.
+#[test]
+fn concurrent_memo_hits_are_counted_exactly() {
+    const THREADS: u64 = 20;
+    const HITS: u64 = 500;
+    let svc = Arc::new(QueryService::new(test_db(), ServiceConfig::default()));
+    let p = PrivacyParams::new(0.2, 1e-9).unwrap();
+    let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 7";
+    // A miss releases the answer; a hit memoizes the text.
+    for _ in 0..2 {
+        svc.query("warm", sql, p).unwrap();
+    }
+    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (svc, start) = (Arc::clone(&svc), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let analyst = format!("reader-{t}");
+                start.wait();
+                for _ in 0..HITS {
+                    assert!(svc.query(&analyst, sql, p).unwrap().from_cache);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+
+    let n = THREADS * HITS;
+    let t = svc.telemetry();
+    assert_eq!(
+        (t.submitted, t.cache_hits, t.memo_hits),
+        (n + 2, n + 1, n),
+        "{t}"
+    );
+    let report = svc.metrics();
+    let text = report.prometheus();
+    for (name, value) in [
+        ("flex_queries_submitted_total", n + 2),
+        ("flex_cache_hits_total", n + 1),
+        ("flex_memo_hits_total", n),
+    ] {
+        assert!(
+            text.contains(&format!("\n{name} {value}\n")),
+            "{name}:\n{text}"
+        );
+    }
+    let json = report.to_json();
+    for (key, value) in [
+        ("submitted", n + 2),
+        ("cache_hits", n + 1),
+        ("memo_hits", n),
+    ] {
+        let read = json.get("telemetry").and_then(|t| t.get(key));
+        assert_eq!(read.and_then(|v| v.as_i64()), Some(value as i64), "{key}");
+    }
+}

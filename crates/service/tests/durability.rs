@@ -883,7 +883,7 @@ fn serve_and_check(workers: usize, clients: usize, fail_syncs_after: Option<u64>
                     match svc.query(&analyst, &sql, params(0.01)) {
                         Ok(r) => {
                             let mut seen = seen.lock().unwrap();
-                            seen.push((analyst.clone(), r.canonical_sql, r.charged.0));
+                            seen.push((analyst.clone(), r.canonical_sql.to_string(), r.charged.0));
                             assert_image_covers(&storage.durable_bytes(), &seen, context);
                         }
                         Err(ServiceError::WalUnavailable(_)) if fail_syncs_after.is_some() => {}

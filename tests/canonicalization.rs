@@ -236,7 +236,7 @@ fn memo_served_hits_equal_full_path_hits() {
             }
             assert!(previous.from_cache, "the memo follows a hit: {text}");
             assert_eq!(response, previous, "{text}");
-            assert_eq!(response.canonical_sql, key, "{text}");
+            assert_eq!(*response.canonical_sql, *key, "{text}");
             from_memo = true;
             break;
         }

@@ -379,7 +379,7 @@ fn textual_variants_share_one_release_and_one_schedule() {
                 .telemetry()
                 .slow_queries
                 .into_iter()
-                .find(|q| q.canonical_sql == cold.canonical_sql)
+                .find(|q| *q.canonical_sql == *cold.canonical_sql)
                 .expect("computed")
                 .trace
                 .exec

@@ -400,7 +400,7 @@ fn service_noises_the_count_of_a_reordered_pass_through() {
     let params = PrivacyParams::new(0.1, 1e-8).unwrap();
     let sql = format!("WITH a AS ({HISTOGRAM}) SELECT n, k FROM a");
     let answer = svc.submit("alice", &sql, params).wait().unwrap();
-    assert_eq!(answer.columns, ["n", "k"]);
+    assert_eq!(*answer.columns, ["n", "k"]);
     let swapped: Vec<Vec<Value>> = truth
         .rows
         .iter()
