@@ -8,7 +8,11 @@
 //! path — with Zipf-skewed analysts and queries (hot keys collide on
 //! shards, like production traffic does), and report throughput scaling
 //! relative to one thread. On a serialized hot path the curve is flat;
-//! with striped shards it should track the core count.
+//! with striped shards it should track the core count. Each thread draws
+//! its whole request sequence before the storm starts, so the clock
+//! times requests, not the sampler. A third storm, `contention-hot-text`
+//! (reported, not gated), has every thread repeat one text: the case in
+//! which a hit that writes a shared line serializes the threads.
 //!
 //! Determinism is asserted before anything is timed: the same seeded
 //! service at cache/ledger shard counts 1, 4 and 16 must release
@@ -90,13 +94,31 @@ fn pool_sql(i: usize) -> String {
     format!("SELECT COUNT(*) FROM trips WHERE fare > {i}")
 }
 
+/// Each thread's `per_thread` draws, from a stream seeded by `seed` plus
+/// the thread index: made before a storm starts.
+fn draws<T>(
+    seed: u64,
+    threads: usize,
+    per_thread: usize,
+    draw: impl Fn(&mut StdRng) -> T,
+) -> Vec<Vec<T>> {
+    (0..threads)
+        .map(|t| {
+            let mut rng = StdRng::seed_from_u64(seed + t as u64);
+            (0..per_thread).map(|_| draw(&mut rng)).collect()
+        })
+        .collect()
+}
+
 /// Drive `per_thread` operations on each of `threads` barrier-started
-/// threads; returns overall ops/sec (total ops over the slowest
-/// thread's wall time, measured from the common start).
+/// threads; returns overall ops/sec: total ops over the time from the
+/// first thread's start to the last thread's end. (Timing each thread
+/// from its own start would let threads that outnumber the cores run one
+/// after another and read as parallel.)
 fn storm(threads: usize, per_thread: usize, op: impl Fn(usize, usize) + Sync) -> f64 {
     let barrier = Barrier::new(threads);
     let total = (threads * per_thread) as f64;
-    let elapsed = std::thread::scope(|scope| {
+    let spans: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let barrier = &barrier;
@@ -107,17 +129,25 @@ fn storm(threads: usize, per_thread: usize, op: impl Fn(usize, usize) + Sync) ->
                     for i in 0..per_thread {
                         op(t, i);
                     }
-                    t0.elapsed()
+                    (t0, Instant::now())
                 })
             })
             .collect();
-        handles
-            .into_iter()
+        (handles.into_iter())
             .map(|h| h.join().expect("storm thread"))
-            .max()
-            .expect("at least one thread")
+            .collect()
     });
-    total / elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
+    let first = spans
+        .iter()
+        .map(|s| s.0)
+        .min()
+        .expect("at least one thread");
+    let last = spans
+        .iter()
+        .map(|s| s.1)
+        .max()
+        .expect("at least one thread");
+    total / (last - first).as_secs_f64().max(f64::MIN_POSITIVE)
 }
 
 /// Scaling map + gate rows for one storm family, from its per-thread
@@ -254,11 +284,13 @@ pub fn run(quick: bool) -> ContentionReport {
 
         let mut ops = Vec::new();
         for threads in THREAD_STEPS {
-            let rate = storm(threads, cache_ops, |t, _| {
-                // Per-thread RNG: deterministic skew, no shared state.
-                let mut rng = StdRng::seed_from_u64(0x5708 + t as u64);
-                let sql = &sqls[query_zipf.sample(&mut rng)];
-                let analyst = &analysts[analyst_zipf.sample(&mut rng)];
+            // Per-thread streams: deterministic skew, no shared state.
+            let requests = draws(0x5708, threads, cache_ops, |rng| {
+                (query_zipf.sample(rng), analyst_zipf.sample(rng))
+            });
+            let rate = storm(threads, cache_ops, |t, i| {
+                let (sql, analyst) = requests[t][i];
+                let (sql, analyst) = (&sqls[sql], &analysts[analyst]);
                 std::hint::black_box(svc.query(analyst, sql, params).expect("cache hit"));
             });
             eprintln!("contention-cache-hit: {threads:>2} threads, {rate:>12.0} ops/sec");
@@ -282,6 +314,23 @@ pub fn run(quick: bool) -> ContentionReport {
             floor: CACHE_SCALING_FLOOR_16,
             min_cores: 8,
         });
+
+        // Every thread repeats the hottest text, as its own analyst.
+        // Reported, not gated: it shows whether one hot text serializes.
+        let hot = &sqls[0];
+        let med = median_ns(cache_ops, || {
+            std::hint::black_box(svc.query(&analysts[0], hot, params).expect("cache hit"));
+        });
+        let mut ops = Vec::new();
+        for threads in THREAD_STEPS {
+            let rate = storm(threads, cache_ops, |t, _| {
+                let analyst = &analysts[t % ANALYSTS];
+                std::hint::black_box(svc.query(analyst, hot, params).expect("cache hit"));
+            });
+            eprintln!("contention-hot-text: {threads:>2} threads, {rate:>12.0} ops/sec");
+            ops.push((threads, rate));
+        }
+        scenarios.push(("contention-hot-text".to_string(), scenario_entry(med, &ops)));
         let t = svc.telemetry();
         assert_eq!(t.failed, 0, "storm must not fail queries: {t}");
         assert_eq!(
@@ -312,10 +361,9 @@ pub fn run(quick: bool) -> ContentionReport {
 
         let mut ops = Vec::new();
         for threads in THREAD_STEPS {
-            let rate = storm(threads, admit_ops, |t, _| {
-                let mut rng = StdRng::seed_from_u64(0xAD31 + t as u64);
-                let analyst = &analysts[analyst_zipf.sample(&mut rng)];
-                let c = ledger.try_charge(analyst, 1e-6, 1e-12).expect("admit");
+            let by = draws(0xAD31, threads, admit_ops, |rng| analyst_zipf.sample(rng));
+            let rate = storm(threads, admit_ops, |t, i| {
+                let c = (ledger.try_charge(&analysts[by[t][i]], 1e-6, 1e-12)).expect("admit");
                 ledger.settle(&c);
             });
             eprintln!("contention-admission: {threads:>2} threads, {rate:>12.0} ops/sec");

@@ -132,14 +132,23 @@ fn lower_root_block(block: BlockView<'_>, db: &Database) -> Result<Lowered> {
         QueryKind::Histogram
     };
 
-    // A group key passed through is a bin label.
+    // A group key passed through is a bin label. A statistic selected
+    // twice would be two independent draws for one charge, as in
+    // `permute_outputs`.
     let mut aggregates = Vec::new();
     let mut outputs = Vec::new();
-    for out in block.outputs() {
+    let mut statistics = Vec::new();
+    for (i, out) in block.outputs().enumerate() {
         outputs.push(match out {
             Output::Key(k) => OutputColumn::Label(k),
             Output::Aggregate(func, arg) => {
-                aggregates.push(classify_aggregate(func, arg)?);
+                if statistics.contains(&(func, arg.clone())) {
+                    let name = block.header().nth(i).unwrap_or_default();
+                    let twice = format!("column `{name}` is selected twice");
+                    return Err(FlexError::UnsupportedProjection(twice));
+                }
+                aggregates.push(classify_aggregate(func, arg.clone())?);
+                statistics.push((func, arg));
                 OutputColumn::Aggregate(aggregates.len() - 1)
             }
             Output::OverAggregates => {
@@ -658,6 +667,34 @@ mod tests {
     fn pass_through_repeating_an_aggregate_is_rejected() {
         // Two independent draws on one statistic for one charge.
         assert!(rejected_projection("k, n, n").contains("`n` is selected twice"));
+    }
+
+    #[test]
+    fn a_root_statistic_selected_twice_is_rejected() {
+        for sql in [
+            "SELECT COUNT(*), COUNT(*) FROM trips",
+            "SELECT COUNT(*) AS a, COUNT(*) AS n FROM trips",
+            "SELECT city_id, SUM(fare), COUNT(*), SUM(fare) FROM trips GROUP BY city_id",
+        ] {
+            match lower_sql(sql) {
+                Err(e @ FlexError::UnsupportedProjection(_)) => {
+                    assert!(e.to_string().contains("is selected twice"), "{sql}: {e}")
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+        // Different statistics of one column, or one statistic of two
+        // columns, are each drawn once.
+        for (sql, statistics) in [
+            ("SELECT COUNT(*), COUNT(fare), SUM(fare) FROM trips", 3),
+            ("SELECT SUM(fare), SUM(city_id) FROM trips", 2),
+        ] {
+            assert_eq!(
+                lower_sql(sql).unwrap().aggregates.len(),
+                statistics,
+                "{sql}"
+            );
+        }
     }
 
     #[test]

@@ -48,28 +48,45 @@
 //!
 //! Ready entries are byte-accounted (key text + serialized-result size,
 //! see [`CachedAnswer::cost_bytes`]) against a per-shard slice of the
-//! configured budget, with per-shard LRU eviction beyond either the
-//! entry-count or the byte bound. `len`/`bytes`/`evictions` are served
-//! from per-shard atomics, so metrics reads never contend with the
-//! query path.
+//! configured budget, and evicted by CLOCK beyond either the entry-count
+//! or the byte bound: a shard keeps its ready keys in a ring, oldest
+//! first, and each entry has a `referenced` bit that a hit sets (only
+//! when it is clear, so a hot entry's line is not written on every hit).
+//! The sweep takes the oldest key; a referenced one has its bit cleared
+//! and goes to the back — its second chance — and the first unreferenced
+//! one is evicted. So an answer used since the sweep last passed it
+//! outlives one that was not, and an eviction is amortized O(1) instead
+//! of a scan of the shard. `len`/`bytes`/`evictions` are served from
+//! per-shard atomics, so metrics reads never contend with the query path.
 //!
 //! ## Text memo
 //!
-//! Beside the cache sits the text memo: exact SQL text → canonical
-//! text, for texts whose answer was already served from the cache. A
-//! repeat of such a text needs only its key, so the service looks the
-//! text up before it parses and, on a released answer, skips parse,
-//! canonicalize and print. The canonical text is a pure function of the
-//! text, so an entry never goes stale; whether its answer is still cached
-//! is the cache's business ([`AnswerCache::get`]).
+//! Beside the cache sits the text memo: exact SQL text → the cache entry
+//! its answer was served from, for texts whose answer was already served
+//! from the cache. A repeat of such a text needs no key, so the service
+//! looks the text up before it parses and, on an answer still cached,
+//! skips parse, canonicalize, print and the cache's lock. The memo is
+//! striped by thread (`sync::thread_stripe`), not by text: a
+//! thread looks up and fills only its own stripe, so a memo hit takes
+//! one uncontended lock and reads two flags of the entry — its `live`
+//! flag, which the cache clears under its shard lock when it evicts or
+//! replaces the entry, and its `referenced` bit — and writes no line
+//! another thread's hit reads (beyond the reference counts of the `Arc`s
+//! the response holds). An entry whose answer left the cache, or that was
+//! released at other privacy parameters, still names its canonical text:
+//! the service looks that key up in the cache ([`AnswerCache::get`]) and,
+//! on a hit, points the entry at the new cache entry. A memo entry holds
+//! its answer's `Arc`, so an evicted answer stays allocated until the
+//! memo sweeps or refreshes the entry (a stale entry gets no second
+//! chance).
 
-use crate::sync::lock;
+use crate::sync::{lock, thread_stripe, THREAD_STRIPES};
 use flex_core::PrivacyParams;
 use flex_db::{KeyHash, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default shard count for [`AnswerCache::new`]: enough stripes that a
@@ -77,15 +94,16 @@ use std::sync::{Arc, Mutex};
 /// that per-shard capacity slices stay useful.
 pub const DEFAULT_CACHE_SHARDS: usize = 16;
 
-/// Texts the service's text memo keeps per answer the cache may hold:
-/// room for every cached answer to be reached through this many
-/// spellings.
+/// Texts each thread's stripe of the service's text memo keeps per
+/// answer the cache may hold: room for every cached answer to be reached
+/// through this many spellings by every thread.
 pub const MEMO_TEXTS_PER_ANSWER: usize = 4;
 
 /// Longest SQL text, and longest canonical text, in bytes, that the
 /// service's text memo keeps; a longer one always takes the full parse.
-/// With the entry bound this caps the memo at about twice this many bytes
-/// of text per entry.
+/// With the entry bound this caps each memo stripe at about twice this
+/// many bytes of text per entry, plus the answers of the entries whose
+/// answer has left the cache.
 pub const MEMO_MAX_TEXT_BYTES: usize = 1024;
 
 /// Cache key: canonical SQL text plus exact privacy parameters (the same
@@ -127,6 +145,11 @@ impl CacheKey {
     /// Bytes this key contributes to an entry's cache cost.
     fn cost_bytes(&self) -> usize {
         self.canonical_sql.len() + 2 * std::mem::size_of::<u64>()
+    }
+
+    /// Whether this key is at exactly `params`.
+    fn is_at(&self, params: PrivacyParams) -> bool {
+        (self.epsilon_bits, self.delta_bits) == (params.epsilon.to_bits(), params.delta.to_bits())
     }
 }
 
@@ -235,7 +258,7 @@ impl serde_json::ToJson for Columns {
 #[derive(Debug)]
 pub enum Admission<C, E> {
     /// The key holds a released answer: serve it, zero budget.
-    Hit(Arc<CachedAnswer>),
+    Hit(Released),
     /// An identical computation is in flight; the caller's waiter was
     /// parked on it and will be handed the release (or its failure).
     Coalesced,
@@ -250,11 +273,69 @@ pub enum Admission<C, E> {
     Rejected(E),
 }
 
+/// The flags a ready entry shares with the memo entries that point at
+/// it.
+#[derive(Debug)]
+struct EntryFlags {
+    /// Set while the entry is in the cache; cleared under its shard lock
+    /// when the entry is evicted or replaced. A hit that races the
+    /// eviction may serve the answer once more: it was released, so that
+    /// is still free post-processing.
+    live: AtomicBool,
+    /// The CLOCK bit: set by a hit, cleared by the sweep that passes it.
+    referenced: AtomicBool,
+}
+
+/// A released answer as a ready entry holds it, handed out by a hit:
+/// reads as the [`CachedAnswer`], and carries the entry's flags, so the
+/// text memo can point at the entry and tell when it leaves the cache.
+#[derive(Debug, Clone)]
+pub struct Released {
+    answer: Arc<CachedAnswer>,
+    flags: Arc<EntryFlags>,
+}
+
+impl Released {
+    fn new(answer: Arc<CachedAnswer>) -> Self {
+        let flags = EntryFlags {
+            live: AtomicBool::new(true),
+            referenced: AtomicBool::new(false),
+        };
+        Released {
+            answer,
+            flags: Arc::new(flags),
+        }
+    }
+
+    /// The answer, as the one allocation every response shares.
+    pub fn answer(&self) -> &Arc<CachedAnswer> {
+        &self.answer
+    }
+
+    /// Whether the entry is still in the cache.
+    fn is_live(&self) -> bool {
+        self.flags.live.load(Ordering::Relaxed)
+    }
+
+    /// Mark the entry used since the sweep last passed it. The bit is
+    /// written only when clear, so hits on a hot entry write nothing.
+    fn touch(&self) {
+        if !self.flags.referenced.load(Ordering::Relaxed) {
+            self.flags.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Deref for Released {
+    type Target = CachedAnswer;
+    fn deref(&self) -> &CachedAnswer {
+        &self.answer
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
-    answer: Arc<CachedAnswer>,
-    /// Logical timestamp of last use, for eviction.
-    last_used: u64,
+    hit: Released,
     /// Byte cost (key + answer) charged against the shard's budget.
     cost: usize,
 }
@@ -272,14 +353,16 @@ enum Slot<W> {
 #[derive(Debug)]
 struct ShardInner<W> {
     map: HashMap<CacheKey, Slot<W>, KeyHash>,
-    clock: u64,
+    /// The keys of the ready entries, oldest first: the CLOCK sweep
+    /// takes the front.
+    ring: VecDeque<CacheKey>,
 }
 
 impl<W> Default for ShardInner<W> {
     fn default() -> Self {
         ShardInner {
             map: HashMap::default(),
-            clock: 0,
+            ring: VecDeque::new(),
         }
     }
 }
@@ -306,7 +389,7 @@ impl<W> Default for Shard<W> {
     }
 }
 
-/// A sharded, bounded, thread-safe LRU map from canonical queries to
+/// A sharded, bounded, thread-safe CLOCK map from canonical queries to
 /// released answers, with built-in single-flight coalescing (see the
 /// module docs). `W` is the caller's waiter handle type parked on
 /// in-flight computations; plain cache users can leave it at `()`.
@@ -360,18 +443,15 @@ impl<W> AnswerCache<W> {
         &self.shards[self.stripe(key)]
     }
 
-    /// Look up a released answer, refreshing its LRU position. In-flight
-    /// (pending) keys read as a miss — use [`AnswerCache::admit`] to
-    /// coalesce onto them.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedAnswer>> {
-        let shard = self.shard_for(key);
-        let mut inner = lock(&shard.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(key) {
+    /// Look up a released answer, marking it used. In-flight (pending)
+    /// keys read as a miss — use [`AnswerCache::admit`] to coalesce onto
+    /// them.
+    pub fn get(&self, key: &CacheKey) -> Option<Released> {
+        let inner = lock(&self.shard_for(key).inner);
+        match inner.map.get(key) {
             Some(Slot::Ready(e)) => {
-                e.last_used = clock;
-                Some(Arc::clone(&e.answer))
+                e.hit.touch();
+                Some(e.hit.clone())
             }
             _ => None,
         }
@@ -395,14 +475,11 @@ impl<W> AnswerCache<W> {
         waiter: impl FnOnce() -> W,
         admit: impl FnOnce() -> Result<C, E>,
     ) -> Admission<C, E> {
-        let shard = self.shard_for(key);
-        let mut inner = lock(&shard.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
+        let mut inner = lock(&self.shard_for(key).inner);
         match inner.map.get_mut(key) {
             Some(Slot::Ready(e)) => {
-                e.last_used = clock;
-                Admission::Hit(Arc::clone(&e.answer))
+                e.hit.touch();
+                Admission::Hit(e.hit.clone())
             }
             Some(Slot::Pending(waiters)) => {
                 waiters.push(waiter());
@@ -422,16 +499,15 @@ impl<W> AnswerCache<W> {
     /// on its pending slot, all under one shard-lock acquisition — at no
     /// instant can a concurrent [`AnswerCache::admit`] see the key in
     /// neither state, so exactly one computation is ever paid for.
-    /// Evicts least-recently-used ready entries beyond the shard's entry
-    /// or byte budget (the freshly published answer is the most recent,
-    /// so it survives unless it alone exceeds the shard byte budget).
-    /// An answer passed as an `Arc` is stored as that allocation.
+    /// Evicts ready entries by CLOCK beyond the shard's entry or byte
+    /// budget (the sweep passes only the older entries, so the freshly
+    /// published answer survives unless it alone exceeds the shard byte
+    /// budget). An answer passed as an `Arc` is stored as that
+    /// allocation.
     pub fn complete(&self, key: CacheKey, answer: impl Into<Arc<CachedAnswer>>) -> Vec<W> {
         let answer = answer.into();
         let shard = self.shard_for(&key);
         let mut inner = lock(&shard.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
         if self.capacity == 0 {
             return match inner.map.remove(&key) {
                 Some(Slot::Pending(waiters)) => waiters,
@@ -440,31 +516,41 @@ impl<W> AnswerCache<W> {
         }
         let cost = key.cost_bytes() + answer.cost_bytes();
         let ready = Slot::Ready(Entry {
-            answer,
-            last_used: clock,
+            hit: Released::new(answer),
             cost,
         });
         // The slot is replaced where it sits: the map keeps the key it
         // already holds, and `key` is only inserted when there is none.
-        let waiters = match inner.map.get_mut(&key) {
+        let (waiters, fresh) = match inner.map.get_mut(&key) {
             Some(slot) => match std::mem::replace(slot, ready) {
-                Slot::Pending(waiters) => waiters,
+                Slot::Pending(waiters) => (waiters, true),
                 Slot::Ready(e) => {
                     // Re-publishing over a ready entry (e.g. plain
-                    // `insert`): retire the old entry's accounting first.
+                    // `insert`): retire the old entry first; the key
+                    // keeps its place in the ring.
+                    e.hit.flags.live.store(false, Ordering::Relaxed);
                     shard.len.fetch_sub(1, Ordering::Relaxed);
                     shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
-                    Vec::new()
+                    (Vec::new(), false)
                 }
             },
             None => {
-                inner.map.insert(key, ready);
-                Vec::new()
+                inner.map.insert(key.clone(), ready);
+                (Vec::new(), true)
             }
         };
         shard.len.fetch_add(1, Ordering::Relaxed);
         shard.bytes.fetch_add(cost, Ordering::Relaxed);
         self.evict_over_budget(shard, &mut inner);
+        // A fresh key joins the ring after the sweep, so the sweep never
+        // takes it unless it alone exceeds the budget.
+        if fresh {
+            if self.over_budget(shard) {
+                Self::evict(shard, &mut inner, &key);
+            } else {
+                inner.ring.push_back(key);
+            }
+        }
         waiters
     }
 
@@ -483,39 +569,48 @@ impl<W> AnswerCache<W> {
         }
     }
 
-    /// Evict LRU ready entries until the shard is within both budgets.
-    /// No two entries share a `last_used` (each tick of the shard clock
-    /// stamps one), so the oldest is found by its stamp and removed in
-    /// place: no key is copied.
+    /// Whether the shard holds more ready entries, or bytes, than its
+    /// budget.
+    fn over_budget(&self, shard: &Shard<W>) -> bool {
+        let bytes = shard.bytes.load(Ordering::Relaxed);
+        shard.len.load(Ordering::Relaxed) > self.capacity_per_shard
+            || (self.max_bytes_per_shard > 0 && bytes > self.max_bytes_per_shard)
+    }
+
+    /// Sweep the ring until the shard is within both budgets: the oldest
+    /// key, if referenced since the sweep last passed it, has its bit
+    /// cleared and goes to the back; otherwise it is evicted. A key is
+    /// passed over once per bit a hit set, so an eviction is amortized
+    /// O(1).
     fn evict_over_budget(&self, shard: &Shard<W>, inner: &mut ShardInner<W>) {
-        loop {
-            let len = shard.len.load(Ordering::Relaxed);
-            let bytes = shard.bytes.load(Ordering::Relaxed);
-            let over_count = len > self.capacity_per_shard;
-            let over_bytes = self.max_bytes_per_shard > 0 && bytes > self.max_bytes_per_shard;
-            if !(over_count || over_bytes) || len == 0 {
+        while self.over_budget(shard) {
+            let Some(key) = inner.ring.pop_front() else {
                 return;
+            };
+            let Some(Slot::Ready(e)) = inner.map.get(&key) else {
+                unreachable!("the ring holds the ready keys");
+            };
+            if e.hit.flags.referenced.swap(false, Ordering::Relaxed) {
+                inner.ring.push_back(key);
+            } else {
+                Self::evict(shard, inner, &key);
             }
-            let (oldest, cost) = inner
-                .map
-                .values()
-                .filter_map(|slot| match slot {
-                    Slot::Ready(e) => Some((e.last_used, e.cost)),
-                    Slot::Pending(_) => None,
-                })
-                .min_by_key(|(used, _)| *used)
-                .expect("len > 0 implies a ready entry exists");
-            inner
-                .map
-                .retain(|_, slot| !matches!(slot, Slot::Ready(e) if e.last_used == oldest));
+        }
+    }
+
+    /// Remove `key`'s ready entry, clear its `live` flag and account for
+    /// it. The caller takes the key off the ring.
+    fn evict(shard: &Shard<W>, inner: &mut ShardInner<W>, key: &CacheKey) {
+        if let Some(Slot::Ready(e)) = inner.map.remove(key) {
+            e.hit.flags.live.store(false, Ordering::Relaxed);
             shard.len.fetch_sub(1, Ordering::Relaxed);
-            shard.bytes.fetch_sub(cost, Ordering::Relaxed);
+            shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
             shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Store a released answer directly (no single-flight bookkeeping),
-    /// evicting least-recently-used entries beyond the shard budgets.
+    /// evicting entries by CLOCK beyond the shard budgets.
     pub fn insert(&self, key: CacheKey, answer: CachedAnswer) {
         let _ = self.complete(key, answer);
     }
@@ -553,110 +648,158 @@ impl<W> AnswerCache<W> {
     }
 }
 
+/// One memoized text: the key its answer was released under and the
+/// cache entry holding that answer.
 #[derive(Debug)]
 struct MemoEntry {
-    /// Shared with the cache keys and responses built from it.
-    canonical_sql: Arc<str>,
-    /// Logical timestamp of last use, for eviction.
-    last_used: u64,
+    /// The canonical text (shared with the cache key and the responses
+    /// built from it) at the privacy parameters of the release.
+    key: CacheKey,
+    hit: Released,
+    /// The stripe's own CLOCK bit: the stripe is one thread's, so a hit
+    /// writes it without touching a shared line.
+    referenced: bool,
 }
 
+/// One thread's stripe of the memo.
 #[derive(Debug, Default)]
-struct MemoShard {
-    map: HashMap<Box<str>, MemoEntry, KeyHash>,
-    clock: u64,
+struct MemoTexts {
+    map: HashMap<Arc<str>, MemoEntry, KeyHash>,
+    /// The texts, oldest first: the CLOCK sweep takes the front.
+    ring: VecDeque<Arc<str>>,
 }
 
-/// A bounded, sharded, thread-safe LRU map from exact SQL text to its
-/// canonical text (see the module docs). Keys are compared by their full
-/// text, never by hash alone; texts or canonical texts longer than
-/// [`MEMO_MAX_TEXT_BYTES`] are never kept.
+impl MemoTexts {
+    /// Evict one text by CLOCK, as the cache does; a text whose answer
+    /// has left the cache gets no second chance.
+    fn evict_one(&mut self) {
+        while let Some(text) = self.ring.pop_front() {
+            let entry = (self.map.get_mut(&text)).expect("the ring holds the memoized texts");
+            if std::mem::take(&mut entry.referenced) && entry.hit.is_live() {
+                self.ring.push_back(text);
+            } else {
+                self.map.remove(&text);
+                return;
+            }
+        }
+    }
+}
+
+/// A stripe on lines of its own, so two threads' stripes never share one
+/// (two 64-byte lines: x86 fetches them in adjacent pairs).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct MemoStripe(Mutex<MemoTexts>);
+
+/// What the memo knows of a text, at some privacy parameters.
+#[derive(Debug)]
+pub(crate) enum Memoized {
+    /// Its answer, still in the cache: serve it.
+    Hit {
+        canonical_sql: Arc<str>,
+        answer: Arc<CachedAnswer>,
+    },
+    /// Its cache key at these parameters, but no live answer for them:
+    /// look the key up in the cache.
+    Key(CacheKey),
+    /// Nothing: take the full path.
+    Unknown,
+}
+
+/// A bounded, thread-safe map from exact SQL text to the cache entry its
+/// answer was served from, one stripe per thread (see the module docs).
+/// Keys are compared by their full text, never by hash alone; texts or
+/// canonical texts longer than [`MEMO_MAX_TEXT_BYTES`] are never kept.
 #[derive(Debug)]
 pub(crate) struct TextMemo {
-    shards: Box<[Mutex<MemoShard>]>,
-    /// Chooses a text's shard; seeded per memo.
-    stripes: KeyHash,
-    /// Max texts per shard; 0 disables the memo.
-    capacity_per_shard: usize,
+    stripes: Box<[MemoStripe]>,
+    /// Max texts per stripe; 0 disables the memo.
+    capacity_per_stripe: usize,
 }
 
 impl TextMemo {
-    /// A memo for a cache of `cache_capacity` answers: at most
-    /// [`MEMO_TEXTS_PER_ANSWER`] texts per answer, split evenly across
-    /// `shards` lock stripes (clamped to ≥ 1). `cache_capacity = 0`
-    /// keeps nothing.
-    pub(crate) fn new(cache_capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity = cache_capacity.saturating_mul(MEMO_TEXTS_PER_ANSWER);
+    /// A memo for a cache of `cache_capacity` answers: each thread's
+    /// stripe keeps at most [`MEMO_TEXTS_PER_ANSWER`] texts per answer.
+    /// `cache_capacity = 0` keeps nothing.
+    pub(crate) fn new(cache_capacity: usize) -> Self {
         TextMemo {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            stripes: KeyHash::default(),
-            capacity_per_shard: capacity.div_ceil(shards),
+            stripes: (0..THREAD_STRIPES).map(|_| MemoStripe::default()).collect(),
+            capacity_per_stripe: cache_capacity.saturating_mul(MEMO_TEXTS_PER_ANSWER),
         }
     }
 
-    /// The index of `sql`'s shard.
-    fn stripe(&self, sql: &str) -> usize {
-        (self.stripes.hash_one(sql) as usize) % self.shards.len()
+    /// Whether `sql` is a text the memo could keep.
+    fn keeps(&self, sql: &str) -> bool {
+        self.capacity_per_stripe > 0 && sql.len() <= MEMO_MAX_TEXT_BYTES
     }
 
-    fn shard_for(&self, sql: &str) -> &Mutex<MemoShard> {
-        &self.shards[self.stripe(sql)]
+    /// The calling thread's stripe.
+    fn mine(&self) -> std::sync::MutexGuard<'_, MemoTexts> {
+        lock(&self.stripes[thread_stripe()].0)
     }
 
-    /// The canonical text of `sql`, refreshing its LRU position.
-    pub(crate) fn get(&self, sql: &str) -> Option<Arc<str>> {
-        if self.capacity_per_shard == 0 || sql.len() > MEMO_MAX_TEXT_BYTES {
-            return None;
+    /// What the calling thread's stripe knows of `sql` at `params`. A hit
+    /// reads the cache entry's two flags and writes only this stripe.
+    pub(crate) fn get(&self, sql: &str, params: PrivacyParams) -> Memoized {
+        if !self.keeps(sql) {
+            return Memoized::Unknown;
         }
-        let mut shard = lock(self.shard_for(sql));
-        shard.clock += 1;
-        let clock = shard.clock;
-        let entry = shard.map.get_mut(sql)?;
-        entry.last_used = clock;
-        Some(Arc::clone(&entry.canonical_sql))
-    }
-
-    /// Remember that `sql` canonicalizes to `canonical_sql` (kept as
-    /// that allocation), evicting the shard's least recently used text
-    /// beyond its bound.
-    pub(crate) fn insert(&self, sql: &str, canonical_sql: &Arc<str>) {
-        if self.capacity_per_shard == 0
-            || sql.len() > MEMO_MAX_TEXT_BYTES
-            || canonical_sql.len() > MEMO_MAX_TEXT_BYTES
-        {
-            return;
-        }
-        let mut shard = lock(self.shard_for(sql));
-        shard.clock += 1;
-        let clock = shard.clock;
-        if let Some(entry) = shard.map.get_mut(sql) {
-            entry.last_used = clock;
-            return;
-        }
-        if shard.map.len() >= self.capacity_per_shard {
-            // Stamps are unique per shard, as in `AnswerCache`.
-            let oldest = (shard.map.values().map(|e| e.last_used).min())
-                .expect("a full shard holds an entry");
-            shard.map.retain(|_, e| e.last_used != oldest);
-        }
-        let entry = MemoEntry {
-            canonical_sql: Arc::clone(canonical_sql),
-            last_used: clock,
+        let mut texts = self.mine();
+        let Some(entry) = texts.map.get_mut(sql) else {
+            return Memoized::Unknown;
         };
-        shard.map.insert(sql.into(), entry);
+        let canonical_sql = Arc::clone(entry.key.shared_sql());
+        if entry.key.is_at(params) && entry.hit.is_live() {
+            entry.hit.touch();
+            entry.referenced = true;
+            let answer = Arc::clone(&entry.hit.answer);
+            return Memoized::Hit {
+                canonical_sql,
+                answer,
+            };
+        }
+        Memoized::Key(CacheKey::shared(canonical_sql, params))
     }
 
-    /// Texts held, across all shards.
+    /// Remember, in the calling thread's stripe, that `sql` was served
+    /// `hit` under `key` (the canonical text kept as the key's
+    /// allocation). A text already there is pointed at `hit`; past the
+    /// stripe's bound the sweep evicts a text.
+    pub(crate) fn insert(&self, sql: &str, key: &CacheKey, hit: &Released) {
+        if !self.keeps(sql) || key.canonical_sql().len() > MEMO_MAX_TEXT_BYTES {
+            return;
+        }
+        let mut texts = self.mine();
+        let entry = MemoEntry {
+            key: key.clone(),
+            hit: hit.clone(),
+            referenced: false,
+        };
+        if let Some(old) = texts.map.get_mut(sql) {
+            *old = MemoEntry {
+                referenced: true,
+                ..entry
+            };
+            return;
+        }
+        if texts.map.len() >= self.capacity_per_stripe {
+            texts.evict_one();
+        }
+        let text: Arc<str> = sql.into();
+        texts.ring.push_back(Arc::clone(&text));
+        texts.map.insert(text, entry);
+    }
+
+    /// Texts held, across all stripes.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.stripes.iter().map(|s| lock(&s.0).map.len()).sum()
     }
 
-    /// The most texts the memo holds.
+    /// The most texts one stripe holds.
     #[cfg(test)]
     pub(crate) fn bound(&self) -> usize {
-        self.capacity_per_shard * self.shards.len()
+        self.capacity_per_stripe
     }
 }
 
@@ -676,7 +819,7 @@ mod tests {
         }
     }
 
-    /// A single-shard cache so LRU order is observable deterministically.
+    /// A single-shard cache so CLOCK order is observable deterministically.
     fn striped(capacity: usize) -> AnswerCache {
         AnswerCache::with_config(capacity, 0, 1)
     }
@@ -693,21 +836,45 @@ mod tests {
         assert!(cache.get(&k2).is_none());
     }
 
+    /// An answer used since the sweep last passed it outlives one that
+    /// was not; the sweep clears the bit, so without another use it is
+    /// the next to go.
     #[test]
-    fn lru_eviction_prefers_stale_entries() {
+    fn clock_eviction_prefers_unreferenced_entries() {
         let cache = striped(2);
-        let ka = CacheKey::new("a".into(), params(1.0));
-        let kb = CacheKey::new("b".into(), params(1.0));
-        let kc = CacheKey::new("c".into(), params(1.0));
+        let key = |s: &str| CacheKey::new(s.into(), params(1.0));
+        cache.insert(key("a"), answer(1));
+        cache.insert(key("b"), answer(2));
+        cache.get(&key("a")); // `a` is referenced, `b` is not
+        cache.insert(key("c"), answer(3));
+        assert_eq!((cache.len(), cache.evictions()), (2, 1));
+        // The sweep gave `a` its second chance and cleared its bit.
+        cache.insert(key("d"), answer(4));
+        assert_eq!((cache.len(), cache.evictions()), (2, 2));
+        assert!(cache.get(&key("a")).is_none());
+        assert!(cache.get(&key("b")).is_none());
+        assert!(cache.get(&key("c")).is_some());
+        assert!(cache.get(&key("d")).is_some());
+    }
+
+    /// A hit's answer knows whether its entry is still cached: eviction
+    /// and replacement both retire it.
+    #[test]
+    fn evicted_and_replaced_entries_are_not_live() {
+        let cache = striped(1);
+        let (ka, kb) = (
+            CacheKey::new("a".into(), params(1.0)),
+            CacheKey::new("b".into(), params(1.0)),
+        );
         cache.insert(ka.clone(), answer(1));
-        cache.insert(kb.clone(), answer(2));
-        cache.get(&ka); // refresh `a`; `b` is now oldest
-        cache.insert(kc.clone(), answer(3));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&ka).is_some());
-        assert!(cache.get(&kb).is_none());
-        assert!(cache.get(&kc).is_some());
-        assert_eq!(cache.evictions(), 1);
+        let first = cache.get(&ka).unwrap();
+        assert!(first.is_live());
+        cache.insert(ka.clone(), answer(2));
+        let second = cache.get(&ka).unwrap();
+        assert!(!first.is_live() && second.is_live());
+        cache.insert(kb.clone(), answer(3));
+        assert!(!second.is_live());
+        assert!(cache.get(&kb).unwrap().is_live());
     }
 
     #[test]
@@ -720,10 +887,10 @@ mod tests {
         assert_eq!(cache.bytes(), 0);
     }
 
-    /// The byte bound evicts by LRU even when the entry count is within
+    /// The byte bound evicts by CLOCK even when the entry count is within
     /// capacity, and the byte gauge tracks exactly the live entries.
     #[test]
-    fn byte_bound_evicts_lru() {
+    fn byte_bound_evicts_by_clock() {
         let a = answer(1);
         let key_of = |s: &str| CacheKey::new(s.to_string(), params(1.0));
         let unit = key_of("q0").cost_bytes() + a.cost_bytes();
@@ -733,11 +900,14 @@ mod tests {
         cache.insert(key_of("q1"), answer(2));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.bytes(), 2 * unit);
-        cache.get(&key_of("q0")); // q1 becomes LRU
+        cache.get(&key_of("q0")); // q1 is the one not referenced
         cache.insert(key_of("q2"), answer(3));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(&key_of("q0")).is_some());
-        assert!(cache.get(&key_of("q1")).is_none(), "LRU entry evicted");
+        assert!(
+            cache.get(&key_of("q1")).is_none(),
+            "unreferenced entry evicted"
+        );
         assert!(cache.get(&key_of("q2")).is_some());
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.bytes(), 2 * unit);
@@ -900,58 +1070,118 @@ mod tests {
     /// the same keys differently, so no text can be aimed at one stripe
     /// (filling it would evict another analyst's answer, and that
     /// analyst's next request would be charged again). Unseeded, every
-    /// cache would place all 256 keys alike.
+    /// cache would place all 256 keys alike. (The memo is striped by
+    /// thread, so no text chooses its stripe.)
     #[test]
     fn stripes_are_seeded_per_cache() {
-        let texts: Vec<String> = (0..256).map(|i| format!("SELECT {i}")).collect();
-        let keys: Vec<CacheKey> = (texts.iter())
-            .map(|t| CacheKey::new(t.clone(), params(1.0)))
+        let keys: Vec<CacheKey> = (0..256)
+            .map(|i| CacheKey::new(format!("SELECT {i}"), params(1.0)))
             .collect();
-        let cache_stripes = |c: &AnswerCache| keys.iter().map(|k| c.stripe(k)).collect::<Vec<_>>();
-        let memo_stripes = |m: &TextMemo| texts.iter().map(|t| m.stripe(t)).collect::<Vec<_>>();
+        let stripes = |c: &AnswerCache| keys.iter().map(|k| c.stripe(k)).collect::<Vec<_>>();
         let caches = [AnswerCache::new(1), AnswerCache::new(1)];
-        let memos = [TextMemo::new(1, 16), TextMemo::new(1, 16)];
-        assert_ne!(cache_stripes(&caches[0]), cache_stripes(&caches[1]));
-        assert_ne!(memo_stripes(&memos[0]), memo_stripes(&memos[1]));
+        assert_ne!(stripes(&caches[0]), stripes(&caches[1]));
         // And each spreads them: every stripe gets some of the 256.
-        for stripes in [cache_stripes(&caches[0]), memo_stripes(&memos[0])] {
-            let mut used = [false; DEFAULT_CACHE_SHARDS];
-            stripes.iter().for_each(|&s| used[s] = true);
-            assert!(used.iter().all(|&u| u), "{stripes:?}");
+        let mut used = [false; DEFAULT_CACHE_SHARDS];
+        stripes(&caches[0]).iter().for_each(|&s| used[s] = true);
+        assert!(used.iter().all(|&u| u), "{used:?}");
+    }
+
+    /// Memoize `sql` → `canonical` at ε = 1 in the calling thread's
+    /// stripe, pointing at a live answer of its own.
+    fn memoize(memo: &TextMemo, sql: &str, canonical: &str) {
+        let key = CacheKey::new(canonical.to_string(), params(1.0));
+        memo.insert(sql, &key, &Released::new(Arc::new(answer(0))));
+    }
+
+    /// The canonical text the calling thread's stripe serves `sql` as at
+    /// ε = 1, if it serves a hit.
+    fn served(memo: &TextMemo, sql: &str) -> Option<String> {
+        match memo.get(sql, params(1.0)) {
+            Memoized::Hit { canonical_sql, .. } => Some(canonical_sql.to_string()),
+            _ => None,
         }
     }
 
     #[test]
-    fn memo_maps_exact_text_and_evicts_lru() {
-        // Capacity 1 answer × 4 texts, one shard.
-        let memo = TextMemo::new(1, 1);
+    fn memo_maps_exact_text_and_evicts_by_clock() {
+        // Capacity 1 answer × 4 texts per stripe.
+        let memo = TextMemo::new(1);
         assert_eq!(memo.bound(), MEMO_TEXTS_PER_ANSWER);
         for i in 0..4 {
-            memo.insert(&format!("select {i}"), &format!("SELECT {i}").into());
+            memoize(&memo, &format!("select {i}"), &format!("SELECT {i}"));
         }
-        assert_eq!(memo.get("select 0").as_deref(), Some("SELECT 0"));
+        assert_eq!(served(&memo, "select 0").as_deref(), Some("SELECT 0"));
         // By full text: a prefix, a case change or a trailing space is
         // another text.
         for other in ["select ", "SELECT 0", "select 0 "] {
-            assert_eq!(memo.get(other), None, "{other:?}");
+            assert!(
+                matches!(memo.get(other, params(1.0)), Memoized::Unknown),
+                "{other:?}"
+            );
         }
-        // `select 0` was just used, so `select 1` is the oldest.
-        memo.insert("select 4", &"SELECT 4".into());
+        // `select 0` was used since it was memoized, `select 1` was not.
+        memoize(&memo, "select 4", "SELECT 4");
         assert_eq!(memo.len(), 4);
-        assert_eq!(memo.get("select 1"), None);
-        assert_eq!(memo.get("select 0").as_deref(), Some("SELECT 0"));
-        assert_eq!(memo.get("select 4").as_deref(), Some("SELECT 4"));
+        assert_eq!(served(&memo, "select 1"), None);
+        assert_eq!(served(&memo, "select 0").as_deref(), Some("SELECT 0"));
+        assert_eq!(served(&memo, "select 4").as_deref(), Some("SELECT 4"));
     }
 
     /// The length bound holds for the canonical text too, and a text of
     /// exactly the bound is kept.
     #[test]
     fn memo_length_bound_covers_both_texts() {
-        let memo = TextMemo::new(8, 2);
-        memo.insert("select 1", &"x".repeat(MEMO_MAX_TEXT_BYTES + 1).into());
+        let memo = TextMemo::new(8);
+        memoize(&memo, "select 1", &"x".repeat(MEMO_MAX_TEXT_BYTES + 1));
         assert_eq!(memo.len(), 0);
         let fits = format!("select 1{}", " ".repeat(MEMO_MAX_TEXT_BYTES - 8));
-        memo.insert(&fits, &"SELECT 1".into());
-        assert_eq!(memo.get(&fits).as_deref(), Some("SELECT 1"));
+        memoize(&memo, &fits, "SELECT 1");
+        assert_eq!(served(&memo, &fits).as_deref(), Some("SELECT 1"));
+    }
+
+    /// A memo entry points at the cache entry: once the cache evicts it,
+    /// or at other params, the memo hands back the key instead of the
+    /// answer.
+    #[test]
+    fn a_memo_entry_goes_stale_with_its_cache_entry() {
+        let cache = striped(1);
+        let memo = TextMemo::new(1);
+        let key = CacheKey::new("SELECT 1".into(), params(1.0));
+        cache.insert(key.clone(), answer(1));
+        memo.insert("select 1", &key, &cache.get(&key).unwrap());
+        match memo.get("select 1", params(1.0)) {
+            Memoized::Hit { answer: a, .. } => assert_eq!(*a, answer(1)),
+            other => panic!("expected a hit, got {other:?}"),
+        }
+        let at_half = CacheKey::new("SELECT 1".into(), params(0.5));
+        assert!(matches!(memo.get("select 1", params(0.5)), Memoized::Key(k) if k == at_half));
+        cache.insert(CacheKey::new("SELECT 2".into(), params(1.0)), answer(2));
+        assert!(matches!(memo.get("select 1", params(1.0)), Memoized::Key(k) if k == key));
+    }
+
+    /// Each thread fills its own stripe, and a flood of texts keeps every
+    /// stripe within its bound while the texts a thread keeps hitting
+    /// stay.
+    #[test]
+    fn a_text_flood_keeps_each_memo_stripe_within_its_bound() {
+        let memo = TextMemo::new(2);
+        let bound = memo.bound();
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let memo = &memo;
+                scope.spawn(move || {
+                    let hot = format!("hot {t}");
+                    memoize(memo, &hot, "SELECT 0");
+                    let mine = || lock(&memo.stripes[thread_stripe()].0).map.len();
+                    for i in 0..20 * bound {
+                        memoize(memo, &format!("flood {t} {i}"), "SELECT 1");
+                        assert!(mine() <= bound);
+                        assert!(served(memo, &hot).is_some(), "the hot text was evicted");
+                    }
+                    assert_eq!(mine(), bound);
+                });
+            }
+        });
+        assert!(memo.len() <= 2 * bound);
     }
 }

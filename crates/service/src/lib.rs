@@ -57,7 +57,7 @@ mod sync;
 pub mod telemetry;
 pub mod wal;
 
-pub use cache::{Admission, AnswerCache, CacheKey, CachedAnswer};
+pub use cache::{Admission, AnswerCache, CacheKey, CachedAnswer, Released};
 pub use error::{ServiceError, ServiceResult};
 pub use export::{AnalystBudget, MetricsReport};
 pub use fault::FaultStorage;

@@ -26,7 +26,8 @@
 //! [`QueryService::metrics`].
 
 use crate::cache::{
-    Admission, AnswerCache, CacheKey, CachedAnswer, Columns, Rows, TextMemo, DEFAULT_CACHE_SHARDS,
+    Admission, AnswerCache, CacheKey, CachedAnswer, Columns, Memoized, Released, Rows, TextMemo,
+    DEFAULT_CACHE_SHARDS,
 };
 use crate::error::{ServiceError, ServiceResult};
 use crate::export::MetricsReport;
@@ -74,7 +75,7 @@ pub struct ServiceConfig {
     /// Maximum cached answers; 0 disables the cache entirely (identical
     /// in-flight queries still coalesce onto one computation). It also
     /// bounds the text memo, which lets a repeated SQL text whose answer
-    /// is cached skip the parse: at most
+    /// is cached skip the parse: each thread's stripe keeps at most
     /// [`MEMO_TEXTS_PER_ANSWER`](crate::cache::MEMO_TEXTS_PER_ANSWER)
     /// texts per answer, none longer than
     /// [`MEMO_MAX_TEXT_BYTES`](crate::cache::MEMO_MAX_TEXT_BYTES); 0
@@ -82,14 +83,16 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Memory bound for the noisy-answer cache, in bytes (key text plus
     /// serialized-result size per entry); 0 means no byte bound. Split
-    /// evenly across the cache shards; least-recently-used answers are
-    /// evicted past either bound. Evicted answers recompute to the same
+    /// evenly across the cache shards; past either bound each shard
+    /// evicts by CLOCK (an answer hit since the sweep last passed it gets
+    /// a second chance). Evicted answers recompute to the same
     /// bytes — noise seeds do not depend on cache state.
     pub cache_max_bytes: usize,
-    /// Lock stripes for the noisy-answer cache and the text memo (clamped
-    /// to ≥ 1). Pure contention tuning: placement is by cache-key (or
-    /// text) hash and never feeds noise seeds, so answers are
-    /// byte-identical at every setting.
+    /// Lock stripes for the noisy-answer cache (clamped to ≥ 1). Pure
+    /// contention tuning: placement is by cache-key hash and never feeds
+    /// noise seeds, so answers are byte-identical at every setting. The
+    /// text memo is not striped by it: it has one stripe per request
+    /// thread.
     pub cache_shards: usize,
     /// Lock stripes for the budget ledger's analyst accounts (clamped to
     /// ≥ 1). Pure contention tuning, like [`ServiceConfig::cache_shards`]:
@@ -350,8 +353,9 @@ struct Shared {
     /// its piggybacking waiters, so the miss → coalesce → admit decision
     /// is one shard-lock acquisition (see [`AnswerCache::admit`]).
     cache: AnswerCache<Waiter>,
-    /// Exact SQL text → canonical text, for texts whose answer was served
-    /// from `cache`: a repeat skips parse → canonicalize → print.
+    /// Exact SQL text → the `cache` entry its answer was served from, one
+    /// stripe per thread: a repeat skips parse → canonicalize → print and
+    /// every lock another thread takes.
     memo: TextMemo,
     /// The bounded job queue: submitters take their own jobs back off
     /// it, workers pop the rest, and its slots bound both together.
@@ -626,7 +630,7 @@ impl QueryService {
                 config.cache_max_bytes,
                 config.cache_shards,
             ),
-            memo: TextMemo::new(config.cache_capacity, config.cache_shards),
+            memo: TextMemo::new(config.cache_capacity),
             // The bound is per worker; the queue is shared.
             queue: WorkQueue::new(workers.saturating_mul(QUEUE_DEPTH), workers),
             flush: FlushRequests::default(),
@@ -663,9 +667,10 @@ impl QueryService {
 
     /// Submit a query for `analyst`, returning a [`Ticket`] immediately.
     ///
-    /// A text whose answer was served from the cache before is looked up
-    /// in the text memo first: if its answer is still cached at these
-    /// `params`, it is served without parsing. Otherwise cache hits,
+    /// A text whose answer this thread served from the cache before is
+    /// looked up in the thread's stripe of the text memo first: if its
+    /// answer is still cached at these `params`, it is served without
+    /// parsing and without a lock another thread takes. Otherwise cache hits,
     /// rejections and parse errors resolve the ticket here,
     /// without touching the queue or building a channel. An admitted
     /// query is queued and runs when [`Ticket::wait`] is called, on the
@@ -699,15 +704,26 @@ impl QueryService {
         let shared = &self.shared;
         shared.telemetry.incr(Metric::Submitted);
 
-        // A text served from the cache before needs only its key. Any
-        // other outcome (no entry, or its answer evicted or not released
-        // at these params) takes the full path below.
-        if let Some(canonical_sql) = shared.memo.get(sql) {
-            let key = CacheKey::shared(canonical_sql, params);
-            if let Some(hit) = shared.cache.get(&key) {
+        // A text this thread served from the cache before points at the
+        // entry: while it is live, the answer is served without a lock
+        // another thread takes. A known text whose entry left the cache,
+        // or was released at other params, needs only its key; any
+        // other outcome takes the full path below.
+        match shared.memo.get(sql, params) {
+            Memoized::Hit {
+                canonical_sql,
+                answer,
+            } => {
                 shared.telemetry.incr(Metric::MemoHits);
-                return serve_hit(shared, analyst, key, hit);
+                return serve_hit(shared, analyst, canonical_sql, answer);
             }
+            Memoized::Key(key) => {
+                if let Some(hit) = shared.cache.get(&key) {
+                    shared.telemetry.incr(Metric::MemoHits);
+                    return memoize_hit(shared, analyst, sql, &key, &hit);
+                }
+            }
+            Memoized::Unknown => {}
         }
 
         let started = Instant::now();
@@ -751,10 +767,7 @@ impl QueryService {
         let charge = match decision {
             // Only a text whose answer was released enters the memo, so
             // a cold workload never fills it.
-            Admission::Hit(hit) => {
-                shared.memo.insert(sql, key.shared_sql());
-                return serve_hit(shared, analyst, key, hit);
-            }
+            Admission::Hit(hit) => return memoize_hit(shared, analyst, sql, &key, &hit),
             // An identical query is already in flight: this request was
             // parked to piggyback on its release instead of paying for a
             // duplicate computation. Counted as coalesced only — not as
@@ -948,17 +961,36 @@ impl Drop for QueryService {
 
 /// Serve an already-released answer: post-processing, so free. The
 /// response shares the key's text and the cached answer.
-fn serve_hit(shared: &Shared, analyst: &str, key: CacheKey, hit: Arc<CachedAnswer>) -> Ticket {
+fn serve_hit(
+    shared: &Shared,
+    analyst: &str,
+    canonical_sql: Arc<str>,
+    hit: Arc<CachedAnswer>,
+) -> Ticket {
     shared.telemetry.incr(Metric::CacheHits);
     Ticket::ready(Ok(ServiceResponse {
         analyst: analyst.to_string(),
-        canonical_sql: Arc::clone(key.shared_sql()),
+        canonical_sql,
         join_count: hit.join_count,
         columns: Columns(Arc::clone(&hit)),
         rows: Rows(hit),
         from_cache: true,
         charged: (0.0, 0.0),
     }))
+}
+
+/// Serve a hit found by its key, and point `sql`'s entry in this thread's
+/// memo stripe at it.
+fn memoize_hit(
+    shared: &Shared,
+    analyst: &str,
+    sql: &str,
+    key: &CacheKey,
+    hit: &Released,
+) -> Ticket {
+    shared.memo.insert(sql, key, hit);
+    let answer = Arc::clone(hit.answer());
+    serve_hit(shared, analyst, Arc::clone(key.shared_sql()), answer)
 }
 
 fn worker_loop(shared: &Shared) {
@@ -1357,6 +1389,23 @@ mod tests {
         assert_eq!(svc.ledger().spent("a"), (0.0, 0.0));
         let t = svc.telemetry();
         assert_eq!(t.failed, 1);
+    }
+
+    /// A root statistic selected twice would be two independent draws
+    /// for one charge: refused, and nothing stays charged.
+    #[test]
+    fn a_statistic_selected_twice_errs_and_charges_nothing() {
+        let svc = service(ServiceConfig::default());
+        let err = svc
+            .query("a", "SELECT COUNT(*), COUNT(*) FROM trips", params(1.0))
+            .unwrap_err();
+        let ServiceError::Flex(flex_core::FlexError::UnsupportedProjection(why)) = &err else {
+            panic!("expected a refused projection, got {err:?}");
+        };
+        assert!(why.contains("selected twice"), "{why}");
+        assert_eq!(svc.ledger().spent("a"), (0.0, 0.0));
+        let t = svc.telemetry();
+        assert_eq!((t.failed, t.completed, t.cache_hits), (1, 0, 0), "{t}");
     }
 
     #[test]
@@ -2542,37 +2591,115 @@ mod tests {
         assert_eq!(svc.telemetry().memo_hits, 1);
     }
 
-    /// In a two-answer cache, refreshing an answer through the memo or
-    /// through `admit` leaves the same entry least recently used.
+    /// In a two-answer cache, an answer used since the sweep last passed
+    /// it outlives one that was not, whether the use was a memo hit or a
+    /// hit through `admit`; without the use it is the one evicted.
     #[test]
-    fn a_memo_hit_refreshes_lru_order_like_an_admit_hit() {
-        let evicted_after_refresh = |through_memo: bool| {
+    fn a_memo_hit_marks_an_answer_used_like_an_admit_hit() {
+        let evicted_after = |refresh: Option<&str>| {
             let svc = service(ServiceConfig {
                 cache_capacity: 2,
                 cache_shards: 1,
                 ..ServiceConfig::default()
             });
             let p = params(0.5);
-            let a = "SELECT COUNT(*) FROM trips";
-            let b = "SELECT COUNT(*) FROM trips WHERE city_id = 1";
-            svc.query("x", a, p).unwrap();
-            svc.query("x", a, p).unwrap(); // memoizes `a`
-            svc.query("x", b, p).unwrap();
-            // Refresh `a`, the older entry.
-            let refresh = if through_memo {
-                a
-            } else {
-                "select count(*) from trips"
-            };
-            assert!(svc.query("x", refresh, p).unwrap().from_cache);
-            assert_eq!(svc.telemetry().memo_hits, u64::from(through_memo));
-            svc.query("x", "SELECT COUNT(*) FROM trips WHERE city_id = 2", p)
-                .unwrap();
+            let (a, b) = (
+                "SELECT COUNT(*) FROM trips",
+                "SELECT COUNT(*) FROM trips WHERE city_id = 1",
+            );
+            let query = |sql: &str| svc.query("x", sql, p).unwrap();
+            let key = query(a).canonical_sql;
+            query(a); // memoizes `a`
+            query(b);
+            // A sweep: `a`, used, gets its second chance and loses its
+            // bit; `b` is evicted.
+            let c = query("SELECT COUNT(*) FROM trips WHERE city_id = 2").canonical_sql;
             assert_eq!(svc.telemetry().cache_evictions, 1);
-            let cached = |sql| svc.query("y", sql, p).unwrap().from_cache;
-            (cached(a), cached(b))
+            if let Some(sql) = refresh {
+                assert!(query(sql).from_cache);
+            }
+            assert_eq!(svc.telemetry().memo_hits, u64::from(refresh == Some(a)));
+            query("SELECT COUNT(*) FROM trips WHERE city_id = 3");
+            assert_eq!(svc.telemetry().cache_evictions, 2);
+            let cached = |k: Arc<str>| svc.shared.cache.get(&CacheKey::shared(k, p)).is_some();
+            (cached(key), cached(c))
         };
-        assert_eq!(evicted_after_refresh(true), (true, false));
-        assert_eq!(evicted_after_refresh(false), (true, false));
+        assert_eq!(
+            evicted_after(Some("SELECT COUNT(*) FROM trips")),
+            (true, false)
+        );
+        assert_eq!(
+            evicted_after(Some("select count(*) from trips")),
+            (true, false)
+        );
+        assert_eq!(evicted_after(None), (false, true));
+    }
+
+    /// A memo entry on one thread points at a cache entry another thread
+    /// can evict: the memoizing thread's next request is then a charged
+    /// miss that releases the same bytes, and the one after it is a memo
+    /// hit again.
+    #[test]
+    fn an_answer_evicted_by_another_thread_is_a_charged_miss_for_the_memo() {
+        let svc = service(ServiceConfig {
+            seed: Some(0x5EED),
+            cache_capacity: 4,
+            cache_shards: 1,
+            ..ServiceConfig::default()
+        });
+        let p = params(0.5);
+        let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 2";
+        let first = svc.query("a", sql, p).unwrap();
+        svc.query("a", sql, p).unwrap(); // memoizes the text on this thread
+        assert!(svc.query("a", sql, p).unwrap().from_cache);
+        assert_eq!(svc.telemetry().memo_hits, 1);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..16 {
+                    let flood = format!("SELECT COUNT(*) FROM trips WHERE id > {i}");
+                    svc.query("b", &flood, p).unwrap();
+                }
+            });
+        });
+        assert!(svc.telemetry().cache_evictions >= 13);
+        let again = svc.query("a", sql, p).unwrap();
+        assert!(!again.from_cache);
+        assert_eq!((again.charged, &again.rows), ((0.5, 1e-8), &first.rows));
+        assert_eq!(svc.ledger().spent("a").0, 1.0);
+        assert_eq!(svc.telemetry().memo_hits, 1);
+        let served = svc.query("a", sql, p).unwrap();
+        assert!(served.from_cache && std::ptr::eq(&*served.rows, &*again.rows));
+        assert_eq!(svc.telemetry().memo_hits, 2);
+    }
+
+    /// Two threads hitting one text each hit through their own memo
+    /// stripe, and every response shares the one released answer.
+    #[test]
+    fn two_threads_hitting_one_text_both_hit_through_the_memo() {
+        const HITS: u64 = 200;
+        let svc = service(ServiceConfig::default());
+        let p = params(0.5);
+        let sql = "SELECT city_id, COUNT(*) FROM trips GROUP BY city_id";
+        let released = svc.query("owner", sql, p).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (svc, start, released) = (&svc, &start, &released);
+                scope.spawn(move || {
+                    let analyst = format!("reader-{t}");
+                    start.wait();
+                    for _ in 0..HITS {
+                        let r = svc.query(&analyst, sql, p).unwrap();
+                        assert!(r.from_cache && std::ptr::eq(&*r.rows, &*released.rows));
+                    }
+                });
+            }
+        });
+        // Each thread's first hit memoizes the text in its stripe (unless
+        // the two threads share a stripe); every later one is a memo hit.
+        let t = svc.telemetry();
+        assert_eq!(t.cache_hits, 2 * HITS, "{t}");
+        assert!(t.memo_hits >= 2 * (HITS - 1), "{t}");
+        assert_eq!(svc.ledger().spent("owner").0, 0.5);
     }
 }

@@ -15,8 +15,12 @@
 //! service surfaces in telemetry ([`poison_recoveries`]), so an
 //! operator can tell "a worker panicked once, we kept serving" apart
 //! from a panic loop.
+//!
+//! Per-thread state that must not share a line between threads (the
+//! telemetry's hit counters, the text memo) is split into
+//! [`THREAD_STRIPES`] stripes, one per thread by [`thread_stripe`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Process-wide count of poisoned-lock recoveries. Static (not
@@ -39,6 +43,20 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// start (process-wide, across all service instances).
 pub(crate) fn poison_recoveries() -> u64 {
     POISON_RECOVERIES.load(Ordering::Relaxed)
+}
+
+/// Stripes of per-thread state: threads take them round robin, so up to
+/// this many request threads each write a stripe of their own.
+pub(crate) const THREAD_STRIPES: usize = 16;
+
+/// The calling thread's stripe, in `0..THREAD_STRIPES`, assigned round
+/// robin on the thread's first call and fixed for its life.
+pub(crate) fn thread_stripe() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % THREAD_STRIPES;
+    }
+    STRIPE.with(|s| *s)
 }
 
 #[cfg(test)]

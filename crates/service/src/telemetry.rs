@@ -10,8 +10,9 @@
 //! bumps are striped per thread ([`Telemetry::incr`]), so clients on
 //! different cores do not write one cache line.
 
+use crate::sync::{thread_stripe, THREAD_STRIPES};
 use flex_db::ExecTrace;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -23,10 +24,6 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// Entries the slow-query log retains (the slowest completed queries).
 pub const SLOW_LOG_CAPACITY: usize = 16;
 
-/// Stripes of each per-thread counter: threads take them round robin, so
-/// up to this many request threads count on lines of their own.
-const COUNTER_STRIPES: usize = 16;
-
 /// Counters striped per thread: [`Metric::Submitted`],
 /// [`Metric::MemoHits`] and [`Metric::CacheHits`] — the only writes of a
 /// hit served from the text memo.
@@ -37,15 +34,6 @@ const STRIPED: usize = 3;
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Stripe([AtomicU64; STRIPED]);
-
-/// The thread's stripe, assigned on its first count.
-fn my_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
-    }
-    STRIPE.with(|s| *s)
-}
 
 impl Metric {
     /// The metric's slot in a [`Stripe`], if it is striped.
@@ -496,7 +484,7 @@ pub struct Telemetry {
     scalars: [AtomicU64; SCALARS.len()],
     /// The striped counters' counts since their last `set`; a striped
     /// counter reads as its scalar plus these.
-    stripes: [Stripe; COUNTER_STRIPES],
+    stripes: [Stripe; THREAD_STRIPES],
     latencies: [LatencyHistogram; LATENCIES.len()],
     slow: Mutex<Vec<SlowQuery>>,
 }
@@ -523,7 +511,7 @@ impl Telemetry {
     /// Count one event on a counter.
     pub fn incr(&self, metric: Metric) {
         let cell = match metric.stripe() {
-            Some(i) => &self.stripes[my_stripe()].0[i],
+            Some(i) => &self.stripes[thread_stripe()].0[i],
             None => self.cell(metric),
         };
         cell.fetch_add(1, Ordering::Relaxed);

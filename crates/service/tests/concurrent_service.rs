@@ -185,16 +185,21 @@ fn concurrent_memo_hits_are_counted_exactly() {
     let svc = Arc::new(QueryService::new(test_db(), ServiceConfig::default()));
     let p = PrivacyParams::new(0.2, 1e-9).unwrap();
     let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 7";
-    // A miss releases the answer; a hit memoizes the text.
-    for _ in 0..2 {
-        svc.query("warm", sql, p).unwrap();
-    }
-    let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+    svc.query("warm", sql, p).unwrap(); // a miss releases the answer
+                                        // Each thread's first hit memoizes the text in its memo stripe (or
+                                        // is a memo hit, where another thread shares the stripe); the counts
+                                        // are read once all have, and every later hit is a memo hit.
+    let (warmed, start) = (
+        Arc::new(std::sync::Barrier::new(THREADS as usize + 1)),
+        Arc::new(std::sync::Barrier::new(THREADS as usize + 1)),
+    );
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let (svc, start) = (Arc::clone(&svc), Arc::clone(&start));
+            let (svc, warmed, start) = (Arc::clone(&svc), Arc::clone(&warmed), Arc::clone(&start));
             std::thread::spawn(move || {
                 let analyst = format!("reader-{t}");
+                assert!(svc.query(&analyst, sql, p).unwrap().from_cache);
+                warmed.wait();
                 start.wait();
                 for _ in 0..HITS {
                     assert!(svc.query(&analyst, sql, p).unwrap().from_cache);
@@ -202,6 +207,14 @@ fn concurrent_memo_hits_are_counted_exactly() {
             })
         })
         .collect();
+    warmed.wait();
+    let before = svc.telemetry();
+    assert_eq!(
+        (before.submitted, before.cache_hits),
+        (THREADS + 1, THREADS),
+        "{before}"
+    );
+    start.wait();
     for h in handles {
         h.join().unwrap();
     }
@@ -210,15 +223,20 @@ fn concurrent_memo_hits_are_counted_exactly() {
     let t = svc.telemetry();
     assert_eq!(
         (t.submitted, t.cache_hits, t.memo_hits),
-        (n + 2, n + 1, n),
+        (
+            before.submitted + n,
+            before.cache_hits + n,
+            before.memo_hits + n
+        ),
         "{t}"
     );
+    let (submitted, cache_hits, memo_hits) = (t.submitted, t.cache_hits, t.memo_hits);
     let report = svc.metrics();
     let text = report.prometheus();
     for (name, value) in [
-        ("flex_queries_submitted_total", n + 2),
-        ("flex_cache_hits_total", n + 1),
-        ("flex_memo_hits_total", n),
+        ("flex_queries_submitted_total", submitted),
+        ("flex_cache_hits_total", cache_hits),
+        ("flex_memo_hits_total", memo_hits),
     ] {
         assert!(
             text.contains(&format!("\n{name} {value}\n")),
@@ -227,9 +245,9 @@ fn concurrent_memo_hits_are_counted_exactly() {
     }
     let json = report.to_json();
     for (key, value) in [
-        ("submitted", n + 2),
-        ("cache_hits", n + 1),
-        ("memo_hits", n),
+        ("submitted", submitted),
+        ("cache_hits", cache_hits),
+        ("memo_hits", memo_hits),
     ] {
         let read = json.get("telemetry").and_then(|t| t.get(key));
         assert_eq!(read.and_then(|v| v.as_i64()), Some(value as i64), "{key}");
