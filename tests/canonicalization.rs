@@ -245,3 +245,56 @@ fn memo_served_hits_equal_full_path_hits() {
     }
     assert!(served > 500, "the memo served {served} texts");
 }
+
+/// The canonical text of every query the corpus generator emits at four
+/// fixed seeds (corpus queries are ASTs: canonicalized as generated and
+/// again after a print → parse round trip), of the Uber workload, and of
+/// the four textual variants of the benchmark's shapes, digested. Beside
+/// the digest, `canonical_sql` must print exactly what printing the
+/// canonical AST prints: the service takes its key from the one and
+/// plans the other.
+#[test]
+fn canonical_text_is_pinned_across_corpus_seeds() {
+    use flex::sql::Query;
+    use flex::workloads::corpus::{generate, CorpusConfig};
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = |q: &Query| {
+        let key = canonical_sql(q);
+        assert_eq!(key, print_query(&canonicalize(q)), "{}", print_query(q));
+        fnv1a(&mut hash, key.as_bytes());
+        fnv1a(&mut hash, &[0]);
+    };
+    let mut queries = 0;
+    for seed in [1, 2, 3, 0xC0395] {
+        let corpus = generate(&CorpusConfig {
+            n_queries: 1_000,
+            seed,
+            ..CorpusConfig::default()
+        });
+        for q in &corpus {
+            digest(q);
+            let text = print_query(q);
+            digest(&parse_query(&text).unwrap_or_else(|e| panic!("parse {text:?}: {e}")));
+            queries += 2;
+        }
+    }
+    for wq in workload(&UberConfig::default()) {
+        for sql in [&wq.sql, &wq.population_sql] {
+            digest(&parse_query(sql).unwrap());
+            queries += 1;
+        }
+    }
+    for text in bench_shape_variants() {
+        digest(&parse_query(&text).unwrap());
+        queries += 1;
+    }
+    assert_eq!(
+        queries,
+        8_000 + 2 * workload(&UberConfig::default()).len() + 16
+    );
+    assert_eq!(
+        hash, 0x42d9_211f_95d2_0b81,
+        "canonical text moved (digest {hash:#018x})"
+    );
+}
