@@ -15,7 +15,7 @@ use crate::histogram::{bin_domains, DEFAULT_MAX_BINS};
 use crate::laplace::laplace;
 use crate::lower::OutputColumn;
 use crate::smooth::{smooth, PrivacyParams, SmoothSensitivity};
-use flex_db::{BorrowKey, Database, ExecTrace, ResultSet, Value};
+use flex_db::{BorrowKey, Database, ExecTrace, KeyHash, ResultSet, Value};
 use flex_sql::{parse_query, Query};
 use rand::Rng;
 use std::collections::HashMap;
@@ -186,9 +186,10 @@ pub fn run_query_deadline<R: Rng + ?Sized>(
     run_query_timed(db, q, params, rng, opts, Duration::ZERO, deadline)
 }
 
-fn check_deadline(deadline: Option<Instant>, stage: &'static str) -> Result<()> {
+/// Whether `deadline` has passed at `now`, the end of `stage`.
+fn check_deadline(deadline: Option<Instant>, now: Instant, stage: &'static str) -> Result<()> {
     match deadline {
-        Some(d) if Instant::now() > d => Err(FlexError::DeadlineExceeded { stage }),
+        Some(d) if now > d => Err(FlexError::DeadlineExceeded { stage }),
         _ => Ok(()),
     }
 }
@@ -203,22 +204,23 @@ fn run_query_timed<R: Rng + ?Sized>(
     parse_time: Duration,
     deadline: Option<Instant>,
 ) -> Result<FlexResult> {
+    // One clock read ends each stage and starts the next.
     // --- Stage 1: plan the query, then analyse the plan (static). ---
     let t_analysis = Instant::now();
     let planned = crate::lower::plan(q, db)?;
     let analysis = analyze_plan(&planned, db, &opts.analysis)?;
-    let analysis_time = parse_time + t_analysis.elapsed();
-    check_deadline(deadline, "analysis")?;
+    let t_exec = Instant::now();
+    let analysis_time = parse_time + (t_exec - t_analysis);
+    check_deadline(deadline, t_exec, "analysis")?;
 
     // --- Stage 2: run the plan the analysis read: the unmodified query. ---
-    let t_exec = Instant::now();
     let (trace, truth) = planned.run();
     let truth: ResultSet = truth?;
-    let execution = t_exec.elapsed();
-    check_deadline(deadline, "execution")?;
+    let t_perturb = Instant::now();
+    let execution = t_perturb - t_exec;
+    check_deadline(deadline, t_perturb, "execution")?;
 
     // --- Stage 3: smooth sensitivity + Laplace perturbation. ---
-    let t_perturb = Instant::now();
     let n = db.total_rows();
     let mut column_sensitivity = Vec::with_capacity(analysis.outputs.len());
     for out in &analysis.outputs {
@@ -276,13 +278,14 @@ fn noise_row<R: Rng + ?Sized>(
 /// with noised zeros, and pass bin labels through.
 ///
 /// Truth rows are matched to bins by [`BorrowKey`] — `ValueKey`'s
-/// equality without a copy — and a label is cloned only into a row the
-/// call returns.
+/// equality without a copy. A truth row matches at most one bin of a
+/// grid, so it moves into the release instead of being copied; a label
+/// is cloned only into a row the call returns.
 #[allow(clippy::type_complexity)]
 fn assemble_histogram<R: Rng + ?Sized>(
     db: &Database,
     analysis: &AnalyzedQuery,
-    truth: Vec<Vec<Value>>,
+    mut truth: Vec<Vec<Value>>,
     sens: &[Option<SmoothSensitivity>],
     opts: &FlexOptions,
     rng: &mut R,
@@ -328,7 +331,9 @@ fn assemble_histogram<R: Rng + ?Sized>(
     let mut true_rows = Vec::with_capacity(found.len());
     for (bin, row) in found.into_iter().enumerate() {
         let true_row = match row {
-            Some(row) => truth[row].clone(),
+            // Listed bins may repeat, and a repeat shares its row.
+            Some(row) if matches!(bins, Bins::Listed(_)) => truth[row].clone(),
+            Some(row) => std::mem::take(&mut truth[row]),
             None => {
                 // Absent bin: labels + zero aggregates.
                 let mut row = vec![Value::Int(0); width];
@@ -389,26 +394,23 @@ impl Bins<'_> {
             Bins::Grid(domains) => {
                 // Per GROUP BY key, a column projecting it (every key is
                 // projected; one projected twice holds one label twice)
-                // and the position of each label in its domain.
-                let keys: Vec<(usize, HashMap<BorrowKey<'_>, usize>)> = (domains.iter())
+                // and its domain, searched by order.
+                let mut keys: Vec<(usize, Domain<'_>)> = (domains.iter())
                     .enumerate()
-                    .map(|(g, d)| {
+                    .map(|(g, &labels)| {
                         let at = label_keys.iter().position(|&k| k == g);
                         let col = label_cols[at.expect("every GROUP BY key is projected")];
-                        (
-                            col,
-                            d.iter().enumerate().map(|(i, v)| (v.into(), i)).collect(),
-                        )
+                        (col, Domain::new(labels))
                     })
                     .collect();
                 let mut found = vec![None; domains.iter().map(|d| d.len()).product()];
                 'rows: for (r, row) in truth.iter().enumerate() {
                     let mut bin = 0;
-                    for ((col, index), domain) in keys.iter().zip(domains) {
-                        let Some(&i) = index.get(&BorrowKey::from(&row[*col])) else {
+                    for (col, domain) in &mut keys {
+                        let Some(i) = domain.position(&row[*col]) else {
                             continue 'rows;
                         };
-                        bin = bin * domain.len() + i;
+                        bin = bin * domain.labels.len() + i;
                     }
                     found[bin] = Some(r);
                 }
@@ -426,6 +428,47 @@ impl Bins<'_> {
                 let stride: usize = domains[g + 1..].iter().map(|d| d.len()).product();
                 &domains[g][bin / stride % domains[g].len()]
             }
+        }
+    }
+}
+
+/// One GROUP BY key's label domain: sorted by [`Value::total_cmp`],
+/// distinct under [`BorrowKey`], without NULL ([`flex_db::Table::labels`]).
+struct Domain<'a> {
+    labels: &'a [Value],
+    /// Every label by key, built the first time a search by order misses
+    /// a label that keys equal to one in the domain (`-0.0` against
+    /// `0.0`, say, which `total_cmp` tells apart).
+    by_key: Option<HashMap<BorrowKey<'a>, usize, KeyHash>>,
+}
+
+impl<'a> Domain<'a> {
+    fn new(labels: &'a [Value]) -> Self {
+        Domain {
+            labels,
+            by_key: None,
+        }
+    }
+
+    /// The position of the label that keys equal to `v`, if any.
+    fn position(&mut self, v: &Value) -> Option<usize> {
+        if v.is_null() {
+            return None;
+        }
+        let key = BorrowKey::from(v);
+        let labels = self.labels;
+        match labels.binary_search_by(|l| l.total_cmp(v)) {
+            Ok(i) if BorrowKey::from(&labels[i]) == key => Some(i),
+            _ => (self.by_key)
+                .get_or_insert_with(|| {
+                    labels
+                        .iter()
+                        .enumerate()
+                        .map(|(i, l)| (l.into(), i))
+                        .collect()
+                })
+                .get(&key)
+                .copied(),
         }
     }
 }
@@ -764,5 +807,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let r = run_sql(&db, "SELECT COUNT(*) FROM trips", params(), &mut rng).unwrap();
         assert!(r.timings.execution > Duration::ZERO);
+    }
+
+    #[test]
+    fn a_domain_finds_labels_by_order_and_by_key() {
+        let labels = [Value::Float(-1.5), Value::Float(0.0), Value::Float(2.0)];
+        let mut domain = Domain::new(&labels);
+        assert_eq!(domain.position(&Value::Float(2.0)), Some(2));
+        assert_eq!(domain.position(&Value::Int(2)), Some(2), "2 keys as 2.0");
+        assert!(domain.by_key.is_none(), "found by order");
+        assert_eq!(domain.position(&Value::Null), None);
+        // `total_cmp` puts -0.0 before 0.0; the two key equal.
+        assert_eq!(domain.position(&Value::Float(-0.0)), Some(1));
+        assert!(domain.by_key.is_some(), "found by key");
+        assert_eq!(domain.position(&Value::Float(3.0)), None);
+        assert_eq!(domain.position(&Value::str("x")), None);
     }
 }

@@ -70,6 +70,11 @@ impl NullMask {
         self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
+    /// Extend the mask to `len` rows, the new ones valid.
+    fn grow(&mut self, len: usize) {
+        self.words.resize(len.div_ceil(64), 0);
+    }
+
     /// Number of NULL rows.
     pub fn null_count(&self) -> usize {
         self.count
@@ -129,6 +134,45 @@ impl Column {
     #[inline]
     pub fn is_null(&self, i: usize) -> bool {
         self.nulls.is_null(i)
+    }
+
+    /// Whether `v` can be appended without changing the column's
+    /// representation: NULL, a value of the typed vector's type, or any
+    /// value of a mixed column. (A column with no non-NULL value is
+    /// `Int64`, as [`ColumnarTable::from_rows`] builds it.)
+    fn keeps_layout(&self, v: &Value) -> bool {
+        matches!(
+            (&self.data, v),
+            (_, Value::Null)
+                | (ColumnData::Int64(_), Value::Int(_))
+                | (ColumnData::Float64(_), Value::Float(_))
+                | (ColumnData::Bool(_), Value::Bool(_))
+                | (ColumnData::Str(_), Value::Str(_))
+                | (ColumnData::Mixed(_), _)
+        )
+    }
+
+    /// Append values that [`Column::keeps_layout`] accepts.
+    fn append(&mut self, vals: impl ExactSizeIterator<Item = Value>) {
+        let start = self.len();
+        self.nulls.grow(start + vals.len());
+        for (i, v) in vals.enumerate() {
+            if v.is_null() {
+                self.nulls.set(start + i);
+            }
+            match (&mut self.data, v) {
+                (ColumnData::Mixed(d), v) => d.push(v),
+                (ColumnData::Int64(d), v) => d.push(if let Value::Int(x) = v { x } else { 0 }),
+                (ColumnData::Float64(d), v) => {
+                    d.push(if let Value::Float(x) = v { x } else { 0.0 })
+                }
+                (ColumnData::Bool(d), v) => d.push(matches!(v, Value::Bool(true))),
+                (ColumnData::Str(d), v) => d.push(match v {
+                    Value::Str(s) => s,
+                    _ => String::new(),
+                }),
+            }
+        }
     }
 
     /// Reconstruct the exact original [`Value`] at row `i`.
@@ -404,6 +448,27 @@ impl ColumnarTable {
             columns,
             len: rows.len(),
         }
+    }
+
+    /// Whether appending `rows` keeps every column's representation, so
+    /// that [`ColumnarTable::append`] builds what [`ColumnarTable::from_rows`]
+    /// of all the rows would.
+    pub fn can_append(&self, rows: &[Row]) -> bool {
+        let column = |c: usize| rows.iter().map(move |r| &r[c]);
+        (self.columns.iter().enumerate()).all(|(c, col)| column(c).all(|v| col.keeps_layout(v)))
+    }
+
+    /// Append `rows` to every column, in place. Only for a batch
+    /// [`ColumnarTable::can_append`] accepts.
+    pub fn append(&mut self, mut rows: Vec<Row>) {
+        debug_assert!(self.can_append(&rows), "a batch that changes a layout");
+        for (c, col) in self.columns.iter_mut().enumerate() {
+            col.append(
+                rows.iter_mut()
+                    .map(|r| std::mem::replace(&mut r[c], Value::Null)),
+            );
+        }
+        self.len += rows.len();
     }
 
     /// Assemble a table from pre-built columns (each of `len` rows, or

@@ -14,9 +14,10 @@ pub type Row = Vec<Value>;
 /// An in-memory table: a schema plus a multiset of rows, stored once, as
 /// columns ([`ColumnarTable`]).
 ///
-/// A write ([`Table::insert_all`]) validates the whole batch, then builds
-/// the table's columns again from its rows and the new ones, so a table
-/// is loaded in batches, not a row at a time. Everything that reads a
+/// A write ([`Table::insert_all`]) validates the whole batch, then
+/// appends it to the columns, or builds them again from every row when
+/// the batch changes a column's representation (its first string in an
+/// empty column, a float among integers). Everything that reads a
 /// table — the executor's scans, the metrics collector, the labels, the
 /// service's fingerprint — reads the typed columns; [`Table::rows`]
 /// rebuilds the rows for the few readers that want them. Beside the
@@ -70,15 +71,23 @@ impl Table {
     }
 
     /// Insert a batch of rows, all or nothing: every row is validated
-    /// before any is written.
+    /// before any is written. A batch whose values keep each column's
+    /// representation is appended to the columns in place (copied first
+    /// if another handle shares them); one that changes a
+    /// representation rebuilds the table from its rows. Either way the
+    /// columns equal one [`ColumnarTable::from_rows`] of every row written.
     pub fn insert_all<I: IntoIterator<Item = Row>>(&mut self, rows: I) -> Result<()> {
         let mut rows: Vec<Row> = rows.into_iter().collect();
         for row in &rows {
             self.schema.check_row(row)?;
         }
-        let mut all = self.rows();
-        all.append(&mut rows);
-        self.columns = Arc::new(ColumnarTable::from_rows(&all, self.schema.len()));
+        if self.columns.can_append(&rows) {
+            Arc::make_mut(&mut self.columns).append(rows);
+        } else {
+            let mut all = self.rows();
+            all.append(&mut rows);
+            self.columns = Arc::new(ColumnarTable::from_rows(&all, self.schema.len()));
+        }
         self.labels = no_labels(self.schema.len());
         Ok(())
     }
@@ -188,6 +197,38 @@ mod tests {
         assert!(t.labels("nope").is_none());
         t.insert(vec![Value::Int(0)]).unwrap();
         assert_eq!(t.labels("x").unwrap()[1], Value::Int(0), "rebuilt on write");
+    }
+
+    #[test]
+    fn a_write_appends_in_place_unless_it_changes_a_layout() {
+        let mut t = demo();
+        let shared = t.clone();
+        let mut written = t.rows();
+        let stored = |t: &Table| Arc::as_ptr(t.columnar());
+        // The first write copies the columns another handle shares;
+        // later ones append to this table's own copy.
+        for (i, row) in [
+            vec![Value::Int(3), Value::str("la")],
+            vec![Value::Null, Value::Null],
+            vec![Value::Int(5), Value::str("sf")],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = stored(&t);
+            written.push(row.clone());
+            t.insert(row).unwrap();
+            assert_eq!(stored(&t) == before, i > 0, "write {i}");
+            assert_eq!(**t.columnar(), ColumnarTable::from_rows(&written, 2));
+        }
+        assert_eq!(shared.len(), 2, "the shared columns are untouched");
+        // A float among integers turns the column mixed: a rebuild.
+        let mut t = Table::new("t", Schema::of(&[("x", DataType::Float)]));
+        t.insert(vec![Value::Int(1)]).unwrap();
+        let before = stored(&t);
+        t.insert(vec![Value::Float(1.5)]).unwrap();
+        assert_ne!(stored(&t), before);
+        assert!(matches!(t.columnar().columns[0].data, ColumnData::Mixed(_)));
     }
 
     #[test]

@@ -83,6 +83,7 @@
 use crate::sync::{lock, thread_stripe, THREAD_STRIPES};
 use flex_core::PrivacyParams;
 use flex_db::{KeyHash, Value};
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::ops::Deref;
@@ -340,6 +341,24 @@ struct Entry {
     cost: usize,
 }
 
+/// Entries taken out under a shard lock, dropped once it is released:
+/// freeing an answer's rows holds no lock. The first needs no
+/// allocation; a sweep rarely evicts more than one.
+#[derive(Default)]
+struct Evicted {
+    first: Option<Entry>,
+    rest: Vec<Entry>,
+}
+
+impl Evicted {
+    fn push(&mut self, e: Entry) {
+        match self.first {
+            None => self.first = Some(e),
+            Some(_) => self.rest.push(e),
+        }
+    }
+}
+
 /// One shard slot: a released answer, or an in-flight computation with
 /// its piggybacking waiters. Pending slots are never evicted and never
 /// byte-accounted — they are bounded by in-flight computations, not by
@@ -476,18 +495,21 @@ impl<W> AnswerCache<W> {
         admit: impl FnOnce() -> Result<C, E>,
     ) -> Admission<C, E> {
         let mut inner = lock(&self.shard_for(key).inner);
-        match inner.map.get_mut(key) {
-            Some(Slot::Ready(e)) => {
-                e.hit.touch();
-                Admission::Hit(e.hit.clone())
-            }
-            Some(Slot::Pending(waiters)) => {
-                waiters.push(waiter());
-                Admission::Coalesced
-            }
-            None => match admit() {
+        // One lookup decides, and a miss inserts where it looked.
+        match inner.map.entry(key.clone()) {
+            MapEntry::Occupied(mut slot) => match slot.get_mut() {
+                Slot::Ready(e) => {
+                    e.hit.touch();
+                    Admission::Hit(e.hit.clone())
+                }
+                Slot::Pending(waiters) => {
+                    waiters.push(waiter());
+                    Admission::Coalesced
+                }
+            },
+            MapEntry::Vacant(slot) => match admit() {
                 Ok(c) => {
-                    inner.map.insert(key.clone(), Slot::Pending(Vec::new()));
+                    slot.insert(Slot::Pending(Vec::new()));
                     Admission::Admitted(c)
                 }
                 Err(e) => Admission::Rejected(e),
@@ -507,9 +529,8 @@ impl<W> AnswerCache<W> {
     pub fn complete(&self, key: CacheKey, answer: impl Into<Arc<CachedAnswer>>) -> Vec<W> {
         let answer = answer.into();
         let shard = self.shard_for(&key);
-        let mut inner = lock(&shard.inner);
         if self.capacity == 0 {
-            return match inner.map.remove(&key) {
+            return match lock(&shard.inner).map.remove(&key) {
                 Some(Slot::Pending(waiters)) => waiters,
                 _ => Vec::new(),
             };
@@ -519,6 +540,9 @@ impl<W> AnswerCache<W> {
             hit: Released::new(answer),
             cost,
         });
+        // What leaves the cache is freed after the lock is released.
+        let mut evicted = Evicted::default();
+        let mut inner = lock(&shard.inner);
         // The slot is replaced where it sits: the map keeps the key it
         // already holds, and `key` is only inserted when there is none.
         let (waiters, fresh) = match inner.map.get_mut(&key) {
@@ -531,6 +555,7 @@ impl<W> AnswerCache<W> {
                     e.hit.flags.live.store(false, Ordering::Relaxed);
                     shard.len.fetch_sub(1, Ordering::Relaxed);
                     shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
+                    evicted.push(e);
                     (Vec::new(), false)
                 }
             },
@@ -541,16 +566,20 @@ impl<W> AnswerCache<W> {
         };
         shard.len.fetch_add(1, Ordering::Relaxed);
         shard.bytes.fetch_add(cost, Ordering::Relaxed);
-        self.evict_over_budget(shard, &mut inner);
+        self.evict_over_budget(shard, &mut inner, &mut evicted);
         // A fresh key joins the ring after the sweep, so the sweep never
         // takes it unless it alone exceeds the budget.
         if fresh {
             if self.over_budget(shard) {
-                Self::evict(shard, &mut inner, &key);
+                if let Some(Slot::Ready(e)) = inner.map.remove(&key) {
+                    Self::evicted(shard, e, &mut evicted);
+                }
             } else {
                 inner.ring.push_back(key);
             }
         }
+        drop(inner);
+        drop(evicted);
         waiters
     }
 
@@ -579,34 +608,42 @@ impl<W> AnswerCache<W> {
 
     /// Sweep the ring until the shard is within both budgets: the oldest
     /// key, if referenced since the sweep last passed it, has its bit
-    /// cleared and goes to the back; otherwise it is evicted. A key is
-    /// passed over once per bit a hit set, so an eviction is amortized
-    /// O(1).
-    fn evict_over_budget(&self, shard: &Shard<W>, inner: &mut ShardInner<W>) {
+    /// cleared and goes to the back; otherwise it is evicted (one map
+    /// lookup either way). A key is passed over once per bit a hit set,
+    /// so an eviction is amortized O(1).
+    fn evict_over_budget(
+        &self,
+        shard: &Shard<W>,
+        inner: &mut ShardInner<W>,
+        evicted: &mut Evicted,
+    ) {
         while self.over_budget(shard) {
             let Some(key) = inner.ring.pop_front() else {
                 return;
             };
-            let Some(Slot::Ready(e)) = inner.map.get(&key) else {
+            let MapEntry::Occupied(slot) = inner.map.entry(key) else {
+                unreachable!("the ring holds the ready keys");
+            };
+            let Slot::Ready(e) = slot.get() else {
                 unreachable!("the ring holds the ready keys");
             };
             if e.hit.flags.referenced.swap(false, Ordering::Relaxed) {
-                inner.ring.push_back(key);
-            } else {
-                Self::evict(shard, inner, &key);
+                inner.ring.push_back(slot.key().clone());
+            } else if let Slot::Ready(e) = slot.remove() {
+                Self::evicted(shard, e, evicted);
             }
         }
     }
 
-    /// Remove `key`'s ready entry, clear its `live` flag and account for
-    /// it. The caller takes the key off the ring.
-    fn evict(shard: &Shard<W>, inner: &mut ShardInner<W>, key: &CacheKey) {
-        if let Some(Slot::Ready(e)) = inner.map.remove(key) {
-            e.hit.flags.live.store(false, Ordering::Relaxed);
-            shard.len.fetch_sub(1, Ordering::Relaxed);
-            shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
-            shard.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Account for a ready entry taken out of the map by the count or byte
+    /// bound, clear its `live` flag, and hold it for dropping after the
+    /// lock.
+    fn evicted(shard: &Shard<W>, e: Entry, evicted: &mut Evicted) {
+        e.hit.flags.live.store(false, Ordering::Relaxed);
+        shard.len.fetch_sub(1, Ordering::Relaxed);
+        shard.bytes.fetch_sub(e.cost, Ordering::Relaxed);
+        shard.evictions.fetch_add(1, Ordering::Relaxed);
+        evicted.push(e);
     }
 
     /// Store a released answer directly (no single-flight bookkeeping),

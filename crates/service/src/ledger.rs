@@ -12,9 +12,9 @@ use crate::error::{ServiceError, ServiceResult};
 use crate::sync::lock;
 use crate::wal::{AccountSnapshot, LedgerSnapshot, Lsn, RecoveryReport, Wal, WalOp};
 use flex_core::{Composition, PrivacyBudget};
-use std::collections::hash_map::DefaultHasher;
+use flex_db::KeyHash;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -106,8 +106,11 @@ struct Account {
     /// Ids of admitted charges that are still refundable (neither
     /// settled nor already refunded). Bounded by in-flight queries, and
     /// empty after a restart: no charge handle survives one.
-    outstanding: HashSet<u64>,
+    outstanding: HashSet<u64, KeyHash>,
 }
+
+/// One shard's accounts, by analyst.
+type Accounts = HashMap<String, Account, KeyHash>;
 
 impl Account {
     fn new(policy: LedgerPolicy) -> Self {
@@ -116,7 +119,7 @@ impl Account {
             policy,
             queries: 0,
             pinned: None,
-            outstanding: HashSet::new(),
+            outstanding: HashSet::default(),
         }
     }
 
@@ -148,7 +151,9 @@ impl Account {
 #[derive(Debug)]
 pub struct BudgetLedger {
     default_policy: LedgerPolicy,
-    shards: Box<[Mutex<HashMap<String, Account>>]>,
+    shards: Box<[Mutex<Accounts>]>,
+    /// Chooses an analyst's shard; seeded per ledger.
+    stripes: KeyHash,
     /// Global — charge ids stay unique across shards.
     next_charge_id: AtomicU64,
     /// Durability: when present, every mutation a restart must remember
@@ -177,8 +182,9 @@ impl BudgetLedger {
         BudgetLedger {
             default_policy,
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
+            stripes: KeyHash::default(),
             next_charge_id: AtomicU64::new(0),
             wal: None,
         }
@@ -259,10 +265,9 @@ impl BudgetLedger {
     }
 
     /// Lock the shard owning `analyst`'s account.
-    fn shard(&self, analyst: &str) -> MutexGuard<'_, HashMap<String, Account>> {
-        let mut h = DefaultHasher::new();
-        analyst.hash(&mut h);
-        lock(&self.shards[(h.finish() as usize) % self.shards.len()])
+    fn shard(&self, analyst: &str) -> MutexGuard<'_, Accounts> {
+        let stripe = self.stripes.hash_one(analyst) as usize;
+        lock(&self.shards[stripe % self.shards.len()])
     }
 
     /// Override the policy for one analyst. Fails if the analyst has
@@ -355,9 +360,11 @@ impl BudgetLedger {
         }
         let charge = {
             let mut accounts = self.shard(analyst);
-            let acct = accounts
-                .entry(analyst.to_string())
-                .or_insert_with(|| Account::new(self.default_policy));
+            // An analyst's name is copied once, into a new account.
+            if !accounts.contains_key(analyst) {
+                accounts.insert(analyst.to_string(), Account::new(self.default_policy));
+            }
+            let acct = accounts.get_mut(analyst).expect("the account exists");
 
             // Decide (no mutation).
             let (e0, d0) = match acct.policy.composition {
@@ -573,10 +580,7 @@ impl BudgetLedger {
         Self::snapshot_of(&guards, self.next_charge_id.load(Ordering::Relaxed))
     }
 
-    fn snapshot_of(
-        guards: &[MutexGuard<'_, HashMap<String, Account>>],
-        next_charge_id: u64,
-    ) -> LedgerSnapshot {
+    fn snapshot_of(guards: &[MutexGuard<'_, Accounts>], next_charge_id: u64) -> LedgerSnapshot {
         let mut accounts: Vec<AccountSnapshot> = guards
             .iter()
             .flat_map(|g| g.iter())

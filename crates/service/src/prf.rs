@@ -15,51 +15,84 @@ use std::hash::{BuildHasher, Hasher};
 
 /// SipHash-2-4 of `data` under the 128-bit `key` (Aumasson–Bernstein).
 pub fn siphash24(key: [u64; 2], data: &[u8]) -> u64 {
-    let mut v0 = 0x736f_6d65_7073_6575u64 ^ key[0];
-    let mut v1 = 0x646f_7261_6e64_6f6du64 ^ key[1];
-    let mut v2 = 0x6c79_6765_6e65_7261u64 ^ key[0];
-    let mut v3 = 0x7465_6462_7974_6573u64 ^ key[1];
+    siphash24_parts(key, &[data])
+}
 
-    macro_rules! sipround {
-        () => {
-            v0 = v0.wrapping_add(v1);
-            v1 = v1.rotate_left(13) ^ v0;
-            v0 = v0.rotate_left(32);
-            v2 = v2.wrapping_add(v3);
-            v3 = v3.rotate_left(16) ^ v2;
-            v0 = v0.wrapping_add(v3);
-            v3 = v3.rotate_left(21) ^ v0;
-            v2 = v2.wrapping_add(v1);
-            v1 = v1.rotate_left(17) ^ v2;
-            v2 = v2.rotate_left(32);
-        };
+/// SipHash-2-4 under `key` of the concatenation of `parts`, without
+/// copying them into one buffer: equal to `siphash24` of the joined
+/// bytes.
+pub fn siphash24_parts(key: [u64; 2], parts: &[&[u8]]) -> u64 {
+    let mut sip = SipState {
+        v: [
+            0x736f_6d65_7073_6575 ^ key[0],
+            0x646f_7261_6e64_6f6d ^ key[1],
+            0x6c79_6765_6e65_7261 ^ key[0],
+            0x7465_6462_7974_6573 ^ key[1],
+        ],
+    };
+    // Bytes not yet compressed (fewer than 8), little-endian in `tail`.
+    let (mut tail, mut held, mut len) = (0u64, 0usize, 0usize);
+    for part in parts {
+        len += part.len();
+        let mut rest = *part;
+        if held > 0 {
+            let fill = rest.len().min(8 - held);
+            for (i, &byte) in rest[..fill].iter().enumerate() {
+                tail |= u64::from(byte) << (8 * (held + i));
+            }
+            held += fill;
+            rest = &rest[fill..];
+            if held < 8 {
+                continue;
+            }
+            sip.compress(tail);
+            tail = 0;
+        }
+        let mut chunks = rest.chunks_exact(8);
+        for chunk in &mut chunks {
+            sip.compress(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        for (i, &byte) in chunks.remainder().iter().enumerate() {
+            tail |= u64::from(byte) << (8 * i);
+        }
+        held = chunks.remainder().len();
     }
-
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let m = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        v3 ^= m;
-        sipround!();
-        sipround!();
-        v0 ^= m;
-    }
-
     // Final block: remaining bytes plus the message length in the top byte.
-    let mut b = (data.len() as u64) << 56;
-    for (i, &byte) in chunks.remainder().iter().enumerate() {
-        b |= (byte as u64) << (8 * i);
+    sip.compress(((len as u64) << 56) | tail);
+    sip.v[2] ^= 0xff;
+    for _ in 0..4 {
+        sip.round();
     }
-    v3 ^= b;
-    sipround!();
-    sipround!();
-    v0 ^= b;
+    sip.v[0] ^ sip.v[1] ^ sip.v[2] ^ sip.v[3]
+}
 
-    v2 ^= 0xff;
-    sipround!();
-    sipround!();
-    sipround!();
-    sipround!();
-    v0 ^ v1 ^ v2 ^ v3
+/// SipHash's four state words.
+struct SipState {
+    v: [u64; 4],
+}
+
+impl SipState {
+    fn round(&mut self) {
+        let [v0, v1, v2, v3] = &mut self.v;
+        *v0 = v0.wrapping_add(*v1);
+        *v1 = v1.rotate_left(13) ^ *v0;
+        *v0 = v0.rotate_left(32);
+        *v2 = v2.wrapping_add(*v3);
+        *v3 = v3.rotate_left(16) ^ *v2;
+        *v0 = v0.wrapping_add(*v3);
+        *v3 = v3.rotate_left(21) ^ *v0;
+        *v2 = v2.wrapping_add(*v1);
+        *v1 = v1.rotate_left(17) ^ *v2;
+        *v2 = v2.rotate_left(32);
+    }
+
+    /// Absorb one 8-byte word (two compression rounds).
+    fn compress(&mut self, m: u64) {
+        self.v[3] ^= m;
+        self.round();
+        self.round();
+        self.v[0] ^= m;
+    }
 }
 
 /// 64 bits of entropy from the OS, with no dependency beyond `std`:
@@ -117,6 +150,21 @@ mod tests {
                 *want,
                 "vector for {len}-byte input"
             );
+        }
+    }
+
+    #[test]
+    fn parts_hash_as_their_concatenation() {
+        let key = [0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908];
+        let msg: Vec<u8> = (0u8..40).collect();
+        for len in 0..msg.len() {
+            let whole = siphash24(key, &msg[..len]);
+            for a in 0..=len {
+                for b in a..=len {
+                    let parts = [&msg[..a], &msg[a..b], &msg[b..len]];
+                    assert_eq!(siphash24_parts(key, &parts), whole, "{len}: {a} {b}");
+                }
+            }
         }
     }
 

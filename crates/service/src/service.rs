@@ -39,7 +39,7 @@ use crate::telemetry::{Metric, QueryTrace, SlowQuery, Telemetry, TelemetrySnapsh
 use crate::wal::{FileStorage, FsyncPolicy, Lsn, RecoveryReport, Storage, Wal};
 use flex_core::{run_query_deadline, Composition, FlexOptions, PrivacyParams};
 use flex_db::{Column, ColumnData, Database, Value};
-use flex_sql::{canonicalize, parse_query_nesting, print_query, Query};
+use flex_sql::{canonical_form, parse_query_nesting, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -321,7 +321,6 @@ impl Ticket {
 type Respond = SyncSender<ServiceResult<ServiceResponse>>;
 
 struct Job {
-    analyst: String,
     query: Query,
     key: CacheKey,
     params: PrivacyParams,
@@ -734,12 +733,11 @@ impl QueryService {
                 return Ticket::ready(Err(ServiceError::from(e)));
             }
         };
-        let parse_span = started.elapsed();
-        let canon_started = Instant::now();
-        let query = canonicalize(parsed);
-        let canonical_sql = print_query(&query);
-        let canonicalize_span = canon_started.elapsed();
+        // One clock read ends each front-door span and starts the next.
+        let parsed_at = Instant::now();
+        let (query, canonical_sql) = canonical_form(parsed);
         let key = CacheKey::new(canonical_sql, params);
+        let admission_started = Instant::now();
 
         // Single-flight section: cache lookup, coalescing, and admission
         // are decided under ONE cache shard-lock acquisition (the ledger
@@ -748,7 +746,6 @@ impl QueryService {
         // charge budget for the same release. The charge is written to
         // the WAL in there and synced by nobody: no lock waits for the
         // disk.
-        let admission_started = Instant::now();
         let mut parked = None;
         let decision = shared.cache.admit(
             &key,
@@ -802,17 +799,17 @@ impl QueryService {
         }
 
         let (tx, reply) = sync_channel(1);
+        let enqueued_at = Instant::now();
         let job = Job {
-            analyst: analyst.to_string(),
             query,
             key,
             params,
             charge,
             respond: tx,
-            parse: parse_span,
-            canonicalize: canonicalize_span,
-            admission: admission_started.elapsed(),
-            enqueued_at: Instant::now(),
+            parse: parsed_at - started,
+            canonicalize: admission_started - parsed_at,
+            admission: enqueued_at - admission_started,
+            enqueued_at,
             // The deadline clock starts at submission, not at dequeue:
             // time spent waiting in a saturated queue counts against it.
             deadline: shared.query_timeout.map(|t| started + t),
@@ -1060,13 +1057,15 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
     // secret key an analyst can neither predict a query's noise stream
     // nor craft a second (query, ε, δ) whose stream collides with it,
     // which is what makes the determinism safe to offer at all.
-    let sql = job.key.canonical_sql().as_bytes();
-    let mut msg = Vec::with_capacity(sql.len() + 24);
-    msg.extend_from_slice(sql);
-    msg.extend_from_slice(&job.params.epsilon.to_bits().to_le_bytes());
-    msg.extend_from_slice(&job.params.delta.to_bits().to_le_bytes());
-    msg.extend_from_slice(&shared.db_fingerprint.to_le_bytes());
-    let noise_seed = prf::siphash24(shared.noise_key, &msg);
+    let noise_seed = prf::siphash24_parts(
+        shared.noise_key,
+        &[
+            job.key.canonical_sql().as_bytes(),
+            &job.params.epsilon.to_bits().to_le_bytes(),
+            &job.params.delta.to_bits().to_le_bytes(),
+            &shared.db_fingerprint.to_le_bytes(),
+        ],
+    );
 
     // A panicking pipeline must not take the worker (and every queued
     // job's budget) down with it: catch, refund, report.
@@ -1154,7 +1153,7 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
             shared
                 .telemetry
                 .record_release(trace.total(), || SlowQuery {
-                    analyst: job.analyst.clone(),
+                    analyst: job.charge.analyst.clone(),
                     canonical_sql: canonical_sql.to_string(),
                     epsilon: job.charge.epsilon,
                     delta: job.charge.delta,
@@ -1174,7 +1173,7 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
                 }));
             }
             Ok(ServiceResponse {
-                analyst: job.analyst,
+                analyst: job.charge.analyst,
                 canonical_sql,
                 columns: Columns(Arc::clone(&answer)),
                 join_count: answer.join_count,

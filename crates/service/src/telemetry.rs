@@ -462,6 +462,15 @@ metric_table! {
     latencies {
         latency: "flex_query_latency_seconds",
             "End-to-end pipeline latency per completed query.", QueryTrace::total;
+        parse_latency: "flex_parse_latency_seconds",
+            "SQL parse latency per completed query.", |t| t.parse;
+        canonicalize_latency: "flex_canonicalize_latency_seconds",
+            "Canonicalization and printing latency per completed query.", |t| t.canonicalize;
+        admission_latency: "flex_admission_latency_seconds",
+            "Cache lookup and budget admission latency per completed query.", |t| t.admission;
+        queue_latency: "flex_queue_latency_seconds",
+            "Wait between enqueue and the start of the pipeline per completed query.",
+            |t| t.queue;
         analysis_latency: "flex_analysis_latency_seconds",
             "Elastic-sensitivity analysis latency per completed query.", |t| t.analysis;
         execution_latency: "flex_execution_latency_seconds",

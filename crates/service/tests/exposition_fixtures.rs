@@ -20,7 +20,12 @@
 //! counts), and the derived `flex_wal_records_per_fsync` gauge
 //! (`wal_records_per_fsync` key); later, the
 //! `flex_jobs_run_by_submitter_total` counter (`jobs_run_by_submitter`
-//! key); later, the `flex_memo_hits_total` counter (`memo_hits` key).
+//! key); later, the `flex_memo_hits_total` counter (`memo_hits` key);
+//! later, the `flex_parse_latency_seconds`,
+//! `flex_canonicalize_latency_seconds`, `flex_admission_latency_seconds`
+//! and `flex_queue_latency_seconds` summaries (`parse_latency`,
+//! `canonicalize_latency`, `admission_latency` and `queue_latency` keys),
+//! each right after the end-to-end summary.
 
 use flex_db::ExecTrace;
 use flex_service::{
@@ -67,6 +72,10 @@ fn populated_report() -> MetricsReport {
         cache_bytes: 122,
         cache_evictions: 123,
         latency: latency(1),
+        parse_latency: latency(6),
+        canonicalize_latency: latency(7),
+        admission_latency: latency(8),
+        queue_latency: latency(9),
         analysis_latency: latency(2),
         execution_latency: latency(3),
         perturbation_latency: latency(4),

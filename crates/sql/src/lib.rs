@@ -31,7 +31,7 @@ pub mod token;
 pub mod visitor;
 
 pub use ast::*;
-pub use canonical::{canonical_sql, canonicalize};
+pub use canonical::{canonical_form, canonical_sql, canonicalize};
 pub use error::{ParseError, Result};
 pub use inline::inline_ctes;
 pub use parser::{parse_query, parse_query_nesting, parse_script};

@@ -22,9 +22,10 @@
 //! or set operation, a `NOT`/sign chain — counts against
 //! [`MAX_NESTING_DEPTH`], so hostile text fails with a [`ParseError`]
 //! instead of overflowing the stack. A chain of one operator — `OR`,
-//! `AND`, `+ -`, `* / %` or a set operation — is parsed by a loop but
-//! builds a left-deep tree that every later walk recurses down, so its
-//! operands are capped too ([`MAX_CHAIN_OPERANDS`]).
+//! `AND`, `+ -`, `* / %`, a set operation or a join — is parsed by a loop
+//! but builds a left-deep tree that every later walk recurses down, so
+//! its operands (a join's factors) are capped too
+//! ([`MAX_CHAIN_OPERANDS`]).
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
@@ -410,6 +411,7 @@ impl Parser {
 
     fn table_ref(&mut self) -> Result<TableRef> {
         let mut left = self.table_factor()?;
+        let mut factors = 1;
         loop {
             let join_type = if self.eat_kw(Keyword::Cross) {
                 self.expect_kw(Keyword::Join)?;
@@ -438,6 +440,7 @@ impl Parser {
                 break;
             };
 
+            self.chain_operand(&mut factors)?;
             let right = self.table_factor()?;
             let constraint = if join_type == JoinType::Cross {
                 JoinConstraint::None

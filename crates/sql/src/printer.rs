@@ -47,11 +47,67 @@ fn write_query(out: &mut String, q: &Query) {
             }
         }
     }
+    write_limit_offset(out, q);
+}
+
+/// ` LIMIT n` and ` OFFSET n`, where the query has them.
+pub(crate) fn write_limit_offset(out: &mut String, q: &Query) {
     if let Some(n) = q.limit {
         let _ = write!(out, " LIMIT {n}");
     }
     if let Some(n) = q.offset {
         let _ = write!(out, " OFFSET {n}");
+    }
+}
+
+/// ` UNION `, ` EXCEPT ALL `, …: the text between two set-operation arms.
+pub(crate) fn set_op_text(op: SetOperator, all: bool) -> &'static str {
+    match (op, all) {
+        (SetOperator::Union, false) => " UNION ",
+        (SetOperator::Union, true) => " UNION ALL ",
+        (SetOperator::Intersect, false) => " INTERSECT ",
+        (SetOperator::Intersect, true) => " INTERSECT ALL ",
+        (SetOperator::Except, false) => " EXCEPT ",
+        (SetOperator::Except, true) => " EXCEPT ALL ",
+    }
+}
+
+/// ` JOIN `, ` LEFT JOIN `, …: the text between two join factors.
+pub(crate) fn join_text(join_type: JoinType) -> &'static str {
+    match join_type {
+        JoinType::Inner => " JOIN ",
+        JoinType::Left => " LEFT JOIN ",
+        JoinType::Right => " RIGHT JOIN ",
+        JoinType::Full => " FULL JOIN ",
+        JoinType::Cross => " CROSS JOIN ",
+    }
+}
+
+/// ` AND `, ` = `, …: the text between a binary operator's operands.
+pub(crate) fn binary_op_text(op: BinaryOperator) -> &'static str {
+    match op {
+        BinaryOperator::Or => " OR ",
+        BinaryOperator::And => " AND ",
+        BinaryOperator::Eq => " = ",
+        BinaryOperator::NotEq => " <> ",
+        BinaryOperator::Lt => " < ",
+        BinaryOperator::LtEq => " <= ",
+        BinaryOperator::Gt => " > ",
+        BinaryOperator::GtEq => " >= ",
+        BinaryOperator::Plus => " + ",
+        BinaryOperator::Minus => " - ",
+        BinaryOperator::Multiply => " * ",
+        BinaryOperator::Divide => " / ",
+        BinaryOperator::Modulo => " % ",
+    }
+}
+
+/// `NOT `, `-`, `+`: the text before a unary operator's operand.
+pub(crate) fn unary_op_text(op: UnaryOperator) -> &'static str {
+    match op {
+        UnaryOperator::Not => "NOT ",
+        UnaryOperator::Minus => "-",
+        UnaryOperator::Plus => "+",
     }
 }
 
@@ -65,12 +121,7 @@ fn write_set_expr(out: &mut String, body: &SetExpr) {
             right,
         } => {
             write_set_expr(out, left);
-            let name = match op {
-                SetOperator::Union => "UNION",
-                SetOperator::Intersect => "INTERSECT",
-                SetOperator::Except => "EXCEPT",
-            };
-            let _ = write!(out, " {name}{} ", if *all { " ALL" } else { "" });
+            out.push_str(set_op_text(*op, *all));
             // Right operand of a set op must not itself swallow trailing
             // clauses, so parenthesize nested set ops on the right.
             match right.as_ref() {
@@ -148,14 +199,7 @@ fn write_table_ref(out: &mut String, t: &TableRef) {
             constraint,
         } => {
             write_table_ref(out, left);
-            let kw = match join_type {
-                JoinType::Inner => " JOIN ",
-                JoinType::Left => " LEFT JOIN ",
-                JoinType::Right => " RIGHT JOIN ",
-                JoinType::Full => " FULL JOIN ",
-                JoinType::Cross => " CROSS JOIN ",
-            };
-            out.push_str(kw);
+            out.push_str(join_text(*join_type));
             // The right side of a join binds as a factor; parenthesize
             // nested joins so the tree shape round-trips.
             match right.as_ref() {
@@ -201,33 +245,13 @@ pub(crate) fn write_expr(out: &mut String, e: &Expr) {
         Expr::BinaryOp { left, op, right } => {
             out.push('(');
             write_expr(out, left);
-            let op_str = match op {
-                BinaryOperator::Or => " OR ",
-                BinaryOperator::And => " AND ",
-                BinaryOperator::Eq => " = ",
-                BinaryOperator::NotEq => " <> ",
-                BinaryOperator::Lt => " < ",
-                BinaryOperator::LtEq => " <= ",
-                BinaryOperator::Gt => " > ",
-                BinaryOperator::GtEq => " >= ",
-                BinaryOperator::Plus => " + ",
-                BinaryOperator::Minus => " - ",
-                BinaryOperator::Multiply => " * ",
-                BinaryOperator::Divide => " / ",
-                BinaryOperator::Modulo => " % ",
-            };
-            out.push_str(op_str);
+            out.push_str(binary_op_text(*op));
             write_expr(out, right);
             out.push(')');
         }
         Expr::UnaryOp { op, expr } => {
-            let op_str = match op {
-                UnaryOperator::Not => "NOT ",
-                UnaryOperator::Minus => "-",
-                UnaryOperator::Plus => "+",
-            };
             out.push('(');
-            out.push_str(op_str);
+            out.push_str(unary_op_text(*op));
             write_expr(out, expr);
             out.push(')');
         }
@@ -350,7 +374,7 @@ pub(crate) fn write_expr(out: &mut String, e: &Expr) {
     }
 }
 
-fn write_literal(out: &mut String, l: &Literal) {
+pub(crate) fn write_literal(out: &mut String, l: &Literal) {
     match l {
         Literal::Null => out.push_str("NULL"),
         Literal::Boolean(true) => out.push_str("TRUE"),
@@ -368,7 +392,7 @@ fn write_literal(out: &mut String, l: &Literal) {
 }
 
 /// ` AS name`, if there is a name.
-fn write_alias(out: &mut String, alias: Option<&str>) {
+pub(crate) fn write_alias(out: &mut String, alias: Option<&str>) {
     if let Some(a) = alias {
         out.push_str(" AS ");
         write_ident(out, a);
@@ -377,7 +401,7 @@ fn write_alias(out: &mut String, alias: Option<&str>) {
 
 /// An identifier, quoted if needed (keyword collision, upper case, or
 /// non-alphanumeric characters).
-fn write_ident(out: &mut String, name: &str) {
+pub(crate) fn write_ident(out: &mut String, name: &str) {
     let plain = name
         .bytes()
         .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')

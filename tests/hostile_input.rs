@@ -78,6 +78,40 @@ fn long_operator_chains_are_a_parse_error() {
     }
 }
 
+/// A join chain of `factors` tables, each joined on `x` to the one
+/// before it.
+fn join_chain(factors: usize) -> String {
+    let joins: String = (1..factors)
+        .map(|i| format!(" JOIN t t{i} ON t{}.x = t{i}.x", i - 1))
+        .collect();
+    format!("SELECT COUNT(*) FROM t t0{joins}")
+}
+
+/// A join chain is capped like an operator chain: at the cap (and at the
+/// corpus generator's widest, 95 joins) it runs end to end through the
+/// service on a worker's stack; one factor more is a parse error.
+#[test]
+fn join_chains_are_capped() {
+    use flex::sql::parser::MAX_CHAIN_OPERANDS;
+    for factors in [96, MAX_CHAIN_OPERANDS] {
+        let answer = on_worker_stack(move || {
+            let params = PrivacyParams::new(1.0, 1e-8).unwrap();
+            service().query("alice", &join_chain(factors), params)
+        });
+        let answer = answer.unwrap_or_else(|e| panic!("{factors} factors: {e}"));
+        assert!(answer.scalar().is_some(), "{factors} factors");
+    }
+    let err = on_worker_stack(|| parse_query(&join_chain(MAX_CHAIN_OPERANDS + 1)).unwrap_err());
+    assert!(err.message.contains("operator chain"), "{err}");
+    let err = on_worker_stack(|| {
+        let params = PrivacyParams::new(1.0, 1e-8).unwrap();
+        service()
+            .query("mallory", &join_chain(100_000), params)
+            .unwrap_err()
+    });
+    assert!(err.to_string().contains("operator chain"), "{err}");
+}
+
 /// The caps leave room for everything downstream of the parser: a query
 /// nested as deep as they allow, and one that also holds a chain as long
 /// as they allow at its deepest level, still canonicalize, analyse and
