@@ -159,12 +159,7 @@ pub fn rel_stability(rel: &Rel, metrics: &MetricsCatalog) -> Result<SensExpr> {
             let sr = rel_stability(right, metrics)?;
             let mf_l = mfk(left_key, left, metrics)?;
             let mf_r = mfk(right_key, right, metrics)?;
-            let overlap = left
-                .ancestors()
-                .intersection(&right.ancestors())
-                .next()
-                .is_some();
-            if overlap {
+            if left.shares_ancestor(right) {
                 // Self join: mf_k(a,r1)·Ŝ(r2) + mf_k(b,r2)·Ŝ(r1) + Ŝ(r1)·Ŝ(r2)
                 Ok(mf_l
                     .mul(sr.clone())

@@ -53,6 +53,22 @@ impl Rel {
         out
     }
 
+    /// Whether `self` and `other` share an ancestor — a self join
+    /// (Figure 1d) — found without collecting either set.
+    pub fn shares_ancestor(&self, other: &Rel) -> bool {
+        self.any_ancestor(&mut |a| other.any_ancestor(&mut |b| a == b))
+    }
+
+    /// Whether `found` holds for some ancestor, protected table names
+    /// visited in tree order.
+    fn any_ancestor(&self, found: &mut impl FnMut(&str) -> bool) -> bool {
+        match self {
+            Rel::Table { name, public, .. } => !public && found(name),
+            Rel::Join { left, right, .. } => left.any_ancestor(found) || right.any_ancestor(found),
+            Rel::Project(r) | Rel::Select(r) | Rel::Count(r) => r.any_ancestor(found),
+        }
+    }
+
     fn collect_ancestors<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
         match self {
             Rel::Table { name, public, .. } => {
@@ -159,6 +175,19 @@ mod tests {
 
         let other = table("nodes", 2, false);
         assert_eq!(l.ancestors().intersection(&other.ancestors()).count(), 0);
+
+        // The walk agrees with the sets, public tables excluded.
+        assert!(l.shares_ancestor(&r));
+        assert!(!l.shares_ancestor(&other));
+        let cities = |occ| table("cities", occ, true);
+        assert!(!cities(3).shares_ancestor(&cities(4)));
+        let join = Rel::Join {
+            left: Box::new(other),
+            right: Box::new(cities(3)),
+            left_key: attr(2, "nodes", "city"),
+            right_key: attr(3, "cities", "id"),
+        };
+        assert!(Rel::Select(Box::new(join)).shares_ancestor(&table("nodes", 5, false)));
     }
 
     #[test]
