@@ -88,7 +88,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, LazyLock, Mutex};
 
 /// Default shard count for [`AnswerCache::new`]: enough stripes that a
 /// multi-core cache-hit storm rarely collides on one lock, few enough
@@ -109,12 +109,39 @@ pub const MEMO_MAX_TEXT_BYTES: usize = 1024;
 
 /// Cache key: canonical SQL text plus exact privacy parameters (the same
 /// query at a different ε is a different release).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The key hashes as one word, a digest of the text and the parameters
+/// taken once when the key is built (seeded per process, so no analyst
+/// can aim texts at one digest): choosing a shard and finding a slot
+/// never reads the text again, and an eviction finds its entry without
+/// touching the evicted text. Equal keys have equal digests; equality
+/// still compares the text.
+#[derive(Debug, Clone)]
 pub struct CacheKey {
     canonical_sql: Arc<str>,
     epsilon_bits: u64,
     delta_bits: u64,
+    digest: u64,
 }
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest
+            && (self.epsilon_bits, self.delta_bits) == (other.epsilon_bits, other.delta_bits)
+            && self.canonical_sql == other.canonical_sql
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// The seed of every [`CacheKey`] digest in this process.
+static KEY_DIGEST: LazyLock<KeyHash> = LazyLock::new(KeyHash::default);
 
 impl CacheKey {
     /// Key a canonical query at exact (bitwise) privacy parameters.
@@ -125,10 +152,12 @@ impl CacheKey {
     /// Key a canonical text that is already shared (say, by the text
     /// memo), without copying it.
     pub fn shared(canonical_sql: Arc<str>, params: PrivacyParams) -> Self {
+        let (epsilon_bits, delta_bits) = (params.epsilon.to_bits(), params.delta.to_bits());
         CacheKey {
+            digest: KEY_DIGEST.hash_one((&*canonical_sql, epsilon_bits, delta_bits)),
             canonical_sql,
-            epsilon_bits: params.epsilon.to_bits(),
-            delta_bits: params.delta.to_bits(),
+            epsilon_bits,
+            delta_bits,
         }
     }
 

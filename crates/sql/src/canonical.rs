@@ -26,13 +26,14 @@
 //! is the identity, and printing + reparsing a canonical query yields the
 //! same canonical AST (checked by tests here and in the workspace-level
 //! suite).
+//!
+//! The rules run inside the printer's walk, which canonicalizes each node
+//! as it leaves it and prints it once: operands are ordered by the text
+//! already written for them, and a reordered run is moved within the
+//! output rather than printed again.
 
 use crate::ast::*;
-use crate::printer::{
-    binary_op_text, join_text, set_op_text, unary_op_text, write_alias, write_ident,
-    write_limit_offset, write_literal,
-};
-use std::cmp::Ordering;
+use crate::printer::Printer;
 
 /// Canonicalize a query and print it, in one walk: the canonical AST and
 /// its text (what [`print_query`](crate::print_query) prints for that
@@ -44,15 +45,9 @@ use std::cmp::Ordering;
 /// within the output, not printed again.
 pub fn canonical_form(q: impl Into<Query>) -> (Query, String) {
     let mut q = q.into();
-    let mut canon = Canonicalizer {
-        // Room for a typical query's text and one reordered run.
-        out: String::with_capacity(512),
-        spans: Vec::new(),
-        leaves: Vec::new(),
-        spare: Vec::new(),
-    };
-    canon.query(&mut q);
-    (q, canon.out)
+    let mut printer = Printer::new(true);
+    printer.query(&mut q);
+    (q, printer.into_text())
 }
 
 /// Canonicalize a query (see [`canonical_form`], which also returns its
@@ -71,507 +66,6 @@ impl From<&Query> for Query {
 /// the same canonical form. This is the `flex-service` cache key.
 pub fn canonical_sql(q: &Query) -> String {
     canonical_form(q).1
-}
-
-/// A stand-in left where a node was moved out for a moment.
-const HOLE: Expr = Expr::Literal(Literal::Null);
-
-/// One canonicalization: the walk prints the canonical text of each node
-/// as it leaves it, into `out`.
-struct Canonicalizer {
-    /// The canonical text so far. A reordered run of operands is put
-    /// together at its end, then moved down over the run.
-    out: String,
-    /// Where each operand of the unordered runs being printed starts and
-    /// ends in `out`, and its position as written; a stack, as runs nest.
-    spans: Vec<Span>,
-    /// The operands of the `AND`/`OR` chains being printed, each in the
-    /// box the parser gave it; a stack, as chains nest.
-    leaves: Vec<Option<Box<Expr>>>,
-    /// Boxes of flattened chain nodes, reused when a chain is rebuilt:
-    /// the allocations themselves are what this keeps, so they stay boxed.
-    #[allow(clippy::vec_box)]
-    spare: Vec<Box<Expr>>,
-}
-
-/// An operand's text, `out[start..end]`, and its position as written.
-#[derive(Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-    written: usize,
-}
-
-impl Canonicalizer {
-    fn query(&mut self, q: &mut Query) {
-        if !q.ctes.is_empty() {
-            self.out.push_str("WITH ");
-            for (i, cte) in q.ctes.iter_mut().enumerate() {
-                if i > 0 {
-                    self.out.push_str(", ");
-                }
-                write_ident(&mut self.out, &cte.name);
-                self.out.push_str(" AS (");
-                self.query(&mut cte.query);
-                self.out.push(')');
-            }
-            self.out.push(' ');
-        }
-        self.set_expr(&mut q.body);
-        if !q.order_by.is_empty() {
-            self.out.push_str(" ORDER BY ");
-            for (i, item) in q.order_by.iter_mut().enumerate() {
-                if i > 0 {
-                    self.out.push_str(", ");
-                }
-                self.expr(&mut item.expr);
-                if item.descending {
-                    self.out.push_str(" DESC");
-                }
-            }
-        }
-        write_limit_offset(&mut self.out, q);
-    }
-
-    fn set_expr(&mut self, body: &mut SetExpr) {
-        match body {
-            SetExpr::Select(s) => self.select(s),
-            SetExpr::SetOp {
-                op,
-                all,
-                left,
-                right,
-            } => {
-                self.set_expr(left);
-                self.out.push_str(set_op_text(*op, *all));
-                let nested = matches!(**right, SetExpr::SetOp { .. });
-                self.parenthesized(nested, |c| c.set_expr(right));
-            }
-        }
-    }
-
-    fn select(&mut self, s: &mut Select) {
-        self.out.push_str("SELECT ");
-        if s.distinct {
-            self.out.push_str("DISTINCT ");
-        }
-        for (i, item) in s.projection.iter_mut().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            match item {
-                SelectItem::Wildcard => self.out.push('*'),
-                SelectItem::QualifiedWildcard(q) => {
-                    write_ident(&mut self.out, q);
-                    self.out.push_str(".*");
-                }
-                SelectItem::Expr { expr, alias } => {
-                    self.expr(expr);
-                    write_alias(&mut self.out, alias.as_deref());
-                }
-            }
-        }
-        if let Some(from) = &mut s.from {
-            self.out.push_str(" FROM ");
-            self.table_ref(from);
-        }
-        if let Some(w) = &mut s.selection {
-            self.out.push_str(" WHERE ");
-            self.expr(w);
-        }
-        if !s.group_by.is_empty() {
-            self.out.push_str(" GROUP BY ");
-            self.ordered(&mut s.group_by, false);
-        }
-        if let Some(h) = &mut s.having {
-            self.out.push_str(" HAVING ");
-            self.expr(h);
-        }
-    }
-
-    fn table_ref(&mut self, t: &mut TableRef) {
-        match t {
-            TableRef::Table { name, alias } => {
-                write_ident(&mut self.out, name);
-                write_alias(&mut self.out, alias.as_deref());
-            }
-            TableRef::Derived { query, alias } => {
-                self.parenthesized(true, |c| c.query(query));
-                write_alias(&mut self.out, Some(alias));
-            }
-            TableRef::Join {
-                left,
-                right,
-                join_type,
-                constraint,
-            } => {
-                self.table_ref(left);
-                self.out.push_str(join_text(*join_type));
-                let nested = matches!(**right, TableRef::Join { .. });
-                self.parenthesized(nested, |c| c.table_ref(right));
-                match constraint {
-                    JoinConstraint::On(e) => {
-                        self.out.push_str(" ON ");
-                        self.expr(e);
-                    }
-                    JoinConstraint::Using(cols) => {
-                        self.out.push_str(" USING (");
-                        for (i, c) in cols.iter().enumerate() {
-                            if i > 0 {
-                                self.out.push_str(", ");
-                            }
-                            write_ident(&mut self.out, c);
-                        }
-                        self.out.push(')');
-                    }
-                    JoinConstraint::None => {}
-                }
-            }
-        }
-    }
-
-    /// `walk`'s text, in parentheses if `parens`.
-    fn parenthesized(&mut self, parens: bool, walk: impl FnOnce(&mut Self)) {
-        if parens {
-            self.out.push('(');
-        }
-        walk(self);
-        if parens {
-            self.out.push(')');
-        }
-    }
-
-    /// Canonicalize `e` and print it: children first, then the node's own
-    /// rule.
-    fn expr(&mut self, e: &mut Expr) {
-        use BinaryOperator::{And, Eq, Gt, GtEq, Lt, LtEq, Multiply, NotEq, Or, Plus};
-        match e {
-            Expr::Column(c) => {
-                if let Some(q) = &c.qualifier {
-                    write_ident(&mut self.out, q);
-                    self.out.push('.');
-                }
-                write_ident(&mut self.out, &c.name);
-            }
-            Expr::Literal(l) => write_literal(&mut self.out, l),
-            Expr::BinaryOp {
-                op: op @ (And | Or),
-                ..
-            } => {
-                let op = *op;
-                self.chain(e, op);
-            }
-            Expr::BinaryOp { left, op, right } => {
-                // Mirror > and >= so both directions of the same
-                // comparison agree.
-                if let Gt | GtEq = op {
-                    std::mem::swap(left, right);
-                    *op = if *op == Gt { Lt } else { LtEq };
-                }
-                self.out.push('(');
-                let start = self.out.len();
-                self.expr(left);
-                let split = self.out.len();
-                self.out.push_str(binary_op_text(*op));
-                let right_at = self.out.len();
-                self.expr(right);
-                // Order the operands of the symmetric operators by text.
-                if matches!(op, Eq | NotEq | Plus | Multiply)
-                    && self.out[start..split] > self.out[right_at..]
-                {
-                    std::mem::swap(left, right);
-                    let end = self.out.len();
-                    for (from, to) in [(right_at, end), (split, right_at), (start, split)] {
-                        self.out.extend_from_within(from..to);
-                    }
-                    self.out.drain(start..end);
-                }
-                self.out.push(')');
-            }
-            Expr::UnaryOp { op, expr } => {
-                self.out.push('(');
-                self.out.push_str(unary_op_text(*op));
-                self.expr(expr);
-                self.out.push(')');
-            }
-            Expr::Function {
-                name,
-                distinct,
-                args,
-            } => {
-                write_ident(&mut self.out, name);
-                self.out.push('(');
-                if *distinct {
-                    self.out.push_str("DISTINCT ");
-                }
-                for (i, a) in args.iter_mut().enumerate() {
-                    if i > 0 {
-                        self.out.push_str(", ");
-                    }
-                    match a {
-                        FunctionArg::Wildcard => self.out.push('*'),
-                        FunctionArg::Expr(e) => self.expr(e),
-                    }
-                }
-                self.out.push(')');
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_result,
-            } => {
-                self.out.push_str("CASE");
-                if let Some(op) = operand {
-                    self.out.push(' ');
-                    self.expr(op);
-                }
-                for (cond, result) in branches {
-                    self.out.push_str(" WHEN ");
-                    self.expr(cond);
-                    self.out.push_str(" THEN ");
-                    self.expr(result);
-                }
-                if let Some(e) = else_result {
-                    self.out.push_str(" ELSE ");
-                    self.expr(e);
-                }
-                self.out.push_str(" END");
-            }
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                self.out.push('(');
-                self.expr(expr);
-                self.out
-                    .push_str(if *negated { " NOT IN (" } else { " IN (" });
-                self.ordered(list, true);
-                self.out.push_str("))");
-            }
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                self.out.push('(');
-                self.expr(expr);
-                self.out.push_str(if *negated {
-                    " NOT BETWEEN "
-                } else {
-                    " BETWEEN "
-                });
-                self.expr(low);
-                self.out.push_str(" AND ");
-                self.expr(high);
-                self.out.push(')');
-            }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                self.out.push('(');
-                self.expr(expr);
-                self.out
-                    .push_str(if *negated { " NOT LIKE " } else { " LIKE " });
-                self.expr(pattern);
-                self.out.push(')');
-            }
-            Expr::IsNull { expr, negated } => {
-                self.out.push('(');
-                self.expr(expr);
-                self.out
-                    .push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
-                self.out.push(')');
-            }
-            Expr::Cast { expr, data_type } => {
-                self.out.push_str("CAST(");
-                self.expr(expr);
-                write_alias(&mut self.out, Some(data_type));
-                self.out.push(')');
-            }
-            Expr::Exists(q) => {
-                self.out.push_str("EXISTS ");
-                self.parenthesized(true, |c| c.query(q));
-            }
-            Expr::InSubquery {
-                expr,
-                query,
-                negated,
-            } => {
-                self.out.push('(');
-                self.expr(expr);
-                self.out
-                    .push_str(if *negated { " NOT IN (" } else { " IN (" });
-                self.query(query);
-                self.out.push_str("))");
-            }
-        }
-    }
-
-    /// An `AND`/`OR` chain, whatever its shape: flattened into its
-    /// operands, each canonicalized and printed, ordered by text without
-    /// repeats, and rebuilt left-deep — `((a AND b) AND c)` — from the
-    /// boxes it had.
-    fn chain(&mut self, e: &mut Expr, op: BinaryOperator) {
-        let base = self.leaves.len();
-        self.flatten(std::mem::replace(e, HOLE), op);
-        let n = self.leaves.len() - base;
-        let start = self.out.len();
-        let spans = self.spans.len();
-        self.out.extend(std::iter::repeat_n('(', n - 1));
-        for i in 0..n {
-            if i > 0 {
-                self.out.push_str(binary_op_text(op));
-            }
-            let mut leaf = self.leaves[base + i].take().expect("an operand");
-            self.operand(i, |c| c.expr(&mut leaf));
-            self.leaves[base + i] = Some(leaf);
-            if i > 0 {
-                self.out.push(')');
-            }
-        }
-        if self.sort_run(spans, true) {
-            let end = self.out.len();
-            let k = self.spans.len() - spans;
-            self.out.extend(std::iter::repeat_n('(', k - 1));
-            for j in 0..k {
-                let Span { start, end, .. } = self.spans[spans + j];
-                if j > 0 {
-                    self.out.push_str(binary_op_text(op));
-                }
-                self.out.extend_from_within(start..end);
-                if j > 0 {
-                    self.out.push(')');
-                }
-            }
-            self.out.drain(start..end);
-        }
-        // Rebuild left-deep in text order, each node in a spare box.
-        let take = |c: &mut Self, j: usize| {
-            let i = base + c.spans[spans + j].written;
-            c.leaves[i].take().expect("each operand once")
-        };
-        let mut acc = take(self, 0);
-        for j in 1..self.spans.len() - spans {
-            let right = take(self, j);
-            acc = self.node(acc, op, right);
-        }
-        *e = std::mem::replace(&mut *acc, HOLE);
-        self.spare.push(acc);
-        self.spans.truncate(spans);
-        self.leaves.truncate(base);
-    }
-
-    /// Print operand `written` of a run with `walk`, recording its span.
-    fn operand(&mut self, written: usize, walk: impl FnOnce(&mut Self)) {
-        let start = self.out.len();
-        walk(self);
-        let end = self.out.len();
-        self.spans.push(Span {
-            start,
-            end,
-            written,
-        });
-    }
-
-    /// `left op right`, in a spare box if there is one.
-    fn node(&mut self, left: Box<Expr>, op: BinaryOperator, right: Box<Expr>) -> Box<Expr> {
-        let node = Expr::BinaryOp { left, op, right };
-        match self.spare.pop() {
-            Some(mut b) => {
-                *b = node;
-                b
-            }
-            None => Box::new(node),
-        }
-    }
-
-    /// Push the operands of a (possibly nested) `op`-tree onto `leaves`,
-    /// in order, each in its box; the boxes of the `op` nodes below the
-    /// root go to `spare`.
-    fn flatten(&mut self, e: Expr, op: BinaryOperator) {
-        let Expr::BinaryOp {
-            left,
-            op: inner,
-            right,
-        } = e
-        else {
-            unreachable!("a chain's root is an operator node");
-        };
-        debug_assert_eq!(inner, op);
-        for mut child in [left, right] {
-            match *child {
-                Expr::BinaryOp { op: o, .. } if o == op => {
-                    let node = std::mem::replace(&mut *child, HOLE);
-                    self.spare.push(child);
-                    self.flatten(node, op);
-                }
-                _ => self.leaves.push(Some(child)),
-            }
-        }
-    }
-
-    /// Print `members` separated by `, `, each canonicalized, then order
-    /// them by text (without repeats if `unique`), in the AST and in the
-    /// text alike.
-    fn ordered(&mut self, members: &mut Vec<Expr>, unique: bool) {
-        let spans = self.spans.len();
-        let start = self.out.len();
-        for (i, m) in members.iter_mut().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            self.operand(i, |c| c.expr(m));
-        }
-        if self.sort_run(spans, unique) {
-            let end = self.out.len();
-            for j in spans..self.spans.len() {
-                let Span { start, end, .. } = self.spans[j];
-                if j > spans {
-                    self.out.push_str(", ");
-                }
-                self.out.extend_from_within(start..end);
-            }
-            self.out.drain(start..end);
-            let mut written = std::mem::take(members);
-            let order = self.spans[spans..].iter();
-            members.extend(order.map(|s| std::mem::replace(&mut written[s.written], HOLE)));
-        }
-        self.spans.truncate(spans);
-    }
-
-    /// Sort the spans above `base` by their text (a stable sort, so equal
-    /// texts keep their written order) and, if `unique`, drop the later
-    /// of two equal texts. Whether that changed the run: `false` when it
-    /// was in order already.
-    fn sort_run(&mut self, base: usize, unique: bool) -> bool {
-        let out = &self.out;
-        let text = |s: &Span| &out[s.start..s.end];
-        let run = &mut self.spans[base..];
-        let in_order = run.windows(2).all(|w| match text(&w[0]).cmp(text(&w[1])) {
-            Ordering::Less => true,
-            Ordering::Equal => !unique,
-            Ordering::Greater => false,
-        });
-        if in_order {
-            return false;
-        }
-        run.sort_by(|a, b| text(a).cmp(text(b)));
-        if unique {
-            let mut kept = base + 1;
-            for i in base + 1..self.spans.len() {
-                if text(&self.spans[i]) != text(&self.spans[kept - 1]) {
-                    self.spans[kept] = self.spans[i];
-                    kept += 1;
-                }
-            }
-            self.spans.truncate(kept);
-        }
-        true
-    }
 }
 
 #[cfg(test)]

@@ -7,10 +7,30 @@
 
 use crate::error::{ParseError, Result};
 use crate::token::{Keyword, Span, Token, TokenKind};
+use std::cell::Cell;
 
 /// Tokenize `input` into a vector of tokens terminated by [`TokenKind::Eof`].
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     Lexer::new(input).run()
+}
+
+/// Most tokens a thread keeps room for between parses: about 48 KiB.
+const KEPT_TOKENS: usize = 1024;
+
+thread_local! {
+    /// The token vector of this thread's last parse, emptied: the next
+    /// tokenize fills it instead of allocating one, so a parse allocates
+    /// only what its AST keeps.
+    static SPARE: Cell<Vec<Token>> = const { Cell::new(Vec::new()) };
+}
+
+/// Hand a parse's token vector back for this thread's next tokenize
+/// (unless it grew past [`KEPT_TOKENS`]).
+pub(crate) fn recycle(mut tokens: Vec<Token>) {
+    if tokens.capacity() <= KEPT_TOKENS {
+        tokens.clear();
+        SPARE.with(|spare| spare.set(tokens));
+    }
 }
 
 struct Lexer<'a> {
@@ -22,11 +42,13 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
+        let mut out = SPARE.with(Cell::take);
+        out.reserve(src.len() / 4 + 8);
         Lexer {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            out: Vec::with_capacity(src.len() / 4 + 8),
+            out,
         }
     }
 

@@ -29,7 +29,7 @@
 
 use crate::ast::*;
 use crate::error::{ParseError, Result};
-use crate::lexer::tokenize;
+use crate::lexer::{recycle, tokenize};
 use crate::token::{Keyword, Token, TokenKind};
 
 /// Deepest nesting the parser accepts. A fixed bound, not a knob: one
@@ -61,6 +61,7 @@ pub fn parse_query_nesting(sql: &str) -> Result<(Query, usize)> {
     let q = p.query()?;
     p.eat(&TokenKind::Semicolon);
     p.expect_eof()?;
+    recycle(p.tokens);
     Ok((q, p.deepest))
 }
 
@@ -75,6 +76,7 @@ pub fn parse_script(sql: &str) -> Result<Vec<Query>> {
         }
         out.push(p.query()?);
     }
+    recycle(p.tokens);
     Ok(out)
 }
 
