@@ -39,10 +39,6 @@ use crate::printer::Printer;
 /// its text (what [`print_query`](crate::print_query) prints for that
 /// AST). An owned query is rewritten in place; a borrowed one is cloned
 /// first and left untouched.
-///
-/// Each node is printed once. Operands are ordered by their canonical
-/// text as the walk writes it, and a reordered run of operands is moved
-/// within the output, not printed again.
 pub fn canonical_form(q: impl Into<Query>) -> (Query, String) {
     let mut q = q.into();
     let mut printer = Printer::new(true);
