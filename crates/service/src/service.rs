@@ -1493,6 +1493,170 @@ mod tests {
         assert_eq!(fp0, db_fingerprint(&base()));
     }
 
+    /// FNV-1a, 64-bit, so a pinned digest does not depend on the
+    /// toolchain's `DefaultHasher`.
+    fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// A digest of every table's `Table::rows()`, tables by name, each
+    /// value as a tag and its bytes (a float by its bits).
+    fn rows_digest(db: &Database) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        let mut names: Vec<&str> = db.table_names().collect();
+        names.sort_unstable();
+        for name in names {
+            fnv1a(&mut hash, name.as_bytes());
+            fnv1a(&mut hash, &[0]);
+            for row in db.table(name).unwrap().rows() {
+                for v in &row {
+                    match v {
+                        Value::Null => fnv1a(&mut hash, &[0]),
+                        Value::Bool(b) => fnv1a(&mut hash, &[1, *b as u8]),
+                        Value::Int(i) => {
+                            fnv1a(&mut hash, &[2]);
+                            fnv1a(&mut hash, &i.to_le_bytes());
+                        }
+                        Value::Float(f) => {
+                            fnv1a(&mut hash, &[3]);
+                            fnv1a(&mut hash, &f.to_bits().to_le_bytes());
+                        }
+                        Value::Str(s) => {
+                            fnv1a(&mut hash, &[4]);
+                            fnv1a(&mut hash, &(s.len() as u64).to_le_bytes());
+                            fnv1a(&mut hash, s.as_bytes());
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// A digest of `MetricsCatalog::sorted_entries()`.
+    fn metrics_digest(db: &Database) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for (table, column, mf, vr) in db.metrics().sorted_entries() {
+            fnv1a(&mut hash, table.as_bytes());
+            fnv1a(&mut hash, &[0]);
+            fnv1a(&mut hash, column.as_bytes());
+            fnv1a(&mut hash, &[0]);
+            fnv1a(&mut hash, &mf.map_or(u64::MAX, |m| m).to_le_bytes());
+            fnv1a(&mut hash, &vr.map_or(u64::MAX, f64::to_bits).to_le_bytes());
+        }
+        hash
+    }
+
+    /// A table whose columns hold NULLs, empty and multi-byte strings,
+    /// a mixed column and a boolean one — cells the Uber tables lack.
+    fn odd_cells_db() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            "odd",
+            Schema::of(&[
+                ("s", DataType::Str),
+                ("f", DataType::Float),
+                ("b", DataType::Bool),
+                ("n", DataType::Int),
+            ]),
+        )
+        .unwrap();
+        let strs = ["", "ünïcødé", "日本", "a", "", "a"];
+        db.insert(
+            "odd",
+            (0..12)
+                .map(|i| {
+                    vec![
+                        if i % 5 == 4 {
+                            Value::Null
+                        } else {
+                            Value::str(strs[i % strs.len()])
+                        },
+                        match i % 3 {
+                            0 => Value::Int(i as i64),
+                            1 => Value::Float(i as f64 * -0.5),
+                            _ => Value::Null,
+                        },
+                        if i % 4 == 0 {
+                            Value::Null
+                        } else {
+                            Value::Bool(i % 2 == 0)
+                        },
+                        Value::Null,
+                    ]
+                })
+                .collect(),
+        )
+        .unwrap();
+        db
+    }
+
+    /// The stored rows, the metrics catalog and the service's database
+    /// fingerprint of the generated Uber data at two sizes and two seeds
+    /// each, and of a table of NULL, mixed and multi-byte cells — pinned,
+    /// so a change to how tables are built, stored or fingerprinted
+    /// cannot move a row, a metric or the noise seed.
+    #[test]
+    fn stored_rows_metrics_and_fingerprint_are_pinned() {
+        use flex_workloads::uber::{generate, UberConfig};
+        let sized = |trips, drivers, riders, user_tags, seed| UberConfig {
+            cities: 30,
+            drivers,
+            riders,
+            trips,
+            user_tags,
+            seed,
+        };
+        let dbs = [
+            generate(&sized(250, 40, 80, 40, 61)),
+            generate(&sized(250, 40, 80, 40, 62)),
+            generate(&sized(4_000, 400, 1_000, 400, 61)),
+            generate(&sized(4_000, 400, 1_000, 400, 62)),
+            odd_cells_db(),
+        ];
+        let got: Vec<[u64; 3]> = dbs
+            .iter()
+            .map(|db| [rows_digest(db), metrics_digest(db), db_fingerprint(db)])
+            .collect();
+        let want: [[u64; 3]; 5] = [
+            [
+                0x1589_986f_755c_215c,
+                0x76c0_b1c9_b8c4_e9ad,
+                0xf0cb_b750_c750_bfde,
+            ],
+            [
+                0xe489_7dcd_7e5f_0a2a,
+                0x772d_d510_a05e_e391,
+                0x0bb0_7276_ef24_45ce,
+            ],
+            [
+                0x85b7_2dc6_676a_26bd,
+                0x82ca_57c6_6317_cbc5,
+                0x8180_fa50_f4ea_0e79,
+            ],
+            [
+                0xb1a7_a4f2_d452_1e25,
+                0xaf1a_fb38_4193_db90,
+                0x5781_fe43_5056_ad69,
+            ],
+            [
+                0xf1be_44a3_45e5_75bd,
+                0x0d69_9301_2cff_180d,
+                0x989b_4218_db1c_759e,
+            ],
+        ];
+        for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                got.map(|d| format!("{d:#018x}")),
+                want.map(|d| format!("{d:#018x}")),
+                "database {i}: [rows, metrics, fingerprint]"
+            );
+        }
+    }
+
     #[test]
     fn fingerprint_binds_fold_grid_but_not_parallelism() {
         let mk = |fold: Option<usize>, workers: usize| {
