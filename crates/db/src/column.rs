@@ -2,7 +2,8 @@
 //! intermediates.
 //!
 //! A [`ColumnarTable`] holds a table's rows column-major: one typed
-//! vector per column plus a null bitmap. A base [`crate::Table`] stores
+//! vector per column (a string column's cells in one buffer,
+//! [`Strings`]) plus a null bitmap. A base [`crate::Table`] stores
 //! its rows only this way, and the executor's batch operators iterate
 //! these vectors directly instead of cloning and interpreting
 //! `Vec<Value>` rows.
@@ -15,11 +16,10 @@
 //! which keeps the original `Value`s. This makes [`Column::value`] an
 //! exact reconstruction — the executor returns byte-identical
 //! results to the oracle, so DP noise calibration downstream is
-//! unchanged. Columns are immutable once built (a write builds new
-//! ones), which is what lets the executor's morsel-parallel operators
-//! read them from many worker threads lock-free.
+//! unchanged. Columns are never changed while shared (a write appends to
+//! a table's own copy), which is what lets the executor's morsel-parallel
+//! operators read them from many worker threads lock-free.
 
-use crate::schema::DataType;
 use crate::table::Row;
 use crate::value::{BorrowKey, Value};
 use std::cmp::Ordering;
@@ -86,7 +86,6 @@ impl NullMask {
         self.count > 0
     }
 }
-
 /// Typed value vector backing one column. NULL slots hold an arbitrary
 /// placeholder in the typed variants; the [`NullMask`] is authoritative.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,11 +96,138 @@ pub enum ColumnData {
     Float64(Vec<f64>),
     /// Boolean column.
     Bool(Vec<bool>),
-    /// String column.
-    Str(Vec<String>),
+    /// String column: every cell in one buffer.
+    Str(Strings),
     /// Columns mixing physical types (e.g. `Int` and `Float` in one
     /// `Float` column) keep their original values, NULLs included.
     Mixed(Vec<Value>),
+}
+
+/// The cells of a string column, stored as one buffer plus `n + 1` byte
+/// offsets that start at 0: cell `i` is `text[offsets[i]..offsets[i + 1]]`.
+/// A cell is copied in when it is written, so a column's strings sit
+/// together in row order whoever allocated the values they came from, and
+/// writing one allocates nothing per cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Strings {
+    text: String,
+    offsets: Vec<usize>,
+}
+
+impl Strings {
+    /// No cells, room for `cells` of `bytes` bytes in all.
+    pub fn with_capacity(cells: usize, bytes: usize) -> Strings {
+        let mut offsets = Vec::with_capacity(cells + 1);
+        offsets.push(0);
+        Strings {
+            text: String::with_capacity(bytes),
+            offsets,
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no cells.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append a cell, copying its bytes.
+    pub fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.offsets.push(self.text.len());
+    }
+
+    /// Make room for `cells` more cells of `bytes` bytes in all.
+    fn reserve(&mut self, cells: usize, bytes: usize) {
+        self.offsets.reserve(cells);
+        self.text.reserve(bytes);
+    }
+}
+
+impl std::ops::Index<usize> for Strings {
+    type Output = str;
+
+    /// Cell `i`.
+    #[inline]
+    fn index(&self, i: usize) -> &str {
+        &self.text[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// The representation a column's values call for: the one physical type
+/// every non-null value has, `Mixed` when they differ, and `Empty` while
+/// there is no non-null value (stored as [`ColumnData::Int64`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    Empty,
+    Int,
+    Float,
+    Bool,
+    Str,
+    Mixed,
+}
+
+impl Layout {
+    /// The layout of a column holding `v` alone.
+    fn of(v: &Value) -> Layout {
+        match v {
+            Value::Null => Layout::Empty,
+            Value::Int(_) => Layout::Int,
+            Value::Float(_) => Layout::Float,
+            Value::Bool(_) => Layout::Bool,
+            Value::Str(_) => Layout::Str,
+        }
+    }
+
+    /// The layout of a column holding the values of two columns.
+    fn merge(self, other: Layout) -> Layout {
+        match (self, other) {
+            (Layout::Empty, l) | (l, Layout::Empty) => l,
+            (a, b) if a == b => a,
+            _ => Layout::Mixed,
+        }
+    }
+}
+
+/// What the first pass over a batch learns of one of its columns: the
+/// layout its values call for and the bytes its strings take.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shape {
+    layout: Layout,
+    bytes: usize,
+}
+
+impl Shape {
+    /// The shape of no values.
+    pub(crate) const NONE: Shape = Shape {
+        layout: Layout::Empty,
+        bytes: 0,
+    };
+
+    /// Take `v` into the shape.
+    #[inline]
+    pub(crate) fn see(&mut self, v: &Value) {
+        if let Value::Str(s) = v {
+            self.bytes += s.len();
+        }
+        self.layout = self.layout.merge(Layout::of(v));
+    }
+
+    /// The shape of each column of `rows` (all of width `arity`), in one
+    /// pass over them.
+    fn of_rows(rows: &[Row], arity: usize) -> Vec<Shape> {
+        let mut shapes = vec![Shape::NONE; arity];
+        for row in rows {
+            for (shape, v) in shapes.iter_mut().zip(row) {
+                shape.see(v);
+            }
+        }
+        shapes
+    }
 }
 
 /// One column: typed data plus a null bitmap.
@@ -136,42 +262,77 @@ impl Column {
         self.nulls.is_null(i)
     }
 
-    /// Whether `v` can be appended without changing the column's
-    /// representation: NULL, a value of the typed vector's type, or any
-    /// value of a mixed column. (A column with no non-NULL value is
-    /// `Int64`, as [`ColumnarTable::from_rows`] builds it.)
-    fn keeps_layout(&self, v: &Value) -> bool {
+    /// An empty column stored in `layout`.
+    fn empty(layout: Layout) -> Column {
+        let data = match layout {
+            Layout::Empty | Layout::Int => ColumnData::Int64(Vec::new()),
+            Layout::Float => ColumnData::Float64(Vec::new()),
+            Layout::Bool => ColumnData::Bool(Vec::new()),
+            Layout::Str => ColumnData::Str(Strings::with_capacity(0, 0)),
+            Layout::Mixed => ColumnData::Mixed(Vec::new()),
+        };
+        Column {
+            data,
+            nulls: NullMask::default(),
+        }
+    }
+
+    /// The layout of the values stored (`Empty` when all are NULL).
+    fn layout(&self) -> Layout {
+        if self.nulls.null_count() == self.len() {
+            return Layout::Empty;
+        }
+        match &self.data {
+            ColumnData::Int64(_) => Layout::Int,
+            ColumnData::Float64(_) => Layout::Float,
+            ColumnData::Bool(_) => Layout::Bool,
+            ColumnData::Str(_) => Layout::Str,
+            ColumnData::Mixed(_) => Layout::Mixed,
+        }
+    }
+
+    /// Whether the column is stored the way [`Column::empty`] stores
+    /// `layout`.
+    fn stored_as(&self, layout: Layout) -> bool {
         matches!(
-            (&self.data, v),
-            (_, Value::Null)
-                | (ColumnData::Int64(_), Value::Int(_))
-                | (ColumnData::Float64(_), Value::Float(_))
-                | (ColumnData::Bool(_), Value::Bool(_))
-                | (ColumnData::Str(_), Value::Str(_))
-                | (ColumnData::Mixed(_), _)
+            (&self.data, layout),
+            (ColumnData::Int64(_), Layout::Empty | Layout::Int)
+                | (ColumnData::Float64(_), Layout::Float)
+                | (ColumnData::Bool(_), Layout::Bool)
+                | (ColumnData::Str(_), Layout::Str)
+                | (ColumnData::Mixed(_), Layout::Mixed)
         )
     }
 
-    /// Append values that [`Column::keeps_layout`] accepts.
-    fn append(&mut self, vals: impl ExactSizeIterator<Item = Value>) {
-        let start = self.len();
-        self.nulls.grow(start + vals.len());
-        for (i, v) in vals.enumerate() {
-            if v.is_null() {
-                self.nulls.set(start + i);
-            }
-            match (&mut self.data, v) {
-                (ColumnData::Mixed(d), v) => d.push(v),
-                (ColumnData::Int64(d), v) => d.push(if let Value::Int(x) = v { x } else { 0 }),
-                (ColumnData::Float64(d), v) => {
-                    d.push(if let Value::Float(x) = v { x } else { 0.0 })
-                }
-                (ColumnData::Bool(d), v) => d.push(matches!(v, Value::Bool(true))),
-                (ColumnData::Str(d), v) => d.push(match v {
-                    Value::Str(s) => s,
-                    _ => String::new(),
-                }),
-            }
+    /// Make room for `shape`'s `rows` more values: the null mask grows to
+    /// cover them, the vectors reserve.
+    fn reserve(&mut self, rows: usize, shape: &Shape) {
+        self.nulls.grow(self.len() + rows);
+        match &mut self.data {
+            ColumnData::Int64(v) => v.reserve(rows),
+            ColumnData::Float64(v) => v.reserve(rows),
+            ColumnData::Bool(v) => v.reserve(rows),
+            ColumnData::Str(v) => v.reserve(rows, shape.bytes),
+            ColumnData::Mixed(v) => v.reserve(rows),
+        }
+    }
+
+    /// Append `v`, which the column's layout admits (NULL, a value of the
+    /// typed vector's type, or anything in a mixed column), into room
+    /// [`Column::reserve`] made. A typed vector gets a placeholder for a
+    /// NULL; a string's bytes are copied.
+    #[inline]
+    fn push(&mut self, v: &Value) {
+        let i = self.len();
+        if v.is_null() {
+            self.nulls.set(i);
+        }
+        match &mut self.data {
+            ColumnData::Int64(d) => d.push(if let Value::Int(x) = v { *x } else { 0 }),
+            ColumnData::Float64(d) => d.push(if let Value::Float(x) = v { *x } else { 0.0 }),
+            ColumnData::Bool(d) => d.push(matches!(v, Value::Bool(true))),
+            ColumnData::Str(d) => d.push(if let Value::Str(s) = v { s } else { "" }),
+            ColumnData::Mixed(d) => d.push(v.clone()),
         }
     }
 
@@ -184,7 +345,7 @@ impl Column {
             ColumnData::Int64(v) => Value::Int(v[i]),
             ColumnData::Float64(v) => Value::Float(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
-            ColumnData::Str(v) => Value::Str(v[i].clone()),
+            ColumnData::Str(v) => Value::str(&v[i]),
             ColumnData::Mixed(v) => v[i].clone(),
         }
     }
@@ -260,17 +421,17 @@ impl Column {
                     .map(|&i| i != GATHER_NULL && bs[i as usize])
                     .collect(),
             ),
-            ColumnData::Str(ss) => ColumnData::Str(
-                idxs.iter()
-                    .map(|&i| {
-                        if i == GATHER_NULL {
-                            String::new()
-                        } else {
-                            ss[i as usize].clone()
-                        }
-                    })
-                    .collect(),
-            ),
+            ColumnData::Str(ss) => {
+                let mut out = Strings::with_capacity(idxs.len(), 0);
+                for &i in idxs {
+                    out.push(if i == GATHER_NULL {
+                        ""
+                    } else {
+                        &ss[i as usize]
+                    });
+                }
+                ColumnData::Str(out)
+            }
             ColumnData::Mixed(vs) => ColumnData::Mixed(
                 idxs.iter()
                     .map(|&i| {
@@ -342,84 +503,20 @@ impl Column {
         }
     }
 
-    /// Build a column from owned values, choosing the representation
-    /// from the values actually present (see the module docs); string
-    /// payloads move, and [`Column::value`] reconstructs each input
-    /// exactly.
+    /// Build a column from values, choosing the representation from the
+    /// values actually present (see the module docs); [`Column::value`]
+    /// reconstructs each input exactly.
     pub fn from_values(vals: Vec<Value>) -> Column {
-        Shape::of(vals.iter()).fill(vals)
-    }
-}
-
-/// First of the two passes that build a [`Column`]: the null mask, and the
-/// one physical type every non-null value has (`None` when they mix).
-struct Shape {
-    nulls: NullMask,
-    uniform: Option<DataType>,
-}
-
-impl Shape {
-    fn of<'a>(vals: impl ExactSizeIterator<Item = &'a Value>) -> Shape {
-        let len = vals.len();
-        let mut nulls = NullMask::new(len);
-        let (mut ints, mut floats, mut bools, mut strs) = (0usize, 0usize, 0usize, 0usize);
-        for (i, v) in vals.enumerate() {
-            match v {
-                Value::Null => nulls.set(i),
-                Value::Int(_) => ints += 1,
-                Value::Float(_) => floats += 1,
-                Value::Bool(_) => bools += 1,
-                Value::Str(_) => strs += 1,
-            }
+        let mut shape = Shape::NONE;
+        for v in &vals {
+            shape.see(v);
         }
-        let non_null = len - nulls.null_count();
-        let uniform = [
-            (ints, DataType::Int),
-            (floats, DataType::Float),
-            (bools, DataType::Bool),
-            (strs, DataType::Str),
-        ]
-        .into_iter()
-        .find_map(|(n, ty)| (n == non_null).then_some(ty));
-        Shape { nulls, uniform }
-    }
-
-    /// Second pass, over the same values, owned: the typed vector
-    /// (placeholders in NULL slots), or the values themselves when they
-    /// mix.
-    fn fill(self, vals: impl IntoIterator<Item = Value>) -> Column {
-        let vals = vals.into_iter();
-        let data = match self.uniform {
-            Some(DataType::Int) => ColumnData::Int64(
-                vals.map(|v| match v {
-                    Value::Int(x) => x,
-                    _ => 0,
-                })
-                .collect(),
-            ),
-            Some(DataType::Float) => ColumnData::Float64(
-                vals.map(|v| match v {
-                    Value::Float(x) => x,
-                    _ => 0.0,
-                })
-                .collect(),
-            ),
-            Some(DataType::Bool) => {
-                ColumnData::Bool(vals.map(|v| matches!(v, Value::Bool(true))).collect())
-            }
-            Some(DataType::Str) => ColumnData::Str(
-                vals.map(|v| match v {
-                    Value::Str(s) => s,
-                    _ => String::new(),
-                })
-                .collect(),
-            ),
-            None => ColumnData::Mixed(vals.collect()),
-        };
-        Column {
-            data,
-            nulls: self.nulls,
+        let mut col = Column::empty(shape.layout);
+        col.reserve(vals.len(), &shape);
+        for v in &vals {
+            col.push(v);
         }
+        col
     }
 }
 
@@ -434,39 +531,39 @@ pub struct ColumnarTable {
 impl ColumnarTable {
     /// Build the columns of `rows` (all of width `arity`) — the one
     /// builder of stored rows, used by table writes, derived tables and
-    /// set operations. It copies every value: a moved string would stay
-    /// where its producer allocated it, between the row vectors, and once
-    /// those are freed a stored table pins a heap of holes that later
-    /// small allocations scatter into (on 100 k Uber trips, 2 cores, a
-    /// three-way join took about twice as long after one oracle run).
+    /// set operations: one pass over the rows finds each column's
+    /// representation, a second fills every column row by row.
     pub fn from_rows(rows: &[Row], arity: usize) -> ColumnarTable {
-        let column = |c| rows.iter().map(move |r: &Row| &r[c]);
-        let columns = (0..arity)
-            .map(|c| Shape::of(column(c)).fill(column(c).cloned()))
-            .collect();
-        ColumnarTable {
-            columns,
-            len: rows.len(),
+        let mut table = ColumnarTable {
+            columns: vec![Column::empty(Layout::Empty); arity],
+            len: 0,
+        };
+        table.append(rows, &Shape::of_rows(rows, arity));
+        table
+    }
+
+    /// Append `rows`, whose [`Shape`]s a first pass over them found, in
+    /// one row-major pass. A column whose layout the batch keeps grows in
+    /// place; one it changes (its first string, a float among integers)
+    /// is first stored again in the layout of all its values. Either way
+    /// the columns equal one [`ColumnarTable::from_rows`] of every row.
+    pub(crate) fn append(&mut self, rows: &[Row], shapes: &[Shape]) {
+        for (col, shape) in self.columns.iter_mut().zip(shapes) {
+            let layout = col.layout().merge(shape.layout);
+            if !col.stored_as(layout) {
+                let mut moved = Column::empty(layout);
+                moved.reserve(col.len(), &Shape::NONE);
+                for i in 0..col.len() {
+                    moved.push(&col.value(i));
+                }
+                *col = moved;
+            }
+            col.reserve(rows.len(), shape);
         }
-    }
-
-    /// Whether appending `rows` keeps every column's representation, so
-    /// that [`ColumnarTable::append`] builds what [`ColumnarTable::from_rows`]
-    /// of all the rows would.
-    pub fn can_append(&self, rows: &[Row]) -> bool {
-        let column = |c: usize| rows.iter().map(move |r| &r[c]);
-        (self.columns.iter().enumerate()).all(|(c, col)| column(c).all(|v| col.keeps_layout(v)))
-    }
-
-    /// Append `rows` to every column, in place. Only for a batch
-    /// [`ColumnarTable::can_append`] accepts.
-    pub fn append(&mut self, mut rows: Vec<Row>) {
-        debug_assert!(self.can_append(&rows), "a batch that changes a layout");
-        for (c, col) in self.columns.iter_mut().enumerate() {
-            col.append(
-                rows.iter_mut()
-                    .map(|r| std::mem::replace(&mut r[c], Value::Null)),
-            );
+        for row in rows {
+            for (col, v) in self.columns.iter_mut().zip(row) {
+                col.push(v);
+            }
         }
         self.len += rows.len();
     }

@@ -65,7 +65,7 @@ mod vexec;
 
 pub use aggregate::AggFunc;
 pub use bind::ColMeta;
-pub use column::{Column, ColumnData, ColumnarTable, NullMask};
+pub use column::{Column, ColumnData, ColumnarTable, NullMask, Strings};
 pub use database::Database;
 pub use error::{DbError, Result};
 pub use exec::{ExecTrace, RouteDecision};

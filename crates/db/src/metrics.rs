@@ -9,18 +9,27 @@
 //! to it. Both metrics read the table's typed columns: no `Value` or
 //! `String` is built per cell.
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::table::Table;
-use std::collections::HashMap;
+use crate::value::KeyHash;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
-/// Metrics for every `(table, column)` pair in a database.
+/// Metrics for every `(table, column)` pair in a database, by table, then
+/// by column, so a look-up borrows its two names.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsCatalog {
+    tables: BTreeMap<String, BTreeMap<String, Metrics>>,
+}
+
+/// One column's recorded metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Metrics {
     /// Max frequency: occurrences of the most frequent non-null value.
-    mf: HashMap<(String, String), u64>,
+    mf: Option<u64>,
     /// Value range `max - min` for numeric columns (None for non-numeric
     /// or all-null columns).
-    vr: HashMap<(String, String), Option<f64>>,
+    vr: Option<f64>,
 }
 
 impl MetricsCatalog {
@@ -36,45 +45,46 @@ impl MetricsCatalog {
     /// Compute and record metrics for one table, replacing prior entries.
     pub fn add_table(&mut self, table: &Table) {
         let columns = &table.columnar().columns;
+        let entries = self.tables.entry(table.name.clone()).or_default();
         for (def, col) in table.schema.columns.iter().zip(columns) {
-            let key = (table.name.clone(), def.name.clone());
-            self.mf.insert(key.clone(), max_frequency(col));
-            self.vr.insert(key, value_range(col));
+            let metrics = Metrics {
+                mf: Some(max_frequency(col)),
+                vr: value_range(col),
+            };
+            entries.insert(def.name.clone(), metrics);
         }
+    }
+
+    /// One column's entry, if any metric of it is recorded.
+    fn get(&self, table: &str, column: &str) -> Option<&Metrics> {
+        self.tables.get(table)?.get(column)
+    }
+
+    /// One column's entry, made if it is missing.
+    fn entry(&mut self, table: &str, column: &str) -> &mut Metrics {
+        let columns = self.tables.entry(table.to_string()).or_default();
+        columns.entry(column.to_string()).or_default()
     }
 
     /// The max-frequency metric `mf(column, table, x)` for the current
     /// database instance, or `None` if the column is unknown.
     pub fn max_freq(&self, table: &str, column: &str) -> Option<u64> {
-        self.mf
-            .get(&(table.to_string(), column.to_string()))
-            .copied()
+        self.get(table, column)?.mf
     }
 
     /// The value-range metric `vr(column, table)`, or `None` if the column
     /// is unknown or has no numeric range.
     pub fn value_range(&self, table: &str, column: &str) -> Option<f64> {
-        self.vr
-            .get(&(table.to_string(), column.to_string()))
-            .copied()
-            .flatten()
+        self.get(table, column)?.vr
     }
 
     /// All metric entries as `(table, column, mf, vr)` in sorted order —
-    /// a stable enumeration for fingerprinting and serialization (the
-    /// backing maps iterate in randomized hash order).
+    /// a stable enumeration for fingerprinting and serialization.
     pub fn sorted_entries(&self) -> Vec<(&str, &str, Option<u64>, Option<f64>)> {
-        let mut keys: Vec<&(String, String)> = self.mf.keys().chain(self.vr.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        keys.into_iter()
-            .map(|key| {
-                (
-                    key.0.as_str(),
-                    key.1.as_str(),
-                    self.mf.get(key).copied(),
-                    self.vr.get(key).copied().flatten(),
-                )
+        (self.tables.iter())
+            .flat_map(|(table, columns)| {
+                (columns.iter())
+                    .map(move |(column, m)| (table.as_str(), column.as_str(), m.mf, m.vr))
             })
             .collect()
     }
@@ -82,34 +92,46 @@ impl MetricsCatalog {
     /// Override a metric (used to model externally-supplied data models,
     /// e.g. a check constraint defining the permissible value range).
     pub fn set_value_range(&mut self, table: &str, column: &str, range: f64) {
-        self.vr
-            .insert((table.to_string(), column.to_string()), Some(range));
+        self.entry(table, column).vr = Some(range);
     }
 
     /// Override the max-frequency metric (used by tests and by simulations
     /// of stale metrics).
     pub fn set_max_freq(&mut self, table: &str, column: &str, mf: u64) {
-        self.mf.insert((table.to_string(), column.to_string()), mf);
+        self.entry(table, column).mf = Some(mf);
     }
 
     /// Number of `(table, column)` pairs with a recorded max frequency.
     pub fn len(&self) -> usize {
-        self.mf.len()
+        (self.tables.values().flat_map(BTreeMap::values))
+            .filter(|m| m.mf.is_some())
+            .count()
     }
 
     /// Whether the catalog holds no metrics at all.
     pub fn is_empty(&self) -> bool {
-        self.mf.is_empty()
+        self.len() == 0
     }
 }
 
-/// Frequency of the most frequent non-null value of `col`, counted over
-/// its borrowed keys ([`Column::key`]).
+/// Frequency of the most frequent non-null value of `col`. Integer and
+/// string cells are counted as themselves, the rest by their borrowed
+/// keys ([`Column::key`]), which partition the cells the same way.
 fn max_frequency(col: &Column) -> u64 {
-    let mut counts = HashMap::new();
+    let cells = (0..col.len()).filter(|&i| !col.is_null(i));
+    match &col.data {
+        ColumnData::Int64(xs) => mode(cells.map(|i| xs[i])),
+        ColumnData::Str(ss) => mode(cells.map(|i| &ss[i])),
+        _ => mode(cells.map(|i| col.key(i))),
+    }
+}
+
+/// The largest number of times one key occurs in `keys`.
+fn mode<K: Hash + Eq>(keys: impl Iterator<Item = K>) -> u64 {
+    let mut counts: HashMap<K, u64, KeyHash> = HashMap::default();
     let mut best = 0u64;
-    for i in (0..col.len()).filter(|&i| !col.is_null(i)) {
-        let c = counts.entry(col.key(i)).or_insert(0u64);
+    for key in keys {
+        let c = counts.entry(key).or_insert(0);
         *c += 1;
         best = best.max(*c);
     }

@@ -1,7 +1,7 @@
 //! In-memory tables.
 
 use crate::bind::ColMeta;
-use crate::column::ColumnarTable;
+use crate::column::{ColumnarTable, Shape};
 use crate::error::Result;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -15,8 +15,8 @@ pub type Row = Vec<Value>;
 /// columns ([`ColumnarTable`]).
 ///
 /// A write ([`Table::insert_all`]) validates the whole batch, then
-/// appends it to the columns, or builds them again from every row when
-/// the batch changes a column's representation (its first string in an
+/// appends it to the columns row by row, storing again only a column
+/// whose representation the batch changes (its first string in an
 /// empty column, a float among integers). Everything that reads a
 /// table — the executor's scans, the metrics collector, the labels, the
 /// service's fingerprint — reads the typed columns; [`Table::rows`]
@@ -70,24 +70,22 @@ impl Table {
         self.insert_all([row])
     }
 
-    /// Insert a batch of rows, all or nothing: every row is validated
-    /// before any is written. A batch whose values keep each column's
-    /// representation is appended to the columns in place (copied first
-    /// if another handle shares them); one that changes a
-    /// representation rebuilds the table from its rows. Either way the
+    /// Insert a batch of rows, all or nothing: one pass over the batch
+    /// validates every row and finds each column's representation before
+    /// anything is written, a second appends the rows to the columns
+    /// (copied first if another handle shares them; a column the batch
+    /// changes the representation of is stored again). Either way the
     /// columns equal one [`ColumnarTable::from_rows`] of every row written.
     pub fn insert_all<I: IntoIterator<Item = Row>>(&mut self, rows: I) -> Result<()> {
-        let mut rows: Vec<Row> = rows.into_iter().collect();
+        let rows: Vec<Row> = rows.into_iter().collect();
+        let mut shapes = vec![Shape::NONE; self.schema.len()];
         for row in &rows {
             self.schema.check_row(row)?;
+            for (shape, v) in shapes.iter_mut().zip(row) {
+                shape.see(v);
+            }
         }
-        if self.columns.can_append(&rows) {
-            Arc::make_mut(&mut self.columns).append(rows);
-        } else {
-            let mut all = self.rows();
-            all.append(&mut rows);
-            self.columns = Arc::new(ColumnarTable::from_rows(&all, self.schema.len()));
-        }
+        Arc::make_mut(&mut self.columns).append(&rows, &shapes);
         self.labels = no_labels(self.schema.len());
         Ok(())
     }
@@ -145,8 +143,13 @@ fn no_labels(arity: usize) -> Box<[OnceLock<Vec<Value>>]> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::{Column, ColumnData, NullMask};
+    use crate::column::{Column, ColumnData, NullMask, GATHER_NULL};
+    use crate::expr::{comparison_holds, like_match};
+    use crate::plan::Kernel;
     use crate::schema::{DataType, Schema};
+    use crate::value::BorrowKey;
+    use crate::vexec::kernel_predicate;
+    use flex_sql::BinaryOperator;
     use proptest::prelude::*;
 
     fn demo() -> Table {
@@ -200,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn a_write_appends_in_place_unless_it_changes_a_layout() {
+    fn a_write_appends_in_place() {
         let mut t = demo();
         let shared = t.clone();
         let mut written = t.rows();
@@ -222,13 +225,24 @@ mod tests {
             assert_eq!(**t.columnar(), ColumnarTable::from_rows(&written, 2));
         }
         assert_eq!(shared.len(), 2, "the shared columns are untouched");
-        // A float among integers turns the column mixed: a rebuild.
-        let mut t = Table::new("t", Schema::of(&[("x", DataType::Float)]));
-        t.insert(vec![Value::Int(1)]).unwrap();
+        // A float among integers turns that column mixed, in place; the
+        // other column keeps its layout.
+        let mut t = Table::new(
+            "t",
+            Schema::of(&[("x", DataType::Float), ("s", DataType::Str)]),
+        );
+        t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
         let before = stored(&t);
-        t.insert(vec![Value::Float(1.5)]).unwrap();
-        assert_ne!(stored(&t), before);
-        assert!(matches!(t.columnar().columns[0].data, ColumnData::Mixed(_)));
+        t.insert(vec![Value::Float(1.5), Value::str("b")]).unwrap();
+        assert_eq!(stored(&t), before);
+        let columns = &t.columnar().columns;
+        assert!(matches!(columns[0].data, ColumnData::Mixed(_)));
+        assert!(matches!(columns[1].data, ColumnData::Str(_)));
+        assert_eq!(
+            **t.columnar(),
+            ColumnarTable::from_rows(&t.rows(), 2),
+            "one build of every row"
+        );
     }
 
     #[test]
@@ -275,16 +289,86 @@ mod tests {
             Just(Value::Float(-f64::NAN)),
             Just(Value::Float(f64::INFINITY)),
         ];
+        // Empty and multi-byte strings: a cell's bytes are a slice of one
+        // buffer, so a slice one byte off splits a character.
         let string = prop_oneof![
             Just(Value::Null),
             Just(Value::str("")),
             "[ab]{1,3}".prop_map(Value::Str),
+            "[aé日]{1,3}".prop_map(Value::Str),
             Just(Value::Str(long_string())),
         ];
         let boolean = prop_oneof![Just(Value::Null), any::<bool>().prop_map(Value::Bool)];
         (int, float, string, boolean)
             .prop_map(|(i, f, s, b)| vec![i, f, s, b])
             .boxed()
+    }
+
+    /// Every reader of `col`'s storage agrees with its definition over
+    /// the reconstructed values: `key` with `BorrowKey::from`,
+    /// `row_ordering` with `Value::total_cmp`, `gather` (NULL pads
+    /// included) with indexing, and the comparison and LIKE kernels with
+    /// `Value::sql_cmp` and `like_match`.
+    fn readers_agree_with_values(col: &Column) -> std::result::Result<(), TestCaseError> {
+        let n = col.len();
+        let vals: Vec<Value> = (0..n).map(|i| col.value(i)).collect();
+        let ord = col.row_ordering();
+        for (a, va) in vals.iter().enumerate() {
+            prop_assert_eq!(col.key(a), BorrowKey::from(va));
+            for (b, vb) in vals.iter().enumerate() {
+                prop_assert_eq!(ord(a, b), va.total_cmp(vb));
+            }
+        }
+        let idxs: Vec<u32> = (0..n as u32).rev().flat_map(|i| [i, GATHER_NULL]).collect();
+        let gathered = col.gather(&idxs);
+        for (k, &i) in idxs.iter().enumerate() {
+            let want = if i == GATHER_NULL {
+                &Value::Null
+            } else {
+                &vals[i as usize]
+            };
+            prop_assert_eq!(bits(&gathered.value(k)), bits(want));
+        }
+        let table = ColumnarTable::from_columns(vec![col.clone()], n);
+        let literals = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(2),
+            Value::Float(0.5),
+            Value::Float(-0.0),
+            Value::Bool(true),
+            Value::str(""),
+            Value::str("ab"),
+            Value::str("é"),
+            Value::Str(long_string()),
+        ];
+        use BinaryOperator::*;
+        for lit in &literals {
+            for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+                let kernel = Kernel::Cmp(0, op, lit.clone());
+                let pred = kernel_predicate(&table, &kernel);
+                for (i, v) in vals.iter().enumerate() {
+                    let want = v.sql_cmp(lit).is_some_and(|o| comparison_holds(op, o));
+                    prop_assert_eq!(pred(i), want, "{:?} {:?} {:?}", v, op, lit);
+                }
+            }
+        }
+        if let ColumnData::Str(_) = col.data {
+            for pattern in ["%", "", "_", "a%", "%b", "%é%", "日_", "%x"] {
+                for negated in [false, true] {
+                    let kernel = Kernel::Like(0, pattern.to_string(), negated);
+                    let pred = kernel_predicate(&table, &kernel);
+                    for (i, v) in vals.iter().enumerate() {
+                        let want = match v {
+                            Value::Str(s) => like_match(s, pattern) != negated,
+                            _ => false,
+                        };
+                        prop_assert_eq!(pred(i), want, "{:?} LIKE {:?}", v, pattern);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -305,10 +389,15 @@ mod tests {
                 ("s", DataType::Str),
                 ("b", DataType::Bool),
             ]);
-            let mut t = Table::new("t", schema);
+            let mut t = Table::new("t", schema.clone());
+            // The same rows written one at a time.
+            let mut single = Table::new("t", schema);
             let mut written: Vec<Row> = Vec::new();
             for batch in batches {
                 written.extend(batch.iter().cloned());
+                for row in &batch {
+                    single.insert(row.clone()).unwrap();
+                }
                 t.insert_all(batch).unwrap();
                 let bits_of = |rows: &[Row]| -> Vec<Vec<String>> {
                     rows.iter().map(|r| r.iter().map(bits).collect()).collect()
@@ -321,6 +410,8 @@ mod tests {
                     let nulls = written.iter().filter(|r| r[c].is_null()).count();
                     prop_assert_eq!(stored.nulls.null_count(), nulls);
                     prop_assert_eq!(column_bits(stored), column_bits(built));
+                    prop_assert_eq!(column_bits(&single.columnar().columns[c]), column_bits(built));
+                    readers_agree_with_values(stored)?;
                 }
             }
         }

@@ -507,7 +507,7 @@ fn ordered_positions(
                     desc,
                     topk_hit,
                     key,
-                    |i| ss[i].as_str(),
+                    |i| &ss[i],
                     |a: &&str, b| a.cmp(b),
                 );
             }
@@ -1269,7 +1269,7 @@ fn cmp_predicate<'a>(
         }
         (ColumnData::Str(ss), Value::Str(b)) => {
             let b = b.clone();
-            pred!(move |i: usize| Some(ss[i].as_str().cmp(b.as_str())))
+            pred!(move |i: usize| Some(ss[i].cmp(b.as_str())))
         }
         (ColumnData::Bool(bs), Value::Bool(b)) => {
             let b = *b;

@@ -457,6 +457,7 @@ fn db_fingerprint(db: &Database) -> u64 {
     let mut names: Vec<&str> = db.table_names().collect();
     names.sort_unstable();
     let mut buf = Vec::new();
+    let mut row_bufs = vec![Vec::new(); ROWS_PER_CHUNK];
     for name in names {
         let Some(table) = db.table(name) else {
             continue;
@@ -472,12 +473,16 @@ fn db_fingerprint(db: &Database) -> u64 {
         }
         acc = prf::siphash24([acc, table.schema.columns.len() as u64], &buf);
         let columns = &table.columnar().columns;
-        for row in 0..table.len() {
-            buf.clear();
+        for start in (0..table.len()).step_by(ROWS_PER_CHUNK) {
+            let rows = start..table.len().min(start + ROWS_PER_CHUNK);
+            let bufs = &mut row_bufs[..rows.len()];
+            bufs.iter_mut().for_each(Vec::clear);
             for col in columns {
-                push_cell(&mut buf, col, row);
+                push_cells(bufs, col, rows.clone());
             }
-            acc = prf::siphash24([acc, columns.len() as u64], &buf);
+            for row_buf in bufs.iter() {
+                acc = prf::siphash24([acc, columns.len() as u64], row_buf);
+            }
         }
     }
     for (table, column, mf, vr) in db.metrics().sorted_entries() {
@@ -505,32 +510,68 @@ fn db_fingerprint(db: &Database) -> u64 {
     acc
 }
 
-/// Append one cell's fingerprint bytes — a type tag, then the value's
-/// bytes — read straight from the typed column: the bytes the row-major
-/// value `col.value(row)` encodes to.
-fn push_cell(buf: &mut Vec<u8>, col: &Column, row: usize) {
-    fn tagged(buf: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
-        buf.push(tag);
-        buf.extend_from_slice(bytes);
-    }
-    fn string(buf: &mut Vec<u8>, s: &str) {
-        tagged(buf, 4, &(s.len() as u64).to_le_bytes());
-        buf.extend_from_slice(s.as_bytes());
+/// Rows whose fingerprint bytes [`db_fingerprint`] writes at a time, one
+/// column after another.
+const ROWS_PER_CHUNK: usize = 256;
+
+/// Append the fingerprint bytes of `col`'s cells in `rows`, one to each of
+/// `bufs`: a type tag, then the value's bytes — the bytes the row-major
+/// value `col.value(i)` encodes to ([`push_value`]), read straight from the
+/// typed column, whose type is matched once.
+fn push_cells(bufs: &mut [Vec<u8>], col: &Column, rows: std::ops::Range<usize>) {
+    let cells = rows.zip(bufs);
+    macro_rules! typed {
+        ($write:expr) => {{
+            let write = $write;
+            let has_nulls = col.nulls.any();
+            for (i, buf) in cells {
+                if has_nulls && col.is_null(i) {
+                    buf.push(0);
+                } else {
+                    write(buf, i);
+                }
+            }
+        }};
     }
     match &col.data {
-        _ if col.is_null(row) => buf.push(0),
-        ColumnData::Bool(bs) => tagged(buf, 1, &[bs[row] as u8]),
-        ColumnData::Int64(xs) => tagged(buf, 2, &xs[row].to_le_bytes()),
-        ColumnData::Float64(xs) => tagged(buf, 3, &xs[row].to_bits().to_le_bytes()),
-        ColumnData::Str(ss) => string(buf, &ss[row]),
-        ColumnData::Mixed(vs) => match &vs[row] {
-            Value::Null => buf.push(0),
-            Value::Bool(b) => tagged(buf, 1, &[*b as u8]),
-            Value::Int(i) => tagged(buf, 2, &i.to_le_bytes()),
-            Value::Float(f) => tagged(buf, 3, &f.to_bits().to_le_bytes()),
-            Value::Str(s) => string(buf, s),
-        },
+        ColumnData::Bool(bs) => {
+            typed!(|buf: &mut Vec<u8>, i: usize| tagged(buf, 1, &[bs[i] as u8]))
+        }
+        ColumnData::Int64(xs) => {
+            typed!(|buf: &mut Vec<u8>, i: usize| tagged(buf, 2, &xs[i].to_le_bytes()))
+        }
+        ColumnData::Float64(xs) => {
+            typed!(|buf: &mut Vec<u8>, i: usize| { tagged(buf, 3, &xs[i].to_bits().to_le_bytes()) })
+        }
+        ColumnData::Str(ss) => typed!(|buf: &mut Vec<u8>, i: usize| string(buf, &ss[i])),
+        // A mixed column keeps its NULLs as values.
+        ColumnData::Mixed(vs) => {
+            for (i, buf) in cells {
+                push_value(buf, &vs[i]);
+            }
+        }
     }
+}
+
+/// Append a value's fingerprint bytes.
+fn push_value(buf: &mut Vec<u8>, v: &Value) {
+    match v {
+        Value::Null => buf.push(0),
+        Value::Bool(b) => tagged(buf, 1, &[*b as u8]),
+        Value::Int(i) => tagged(buf, 2, &i.to_le_bytes()),
+        Value::Float(f) => tagged(buf, 3, &f.to_bits().to_le_bytes()),
+        Value::Str(s) => string(buf, s),
+    }
+}
+
+fn tagged(buf: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
+    buf.push(tag);
+    buf.extend_from_slice(bytes);
+}
+
+fn string(buf: &mut Vec<u8>, s: &str) {
+    tagged(buf, 4, &(s.len() as u64).to_le_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 impl QueryService {

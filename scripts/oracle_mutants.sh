@@ -14,11 +14,12 @@
 # piece. One more mutant is the analysis's: a derived table's passed-
 # through columns lose the lineage the planner records for the
 # sensitivity analysis, and the analysis suites (flex-core's unit tests,
-# `sensitivity_soundness`, `analysis_pinning`) must kill it. And one is the
-# storage's: the column builder forgets to mark NULLs. The oracle reads a
-# table's rows back out of that same storage, so the differential suites
-# cannot see a builder bug; flex-db's unit tests, which pin the storage
-# against the rows written, must kill it.
+# `sensitivity_soundness`, `analysis_pinning`) must kill it. And two are
+# the storage's: the column builder forgets to mark NULLs, and a string
+# cell's slice of its column's buffer drops its last byte. The oracle reads
+# a table's rows back out of that same storage, so the differential suites
+# cannot see a storage bug; flex-db's unit tests, which pin the storage
+# against the rows written, must kill them.
 #
 #   scripts/oracle_mutants.sh [checkout]
 #
@@ -49,7 +50,8 @@ analysis_mutants=(
     "crates/db/src/plan.rs|TailItem::Source(c) => block.lineage[*c],|TailItem::Source(_) => None,"
 )
 storage_mutants=(
-    "crates/db/src/column.rs|Value::Null => nulls.set(i),|Value::Null => {}"
+    "crates/db/src/column.rs|self.nulls.set(i);|{}"
+    "crates/db/src/column.rs|&self.text[self.offsets[i]..self.offsets[i + 1]]|&self.text[self.offsets[i]..self.offsets[i + 1] - 1]"
 )
 
 rm -rf "$tree"
