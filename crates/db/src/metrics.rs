@@ -100,18 +100,6 @@ impl MetricsCatalog {
     pub fn set_max_freq(&mut self, table: &str, column: &str, mf: u64) {
         self.entry(table, column).mf = Some(mf);
     }
-
-    /// Number of `(table, column)` pairs with a recorded max frequency.
-    pub fn len(&self) -> usize {
-        (self.tables.values().flat_map(BTreeMap::values))
-            .filter(|m| m.mf.is_some())
-            .count()
-    }
-
-    /// Whether the catalog holds no metrics at all.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Frequency of the most frequent non-null value of `col`. Integer and
