@@ -23,7 +23,6 @@
 use crate::table::Row;
 use crate::value::{BorrowKey, Value};
 use std::cmp::Ordering;
-use std::mem::discriminant;
 
 /// Sentinel row index meaning "no source row" in a gather index vector:
 /// [`Column::gather`] fills such slots with NULL. Used by the
@@ -292,6 +291,20 @@ impl Column {
         }
     }
 
+    /// Whether the column is stored the way [`Column::empty`] stores
+    /// `layout` (checked without building one: an empty string column
+    /// allocates its first offset).
+    fn stored_as(&self, layout: Layout) -> bool {
+        matches!(
+            (&self.data, layout),
+            (ColumnData::Int64(_), Layout::Empty | Layout::Int)
+                | (ColumnData::Float64(_), Layout::Float)
+                | (ColumnData::Bool(_), Layout::Bool)
+                | (ColumnData::Str(_), Layout::Str)
+                | (ColumnData::Mixed(_), Layout::Mixed)
+        )
+    }
+
     /// Make room for `shape`'s `rows` more values: the null mask grows to
     /// cover them, the vectors reserve.
     fn reserve(&mut self, rows: usize, shape: &Shape) {
@@ -537,8 +550,9 @@ impl ColumnarTable {
     /// the columns equal one [`ColumnarTable::from_rows`] of every row.
     pub(crate) fn append(&mut self, rows: &[Row], shapes: &[Shape]) {
         for (col, shape) in self.columns.iter_mut().zip(shapes) {
-            let mut moved = Column::empty(col.layout().merge(shape.layout));
-            if discriminant(&moved.data) != discriminant(&col.data) {
+            let layout = col.layout().merge(shape.layout);
+            if !col.stored_as(layout) {
+                let mut moved = Column::empty(layout);
                 moved.reserve(col.len(), &Shape::NONE);
                 for i in 0..col.len() {
                     moved.push(&col.value(i));

@@ -541,7 +541,7 @@ fn push_cells(bufs: &mut [Vec<u8>], col: &Column, rows: std::ops::Range<usize>) 
             typed!(|buf: &mut Vec<u8>, i: usize| tagged(buf, 2, &xs[i].to_le_bytes()))
         }
         ColumnData::Float64(xs) => {
-            typed!(|buf: &mut Vec<u8>, i: usize| { tagged(buf, 3, &xs[i].to_bits().to_le_bytes()) })
+            typed!(|buf: &mut Vec<u8>, i: usize| tagged(buf, 3, &xs[i].to_bits().to_le_bytes()))
         }
         ColumnData::Str(ss) => typed!(|buf: &mut Vec<u8>, i: usize| string(buf, &ss[i])),
         // A mixed column keeps its NULLs as values.
