@@ -116,7 +116,7 @@ pub struct Strings {
 
 impl Strings {
     /// No cells, room for `cells` of `bytes` bytes in all.
-    pub fn with_capacity(cells: usize, bytes: usize) -> Strings {
+    pub(crate) fn with_capacity(cells: usize, bytes: usize) -> Strings {
         let mut offsets = Vec::with_capacity(cells + 1);
         offsets.push(0);
         Strings {
@@ -136,7 +136,7 @@ impl Strings {
     }
 
     /// Append a cell, copying its bytes.
-    pub fn push(&mut self, s: &str) {
+    pub(crate) fn push(&mut self, s: &str) {
         self.text.push_str(s);
         self.offsets.push(self.text.len());
     }
