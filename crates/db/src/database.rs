@@ -314,6 +314,32 @@ mod tests {
         db
     }
 
+    /// A declared value range survives a write, which still refreshes the
+    /// max frequency; a full recompute drops it, as documented.
+    #[test]
+    fn a_write_keeps_a_declared_value_range() {
+        let mut db = db();
+        db.metrics_mut().set_value_range("trips", "fare", 100.0);
+        let row = vec![
+            Value::Int(1),
+            Value::Int(10),
+            Value::Int(1),
+            Value::Float(12.0),
+            Value::str("completed"),
+        ];
+        db.insert("trips", vec![row]).unwrap();
+        let m = db.metrics();
+        assert_eq!(m.value_range("trips", "fare"), Some(100.0));
+        assert_eq!(
+            m.value_range("trips", "id"),
+            Some(4.0),
+            "measured ranges still follow the data"
+        );
+        assert_eq!(m.max_freq("trips", "driver_id"), Some(4));
+        db.recompute_metrics();
+        assert_eq!(db.metrics().value_range("trips", "fare"), Some(22.0));
+    }
+
     #[test]
     fn count_star() {
         let db = db();

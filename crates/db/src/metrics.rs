@@ -28,8 +28,11 @@ struct Metrics {
     /// Max frequency: occurrences of the most frequent non-null value.
     mf: Option<u64>,
     /// Value range `max - min` for numeric columns (None for non-numeric
-    /// or all-null columns).
+    /// or all-null columns), or the range declared for the column.
     vr: Option<f64>,
+    /// Whether `vr` was declared ([`MetricsCatalog::set_value_range`]):
+    /// a write then keeps it, so noise is never calibrated from the data.
+    vr_declared: bool,
 }
 
 impl MetricsCatalog {
@@ -42,16 +45,17 @@ impl MetricsCatalog {
         catalog
     }
 
-    /// Compute and record metrics for one table, replacing prior entries.
+    /// Compute and record metrics for one table, replacing prior entries
+    /// except a declared value range.
     pub fn add_table(&mut self, table: &Table) {
         let columns = &table.columnar().columns;
         let entries = self.tables.entry(table.name.clone()).or_default();
         for (def, col) in table.schema.columns.iter().zip(columns) {
-            let metrics = Metrics {
-                mf: Some(max_frequency(col)),
-                vr: value_range(col),
-            };
-            entries.insert(def.name.clone(), metrics);
+            let metrics = entries.entry(def.name.clone()).or_default();
+            metrics.mf = Some(max_frequency(col));
+            if !metrics.vr_declared {
+                metrics.vr = value_range(col);
+            }
         }
     }
 
@@ -89,10 +93,14 @@ impl MetricsCatalog {
             .collect()
     }
 
-    /// Override a metric (used to model externally-supplied data models,
-    /// e.g. a check constraint defining the permissible value range).
+    /// Declare a column's value range (an externally-supplied data model,
+    /// e.g. a check constraint defining the permissible range). Later
+    /// writes keep it; only [`crate::Database::recompute_metrics`] drops
+    /// it.
     pub fn set_value_range(&mut self, table: &str, column: &str, range: f64) {
-        self.entry(table, column).vr = Some(range);
+        let metrics = self.entry(table, column);
+        metrics.vr = Some(range);
+        metrics.vr_declared = true;
     }
 
     /// Override the max-frequency metric (used by tests and by simulations

@@ -31,9 +31,13 @@
 //!
 //! A released answer is allocated once, as the entry's
 //! `Arc<CachedAnswer>`; every response carrying it — the computing
-//! request's, each coalesced waiter's and each hit's — holds that `Arc`
-//! through [`Columns`] and [`Rows`], and its canonical text through the
-//! key's `Arc<str>`. So a hit costs the same whatever the answer's size.
+//! request's, each coalesced waiter's and each hit's — reads it and its
+//! canonical text (the key's `Arc<str>`) through one reply handle, the
+//! private `Reply`, which [`Text`], [`Columns`] and [`Rows`] share. So a
+//! hit costs the same whatever the answer's size. A miss allocates one
+//! handle for its own response and every coalesced waiter's; a memo entry
+//! keeps one of its own, so a memo hit counts references only on that
+//! handle, which its thread alone uses.
 //!
 //! ## Single-flight
 //!
@@ -71,14 +75,15 @@
 //! one uncontended lock and reads two flags of the entry — its `live`
 //! flag, which the cache clears under its shard lock when it evicts or
 //! replaces the entry, and its `referenced` bit — and writes no line
-//! another thread's hit reads (beyond the reference counts of the `Arc`s
-//! the response holds). An entry whose answer left the cache, or that was
-//! released at other privacy parameters, still names its canonical text:
-//! the service looks that key up in the cache ([`AnswerCache::get`]) and,
-//! on a hit, points the entry at the new cache entry. A memo entry holds
-//! its answer's `Arc`, so an evicted answer stays allocated until the
-//! memo sweeps or refreshes the entry (a stale entry gets no second
-//! chance).
+//! another thread's hit reads: the response it builds holds the memo
+//! entry's own reply handle, made when this thread memoized the text,
+//! and never the shared text's or answer's `Arc`. An entry whose answer
+//! left the cache, or that was released at other privacy parameters,
+//! still names its canonical text: the service looks that key up in the
+//! cache ([`AnswerCache::get`]) and, on a hit, points the entry at the
+//! new cache entry. A memo entry holds its answer's `Arc`, so an evicted
+//! answer stays allocated until the memo sweeps or refreshes the entry
+//! (a stale entry gets no second chance).
 
 use crate::sync::{lock, thread_stripe, THREAD_STRIPES};
 use flex_core::PrivacyParams;
@@ -227,27 +232,43 @@ impl CachedAnswer {
     }
 }
 
-/// A field of a released answer, read through the one [`CachedAnswer`]
-/// the cache holds (an `Arc` clone, never a copy): compared, printed and
-/// iterated as the slice it derefs to.
-macro_rules! answer_view {
-    ($(#[$doc:meta])* $name:ident: [$item:ty] = $field:ident) => {
+/// One reply as every response built from it reads it: the canonical
+/// text (the cache key's allocation) and the released answer (the cache
+/// entry's). Shared, never copied, by the three views of a
+/// [`ServiceResponse`](crate::ServiceResponse): a miss makes one for its
+/// response and its coalesced waiters, and a memo entry one of its own,
+/// so the responses a thread serves from the memo count references on a
+/// handle no other thread's hit touches.
+#[derive(Debug)]
+pub(crate) struct Reply {
+    pub(crate) canonical_sql: Arc<str>,
+    pub(crate) answer: Arc<CachedAnswer>,
+}
+
+impl Reply {
+    /// A handle on `answer`, released for the key `canonical_sql` keys.
+    pub(crate) fn new(canonical_sql: &Arc<str>, answer: &Arc<CachedAnswer>) -> Arc<Self> {
+        Arc::new(Reply {
+            canonical_sql: Arc::clone(canonical_sql),
+            answer: Arc::clone(answer),
+        })
+    }
+}
+
+/// A field of a released answer, read through the [`Reply`] its response
+/// holds (an `Arc` clone, never a copy): compared and printed as the
+/// value it derefs to.
+macro_rules! reply_view {
+    (@view $(#[$doc:meta])* $name:ident: $target:ty = |$reply:ident| $read:expr) => {
         $(#[$doc])*
         #[derive(Clone)]
-        pub struct $name(pub(crate) Arc<CachedAnswer>);
+        pub struct $name(pub(crate) Arc<Reply>);
 
         impl Deref for $name {
-            type Target = [$item];
-            fn deref(&self) -> &[$item] {
-                &self.0.$field
-            }
-        }
-
-        impl<'a> IntoIterator for &'a $name {
-            type Item = &'a $item;
-            type IntoIter = std::slice::Iter<'a, $item>;
-            fn into_iter(self) -> Self::IntoIter {
-                self.iter()
+            type Target = $target;
+            fn deref(&self) -> &$target {
+                let $reply = &*self.0;
+                $read
             }
         }
 
@@ -263,17 +284,50 @@ macro_rules! answer_view {
             }
         }
     };
+    ($(#[$doc:meta])* $name:ident: [$item:ty] = |$reply:ident| $read:expr) => {
+        reply_view! { @view $(#[$doc])* $name: [$item] = |$reply| $read }
+
+        impl<'a> IntoIterator for &'a $name {
+            type Item = &'a $item;
+            type IntoIter = std::slice::Iter<'a, $item>;
+            fn into_iter(self) -> Self::IntoIter {
+                self.iter()
+            }
+        }
+    };
+    ($(#[$doc:meta])* $name:ident: $target:ty = |$reply:ident| $read:expr) => {
+        reply_view! { @view $(#[$doc])* $name: $target = |$reply| $read }
+    };
 }
 
-answer_view! {
+reply_view! {
+    /// The canonical text a released answer was computed for (also its
+    /// cache key), read as `str`.
+    Text: str = |r| &r.canonical_sql
+}
+
+reply_view! {
     /// The output column names of a released answer, read as `[String]`.
-    Columns: [String] = columns
+    Columns: [String] = |r| &r.answer.columns
 }
 
-answer_view! {
+reply_view! {
     /// The noised rows of a released answer, read as `[Vec<Value>]`. Two
     /// responses for one release point at the same rows (`std::ptr::eq`).
-    Rows: [Vec<Value>] = rows
+    Rows: [Vec<Value>] = |r| &r.answer.rows
+}
+
+impl std::fmt::Display for Text {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
+}
+
+/// The text serializes as the string it reads as.
+impl serde_json::ToJson for Text {
+    fn to_json(&self) -> serde_json::Value {
+        (**self).to_json()
+    }
 }
 
 /// Column names serialize as the array of names they read as.
@@ -316,6 +370,21 @@ struct EntryFlags {
     referenced: AtomicBool,
 }
 
+impl EntryFlags {
+    /// Whether the entry is still in the cache.
+    fn is_live(&self) -> bool {
+        self.live.load(Ordering::Relaxed)
+    }
+
+    /// Mark the entry used since the sweep last passed it. The bit is
+    /// written only when clear, so hits on a hot entry write nothing.
+    fn touch(&self) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// A released answer as a ready entry holds it, handed out by a hit:
 /// reads as the [`CachedAnswer`], and carries the entry's flags, so the
 /// text memo can point at the entry and tell when it leaves the cache.
@@ -340,19 +409,6 @@ impl Released {
     /// The answer, as the one allocation every response shares.
     pub fn answer(&self) -> &Arc<CachedAnswer> {
         &self.answer
-    }
-
-    /// Whether the entry is still in the cache.
-    fn is_live(&self) -> bool {
-        self.flags.live.load(Ordering::Relaxed)
-    }
-
-    /// Mark the entry used since the sweep last passed it. The bit is
-    /// written only when clear, so hits on a hot entry write nothing.
-    fn touch(&self) {
-        if !self.flags.referenced.load(Ordering::Relaxed) {
-            self.flags.referenced.store(true, Ordering::Relaxed);
-        }
     }
 }
 
@@ -498,7 +554,7 @@ impl<W> AnswerCache<W> {
         let inner = lock(&self.shard_for(key).inner);
         match inner.map.get(key) {
             Some(Slot::Ready(e)) => {
-                e.hit.touch();
+                e.hit.flags.touch();
                 Some(e.hit.clone())
             }
             _ => None,
@@ -528,7 +584,7 @@ impl<W> AnswerCache<W> {
         match inner.map.entry(key.clone()) {
             MapEntry::Occupied(mut slot) => match slot.get_mut() {
                 Slot::Ready(e) => {
-                    e.hit.touch();
+                    e.hit.flags.touch();
                     Admission::Hit(e.hit.clone())
                 }
                 Slot::Pending(waiters) => {
@@ -714,14 +770,17 @@ impl<W> AnswerCache<W> {
     }
 }
 
-/// One memoized text: the key its answer was released under and the
-/// cache entry holding that answer.
+/// One memoized text: the key its answer was released under, the flags
+/// of the cache entry holding that answer, and the stripe's own reply
+/// handle on it.
 #[derive(Debug)]
 struct MemoEntry {
-    /// The canonical text (shared with the cache key and the responses
-    /// built from it) at the privacy parameters of the release.
+    /// The canonical text (shared with the cache key) at the privacy
+    /// parameters of the release.
     key: CacheKey,
-    hit: Released,
+    flags: Arc<EntryFlags>,
+    /// What every response served from this entry holds.
+    reply: Arc<Reply>,
     /// The stripe's own CLOCK bit: the stripe is one thread's, so a hit
     /// writes it without touching a shared line.
     referenced: bool,
@@ -741,7 +800,7 @@ impl MemoTexts {
     fn evict_one(&mut self) {
         while let Some(text) = self.ring.pop_front() {
             let entry = (self.map.get_mut(&text)).expect("the ring holds the memoized texts");
-            if std::mem::take(&mut entry.referenced) && entry.hit.is_live() {
+            if std::mem::take(&mut entry.referenced) && entry.flags.is_live() {
                 self.ring.push_back(text);
             } else {
                 self.map.remove(&text);
@@ -760,11 +819,9 @@ struct MemoStripe(Mutex<MemoTexts>);
 /// What the memo knows of a text, at some privacy parameters.
 #[derive(Debug)]
 pub(crate) enum Memoized {
-    /// Its answer, still in the cache: serve it.
-    Hit {
-        canonical_sql: Arc<str>,
-        answer: Arc<CachedAnswer>,
-    },
+    /// Its answer, still in the cache: serve it through the stripe's
+    /// own handle.
+    Hit(Arc<Reply>),
     /// Its cache key at these parameters, but no live answer for them:
     /// look the key up in the cache.
     Key(CacheKey),
@@ -814,31 +871,30 @@ impl TextMemo {
         let Some(entry) = texts.map.get_mut(sql) else {
             return Memoized::Unknown;
         };
-        let canonical_sql = Arc::clone(entry.key.shared_sql());
-        if entry.key.is_at(params) && entry.hit.is_live() {
-            entry.hit.touch();
+        if entry.key.is_at(params) && entry.flags.is_live() {
+            entry.flags.touch();
             entry.referenced = true;
-            let answer = Arc::clone(&entry.hit.answer);
-            return Memoized::Hit {
-                canonical_sql,
-                answer,
-            };
+            return Memoized::Hit(Arc::clone(&entry.reply));
         }
-        Memoized::Key(CacheKey::shared(canonical_sql, params))
+        Memoized::Key(CacheKey::shared(Arc::clone(entry.key.shared_sql()), params))
     }
 
     /// Remember, in the calling thread's stripe, that `sql` was served
     /// `hit` under `key` (the canonical text kept as the key's
-    /// allocation). A text already there is pointed at `hit`; past the
-    /// stripe's bound the sweep evicts a text.
-    pub(crate) fn insert(&self, sql: &str, key: &CacheKey, hit: &Released) {
+    /// allocation), and return the reply handle to serve it with: the
+    /// stripe's new one, or a fresh one for a text the memo does not
+    /// keep. A text already there is pointed at `hit`; past the stripe's
+    /// bound the sweep evicts a text.
+    pub(crate) fn insert(&self, sql: &str, key: &CacheKey, hit: &Released) -> Arc<Reply> {
+        let reply = Reply::new(key.shared_sql(), hit.answer());
         if !self.keeps(sql) || key.canonical_sql().len() > MEMO_MAX_TEXT_BYTES {
-            return;
+            return reply;
         }
         let mut texts = self.mine();
         let entry = MemoEntry {
             key: key.clone(),
-            hit: hit.clone(),
+            flags: Arc::clone(&hit.flags),
+            reply: Arc::clone(&reply),
             referenced: false,
         };
         if let Some(old) = texts.map.get_mut(sql) {
@@ -846,7 +902,7 @@ impl TextMemo {
                 referenced: true,
                 ..entry
             };
-            return;
+            return reply;
         }
         if texts.map.len() >= self.capacity_per_stripe {
             texts.evict_one();
@@ -854,6 +910,7 @@ impl TextMemo {
         let text: Arc<str> = sql.into();
         texts.ring.push_back(Arc::clone(&text));
         texts.map.insert(text, entry);
+        reply
     }
 
     /// Texts held, across all stripes.
@@ -934,13 +991,13 @@ mod tests {
         );
         cache.insert(ka.clone(), answer(1));
         let first = cache.get(&ka).unwrap();
-        assert!(first.is_live());
+        assert!(first.flags.is_live());
         cache.insert(ka.clone(), answer(2));
         let second = cache.get(&ka).unwrap();
-        assert!(!first.is_live() && second.is_live());
+        assert!(!first.flags.is_live() && second.flags.is_live());
         cache.insert(kb.clone(), answer(3));
-        assert!(!second.is_live());
-        assert!(cache.get(&kb).unwrap().is_live());
+        assert!(!second.flags.is_live());
+        assert!(cache.get(&kb).unwrap().flags.is_live());
     }
 
     #[test]
@@ -1163,7 +1220,7 @@ mod tests {
     /// ε = 1, if it serves a hit.
     fn served(memo: &TextMemo, sql: &str) -> Option<String> {
         match memo.get(sql, params(1.0)) {
-            Memoized::Hit { canonical_sql, .. } => Some(canonical_sql.to_string()),
+            Memoized::Hit(reply) => Some(reply.canonical_sql.to_string()),
             _ => None,
         }
     }
@@ -1216,7 +1273,7 @@ mod tests {
         cache.insert(key.clone(), answer(1));
         memo.insert("select 1", &key, &cache.get(&key).unwrap());
         match memo.get("select 1", params(1.0)) {
-            Memoized::Hit { answer: a, .. } => assert_eq!(*a, answer(1)),
+            Memoized::Hit(reply) => assert_eq!(*reply.answer, answer(1)),
             other => panic!("expected a hit, got {other:?}"),
         }
         let at_half = CacheKey::new("SELECT 1".into(), params(0.5));

@@ -26,7 +26,7 @@
 //! [`QueryService::metrics`].
 
 use crate::cache::{
-    Admission, AnswerCache, CacheKey, CachedAnswer, Columns, Memoized, Released, Rows, TextMemo,
+    Admission, AnswerCache, CacheKey, CachedAnswer, Columns, Memoized, Reply, Rows, Text, TextMemo,
     DEFAULT_CACHE_SHARDS,
 };
 use crate::error::{ServiceError, ServiceResult};
@@ -170,15 +170,16 @@ impl Default for ServiceConfig {
 ///
 /// The canonical text, columns and rows are shared, not copied: every
 /// response for one release — the request that computed it, each
-/// coalesced waiter and each cache hit — holds the cache's one
-/// allocation of them, so a response costs the same whatever the
-/// answer's size. They read as `&str`, `&[String]` and `&[Vec<Value>]`.
+/// coalesced waiter and each cache hit — reads the cache's one
+/// allocation of them through one reply handle, so a response costs the
+/// same whatever the answer's size. They read as `&str`, `&[String]` and
+/// `&[Vec<Value>]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceResponse {
     /// The analyst the answer was released to.
     pub analyst: String,
     /// Canonical SQL the answer was computed for (also the cache key).
-    pub canonical_sql: Arc<str>,
+    pub canonical_sql: Text,
     /// Output column names.
     pub columns: Columns,
     /// Noised rows (label cells pass through, aggregates carry noise).
@@ -197,6 +198,19 @@ pub struct ServiceResponse {
 }
 
 impl ServiceResponse {
+    /// A response reading its text, columns and rows through `reply`.
+    fn new(analyst: String, reply: Arc<Reply>, from_cache: bool, charged: (f64, f64)) -> Self {
+        ServiceResponse {
+            analyst,
+            join_count: reply.answer.join_count,
+            canonical_sql: Text(Arc::clone(&reply)),
+            columns: Columns(Arc::clone(&reply)),
+            rows: Rows(reply),
+            from_cache,
+            charged,
+        }
+    }
+
     /// The noised scalar of a 1×1 result.
     pub fn scalar(&self) -> Option<f64> {
         if self.rows.len() == 1 && self.rows[0].len() == 1 {
@@ -742,29 +756,27 @@ impl QueryService {
     /// ```
     pub fn submit(&self, analyst: &str, sql: &str, params: PrivacyParams) -> Ticket {
         let shared = &self.shared;
-        shared.telemetry.incr(Metric::Submitted);
 
         // A text this thread served from the cache before points at the
         // entry: while it is live, the answer is served without a lock
-        // another thread takes. A known text whose entry left the cache,
-        // or was released at other params, needs only its key; any
-        // other outcome takes the full path below.
+        // another thread takes, and counted by one bump that reads as a
+        // submission, a cache hit and a memo hit. A known text whose
+        // entry left the cache, or was released at other params, needs
+        // only its key; any other outcome takes the full path below.
         match shared.memo.get(sql, params) {
-            Memoized::Hit {
-                canonical_sql,
-                answer,
-            } => {
+            Memoized::Hit(reply) => {
                 shared.telemetry.incr(Metric::MemoHits);
-                return serve_hit(shared, analyst, canonical_sql, answer);
+                return serve_hit(analyst, reply);
             }
             Memoized::Key(key) => {
                 if let Some(hit) = shared.cache.get(&key) {
                     shared.telemetry.incr(Metric::MemoHits);
-                    return memoize_hit(shared, analyst, sql, &key, &hit);
+                    return serve_hit(analyst, shared.memo.insert(sql, &key, &hit));
                 }
             }
             Memoized::Unknown => {}
         }
+        shared.telemetry.incr(Metric::Submitted);
 
         let started = Instant::now();
         let (parsed, nesting) = match parse_query_nesting(sql) {
@@ -805,7 +817,10 @@ impl QueryService {
         let charge = match decision {
             // Only a text whose answer was released enters the memo, so
             // a cold workload never fills it.
-            Admission::Hit(hit) => return memoize_hit(shared, analyst, sql, &key, &hit),
+            Admission::Hit(hit) => {
+                shared.telemetry.incr(Metric::CacheHits);
+                return serve_hit(analyst, shared.memo.insert(sql, &key, &hit));
+            }
             // An identical query is already in flight: this request was
             // parked to piggyback on its release instead of paying for a
             // duplicate computation. Counted as coalesced only — not as
@@ -998,37 +1013,10 @@ impl Drop for QueryService {
 }
 
 /// Serve an already-released answer: post-processing, so free. The
-/// response shares the key's text and the cached answer.
-fn serve_hit(
-    shared: &Shared,
-    analyst: &str,
-    canonical_sql: Arc<str>,
-    hit: Arc<CachedAnswer>,
-) -> Ticket {
-    shared.telemetry.incr(Metric::CacheHits);
-    Ticket::ready(Ok(ServiceResponse {
-        analyst: analyst.to_string(),
-        canonical_sql,
-        join_count: hit.join_count,
-        columns: Columns(Arc::clone(&hit)),
-        rows: Rows(hit),
-        from_cache: true,
-        charged: (0.0, 0.0),
-    }))
-}
-
-/// Serve a hit found by its key, and point `sql`'s entry in this thread's
-/// memo stripe at it.
-fn memoize_hit(
-    shared: &Shared,
-    analyst: &str,
-    sql: &str,
-    key: &CacheKey,
-    hit: &Released,
-) -> Ticket {
-    shared.memo.insert(sql, key, hit);
-    let answer = Arc::clone(hit.answer());
-    serve_hit(shared, analyst, Arc::clone(key.shared_sql()), answer)
+/// response reads the key's text and the cached answer through `reply`.
+fn serve_hit(analyst: &str, reply: Arc<Reply>) -> Ticket {
+    let response = ServiceResponse::new(analyst.to_string(), reply, true, (0.0, 0.0));
+    Ticket::ready(Ok(response))
 }
 
 fn worker_loop(shared: &Shared) {
@@ -1167,12 +1155,14 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
                 rows: result.rows,
                 join_count: result.join_count,
             });
+            // This response and every waiter's read it through one
+            // handle.
+            let reply = Reply::new(job.key.shared_sql(), &answer);
             // Publish the answer and collect the piggybacked waiters in
             // one shard-lock acquisition: at every instant a concurrent
             // submit sees the key as either pending or released, so
             // exactly one computation is paid.
-            let canonical_sql = Arc::clone(job.key.shared_sql());
-            let waiters = shared.cache.complete(job.key, Arc::clone(&answer));
+            let waiters = shared.cache.complete(job.key, answer);
             // One structured trace per release: the front-door spans
             // measured by `submit`, the queue wait, the three FLEX stage
             // timings, the wait at the durability barrier, and the
@@ -1195,33 +1185,24 @@ fn run_job(shared: &Shared, job: Job, mut slot: Slot<'_, Job>) -> ServiceResult<
                 .telemetry
                 .record_release(trace.total(), || SlowQuery {
                     analyst: job.charge.analyst.clone(),
-                    canonical_sql: canonical_sql.to_string(),
+                    canonical_sql: reply.canonical_sql.to_string(),
                     epsilon: job.charge.epsilon,
                     delta: job.charge.delta,
                     trace,
                 });
             for (analyst, waiter) in waiters {
-                let _ = waiter.send(Ok(ServiceResponse {
-                    analyst,
-                    canonical_sql: Arc::clone(&canonical_sql),
-                    columns: Columns(Arc::clone(&answer)),
-                    rows: Rows(Arc::clone(&answer)),
-                    // Piggybacked on the computation, not served from the
-                    // cache — free, but honest about the path.
-                    from_cache: false,
-                    charged: (0.0, 0.0),
-                    join_count: answer.join_count,
-                }));
+                // Piggybacked on the computation, not served from the
+                // cache — free, but honest about the path.
+                let response = ServiceResponse::new(analyst, Arc::clone(&reply), false, (0.0, 0.0));
+                let _ = waiter.send(Ok(response));
             }
-            Ok(ServiceResponse {
-                analyst: job.charge.analyst,
-                canonical_sql,
-                columns: Columns(Arc::clone(&answer)),
-                join_count: answer.join_count,
-                rows: Rows(answer),
-                from_cache: false,
-                charged: (job.charge.epsilon, job.charge.delta),
-            })
+            let charged = (job.charge.epsilon, job.charge.delta);
+            Ok(ServiceResponse::new(
+                job.charge.analyst,
+                reply,
+                false,
+                charged,
+            ))
         }
         // A mid-pipeline deadline expiry is a timeout, not a failure:
         // refund and report it under its own counter.
@@ -2696,7 +2677,7 @@ mod tests {
         assert_eq!(hit, memo);
         // The memo hit's key text is the one the memo kept: the full-path
         // hit's.
-        assert!(Arc::ptr_eq(&hit.canonical_sql, &memo.canonical_sql));
+        assert!(std::ptr::eq(&*hit.canonical_sql, &*memo.canonical_sql));
     }
 
     #[test]
@@ -2825,7 +2806,12 @@ mod tests {
             assert_eq!(svc.telemetry().memo_hits, u64::from(refresh == Some(a)));
             query("SELECT COUNT(*) FROM trips WHERE city_id = 3");
             assert_eq!(svc.telemetry().cache_evictions, 2);
-            let cached = |k: Arc<str>| svc.shared.cache.get(&CacheKey::shared(k, p)).is_some();
+            let cached = |k: Text| {
+                svc.shared
+                    .cache
+                    .get(&CacheKey::new(k.to_string(), p))
+                    .is_some()
+            };
             (cached(key), cached(c))
         };
         assert_eq!(
@@ -2874,6 +2860,130 @@ mod tests {
         let served = svc.query("a", sql, p).unwrap();
         assert!(served.from_cache && std::ptr::eq(&*served.rows, &*again.rows));
         assert_eq!(svc.telemetry().memo_hits, 2);
+    }
+
+    /// A memo hit counts references only on its thread's own reply
+    /// handle: across a hundred memo hits on each of two threads, with
+    /// every response held, the cache entry's answer and the key's text
+    /// keep their strong counts, each thread's responses share one
+    /// handle (the two threads' differ unless they share a memo stripe),
+    /// and every response reads the miss's rows.
+    #[test]
+    fn a_memo_hit_counts_references_only_on_its_threads_reply() {
+        const HITS: usize = 100;
+        let svc = service(ServiceConfig::default());
+        let p = params(0.5);
+        let sql = "SELECT city_id, COUNT(*) FROM trips GROUP BY city_id";
+        let miss = svc.query("owner", sql, p).unwrap();
+        let key = CacheKey::new(miss.canonical_sql.to_string(), p);
+        let entry = svc.shared.cache.get(&key).expect("the release is cached");
+        let text = &miss.canonical_sql.0.canonical_sql;
+        let counts = || (Arc::strong_count(entry.answer()), Arc::strong_count(text));
+        let (memoized, counted) = (std::sync::Barrier::new(3), std::sync::Barrier::new(3));
+        let held = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|t| {
+                    let (svc, memoized, counted) = (&svc, &memoized, &counted);
+                    scope.spawn(move || {
+                        let analyst = format!("reader-{t}");
+                        // A full-path hit memoizes the text in this
+                        // thread's stripe.
+                        svc.query(&analyst, sql, p).unwrap();
+                        memoized.wait();
+                        counted.wait();
+                        let hits: Vec<ServiceResponse> = (0..HITS)
+                            .map(|_| svc.query(&analyst, sql, p).unwrap())
+                            .collect();
+                        (crate::sync::thread_stripe(), hits)
+                    })
+                })
+                .collect();
+            memoized.wait();
+            let before = counts();
+            counted.wait();
+            let held: Vec<_> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+            assert_eq!(counts(), before, "a memo hit wrote a shared count");
+            held
+        });
+        let [(stripe_a, a), (stripe_b, b)] = &held[..] else {
+            unreachable!("two readers")
+        };
+        let t = svc.telemetry();
+        let shared_stripe = stripe_a == stripe_b;
+        assert_eq!(
+            t.memo_hits,
+            (2 * HITS) as u64 + u64::from(shared_stripe),
+            "{t}"
+        );
+        for hits in [a, b] {
+            let reply = &hits[0].rows.0;
+            for r in hits {
+                assert!(r.from_cache && std::ptr::eq(&*r.rows, &*miss.rows));
+                for view in [&r.canonical_sql.0, &r.columns.0, &r.rows.0] {
+                    assert!(Arc::ptr_eq(view, reply));
+                }
+            }
+        }
+        assert_eq!(Arc::ptr_eq(&a[0].rows.0, &b[0].rows.0), shared_stripe);
+    }
+
+    /// A memo hit's one bump reads as a submission, a cache hit and a
+    /// memo hit: over memo-served hits, a key-path memo hit (the text's
+    /// entry evicted, then its answer released again), full-path hits,
+    /// misses and a coalesced request, on two threads, every counter and
+    /// the hit rate read exactly.
+    #[test]
+    fn every_counter_adds_up_across_the_hit_paths() {
+        let svc = service(ServiceConfig {
+            workers: 2,
+            cache_capacity: 1,
+            cache_shards: 1,
+            policy: LedgerPolicy::sequential(1e9, 1.0),
+            ..ServiceConfig::default()
+        });
+        svc.shared.queue.wait_parked(2);
+        let p = params(0.5);
+        let (a, b) = (
+            "SELECT COUNT(*) FROM trips",
+            "SELECT COUNT(*) FROM trips WHERE city_id = 1",
+        );
+        let query = |sql: &str| svc.query("x", sql, p).unwrap();
+        let miss = |sql: &str| assert!(query(sql).charged.0 > 0.0, "{sql}: a miss");
+        miss(a);
+        query(a); // a full-path hit, memoizing `a`
+        query(a); // a memo hit
+        miss(b); // evicts `a`
+        miss("select count(*) from trips"); // releases `a` again, evicting `b`
+        query(a); // a key-path memo hit: the memo's entry left the cache
+        query(a); // a memo hit
+                  // A request coalesced onto a queued miss.
+        let owner = svc.submit("x", b, p);
+        let coalesced = svc.submit("y", b, p);
+        assert_eq!(
+            (
+                owner.wait().unwrap().charged.0,
+                coalesced.wait().unwrap().charged.0
+            ),
+            (0.5, 0.0)
+        );
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                query(b); // a full-path hit
+                for _ in 0..3 {
+                    query(b); // memo hits
+                }
+            });
+        });
+        let t = svc.telemetry();
+        // 4 misses, 2 full-path hits, 1 key-path and 5 memo-served hits,
+        // 1 coalesced request.
+        assert_eq!(
+            (t.submitted, t.cache_hits, t.memo_hits, t.cache_misses),
+            (13, 8, 6, 4),
+            "{t}"
+        );
+        assert_eq!((t.completed, t.coalesced), (4, 1), "{t}");
+        assert_eq!(t.hit_rate(), 8.0 / 13.0);
     }
 
     /// Two threads hitting one text each hit through their own memo

@@ -8,7 +8,8 @@
 //! is around the slow-query log, taken once per *completed* query to
 //! insert into a bounded, sorted vector. The counters every cache hit
 //! bumps are striped per thread ([`Telemetry::incr`]), so clients on
-//! different cores do not write one cache line.
+//! different cores do not write one cache line, and a hit served from
+//! the text memo bumps one of them for all three it counts in.
 
 use crate::sync::{thread_stripe, THREAD_STRIPES};
 use flex_db::ExecTrace;
@@ -24,9 +25,10 @@ pub const LATENCY_BUCKETS: usize = 64;
 /// Entries the slow-query log retains (the slowest completed queries).
 pub const SLOW_LOG_CAPACITY: usize = 16;
 
-/// Counters striped per thread: [`Metric::Submitted`],
-/// [`Metric::MemoHits`] and [`Metric::CacheHits`] — the only writes of a
-/// hit served from the text memo.
+/// Slots striped per thread: [`Metric::Submitted`]'s,
+/// [`Metric::CacheHits`]' and [`Metric::MemoHits`]', which the other two
+/// read as well — a memo hit is a submission and a cache hit, and its
+/// one bump is the only telemetry write it makes.
 const STRIPED: usize = 3;
 
 /// One thread's share of the striped counters, on a line of its own (two
@@ -36,13 +38,14 @@ const STRIPED: usize = 3;
 struct Stripe([AtomicU64; STRIPED]);
 
 impl Metric {
-    /// The metric's slot in a [`Stripe`], if it is striped.
-    fn stripe(self) -> Option<usize> {
+    /// The [`Stripe`] slots the metric reads: its own first, where
+    /// [`Telemetry::incr`] counts it, then the memo hit's.
+    fn slots(self) -> &'static [usize] {
         match self {
-            Metric::Submitted => Some(0),
-            Metric::MemoHits => Some(1),
-            Metric::CacheHits => Some(2),
-            _ => None,
+            Metric::Submitted => &[0, 2],
+            Metric::CacheHits => &[1, 2],
+            Metric::MemoHits => &[2],
+            _ => &[],
         }
     }
 }
@@ -386,7 +389,8 @@ metric_table! {
         CacheHits cache_hits: Counter, "flex_cache_hits_total", "cache hits",
             "Requests served from the noisy-answer cache (zero budget).";
         /// A subset of `cache_hits`: the text's canonical form came from
-        /// the text memo, so the request was never parsed.
+        /// the text memo, so the request was never parsed. Counting one
+        /// counts a submission and a cache hit too.
         MemoHits memo_hits: Counter, "flex_memo_hits_total", "memo hits",
             "Cache hits served for a memoized SQL text without parsing it.";
         /// Disjoint from `coalesced`: a piggybacked request never reaches
@@ -491,8 +495,8 @@ metric_table! {
 #[derive(Debug, Default)]
 pub struct Telemetry {
     scalars: [AtomicU64; SCALARS.len()],
-    /// The striped counters' counts since their last `set`; a striped
-    /// counter reads as its scalar plus these.
+    /// The striped counters' counts; a striped counter reads as its
+    /// scalar plus its slots' sums.
     stripes: [Stripe; THREAD_STRIPES],
     latencies: [LatencyHistogram; LATENCIES.len()],
     slow: Mutex<Vec<SlowQuery>>,
@@ -503,24 +507,29 @@ impl Telemetry {
         &self.scalars[metric as usize]
     }
 
+    /// What the metric's stripe slots have counted, across threads.
+    fn striped(&self, metric: Metric) -> u64 {
+        (metric.slots().iter())
+            .flat_map(|&i| {
+                self.stripes
+                    .iter()
+                    .map(move |s| s.0[i].load(Ordering::Relaxed))
+            })
+            .fold(0, u64::wrapping_add)
+    }
+
     /// The metric's current value.
     fn get(&self, metric: Metric) -> u64 {
         let base = self.cell(metric).load(Ordering::Relaxed);
-        match metric.stripe() {
-            Some(i) => {
-                let counted: u64 = (self.stripes.iter())
-                    .map(|s| s.0[i].load(Ordering::Relaxed))
-                    .sum();
-                base + counted
-            }
-            None => base,
-        }
+        base.wrapping_add(self.striped(metric))
     }
 
-    /// Count one event on a counter.
+    /// Count one event on a counter. [`Metric::MemoHits`] counts a hit
+    /// served from the text memo, so it counts in
+    /// [`Metric::Submitted`] and [`Metric::CacheHits`] too.
     pub fn incr(&self, metric: Metric) {
-        let cell = match metric.stripe() {
-            Some(i) => &self.stripes[thread_stripe()].0[i],
+        let cell = match metric.slots().first() {
+            Some(&i) => &self.stripes[thread_stripe()].0[i],
             None => self.cell(metric),
         };
         cell.fetch_add(1, Ordering::Relaxed);
@@ -529,14 +538,13 @@ impl Telemetry {
     /// Overwrite a gauge, or reconcile a counter whose live value is an
     /// atomic on another component (cache, WAL, lock-poison count): the
     /// service re-records those at snapshot time, so reading metrics
-    /// never touches a hot-path lock.
+    /// never touches a hot-path lock. A striped counter reads `value`
+    /// from then on plus what it counts later: its scalar takes up what
+    /// the stripes hold, which stay as they are, since a memo hit's slot
+    /// counts for three metrics.
     pub fn set(&self, metric: Metric, value: u64) {
-        if let Some(i) = metric.stripe() {
-            for s in &self.stripes {
-                s.0[i].store(0, Ordering::Relaxed);
-            }
-        }
-        self.cell(metric).store(value, Ordering::Relaxed);
+        let base = value.wrapping_sub(self.striped(metric));
+        self.cell(metric).store(base, Ordering::Relaxed);
     }
 
     /// Record one completed (computed, about-to-release) query: bumps
@@ -662,7 +670,9 @@ mod tests {
     }
 
     /// Every table row reads back through its own getter: `incr`
-    /// accumulates, `set` overwrites, and no two rows share an atomic.
+    /// accumulates, `set` overwrites, and no two rows share an atomic —
+    /// except that a memo hit's one bump counts as a submission and a
+    /// cache hit too.
     #[test]
     fn every_scalar_row_round_trips_through_its_handle() {
         let t = Telemetry::default();
@@ -673,7 +683,9 @@ mod tests {
         }
         let s = t.snapshot();
         for (i, m) in SCALARS.iter().enumerate() {
-            assert_eq!((m.get)(&s), 101 + i as u64, "{}", m.key);
+            let memo_hit = matches!(m.metric, Metric::Submitted | Metric::CacheHits);
+            let expect = 101 + i as u64 + u64::from(memo_hit);
+            assert_eq!((m.get)(&s), expect, "{}", m.key);
         }
         t.set(Metric::CacheBytes, 7);
         assert_eq!(t.snapshot().cache_bytes, 7, "set overwrites");

@@ -16,6 +16,10 @@
 # that a claim is never measured on a seed used while writing the change.
 # After the pairs, one `--trace 1` run per side and workload records the
 # per-layer metrics (they are not part of the pairing).
+#
+# A run that crashes, prints no result line or reports `correct` other
+# than true does not stop the others, but after the JSON is written the
+# script lists every such run on stderr and exits 1.
 set -euo pipefail
 
 if [ "$#" -ne 4 ]; then
@@ -41,7 +45,8 @@ for side in "$parent" "$change"; do
 done
 
 # run <side-name> <checkout> <workload> <seed> <trace> <file>: the last
-# line of stdout is the benchmark's result line.
+# line of stdout is the benchmark's result line. A failed run leaves what
+# it printed; the report below names it.
 run() {
     local name=$1 dir=$2 workload=$3 seed=$4 trace=$5 file=$6
     echo "  $name $workload seed $seed trace $trace" >&2
@@ -87,6 +92,17 @@ def load(path):
         return json.loads(path.read_text().strip() or "{}")
     except (OSError, ValueError):
         return {}
+
+
+# Every run, paired and traced, that crashed, printed no result line or
+# was not correct.
+bad = []
+for line in sorted(runs.glob("*.line")):
+    result = load(line)
+    if not result:
+        bad.append(f"{line.stem}: no result line")
+    elif result.get("correct") is not True:
+        bad.append(f"{line.stem}: correct = {result.get('correct')}")
 
 
 def quartiles(values):
@@ -178,4 +194,9 @@ for workload in workloads:
     }
 Path(out).write_text(json.dumps(report, indent=1) + "\n")
 print(f"wrote {out}")
+if bad:
+    print(f"{len(bad)} failed run(s), named <pair|traced>.<workload>.<side>:", file=sys.stderr)
+    for b in bad:
+        print(f"  {b}", file=sys.stderr)
+    sys.exit(1)
 PY
