@@ -246,7 +246,8 @@ pub(crate) struct Reply {
 }
 
 impl Reply {
-    /// A handle on `answer`, released for the key `canonical_sql` keys.
+    /// A handle on `answer`, released under the key whose text is
+    /// `canonical_sql`.
     pub(crate) fn new(canonical_sql: &Arc<str>, answer: &Arc<CachedAnswer>) -> Arc<Self> {
         Arc::new(Reply {
             canonical_sql: Arc::clone(canonical_sql),

@@ -689,6 +689,14 @@ mod tests {
         }
         t.set(Metric::CacheBytes, 7);
         assert_eq!(t.snapshot().cache_bytes, 7, "set overwrites");
+        // Setting a striped counter leaves the memo hit's slot, and so
+        // the other two counters that read it, as they were.
+        let before = t.snapshot();
+        t.set(Metric::Submitted, 7);
+        t.incr(Metric::MemoHits);
+        let s = t.snapshot();
+        assert_eq!((s.submitted, s.cache_hits), (8, before.cache_hits + 1));
+        assert_eq!(s.memo_hits, before.memo_hits + 1);
     }
 
     #[test]
