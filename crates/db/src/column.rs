@@ -4,21 +4,23 @@
 //! A [`ColumnarTable`] holds a table's rows column-major: one typed
 //! vector per column (a string column's cells in one buffer,
 //! [`Strings`]) plus a null bitmap. A base [`crate::Table`] stores
-//! its rows only this way, and the executor's batch operators iterate
-//! these vectors directly instead of cloning and interpreting
-//! `Vec<Value>` rows.
+//! its rows only this way, every executor operator returns one, nested
+//! queries included, and the operators iterate these vectors directly
+//! instead of interpreting `Vec<Value>` rows.
 //!
 //! Because runtime values are dynamically typed (a `Float` column may
 //! physically hold `Value::Int`s), the representation is chosen from the
 //! values actually present, not the declared schema type: a column whose
 //! non-null values are all integers becomes [`ColumnData::Int64`], and so
 //! on. Columns mixing physical types fall back to [`ColumnData::Mixed`],
-//! which keeps the original `Value`s. This makes [`Column::value`] an
-//! exact reconstruction — the executor returns byte-identical
-//! results to the oracle, so DP noise calibration downstream is
-//! unchanged. Columns are never changed while shared (a write appends to
-//! a table's own copy), which is what lets the executor's morsel-parallel
-//! operators read them from many worker threads lock-free.
+//! which keeps the original `Value`s (a gathered column keeps its
+//! source's, so a `Mixed` intermediate may hold one type). This makes
+//! [`Column::value`] an exact reconstruction — the executor returns
+//! byte-identical results to the oracle, so DP noise calibration
+//! downstream is unchanged. Columns are never changed while shared (a
+//! write appends to a table's own copy), which is what lets the
+//! executor's morsel-parallel operators read them from many worker
+//! threads lock-free.
 
 use crate::table::Row;
 use crate::value::{BorrowKey, Value};
@@ -305,6 +307,22 @@ impl Column {
         )
     }
 
+    /// Make room for `shape`'s `rows` more values. A column whose layout
+    /// they change (its first string, a float among integers) is first
+    /// stored again in the layout of all its values.
+    fn make_room(&mut self, rows: usize, shape: &Shape) {
+        let layout = self.layout().merge(shape.layout);
+        if !self.stored_as(layout) {
+            let mut moved = Column::empty(layout);
+            moved.reserve(self.len(), &Shape::NONE);
+            for i in 0..self.len() {
+                moved.push(&self.value(i));
+            }
+            *self = moved;
+        }
+        self.reserve(rows, shape);
+    }
+
     /// Make room for `shape`'s `rows` more values: the null mask grows to
     /// cover them, the vectors reserve.
     fn reserve(&mut self, rows: usize, shape: &Shape) {
@@ -531,9 +549,9 @@ pub struct ColumnarTable {
 
 impl ColumnarTable {
     /// Build the columns of `rows` (all of width `arity`) — the one
-    /// builder of stored rows, used by table writes, derived tables and
-    /// set operations: one pass over the rows finds each column's
-    /// representation, a second fills every column row by row.
+    /// builder of stored rows, used by table writes: one pass over the
+    /// rows finds each column's representation, a second fills every
+    /// column row by row.
     pub fn from_rows(rows: &[Row], arity: usize) -> ColumnarTable {
         let mut table = ColumnarTable {
             columns: vec![Column::empty(Layout::Empty); arity],
@@ -545,21 +563,12 @@ impl ColumnarTable {
 
     /// Append `rows`, whose [`Shape`]s a first pass over them found, in
     /// one row-major pass. A column whose layout the batch keeps grows in
-    /// place; one it changes (its first string, a float among integers)
-    /// is first stored again in the layout of all its values. Either way
-    /// the columns equal one [`ColumnarTable::from_rows`] of every row.
+    /// place; one it changes is first stored again
+    /// ([`Column::make_room`]). Either way the columns equal one
+    /// [`ColumnarTable::from_rows`] of every row.
     pub(crate) fn append(&mut self, rows: &[Row], shapes: &[Shape]) {
         for (col, shape) in self.columns.iter_mut().zip(shapes) {
-            let layout = col.layout().merge(shape.layout);
-            if !col.stored_as(layout) {
-                let mut moved = Column::empty(layout);
-                moved.reserve(col.len(), &Shape::NONE);
-                for i in 0..col.len() {
-                    moved.push(&col.value(i));
-                }
-                *col = moved;
-            }
-            col.reserve(rows.len(), shape);
+            col.make_room(rows.len(), shape);
         }
         for row in rows {
             for (col, v) in self.columns.iter_mut().zip(row) {
@@ -567,6 +576,20 @@ impl ColumnarTable {
             }
         }
         self.len += rows.len();
+    }
+
+    /// Append the rows of `other`, a table as wide, column by column —
+    /// how a set operation's arms become one table. Each column ends up
+    /// in the layout of the values of both ([`Column::make_room`]).
+    pub(crate) fn concat(&mut self, other: &ColumnarTable) {
+        for (col, add) in self.columns.iter_mut().zip(&other.columns) {
+            let layout = add.layout();
+            col.make_room(other.len, &Shape { layout, bytes: 0 });
+            for i in 0..other.len {
+                col.push(&add.value(i));
+            }
+        }
+        self.len += other.len;
     }
 
     /// Assemble a table from pre-built columns (each of `len` rows, or

@@ -21,7 +21,7 @@
 //!
 //! - a **SELECT block** (`run_block`): its FROM is a tree of one or more
 //!   leaves — base tables, derived tables (`FROM (SELECT …) alias`, whose
-//!   rows its plan produces and which columnarize into a leaf), or, for a
+//!   plan's output table is the leaf as it stands), or, for a
 //!   table-less `SELECT`, one row of zero columns — joined as wide as the
 //!   query writes it: INNER/LEFT/RIGHT/FULL equi-joins run as columnar
 //!   hash joins (matched-bit tracking pads the kept sides), CROSS and
@@ -29,16 +29,17 @@
 //!   only live columns into the next operator's input;
 //! - a **set-operation** tree (UNION \[ALL\], INTERSECT, EXCEPT, mixed
 //!   freely): arms run left to right as SELECT blocks with no tail of
-//!   their own, concatenate into one columnar table, and each node of the
-//!   tree keeps, drops or dedupes index ranges over it.
+//!   their own, concatenate column by column into one table, and each
+//!   node of the tree keeps, drops or dedupes index ranges over it.
 //!
 //! Nothing declines: the query is planned in full and then run
 //! ([`crate::plan`], "Plan the query, then run it"), and an error is
-//! raised where it is found. Running a plan yields rows; the header is
-//! the plan's, attached once by `execute_query`. Every block is the same
-//! operator sequence over [`ColumnarTable`]s — Scan → Filter → Join →
-//! Project → Aggregate → Project → Tail, each step present only when the
-//! query asks for it:
+//! raised where it is found. Every runner returns a [`ColumnarTable`],
+//! nested queries included; rows are built once, for the [`ResultSet`]
+//! at the root (`run_planned`), under the plan's header. Every block is
+//! the same operator sequence over [`ColumnarTable`]s — Scan → Filter →
+//! Join → Project → Aggregate → Project → Tail, each step present only
+//! when the query asks for it:
 //!
 //! - **Filter**: WHERE conjuncts that all are `Kernel`s (a type:
 //!   `kernel_predicate` is a total match) narrow the selection one at a
@@ -62,7 +63,7 @@
 //!   is — plain blocks, groups tables and set operations all end in it):
 //!   row positions sort by typed column keys, `ORDER BY … LIMIT k` runs
 //!   as a bounded top-K heap, DISTINCT dedupes typed keys, and only the
-//!   surviving rows late-materialize.
+//!   output columns are gathered, at the surviving rows.
 //!
 //! # One body per operator
 //!
@@ -71,8 +72,8 @@
 //! the per-morsel results. [`crate::morsel`] alone decides whether that
 //! body runs once, inline, on `0..len` (one worker, or a small input) or
 //! on a scoped pool over scheduling morsels — nothing in this file asks.
-//! The merges: selection vectors, gathered rows and join match vectors
-//! concatenate; sorted runs (or top-K selections) merge through the loser
+//! The merges: selection vectors, the result's rows and join match
+//! vectors concatenate; sorted runs (or top-K selections) merge through the loser
 //! tree with a lower-run-wins tie-break (= a stable sort); morsel-local
 //! group tables map into the global first-appearance order; aggregate
 //! partial states (`AggPartial` in [`crate::aggregate`]) merge under
@@ -120,11 +121,10 @@ use crate::plan::{
     PlanNode, QueryBody, QueryPlan, ResultSet, SetPlan, TailItem, TailPlan,
 };
 use crate::table::Row;
-use crate::value::{BorrowKey, KeyHash, RowKey, Value, ValueKey};
+use crate::value::{BorrowKey, KeyHash, Value, ValueKey};
 use flex_sql::{BinaryOperator, JoinType, SetOperator};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -133,7 +133,11 @@ use std::sync::Arc;
 /// it, and report how it ran: the single way a query runs
 /// ([`crate::Planned::run`]).
 pub(crate) fn run_planned(mut ex: Exec<'_>, plan: &QueryPlan) -> (ExecTrace, Result<ResultSet>) {
-    let result = run_query(&mut ex, plan).map(|rows| {
+    let par = ex.par;
+    let result = run_query(&mut ex, plan).map(|out| {
+        // The one place rows are built: the result's, per morsel,
+        // stitched in order.
+        let rows = morsel::run_concat(out.len(), par, |r| r.map(|i| out.row(i)).collect());
         // The header is allocated after the rows: were the rows the
         // heap's last allocation, dropping a large result would trim the
         // heap and the next query would fault the pages back in — 2x on
@@ -145,46 +149,46 @@ pub(crate) fn run_planned(mut ex: Exec<'_>, plan: &QueryPlan) -> (ExecTrace, Res
     (ex.trace, result)
 }
 
-/// Run a planned query: its rows, in result order.
-fn run_query(ex: &mut Exec<'_>, plan: &QueryPlan) -> Result<Vec<Row>> {
+/// Run a planned query: its output table, rows in result order.
+fn run_query(ex: &mut Exec<'_>, plan: &QueryPlan) -> Result<ColumnarTable> {
     match &plan.body {
         QueryBody::Select(block) => run_block(ex, block),
-        QueryBody::SetOp(tree, tail) => run_set_op(ex, tree, tail, plan.header.len()),
+        QueryBody::SetOp(tree, tail) => run_set_op(ex, tree, tail),
     }
 }
 
 /// Run a block's nested plans in the order they were planned — a derived
-/// table's rows become its leaf, a subquery's answer is set for the nodes
-/// that read it — and return the block's leaves.
+/// table's output is its leaf as it stands, a subquery's answer is set
+/// for the nodes that read it — and return the block's leaves.
 fn run_nested(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Arc<ColumnarTable>>> {
-    // A derived table's rows, at its index among the nested plans.
+    // A derived table's output, at its index among the nested plans.
     let mut derived = Vec::with_capacity(plan.nested.len());
     for nested in &plan.nested {
         derived.push(match nested {
             Nested::Derived(q) => {
-                let rows = run_query(ex, q)?;
+                let out = run_query(ex, q)?;
                 // Its rows and morsels were counted where its plan scanned.
-                let workers = ex.par.workers_for(rows.len()) as u64;
+                let workers = ex.par.workers_for(out.len()) as u64;
                 ex.trace.workers = ex.trace.workers.max(workers);
-                Some(Arc::new(ColumnarTable::from_rows(&rows, q.header.len())))
+                Some(Arc::new(out))
             }
             Nested::Exists(q, answer) => {
                 answer.set(!run_query(ex, q)?.is_empty());
                 None
             }
             Nested::In(q, answer) => {
-                let rows = run_query(ex, q)?;
-                let has_null = rows.iter().any(|row| row[0].is_null());
-                let values = rows.iter().filter(|row| !row[0].is_null());
-                let values = values.map(|row| ValueKey::from(&row[0])).collect();
-                answer.set((values, has_null));
+                let out = run_query(ex, q)?;
+                let keys = (0..out.len()).map(|i| out.columns[0].key(i));
+                let has_null = keys.clone().any(|key| key == BorrowKey::Null);
+                let values = keys.filter(|key| *key != BorrowKey::Null);
+                answer.set((values.map(ValueKey::from).collect(), has_null));
                 None
             }
         });
     }
     let leaves = plan.leaves.iter().map(|leaf| match leaf {
         FromLeaf::Rows(rows, _) => rows.clone(),
-        FromLeaf::Derived(i) => derived[*i].take().expect("a derived leaf's rows"),
+        FromLeaf::Derived(i) => derived[*i].take().expect("a derived leaf's table"),
     });
     Ok(leaves.collect())
 }
@@ -197,7 +201,7 @@ fn run_nested(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Arc<ColumnarTab
 /// block's own operators finish it: Project → Aggregate → Project → Tail
 /// ([`run_grouped`]) or Project → Tail. See [`crate::plan`] for why each
 /// pushdown preserves the oracle's bytes.
-fn run_block(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Row>> {
+fn run_block(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<ColumnarTable> {
     let leaves = run_nested(ex, plan)?;
     let par = ex.par;
     let (input, sel) = match &plan.root {
@@ -225,14 +229,8 @@ fn run_block(ex: &mut Exec<'_>, plan: &BlockPlan) -> Result<Vec<Row>> {
         Body::Grouped(grouped) => run_grouped(&input, &sel, grouped, par, &mut ex.trace.topk),
         Body::Plain(tail) => {
             let (sel, computed) = project(&input, &sel, None, &tail.computed, par)?;
-            Ok(run_tail(
-                &input,
-                &sel,
-                &computed,
-                tail,
-                par,
-                &mut ex.trace.topk,
-            ))
+            let topk = &mut ex.trace.topk;
+            Ok(run_tail(&input, &sel, &computed, tail, par, topk))
         }
     }
 }
@@ -327,9 +325,9 @@ impl<'a> TailCol<'a> {
     }
 }
 
-/// The DISTINCT key of position `p` over `cols`: the same key sequence
-/// `RowKey::from_values` derives from the materialized row —
-/// [`BorrowKey`] mirrors `ValueKey` exactly — without cloning.
+/// The DISTINCT key of position `p` over `cols`: the key sequence
+/// a `RowKey` derives from the row's values — [`BorrowKey`]
+/// mirrors `ValueKey` exactly — without building them.
 fn distinct_key<'a>(cols: &[TailCol<'a>], p: usize) -> Vec<BorrowKey<'a>> {
     cols.iter().map(|c| c.col.key(c.row(p))).collect()
 }
@@ -350,8 +348,8 @@ fn distinct_key<'a>(cols: &[TailCol<'a>], p: usize) -> Vec<BorrowKey<'a>> {
 ///    keys ([`distinct_key`]), keeping first occurrences in the current
 ///    order and stopping early once `offset + limit` rows are kept.
 /// 3. **LIMIT/OFFSET** slice the position vector.
-/// 4. Only then are the survivors **late-materialized**, reading just
-///    the output columns (per morsel, stitched in order).
+/// 4. Only then are the output columns **gathered** at the surviving
+///    positions ([`Column::gather`]) into the tail's output table.
 ///
 /// Every step is infallible (column reads only — whatever can fail ran
 /// in Project, for every row), so skipping non-surviving rows can never
@@ -366,7 +364,7 @@ fn distinct_key<'a>(cols: &[TailCol<'a>], p: usize) -> Vec<BorrowKey<'a>> {
 /// stable-sort tie order, and a total order with no inter-row ties makes
 /// unstable sorts, bounded heaps and run merges all produce that same
 /// permutation. DISTINCT hashes keys that partition rows exactly as
-/// `RowKey::from_values` over the output row would.
+/// a `RowKey` over the output row would.
 fn run_tail(
     ctab: &ColumnarTable,
     sel: &[u32],
@@ -374,7 +372,7 @@ fn run_tail(
     tail: &TailPlan,
     par: Parallelism,
     topk_hit: &mut bool,
-) -> Vec<Row> {
+) -> ColumnarTable {
     let n = sel.len();
     // A selection as long as its table is the identity (selections are
     // strictly increasing): read it by position.
@@ -401,7 +399,7 @@ fn run_tail(
     let bound = if tail.distinct { None } else { target };
 
     // 1. Order the positions (no sort: the tail is a pure slice — take
-    // it before materializing anything).
+    // it before gathering anything).
     let mut pos: Vec<u32> = if sort.is_empty() {
         (0..bound.map_or(n, |k| k.min(n)) as u32).collect()
     } else {
@@ -433,27 +431,20 @@ fn run_tail(
         pos.truncate(lim as usize);
     }
 
-    // 4. Late materialization of only the output columns (in output
-    // order — a column projected twice is read twice).
-    materialize_rows(&out, &pos, par)
-}
-
-/// Materialize the tail's surviving rows, reading only the output
-/// columns, stitched in morsel order.
-fn materialize_rows(out: &[TailCol<'_>], pos: &[u32], par: Parallelism) -> Vec<Row> {
-    morsel::run_concat(pos.len(), par, |r| {
-        pos[r]
-            .iter()
-            .map(|&p| {
-                // (A push loop: measurably tighter than collecting a map.)
-                let mut row = Vec::with_capacity(out.len());
-                for c in out {
-                    row.push(c.col.value(c.row(p as usize)));
-                }
-                row
-            })
-            .collect()
-    })
+    // 4. Gather the output columns at the surviving positions (in output
+    // order — a column projected twice is gathered twice). A source
+    // column's rows are the positions read through the selection.
+    let source_rows: Cow<'_, [u32]> = match via {
+        Some(sel) => pos.iter().map(|&p| sel[p as usize]).collect(),
+        None => Cow::Borrowed(&pos),
+    };
+    let columns = (out.iter())
+        .map(|c| {
+            c.col
+                .gather(if c.sel.is_some() { &source_rows } else { &pos })
+        })
+        .collect();
+    ColumnarTable::from_columns(columns, pos.len())
 }
 
 /// Sort the positions `0..n` by the tail's typed columnar sort keys —
@@ -1121,22 +1112,18 @@ fn swapped_equi_join(
     )
 }
 
-/// Run a planned set-operation tree `arity` columns wide: arms run left
-/// to right, their rows concatenate into one columnar intermediate, the
-/// tree's nodes keep, drop or dedupe index ranges over it bottom-up
-/// ([`set_op_indices`]), and the surviving indices are the selection the
-/// shared ORDER BY / LIMIT tail ([`run_tail`]) runs over.
-fn run_set_op(
-    ex: &mut Exec<'_>,
-    tree: &SetPlan,
-    tail: &TailPlan,
-    arity: usize,
-) -> Result<Vec<Row>> {
-    // 1. Run every arm and concatenate their rows columnar.
+/// Run a planned set-operation tree: arms run left to right, their
+/// tables concatenate column by column into one
+/// ([`ColumnarTable::concat`]), the tree's nodes keep, drop or dedupe
+/// index ranges over it bottom-up ([`set_op_indices`]), and the surviving
+/// indices are the selection the shared ORDER BY / LIMIT tail
+/// ([`run_tail`]) runs over.
+fn run_set_op(ex: &mut Exec<'_>, tree: &SetPlan, tail: &TailPlan) -> Result<ColumnarTable> {
+    // 1. Run every arm and concatenate their tables.
     let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
-    let mut all_rows: Vec<Row> = Vec::new();
-    run_arms(ex, tree, &mut all_rows, &mut ranges)?;
-    let ctab = ColumnarTable::from_rows(&all_rows, arity);
+    let mut all: Option<ColumnarTable> = None;
+    run_arms(ex, tree, &mut all, &mut ranges)?;
+    let ctab = all.expect("a set operation has arms");
 
     // 2. The set-op tree selects index ranges bottom-up; the result is a
     // strictly ascending index list in set-op emission order — the
@@ -1155,22 +1142,26 @@ fn run_set_op(
 }
 
 /// Run the arms of a set-op tree depth-first, left before right,
-/// appending each one's rows to `rows` and its index range to `ranges`.
+/// appending each one's table to `all` and its index range to `ranges`.
 fn run_arms(
     ex: &mut Exec<'_>,
     tree: &SetPlan,
-    rows: &mut Vec<Row>,
+    all: &mut Option<ColumnarTable>,
     ranges: &mut Vec<std::ops::Range<u32>>,
 ) -> Result<()> {
     match tree {
         SetPlan::Arm(block) => {
-            let start = rows.len() as u32;
-            rows.append(&mut run_block(ex, block)?);
-            ranges.push(start..rows.len() as u32);
+            let arm = run_block(ex, block)?;
+            let start = all.as_ref().map_or(0, ColumnarTable::len) as u32;
+            ranges.push(start..start + arm.len() as u32);
+            match all {
+                Some(all) => all.concat(&arm),
+                None => *all = Some(arm),
+            }
         }
         SetPlan::Op { left, right, .. } => {
-            run_arms(ex, left, rows, ranges)?;
-            run_arms(ex, right, rows, ranges)?;
+            run_arms(ex, left, all, ranges)?;
+            run_arms(ex, right, all, ranges)?;
         }
     }
     Ok(())
@@ -1336,8 +1327,7 @@ fn run_grouped(
     plan: &GroupedPlan,
     par: Parallelism,
     topk: &mut bool,
-) -> Result<Vec<Row>> {
-    let nkeys = plan.keys.len();
+) -> Result<ColumnarTable> {
     let args = || plan.aggs.iter().filter_map(|spec| spec.arg.as_ref());
     let plain = (plan.keys.iter().chain(args())).all(|e| matches!(e, CompiledExpr::Column(_)));
     let (projected, identity): (ColumnarTable, Vec<u32>);
@@ -1361,7 +1351,7 @@ fn run_grouped(
     let key_cols: Vec<usize> = (plan.keys.iter().enumerate())
         .map(|(k, e)| column_of(e, k))
         .collect();
-    let mut next_arg = nkeys..;
+    let mut next_arg = plan.keys.len()..;
     let agg_args: Vec<Option<usize>> = (plan.aggs.iter())
         .map(|spec| Some(column_of(spec.arg.as_ref()?, next_arg.next()?)))
         .collect();
@@ -1371,12 +1361,12 @@ fn run_grouped(
     // STDDEV's second (M2) pass revisits the data with per-group means
     // in hand; it needs every row's group id.
     let need_gids = plan.aggs.iter().any(|spec| spec.func == AggFunc::Stddev);
-    type MorselState = (Vec<Row>, Vec<u32>, Vec<Result<AggPartial>>);
+    type MorselState = (Vec<u32>, Vec<u32>, Vec<Result<AggPartial>>);
     let mut morsels: Vec<MorselState> = morsel::run(sel.len(), par, |range| {
         let base = range.start;
         let chunk = &sel[range];
-        let (gids, groups) = assign_groups(ctab, &key_cols, chunk);
-        let ngroups = groups.len();
+        let (gids, firsts) = assign_groups(ctab, &key_cols, chunk);
+        let ngroups = firsts.len();
         let partials = plan
             .aggs
             .iter()
@@ -1387,38 +1377,29 @@ fn run_grouped(
                 )
             })
             .collect();
-        (groups, if need_gids { gids } else { Vec::new() }, partials)
+        (firsts, if need_gids { gids } else { Vec::new() }, partials)
     });
 
-    // Merge morsel-local groups into the global first-appearance order.
-    // A single morsel's table already is that order: adopt it.
-    let mut groups: Vec<Row> = Vec::new();
-    let mut gid_maps: Vec<Vec<u32>> = Vec::with_capacity(morsels.len());
-    if let [(only, _, _)] = &mut morsels[..] {
-        groups = std::mem::take(only);
-        gid_maps.push((0..groups.len() as u32).collect());
-    } else {
-        let mut map: HashMap<RowKey, u32> = HashMap::new();
-        for (local_groups, _, _) in &mut morsels {
-            let mut gmap = Vec::with_capacity(local_groups.len());
-            for key_vals in local_groups.drain(..) {
-                let gid = match map.entry(RowKey::from_values(&key_vals)) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        groups.push(key_vals);
-                        *e.insert((groups.len() - 1) as u32)
-                    }
-                };
-                gmap.push(gid);
-            }
-            gid_maps.push(gmap);
+    // Merge morsel-local groups into the global first-appearance order:
+    // the local groups' first rows, morsels in order, grouped once more.
+    // A single morsel's groups already are that order: adopt them.
+    let (firsts, gid_maps): (Vec<u32>, Vec<Vec<u32>>) = match &mut morsels[..] {
+        [(only, _, _)] => {
+            let ids = (0..only.len() as u32).collect();
+            (std::mem::take(only), vec![ids])
         }
-    }
-    // A grand aggregate over zero rows still yields one group.
-    if key_cols.is_empty() && groups.is_empty() {
-        groups.push(Vec::new());
-    }
-    let ngroups = groups.len();
+        morsels => {
+            let local: Vec<u32> = morsels.iter().flat_map(|m| m.0.iter().copied()).collect();
+            let (ids, firsts) = assign_groups(ctab, &key_cols, &local);
+            let mut ids = ids.into_iter();
+            let maps = morsels
+                .iter()
+                .map(|m| ids.by_ref().take(m.0.len()).collect());
+            (firsts, maps.collect())
+        }
+    };
+    // A grand aggregate is one group, over zero rows too.
+    let ngroups = if key_cols.is_empty() { 1 } else { firsts.len() };
 
     // Merge partial states per aggregate, morsels in order; with STDDEV,
     // also every selection position's global group id.
@@ -1455,19 +1436,11 @@ fn run_grouped(
         });
     }
 
-    // The groups table `[keys…, aggregates…]`, then the block over it.
-    let mut key_vals: Vec<Vec<Value>> = (0..nkeys).map(|_| Vec::with_capacity(ngroups)).collect();
-    for group in groups {
-        for (k, v) in group.into_iter().enumerate() {
-            key_vals[k].push(v);
-        }
-    }
-    let columns = key_vals
-        .into_iter()
-        .chain(agg_vals)
-        .map(Column::from_values)
-        .collect();
-    let groups = ColumnarTable::from_columns(columns, ngroups);
+    // The groups table `[keys…, aggregates…]` — each key as its group's
+    // first row holds it — then the block over it.
+    let keys = key_cols.iter().map(|&c| ctab.columns[c].gather(&firsts));
+    let columns = keys.chain(agg_vals.into_iter().map(Column::from_values));
+    let groups = ColumnarTable::from_columns(columns.collect(), ngroups);
     let all: Vec<u32> = (0..ngroups as u32).collect();
     let (kept, computed) = project(
         &groups,
@@ -1544,20 +1517,18 @@ fn stddev_pass(
 }
 
 /// Assign a group id to every selected row (ids in first-appearance
-/// order, like the oracle) and collect each group's key values, as its
-/// first row holds them. Rows group by one [`BorrowKey`] per key column
-/// ([`Column::key`]) — the partition the oracle's `RowKey` gives: `1` and
-/// `1.0` share a group, and so do all NULLs.
-fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Vec<Row>) {
-    let mut groups: Vec<Row> = Vec::new();
+/// order, like the oracle) and collect each group's first row. Rows group
+/// by one [`BorrowKey`] per key column ([`Column::key`]) — the partition
+/// the oracle's `RowKey` gives: `1` and `1.0` share a group, and so do
+/// all NULLs.
+fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut firsts: Vec<u32> = Vec::new();
     if key_cols.is_empty() {
-        if !sel.is_empty() {
-            groups.push(Vec::new());
-        }
-        return (vec![0; sel.len()], groups);
+        firsts.extend(sel.first());
+        return (vec![0; sel.len()], firsts);
     }
     let columns: Vec<&Column> = key_cols.iter().map(|&c| &ctab.columns[c]).collect();
-    let new_group = |i: usize| groups.push(columns.iter().map(|c| c.value(i)).collect());
+    let new_group = |i: usize| firsts.push(i as u32);
     let gids = match &columns[..] {
         [col] => number_groups(sel, |i| col.key(i), new_group),
         _ => number_groups(
@@ -1566,7 +1537,7 @@ fn assign_groups(ctab: &ColumnarTable, key_cols: &[usize], sel: &[u32]) -> (Vec<
             new_group,
         ),
     };
-    (gids, groups)
+    (gids, firsts)
 }
 
 /// Each row of `sel`'s group id: its key's rank in first-appearance

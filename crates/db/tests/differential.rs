@@ -2218,6 +2218,50 @@ fn like_over_a_derived_column_matches_the_oracle() {
     }
 }
 
+/// A derived table or a set operation's arms reach the block above as
+/// the tables their tails gathered, each column in its source's storage:
+/// a `Mixed` column keeps that variant when only floats survive, arms of
+/// integers, floats and strings append into one column, and an arm of
+/// NULLs contributes no type; no row may survive at all. Every
+/// aggregate, grouping, DISTINCT, the bounded sort and `IN` over such a
+/// column agree with the oracle, at one worker and at eight. (A derived
+/// table of zero columns does not parse.)
+#[test]
+fn operators_over_derived_and_set_op_columns_match_the_oracle() {
+    let db = agg_matrix_db(true);
+    db.set_morsel_rows(3);
+    for derived in [
+        "SELECT k, m AS v FROM g WHERE m < 100",
+        "SELECT k, m AS v FROM g ORDER BY 2 DESC LIMIT 7",
+        "SELECT k, i AS v FROM g UNION ALL SELECT k, f FROM g UNION ALL SELECT k, s FROM g",
+        "SELECT k, i AS v FROM g UNION ALL SELECT k, f FROM g",
+        "SELECT k, m AS v FROM g WHERE m < 100 UNION ALL SELECT k, i FROM g WHERE k = 0",
+        "SELECT k, NULL AS v FROM g UNION ALL SELECT k, i FROM g",
+        "SELECT k, i AS v FROM g UNION SELECT k, NULL FROM g",
+        "SELECT k, b AS v FROM g INTERSECT SELECT k, NULL FROM g",
+        "SELECT k, NULL AS v FROM g",
+        "SELECT k, s AS v FROM g WHERE k < 0",
+    ] {
+        for query in [
+            "SELECT MIN(v), MAX(v) FROM ({d}) d",
+            "SELECT SUM(v), AVG(v) FROM ({d}) d",
+            "SELECT COUNT(DISTINCT v), COUNT(v), COUNT(*) FROM ({d}) d",
+            "SELECT k, MIN(v), MAX(v), COUNT(DISTINCT v) FROM ({d}) d GROUP BY k ORDER BY 1",
+            "SELECT v, COUNT(*) FROM ({d}) d GROUP BY v",
+            "SELECT DISTINCT v FROM ({d}) d",
+            "SELECT v, k FROM ({d}) d ORDER BY v DESC, k LIMIT 4",
+            "SELECT COUNT(*) FROM g WHERE i IN (SELECT v FROM ({d}) d)",
+            "SELECT COUNT(*) FROM g WHERE f NOT IN (SELECT v FROM ({d}) d)",
+        ] {
+            let sql = query.replace("{d}", derived);
+            for workers in [1, 8] {
+                db.set_parallelism(workers);
+                assert_engines_agree(&db, &sql, &format!("workers={workers}"));
+            }
+        }
+    }
+}
+
 /// HAVING makes a block one group, as in standard SQL: a column outside
 /// an aggregate is then ungrouped, `HAVING 1 > 0` keeps the one group —
 /// over an empty table too — and `HAVING 1 < 0` keeps none.

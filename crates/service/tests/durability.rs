@@ -771,43 +771,6 @@ fn submit_never_waits_for_the_disk() {
     );
 }
 
-/// The log flusher's own fsync fails: the owner and the request
-/// coalesced onto it get `WalUnavailable`, the charge is refunded,
-/// nothing is cached, and no fsync is attempted after the failed one.
-/// The flusher does not retry the poisoned log: the errors counted are
-/// the failed fsync, the barrier's commit and the refund's write, then
-/// the clean stop's flush.
-#[test]
-fn a_failed_flusher_sync_fails_closed() {
-    let storage = FaultStorage::new();
-    let svc =
-        QueryService::with_storage(test_db(), wal_config(), Box::new(storage.clone())).unwrap();
-    let p = params(0.5);
-    let seen = svc.query("alice", "SELECT COUNT(*) FROM trips", p).unwrap();
-    let sql = "SELECT COUNT(*) FROM trips WHERE city_id = 1";
-    let owner = submit_with_syncs_held(&svc, &storage, "alice", sql, p);
-    // Nobody waits yet, so the held sync is the flusher's.
-    while storage.syncs_held() == 0 {
-        std::thread::yield_now();
-    }
-    let waiter = svc.submit("bob", sql, p);
-    let failed = storage.syncs();
-    storage.fail_syncs_after(failed - 1);
-    storage.resume_syncs();
-    for outcome in [owner.wait(), waiter.wait()] {
-        let err = outcome.unwrap_err();
-        assert!(matches!(err, ServiceError::WalUnavailable(_)), "{err:?}");
-    }
-    let t = svc.telemetry();
-    assert_eq!((t.coalesced, t.completed), (1, 1), "snapshot: {t}");
-    assert_eq!(t.wal_errors, 3, "snapshot: {t}");
-    assert_eq!(svc.cached_answers(), 1, "only the release before the fault");
-    assert_eq!(svc.ledger().spent("alice"), seen.charged, "refunded");
-    assert_eq!(svc.ledger().spent("bob"), (0.0, 0.0));
-    assert_eq!(svc.shutdown().wal_errors, 4);
-    assert_eq!(storage.syncs(), failed, "no fsync after the failed one");
-}
-
 /// What a client saw: who asked, which canonical query, what it cost.
 type Seen = (String, String, f64);
 
