@@ -119,10 +119,18 @@
 //!   join tree never NULL-pads `S`'s columns (those padded rows need the
 //!   post-join evaluation: `w > 5` drops pads, `w IS NULL` keeps them)
 //!   and the root's ON residual is all-kernel (shrinking the candidate
-//!   pair set under a fallible residual could skip an error). Everything
-//!   else runs post-join, whole, on the scalar interpreter. Over a
-//!   one-leaf root there is no join: every kernel narrows the leaf's scan,
-//!   and a predicate that is not all-kernel runs whole through Project.
+//!   pair set under a fallible residual could skip an error). This holds
+//!   for every kernel of an **infallible** WHERE, whatever else it
+//!   holds: its non-kernel conjuncts (a cross-side `d.city_id <>
+//!   t.city_id`, a `BETWEEN`) run post-join on the scalar interpreter,
+//!   after the post-join kernels, as one AND chain in rank order — all of
+//!   them infallible, so which runs first moves no row and no error. A
+//!   WHERE with a fallible conjunct runs post-join, whole, as compiled.
+//! - Over a one-leaf root there is no join: an all-kernel WHERE narrows
+//!   the leaf's scan, and any other runs whole through Project. The
+//!   split above would be as sound there, but it makes small-data
+//!   execution faster than `dp_overhead_ratio`'s gate allows until that
+//!   ratio is re-contracted (ROADMAP 1(g)).
 //!
 //! # Conjunct order is scheduling, never semantics
 //!
@@ -487,9 +495,12 @@ pub(crate) struct BlockPlan {
     /// (kept-unmatched sides): applied to the root's match vectors,
     /// side-local, pad-aware.
     pub post_kernels: Vec<(JoinSide, Kernel)>,
-    /// The whole WHERE predicate when any conjunct lacks a kernel:
-    /// interpreted over the root's rows in order, preserving
-    /// short-circuit and error behavior exactly.
+    /// What of WHERE no kernel runs, interpreted over the root's rows in
+    /// order: the whole predicate as compiled when a conjunct is
+    /// fallible (short-circuit and errors stay exactly the oracle's) or
+    /// when a one-leaf root's infallible predicate is not all kernels;
+    /// over a join, an infallible predicate's non-kernel conjuncts, in
+    /// rank order.
     pub post_filter: Option<CompiledExpr>,
     /// The block's own plan, over the root's filtered rows.
     pub body: Body,
@@ -569,49 +580,59 @@ pub(crate) fn plan_block(
     };
     let (cols, phys, lineage) = (scope.cols, scope.phys, scope.lineage);
 
-    // WHERE: an all-kernel predicate narrows a one-leaf root's scan, or
-    // splits per side and pushes below the root join where the placement
-    // rules allow; anything else runs whole, on the interpreter. Either
-    // way an infallible predicate's conjuncts are scheduled first, so
-    // every list they land in is in rank order.
+    // WHERE: a fallible predicate runs whole, as compiled. An infallible
+    // one is scheduled first, so every list its conjuncts land in is in
+    // rank order: over a one-leaf root it narrows the scan if it is all
+    // kernels and runs whole through Project if not; over a join each
+    // kernel goes by the placement rules and the rest run post-join.
     let mut scan_kernels = Vec::new();
     let mut post_kernels = Vec::new();
     let mut post_filter = None;
     if let Some(pred) = &s.selection {
         let compiled = ex.compile_scalar(pred, &cols)?;
         let scheduled = schedule_where(compiled, &|c| phys[c], &mut ex.trace.filter_order);
-        let lw = match &root {
-            PlanNode::Join(node) => node.lw,
-            PlanNode::Scan(_) => cols.len(),
-        };
-        let kernels: Option<Vec<_>> = scheduled.as_ref().ok().and_then(|conjuncts| {
-            conjuncts
-                .iter()
-                .map(|e| side_kernel(e, lw, &phys))
-                .collect()
-        });
-        match (kernels, &mut root) {
-            (None, _) => post_filter = Some(scheduled.map_or_else(|pinned| pinned, and_chain)),
-            (Some(kernels), PlanNode::Scan(_)) => {
-                scan_kernels = kernels.into_iter().map(|(_, k)| k).collect();
+        match (scheduled, &mut root) {
+            (Err(pinned), _) => post_filter = Some(pinned),
+            (Ok(conjuncts), PlanNode::Scan(_)) => {
+                // The split below, over a scan, would make small-data
+                // execution faster than the `dp_overhead_ratio` gate
+                // allows until it is re-contracted (ROADMAP 1(g)).
+                let kernels: Option<Vec<_>> = conjuncts
+                    .iter()
+                    .map(|e| Kernel::of(e, &|c| phys[c]))
+                    .collect();
+                match kernels {
+                    Some(kernels) => scan_kernels = kernels,
+                    None => post_filter = Some(and_chain(conjuncts)),
+                }
             }
-            (Some(kernels), PlanNode::Join(node)) => {
+            (Ok(conjuncts), PlanNode::Join(node)) => {
                 // Pushing below the join is only sound when the root's own
                 // residual is infallible (here: empty, i.e. fully kernelized).
                 let push_ok = node.residual.is_empty();
                 let keep_l = keeps_unmatched(node.join_type, JoinSide::Left);
                 let keep_r = keeps_unmatched(node.join_type, JoinSide::Right);
-                for (side, k) in kernels {
-                    match side {
+                let mut rest = Vec::new();
+                for e in conjuncts {
+                    match side_kernel(&e, node.lw, &phys) {
                         // A left-side WHERE kernel may narrow the left
                         // scan unless unmatched *right* rows NULL-pad
                         // the left columns (RIGHT/FULL) — those pads
                         // need the post-join evaluation. Symmetrically
                         // for the right side.
-                        JoinSide::Left if push_ok && !keep_r => node.left_kernels.push(k),
-                        JoinSide::Right if push_ok && !keep_l => node.right_kernels.push(k),
-                        side => post_kernels.push((side, k)),
+                        Some((JoinSide::Left, k)) if push_ok && !keep_r => {
+                            node.left_kernels.push(k)
+                        }
+                        Some((JoinSide::Right, k)) if push_ok && !keep_l => {
+                            node.right_kernels.push(k)
+                        }
+                        Some(side_k) => post_kernels.push(side_k),
+                        None => rest.push(e),
                     }
+                }
+                // Infallible too, so it may run after the kernels.
+                if !rest.is_empty() {
+                    post_filter = Some(and_chain(rest));
                 }
             }
         }
@@ -784,7 +805,11 @@ fn build_node<'a>(
             // when *every* conjunct has a kernel — a fallible conjunct
             // must keep seeing the full candidate pair set, in ON order.
             // (An empty residual collects to
-            // `Some(vec![])`, covering the pure-equi/CROSS cases.)
+            // `Some(vec![])`, covering the pure-equi/CROSS cases.) An
+            // infallible residual that is not all kernels is not split
+            // the way the root WHERE is: a non-empty residual forbids the
+            // root WHERE's pushdown (`push_ok`) and the swapped hash
+            // build in `vexec`, and no shipped query has one.
             let kernels: Option<Vec<_>> =
                 residual.iter().map(|e| side_kernel(e, lw, phys)).collect();
             match kernels {
@@ -1494,6 +1519,112 @@ mod tests {
             assert_eq!(live(root_node), root, "{sql}: root");
             assert_eq!(live(inner_node), below, "{sql}: inner join");
         }
+    }
+
+    /// Where each WHERE conjunct of a join root lands. Scope: `t.id
+    /// t.driver_id t.city_id t.fare t.status` (0–4), `d.id d.city_id
+    /// d.vehicle` (5–7), `c.id c.name` (8–9); the root joins `t ⋈ d`
+    /// (`lw` = 8) with `c`. An infallible WHERE's kernels go by the
+    /// placement rules, in rank order, and its other conjuncts alone run
+    /// post-join; a fallible one runs whole, and nothing is pushed.
+    #[test]
+    fn an_infallible_where_over_a_join_pushes_its_kernels_and_keeps_the_rest() {
+        use crate::schema::{DataType, Schema};
+        use BinaryOperator::{Eq, Gt, NotEq};
+        use CompiledExpr::Column as Col;
+        let mut db = crate::database::Database::new();
+        for (name, cols, row) in [
+            (
+                "trips",
+                &[
+                    ("id", DataType::Int),
+                    ("driver_id", DataType::Int),
+                    ("city_id", DataType::Int),
+                    ("fare", DataType::Float),
+                    ("status", DataType::Str),
+                ][..],
+                vec![
+                    Value::Int(1),
+                    Value::Int(1),
+                    Value::Int(1),
+                    Value::Float(3.5),
+                    "completed".into(),
+                ],
+            ),
+            (
+                "drivers",
+                &[
+                    ("id", DataType::Int),
+                    ("city_id", DataType::Int),
+                    ("vehicle", DataType::Str),
+                ],
+                vec![Value::Int(1), Value::Int(2), "sedan".into()],
+            ),
+            (
+                "cities",
+                &[("id", DataType::Int), ("name", DataType::Str)],
+                vec![Value::Int(1), "Oslo".into()],
+            ),
+        ] {
+            db.create_table(name, Schema::of(cols)).unwrap();
+            db.insert(name, vec![row]).unwrap();
+        }
+        let join = |root: &str| {
+            format!(
+                "SELECT COUNT(DISTINCT d.id) FROM trips t JOIN drivers d ON t.driver_id = d.id \
+                 {root} cities c ON t.city_id = c.id"
+            )
+        };
+        let bench = "WHERE c.name = 'Oslo' AND t.status = 'completed' \
+                     AND d.city_id <> t.city_id AND t.fare > 3.0";
+        let fare = Kernel::Cmp(3, Gt, Value::Float(3.0));
+        let status = Kernel::Cmp(4, Eq, Value::Str("completed".into()));
+        let name = Kernel::Cmp(1, Eq, Value::Str("Oslo".into()));
+        let cross = CompiledExpr::Binary {
+            op: NotEq,
+            left: Box::new(Col(6)),
+            right: Box::new(Col(2)),
+        };
+        let plan = |sql: &str| {
+            let q = flex_sql::parse_query(sql).unwrap();
+            let mut ex = Exec::new(&db, db.exec_tuning());
+            let plan = plan_block(&mut ex, q.as_select().unwrap(), &q.order_by, None, None);
+            plan.unwrap_or_else(|e| panic!("{sql}: {e}")).0
+        };
+        let pushed = |plan: &BlockPlan| {
+            let PlanNode::Join(root) = &plan.root else {
+                panic!("a join root");
+            };
+            (root.left_kernels.clone(), root.right_kernels.clone())
+        };
+
+        // The bench's three-way join: the kernels on `t` and `c` narrow
+        // the root's inputs, the cross-side `<>` alone runs post-join.
+        let p = plan(&format!("{} {bench}", join("JOIN")));
+        let pushed_both = (vec![fare.clone(), status.clone()], vec![name.clone()]);
+        assert_eq!(pushed(&p), pushed_both);
+        assert!(p.post_kernels.is_empty());
+        assert_eq!(p.post_filter.as_ref(), Some(&cross));
+
+        // RIGHT keeps `c`'s unmatched rows and NULL-pads `t ⋈ d`: the
+        // kernels on `t` run post-join, over the pads, before the `<>`.
+        let p = plan(&format!("{} {bench}", join("RIGHT JOIN")));
+        assert_eq!(pushed(&p), (vec![], vec![name.clone()]));
+        let post = vec![(JoinSide::Left, fare), (JoinSide::Left, status)];
+        assert_eq!(p.post_kernels, post);
+        assert_eq!(p.post_filter.as_ref(), Some(&cross));
+
+        // A fallible conjunct (`+` can raise) pins the whole predicate.
+        let fallible = "WHERE c.name = 'Oslo' AND t.status = 'completed' \
+                        AND t.fare + d.city_id > 3";
+        let p = plan(&format!("{} {fallible}", join("JOIN")));
+        assert_eq!(pushed(&p), (vec![], vec![]));
+        assert!(p.post_kernels.is_empty());
+        let mut read = Vec::new();
+        p.post_filter
+            .unwrap()
+            .for_each_column(&mut |c| read.push(c));
+        assert_eq!(read, [9, 4, 3, 6]);
     }
 
     /// Predicates pack four bits a conjunct, in sequence; a lone conjunct

@@ -313,6 +313,26 @@ fn arb_r_rows() -> BoxedStrategy<Vec<(Value, Value, Value)>> {
     proptest::collection::vec((arb_int(), arb_int(), arb_str()), 0..25).boxed()
 }
 
+/// An infallible WHERE over `t x` joined with `r y` that mixes kernels
+/// (pushed below the join, or run post-join over NULL pads) with
+/// conjuncts no kernel runs — a cross-side comparison, a `BETWEEN` on a
+/// joined column — which run post-join, after the kernels. Every
+/// compared cell can be NULL.
+fn arb_split_where() -> BoxedStrategy<String> {
+    prop_oneof![
+        (-4i64..5).prop_map(|c| format!(" WHERE x.d > {c} AND x.a <> y.w")),
+        (-4i64..5).prop_map(|c| format!(" WHERE y.w <= {c} AND x.b < y.w AND x.c IS NOT NULL")),
+        ((-4i64..1), (0i64..5))
+            .prop_map(|(l, h)| format!(" WHERE y.w BETWEEN {l} AND {h} AND x.d <> 1")),
+        ((-4i64..1), (0i64..5)).prop_map(|(l, h)| {
+            format!(" WHERE x.a NOT BETWEEN {l} AND {h} AND y.u IS NULL AND x.d >= y.w")
+        }),
+        "[ab]".prop_map(|s| format!(" WHERE x.c LIKE '%{s}' AND y.u >= x.c AND y.w > -3")),
+        "[ab]{1,2}".prop_map(|s| format!(" WHERE y.u = '{s}' AND x.c <> y.u")),
+    ]
+    .boxed()
+}
+
 /// Random two-table equi-join queries covering the columnar join
 /// pipeline: INNER and LEFT, ON and USING, kernelizable and fallible
 /// residuals, WHERE conjuncts pushed to either side or kept post-join,
@@ -342,9 +362,11 @@ fn arb_join_query() -> BoxedStrategy<String> {
         Just(" WHERE y.u IS NULL".to_string()),
         Just(" WHERE y.u IS NOT NULL AND x.c IS NOT NULL".to_string()),
         "[ab]{1,2}".prop_map(|s| format!(" WHERE x.c = '{s}' AND y.w > -2")),
-        // Both-side / fallible conjuncts: the whole WHERE runs post-join.
+        // Fallible conjuncts: the whole WHERE runs post-join.
         (-4i64..5).prop_map(|c| format!(" WHERE x.b + y.w > {c}")),
         Just(" WHERE x.a > 0 OR y.w > 2".to_string()),
+        arb_split_where(),
+        arb_split_where(),
     ];
     let shape = prop_oneof![
         (0u32..3).prop_map(|ob| {
@@ -400,6 +422,7 @@ fn arb_tree_query() -> BoxedStrategy<String> {
             (-4i64..5).prop_map(|c| format!(" WHERE y.w <= {c}")),
             Just(" WHERE x.a IS NULL".to_string()),
             Just(" WHERE x.c IS NOT NULL OR y.u IS NULL".to_string()),
+            arb_split_where(),
         ],
         0u32..3,
     )
@@ -435,6 +458,28 @@ fn arb_tree_query() -> BoxedStrategy<String> {
             0 => format!("SELECT x.a, x.d, y.w FROM t x {j}{wh} LIMIT 40"),
             _ => format!("SELECT COUNT(*), SUM(x.a + y.w) FROM t x {j}{wh}"),
         });
+    // Comma joins: a cross product whose WHERE holds the join condition,
+    // which no kernel runs, so only the WHERE's kernels narrow its sides.
+    let comma = (
+        prop_oneof![
+            Just("x.a = y.a".to_string()),
+            Just("x.b = y.a".to_string()),
+            Just("x.a < y.w".to_string()),
+        ],
+        prop_oneof![
+            Just(String::new()),
+            (-4i64..5).prop_map(|c| format!(" AND y.w <= {c}")),
+            arb_split_where().prop_map(|w| w.replacen(" WHERE", " AND", 1)),
+        ],
+        0u32..2,
+    )
+        .prop_map(|(on, wh, shape)| {
+            let from = format!("FROM t x, r y WHERE {on}{wh}");
+            match shape {
+                0 => format!("SELECT x.a, x.c, y.w, y.u {from} ORDER BY 1, 2, 3, 4"),
+                _ => format!("SELECT y.u, COUNT(*), SUM(x.d) {from} GROUP BY y.u"),
+            }
+        });
     // Left-deep three-table trees: the greedy build-side choice is pure
     // scheduling, so bytes cannot depend on which side gets built.
     let tree = (
@@ -444,6 +489,13 @@ fn arb_tree_query() -> BoxedStrategy<String> {
             Just(String::new()),
             (-4i64..5).prop_map(|c| format!(" WHERE y.w <= {c}")),
             (-4i64..5).prop_map(|c| format!(" WHERE x.d + z.d > {c}")),
+            // Kernels on both sides of the root, a cross-side `<>` and a
+            // `BETWEEN` on the joined `z` post-join.
+            (-4i64..5).prop_map(|c| {
+                format!(
+                    " WHERE z.c IS NOT NULL AND x.d <> z.d AND y.w > {c} AND z.b BETWEEN -1 AND 1"
+                )
+            }),
         ],
         0u32..3,
     )
@@ -503,6 +555,7 @@ fn arb_tree_query() -> BoxedStrategy<String> {
     prop_oneof![
         outer,
         nonequi,
+        comma,
         tree,
         derived,
         union,
@@ -532,7 +585,9 @@ fn arb_set_op() -> BoxedStrategy<&'static str> {
 /// Three- and four-arm set-operation trees mixing all operators in one
 /// tree, left-deep and right-nested, with table-less arms (NULLs
 /// included, so both sides of every operator can hold NULL keys), plus
-/// the same trees as a derived join leaf.
+/// the same trees as a derived join leaf. Arms differ in storage, so one
+/// output column can append Int, Float (or Mixed), string and all-NULL
+/// columns, and `1` meets `1.0` as a key.
 fn arb_set_op_tree() -> BoxedStrategy<String> {
     let arm = prop_oneof![
         arb_pred().prop_map(|p| format!("SELECT a, d FROM t WHERE {p}")),
@@ -543,6 +598,11 @@ fn arb_set_op_tree() -> BoxedStrategy<String> {
         (-4i64..5, 0i64..3).prop_map(|(x, y)| format!("SELECT {x}, {y}")),
         Just("SELECT NULL, 1".to_string()),
         Just("SELECT 2, 1 WHERE 1 = 0".to_string()),
+        // Float or Mixed, string and all-NULL columns.
+        arb_pred().prop_map(|p| format!("SELECT b AS a, c FROM t WHERE {p}")),
+        Just("SELECT u, b FROM r JOIN t USING (a)".to_string()),
+        (-4i64..5).prop_map(|x| format!("SELECT {x}.5, 'a'")),
+        Just("SELECT NULL, NULL FROM t".to_string()),
     ];
     // (The vendored proptest stops at 5-tuples, hence the nesting.)
     let tree = (
@@ -570,14 +630,42 @@ fn arb_set_op_tree() -> BoxedStrategy<String> {
 }
 
 /// Left-deep join trees of 9–12 leaves. Every leaf past the second
-/// either has a unique key (a DISTINCT derived leaf) or a selective ON
-/// kernel, so the result stays small while the tree gets wide.
+/// either has a unique key (a DISTINCT derived leaf or a UNION whose arms
+/// store Int, Float or Mixed, string and all-NULL columns) or a selective
+/// ON kernel, so the result stays small while the tree gets wide.
 fn arb_wide_tree() -> BoxedStrategy<String> {
+    let union_arm = prop_oneof![
+        Just("SELECT a FROM r"),
+        Just("SELECT b AS a FROM t"),
+        Just("SELECT c AS a FROM t"),
+        Just("SELECT NULL AS a FROM r"),
+        Just("SELECT 1.0 AS a"),
+    ];
+    let union = proptest::collection::vec(union_arm, 2..=3).prop_map(|arms| {
+        (
+            "LEFT JOIN",
+            format!("({})", arms.join(" UNION ")),
+            String::new(),
+        )
+    });
     let leaf = prop_oneof![
-        Just(("JOIN", "(SELECT DISTINCT a FROM t)", String::new())),
-        Just(("LEFT JOIN", "(SELECT DISTINCT a FROM r)", String::new())),
-        (-4i64..5).prop_map(|c| ("JOIN", "r", format!(" AND Z.w = {c}"))),
-        (0i64..3).prop_map(|c| ("LEFT JOIN", "t", format!(" AND Z.d = {c} AND Z.b > 0"))),
+        Just((
+            "JOIN",
+            "(SELECT DISTINCT a FROM t)".to_string(),
+            String::new()
+        )),
+        Just((
+            "LEFT JOIN",
+            "(SELECT DISTINCT a FROM r)".to_string(),
+            String::new()
+        )),
+        union,
+        (-4i64..5).prop_map(|c| ("JOIN", "r".to_string(), format!(" AND Z.w = {c}"))),
+        (0i64..3).prop_map(|c| (
+            "LEFT JOIN",
+            "t".to_string(),
+            format!(" AND Z.d = {c} AND Z.b > 0")
+        )),
     ];
     (
         proptest::collection::vec(leaf, 7..=10),
@@ -2740,6 +2828,66 @@ fn inner_join_pushes_where_to_both_sides() {
     );
     // Pairs on a=1 with u='a': rows (1,0) and (1,1) of t × r row (1,10,'a').
     assert_eq!(rs.rows[0][0], Value::Int(2));
+}
+
+/// An infallible WHERE over a join runs its kernels below the join (or
+/// post-join, over a padded side) and only its other conjuncts on the
+/// pairs; one fallible conjunct makes the whole WHERE run as written, so
+/// the error the oracle raises still surfaces although `x.d > 5` keeps
+/// no row. Every join type, at 1 and 8 workers; `b` is Mixed (it holds
+/// Ints and Floats) and every compared column holds NULLs, keys too.
+#[test]
+fn an_infallible_where_splits_over_a_join_and_a_fallible_one_runs_whole() {
+    let (int, float, s) = (Value::Int, Value::Float, Value::str);
+    let mut db = build_db(vec![
+        (int(1), int(2), s("a"), int(0)),
+        (int(1), float(2.5), s("b"), int(1)),
+        (int(2), Value::Null, s("c"), int(1)),
+        (Value::Null, int(5), s("d"), int(0)),
+        (int(3), float(1.5), Value::Null, Value::Null),
+        (int(2), int(7), s("e"), int(2)),
+    ]);
+    add_r(
+        &mut db,
+        vec![
+            (int(1), int(2), s("a")),
+            (int(1), Value::Null, s("c")),
+            (int(2), int(7), Value::Null),
+            (Value::Null, int(5), s("z")),
+            (int(4), int(0), s("q")),
+            (int(2), int(1), s("f")),
+        ],
+    );
+    let froms = [
+        ("JOIN r y ON x.a = y.a", ""),
+        ("LEFT JOIN r y ON x.a = y.a", ""),
+        ("RIGHT JOIN r y ON x.a = y.a", ""),
+        ("FULL JOIN r y ON x.a = y.a", ""),
+        (", r y", "x.a = y.a AND "),
+    ];
+    let infallible = [
+        "x.d >= 0 AND x.b <> y.w AND y.u IS NOT NULL",
+        "y.w BETWEEN 0 AND 5 AND x.c < y.u AND x.a > 0",
+        "x.b BETWEEN 1 AND 3 AND y.u IS NULL",
+    ];
+    let fallible = "y.w + x.c > 0 AND x.d > 5";
+    for workers in [1, 8] {
+        db.set_parallelism(workers);
+        for (join, on) in froms {
+            for pred in infallible.iter().chain([&fallible]) {
+                let sql =
+                    format!("SELECT x.a, x.b, x.c, y.w, y.u FROM t x {join} WHERE {on}{pred}");
+                let ctx = format!("{sql} (workers {workers})");
+                match (db.execute_sql(&sql), flex_oracle::execute_sql(&db, &sql)) {
+                    (Ok(v), Ok(r)) if *pred != fallible => assert_eq!(v, r, "{ctx}"),
+                    (Err(v), Err(r)) if *pred == fallible => {
+                        assert_eq!(v.to_string(), r.to_string(), "{ctx}")
+                    }
+                    (v, r) => panic!("{ctx}: engine {v:?}, oracle {r:?}"),
+                }
+            }
+        }
+    }
 }
 
 #[test]

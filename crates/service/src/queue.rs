@@ -357,43 +357,42 @@ mod tests {
         worker.join().unwrap();
     }
 
-    /// A fan-out of two on two slots keeps both busy: the second push
-    /// wakes a worker, which pops the first job; the caller, refused its
-    /// own job, wakes the other worker for the second instead of leaving
-    /// it queued behind the first.
+    /// A fan-out of two on two slots keeps both busy: the first job is
+    /// on a worker (this thread pops it as one) and the second is queued
+    /// behind it; the caller, refused its own job, wakes the parked
+    /// worker for the second instead of leaving it queued. Neither push
+    /// wakes anyone (each finds the queue empty), so the refused `take`
+    /// is the one notify the parked worker can see.
     #[test]
     fn a_caller_refused_its_job_wakes_a_worker_for_the_rest() {
         let q: Arc<WorkQueue<u32>> = Arc::new(WorkQueue::new(usize::MAX, 2));
         let (tx, rx) = channel();
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let (q, tx) = (Arc::clone(&q), tx.clone());
-                std::thread::spawn(move || {
-                    // Hold the slot until the test has seen both jobs.
-                    while let Some((job, slot)) = q.pop() {
-                        let (done, hold) = channel::<()>();
-                        tx.send((job, done)).unwrap();
-                        let _ = hold.recv();
-                        drop(slot);
-                    }
-                })
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                while let Some((job, _slot)) = q.pop() {
+                    tx.send(job).unwrap();
+                }
             })
-            .collect();
-        q.wait_parked(2);
+        };
+        q.wait_parked(1);
         let first = q.push(1, false).unwrap();
-        q.push(2, false).unwrap();
-        let (job, first_done) = rx.recv().unwrap();
+        let (job, slot) = q.pop().unwrap();
         assert_eq!(job, 1);
+        q.push(2, false).unwrap();
+        {
+            let state = lock(&q.state);
+            let ids: Vec<u64> = state.jobs.iter().map(|(id, _)| *id).collect();
+            assert_eq!((ids, state.parked), (vec![first + 1], 1), "queued, unwoken");
+        }
         assert!(take_one(&q, first).is_none(), "a worker has it");
-        let (job, second_done) = rx
+        let job = rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("the second job was left queued behind the first");
         assert_eq!(job, 2);
-        drop((first_done, second_done));
+        drop(slot);
         q.close();
-        for worker in workers {
-            worker.join().unwrap();
-        }
+        worker.join().unwrap();
     }
 
     /// `wait_idle` outlasts a job its caller took: freeing the slot is not

@@ -2,10 +2,12 @@
 # Seeded mutants of the executor, one in each piece the executor used to
 # share with its test oracle — a comparison arm of the expression
 # evaluator, the lane pairing of the fold kernels, the ordinal branch of
-# the ORDER BY rule — and four the oracle never needed: the post-join
-# WHERE's columns dropped from what the joins below it materialize, a
-# derived leaf's columns claiming string storage before it has run (a
-# LIKE kernel then meets an integer column), a float column's cells
+# the ORDER BY rule — and five the oracle never needed: the post-join
+# WHERE's columns dropped from what the joins below it materialize, the
+# conjuncts of an infallible join WHERE that no kernel runs dropped once
+# its kernels are pushed (a cross-side `<>` or a `BETWEEN` then keeps
+# every pair), a derived leaf's columns claiming string storage before
+# it has run (a LIKE kernel then meets an integer column), a float column's cells
 # keyed by their raw bits in `Column::key`, the key of every hash join,
 # group and DISTINCT (`1.0` then no longer joins `1`, nor `-0.0` groups
 # with `0.0`), and a set operation's arms appended in the first arm's
@@ -45,6 +47,7 @@ mutants=(
     "crates/db/src/aggregate.rs|((acc[0] + acc[1]) + (acc[2] + acc[3]))|((acc[0] + acc[2]) + (acc[1] + acc[3]))"
     "crates/db/src/bind.rs|Ok(Some(idx as usize - 1))|Ok(Some(out_cols.len() - idx as usize))"
     "crates/db/src/plan.rs|if let Some(p) = &post_filter {|if let Some(p) = None::<&CompiledExpr> {"
+    "crates/db/src/plan.rs|post_filter = Some(and_chain(rest));|drop(rest);"
     "crates/db/src/plan.rs|let phys = vec![Phys::Mixed; cols.len()];|let phys = vec![Phys::Str; cols.len()];"
     "crates/db/src/column.rs|ColumnData::Float64(xs) => BorrowKey::from_float(xs[i]),|ColumnData::Float64(xs) => BorrowKey::FloatBits(xs[i].to_bits()),"
     "crates/db/src/column.rs|let layout = add.layout();|let layout = col.layout();"
